@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs cover ci
+.PHONY: all build test race bench bench-check loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs cover ci
 
 all: build
 
@@ -38,6 +38,11 @@ BENCH_CHECK_FILTER ?= DBJobQueueQuery$$|DBJobsOnNode$$|BatchPlacement32$$|Single
 bench-check:
 	$(GO) run ./scripts/benchcheck -baseline BENCH_baseline.json -bench '$(BENCH_CHECK_FILTER)' -threshold 25
 
+# Net non-test lines of Go: the figure ROADMAP's "LOC must go down"
+# rule and CHANGES.md quote.
+loc:
+	@find internal cmd scripts -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -54,12 +59,11 @@ verify-recovery:
 	$(GO) test ./internal/sim -run 'CrashRecovery' -count=1 -v
 
 # Chaos acceptance: the seeded fault schedules (400-node churn,
-# partition + coordinator kill/restart, WAL disk faults on the sharded
-# and SingleMutex stores, clock-skew + duplicate delivery, data-plane
-# partition + checkpoint corruption, aggregator crash/partition) must
-# finish with zero invariant violations, and the sabotage tests must
-# prove the checker catches deliberately broken invariants. See
-# docs/FAULT-MODEL.md.
+# partition + coordinator kill/restart, WAL disk faults, clock-skew +
+# duplicate delivery, data-plane partition + checkpoint corruption,
+# aggregator crash/partition) must finish with zero invariant
+# violations, and the sabotage tests must prove the checker catches
+# deliberately broken invariants. See docs/FAULT-MODEL.md.
 verify-chaos:
 	$(GO) test ./internal/sim -run 'Chaos' -count=1 -v -timeout 300s
 

@@ -183,8 +183,8 @@ func BenchmarkScalability(b *testing.B) {
 			b.ReportMetric(float64(r.P95SchedulingLatency.Microseconds()), "p95_sched_us_at_50")
 		}
 		if r.Nodes == 400 {
-			b.ReportMetric(r.Headroom, "db_headroom_at_400")
-			b.ReportMetric(r.SingleMutexHeadroom, "mutex_headroom_at_400")
+			b.ReportMetric(r.Headroom, "model_headroom_at_400")
+			b.ReportMetric(r.SingleLockHeadroom, "model_single_lock_headroom_at_400")
 			b.ReportMetric(r.BatchSpeedup, "batch_speedup_at_400")
 		}
 		if r.Nodes == 800 {
@@ -194,9 +194,9 @@ func BenchmarkScalability(b *testing.B) {
 	onceScalability.Do(func() {
 		fmt.Println("\n--- Scalability (paper: sub-second to 50 nodes; bottlenecks beyond 200) ---")
 		for _, r := range rows {
-			fmt.Printf("  n=%-4d sched p95=%-12v batch/decision=%-10v sub-second=%-5v db headroom sharded=%.1fx mutex=%.1fx coalesce=%.1fx\n",
+			fmt.Printf("  n=%-4d sched p95=%-12v batch/decision=%-10v sub-second=%-5v §5.3 model: headroom sharded=%.1fx single-lock=%.1fx coalesce=%.1fx\n",
 				r.Nodes, r.P95SchedulingLatency, r.BatchMeanPerDecision, r.SubSecond,
-				r.Headroom, r.SingleMutexHeadroom, r.CoalesceSpeedup)
+				r.Headroom, r.SingleLockHeadroom, r.CoalesceSpeedup)
 		}
 	})
 }
@@ -576,56 +576,28 @@ func heartbeatStore(store db.Store, n int) []string {
 	return ids
 }
 
-// storeContentionCases are the two operating points the store benches
-// measure: pure in-memory map cost, and the §5.3 model where each
-// operation carries I/O latency held under the lock (the same model the
-// scalability experiment uses via SetOpDelay). The second is the
-// contention point sharding removes: per-shard RWMutexes let modelled
-// I/O delays overlap where the single mutex serializes them — even on
-// a single CPU, since sleeping operations yield the processor.
-var storeContentionCases = []struct {
-	name  string
-	delay time.Duration
-}{
-	{"inmem", 0},
-	{"iodelay20us", 20 * time.Microsecond},
-}
-
-// benchConcurrentHeartbeats runs the coordinator's per-heartbeat write
-// mix (node update + two telemetry samples) from parallel goroutines —
-// the hot path the sharded store parallelizes.
-func benchConcurrentHeartbeats(b *testing.B, mk func() db.Store) {
-	for _, tc := range storeContentionCases {
-		b.Run(tc.name, func(b *testing.B) {
-			store := mk()
-			ids := heartbeatStore(store, 200)
-			store.SetOpDelay(tc.delay)
-			var seq atomic.Int64
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(seq.Add(1))
-					id := ids[i%len(ids)]
-					_ = store.UpdateNode(id, func(n *db.NodeRecord) {
-						n.LastHeartbeat = n.LastHeartbeat.Add(time.Second)
-					})
-					store.AppendSample(db.Sample{Time: benchEpoch, NodeID: id,
-						Metric: "gpu_utilization", Value: 0.5})
-					store.AppendSample(db.Sample{Time: benchEpoch, NodeID: id,
-						Metric: "gpu_memory_used_mib", Value: 1024})
-				}
+// BenchmarkConcurrentHeartbeats runs the coordinator's per-heartbeat
+// write mix (node update + two telemetry samples) from parallel
+// goroutines — the hot path the sharded store parallelizes.
+func BenchmarkConcurrentHeartbeats(b *testing.B) {
+	store := db.New(0)
+	ids := heartbeatStore(store, 200)
+	var seq atomic.Int64
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := int(seq.Add(1))
+			id := ids[i%len(ids)]
+			_ = store.UpdateNode(id, func(n *db.NodeRecord) {
+				n.LastHeartbeat = n.LastHeartbeat.Add(time.Second)
 			})
-		})
-	}
-}
-
-func BenchmarkConcurrentHeartbeatsSharded(b *testing.B) {
-	benchConcurrentHeartbeats(b, func() db.Store { return db.New(0) })
-}
-
-func BenchmarkConcurrentHeartbeatsSingleMutex(b *testing.B) {
-	benchConcurrentHeartbeats(b, func() db.Store { return db.NewSingleMutex(0) })
+			store.AppendSample(db.Sample{Time: benchEpoch, NodeID: id,
+				Metric: "gpu_utilization", Value: 0.5})
+			store.AppendSample(db.Sample{Time: benchEpoch, NodeID: id,
+				Metric: "gpu_memory_used_mib", Value: 1024})
+		}
+	})
 }
 
 // BenchmarkHeartbeatCoalesced measures the commit path the coalescing
@@ -672,39 +644,26 @@ func BenchmarkHeartbeatPerBeatCommit(b *testing.B) {
 	}
 }
 
-// benchConcurrentReads measures parallel read-path throughput (point
-// lookups plus the scheduler's ActiveNodes scan) against each store.
-func benchConcurrentReads(b *testing.B, mk func() db.Store) {
-	for _, tc := range storeContentionCases {
-		b.Run(tc.name, func(b *testing.B) {
-			store := mk()
-			ids := heartbeatStore(store, 200)
-			store.SetOpDelay(tc.delay)
-			var seq atomic.Int64
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(seq.Add(1))
-					if _, err := store.GetNode(ids[i%len(ids)]); err != nil {
-						b.Error(err) // Fatal must not run off the test goroutine
-						return
-					}
-					if i%8 == 0 {
-						_ = store.ActiveNodes()
-					}
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkConcurrentReadsSharded(b *testing.B) {
-	benchConcurrentReads(b, func() db.Store { return db.New(0) })
-}
-
-func BenchmarkConcurrentReadsSingleMutex(b *testing.B) {
-	benchConcurrentReads(b, func() db.Store { return db.NewSingleMutex(0) })
+// BenchmarkConcurrentReads measures parallel read-path throughput:
+// point lookups plus the scheduler's ActiveNodes scan.
+func BenchmarkConcurrentReads(b *testing.B) {
+	store := db.New(0)
+	ids := heartbeatStore(store, 200)
+	var seq atomic.Int64
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := int(seq.Add(1))
+			if _, err := store.GetNode(ids[i%len(ids)]); err != nil {
+				b.Error(err) // Fatal must not run off the test goroutine
+				return
+			}
+			if i%8 == 0 {
+				_ = store.ActiveNodes()
+			}
+		}
+	})
 }
 
 // BenchmarkBatchPlacement32 places 32 requests per cycle through
@@ -854,14 +813,15 @@ func BenchmarkWorkloadAdvance(b *testing.B) {
 	}
 }
 
-// --- WAL durability: group commit vs per-record fsync ---
+// --- WAL durability ---
 
-// benchWALAppend measures concurrent append throughput against the
-// write-ahead log. Group commit coalesces the parallel appenders into
-// one fsync per batch; the per-record baseline pays one fsync per
-// mutation — the contrast behind wal_group_commit_ms.
-func benchWALAppend(b *testing.B, opts wal.Options) {
-	w, err := wal.OpenWriter(b.TempDir(), opts)
+// BenchmarkWALPipelined measures concurrent append throughput against
+// the write-ahead log's two-stage appender: parallel appenders coalesce
+// into one fsync per group, and the next group's buffer fills and its
+// write issues while the previous group's fsync is in flight on the
+// sync stage.
+func BenchmarkWALPipelined(b *testing.B) {
+	w, err := wal.OpenWriter(b.TempDir(), wal.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -884,36 +844,15 @@ func benchWALAppend(b *testing.B, opts wal.Options) {
 	})
 }
 
-// BenchmarkWALGroupCommit is the serial group-commit baseline: batches
-// coalesce, but the writer holds the I/O lock across each batch's
-// fsync, so the next group's write waits out the previous sync.
-func BenchmarkWALGroupCommit(b *testing.B) {
-	benchWALAppend(b, wal.Options{SerialFsync: true})
-}
+// --- Snapshot under load ---
 
-// BenchmarkWALPipelined is the default two-stage appender: the next
-// group's buffer fills and its write issues while the previous group's
-// fsync is in flight on the sync stage.
-func BenchmarkWALPipelined(b *testing.B) {
-	benchWALAppend(b, wal.Options{})
-}
-
-func BenchmarkWALPerRecordFsync(b *testing.B) {
-	benchWALAppend(b, wal.Options{PerRecordSync: true})
-}
-
-// --- Snapshot under load: per-shard export vs global-quiesce Save ---
-
-// benchSnapshotUnderLoad measures heartbeat-commit throughput while a
-// snapshot loop runs continuously in the background. ExportState takes
-// per-shard read locks one at a time, so commits on other shards keep
-// flowing; the legacy Save quiesces every shard at once and stalls
-// them — the stop-the-world cost the WAL + async snapshotter removes
-// from the coordinator path.
-func benchSnapshotUnderLoad(b *testing.B, snap func(store *db.DB)) {
+// BenchmarkHeartbeatsDuringShardedExport measures heartbeat-commit
+// throughput while ExportState runs continuously in the background. It
+// takes per-shard read locks one at a time, so commits on other shards
+// keep flowing — nothing quiesces the whole store.
+func BenchmarkHeartbeatsDuringShardedExport(b *testing.B) {
 	store := db.New(0)
 	ids := heartbeatStore(store, 200)
-	store.SetOpDelay(20 * time.Microsecond)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	var snapshots int64
@@ -925,7 +864,7 @@ func benchSnapshotUnderLoad(b *testing.B, snap func(store *db.DB)) {
 				return
 			default:
 			}
-			snap(store)
+			_ = store.ExportState()
 			snapshots++
 		}
 	}()
@@ -947,10 +886,6 @@ func benchSnapshotUnderLoad(b *testing.B, snap func(store *db.DB)) {
 	close(stop)
 	<-done
 	b.ReportMetric(float64(snapshots), "snapshots")
-}
-
-func BenchmarkHeartbeatsDuringShardedExport(b *testing.B) {
-	benchSnapshotUnderLoad(b, func(store *db.DB) { _ = store.ExportState() })
 }
 
 // BenchmarkCrashRecovery measures a full kill/recover/verify cycle of

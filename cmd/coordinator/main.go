@@ -19,10 +19,8 @@
 // is acknowledged, a background snapshotter checkpoints the store
 // without pausing it, and on boot the daemon recovers nodes, jobs and
 // allocations from snapshot + log and re-arms failure detection — jobs
-// survive a coordinator restart instead of needing resubmission. The
-// legacy snapshot_path (a JSON dump of ExportState written only on
-// clean shutdown) is still honored when no WAL directory is set, but is
-// deprecated.
+// survive a coordinator restart instead of needing resubmission.
+// Without one the daemon keeps its state in memory only.
 //
 // Replicated operation pairs a leader with warm standbys over shared
 // storage: all replicas point -lease-file at the same fencing-token
@@ -36,7 +34,6 @@ package main
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"flag"
 	"log"
 	"net/http"
@@ -200,20 +197,6 @@ func main() {
 				cfg.WALDir, r.SnapshotLoaded, r.Watermark, r.Replayed, r.TornTails)
 		}
 	}
-	restored := mgr != nil
-	if mgr == nil && cfg.SnapshotPath != "" {
-		// Deprecated one-shot snapshot path (no WAL): best-effort load.
-		if f, err := os.Open(cfg.SnapshotPath); err == nil {
-			var st db.State
-			if err := json.NewDecoder(f).Decode(&st); err != nil {
-				log.Printf("warning: could not load snapshot: %v", err)
-			} else {
-				database.ImportState(st)
-				restored = true
-			}
-			f.Close()
-		}
-	}
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	bus := eventbus.New(4096)
 
@@ -235,7 +218,7 @@ func main() {
 		// batch sizes and rotation counts on the coordinator's registry.
 		_ = mgr.Writer().Instrument(coord.Metrics())
 	}
-	if restored {
+	if mgr != nil {
 		// Resume the job-ID sequence, requeue mid-migration jobs and
 		// re-arm failure detection around whatever was restored.
 		coord.RecoverState()
@@ -318,8 +301,7 @@ func main() {
 	walMgr.Lock()
 	mgr = walMgr.m
 	walMgr.Unlock()
-	switch {
-	case mgr != nil:
+	if mgr != nil {
 		// Final checkpoint so the next boot replays an empty tail; the
 		// WAL already holds everything if this fails mid-write.
 		if err := mgr.Checkpoint(); err != nil {
@@ -329,15 +311,5 @@ func main() {
 			log.Printf("warning: closing WAL: %v", err)
 		}
 		log.Printf("WAL closed; state checkpointed in %s", cfg.WALDir)
-	case cfg.SnapshotPath != "":
-		f, err := os.Create(cfg.SnapshotPath)
-		if err != nil {
-			log.Fatalf("creating snapshot: %v", err)
-		}
-		if err := json.NewEncoder(f).Encode(database.ExportState()); err != nil {
-			log.Fatalf("saving snapshot: %v", err)
-		}
-		f.Close()
-		log.Printf("database snapshot saved to %s", cfg.SnapshotPath)
 	}
 }

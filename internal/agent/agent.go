@@ -262,14 +262,6 @@ func (a *Agent) SetEndpoints(eps []Endpoint) {
 	a.active = 0
 }
 
-// SetNotifier repoints the agent at a single coordinator.
-//
-// Deprecated: use SetEndpoints — SetNotifier is the one-endpoint shim
-// kept for one release so pre-replication callers keep compiling.
-func (a *Agent) SetNotifier(n Notifier) {
-	a.SetEndpoints([]Endpoint{{Notifier: n}})
-}
-
 // ActiveEndpoint returns the endpoint currently receiving this agent's
 // notifications and heartbeats.
 func (a *Agent) ActiveEndpoint() Endpoint {

@@ -50,19 +50,6 @@ func TestRedirectWithoutAlternativesFails(t *testing.T) {
 	}
 }
 
-func TestSetNotifierShimKeepsWorking(t *testing.T) {
-	r := newRig(t)
-	n := &fakeNotifier{}
-	r.agent.SetNotifier(n)
-	spec := workload.SmallCNN
-	spec.TotalSteps = 50
-	launchTraining(t, r, "j1", spec, 0)
-	r.clock.Advance(time.Minute)
-	if len(n.updates) == 0 {
-		t.Fatal("deprecated SetNotifier no longer delivers updates")
-	}
-}
-
 func TestAgentFencesStaleLeaderEpoch(t *testing.T) {
 	r := newRig(t)
 	r.agent.ObserveEpoch(3)

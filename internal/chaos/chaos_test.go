@@ -179,7 +179,7 @@ func TestEngineSurfacesViolations(t *testing.T) {
 func TestFaultFSInjectsRealDamage(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewFaultFS()
-	w, err := wal.OpenWriter(dir, wal.Options{FS: fs, PerRecordSync: true})
+	w, err := wal.OpenWriter(dir, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

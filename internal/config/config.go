@@ -29,14 +29,6 @@ type Coordinator struct {
 	// SchedulerBatchSize caps how many pending requests one scheduling
 	// cycle drains as a batch (default 32).
 	SchedulerBatchSize int `json:"scheduler_batch_size"`
-	// SnapshotPath, when set, persists the system database there as a
-	// one-shot JSON dump on shutdown.
-	//
-	// Deprecated: use WALDir — it is crash-safe (append-only log +
-	// background snapshots) where SnapshotPath loses everything since
-	// the last clean shutdown. SnapshotPath is ignored when WALDir is
-	// set.
-	SnapshotPath string `json:"snapshot_path"`
 	// WALDir, when set, enables durable persistence: every database
 	// mutation is group-committed to a write-ahead log in this
 	// directory, a background snapshotter checkpoints the store, and
@@ -215,11 +207,16 @@ func (a Agent) Inventory() ([]gpu.Spec, error) {
 
 // LoadCoordinator reads and validates a coordinator config file.
 func LoadCoordinator(path string) (Coordinator, error) {
-	var c Coordinator
-	if err := loadJSON(path, &c); err != nil {
-		return c, err
+	f, err := os.Open(path)
+	if err != nil {
+		return Coordinator{}, fmt.Errorf("config: opening %s: %w", path, err)
 	}
-	return c, c.Validate()
+	defer f.Close()
+	c, err := ParseCoordinator(f)
+	if err != nil {
+		return c, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
 }
 
 // LoadAgent reads and validates an agent config file.
@@ -231,13 +228,21 @@ func LoadAgent(path string) (Agent, error) {
 	return a, a.Validate()
 }
 
-// ParseCoordinator decodes a coordinator config from a reader.
+// ParseCoordinator decodes a coordinator config from a reader. A file
+// that still sets the retired snapshot_path key is rejected rather than
+// silently run without persistence.
 func ParseCoordinator(r io.Reader) (Coordinator, error) {
-	var c Coordinator
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
-		return c, fmt.Errorf("config: decoding coordinator config: %w", err)
+	var raw struct {
+		Coordinator
+		SnapshotPath json.RawMessage `json:"snapshot_path"`
 	}
-	return c, c.Validate()
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+		return raw.Coordinator, fmt.Errorf("config: decoding coordinator config: %w", err)
+	}
+	if raw.SnapshotPath != nil {
+		return raw.Coordinator, errors.New("config: snapshot_path is no longer supported (nothing reads or writes that file); set wal_dir for crash-safe persistence")
+	}
+	return raw.Coordinator, raw.Coordinator.Validate()
 }
 
 // ParseAgent decodes an agent config from a reader.

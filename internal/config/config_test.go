@@ -101,6 +101,16 @@ func TestParseCoordinator(t *testing.T) {
 	if _, err := ParseCoordinator(strings.NewReader("{bad")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// The retired persistence key must fail loudly and point at its
+	// replacement, even next to a wal_dir.
+	for _, stale := range []string{
+		`{"snapshot_path": "/data/snap.json"}`,
+		`{"snapshot_path": "", "wal_dir": "/data/wal"}`,
+	} {
+		if _, err := ParseCoordinator(strings.NewReader(stale)); err == nil || !strings.Contains(err.Error(), "wal_dir") {
+			t.Fatalf("%s: err = %v, want one naming wal_dir", stale, err)
+		}
+	}
 }
 
 func TestParseAgent(t *testing.T) {
@@ -136,6 +146,13 @@ func TestLoadFromFiles(t *testing.T) {
 	}
 	if _, err := LoadCoordinator(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	stale := filepath.Join(dir, "stale.json")
+	if err := os.WriteFile(stale, []byte(`{"listen": ":8181", "snapshot_path": "snap.json"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCoordinator(stale); err == nil || !strings.Contains(err.Error(), "wal_dir") {
+		t.Fatalf("stale snapshot_path: err = %v, want one naming wal_dir", err)
 	}
 }
 

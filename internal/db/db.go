@@ -29,11 +29,6 @@
 // logged mutations idempotently during recovery. One-shot dumps are
 // simply the JSON encoding of ExportState; the coordinator path
 // persists via snapshot + WAL.
-//
-// A configurable per-operation delay models the contention the paper
-// predicts beyond ~200 nodes (§5.3), which the scalability benchmark
-// measures; the single-mutex baseline it is compared against is
-// preserved as SingleMutex.
 package db
 
 import (
@@ -192,13 +187,11 @@ type Sample struct {
 	Value  float64   `json:"value"`
 }
 
-// Store is the system-database surface shared by the sharded DB and the
-// preserved SingleMutex baseline, so benchmarks and experiments can
-// compare the two under identical workloads.
+// Store is the system-database surface the control plane is written
+// against. DB is its one implementation; it stays an interface so that
+// a decorator can embed a Store and override single methods, as the
+// end-to-end benchmark's span tracing and the chaos sabotage tests do.
 type Store interface {
-	SetOpDelay(delay time.Duration)
-	Ops() int64
-
 	UpsertNode(n NodeRecord)
 	GetNode(id string) (NodeRecord, error)
 	UpdateNode(id string, fn func(*NodeRecord)) error
@@ -267,10 +260,7 @@ type Store interface {
 }
 
 // Compile-time interface checks.
-var (
-	_ Store = (*DB)(nil)
-	_ Store = (*SingleMutex)(nil)
-)
+var _ Store = (*DB)(nil)
 
 // DefaultShards is the shard count used by New. Sixteen is enough to
 // spread a few hundred heartbeating nodes with negligible memory cost.
@@ -324,14 +314,10 @@ type DB struct {
 	allocs     []*allocShard
 	samples    []*sampleShard
 	// maxSamples bounds the monitoring history across all shards;
-	// sampleCount tracks the global total so eviction matches the
-	// single-mutex semantics without a global lock.
+	// sampleCount tracks the global total so the bound is store-wide
+	// without a global lock.
 	maxSamples  int
 	sampleCount atomic.Int64
-	// opDelay models per-operation I/O latency for contention studies
-	// (nanoseconds; applied while holding the target shard's lock).
-	opDelay atomic.Int64
-	ops     atomic.Int64
 	// lsn stamps every mutation; assigned inside the target shard's
 	// critical section so an ExportState watermark read before a shard
 	// is serialized bounds exactly what that shard's copy contains.
@@ -381,23 +367,6 @@ func NewWithShards(maxSamples, shards int) *DB {
 // Shards reports the shard count (diagnostics and benchmarks).
 func (d *DB) Shards() int { return d.shardCount }
 
-// SetOpDelay configures an artificial per-operation latency, modelling a
-// disk-backed database under load. Used by the scalability experiment.
-func (d *DB) SetOpDelay(delay time.Duration) {
-	d.opDelay.Store(int64(delay))
-}
-
-// Ops reports the total operations served (contention instrumentation).
-func (d *DB) Ops() int64 { return d.ops.Load() }
-
-// delay applies the modelled latency; callers hold the target shard's
-// lock so the sleep is a genuine (per-shard) contention point.
-func (d *DB) delay() {
-	if dl := d.opDelay.Load(); dl > 0 {
-		time.Sleep(time.Duration(dl))
-	}
-}
-
 func (d *DB) nodeShard(id string) *nodeShard   { return d.nodes[shardOf(id, d.shardCount)] }
 func (d *DB) jobShard(id string) *jobShard     { return d.jobs[shardOf(id, d.shardCount)] }
 func (d *DB) allocShard(id string) *allocShard { return d.allocs[shardOf(id, d.shardCount)] }
@@ -444,10 +413,8 @@ func (d *DB) ShardFor(m Mutation) int {
 
 // UpsertNode inserts or replaces a node record.
 func (d *DB) UpsertNode(n NodeRecord) {
-	d.ops.Add(1)
 	s := d.nodeShard(n.ID)
 	s.mu.Lock()
-	d.delay()
 	cp := cloneNode(n)
 	s.recs[n.ID] = &cp
 	lsn := d.lsn.Add(1)
@@ -459,11 +426,9 @@ func (d *DB) UpsertNode(n NodeRecord) {
 
 // GetNode returns a copy of the node record.
 func (d *DB) GetNode(id string) (NodeRecord, error) {
-	d.ops.Add(1)
 	s := d.nodeShard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d.delay()
 	n, ok := s.recs[id]
 	if !ok {
 		return NodeRecord{}, fmt.Errorf("%w: node %s", ErrNotFound, id)
@@ -476,10 +441,8 @@ func (d *DB) GetNode(id string) (NodeRecord, error) {
 // record — and every copy read paths handed out that shares its slice
 // storage — is left untouched.
 func (d *DB) UpdateNode(id string, fn func(*NodeRecord)) error {
-	d.ops.Add(1)
 	s := d.nodeShard(id)
 	s.mu.Lock()
-	d.delay()
 	n, ok := s.recs[id]
 	if !ok {
 		s.mu.Unlock()
@@ -495,10 +458,10 @@ func (d *DB) UpdateNode(id string, fn func(*NodeRecord)) error {
 }
 
 // TouchNodes advances LastHeartbeat on a batch of nodes. Deltas are
-// grouped by node shard; each shard pays one lock acquisition, one
-// modelled-latency delay and one LSN for its whole group, and emits a
-// single compact MutBeat record — one WAL frame per shard per flush,
-// however many nodes beat. The LSN is allocated under the shard lock
+// grouped by node shard; each shard pays one lock acquisition and one
+// LSN for its whole group, and emits a single compact MutBeat record —
+// one WAL frame per shard per flush, however many nodes beat. The LSN
+// is allocated under the shard lock
 // (the same watermark discipline as every other mutator), so an
 // ExportState watermark read before this shard is serialized bounds
 // exactly what that shard's copy contains.
@@ -506,7 +469,6 @@ func (d *DB) TouchNodes(beats []BeatDelta) int {
 	if len(beats) == 0 {
 		return 0
 	}
-	d.ops.Add(1)
 	// Group per shard by counting sort into one backing array — flush
 	// batches run hot, and a map[int][]BeatDelta here costs half the
 	// commit in allocator time.
@@ -537,7 +499,6 @@ func (d *DB) TouchNodes(beats []BeatDelta) int {
 		group := grouped[next[idx]-counts[idx] : next[idx]]
 		s := d.nodes[idx]
 		s.mu.Lock()
-		d.delay()
 		kept := group[:0]
 		for _, b := range group {
 			n, ok := s.recs[b.NodeID]
@@ -568,10 +529,8 @@ func (d *DB) TouchNodes(beats []BeatDelta) int {
 // health-score-consistent audit can recompute the fold.
 func (d *DB) RecordHealth(nodeID string, at time.Time, events []gpu.HealthEvent,
 	fold func(prev float64, prevAt time.Time) float64) (float64, bool) {
-	d.ops.Add(1)
 	s := d.nodeShard(nodeID)
 	s.mu.Lock()
-	d.delay()
 	n, ok := s.recs[nodeID]
 	if !ok || !at.After(n.HealthAt) {
 		s.mu.Unlock()
@@ -594,13 +553,9 @@ func (d *DB) RecordHealth(nodeID string, at time.Time, events []gpu.HealthEvent,
 // are shallow: installed records are copy-on-write, so sharing their
 // GPU slices is safe as long as the caller does not mutate them.
 func (d *DB) ListNodes() []NodeRecord {
-	d.ops.Add(1)
 	var out []NodeRecord
-	for i, s := range d.nodes {
+	for _, s := range d.nodes {
 		s.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		out = slices.Grow(out, len(s.recs))
 		for _, n := range s.recs {
 			out = append(out, *n)
@@ -614,13 +569,9 @@ func (d *DB) ListNodes() []NodeRecord {
 // ActiveNodes returns nodes in NodeActive status, sorted by ID. Like
 // ListNodes it hands out shallow copies in a single filtered pass.
 func (d *DB) ActiveNodes() []NodeRecord {
-	d.ops.Add(1)
 	var out []NodeRecord
-	for i, s := range d.nodes {
+	for _, s := range d.nodes {
 		s.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		for _, n := range s.recs {
 			if n.Status == NodeActive {
 				out = append(out, *n)
@@ -636,10 +587,8 @@ func (d *DB) ActiveNodes() []NodeRecord {
 
 // InsertJob adds a new job record; the ID must be unused.
 func (d *DB) InsertJob(j JobRecord) error {
-	d.ops.Add(1)
 	s := d.jobShard(j.ID)
 	s.mu.Lock()
-	d.delay()
 	if _, exists := s.recs[j.ID]; exists {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: job %s", ErrConflict, j.ID)
@@ -655,11 +604,9 @@ func (d *DB) InsertJob(j JobRecord) error {
 
 // GetJob returns a copy of the job record.
 func (d *DB) GetJob(id string) (JobRecord, error) {
-	d.ops.Add(1)
 	s := d.jobShard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d.delay()
 	j, ok := s.recs[id]
 	if !ok {
 		return JobRecord{}, fmt.Errorf("%w: job %s", ErrNotFound, id)
@@ -671,10 +618,8 @@ func (d *DB) GetJob(id string) (JobRecord, error) {
 // on a private clone (copy-on-write); the indexes are re-keyed from the
 // old record to the new one in the same critical section.
 func (d *DB) UpdateJob(id string, fn func(*JobRecord)) error {
-	d.ops.Add(1)
 	s := d.jobShard(id)
 	s.mu.Lock()
-	d.delay()
 	old, ok := s.recs[id]
 	if !ok {
 		s.mu.Unlock()
@@ -694,13 +639,9 @@ func (d *DB) UpdateJob(id string, fn func(*JobRecord)) error {
 // CountJobsInState sums the per-shard state counters — O(shards), far
 // cheaper than scanning jobs.
 func (d *DB) CountJobsInState(state JobState) int {
-	d.ops.Add(1)
 	total := 0
-	for i, s := range d.jobs {
+	for _, s := range d.jobs {
 		s.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		total += s.stateCount[state]
 		s.mu.RUnlock()
 	}
@@ -709,13 +650,9 @@ func (d *DB) CountJobsInState(state JobState) int {
 
 // ListJobs returns copies of all jobs, sorted by ID.
 func (d *DB) ListJobs() []JobRecord {
-	d.ops.Add(1)
 	var out []JobRecord
-	for i, s := range d.jobs {
+	for _, s := range d.jobs {
 		s.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		out = slices.Grow(out, len(s.recs))
 		for _, j := range s.recs {
 			out = append(out, *j)
@@ -735,14 +672,10 @@ func (d *DB) ListJobs() []JobRecord {
 // orderedState), so their — rare — listings sort at query time,
 // still touching only the matching records.
 func (d *DB) JobsInState(state JobState) []JobRecord {
-	d.ops.Add(1)
 	runs := make([][]*JobRecord, 0, d.shardCount)
 	total := 0
-	for i, s := range d.jobs {
+	for _, s := range d.jobs {
 		s.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		if q := s.queue[state]; len(q) > 0 {
 			run := make([]*JobRecord, len(q))
 			copy(run, q)
@@ -762,7 +695,7 @@ func (d *DB) JobsInState(state JobState) []JobRecord {
 			out = append(out, *rec)
 		}
 	}
-	sortQueueOrder(out)
+	sort.Slice(out, func(i, j int) bool { return queueLess(&out[i], &out[j]) })
 	return out
 }
 
@@ -771,13 +704,9 @@ func (d *DB) JobsInState(state JobState) []JobRecord {
 // O(shards + jobs-on-node) — the heartbeat anti-entropy path no longer
 // scans the job table.
 func (d *DB) JobsOnNode(nodeID string) []JobRecord {
-	d.ops.Add(1)
 	var out []JobRecord
-	for i, s := range d.jobs {
+	for _, s := range d.jobs {
 		s.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		for _, rec := range s.byNode[nodeID] {
 			out = append(out, *rec)
 		}
@@ -787,21 +716,12 @@ func (d *DB) JobsOnNode(nodeID string) []JobRecord {
 	return out
 }
 
-// sortQueueOrder sorts jobs into pending-queue order (the order the
-// queue indexes maintain incrementally; see queueLess). Used by the
-// scan-based SingleMutex baseline.
-func sortQueueOrder(jobs []JobRecord) {
-	sort.Slice(jobs, func(i, j int) bool { return queueLess(&jobs[i], &jobs[j]) })
-}
-
 // --- Allocations ---
 
 // RecordAllocation appends a placement episode.
 func (d *DB) RecordAllocation(a AllocationRecord) {
-	d.ops.Add(1)
 	s := d.allocShard(a.JobID)
 	s.mu.Lock()
-	d.delay()
 	s.episodes = append(s.episodes, a)
 	lsn := d.lsn.Add(1)
 	s.mu.Unlock()
@@ -812,10 +732,8 @@ func (d *DB) RecordAllocation(a AllocationRecord) {
 // CloseAllocation sets the End time of the job's most recent open
 // allocation episode. Only the job's own shard is touched.
 func (d *DB) CloseAllocation(jobID string, end time.Time) error {
-	d.ops.Add(1)
 	s := d.allocShard(jobID)
 	s.mu.Lock()
-	d.delay()
 	for i := len(s.episodes) - 1; i >= 0; i-- {
 		a := &s.episodes[i]
 		if a.JobID == jobID && a.End.IsZero() {
@@ -836,10 +754,8 @@ func (d *DB) CloseAllocation(jobID string, end time.Time) error {
 // an open episode of the same job on a *different* placement is left
 // alone — the guarantee concurrent reconciliation paths rely on.
 func (d *DB) CloseAllocationEpisode(jobID, nodeID, deviceID string, end time.Time) error {
-	d.ops.Add(1)
 	s := d.allocShard(jobID)
 	s.mu.Lock()
-	d.delay()
 	for i := len(s.episodes) - 1; i >= 0; i-- {
 		a := &s.episodes[i]
 		if a.JobID == jobID && a.NodeID == nodeID && a.DeviceID == deviceID && a.End.IsZero() {
@@ -858,13 +774,9 @@ func (d *DB) CloseAllocationEpisode(jobID, nodeID, deviceID string, end time.Tim
 // Allocations returns a copy of the allocation history, ordered by start
 // time (then job then node, for determinism across shards).
 func (d *DB) Allocations() []AllocationRecord {
-	d.ops.Add(1)
 	var out []AllocationRecord
-	for i, s := range d.allocs {
+	for _, s := range d.allocs {
 		s.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		out = append(out, s.episodes...)
 		s.mu.RUnlock()
 	}
@@ -883,18 +795,16 @@ func (d *DB) Allocations() []AllocationRecord {
 // --- Monitoring samples ---
 
 // AppendSample stores a monitoring data point. The retention bound is
-// global, like the single-mutex baseline's: when the total exceeds
-// maxSamples, the appending shard evicts its oldest point, so the
+// global: when the total exceeds maxSamples, the appending shard evicts
+// its oldest point, so the
 // store's footprint stays bounded without a cross-shard lock. Eviction
 // order is per-shard FIFO (approximately global FIFO); a shard always
 // keeps its newest point so a fresh node's telemetry is never starved
 // by other shards' history, which lets the total overshoot by at most
 // one point per shard.
 func (d *DB) AppendSample(s Sample) {
-	d.ops.Add(1)
 	sh := d.sampleShard(s.NodeID)
 	sh.mu.Lock()
-	d.delay()
 	sh.buf = append(sh.buf, s)
 	if d.sampleCount.Add(1) > int64(d.maxSamples) && len(sh.buf) > 1 {
 		sh.buf = sh.buf[1:]
@@ -910,7 +820,6 @@ func (d *DB) AppendSample(s Sample) {
 // if nodeID is empty, ordered by time. A node-scoped query touches only
 // that node's shard.
 func (d *DB) SamplesInRange(metric, nodeID string, from, to time.Time) []Sample {
-	d.ops.Add(1)
 	var out []Sample
 	filter := func(buf []Sample) {
 		for _, s := range buf {
@@ -929,16 +838,12 @@ func (d *DB) SamplesInRange(metric, nodeID string, from, to time.Time) []Sample 
 	if nodeID != "" {
 		sh := d.sampleShard(nodeID)
 		sh.mu.RLock()
-		d.delay()
 		filter(sh.buf)
 		sh.mu.RUnlock()
 		return out
 	}
-	for i, sh := range d.samples {
+	for _, sh := range d.samples {
 		sh.mu.RLock()
-		if i == 0 {
-			d.delay()
-		}
 		filter(sh.buf)
 		sh.mu.RUnlock()
 	}

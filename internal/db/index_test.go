@@ -102,7 +102,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 // fires: each sabotage reaches into a shard and breaks one index
 // structure directly, bypassing the maintenance paths.
 func TestAuditIndexesDetectsCorruption(t *testing.T) {
-	seed := func() *DB {
+	seed := func(t *testing.T) *DB {
 		store := NewWithShards(0, 4)
 		for i := 0; i < 40; i++ {
 			j := JobRecord{
@@ -118,32 +118,36 @@ func TestAuditIndexesDetectsCorruption(t *testing.T) {
 		}
 		return store
 	}
+	// jobShardWith picks the shard holding the most jobs in state. The
+	// shard assignment is hashed under a per-process random seed, but 20
+	// jobs per state over 4 shards always leave one shard with at least
+	// 5 — enough for every sabotage below.
 	jobShardWith := func(store *DB, state JobState) *jobShard {
-		for _, s := range store.jobs {
-			if len(s.queue[state]) > 0 {
-				return s
+		best := store.jobs[0]
+		for _, s := range store.jobs[1:] {
+			if len(s.queue[state]) > len(best.queue[state]) {
+				best = s
 			}
 		}
-		t.Fatalf("no shard holds %s jobs", state)
-		return nil
+		return best
 	}
 	sabotages := []struct {
 		name  string
-		wreck func(store *DB)
+		wreck func(t *testing.T, store *DB)
 	}{
-		{"queue-drop", func(store *DB) {
+		{"queue-drop", func(t *testing.T, store *DB) {
 			s := jobShardWith(store, JobPending)
 			s.queue[JobPending] = s.queue[JobPending][1:]
 		}},
-		{"queue-reorder", func(store *DB) {
+		{"queue-reorder", func(t *testing.T, store *DB) {
 			s := jobShardWith(store, JobPending)
 			q := s.queue[JobPending]
 			if len(q) < 2 {
-				t.Skip("shard too small to reorder")
+				t.Fatalf("fullest shard holds %d pending jobs, need 2 to reorder", len(q))
 			}
 			q[0], q[len(q)-1] = q[len(q)-1], q[0]
 		}},
-		{"bynode-stale", func(store *DB) {
+		{"bynode-stale", func(t *testing.T, store *DB) {
 			s := jobShardWith(store, JobRunning)
 			for id, rec := range s.recs {
 				if rec.State == JobRunning {
@@ -154,18 +158,18 @@ func TestAuditIndexesDetectsCorruption(t *testing.T) {
 				}
 			}
 		}},
-		{"count-skew", func(store *DB) {
+		{"count-skew", func(t *testing.T, store *DB) {
 			s := jobShardWith(store, JobPending)
 			s.stateCount[JobPending]++
 		}},
 	}
 	for _, sab := range sabotages {
 		t.Run(sab.name, func(t *testing.T) {
-			store := seed()
+			store := seed(t)
 			if probs := store.AuditIndexes(); len(probs) != 0 {
 				t.Fatalf("audit dirty before sabotage: %v", probs)
 			}
-			sab.wreck(store)
+			sab.wreck(t, store)
 			if probs := store.AuditIndexes(); len(probs) == 0 {
 				t.Fatal("sabotage went undetected")
 			}

@@ -227,7 +227,7 @@ func raiseLSN(ctr *atomic.Uint64, lsn uint64) {
 	}
 }
 
-// --- DB (sharded store) hook, export and replay ---
+// --- Hook, export and replay ---
 
 // SetMutationHook installs (or, with nil, removes) the hook observing
 // every committed mutation. Replay via Apply does not invoke the hook.
@@ -495,144 +495,4 @@ func compareStrings(a, b string) int {
 	default:
 		return 0
 	}
-}
-
-// --- SingleMutex hook, export and replay ---
-
-// SetMutationHook installs (or removes) the mutation hook.
-func (d *SingleMutex) SetMutationHook(h MutationHook) {
-	if h == nil {
-		d.hook.Store(nil)
-		return
-	}
-	d.hook.Store(&h)
-}
-
-// CurrentLSN reports the store's mutation sequence counter.
-func (d *SingleMutex) CurrentLSN() uint64 { return d.lsn.Load() }
-
-// ShardFor always reports 0: the baseline store has a single partition.
-func (d *SingleMutex) ShardFor(Mutation) int { return 0 }
-
-// AddMutationObserver registers a derived-state subscriber; see the
-// Store interface for the contract.
-func (d *SingleMutex) AddMutationObserver(h MutationHook) (cancel func()) {
-	return d.observers.add(h)
-}
-
-func (d *SingleMutex) emit(m Mutation) {
-	if h := d.hook.Load(); h != nil {
-		(*h)(m)
-	}
-	d.observers.notify(m)
-}
-
-// ExportState collects a snapshot image under the single lock (this
-// store has no shards to walk; it quiesces by construction).
-func (d *SingleMutex) ExportState() State {
-	d.mu.Lock()
-	st := State{Watermark: d.lsn.Load()}
-	for _, n := range d.nodes {
-		st.Nodes = append(st.Nodes, cloneNode(*n))
-	}
-	for _, j := range d.jobs {
-		st.Jobs = append(st.Jobs, cloneJob(*j))
-	}
-	st.Allocations = append(st.Allocations, d.allocations...)
-	st.Samples = append(st.Samples, d.samples...)
-	d.mu.Unlock()
-	sortState(&st)
-	return st
-}
-
-// ImportState replaces the store's contents with the given image.
-func (d *SingleMutex) ImportState(st State) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.nodes = make(map[string]*NodeRecord, len(st.Nodes))
-	for _, n := range st.Nodes {
-		cp := cloneNode(n)
-		d.nodes[n.ID] = &cp
-	}
-	d.jobs = make(map[string]*JobRecord, len(st.Jobs))
-	d.stateCount = make(map[JobState]int)
-	for _, j := range st.Jobs {
-		cp := cloneJob(j)
-		d.jobs[j.ID] = &cp
-		d.stateCount[j.State]++
-	}
-	d.allocations = append([]AllocationRecord(nil), st.Allocations...)
-	d.samples = append([]Sample(nil), st.Samples...)
-	raiseLSN(&d.lsn, st.Watermark)
-}
-
-// Apply replays one mutation record idempotently (see DB.Apply).
-func (d *SingleMutex) Apply(m Mutation) error {
-	defer raiseLSN(&d.lsn, m.LSN)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch m.Type {
-	case MutNodePut:
-		if m.Node == nil {
-			return fmt.Errorf("db: %s mutation without node payload", m.Type)
-		}
-		cp := cloneNode(*m.Node)
-		d.nodes[cp.ID] = &cp
-	case MutJobPut:
-		if m.Job == nil {
-			return fmt.Errorf("db: %s mutation without job payload", m.Type)
-		}
-		if old, ok := d.jobs[m.Job.ID]; ok {
-			d.stateCount[old.State]--
-		}
-		cp := cloneJob(*m.Job)
-		d.jobs[cp.ID] = &cp
-		d.stateCount[cp.State]++
-	case MutAllocOpen:
-		if m.Alloc == nil {
-			return fmt.Errorf("db: %s mutation without alloc payload", m.Type)
-		}
-		if !slices.ContainsFunc(d.allocations, func(e AllocationRecord) bool { return sameAllocIdentity(e, *m.Alloc) }) {
-			d.allocations = append(d.allocations, *m.Alloc)
-		}
-	case MutAllocClose:
-		if m.Alloc == nil {
-			return fmt.Errorf("db: %s mutation without alloc payload", m.Type)
-		}
-		applyAllocClose(&d.allocations, *m.Alloc)
-	case MutSamplePut:
-		if m.Sample == nil {
-			return fmt.Errorf("db: %s mutation without sample payload", m.Type)
-		}
-		if !slices.ContainsFunc(d.samples, func(s Sample) bool { return sameSample(s, *m.Sample) }) {
-			d.samples = append(d.samples, *m.Sample)
-			if len(d.samples) > d.maxSamples {
-				d.samples = d.samples[len(d.samples)-d.maxSamples:]
-			}
-		}
-	case MutBeat:
-		if len(m.Beats) == 0 {
-			return fmt.Errorf("db: %s mutation without beat payload", m.Type)
-		}
-		for _, b := range m.Beats {
-			if n, ok := d.nodes[b.NodeID]; ok && b.At.After(n.LastHeartbeat) {
-				cp := cloneNode(*n)
-				cp.LastHeartbeat = b.At
-				d.nodes[b.NodeID] = &cp
-			}
-		}
-	case MutNodeHealth:
-		if m.Health == nil {
-			return fmt.Errorf("db: %s mutation without health payload", m.Type)
-		}
-		h := m.Health
-		if n, ok := d.nodes[h.NodeID]; ok && h.At.After(n.HealthAt) {
-			cp := cloneNode(*n)
-			cp.Health, cp.HealthAt = h.Score, h.At
-			d.nodes[h.NodeID] = &cp
-		}
-	default:
-		return fmt.Errorf("db: unknown mutation type %q", m.Type)
-	}
-	return nil
 }

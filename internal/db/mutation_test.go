@@ -22,11 +22,13 @@ func collectMutations(s Store) (*[]Mutation, *sync.Mutex) {
 	return &muts, &mu
 }
 
-// bothStores runs a subtest against the sharded and single-mutex
-// implementations: the hook contract is part of the Store interface.
+// bothStores runs a subtest against the default sixteen-shard store and
+// against one shard — every table behind a single lock, the paper's
+// single-mutex coordinator layout — so behaviour that must not depend on
+// the shard count is checked at both ends.
 func bothStores(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Run("sharded", func(t *testing.T) { fn(t, New(0)) })
-	t.Run("singlemutex", func(t *testing.T) { fn(t, NewSingleMutex(0)) })
+	t.Run("singlemutex", func(t *testing.T) { fn(t, NewWithShards(0, 1)) })
 }
 
 func TestMutationHookEmitsEveryWrite(t *testing.T) {
@@ -211,7 +213,7 @@ func TestImportExportRoundTrip(t *testing.T) {
 		s.AppendSample(Sample{Time: mutEpoch, NodeID: "n1", Metric: "m", Value: 0.5})
 
 		st := s.ExportState()
-		re := NewSingleMutex(0) // cross-implementation restore
+		re := NewWithShards(0, 1) // restore across shard counts
 		re.ImportState(st)
 		if re.CurrentLSN() != st.Watermark {
 			t.Fatalf("imported LSN %d != watermark %d", re.CurrentLSN(), st.Watermark)

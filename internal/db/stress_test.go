@@ -185,8 +185,8 @@ func TestConcurrentSaveLoadConsistency(t *testing.T) {
 }
 
 // TestSampleRetentionGlobalAcrossShards: the maxSamples bound applies
-// to the whole store, not per shard, matching the single-mutex
-// baseline (modulo the one-newest-point-per-shard keepback).
+// to the whole store, not per shard (modulo the
+// one-newest-point-per-shard keepback).
 func TestSampleRetentionGlobalAcrossShards(t *testing.T) {
 	const cap = 20
 	d := New(cap)
@@ -225,16 +225,16 @@ func TestNewWithShardsRounding(t *testing.T) {
 	}
 }
 
-// TestSingleMutexBaselineParity runs the shared Store surface through
-// the baseline implementation so it cannot silently rot while it
-// remains the benchmark yardstick.
-func TestSingleMutexBaselineParity(t *testing.T) {
+// TestShardCountParity runs the Store surface at sixteen shards and at
+// one: ordering, filtering and the snapshot round trip must not depend
+// on how the tables are partitioned.
+func TestShardCountParity(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		store Store
 	}{
 		{"sharded", New(0)},
-		{"single-mutex", NewSingleMutex(0)},
+		{"one-shard", NewWithShards(0, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.store

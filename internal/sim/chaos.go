@@ -59,11 +59,6 @@ type ChaosConfig struct {
 	// WithNetwork attaches the LAN model; it is also enabled
 	// automatically when the spec sets a latency-spike rate.
 	WithNetwork bool
-	// NewStore builds the system database (default: the sharded
-	// db.New). The same factory boots the successor store after a
-	// coordinator crash, so baseline-parity runs (db.NewSingleMutex)
-	// recover onto their own store type.
-	NewStore func() db.Store
 	// Replicated runs the coordinator as a replicated pair: a leader
 	// holding a lease from an in-process arbiter plus a warm standby
 	// applying the leader's log via WAL shipping. Implies EnableWAL.
@@ -158,9 +153,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		for _, d := range cfg.Defs {
 			cfg.Spec.Nodes = append(cfg.Spec.Nodes, d.ID)
 		}
-	}
-	if cfg.NewStore == nil {
-		cfg.NewStore = func() db.Store { return db.New(0) }
 	}
 	if cfg.Replicated {
 		// Replication is WAL shipping; a replicated pair without a log
@@ -470,7 +462,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		Trace:             h.trace,
 	}
 
-	store := cfg.NewStore()
+	store := db.New(0)
 	if cfg.EnableWAL {
 		dir := cfg.WALDir
 		if dir == "" {
@@ -527,7 +519,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			return nil, fmt.Errorf("chaos: initial replica failed to take the free lease")
 		}
 		h.leaderLog.RecordTerm(rep.coord.Epoch(), rep.id)
-		h.standbyStore = cfg.NewStore()
+		h.standbyStore = db.New(0)
 		h.follower = wal.NewFollower(h.standbyStore)
 		h.shipper = wal.NewShipper(h.dir)
 	} else {
@@ -1486,7 +1478,7 @@ func (h *chaosHarness) CrashCoordinator() []invariant.Violation {
 	old.Stop()
 	_ = mgr.Close()
 
-	store2 := h.cfg.NewStore()
+	store2 := db.New(0)
 	mgr2, err := wal.Open(h.dir, store2, wal.Config{
 		FS:            h.fs,
 		OnAppendError: func(error) { h.noteDurabilityLoss() },
@@ -1658,7 +1650,7 @@ func (h *chaosHarness) finishTakeover(t *takeover) {
 		fail("successor snapshot", err)
 		return
 	}
-	nextStandby := h.cfg.NewStore()
+	nextStandby := db.New(0)
 	if _, err := wal.Recover(dir, nextStandby); err != nil {
 		fail("next standby bootstrap", err)
 		return
@@ -2025,20 +2017,7 @@ func RunChaosPartitionCrash(seed int64) (ChaosResult, error) {
 // short-write windows under live traffic, plus coordinator crashes
 // that force recovery from the damaged-but-quarantined log.
 func RunChaosWALFaults(seed int64) (ChaosResult, error) {
-	return RunChaos(walFaultsConfig(seed))
-}
-
-// RunChaosWALFaultsSingleMutex runs the identical disk-fault schedule
-// against the SingleMutex baseline store — the ROADMAP parity check
-// that durability and recovery hold independent of store sharding.
-func RunChaosWALFaultsSingleMutex(seed int64) (ChaosResult, error) {
-	cfg := walFaultsConfig(seed)
-	cfg.NewStore = func() db.Store { return db.NewSingleMutex(0) }
-	return RunChaos(cfg)
-}
-
-func walFaultsConfig(seed int64) ChaosConfig {
-	return ChaosConfig{
+	return RunChaos(ChaosConfig{
 		Seed: seed,
 		Spec: chaos.Spec{
 			Duration:           6 * time.Hour,
@@ -2050,7 +2029,7 @@ func walFaultsConfig(seed int64) ChaosConfig {
 		Jobs:        16,
 		EnableWAL:   true,
 		WithNetwork: true,
-	}
+	})
 }
 
 // RunChaosSkewDup is the clock-skew + duplicate-delivery schedule on

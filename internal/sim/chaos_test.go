@@ -137,23 +137,6 @@ func TestChaosDataPlane(t *testing.T) {
 	t.Logf("ckptFaults=%d detected=%d", res.CkptFaultsInjected, res.CkptCorruptionsDetected)
 }
 
-// TestChaosWALFaultsSingleMutex: the WAL disk-fault schedule against
-// the SingleMutex baseline store — the ROADMAP parity check that
-// durability and recovery do not depend on store sharding.
-func TestChaosWALFaultsSingleMutex(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full campus day with WAL fsyncs")
-	}
-	res, err := RunChaosWALFaultsSingleMutex(42)
-	requireClean(t, res, err)
-	if res.WALFaultsInjected == 0 {
-		t.Error("no disk faults were actually delivered")
-	}
-	if res.Recoveries == 0 {
-		t.Error("no recovery exercised the damaged log")
-	}
-}
-
 // TestChaosDeterministicSchedule: the same seed must produce the same
 // fault schedule — a violation found in CI is replayable locally.
 func TestChaosDeterministicSchedule(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -28,14 +29,6 @@ type ScalabilityConfig struct {
 	NodeCounts []int
 	// DecisionsPerPoint is how many scheduling decisions to time.
 	DecisionsPerPoint int
-	// DBOpDelay models per-operation database latency (default 50 µs),
-	// the §5.3 contention source.
-	DBOpDelay time.Duration
-	// OpsPerWorker fixes the contended-throughput workload size per
-	// writer (default 120). A fixed op count — rather than a wall-clock
-	// window — makes the benchmark's work deterministic; only the
-	// measured elapsed time varies with the machine.
-	OpsPerWorker int
 	// Seed varies request shapes.
 	Seed int64
 }
@@ -56,16 +49,23 @@ type ScalabilityRow struct {
 	SubSecond bool
 	// HeartbeatSweepLatency is one full failure-detection pass.
 	HeartbeatSweepLatency time.Duration
-	// DBOpsPerSecond is contended throughput on the sharded central
-	// database with 8 concurrent writers.
+	// The database figures below come from the §5.3 contention model
+	// (see lockModel), not from db.Store: what they compare is how many
+	// critical sections a commit pattern crosses and how many locks those
+	// sections spread over.
+	//
+	// DBOpsPerSecond is modelled per-beat commit throughput with the
+	// store's lock layout (db.DefaultShards stripes), 8 concurrent
+	// writers.
 	DBOpsPerSecond float64
-	// SingleMutexOpsPerSecond is the same workload on the preserved
-	// single-mutex baseline — the §5.3 bottleneck the sharding removes.
-	SingleMutexOpsPerSecond float64
-	// CoalescedBeatsPerSecond is the same heartbeat-commit demand driven
-	// through the coalesced write path: each worker flushes its beats as
-	// TouchNodes delta batches, paying one critical section per touched
-	// shard instead of one per beat.
+	// SingleLockOpsPerSecond is the same workload on one stripe — the
+	// paper's single-lock coordinator, the §5.3 bottleneck sharding
+	// removes.
+	SingleLockOpsPerSecond float64
+	// CoalescedBeatsPerSecond is the same heartbeat-commit demand in the
+	// coalesced write path's pattern: each worker flushes its beats as
+	// batches that pay one critical section per touched stripe (what
+	// TouchNodes does per shard) instead of one per beat.
 	CoalescedBeatsPerSecond float64
 	// CoalesceSpeedup is CoalescedBeatsPerSecond / DBOpsPerSecond — the
 	// write-path win of per-shard beat batching over per-beat commits.
@@ -92,25 +92,21 @@ type ScalabilityRow struct {
 	// coordinator's database is the bottleneck (the paper's §5.3 concern
 	// beyond 200 nodes on modest hardware).
 	Headroom float64
-	// SingleMutexHeadroom is the baseline's capacity over demand.
-	SingleMutexHeadroom float64
+	// SingleLockHeadroom is the single-lock model's capacity over demand.
+	SingleLockHeadroom float64
 }
 
 // RunScalability measures coordinator-side costs across node counts.
-// These are real wall-clock measurements of the actual scheduler,
-// heartbeat monitor and database — not simulated time.
+// Scheduler, heartbeat-monitor and relay figures are real wall-clock
+// measurements of the actual components — not simulated time; the
+// database throughput and headroom figures are the §5.3 contention
+// model (lockModel).
 func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 	if len(cfg.NodeCounts) == 0 {
 		cfg.NodeCounts = []int{10, 25, 50, 100, 200, 400, 800, 2000, 5000}
 	}
 	if cfg.DecisionsPerPoint <= 0 {
 		cfg.DecisionsPerPoint = 200
-	}
-	if cfg.DBOpDelay <= 0 {
-		cfg.DBOpDelay = 50 * time.Microsecond
-	}
-	if cfg.OpsPerWorker <= 0 {
-		cfg.OpsPerWorker = 120
 	}
 	now := Epoch
 	var rows []ScalabilityRow
@@ -188,28 +184,13 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 		_ = hb.Lost(now.Add(time.Minute))
 		hbLat := time.Since(hbStart)
 
-		// --- Contended database throughput: sharded store vs the
-		// preserved single-mutex baseline under the same writer load. ---
-		sharded := db.New(0)
-		single := db.NewSingleMutex(0)
-		for _, rec := range nodes {
-			sharded.UpsertNode(rec)
-			single.UpsertNode(rec)
-		}
-		sharded.SetOpDelay(cfg.DBOpDelay)
-		single.SetOpDelay(cfg.DBOpDelay)
-		ops := contendedOps(sharded, nodes, 8, cfg.OpsPerWorker)
-		singleOps := contendedOps(single, nodes, 8, cfg.OpsPerWorker)
-
-		// Coalesced write path: the same beat volume on a fresh sharded
-		// store (fresh so the forward-only delta filter sees untouched
-		// heartbeats), committed as per-shard delta batches.
-		coalStore := db.New(0)
-		for _, rec := range nodes {
-			coalStore.UpsertNode(rec)
-		}
-		coalStore.SetOpDelay(cfg.DBOpDelay)
-		coalOps := coalescedOps(coalStore, nodes, 8, cfg.OpsPerWorker)
+		// --- Modelled database contention (§5.3): the store's lock
+		// layout vs a single lock under the same writer load, then the
+		// same beat volume committed as per-stripe batches. ---
+		sharded := newLockModel(db.DefaultShards, n)
+		ops := sharded.perBeatOps()
+		singleOps := newLockModel(1, n).perBeatOps()
+		coalOps := sharded.coalescedOps()
 		coalSpeedup := 0.0
 		if ops > 0 {
 			coalSpeedup = coalOps / ops
@@ -236,7 +217,7 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 			SubSecond:               p95 < time.Second,
 			HeartbeatSweepLatency:   hbLat,
 			DBOpsPerSecond:          ops,
-			SingleMutexOpsPerSecond: singleOps,
+			SingleLockOpsPerSecond:  singleOps,
 			CoalescedBeatsPerSecond: coalOps,
 			CoalesceSpeedup:         coalSpeedup,
 			AggRacks:                racks,
@@ -245,7 +226,7 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 			IngressReduction:        reduction,
 			RequiredDBOpsPerSecond:  required,
 			Headroom:                ops / required,
-			SingleMutexHeadroom:     singleOps / required,
+			SingleLockHeadroom:      singleOps / required,
 		})
 	}
 	return rows, nil
@@ -379,70 +360,57 @@ func latencyStats(lat []time.Duration) (mean, p95 time.Duration) {
 	return mean, p95
 }
 
-// contendedOps hammers a database with a fixed number of heartbeat
-// commits per worker and returns achieved operations per second. The
-// workload is deterministic (same records, same order per worker) —
-// only the elapsed time is measured; no worker spins on the wall
-// clock. It takes the Store interface so sharded and single-mutex
-// implementations run the identical workload.
-// coalescedOps drives the same heartbeat-commit volume through the
-// coalesced write path. Each worker owns a disjoint stride of the
-// fleet and flushes its beats as TouchNodes batches — one flush per
-// pass over its slice, the shape a coordinator flush window produces —
-// so a batch pays one shard critical section per touched shard rather
-// than one per beat. Returns achieved beat commits per second.
-func coalescedOps(store db.Store, nodes []db.NodeRecord, workers, opsPerWorker int) float64 {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			own := make([]string, 0, (len(nodes)+workers-1)/workers)
-			for i := w; i < len(nodes); i += workers {
-				own = append(own, nodes[i].ID)
-			}
-			if len(own) == 0 {
-				own = append(own, nodes[w%len(nodes)].ID)
-			}
-			batch := make([]db.BeatDelta, 0, len(own))
-			at := Epoch
-			for done := 0; done < opsPerWorker; {
-				round := opsPerWorker - done
-				if round > len(own) {
-					round = len(own)
-				}
-				at = at.Add(time.Second)
-				batch = batch[:0]
-				for i := 0; i < round; i++ {
-					batch = append(batch, db.BeatDelta{NodeID: own[(done+i)%len(own)], At: at})
-				}
-				_ = store.TouchNodes(batch)
-				done += round
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(workers*opsPerWorker) / elapsed
+// The §5.3 contention model. The paper predicts that beyond ~200 nodes
+// "database contention could become" a bottleneck of its single-lock
+// coordinator. The model reproduces that prediction without touching
+// the production store: a commit is a critical section that holds one
+// of a fixed set of locks for modelOpDelay (a disk-backed database's
+// per-operation latency), and modelWorkers writers each issue
+// modelOpsPerWorker heartbeat commits. A fixed op count — rather than a
+// wall-clock window — makes the work deterministic; only the elapsed
+// time varies with the machine. One stripe is the paper's coordinator,
+// db.DefaultShards stripes is today's store.
+const (
+	modelOpDelay      = 50 * time.Microsecond
+	modelWorkers      = 8
+	modelOpsPerWorker = 120
+)
+
+// lockModel is the striped lock the model's critical sections contend
+// on. stripeOf assigns every node a stripe pseudo-randomly (fixed seed,
+// so runs repeat), standing in for the store's hash of the node ID.
+type lockModel struct {
+	stripes  []sync.Mutex
+	stripeOf []int
 }
 
-func contendedOps(store db.Store, nodes []db.NodeRecord, workers, opsPerWorker int) float64 {
+func newLockModel(stripes, nodes int) *lockModel {
+	m := &lockModel{stripes: make([]sync.Mutex, stripes), stripeOf: make([]int, nodes)}
+	rng := rand.New(rand.NewSource(1))
+	for i := range m.stripeOf {
+		m.stripeOf[i] = rng.Intn(stripes)
+	}
+	return m
+}
+
+// section is one modelled commit: the stripe's lock held across the
+// modelled I/O latency.
+func (m *lockModel) section(stripe int) {
+	m.stripes[stripe].Lock()
+	time.Sleep(modelOpDelay)
+	m.stripes[stripe].Unlock()
+}
+
+// run starts modelWorkers writers and returns heartbeat commits per
+// second.
+func (m *lockModel) run(worker func(w int)) float64 {
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < workers; w++ {
+	for w := 0; w < modelWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for n := 0; n < opsPerWorker; n++ {
-				id := nodes[(w*31+n)%len(nodes)].ID
-				_ = store.UpdateNode(id, func(rec *db.NodeRecord) {
-					rec.LastHeartbeat = rec.LastHeartbeat.Add(time.Second)
-				})
-			}
+			worker(w)
 		}(w)
 	}
 	wg.Wait()
@@ -450,5 +418,46 @@ func contendedOps(store db.Store, nodes []db.NodeRecord, workers, opsPerWorker i
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(workers*opsPerWorker) / elapsed
+	return float64(modelWorkers*modelOpsPerWorker) / elapsed
+}
+
+// perBeatOps commits every beat on its own: one critical section per
+// beat on the beating node's stripe.
+func (m *lockModel) perBeatOps() float64 {
+	nodes := len(m.stripeOf)
+	return m.run(func(w int) {
+		for n := 0; n < modelOpsPerWorker; n++ {
+			m.section(m.stripeOf[(w*31+n)%nodes])
+		}
+	})
+}
+
+// coalescedOps commits the same beat volume in the coalesced write
+// path's pattern. Each worker owns a disjoint stride of the fleet and
+// flushes one batch per pass over its slice — the shape a coordinator
+// flush window produces — and a batch pays one critical section per
+// stripe it touches, in stripe order, rather than one per beat.
+func (m *lockModel) coalescedOps() float64 {
+	nodes := len(m.stripeOf)
+	return m.run(func(w int) {
+		own := (nodes - w + modelWorkers - 1) / modelWorkers // nodes w, w+workers, …
+		if own < 1 {
+			own = 1
+		}
+		touched := make([]bool, len(m.stripes))
+		for done := 0; done < modelOpsPerWorker; {
+			round := min(modelOpsPerWorker-done, own)
+			clear(touched)
+			for i := 0; i < round; i++ {
+				node := (w + ((done+i)%own)*modelWorkers) % nodes
+				touched[m.stripeOf[node]] = true
+			}
+			for stripe, hit := range touched {
+				if hit {
+					m.section(stripe)
+				}
+			}
+			done += round
+		}
+	})
 }

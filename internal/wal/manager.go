@@ -14,8 +14,6 @@ type Config struct {
 	// GroupWindow is the group-commit accumulation window (see
 	// Options.GroupWindow); zero is natural batching.
 	GroupWindow time.Duration
-	// PerRecordSync forces an fsync per record (baseline mode).
-	PerRecordSync bool
 	// SnapshotInterval is the background checkpoint period; zero means
 	// snapshots happen only via Checkpoint.
 	SnapshotInterval time.Duration
@@ -61,7 +59,7 @@ func Open(dir string, store db.Store, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := OpenWriter(dir, Options{GroupWindow: cfg.GroupWindow, PerRecordSync: cfg.PerRecordSync, FS: cfg.FS})
+	w, err := OpenWriter(dir, Options{GroupWindow: cfg.GroupWindow, FS: cfg.FS})
 	if err != nil {
 		return nil, err
 	}

@@ -24,16 +24,6 @@ type Options struct {
 	// arrived while the previous fsync was in flight forms the next
 	// group — no added latency, still one fsync per group.
 	GroupWindow time.Duration
-	// PerRecordSync disables group commit entirely: every Append does
-	// its own write+fsync under the writer lock. This is the measured
-	// baseline group commit is compared against; production uses group
-	// commit.
-	PerRecordSync bool
-	// SerialFsync keeps the pre-pipelining group commit: the group's
-	// fsync runs under the writer I/O lock, so the next group's write
-	// cannot issue until the previous fsync completes. Kept as the
-	// measured baseline for the pipelined default.
-	SerialFsync bool
 	// FS opens segment files (nil = the real filesystem). The chaos
 	// harness injects disk faults here.
 	FS FS
@@ -51,7 +41,7 @@ type Options struct {
 // group's buffer fills and its write() issues while the previous
 // group's fsync is still in flight. The sync stage fsyncs in hand-off
 // order and releases each group's waiters only after a covering fsync,
-// which preserves acked ⇒ durable exactly as the serial writer did.
+// which is what keeps acked ⇒ durable.
 //
 // The writer survives disk faults: a failed group write or sync marks
 // the current segment poisoned (its tail may be torn), and the next
@@ -67,9 +57,8 @@ type Writer struct {
 	opts Options
 	fs   FS
 
-	// ioMu serializes file I/O (flush, rotate). In the pipelined default
-	// it covers the group write but not the fsync; per-record and
-	// serial-fsync modes hold it across the sync too.
+	// ioMu serializes file I/O (flush, rotate). It covers the group
+	// write but not the fsync, which runs in the sync stage.
 	ioMu sync.Mutex
 	// mu guards the queue and segment state. Never held across I/O, so
 	// appenders keep enqueueing while a group fsync is in flight —
@@ -88,8 +77,8 @@ type Writer struct {
 	doneC  chan struct{}
 	wg     sync.WaitGroup
 
-	// syncC feeds the sync stage in write order; nil in per-record and
-	// serial-fsync modes. syncWg tracks the sync goroutine.
+	// syncC feeds the sync stage in write order; syncWg tracks the sync
+	// goroutine.
 	syncC  chan syncReq
 	syncWg sync.WaitGroup
 
@@ -204,16 +193,12 @@ func OpenWriter(dir string, opts Options) (*Writer, error) {
 		seg:    seg,
 		flushC: make(chan struct{}, 1),
 		doneC:  make(chan struct{}),
+		syncC:  make(chan syncReq, 64),
 	}
-	if !opts.PerRecordSync {
-		if !opts.SerialFsync {
-			w.syncC = make(chan syncReq, 64)
-			w.syncWg.Add(1)
-			go w.syncLoop()
-		}
-		w.wg.Add(1)
-		go w.flushLoop()
-	}
+	w.syncWg.Add(1)
+	go w.syncLoop()
+	w.wg.Add(1)
+	go w.flushLoop()
 	return w, nil
 }
 
@@ -249,33 +234,8 @@ func (w *Writer) Append(m db.Mutation) error {
 	return err
 }
 
-// appendFrame queues (or directly syncs) one encoded frame and blocks
-// until it is durable.
+// appendFrame queues one encoded frame and blocks until it is durable.
 func (w *Writer) appendFrame(frame []byte) error {
-	if w.opts.PerRecordSync {
-		w.ioMu.Lock()
-		defer w.ioMu.Unlock()
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			return ErrClosed
-		}
-		w.mu.Unlock()
-		f, err := w.healForWrite()
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(frame); err != nil {
-			w.markPoisoned()
-			return fmt.Errorf("wal: appending record: %w", err)
-		}
-		if err := w.timedSync(f); err != nil {
-			w.markPoisoned()
-			return fmt.Errorf("wal: syncing record: %w", err)
-		}
-		return nil
-	}
-
 	done := make(chan error, 1)
 	w.mu.Lock()
 	if w.closed {
@@ -292,9 +252,8 @@ func (w *Writer) appendFrame(frame []byte) error {
 	return <-done
 }
 
-// flushLoop is the single group-commit goroutine: each wakeup drains
-// the queue accumulated so far, writes it in one syscall, fsyncs once,
-// and releases every waiter in the group.
+// flushLoop is the single write-stage goroutine: each wakeup drains the
+// queue accumulated so far and writes it in one syscall (see flush).
 func (w *Writer) flushLoop() {
 	defer w.wg.Done()
 	for {
@@ -312,11 +271,10 @@ func (w *Writer) flushLoop() {
 }
 
 // flush is the write stage: it drains the current group, issues its
-// write() under ioMu, and either syncs inline (serial mode) or hands
-// the segment to the sync stage and releases ioMu so the next group's
-// write can overlap the fsync. Waiters are released here only on a
-// write-path error or in serial mode; the pipeline releases them from
-// the sync stage after their covering fsync.
+// write() under ioMu, hands the segment to the sync stage and releases
+// ioMu so the next group's write can overlap the fsync. Waiters are
+// released here only on a write-path error; otherwise the sync stage
+// releases them after their covering fsync.
 func (w *Writer) flush() {
 	w.ioMu.Lock()
 	w.mu.Lock()
@@ -337,18 +295,12 @@ func (w *Writer) flush() {
 			err = fmt.Errorf("wal: appending group: %w", werr)
 		}
 	}
-	if err == nil && w.syncC != nil {
+	if err == nil {
 		// Hand off before releasing ioMu so sync requests arrive in
 		// write order — the invariant the failure propagation relies on.
 		w.syncC <- syncReq{f: f, waiters: waiters}
 		w.ioMu.Unlock()
 		return
-	}
-	if err == nil {
-		if serr := w.timedSync(f); serr != nil {
-			w.markPoisoned()
-			err = fmt.Errorf("wal: syncing group: %w", serr)
-		}
 	}
 	w.ioMu.Unlock()
 	for _, ch := range waiters {
@@ -421,12 +373,8 @@ func (w *Writer) syncLoop() {
 // drainSync blocks until every group already handed to the sync stage
 // has completed. Callers hold ioMu, so no new hand-offs can race the
 // barrier; it is how rotation, heal and close wait out the pipeline
-// before swapping or closing a segment file. No-op outside pipelined
-// mode.
+// before swapping or closing a segment file.
 func (w *Writer) drainSync() {
-	if w.syncC == nil {
-		return
-	}
 	done := make(chan struct{})
 	w.syncC <- syncReq{barrier: done}
 	<-done
@@ -580,17 +528,13 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	if !w.opts.PerRecordSync {
-		close(w.doneC)
-		w.wg.Wait()
-		if w.syncC != nil {
-			// The flush loop is done, and ErrClosed gates new appends, so
-			// no further hand-offs can happen: drain the sync stage and
-			// stop it before the final sync+close below.
-			close(w.syncC)
-			w.syncWg.Wait()
-		}
-	}
+	close(w.doneC)
+	w.wg.Wait()
+	// The flush loop is done, and ErrClosed gates new appends, so no
+	// further hand-offs can happen: drain the sync stage and stop it
+	// before the final sync+close below.
+	close(w.syncC)
+	w.syncWg.Wait()
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	if err := w.f.Sync(); err != nil {

@@ -66,17 +66,14 @@ func TestWriterHealsAfterDiskFault(t *testing.T) {
 	for _, mode := range []struct {
 		name               string
 		syncErr, shortWrit bool
-		perRecord          bool
 	}{
-		{"sync-error-group", true, false, false},
-		{"short-write-group", false, true, false},
-		{"sync-error-per-record", true, false, true},
-		{"short-write-per-record", false, true, true},
+		{"sync-error-group", true, false},
+		{"short-write-group", false, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fs := &stubFS{}
-			w := openWriter(t, dir, Options{FS: fs, PerRecordSync: mode.perRecord})
+			w := openWriter(t, dir, Options{FS: fs})
 
 			var acked []uint64
 			append1 := func(lsn uint64) error {
@@ -194,7 +191,7 @@ func TestRotateNeverWritesBehindTear(t *testing.T) {
 func TestWriterStaysDownWhileFSDown(t *testing.T) {
 	dir := t.TempDir()
 	fs := &downFS{inner: &stubFS{}}
-	w := openWriter(t, dir, Options{FS: fs, PerRecordSync: true})
+	w := openWriter(t, dir, Options{FS: fs})
 	if err := w.Append(nodeMut(1, "a")); err != nil {
 		t.Fatal(err)
 	}
@@ -247,4 +244,188 @@ func (d *downFS) OpenAppend(name string) (File, error) {
 		return nil, errInjected
 	}
 	return d.inner.OpenAppend(name)
+}
+
+// gateFS wraps OSFS with a one-shot fsync fault that the test holds
+// open: the armed Sync announces itself on entered, blocks until
+// release is closed, then fails. Every Write reports the bytes it put
+// on disk through wrote, so the test can wait for groups to land
+// behind the in-flight fsync instead of sleeping.
+type gateFS struct {
+	mu      sync.Mutex
+	armed   bool
+	syncs   map[string]int // Sync calls per segment file
+	entered chan string    // name of the file whose Sync is held
+	release chan struct{}
+	wrote   chan int
+}
+
+func (g *gateFS) OpenAppend(name string) (File, error) {
+	f, err := OSFS{}.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, fs: g, name: name}, nil
+}
+
+type gateFile struct {
+	File
+	fs   *gateFS
+	name string
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.wrote <- n
+	return n, err
+}
+
+func (f *gateFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.syncs[f.name]++
+	held := f.fs.armed
+	f.fs.armed = false
+	f.fs.mu.Unlock()
+	if held {
+		f.fs.entered <- f.name
+		<-f.fs.release
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+// TestConcurrentAppendersAcrossFsyncFault drives concurrent appenders
+// through an fsync-error window on the pipelined writer. One group's
+// fsync is held in flight and then fails; while it is held, the other
+// appenders' groups are written behind it on the same segment. The
+// disk is healthy again by the time the sync stage reaches them, so
+// only the failed-file memory in syncLoop stands between those groups
+// and a false ack: each must fail without a second fsync on that file.
+// Every Append that did return nil — before, and after the heal — must
+// be readable once the log is reopened.
+func TestConcurrentAppendersAcrossFsyncFault(t *testing.T) {
+	const appenders = 8
+	dir := t.TempDir()
+	fs := &gateFS{
+		syncs:   make(map[string]int),
+		entered: make(chan string, 1),
+		release: make(chan struct{}),
+		wrote:   make(chan int, 4*appenders), // every write of the test fits: none blocks on the reader
+	}
+	w := openWriter(t, dir, Options{FS: fs})
+
+	var (
+		ackMu sync.Mutex
+		acked []uint64
+	)
+	// appendAll runs one Append per LSN concurrently and returns each
+	// appender's error, indexed like lsns.
+	appendAll := func(lsns []uint64) []error {
+		errs := make([]error, len(lsns))
+		var wg sync.WaitGroup
+		for i, lsn := range lsns {
+			wg.Add(1)
+			go func(i int, lsn uint64) {
+				defer wg.Done()
+				errs[i] = w.Append(nodeMut(lsn, fmt.Sprintf("n%03d", lsn)))
+				if errs[i] == nil {
+					ackMu.Lock()
+					acked = append(acked, lsn)
+					ackMu.Unlock()
+				}
+			}(i, lsn)
+		}
+		wg.Wait()
+		return errs
+	}
+	lsnRange := func(from, n uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = from + uint64(i)
+		}
+		return out
+	}
+	frameLen := func(lsn uint64) int {
+		frame, err := encodeRecord(nodeMut(lsn, fmt.Sprintf("n%03d", lsn)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(frame)
+	}
+
+	for i, err := range appendAll(lsnRange(1, appenders)) {
+		if err != nil {
+			t.Fatalf("healthy append %d: %v", i+1, err)
+		}
+	}
+	for len(fs.wrote) > 0 {
+		<-fs.wrote
+	}
+
+	// The window opens: the next fsync is held in flight.
+	fs.mu.Lock()
+	fs.armed = true
+	fs.mu.Unlock()
+	const first = uint64(100)
+	firstErr := make(chan error, 1)
+	go func() { firstErr <- w.Append(nodeMut(first, "held")) }()
+	failedFile := <-fs.entered
+
+	// The other appenders' groups land behind the held fsync.
+	behind := lsnRange(first+1, appenders-1)
+	want := 0
+	for _, lsn := range append([]uint64{first}, behind...) {
+		want += frameLen(lsn)
+	}
+	behindErrs := make(chan []error, 1)
+	go func() { behindErrs <- appendAll(behind) }()
+	for got := 0; got < want; {
+		got += <-fs.wrote
+	}
+
+	// The fault is over (it was one-shot) before the held fsync reports.
+	close(fs.release)
+	if err := <-firstErr; err == nil {
+		t.Fatal("append acked although its fsync failed")
+	}
+	for i, err := range <-behindErrs {
+		if err == nil {
+			t.Errorf("append %d, written behind the failed fsync on the same file, was acked", behind[i])
+		}
+	}
+	fs.mu.Lock()
+	syncsOnFailed := fs.syncs[failedFile]
+	fs.mu.Unlock()
+
+	// Healed: concurrent appends succeed again, on a fresh segment.
+	for i, err := range appendAll(lsnRange(200, appenders)) {
+		if err != nil {
+			t.Fatalf("post-heal append %d: %v", 200+i, err)
+		}
+	}
+	fs.mu.Lock()
+	if n := fs.syncs[failedFile]; n != syncsOnFailed {
+		t.Errorf("failed segment fsynced %d more time(s) after its failure", n-syncsOnFailed)
+	}
+	fs.mu.Unlock()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, stats, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint64]bool, len(recs))
+	for _, r := range recs {
+		got[r.LSN] = true
+	}
+	if len(acked) != 2*appenders {
+		t.Fatalf("%d appends acked, want %d", len(acked), 2*appenders)
+	}
+	for _, lsn := range acked {
+		if !got[lsn] {
+			t.Errorf("acknowledged record %d lost (stats %+v)", lsn, stats)
+		}
+	}
 }

@@ -3,9 +3,11 @@
 // any of them regresses by more than the threshold against the
 // recorded baseline (BENCH_baseline.json).
 //
-// Only benchmarks present in both the baseline and the measured run
-// are compared, so adding new benchmarks never breaks the gate;
-// improvements always pass. The gate is meant for the stable
+// The filter and the baseline must agree: a benchmark the filter
+// selects with no baseline entry, or a baseline entry the filter
+// selects that produced no measurement, fails the gate — otherwise a
+// deleted or renamed gated benchmark would pass silently. Improvements
+// always pass. The gate is meant for the stable
 // single-goroutine hot-path benches — highly parallel benchmarks are
 // too noisy for a hard threshold and should stay out of the filter.
 package main
@@ -20,6 +22,7 @@ import (
 	"os/exec"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // baselineFile mirrors the benchmarks section of BENCH_baseline.json.
@@ -107,7 +110,7 @@ func main() {
 		}
 	}
 
-	failed := false
+	regressed, mismatched := false, false
 	compared := 0
 	for _, name := range order {
 		if name == calibrationBench {
@@ -116,7 +119,8 @@ func main() {
 		got := best[name]
 		want, ok := baseNs[name]
 		if !ok || want <= 0 {
-			fmt.Printf("  %-40s %12.0f ns/op  (no baseline, skipped)\n", name, got)
+			fmt.Printf("  %-40s %12.0f ns/op  NO BASELINE ENTRY\n", name, got)
+			mismatched = true
 			continue
 		}
 		want *= scale
@@ -125,15 +129,32 @@ func main() {
 		verdict := "ok"
 		if deltaPct > *threshold {
 			verdict = fmt.Sprintf("REGRESSION (> %.0f%%)", *threshold)
-			failed = true
+			regressed = true
 		}
 		fmt.Printf("  %-40s %12.0f ns/op  baseline %12.0f  %+7.1f%%  %s\n",
 			name, got, want, deltaPct, verdict)
 	}
+	// go test matches the filter against each "/"-separated element of
+	// a benchmark's name; the gated baselines are top-level, so the
+	// first element decides.
+	filter, err := regexp.Compile(*bench)
+	if err != nil {
+		fatal("parsing -bench %q: %v", *bench, err)
+	}
+	for _, b := range base.Benchmarks {
+		top, _, _ := strings.Cut(b.Name, "/")
+		if _, measured := best[b.Name]; !measured && filter.MatchString(top) {
+			fmt.Printf("  %-40s baseline %12.0f ns/op  NOT MEASURED (deleted or renamed?)\n", b.Name, b.NsPerOp)
+			mismatched = true
+		}
+	}
 	if compared == 0 {
 		fatal("no benchmark matched both the filter %q and the baseline", *bench)
 	}
-	if failed {
+	if mismatched {
+		fatal("the filter %q and %s disagree on which benchmarks exist", *bench, *baselinePath)
+	}
+	if regressed {
 		fatal("benchmark regression beyond %.0f%% of %s", *threshold, *baselinePath)
 	}
 	fmt.Printf("bench-check: %d benchmarks within %.0f%% of baseline\n", compared, *threshold)

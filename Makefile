@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs cover ci
+.PHONY: all build test race bench bench-check bench-e2e loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench cover ci
 
 all: build
 
@@ -37,6 +37,13 @@ bench:
 BENCH_CHECK_FILTER ?= DBJobQueueQuery$$|DBJobsOnNode$$|BatchPlacement32$$|SinglePlacement32$$|SchedulerDecision50Nodes$$|HeartbeatCoalesced$$
 bench-check:
 	$(GO) run ./scripts/benchcheck -baseline BENCH_baseline.json -bench '$(BENCH_CHECK_FILTER)' -threshold 25
+
+# The end-to-end benchmark BENCHMARK.json declares: real coordinator and
+# agent processes over loopback, WAL on a real disk. Arguments pass
+# through, e.g. `make bench-e2e ARGS="--workload beats_telemetry --seconds 30"`;
+# without them every workload runs. See bench/README.md.
+bench-e2e:
+	bash bench/run.sh $(ARGS)
 
 # Net non-test lines of Go: the figure ROADMAP's "LOC must go down"
 # rule and CHANGES.md quote.
@@ -118,6 +125,14 @@ verify-docs:
 	$(GO) run ./scripts/doccheck internal
 	$(GO) build ./examples/...
 
+# bench/ is a module of its own, so `go build ./...` at the root does
+# not see it: build, vet and test it here so a signature change in
+# internal/db or internal/wal that breaks its decorators (bench/trace.go
+# overrides Store.SetMutationHook and Store.AppendSample) fails CI
+# instead of the next benchmark run. ~3 s.
+verify-bench:
+	cd bench && $(GO) build -o /dev/null . && $(GO) vet ./... && $(GO) test ./...
+
 # Coverage with a floor: fail if total statement coverage drops below
 # COVER_FLOOR. The profile is left in coverage.out for upload.
 cover:
@@ -130,4 +145,4 @@ cover:
 # cover runs the full test suite (with profiling), so ci does not also
 # run a bare `test` pass — the long simulations already execute once
 # there and once more under verify-chaos.
-ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs cover
+ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench cover

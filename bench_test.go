@@ -18,9 +18,12 @@ import (
 	"testing"
 	"time"
 
+	"gpunion/internal/agent"
+	"gpunion/internal/api"
 	"gpunion/internal/auth"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/container"
+	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
@@ -577,8 +580,8 @@ func heartbeatStore(store db.Store, n int) []string {
 }
 
 // BenchmarkConcurrentHeartbeats runs the coordinator's per-heartbeat
-// write mix (node update + two telemetry samples) from parallel
-// goroutines — the hot path the sharded store parallelizes.
+// write mix (node update + one batch of two telemetry samples) from
+// parallel goroutines — the hot path the sharded store parallelizes.
 func BenchmarkConcurrentHeartbeats(b *testing.B) {
 	store := db.New(0)
 	ids := heartbeatStore(store, 200)
@@ -592,10 +595,10 @@ func BenchmarkConcurrentHeartbeats(b *testing.B) {
 			_ = store.UpdateNode(id, func(n *db.NodeRecord) {
 				n.LastHeartbeat = n.LastHeartbeat.Add(time.Second)
 			})
-			store.AppendSample(db.Sample{Time: benchEpoch, NodeID: id,
-				Metric: "gpu_utilization", Value: 0.5})
-			store.AppendSample(db.Sample{Time: benchEpoch, NodeID: id,
-				Metric: "gpu_memory_used_mib", Value: 1024})
+			store.AppendSamples([]db.Sample{
+				{Time: benchEpoch, NodeID: id, Metric: "gpu_utilization", Value: 0.5},
+				{Time: benchEpoch, NodeID: id, Metric: "gpu_memory_used_mib", Value: 1024},
+			})
 		}
 	})
 }
@@ -842,6 +845,66 @@ func BenchmarkWALPipelined(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHeartbeatTelemetryDurable is one provider's telemetry beat
+// through the shipped write path: Coordinator.Heartbeat over a store
+// logged by a real wal.Open with the shipped 2 ms group window, two
+// devices, so four samples per beat. One closed-loop sender, so ns/op
+// is the group window plus one fsync — timer-bound, recorded in
+// BENCH_baseline.json but outside the bench-check gate — and fsyncs/op
+// counts the durability waits a beat pays (one: its samples commit as
+// one group), read off the writer's own fsync histogram, instrumented
+// on the coordinator's registry as the daemon does.
+func BenchmarkHeartbeatTelemetryDurable(b *testing.B) {
+	store := db.New(0)
+	mgr, err := wal.Open(b.TempDir(), store, wal.Config{GroupWindow: 2 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mgr.Close()
+	clock := simclock.NewSim(benchEpoch)
+	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
+	coord, err := core.New(core.Config{HeartbeatInterval: time.Minute}, clock, store, ckpts, eventbus.New(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coord.Stop()
+	if err := mgr.Writer().Instrument(coord.Metrics()); err != nil {
+		b.Fatal(err)
+	}
+	fsyncs, err := coord.Metrics().Histogram("gpunion_wal_fsync_seconds", "", nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
+	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil, coord)
+	defer ag.Stop()
+	reg, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), core.LocalAgent{A: ag})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := store.GetNode("n1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := api.HeartbeatRequest{
+		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
+		MachineID: "n1", Token: reg.Token,
+	}
+	for _, g := range rec.GPUs {
+		req.Telemetry = append(req.Telemetry, gpu.Telemetry{DeviceID: g.DeviceID, Utilization: 0.5, UsedMemMiB: 1024})
+	}
+	before := fsyncs.Count()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.BeatSeq++
+		if resp, err := coord.Heartbeat(req); err != nil || !resp.Acknowledged {
+			b.Fatalf("beat %d: %+v err=%v", req.BeatSeq, resp, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(fsyncs.Count()-before)/float64(b.N), "fsyncs/op")
 }
 
 // --- Snapshot under load ---

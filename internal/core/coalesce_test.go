@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,9 +49,12 @@ func newBeatRig(t *testing.T, interval time.Duration, store db.Store) *beatRig {
 		seqs: make(map[string]uint64), ags: make(map[string]*agent.Agent)}
 }
 
-func (b *beatRig) addSilentNode(id string) {
+func (b *beatRig) addSilentNode(id string, devices ...gpu.Spec) {
 	b.t.Helper()
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
+	if len(devices) == 0 {
+		devices = []gpu.Spec{gpu.RTX3090}
+	}
+	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, b.clock, rt, b.ckpts, nil, NopCoordNotifier{})
 	b.t.Cleanup(ag.Stop)
 	resp, err := b.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
@@ -405,5 +410,103 @@ func TestDuplicateBeatIntoHalfFlushedBatch(t *testing.T) {
 	}
 	if vs := audit.Check(store); len(vs) != 0 {
 		t.Fatalf("beat-delta fold diverged: %v", vs)
+	}
+}
+
+// syncCountingFS is the real filesystem with every segment fsync counted.
+type syncCountingFS struct{ syncs atomic.Int64 }
+
+func (c *syncCountingFS) OpenAppend(name string) (wal.File, error) {
+	f, err := wal.OSFS{}.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &syncCountingFile{File: f, fs: c}, nil
+}
+
+type syncCountingFile struct {
+	wal.File
+	fs *syncCountingFS
+}
+
+func (f *syncCountingFile) Sync() error {
+	f.fs.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestTelemetryBeatOneDurabilityWait drives the shipped seam — a real
+// wal.Open under the coordinator — and pins what one telemetry beat
+// costs: its points are four ordinary sample_put records, but they
+// commit as one WAL group under one fsync, each reaching OnDurable
+// before Heartbeat returns. A replayed beat appends nothing.
+func TestTelemetryBeatOneDurabilityWait(t *testing.T) {
+	fs := &syncCountingFS{}
+	var (
+		durableMu sync.Mutex
+		durable   []db.Mutation
+	)
+	store := db.New(0)
+	mgr, err := wal.Open(t.TempDir(), store, wal.Config{
+		GroupWindow: 2 * time.Millisecond, // the shipped default
+		FS:          fs,
+		OnDurable: func(m db.Mutation) {
+			durableMu.Lock()
+			durable = append(durable, m)
+			durableMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	b := newBeatRig(t, time.Minute, store)
+	b.addSilentNode("n1", gpu.RTX3090, gpu.RTX3090)
+	rec, err := store.GetNode("n1")
+	if err != nil || len(rec.GPUs) != 2 {
+		t.Fatalf("registered node: %+v err=%v", rec, err)
+	}
+	samplePut := db.Mutation{Type: db.MutSamplePut, Sample: &db.Sample{NodeID: "n1"}}
+	counter, err := b.coord.Metrics().Counter("gpunion_store_mutations_total", "",
+		map[string]string{"type": string(db.MutSamplePut), "shard": strconv.Itoa(store.ShardFor(samplePut))})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b.clock.Advance(10 * time.Second)
+	req := b.beatReq("n1")
+	for i, g := range rec.GPUs {
+		req.Telemetry = append(req.Telemetry, gpu.Telemetry{
+			DeviceID: g.DeviceID, Utilization: 0.25 * float64(i+1), UsedMemMiB: int64(1024 * (i + 1))})
+	}
+	syncs, lsn, acked := fs.syncs.Load(), store.CurrentLSN(), len(durable)
+	if resp, err := b.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
+		t.Fatalf("telemetry beat: %+v err=%v", resp, err)
+	}
+	if got := fs.syncs.Load() - syncs; got != 1 {
+		t.Fatalf("one telemetry beat cost %d fsyncs, want 1", got)
+	}
+	if got := counter.Value(); got != 4 {
+		t.Fatalf("sample_put counter = %v, want 4", got)
+	}
+	durableMu.Lock()
+	got := durable[acked:]
+	durableMu.Unlock()
+	if len(got) != 4 {
+		t.Fatalf("OnDurable saw %d records before the ack, want 4: %+v", len(got), got)
+	}
+	for i, m := range got {
+		if m.Type != db.MutSamplePut || m.Group != nil || m.LSN != lsn+uint64(i)+1 {
+			t.Fatalf("durable record %d = %+v, want sample_put at LSN %d", i, m, lsn+uint64(i)+1)
+		}
+	}
+
+	// The same BeatSeq again (a relay retry, a duplicated delivery).
+	syncs, lsn = fs.syncs.Load(), store.CurrentLSN()
+	if _, err := b.coord.Heartbeat(req); err != nil {
+		t.Fatal(err)
+	}
+	if fs.syncs.Load() != syncs || store.CurrentLSN() != lsn || counter.Value() != 4 {
+		t.Fatalf("replayed beat appended: syncs %d->%d, LSN %d->%d, sample_put %v",
+			syncs, fs.syncs.Load(), lsn, store.CurrentLSN(), counter.Value())
 	}
 }

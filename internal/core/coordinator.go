@@ -807,12 +807,19 @@ func (c *Coordinator) heartbeatAt(req api.HeartbeatRequest, now time.Time) (api.
 		c.ingestHealth(req.MachineID, health, now)
 	}
 
-	// Persist telemetry history for capacity planning (§3.2).
-	for _, tel := range req.Telemetry {
-		c.db.AppendSample(db.Sample{Time: now, NodeID: req.MachineID,
-			Metric: "gpu_utilization", Value: tel.Utilization})
-		c.db.AppendSample(db.Sample{Time: now, NodeID: req.MachineID,
-			Metric: "gpu_memory_used_mib", Value: float64(tel.UsedMemMiB)})
+	// Persist telemetry history for capacity planning (§3.2): the
+	// beat's points commit as one batch, so the beat waits for one WAL
+	// group, not one per point.
+	if len(req.Telemetry) > 0 {
+		samples := make([]db.Sample, 0, 2*len(req.Telemetry))
+		for _, tel := range req.Telemetry {
+			samples = append(samples,
+				db.Sample{Time: now, NodeID: req.MachineID,
+					Metric: "gpu_utilization", Value: tel.Utilization},
+				db.Sample{Time: now, NodeID: req.MachineID,
+					Metric: "gpu_memory_used_mib", Value: float64(tel.UsedMemMiB)})
+		}
+		c.db.AppendSamples(samples)
 	}
 
 	// The host no longer executes these placements: requeue them from

@@ -234,6 +234,10 @@ type Store interface {
 	Allocations() []AllocationRecord
 
 	AppendSample(s Sample)
+	// AppendSamples stores several points as one durability unit: one
+	// record and one LSN per point, handed to the mutation hook in a
+	// single call so a durable hook waits once (see Mutation.Group).
+	AppendSamples(points []Sample)
 	SamplesInRange(metric, nodeID string, from, to time.Time) []Sample
 
 	// Persistence. SetMutationHook observes every committed mutation
@@ -303,6 +307,14 @@ type allocShard struct {
 type sampleShard struct {
 	mu  sync.RWMutex
 	buf []Sample
+	// lastLSN is the LSN of the newest point appended here, live or by
+	// replay. Appends happen under mu in ascending LSN order, so a
+	// replayed record at or below it is already contained.
+	lastLSN uint64
+	// unstamped counts the leading points whose LSN is unknown — the
+	// ones ImportState installed from a snapshot image. Only they need
+	// a content scan when a record above lastLSN is replayed.
+	unstamped int
 }
 
 // DB is the central database. All methods are safe for concurrent use;
@@ -794,26 +806,54 @@ func (d *DB) Allocations() []AllocationRecord {
 
 // --- Monitoring samples ---
 
-// AppendSample stores a monitoring data point. The retention bound is
-// global: when the total exceeds maxSamples, the appending shard evicts
-// its oldest point, so the
-// store's footprint stays bounded without a cross-shard lock. Eviction
-// order is per-shard FIFO (approximately global FIFO); a shard always
-// keeps its newest point so a fresh node's telemetry is never starved
-// by other shards' history, which lets the total overshoot by at most
-// one point per shard.
-func (d *DB) AppendSample(s Sample) {
-	sh := d.sampleShard(s.NodeID)
-	sh.mu.Lock()
+// AppendSample stores one monitoring data point; see AppendSamples.
+func (d *DB) AppendSample(s Sample) { d.AppendSamples([]Sample{s}) }
+
+// AppendSamples stores a batch of monitoring data points as one
+// durability unit: every point still gets its own LSN and its own
+// MutSamplePut record, but the records reach the mutation hook in a
+// single call (see Mutation.Group), so a durable hook waits once for
+// the whole batch. Consecutive points of one node share one critical
+// section of that node's shard.
+//
+// The retention bound is global: when the total exceeds maxSamples, the
+// appending shard evicts its oldest point, so the store's footprint
+// stays bounded without a cross-shard lock. Eviction order is per-shard
+// FIFO (approximately global FIFO); a shard always keeps its newest
+// point so a fresh node's telemetry is never starved by other shards'
+// history, which lets the total overshoot by at most one point per
+// shard.
+func (d *DB) AppendSamples(points []Sample) {
+	if len(points) == 0 {
+		return
+	}
+	images := slices.Clone(points)
+	muts := make([]Mutation, len(images))
+	for i := 0; i < len(images); {
+		sh := d.sampleShard(images[i].NodeID)
+		sh.mu.Lock()
+		for node := images[i].NodeID; i < len(images) && images[i].NodeID == node; i++ {
+			lsn := d.lsn.Add(1)
+			d.appendSampleLocked(sh, images[i], lsn)
+			muts[i] = Mutation{LSN: lsn, Type: MutSamplePut, Sample: &images[i]}
+		}
+		sh.mu.Unlock()
+	}
+	d.emitGroup(muts)
+}
+
+// appendSampleLocked adds one point carrying the given LSN to the
+// shard's buffer and enforces the store-wide retention bound. Callers
+// hold sh.mu and append in ascending LSN order, which is what lets
+// lastLSN decide "already contained" for replay (see Apply).
+func (d *DB) appendSampleLocked(sh *sampleShard, s Sample, lsn uint64) {
 	sh.buf = append(sh.buf, s)
+	sh.lastLSN = lsn
 	if d.sampleCount.Add(1) > int64(d.maxSamples) && len(sh.buf) > 1 {
 		sh.buf = sh.buf[1:]
+		sh.unstamped = max(sh.unstamped-1, 0)
 		d.sampleCount.Add(-1)
 	}
-	lsn := d.lsn.Add(1)
-	sh.mu.Unlock()
-	image := s
-	d.emit(Mutation{LSN: lsn, Type: MutSamplePut, Sample: &image})
 }
 
 // SamplesInRange returns samples for metric within [from, to), all nodes

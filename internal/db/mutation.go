@@ -87,6 +87,13 @@ type Mutation struct {
 	Beats []BeatDelta `json:"beats,omitempty"`
 	// Health carries a MutNodeHealth record's fold.
 	Health *HealthDelta `json:"health,omitempty"`
+	// Group, when set, makes this value an envelope rather than a
+	// record: the store operation committed several records (ascending
+	// LSN) and hands them to the mutation hook in one call, so a durable
+	// hook waits once for all of them. Only the hook ever sees an
+	// envelope — it is never logged, replayed or shown to observers —
+	// and every other field of an envelope is zero.
+	Group []Mutation `json:"-"`
 }
 
 // MutationHook observes committed mutations. It is invoked after the
@@ -95,6 +102,12 @@ type Mutation struct {
 // the operation to its caller happens only after the hook returns — a
 // durable hook therefore gives durable-before-ack semantics without
 // holding any lock across I/O.
+//
+// One hook call is one durability unit. An operation that commits
+// several records (AppendSamples) calls the hook once with an envelope
+// whose Group lists them; a hook that handles records one by one must
+// range over m.Group when it is set. Observers never see envelopes:
+// they are notified record by record.
 //
 // Payloads are immutable after-images: the store installs records
 // copy-on-write and emits the installed record itself, so a hook (or
@@ -258,6 +271,22 @@ func (d *DB) emit(m Mutation) {
 	d.observers.notify(m)
 }
 
+// emitGroup is emit for an operation that committed several records:
+// the hook is invoked once with all of them (one durability wait), the
+// observers once per record. A group of one is a plain emit.
+func (d *DB) emitGroup(ms []Mutation) {
+	if len(ms) == 1 {
+		d.emit(ms[0])
+		return
+	}
+	if h := d.hook.Load(); h != nil {
+		(*h)(Mutation{Group: ms})
+	}
+	for _, m := range ms {
+		d.observers.notify(m)
+	}
+}
+
 // ExportState collects a snapshot image shard by shard: each shard is
 // read-locked briefly and one at a time, so concurrent commits on other
 // shards proceed while the export is in flight — unlike the legacy
@@ -308,7 +337,7 @@ func (d *DB) ImportState(st State) {
 		d.jobs[i].recs = make(map[string]*JobRecord)
 		d.jobs[i].resetIndexes()
 		d.allocs[i].episodes = nil
-		d.samples[i].buf = nil
+		d.samples[i].buf, d.samples[i].lastLSN, d.samples[i].unstamped = nil, 0, 0
 	}
 	for _, n := range st.Nodes {
 		cp := cloneNode(n)
@@ -327,6 +356,7 @@ func (d *DB) ImportState(st State) {
 	for _, smp := range st.Samples {
 		s := d.sampleShard(smp.NodeID)
 		s.buf = append(s.buf, smp)
+		s.unstamped = len(s.buf)
 	}
 	d.sampleCount.Store(int64(len(st.Samples)))
 	raiseLSN(&d.lsn, st.Watermark)
@@ -384,14 +414,24 @@ func (d *DB) Apply(m Mutation) error {
 		if m.Sample == nil {
 			return fmt.Errorf("db: %s mutation without sample payload", m.Type)
 		}
+		// A shard's points are appended in ascending LSN order (live
+		// under its lock, replay by contract), so a record at or below
+		// the shard's newest LSN is already contained. Above it, only
+		// points of unknown LSN — a fuzzy snapshot's image, which may
+		// have captured the record — need a content scan; a record
+		// without an LSN is compared against everything.
 		sh := d.sampleShard(m.Sample.NodeID)
 		sh.mu.Lock()
-		if !slices.ContainsFunc(sh.buf, func(s Sample) bool { return sameSample(s, *m.Sample) }) {
-			sh.buf = append(sh.buf, *m.Sample)
-			if d.sampleCount.Add(1) > int64(d.maxSamples) && len(sh.buf) > 1 {
-				sh.buf = sh.buf[1:]
-				d.sampleCount.Add(-1)
+		contained := m.LSN != 0 && m.LSN <= sh.lastLSN
+		if !contained {
+			scan := sh.buf[:sh.unstamped]
+			if m.LSN == 0 {
+				scan = sh.buf
 			}
+			contained = slices.ContainsFunc(scan, func(s Sample) bool { return sameSample(s, *m.Sample) })
+		}
+		if !contained {
+			d.appendSampleLocked(sh, *m.Sample, max(m.LSN, sh.lastLSN))
 		}
 		sh.mu.Unlock()
 	case MutBeat:

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -230,4 +231,167 @@ func TestImportExportRoundTrip(t *testing.T) {
 			t.Fatalf("allocations after import: %d", len(re.Allocations()))
 		}
 	})
+}
+
+// exportJSON is the byte-level comparison form of a store's content.
+func exportJSON(t testing.TB, s Store) string {
+	t.Helper()
+	b, err := json.Marshal(s.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func TestAppendSamplesOneHookCall(t *testing.T) {
+	bothStores(t, func(t *testing.T, s Store) {
+		// Two nodes interleaved: consecutive points of one node share a
+		// critical section, and the batch as a whole shares one hook call.
+		var points []Sample
+		for i, node := range []string{"n1", "n1", "n2", "n2", "n1", "n1"} {
+			points = append(points, Sample{Time: mutEpoch.Add(time.Duration(i) * time.Second),
+				NodeID: node, Metric: "m", Value: float64(i)})
+		}
+		muts, _ := collectMutations(s)
+		var observed []Mutation
+		cancel := s.AddMutationObserver(func(m Mutation) { observed = append(observed, m) })
+		defer cancel()
+
+		s.AppendSamples(points)
+
+		if len(*muts) != 1 {
+			t.Fatalf("hook invoked %d times for one batch, want 1", len(*muts))
+		}
+		env := (*muts)[0]
+		if env.Type != "" || env.LSN != 0 || env.Sample != nil {
+			t.Fatalf("envelope carries record fields: %+v", env)
+		}
+		if len(env.Group) != len(points) || len(observed) != len(points) {
+			t.Fatalf("group of %d, %d observer notifications, want %d each",
+				len(env.Group), len(observed), len(points))
+		}
+		var last uint64
+		for i, m := range env.Group {
+			if m.Type != MutSamplePut || m.Group != nil || !sameSample(*m.Sample, points[i]) {
+				t.Fatalf("record %d = %+v, want a plain sample_put of %+v", i, m, points[i])
+			}
+			if m.LSN <= last {
+				t.Fatalf("LSN not strictly ascending at %d: %d after %d", i, m.LSN, last)
+			}
+			last = m.LSN
+			if observed[i].LSN != m.LSN || observed[i].Group != nil {
+				t.Fatalf("observer %d saw %+v, want record LSN %d", i, observed[i], m.LSN)
+			}
+		}
+		if s.CurrentLSN() != last {
+			t.Fatalf("CurrentLSN %d != last record %d", s.CurrentLSN(), last)
+		}
+
+		// The records are ordinary: replaying them equals the live store,
+		// which equals the same points appended one by one.
+		replayed, single := New(0), New(0)
+		for _, m := range env.Group {
+			if err := replayed.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range points {
+			single.AppendSample(p)
+		}
+		want := exportJSON(t, single)
+		if got := exportJSON(t, s); got != want {
+			t.Fatalf("batch store != one-by-one store:\n%s\n%s", got, want)
+		}
+		if got := exportJSON(t, replayed); got != want {
+			t.Fatalf("replayed batch != one-by-one store:\n%s\n%s", got, want)
+		}
+
+		// A batch of one is a plain record; an empty batch commits nothing.
+		s.AppendSamples(points[:1])
+		s.AppendSamples(nil)
+		if len(*muts) != 2 || (*muts)[1].Group != nil || (*muts)[1].Type != MutSamplePut {
+			t.Fatalf("after batch of one and empty batch, hook saw %+v", (*muts)[1:])
+		}
+	})
+}
+
+func TestApplySamplePutDedup(t *testing.T) {
+	// Two devices of one node can report identical points in one beat:
+	// they are two records and replay must keep both.
+	s := New(0)
+	muts, _ := collectMutations(s)
+	twin := Sample{Time: mutEpoch, NodeID: "n1", Metric: "gpu_utilization", Value: 0.5}
+	s.AppendSamples([]Sample{twin, twin})
+	recs := (*muts)[0].Group
+	s.SetMutationHook(nil)
+
+	re := New(0)
+	for pass := 0; pass < 2; pass++ {
+		for _, m := range recs {
+			if err := re.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, want := exportJSON(t, re), exportJSON(t, s); got != want {
+		t.Fatalf("double replay != live:\n%s\n%s", got, want)
+	}
+
+	// A fuzzy snapshot may already hold a record above its watermark:
+	// its points carry no LSN, so they are matched by content, once.
+	st := s.ExportState()
+	st.Watermark = recs[0].LSN - 1
+	fuzzy := New(0)
+	fuzzy.ImportState(st)
+	later := Mutation{LSN: recs[1].LSN + 1, Type: MutSamplePut,
+		Sample: &Sample{Time: mutEpoch.Add(time.Second), NodeID: "n1", Metric: "m", Value: 1}}
+	for pass := 0; pass < 2; pass++ {
+		for _, m := range append(recs[:2:2], later) {
+			if err := fuzzy.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := len(fuzzy.ExportState().Samples); got != 3 {
+		t.Fatalf("fuzzy snapshot + double replay holds %d samples, want 3", got)
+	}
+
+	// A record without an LSN falls back to the content scan.
+	for pass := 0; pass < 2; pass++ {
+		if err := fuzzy.Apply(Mutation{Type: MutSamplePut, Sample: later.Sample}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(fuzzy.ExportState().Samples); got != 3 {
+		t.Fatalf("LSN-less duplicate was appended: %d samples, want 3", got)
+	}
+}
+
+// BenchmarkApplySamples replays n sample_put records onto a fresh store.
+// ns/record must stay flat in n: replay decides "already contained" from
+// the shard's newest LSN, not by scanning the shard.
+func BenchmarkApplySamples(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		n    int
+	}{{"10k", 10_000}, {"100k", 100_000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			recs := make([]Mutation, bc.n)
+			for i := range recs {
+				recs[i] = Mutation{LSN: uint64(i + 1), Type: MutSamplePut, Sample: &Sample{
+					Time: mutEpoch.Add(time.Duration(i) * time.Millisecond), NodeID: nodeID(i%4, i%64),
+					Metric: "gpu_utilization", Value: float64(i)}}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := New(0)
+				for _, m := range recs {
+					if err := s.Apply(m); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/record")
+		})
+	}
 }

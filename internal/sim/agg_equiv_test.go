@@ -170,12 +170,16 @@ func (u equivUpstream) IngestAggregated(b api.AggregatedBeat) (api.AggregatedBea
 // same clocks, both arms mint byte-identical tokens.
 var equivSecret = []byte("aggregation-equivalence-battery!")
 
-// newEquivArm builds one arm with nodes single-GPU agents. aggCount 0
-// is the direct arm; otherwise agents are assigned round-robin across
-// aggCount relays and the aggregation audit attaches. hooks, when
-// non-nil, sabotages the upstream link.
-func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks) *equivArm {
+// newEquivArm builds one arm with nodes agents, each carrying the given
+// devices (default: one RTX 3090). aggCount 0 is the direct arm;
+// otherwise agents are assigned round-robin across aggCount relays and
+// the aggregation audit attaches. hooks, when non-nil, sabotages the
+// upstream link.
+func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices ...gpu.Spec) *equivArm {
 	t.Helper()
+	if len(devices) == 0 {
+		devices = []gpu.Spec{gpu.RTX3090}
+	}
 	arm := &equivArm{
 		clock:    simclock.NewSim(Epoch),
 		store:    db.New(0),
@@ -203,7 +207,7 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks) *equivArm
 		}
 	}
 	for i := 0; i < nodes; i++ {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
+		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
 		src := gpu.NewFakeHealthSource()
 		arm.health = append(arm.health, src)
 		ag := agent.New(agent.Config{
@@ -329,21 +333,38 @@ func (arm *equivArm) stop() {
 // aggregation audits on every run.
 func TestAggregationEquivalenceProperty(t *testing.T) {
 	const nodes, roundCount = 12, 36
+	type row struct {
+		name     string
+		aggCount int
+		seed     int64
+		devices  []gpu.Spec
+	}
+	var rows []row
 	for aggCount := 1; aggCount <= 8; aggCount++ {
 		seed := int64(1000 + aggCount)
-		t.Run(fmt.Sprintf("aggs=%d/seed=%d", aggCount, seed), func(t *testing.T) {
-			rounds := genEquivRounds(seed, nodes, roundCount)
+		rows = append(rows, row{fmt.Sprintf("aggs=%d/seed=%d", aggCount, seed), aggCount, seed, []gpu.Spec{gpu.RTX3090}})
+	}
+	// Two devices per node: a telemetry beat's four samples commit as
+	// one group, relayed as a pass-through and direct alike.
+	rows = append(rows, row{"aggs=2/seed=1009/gpus=2", 2, 1009, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}})
+	for _, rw := range rows {
+		t.Run(rw.name, func(t *testing.T) {
+			rounds := genEquivRounds(rw.seed, nodes, roundCount)
 
-			direct := newEquivArm(t, nodes, 0, nil)
+			direct := newEquivArm(t, nodes, 0, nil, rw.devices...)
 			defer direct.stop()
 			direct.play(t, rounds)
 
-			agged := newEquivArm(t, nodes, aggCount, nil)
+			agged := newEquivArm(t, nodes, rw.aggCount, nil, rw.devices...)
 			defer agged.stop()
 			agged.play(t, rounds)
 
 			if folded := agged.foldedBeats(); folded == 0 {
 				t.Fatal("aggregated arm folded no beats — the property ran without exercising the tier")
+			}
+			// Every telemetry beat stored two points per device.
+			if got, per := len(agged.store.ExportState().Samples), 2*len(rw.devices); got == 0 || got%per != 0 {
+				t.Fatalf("aggregated arm holds %d samples, want a positive multiple of %d", got, per)
 			}
 
 			want, got := direct.exportNormalized(), agged.exportNormalized()

@@ -36,7 +36,7 @@ func encodedF(f *testing.F, muts ...db.Mutation) []byte {
 	f.Helper()
 	var buf []byte
 	for _, m := range muts {
-		frame, err := encodeRecord(m)
+		frame, err := appendRecord(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func FuzzReaderFrame(f *testing.F) {
 		// to the same LSN sequence, with no tear.
 		var reenc []byte
 		for _, m := range recs {
-			frame, err := encodeRecord(m)
+			frame, err := appendRecord(nil, m)
 			if err != nil {
 				t.Fatalf("decoded record does not re-encode: %v", err)
 			}

@@ -142,7 +142,7 @@ func TestShipperRetriesTornTailOnLatestSegment(t *testing.T) {
 	// segment's tail. The shipper must hold its cursor and deliver the
 	// frame once it completes.
 	seg := dir + "/" + segmentName(0)
-	frame, err := encodeRecord(nodeMut(2, "b"))
+	frame, err := appendRecord(nil, nodeMut(2, "b"))
 	if err != nil {
 		t.Fatal(err)
 	}

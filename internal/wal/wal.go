@@ -60,13 +60,13 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// encodeRecord frames one mutation record.
-func encodeRecord(m db.Mutation) ([]byte, error) {
+// appendRecord frames one mutation record onto buf.
+func appendRecord(buf []byte, m db.Mutation) ([]byte, error) {
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return nil, fmt.Errorf("wal: encoding record: %w", err)
 	}
-	return appendFrame(nil, payload), nil
+	return appendFrame(buf, payload), nil
 }
 
 // decodeFrames parses framed records from a segment's bytes. It returns

@@ -105,7 +105,7 @@ func encoded(t *testing.T, muts ...db.Mutation) []byte {
 	t.Helper()
 	var buf []byte
 	for _, m := range muts {
-		frame, err := encodeRecord(m)
+		frame, err := appendRecord(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}

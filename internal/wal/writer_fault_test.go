@@ -3,8 +3,12 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+
+	"gpunion/internal/db"
 )
 
 // stubFS wraps OSFS with switchable write/sync faults, mirroring what
@@ -149,7 +153,7 @@ func TestRotateNeverWritesBehindTear(t *testing.T) {
 
 	// Stage a pending group exactly as racing appenders would leave it
 	// when Rotate wins the I/O lock before the flusher runs.
-	frame, err := encodeRecord(nodeMut(3, "staged"))
+	frame, err := appendRecord(nil, nodeMut(3, "staged"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +350,7 @@ func TestConcurrentAppendersAcrossFsyncFault(t *testing.T) {
 		return out
 	}
 	frameLen := func(lsn uint64) int {
-		frame, err := encodeRecord(nodeMut(lsn, fmt.Sprintf("n%03d", lsn)))
+		frame, err := appendRecord(nil, nodeMut(lsn, fmt.Sprintf("n%03d", lsn)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,4 +432,187 @@ func TestConcurrentAppendersAcrossFsyncFault(t *testing.T) {
 			t.Errorf("acknowledged record %d lost (stats %+v)", lsn, stats)
 		}
 	}
+}
+
+// TestAppendBatchAllOrNothing pins the batch contract the store's
+// one-wait-per-operation path relies on: a batch has one waiter, so it
+// is acknowledged as a whole or not at all, and it is never split
+// across commit groups or segments.
+func TestAppendBatchAllOrNothing(t *testing.T) {
+	batchOf := func(from uint64, n int) []db.Mutation {
+		ms := make([]db.Mutation, n)
+		for i := range ms {
+			lsn := from + uint64(i)
+			ms[i] = nodeMut(lsn, fmt.Sprintf("n%03d", lsn))
+		}
+		return ms
+	}
+	framesLen := func(ms []db.Mutation) int {
+		var buf []byte
+		for _, m := range ms {
+			var err error
+			if buf, err = appendRecord(buf, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return len(buf)
+	}
+
+	t.Run("fsync-failure-fails-the-whole-batch", func(t *testing.T) {
+		dir := t.TempDir()
+		fs := &gateFS{
+			syncs:   make(map[string]int),
+			entered: make(chan string, 1),
+			release: make(chan struct{}),
+			wrote:   make(chan int, 8), // every write of the subtest fits
+		}
+		w := openWriter(t, dir, Options{FS: fs})
+		batch := batchOf(1, 4)
+		fs.mu.Lock()
+		fs.armed = true
+		fs.mu.Unlock()
+		errC := make(chan error, 1)
+		go func() { errC <- w.AppendBatch(batch) }()
+		<-fs.entered
+		// The whole batch went down in one write before its one fsync.
+		if got, want := <-fs.wrote, framesLen(batch); got != want {
+			t.Fatalf("batch written as %d bytes, want all %d in one write", got, want)
+		}
+		close(fs.release)
+		if err := <-errC; err == nil {
+			t.Fatal("batch acked although its covering fsync failed")
+		}
+		// The writer heals, and what it acks from here on is readable.
+		if err := w.AppendBatch(batchOf(10, 2)); err != nil {
+			t.Fatalf("post-heal batch: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := ReadAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[uint64]bool{}
+		for _, r := range recs {
+			got[r.LSN] = true
+		}
+		if !got[10] || !got[11] {
+			t.Fatalf("acknowledged post-heal batch lost: %v", recs)
+		}
+	})
+
+	t.Run("short-write-leaves-a-readable-prefix", func(t *testing.T) {
+		dir := t.TempDir()
+		fs := &stubFS{}
+		w := openWriter(t, dir, Options{FS: fs})
+		if err := w.Append(nodeMut(1, "a")); err != nil {
+			t.Fatal(err)
+		}
+		// Three equal frames, half of the bytes written: the tear falls
+		// inside the second frame.
+		fs.set(false, true)
+		if err := w.AppendBatch(batchOf(2, 3)); err == nil {
+			t.Fatal("torn batch acked")
+		}
+		fs.set(false, false)
+		if err := w.AppendBatch(batchOf(5, 3)); err != nil {
+			t.Fatalf("post-heal batch: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		store := db.New(0)
+		res, err := Recover(dir, store)
+		if err != nil {
+			t.Fatalf("recovery over a torn batch: %v", err)
+		}
+		if res.TornTails != 1 {
+			t.Fatalf("torn tails = %d, want the one torn batch", res.TornTails)
+		}
+		// Record 1 and the healed batch were acked; of the torn batch only
+		// the intact first frame may surface (unacked, harmless to replay).
+		nodes := map[string]bool{}
+		for _, n := range store.ListNodes() {
+			nodes[n.ID] = true
+		}
+		for _, id := range []string{"a", "n005", "n006", "n007"} {
+			if !nodes[id] {
+				t.Errorf("acknowledged record %s lost", id)
+			}
+		}
+		if nodes["n003"] || nodes["n004"] {
+			t.Errorf("records behind the tear resurrected: %v", nodes)
+		}
+	})
+
+	t.Run("rotate-never-splits-a-batch", func(t *testing.T) {
+		const appenders, batches, size = 4, 25, 4
+		dir := t.TempDir()
+		w := openWriter(t, dir, Options{})
+		var wg sync.WaitGroup
+		errs := make(chan error, appenders)
+		for a := 0; a < appenders; a++ {
+			wg.Add(1)
+			go func(a int) {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					from := uint64((a*batches+b)*size + 1)
+					if err := w.AppendBatch(batchOf(from, size)); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(a)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for rotating := true; rotating; {
+			select {
+			case <-done:
+				rotating = false
+			default:
+				if _, err := w.Rotate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		close(errs)
+		for err := range errs {
+			t.Fatalf("batch append: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := segmentIndexes(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx) < 2 {
+			t.Fatalf("no rotation raced the appenders (%d segment)", len(idx))
+		}
+		seen := 0
+		for _, i := range idx {
+			data, err := os.ReadFile(filepath.Join(dir, segmentName(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, torn := decodeFrames(data)
+			if torn || len(recs)%size != 0 {
+				t.Fatalf("segment %d: torn=%v, %d records (not whole batches)", i, torn, len(recs))
+			}
+			// Within a segment each batch is one contiguous ascending run
+			// starting on a batch boundary.
+			for j, r := range recs {
+				if first := recs[j-j%size].LSN; first%size != 1 || r.LSN != first+uint64(j%size) {
+					t.Fatalf("segment %d record %d has LSN %d: batch starting at %d was split or interleaved",
+						i, j, r.LSN, first)
+				}
+			}
+			seen += len(recs)
+		}
+		if seen != appenders*batches*size {
+			t.Fatalf("read %d records, want %d", seen, appenders*batches*size)
+		}
+	})
 }

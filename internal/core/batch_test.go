@@ -11,6 +11,7 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
+	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
@@ -208,5 +209,58 @@ func TestBatchRespectsPriorityOrder(t *testing.T) {
 	st, _ = r.coord.JobStatus(low)
 	if st.State != db.JobPending {
 		t.Fatalf("low-priority job = %s, want pending", st.State)
+	}
+}
+
+// TestRecoveredStorePlacesWithoutReset: a store filled only through
+// ImportState + Apply — the crash-recovery and follower paths — moves
+// its node generation like any live write, so a coordinator whose
+// scheduler already cached the store's earlier (empty) node table
+// places onto the recovered nodes with no rebuild step anywhere.
+func TestRecoveredStorePlacesWithoutReset(t *testing.T) {
+	gpus := func(allocated bool) []db.GPUInfo {
+		return []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090", MemoryMiB: 24576,
+			CapabilityMajor: 8, CapabilityMinor: 6, Allocated: allocated}}
+	}
+	// The leader's history: a full node and a queued job reach the
+	// snapshot; the device freeing up reaches only the log.
+	leader := db.New(0)
+	leader.UpsertNode(db.NodeRecord{ID: "n0", Status: db.NodeActive, GPUs: gpus(true), RegisteredAt: t0})
+	if err := leader.InsertJob(db.JobRecord{ID: "job-1", User: "alice", Kind: "batch", State: db.JobPending,
+		GPUMemMiB: 8192, ImageName: "pytorch/pytorch:2.3-cuda12", SubmittedAt: t0}); err != nil {
+		t.Fatal(err)
+	}
+	image := leader.ExportState()
+	var log []db.Mutation
+	leader.SetMutationHook(func(m db.Mutation) { log = append(log, m) })
+	_ = leader.UpdateNode("n0", func(n *db.NodeRecord) { n.GPUs[0].Allocated = false })
+
+	store := db.New(0)
+	coord, err := New(Config{HeartbeatInterval: 10 * time.Second}, simclock.NewSim(t0), store,
+		checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	// Stamp the scheduler's cache against the still-empty store.
+	coord.sched.Place([]scheduler.Request{{JobID: "probe"}}, store, t0)
+
+	store.ImportState(image)
+	for _, m := range log {
+		if err := store.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fake := newFakeAgent("gpu0")
+	coord.mu.Lock()
+	coord.agents["n0"] = fake
+	coord.mu.Unlock()
+	coord.RecoverState()
+
+	if st, err := coord.JobStatus("job-1"); err != nil || st.State != db.JobRunning || st.NodeID != "n0" {
+		t.Fatalf("recovered job = %+v, %v (want running on n0)", st, err)
+	}
+	if probs := coord.AuditSchedulerPool(); len(probs) != 0 {
+		t.Fatalf("candidate cache after recovery: %v", probs)
 	}
 }

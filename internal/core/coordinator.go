@@ -117,13 +117,9 @@ type Coordinator struct {
 	db    db.Store
 	authy *auth.Authority
 	sched *scheduler.Scheduler
-	// pool is the scheduler's incremental candidate cache, fed by the
-	// store's mutation stream; poolCancel detaches the feed on Stop.
-	pool       *scheduler.NodePool
-	poolCancel func()
-	hb         *heartbeat.Monitor
-	ckpts      *checkpoint.Store
-	mig        *migration.Engine
+	hb    *heartbeat.Monitor
+	ckpts *checkpoint.Store
+	mig   *migration.Engine
 	// healthParams tunes the health fold; fixed to the defaults so the
 	// health-score-consistent invariant can recompute every fold.
 	healthParams monitor.HealthParams
@@ -131,8 +127,7 @@ type Coordinator struct {
 	metrics      *monitor.Registry
 	met          *coordMetrics
 	trace        *obs.Recorder
-	// metCancel detaches the metrics mutation feed on Stop (the pool's
-	// feed has its own cancel).
+	// metCancel detaches the metrics mutation feed on Stop.
 	metCancel func()
 
 	mu     sync.Mutex
@@ -221,7 +216,7 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		sched:        sched,
 		hb:           heartbeat.NewMonitor(cfg.HeartbeatInterval, cfg.MissedThreshold),
 		ckpts:        ckpts,
-		mig:          migration.New(sched, ckpts, cfg.Net, cfg.StorageNode),
+		mig:          migration.New(sched, database, ckpts, cfg.Net, cfg.StorageNode),
 		healthParams: monitor.DefaultHealthParams(),
 		bus:          bus,
 		metrics:      metrics,
@@ -234,15 +229,8 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		temporary:    make(map[string]bool),
 		schedLatency: latency,
 	}
-	// Subscribe the scheduler pool before the seeding scan: Reset
-	// holds the pool lock across its watermark read + scan, so every
-	// concurrent mutation is either contained in the scan or applied
-	// afterwards through the observer's LSN guard.
-	c.pool = sched.NewNodePool()
-	c.poolCancel = database.AddMutationObserver(c.pool.Observe)
-	c.pool.Reset(database)
-	// Per-(type, shard) mutation counters ride the same feed the pool
-	// uses; a separate subscription keeps the cancels independent.
+	// Per-(type, shard) mutation counters ride the store's observer
+	// feed.
 	c.metCancel = database.AddMutationObserver(func(m db.Mutation) {
 		met.observeMutation(m.Type, database.ShardFor(m))
 	})
@@ -260,10 +248,11 @@ func (c *Coordinator) DB() db.Store { return c.db }
 // Checkpoints exposes the checkpoint store.
 func (c *Coordinator) Checkpoints() *checkpoint.Store { return c.ckpts }
 
-// AuditSchedulerPool verifies the scheduler's cached node pool against
-// a fresh store scan (see scheduler.NodePool.Audit). The chaos harness
-// calls it at every audit point; any discrepancy is a platform bug.
-func (c *Coordinator) AuditSchedulerPool() []string { return c.pool.Audit(c.db) }
+// AuditSchedulerPool verifies the scheduler's cached candidate set
+// against a fresh store scan (see scheduler.Scheduler.AuditCache). The
+// chaos harness calls it at every audit point; any discrepancy is a
+// platform bug.
+func (c *Coordinator) AuditSchedulerPool() []string { return c.sched.AuditCache(c.db) }
 
 // Migration exposes the migration engine (statistics).
 func (c *Coordinator) Migration() *migration.Engine { return c.mig }
@@ -304,9 +293,6 @@ func (c *Coordinator) InteractiveSessions() int {
 //
 // Call it once, after New and before admitting traffic.
 func (c *Coordinator) RecoverState() {
-	// The restored state arrived via ImportState + Apply, outside the
-	// live mutation stream; rebuild the derived scheduler pool from it.
-	c.pool.Reset(c.db)
 	now := c.clock.Now()
 	maxSeq := 0
 	for _, job := range c.db.ListJobs() {
@@ -363,9 +349,8 @@ func (c *Coordinator) Stop() {
 	// within one interval, so the successor converges immediately.
 	c.beats = nil
 	c.mu.Unlock()
-	// Detach the scheduler-pool feed: a replaced coordinator must not
-	// keep consuming its successor's store mutations.
-	c.poolCancel()
+	// Detach the metrics feed: a replaced coordinator must not keep
+	// consuming its successor's store mutations.
 	c.metCancel()
 }
 
@@ -1216,9 +1201,8 @@ func (c *Coordinator) scheduleBatch() bool {
 
 	// Real time, per decision: scheduling latency is a real cost, and
 	// each member's own latency feeds the histogram so batching cannot
-	// flatten the tail quantiles. The candidate pool comes from the
-	// incrementally maintained cache, not a fresh store scan.
-	results := c.sched.PlaceBatchPooled(reqs, c.pool, now)
+	// flatten the tail quantiles.
+	results := c.sched.Place(reqs, c.db, now)
 
 	progressed := false
 	for i, res := range results {
@@ -1393,7 +1377,7 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migration.Reason) {
 		c.mig.RecordAttempt(reason)
 	}
 
-	items := c.mig.PlanBatch(planned, c.db.ListNodes(), reason, now)
+	items := c.mig.PlanBatch(planned, reason, now)
 	for i, item := range items {
 		if item.Err != nil {
 			// No target now: requeue; a later TrySchedule will pick the
@@ -1489,6 +1473,14 @@ func (c *Coordinator) MigrateBack(nodeID string) {
 	if !wasTemporary {
 		return
 	}
+	// Checkpoint every candidate at its current host first, then plan
+	// them as one batch so two returners cannot be sent to one device.
+	var (
+		jobs  []db.JobRecord
+		metas []*jobMeta
+		hosts []AgentHandle
+		cks   []api.CheckpointResponse
+	)
 	for _, job := range c.db.ListJobs() {
 		if job.PreferredNode != nodeID || job.NodeID == nodeID || job.State != db.JobRunning {
 			continue
@@ -1506,21 +1498,25 @@ func (c *Coordinator) MigrateBack(nodeID string) {
 			continue
 		}
 		c.mig.RecordAttempt(migration.ReasonMigrateBack)
-		plan, err := c.mig.Plan(job, c.db.ListNodes(), migration.ReasonMigrateBack, now)
-		if err != nil || plan.Placement.NodeID != nodeID {
+		jobs, metas = append(jobs, job), append(metas, meta)
+		hosts, cks = append(hosts, cur), append(cks, ck)
+	}
+	for i, item := range c.mig.PlanBatch(jobs, migration.ReasonMigrateBack, now) {
+		job, plan := jobs[i], item.Plan
+		if item.Err != nil || plan.Placement.NodeID != nodeID {
 			c.mig.RecordFailure(migration.ReasonMigrateBack)
 			continue
 		}
-		if err := cur.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID}); err != nil {
+		if err := hosts[i].Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID}); err != nil {
 			c.mig.RecordFailure(migration.ReasonMigrateBack)
 			continue
 		}
 		c.freeDevice(job.NodeID, job.DeviceID)
 		_ = c.db.CloseAllocation(job.ID, now)
 		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.State = db.JobMigrating })
-		plan.RestoreSeq = ck.Seq
-		plan.RestoreStep = ck.Step
-		c.executePlan(job, meta, plan, migration.ReasonMigrateBack, now)
+		plan.RestoreSeq = cks[i].Seq
+		plan.RestoreStep = cks[i].Step
+		c.executePlan(job, metas[i], plan, migration.ReasonMigrateBack, now)
 	}
 }
 

@@ -115,7 +115,7 @@ func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
 			}
 		}
 		c.mig.RecordAttempt(migration.ReasonPredictive)
-		plan, err := c.mig.Plan(job, c.db.ListNodes(), migration.ReasonPredictive, now)
+		plan, err := c.mig.Plan(job, migration.ReasonPredictive, now)
 		if err != nil {
 			c.mig.RecordFailure(migration.ReasonPredictive)
 			continue

@@ -13,8 +13,8 @@ import (
 // counters and histograms hot paths feed inline (pre-resolved handles,
 // no registry lookups per request), plus refresh-on-scrape gauges
 // derived from subsystem state — job-state indexes, leadership,
-// scheduler pool cache effectiveness, checkpoint verification. Sources
-// that expose lifetime totals (pool stats, checkpoint detectors) are
+// scheduler candidate-cache effectiveness, checkpoint verification. Sources
+// that expose lifetime totals (cache stats, checkpoint detectors) are
 // re-exported as counters via delta tracking so scrapes stay
 // monotonic even though the coordinator polls rather than intercepts.
 type coordMetrics struct {
@@ -145,9 +145,8 @@ func newCoordMetrics(reg *monitor.Registry) (*coordMetrics, error) {
 }
 
 // observeMutation counts one committed store mutation under its
-// (type, shard) labels. Fed by the store's mutation hook, so it runs
-// after the shard lock drops — same delivery guarantees as the
-// scheduler pool's feed.
+// (type, shard) labels. Fed by the store's observer feed, so it runs
+// after the shard lock drops.
 func (m *coordMetrics) observeMutation(typ db.MutationType, shard int) {
 	key := string(typ) + "|" + strconv.Itoa(shard)
 	m.mu.Lock()
@@ -230,10 +229,10 @@ func (c *Coordinator) refreshGauges() {
 	} else {
 		m.leading.Set(0)
 	}
-	ps := c.pool.Stats()
+	hits, misses := c.sched.CacheStats()
 	m.mu.Lock()
-	dh, dm := ps.Hits-m.lastPoolHits, ps.Misses-m.lastPoolMisses
-	m.lastPoolHits, m.lastPoolMisses = ps.Hits, ps.Misses
+	dh, dm := hits-m.lastPoolHits, misses-m.lastPoolMisses
+	m.lastPoolHits, m.lastPoolMisses = hits, misses
 	var dc, df int
 	if c.ckpts != nil {
 		cor, fb := c.ckpts.CorruptionsDetected(), c.ckpts.FallbacksUsed()

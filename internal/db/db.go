@@ -13,8 +13,8 @@
 // Records are copy-on-write: mutators install a freshly cloned record
 // and never modify an installed one, so read paths hand out shallow
 // copies that safely share slice storage (GPUs, Entrypoint) with the
-// store. Callers that want to mutate a returned record's slices must
-// clone it first (CloneNode, CloneJob).
+// store. Nothing outside this package may mutate a returned record's
+// slices; change a record through UpdateNode / UpdateJob.
 //
 // The job table additionally maintains materialized per-shard indexes
 // (see index.go): per-state queue-ordered lists and a node→jobs map,
@@ -214,7 +214,17 @@ type Store interface {
 	RecordHealth(nodeID string, at time.Time, events []gpu.HealthEvent,
 		fold func(prev float64, prevAt time.Time) float64) (score float64, ok bool)
 	ListNodes() []NodeRecord
-	ActiveNodes() []NodeRecord
+	// ActiveNodes returns the installed records of every NodeActive
+	// node, in no particular order. The records are the store's own —
+	// immutable by the copy-on-write rule — so nothing is copied; the
+	// caller must not write through the pointers.
+	ActiveNodes() []*NodeRecord
+	// NodeGeneration counts node-record installs that scheduling can
+	// see: registrations, updates, health folds, replayed node records
+	// and state imports — not heartbeat-only advances. A cache derived
+	// from ActiveNodes is current while the generation it read *before*
+	// its scan still equals this.
+	NodeGeneration() uint64
 
 	InsertJob(j JobRecord) error
 	GetJob(id string) (JobRecord, error)
@@ -248,10 +258,10 @@ type Store interface {
 	// serialize ExportState / deserialize into ImportState instead.)
 	SetMutationHook(h MutationHook)
 	// AddMutationObserver registers an additional read-only subscriber
-	// for committed mutations — the seam derived caches (e.g. the
-	// scheduler's node pool) are maintained through. Observers run
-	// after the durable hook, outside any shard lock, and must not
-	// mutate the payloads. The returned cancel detaches the observer.
+	// for committed mutations (metrics, the chaos harness's stream
+	// audits). Observers run after the durable hook, outside any shard
+	// lock, and must not mutate the payloads. The returned cancel
+	// detaches the observer.
 	AddMutationObserver(h MutationHook) (cancel func())
 	// ShardFor reports which table shard a committed mutation landed
 	// on — the label per-shard write metrics aggregate by. Unsharded
@@ -333,7 +343,13 @@ type DB struct {
 	// lsn stamps every mutation; assigned inside the target shard's
 	// critical section so an ExportState watermark read before a shard
 	// is serialized bounds exactly what that shard's copy contains.
-	lsn       atomic.Uint64
+	lsn atomic.Uint64
+	// nodeGen backs NodeGeneration. Every bump comes right after the
+	// install it announces, inside the shard's critical section: a
+	// reader that took the generation before scanning either sees the
+	// new record or finds the generation moved on its next read. Bumped
+	// first, a scan could file the old record under the new generation.
+	nodeGen   atomic.Uint64
 	hook      atomic.Pointer[MutationHook]
 	observers observerList
 }
@@ -429,6 +445,7 @@ func (d *DB) UpsertNode(n NodeRecord) {
 	s.mu.Lock()
 	cp := cloneNode(n)
 	s.recs[n.ID] = &cp
+	d.nodeGen.Add(1)
 	lsn := d.lsn.Add(1)
 	s.mu.Unlock()
 	// The installed record is immutable from here on (copy-on-write),
@@ -463,6 +480,7 @@ func (d *DB) UpdateNode(id string, fn func(*NodeRecord)) error {
 	cp := cloneNode(*n)
 	fn(&cp)
 	s.recs[id] = &cp
+	d.nodeGen.Add(1)
 	lsn := d.lsn.Add(1)
 	s.mu.Unlock()
 	d.emit(Mutation{LSN: lsn, Type: MutNodePut, Node: &cp})
@@ -517,6 +535,7 @@ func (d *DB) TouchNodes(beats []BeatDelta) int {
 			if !ok || !b.At.After(n.LastHeartbeat) {
 				continue
 			}
+			// No nodeGen bump: placement never reads LastHeartbeat.
 			cp := cloneNode(*n)
 			cp.LastHeartbeat = b.At
 			s.recs[b.NodeID] = &cp
@@ -552,6 +571,7 @@ func (d *DB) RecordHealth(nodeID string, at time.Time, events []gpu.HealthEvent,
 	cp := cloneNode(*n)
 	cp.Health, cp.HealthAt = score, at
 	s.recs[nodeID] = &cp
+	d.nodeGen.Add(1)
 	lsn := d.lsn.Add(1)
 	s.mu.Unlock()
 	d.emit(Mutation{LSN: lsn, Type: MutNodeHealth, Health: &HealthDelta{
@@ -578,22 +598,25 @@ func (d *DB) ListNodes() []NodeRecord {
 	return out
 }
 
-// ActiveNodes returns nodes in NodeActive status, sorted by ID. Like
-// ListNodes it hands out shallow copies in a single filtered pass.
-func (d *DB) ActiveNodes() []NodeRecord {
-	var out []NodeRecord
+// ActiveNodes returns the installed records of the NodeActive nodes,
+// unsorted and uncopied (see Store.ActiveNodes).
+func (d *DB) ActiveNodes() []*NodeRecord {
+	var out []*NodeRecord
 	for _, s := range d.nodes {
 		s.mu.RLock()
+		out = slices.Grow(out, len(s.recs))
 		for _, n := range s.recs {
 			if n.Status == NodeActive {
-				out = append(out, *n)
+				out = append(out, n)
 			}
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
+
+// NodeGeneration implements Store.
+func (d *DB) NodeGeneration() uint64 { return d.nodeGen.Load() }
 
 // --- Jobs ---
 
@@ -893,67 +916,35 @@ func (d *DB) SamplesInRange(metric, nodeID string, from, to time.Time) []Sample 
 
 // --- Persistence ---
 
-// lockAll acquires every shard in fixed order (nodes, jobs, allocations,
-// samples; ascending index), read or write. The single ordering rules
-// out deadlock between concurrent Save/Load calls.
-func (d *DB) lockAll(write bool) {
+// lockAll write-locks every shard in fixed order (nodes, jobs,
+// allocations, samples; ascending index). The single ordering rules out
+// deadlock between concurrent ImportState calls.
+func (d *DB) lockAll() {
 	for _, s := range d.nodes {
-		if write {
-			s.mu.Lock()
-		} else {
-			s.mu.RLock()
-		}
+		s.mu.Lock()
 	}
 	for _, s := range d.jobs {
-		if write {
-			s.mu.Lock()
-		} else {
-			s.mu.RLock()
-		}
+		s.mu.Lock()
 	}
 	for _, s := range d.allocs {
-		if write {
-			s.mu.Lock()
-		} else {
-			s.mu.RLock()
-		}
+		s.mu.Lock()
 	}
 	for _, s := range d.samples {
-		if write {
-			s.mu.Lock()
-		} else {
-			s.mu.RLock()
-		}
+		s.mu.Lock()
 	}
 }
 
-func (d *DB) unlockAll(write bool) {
+func (d *DB) unlockAll() {
 	for _, s := range d.nodes {
-		if write {
-			s.mu.Unlock()
-		} else {
-			s.mu.RUnlock()
-		}
+		s.mu.Unlock()
 	}
 	for _, s := range d.jobs {
-		if write {
-			s.mu.Unlock()
-		} else {
-			s.mu.RUnlock()
-		}
+		s.mu.Unlock()
 	}
 	for _, s := range d.allocs {
-		if write {
-			s.mu.Unlock()
-		} else {
-			s.mu.RUnlock()
-		}
+		s.mu.Unlock()
 	}
 	for _, s := range d.samples {
-		if write {
-			s.mu.Unlock()
-		} else {
-			s.mu.RUnlock()
-		}
+		s.mu.Unlock()
 	}
 }

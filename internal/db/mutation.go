@@ -116,7 +116,7 @@ type Mutation struct {
 type MutationHook func(Mutation)
 
 // observerList fans one mutation stream out to any number of derived-
-// state subscribers (scheduler pool cache, metrics, …) registered via
+// state subscribers (metrics, stream audits, …) registered via
 // AddMutationObserver. Registration is copy-on-write so the notify
 // path is one atomic load plus a slice walk.
 type observerList struct {
@@ -204,14 +204,6 @@ func cloneJob(j JobRecord) JobRecord {
 	}
 	return j
 }
-
-// CloneNode returns a deep copy of the record. Read paths (GetNode,
-// ListNodes, ActiveNodes) return shallow copies whose slices must not
-// be mutated; callers that want a private mutable view clone first.
-func CloneNode(n NodeRecord) NodeRecord { return cloneNode(n) }
-
-// CloneJob is CloneNode's job-table counterpart.
-func CloneJob(j JobRecord) JobRecord { return cloneJob(j) }
 
 // sameAllocIdentity compares allocation episodes by identity — job,
 // placement and start instant — using time.Time.Equal so JSON
@@ -330,8 +322,8 @@ func (d *DB) ExportState() State {
 // indexes are derived state: they are rebuilt here from the imported
 // records, never restored from the image.
 func (d *DB) ImportState(st State) {
-	d.lockAll(true)
-	defer d.unlockAll(true)
+	d.lockAll()
+	defer d.unlockAll()
 	for i := 0; i < d.shardCount; i++ {
 		d.nodes[i].recs = make(map[string]*NodeRecord)
 		d.jobs[i].recs = make(map[string]*JobRecord)
@@ -343,6 +335,7 @@ func (d *DB) ImportState(st State) {
 		cp := cloneNode(n)
 		d.nodeShard(n.ID).recs[n.ID] = &cp
 	}
+	d.nodeGen.Add(1)
 	for _, j := range st.Jobs {
 		cp := cloneJob(j)
 		s := d.jobShard(j.ID)
@@ -378,6 +371,7 @@ func (d *DB) Apply(m Mutation) error {
 		s.mu.Lock()
 		cp := cloneNode(*m.Node)
 		s.recs[cp.ID] = &cp
+		d.nodeGen.Add(1)
 		s.mu.Unlock()
 	case MutJobPut:
 		if m.Job == nil {
@@ -466,6 +460,7 @@ func (d *DB) Apply(m Mutation) error {
 			cp := cloneNode(*n)
 			cp.Health, cp.HealthAt = h.Score, h.At
 			s.recs[h.NodeID] = &cp
+			d.nodeGen.Add(1)
 		}
 		s.mu.Unlock()
 	default:

@@ -127,7 +127,7 @@ func (a *BeatAudit) observe(m db.Mutation) {
 }
 
 // Check folds the recorded stream and compares it against the store's
-// current node table. Call at a quiescent point, like NodePool.Audit.
+// current node table. Call at a quiescent point.
 func (a *BeatAudit) Check(s db.Store) []Violation {
 	a.mu.Lock()
 	muts := make([]db.Mutation, len(a.muts))

@@ -7,6 +7,7 @@ import (
 
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
+	"gpunion/internal/gpu"
 	"gpunion/internal/netsim"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/storage"
@@ -47,12 +48,12 @@ func displacedJobs(n int) []db.JobRecord {
 }
 
 func TestPlanBatchNoDoubleDeviceAssignment(t *testing.T) {
-	e, ckpts, _ := newEngine(false)
+	e, ckpts, _ := newEngine(false, batchNodes(2, 2))
 	for i := 0; i < 4; i++ {
 		saveCheckpoints(t, ckpts, fmt.Sprintf("j%d", i), 1000, 100)
 	}
 	// 2 targets × 2 GPUs = exactly 4 slots for 4 jobs.
-	items := e.PlanBatch(displacedJobs(4), batchNodes(2, 2), ReasonEmergency, now)
+	items := e.PlanBatch(displacedJobs(4), ReasonEmergency, now)
 	seen := make(map[string]bool)
 	for i, item := range items {
 		if item.Err != nil {
@@ -67,9 +68,9 @@ func TestPlanBatchNoDoubleDeviceAssignment(t *testing.T) {
 }
 
 func TestPlanBatchOverflowFailsCleanly(t *testing.T) {
-	e, _, _ := newEngine(false)
+	e, _, _ := newEngine(false, batchNodes(2, 2))
 	// 5 jobs, 4 slots: exactly one must fail with ErrNoTarget.
-	items := e.PlanBatch(displacedJobs(5), batchNodes(2, 2), ReasonEmergency, now)
+	items := e.PlanBatch(displacedJobs(5), ReasonEmergency, now)
 	failures := 0
 	for _, item := range items {
 		if item.Err != nil {
@@ -82,8 +83,8 @@ func TestPlanBatchOverflowFailsCleanly(t *testing.T) {
 }
 
 // newBatchNetEngine builds an engine over a LAN with the batch test's
-// topology registered.
-func newBatchNetEngine(targets int) (*Engine, *checkpoint.Store, *netsim.Network) {
+// topology registered and targets nodes of gpusEach devices to plan onto.
+func newBatchNetEngine(targets, gpusEach int) (*Engine, *checkpoint.Store, *netsim.Network) {
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	sched := scheduler.New(nil, scheduler.DefaultReliability())
 	net := netsim.New(10 * netsim.Gbps)
@@ -92,19 +93,18 @@ func newBatchNetEngine(targets int) (*Engine, *checkpoint.Store, *netsim.Network
 	for i := 0; i < targets; i++ {
 		net.AddNode(netsim.NodeLink{Name: fmt.Sprintf("t%d", i), Access: netsim.Gbps, Latency: 200 * time.Microsecond})
 	}
-	return New(sched, ckpts, net, "storage"), ckpts, net
+	return New(sched, storeOf(batchNodes(targets, gpusEach)), ckpts, net, "storage"), ckpts, net
 }
 
 func TestPlanBatchTransfersOverlap(t *testing.T) {
-	e, ckpts, net := newBatchNetEngine(1)
+	e, ckpts, net := newBatchNetEngine(1, 2)
 	// Two jobs with 1 GB chains, both restored to the same single
 	// target node: their flows share the 1 Gbps downlink, so each takes
 	// about twice the solo time.
 	for i := 0; i < 2; i++ {
 		saveCheckpoints(t, ckpts, fmt.Sprintf("j%d", i), 1_000_000_000, 100)
 	}
-	nodes := batchNodes(1, 2)
-	items := e.PlanBatch(displacedJobs(2), nodes, ReasonEmergency, now)
+	items := e.PlanBatch(displacedJobs(2), ReasonEmergency, now)
 	for i, item := range items {
 		if item.Err != nil {
 			t.Fatalf("item %d: %v", i, item.Err)
@@ -124,8 +124,8 @@ func TestPlanBatchTransfersOverlap(t *testing.T) {
 }
 
 func TestPlanBatchStatelessJobsSkipTransfers(t *testing.T) {
-	e, _, net := newBatchNetEngine(2)
-	items := e.PlanBatch(displacedJobs(3), batchNodes(2, 2), ReasonEmergency, now)
+	e, _, net := newBatchNetEngine(2, 2)
+	items := e.PlanBatch(displacedJobs(3), ReasonEmergency, now)
 	for i, item := range items {
 		if item.Err != nil {
 			t.Fatalf("item %d: %v", i, item.Err)
@@ -140,8 +140,72 @@ func TestPlanBatchStatelessJobsSkipTransfers(t *testing.T) {
 }
 
 func TestPlanBatchEmpty(t *testing.T) {
-	e, _, _ := newEngine(false)
-	if items := e.PlanBatch(nil, batchNodes(1, 1), ReasonEmergency, now); len(items) != 0 {
+	e, _, _ := newEngine(false, batchNodes(1, 1))
+	if items := e.PlanBatch(nil, ReasonEmergency, now); len(items) != 0 {
 		t.Fatalf("items = %v", items)
+	}
+}
+
+// TestPlanBatchMatchesSequentialPlacement: the one-cycle batch must
+// decide exactly what the loop it replaced decided — one fresh
+// single-request placement per displaced job, each chosen device marked
+// taken before the next — and never hand out a device twice.
+func TestPlanBatchMatchesSequentialPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		strategy func() scheduler.Strategy
+	}{
+		{"round-robin", func() scheduler.Strategy { return &scheduler.RoundRobin{} }},
+		{"best-fit", func() scheduler.Strategy { return scheduler.BestFit{} }},
+		{"least-loaded", func() scheduler.Strategy { return scheduler.LeastLoaded{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Uneven capacity and memory so the strategies disagree;
+			// six jobs for five slots so the last one overflows.
+			nodes := batchNodes(3, 2)
+			nodes[1].GPUs[1].Allocated = true
+			nodes[2].GPUs[0].MemoryMiB = 16384
+			jobs := displacedJobs(6)
+
+			e := New(scheduler.New(tc.strategy(), scheduler.DefaultReliability()), storeOf(nodes),
+				checkpoint.NewStore(storage.NewMemStore(0)), nil, "")
+			items := e.PlanBatch(jobs, ReasonEmergency, now)
+
+			ref := scheduler.New(tc.strategy(), scheduler.DefaultReliability())
+			seen := make(map[string]bool)
+			for i, job := range jobs {
+				want, werr := ref.Schedule(scheduler.Request{
+					JobID: job.ID, GPUMemMiB: job.GPUMemMiB,
+					Capability:  gpu.ComputeCapability{Major: job.CapabilityMajor, Minor: job.CapabilityMinor},
+					LongRunning: true, AvoidNodes: []string{job.NodeID},
+				}, nodes, now)
+				if (werr == nil) != (items[i].Err == nil) {
+					t.Fatalf("job %d: batch err %v, sequential err %v", i, items[i].Err, werr)
+				}
+				if werr != nil {
+					continue
+				}
+				got := items[i].Plan.Placement
+				if got.NodeID != want.NodeID || got.DeviceID != want.DeviceID {
+					t.Fatalf("job %d: batch %s/%s, sequential %s/%s", i,
+						got.NodeID, got.DeviceID, want.NodeID, want.DeviceID)
+				}
+				key := got.NodeID + "/" + got.DeviceID
+				if seen[key] {
+					t.Fatalf("device %s assigned twice", key)
+				}
+				seen[key] = true
+				for ni := range nodes {
+					for di := range nodes[ni].GPUs {
+						if nodes[ni].ID == want.NodeID && nodes[ni].GPUs[di].DeviceID == want.DeviceID {
+							nodes[ni].GPUs[di].Allocated = true
+						}
+					}
+				}
+			}
+			if len(seen) != 5 {
+				t.Fatalf("placed %d jobs, want 5", len(seen))
+			}
+		})
 	}
 }

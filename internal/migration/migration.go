@@ -70,6 +70,9 @@ type Plan struct {
 // Engine plans migrations and accumulates outcome statistics.
 type Engine struct {
 	sched *scheduler.Scheduler
+	// store is where targets come from: every plan places against its
+	// active nodes through the scheduler's one entry.
+	store db.Store
 	ckpts *checkpoint.Store
 	// net and storageNode model the LAN transfer of checkpoint data
 	// from the storage location to the target; both optional.
@@ -80,11 +83,13 @@ type Engine struct {
 	mu    sync.Mutex
 }
 
-// New creates an engine. net may be nil (no transfer-time modelling);
-// storageNode names the netsim node holding checkpoint data.
-func New(sched *scheduler.Scheduler, ckpts *checkpoint.Store, net *netsim.Network, storageNode string) *Engine {
+// New creates an engine planning onto store's nodes. net may be nil (no
+// transfer-time modelling); storageNode names the netsim node holding
+// checkpoint data.
+func New(sched *scheduler.Scheduler, store db.Store, ckpts *checkpoint.Store, net *netsim.Network, storageNode string) *Engine {
 	return &Engine{
 		sched:       sched,
+		store:       store,
 		ckpts:       ckpts,
 		net:         net,
 		storageNode: storageNode,
@@ -92,40 +97,11 @@ func New(sched *scheduler.Scheduler, ckpts *checkpoint.Store, net *netsim.Networ
 	}
 }
 
-// Plan computes where and how to relaunch one displaced job. nodes is
-// the current node set (the departed node may be included; it is
-// excluded via AvoidNodes). reason drives statistics and the preference
-// for the original node on migrate-back.
-func (e *Engine) Plan(job db.JobRecord, nodes []db.NodeRecord, reason Reason, now time.Time) (Plan, error) {
-	p := Plan{JobID: job.ID, From: job.NodeID, Reason: reason}
-	e.fillRestorePoint(&p)
-
-	req := scheduler.Request{
-		JobID:       job.ID,
-		GPUMemMiB:   job.GPUMemMiB,
-		Capability:  gpu.ComputeCapability{Major: job.CapabilityMajor, Minor: job.CapabilityMinor},
-		Priority:    job.Priority,
-		LongRunning: true,
-		AvoidNodes:  []string{job.NodeID},
-	}
-	if reason == ReasonMigrateBack {
-		req.AvoidNodes = nil
-		req.PreferNode = job.PreferredNode
-	}
-	placement, err := e.sched.Schedule(req, nodes, now)
-	if err != nil {
-		return Plan{}, fmt.Errorf("%w: job %s (%v)", ErrNoTarget, job.ID, err)
-	}
-	p.Placement = placement
-
-	if e.net != nil && p.TransferBytes > 0 && e.storageNode != "" {
-		end, terr := e.net.Transfer(e.storageNode, placement.NodeID, p.TransferBytes,
-			netsim.TrafficMigration, now)
-		if terr == nil {
-			p.TransferTime = end.Sub(now)
-		}
-	}
-	return p, nil
+// Plan computes where and how to relaunch one displaced job: a batch
+// of one.
+func (e *Engine) Plan(job db.JobRecord, reason Reason, now time.Time) (Plan, error) {
+	item := e.PlanBatch([]db.JobRecord{job}, reason, now)[0]
+	return item.Plan, item.Err
 }
 
 // fillRestorePoint resolves the job's restore chain once and derives
@@ -153,56 +129,45 @@ type BatchItem struct {
 	Err  error
 }
 
-// PlanBatch plans migrations for all jobs displaced by one departure
-// event. Unlike sequential Plan calls, the batch (i) tracks device
-// assignments across decisions so two jobs never land on the same free
-// device, and (ii) overlaps the restore transfers on the network model,
-// so concurrent migrations contend for link bandwidth — the effect that
-// produces the heavy tail in migration downtime.
-func (e *Engine) PlanBatch(jobs []db.JobRecord, nodes []db.NodeRecord, reason Reason, now time.Time) []BatchItem {
-	// Work on a private copy of the node view so in-batch device
-	// assignments are visible to later decisions.
-	view := make([]db.NodeRecord, len(nodes))
-	for i, n := range nodes {
-		view[i] = n
-		view[i].GPUs = append([]db.GPUInfo(nil), n.GPUs...)
-	}
-
-	out := make([]BatchItem, len(jobs))
-	var flows []*netsim.Flow
-	flowIdx := make([]int, 0, len(jobs))
-
+// PlanBatch plans migrations for all jobs displaced by one event with
+// one scheduler cycle over the store's current nodes, so (i) two jobs
+// never land on the same free device — the cycle's reservations see to
+// that — and (ii) the restore transfers overlap on the network model:
+// concurrent migrations contend for link bandwidth, the effect that
+// produces the heavy tail in migration downtime. A job's current node
+// (which may still be in the store) is excluded via AvoidNodes, except
+// on migrate-back, where the original node is preferred instead.
+func (e *Engine) PlanBatch(jobs []db.JobRecord, reason Reason, now time.Time) []BatchItem {
+	reqs := make([]scheduler.Request, len(jobs))
 	for i, job := range jobs {
-		p := Plan{JobID: job.ID, From: job.NodeID, Reason: reason}
-		e.fillRestorePoint(&p)
-		req := scheduler.Request{
+		reqs[i] = scheduler.Request{
 			JobID:       job.ID,
 			GPUMemMiB:   job.GPUMemMiB,
 			Capability:  gpu.ComputeCapability{Major: job.CapabilityMajor, Minor: job.CapabilityMinor},
 			Priority:    job.Priority,
 			LongRunning: true,
-			AvoidNodes:  []string{job.NodeID},
 		}
-		placement, err := e.sched.Schedule(req, view, now)
-		if err != nil {
+		if reason == ReasonMigrateBack {
+			reqs[i].PreferNode = job.PreferredNode
+		} else {
+			reqs[i].AvoidNodes = []string{job.NodeID}
+		}
+	}
+	results := e.sched.Place(reqs, e.store, now)
+
+	out := make([]BatchItem, len(jobs))
+	var flows []*netsim.Flow
+	flowIdx := make([]int, 0, len(jobs))
+	for i, job := range jobs {
+		if err := results[i].Err; err != nil {
 			out[i] = BatchItem{Err: fmt.Errorf("%w: job %s (%v)", ErrNoTarget, job.ID, err)}
 			continue
 		}
-		p.Placement = placement
-		// Mark the chosen device taken for the rest of the batch.
-		for vi := range view {
-			if view[vi].ID != placement.NodeID {
-				continue
-			}
-			for di := range view[vi].GPUs {
-				if view[vi].GPUs[di].DeviceID == placement.DeviceID {
-					view[vi].GPUs[di].Allocated = true
-				}
-			}
-		}
+		p := Plan{JobID: job.ID, From: job.NodeID, Reason: reason, Placement: results[i].Placement}
+		e.fillRestorePoint(&p)
 		out[i] = BatchItem{Plan: p}
 		if e.net != nil && p.TransferBytes > 0 && e.storageNode != "" {
-			f, ferr := e.net.StartFlow(e.storageNode, placement.NodeID, p.TransferBytes,
+			f, ferr := e.net.StartFlow(e.storageNode, p.Placement.NodeID, p.TransferBytes,
 				netsim.TrafficMigration, now)
 			if ferr == nil {
 				flows = append(flows, f)

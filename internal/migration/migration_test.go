@@ -38,7 +38,16 @@ func displacedJob() db.JobRecord {
 	}
 }
 
-func newEngine(withNet bool) (*Engine, *checkpoint.Store, *netsim.Network) {
+// storeOf seeds a store with the given node set.
+func storeOf(nodes []db.NodeRecord) db.Store {
+	store := db.New(0)
+	for _, n := range nodes {
+		store.UpsertNode(n)
+	}
+	return store
+}
+
+func newEngine(withNet bool, nodes []db.NodeRecord) (*Engine, *checkpoint.Store, *netsim.Network) {
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	sched := scheduler.New(nil, scheduler.DefaultReliability())
 	var net *netsim.Network
@@ -50,7 +59,7 @@ func newEngine(withNet bool) (*Engine, *checkpoint.Store, *netsim.Network) {
 		}
 		storageNode = "storage"
 	}
-	return New(sched, ckpts, net, storageNode), ckpts, net
+	return New(sched, storeOf(nodes), ckpts, net, storageNode), ckpts, net
 }
 
 func saveCheckpoints(t *testing.T, ckpts *checkpoint.Store, jobID string, fullBytes int64, steps ...int64) {
@@ -73,9 +82,9 @@ func saveCheckpoints(t *testing.T, ckpts *checkpoint.Store, jobID string, fullBy
 }
 
 func TestPlanAvoidsDepartedNode(t *testing.T) {
-	e, ckpts, _ := newEngine(false)
+	e, ckpts, _ := newEngine(false, testNodes())
 	saveCheckpoints(t, ckpts, "j1", 1000, 500)
-	p, err := e.Plan(displacedJob(), testNodes(), ReasonEmergency, now)
+	p, err := e.Plan(displacedJob(), ReasonEmergency, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +97,8 @@ func TestPlanAvoidsDepartedNode(t *testing.T) {
 }
 
 func TestPlanStatelessRequeue(t *testing.T) {
-	e, _, _ := newEngine(false)
-	p, err := e.Plan(displacedJob(), testNodes(), ReasonEmergency, now)
+	e, _, _ := newEngine(false, testNodes())
+	p, err := e.Plan(displacedJob(), ReasonEmergency, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +108,9 @@ func TestPlanStatelessRequeue(t *testing.T) {
 }
 
 func TestPlanTransferBytesSumChain(t *testing.T) {
-	e, ckpts, _ := newEngine(false)
+	e, ckpts, _ := newEngine(false, testNodes())
 	saveCheckpoints(t, ckpts, "j1", 1000, 100, 200, 300)
-	p, err := e.Plan(displacedJob(), testNodes(), ReasonScheduled, now)
+	p, err := e.Plan(displacedJob(), ReasonScheduled, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +124,20 @@ func TestPlanTransferBytesSumChain(t *testing.T) {
 }
 
 func TestPlanNoTarget(t *testing.T) {
-	e, _, _ := newEngine(false)
+	e, _, _ := newEngine(false, testNodes())
 	job := displacedJob()
 	job.GPUMemMiB = 999999 // nothing fits
-	_, err := e.Plan(job, testNodes(), ReasonEmergency, now)
+	_, err := e.Plan(job, ReasonEmergency, now)
 	if !errors.Is(err, ErrNoTarget) {
 		t.Fatalf("err = %v, want ErrNoTarget", err)
 	}
 }
 
 func TestPlanWithNetworkModelsTransferTime(t *testing.T) {
-	e, ckpts, net := newEngine(true)
+	e, ckpts, net := newEngine(true, testNodes())
 	// 1 GB checkpoint on a 1 Gbps access link ≈ 8 s.
 	saveCheckpoints(t, ckpts, "j1", 1_000_000_000, 500)
-	p, err := e.Plan(displacedJob(), testNodes(), ReasonEmergency, now)
+	p, err := e.Plan(displacedJob(), ReasonEmergency, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +150,13 @@ func TestPlanWithNetworkModelsTransferTime(t *testing.T) {
 }
 
 func TestMigrateBackPrefersOriginalNode(t *testing.T) {
-	e, _, _ := newEngine(false)
 	nodes := testNodes()
 	nodes[0].Status = db.NodeActive // n-gone has returned
+	e, _, _ := newEngine(false, nodes)
 	job := displacedJob()
 	job.NodeID = "n-alive" // currently running elsewhere
 	job.PreferredNode = "n-gone"
-	p, err := e.Plan(job, nodes, ReasonMigrateBack, now)
+	p, err := e.Plan(job, ReasonMigrateBack, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func TestMigrateBackPrefersOriginalNode(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	e, _, _ := newEngine(false)
+	e, _, _ := newEngine(false, testNodes())
 	e.RecordAttempt(ReasonScheduled)
 	e.RecordAttempt(ReasonScheduled)
 	e.RecordSuccess(ReasonScheduled, 100, 30*time.Second)
@@ -184,7 +193,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestStatsCloneIsolated(t *testing.T) {
-	e, _, _ := newEngine(false)
+	e, _, _ := newEngine(false, testNodes())
 	e.RecordAttempt(ReasonScheduled)
 	snap := e.Stats()
 	snap.Attempts[ReasonScheduled] = 999
@@ -194,7 +203,7 @@ func TestStatsCloneIsolated(t *testing.T) {
 }
 
 func TestP95Downtime(t *testing.T) {
-	e, _, _ := newEngine(false)
+	e, _, _ := newEngine(false, testNodes())
 	for i := 1; i <= 100; i++ {
 		e.RecordSuccess(ReasonEmergency, 0, time.Duration(i)*time.Second)
 	}

@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -56,9 +58,12 @@ type Placement struct {
 	Reliability float64
 }
 
-// candidate is one feasible (node, device) pair under consideration.
-// It carries pointers into immutable pool records — ordering a
-// candidate slice moves three words per swap, not whole NodeRecords.
+// candidate is one schedulable free device with its node's reliability
+// prediction: the entry of the per-cycle candidate set and of the
+// per-request feasible list the strategies order. It points into
+// records that are immutable for its lifetime (the store's installed
+// records, or the caller's slice) — ordering a candidate slice moves
+// three words per swap, not whole NodeRecords.
 type candidate struct {
 	node        *db.NodeRecord
 	device      *db.GPUInfo
@@ -227,6 +232,20 @@ type Scheduler struct {
 	mu sync.Mutex
 	// scratch is the candidate buffer placeOne reuses across decisions.
 	scratch []candidate
+	// cache is the candidate set Place last built from its store, and
+	// cacheGen / cacheAt the store's node generation and the instant it
+	// was built at; cached says one was built at all. A Scheduler
+	// serves one store, so the generation alone identifies the set.
+	cache    []candidate
+	cacheGen uint64
+	cacheAt  time.Time
+	cached   bool
+	// rank is each node's position in the last ID-ordered scan (see
+	// orderByID).
+	rank map[string]int
+	// hits / misses count Place cycles served from the cached set vs
+	// cycles that rebuilt it.
+	hits, misses uint64
 }
 
 // New creates a scheduler. A nil strategy defaults to round-robin.
@@ -240,15 +259,11 @@ func New(strategy Strategy, model ReliabilityModel) *Scheduler {
 // StrategyName returns the active strategy's name.
 func (s *Scheduler) StrategyName() string { return s.strategy.Name() }
 
-// Schedule places one request against the current node set. Nodes must
-// be NodeActive; devices must be free and satisfy memory/capability;
-// avoid-listed nodes are excluded. Returns ErrNoPlacement when nothing
-// fits.
+// Schedule places one request against an explicit node set: a batch of
+// one. Returns ErrNoPlacement when nothing fits.
 func (s *Scheduler) Schedule(req Request, nodes []db.NodeRecord, now time.Time) (Placement, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pool := s.buildPool(nodes, now)
-	return s.placeOne(req, pool, nil)
+	res := s.PlaceBatch([]Request{req}, nodes, now)[0]
+	return res.Placement, res.Err
 }
 
 // BatchResult is one request's outcome within a batch cycle.
@@ -262,14 +277,75 @@ type BatchResult struct {
 	Latency time.Duration
 }
 
-// PlaceBatch drains up to len(reqs) pending requests in one cycle. The
-// feasible pool (active nodes × free devices, with per-node reliability
+// Place drains up to len(reqs) pending requests in one cycle against
+// the store's active nodes — the one entry production placement (queue
+// drain, emergency batch, migrate-back) comes through. The feasible
+// pool (active nodes × free devices, with per-node reliability
 // predictions) is built once for the whole batch instead of once per
-// request — the §5.3 scheduling-throughput lever — and devices chosen
-// for earlier batch members are reserved so later members cannot
-// double-book them. Reservations live only in this call: committing a
-// placement (and rolling it back when a launch fails) is the caller's
-// job, so a failed member strands nothing.
+// request — the §5.3 scheduling-throughput lever — and kept across
+// cycles for as long as the store's node generation has not moved, so
+// reliability scores keep the `now` of the build that produced them.
+// Devices chosen for earlier batch members are reserved so later
+// members cannot double-book them. Reservations live only in this
+// call: committing a placement (and rolling it back when a launch
+// fails) is the caller's job, so a failed member strands nothing.
+func (s *Scheduler) Place(reqs []Request, store db.Store, now time.Time) []BatchResult {
+	if len(reqs) == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	poolStart := time.Now()
+	// The generation is read before the scan. An install that lands in
+	// between bumps it past this stamp, so the next cycle rebuilds;
+	// read after the scan, it could stamp a set that misses the install
+	// as current.
+	gen := store.NodeGeneration()
+	if s.cached && gen == s.cacheGen {
+		s.hits++
+	} else {
+		s.misses++
+		// The old set's array is reused: placements are copied out of
+		// it, so nothing outside s.mu can still be reading it, and a
+		// fresh fleet-sized slice per rebuild is mostly work for the GC.
+		s.cache = s.buildPool(s.cache[:0], s.orderByID(store.ActiveNodes()), now)
+		s.cacheGen, s.cacheAt, s.cached = gen, now, true
+	}
+	poolShare := time.Since(poolStart) / time.Duration(len(reqs))
+	return s.placeBatch(reqs, s.cache, poolShare)
+}
+
+// orderByID puts a store scan into node-ID order. The decision does not
+// need it — every strategy imposes a total order — but the strategies'
+// stable sorts run an order of magnitude faster over ID-ordered input
+// than over the scan's map order. Most rebuilds follow a device flip or
+// a health fold, which replace records without changing which IDs are
+// active, so each record is first dropped into the slot its ID held
+// last time; only a changed ID set pays for a sort.
+func (s *Scheduler) orderByID(recs []*db.NodeRecord) []*db.NodeRecord {
+	if len(recs) == len(s.rank) {
+		out, known := make([]*db.NodeRecord, len(recs)), 0
+		for _, r := range recs {
+			if i, ok := s.rank[r.ID]; ok {
+				out[i] = r
+				known++
+			}
+		}
+		if known == len(recs) {
+			return out
+		}
+	}
+	slices.SortFunc(recs, func(a, b *db.NodeRecord) int { return strings.Compare(a.ID, b.ID) })
+	s.rank = make(map[string]int, len(recs))
+	for i, r := range recs {
+		s.rank[r.ID] = i
+	}
+	return recs
+}
+
+// PlaceBatch is Place over an explicit node slice, built fresh and
+// never cached — the reference tests and the scalability sweep compare
+// against. nodes must stay untouched until it returns.
 func (s *Scheduler) PlaceBatch(reqs []Request, nodes []db.NodeRecord, now time.Time) []BatchResult {
 	if len(reqs) == 0 {
 		return nil
@@ -277,32 +353,56 @@ func (s *Scheduler) PlaceBatch(reqs []Request, nodes []db.NodeRecord, now time.T
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	poolStart := time.Now()
-	pool := s.buildPool(nodes, now)
+	recs := make([]*db.NodeRecord, len(nodes))
+	for i := range nodes {
+		recs[i] = &nodes[i]
+	}
+	pool := s.buildPool(nil, recs, now)
 	poolShare := time.Since(poolStart) / time.Duration(len(reqs))
 	return s.placeBatch(reqs, pool, poolShare)
 }
 
-// PlaceBatchPooled is PlaceBatch against an incrementally maintained
-// NodePool: instead of re-copying every NodeRecord from the store each
-// cycle, the pool's cached entry set — invalidated per mutation, with
-// reliability scores memoized per node generation — serves the whole
-// batch. The pool-build share of each decision's latency collapses to
-// the (usually cached) snapshot fetch.
-func (s *Scheduler) PlaceBatchPooled(reqs []Request, pool *NodePool, now time.Time) []BatchResult {
-	if len(reqs) == 0 {
-		return nil
-	}
+// CacheStats reports how many Place cycles so far were served from the
+// cached candidate set and how many rebuilt it.
+func (s *Scheduler) CacheStats() (hits, misses uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	poolStart := time.Now()
-	entries := pool.snapshot(now)
-	poolShare := time.Since(poolStart) / time.Duration(len(reqs))
-	return s.placeBatch(reqs, entries, poolShare)
+	return s.hits, s.misses
+}
+
+// AuditCache checks the cache's one rule — while its stamp equals the
+// store's node generation, the cached candidate set equals a fresh
+// build — and returns the discrepancies. A cache behind the generation
+// has nothing to prove: the next Place rebuilds it. Call it at a
+// quiescent point.
+func (s *Scheduler) AuditCache(store db.Store) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.cached || store.NodeGeneration() != s.cacheGen {
+		return nil
+	}
+	fresh := make(map[deviceKey]candidate, len(s.cache))
+	for _, c := range s.buildPool(nil, store.ActiveNodes(), s.cacheAt) {
+		fresh[deviceKey{c.node.ID, c.device.DeviceID}] = c
+	}
+	var probs []string
+	for _, c := range s.cache {
+		k := deviceKey{c.node.ID, c.device.DeviceID}
+		if f, ok := fresh[k]; !ok || *f.device != *c.device || f.reliability != c.reliability {
+			probs = append(probs, fmt.Sprintf("cached candidate %s/%s differs from the store at generation %d", k.nodeID, k.deviceID, s.cacheGen))
+		}
+		delete(fresh, k)
+	}
+	for k := range fresh {
+		probs = append(probs, fmt.Sprintf("candidate %s/%s missing from the cache at generation %d", k.nodeID, k.deviceID, s.cacheGen))
+	}
+	sort.Strings(probs)
+	return probs
 }
 
 // placeBatch drains the requests against one pool image; callers hold
 // s.mu and have already amortized the pool cost into poolShare.
-func (s *Scheduler) placeBatch(reqs []Request, pool []poolEntry, poolShare time.Duration) []BatchResult {
+func (s *Scheduler) placeBatch(reqs []Request, pool []candidate, poolShare time.Duration) []BatchResult {
 	reserved := make(map[deviceKey]bool, len(reqs))
 	out := make([]BatchResult, len(reqs))
 	for i, req := range reqs {
@@ -322,22 +422,11 @@ type deviceKey struct {
 	deviceID string
 }
 
-// poolEntry is one schedulable free device with its node's prediction.
-// The pointers target records owned by the caller (buildPool) or the
-// NodePool cache; both are immutable for the entry's lifetime.
-type poolEntry struct {
-	node        *db.NodeRecord
-	device      *db.GPUInfo
-	reliability float64
-}
-
-// buildPool collects every free device on every active node, scoring
-// each node's reliability exactly once. Entries point into the caller's
-// slice, which must stay untouched until the decision completes.
-func (s *Scheduler) buildPool(nodes []db.NodeRecord, now time.Time) []poolEntry {
-	var pool []poolEntry
-	for i := range nodes {
-		n := &nodes[i]
+// buildPool appends to pool every free device on every active node,
+// scoring each node's reliability exactly once — the one place node
+// records become candidates.
+func (s *Scheduler) buildPool(pool []candidate, nodes []*db.NodeRecord, now time.Time) []candidate {
+	for _, n := range nodes {
 		if n.Status != db.NodeActive {
 			continue
 		}
@@ -354,17 +443,17 @@ func (s *Scheduler) buildPool(nodes []db.NodeRecord, now time.Time) []poolEntry 
 			if n.GPUs[j].Allocated {
 				continue
 			}
-			pool = append(pool, poolEntry{node: n, device: &n.GPUs[j], reliability: rel})
+			pool = append(pool, candidate{node: n, device: &n.GPUs[j], reliability: rel})
 		}
 	}
 	return pool
 }
 
 // placeOne filters the pool against one request's constraints, orders
-// the survivors and picks the winner. reserved (may be nil) excludes
-// devices already claimed by earlier members of the same batch.
-// Callers hold s.mu (the candidate buffer is shared scratch).
-func (s *Scheduler) placeOne(req Request, pool []poolEntry, reserved map[deviceKey]bool) (Placement, error) {
+// the survivors and picks the winner. reserved excludes devices already
+// claimed by earlier members of the same batch. Callers hold s.mu (the
+// candidate buffer is shared scratch).
+func (s *Scheduler) placeOne(req Request, pool []candidate, reserved map[deviceKey]bool) (Placement, error) {
 	var avoid map[string]bool
 	if len(req.AvoidNodes) > 0 {
 		avoid = make(map[string]bool, len(req.AvoidNodes))
@@ -377,7 +466,7 @@ func (s *Scheduler) placeOne(req Request, pool []poolEntry, reserved map[deviceK
 		if avoid[e.node.ID] {
 			continue
 		}
-		if reserved != nil && reserved[deviceKey{e.node.ID, e.device.DeviceID}] {
+		if reserved[deviceKey{e.node.ID, e.device.DeviceID}] {
 			continue
 		}
 		if e.device.MemoryMiB < req.GPUMemMiB {
@@ -387,7 +476,7 @@ func (s *Scheduler) placeOne(req Request, pool []poolEntry, reserved map[deviceK
 		if !cap.AtLeast(req.Capability) {
 			continue
 		}
-		cands = append(cands, candidate{node: e.node, device: e.device, reliability: e.reliability})
+		cands = append(cands, e)
 	}
 	s.scratch = cands[:0]
 	if len(cands) == 0 {

@@ -5,7 +5,6 @@ import (
 
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/netsim"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/workload"
 )
@@ -148,10 +147,4 @@ func RunStrategyAblation(seed int64) ([]StrategyResult, error) {
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// CheckpointTrafficAt reports the accountant's checkpoint share for an
-// arbitrary window; exposed for the interval-sweep tests.
-func CheckpointTrafficAt(net *netsim.Network, from, to time.Time) float64 {
-	return net.Accountant().WindowUtilization(netsim.TrafficCheckpoint, net.Backbone(), from, to)
 }

@@ -1812,13 +1812,13 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 // ExtraChecks audits what the database alone cannot show: idempotency
 // breaches found by duplicate-delivery replays since the last audit,
 // beat-delta equivalence of the coalesced heartbeat stream,
-// the coordinator's derived scheduler pool against a fresh store scan,
+// the scheduler's cached candidate set against a fresh store scan,
 // checkpoint-integrity over every live job's restore chain, and —
 // outside the reconciliation grace window after a heal or restart —
 // skew-bounded-liveness for nodes whose only fault is a clock offset
-// plus the agent-vs-store phantom checks. The pool and checkpoint
-// checks are never suppressed: they are maintained synchronously and
-// must hold at every quiescent point.
+// plus the agent-vs-store phantom checks. The candidate-cache and
+// checkpoint checks are never suppressed: they must hold at every
+// quiescent point.
 func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 	var vs []invariant.Violation
 	h.mu.Lock()
@@ -1836,9 +1836,8 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 		}
 		h.mu.Unlock()
 	}
-	// The pool audit only applies to a leading coordinator: during a
-	// leadership gap the installed replica is fenced and its derived
-	// pool is rebuilt at promotion (standalone mode always leads).
+	// The cache audit only applies to a leading coordinator: a fenced
+	// replica schedules nothing (standalone mode always leads).
 	if c := h.currentCoord(); c.Leading() {
 		for _, p := range c.AuditSchedulerPool() {
 			vs = append(vs, invariant.Violation{Rule: "scheduler-pool-consistent", Detail: p})

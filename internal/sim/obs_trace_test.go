@@ -10,6 +10,7 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/invariant"
 	"gpunion/internal/obs"
+	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 )
 
@@ -118,8 +119,15 @@ func TestChaosSabotageTraceLocalization(t *testing.T) {
 		t.Fatal("sabotage produced no violations — the safety net is broken")
 	}
 
-	events := rec.Events()
-	var fault, violation, doubleAlloc *obs.Event
+	assertFaultLocalizes(t, rec.Events(), "device-double-allocation")
+}
+
+// assertFaultLocalizes checks the trace contract on a sabotage run: a
+// node-crash fault annotation precedes the first violation annotation,
+// and the named rule is among the violations annotated.
+func assertFaultLocalizes(t *testing.T, events []obs.Event, rule string) {
+	t.Helper()
+	var fault, violation, named *obs.Event
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
@@ -131,8 +139,8 @@ func TestChaosSabotageTraceLocalization(t *testing.T) {
 			if violation == nil {
 				violation = ev
 			}
-			if ev.Detail["rule"] == "device-double-allocation" && doubleAlloc == nil {
-				doubleAlloc = ev
+			if ev.Detail["rule"] == rule && named == nil {
+				named = ev
 			}
 		}
 	}
@@ -149,8 +157,62 @@ func TestChaosSabotageTraceLocalization(t *testing.T) {
 	if fault.Detail["kind"] != string(chaos.KindNodeCrash) {
 		t.Errorf("fault annotation lost its kind: %v", fault.Detail)
 	}
-	if doubleAlloc == nil {
-		t.Errorf("device-double-allocation never annotated; first violation: %v",
-			violation.Detail)
+	if named == nil {
+		t.Errorf("%s never annotated; first violation: %v", rule, violation.Detail)
 	}
+}
+
+// frozenGenStore is a store whose node generation never moves: node
+// installs go unannounced, which is exactly what the scheduler's
+// candidate cache must never be exposed to.
+type frozenGenStore struct{ db.Store }
+
+func (frozenGenStore) NodeGeneration() uint64 { return 1 }
+
+// staleCachePlatform sabotages the candidate cache's one rule: its
+// CrashNode flips a device behind a frozen generation, and its
+// ExtraChecks runs the same audit the chaos harness runs.
+type staleCachePlatform struct {
+	sabotagePlatform
+	sched *scheduler.Scheduler
+}
+
+func (p *staleCachePlatform) CrashNode(node string) {
+	_ = p.store.UpdateNode(node, func(n *db.NodeRecord) { n.GPUs[0].Allocated = true })
+}
+
+func (p *staleCachePlatform) ExtraChecks() []invariant.Violation {
+	var vs []invariant.Violation
+	for _, d := range p.sched.AuditCache(p.store) {
+		vs = append(vs, invariant.Violation{Rule: "scheduler-pool-consistent", Detail: d})
+	}
+	return vs
+}
+
+// TestChaosSabotageTraceLocalizationStaleCache: with the node
+// generation frozen, the first device flip leaves the scheduler's
+// cached candidate set stale under a matching stamp;
+// scheduler-pool-consistent must fire, after the fault that caused it.
+func TestChaosSabotageTraceLocalizationStaleCache(t *testing.T) {
+	clock := simclock.NewSim(Epoch)
+	store := frozenGenStore{db.New(0)}
+	store.UpsertNode(db.NodeRecord{ID: "ws-1", Status: db.NodeActive, RegisteredAt: Epoch,
+		GPUs: []db.GPUInfo{{DeviceID: "gpu0", MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}}})
+	plat := &staleCachePlatform{
+		sabotagePlatform: sabotagePlatform{store: store},
+		sched:            scheduler.New(nil, scheduler.DefaultReliability()),
+	}
+	// One scheduling cycle stamps the cache at the frozen generation.
+	plat.sched.Place([]scheduler.Request{{JobID: "probe"}}, store, Epoch)
+	rec := obs.NewRecorder(clock, 0)
+
+	eng := chaos.NewEngine(clock, plat)
+	eng.SetRecorder(rec)
+	rep := eng.Execute(chaos.Schedule{
+		{At: 10 * time.Minute, Kind: chaos.KindNodeCrash, Node: "ws-1"},
+	}, 0, 5*time.Minute)
+	if len(rep.Violations) == 0 {
+		t.Fatal("a stale candidate cache produced no violations — the safety net is broken")
+	}
+	assertFaultLocalizes(t, rec.Events(), "scheduler-pool-consistent")
 }

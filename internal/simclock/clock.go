@@ -176,13 +176,6 @@ func (s *Sim) Advance(d time.Duration) {
 	s.mu.Lock()
 	target := s.now.Add(d)
 	s.mu.Unlock()
-	s.advanceTo(target)
-}
-
-// AdvanceTo moves simulated time forward to t (no-op if t is in the past).
-func (s *Sim) AdvanceTo(t time.Time) { s.advanceTo(t) }
-
-func (s *Sim) advanceTo(target time.Time) {
 	for {
 		s.mu.Lock()
 		if len(s.pending) == 0 || s.pending[0].when.After(target) {

@@ -82,7 +82,6 @@ type Snapshotter struct {
 
 	mu      sync.Mutex
 	lastErr error
-	count   int
 
 	stopOnce sync.Once
 	stopC    chan struct{}
@@ -163,17 +162,9 @@ func (s *Snapshotter) Err() error {
 	return s.lastErr
 }
 
-// Snapshots reports how many checkpoints were attempted.
-func (s *Snapshotter) Snapshots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
 func (s *Snapshotter) record(err error) error {
 	s.mu.Lock()
 	s.lastErr = err
-	s.count++
 	s.mu.Unlock()
 	return err
 }

@@ -20,8 +20,13 @@ test:
 # Race lane: full suite under the race detector, minus the long
 # discrete-event simulations (they are single-driver deterministic runs
 # with their own dedicated lanes: test, verify-recovery, verify-chaos).
+# The WAL gather's timing tests are not -short-guarded and run five more
+# times here: its interleavings (signal before the flusher parks, stale
+# token in the one-slot channel, Rotate stealing the queue mid-gather)
+# are few-microsecond windows one pass rarely hits.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=5 -run 'Gather' ./internal/wal
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps
 # bench_test.go compiling and executable without burning CI minutes.

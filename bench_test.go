@@ -854,16 +854,27 @@ func BenchmarkWALPipelined(b *testing.B) {
 	})
 }
 
-// BenchmarkHeartbeatTelemetryDurable is one provider's telemetry beat
-// through the shipped write path: Coordinator.Heartbeat over a store
-// logged by a real wal.Open with the shipped 2 ms group window, two
-// devices, so four samples per beat. One closed-loop sender, so ns/op
-// is the group window plus one fsync — timer-bound, recorded in
-// BENCH_baseline.json but outside the bench-check gate — and fsyncs/op
-// counts the durability waits a beat pays (one: its samples commit as
-// one group), read off the writer's own fsync histogram, instrumented
-// on the coordinator's registry as the daemon does.
+// BenchmarkHeartbeatTelemetryDurable is the telemetry beat through the
+// shipped write path: Coordinator.Heartbeat over a store logged by a
+// real wal.Open with the shipped 2 ms group window, two registered
+// two-device nodes, so four samples per beat. The senders are closed
+// loops, one per node. senders=1 is alone in every commit group, so
+// ns/op is the whole group window plus one fsync at 1.000 fsyncs/op;
+// senders=2 meet in one group, which the writer releases as soon as
+// both are queued, so ns/op is fsync-bound at about 0.5 fsyncs/op. Both
+// are timer- or disk-bound — recorded in BENCH_baseline.json but outside
+// the bench-check gate. fsyncs/op counts the durability waits a beat
+// pays, read off the writer's own fsync histogram, instrumented on the
+// coordinator's registry as the daemon does.
 func BenchmarkHeartbeatTelemetryDurable(b *testing.B) {
+	for _, senders := range []int{1, 2} {
+		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
+			benchTelemetryBeats(b, senders)
+		})
+	}
+}
+
+func benchTelemetryBeats(b *testing.B, senders int) {
 	store := db.New(0)
 	mgr, err := wal.Open(b.TempDir(), store, wal.Config{GroupWindow: 2 * time.Millisecond})
 	if err != nil {
@@ -884,32 +895,49 @@ func BenchmarkHeartbeatTelemetryDurable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
-	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil, coord)
-	defer ag.Stop()
-	reg, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), core.LocalAgent{A: ag})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec, err := store.GetNode("n1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := api.HeartbeatRequest{
-		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
-		MachineID: "n1", Token: reg.Token,
-	}
-	for _, g := range rec.GPUs {
-		req.Telemetry = append(req.Telemetry, gpu.Telemetry{DeviceID: g.DeviceID, Utilization: 0.5, UsedMemMiB: 1024})
+	reqs := make([]api.HeartbeatRequest, 2)
+	for i := range reqs {
+		id := fmt.Sprintf("n%d", i+1)
+		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
+		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, clock, rt, ckpts, nil, coord)
+		defer ag.Stop()
+		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), core.LocalAgent{A: ag})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := store.GetNode(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = api.HeartbeatRequest{
+			Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
+			MachineID: id, Token: reg.Token,
+		}
+		for _, g := range rec.GPUs {
+			reqs[i].Telemetry = append(reqs[i].Telemetry, gpu.Telemetry{DeviceID: g.DeviceID, Utilization: 0.5, UsedMemMiB: 1024})
+		}
 	}
 	before := fsyncs.Count()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.BeatSeq++
-		if resp, err := coord.Heartbeat(req); err != nil || !resp.Acknowledged {
-			b.Fatalf("beat %d: %+v err=%v", req.BeatSeq, resp, err)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		beats := b.N / senders
+		if s == 0 {
+			beats += b.N % senders
 		}
+		wg.Add(1)
+		go func(req api.HeartbeatRequest) {
+			defer wg.Done()
+			for i := 0; i < beats; i++ {
+				req.BeatSeq++
+				if resp, err := coord.Heartbeat(req); err != nil || !resp.Acknowledged {
+					b.Errorf("%s beat %d: %+v err=%v", req.MachineID, req.BeatSeq, resp, err)
+					return
+				}
+			}
+		}(reqs[s])
 	}
+	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(fsyncs.Count()-before)/float64(b.N), "fsyncs/op")
 }

@@ -78,7 +78,7 @@ func main() {
 	listen := flag.String("listen", "", "HTTP bind address (overrides config)")
 	cfgPath := flag.String("config", "", "path to coordinator.json")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory (overrides config/env)")
-	walGroupMS := flag.Int("wal-group-commit-ms", 0, "WAL group-commit window in ms (overrides config/env)")
+	walGroupMS := flag.Int("wal-group-commit-ms", 0, "longest a WAL commit waits for company, in ms; a group that has formed commits at once (overrides config/env)")
 	snapSec := flag.Int("snapshot-interval-sec", 0, "background snapshot period in seconds (overrides config/env)")
 	mode := flag.String("mode", "solo", `replication mode: "solo" (no lease, always leader), "leader" or "standby"`)
 	replicaID := flag.String("replica-id", "", "replica name for the lease and LeaderHint replies (default: hostname)")

@@ -34,9 +34,11 @@ type Coordinator struct {
 	// directory, a background snapshotter checkpoints the store, and
 	// the daemon recovers nodes/jobs/allocations from it on boot.
 	WALDir string `json:"wal_dir"`
-	// WALGroupCommitMS is the group-commit accumulation window in
-	// milliseconds (default 2; 0 also means the default — use the
-	// internal/wal API directly for pure natural batching).
+	// WALGroupCommitMS is the longest a commit waits for company, in
+	// milliseconds: a commit group that has formed is written at once,
+	// a commit that stays alone waits this long (see
+	// wal.Options.GroupWindow). Default 2; 0 also means the default —
+	// use the internal/wal API directly for pure natural batching.
 	WALGroupCommitMS int `json:"wal_group_commit_ms"`
 	// SnapshotIntervalSec is the background checkpoint period in
 	// seconds when WALDir is set (default 300).
@@ -48,7 +50,8 @@ func (c Coordinator) HeartbeatInterval() time.Duration {
 	return time.Duration(c.HeartbeatIntervalSec) * time.Second
 }
 
-// WALGroupCommit returns the group-commit window as a duration.
+// WALGroupCommit returns the group-commit window — the longest wait for
+// company — as a duration.
 func (c Coordinator) WALGroupCommit() time.Duration {
 	return time.Duration(c.WALGroupCommitMS) * time.Millisecond
 }

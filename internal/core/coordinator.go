@@ -579,18 +579,14 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 		return api.RegisterResponse{}, fmt.Errorf("core: issuing token: %w", err)
 	}
 
-	returning := false
-	if old, err := c.db.GetNode(req.MachineID); err == nil &&
-		(old.Status == db.NodeDeparted || old.Status == db.NodeUnreachable) {
-		returning = true
-	}
-
 	rec := db.NodeRecord{
 		ID: req.MachineID, Addr: req.Addr, Status: db.NodeActive,
 		GPUs: req.GPUs, Kernel: req.Kernel, Storage: req.StorageBytes,
 		RegisteredAt: now, LastHeartbeat: now, LastJoin: now,
 	}
+	returning := false
 	if old, err := c.db.GetNode(req.MachineID); err == nil {
+		returning = old.Status == db.NodeDeparted || old.Status == db.NodeUnreachable
 		rec.RegisteredAt = old.RegisteredAt
 		rec.Departures = old.Departures
 		rec.TotalUptime = old.TotalUptime

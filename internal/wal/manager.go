@@ -11,7 +11,7 @@ import (
 
 // Config tunes a Manager.
 type Config struct {
-	// GroupWindow is the group-commit accumulation window (see
+	// GroupWindow is the longest a commit waits for company (see
 	// Options.GroupWindow); zero is natural batching.
 	GroupWindow time.Duration
 	// SnapshotInterval is the background checkpoint period; zero means

@@ -18,11 +18,15 @@ var ErrClosed = errors.New("wal: writer closed")
 
 // Options tunes a Writer.
 type Options struct {
-	// GroupWindow is an extra delay the flusher waits after being woken
-	// so more appenders can join the batch. Zero means natural
-	// batching: the flusher syncs as soon as it can, and whatever
-	// arrived while the previous fsync was in flight forms the next
-	// group — no added latency, still one fsync per group.
+	// GroupWindow is the longest a commit waits for company: once woken,
+	// the flusher holds the group open until as many operations are
+	// queued as the previous group released (at least two) or the
+	// window has elapsed, whichever is first. A group that has formed
+	// commits at once; an appender that stays alone waits the whole
+	// window. Zero means natural batching: the flusher syncs as soon as
+	// it can, and whatever arrived while the previous fsync was in
+	// flight forms the next group — no added latency, still one fsync
+	// per group.
 	GroupWindow time.Duration
 	// FS opens segment files (nil = the real filesystem). The chaos
 	// harness injects disk faults here.
@@ -72,10 +76,18 @@ type Writer struct {
 	// poisoned records that the last I/O on f failed: its tail may hold
 	// a torn frame, so no further record may land behind it.
 	poisoned bool
+	// gatherTarget is how many queued operations end a gather early: the
+	// size of the last group flush released, never below
+	// minGatherTarget.
+	gatherTarget int
 
 	flushC chan struct{}
-	doneC  chan struct{}
-	wg     sync.WaitGroup
+	// fullC tells a gathering flusher the queue reached gatherTarget.
+	// Sent under mu, so the flusher can discard a stale token and
+	// re-read the queue length in one mu hold.
+	fullC chan struct{}
+	doneC chan struct{}
+	wg    sync.WaitGroup
 
 	// syncC feeds the sync stage in write order; syncWg tracks the sync
 	// goroutine.
@@ -108,6 +120,8 @@ type writerMetrics struct {
 	groupBatch    *monitor.Histogram
 	rotations     *monitor.Counter
 	appendErrors  *monitor.Counter
+	releaseFull   *monitor.Counter
+	releaseWindow *monitor.Counter
 }
 
 // Instrument registers the writer's metrics on reg and starts
@@ -143,6 +157,15 @@ func (w *Writer) Instrument(reg *monitor.Registry) error {
 	}
 	if m.appendErrors, err = reg.Counter("gpunion_wal_append_errors_total",
 		"WAL appends that failed (durability lost for that record).", nil); err != nil {
+		return err
+	}
+	const releaseHelp = "WAL groups released by the gather, by reason: full = as many operations queued as the previous group released, window = the group window elapsed first. Not counted when the window is zero."
+	if m.releaseFull, err = reg.Counter("gpunion_wal_group_release_total", releaseHelp,
+		map[string]string{"reason": "full"}); err != nil {
+		return err
+	}
+	if m.releaseWindow, err = reg.Counter("gpunion_wal_group_release_total", releaseHelp,
+		map[string]string{"reason": "window"}); err != nil {
 		return err
 	}
 	w.metrics.Store(m)
@@ -187,14 +210,16 @@ func OpenWriter(dir string, opts Options) (*Writer, error) {
 		return nil, fmt.Errorf("wal: opening segment %d: %w", seg, err)
 	}
 	w := &Writer{
-		dir:    dir,
-		opts:   opts,
-		fs:     fsys,
-		f:      f,
-		seg:    seg,
-		flushC: make(chan struct{}, 1),
-		doneC:  make(chan struct{}),
-		syncC:  make(chan syncReq, 64),
+		dir:          dir,
+		opts:         opts,
+		fs:           fsys,
+		f:            f,
+		seg:          seg,
+		gatherTarget: minGatherTarget,
+		flushC:       make(chan struct{}, 1),
+		fullC:        make(chan struct{}, 1),
+		doneC:        make(chan struct{}),
+		syncC:        make(chan syncReq, 64),
 	}
 	w.syncWg.Add(1)
 	go w.syncLoop()
@@ -258,6 +283,12 @@ func (w *Writer) appendFrame(frame []byte) error {
 	}
 	w.pending = append(w.pending, frame...)
 	w.waiters = append(w.waiters, done)
+	if w.opts.GroupWindow > 0 && len(w.waiters) >= w.gatherTarget {
+		select {
+		case w.fullC <- struct{}{}:
+		default: // already signalled
+		}
+	}
 	w.mu.Unlock()
 	select {
 	case w.flushC <- struct{}{}:
@@ -273,14 +304,57 @@ func (w *Writer) flushLoop() {
 	for {
 		select {
 		case <-w.flushC:
-			if w.opts.GroupWindow > 0 {
-				time.Sleep(w.opts.GroupWindow)
-			}
-			w.flush()
+			w.flush(w.gather())
 		case <-w.doneC:
-			w.flush() // final drain
+			w.flush(nil) // final drain
 			return
 		}
+	}
+}
+
+// minGatherTarget is the smallest group a gather releases before the
+// window: two, so an appender that stays alone still waits the whole
+// window. That is deliberate — the heartbeat coalescer's TouchNodes
+// flush commits solo, and releasing it early shifts load onto the
+// benchmark's generator before its yardstick is re-based
+// (docs/BENCHMARKS.md "Measured and deferred"; ROADMAP item 2 lowers
+// this to 1).
+const minGatherTarget = 2
+
+// gather holds the group open for company: it returns once gatherTarget
+// operations are queued, GroupWindow has elapsed since the wakeup, or
+// the writer is closing (so Close never waits out a window), whichever
+// is first. It returns the release counter for how the wait ended, for
+// flush to count if the group turns out non-empty; nil when
+// uninstrumented or closing. With no window (natural batching) there is
+// no gather: it returns nil at once.
+func (w *Writer) gather() *monitor.Counter {
+	if w.opts.GroupWindow <= 0 {
+		return nil
+	}
+	w.mu.Lock()
+	select {
+	case <-w.fullC: // stale: sent for a queue that has since been drained
+	default:
+	}
+	formed := len(w.waiters) >= w.gatherTarget
+	w.mu.Unlock()
+	var full, window *monitor.Counter
+	if m := w.metrics.Load(); m != nil {
+		full, window = m.releaseFull, m.releaseWindow
+	}
+	if formed {
+		return full
+	}
+	t := time.NewTimer(w.opts.GroupWindow)
+	defer t.Stop()
+	select {
+	case <-w.fullC:
+		return full
+	case <-t.C:
+		return window
+	case <-w.doneC:
+		return nil
 	}
 }
 
@@ -288,12 +362,17 @@ func (w *Writer) flushLoop() {
 // write() under ioMu, hands the segment to the sync stage and releases
 // ioMu so the next group's write can overlap the fsync. Waiters are
 // released here only on a write-path error; otherwise the sync stage
-// releases them after their covering fsync.
-func (w *Writer) flush() {
+// releases them after their covering fsync. release, when non-nil, is
+// the gather's verdict on this group and is counted if the group is not
+// empty.
+func (w *Writer) flush(release *monitor.Counter) {
 	w.ioMu.Lock()
 	w.mu.Lock()
 	buf, waiters := w.pending, w.waiters
 	w.pending, w.waiters = nil, nil
+	if len(waiters) > 0 {
+		w.gatherTarget = max(len(waiters), minGatherTarget)
+	}
 	w.mu.Unlock()
 	if len(buf) == 0 && len(waiters) == 0 {
 		w.ioMu.Unlock()
@@ -301,6 +380,9 @@ func (w *Writer) flush() {
 	}
 	if m := w.metrics.Load(); m != nil && len(waiters) > 0 {
 		m.groupBatch.Observe(float64(len(waiters)))
+		if release != nil {
+			release.Inc()
+		}
 	}
 	f, err := w.healForWrite()
 	if err == nil && len(buf) > 0 {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"gpunion/internal/db"
 )
@@ -70,43 +71,82 @@ func TestWriterHealsAfterDiskFault(t *testing.T) {
 	for _, mode := range []struct {
 		name               string
 		syncErr, shortWrit bool
+		// window and width make every step a group the gather releases
+		// early: width concurrent appenders under a window far longer
+		// than the test may take. A failed fsync must then fail every
+		// waiter of the group, not just the one that woke the flusher.
+		window time.Duration
+		width  int
 	}{
-		{"sync-error-group", true, false},
-		{"short-write-group", false, true},
+		{"sync-error-group", true, false, 0, 1},
+		{"short-write-group", false, true, 0, 1},
+		{"sync-error-early-released-pair", true, false, 2 * time.Second, 2},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fs := &stubFS{}
-			w := openWriter(t, dir, Options{FS: fs})
+			w := openWriter(t, dir, Options{FS: fs, GroupWindow: mode.window})
 
 			var acked []uint64
-			append1 := func(lsn uint64) error {
-				err := w.Append(nodeMut(lsn, fmt.Sprintf("n%03d", lsn)))
-				if err == nil {
-					acked = append(acked, lsn)
+			// append1 appends mode.width records concurrently (lsn,
+			// lsn+100, ...) and returns how many appenders failed and
+			// the first error.
+			append1 := func(lsn uint64) (int, error) {
+				errs := make([]error, mode.width)
+				var wg sync.WaitGroup
+				for i := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						l := lsn + uint64(100*i)
+						errs[i] = w.Append(nodeMut(l, fmt.Sprintf("n%03d", l)))
+					}()
 				}
-				return err
+				wg.Wait()
+				var first error
+				failed := 0
+				for i, err := range errs {
+					if err == nil {
+						acked = append(acked, lsn+uint64(100*i))
+						continue
+					}
+					failed++
+					if first == nil {
+						first = err
+					}
+				}
+				return failed, first
 			}
 
+			start := time.Now()
 			for lsn := uint64(1); lsn <= 5; lsn++ {
-				if err := append1(lsn); err != nil {
+				if _, err := append1(lsn); err != nil {
 					t.Fatalf("healthy append %d: %v", lsn, err)
 				}
 			}
 			// Fault window: these appends must fail (never falsely acked).
 			fs.set(mode.syncErr, mode.shortWrit)
 			for lsn := uint64(6); lsn <= 8; lsn++ {
-				if err := append1(lsn); err == nil {
-					t.Fatalf("append %d acked during disk fault", lsn)
+				if failed, _ := append1(lsn); failed != mode.width {
+					t.Fatalf("append %d: %d of %d appenders acked during disk fault", lsn, mode.width-failed, mode.width)
+				}
+				w.mu.Lock()
+				poisoned := w.poisoned
+				w.mu.Unlock()
+				if !poisoned {
+					t.Fatalf("segment not poisoned after failed append %d", lsn)
 				}
 			}
 			// Disk heals: appends succeed again and must be recoverable
 			// despite the poisoned segment tail in between.
 			fs.set(false, false)
 			for lsn := uint64(9); lsn <= 12; lsn++ {
-				if err := append1(lsn); err != nil {
+				if _, err := append1(lsn); err != nil {
 					t.Fatalf("post-heal append %d: %v", lsn, err)
 				}
+			}
+			if took := time.Since(start); mode.window > 0 && took > 3*mode.window {
+				t.Errorf("12 formed groups took %v: they are waiting out the %v window", took, mode.window)
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)

@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check bench-e2e loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench cover ci
+.PHONY: all build test race bench bench-check bench-e2e loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose cover ci
 
 all: build
 
@@ -23,10 +23,13 @@ test:
 # The WAL gather's timing tests are not -short-guarded and run five more
 # times here: its interleavings (signal before the flusher parks, stale
 # token in the one-slot channel, Rotate stealing the queue mid-gather)
-# are few-microsecond windows one pass rarely hits.
+# are few-microsecond windows one pass rarely hits. The replica
+# lifecycle and lease tests ride the same line: they are the ones with a
+# live follower, a promotion racing a pump, and two arbiters on one
+# lease file.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=5 -run 'Gather' ./internal/wal
+	$(GO) test -race -count=5 -run 'Gather|Replica|Lease' ./internal/wal ./internal/core
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps
 # bench_test.go compiling and executable without burning CI minutes.
@@ -142,6 +145,19 @@ verify-docs:
 verify-bench:
 	cd bench && $(GO) build -o /dev/null . && $(GO) vet ./... && $(GO) test ./...
 
+# Composition-root gate: the coordinator's store + WAL + follower +
+# RecoverState sequence is spelled once, in internal/core/replica.go
+# (bench/trace.go, a module of its own, is the one hand assembly left).
+# Non-test code under internal, cmd or examples that opens a log, builds
+# a follower or calls RecoverState anywhere else is a second assembly
+# in the making.
+verify-compose:
+	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
+		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
+	if [ -n "$$out" ]; then \
+		echo "coordinator assembled outside internal/core/replica.go:"; echo "$$out"; exit 1; \
+	fi
+
 # Coverage with a floor: fail if total statement coverage drops below
 # COVER_FLOOR. The profile is left in coverage.out for upload.
 cover:
@@ -154,4 +170,4 @@ cover:
 # cover runs the full test suite (with profiling), so ci does not also
 # run a bare `test` pass — the long simulations already execute once
 # there and once more under verify-chaos.
-ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench cover
+ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose cover

@@ -5,8 +5,15 @@
 // Usage:
 //
 //	agent -coordinator http://coord:8080 [-listen :7070] [-gpus "RTX 3090:2"]
+//	agent -coordinator http://coord-a:8080,http://coord-b:8080
 //	agent -coordinator http://coord:8080 -aggregator http://rack-agg:7080
 //	agent -config agent.json
+//
+// -coordinator takes one address or a comma-separated list of replica
+// addresses. With a list the agent registers with the first replica
+// that accepts it and, when the one it talks to answers "not the
+// leader" or stops answering, moves to the next and re-registers
+// there.
 //
 // With -aggregator, heartbeats prefer the rack relay (which acks no-op
 // beats locally and rolls them up); the agent falls back to the direct
@@ -46,7 +53,7 @@ import (
 )
 
 func main() {
-	coordURL := flag.String("coordinator", "", "coordinator base URL (overrides config)")
+	coordURL := flag.String("coordinator", "", "coordinator base URL, or a comma-separated list of replica URLs (overrides config)")
 	aggURL := flag.String("aggregator", "", "rack aggregator base URL (optional heartbeat relay)")
 	telemetryEvery := flag.Int("telemetry-every", 0, "attach telemetry every Nth beat (0 = every beat; set >1 behind an aggregator so idle beats fold)")
 	listen := flag.String("listen", "", "HTTP bind address (overrides config)")
@@ -90,14 +97,18 @@ func main() {
 	}
 
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
-	coordClient := core.NewClient(cfg.CoordinatorURL)
+	eps := coordinatorEndpoints(cfg.CoordinatorURL)
+	if len(eps) == 0 {
+		log.Fatalf("no coordinator address in %q", cfg.CoordinatorURL)
+	}
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	ag := agent.New(agent.Config{
 		MachineID:                 machineID,
 		Kernel:                    cfg.Kernel,
 		DefaultCheckpointInterval: time.Duration(cfg.CheckpointIntervalSec) * time.Second,
 		TelemetryEvery:            *telemetryEvery,
-	}, simclock.Real(), rt, ckpts, nil, coordClient)
+	}, simclock.Real(), rt, ckpts, nil, nil)
+	ag.SetEndpoints(eps)
 	if *aggURL != "" {
 		ag.SetAggregator(*aggURL, core.NewClient(*aggURL))
 	}
@@ -110,12 +121,18 @@ func main() {
 		}
 	}()
 
-	resp, err := coordClient.Register(ag.RegisterRequest(cfg.AdvertiseURL, cfg.StorageBytes))
+	link := activeLink{ag}
+	var resp api.RegisterResponse
+	for range eps {
+		if resp, err = ag.Join(link, cfg.AdvertiseURL, cfg.StorageBytes); err == nil {
+			break
+		}
+		ag.Redirect("") // a standby or a dead address: try the next one
+	}
 	if err != nil {
 		log.Fatalf("registering with %s: %v", cfg.CoordinatorURL, err)
 	}
-	ag.SetToken(resp.Token)
-	log.Printf("registered; heartbeating every %v", resp.HeartbeatInterval)
+	log.Printf("registered with %s; heartbeating every %v", ag.ActiveEndpoint().ID, resp.HeartbeatInterval)
 
 	stop := make(chan struct{})
 	go func() {
@@ -129,16 +146,10 @@ func main() {
 				if ag.Departed() {
 					continue
 				}
-				hb, _, err := ag.SendBeat(coordClient)
-				if err != nil {
+				if hb, err := ag.Beat(link); err != nil {
 					log.Printf("heartbeat: %v", err)
-					continue
-				}
-				if hb.Reregister {
-					if r, err := coordClient.Register(ag.RegisterRequest(cfg.AdvertiseURL, cfg.StorageBytes)); err == nil {
-						ag.SetToken(r.Token)
-						log.Printf("re-registered after coordinator restart")
-					}
+				} else if !hb.Acknowledged {
+					log.Printf("re-registered with %s (leader epoch %d)", ag.ActiveEndpoint().ID, ag.CoordEpoch())
 				}
 			}
 		}
@@ -157,6 +168,37 @@ func main() {
 	}
 	ag.Stop()
 	_ = srv.Close()
+}
+
+// coordinatorEndpoints builds the agent's endpoint set from
+// -coordinator's comma-separated address list: one HTTP client per
+// replica, named by its address.
+func coordinatorEndpoints(list string) []agent.Endpoint {
+	var eps []agent.Endpoint
+	for _, url := range strings.Split(list, ",") {
+		if url = strings.TrimSpace(url); url != "" {
+			eps = append(eps, agent.Endpoint{ID: url, Notifier: core.NewClient(url)})
+		}
+	}
+	return eps
+}
+
+// activeLink is the agent's Link over that set: each request goes to
+// the client of whichever endpoint is active when it is sent.
+type activeLink struct{ ag *agent.Agent }
+
+func (l activeLink) client() *core.Client {
+	return l.ag.ActiveEndpoint().Notifier.(*core.Client)
+}
+
+// Register implements agent.Link.
+func (l activeLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
+	return l.client().Register(req)
+}
+
+// Heartbeat implements agent.Link.
+func (l activeLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	return l.client().Heartbeat(req)
 }
 
 // parseGPUFlag parses "MODEL:N,MODEL:N" device lists.

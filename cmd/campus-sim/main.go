@@ -193,26 +193,11 @@ func runScalability(seed int64) {
 
 func runChaos(seed int64) {
 	header("Chaos: seeded fault injection with state-invariant audits")
-	scenarios := []struct {
-		name string
-		run  func(int64) (sim.ChaosResult, error)
-	}{
-		{"churn@400", sim.RunChaosChurnScale},
-		{"partition+coord-crash", sim.RunChaosPartitionCrash},
-		{"wal-disk-faults", sim.RunChaosWALFaults},
-		{"skew+dup-delivery", sim.RunChaosSkewDup},
-		{"data-plane+ckpt-corrupt", sim.RunChaosDataPlane},
-		{"gray-degrade", sim.RunChaosGrayDegrade},
-		{"partial-loss", sim.RunChaosPartialLoss},
-		{"ckpt-read-rot", sim.RunChaosCkptReadRot},
-		{"agg-crash", sim.RunChaosAggCrash},
-		{"agg-partition+fallback", sim.RunChaosAggPartition},
-	}
 	fmt.Printf("%-24s %7s %7s %10s %10s %10s %10s %8s %12s %11s\n",
 		"schedule", "faults", "audits", "submitted", "completed", "recoveries", "diskFaults", "trace", "fold/fwd", "violations")
 	var last sim.ChaosResult
-	for _, sc := range scenarios {
-		res, err := sc.run(seed)
+	for _, sc := range sim.ChaosSchedules {
+		res, err := sim.RunChaosSchedule(sc.Name, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -221,7 +206,7 @@ func runChaos(seed int64) {
 			foldFwd = fmt.Sprintf("%d/%d", res.AggFoldedBeats, res.AggForwards)
 		}
 		fmt.Printf("%-24s %7d %7d %10d %10d %10d %10d %8d %12s %11d\n",
-			sc.name, len(res.Schedule), res.Report.Audits, res.SubmittedJobs,
+			sc.Name, len(res.Schedule), res.Report.Audits, res.SubmittedJobs,
 			res.CompletedJobs, res.Recoveries, res.WALFaultsInjected,
 			len(res.Trace), foldFwd, len(res.Violations))
 		for _, v := range res.Violations {

@@ -40,14 +40,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/config"
 	"gpunion/internal/core"
-	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
@@ -137,7 +135,7 @@ func main() {
 		}
 		// Skew tolerance 2×TTL: a replica whose clock lags the shared
 		// file's writers by up to two TTLs still self-fences in time.
-		lease = &fileLease{path: *leaseFile, ttl: leaseTTL, skew: 2 * leaseTTL}
+		lease = core.NewLease(core.FileLeaseStore(*leaseFile), simclock.Real(), leaseTTL, 2*leaseTTL)
 		if *mode == "standby" && *followDir == "" {
 			log.Fatalf("-mode standby requires -follow-dir (the leader's WAL directory)")
 		}
@@ -155,16 +153,9 @@ func main() {
 		strategy = &scheduler.RoundRobin{}
 	}
 
-	database := db.New(0)
-
-	// Durable persistence: recover the store from snapshot + WAL, then
-	// log every mutation from here on. The token-signing secret lives
-	// next to the log so credentials issued before a restart still
-	// verify after it.
-	var (
-		mgr        *wal.Manager
-		authSecret []byte
-	)
+	// The token-signing secret lives next to the log so credentials
+	// issued before a restart still verify after it.
+	var authSecret []byte
 	secretPath := filepath.Join(cfg.WALDir, "auth.key")
 	if lease != nil {
 		// Shared across replicas, next to the lease: tokens issued by
@@ -177,62 +168,45 @@ func main() {
 		if err != nil {
 			log.Fatalf("auth secret: %v", err)
 		}
-		if *mode == "standby" {
-			// A standby's store is built by tailing the leader's log;
-			// its own WAL dir is bootstrapped at promotion and must not
-			// hold a stale previous term.
-			if entries, readErr := os.ReadDir(cfg.WALDir); readErr == nil && len(entries) > 0 {
-				log.Fatalf("-mode standby requires an empty WAL directory, but %s has %d entries (a stale log cannot be joined to a shipped store)", cfg.WALDir, len(entries))
-			}
-		} else {
-			mgr, err = wal.Open(cfg.WALDir, database, wal.Config{
-				GroupWindow:      cfg.WALGroupCommit(),
-				SnapshotInterval: cfg.SnapshotInterval(),
-			})
-			if err != nil {
-				log.Fatalf("opening WAL: %v", err)
-			}
-			r := mgr.Recovery
-			log.Printf("recovered from %s: snapshot=%v watermark=%d replayed=%d torn=%d",
-				cfg.WALDir, r.SnapshotLoaded, r.Watermark, r.Replayed, r.TornTails)
-		}
 	}
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(4096)
-
-	coord, err := core.New(core.Config{
-		HeartbeatInterval: cfg.HeartbeatInterval(),
-		MissedThreshold:   cfg.MissedThreshold,
-		Strategy:          strategy,
-		BatchSize:         cfg.SchedulerBatchSize,
-		AuthSecret:        authSecret,
-		Lease:             lease,
-		ReplicaID:         *replicaID,
-		EnableProfiling:   *pprofOn,
-	}, simclock.Real(), database, ckpts, bus)
+	rcfg := core.ReplicaConfig{
+		Dir: cfg.WALDir,
+		WAL: wal.Config{
+			GroupWindow:      cfg.WALGroupCommit(),
+			SnapshotInterval: cfg.SnapshotInterval(),
+		},
+		Coordinator: core.Config{
+			HeartbeatInterval: cfg.HeartbeatInterval(),
+			MissedThreshold:   cfg.MissedThreshold,
+			Strategy:          strategy,
+			BatchSize:         cfg.SchedulerBatchSize,
+			AuthSecret:        authSecret,
+			Lease:             lease,
+			ReplicaID:         *replicaID,
+			EnableProfiling:   *pprofOn,
+		},
+	}
+	if *mode == "standby" {
+		rcfg.FollowDir = *followDir
+	}
+	// Durable persistence: a solo replica or a leader recovers its store
+	// from snapshot + WAL and logs every mutation from here on; a warm
+	// standby builds its store from the leader's log instead.
+	rep, err := core.OpenReplica(rcfg, simclock.Real(),
+		checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(4096))
 	if err != nil {
-		log.Fatalf("creating coordinator: %v", err)
+		log.Fatalf("opening replica: %v", err)
 	}
-	if mgr != nil {
-		// Durability instrumentation: append/fsync latency, group-commit
-		// batch sizes and rotation counts on the coordinator's registry.
-		_ = mgr.Writer().Instrument(coord.Metrics())
-	}
-	if mgr != nil {
-		// Resume the job-ID sequence, requeue mid-migration jobs and
-		// re-arm failure detection around whatever was restored.
-		coord.RecoverState()
+	coord := rep.Coordinator()
+	if mgr := rep.WAL(); mgr != nil {
+		r := mgr.Recovery
+		log.Printf("recovered from %s: snapshot=%v watermark=%d replayed=%d torn=%d",
+			cfg.WALDir, r.SnapshotLoaded, r.Watermark, r.Replayed, r.TornTails)
 	}
 
-	// walMgr is the manager whose log currently backs the database: set
-	// at boot for solo/leader, installed by the promotion goroutine for
-	// a standby, read once more at shutdown for the final checkpoint.
-	var walMgr struct {
-		sync.Mutex
-		m *wal.Manager
+	if *mode != "standby" {
+		rep.Start()
 	}
-	walMgr.m = mgr
-
 	switch *mode {
 	case "leader":
 		for !coord.TryLead() {
@@ -242,39 +216,20 @@ func main() {
 		}
 		log.Printf("replica %s leading at epoch %d", *replicaID, coord.Epoch())
 	case "standby":
-		// Warm standby: tail the leader's log into the local store;
-		// requests are fenced with ErrNotLeader (plus a LeaderHint)
-		// until the lease is won. Promotion drains the reorder buffer,
-		// bootstraps a WAL of our own and re-arms the control plane.
-		follower := wal.NewFollower(database)
-		shipper := wal.NewShipper(*followDir)
+		// Warm standby: requests are fenced with ErrNotLeader (plus a
+		// LeaderHint) until the lease is won; then the replica promotes
+		// and starts. A promotion that fails must not serve: exiting
+		// lets the lease lapse to a replica that can.
 		go func() {
 			for {
-				if err := follower.Pump(shipper); err != nil {
+				if err := rep.Pump(); err != nil {
 					log.Printf("standby: tailing %s: %v", *followDir, err)
 				}
 				if coord.TryLead() {
-					_ = follower.Pump(shipper) // final catch-up: the old leader is fenced now
-					if n, err := follower.Drain(); err != nil {
-						log.Printf("warning: promotion drain: %v", err)
-					} else if n > 0 {
-						log.Printf("promotion: force-applied %d buffered records", n)
+					if err := rep.Promote(); err != nil {
+						log.Fatalf("promotion: %v", err)
 					}
-					m, err := wal.Open(cfg.WALDir, database, wal.Config{
-						GroupWindow:      cfg.WALGroupCommit(),
-						SnapshotInterval: cfg.SnapshotInterval(),
-					})
-					if err != nil {
-						log.Fatalf("promotion: opening WAL: %v", err)
-					}
-					_ = m.Writer().Instrument(coord.Metrics())
-					if err := m.Checkpoint(); err != nil {
-						log.Printf("warning: promotion checkpoint: %v", err)
-					}
-					walMgr.Lock()
-					walMgr.m = m
-					walMgr.Unlock()
-					coord.RecoverState()
+					rep.Start()
 					log.Printf("replica %s promoted to leader at epoch %d", *replicaID, coord.Epoch())
 					return
 				}
@@ -296,20 +251,11 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down")
-	coord.Stop()
 	_ = srv.Close()
-	walMgr.Lock()
-	mgr = walMgr.m
-	walMgr.Unlock()
-	if mgr != nil {
-		// Final checkpoint so the next boot replays an empty tail; the
-		// WAL already holds everything if this fails mid-write.
-		if err := mgr.Checkpoint(); err != nil {
-			log.Printf("warning: final snapshot: %v", err)
-		}
-		if err := mgr.Close(); err != nil {
-			log.Printf("warning: closing WAL: %v", err)
-		}
+	hadLog := rep.WAL() != nil
+	if err := rep.Close(); err != nil {
+		log.Printf("warning: final checkpoint and WAL close: %v", err)
+	} else if hadLog {
 		log.Printf("WAL closed; state checkpointed in %s", cfg.WALDir)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
-	"gpunion/internal/wal"
 	"gpunion/internal/workload"
 )
 
@@ -45,17 +44,21 @@ func main() {
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	bus := eventbus.New(1024)
 
-	// 1. A coordinator whose database is persisted via snapshot + WAL.
-	store := db.New(0)
-	mgr, err := wal.Open(walDir, store, wal.Config{})
-	if err != nil {
-		log.Fatal(err)
+	// 1. A coordinator whose database is persisted via snapshot + WAL:
+	// the same core.Replica assembly the daemon boots.
+	open := func() *core.Replica {
+		rep, err := core.OpenReplica(core.ReplicaConfig{
+			Dir:         walDir,
+			Coordinator: core.Config{HeartbeatInterval: 30 * time.Second},
+		}, clock, ckpts, bus)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep
 	}
-	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, store, ckpts, bus)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rep := open()
+	rep.Start()
+	coord, store := rep.Coordinator(), rep.Store()
 
 	// 2. Two provider nodes. Their heartbeat loops follow `active`, so
 	// they outlive the first coordinator: beats during the outage are
@@ -72,16 +75,15 @@ func main() {
 		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
 			clock, rt, ckpts, bus, coord)
-		resp, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), core.LocalAgent{A: ag})
+		resp, err := ag.Join(core.LocalLink{C: coord, A: ag}, "inproc://"+id, 1<<30)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ag.SetToken(resp.Token)
 		agents[id] = ag
 		var beat func()
 		beat = func() {
 			if active != nil && !ag.Departed() {
-				_, _ = active.Heartbeat(ag.HeartbeatRequest())
+				_, _ = ag.Beat(core.LocalLink{C: active, A: ag})
 			}
 			clock.AfterFunc(resp.HeartbeatInterval, beat)
 		}
@@ -97,7 +99,7 @@ func main() {
 		}
 	}
 	clock.Advance(10 * time.Minute)
-	if err := mgr.Checkpoint(); err != nil { // async snapshot under load
+	if err := rep.WAL().Checkpoint(); err != nil { // async snapshot under load
 		log.Fatal(err)
 	}
 	clock.Advance(5 * time.Minute)
@@ -110,30 +112,20 @@ func main() {
 	// only what the WAL fsynced survives.
 	preCrash := store.ExportState()
 	active = nil
-	coord.Stop()
-	if err := mgr.Close(); err != nil {
+	if err := rep.Kill(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\ncoordinator killed; recovering from", walDir)
 
-	// 5. Boot a successor from snapshot + WAL tail.
-	store2 := db.New(0)
-	mgr2, err := wal.Open(walDir, store2, wal.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mgr2.Close()
-	r := mgr2.Recovery
+	// 5. Boot a successor from snapshot + WAL tail. Start re-arms it
+	// around the recovered state.
+	rep2 := open()
+	defer rep2.Close()
+	r := rep2.WAL().Recovery
 	fmt.Printf("recovered: snapshot=%v watermark=%d replayed=%d records\n",
 		r.SnapshotLoaded, r.Watermark, r.Replayed)
-
-	coord2, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, store2, ckpts, bus)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer coord2.Stop()
-	coord2.RecoverState()
+	rep2.Start()
+	coord2, store2 := rep2.Coordinator(), rep2.Store()
 
 	// 6. Verify the job table survived, byte for byte.
 	recovered := store2.ExportState()
@@ -151,11 +143,9 @@ func main() {
 	active = coord2
 	for id, ag := range agents {
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Notifier: coord2}})
-		resp, err := coord2.Register(ag.RegisterRequest("inproc://"+id, 1<<30), core.LocalAgent{A: ag})
-		if err != nil {
+		if _, err := ag.Join(core.LocalLink{C: coord2, A: ag}, "inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
-		ag.SetToken(resp.Token)
 	}
 	clock.Advance(4 * time.Hour)
 

@@ -47,16 +47,16 @@ func main() {
 			gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
 			clock, rt, ckpts, bus, coord)
-		resp, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), core.LocalAgent{A: ag})
+		link := core.LocalLink{C: coord, A: ag}
+		resp, err := ag.Join(link, "inproc://"+id, 1<<30)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ag.SetToken(resp.Token)
 		agents[id] = ag
 		var beat func()
 		beat = func() {
 			if !ag.Departed() {
-				_, _ = coord.Heartbeat(ag.HeartbeatRequest())
+				_, _ = ag.Beat(link)
 			}
 			clock.AfterFunc(resp.HeartbeatInterval, beat)
 		}

@@ -128,8 +128,12 @@ type Agent struct {
 	paused    bool
 	departed  bool
 	token     string
-	stopped   bool
-	ticker    simclock.Timer
+	// addr and storageBytes are what the last Join advertised; Beat's
+	// re-joins repeat them.
+	addr         string
+	storageBytes int64
+	stopped      bool
+	ticker       simclock.Timer
 	// beatSeq numbers every heartbeat this agent builds, so the
 	// coordinator can drop duplicate deliveries of the same beat.
 	beatSeq uint64
@@ -163,6 +167,15 @@ type Agent struct {
 // in-process).
 type BeatSender interface {
 	Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error)
+}
+
+// Link is the agent's request path to the coordinator: core.Client over
+// HTTP, core.LocalLink in-process. A link that fronts several replicas
+// sends to ActiveEndpoint, so the Redirect inside Beat already steers
+// the re-join that follows it.
+type Link interface {
+	Register(api.RegisterRequest) (api.RegisterResponse, error)
+	BeatSender
 }
 
 // defaultAggregatorRetry is how long a failed aggregator stays demoted
@@ -242,9 +255,11 @@ func (a *Agent) SetToken(tok string) {
 
 // SetEndpoints installs the coordinator replica set the agent may talk
 // to; the first entry becomes the active endpoint. This is where
-// failover policy lives: heartbeat loops send to the active endpoint,
-// and Redirect rotates it when a replica answers api.ErrNotLeader or
-// stops answering at all.
+// failover policy lives: notifications go to the active endpoint, a
+// Link that spans the set (cmd/agent's over HTTP, the harnesses'
+// in-process) sends Join and Beat traffic there too, and Beat rotates
+// it through Redirect when a replica answers api.ErrNotLeader or does
+// not answer at all.
 func (a *Agent) SetEndpoints(eps []Endpoint) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -797,13 +812,6 @@ func (a *Agent) SetAggregator(id string, send BeatSender) {
 	a.mu.Unlock()
 }
 
-// AggregatorID returns the assigned aggregator's name (empty = none).
-func (a *Agent) AggregatorID() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.aggID
-}
-
 // aggregatorRetry resolves the demotion backoff.
 func (a *Agent) aggregatorRetry() time.Duration {
 	if a.cfg.AggregatorRetry > 0 {
@@ -866,6 +874,49 @@ func (a *Agent) SendBeat(direct BeatSender) (resp api.HeartbeatResponse, viaAggr
 	}
 	a.ObserveEpoch(resp.LeaderEpoch)
 	return resp, false, nil
+}
+
+// Join registers the node through link and adopts what the coordinator
+// answers: the credential for subsequent beats and the leader epoch as
+// the fencing floor. addr is where the coordinator reaches this agent.
+func (a *Agent) Join(link Link, addr string, storageBytes int64) (api.RegisterResponse, error) {
+	a.mu.Lock()
+	a.addr, a.storageBytes = addr, storageBytes
+	a.mu.Unlock()
+	resp, err := link.Register(a.RegisterRequest(addr, storageBytes))
+	if err != nil {
+		return resp, err
+	}
+	a.SetToken(resp.Token)
+	a.ObserveEpoch(resp.LeaderEpoch)
+	return resp, nil
+}
+
+// Beat is one turn of the agent's heartbeat loop: SendBeat through the
+// endpoint tiers, then whatever the answer demands. A coordinator that
+// no longer knows the node (it restarted, or the credential expired)
+// asks for a re-join; a fenced replica's api.ErrNotLeader redirects to
+// its hint (or the next endpoint) and re-joins there; an endpoint that
+// did not serve the beat at all is rotated away from, and the next Beat
+// tries its neighbour. The returned error is what is still wrong after
+// that — nil once a demanded re-join succeeded.
+func (a *Agent) Beat(link Link) (api.HeartbeatResponse, error) {
+	resp, _, err := a.SendBeat(link)
+	var nl api.ErrNotLeader
+	switch {
+	case err == nil && !resp.Reregister:
+		return resp, nil
+	case errors.As(err, &nl):
+		a.Redirect(nl.LeaderHint)
+	case err != nil:
+		a.Redirect("")
+		return resp, err
+	}
+	a.mu.Lock()
+	addr, storageBytes := a.addr, a.storageBytes
+	a.mu.Unlock()
+	_, err = a.Join(link, addr, storageBytes)
+	return resp, err
 }
 
 // HeartbeatRequest builds the periodic status update. Each built beat

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -100,5 +101,137 @@ func TestHeartbeatAndRegisterCarryEnvelope(t *testing.T) {
 	reg := r.agent.RegisterRequest("inproc://x", 1<<30)
 	if reg.ProtocolVersion != api.ProtocolVersion || reg.LeaderEpoch != 5 {
 		t.Fatalf("register envelope = %+v", reg.Envelope)
+	}
+}
+
+// scriptedLink is an agent.Link that answers from a script: each
+// Heartbeat pops the next reply, Register always succeeds with the
+// current token and epoch. It records what reached it.
+type scriptedLink struct {
+	beats     []func(api.HeartbeatRequest) (api.HeartbeatResponse, error)
+	epoch     uint64
+	registers []api.RegisterRequest
+	beatSeqs  []uint64
+}
+
+func (l *scriptedLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
+	l.registers = append(l.registers, req)
+	return api.RegisterResponse{
+		LeaderEpoch: l.epoch,
+		Token:       fmt.Sprintf("tok-%d", len(l.registers)),
+	}, nil
+}
+
+func (l *scriptedLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	l.beatSeqs = append(l.beatSeqs, req.BeatSeq)
+	next := l.beats[0]
+	l.beats = l.beats[1:]
+	return next(req)
+}
+
+func ack(epoch uint64) func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	return func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+		return api.HeartbeatResponse{LeaderEpoch: epoch, Acknowledged: true}, nil
+	}
+}
+
+func fail(err error) func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	return func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+		return api.HeartbeatResponse{}, err
+	}
+}
+
+// TestBeat is the one heartbeat turn every loop runs — the daemon's, the
+// simulations', the chaos harness's.
+func TestBeat(t *testing.T) {
+	endpoints := []Endpoint{{ID: "coord-a"}, {ID: "coord-b"}, {ID: "coord-c"}}
+	cases := []struct {
+		name       string
+		reply      func(api.HeartbeatRequest) (api.HeartbeatResponse, error)
+		wantErr    bool
+		wantJoins  int // registrations beyond the initial Join
+		wantActive string
+		wantEpoch  uint64
+	}{
+		{name: "ack", reply: ack(3), wantActive: "coord-a", wantEpoch: 3},
+		{name: "reregister rejoins in place",
+			reply: func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+				return api.HeartbeatResponse{Reregister: true}, nil
+			},
+			wantJoins: 1, wantActive: "coord-a", wantEpoch: 4},
+		{name: "not leader with hint follows it and rejoins",
+			reply:     fail(api.ErrNotLeader{LeaderHint: "coord-c", Epoch: 4}),
+			wantJoins: 1, wantActive: "coord-c", wantEpoch: 4},
+		{name: "not leader without hint tries the next endpoint",
+			reply:     fail(api.ErrNotLeader{}),
+			wantJoins: 1, wantActive: "coord-b", wantEpoch: 4},
+		{name: "unanswered beat rotates without rejoining",
+			reply:   fail(errors.New("connection refused")),
+			wantErr: true, wantActive: "coord-b", wantEpoch: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			r.agent.SetEndpoints(endpoints)
+			link := &scriptedLink{epoch: 3}
+			if _, err := r.agent.Join(link, "inproc://node-test", 1<<30); err != nil {
+				t.Fatal(err)
+			}
+			if r.agent.Token() != "tok-1" || r.agent.CoordEpoch() != 3 {
+				t.Fatalf("Join adopted token %q epoch %d", r.agent.Token(), r.agent.CoordEpoch())
+			}
+			link.epoch = 4 // what a re-join will be answered with
+			link.beats = append(link.beats, tc.reply)
+			_, err := r.agent.Beat(link)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Beat error = %v", err)
+			}
+			if got := len(link.registers) - 1; got != tc.wantJoins {
+				t.Fatalf("re-joins = %d, want %d", got, tc.wantJoins)
+			}
+			if tc.wantJoins > 0 {
+				rejoin := link.registers[1]
+				if rejoin.Addr != "inproc://node-test" || rejoin.StorageBytes != 1<<30 {
+					t.Errorf("re-join advertised %q / %d, not what Join did", rejoin.Addr, rejoin.StorageBytes)
+				}
+				if r.agent.Token() != "tok-2" {
+					t.Errorf("token after re-join = %q", r.agent.Token())
+				}
+			}
+			if got := r.agent.ActiveEndpoint().ID; got != tc.wantActive {
+				t.Errorf("active endpoint = %q, want %q", got, tc.wantActive)
+			}
+			if got := r.agent.CoordEpoch(); got != tc.wantEpoch {
+				t.Errorf("observed epoch = %d, want %d", got, tc.wantEpoch)
+			}
+		})
+	}
+}
+
+// TestBeatFallsBackFromDemotedAggregator: a failing rack relay is
+// demoted inside the same Beat call and the very same beat (same
+// sequence) lands on the direct link; the next Beat skips the relay.
+func TestBeatFallsBackFromDemotedAggregator(t *testing.T) {
+	r := newRig(t)
+	link := &scriptedLink{epoch: 1, beats: []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){ack(1), ack(1)}}
+	if _, err := r.agent.Join(link, "inproc://node-test", 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	relay := &scriptedLink{beats: []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){
+		fail(errors.New("relay down"))}}
+	r.agent.SetAggregator("agg-00", relay)
+
+	resp, err := r.agent.Beat(link)
+	if err != nil || !resp.Acknowledged {
+		t.Fatalf("Beat through a dead relay = %+v, %v", resp, err)
+	}
+	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 1 || relay.beatSeqs[0] != link.beatSeqs[0] {
+		t.Fatalf("relay saw %v, direct saw %v; want the same one beat on both", relay.beatSeqs, link.beatSeqs)
+	}
+	if resp, err = r.agent.Beat(link); err != nil || !resp.Acknowledged {
+		t.Fatalf("second Beat = %+v, %v", resp, err)
+	}
+	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 2 {
+		t.Fatalf("demoted relay was probed again: relay %v direct %v", relay.beatSeqs, link.beatSeqs)
 	}
 }

@@ -38,6 +38,10 @@ import (
 type Error struct {
 	Code    int    `json:"code"`
 	Message string `json:"message"`
+	// NotLeader is set when the error is an ErrNotLeader, so the typed
+	// reply (leader hint, epoch) survives the HTTP hop and a client can
+	// redirect instead of parsing Message.
+	NotLeader *ErrNotLeader `json:"not_leader,omitempty"`
 }
 
 // Error implements the error interface.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/obs"
@@ -239,7 +240,30 @@ func (c *Client) get(path string, out any) error {
 func readAPIError(resp *http.Response) error {
 	var apiErr api.Error
 	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Message != "" {
+		if apiErr.NotLeader != nil {
+			// Rebuild the typed error writeError flattened, so an agent's
+			// errors.As sees a fenced replica over HTTP as it does in-process.
+			return *apiErr.NotLeader
+		}
 		return apiErr
 	}
 	return fmt.Errorf("core: HTTP %d", resp.StatusCode)
+}
+
+// LocalLink is the in-process agent.Link: coordinator C called
+// directly, with agent A attached as its transport back on every
+// Register.
+type LocalLink struct {
+	C *Coordinator
+	A *agent.Agent
+}
+
+// Register implements agent.Link.
+func (l LocalLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
+	return l.C.Register(req, LocalAgent{A: l.A})
+}
+
+// Heartbeat implements agent.Link.
+func (l LocalLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	return l.C.Heartbeat(req)
 }

@@ -193,5 +193,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, api.Error{Code: code, Message: err.Error()})
+	body := api.Error{Code: code, Message: err.Error()}
+	var nl api.ErrNotLeader
+	if errors.As(err, &nl) {
+		body.NotLeader = &nl
+	}
+	writeJSON(w, code, body)
 }

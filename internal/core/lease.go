@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpunion/internal/simclock"
@@ -19,7 +20,7 @@ var ErrLeaseHeld = errors.New("core: lease held by another replica")
 var ErrLeaseLost = errors.New("core: lease lost")
 
 // LeaseClient is what a coordinator uses to acquire and keep
-// leadership. The canonical implementation is *Lease (an in-process
+// leadership. The one implementation of the protocol is *Lease (an
 // arbiter standing in for an external consensus service); the chaos
 // harness wraps it to inject partitions between a leader and the
 // arbiter.
@@ -33,6 +34,53 @@ type LeaseClient interface {
 	// Leader reports the current holder and epoch (best effort; holder
 	// is empty when the lease is free or expired).
 	Leader() (holder string, epoch uint64)
+}
+
+// LeaseRecord is the arbiter's entire state: who holds the lease, under
+// which epoch, and until when. The zero record is a free lease that has
+// never been granted.
+type LeaseRecord struct {
+	Holder  string    `json:"holder"`
+	Epoch   uint64    `json:"epoch"`
+	Expires time.Time `json:"expires"`
+}
+
+// LeaseStore holds the arbiter's one record. The protocol lives in
+// Lease; a store only supplies mutual exclusion and persistence: in
+// memory for the simulations (NewMemLeaseStore), a file on storage
+// every replica can reach for the daemon (FileLeaseStore).
+type LeaseStore interface {
+	// Load returns the current record; a missing or unreadable one
+	// reads as the zero record.
+	Load() LeaseRecord
+	// Update runs fn on the current record under the store's mutual
+	// exclusion and persists whatever fn leaves in it, unless fn errors.
+	Update(fn func(rec *LeaseRecord) error) error
+}
+
+type memLeaseStore struct {
+	mu  sync.Mutex
+	rec LeaseRecord
+}
+
+// NewMemLeaseStore returns an in-process LeaseStore.
+func NewMemLeaseStore() LeaseStore { return &memLeaseStore{} }
+
+func (s *memLeaseStore) Load() LeaseRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rec
+}
+
+func (s *memLeaseStore) Update(fn func(rec *LeaseRecord) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.rec
+	if err := fn(&rec); err != nil {
+		return err
+	}
+	s.rec = rec
+	return nil
 }
 
 // Lease is a single-key lease arbiter with monotonically increasing
@@ -51,64 +99,85 @@ type LeaseClient interface {
 // The second rule bounds unavailability instead of risking split brain:
 // after a leader dies, writes are rejected everywhere for at most
 // TTL + SkewTolerance before a standby can take over.
+//
+// Several Lease values over one shared store (one per daemon process
+// over a FileLeaseStore) are one arbiter: every decision is taken
+// inside the store's Update.
 type Lease struct {
+	store LeaseStore
 	clock simclock.Clock
 	// TTL is how long one grant or renewal lasts.
 	ttl time.Duration
 	// skewTolerance is the extra wait after expiry before re-granting.
 	skewTolerance time.Duration
-
-	mu      sync.Mutex
-	epoch   uint64
-	holder  string
-	expires time.Time
+	// seen is the highest epoch this arbiter has read or granted. A
+	// record that lost its epoch (a corrupt file reads as the zero
+	// record) is floored to it, so no replica is ever granted an epoch
+	// at or below one it already served under.
+	seen atomic.Uint64
 }
 
-// NewLease creates an arbiter on the given (authoritative) clock.
-func NewLease(clock simclock.Clock, ttl, skewTolerance time.Duration) *Lease {
-	return &Lease{clock: clock, ttl: ttl, skewTolerance: skewTolerance}
+// NewLease creates an arbiter over store on the given (authoritative)
+// clock.
+func NewLease(store LeaseStore, clock simclock.Clock, ttl, skewTolerance time.Duration) *Lease {
+	return &Lease{store: store, clock: clock, ttl: ttl, skewTolerance: skewTolerance}
 }
 
-// TTL returns the grant duration.
-func (l *Lease) TTL() time.Duration { return l.ttl }
+// observe raises the seen-epoch floor.
+func (l *Lease) observe(epoch uint64) {
+	for {
+		cur := l.seen.Load()
+		if epoch <= cur || l.seen.CompareAndSwap(cur, epoch) {
+			return
+		}
+	}
+}
 
 // Acquire implements LeaseClient.
-func (l *Lease) Acquire(holder string) (uint64, time.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.clock.Now()
-	if l.holder != "" && l.holder != holder && now.Before(l.expires.Add(l.skewTolerance)) {
-		return 0, time.Time{}, fmt.Errorf("%w: %s until %s", ErrLeaseHeld, l.holder, l.expires)
-	}
-	l.epoch++
-	l.holder = holder
-	l.expires = now.Add(l.ttl)
-	return l.epoch, l.expires, nil
+func (l *Lease) Acquire(holder string) (epoch uint64, until time.Time, err error) {
+	err = l.store.Update(func(rec *LeaseRecord) error {
+		now := l.clock.Now()
+		if rec.Holder != "" && rec.Holder != holder && now.Before(rec.Expires.Add(l.skewTolerance)) {
+			return fmt.Errorf("%w: %s until %s", ErrLeaseHeld, rec.Holder, rec.Expires)
+		}
+		if floor := l.seen.Load(); rec.Epoch < floor {
+			rec.Epoch = floor
+		}
+		rec.Epoch++
+		rec.Holder = holder
+		rec.Expires = now.Add(l.ttl)
+		epoch, until = rec.Epoch, rec.Expires
+		return nil
+	})
+	l.observe(epoch)
+	return epoch, until, err
 }
 
 // Renew implements LeaseClient.
-func (l *Lease) Renew(holder string, epoch uint64) (time.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.holder != holder || l.epoch != epoch {
-		return time.Time{}, ErrLeaseLost
-	}
-	now := l.clock.Now()
-	if !now.Before(l.expires.Add(l.skewTolerance)) {
-		// Fully lapsed: the holder must re-Acquire (and get a new epoch)
-		// rather than silently resume an expired term.
-		return time.Time{}, ErrLeaseLost
-	}
-	l.expires = now.Add(l.ttl)
-	return l.expires, nil
+func (l *Lease) Renew(holder string, epoch uint64) (until time.Time, err error) {
+	err = l.store.Update(func(rec *LeaseRecord) error {
+		if rec.Holder != holder || rec.Epoch != epoch {
+			return ErrLeaseLost
+		}
+		now := l.clock.Now()
+		if !now.Before(rec.Expires.Add(l.skewTolerance)) {
+			// Fully lapsed: the holder must re-Acquire (and get a new epoch)
+			// rather than silently resume an expired term.
+			return ErrLeaseLost
+		}
+		rec.Expires = now.Add(l.ttl)
+		until = rec.Expires
+		return nil
+	})
+	return until, err
 }
 
 // Leader implements LeaseClient.
 func (l *Lease) Leader() (string, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.holder == "" || !l.clock.Now().Before(l.expires) {
-		return "", l.epoch
+	rec := l.store.Load()
+	l.observe(rec.Epoch)
+	if rec.Holder == "" || !l.clock.Now().Before(rec.Expires) {
+		return "", rec.Epoch
 	}
-	return l.holder, l.epoch
+	return rec.Holder, rec.Epoch
 }

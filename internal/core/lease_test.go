@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,63 +18,160 @@ import (
 
 // --- Lease arbiter ---
 
-func TestLeaseSingleHolderAndEpochMonotonic(t *testing.T) {
-	clock := simclock.NewSim(t0)
-	l := NewLease(clock, 10*time.Second, 2*time.Second)
+// eachLeaseStore runs fn once per LeaseStore implementation: the
+// protocol is Lease's, so both must pass the same table.
+func eachLeaseStore(t *testing.T, fn func(t *testing.T, store LeaseStore)) {
+	t.Run("mem", func(t *testing.T) { fn(t, NewMemLeaseStore()) })
+	t.Run("file", func(t *testing.T) {
+		fn(t, FileLeaseStore(filepath.Join(t.TempDir(), "lease.json")))
+	})
+}
 
-	e1, _, err := l.Acquire("a")
-	if err != nil || e1 != 1 {
-		t.Fatalf("first acquire: epoch=%d err=%v", e1, err)
-	}
-	if _, _, err := l.Acquire("b"); !errors.Is(err, ErrLeaseHeld) {
-		t.Fatalf("contender acquired a held lease: %v", err)
-	}
-	// Re-acquire by the same holder is allowed but burns a new epoch.
-	e2, _, err := l.Acquire("a")
-	if err != nil || e2 != e1+1 {
-		t.Fatalf("re-acquire: epoch=%d err=%v", e2, err)
-	}
+func TestLeaseSingleHolderAndEpochMonotonic(t *testing.T) {
+	eachLeaseStore(t, func(t *testing.T, store LeaseStore) {
+		clock := simclock.NewSim(t0)
+		l := NewLease(store, clock, 10*time.Second, 2*time.Second)
+
+		e1, _, err := l.Acquire("a")
+		if err != nil || e1 != 1 {
+			t.Fatalf("first acquire: epoch=%d err=%v", e1, err)
+		}
+		if _, _, err := l.Acquire("b"); !errors.Is(err, ErrLeaseHeld) {
+			t.Fatalf("contender acquired a held lease: %v", err)
+		}
+		// Re-acquire by the same holder is allowed but burns a new epoch.
+		e2, _, err := l.Acquire("a")
+		if err != nil || e2 != e1+1 {
+			t.Fatalf("re-acquire: epoch=%d err=%v", e2, err)
+		}
+		if holder, epoch := l.Leader(); holder != "a" || epoch != e2 {
+			t.Fatalf("leader = %q at %d, want a at %d", holder, epoch, e2)
+		}
+	})
 }
 
 func TestLeaseRegrantWaitsForSkewTolerance(t *testing.T) {
-	clock := simclock.NewSim(t0)
-	l := NewLease(clock, 10*time.Second, 2*time.Second)
-	if _, _, err := l.Acquire("a"); err != nil {
-		t.Fatal(err)
-	}
-	// Expired but inside the skew grace: still held.
-	clock.Advance(11 * time.Second)
-	if _, _, err := l.Acquire("b"); !errors.Is(err, ErrLeaseHeld) {
-		t.Fatalf("regrant inside skew tolerance: %v", err)
-	}
-	clock.Advance(1 * time.Second) // now at expiry + skewTolerance
-	e, _, err := l.Acquire("b")
-	if err != nil || e != 2 {
-		t.Fatalf("regrant after grace: epoch=%d err=%v", e, err)
-	}
-	// The old holder's renew must now fail — its term is over.
-	if _, err := l.Renew("a", 1); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("stale holder renewed: %v", err)
-	}
+	eachLeaseStore(t, func(t *testing.T, store LeaseStore) {
+		clock := simclock.NewSim(t0)
+		l := NewLease(store, clock, 10*time.Second, 2*time.Second)
+		if _, _, err := l.Acquire("a"); err != nil {
+			t.Fatal(err)
+		}
+		// Expired but inside the skew grace: still held.
+		clock.Advance(11 * time.Second)
+		if _, _, err := l.Acquire("b"); !errors.Is(err, ErrLeaseHeld) {
+			t.Fatalf("regrant inside skew tolerance: %v", err)
+		}
+		if holder, _ := l.Leader(); holder != "" {
+			t.Fatalf("expired lease still names %q as leader", holder)
+		}
+		clock.Advance(1 * time.Second) // now at expiry + skewTolerance
+		e, _, err := l.Acquire("b")
+		if err != nil || e != 2 {
+			t.Fatalf("regrant after grace: epoch=%d err=%v", e, err)
+		}
+		// The old holder's renew must now fail — its term is over.
+		if _, err := l.Renew("a", 1); !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("stale holder renewed: %v", err)
+		}
+	})
 }
 
 func TestLeaseRenewExtendsAndLapsedRenewFails(t *testing.T) {
+	eachLeaseStore(t, func(t *testing.T, store LeaseStore) {
+		clock := simclock.NewSim(t0)
+		l := NewLease(store, clock, 10*time.Second, 2*time.Second)
+		e, _, err := l.Acquire("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(5 * time.Second)
+		until, err := l.Renew("a", e)
+		if err != nil || !until.Equal(clock.Now().Add(10*time.Second)) {
+			t.Fatalf("renew: until=%v err=%v", until, err)
+		}
+		// Let it fully lapse (past expiry + skew tolerance): renewal must
+		// not silently resume the old term.
+		clock.Advance(13 * time.Second)
+		if _, err := l.Renew("a", e); !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("lapsed renew succeeded: %v", err)
+		}
+	})
+}
+
+// TestLeaseTwoArbitersOneFile is the daemon's topology: every replica
+// process runs its own Lease over the shared file. Hammered from two
+// goroutines, no epoch may ever be granted twice, and a replica whose
+// grant is live must never see the other one granted.
+func TestLeaseTwoArbitersOneFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lease.json")
 	clock := simclock.NewSim(t0)
-	l := NewLease(clock, 10*time.Second, 2*time.Second)
-	e, _, err := l.Acquire("a")
-	if err != nil {
+	var (
+		mu     sync.Mutex
+		grants = map[uint64]string{}
+		wg     sync.WaitGroup
+	)
+	for _, holder := range []string{"coord-a", "coord-b"} {
+		l := NewLease(FileLeaseStore(path), clock, 10*time.Second, 2*time.Second)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				epoch, _, err := l.Acquire(holder)
+				if errors.Is(err, ErrLeaseHeld) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", holder, err)
+					return
+				}
+				mu.Lock()
+				if prev, dup := grants[epoch]; dup {
+					t.Errorf("epoch %d granted to %s and again to %s", epoch, prev, holder)
+				}
+				grants[epoch] = holder
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	// The clock never moved, so whoever won the first grant held the
+	// lease throughout: every epoch belongs to that one holder.
+	first := grants[1]
+	if first == "" || len(grants) != 50 {
+		t.Fatalf("grants = %d, epoch 1 to %q; want one holder's 50 re-acquisitions", len(grants), first)
+	}
+	for epoch, holder := range grants {
+		if holder != first {
+			t.Errorf("epoch %d went to %s while %s held a live lease", epoch, holder, first)
+		}
+	}
+}
+
+// TestLeaseCorruptFileReadsFreeEpochStillIncreases: a torn or garbage
+// record must read as a free lease (availability), and the arbiter that
+// saw the old epoch must still grant a strictly higher one (fencing).
+func TestLeaseCorruptFileReadsFreeEpochStillIncreases(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lease.json")
+	clock := simclock.NewSim(t0)
+	l := NewLease(FileLeaseStore(path), clock, 10*time.Second, 2*time.Second)
+	for want := uint64(1); want <= 3; want++ {
+		if e, _, err := l.Acquire("a"); err != nil || e != want {
+			t.Fatalf("acquire %d: epoch=%d err=%v", want, e, err)
+		}
+	}
+	if err := os.WriteFile(path, []byte(`{"holder":"a","epo`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(5 * time.Second)
-	until, err := l.Renew("a", e)
-	if err != nil || !until.Equal(clock.Now().Add(10*time.Second)) {
-		t.Fatalf("renew: until=%v err=%v", until, err)
+	if holder, epoch := l.Leader(); holder != "" || epoch != 0 {
+		t.Fatalf("corrupt record read as %q at epoch %d, want a free lease", holder, epoch)
 	}
-	// Let it fully lapse (past expiry + skew tolerance): renewal must
-	// not silently resume the old term.
-	clock.Advance(13 * time.Second)
-	if _, err := l.Renew("a", e); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("lapsed renew succeeded: %v", err)
+	e, _, err := l.Acquire("b")
+	if err != nil || e != 4 {
+		t.Fatalf("grant over a corrupt record: epoch=%d err=%v, want 4", e, err)
+	}
+	if holder, epoch := l.Leader(); holder != "b" || epoch != 4 {
+		t.Fatalf("after the regrant the file names %q at %d", holder, epoch)
 	}
 }
 
@@ -89,7 +189,7 @@ type leaseRig struct {
 func newLeaseRig(t *testing.T, replica string) *leaseRig {
 	t.Helper()
 	clock := simclock.NewSim(t0)
-	lease := NewLease(clock, 30*time.Second, 5*time.Second)
+	lease := NewLease(NewMemLeaseStore(), clock, 30*time.Second, 5*time.Second)
 	bus := eventbus.New(256)
 	coord, err := New(Config{
 		HeartbeatInterval: 10 * time.Second,
@@ -209,7 +309,7 @@ func (c *cutLease) Leader() (string, uint64) {
 
 func TestPartitionedLeaderSelfFencesBeforeSuccessor(t *testing.T) {
 	clock := simclock.NewSim(t0)
-	arbiter := NewLease(clock, 30*time.Second, 5*time.Second)
+	arbiter := NewLease(NewMemLeaseStore(), clock, 30*time.Second, 5*time.Second)
 	cut := &cutLease{inner: arbiter}
 	bus := eventbus.New(256)
 	coord, err := New(Config{

@@ -84,8 +84,6 @@ type Campus struct {
 	// Health holds each agent's injectable health source when the
 	// assembly was built WithHealthSources (gray-failure scripting).
 	Health map[string]*gpu.FakeHealthSource
-
-	hbInterval time.Duration
 }
 
 // CampusConfig tunes the assembly.
@@ -153,7 +151,6 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	c := &Campus{
 		Clock: clock, Coord: coord, Agents: make(map[string]*agent.Agent),
 		Ckpts: ckpts, Net: net, Bus: bus, Defs: defs,
-		hbInterval: cfg.HeartbeatInterval,
 	}
 	if cfg.WithHealthSources {
 		c.Health = make(map[string]*gpu.FakeHealthSource, len(defs))
@@ -181,41 +178,40 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 			acfg.Health = src
 		}
 		ag := agent.New(acfg, clock, rt, ckpts, bus, coord)
-		resp, err := coord.Register(ag.RegisterRequest("inproc://"+d.ID, 1<<40), core.LocalAgent{A: ag})
-		if err != nil {
+		if err := joinLocal(coord, ag); err != nil {
 			return nil, err
 		}
-		ag.SetToken(resp.Token)
 		c.Agents[d.ID] = ag
-		c.heartbeatLoop(ag)
+		link := core.LocalLink{C: coord, A: ag}
+		beatEvery(clock, cfg.HeartbeatInterval, ag, func() agent.Link { return link })
 	}
 	return c, nil
 }
 
-// localAgentHandle adapts an in-process agent for the coordinator.
-func localAgentHandle(ag *agent.Agent) core.AgentHandle {
-	return core.LocalAgent{A: ag}
+// joinLocal registers an in-process agent with coord under the sims'
+// address scheme and 1 TiB of advertised checkpoint storage.
+func joinLocal(coord *core.Coordinator, ag *agent.Agent) error {
+	_, err := ag.Join(core.LocalLink{C: coord, A: ag}, "inproc://"+ag.MachineID(), 1<<40)
+	return err
 }
 
-// heartbeatLoop arms a recurring heartbeat for an agent on the sim
-// clock. Departed agents skip beats (silence is the emergency signal);
-// expired credentials trigger re-registration, like the real daemon.
-func (c *Campus) heartbeatLoop(ag *agent.Agent) {
+// beatEvery arms the agent's recurring Beat on the sim clock — the
+// daemon's ticker loop in simulated time. link is asked once per tick:
+// nil means this beat never happens (the coordinator is down, the node
+// is cut off, the beat is lost in flight) and leaves the agent's beat
+// sequence and health buffer untouched. Departed agents skip beats:
+// silence is the emergency signal.
+func beatEvery(clock *simclock.Sim, every time.Duration, ag *agent.Agent, link func() agent.Link) {
 	var loop func()
 	loop = func() {
 		if !ag.Departed() {
-			resp, err := c.Coord.Heartbeat(ag.HeartbeatRequest())
-			if err == nil && resp.Reregister {
-				if r, rerr := c.Coord.Register(
-					ag.RegisterRequest("inproc://"+ag.MachineID(), 1<<40),
-					core.LocalAgent{A: ag}); rerr == nil {
-					ag.SetToken(r.Token)
-				}
+			if l := link(); l != nil {
+				_, _ = ag.Beat(l)
 			}
 		}
-		c.Clock.AfterFunc(c.hbInterval, loop)
+		clock.AfterFunc(every, loop)
 	}
-	c.Clock.AfterFunc(c.hbInterval, loop)
+	clock.AfterFunc(every, loop)
 }
 
 // Run advances the simulation by d.

@@ -49,8 +49,6 @@ type ChaosConfig struct {
 	// EnableWAL attaches a write-ahead log (required for WAL-fault and
 	// coordinator-crash injections).
 	EnableWAL bool
-	// WALDir is the log directory (empty = temp dir, removed after).
-	WALDir string
 	// AuditEvery is the periodic invariant-audit cadence (default 5 min).
 	AuditEvery time.Duration
 	// Drain runs the platform past the last fault so in-flight
@@ -235,17 +233,17 @@ type chaosHarness struct {
 	ckpts    *checkpoint.Store
 	net      *netsim.Network
 	fs       *chaos.FaultFS
-	dir      string
-	ownDir   bool
 	coordCfg core.Config
 	nodeIDs  []string
 	// skewed holds each agent's adjustable clock (the skew seam).
 	skewed map[string]*simclock.Skewed
 
-	mu          sync.Mutex
-	store       db.Store
-	coord       *core.Coordinator
-	mgr         *wal.Manager
+	mu sync.Mutex
+	// serving is the replica traffic is routed to: the one coordinator
+	// of a standalone run, the leader of a replicated pair. After a
+	// leader kill it stays the dead leader — stopped, so every request
+	// is fenced — until finishTakeover installs the successor.
+	serving     *replica
 	agents      map[string]*agent.Agent
 	crashed     map[string]bool
 	partitioned map[string]bool
@@ -316,43 +314,41 @@ type chaosHarness struct {
 	// checks, fence probes) for the next ExtraChecks drain.
 	replViolations []invariant.Violation
 	replicaSeq     int
-	// repl is the replica currently installed as h.coord.
-	repl *replica
-	// standbyStore is the warm standby's database; follower applies
-	// shipped records into it; shipper tails the leader's log.
-	standbyStore db.Store
-	follower     *wal.Follower
-	shipper      *wal.Shipper
-	// splitOpen marks an open split-brain window; the zombie* fields
-	// hold the isolated ex-leader so heal can probe and dispose of it.
+	// standby is the warm standby: a fenced replica from birth, tailing
+	// the serving leader's log (pumped from the leader's OnDurable hook)
+	// until a takeover promotes it.
+	standby *replica
+	// splitOpen marks an open split-brain window; zombie is the isolated
+	// ex-leader (at zombieEpoch) so heal can probe and dispose of it.
 	splitOpen   bool
 	zombie      *replica
-	zombieMgr   *wal.Manager
 	zombieEpoch uint64
-	zombieStore db.Store
-	// pendingTakeover is a successor still waiting out the lease grace.
+	// pendingTakeover is the standby still waiting out the lease grace.
 	pendingTakeover *takeover
-	// extraDirs are successor WAL directories to remove on stop.
-	extraDirs []string
+	// tmpDirs are the WAL directories the harness created, removed on
+	// stop.
+	tmpDirs   []string
 	failovers int
 }
 
-// replica bundles one lease-competing coordinator with its two fault
-// seams: the cuttable link to the arbiter and the adjustable clock.
+// replica is one core.Replica of the run plus, in replicated mode, its
+// identity and two fault seams: the cuttable link to the arbiter and
+// the adjustable clock (both nil for the standalone coordinator).
 type replica struct {
-	coord *core.Coordinator
-	id    string
-	cut   *chaosLeaseClient
-	skew  *simclock.Skewed
+	*core.Replica
+	dir  string
+	id   string
+	cut  *chaosLeaseClient
+	skew *simclock.Skewed
 }
 
-// takeover is a standby promotion in flight: the successor exists and
-// retries TryLead until the dead (or fenced) leader's lease grace runs
-// out, then finishTakeover installs it.
+// takeover is a standby promotion in flight: the standby retries
+// TryLead until the dead (or fenced) leader's lease grace runs out,
+// then finishTakeover promotes and installs it. It is live while it is
+// the harness's pendingTakeover; clearing that aborts it.
 type takeover struct {
 	rep       *replica
 	deadStore db.Store
-	aborted   bool
 }
 
 // chaosLeaseClient wraps the arbiter with a cuttable link: a cut client
@@ -462,39 +458,18 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		Trace:             h.trace,
 	}
 
-	store := db.New(0)
+	dir := ""
 	if cfg.EnableWAL {
-		dir := cfg.WALDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "gpunion-chaos-wal-*")
-			if err != nil {
-				return nil, err
-			}
-			dir = tmp
-			h.ownDir = true
-		}
-		h.dir = dir
-		h.fs = chaos.NewFaultFS()
-		walCfg := wal.Config{
-			FS:            h.fs,
-			OnAppendError: func(error) { h.noteDurabilityLoss() },
-		}
-		if cfg.Replicated {
-			// Semi-synchronous replication: the hook runs after the
-			// record is durable locally and before the store returns, so
-			// the standby holds every mutation any client was acked.
-			walCfg.OnDurable = h.onLeaderDurable
-		}
-		mgr, err := wal.Open(dir, store, walCfg)
-		if err != nil {
+		var err error
+		if dir, err = h.tempDir(); err != nil {
 			return nil, err
 		}
-		h.mgr = mgr
+		h.fs = chaos.NewFaultFS()
 		// Async checkpoints on the simulated clock (the Snapshotter's
 		// own ticker is wall-clock): one per simulated hour.
 		var checkpointLoop func()
 		checkpointLoop = func() {
-			if m := h.currentMgr(); m != nil {
+			if m := h.currentServing().WAL(); m != nil {
 				_ = m.Checkpoint()
 			}
 			if h.clock.Now().Before(Epoch.Add(cfg.Spec.Duration + cfg.Drain)) {
@@ -503,38 +478,29 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		}
 		h.clock.AfterFunc(time.Hour, checkpointLoop)
 	}
-
 	if cfg.Replicated {
 		// 30 s grants against a 2 min re-grant grace: a dead leader's
 		// slot stays fenced for at most 2.5 min of simulated time before
 		// a standby can win it.
-		h.lease = core.NewLease(h.clock, 30*time.Second, 2*time.Minute)
+		h.lease = core.NewLease(core.NewMemLeaseStore(), h.clock, 30*time.Second, 2*time.Minute)
 		h.leaderLog = invariant.NewLeaderLog()
-		rep, err := h.newReplica(store)
-		if err != nil {
-			return nil, err
-		}
-		h.store, h.coord, h.repl = store, rep.coord, rep
-		if !rep.coord.TryLead() {
+	}
+	rep, err := h.openReplica(dir, "")
+	if err != nil {
+		return nil, err
+	}
+	h.serving = rep
+	if cfg.Replicated {
+		if !rep.Coordinator().TryLead() {
 			return nil, fmt.Errorf("chaos: initial replica failed to take the free lease")
 		}
-		h.leaderLog.RecordTerm(rep.coord.Epoch(), rep.id)
-		h.standbyStore = db.New(0)
-		h.follower = wal.NewFollower(h.standbyStore)
-		h.shipper = wal.NewShipper(h.dir)
-	} else {
-		coord, err := core.New(h.coordCfg, h.clock, store, h.ckpts, h.bus)
-		if err != nil {
+		h.leaderLog.RecordTerm(rep.Coordinator().Epoch(), rep.id)
+		if h.standby, err = h.openStandby(rep); err != nil {
 			return nil, err
 		}
-		h.store, h.coord = store, coord
 	}
-	if h.mgr != nil {
-		// WAL latency/batch instrumentation lands on the serving
-		// coordinator's registry.
-		_ = h.mgr.Writer().Instrument(h.coord.Metrics())
-	}
-	h.attachStreamAudits(h.store)
+	h.attachStreamAudits(rep.Store())
+	rep.Start()
 
 	// The aggregation tier: rack relays folding their agents' no-op
 	// beats, each forwarding through the upstream seam (which applies
@@ -580,7 +546,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		if err := h.register(ag); err != nil {
 			return nil, err
 		}
-		h.heartbeatLoop(ag)
+		h.beat(ag)
 	}
 	return h, nil
 }
@@ -590,21 +556,14 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 func aggName(i int) string { return fmt.Sprintf("agg-%02d", i) }
 
 func (h *chaosHarness) stop() {
-	h.currentCoord().Stop()
 	h.mu.Lock()
-	t := h.pendingTakeover
-	if t != nil {
-		t.aborted = true
-	}
-	z := h.zombie
-	zMgr := h.zombieMgr
-	dirs := h.extraDirs
+	h.pendingTakeover = nil
+	reps := []*replica{h.serving, h.standby, h.zombie}
 	h.mu.Unlock()
-	if t != nil {
-		t.rep.coord.Stop()
-	}
-	if z != nil {
-		z.coord.Stop()
+	for _, r := range reps {
+		if r != nil {
+			_ = r.Kill()
+		}
 	}
 	for _, id := range h.nodeIDs {
 		h.agents[id].Stop()
@@ -612,31 +571,31 @@ func (h *chaosHarness) stop() {
 	for _, id := range h.aggIDs {
 		h.aggs[id].Stop()
 	}
-	if m := h.currentMgr(); m != nil {
-		_ = m.Close()
-	}
-	if zMgr != nil && zMgr != h.currentMgr() {
-		_ = zMgr.Close()
-	}
-	if h.ownDir {
-		os.RemoveAll(h.dir)
-	}
-	for _, d := range dirs {
+	for _, d := range h.tmpDirs {
 		os.RemoveAll(d)
 	}
 }
 
-func (h *chaosHarness) currentCoord() *core.Coordinator {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.coord
+// tempDir creates a WAL directory the harness removes on stop.
+func (h *chaosHarness) tempDir() (string, error) {
+	dir, err := os.MkdirTemp("", "gpunion-chaos-wal-*")
+	if err == nil {
+		h.mu.Lock()
+		h.tmpDirs = append(h.tmpDirs, dir)
+		h.mu.Unlock()
+	}
+	return dir, err
 }
 
-func (h *chaosHarness) currentStore() db.Store {
+func (h *chaosHarness) currentServing() *replica {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.store
+	return h.serving
 }
+
+func (h *chaosHarness) currentCoord() *core.Coordinator { return h.currentServing().Coordinator() }
+
+func (h *chaosHarness) currentStore() db.Store { return h.currentServing().Store() }
 
 // attachStreamAudits (re)binds the beat-delta and health-fold
 // equivalence recorders to the store passed in. Called at quiescent
@@ -713,36 +672,53 @@ func (h *chaosHarness) currentHealthAudit() *invariant.HealthAudit {
 	return h.healthAudit
 }
 
-func (h *chaosHarness) currentMgr() *wal.Manager {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.mgr
-}
-
 func (h *chaosHarness) noteDurabilityLoss() {
 	h.mu.Lock()
 	h.sawDurabilityLoss = true
 	h.mu.Unlock()
 }
 
-// newReplica builds a lease-competing coordinator over store, with its
-// own cuttable lease client and its own adjustable clock (the seams the
-// split-brain fault pulls on).
-func (h *chaosHarness) newReplica(store db.Store) (*replica, error) {
-	h.mu.Lock()
-	h.replicaSeq++
-	id := fmt.Sprintf("coord-%d", h.replicaSeq)
-	h.mu.Unlock()
-	cut := &chaosLeaseClient{inner: h.lease}
-	skew := simclock.NewSkewed(h.clock)
-	cfg := h.coordCfg
-	cfg.Lease = cut
-	cfg.ReplicaID = id
-	coord, err := core.New(cfg, skew, store, h.ckpts, h.bus)
+// openReplica opens one core.Replica of the run — the same assembly
+// the daemon boots — logging to dir, or tailing followDir as a standby
+// that logs to dir once promoted. In replicated mode it competes for
+// the lease under a fresh identity, through its own cuttable lease
+// client and on its own adjustable clock (the seams the split-brain
+// fault pulls on). The log keeps the harness's disk-fault FS and
+// durability-loss tap, and ships semi-synchronously when replicated.
+func (h *chaosHarness) openReplica(dir, followDir string) (*replica, error) {
+	rep := &replica{dir: dir}
+	cfg := core.ReplicaConfig{
+		Dir: dir, FollowDir: followDir,
+		WAL: wal.Config{
+			FS:            h.fs,
+			OnAppendError: func(error) { h.noteDurabilityLoss() },
+		},
+		Coordinator: h.coordCfg,
+	}
+	var clock simclock.Clock = h.clock
+	if h.cfg.Replicated {
+		h.mu.Lock()
+		h.replicaSeq++
+		rep.id = fmt.Sprintf("coord-%d", h.replicaSeq)
+		h.mu.Unlock()
+		rep.cut = &chaosLeaseClient{inner: h.lease}
+		rep.skew = simclock.NewSkewed(h.clock)
+		clock = rep.skew
+		cfg.Coordinator.Lease, cfg.Coordinator.ReplicaID = rep.cut, rep.id
+		cfg.WAL.OnDurable = h.onLeaderDurable
+	}
+	var err error
+	rep.Replica, err = core.OpenReplica(cfg, clock, h.ckpts, h.bus)
+	return rep, err
+}
+
+// openStandby opens a warm standby of leader in a directory of its own.
+func (h *chaosHarness) openStandby(leader *replica) (*replica, error) {
+	dir, err := h.tempDir()
 	if err != nil {
 		return nil, err
 	}
-	return &replica{coord: coord, id: id, cut: cut, skew: skew}, nil
+	return h.openReplica(dir, leader.dir)
 }
 
 // onLeaderDurable runs inside the serving replica's mutation hook,
@@ -752,15 +728,13 @@ func (h *chaosHarness) newReplica(store db.Store) (*replica, error) {
 // time any client observes a mutation, the standby can replay it.
 func (h *chaosHarness) onLeaderDurable(db.Mutation) {
 	h.mu.Lock()
-	rep := h.repl
-	store := h.store
-	fol, shp := h.follower, h.shipper
+	lead, sb := h.serving, h.standby
 	h.mu.Unlock()
-	if rep == nil || fol == nil || shp == nil {
+	if lead == nil || sb == nil {
 		return
 	}
-	h.leaderLog.RecordWrite(rep.coord.Epoch(), rep.id)
-	if err := fol.Pump(shp); err != nil {
+	h.leaderLog.RecordWrite(lead.Coordinator().Epoch(), lead.id)
+	if err := sb.Pump(); err != nil {
 		h.mu.Lock()
 		h.replViolations = append(h.replViolations, invariant.Violation{
 			Rule:   "replication-ship-failed",
@@ -768,18 +742,8 @@ func (h *chaosHarness) onLeaderDurable(db.Mutation) {
 		})
 		h.mu.Unlock()
 	}
-	// Export the post-pump shipping backlog. Records lag is the
-	// leader/follower LSN gap; bytes lag is what the shipper still has
-	// on disk (best-effort — a concurrent truncation just skips files).
-	var lagRec uint64
-	if lsn, applied := store.CurrentLSN(), fol.AppliedLSN(); lsn > applied {
-		lagRec = lsn - applied
-	}
-	lagBytes, err := shp.LagBytes()
-	if err != nil {
-		lagBytes = 0
-	}
-	rep.coord.ObserveReplication(lagRec, lagBytes)
+	// Export the post-pump shipping backlog.
+	lead.Coordinator().ObserveReplication(sb.Lag(lead.Store().CurrentLSN()))
 }
 
 // silenced reports whether the node's control-plane path is cut. A
@@ -851,49 +815,62 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 	}
 }
 
-// register (re-)registers an agent with the current coordinator.
+// register (re-)joins an agent to whichever coordinator serves.
 func (h *chaosHarness) register(ag *agent.Agent) error {
-	resp, err := h.currentCoord().Register(
-		ag.RegisterRequest("inproc://"+ag.MachineID(), 1<<40),
-		chaosHandle{h: h, id: ag.MachineID(), inner: core.LocalAgent{A: ag}})
+	_, err := ag.Join(chaosLink{h: h, ag: ag}, "inproc://"+ag.MachineID(), 1<<40)
+	return err
+}
+
+// chaosLink is one agent's agent.Link: requests go to whichever
+// coordinator currently serves, and the link — which sees every request
+// — carries the harness's taps on that path.
+type chaosLink struct {
+	h  *chaosHarness
+	ag *agent.Agent
+}
+
+// Register attaches the fault-modelled transport back to the agent,
+// tells the aggregation audit, and in replicated mode teaches the agent
+// its endpoint set.
+func (l chaosLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
+	h, id := l.h, l.ag.MachineID()
+	resp, err := h.currentCoord().Register(req, chaosHandle{h: h, id: id, inner: core.LocalAgent{A: l.ag}})
 	if err != nil {
-		return err
+		return resp, err
 	}
-	ag.SetToken(resp.Token)
-	ag.ObserveEpoch(resp.LeaderEpoch)
 	if a := h.currentAggAudit(); a != nil {
 		// Register installs the node with LastHeartbeat = the
 		// coordinator's now, which is the shared simulated clock's now.
-		a.ObserveRegister(ag.MachineID(), h.clock.Now())
+		a.ObserveRegister(id, h.clock.Now())
 	}
 	if h.cfg.Replicated {
-		// The agent learns the endpoint set: the leader it just joined
-		// plus the standby it can fail over to on a leader change. Both
-		// routes land on the harness, which forwards to whoever leads.
+		// The leader it just joined plus the standby it can fail over to
+		// on a leader change — whose ID is the hint a fenced leader will
+		// give. Both routes land on the harness, which forwards to
+		// whoever leads.
 		h.mu.Lock()
-		leaderID := ""
-		if h.repl != nil {
-			leaderID = h.repl.id
-		}
+		lead, sb := h.serving, h.standby
 		h.mu.Unlock()
-		ag.SetEndpoints([]agent.Endpoint{
-			{ID: leaderID, Notifier: h},
-			{ID: "standby", Notifier: h},
-		})
+		l.ag.SetEndpoints([]agent.Endpoint{{ID: lead.id, Notifier: h}, {ID: sb.id, Notifier: h}})
 	}
-	return nil
+	return resp, nil
 }
 
-// directSender routes one agent's direct-path beats to whichever
-// coordinator currently serves, reporting acknowledged beats to the
-// aggregation audit (the direct path is the fallback tier, and the
-// audit must see every ack or honest fallback traffic would read as
-// fabrication).
-type directSender struct{ h *chaosHarness }
-
-func (s directSender) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	resp, err := s.h.currentCoord().Heartbeat(req)
-	s.h.observeBeatAck(req, resp, err)
+// Heartbeat is the direct path (the only one without an aggregation
+// tier, the fallback with one). Acknowledged beats are reported to the
+// aggregation audit — it must see every ack or honest fallback traffic
+// would read as fabrication — and, inside a duplicate-delivery window,
+// the very same request (same beat sequence) is replayed: the
+// coordinator's ingress guard must make it a no-op.
+func (l chaosLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	h := l.h
+	resp, err := h.currentCoord().Heartbeat(req)
+	h.observeBeatAck(req, resp, err)
+	if err == nil && resp.Acknowledged && !resp.Reregister {
+		h.maybeReplay("heartbeat", "heartbeat "+req.MachineID, func() {
+			_, _ = h.currentCoord().Heartbeat(req)
+		})
+	}
 	return resp, err
 }
 
@@ -1009,74 +986,21 @@ func (h *chaosHarness) dropBeat(id string) bool {
 	return h.lossRng.Intn(2) == 0
 }
 
-// heartbeatLoop reports on the configured cadence; beats from silenced
-// (crashed or partitioned) and departed nodes are dropped — silence is
-// the platform's failure signal — and partial-loss windows drop
-// individual beats probabilistically. Agents with a rack aggregator
-// assigned use the tiered loop instead; the classic direct loop below
-// is byte-for-byte what the pre-aggregation schedules ran.
-func (h *chaosHarness) heartbeatLoop(ag *agent.Agent) {
-	if ag.AggregatorID() != "" {
-		h.aggregatedHeartbeatLoop(ag)
-		return
-	}
-	var loop func()
-	loop = func() {
-		if !ag.Departed() && !h.silenced(ag.MachineID()) && !h.dropBeat(ag.MachineID()) {
-			req := ag.HeartbeatRequest()
-			resp, err := h.currentCoord().Heartbeat(req)
-			var nl api.ErrNotLeader
-			switch {
-			case err == nil && resp.Reregister:
-				_ = h.register(ag)
-			case err == nil && resp.Acknowledged:
-				ag.ObserveEpoch(resp.LeaderEpoch)
-				// Replay the very same request (same beat sequence):
-				// the coordinator's ingress guard must make it a no-op.
-				h.maybeReplay("heartbeat", "heartbeat "+ag.MachineID(), func() {
-					if c := h.currentCoord(); c != nil {
-						_, _ = c.Heartbeat(req)
-					}
-				})
-			case errors.As(err, &nl):
-				// The replica we addressed is fenced: follow the hint
-				// (or try the other endpoint) and re-register. During
-				// the no-leader gap the register fails too; the next
-				// beat retries.
-				ag.Redirect(nl.LeaderHint)
-				_ = h.register(ag)
-			}
+// beat arms the agent's heartbeat loop: agent.Beat every interval, the
+// rack aggregator first when one is assigned (SendBeat re-delivers the
+// very same beat direct on fallback, so the coordinator's sequence
+// guard sees at most one effective copy). Beats from silenced (crashed
+// or partitioned) nodes are dropped — silence is the platform's failure
+// signal — and partial-loss windows drop individual beats
+// probabilistically, both decided before the request is built.
+func (h *chaosHarness) beat(ag *agent.Agent) {
+	link := chaosLink{h: h, ag: ag}
+	beatEvery(h.clock, h.cfg.HeartbeatInterval, ag, func() agent.Link {
+		if h.silenced(ag.MachineID()) || h.dropBeat(ag.MachineID()) {
+			return nil
 		}
-		h.clock.AfterFunc(h.cfg.HeartbeatInterval, loop)
-	}
-	h.clock.AfterFunc(h.cfg.HeartbeatInterval, loop)
-}
-
-// aggregatedHeartbeatLoop reports through the agent's endpoint tiers:
-// the rack aggregator first, the coordinator direct when the relay is
-// down, degraded or stale. SendBeat builds the request once and
-// re-delivers the very same beat on fallback, so the coordinator's
-// sequence guard sees at most one effective copy. Epoch observation
-// happens inside SendBeat; the loop only handles re-registration
-// demands and leadership redirects, mirroring the direct loop.
-func (h *chaosHarness) aggregatedHeartbeatLoop(ag *agent.Agent) {
-	direct := directSender{h: h}
-	var loop func()
-	loop = func() {
-		if !ag.Departed() && !h.silenced(ag.MachineID()) && !h.dropBeat(ag.MachineID()) {
-			resp, _, err := ag.SendBeat(direct)
-			var nl api.ErrNotLeader
-			switch {
-			case err == nil && resp.Reregister:
-				_ = h.register(ag)
-			case errors.As(err, &nl):
-				ag.Redirect(nl.LeaderHint)
-				_ = h.register(ag)
-			}
-		}
-		h.clock.AfterFunc(h.cfg.HeartbeatInterval, loop)
-	}
-	h.clock.AfterFunc(h.cfg.HeartbeatInterval, loop)
+		return link
+	})
 }
 
 // startTraffic maintains a population of cfg.Jobs concurrent training
@@ -1459,12 +1383,11 @@ func (h *chaosHarness) CrashCoordinator() []invariant.Violation {
 		// standby takes over instead of the same instance rebooting.
 		return h.KillLeader()
 	}
-	mgr := h.currentMgr()
+	old := h.currentServing()
+	mgr := old.WAL()
 	if mgr == nil {
 		return nil // no WAL: a restart would legitimately lose everything
 	}
-	old := h.currentCoord()
-	store := h.currentStore()
 
 	weakEquivalence := false
 	if mgr.Err() != nil {
@@ -1473,56 +1396,47 @@ func (h *chaosHarness) CrashCoordinator() []invariant.Violation {
 			weakEquivalence = true
 		}
 	}
-	before := store.ExportState()
+	before := old.Store().ExportState()
+	_ = old.Kill()
 
-	old.Stop()
-	_ = mgr.Close()
-
-	store2 := db.New(0)
-	mgr2, err := wal.Open(h.dir, store2, wal.Config{
-		FS:            h.fs,
-		OnAppendError: func(error) { h.noteDurabilityLoss() },
-	})
+	rep, err := h.openReplica(old.dir, "")
 	if err != nil {
 		// The run is failing (the violation below ends the scenario in
-		// red); drop the closed manager so later sim-clock checkpoints
-		// stop touching it.
-		h.mu.Lock()
-		h.mgr = nil
-		h.mu.Unlock()
+		// red); the killed replica stays installed, its log closed, so
+		// later sim-clock checkpoints find nothing to touch.
 		return []invariant.Violation{{Rule: "recovery-failed", Detail: err.Error()}}
 	}
+	// Opened but not started: the recovered image is compared before
+	// anything re-arms.
 	var vs []invariant.Violation
 	if !weakEquivalence {
-		vs = invariant.CheckEquivalence(before, store2.ExportState())
+		vs = invariant.CheckEquivalence(before, rep.Store().ExportState())
 	}
-
-	coord2, err := core.New(h.coordCfg, h.clock, store2, h.ckpts, h.bus)
-	if err != nil {
-		_ = mgr2.Close()
-		h.mu.Lock()
-		h.mgr = nil
-		h.mu.Unlock()
-		return append(vs, invariant.Violation{Rule: "recovery-failed", Detail: err.Error()})
-	}
-	_ = mgr2.Writer().Instrument(coord2.Metrics())
 	h.mu.Lock()
-	h.store, h.coord, h.mgr = store2, coord2, mgr2
 	h.recoveries++
+	h.mu.Unlock()
+	h.install(rep)
+	return vs
+}
+
+// install routes traffic to rep, a replica that is open (or promoted)
+// but not started: the stream audits re-attach at this quiescent point,
+// then the replica starts and the reachable fleet re-joins it. Silenced
+// nodes re-register when they come back, through the Reregister or
+// ErrNotLeader answer to their next beat.
+func (h *chaosHarness) install(rep *replica) {
+	h.mu.Lock()
+	h.serving = rep
 	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
-	h.attachStreamAudits(store2)
-
-	coord2.RecoverState()
-	// Reachable agents re-attach immediately; silenced ones re-register
-	// through the heartbeat Reregister path when they come back.
+	h.attachStreamAudits(rep.Store())
+	rep.Start()
 	for _, id := range h.nodeIDs {
 		ag := h.agents[id]
 		if !ag.Departed() && !h.silenced(id) {
 			_ = h.register(ag)
 		}
 	}
-	return vs
 }
 
 // --- chaos.ReplicatedPlatform ---
@@ -1537,72 +1451,65 @@ func (h *chaosHarness) KillLeader() []invariant.Violation {
 	if !h.cfg.Replicated {
 		return nil
 	}
-	h.mu.Lock()
-	busy := h.splitOpen || h.pendingTakeover != nil
-	rep := h.repl
-	h.mu.Unlock()
-	if busy || rep == nil || !rep.coord.Leading() {
-		return nil // no settled leader to kill; the schedule moves on
+	if rep := h.settledLeader(); rep != nil {
+		_ = rep.Kill()
+		h.beginTakeover(rep.Store())
 	}
-	oldMgr := h.currentMgr()
-	oldStore := h.currentStore()
-	rep.coord.Stop()
-	if oldMgr != nil {
-		_ = oldMgr.Close()
-	}
-	h.mu.Lock()
-	h.mgr = nil
-	h.mu.Unlock()
-	return h.beginTakeover(oldStore)
-}
-
-// beginTakeover creates the successor replica over the warm standby's
-// store and starts its lease-acquisition loop. deadStore is the fenced
-// ex-leader's final state — the acked baseline finishTakeover audits
-// against.
-func (h *chaosHarness) beginTakeover(deadStore db.Store) []invariant.Violation {
-	h.mu.Lock()
-	sst := h.standbyStore
-	h.mu.Unlock()
-	succ, err := h.newReplica(sst)
-	if err != nil {
-		return []invariant.Violation{{Rule: "failover-failed", Detail: err.Error()}}
-	}
-	t := &takeover{rep: succ, deadStore: deadStore}
-	h.mu.Lock()
-	h.pendingTakeover = t
-	h.mu.Unlock()
-	h.awaitTakeover(t)
 	return nil
 }
 
-// awaitTakeover retries the successor's lease acquisition every two
+// settledLeader returns the serving leader, or nil while a split-brain
+// window or a takeover is open (or the leader has lapsed): there is no
+// settled leader to fault then, and the schedule moves on.
+func (h *chaosHarness) settledLeader() *replica {
+	h.mu.Lock()
+	busy := h.splitOpen || h.pendingTakeover != nil
+	rep := h.serving
+	h.mu.Unlock()
+	if busy || !rep.Coordinator().Leading() {
+		return nil
+	}
+	return rep
+}
+
+// beginTakeover starts the standby's lease-acquisition loop. deadStore
+// is the fenced ex-leader's final state — the acked baseline
+// finishTakeover audits against.
+func (h *chaosHarness) beginTakeover(deadStore db.Store) {
+	h.mu.Lock()
+	t := &takeover{rep: h.standby, deadStore: deadStore}
+	h.pendingTakeover = t
+	h.mu.Unlock()
+	h.awaitTakeover(t)
+}
+
+// awaitTakeover retries the standby's lease acquisition every two
 // seconds. The retries fail exactly as long as the protocol demands:
 // until the previous grant plus the skew-tolerance grace has run out —
 // the window in which a zombie predecessor might still believe it
 // leads.
 func (h *chaosHarness) awaitTakeover(t *takeover) {
 	h.mu.Lock()
-	aborted := t.aborted
+	live := h.pendingTakeover == t
 	h.mu.Unlock()
-	if aborted {
+	if !live {
 		return
 	}
-	if t.rep.coord.TryLead() {
+	if t.rep.Coordinator().TryLead() {
 		h.finishTakeover(t)
 		return
 	}
 	h.clock.AfterFunc(2*time.Second, func() { h.awaitTakeover(t) })
 }
 
-// finishTakeover completes a promotion whose successor now holds the
+// finishTakeover completes a promotion whose standby now holds the
 // lease. The grant is the linearization point: the arbiter's grace
 // guarantees the predecessor self-fenced before it, so deadStore is
 // final and every mutation it ever acked must already be on the standby
-// — the zero-lost-acked audit checks exactly that. The successor then
-// gets its own log (seeded with a snapshot of the inherited state), a
-// fresh standby is bootstrapped from that log, and the fleet
-// re-attaches under the new epoch.
+// — the zero-lost-acked audit checks exactly that, between Promote
+// (final catch-up, drain, own log seeded with a snapshot of the
+// inherited state) and Start. A fresh standby is then bootstrapped from
+// the new leader's log, and the fleet re-attaches under the new epoch.
 func (h *chaosHarness) finishTakeover(t *takeover) {
 	fail := func(stage string, err error) {
 		h.mu.Lock()
@@ -1613,72 +1520,26 @@ func (h *chaosHarness) finishTakeover(t *takeover) {
 		})
 		h.mu.Unlock()
 	}
-	h.leaderLog.RecordTerm(t.rep.coord.Epoch(), t.rep.id)
-	h.mu.Lock()
-	sst, fol, shp := h.standbyStore, h.follower, h.shipper
-	h.mu.Unlock()
-
-	// Final catch-up from the dead leader's log, then force-apply any
-	// buffered out-of-order tail (holes are never-durable records).
+	h.leaderLog.RecordTerm(t.rep.Coordinator().Epoch(), t.rep.id)
 	before := t.deadStore.ExportState()
-	if err := fol.Pump(shp); err != nil {
-		fail("final catch-up", err)
+	if err := t.rep.Promote(); err != nil {
+		fail("promotion", err)
 		return
 	}
-	if _, err := fol.Drain(); err != nil {
-		fail("promotion drain", err)
-		return
-	}
-	vs := invariant.CheckNoLostAcked(before, sst.ExportState())
-
-	// The successor writes its own log from here on.
-	dir, err := os.MkdirTemp("", "gpunion-chaos-wal-*")
+	vs := invariant.CheckNoLostAcked(before, t.rep.Store().ExportState())
+	next, err := h.openStandby(t.rep)
 	if err != nil {
-		fail("successor wal dir", err)
-		return
-	}
-	mgr, err := wal.Open(dir, sst, wal.Config{
-		FS:            h.fs,
-		OnAppendError: func(error) { h.noteDurabilityLoss() },
-		OnDurable:     h.onLeaderDurable,
-	})
-	if err != nil {
-		fail("successor wal", err)
-		return
-	}
-	if err := mgr.Checkpoint(); err != nil {
-		fail("successor snapshot", err)
-		return
-	}
-	nextStandby := db.New(0)
-	if _, err := wal.Recover(dir, nextStandby); err != nil {
 		fail("next standby bootstrap", err)
 		return
 	}
 
-	_ = mgr.Writer().Instrument(t.rep.coord.Metrics())
 	h.mu.Lock()
-	h.store, h.coord, h.mgr, h.repl = sst, t.rep.coord, mgr, t.rep
-	h.standbyStore = nextStandby
-	h.follower = wal.NewFollower(nextStandby)
-	h.shipper = wal.NewShipper(dir)
-	h.extraDirs = append(h.extraDirs, dir)
+	h.standby = next
 	h.failovers++
 	h.pendingTakeover = nil
 	h.replViolations = append(h.replViolations, vs...)
-	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
-	h.attachStreamAudits(sst)
-
-	t.rep.coord.RecoverState()
-	// Reachable agents re-attach under the new epoch; silenced ones
-	// redirect via the heartbeat ErrNotLeader path when they come back.
-	for _, id := range h.nodeIDs {
-		ag := h.agents[id]
-		if !ag.Departed() && !h.silenced(id) {
-			_ = h.register(ag)
-		}
-	}
+	h.install(t.rep)
 }
 
 // SplitBrainStart isolates the serving leader from the lease arbiter
@@ -1691,28 +1552,18 @@ func (h *chaosHarness) SplitBrainStart() {
 	if !h.cfg.Replicated {
 		return
 	}
-	h.mu.Lock()
-	busy := h.splitOpen || h.pendingTakeover != nil
-	rep := h.repl
-	h.mu.Unlock()
-	if busy || rep == nil || !rep.coord.Leading() {
+	rep := h.settledLeader()
+	if rep == nil {
 		return
 	}
 	h.mu.Lock()
 	h.splitOpen = true
 	h.zombie = rep
-	h.zombieMgr = h.mgr
-	h.zombieEpoch = rep.coord.Epoch()
-	h.zombieStore = h.store
-	zStore := h.store
+	h.zombieEpoch = rep.Coordinator().Epoch()
 	h.mu.Unlock()
 	rep.cut.Cut(true)
 	rep.skew.SetOffset(-90 * time.Second)
-	if vs := h.beginTakeover(zStore); len(vs) > 0 {
-		h.mu.Lock()
-		h.replViolations = append(h.replViolations, vs...)
-		h.mu.Unlock()
-	}
+	h.beginTakeover(rep.Store())
 }
 
 // SplitBrainHeal reconnects the zombie's arbiter link and clock. If the
@@ -1733,27 +1584,21 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 		return nil
 	}
 	z := h.zombie
-	zMgr := h.zombieMgr
 	zEpoch := h.zombieEpoch
-	t := h.pendingTakeover
 	h.mu.Unlock()
 
 	z.skew.SetOffset(0)
 	z.cut.Cut(false)
 	_, cur := h.lease.Leader()
 
-	if z.coord.Leading() && cur == zEpoch {
+	if z.Coordinator().Leading() && cur == zEpoch {
 		// Survived: no successor exists and the grant is still live, so
-		// the zombie resumes as the rightful leader.
-		if t != nil {
-			h.mu.Lock()
-			t.aborted = true
-			h.mu.Unlock()
-			t.rep.coord.Stop()
-		}
+		// the zombie resumes as the rightful leader and the standby —
+		// whose every acquisition attempt was refused — goes on tailing
+		// it.
 		h.mu.Lock()
 		h.splitOpen = false
-		h.zombie, h.zombieMgr, h.zombieStore, h.zombieEpoch = nil, nil, nil, 0
+		h.zombie, h.zombieEpoch = nil, 0
 		h.pendingTakeover = nil
 		h.mu.Unlock()
 		return nil
@@ -1762,7 +1607,7 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 	// The zombie lapsed and must have self-fenced. Probe the fence.
 	var vs []invariant.Violation
 	probe := TrainingJobSubmission("split-brain-probe", workload.SmallCNN, 10*time.Minute)
-	if _, err := z.coord.SubmitJob(probe); err == nil {
+	if _, err := z.Coordinator().SubmitJob(probe); err == nil {
 		vs = append(vs, invariant.Violation{
 			Rule: "no-stale-write-accepted",
 			Detail: fmt.Sprintf("deposed leader %s (epoch %d) accepted a job submission after isolation",
@@ -1793,18 +1638,12 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 			break
 		}
 	}
-	z.coord.Stop()
-	if zMgr != nil {
-		_ = zMgr.Close()
-	}
+	// If the takeover is still waiting out the grace, the killed zombie
+	// stays installed — fenced, its log closed — until the successor is.
+	_ = z.Kill()
 	h.mu.Lock()
-	if h.mgr == zMgr {
-		// The successor has not installed its own log yet (takeover
-		// still waiting out the grace); keep the slot empty until then.
-		h.mgr = nil
-	}
 	h.splitOpen = false
-	h.zombie, h.zombieMgr, h.zombieStore, h.zombieEpoch = nil, nil, nil, 0
+	h.zombie, h.zombieEpoch = nil, 0
 	h.mu.Unlock()
 	return vs
 }
@@ -1957,7 +1796,8 @@ func (h *chaosHarness) skewedHealthyNodes() []string {
 	return out
 }
 
-// --- Canned scenarios (the CI gate: make verify-chaos) ---
+// --- Canned scenarios (the CI gates: make verify-chaos, verify-failover,
+// verify-gray, verify-agg) ---
 
 // chaosScaleDefs builds n single-3090 workstations.
 func chaosScaleDefs(n int) []NodeDef {
@@ -1972,14 +1812,34 @@ func chaosScaleDefs(n int) []NodeDef {
 	return defs
 }
 
-// RunChaosChurnScale is the 400-node churn schedule: provider crashes
-// and announced departures at the paper's interruption rates, at the
-// scale the ROADMAP targets. No WAL — the subject is the sharded
-// store, scheduler and migration machinery under mass churn.
-func RunChaosChurnScale(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
+// ChaosSchedule is one canned scenario: a name and the configuration
+// RunChaos executes under a seed.
+type ChaosSchedule struct {
+	Name   string
+	Config ChaosConfig
+}
+
+// RunChaosSchedule runs the canned schedule of that name under seed.
+func RunChaosSchedule(name string, seed int64) (ChaosResult, error) {
+	for _, sc := range ChaosSchedules {
+		if sc.Name == name {
+			sc.Config.Seed = seed
+			return RunChaos(sc.Config)
+		}
+	}
+	return ChaosResult{}, fmt.Errorf("sim: no chaos schedule named %q", name)
+}
+
+// ChaosSchedules is the one list of canned schedules: the TestChaos*
+// lanes look their schedule up here and campus-sim -chaos runs them
+// all.
+var ChaosSchedules = []ChaosSchedule{
+	// The 400-node churn schedule: provider crashes and announced
+	// departures at the paper's interruption rates, at the scale the
+	// ROADMAP targets. No WAL — the subject is the sharded store,
+	// scheduler and migration machinery under mass churn.
+	{Name: "churn@400", Config: ChaosConfig{
 		Defs: chaosScaleDefs(400),
-		Seed: seed,
 		Spec: chaos.Spec{
 			Duration:           90 * time.Minute,
 			ChurnPerNodePerDay: 6,
@@ -1988,16 +1848,12 @@ func RunChaosChurnScale(seed int64) (ChaosResult, error) {
 		Jobs:       100,
 		AuditEvery: 10 * time.Minute,
 		Drain:      time.Hour,
-	})
-}
-
-// RunChaosPartitionCrash is the paper-campus schedule combining
-// control-plane partitions (long enough to trigger emergency
-// migration and split-brain reconciliation) with coordinator
-// kill/restart mid-migration, on a WAL-backed store.
-func RunChaosPartitionCrash(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
+	}},
+	// The paper-campus schedule combining control-plane partitions (long
+	// enough to trigger emergency migration and split-brain
+	// reconciliation) with coordinator kill/restart mid-migration, on a
+	// WAL-backed store.
+	{Name: "partition+coord-crash", Config: ChaosConfig{
 		Spec: chaos.Spec{
 			Duration:           8 * time.Hour,
 			ChurnPerNodePerDay: 3,
@@ -2009,15 +1865,11 @@ func RunChaosPartitionCrash(seed int64) (ChaosResult, error) {
 		Jobs:        16,
 		EnableWAL:   true,
 		WithNetwork: true,
-	})
-}
-
-// RunChaosWALFaults is the disk-fault schedule: fsync-error and
-// short-write windows under live traffic, plus coordinator crashes
-// that force recovery from the damaged-but-quarantined log.
-func RunChaosWALFaults(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
+	}},
+	// The disk-fault schedule: fsync-error and short-write windows under
+	// live traffic, plus coordinator crashes that force recovery from the
+	// damaged-but-quarantined log.
+	{Name: "wal-disk-faults", Config: ChaosConfig{
 		Spec: chaos.Spec{
 			Duration:           6 * time.Hour,
 			ChurnPerNodePerDay: 2,
@@ -2028,18 +1880,14 @@ func RunChaosWALFaults(seed int64) (ChaosResult, error) {
 		Jobs:        16,
 		EnableWAL:   true,
 		WithNetwork: true,
-	})
-}
-
-// RunChaosSkewDup is the clock-skew + duplicate-delivery schedule on
-// the paper campus: per-node wall clocks step by minutes in either
-// direction while heartbeats, terminal job updates and launch requests
-// are replayed — under churn, so the replays race real displacements.
-// The subjects are the coordinator's idempotent ingress guards and the
-// agent's skew-hardened progress accounting.
-func RunChaosSkewDup(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
+	}},
+	// The clock-skew + duplicate-delivery schedule on the paper campus:
+	// per-node wall clocks step by minutes in either direction while
+	// heartbeats, terminal job updates and launch requests are replayed —
+	// under churn, so the replays race real displacements. The subjects
+	// are the coordinator's idempotent ingress guards and the agent's
+	// skew-hardened progress accounting.
+	{Name: "skew+dup-delivery", Config: ChaosConfig{
 		Spec: chaos.Spec{
 			Duration:           6 * time.Hour,
 			ChurnPerNodePerDay: 2,
@@ -2050,139 +1898,15 @@ func RunChaosSkewDup(seed int64) (ChaosResult, error) {
 			MeanDupWindow:      40 * time.Minute,
 		},
 		Jobs: 16,
-	})
-}
-
-// RunChaosGrayDegrade is the gray-failure schedule: nodes degrade
-// without dying — recoverable XIDs and thermal throttling stream in on
-// heartbeats while the node keeps beating and its jobs keep running —
-// under churn and a coordinator crash, on a WAL-backed store. The
-// subjects are the health-fold pipeline (health-score-consistent,
-// including across crash recovery), the scheduler's unhealthy
-// exclusion, and predictive checkpoint-then-migrate actually draining
-// degraded nodes (degraded-node-drained).
-func RunChaosGrayDegrade(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
-		Spec: chaos.Spec{
-			Duration:           6 * time.Hour,
-			ChurnPerNodePerDay: 2,
-			GrayDegradesPerDay: 24,
-			MeanGrayDegrade:    25 * time.Minute,
-			CoordCrashes:       1,
-		},
-		Jobs:        16,
-		EnableWAL:   true,
-		WithNetwork: true,
-	})
-}
-
-// RunChaosPartialLoss is the lossy-path schedule: partial heartbeat
-// loss (every other beat dropped) overlapping gray-degradation
-// windows, so health events arrive late, batched onto surviving beats.
-// The subjects are the bounded health carry (events accumulate and
-// ride the next delivered beat, none double-ingested), loss-tolerant
-// failure detection — a half-dead path must not get the node declared
-// lost — and, via the replicated pair with a leader kill, the health
-// score surviving standby promotion intact.
-func RunChaosPartialLoss(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
-		Spec: chaos.Spec{
-			Duration:           6 * time.Hour,
-			ChurnPerNodePerDay: 2,
-			GrayDegradesPerDay: 6,
-			MeanGrayDegrade:    20 * time.Minute,
-			PartialLossPerDay:  12,
-			MeanPartialLoss:    15 * time.Minute,
-			LeaderKills:        1,
-		},
-		Jobs:       16,
-		Replicated: true,
-	})
-}
-
-// RunChaosCkptReadRot is the silent-read-rot schedule: checkpoint
-// blobs are stored intact but every other read returns a damaged copy
-// during rot windows, while gray degradation forces predictive
-// migrations straight through the damage. The subjects are the
-// checkpoint store's read-side CRC detection and generation fallback
-// under a restore path that cannot trust what it fetches.
-func RunChaosCkptReadRot(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
-		Spec: chaos.Spec{
-			Duration:           6 * time.Hour,
-			ChurnPerNodePerDay: 2,
-			GrayDegradesPerDay: 6,
-			MeanGrayDegrade:    20 * time.Minute,
-			CkptReadRotPerDay:  10,
-			MeanCkptReadRot:    15 * time.Minute,
-		},
-		Jobs:        16,
-		EnableWAL:   true,
-		WithNetwork: true,
-	})
-}
-
-// RunChaosAggCrash is the aggregation-tier crash schedule: the paper
-// campus beats through four rack aggregators while relays are killed
-// mid-flush-window (their open deltas legitimately die) and restarted
-// empty, under churn and a coordinator crash on a WAL-backed store.
-// The subjects are the aggregation-equivalence audit — no fabricated
-// or persistently lost liveness through relay deaths — the agents'
-// direct-path fallback and re-promotion, and the roll-up surviving
-// coordinator recovery (the audit's ledger spans the store swap).
-func RunChaosAggCrash(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
-		Spec: chaos.Spec{
-			Duration:           6 * time.Hour,
-			ChurnPerNodePerDay: 2,
-			AggCrashesPerDay:   24,
-			MeanAggOutage:      10 * time.Minute,
-			CoordCrashes:       1,
-		},
-		Jobs:        16,
-		Aggregators: 4,
-		EnableWAL:   true,
-	})
-}
-
-// RunChaosAggPartition is the aggregation-tier partition schedule:
-// upstream links between relays and the coordinator are severed while
-// gray-degrading nodes stream health events, so health-carrying
-// pass-through beats must fail over to the direct path un-acked and
-// re-deliver without loss or double-ingestion. The subjects are
-// degradation + direct fallback (a cut relay must refuse beats, not
-// black-hole them), the health-completeness half of the equivalence
-// audit, and relay re-promotion after the heal.
-func RunChaosAggPartition(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
-		Spec: chaos.Spec{
-			Duration:            6 * time.Hour,
-			ChurnPerNodePerDay:  2,
-			AggPartitionsPerDay: 18,
-			MeanAggPartition:    12 * time.Minute,
-			GrayDegradesPerDay:  6,
-			MeanGrayDegrade:     20 * time.Minute,
-		},
-		Jobs:        16,
-		Aggregators: 4,
-	})
-}
-
-// RunChaosDataPlane is the data-plane schedule: partitions that sever
-// checkpoint transfers along with the control path, checkpoint-store
-// corruption windows (silent bit flips and truncation under the CRC
-// frames), churn to force migrations through the damage, and a
-// coordinator crash on a WAL-backed store. The subjects are checkpoint
-// corruption detection with generation fallback and migration retry
-// once a severed transfer path heals.
-func RunChaosDataPlane(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
+	}},
+	// The data-plane schedule: partitions that sever checkpoint transfers
+	// along with the control path, checkpoint-store corruption windows
+	// (silent bit flips and truncation under the CRC frames), churn to
+	// force migrations through the damage, and a coordinator crash on a
+	// WAL-backed store. The subjects are checkpoint corruption detection
+	// with generation fallback and migration retry once a severed transfer
+	// path heals.
+	{Name: "data-plane+ckpt-corrupt", Config: ChaosConfig{
 		Spec: chaos.Spec{
 			Duration:             6 * time.Hour,
 			ChurnPerNodePerDay:   2,
@@ -2196,5 +1920,137 @@ func RunChaosDataPlane(seed int64) (ChaosResult, error) {
 		Jobs:        16,
 		EnableWAL:   true,
 		WithNetwork: true,
-	})
+	}},
+	// The gray-failure schedule: nodes degrade without dying — recoverable
+	// XIDs and thermal throttling stream in on heartbeats while the node
+	// keeps beating and its jobs keep running — under churn and a
+	// coordinator crash, on a WAL-backed store. The subjects are the
+	// health-fold pipeline (health-score-consistent, including across
+	// crash recovery), the scheduler's unhealthy exclusion, and predictive
+	// checkpoint-then-migrate actually draining degraded nodes
+	// (degraded-node-drained).
+	{Name: "gray-degrade", Config: ChaosConfig{
+		Spec: chaos.Spec{
+			Duration:           6 * time.Hour,
+			ChurnPerNodePerDay: 2,
+			GrayDegradesPerDay: 24,
+			MeanGrayDegrade:    25 * time.Minute,
+			CoordCrashes:       1,
+		},
+		Jobs:        16,
+		EnableWAL:   true,
+		WithNetwork: true,
+	}},
+	// The lossy-path schedule: partial heartbeat loss (every other beat
+	// dropped) overlapping gray-degradation windows, so health events
+	// arrive late, batched onto surviving beats. The subjects are the
+	// bounded health carry (events accumulate and ride the next delivered
+	// beat, none double-ingested), loss-tolerant failure detection — a
+	// half-dead path must not get the node declared lost — and, via the
+	// replicated pair with a leader kill, the health score surviving
+	// standby promotion intact.
+	{Name: "partial-loss", Config: ChaosConfig{
+		Spec: chaos.Spec{
+			Duration:           6 * time.Hour,
+			ChurnPerNodePerDay: 2,
+			GrayDegradesPerDay: 6,
+			MeanGrayDegrade:    20 * time.Minute,
+			PartialLossPerDay:  12,
+			MeanPartialLoss:    15 * time.Minute,
+			LeaderKills:        1,
+		},
+		Jobs:       16,
+		Replicated: true,
+	}},
+	// The silent-read-rot schedule: checkpoint blobs are stored intact but
+	// every other read returns a damaged copy during rot windows, while
+	// gray degradation forces predictive migrations straight through the
+	// damage. The subjects are the checkpoint store's read-side CRC
+	// detection and generation fallback under a restore path that cannot
+	// trust what it fetches.
+	{Name: "ckpt-read-rot", Config: ChaosConfig{
+		Spec: chaos.Spec{
+			Duration:           6 * time.Hour,
+			ChurnPerNodePerDay: 2,
+			GrayDegradesPerDay: 6,
+			MeanGrayDegrade:    20 * time.Minute,
+			CkptReadRotPerDay:  10,
+			MeanCkptReadRot:    15 * time.Minute,
+		},
+		Jobs:        16,
+		EnableWAL:   true,
+		WithNetwork: true,
+	}},
+	// The aggregation-tier crash schedule: the paper campus beats through
+	// four rack aggregators while relays are killed mid-flush-window
+	// (their open deltas legitimately die) and restarted empty, under
+	// churn and a coordinator crash on a WAL-backed store. The subjects
+	// are the aggregation-equivalence audit — no fabricated or
+	// persistently lost liveness through relay deaths — the agents'
+	// direct-path fallback and re-promotion, and the roll-up surviving
+	// coordinator recovery (the audit's ledger spans the store swap).
+	{Name: "agg-crash", Config: ChaosConfig{
+		Spec: chaos.Spec{
+			Duration:           6 * time.Hour,
+			ChurnPerNodePerDay: 2,
+			AggCrashesPerDay:   24,
+			MeanAggOutage:      10 * time.Minute,
+			CoordCrashes:       1,
+		},
+		Jobs:        16,
+		Aggregators: 4,
+		EnableWAL:   true,
+	}},
+	// The aggregation-tier partition schedule: upstream links between
+	// relays and the coordinator are severed while gray-degrading nodes
+	// stream health events, so health-carrying pass-through beats must
+	// fail over to the direct path un-acked and re-deliver without loss or
+	// double-ingestion. The subjects are degradation + direct fallback (a
+	// cut relay must refuse beats, not black-hole them), the
+	// health-completeness half of the equivalence audit, and relay
+	// re-promotion after the heal.
+	{Name: "agg-partition+fallback", Config: ChaosConfig{
+		Spec: chaos.Spec{
+			Duration:            6 * time.Hour,
+			ChurnPerNodePerDay:  2,
+			AggPartitionsPerDay: 18,
+			MeanAggPartition:    12 * time.Minute,
+			GrayDegradesPerDay:  6,
+			MeanGrayDegrade:     20 * time.Minute,
+		},
+		Jobs:        16,
+		Aggregators: 4,
+	}},
+	// The leader-kill schedule on the replicated pair: three unannounced
+	// leader kills under churn, each forcing a lease-grace wait, a standby
+	// promotion with the zero-lost-acked audit, and a fleet-wide redirect
+	// — plus the single-leader-per-epoch and stale-write audits running
+	// throughout.
+	{Name: "leader-failover", Config: ChaosConfig{
+		Spec: chaos.Spec{
+			Duration:           6 * time.Hour,
+			ChurnPerNodePerDay: 2,
+			LeaderKills:        3,
+		},
+		Jobs:        16,
+		Replicated:  true,
+		WithNetwork: true,
+	}},
+	// The split-brain schedule: the serving leader is isolated from the
+	// lease arbiter with its clock stepped behind true time while a rival
+	// promotion races it. Short windows must end with the original leader
+	// resuming (no epoch change); long ones must end with it self-fenced
+	// before the rival's grant, probed at heal time from both the
+	// coordinator and the agent side.
+	{Name: "split-brain", Config: ChaosConfig{
+		Spec: chaos.Spec{
+			Duration:           6 * time.Hour,
+			ChurnPerNodePerDay: 2,
+			SplitBrains:        3,
+			MeanSplitBrain:     4 * time.Minute,
+		},
+		Jobs:        16,
+		Replicated:  true,
+		WithNetwork: true,
+	}},
 }

@@ -8,13 +8,10 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
-	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -93,61 +90,48 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	clock := simclock.NewSim(Epoch)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	bus := eventbus.New(4096)
-	lease := core.NewLease(clock, 30*time.Second, 2*time.Minute)
+	lease := core.NewLease(core.NewMemLeaseStore(), clock, 30*time.Second, 2*time.Minute)
 
-	// Leader store + log; the standby applies the shipped stream.
-	storeA := db.New(0)
-	standby := db.New(0)
-	follower := wal.NewFollower(standby)
-	shipper := wal.NewShipper(dirA)
-	mgrA, err := wal.Open(dirA, storeA, wal.Config{
-		// Semi-synchronous shipping: runs after the record is durable
-		// and before the store acks, so acked implies on-standby.
-		OnDurable: func(db.Mutation) { _ = follower.Pump(shipper) },
-	})
-	if err != nil {
+	// Two replicas of one assembly: the leader logs to dirA, the warm
+	// standby applies the shipped stream and fences until promoted.
+	var repA, repB *core.Replica
+	open := func(id, dir, follow string, onDurable func(db.Mutation)) (*core.Replica, error) {
+		return core.OpenReplica(core.ReplicaConfig{
+			Dir: dir, FollowDir: follow,
+			WAL: wal.Config{OnDurable: onDurable},
+			Coordinator: core.Config{HeartbeatInterval: time.Minute, BatchSize: 8,
+				Lease: lease, ReplicaID: id},
+		}, clock, ckpts, bus)
+	}
+	// Semi-synchronous shipping: runs after the record is durable and
+	// before the store acks, so acked implies on-standby.
+	if repA, err = open("coord-a", dirA, "", func(db.Mutation) { _ = repB.Pump() }); err != nil {
 		return res, err
 	}
-	coordCfg := core.Config{HeartbeatInterval: time.Minute, BatchSize: 8}
-	cfgA := coordCfg
-	cfgA.Lease, cfgA.ReplicaID = lease, "coord-a"
-	coordA, err := core.New(cfgA, clock, storeA, ckpts, bus)
-	if err != nil {
+	if repB, err = open("coord-b", dirB, dirA, nil); err != nil {
 		return res, err
 	}
+	defer repB.Kill()
+	coordA, storeA := repA.Coordinator(), repA.Store()
+	coordB, standby := repB.Coordinator(), repB.Store()
+	repA.Start()
 	if !coordA.TryLead() {
 		return res, fmt.Errorf("coord-a failed to take the free lease")
 	}
-	cfgB := coordCfg
-	cfgB.Lease, cfgB.ReplicaID = lease, "coord-b"
-	coordB, err := core.New(cfgB, clock, standby, ckpts, bus)
+
+	active := coordA
+
+	// The agents learn both replicas up front; a leader change is a
+	// redirect, not a reconfiguration. Notifications to a dead or fenced
+	// replica are dropped there (the chaos harness models the retry;
+	// this scripted run re-registers explicitly).
+	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
+		func() *core.Coordinator { return active }, []agent.Endpoint{
+			{ID: "coord-a", Notifier: coordA},
+			{ID: "coord-b", Notifier: coordB},
+		})
 	if err != nil {
 		return res, err
-	}
-
-	ref := &coordRef{}
-	ref.set(coordA)
-	rn := refNotifier{ref: ref}
-
-	agents := make([]*agent.Agent, cfg.Nodes)
-	for i := range agents {
-		id := fmt.Sprintf("node-%02d", i+1)
-		rt := container.NewRuntime(container.DefaultImages(),
-			gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15", ProgressTick: 30 * time.Second},
-			clock, rt, ckpts, bus, rn)
-		// The agent learns both replicas up front; a leader change is a
-		// redirect, not a reconfiguration.
-		ag.SetEndpoints([]agent.Endpoint{
-			{ID: "coord-a", Notifier: rn},
-			{ID: "coord-b", Notifier: rn},
-		})
-		if err := registerAgent(ref, ag); err != nil {
-			return res, err
-		}
-		ag.ObserveEpoch(coordA.Epoch())
-		agents[i] = ag
-		heartbeatVia(clock, ref, ag, time.Minute)
 	}
 
 	for i := 0; i < cfg.Jobs; i++ {
@@ -172,9 +156,8 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 
 	// --- Kill the leader. No handover, no final flush beyond what
 	// every ack already guaranteed.
-	ref.set(nil)
-	coordA.Stop()
-	if err := mgrA.Close(); err != nil {
+	active = nil
+	if err := repA.Kill(); err != nil {
 		return res, err
 	}
 
@@ -188,96 +171,27 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	res.PromotionDelay = clock.Now().Sub(killedAt)
 	res.NewLeader, res.NewEpoch = "coord-b", coordB.Epoch()
 
-	// Promotion: final catch-up from the dead leader's log, force-apply
-	// any out-of-order tail, and audit against the acked baseline.
-	if err := follower.Pump(shipper); err != nil {
-		return res, err
-	}
-	if _, err := follower.Drain(); err != nil {
+	// Promotion: final catch-up from the dead leader's log, drain, a log
+	// of its own — then, before anything re-arms, the audit against the
+	// acked baseline.
+	if err := repB.Promote(); err != nil {
 		return res, err
 	}
 	res.LostAcked = invariant.CheckNoLostAcked(before, standby.ExportState())
-
-	// The successor writes its own log from here on.
-	mgrB, err := wal.Open(dirB, standby, wal.Config{})
-	if err != nil {
-		return res, err
-	}
-	defer mgrB.Close()
-	coordB.RecoverState()
-	defer coordB.Stop()
-	ref.set(coordB)
+	repB.Start()
+	active = coordB
 
 	// Agents redirect to the surviving endpoint and re-register under
 	// the new epoch; their running workloads never stopped.
 	for _, ag := range agents {
 		ag.Redirect("coord-b")
-		if err := registerAgent(ref, ag); err != nil {
+		if err := joinLocal(coordB, ag); err != nil {
 			return res, err
 		}
-		ag.ObserveEpoch(coordB.Epoch())
 	}
 
 	clock.Advance(cfg.PostFailover)
 	res.CompletedAfterFailover = standby.CountJobsInState(db.JobCompleted)
 	res.LostJobs = cfg.Jobs - len(standby.ListJobs())
 	return res, nil
-}
-
-// refNotifier routes agent notifications to whichever coordinator the
-// ref currently names, dropping them during a leadership gap (the
-// chaos harness models the retry; the scripted run re-registers
-// explicitly).
-type refNotifier struct{ ref *coordRef }
-
-func (n refNotifier) JobUpdate(machineID, jobID string, state db.JobState, step int64) {
-	if c := n.ref.get(); c != nil {
-		c.JobUpdate(machineID, jobID, state, step)
-	}
-}
-
-func (n refNotifier) Departing(machineID string, reason api.DepartReason) {
-	if c := n.ref.get(); c != nil {
-		c.Departing(machineID, reason)
-	}
-}
-
-// RunChaosLeaderFailover is the leader-kill schedule on the replicated
-// pair: three unannounced leader kills under churn, each forcing a
-// lease-grace wait, a standby promotion with the zero-lost-acked audit,
-// and a fleet-wide redirect — plus the single-leader-per-epoch and
-// stale-write audits running throughout.
-func RunChaosLeaderFailover(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
-		Spec: chaos.Spec{
-			Duration:           6 * time.Hour,
-			ChurnPerNodePerDay: 2,
-			LeaderKills:        3,
-		},
-		Jobs:        16,
-		Replicated:  true,
-		WithNetwork: true,
-	})
-}
-
-// RunChaosSplitBrain is the split-brain schedule: the serving leader is
-// isolated from the lease arbiter with its clock stepped behind true
-// time while a rival promotion races it. Short windows must end with
-// the original leader resuming (no epoch change); long ones must end
-// with it self-fenced before the rival's grant, probed at heal time
-// from both the coordinator and the agent side.
-func RunChaosSplitBrain(seed int64) (ChaosResult, error) {
-	return RunChaos(ChaosConfig{
-		Seed: seed,
-		Spec: chaos.Spec{
-			Duration:           6 * time.Hour,
-			ChurnPerNodePerDay: 2,
-			SplitBrains:        3,
-			MeanSplitBrain:     4 * time.Minute,
-		},
-		Jobs:        16,
-		Replicated:  true,
-		WithNetwork: true,
-	})
 }

@@ -55,7 +55,7 @@ func TestChaosLeaderFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a replicated campus day")
 	}
-	res, err := RunChaosLeaderFailover(42)
+	res, err := RunChaosSchedule("leader-failover", 42)
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindLeaderKill] == 0 {
 		t.Errorf("no leader kills executed: %v", res.Report.Executed)
@@ -74,7 +74,7 @@ func TestChaosSplitBrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a replicated campus day")
 	}
-	res, err := RunChaosSplitBrain(42)
+	res, err := RunChaosSchedule("split-brain", 42)
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindSplitBrain] == 0 {
 		t.Errorf("no split-brain windows executed: %v", res.Report.Executed)

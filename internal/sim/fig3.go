@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gpunion/internal/api"
-	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
@@ -288,12 +287,7 @@ func (t *fig3Tracker) bringBack(nodeID string, scenario api.DepartReason) {
 	ag.Return()
 	if scenario != api.DepartTemporary {
 		// Scheduled/emergency exits re-join via fresh registration.
-		resp, err := t.campus.Coord.Register(
-			ag.RegisterRequest("inproc://"+nodeID, 1<<40),
-			core.LocalAgent{A: ag})
-		if err == nil {
-			ag.SetToken(resp.Token)
-		}
+		_ = joinLocal(t.campus.Coord, ag)
 	}
 	// Temporary departures resume via their next heartbeat, which the
 	// standing heartbeat loop sends automatically.

@@ -130,11 +130,7 @@ func runImpactCell(spec workload.TrainingSpec, k int, cfg ImpactConfig) (time.Du
 			// The provider returns half an hour later.
 			campus.Clock.AfterFunc(30*time.Minute, func() {
 				host.Return()
-				if resp, rerr := campus.Coord.Register(
-					host.RegisterRequest("inproc://"+st.NodeID, 1<<40),
-					localAgentHandle(host)); rerr == nil {
-					host.SetToken(resp.Token)
-				}
+				_ = joinLocal(campus.Coord, host)
 			})
 		})
 	}

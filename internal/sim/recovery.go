@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"gpunion/internal/agent"
@@ -96,36 +95,30 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	bus := eventbus.New(4096)
 
-	store1 := db.New(0)
-	mgr1, err := wal.Open(dir, store1, wal.Config{})
+	open := func() (*core.Replica, error) {
+		return core.OpenReplica(core.ReplicaConfig{
+			Dir:         dir,
+			Coordinator: core.Config{HeartbeatInterval: time.Minute, BatchSize: 8},
+		}, clock, ckpts, bus)
+	}
+	rep1, err := open()
 	if err != nil {
 		return res, err
 	}
-	coordCfg := core.Config{HeartbeatInterval: time.Minute, BatchSize: 8}
-	coord1, err := core.New(coordCfg, clock, store1, ckpts, bus)
-	if err != nil {
-		return res, err
-	}
+	rep1.Start()
+	coord1, store1 := rep1.Coordinator(), rep1.Store()
 
-	// ref lets the agents' heartbeat loops survive the coordinator they
-	// were started under: beats are dropped while the coordinator is
+	// The agents' heartbeat loops follow active, so they survive the
+	// coordinator they were started under: beats are dropped while it is
 	// down and resume against its successor — exactly what a real node
 	// daemon's retry loop does.
-	ref := &coordRef{}
-	ref.set(coord1)
+	active := coord1
 
-	agents := make([]*agent.Agent, cfg.Nodes)
-	for i := range agents {
-		id := fmt.Sprintf("node-%02d", i+1)
-		rt := container.NewRuntime(container.DefaultImages(),
-			gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15", ProgressTick: 30 * time.Second},
-			clock, rt, ckpts, bus, coord1)
-		if err := registerAgent(ref, ag); err != nil {
-			return res, err
-		}
-		agents[i] = ag
-		heartbeatVia(clock, ref, ag, time.Minute)
+	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
+		func() *core.Coordinator { return active },
+		[]agent.Endpoint{{ID: "coordinator", Notifier: coord1}})
+	if err != nil {
+		return res, err
 	}
 
 	for i := 0; i < cfg.Jobs; i++ {
@@ -140,7 +133,7 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	clock.Advance(10 * time.Minute)
 	if !cfg.NoSnapshot {
 		// Async checkpoint under live traffic; the log keeps the tail.
-		if err := mgr1.Checkpoint(); err != nil {
+		if err := rep1.WAL().Checkpoint(); err != nil {
 			return res, err
 		}
 	}
@@ -153,40 +146,34 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	// --- Crash. Only what fsync guaranteed survives: no final
 	// snapshot, no handover. The old coordinator's in-memory world
 	// (agent handles, relaunch metadata, sweep timers) dies here.
-	ref.set(nil)
-	coord1.Stop()
-	if err := mgr1.Close(); err != nil {
+	active = nil
+	if err := rep1.Kill(); err != nil {
 		return res, err
 	}
 
-	// --- Restart: recover a fresh store from snapshot + WAL tail.
-	store2 := db.New(0)
-	mgr2, err := wal.Open(dir, store2, wal.Config{})
+	// --- Restart: recover a fresh store from snapshot + WAL tail, and
+	// compare it with the pre-crash image before anything re-arms.
+	rep2, err := open()
 	if err != nil {
 		return res, err
 	}
-	res.Recovery = mgr2.Recovery
+	defer rep2.Kill()
+	coord2, store2 := rep2.Coordinator(), rep2.Store()
+	res.Recovery = rep2.WAL().Recovery
 	after := store2.ExportState()
 	res.RecoveredJobs = len(after.Jobs)
 	res.RecoveredNodes = len(after.Nodes)
 	res.NodesIntact = jsonEqual(before.Nodes, after.Nodes)
 	res.JobsIntact = jsonEqual(before.Jobs, after.Jobs)
 	res.AllocsIntact = jsonEqual(before.Allocations, after.Allocations)
-
-	coord2, err := core.New(coordCfg, clock, store2, ckpts, bus)
-	if err != nil {
-		return res, err
-	}
-	coord2.RecoverState()
-	defer coord2.Stop()
-	defer mgr2.Close()
-	ref.set(coord2)
+	rep2.Start()
+	active = coord2
 
 	// Agents notice the restart and re-register (their running
 	// workloads never stopped).
 	for _, ag := range agents {
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Notifier: coord2}})
-		if err := registerAgent(ref, ag); err != nil {
+		if err := joinLocal(coord2, ag); err != nil {
 			return res, err
 		}
 	}
@@ -205,52 +192,32 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	return res, nil
 }
 
-// coordRef is a swappable coordinator handle for loops that outlive one
-// coordinator process.
-type coordRef struct {
-	mu sync.Mutex
-	c  *core.Coordinator
-}
-
-func (r *coordRef) set(c *core.Coordinator) {
-	r.mu.Lock()
-	r.c = c
-	r.mu.Unlock()
-}
-
-func (r *coordRef) get() *core.Coordinator {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.c
-}
-
-// registerAgent registers ag with the current coordinator and stores
-// the issued credential.
-func registerAgent(ref *coordRef, ag *agent.Agent) error {
-	coord := ref.get()
-	resp, err := coord.Register(ag.RegisterRequest("inproc://"+ag.MachineID(), 1<<40), core.LocalAgent{A: ag})
-	if err != nil {
-		return err
-	}
-	ag.SetToken(resp.Token)
-	return nil
-}
-
-// heartbeatVia arms a recurring heartbeat that follows the coordinator
-// reference; beats during an outage are silently dropped, and an
-// expired or unknown credential triggers re-registration.
-func heartbeatVia(clock *simclock.Sim, ref *coordRef, ag *agent.Agent, interval time.Duration) {
-	var loop func()
-	loop = func() {
-		if coord := ref.get(); coord != nil && !ag.Departed() {
-			resp, err := coord.Heartbeat(ag.HeartbeatRequest())
-			if err == nil && resp.Reregister {
-				_ = registerAgent(ref, ag)
-			}
+// scriptedFleet builds n 2×RTX3090 nodes that know the endpoints eps,
+// join the coordinator active() names, and then beat every minute
+// through whichever one it names at that moment — none while it is nil,
+// so beats during an outage never happen. (Sim-clock callbacks run on
+// the advancing goroutine, so active may read a plain variable.)
+func scriptedFleet(n int, clock *simclock.Sim, ckpts *checkpoint.Store, bus *eventbus.Bus,
+	active func() *core.Coordinator, eps []agent.Endpoint) ([]*agent.Agent, error) {
+	agents := make([]*agent.Agent, n)
+	for i := range agents {
+		rt := container.NewRuntime(container.DefaultImages(),
+			gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
+		ag := agent.New(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
+			ProgressTick: 30 * time.Second}, clock, rt, ckpts, bus, nil)
+		ag.SetEndpoints(eps)
+		if err := joinLocal(active(), ag); err != nil {
+			return nil, err
 		}
-		clock.AfterFunc(interval, loop)
+		agents[i] = ag
+		beatEvery(clock, time.Minute, ag, func() agent.Link {
+			if c := active(); c != nil {
+				return core.LocalLink{C: c, A: ag}
+			}
+			return nil
+		})
 	}
-	clock.AfterFunc(interval, loop)
+	return agents, nil
 }
 
 // jsonEqual compares two values by their canonical JSON encoding — the

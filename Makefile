@@ -150,12 +150,18 @@ verify-bench:
 # (bench/trace.go, a module of its own, is the one hand assembly left).
 # Non-test code under internal, cmd or examples that opens a log, builds
 # a follower or calls RecoverState anywhere else is a second assembly
-# in the making.
+# in the making. The same lane keeps wall-clock sleeps out of the sims:
+# internal/sim runs on the simulated clock, and the one time.Sleep it
+# ever had was the §5.3 lock model whose timing made a tier-1 test flaky.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
 	if [ -n "$$out" ]; then \
 		echo "coordinator assembled outside internal/core/replica.go:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn 'time\.Sleep(' --include='*.go' internal/sim | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "wall-clock sleep in non-test code under internal/sim:"; echo "$$out"; exit 1; \
 	fi
 
 # Coverage with a floor: fail if total statement coverage drops below

@@ -186,20 +186,14 @@ func BenchmarkScalability(b *testing.B) {
 			b.ReportMetric(float64(r.P95SchedulingLatency.Microseconds()), "p95_sched_us_at_50")
 		}
 		if r.Nodes == 400 {
-			b.ReportMetric(r.Headroom, "model_headroom_at_400")
-			b.ReportMetric(r.SingleLockHeadroom, "model_single_lock_headroom_at_400")
 			b.ReportMetric(r.BatchSpeedup, "batch_speedup_at_400")
-		}
-		if r.Nodes == 800 {
-			b.ReportMetric(r.CoalesceSpeedup, "coalesce_speedup_at_800")
 		}
 	}
 	onceScalability.Do(func() {
 		fmt.Println("\n--- Scalability (paper: sub-second to 50 nodes; bottlenecks beyond 200) ---")
 		for _, r := range rows {
-			fmt.Printf("  n=%-4d sched p95=%-12v batch/decision=%-10v sub-second=%-5v §5.3 model: headroom sharded=%.1fx single-lock=%.1fx coalesce=%.1fx\n",
-				r.Nodes, r.P95SchedulingLatency, r.BatchMeanPerDecision, r.SubSecond,
-				r.Headroom, r.SingleLockHeadroom, r.CoalesceSpeedup)
+			fmt.Printf("  n=%-4d sched p95=%-12v batch/decision=%-10v hb sweep=%-10v sub-second=%v\n",
+				r.Nodes, r.P95SchedulingLatency, r.BatchMeanPerDecision, r.HeartbeatSweepLatency, r.SubSecond)
 		}
 	})
 }

@@ -17,10 +17,8 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -61,8 +59,7 @@ func main() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req api.HeartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := agg.Ingest(req)
@@ -73,14 +70,14 @@ func main() {
 			if !errors.Is(err, aggregator.ErrUnavailable) {
 				code = http.StatusBadGateway
 			}
-			writeJSON(w, code, map[string]string{"error": err.Error()})
+			api.WriteError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
 		folded, passthrough, forwards, forwardErrors := agg.Stats()
-		writeJSON(w, http.StatusOK, map[string]uint64{
+		api.WriteJSON(w, http.StatusOK, map[string]uint64{
 			"folded_beats":   folded,
 			"passthrough":    passthrough,
 			"forwards":       forwards,
@@ -105,12 +102,4 @@ func main() {
 	}
 	agg.Stop()
 	_ = srv.Close()
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "aggregator: encoding response: %v\n", err)
-	}
 }

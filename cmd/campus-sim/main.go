@@ -161,34 +161,16 @@ func runScalability(seed int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%6s %14s %14s %14s %10s %6s %11s %11s %7s\n",
-		"nodes", "sched mean", "sched p95", "batch/dec", "sub-sec",
-		"racks", "direct rq/s", "agg rq/s", "agg x")
+	fmt.Printf("%6s %14s %14s %14s %14s %10s\n",
+		"nodes", "sched mean", "sched p95", "batch/dec", "hb sweep", "sub-sec")
 	for _, r := range rows {
-		fmt.Printf("%6d %14s %14s %14s %10v %6d %11.1f %11.1f %6.1fx\n",
+		fmt.Printf("%6d %14s %14s %14s %14s %10v\n",
 			r.Nodes, r.MeanSchedulingLatency, r.P95SchedulingLatency,
-			r.BatchMeanPerDecision, r.SubSecond,
-			r.AggRacks, r.DirectIngressPerSecond, r.AggIngressPerSecond, r.IngressReduction)
+			r.BatchMeanPerDecision, r.HeartbeatSweepLatency, r.SubSecond)
 	}
 	fmt.Printf("\npaper reference: sub-second scheduling to 50 nodes; DB/heartbeat bottlenecks beyond 200\n")
-	fmt.Printf("batch/dec is per-decision cost via PlaceBatch\n")
-	fmt.Printf("direct/agg rq/s is coordinator ingress with every agent beating direct vs behind per-rack aggregators; agg x is the reduction\n")
-
-	// The §5.3 database-contention rows are a model owned by the sim (a
-	// striped lock held across a 50 µs sleep, 8 writers), not a
-	// measurement of db.Store; bench/ times the real store end to end.
-	fmt.Printf("\n%-18s %6s %14s %10s %9s %14s %8s\n",
-		"§5.3 model", "nodes", "commits/s", "required", "headroom", "coal beats/s", "coal x")
-	for _, r := range rows {
-		fmt.Printf("%-18s %6d %14.0f %10.0f %8.1fx %14.0f %7.1fx\n",
-			"model sharded", r.Nodes, r.DBOpsPerSecond, r.RequiredDBOpsPerSecond,
-			r.Headroom, r.CoalescedBeatsPerSecond, r.CoalesceSpeedup)
-		fmt.Printf("%-18s %6d %14.0f %10.0f %8.1fx\n",
-			"model single-lock", r.Nodes, r.SingleLockOpsPerSecond, r.RequiredDBOpsPerSecond,
-			r.SingleLockHeadroom)
-	}
-	fmt.Printf("\nmodel sharded spreads per-beat commits over the store's 16 locks, model single-lock over the paper's one\n")
-	fmt.Printf("coal beats/s commits the same beat volume as per-stripe batches (the TouchNodes pattern); coal x is its speedup over per-beat commits\n")
+	fmt.Printf("batch/dec is per-decision cost via PlaceBatch; hb sweep is one failure-detection pass over every node\n")
+	fmt.Printf("what the whole coordinator sustains (store, WAL, fsync) is measured by bench/: docs/BENCHMARKS.md \"§5.3, measured\"\n")
 }
 
 func runChaos(seed int64) {

@@ -1,11 +1,7 @@
 package agent
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -23,20 +19,20 @@ func (a *Agent) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/launch", func(w http.ResponseWriter, r *http.Request) {
 		var req api.LaunchRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := a.Launch(req)
 		if err != nil {
-			writeError(w, http.StatusConflict, err)
+			api.WriteError(w, http.StatusConflict, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("POST /v1/kill", func(w http.ResponseWriter, r *http.Request) {
 		var req api.KillRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		if err := a.KillJob(req); err != nil {
@@ -44,7 +40,7 @@ func (a *Agent) Handler() http.Handler {
 			if errors.Is(err, ErrStaleLeader) {
 				status = http.StatusConflict
 			}
-			writeError(w, status, err)
+			api.WriteError(w, status, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -52,19 +48,19 @@ func (a *Agent) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		var req api.CheckpointRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := a.CheckpointNow(req.JobID, req.Incremental)
 		if err != nil {
-			writeError(w, http.StatusConflict, err)
+			api.WriteError(w, http.StatusConflict, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("POST /v1/killswitch", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, api.KillSwitchResponse{KilledJobs: a.KillSwitch()})
+		api.WriteJSON(w, http.StatusOK, api.KillSwitchResponse{KilledJobs: a.KillSwitch()})
 	})
 
 	mux.HandleFunc("POST /v1/pause", func(w http.ResponseWriter, _ *http.Request) {
@@ -79,7 +75,7 @@ func (a *Agent) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/depart", func(w http.ResponseWriter, r *http.Request) {
 		var req api.DepartRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		grace := time.Duration(req.GraceSeconds) * time.Second
@@ -88,7 +84,7 @@ func (a *Agent) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, a.Status())
+		api.WriteJSON(w, http.StatusOK, a.Status())
 	})
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -180,80 +176,10 @@ func (c *Client) Depart(reason api.DepartReason, grace time.Duration) error {
 // Status fetches the agent's self-report.
 func (c *Client) Status() (api.AgentStatus, error) {
 	var st api.AgentStatus
-	resp, err := c.httpClient().Get(c.BaseURL + "/v1/status")
-	if err != nil {
-		return st, fmt.Errorf("agent: GET status: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, readError(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("agent: decoding status: %w", err)
-	}
-	return st, nil
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
+	err := api.GetJSON(c.HTTPClient, c.BaseURL+"/v1/status", &st)
+	return st, err
 }
 
 func (c *Client) post(path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("agent: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("agent: POST %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return readError(resp)
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("agent: decoding response: %w", err)
-		}
-	}
-	return nil
-}
-
-// decodeJSON parses the request body, writing a 400 on failure.
-func decodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
-	if err := json.NewDecoder(r.Body).Decode(out); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("agent: bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, api.Error{Code: code, Message: err.Error()})
-}
-
-func readError(resp *http.Response) error {
-	var apiErr api.Error
-	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Message != "" {
-		return apiErr
-	}
-	return fmt.Errorf("agent: HTTP %d", resp.StatusCode)
+	return api.PostJSON(c.HTTPClient, c.BaseURL+path, body, out)
 }

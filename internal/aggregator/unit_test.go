@@ -7,6 +7,7 @@ import (
 
 	"gpunion/internal/aggregator"
 	"gpunion/internal/api"
+	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
 )
 
@@ -63,6 +64,53 @@ func TestAggregatorStatsAndDefaults(t *testing.T) {
 	// The relayed epoch reaches subsequent folded acks.
 	if resp, err := agg.Ingest(idleBeat("n1", 5)); err != nil || resp.LeaderEpoch != 1 {
 		t.Fatalf("epoch relay: resp=%+v err=%v", resp, err)
+	}
+}
+
+// TestAggregatorWindowIsOneRequest pins the tier's ingress arithmetic:
+// however many no-op beats a window folds, from however many nodes, the
+// flush timer sends exactly one upstream request for them, and a
+// telemetry-carrying beat passes through as exactly one more.
+func TestAggregatorWindowIsOneRequest(t *testing.T) {
+	clock := simclock.NewSim(time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC))
+	up := &fakeUpstream{}
+	agg := aggregator.New(aggregator.Config{ID: "agg-u", FlushInterval: 30 * time.Second}, clock, up)
+	defer agg.Stop()
+
+	nodes := []string{"n1", "n2", "n3", "n4"}
+	for seq := uint64(1); seq <= 3; seq++ {
+		for _, n := range nodes {
+			if resp, err := agg.Ingest(idleBeat(n, seq)); err != nil || !resp.Acknowledged {
+				t.Fatalf("fold %s seq %d: resp=%+v err=%v", n, seq, resp, err)
+			}
+		}
+		clock.Advance(5 * time.Second)
+	}
+	if len(up.batches) != 0 {
+		t.Fatalf("window forwarded before its timer: %+v", up.batches)
+	}
+	clock.Advance(30 * time.Second)
+	if len(up.batches) != 1 || len(up.batches[0].Deltas) != len(nodes) || len(up.batches[0].Beats) != 0 {
+		t.Fatalf("12 folded beats: upstream saw %+v, want one batch of 4 deltas", up.batches)
+	}
+	for _, d := range up.batches[0].Deltas {
+		if d.Beats != 3 || d.BeatSeq != 3 {
+			t.Fatalf("delta %+v, want 3 beats up to seq 3", d)
+		}
+	}
+
+	req := idleBeat("n1", 4)
+	req.Telemetry = []gpu.Telemetry{{DeviceID: "gpu0", Model: "RTX 3090", Utilization: 0.5}}
+	if resp, err := agg.Ingest(req); err != nil || !resp.Acknowledged {
+		t.Fatalf("telemetry passthrough: resp=%+v err=%v", resp, err)
+	}
+	if len(up.batches) != 2 || len(up.batches[1].Beats) != 1 || len(up.batches[1].Deltas) != 0 ||
+		len(up.batches[1].Beats[0].Beat.Telemetry) != 1 {
+		t.Fatalf("telemetry beat: upstream saw %+v, want one more batch carrying the beat", up.batches[1:])
+	}
+	folded, passthrough, forwards, forwardErrors := agg.Stats()
+	if folded != 12 || passthrough != 1 || forwards != 2 || forwardErrors != 0 {
+		t.Fatalf("stats = %d/%d/%d/%d, want 12/1/2/0", folded, passthrough, forwards, forwardErrors)
 	}
 }
 

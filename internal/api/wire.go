@@ -1,0 +1,107 @@
+package api
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+)
+
+// The JSON wire helpers every daemon's routes and clients share, so a
+// body limit or a per-route histogram has one place to go.
+
+// DecodeJSON parses the request body into out, answering 400 with an
+// Error on failure.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
+	if err := json.NewDecoder(r.Body).Decode(out); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("api: bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
+// WriteJSON answers with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers with the Error envelope. An ErrNotLeader keeps its
+// typed form in the body; ReadError rebuilds it on the other side.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	body := Error{Code: code, Message: err.Error()}
+	var nl ErrNotLeader
+	if errors.As(err, &nl) {
+		body.NotLeader = &nl
+	}
+	WriteJSON(w, code, body)
+}
+
+// PostJSON sends body (nil for none) as a JSON POST; the reply is read
+// as Do reads it.
+func PostJSON(hc *http.Client, url string, body, out any) error {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return fmt.Errorf("api: encoding request: %w", err)
+		}
+		rd = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequest(http.MethodPost, url, rd)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return Do(hc, req, out)
+}
+
+// GetJSON fetches url; the reply is read as Do reads it.
+func GetJSON(hc *http.Client, url string, out any) error {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	return Do(hc, req, out)
+}
+
+// Do sends req and decodes the JSON reply into out (nil to ignore it).
+// A nil client is http.DefaultClient; a status of 300 or above is
+// returned as ReadError reads it.
+func Do(hc *http.Client, req *http.Request, out any) error {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		return ReadError(resp)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return fmt.Errorf("api: decoding response: %w", err)
+		}
+	}
+	return nil
+}
+
+// ReadError turns a non-2xx reply into the error the server wrote: the
+// typed ErrNotLeader when the envelope carries one — so an agent's
+// errors.As sees a fenced replica over HTTP as it does in-process — the
+// Error otherwise.
+func ReadError(resp *http.Response) error {
+	var apiErr Error
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Message != "" {
+		if apiErr.NotLeader != nil {
+			return *apiErr.NotLeader
+		}
+		return apiErr
+	}
+	return fmt.Errorf("api: HTTP %d", resp.StatusCode)
+}

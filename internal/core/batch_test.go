@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
+	"gpunion/internal/workload"
 )
 
 // fakeAgent is a scriptable AgentHandle: launches succeed on free
@@ -24,6 +26,7 @@ type fakeAgent struct {
 	inUse    map[string]bool
 	refuse   bool
 	launched []string
+	requests []api.LaunchRequest
 }
 
 func newFakeAgent(devices ...string) *fakeAgent {
@@ -40,6 +43,7 @@ func (f *fakeAgent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 		if !f.inUse[d] {
 			f.inUse[d] = true
 			f.launched = append(f.launched, req.JobID)
+			f.requests = append(f.requests, req)
 			return api.LaunchResponse{ContainerID: "ctr-" + req.JobID, DeviceID: d}, nil
 		}
 	}
@@ -262,5 +266,66 @@ func TestRecoveredStorePlacesWithoutReset(t *testing.T) {
 	}
 	if probs := coord.AuditSchedulerPool(); len(probs) != 0 {
 		t.Fatalf("candidate cache after recovery: %v", probs)
+	}
+}
+
+// TestLaunchRequestSurvivesRecovery: the relaunch spec is the job
+// record's own, so the launch an agent receives for a job this
+// coordinator admitted and the one it receives from a coordinator that
+// only ever saw the record (ExportState → fresh store → ImportState →
+// RecoverState) are field-for-field the same.
+func TestLaunchRequestSurvivesRecovery(t *testing.T) {
+	spec := workload.SmallCNN
+	spec.TotalSteps = 20000 // past the scheduler's long-running line
+	register := func(c *Coordinator) *fakeAgent {
+		t.Helper()
+		fake := newFakeAgent("gpu0")
+		if _, err := c.Register(api.RegisterRequest{
+			MachineID: "n0", Addr: "fake://n0",
+			GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090",
+				MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}},
+		}, fake); err != nil {
+			t.Fatal(err)
+		}
+		return fake
+	}
+
+	// Admitted here, queued (no node yet), exported, then placed.
+	first := newBatchRig(t, 4)
+	jobID, err := first.coord.SubmitJob(api.SubmitJobRequest{
+		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+		Entrypoint: []string{"python", "train.py"}, Priority: 3,
+		GPUMemMiB: 8192, CapabilityMajor: 7, CapabilityMinor: 5,
+		CheckpointIntervalSec: 30, StoragePrefs: []string{"nas", "s3"},
+		Training: &spec, SessionSeconds: 900,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := first.coord.db.ExportState()
+	before := register(first.coord)
+
+	store := db.New(0)
+	store.ImportState(image)
+	second, err := New(Config{HeartbeatInterval: 10 * time.Second, BatchSize: 4}, simclock.NewSim(t0),
+		store, checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(second.Stop)
+	second.RecoverState()
+	after := register(second)
+
+	if len(before.requests) != 1 || len(after.requests) != 1 || before.requests[0].JobID != jobID {
+		t.Fatalf("launches: before %+v, after %+v", before.requests, after.requests)
+	}
+	if !reflect.DeepEqual(before.requests[0], after.requests[0]) {
+		t.Fatalf("launch request changed across recovery:\nbefore %+v\nafter  %+v",
+			before.requests[0], after.requests[0])
+	}
+	if got := before.requests[0]; got.Training == nil || *got.Training != spec ||
+		got.ImageName == "" || len(got.Entrypoint) != 2 || got.CheckpointIntervalSec != 30 ||
+		got.SessionSeconds != 900 || got.Kind != "batch" {
+		t.Fatalf("launch request lost its spec: %+v", got)
 	}
 }

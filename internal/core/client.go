@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -86,18 +85,7 @@ func (c *Client) IngestAggregated(batch api.AggregatedBeat) (api.AggregatedBeatR
 		return out, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return out, fmt.Errorf("core: POST /v1/aggregated: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return out, readAPIError(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("core: decoding response: %w", err)
-	}
-	return out, nil
+	return out, api.Do(c.HTTPClient, req, &out)
 }
 
 // Depart announces a voluntary departure.
@@ -159,7 +147,7 @@ func (c *Client) MetricsText() (string, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return "", readAPIError(resp)
+		return "", api.ReadError(resp)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -196,58 +184,11 @@ func (c *Client) httpClient() *http.Client {
 }
 
 func (c *Client) post(path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("core: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("core: POST %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return readAPIError(resp)
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("core: decoding response: %w", err)
-		}
-	}
-	return nil
+	return api.PostJSON(c.HTTPClient, c.BaseURL+path, body, out)
 }
 
 func (c *Client) get(path string, out any) error {
-	resp, err := c.httpClient().Get(c.BaseURL + path)
-	if err != nil {
-		return fmt.Errorf("core: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return readAPIError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func readAPIError(resp *http.Response) error {
-	var apiErr api.Error
-	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Message != "" {
-		if apiErr.NotLeader != nil {
-			// Rebuild the typed error writeError flattened, so an agent's
-			// errors.As sees a fenced replica over HTTP as it does in-process.
-			return *apiErr.NotLeader
-		}
-		return apiErr
-	}
-	return fmt.Errorf("core: HTTP %d", resp.StatusCode)
+	return api.GetJSON(c.HTTPClient, c.BaseURL+path, out)
 }
 
 // LocalLink is the in-process agent.Link: coordinator C called

@@ -29,7 +29,6 @@ import (
 	"gpunion/internal/obs"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
-	"gpunion/internal/workload"
 )
 
 // Errors returned by the coordinator.
@@ -99,17 +98,6 @@ type Config struct {
 	ReplicaID string
 }
 
-// jobMeta is the relaunch information not stored in the database record.
-type jobMeta struct {
-	image          string
-	kind           string
-	entrypoint     []string
-	ckptSec        int
-	training       *workload.TrainingSpec
-	sessionSeconds int
-	lostAt         time.Time // when the job was displaced (downtime basis)
-}
-
 // Coordinator is the central scheduler and coordination hub.
 type Coordinator struct {
 	cfg   Config
@@ -132,7 +120,6 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	agents map[string]AgentHandle
-	meta   map[string]*jobMeta
 	// beatSeq is the duplicate-delivery guard on heartbeat ingress: the
 	// highest beat sequence processed per node. A beat at or below it is
 	// a replay and is acknowledged without side effects. Reset per node
@@ -223,7 +210,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		met:          met,
 		trace:        trace,
 		agents:       make(map[string]AgentHandle),
-		meta:         make(map[string]*jobMeta),
 		beatSeq:      make(map[string]uint64),
 		beats:        make(map[string]time.Time),
 		temporary:    make(map[string]bool),
@@ -287,8 +273,8 @@ func (c *Coordinator) InteractiveSessions() int {
 //     a node that outlived the coordinator keeps beating and is simply
 //     re-adopted; one that died during the outage exceeds the missed
 //     threshold and takes the normal emergency-migration path;
-//   - relaunch metadata is rebuilt from the records' persisted specs
-//     and a scheduling pass drains whatever the restored queue holds
+//   - a scheduling pass drains whatever the restored queue holds: the
+//     relaunch spec is the record's own, so there is nothing to rebuild
 //     (placements need agents, which re-attach as nodes re-register).
 //
 // Call it once, after New and before admitting traffic.
@@ -300,12 +286,8 @@ func (c *Coordinator) RecoverState() {
 		if _, err := fmt.Sscanf(job.ID, "job-%d", &n); err == nil && n > maxSeq {
 			maxSeq = n
 		}
-		switch job.State {
-		case db.JobMigrating:
+		if job.State == db.JobMigrating {
 			c.requeueFromCheckpoint(job.ID, now)
-			_ = c.metaFor(job)
-		case db.JobPending, db.JobRunning:
-			_ = c.metaFor(job)
 		}
 	}
 	c.mu.Lock()
@@ -913,11 +895,8 @@ func (c *Coordinator) Depart(req api.DepartRequest) error {
 	if err := c.fence(req.LeaderEpoch); err != nil {
 		return err
 	}
-	now := c.clock.Now()
-	if req.Token != "" {
-		if _, err := c.authy.VerifySubject(req.Token, req.MachineID, now); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadToken, err)
-		}
+	if _, err := c.authy.VerifySubject(req.Token, req.MachineID, c.clock.Now()); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadToken, err)
 	}
 	return c.HandleDeparture(req.MachineID, req.Reason)
 }
@@ -1035,14 +1014,6 @@ func (c *Coordinator) SubmitJob(req api.SubmitJobRequest) (string, error) {
 	c.mu.Lock()
 	c.jobSeq++
 	jobID := fmt.Sprintf("job-%06d", c.jobSeq)
-	c.meta[jobID] = &jobMeta{
-		image:          req.ImageName,
-		kind:           req.Kind,
-		entrypoint:     req.Entrypoint,
-		ckptSec:        req.CheckpointIntervalSec,
-		training:       req.Training,
-		sessionSeconds: req.SessionSeconds,
-	}
 	c.mu.Unlock()
 
 	rec := db.JobRecord{
@@ -1167,27 +1138,24 @@ func (c *Coordinator) scheduleBatch() bool {
 	// snapshot + WAL are as schedulable as freshly submitted ones; only
 	// legacy records without a spec are skipped.
 	var (
-		jobs  []db.JobRecord
-		metas []*jobMeta
-		reqs  []scheduler.Request
+		jobs []db.JobRecord
+		reqs []scheduler.Request
 	)
 	for _, job := range c.db.JobsInState(db.JobPending) {
 		if len(reqs) >= c.cfg.BatchSize {
 			break
 		}
-		meta := c.metaFor(job)
-		if meta == nil {
+		if job.ImageName == "" {
 			continue
 		}
 		jobs = append(jobs, job)
-		metas = append(metas, meta)
 		reqs = append(reqs, scheduler.Request{
 			JobID:      job.ID,
 			GPUMemMiB:  job.GPUMemMiB,
 			Capability: api.CapabilityOf(job.CapabilityMajor, job.CapabilityMinor),
 			Priority:   job.Priority,
-			LongRunning: meta.training != nil &&
-				meta.training.TotalSteps > 10000,
+			LongRunning: job.Training != nil &&
+				job.Training.TotalSteps > 10000,
 		})
 	}
 	if len(reqs) == 0 {
@@ -1213,7 +1181,7 @@ func (c *Coordinator) scheduleBatch() bool {
 			restoreSeq = ck.Seq
 			restoreStep = ck.Progress.Step
 		}
-		if c.place(jobs[i], metas[i], res.Placement, restoreSeq, restoreStep, now) {
+		if c.place(jobs[i], res.Placement, restoreSeq, restoreStep, now) {
 			progressed = true
 		}
 	}
@@ -1224,19 +1192,19 @@ func (c *Coordinator) scheduleBatch() bool {
 // reports whether the placement committed. On any failure nothing has
 // been written to the database, so the decision rolls back to "job
 // still pending" with no device held.
-func (c *Coordinator) place(job db.JobRecord, meta *jobMeta, p scheduler.Placement, restoreSeq int, restoreStep int64, now time.Time) bool {
+func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq int, restoreStep int64, now time.Time) bool {
 	h := c.handle(p.NodeID)
 	if h == nil {
 		return false
 	}
 	resp, err := h.Launch(api.LaunchRequest{
 		Envelope: c.envelope(),
-		JobID:    job.ID, ImageName: meta.image, Kind: meta.kind,
-		Entrypoint: meta.entrypoint, GPUMemMiB: job.GPUMemMiB,
+		JobID:    job.ID, ImageName: job.ImageName, Kind: job.Kind,
+		Entrypoint: job.Entrypoint, GPUMemMiB: job.GPUMemMiB,
 		CapabilityMajor: job.CapabilityMajor, CapabilityMinor: job.CapabilityMinor,
-		CheckpointIntervalSec: meta.ckptSec,
+		CheckpointIntervalSec: job.CheckpointIntervalSec,
 		RestoreFromSeq:        restoreSeq, RestoreStep: restoreStep,
-		Training: meta.training, SessionSeconds: meta.sessionSeconds,
+		Training: job.Training, SessionSeconds: job.SessionSeconds,
 		StoragePrefs: job.StoragePrefs,
 	})
 	if err != nil {
@@ -1262,7 +1230,7 @@ func (c *Coordinator) place(job db.JobRecord, meta *jobMeta, p scheduler.Placeme
 	c.db.RecordAllocation(db.AllocationRecord{
 		JobID: job.ID, NodeID: p.NodeID, DeviceID: resp.DeviceID, Start: now,
 	})
-	if meta.kind == "interactive" {
+	if job.Kind == "interactive" {
 		c.mu.Lock()
 		c.interactiveCount++
 		c.mu.Unlock()
@@ -1356,17 +1324,11 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migration.Reason) {
 	if len(jobs) == 0 {
 		return
 	}
-	metas := make([]*jobMeta, len(jobs))
 	planned := make([]db.JobRecord, 0, len(jobs))
 	for _, job := range jobs {
-		meta := c.metaFor(job)
-		if meta == nil {
-			continue
+		if job.ImageName == "" {
+			continue // a legacy record without a relaunch spec
 		}
-		c.mu.Lock()
-		meta.lostAt = now
-		c.mu.Unlock()
-		metas[len(planned)] = meta
 		planned = append(planned, job)
 		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.State = db.JobMigrating })
 		_ = c.db.CloseAllocation(job.ID, now)
@@ -1383,25 +1345,25 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migration.Reason) {
 			c.requeueFromCheckpoint(planned[i].ID, now)
 			continue
 		}
-		c.executePlan(planned[i], metas[i], item.Plan, reason, now)
+		c.executePlan(planned[i], item.Plan, reason, now)
 	}
 }
 
 // executePlan launches the displaced job on its planned target. The
 // relaunch happens only after the checkpoint data has crossed the LAN
 // (plan.TransferTime) — migration downtime is real time, not metadata.
-func (c *Coordinator) executePlan(job db.JobRecord, meta *jobMeta, plan migration.Plan, reason migration.Reason, now time.Time) {
+func (c *Coordinator) executePlan(job db.JobRecord, plan migration.Plan, reason migration.Reason, now time.Time) {
 	if plan.TransferTime > 0 {
 		c.clock.AfterFunc(plan.TransferTime, func() {
-			c.finishMigration(job, meta, plan, reason)
+			c.finishMigration(job, plan, reason)
 		})
 		return
 	}
-	c.finishMigration(job, meta, plan, reason)
+	c.finishMigration(job, plan, reason)
 }
 
 // finishMigration performs the relaunch once restore data is in place.
-func (c *Coordinator) finishMigration(job db.JobRecord, meta *jobMeta, plan migration.Plan, reason migration.Reason) {
+func (c *Coordinator) finishMigration(job db.JobRecord, plan migration.Plan, reason migration.Reason) {
 	if c.isStopped() || !c.Leading() {
 		// The transfer timer outlived the coordinator (kill/restart) or
 		// its leadership (deposed mid-transfer): the successor's
@@ -1425,7 +1387,7 @@ func (c *Coordinator) finishMigration(job db.JobRecord, meta *jobMeta, plan migr
 		c.requeueFromCheckpoint(job.ID, now)
 		return
 	}
-	c.place(job, meta, plan.Placement, plan.RestoreSeq, plan.RestoreStep, now)
+	c.place(job, plan.Placement, plan.RestoreSeq, plan.RestoreStep, now)
 
 	after, err := c.db.GetJob(job.ID)
 	if err != nil || after.State != db.JobRunning {
@@ -1473,7 +1435,6 @@ func (c *Coordinator) MigrateBack(nodeID string) {
 	// them as one batch so two returners cannot be sent to one device.
 	var (
 		jobs  []db.JobRecord
-		metas []*jobMeta
 		hosts []AgentHandle
 		cks   []api.CheckpointResponse
 	)
@@ -1481,8 +1442,7 @@ func (c *Coordinator) MigrateBack(nodeID string) {
 		if job.PreferredNode != nodeID || job.NodeID == nodeID || job.State != db.JobRunning {
 			continue
 		}
-		meta := c.metaFor(job)
-		if meta == nil || meta.training == nil {
+		if job.ImageName == "" || job.Training == nil {
 			continue // only stateful batch jobs migrate back
 		}
 		cur := c.handle(job.NodeID)
@@ -1494,7 +1454,7 @@ func (c *Coordinator) MigrateBack(nodeID string) {
 			continue
 		}
 		c.mig.RecordAttempt(migration.ReasonMigrateBack)
-		jobs, metas = append(jobs, job), append(metas, meta)
+		jobs = append(jobs, job)
 		hosts, cks = append(hosts, cur), append(cks, ck)
 	}
 	for i, item := range c.mig.PlanBatch(jobs, migration.ReasonMigrateBack, now) {
@@ -1512,37 +1472,11 @@ func (c *Coordinator) MigrateBack(nodeID string) {
 		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.State = db.JobMigrating })
 		plan.RestoreSeq = cks[i].Seq
 		plan.RestoreStep = cks[i].Step
-		c.executePlan(job, metas[i], plan, migration.ReasonMigrateBack, now)
+		c.executePlan(job, plan, migration.ReasonMigrateBack, now)
 	}
 }
 
 // --- helpers ---
-
-// metaFor returns the relaunch metadata for a job, rebuilding (and
-// caching) it from the record's persisted spec when the in-memory entry
-// is missing — the case for every job that crossed a coordinator
-// restart. Nil means the record carries no spec (a legacy snapshot) and
-// the job cannot be relaunched.
-func (c *Coordinator) metaFor(job db.JobRecord) *jobMeta {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m := c.meta[job.ID]; m != nil {
-		return m
-	}
-	if job.ImageName == "" {
-		return nil
-	}
-	m := &jobMeta{
-		image:          job.ImageName,
-		kind:           job.Kind,
-		entrypoint:     job.Entrypoint,
-		ckptSec:        job.CheckpointIntervalSec,
-		training:       job.Training,
-		sessionSeconds: job.SessionSeconds,
-	}
-	c.meta[job.ID] = m
-	return m
-}
 
 func (c *Coordinator) handle(nodeID string) AgentHandle {
 	c.mu.Lock()

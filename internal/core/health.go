@@ -99,9 +99,8 @@ func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
 		if job.State != db.JobRunning {
 			continue
 		}
-		meta := c.metaFor(job)
-		if meta == nil {
-			continue
+		if job.ImageName == "" {
+			continue // a legacy record without a relaunch spec
 		}
 		// Checkpoint at the source while it is still able; a failing
 		// checkpoint (the gray failure biting) falls back to the last
@@ -132,7 +131,7 @@ func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
 			"to":           plan.Placement.NodeID,
 			"restore_step": strconv.FormatInt(plan.RestoreStep, 10),
 		})
-		c.executePlan(job, meta, plan, migration.ReasonPredictive, now)
+		c.executePlan(job, plan, migration.ReasonPredictive, now)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -36,28 +35,28 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 
 	mux.HandleFunc("POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
 		var req api.RegisterRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := c.Register(req, factory(req.Addr))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req api.HeartbeatRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := c.Heartbeat(req)
 		if err != nil {
-			writeError(w, http.StatusUnauthorized, err)
+			api.WriteError(w, http.StatusUnauthorized, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("POST /v1/aggregated", func(w http.ResponseWriter, r *http.Request) {
@@ -66,25 +65,25 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 		// tier is to keep the coordinator-facing hop small.
 		raw, err := io.ReadAll(io.LimitReader(r.Body, maxAggregatedBody))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("core: reading aggregated batch: %w", err))
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("core: reading aggregated batch: %w", err))
 			return
 		}
 		batch, err := api.DecodeAggregatedBeat(raw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		resp, err := c.IngestAggregated(batch)
 		if err != nil {
-			writeError(w, http.StatusUnauthorized, err)
+			api.WriteError(w, http.StatusUnauthorized, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("POST /v1/depart", func(w http.ResponseWriter, r *http.Request) {
 		var req api.DepartRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		if err := c.Depart(req); err != nil {
@@ -92,7 +91,7 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 			if errors.Is(err, ErrBadToken) {
 				code = http.StatusUnauthorized
 			}
-			writeError(w, code, err)
+			api.WriteError(w, code, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -100,7 +99,7 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 
 	mux.HandleFunc("POST /v1/jobupdate", func(w http.ResponseWriter, r *http.Request) {
 		var req api.JobUpdateRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		c.JobUpdate(req.MachineID, req.JobID, req.State, req.Step)
@@ -109,44 +108,44 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req api.SubmitJobRequest
-		if !decodeJSON(w, r, &req) {
+		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
 		id, err := c.SubmitJob(req)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, api.SubmitJobResponse{JobID: id})
+		api.WriteJSON(w, http.StatusOK, api.SubmitJobResponse{JobID: id})
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, c.Jobs())
+		api.WriteJSON(w, http.StatusOK, c.Jobs())
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := c.JobStatus(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			api.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		api.WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("POST /v1/jobs/{id}/kill", func(w http.ResponseWriter, r *http.Request) {
 		if err := c.KillJob(r.PathValue("id")); err != nil {
-			writeError(w, http.StatusNotFound, err)
+			api.WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, c.Nodes())
+		api.WriteJSON(w, http.StatusOK, c.Nodes())
 	})
 
 	mux.HandleFunc("GET /v1/health/nodes", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, c.NodeHealths())
+		api.WriteJSON(w, http.StatusOK, c.NodeHealths())
 	})
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -176,27 +175,4 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 	mux.HandleFunc("GET /{$}", c.Dashboard())
 
 	return mux
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
-	if err := json.NewDecoder(r.Body).Decode(out); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("core: bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	body := api.Error{Code: code, Message: err.Error()}
-	var nl api.ErrNotLeader
-	if errors.As(err, &nl) {
-		body.NotLeader = &nl
-	}
-	writeJSON(w, code, body)
 }

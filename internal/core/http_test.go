@@ -223,6 +223,49 @@ func TestHTTPScheduledDepartureMigration(t *testing.T) {
 	}
 }
 
+// TestHTTPDepartRequiresToken pins that /v1/depart is an authenticated
+// route: without the node's credential nobody can depart a node by ID
+// and evict its jobs.
+func TestHTTPDepartRequiresToken(t *testing.T) {
+	r := newHTTPRig(t)
+	_, nodeClient := r.addHTTPNode("n1", gpu.RTX3090)
+	jobID, err := r.client.SubmitJob(api.SubmitJobRequest{
+		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+		GPUMemMiB: 8192, Training: &workload.SmallCNN,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"machine_id":"n1","reason":"scheduled"}`,
+		`{"machine_id":"n1","token":"forged.token","reason":"scheduled"}`,
+	} {
+		resp, err := r.coordSrv.Client().Post(r.coordSrv.URL+"/v1/depart", "application/json",
+			strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 401 {
+			t.Fatalf("depart %s: status = %d, want 401", body, resp.StatusCode)
+		}
+	}
+	nodes, err := r.client.Nodes()
+	if err != nil || len(nodes) != 1 || nodes[0].Status != db.NodeActive {
+		t.Fatalf("node after rejected departs = %+v, %v", nodes, err)
+	}
+	if st, err := r.client.JobStatus(jobID); err != nil || st.State != db.JobRunning || st.NodeID != "n1" {
+		t.Fatalf("job after rejected departs = %+v, %v", st, err)
+	}
+	// The node's own credential still departs it.
+	if err := nodeClient.Depart("n1", api.DepartScheduled, 0); err != nil {
+		t.Fatalf("authenticated depart: %v", err)
+	}
+	if nodes, _ := r.client.Nodes(); nodes[0].Status != db.NodeDeparted {
+		t.Fatalf("status after authenticated depart = %s", nodes[0].Status)
+	}
+}
+
 func TestHTTPMetricsEndpoints(t *testing.T) {
 	r := newHTTPRig(t)
 	ag, _ := r.addHTTPNode("n1", gpu.RTX3090)

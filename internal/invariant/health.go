@@ -2,8 +2,6 @@ package invariant
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"gpunion/internal/db"
@@ -15,7 +13,7 @@ import (
 //
 //   - health-score-consistent: every persisted health score is exactly
 //     the deterministic fold of the events the mutation stream carries
-//     — same recipe as beat-delta-equivalence. A fold applied twice
+//     — the same fold as beat-delta-equivalence (stream.go). A fold applied twice
 //     (duplicate delivery), a dropped event batch, or a score that
 //     drifted through replay or promotion all surface as a divergence;
 //   - no-placement-on-unhealthy: the scheduler never places new work on
@@ -29,143 +27,71 @@ import (
 type healthPoint struct {
 	score float64
 	at    time.Time
-	seen  bool // false until any fold or image has installed a score
+}
+
+// healthRule is health-score-consistent for scores folded with params.
+// Node images install their after-image verbatim; health records are
+// refolded. The recomputation is exact: FoldHealth is deterministic,
+// the carried score is its after-image, and replay installs that image
+// verbatim — so any inequality, including across crash recovery and
+// standby promotion, is a platform bug, not float noise.
+func healthRule(params monitor.HealthParams) deltaRule[healthPoint] {
+	return deltaRule[healthPoint]{
+		rule:  "health-score-consistent",
+		noun:  "health fold",
+		typ:   db.MutNodeHealth,
+		image: func(n *db.NodeRecord) healthPoint { return healthPoint{score: n.Health, at: n.HealthAt} },
+		at:    func(p healthPoint) time.Time { return p.at },
+		empty: "health record at LSN %d carries no payload",
+		deltas: func(m db.Mutation) []nodeDelta[healthPoint] {
+			h := m.Health
+			if h == nil {
+				return nil
+			}
+			return []nodeDelta[healthPoint]{{
+				node: h.NodeID,
+				next: healthPoint{score: h.Score, at: h.At},
+				check: func(prev healthPoint) string {
+					// Empty events are legitimate: the sweep's decay records.
+					want := monitor.FoldHealth(prev.score, prev.at, h.At, h.Events, params)
+					if want == h.Score {
+						return ""
+					}
+					return fmt.Sprintf("carries score %v, refolding its %d events yields %v",
+						h.Score, len(h.Events), want)
+				},
+			}}
+		},
+		diverges: func(want healthPoint, n *db.NodeRecord) string {
+			if want.score == n.Health && want.at.Equal(n.HealthAt) {
+				return ""
+			}
+			return fmt.Sprintf("health diverges: folding the stream yields %v at %s, the store holds %v at %s",
+				want.score, want.at.Format(time.RFC3339Nano),
+				n.Health, n.HealthAt.Format(time.RFC3339Nano))
+		},
+	}
 }
 
 // CheckHealthDeltas audits health-score-consistent. base holds each
 // node's (Health, HealthAt) when the stream began; muts is the
-// committed mutation stream since then (node images install their
-// after-image verbatim; health records are refolded); nodes is the
-// store's current node table; params must be the parameters the
-// coordinator folded with (the platform fixes them to the defaults).
-// The fold recomputation is exact: FoldHealth is deterministic, the
-// carried score is its after-image, and replay installs that image
-// verbatim — so any inequality, including across crash recovery and
-// standby promotion, is a platform bug, not float noise.
+// committed mutation stream since then; nodes is the store's current
+// node table; params must be the parameters the coordinator folded
+// with (the platform fixes them to the defaults).
 func CheckHealthDeltas(base map[string]healthPoint, muts []db.Mutation,
 	nodes []db.NodeRecord, params monitor.HealthParams) []Violation {
-	var vs []Violation
-	expected := make(map[string]healthPoint, len(base))
-	for id, hp := range base {
-		expected[id] = hp
-	}
-	ordered := make([]db.Mutation, len(muts))
-	copy(ordered, muts)
-	// LSN order restores commit order across racing shard deliveries;
-	// both record types touching one node share its shard.
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].LSN < ordered[j].LSN })
-	for _, m := range ordered {
-		switch m.Type {
-		case db.MutNodePut:
-			if m.Node != nil {
-				expected[m.Node.ID] = healthPoint{
-					score: m.Node.Health, at: m.Node.HealthAt, seen: true,
-				}
-			}
-		case db.MutNodeHealth:
-			h := m.Health
-			if h == nil {
-				vs = append(vs, Violation{
-					Rule:   "health-score-consistent",
-					Detail: fmt.Sprintf("health record at LSN %d carries no payload", m.LSN),
-				})
-				continue
-			}
-			prev, ok := expected[h.NodeID]
-			if !ok || !prev.seen {
-				vs = append(vs, Violation{
-					Rule:   "health-score-consistent",
-					Detail: fmt.Sprintf("health fold at LSN %d targets node %s with no installed image", m.LSN, h.NodeID),
-				})
-				expected[h.NodeID] = healthPoint{score: h.Score, at: h.At, seen: true}
-				continue
-			}
-			if !h.At.After(prev.at) {
-				vs = append(vs, Violation{
-					Rule: "health-score-consistent",
-					Detail: fmt.Sprintf("health fold at LSN %d does not advance node %s (%s after %s)",
-						m.LSN, h.NodeID, h.At.Format(time.RFC3339Nano), prev.at.Format(time.RFC3339Nano)),
-				})
-				continue
-			}
-			// Empty events are legitimate: the sweep's decay records.
-			want := monitor.FoldHealth(prev.score, prev.at, h.At, h.Events, params)
-			if want != h.Score {
-				vs = append(vs, Violation{
-					Rule: "health-score-consistent",
-					Detail: fmt.Sprintf("health fold at LSN %d for node %s carries score %v, refolding its %d events yields %v",
-						m.LSN, h.NodeID, h.Score, len(h.Events), want),
-				})
-			}
-			expected[h.NodeID] = healthPoint{score: h.Score, at: h.At, seen: true}
-		}
-	}
-	for i := range nodes {
-		n := &nodes[i]
-		want, ok := expected[n.ID]
-		if !ok {
-			vs = append(vs, Violation{
-				Rule:   "health-score-consistent",
-				Detail: fmt.Sprintf("node %s in the store but absent from the audited stream", n.ID),
-			})
-			continue
-		}
-		if want.score != n.Health || !want.at.Equal(n.HealthAt) {
-			vs = append(vs, Violation{
-				Rule: "health-score-consistent",
-				Detail: fmt.Sprintf("node %s health diverges: folding the stream yields %v at %s, the store holds %v at %s",
-					n.ID, want.score, want.at.Format(time.RFC3339Nano),
-					n.Health, n.HealthAt.Format(time.RFC3339Nano)),
-			})
-		}
-	}
-	return vs
+	return healthRule(params).fold(base, muts, nodes)
 }
 
-// HealthAudit records the node-image and health-fold slice of a live
-// store's mutation stream so CheckHealthDeltas can run at any later
-// quiescent point. Attach at a quiescent point, like BeatAudit: the
-// base snapshot and the subscription are not atomic.
-type HealthAudit struct {
-	params monitor.HealthParams
-
-	mu   sync.Mutex
-	base map[string]healthPoint
-	muts []db.Mutation
-}
+// HealthAudit records a live store's stream for CheckHealthDeltas;
+// Check runs it against the store's current node table.
+type HealthAudit struct{ streamAudit[healthPoint] }
 
 // NewHealthAudit snapshots the store's current health state and
-// subscribes to its mutation stream. The returned cancel detaches the
-// subscription.
+// subscribes to its mutation stream, like NewBeatAudit.
 func NewHealthAudit(s db.Store) (*HealthAudit, func()) {
-	a := &HealthAudit{
-		params: monitor.DefaultHealthParams(),
-		base:   make(map[string]healthPoint),
-	}
-	for _, n := range s.ListNodes() {
-		a.base[n.ID] = healthPoint{score: n.Health, at: n.HealthAt, seen: true}
-	}
-	return a, s.AddMutationObserver(a.observe)
-}
-
-func (a *HealthAudit) observe(m db.Mutation) {
-	if m.Type != db.MutNodePut && m.Type != db.MutNodeHealth {
-		return
-	}
-	a.mu.Lock()
-	a.muts = append(a.muts, m)
-	a.mu.Unlock()
-}
-
-// Check folds the recorded stream and compares it against the store's
-// current node table. Call at a quiescent point.
-func (a *HealthAudit) Check(s db.Store) []Violation {
-	a.mu.Lock()
-	muts := make([]db.Mutation, len(a.muts))
-	copy(muts, a.muts)
-	base := a.base
-	a.mu.Unlock()
-	return CheckHealthDeltas(base, muts, s.ListNodes(), a.params)
+	a := &HealthAudit{}
+	return a, a.attach(s, healthRule(monitor.DefaultHealthParams()))
 }
 
 // CheckNoPlacementOnUnhealthy audits that the scheduler honors the

@@ -53,6 +53,15 @@
 //   - no-duplicate-side-effects (chaos.VerifyIdempotent): replaying an
 //     already-processed control message mutates nothing.
 //
+// Two rules audit the mutation stream rather than the tables, on one
+// recorder and one fold (stream.go) with a rule value each:
+// beat-delta-equivalence (BeatAudit / CheckBeatDeltas, beats.go) —
+// coalesced MutBeat deltas lose no heartbeat advance and invent none —
+// and health-score-consistent, the first of the gray-failure rules
+// below. AggAudit (agg.go) is not of that shape: a two-sided ledger of
+// acknowledged beats and upstream forwards that outlives store swaps,
+// using the mutation stream only to count folded health events.
+//
 // Gray-failure handling adds three more (see health.go):
 //
 //   - health-score-consistent (HealthAudit / CheckHealthDeltas): every

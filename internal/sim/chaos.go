@@ -262,14 +262,9 @@ type chaosHarness struct {
 	dupCounter    int
 	dupReplays    map[string]int
 	dupViolations []invariant.Violation
-	// beatAudit folds the serving store's node-image and beat-delta
-	// stream to verify beat-delta equivalence at every audit point;
-	// healthAudit does the same for the health-fold stream. Both are
+	// audits are the stream recorders over the serving store,
 	// re-attached whenever a successor store is installed.
-	beatAudit         *invariant.BeatAudit
-	beatAuditCancel   func()
-	healthAudit       *invariant.HealthAudit
-	healthAuditCancel func()
+	audits streamAudits
 	// healthSrcs holds each agent's injectable health source (the
 	// gray-degrade seam); grayOn marks nodes with an open gray window
 	// (the pump re-injects events every heartbeat interval); lossOn
@@ -282,15 +277,10 @@ type chaosHarness struct {
 	lossRng    *rand.Rand
 	// aggs are the rack aggregators (cfg.Aggregators > 0); aggIDs is
 	// their sorted identity list and aggCut the injected upstream
-	// partitions. aggAudit folds both ends of the tier — agent-side
-	// acknowledgements, upstream forwards, committed health folds — for
-	// the aggregation-equivalence invariant; it persists across
-	// coordinator recoveries (only its store subscription re-binds).
-	aggs           map[string]*aggregator.Aggregator
-	aggIDs         []string
-	aggCut         map[string]bool
-	aggAudit       *invariant.AggAudit
-	aggAuditCancel func()
+	// partitions.
+	aggs   map[string]*aggregator.Aggregator
+	aggIDs []string
+	aggCut map[string]bool
 	// unhealthySince records when each node was first observed below
 	// the unhealthy threshold, feeding the degraded-node-drained grace.
 	unhealthySince map[string]time.Time
@@ -426,6 +416,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		lossOn:          make(map[string]bool),
 		lossRng:         rand.New(rand.NewSource(cfg.Seed + 2)),
 		unhealthySince:  make(map[string]time.Time),
+		audits:          streamAudits{withAgg: cfg.Aggregators > 0},
 	}
 	for _, d := range cfg.Defs {
 		h.nodeIDs = append(h.nodeIDs, d.ID)
@@ -499,7 +490,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			return nil, err
 		}
 	}
-	h.attachStreamAudits(rep.Store())
+	h.audits.attach(rep.Store())
 	rep.Start()
 
 	// The aggregation tier: rack relays folding their agents' no-op
@@ -597,50 +588,69 @@ func (h *chaosHarness) currentCoord() *core.Coordinator { return h.currentServin
 
 func (h *chaosHarness) currentStore() db.Store { return h.currentServing().Store() }
 
-// attachStreamAudits (re)binds the beat-delta and health-fold
-// equivalence recorders to the store passed in. Called at quiescent
-// installation points — setup, coordinator recovery, takeover
-// completion — where no writes race the base snapshots.
-func (h *chaosHarness) attachStreamAudits(store db.Store) {
-	h.mu.Lock()
-	cancelBeat, cancelHealth, cancelAgg := h.beatAuditCancel, h.healthAuditCancel, h.aggAuditCancel
-	h.mu.Unlock()
-	if cancelBeat != nil {
-		cancelBeat()
-	}
-	if cancelHealth != nil {
-		cancelHealth()
-	}
-	if cancelAgg != nil {
-		cancelAgg()
-	}
-	beat, cb := invariant.NewBeatAudit(store)
-	health, ch := invariant.NewHealthAudit(store)
-	// The aggregation audit is created once and survives coordinator
-	// recoveries: its acknowledged-beat ledger spans store lifetimes,
-	// only the mutation subscription re-binds to the successor.
-	var agg *invariant.AggAudit
-	var ca func()
-	if h.cfg.Aggregators > 0 {
-		if agg = h.currentAggAudit(); agg == nil {
-			agg, ca = invariant.NewAggAudit(store)
-		} else {
-			ca = agg.Attach(store)
-		}
-	}
-	h.mu.Lock()
-	h.beatAudit, h.beatAuditCancel = beat, cb
-	h.healthAudit, h.healthAuditCancel = health, ch
-	if agg != nil {
-		h.aggAudit, h.aggAuditCancel = agg, ca
-	}
-	h.mu.Unlock()
+// streamAudits are the harness's recorders over the serving store's
+// mutation stream: beat folds its node-image and beat-delta records to
+// verify beat-delta equivalence at every audit point, health does the
+// same for the health-fold records, and — with aggregators — agg folds
+// both ends of the tier (agent-side acknowledgements, upstream
+// forwards, committed health folds) for aggregation equivalence.
+type streamAudits struct {
+	withAgg bool
+
+	mu     sync.Mutex
+	beat   *invariant.BeatAudit
+	health *invariant.HealthAudit
+	agg    *invariant.AggAudit
+	cancel []func()
 }
 
-func (h *chaosHarness) currentAggAudit() *invariant.AggAudit {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.aggAudit
+// attach (re)binds the recorders to the store passed in. Called at
+// quiescent installation points — setup, coordinator recovery, takeover
+// completion — where no writes race the base snapshots. The aggregation
+// audit is created once and survives coordinator recoveries: its
+// acknowledged-beat ledger spans store lifetimes, only the mutation
+// subscription re-binds to the successor.
+func (a *streamAudits) attach(store db.Store) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, cancel := range a.cancel {
+		cancel()
+	}
+	var cb, ch, ca func()
+	a.beat, cb = invariant.NewBeatAudit(store)
+	a.health, ch = invariant.NewHealthAudit(store)
+	a.cancel = []func(){cb, ch}
+	if a.withAgg {
+		if a.agg == nil {
+			a.agg, ca = invariant.NewAggAudit(store)
+		} else {
+			ca = a.agg.Attach(store)
+		}
+		a.cancel = append(a.cancel, ca)
+	}
+}
+
+// aggregation is the aggregation audit, nil without aggregators.
+func (a *streamAudits) aggregation() *invariant.AggAudit {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.agg
+}
+
+// check runs every attached recorder against the store; aggLag is the
+// aggregation tier's tolerance.
+func (a *streamAudits) check(store db.Store, aggLag time.Duration) []invariant.Violation {
+	a.mu.Lock()
+	beat, health, agg := a.beat, a.health, a.agg
+	a.mu.Unlock()
+	if beat == nil {
+		return nil
+	}
+	vs := append(beat.Check(store), health.Check(store)...)
+	if agg != nil {
+		vs = append(vs, agg.Check(store, aggLag)...)
+	}
+	return vs
 }
 
 // observeBeatAck reports one genuinely acknowledged beat to the
@@ -649,7 +659,7 @@ func (h *chaosHarness) currentAggAudit() *invariant.AggAudit {
 // would actually ingest (the per-beat cap) count toward health
 // completeness.
 func (h *chaosHarness) observeBeatAck(req api.HeartbeatRequest, resp api.HeartbeatResponse, err error) {
-	a := h.currentAggAudit()
+	a := h.audits.aggregation()
 	if a == nil || err != nil || !resp.Acknowledged || resp.Reregister {
 		return
 	}
@@ -658,18 +668,6 @@ func (h *chaosHarness) observeBeatAck(req api.HeartbeatRequest, resp api.Heartbe
 		n = api.MaxHealthEventsPerBeat
 	}
 	a.ObserveAck(req.MachineID, h.clock.Now(), n)
-}
-
-func (h *chaosHarness) currentBeatAudit() *invariant.BeatAudit {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.beatAudit
-}
-
-func (h *chaosHarness) currentHealthAudit() *invariant.HealthAudit {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.healthAudit
 }
 
 func (h *chaosHarness) noteDurabilityLoss() {
@@ -838,7 +836,7 @@ func (l chaosLink) Register(req api.RegisterRequest) (api.RegisterResponse, erro
 	if err != nil {
 		return resp, err
 	}
-	if a := h.currentAggAudit(); a != nil {
+	if a := h.audits.aggregation(); a != nil {
 		// Register installs the node with LastHeartbeat = the
 		// coordinator's now, which is the shared simulated clock's now.
 		a.ObserveRegister(id, h.clock.Now())
@@ -904,7 +902,7 @@ type aggUpstream struct {
 var errAggUpstreamSevered = fmt.Errorf("chaos: aggregator upstream link severed")
 
 func (u aggUpstream) IngestAggregated(b api.AggregatedBeat) (api.AggregatedBeatResponse, error) {
-	a := u.h.currentAggAudit()
+	a := u.h.audits.aggregation()
 	if a != nil {
 		a.ObserveForward(u.id, b.LeaderEpoch, b.WindowSeq)
 	}
@@ -1429,7 +1427,7 @@ func (h *chaosHarness) install(rep *replica) {
 	h.serving = rep
 	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
-	h.attachStreamAudits(rep.Store())
+	h.audits.attach(rep.Store())
 	rep.Start()
 	for _, id := range h.nodeIDs {
 		ag := h.agents[id]
@@ -1683,24 +1681,15 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 		}
 	}
 	store := h.currentStore()
-	// Beat-delta equivalence holds at every audit point: the recorded
-	// mutation stream, folded, must land on the store's heartbeats.
-	if a := h.currentBeatAudit(); a != nil {
-		vs = append(vs, a.Check(store)...)
-	}
-	// Health-score consistency is the same property for the health
-	// stream, and the unhealthy-placement exclusion is pure store state
-	// — neither needs a reconciliation grace.
-	if a := h.currentHealthAudit(); a != nil {
-		vs = append(vs, a.Check(store)...)
-	}
-	// Aggregation equivalence: the roll-up tier fabricated no liveness
-	// and persistently lost none. The tolerance covers a crashed flush
-	// window (half a beat) plus the beats a node needs to re-deliver
-	// through the direct path after a relay failure.
-	if a := h.currentAggAudit(); a != nil {
-		vs = append(vs, a.Check(store, 5*h.cfg.HeartbeatInterval)...)
-	}
+	// The stream equivalences hold at every audit point — the recorded
+	// mutation stream, folded, must land on the store's heartbeats and
+	// health scores; the roll-up tier fabricated no liveness and
+	// persistently lost none — and the unhealthy-placement exclusion is
+	// pure store state: none needs a reconciliation grace. The
+	// aggregation tolerance covers a crashed flush window (half a beat)
+	// plus the beats a node needs to re-deliver through the direct path
+	// after a relay failure.
+	vs = append(vs, h.audits.check(store, 5*h.cfg.HeartbeatInterval)...)
 	vs = append(vs, invariant.CheckNoPlacementOnUnhealthy(store)...)
 	live := store.JobsInState(db.JobPending)
 	live = append(live, store.JobsInState(db.JobRunning)...)

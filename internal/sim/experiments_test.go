@@ -179,75 +179,10 @@ func TestScalabilityTrends(t *testing.T) {
 		if r.Nodes <= 50 && !r.SubSecond {
 			t.Errorf("n=%d not sub-second: p95 = %v", r.Nodes, r.P95SchedulingLatency)
 		}
-		if r.DBOpsPerSecond <= 0 || r.RequiredDBOpsPerSecond <= 0 {
-			t.Errorf("n=%d missing throughput figures: %+v", r.Nodes, r)
-		}
-	}
-	// Headroom shrinks as the campus grows (the paper's bottleneck
-	// direction beyond 200 nodes).
-	if rows[2].Headroom >= rows[0].Headroom {
-		t.Errorf("headroom should shrink with scale: %v → %v",
-			rows[0].Headroom, rows[2].Headroom)
 	}
 	// Scheduling cost grows with node count.
 	if rows[2].MeanSchedulingLatency <= rows[0].MeanSchedulingLatency {
 		t.Error("scheduling latency should grow with node count")
-	}
-}
-
-// TestCoalescedThroughputAt800 pins the write-path acceptance bar: at
-// the 800-node sweep point, committing heartbeats as per-shard delta
-// batches must yield at least 3x the throughput of per-beat commits.
-// The 2000-node point — reachable only once steady-state write cost
-// stopped scaling with fleet size — must record a speedup at least as
-// large.
-func TestCoalescedThroughputAt800(t *testing.T) {
-	rows, err := RunScalability(ScalabilityConfig{
-		NodeCounts:        []int{800, 2000},
-		DecisionsPerPoint: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.CoalescedBeatsPerSecond <= 0 {
-			t.Fatalf("n=%d: no coalesced throughput recorded: %+v", r.Nodes, r)
-		}
-		if r.CoalesceSpeedup < 3 {
-			t.Errorf("n=%d: coalesced write path %.0f beats/s vs %.0f per-beat commits/s — %.2fx, want ≥3x",
-				r.Nodes, r.CoalescedBeatsPerSecond, r.DBOpsPerSecond, r.CoalesceSpeedup)
-		}
-	}
-}
-
-// TestAggregatedIngressReduction pins the aggregation tier's acceptance
-// bar: at 2000 nodes, routing beats through per-rack relays must cut
-// coordinator ingress requests/sec by at least 5x versus every agent
-// beating the coordinator directly — and the win must keep growing past
-// 2000, since folded ingress scales with racks and telemetry cadence
-// while direct ingress scales with nodes.
-func TestAggregatedIngressReduction(t *testing.T) {
-	rows, err := RunScalability(ScalabilityConfig{
-		NodeCounts:        []int{2000, 5000},
-		DecisionsPerPoint: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.AggIngressPerSecond <= 0 || r.DirectIngressPerSecond <= 0 {
-			t.Fatalf("n=%d: missing ingress figures: %+v", r.Nodes, r)
-		}
-		if r.IngressReduction < 5 {
-			t.Errorf("n=%d: aggregated ingress %.1f req/s vs direct %.1f req/s — %.2fx, want ≥5x",
-				r.Nodes, r.AggIngressPerSecond, r.DirectIngressPerSecond, r.IngressReduction)
-		}
-		t.Logf("n=%d racks=%d: direct %.1f req/s → aggregated %.1f req/s (%.1fx)",
-			r.Nodes, r.AggRacks, r.DirectIngressPerSecond, r.AggIngressPerSecond, r.IngressReduction)
-	}
-	if rows[1].IngressReduction <= rows[0].IngressReduction {
-		t.Errorf("reduction should grow with fleet size: %.2fx at %d → %.2fx at %d",
-			rows[0].IngressReduction, rows[0].Nodes, rows[1].IngressReduction, rows[1].Nodes)
 	}
 }
 

@@ -132,9 +132,18 @@ verify-agg:
 	$(GO) test ./internal/api -run 'FuzzAggregatedBeat' -count=1 -v
 
 # Docs acceptance: every internal package carries a package doc comment
-# (scripts/doccheck) and every example still builds.
+# (scripts/doccheck), every db.MutationType constant has its row in
+# docs/FAULT-MODEL.md's "What is durable" table (a grep, like
+# verify-compose: a new mutation type cannot ship without its
+# durability contract written down), and every example still builds.
 verify-docs:
 	$(GO) run ./scripts/doccheck internal
+	@types=$$(sed -n 's/^\tMut[A-Za-z]* *MutationType = "\(.*\)"$$/\1/p' internal/db/mutation.go); \
+	test -n "$$types" || { echo "verify-docs: found no MutationType constants in internal/db/mutation.go"; exit 1; }; \
+	for t in $$types; do \
+		grep -q "^| \`$$t\` |" docs/FAULT-MODEL.md || \
+			{ echo "docs/FAULT-MODEL.md: no \"What is durable\" row for mutation type $$t"; exit 1; }; \
+	done
 	$(GO) build ./examples/...
 
 # bench/ is a module of its own, so `go build ./...` at the root does

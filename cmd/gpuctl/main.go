@@ -11,6 +11,7 @@
 //
 //	gpuctl -coordinator http://coord:8080 metrics
 //	gpuctl -coordinator http://coord:8080 trace [-job job-000001] [-json]
+//	gpuctl -coordinator http://coord:8080 samples <node> [-metric gpu_utilization] [-since 5m]
 //
 // Providers (against their local agent — provider supremacy controls):
 //
@@ -63,6 +64,8 @@ func main() {
 		err = cmdMetrics(core.NewClient(*coordURL))
 	case "trace":
 		err = cmdTrace(core.NewClient(*coordURL), rest)
+	case "samples":
+		err = cmdSamples(core.NewClient(*coordURL), rest)
 	case "killswitch":
 		err = cmdKillSwitch(agent.NewClient(*agentURL))
 	case "pause":
@@ -87,7 +90,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: gpuctl [-coordinator URL] [-agent URL] <command> [args]
 
 user commands:    submit, status <job>, kill <job>, jobs, nodes
-O&M commands:     metrics, trace [-job ID] [-json], health
+O&M commands:     metrics, trace [-job ID] [-json], health,
+                  samples <node> [-metric M] [-since 5m]
 provider commands: killswitch, pause, resume, depart, agent-status`)
 }
 
@@ -199,6 +203,31 @@ func cmdJobs(c *core.Client) error {
 		fmt.Printf("%-12s %-10s %-16s %-6d %s\n",
 			j.JobID, j.State, orDash(j.NodeID), j.Migrations,
 			j.Submitted.Format("Jan 2 15:04:05"))
+	}
+	return nil
+}
+
+// cmdSamples prints the newest retained telemetry points of one metric
+// on one node.
+func cmdSamples(c *core.Client, args []string) error {
+	fs := flag.NewFlagSet("samples", flag.ExitOnError)
+	metric := fs.String("metric", "gpu_utilization", "metric name (gpu_utilization, gpu_memory_used_mib)")
+	since := fs.Duration("since", 5*time.Minute, "how far back to look (0 = all retained history)")
+	if len(args) == 0 {
+		return fmt.Errorf("usage: samples <node> [-metric M] [-since 5m]")
+	}
+	node := args[0]
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	samples, err := c.NodeSamples(node, *metric, *since)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%d points of %s on %s, newest last (at most 20 shown)\n", len(samples), *metric, node)
+	samples = samples[max(0, len(samples)-20):]
+	for _, s := range samples {
+		fmt.Printf("%s  %g\n", s.Time.Format("Jan 2 15:04:05"), s.Value)
 	}
 	return nil
 }

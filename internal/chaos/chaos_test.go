@@ -293,4 +293,14 @@ func TestVerifyIdempotentDetectsMutation(t *testing.T) {
 	if len(vs) != 1 || vs[0].Rule != "no-duplicate-side-effects" {
 		t.Fatalf("vs = %v", vs)
 	}
+	// A sample takes no LSN: only the observer sees it.
+	vs = VerifyIdempotent(s, "sampling", func() {
+		s.AppendSample(db.Sample{NodeID: "n1", Metric: "m", Value: 1})
+	})
+	if len(vs) != 1 || vs[0].Rule != "no-duplicate-side-effects" {
+		t.Fatalf("duplicated sample not flagged: %v", vs)
+	}
+	if vs := VerifyIdempotent(s, "noop again", func() {}); len(vs) != 0 {
+		t.Fatalf("observer leaked past its delivery: %v", vs)
+	}
 }

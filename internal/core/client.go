@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -129,6 +130,15 @@ func (c *Client) Nodes() ([]api.NodeSummary, error) {
 	var nodes []api.NodeSummary
 	err := c.get("/v1/nodes", &nodes)
 	return nodes, err
+}
+
+// NodeSamples fetches one node's retained telemetry points of one
+// metric, oldest first; since > 0 keeps only that most recent window.
+func (c *Client) NodeSamples(nodeID, metric string, since time.Duration) ([]db.Sample, error) {
+	q := url.Values{"metric": {metric}, "since": {since.String()}}
+	var out []db.Sample
+	err := c.get("/v1/nodes/"+url.PathEscape(nodeID)+"/samples?"+q.Encode(), &out)
+	return out, err
 }
 
 // NodeHealths lists every node's health standing and recent events.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
+	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/container"
 	"gpunion/internal/db"
@@ -434,79 +436,154 @@ func (f *syncCountingFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestTelemetryBeatOneDurabilityWait drives the shipped seam — a real
-// wal.Open under the coordinator — and pins what one telemetry beat
-// costs: its points are four ordinary sample_put records, but they
-// commit as one WAL group under one fsync, each reaching OnDurable
-// before Heartbeat returns. A replayed beat appends nothing.
-func TestTelemetryBeatOneDurabilityWait(t *testing.T) {
-	fs := &syncCountingFS{}
-	var (
-		durableMu sync.Mutex
-		durable   []db.Mutation
-	)
+// durableRig is the shipped seam — a real wal.Open under the
+// coordinator — with every segment fsync counted and every OnDurable
+// call recorded, and one registered two-GPU node "n1".
+type durableRig struct {
+	*beatRig
+	fs *syncCountingFS
+
+	mu      sync.Mutex
+	durable []db.Mutation
+}
+
+func newDurableRig(t *testing.T) *durableRig {
+	t.Helper()
+	r := &durableRig{fs: &syncCountingFS{}}
 	store := db.New(0)
 	mgr, err := wal.Open(t.TempDir(), store, wal.Config{
 		GroupWindow: 2 * time.Millisecond, // the shipped default
-		FS:          fs,
+		FS:          r.fs,
 		OnDurable: func(m db.Mutation) {
-			durableMu.Lock()
-			durable = append(durable, m)
-			durableMu.Unlock()
+			r.mu.Lock()
+			r.durable = append(r.durable, m)
+			r.mu.Unlock()
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
-	b := newBeatRig(t, time.Minute, store)
-	b.addSilentNode("n1", gpu.RTX3090, gpu.RTX3090)
-	rec, err := store.GetNode("n1")
+	t.Cleanup(func() { mgr.Close() })
+	r.beatRig = newBeatRig(t, time.Minute, store)
+	r.addSilentNode("n1", gpu.RTX3090, gpu.RTX3090)
+	return r
+}
+
+// durableTypes lists the types OnDurable saw from index from on.
+func (r *durableRig) durableTypes(from int) []db.MutationType {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []db.MutationType
+	for _, m := range r.durable[from:] {
+		out = append(out, m.Type)
+	}
+	return out
+}
+
+// TestTelemetryBeatIsSoftState pins what one telemetry beat costs on
+// the shipped seam: nothing durable. Its four points land in the
+// sample ring and on the sample_put counter, but the beat takes no LSN,
+// reaches no fsync and no OnDurable. A replayed beat appends nothing.
+func TestTelemetryBeatIsSoftState(t *testing.T) {
+	r := newDurableRig(t)
+	rec, err := r.store.GetNode("n1")
 	if err != nil || len(rec.GPUs) != 2 {
 		t.Fatalf("registered node: %+v err=%v", rec, err)
 	}
 	samplePut := db.Mutation{Type: db.MutSamplePut, Sample: &db.Sample{NodeID: "n1"}}
-	counter, err := b.coord.Metrics().Counter("gpunion_store_mutations_total", "",
-		map[string]string{"type": string(db.MutSamplePut), "shard": strconv.Itoa(store.ShardFor(samplePut))})
+	counter, err := r.coord.Metrics().Counter("gpunion_store_mutations_total", "",
+		map[string]string{"type": string(db.MutSamplePut), "shard": strconv.Itoa(r.store.ShardFor(samplePut))})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	b.clock.Advance(10 * time.Second)
-	req := b.beatReq("n1")
+	r.clock.Advance(10 * time.Second)
+	req := r.beatReq("n1")
 	for i, g := range rec.GPUs {
 		req.Telemetry = append(req.Telemetry, gpu.Telemetry{
 			DeviceID: g.DeviceID, Utilization: 0.25 * float64(i+1), UsedMemMiB: int64(1024 * (i + 1))})
 	}
-	syncs, lsn, acked := fs.syncs.Load(), store.CurrentLSN(), len(durable)
-	if resp, err := b.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
-		t.Fatalf("telemetry beat: %+v err=%v", resp, err)
+	syncs, lsn, acked := r.fs.syncs.Load(), r.store.CurrentLSN(), len(r.durableTypes(0))
+	points := func() int {
+		from, to := r.clock.Now().Add(-time.Hour), r.clock.Now().Add(time.Hour)
+		return len(r.store.SamplesInRange("gpu_utilization", "n1", from, to)) +
+			len(r.store.SamplesInRange("gpu_memory_used_mib", "n1", from, to))
 	}
-	if got := fs.syncs.Load() - syncs; got != 1 {
-		t.Fatalf("one telemetry beat cost %d fsyncs, want 1", got)
-	}
-	if got := counter.Value(); got != 4 {
-		t.Fatalf("sample_put counter = %v, want 4", got)
-	}
-	durableMu.Lock()
-	got := durable[acked:]
-	durableMu.Unlock()
-	if len(got) != 4 {
-		t.Fatalf("OnDurable saw %d records before the ack, want 4: %+v", len(got), got)
-	}
-	for i, m := range got {
-		if m.Type != db.MutSamplePut || m.Group != nil || m.LSN != lsn+uint64(i)+1 {
-			t.Fatalf("durable record %d = %+v, want sample_put at LSN %d", i, m, lsn+uint64(i)+1)
+	// The beat and then the same BeatSeq again (a relay retry, a
+	// duplicated delivery): the second changes nothing.
+	for _, delivery := range []string{"original", "replay"} {
+		if resp, err := r.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
+			t.Fatalf("%s telemetry beat: %+v err=%v", delivery, resp, err)
+		}
+		if got := r.fs.syncs.Load() - syncs; got != 0 {
+			t.Fatalf("%s: telemetry beat cost %d fsyncs, want 0", delivery, got)
+		}
+		if got := r.durableTypes(acked); len(got) != 0 {
+			t.Fatalf("%s: OnDurable saw %v, want nothing", delivery, got)
+		}
+		if r.store.CurrentLSN() != lsn {
+			t.Fatalf("%s: LSN moved %d -> %d", delivery, lsn, r.store.CurrentLSN())
+		}
+		if got := counter.Value(); got != 4 {
+			t.Fatalf("%s: sample_put counter = %v, want 4", delivery, got)
+		}
+		if got := points(); got != 4 {
+			t.Fatalf("%s: SamplesInRange returns %d points, want 4", delivery, got)
 		}
 	}
+}
 
-	// The same BeatSeq again (a relay retry, a duplicated delivery).
-	syncs, lsn = fs.syncs.Load(), store.CurrentLSN()
-	if _, err := b.coord.Heartbeat(req); err != nil {
-		t.Fatal(err)
+// TestDuplicateTelemetrySampleDetected is the sabotage behind
+// no-duplicate-side-effects for soft state: BeatSeq 0 is the one value
+// the dedup guard always lets through, so replaying such a telemetry
+// beat appends its samples twice without moving the LSN — the detector
+// must still flag it, and must stay quiet for a guarded replay.
+func TestDuplicateTelemetrySampleDetected(t *testing.T) {
+	store := db.New(0)
+	b := newBeatRig(t, time.Minute, store)
+	b.addSilentNode("n1")
+	rec, _ := store.GetNode("n1")
+	b.clock.Advance(10 * time.Second)
+	req := b.beatReq("n1")
+	req.Telemetry = []gpu.Telemetry{{DeviceID: rec.GPUs[0].DeviceID, Utilization: 0.5, UsedMemMiB: 1024}}
+	deliver := func() {
+		if _, err := b.coord.Heartbeat(req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if fs.syncs.Load() != syncs || store.CurrentLSN() != lsn || counter.Value() != 4 {
-		t.Fatalf("replayed beat appended: syncs %d->%d, LSN %d->%d, sample_put %v",
-			syncs, fs.syncs.Load(), lsn, store.CurrentLSN(), counter.Value())
+	deliver()
+	if vs := chaos.VerifyIdempotent(store, "guarded replay", deliver); len(vs) != 0 {
+		t.Fatalf("replay swallowed by the BeatSeq guard flagged: %v", vs)
+	}
+	req.BeatSeq = 0
+	lsn := store.CurrentLSN()
+	vs := chaos.VerifyIdempotent(store, "unguarded replay", deliver)
+	if len(vs) != 1 || vs[0].Rule != "no-duplicate-side-effects" {
+		t.Fatalf("duplicated telemetry samples not flagged: %v", vs)
+	}
+	if store.CurrentLSN() != lsn {
+		t.Fatalf("sabotage moved the LSN %d -> %d; it must be caught by the observer alone", lsn, store.CurrentLSN())
+	}
+}
+
+// TestHealthBeatStaysDurable is the other side of the contract: health
+// events drive drainUnhealthy, so a beat carrying one still commits —
+// the node after-image and the fold, each fsynced and handed to
+// OnDurable before Heartbeat returns.
+func TestHealthBeatStaysDurable(t *testing.T) {
+	r := newDurableRig(t)
+	r.clock.Advance(10 * time.Second)
+	req := r.beatReq("n1")
+	req.HealthEvents = []gpu.HealthEvent{warnThermal()}
+	syncs, acked := r.fs.syncs.Load(), len(r.durableTypes(0))
+	if resp, err := r.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
+		t.Fatalf("health beat: %+v err=%v", resp, err)
+	}
+	want := []db.MutationType{db.MutNodePut, db.MutNodeHealth}
+	if got := r.durableTypes(acked); !slices.Equal(got, want) {
+		t.Fatalf("OnDurable before the ack saw %v, want %v", got, want)
+	}
+	if got := r.fs.syncs.Load() - syncs; got != int64(len(want)) {
+		t.Fatalf("health beat cost %d fsyncs, want one per record (%d)", got, len(want))
 	}
 }

@@ -770,9 +770,9 @@ func (c *Coordinator) heartbeatAt(req api.HeartbeatRequest, now time.Time) (api.
 		c.ingestHealth(req.MachineID, health, now)
 	}
 
-	// Persist telemetry history for capacity planning (§3.2): the
-	// beat's points commit as one batch, so the beat waits for one WAL
-	// group, not one per point.
+	// Keep telemetry history for capacity planning (§3.2). Samples are
+	// soft state — an in-memory append the beat never waits on the log
+	// for; a checkpoint carries them across a clean restart.
 	if len(req.Telemetry) > 0 {
 		samples := make([]db.Sample, 0, 2*len(req.Telemetry))
 		for _, tel := range req.Telemetry {

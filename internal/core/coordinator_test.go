@@ -434,6 +434,11 @@ func TestRequeueWhenNoMigrationTarget(t *testing.T) {
 	}
 }
 
+// sampleCount reads how many telemetry points the store holds. Samples
+// take no LSN, so "was this beat processed" is read off the sample
+// table, not the mutation sequence.
+func sampleCount(s db.Store) int { return len(s.ExportState().Samples) }
+
 // TestHeartbeatDuplicateDropped: a replayed heartbeat (same BeatSeq) is
 // acknowledged but processed zero times — no samples, no telemetry
 // refresh, no mutation-sequence advance.
@@ -449,21 +454,23 @@ func TestHeartbeatDuplicateDropped(t *testing.T) {
 	if resp, err := r.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
 		t.Fatalf("first delivery = %+v, %v", resp, err)
 	}
-	before := r.coord.DB().CurrentLSN()
+	samples := func() int { return sampleCount(r.coord.DB()) }
+	before, samplesBefore := r.coord.DB().CurrentLSN(), samples()
 	for i := 0; i < 3; i++ {
 		resp, err := r.coord.Heartbeat(req)
 		if err != nil || !resp.Acknowledged {
 			t.Fatalf("duplicate delivery = %+v, %v", resp, err)
 		}
 	}
-	if after := r.coord.DB().CurrentLSN(); after != before {
-		t.Fatalf("duplicate heartbeats mutated the store: LSN %d -> %d", before, after)
+	if after := r.coord.DB().CurrentLSN(); after != before || samples() != samplesBefore {
+		t.Fatalf("duplicate heartbeats mutated the store: LSN %d -> %d, samples %d -> %d",
+			before, after, samplesBefore, samples())
 	}
 	// A genuinely new beat is still processed.
 	if _, err := r.coord.Heartbeat(ag.HeartbeatRequest()); err != nil {
 		t.Fatal(err)
 	}
-	if after := r.coord.DB().CurrentLSN(); after == before {
+	if samples() == samplesBefore {
 		t.Fatal("fresh beat was swallowed by the duplicate guard")
 	}
 }
@@ -494,11 +501,11 @@ func TestHeartbeatSeqResetOnReregister(t *testing.T) {
 	if req.BeatSeq != 1 {
 		t.Fatalf("restarted agent's first beat seq = %d", req.BeatSeq)
 	}
-	before := r.coord.DB().CurrentLSN()
+	before := sampleCount(r.coord.DB())
 	if resp, err := r.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
 		t.Fatalf("first beat after restart = %+v, %v", resp, err)
 	}
-	if r.coord.DB().CurrentLSN() == before {
+	if sampleCount(r.coord.DB()) == before {
 		t.Fatal("restarted agent's beats are muted by the stale guard")
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
@@ -142,6 +144,26 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 
 	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, _ *http.Request) {
 		api.WriteJSON(w, http.StatusOK, c.Nodes())
+	})
+
+	// One node's retained telemetry points of one metric, oldest first;
+	// since (a duration, e.g. 5m) keeps only the most recent window.
+	mux.HandleFunc("GET /v1/nodes/{id}/samples", func(w http.ResponseWriter, r *http.Request) {
+		id, q := r.PathValue("id"), r.URL.Query()
+		if _, err := c.db.GetNode(id); err != nil {
+			api.WriteError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknownNode, id))
+			return
+		}
+		since, err := time.ParseDuration(cmp.Or(q.Get("since"), "0s"))
+		if err != nil {
+			api.WriteError(w, http.StatusBadRequest, err)
+			return
+		}
+		from, noEnd := time.Time{}, time.Unix(1<<40, 0)
+		if since > 0 {
+			from = c.clock.Now().Add(-since)
+		}
+		api.WriteJSON(w, http.StatusOK, c.db.SamplesInRange(q.Get("metric"), id, from, noEnd))
 	})
 
 	mux.HandleFunc("GET /v1/health/nodes", func(w http.ResponseWriter, _ *http.Request) {

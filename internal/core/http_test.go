@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -130,6 +132,43 @@ func TestHTTPNodesEndpoint(t *testing.T) {
 	}
 	if len(nodes) != 1 || nodes[0].ID != "n1" || len(nodes[0].GPUs) != 2 {
 		t.Fatalf("nodes = %+v", nodes)
+	}
+}
+
+// TestHTTPNodeSamples: the samples route is the telemetry history's one
+// reader — per node, per metric, optionally windowed; unknown node 404.
+func TestHTTPNodeSamples(t *testing.T) {
+	r := newHTTPRig(t)
+	r.addHTTPNode("n1", gpu.RTX3090, gpu.RTX3090)
+	r.clock.Advance(time.Second) // ten beats of two devices each
+	all, err := r.client.NodeSamples("n1", "gpu_utilization", 0)
+	if err != nil || len(all) != 20 {
+		t.Fatalf("all history = %d points, %v; want 20", len(all), err)
+	}
+	for i, s := range all {
+		if s.NodeID != "n1" || s.Metric != "gpu_utilization" || (i > 0 && s.Time.Before(all[i-1].Time)) {
+			t.Fatalf("point %d = %+v, want n1 gpu_utilization in time order", i, s)
+		}
+	}
+	recent, err := r.client.NodeSamples("n1", "gpu_memory_used_mib", 250*time.Millisecond)
+	if err != nil || len(recent) != 6 { // beats at now, now-100ms, now-200ms
+		t.Fatalf("last 250ms = %d points, %v; want 6", len(recent), err)
+	}
+	if none, err := r.client.NodeSamples("n1", "no_such_metric", 0); err != nil || len(none) != 0 {
+		t.Fatalf("unknown metric = %v, %v; want empty", none, err)
+	}
+	_, err = r.client.NodeSamples("ghost", "gpu_utilization", 0)
+	var apiErr api.Error
+	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound {
+		t.Fatalf("unknown node = %v, want a 404 api.Error", err)
+	}
+	resp, err := http.Get(r.coordSrv.URL + "/v1/nodes/n1/samples?since=yesterday")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed since = %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
+	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -138,6 +140,61 @@ func TestReplicaLifecycle(t *testing.T) {
 		}
 		if got := stateJSON(t, again.Store()); got != before {
 			t.Fatal("state after close and reopen differs")
+		}
+	})
+
+	t.Run("samples survive a crash only through the checkpoint", func(t *testing.T) {
+		r, dir := newReplicaRig(t), t.TempDir()
+		rep := r.open("", dir, "", nil)
+		rep.Start()
+		reg, err := rep.Coordinator().Register(api.RegisterRequest{
+			MachineID: "n00", Addr: "fake://n00",
+			GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090",
+				MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}},
+		}, newFakeAgent("gpu0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := uint64(0)
+		telemetryBeats := func(n int) {
+			for i := 0; i < n; i++ {
+				seq++
+				r.clock.Advance(time.Second)
+				resp, err := rep.Coordinator().Heartbeat(api.HeartbeatRequest{
+					Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
+					MachineID: "n00", Token: reg.Token, BeatSeq: seq,
+					Telemetry: []gpu.Telemetry{{DeviceID: "gpu0", Utilization: 0.5, UsedMemMiB: 1024}},
+				})
+				if err != nil || !resp.Acknowledged {
+					t.Fatalf("telemetry beat %d = %+v, %v", seq, resp, err)
+				}
+			}
+		}
+		telemetryBeats(3)
+		if err := rep.WAL().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		atCheckpoint := rep.Store().ExportState().Samples
+		telemetryBeats(3)
+		r.clock.Advance(10 * time.Second) // flush the coalesced beat advances into the log
+		atKill := rep.Store().ExportState()
+		if len(atCheckpoint) != 6 || len(atKill.Samples) != 12 {
+			t.Fatalf("%d samples at the checkpoint, %d at the kill; want 6 and 12", len(atCheckpoint), len(atKill.Samples))
+		}
+		if err := rep.Kill(); err != nil {
+			t.Fatal(err)
+		}
+
+		again := r.open("", dir, "", nil)
+		if rec := again.WAL().Recovery; !rec.SnapshotLoaded || rec.Replayed == 0 {
+			t.Fatalf("recovery = %+v, want snapshot plus a replayed tail", rec)
+		}
+		got := again.Store().ExportState()
+		if vs := invariant.CheckEquivalence(atKill, got); len(vs) != 0 {
+			t.Fatalf("durable tables diverged or the watermark regressed: %v", vs)
+		}
+		if !reflect.DeepEqual(got.Samples, atCheckpoint) {
+			t.Fatalf("recovered samples = %+v, want the checkpoint's %+v", got.Samples, atCheckpoint)
 		}
 	})
 

@@ -23,12 +23,18 @@
 // cost O(result), not O(all jobs).
 //
 // Durability is layered on top through mutation records: every write
-// emits a typed, LSN-stamped Mutation to an installed MutationHook
-// (the write-ahead log in internal/wal), ExportState checkpoints the
-// store shard by shard without ever quiescing it, and Apply replays
-// logged mutations idempotently during recovery. One-shot dumps are
-// simply the JSON encoding of ExportState; the coordinator path
-// persists via snapshot + WAL.
+// to nodes, jobs and allocations emits a typed, LSN-stamped Mutation to
+// an installed MutationHook (the write-ahead log in internal/wal),
+// ExportState checkpoints the store shard by shard without ever
+// quiescing it, and Apply replays logged mutations idempotently during
+// recovery. One-shot dumps are simply the JSON encoding of ExportState;
+// the coordinator path persists via snapshot + WAL.
+//
+// Monitoring samples are soft state: a lossy in-memory ring that takes
+// no LSN and is never logged or shipped. They ride ExportState, so a
+// checkpoint keeps history across a clean restart; a crash loses the
+// points since the last checkpoint and a promoted standby starts with
+// the snapshot's history only.
 package db
 
 import (
@@ -244,9 +250,8 @@ type Store interface {
 	Allocations() []AllocationRecord
 
 	AppendSample(s Sample)
-	// AppendSamples stores several points as one durability unit: one
-	// record and one LSN per point, handed to the mutation hook in a
-	// single call so a durable hook waits once (see Mutation.Group).
+	// AppendSamples stores several points as soft state: in memory
+	// only, never logged or shipped (see DB.AppendSamples).
 	AppendSamples(points []Sample)
 	SamplesInRange(metric, nodeID string, from, to time.Time) []Sample
 
@@ -317,14 +322,6 @@ type allocShard struct {
 type sampleShard struct {
 	mu  sync.RWMutex
 	buf []Sample
-	// lastLSN is the LSN of the newest point appended here, live or by
-	// replay. Appends happen under mu in ascending LSN order, so a
-	// replayed record at or below it is already contained.
-	lastLSN uint64
-	// unstamped counts the leading points whose LSN is unknown — the
-	// ones ImportState installed from a snapshot image. Only they need
-	// a content scan when a record above lastLSN is replayed.
-	unstamped int
 }
 
 // DB is the central database. All methods are safe for concurrent use;
@@ -340,9 +337,9 @@ type DB struct {
 	// without a global lock.
 	maxSamples  int
 	sampleCount atomic.Int64
-	// lsn stamps every mutation; assigned inside the target shard's
-	// critical section so an ExportState watermark read before a shard
-	// is serialized bounds exactly what that shard's copy contains.
+	// lsn stamps every logged mutation (samples take none), inside the
+	// target shard's critical section, so an ExportState watermark read
+	// before a shard is serialized bounds what that shard's copy contains.
 	lsn atomic.Uint64
 	// nodeGen backs NodeGeneration. Every bump comes right after the
 	// install it announces, inside the shard's critical section: a
@@ -832,12 +829,13 @@ func (d *DB) Allocations() []AllocationRecord {
 // AppendSample stores one monitoring data point; see AppendSamples.
 func (d *DB) AppendSample(s Sample) { d.AppendSamples([]Sample{s}) }
 
-// AppendSamples stores a batch of monitoring data points as one
-// durability unit: every point still gets its own LSN and its own
-// MutSamplePut record, but the records reach the mutation hook in a
-// single call (see Mutation.Group), so a durable hook waits once for
-// the whole batch. Consecutive points of one node share one critical
-// section of that node's shard.
+// AppendSamples stores a batch of monitoring data points as soft
+// state: they go into the in-memory ring and nowhere else. They take no
+// LSN and never reach the mutation hook — not logged, not shipped, no
+// I/O wait — and observers see one LSN-less MutSamplePut per point.
+// History persists only through ExportState (see the package comment).
+// Consecutive points of one node share one critical section of that
+// node's shard.
 //
 // The retention bound is global: when the total exceeds maxSamples, the
 // appending shard evicts its oldest point, so the store's footprint
@@ -847,35 +845,21 @@ func (d *DB) AppendSample(s Sample) { d.AppendSamples([]Sample{s}) }
 // history, which lets the total overshoot by at most one point per
 // shard.
 func (d *DB) AppendSamples(points []Sample) {
-	if len(points) == 0 {
-		return
-	}
-	images := slices.Clone(points)
-	muts := make([]Mutation, len(images))
+	images := slices.Clone(points) // observers may retain the payloads
 	for i := 0; i < len(images); {
 		sh := d.sampleShard(images[i].NodeID)
 		sh.mu.Lock()
 		for node := images[i].NodeID; i < len(images) && images[i].NodeID == node; i++ {
-			lsn := d.lsn.Add(1)
-			d.appendSampleLocked(sh, images[i], lsn)
-			muts[i] = Mutation{LSN: lsn, Type: MutSamplePut, Sample: &images[i]}
+			sh.buf = append(sh.buf, images[i])
+			if d.sampleCount.Add(1) > int64(d.maxSamples) && len(sh.buf) > 1 {
+				sh.buf = sh.buf[1:]
+				d.sampleCount.Add(-1)
+			}
 		}
 		sh.mu.Unlock()
 	}
-	d.emitGroup(muts)
-}
-
-// appendSampleLocked adds one point carrying the given LSN to the
-// shard's buffer and enforces the store-wide retention bound. Callers
-// hold sh.mu and append in ascending LSN order, which is what lets
-// lastLSN decide "already contained" for replay (see Apply).
-func (d *DB) appendSampleLocked(sh *sampleShard, s Sample, lsn uint64) {
-	sh.buf = append(sh.buf, s)
-	sh.lastLSN = lsn
-	if d.sampleCount.Add(1) > int64(d.maxSamples) && len(sh.buf) > 1 {
-		sh.buf = sh.buf[1:]
-		sh.unstamped = max(sh.unstamped-1, 0)
-		d.sampleCount.Add(-1)
+	for i := range images {
+		d.observers.notify(Mutation{Type: MutSamplePut, Sample: &images[i]})
 	}
 }
 

@@ -31,7 +31,9 @@ const (
 	// Alloc payload is the closed episode's after-image (End set), so
 	// replay targets exactly the episode that was closed.
 	MutAllocClose MutationType = "alloc_close"
-	// MutSamplePut records one monitoring data point.
+	// MutSamplePut announces one monitoring data point to observers.
+	// Samples are soft state (see AppendSamples): no LSN, no hook call,
+	// and Apply skips the type — older binaries logged it.
 	MutSamplePut MutationType = "sample_put"
 	// MutBeat is a coalesced heartbeat delta: one record carries the
 	// LastHeartbeat advances of every no-op beat that landed on one node
@@ -87,13 +89,6 @@ type Mutation struct {
 	Beats []BeatDelta `json:"beats,omitempty"`
 	// Health carries a MutNodeHealth record's fold.
 	Health *HealthDelta `json:"health,omitempty"`
-	// Group, when set, makes this value an envelope rather than a
-	// record: the store operation committed several records (ascending
-	// LSN) and hands them to the mutation hook in one call, so a durable
-	// hook waits once for all of them. Only the hook ever sees an
-	// envelope — it is never logged, replayed or shown to observers —
-	// and every other field of an envelope is zero.
-	Group []Mutation `json:"-"`
 }
 
 // MutationHook observes committed mutations. It is invoked after the
@@ -103,11 +98,9 @@ type Mutation struct {
 // durable hook therefore gives durable-before-ack semantics without
 // holding any lock across I/O.
 //
-// One hook call is one durability unit. An operation that commits
-// several records (AppendSamples) calls the hook once with an envelope
-// whose Group lists them; a hook that handles records one by one must
-// range over m.Group when it is set. Observers never see envelopes:
-// they are notified record by record.
+// One hook call is one record and one durability unit. Monitoring
+// samples are the one write that never reaches the hook: they are soft
+// state, announced to observers only (see AppendSamples).
 //
 // Payloads are immutable after-images: the store installs records
 // copy-on-write and emits the installed record itself, so a hook (or
@@ -215,12 +208,6 @@ func sameAllocIdentity(a, b AllocationRecord) bool {
 		a.Start.Equal(b.Start)
 }
 
-// sameSample compares monitoring points field by field.
-func sameSample(a, b Sample) bool {
-	return a.NodeID == b.NodeID && a.Metric == b.Metric && a.Value == b.Value &&
-		a.Time.Equal(b.Time)
-}
-
 // raiseLSN advances the counter to at least lsn (replay keeps the
 // counter ahead of every durable mutation).
 func raiseLSN(ctr *atomic.Uint64, lsn uint64) {
@@ -261,22 +248,6 @@ func (d *DB) emit(m Mutation) {
 		(*h)(m)
 	}
 	d.observers.notify(m)
-}
-
-// emitGroup is emit for an operation that committed several records:
-// the hook is invoked once with all of them (one durability wait), the
-// observers once per record. A group of one is a plain emit.
-func (d *DB) emitGroup(ms []Mutation) {
-	if len(ms) == 1 {
-		d.emit(ms[0])
-		return
-	}
-	if h := d.hook.Load(); h != nil {
-		(*h)(Mutation{Group: ms})
-	}
-	for _, m := range ms {
-		d.observers.notify(m)
-	}
 }
 
 // ExportState collects a snapshot image shard by shard: each shard is
@@ -329,7 +300,7 @@ func (d *DB) ImportState(st State) {
 		d.jobs[i].recs = make(map[string]*JobRecord)
 		d.jobs[i].resetIndexes()
 		d.allocs[i].episodes = nil
-		d.samples[i].buf, d.samples[i].lastLSN, d.samples[i].unstamped = nil, 0, 0
+		d.samples[i].buf = nil
 	}
 	for _, n := range st.Nodes {
 		cp := cloneNode(n)
@@ -349,7 +320,6 @@ func (d *DB) ImportState(st State) {
 	for _, smp := range st.Samples {
 		s := d.sampleShard(smp.NodeID)
 		s.buf = append(s.buf, smp)
-		s.unstamped = len(s.buf)
 	}
 	d.sampleCount.Store(int64(len(st.Samples)))
 	raiseLSN(&d.lsn, st.Watermark)
@@ -405,29 +375,10 @@ func (d *DB) Apply(m Mutation) error {
 		applyAllocClose(&s.episodes, *m.Alloc)
 		s.mu.Unlock()
 	case MutSamplePut:
-		if m.Sample == nil {
-			return fmt.Errorf("db: %s mutation without sample payload", m.Type)
-		}
-		// A shard's points are appended in ascending LSN order (live
-		// under its lock, replay by contract), so a record at or below
-		// the shard's newest LSN is already contained. Above it, only
-		// points of unknown LSN — a fuzzy snapshot's image, which may
-		// have captured the record — need a content scan; a record
-		// without an LSN is compared against everything.
-		sh := d.sampleShard(m.Sample.NodeID)
-		sh.mu.Lock()
-		contained := m.LSN != 0 && m.LSN <= sh.lastLSN
-		if !contained {
-			scan := sh.buf[:sh.unstamped]
-			if m.LSN == 0 {
-				scan = sh.buf
-			}
-			contained = slices.ContainsFunc(scan, func(s Sample) bool { return sameSample(s, *m.Sample) })
-		}
-		if !contained {
-			d.appendSampleLocked(sh, *m.Sample, max(m.LSN, sh.lastLSN))
-		}
-		sh.mu.Unlock()
+		// Samples are soft state and no longer logged; a log written by
+		// an older binary replays without its samples, never an error.
+		// The record keeps its LSN slot (the deferred raiseLSN), so no
+		// later record reuses an LSN that log already holds.
 	case MutBeat:
 		if len(m.Beats) == 0 {
 			return fmt.Errorf("db: %s mutation without beat payload", m.Type)

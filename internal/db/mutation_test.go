@@ -2,6 +2,7 @@ package db
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,8 @@ func bothStores(t *testing.T, fn func(t *testing.T, s Store)) {
 func TestMutationHookEmitsEveryWrite(t *testing.T) {
 	bothStores(t, func(t *testing.T, s Store) {
 		muts, _ := collectMutations(s)
+		observed := 0
+		defer s.AddMutationObserver(func(Mutation) { observed++ })()
 		s.UpsertNode(NodeRecord{ID: "n1", Status: NodeActive})
 		if err := s.UpdateNode("n1", func(n *NodeRecord) { n.Status = NodePaused }); err != nil {
 			t.Fatal(err)
@@ -51,10 +54,13 @@ func TestMutationHookEmitsEveryWrite(t *testing.T) {
 		}
 		s.AppendSample(Sample{Time: mutEpoch, NodeID: "n1", Metric: "m", Value: 1})
 
+		// Every write is logged but the sample: soft state reaches
+		// observers only.
 		want := []MutationType{MutNodePut, MutNodePut, MutJobPut, MutJobPut,
-			MutAllocOpen, MutAllocClose, MutSamplePut}
-		if len(*muts) != len(want) {
-			t.Fatalf("emitted %d mutations, want %d", len(*muts), len(want))
+			MutAllocOpen, MutAllocClose}
+		if len(*muts) != len(want) || observed != len(want)+1 {
+			t.Fatalf("hook saw %d mutations, observer %d, want %d and %d",
+				len(*muts), observed, len(want), len(want)+1)
 		}
 		var last uint64
 		for i, m := range *muts {
@@ -121,8 +127,8 @@ func TestApplyIdempotent(t *testing.T) {
 		if !got.Allocations[0].End.Equal(want.Allocations[0].End) {
 			t.Fatalf("allocation end %v != %v", got.Allocations[0].End, want.Allocations[0].End)
 		}
-		if len(got.Samples) != 1 {
-			t.Fatalf("samples duplicated: %d", len(got.Samples))
+		if len(got.Samples) != 0 {
+			t.Fatalf("replay produced %d samples; they are never logged", len(got.Samples))
 		}
 		if re.CurrentLSN() != s.CurrentLSN() {
 			t.Fatalf("replayed LSN %d != source %d", re.CurrentLSN(), s.CurrentLSN())
@@ -243,58 +249,46 @@ func exportJSON(t testing.TB, s Store) string {
 	return string(b)
 }
 
-func TestAppendSamplesOneHookCall(t *testing.T) {
+func TestAppendSamplesSoftState(t *testing.T) {
 	bothStores(t, func(t *testing.T, s Store) {
 		// Two nodes interleaved: consecutive points of one node share a
-		// critical section, and the batch as a whole shares one hook call.
+		// critical section.
 		var points []Sample
 		for i, node := range []string{"n1", "n1", "n2", "n2", "n1", "n1"} {
 			points = append(points, Sample{Time: mutEpoch.Add(time.Duration(i) * time.Second),
 				NodeID: node, Metric: "m", Value: float64(i)})
 		}
+		s.UpsertNode(NodeRecord{ID: "n1", Status: NodeActive})
 		muts, _ := collectMutations(s)
 		var observed []Mutation
 		cancel := s.AddMutationObserver(func(m Mutation) { observed = append(observed, m) })
 		defer cancel()
+		lsn := s.CurrentLSN()
 
 		s.AppendSamples(points)
+		s.AppendSamples(nil)
 
-		if len(*muts) != 1 {
-			t.Fatalf("hook invoked %d times for one batch, want 1", len(*muts))
+		// Never logged: no hook call, no LSN taken, watermark unmoved.
+		if len(*muts) != 0 {
+			t.Fatalf("hook saw %+v, want no call for samples", *muts)
 		}
-		env := (*muts)[0]
-		if env.Type != "" || env.LSN != 0 || env.Sample != nil {
-			t.Fatalf("envelope carries record fields: %+v", env)
+		if s.CurrentLSN() != lsn || s.ExportState().Watermark != lsn {
+			t.Fatalf("LSN %d / watermark %d moved from %d", s.CurrentLSN(), s.ExportState().Watermark, lsn)
 		}
-		if len(env.Group) != len(points) || len(observed) != len(points) {
-			t.Fatalf("group of %d, %d observer notifications, want %d each",
-				len(env.Group), len(observed), len(points))
+		// Observers count accepted points, one LSN-less record each.
+		if len(observed) != len(points) {
+			t.Fatalf("%d observer notifications, want %d", len(observed), len(points))
 		}
-		var last uint64
-		for i, m := range env.Group {
-			if m.Type != MutSamplePut || m.Group != nil || !sameSample(*m.Sample, points[i]) {
-				t.Fatalf("record %d = %+v, want a plain sample_put of %+v", i, m, points[i])
+		for i, m := range observed {
+			if m.Type != MutSamplePut || m.LSN != 0 || *m.Sample != points[i] {
+				t.Fatalf("observer %d saw %+v, want an LSN-less sample_put of %+v", i, m, points[i])
 			}
-			if m.LSN <= last {
-				t.Fatalf("LSN not strictly ascending at %d: %d after %d", i, m.LSN, last)
-			}
-			last = m.LSN
-			if observed[i].LSN != m.LSN || observed[i].Group != nil {
-				t.Fatalf("observer %d saw %+v, want record LSN %d", i, observed[i], m.LSN)
-			}
-		}
-		if s.CurrentLSN() != last {
-			t.Fatalf("CurrentLSN %d != last record %d", s.CurrentLSN(), last)
 		}
 
-		// The records are ordinary: replaying them equals the live store,
-		// which equals the same points appended one by one.
-		replayed, single := New(0), New(0)
-		for _, m := range env.Group {
-			if err := replayed.Apply(m); err != nil {
-				t.Fatal(err)
-			}
-		}
+		// A batch equals the same points appended one by one, and rides
+		// ExportState / ImportState.
+		single, restored := New(0), New(0)
+		single.UpsertNode(NodeRecord{ID: "n1", Status: NodeActive})
 		for _, p := range points {
 			single.AppendSample(p)
 		}
@@ -302,96 +296,52 @@ func TestAppendSamplesOneHookCall(t *testing.T) {
 		if got := exportJSON(t, s); got != want {
 			t.Fatalf("batch store != one-by-one store:\n%s\n%s", got, want)
 		}
-		if got := exportJSON(t, replayed); got != want {
-			t.Fatalf("replayed batch != one-by-one store:\n%s\n%s", got, want)
-		}
-
-		// A batch of one is a plain record; an empty batch commits nothing.
-		s.AppendSamples(points[:1])
-		s.AppendSamples(nil)
-		if len(*muts) != 2 || (*muts)[1].Group != nil || (*muts)[1].Type != MutSamplePut {
-			t.Fatalf("after batch of one and empty batch, hook saw %+v", (*muts)[1:])
+		restored.ImportState(s.ExportState())
+		if got := exportJSON(t, restored); got != want {
+			t.Fatalf("imported image != live store:\n%s\n%s", got, want)
 		}
 	})
 }
 
-func TestApplySamplePutDedup(t *testing.T) {
-	// Two devices of one node can report identical points in one beat:
-	// they are two records and replay must keep both.
-	s := New(0)
-	muts, _ := collectMutations(s)
-	twin := Sample{Time: mutEpoch, NodeID: "n1", Metric: "gpu_utilization", Value: 0.5}
-	s.AppendSamples([]Sample{twin, twin})
-	recs := (*muts)[0].Group
-	s.SetMutationHook(nil)
-
-	re := New(0)
-	for pass := 0; pass < 2; pass++ {
-		for _, m := range recs {
-			if err := re.Apply(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got, want := exportJSON(t, re), exportJSON(t, s); got != want {
-		t.Fatalf("double replay != live:\n%s\n%s", got, want)
-	}
-
-	// A fuzzy snapshot may already hold a record above its watermark:
-	// its points carry no LSN, so they are matched by content, once.
-	st := s.ExportState()
-	st.Watermark = recs[0].LSN - 1
-	fuzzy := New(0)
-	fuzzy.ImportState(st)
-	later := Mutation{LSN: recs[1].LSN + 1, Type: MutSamplePut,
-		Sample: &Sample{Time: mutEpoch.Add(time.Second), NodeID: "n1", Metric: "m", Value: 1}}
-	for pass := 0; pass < 2; pass++ {
-		for _, m := range append(recs[:2:2], later) {
-			if err := fuzzy.Apply(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := len(fuzzy.ExportState().Samples); got != 3 {
-		t.Fatalf("fuzzy snapshot + double replay holds %d samples, want 3", got)
-	}
-
-	// A record without an LSN falls back to the content scan.
-	for pass := 0; pass < 2; pass++ {
-		if err := fuzzy.Apply(Mutation{Type: MutSamplePut, Sample: later.Sample}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(fuzzy.ExportState().Samples); got != 3 {
-		t.Fatalf("LSN-less duplicate was appended: %d samples, want 3", got)
-	}
-}
-
-// BenchmarkApplySamples replays n sample_put records onto a fresh store.
-// ns/record must stay flat in n: replay decides "already contained" from
-// the shard's newest LSN, not by scanning the shard.
-func BenchmarkApplySamples(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		n    int
-	}{{"10k", 10_000}, {"100k", 100_000}} {
-		b.Run(bc.name, func(b *testing.B) {
-			recs := make([]Mutation, bc.n)
-			for i := range recs {
-				recs[i] = Mutation{LSN: uint64(i + 1), Type: MutSamplePut, Sample: &Sample{
-					Time: mutEpoch.Add(time.Duration(i) * time.Millisecond), NodeID: nodeID(i%4, i%64),
-					Metric: "gpu_utilization", Value: float64(i)}}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := New(0)
-				for _, m := range recs {
-					if err := s.Apply(m); err != nil {
-						b.Fatal(err)
-					}
+// TestApplySamplePutSkipped: a log written by a binary that still
+// logged samples replays without them — never an error, no table
+// touched. The record's LSN slot stays consumed (the counter rises to
+// it, never past it), so no later record reuses an LSN the old log
+// already holds — Follower.Offer drops LSNs it has seen as duplicates.
+func TestApplySamplePutSkipped(t *testing.T) {
+	point := &Sample{Time: mutEpoch, NodeID: "n1", Metric: "gpu_utilization", Value: 0.5}
+	for _, tc := range []struct {
+		name    string
+		rec     Mutation
+		wantLSN uint64
+	}{
+		{"above the counter", Mutation{LSN: 7, Type: MutSamplePut, Sample: point}, 7},
+		{"at or below the counter", Mutation{LSN: 1, Type: MutSamplePut, Sample: point}, 2},
+		{"no LSN", Mutation{Type: MutSamplePut, Sample: point}, 2},
+		{"no payload", Mutation{LSN: 2, Type: MutSamplePut}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(0)
+			s.UpsertNode(NodeRecord{ID: "n1", Status: NodeActive})
+			s.AppendSample(Sample{Time: mutEpoch, NodeID: "n1", Metric: "kept", Value: 1})
+			s.UpsertNode(NodeRecord{ID: "n2", Status: NodeActive})
+			before, gen := s.ExportState(), s.NodeGeneration()
+			for pass := 0; pass < 2; pass++ {
+				if err := s.Apply(tc.rec); err != nil {
+					t.Fatalf("Apply(%+v) = %v, want nil", tc.rec, err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/record")
+			after := s.ExportState()
+			if s.CurrentLSN() != tc.wantLSN || after.Watermark != tc.wantLSN {
+				t.Fatalf("LSN %d, watermark %d, want %d", s.CurrentLSN(), after.Watermark, tc.wantLSN)
+			}
+			after.Watermark = before.Watermark
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("tables changed by a skipped sample_put:\n%+v\nwant\n%+v", after, before)
+			}
+			if s.NodeGeneration() != gen {
+				t.Fatalf("node generation moved %d -> %d", gen, s.NodeGeneration())
+			}
 		})
 	}
 }

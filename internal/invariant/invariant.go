@@ -51,7 +51,8 @@
 //     fault is a bounded clock skew stays in service — failure
 //     detection must key off receiver-side time, not sender clocks;
 //   - no-duplicate-side-effects (chaos.VerifyIdempotent): replaying an
-//     already-processed control message mutates nothing.
+//     already-processed control message mutates nothing — no LSN taken,
+//     no mutation observer notified (samples take no LSN).
 //
 // Two rules audit the mutation stream rather than the tables, on one
 // recorder and one fold (stream.go) with a rule value each:

@@ -21,9 +21,11 @@ var goldenT0 = time.Date(2025, 9, 1, 8, 0, 0, 0, time.UTC)
 
 // driveGoldenPhase1 and driveGoldenPhase2 are the recorded mutation
 // stream: a deterministic, single-goroutine driver covering every
-// mutation type (node puts, job transitions, allocation open/close,
-// monitoring samples). Phase 1 is captured by the snapshot; phase 2
-// replays from the log tail.
+// logged mutation type (node puts, job transitions, allocation
+// open/close) plus monitoring samples, which are soft state and never
+// reach the log. Phase 1 is captured by the snapshot — its samples with
+// it; phase 2 replays from the log tail and its samples are lost with
+// the crash.
 func driveGoldenPhase1(s db.Store) {
 	for i := 0; i < 4; i++ {
 		s.UpsertNode(db.NodeRecord{
@@ -121,8 +123,9 @@ func marshalState(t *testing.T, st db.State) []byte {
 // a fresh store from snapshot + log, and compares its ExportState
 // byte-for-byte against the checked-in fixture. It then replays the
 // checked-in mutation stream through Apply alone and requires the very
-// same bytes — proving snapshot+replay and pure replay converge to one
-// canonical state.
+// same bytes in every table but Samples (a log alone does not carry
+// them; both sides are compared with Samples cleared) — proving
+// snapshot+replay and pure replay converge to one canonical state.
 //
 // Regenerate fixtures with: go test ./internal/wal -run Golden -update-golden
 func TestGoldenStateRecovery(t *testing.T) {
@@ -206,7 +209,16 @@ func TestGoldenStateRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got2 := marshalState(t, replayed.ExportState()); !bytes.Equal(got2, want) {
+	var wantState db.State
+	if err := json.Unmarshal(want, &wantState); err != nil {
+		t.Fatal(err)
+	}
+	gotState := replayed.ExportState()
+	if len(gotState.Samples) != 0 {
+		t.Errorf("pure replay produced %d samples; the log carries none", len(gotState.Samples))
+	}
+	wantState.Samples, gotState.Samples = nil, nil
+	if !bytes.Equal(marshalState(t, gotState), marshalState(t, wantState)) {
 		t.Error("pure replay of the recorded stream diverged from the golden state")
 	}
 }

@@ -18,8 +18,7 @@ type Config struct {
 	// snapshots happen only via Checkpoint.
 	SnapshotInterval time.Duration
 	// OnDurable, when non-nil, is invoked after a mutation is durably
-	// logged but before the store acknowledges it to its caller — once
-	// per record, also for records committed as one batch. It is
+	// logged but before the store acknowledges it to its caller. It is
 	// the semi-synchronous replication hook: a harness that ships the
 	// record to a standby inside OnDurable guarantees "acknowledged ⇒
 	// on the standby", which is what the zero-lost-acked-mutations
@@ -70,13 +69,7 @@ func Open(dir string, store db.Store, cfg Config) (*Manager, error) {
 		onErr = func(err error) { log.Printf("wal: DURABILITY LOST, mutation not logged: %v", err) }
 	}
 	store.SetMutationHook(func(mut db.Mutation) {
-		// One hook call is one durability unit: an envelope's records
-		// are logged as one batch under one wait.
-		recs := mut.Group
-		if recs == nil {
-			recs = []db.Mutation{mut}
-		}
-		if err := w.AppendBatch(recs); err != nil {
+		if err := w.Append(mut); err != nil {
 			m.mu.Lock()
 			m.appendErr = err
 			m.mu.Unlock()
@@ -84,9 +77,7 @@ func Open(dir string, store db.Store, cfg Config) (*Manager, error) {
 			return
 		}
 		if cfg.OnDurable != nil {
-			for _, r := range recs {
-				cfg.OnDurable(r)
-			}
+			cfg.OnDurable(mut)
 		}
 	})
 	m.snap.Start(cfg.SnapshotInterval)

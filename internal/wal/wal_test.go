@@ -262,6 +262,51 @@ func TestManagerRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsOldSampleRecords: a log written by a binary that still
+// logged monitoring samples recovers every node and job and no sample,
+// without an error. The skipped records keep their LSN slots, so what
+// the recovered store logs next never collides with an LSN the old
+// segment holds — a standby tailing the directory sees every record.
+func TestRecoverSkipsOldSampleRecords(t *testing.T) {
+	dir := t.TempDir()
+	sample := func(lsn uint64, node string) db.Mutation {
+		return db.Mutation{LSN: lsn, Type: db.MutSamplePut, Sample: &db.Sample{
+			Time: time.Unix(int64(lsn), 0).UTC(), NodeID: node, Metric: "gpu_utilization", Value: 0.5}}
+	}
+	job := func(lsn uint64, id string) db.Mutation {
+		return db.Mutation{LSN: lsn, Type: db.MutJobPut, Job: &db.JobRecord{ID: id, State: db.JobPending, ImageName: "img"}}
+	}
+	writeSegment(t, dir, encoded(t,
+		nodeMut(1, "n1"), sample(2, "n1"), sample(3, "n1"), job(4, "j1"),
+		nodeMut(5, "n2"), sample(6, "n2"), job(7, "j2"), sample(8, "n2"), sample(9, "n1")))
+
+	store := db.New(0)
+	m, err := Open(dir, store, Config{})
+	if err != nil {
+		t.Fatalf("recovering an old-format log: %v", err)
+	}
+	defer m.Close()
+	if m.Recovery.Replayed != 9 || m.Recovery.TornTails != 0 {
+		t.Fatalf("recovery stats: %+v", m.Recovery)
+	}
+	st := store.ExportState()
+	if len(st.Nodes) != 2 || len(st.Jobs) != 2 || len(st.Samples) != 0 {
+		t.Fatalf("recovered %d nodes, %d jobs, %d samples; want 2, 2, 0", len(st.Nodes), len(st.Jobs), len(st.Samples))
+	}
+
+	store.UpsertNode(db.NodeRecord{ID: "n3", Status: db.NodeActive})
+	if got := store.CurrentLSN(); got != 10 {
+		t.Fatalf("first record after recovery took LSN %d, want 10 (above the old log's samples)", got)
+	}
+	standby, f := newStandby(t)
+	if err := f.Pump(NewShipper(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if !statesEqual(store.ExportState(), standby.ExportState()) || f.AppliedLSN() != 10 {
+		t.Fatalf("standby at LSN %d diverged:\nwant %+v\ngot  %+v", f.AppliedLSN(), store.ExportState(), standby.ExportState())
+	}
+}
+
 func TestSnapshotTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
 	store := db.New(0)

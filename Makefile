@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check bench-e2e loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose cover ci
+.PHONY: all build test race bench bench-check bench-e2e loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover ci
 
 all: build
 
@@ -173,6 +173,21 @@ verify-compose:
 		echo "wall-clock sleep in non-test code under internal/sim:"; echo "$$out"; exit 1; \
 	fi
 
+# Same-behaviour gate: the twelve chaos schedules, the trace test's
+# short run and the scripted failover and crash-recovery scenarios must
+# reproduce internal/sim/testdata/golden_traces.json (per-schedule
+# fault, job and replay counters, event count and a digest chain of the
+# flight-recorder export). The comparison runs twice, each in a fresh
+# `go test` process: state that is fixed for one process's life (a
+# random hash seed, an address-ordered map) agrees with itself inside
+# one run and only shows against the committed file or across two. A
+# refactor leaves the file untouched; a deliberate behaviour change
+# regenerates it (same command plus -update-golden) and quotes the diff.
+GOLDEN_TESTS = TestGolden|TestChaosTraceDeterminism|TestFailoverLeaderHandoff|TestCrashRecovery$$
+verify-golden:
+	$(GO) test ./internal/sim -run '$(GOLDEN_TESTS)' -count=1 -timeout 300s
+	$(GO) test ./internal/sim -run '$(GOLDEN_TESTS)' -count=1 -timeout 300s
+
 # Coverage with a floor: fail if total statement coverage drops below
 # COVER_FLOOR. The profile is left in coverage.out for upload.
 cover:
@@ -185,4 +200,4 @@ cover:
 # cover runs the full test suite (with profiling), so ci does not also
 # run a bare `test` pass — the long simulations already execute once
 # there and once more under verify-chaos.
-ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose cover
+ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover

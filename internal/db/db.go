@@ -40,7 +40,6 @@ package db
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"sync"
@@ -285,13 +284,19 @@ var _ Store = (*DB)(nil)
 // spread a few hundred heartbeating nodes with negligible memory cost.
 const DefaultShards = 16
 
-// hashSeed makes the shard assignment stable for the process lifetime.
-var hashSeed = maphash.MakeSeed()
-
 // shardOf hashes a record key onto a shard index (shards is a power of
-// two).
+// two). It is FNV-1a, a pure function of the key: shard assignment
+// decides how a coalescer flush splits into MutBeat records, so a
+// per-process seed here would make every WAL, replication stream and
+// chaos trace differ from one process to the next (make verify-golden
+// pins them).
 func shardOf(key string, shards int) int {
-	return int(maphash.String(hashSeed, key)) & (shards - 1)
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h) & (shards - 1)
 }
 
 // nodeShard is one partition of the node table.

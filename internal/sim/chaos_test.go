@@ -48,7 +48,7 @@ func TestChaosChurnScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 400-node fleet for hours of simulated time")
 	}
-	res, err := RunChaosSchedule("churn@400", 42)
+	res, err := runGoldenSchedule("churn@400")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindNodeCrash]+res.Report.Executed[chaos.KindNodeDepart] < 20 {
 		t.Errorf("churn schedule too thin: %v", res.Report.Executed)
@@ -62,7 +62,7 @@ func TestChaosPartitionCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL fsyncs")
 	}
-	res, err := RunChaosSchedule("partition+coord-crash", 42)
+	res, err := runGoldenSchedule("partition+coord-crash")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindPartition] == 0 {
 		t.Errorf("no partitions executed: %v", res.Report.Executed)
@@ -79,7 +79,7 @@ func TestChaosWALFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL fsyncs")
 	}
-	res, err := RunChaosSchedule("wal-disk-faults", 42)
+	res, err := runGoldenSchedule("wal-disk-faults")
 	requireClean(t, res, err)
 	if res.WALFaultsInjected == 0 {
 		t.Error("no disk faults were actually delivered")
@@ -97,7 +97,7 @@ func TestChaosSkewDup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day of simulated time")
 	}
-	res, err := RunChaosSchedule("skew+dup-delivery", 42)
+	res, err := runGoldenSchedule("skew+dup-delivery")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindClockSkew] == 0 {
 		t.Errorf("no clock skew injected: %v", res.Report.Executed)
@@ -123,7 +123,7 @@ func TestChaosDataPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL fsyncs")
 	}
-	res, err := RunChaosSchedule("data-plane+ckpt-corrupt", 42)
+	res, err := runGoldenSchedule("data-plane+ckpt-corrupt")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindDataPartition] == 0 {
 		t.Errorf("no data-plane partition executed: %v", res.Report.Executed)
@@ -369,7 +369,7 @@ func TestChaosAggCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL fsyncs")
 	}
-	res, err := RunChaosSchedule("agg-crash", 42)
+	res, err := runGoldenSchedule("agg-crash")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindAggCrash] == 0 {
 		t.Errorf("no aggregator crash executed: %v", res.Report.Executed)
@@ -393,7 +393,7 @@ func TestChaosAggPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day of simulated time")
 	}
-	res, err := RunChaosSchedule("agg-partition+fallback", 42)
+	res, err := runGoldenSchedule("agg-partition+fallback")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindAggPartition] == 0 {
 		t.Errorf("no aggregator partition executed: %v", res.Report.Executed)

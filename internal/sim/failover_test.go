@@ -45,6 +45,7 @@ func TestFailoverLeaderHandoff(t *testing.T) {
 	if res.CompletedAfterFailover != res.SubmittedJobs {
 		t.Errorf("completed %d of %d after failover", res.CompletedAfterFailover, res.SubmittedJobs)
 	}
+	checkGolden(t, "failover", res)
 }
 
 // TestChaosLeaderFailover: unannounced leader kills under churn on the
@@ -55,7 +56,7 @@ func TestChaosLeaderFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a replicated campus day")
 	}
-	res, err := RunChaosSchedule("leader-failover", 42)
+	res, err := runGoldenSchedule("leader-failover")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindLeaderKill] == 0 {
 		t.Errorf("no leader kills executed: %v", res.Report.Executed)
@@ -74,7 +75,7 @@ func TestChaosSplitBrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a replicated campus day")
 	}
-	res, err := RunChaosSchedule("split-brain", 42)
+	res, err := runGoldenSchedule("split-brain")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindSplitBrain] == 0 {
 		t.Errorf("no split-brain windows executed: %v", res.Report.Executed)

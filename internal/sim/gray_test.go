@@ -33,7 +33,7 @@ func TestChaosGrayDegrade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL fsyncs")
 	}
-	res, err := RunChaosSchedule("gray-degrade", 42)
+	res, err := runGoldenSchedule("gray-degrade")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindGrayDegrade] == 0 {
 		t.Errorf("no gray-degradation window opened: %v", res.Report.Executed)
@@ -63,7 +63,7 @@ func TestChaosPartialLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL shipping")
 	}
-	res, err := RunChaosSchedule("partial-loss", 42)
+	res, err := runGoldenSchedule("partial-loss")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindPartialLoss] == 0 {
 		t.Errorf("no partial-loss window opened: %v", res.Report.Executed)
@@ -85,7 +85,7 @@ func TestChaosCkptReadRot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL fsyncs")
 	}
-	res, err := RunChaosSchedule("ckpt-read-rot", 42)
+	res, err := runGoldenSchedule("ckpt-read-rot")
 	requireClean(t, res, err)
 	if res.Report.Executed[chaos.KindCkptReadRot] == 0 {
 		t.Errorf("no read-rot window opened: %v", res.Report.Executed)

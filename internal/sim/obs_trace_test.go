@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -31,41 +29,33 @@ func traceChaosConfig(seed int64) ChaosConfig {
 	}
 }
 
-// TestChaosTraceDeterminism: identical seeds must export byte-identical
-// traces. The flight recorder rides the single-driver simulation, so a
-// violation's trace from CI replays exactly on a laptop — the same
-// guarantee TestChaosDeterministicSchedule gives for the fault
-// schedule, extended to the full recorded timeline.
+// TestChaosTraceDeterminism: the same seed must export the same trace
+// in every process. The flight recorder rides the single-driver
+// simulation, so a violation's trace from CI replays exactly on a
+// laptop — the same guarantee TestChaosDeterministicSchedule gives for
+// the fault schedule, extended to the full recorded timeline. The
+// reference is the committed golden entry, not a second run in this
+// process: two runs that share a process also share whatever
+// per-process state could make them agree by accident.
 func TestChaosTraceDeterminism(t *testing.T) {
-	export := func() []byte {
-		t.Helper()
-		res, err := RunChaos(traceChaosConfig(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("violations under trace run: %v", res.Violations)
-		}
-		if len(res.Trace) == 0 {
-			t.Fatal("flight recorder captured nothing")
-		}
-		kinds := obs.Kinds(res.Trace)
-		if kinds[obs.KindFaultInjected] == 0 {
-			t.Fatalf("no fault annotations in trace: %v", kinds)
-		}
-		if kinds["job.submitted"] == 0 || kinds["job.completed"] == 0 {
-			t.Fatalf("job lifecycle missing from trace: %v", kinds)
-		}
-		raw, err := json.Marshal(obs.Export{Events: res.Trace, Dropped: res.TraceDropped})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	res, err := RunChaos(traceChaosConfig(goldenSeed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := export(), export()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same seed, different traces: %d vs %d bytes", len(a), len(b))
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations under trace run: %v", res.Violations)
 	}
+	if len(res.Trace) == 0 {
+		t.Fatal("flight recorder captured nothing")
+	}
+	kinds := obs.Kinds(res.Trace)
+	if kinds[obs.KindFaultInjected] == 0 {
+		t.Fatalf("no fault annotations in trace: %v", kinds)
+	}
+	if kinds["job.submitted"] == 0 || kinds["job.completed"] == 0 {
+		t.Fatalf("job lifecycle missing from trace: %v", kinds)
+	}
+	checkGoldenTrace(t, "trace-determinism", res)
 }
 
 // sabotagePlatform is a minimal chaos.Platform whose CrashNode breaks

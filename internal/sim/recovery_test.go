@@ -44,6 +44,7 @@ func TestCrashRecovery(t *testing.T) {
 	if res.NewJobID == "" {
 		t.Fatal("post-recovery submission failed")
 	}
+	checkGolden(t, "crash-recovery", res)
 }
 
 // TestCrashRecoveryWithoutSnapshot forces the pure-log path: no

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gpunion/internal/db"
-	"gpunion/internal/gpu"
 )
 
 // Heartbeat coalescing: at fleet scale the overwhelming majority of
@@ -52,19 +51,16 @@ const beatFlushCap = 512
 // health fold run ahead of a heartbeat the store has not seen, and a
 // buffer discarded on stop/step-down would drop the beat while its
 // health fold survived in the WAL.
-func (c *Coordinator) isNoopBeat(rec db.NodeRecord, tel []gpu.Telemetry,
-	health []gpu.HealthEvent, wasAway bool, newStatus db.NodeStatus,
-	suspicious bool, lost []db.JobRecord, orphans []string,
-	protected map[string]bool) bool {
-	if len(health) > 0 {
+func (c *Coordinator) isNoopBeat(b *beat) bool {
+	if len(b.health) > 0 {
 		return false
 	}
-	if wasAway || newStatus != rec.Status || suspicious ||
-		len(lost) > 0 || len(orphans) > 0 || len(protected) > 0 {
+	if b.wasAway || b.newStatus != b.rec.Status || b.suspicious ||
+		len(b.lost) > 0 || len(b.orphans) > 0 || len(b.protected) > 0 {
 		return false
 	}
-	for _, g := range rec.GPUs {
-		for _, t := range tel {
+	for _, g := range b.rec.GPUs {
+		for _, t := range b.req.Telemetry {
 			if g.DeviceID == t.DeviceID && g.Allocated != t.Allocated {
 				return false
 			}

@@ -91,47 +91,11 @@ func (c *Coordinator) rememberHealth(nodeID string, events []gpu.HealthEvent) {
 // unhealthy. New placements never land here meanwhile — the scheduler
 // excludes nodes below the threshold.
 func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
-	h := c.handle(nodeID)
-	if h == nil {
-		return
-	}
 	for _, job := range c.db.JobsOnNode(nodeID) {
-		if job.State != db.JobRunning {
-			continue
+		// A legacy record without a relaunch spec cannot be moved.
+		if job.State == db.JobRunning && job.ImageName != "" {
+			c.relocateLive([]db.JobRecord{job}, migration.ReasonPredictive, now)
 		}
-		if job.ImageName == "" {
-			continue // a legacy record without a relaunch spec
-		}
-		// Checkpoint at the source while it is still able; a failing
-		// checkpoint (the gray failure biting) falls back to the last
-		// durable generation.
-		restoreSeq, restoreStep := 0, int64(0)
-		if ck, err := h.Checkpoint(job.ID, true); err == nil {
-			restoreSeq, restoreStep = ck.Seq, ck.Step
-		} else if c.ckpts != nil {
-			if latest, lerr := c.ckpts.Latest(job.ID); lerr == nil {
-				restoreSeq, restoreStep = latest.Seq, latest.Progress.Step
-			}
-		}
-		c.mig.RecordAttempt(migration.ReasonPredictive)
-		plan, err := c.mig.Plan(job, migration.ReasonPredictive, now)
-		if err != nil {
-			c.mig.RecordFailure(migration.ReasonPredictive)
-			continue
-		}
-		if err := h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID}); err != nil {
-			c.mig.RecordFailure(migration.ReasonPredictive)
-			continue
-		}
-		c.freeDevice(job.NodeID, job.DeviceID)
-		_ = c.db.CloseAllocation(job.ID, now)
-		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.State = db.JobMigrating })
-		plan.RestoreSeq, plan.RestoreStep = restoreSeq, restoreStep
-		c.trace.Record(obs.KindPredictiveMigrate, job.ID, nodeID, map[string]string{
-			"to":           plan.Placement.NodeID,
-			"restore_step": strconv.FormatInt(plan.RestoreStep, 10),
-		})
-		c.executePlan(job, plan, migration.ReasonPredictive, now)
 	}
 }
 

@@ -1,0 +1,170 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"gpunion/internal/api"
+	"gpunion/internal/db"
+	"gpunion/internal/eventbus"
+)
+
+// Job lifecycle as users and agents drive it: submit, status, kill, and
+// the agents' terminal reports. Placement is schedule.go; displacement
+// is relocate.go.
+
+// SubmitJob enqueues a user job and attempts immediate placement.
+func (c *Coordinator) SubmitJob(req api.SubmitJobRequest) (string, error) {
+	if err := c.fence(req.LeaderEpoch); err != nil {
+		return "", err
+	}
+	if req.Kind != "batch" && req.Kind != "interactive" {
+		return "", fmt.Errorf("core: unknown job kind %q", req.Kind)
+	}
+	if req.ImageName == "" {
+		return "", errors.New("core: empty image name")
+	}
+	now := c.clock.Now()
+	c.mu.Lock()
+	c.jobSeq++
+	jobID := fmt.Sprintf("job-%06d", c.jobSeq)
+	c.mu.Unlock()
+
+	rec := db.JobRecord{
+		ID: jobID, User: req.User, Kind: req.Kind, State: db.JobPending,
+		Priority: req.Priority, GPUMemMiB: req.GPUMemMiB,
+		CapabilityMajor: req.CapabilityMajor, CapabilityMinor: req.CapabilityMinor,
+		StoragePrefs: req.StoragePrefs, SubmittedAt: now,
+		// The relaunch spec rides in the record so a coordinator
+		// recovered from snapshot + WAL can reschedule this job without
+		// a resubmission.
+		ImageName: req.ImageName, Entrypoint: req.Entrypoint,
+		CheckpointIntervalSec: req.CheckpointIntervalSec,
+		SessionSeconds:        req.SessionSeconds, Training: req.Training,
+	}
+	if err := c.db.InsertJob(rec); err != nil {
+		return "", err
+	}
+	c.bus.Publish(eventbus.Event{Type: eventbus.JobSubmitted, Time: now, Job: jobID})
+	c.TrySchedule()
+	return jobID, nil
+}
+
+// JobStatus reports one job.
+func (c *Coordinator) JobStatus(jobID string) (api.JobStatus, error) {
+	rec, err := c.db.GetJob(jobID)
+	if err != nil {
+		return api.JobStatus{}, fmt.Errorf("%w: %s", ErrUnknownJob, jobID)
+	}
+	return jobStatusOf(rec), nil
+}
+
+// Jobs lists all jobs' statuses, newest first.
+func (c *Coordinator) Jobs() []api.JobStatus {
+	recs := c.db.ListJobs()
+	out := make([]api.JobStatus, 0, len(recs))
+	for i := len(recs) - 1; i >= 0; i-- {
+		out = append(out, jobStatusOf(recs[i]))
+	}
+	return out
+}
+
+func jobStatusOf(rec db.JobRecord) api.JobStatus {
+	return api.JobStatus{
+		JobID: rec.ID, State: rec.State, NodeID: rec.NodeID, DeviceID: rec.DeviceID,
+		Migrations: rec.Migrations, Submitted: rec.SubmittedAt,
+		Started: rec.StartedAt, Finished: rec.FinishedAt,
+	}
+}
+
+// KillJob terminates a job wherever it runs.
+func (c *Coordinator) KillJob(jobID string) error {
+	if err := c.fence(0); err != nil {
+		return err
+	}
+	rec, err := c.db.GetJob(jobID)
+	if err != nil {
+		return fmt.Errorf("%w: %s", ErrUnknownJob, jobID)
+	}
+	now := c.clock.Now()
+	if rec.State == db.JobRunning && rec.NodeID != "" {
+		if h := c.handle(rec.NodeID); h != nil {
+			// Node may be gone; record the kill anyway.
+			_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: jobID})
+		}
+		c.markDevice(rec.NodeID, rec.DeviceID, false)
+		_ = c.db.CloseAllocation(jobID, now)
+	}
+	err = c.db.UpdateJob(jobID, func(j *db.JobRecord) {
+		j.State = db.JobKilled
+		j.FinishedAt = now
+	})
+	c.bus.Publish(eventbus.Event{Type: eventbus.JobKilled, Time: now, Job: jobID})
+	c.TrySchedule()
+	return err
+}
+
+// JobUpdate receives job state changes from agents. Updates from a
+// node the job is no longer placed on are dropped: after a partition,
+// the old host may still be running a copy the platform has since
+// migrated elsewhere, and letting its stale completion close the new
+// placement's allocation would corrupt the resource view (heartbeat
+// reconciliation kills such orphans).
+func (c *Coordinator) JobUpdate(machineID, jobID string, state db.JobState, step int64) {
+	if c.fence(0) != nil {
+		// A deposed or standby coordinator must not resolve jobs; the
+		// agent's report reaches the real leader through its endpoint
+		// failover, and heartbeat anti-entropy covers a dropped one.
+		return
+	}
+	now := c.clock.Now()
+	switch state {
+	case db.JobCompleted, db.JobFailed:
+		// Idempotency pre-check, outside the record lock: a duplicate
+		// delivery of a terminal report (the job already resolved, or
+		// the record no longer points at the sender) must be a true
+		// no-op — not even a no-change UpdateJob, which would still
+		// advance the mutation sequence and re-stamp FinishedAt. A
+		// duplicate racing the original on the concurrent HTTP path can
+		// still slip past this read and reach UpdateJob; the in-lock
+		// guards below keep the record correct there, at the cost of
+		// one no-change mutation record.
+		if cur, err := c.db.GetJob(jobID); err != nil ||
+			cur.State == db.JobCompleted || cur.State == db.JobFailed ||
+			cur.State == db.JobKilled ||
+			(machineID != "" && cur.NodeID != machineID) {
+			return
+		}
+		// The stale-node check also runs inside the record lock: on the
+		// concurrent HTTP path the job may be requeued and re-placed
+		// between the snapshot read above and this update, and a report
+		// from the old host must lose that race, not resolve the new
+		// copy.
+		var nodeID, deviceID string
+		applied := false
+		err := c.db.UpdateJob(jobID, func(j *db.JobRecord) {
+			if machineID != "" && j.NodeID != machineID {
+				return
+			}
+			if j.State == db.JobCompleted || j.State == db.JobFailed || j.State == db.JobKilled {
+				return
+			}
+			nodeID, deviceID = j.NodeID, j.DeviceID
+			j.State = state
+			j.FinishedAt = now
+			applied = true
+		})
+		if err != nil || !applied {
+			return
+		}
+		_ = c.db.CloseAllocation(jobID, now)
+		c.markDevice(nodeID, deviceID, false)
+		evType := eventbus.JobCompleted
+		if state == db.JobFailed {
+			evType = eventbus.JobFailed
+		}
+		c.bus.Publish(eventbus.Event{Type: evType, Time: now, Job: jobID, Node: machineID,
+			Detail: map[string]any{"step": step}})
+		c.TrySchedule()
+	}
+}

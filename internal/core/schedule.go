@@ -1,0 +1,151 @@
+package core
+
+import (
+	"time"
+
+	"gpunion/internal/api"
+	"gpunion/internal/db"
+	"gpunion/internal/eventbus"
+	"gpunion/internal/scheduler"
+)
+
+// Placement: the pending queue drained batch by batch, and the launch +
+// commit of one decision. TrySchedule is called inline from every path
+// that may have made something placeable.
+
+// DefaultBatchSize is how many pending requests one scheduling cycle
+// drains when Config.BatchSize is unset.
+const DefaultBatchSize = 32
+
+// TrySchedule drains the pending queue in priority order, placing jobs
+// batch by batch: each cycle takes up to BatchSize requests, runs one
+// PlaceBatch over a candidate set built once, and commits the
+// placements. Cycles repeat while they make progress, so a deep queue
+// still drains fully; a cycle that commits nothing stops the loop (the
+// cluster is effectively full for this queue shape).
+func (c *Coordinator) TrySchedule() {
+	for c.scheduleBatch() {
+	}
+}
+
+// scheduleBatch runs one batch-scheduling cycle and reports whether any
+// placement was committed. Placements are transactional per member: the
+// database is only mutated after the agent's Launch succeeds, so a
+// failing member leaves no stranded device reservation — its in-batch
+// reservation dies with the batch and the job simply stays pending.
+func (c *Coordinator) scheduleBatch() bool {
+	if !c.Leading() {
+		return false
+	}
+	if c.db.CountJobsInState(db.JobPending) == 0 {
+		return false
+	}
+	now := c.clock.Now()
+
+	// Assemble the batch: the head of the priority queue. Relaunch
+	// metadata lives in the record itself, so jobs restored from a
+	// snapshot + WAL are as schedulable as freshly submitted ones; only
+	// legacy records without a spec are skipped.
+	var (
+		jobs []db.JobRecord
+		reqs []scheduler.Request
+	)
+	for _, job := range c.db.JobsInState(db.JobPending) {
+		if len(reqs) >= c.cfg.BatchSize {
+			break
+		}
+		if job.ImageName == "" {
+			continue
+		}
+		jobs = append(jobs, job)
+		reqs = append(reqs, scheduler.Request{
+			JobID:      job.ID,
+			GPUMemMiB:  job.GPUMemMiB,
+			Capability: api.CapabilityOf(job.CapabilityMajor, job.CapabilityMinor),
+			Priority:   job.Priority,
+			LongRunning: job.Training != nil &&
+				job.Training.TotalSteps > 10000,
+		})
+	}
+	if len(reqs) == 0 {
+		return false
+	}
+	c.met.batchFill.Observe(float64(len(reqs)))
+
+	// Real time, per decision: scheduling latency is a real cost, and
+	// each member's own latency feeds the histogram so batching cannot
+	// flatten the tail quantiles.
+	results := c.sched.Place(reqs, c.db, now)
+
+	progressed := false
+	for i, res := range results {
+		c.schedLatency.Observe(res.Latency.Seconds())
+		if res.Err != nil {
+			continue // stays pending
+		}
+		// A requeued job resumes from its latest checkpoint, if any.
+		var restoreSeq int
+		var restoreStep int64
+		if ck, cerr := c.ckpts.Latest(jobs[i].ID); cerr == nil {
+			restoreSeq = ck.Seq
+			restoreStep = ck.Progress.Step
+		}
+		if c.place(jobs[i], res.Placement, restoreSeq, restoreStep, now) {
+			progressed = true
+		}
+	}
+	return progressed
+}
+
+// place launches a (possibly restored) job per a placement decision and
+// reports whether the placement committed. On any failure nothing has
+// been written to the database, so the decision rolls back to "job
+// still pending" with no device held.
+func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq int, restoreStep int64, now time.Time) bool {
+	h := c.handle(p.NodeID)
+	if h == nil {
+		return false
+	}
+	resp, err := h.Launch(api.LaunchRequest{
+		Envelope: c.envelope(),
+		JobID:    job.ID, ImageName: job.ImageName, Kind: job.Kind,
+		Entrypoint: job.Entrypoint, GPUMemMiB: job.GPUMemMiB,
+		CapabilityMajor: job.CapabilityMajor, CapabilityMinor: job.CapabilityMinor,
+		CheckpointIntervalSec: job.CheckpointIntervalSec,
+		RestoreFromSeq:        restoreSeq, RestoreStep: restoreStep,
+		Training: job.Training, SessionSeconds: job.SessionSeconds,
+		StoragePrefs: job.StoragePrefs,
+	})
+	if err != nil {
+		// Node said no (paused, race on capacity): reflect reality and
+		// leave the job pending.
+		return false
+	}
+
+	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
+		j.State = db.JobRunning
+		j.NodeID = p.NodeID
+		j.DeviceID = resp.DeviceID
+		j.ContainerID = resp.ContainerID
+		j.PlacedAt = now
+		if j.PreferredNode == "" {
+			j.PreferredNode = p.NodeID
+		}
+		if j.StartedAt.IsZero() {
+			j.StartedAt = now
+		}
+	})
+	c.markDevice(p.NodeID, resp.DeviceID, true)
+	c.db.RecordAllocation(db.AllocationRecord{
+		JobID: job.ID, NodeID: p.NodeID, DeviceID: resp.DeviceID, Start: now,
+	})
+	if job.Kind == "interactive" {
+		c.mu.Lock()
+		c.interactiveCount++
+		c.mu.Unlock()
+	}
+	c.bus.Publish(eventbus.Event{Type: eventbus.JobScheduled, Time: now,
+		Job: job.ID, Node: p.NodeID,
+		Detail: map[string]any{"device": resp.DeviceID, "reliability": p.Reliability}})
+	return true
+}

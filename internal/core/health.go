@@ -82,21 +82,22 @@ func (c *Coordinator) rememberHealth(nodeID string, events []gpu.HealthEvent) {
 }
 
 // drainUnhealthy predictively moves work off a live node whose health
-// score crossed below the unhealthy threshold. Each running job is
+// score crossed below the unhealthy threshold: its running jobs are
 // checkpointed in place — the whole point of acting before the node
-// dies is that its devices still work — then killed, closed out, and
-// relaunched on a planned target, reusing the standard migration
-// machinery. A job with no target stays where it is: a degraded node
-// beats no node, and the sweep backstop retries while the node remains
-// unhealthy. New placements never land here meanwhile — the scheduler
-// excludes nodes below the threshold.
+// dies is that its devices still work — and relocated as one batch
+// (relocateLive). A job with no target stays where it is, and the sweep
+// backstop retries while the node remains unhealthy. New placements
+// never land here meanwhile — the scheduler excludes nodes below the
+// threshold.
 func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
+	var jobs []db.JobRecord
 	for _, job := range c.db.JobsOnNode(nodeID) {
 		// A legacy record without a relaunch spec cannot be moved.
 		if job.State == db.JobRunning && job.ImageName != "" {
-			c.relocateLive([]db.JobRecord{job}, migration.ReasonPredictive, now)
+			jobs = append(jobs, job)
 		}
 	}
+	c.relocateLive(jobs, migration.ReasonPredictive, now)
 }
 
 // sweepHealth is the periodic half of the health pipeline, run from

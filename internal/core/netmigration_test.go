@@ -11,7 +11,10 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/migration"
+	"gpunion/internal/monitor"
 	"gpunion/internal/netsim"
+	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -23,20 +26,27 @@ type netRig struct {
 	clock *simclock.Sim
 	coord *Coordinator
 	ckpts *checkpoint.Store
+	net   *netsim.Network
 	ags   map[string]*agent.Agent
 }
 
 func newNetRig(t *testing.T) *netRig {
 	t.Helper()
+	r := newEmptyNetRig(t, nil)
+	r.join(t, "n1", 1)
+	r.join(t, "n2", 1)
+	return r
+}
+
+func newEmptyNetRig(t *testing.T, strategy scheduler.Strategy) *netRig {
+	t.Helper()
 	clock := simclock.NewSim(t0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	net := netsim.New(10 * netsim.Gbps)
 	net.AddNode(netsim.NodeLink{Name: "storage", Access: 10 * netsim.Gbps, Latency: 100 * time.Microsecond})
-	for _, id := range []string{"n1", "n2"} {
-		net.AddNode(netsim.NodeLink{Name: id, Access: netsim.Gbps, Latency: 250 * time.Microsecond})
-	}
 	coord, err := New(Config{
 		HeartbeatInterval: 10 * time.Second,
+		Strategy:          strategy,
 		Net:               net,
 		StorageNode:       "storage",
 	}, clock, db.New(0), ckpts, eventbus.New(512))
@@ -44,28 +54,35 @@ func newNetRig(t *testing.T) *netRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Stop)
+	return &netRig{clock: clock, coord: coord, ckpts: ckpts, net: net, ags: map[string]*agent.Agent{}}
+}
 
-	r := &netRig{clock: clock, coord: coord, ckpts: ckpts, ags: map[string]*agent.Agent{}}
-	for _, id := range []string{"n1", "n2"} {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, clock, rt, ckpts, nil, coord)
-		t.Cleanup(ag.Stop)
-		resp, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ag.SetToken(resp.Token)
-		r.ags[id] = ag
-		var beat func()
-		beat = func() {
-			if !ag.Departed() {
-				_, _ = coord.Heartbeat(ag.HeartbeatRequest())
-			}
-			clock.AfterFunc(resp.HeartbeatInterval, beat)
-		}
-		clock.AfterFunc(resp.HeartbeatInterval, beat)
+// join attaches a beating node with that many RTX 3090s on a 1 Gbps
+// access link.
+func (r *netRig) join(t *testing.T, id string, gpus int) {
+	t.Helper()
+	r.net.AddNode(netsim.NodeLink{Name: id, Access: netsim.Gbps, Latency: 250 * time.Microsecond})
+	devices := make([]gpu.Spec, gpus)
+	for i := range devices {
+		devices[i] = gpu.RTX3090
 	}
-	return r
+	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil, r.coord)
+	t.Cleanup(ag.Stop)
+	resp, err := r.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag.SetToken(resp.Token)
+	r.ags[id] = ag
+	var beat func()
+	beat = func() {
+		if !ag.Departed() {
+			_, _ = r.coord.Heartbeat(ag.HeartbeatRequest())
+		}
+		r.clock.AfterFunc(resp.HeartbeatInterval, beat)
+	}
+	r.clock.AfterFunc(resp.HeartbeatInterval, beat)
 }
 
 // bigStateSpec trains with ~2 GB of state so restore transfers take
@@ -162,5 +179,71 @@ func TestMigrationDowntimeRecordedFromTransfer(t *testing.T) {
 	// A ~2 GB chain at 1 Gbps is ≥ 16 s of downtime.
 	if d := stats.MeanDowntime("scheduled"); d < 10*time.Second {
 		t.Fatalf("mean downtime = %v, want the transfer to dominate", d)
+	}
+}
+
+// TestPredictiveDrainPlansOneBatch: a node that crosses the unhealthy
+// threshold with two running jobs drains both in one planning batch.
+// With restore transfers taking seconds, nothing commits between two
+// single plans — planned one at a time, both jobs are sent to the same
+// free device and the second relaunch bounces. (Best-fit, because it
+// has no cursor: asked twice about an unchanged store it answers the
+// same device twice, where round-robin would happen to move on.)
+func TestPredictiveDrainPlansOneBatch(t *testing.T) {
+	r := newEmptyNetRig(t, scheduler.BestFit{})
+	r.join(t, "sick", 2)
+	spec := bigStateSpec()
+	var jobs []string
+	for i := 0; i < 2; i++ {
+		id, err := r.coord.SubmitJob(api.SubmitJobRequest{
+			User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+			GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 60, Training: &spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, id)
+	}
+	r.join(t, "t1", 1)
+	r.join(t, "t2", 1)
+	r.clock.Advance(2 * time.Minute) // at least one checkpoint each
+
+	sick := r.ags["sick"]
+	for i := 0; i < 10; i++ {
+		if rec, _ := r.coord.db.GetNode("sick"); rec.HealthScore() < monitor.UnhealthyBelow {
+			break
+		}
+		r.clock.Advance(time.Second)
+		req := sick.HeartbeatRequest()
+		req.HealthEvents = []gpu.HealthEvent{{Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical, Value: 99}}
+		if _, err := r.coord.Heartbeat(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec, _ := r.coord.db.GetNode("sick"); rec.HealthScore() >= monitor.UnhealthyBelow {
+		t.Fatalf("node never crossed the unhealthy threshold: %v", rec.HealthScore())
+	}
+	for _, id := range jobs {
+		if st, _ := r.coord.JobStatus(id); st.State != db.JobMigrating {
+			t.Fatalf("%s right after the crossing = %s, want migrating (its chain is on the LAN)", id, st.State)
+		}
+	}
+	r.clock.Advance(2 * time.Minute) // both ~2 GB transfers land
+
+	devices := map[string]bool{}
+	for _, id := range jobs {
+		st, _ := r.coord.JobStatus(id)
+		if st.State != db.JobRunning || st.NodeID == "sick" {
+			t.Fatalf("%s after the drain: %+v", id, st)
+		}
+		devices[st.NodeID+"/"+st.DeviceID] = true
+	}
+	if len(devices) != 2 {
+		t.Fatalf("both jobs were sent to one device: %v", devices)
+	}
+	stats := r.coord.Migration().Stats()
+	if stats.Failures[migration.ReasonPredictive] != 0 || stats.Successes[migration.ReasonPredictive] != 2 {
+		t.Fatalf("predictive drain: %d failures, %d successes, want 0 and 2",
+			stats.Failures[migration.ReasonPredictive], stats.Successes[migration.ReasonPredictive])
 	}
 }

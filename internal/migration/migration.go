@@ -97,13 +97,6 @@ func New(sched *scheduler.Scheduler, store db.Store, ckpts *checkpoint.Store, ne
 	}
 }
 
-// Plan computes where and how to relaunch one displaced job: a batch
-// of one.
-func (e *Engine) Plan(job db.JobRecord, reason Reason, now time.Time) (Plan, error) {
-	item := e.PlanBatch([]db.JobRecord{job}, reason, now)[0]
-	return item.Plan, item.Err
-}
-
 // fillRestorePoint resolves the job's restore chain once and derives
 // both the resume point (the chain head) and the transfer size (the
 // chain's byte total) from it — one verification walk, not the two that

@@ -81,10 +81,16 @@ func saveCheckpoints(t *testing.T, ckpts *checkpoint.Store, jobID string, fullBy
 	}
 }
 
+// planOne plans a batch of one.
+func planOne(e *Engine, job db.JobRecord, reason Reason) (Plan, error) {
+	item := e.PlanBatch([]db.JobRecord{job}, reason, now)[0]
+	return item.Plan, item.Err
+}
+
 func TestPlanAvoidsDepartedNode(t *testing.T) {
 	e, ckpts, _ := newEngine(false, testNodes())
 	saveCheckpoints(t, ckpts, "j1", 1000, 500)
-	p, err := e.Plan(displacedJob(), ReasonEmergency, now)
+	p, err := planOne(e, displacedJob(), ReasonEmergency)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestPlanAvoidsDepartedNode(t *testing.T) {
 
 func TestPlanStatelessRequeue(t *testing.T) {
 	e, _, _ := newEngine(false, testNodes())
-	p, err := e.Plan(displacedJob(), ReasonEmergency, now)
+	p, err := planOne(e, displacedJob(), ReasonEmergency)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func TestPlanStatelessRequeue(t *testing.T) {
 func TestPlanTransferBytesSumChain(t *testing.T) {
 	e, ckpts, _ := newEngine(false, testNodes())
 	saveCheckpoints(t, ckpts, "j1", 1000, 100, 200, 300)
-	p, err := e.Plan(displacedJob(), ReasonScheduled, now)
+	p, err := planOne(e, displacedJob(), ReasonScheduled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +133,7 @@ func TestPlanNoTarget(t *testing.T) {
 	e, _, _ := newEngine(false, testNodes())
 	job := displacedJob()
 	job.GPUMemMiB = 999999 // nothing fits
-	_, err := e.Plan(job, ReasonEmergency, now)
+	_, err := planOne(e, job, ReasonEmergency)
 	if !errors.Is(err, ErrNoTarget) {
 		t.Fatalf("err = %v, want ErrNoTarget", err)
 	}
@@ -137,7 +143,7 @@ func TestPlanWithNetworkModelsTransferTime(t *testing.T) {
 	e, ckpts, net := newEngine(true, testNodes())
 	// 1 GB checkpoint on a 1 Gbps access link ≈ 8 s.
 	saveCheckpoints(t, ckpts, "j1", 1_000_000_000, 500)
-	p, err := e.Plan(displacedJob(), ReasonEmergency, now)
+	p, err := planOne(e, displacedJob(), ReasonEmergency)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +162,7 @@ func TestMigrateBackPrefersOriginalNode(t *testing.T) {
 	job := displacedJob()
 	job.NodeID = "n-alive" // currently running elsewhere
 	job.PreferredNode = "n-gone"
-	p, err := e.Plan(job, ReasonMigrateBack, now)
+	p, err := planOne(e, job, ReasonMigrateBack)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
+	"gpunion/internal/monitor"
 )
 
 func warnThermal() gpu.HealthEvent {
@@ -120,5 +121,39 @@ func TestHealthEventsTruncatedPerBeat(t *testing.T) {
 			got = len(folds[0].Health.Events)
 		}
 		t.Fatalf("fold carries %d events, want the %d cap", got, api.MaxHealthEventsPerBeat)
+	}
+}
+
+// TestReregisterKeepsHealthScore: a re-registration rebuilds the node
+// record from the request, and must carry the health score over like
+// the rest of the node's standing — after a coordinator restart or
+// failover every agent is told to re-register, and an unhealthy node
+// must stay excluded from placement.
+func TestReregisterKeepsHealthScore(t *testing.T) {
+	store := db.New(0)
+	b := newBeatRig(t, time.Minute, store)
+	b.addSilentNode("n1")
+	critical := gpu.HealthEvent{Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical, Value: 97}
+	for i := 0; i < 6; i++ {
+		b.clock.Advance(10 * time.Second)
+		req := b.beatReq("n1")
+		req.HealthEvents = []gpu.HealthEvent{critical}
+		if resp, err := b.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
+			t.Fatalf("health beat %d = %+v, %v", i, resp, err)
+		}
+	}
+	before, _ := store.GetNode("n1")
+	if before.HealthScore() >= monitor.UnhealthyBelow {
+		t.Fatalf("six critical beats left the node at %v", before.HealthScore())
+	}
+
+	b.clock.Advance(10 * time.Second)
+	if _, err := b.coord.Register(b.ags["n1"].RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: b.ags["n1"]}); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := store.GetNode("n1")
+	if after.Health != before.Health || !after.HealthAt.Equal(before.HealthAt) {
+		t.Fatalf("re-registration moved the health score: %v at %s -> %v at %s",
+			before.HealthScore(), before.HealthAt, after.HealthScore(), after.HealthAt)
 	}
 }

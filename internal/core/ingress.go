@@ -50,6 +50,10 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 		rec.RegisteredAt = old.RegisteredAt
 		rec.Departures = old.Departures
 		rec.TotalUptime = old.TotalUptime
+		// Standing is the platform's knowledge, not the agent's: after a
+		// coordinator restart or failover every node re-registers, and a
+		// gray-failing one must not come back fully healthy.
+		rec.Health, rec.HealthAt = old.Health, old.HealthAt
 	}
 	c.db.UpsertNode(rec)
 

@@ -300,8 +300,9 @@ type chaosHarness struct {
 	// already reported.
 	leaderLog    *invariant.LeaderLog
 	leaderVsSeen int
-	// replViolations collects failover-audit findings (lost-acked
-	// checks, fence probes) for the next ExtraChecks drain.
+	// replViolations collects findings made while a coordinator is
+	// being replaced (lost-acked checks, fence probes, install's
+	// health-laundering audit) for the next ExtraChecks drain.
 	replViolations []invariant.Violation
 	replicaSeq     int
 	// standby is the warm standby: a fenced replica from birth, tailing
@@ -1428,11 +1429,33 @@ func (h *chaosHarness) install(rep *replica) {
 	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
 	h.audits.attach(rep.Store())
+	// The unhealthy exclusion must survive the re-join: no health fold
+	// happens between here and the end of the loop below, so a node the
+	// recovered store holds below the threshold must still be below it
+	// once it has re-registered — a registration that rebuilt the record
+	// without its score would make a gray-failing node placeable again.
+	var unhealthy []db.NodeRecord
+	for _, n := range rep.Store().ListNodes() {
+		if n.HealthScore() < monitor.UnhealthyBelow {
+			unhealthy = append(unhealthy, n)
+		}
+	}
 	rep.Start()
 	for _, id := range h.nodeIDs {
 		ag := h.agents[id]
 		if !ag.Departed() && !h.silenced(id) {
 			_ = h.register(ag)
+		}
+	}
+	for _, was := range unhealthy {
+		if now, err := rep.Store().GetNode(was.ID); err == nil && now.HealthScore() >= monitor.UnhealthyBelow {
+			h.mu.Lock()
+			h.replViolations = append(h.replViolations, invariant.Violation{
+				Rule: "no-placement-on-unhealthy",
+				Detail: fmt.Sprintf("node %s re-registered with the new coordinator at health %v; the recovered store held %v (folded %s) and nothing folded since",
+					was.ID, now.HealthScore(), was.HealthScore(), was.HealthAt.Format(time.RFC3339)),
+			})
+			h.mu.Unlock()
 		}
 	}
 }

@@ -204,6 +204,44 @@ func TestGrayPredictiveDrain(t *testing.T) {
 	}
 }
 
+// TestGrayCrashKeepsUnhealthyExclusion: a coordinator crash makes every
+// agent re-register, and Register rebuilds the node record from the
+// request. A node that was below the unhealthy threshold when the
+// coordinator died must still be below it once the fleet has re-joined
+// the successor — the harness's install-time audit raises
+// no-placement-on-unhealthy otherwise, because a laundered score makes
+// a gray-failing node placeable again with no fold in between.
+func TestGrayCrashKeepsUnhealthyExclusion(t *testing.T) {
+	cfg := ChaosConfig{Defs: PaperCampus(), Jobs: 8, EnableWAL: true,
+		HeartbeatInterval: time.Minute, ProgressTick: time.Minute}
+	h, err := newChaosHarness(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.stop()
+	h.startTraffic(1)
+	h.clock.Advance(10 * time.Minute)
+
+	victim := h.nodeIDs[0]
+	h.GrayDegradeStart(victim)
+	h.clock.Advance(10 * time.Minute)
+	before, err := h.currentStore().GetNode(victim)
+	if err != nil || before.HealthScore() >= monitor.UnhealthyBelow {
+		t.Fatalf("victim %s not driven below the threshold: %v, %v", victim, before.HealthScore(), err)
+	}
+
+	vs := h.CrashCoordinator()
+	vs = append(vs, h.ExtraChecks()...)
+	for _, v := range vs {
+		t.Errorf("violation across the coordinator crash: %s", v)
+	}
+	after, err := h.currentStore().GetNode(victim)
+	if err != nil || after.Health != before.Health || !after.HealthAt.Equal(before.HealthAt) {
+		t.Fatalf("victim %s re-registered at health %v (folded %s), the dead coordinator held %v (folded %s); err %v",
+			victim, after.HealthScore(), after.HealthAt, before.HealthScore(), before.HealthAt, err)
+	}
+}
+
 // TestGraySabotageHealthDeltas: a health fold whose persisted score is
 // not the deterministic refold of its carried events must trip
 // health-score-consistent; an honest fold must not.

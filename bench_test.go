@@ -379,12 +379,7 @@ func BenchmarkHeartbeatSweep200Nodes(b *testing.B) {
 
 func BenchmarkEventBusPublish(b *testing.B) {
 	bus := eventbus.New(0)
-	sub := bus.Subscribe(1024)
-	defer sub.Close()
-	go func() {
-		for range sub.Events() {
-		}
-	}()
+	bus.SubscribeFunc(func(eventbus.Event) {})
 	ev := eventbus.Event{Type: eventbus.JobStarted, Job: "j", Node: "n"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,14 +5,14 @@
 // Usage:
 //
 //	coordinator [-listen :8080] [-config coordinator.json]
-//	            [-wal-dir DIR] [-wal-group-commit-ms N] [-snapshot-interval-sec N]
+//	            [-wal-dir DIR]
 //	            [-mode solo|leader|standby] [-replica-id NAME]
 //	            [-lease-file FILE] [-lease-ttl-sec N] [-follow-dir DIR]
 //	            [-pprof]
 //
-// Flags override environment variables (GPUNION_WAL_DIR,
-// GPUNION_WAL_GROUP_COMMIT_MS, GPUNION_SNAPSHOT_INTERVAL_SEC), which
-// override the config file; with none, built-in defaults apply.
+// Flags override the config file; with neither, built-in defaults
+// apply. The group-commit window and the snapshot interval are config
+// file keys only (wal_group_commit_ms, snapshot_interval_sec).
 //
 // With a WAL directory configured the daemon is crash-safe: every
 // database mutation is group-committed to the write-ahead log before it
@@ -75,9 +75,7 @@ func loadOrCreateSecret(path string) ([]byte, error) {
 func main() {
 	listen := flag.String("listen", "", "HTTP bind address (overrides config)")
 	cfgPath := flag.String("config", "", "path to coordinator.json")
-	walDir := flag.String("wal-dir", "", "write-ahead-log directory (overrides config/env)")
-	walGroupMS := flag.Int("wal-group-commit-ms", 0, "longest a WAL commit waits for company, in ms; a group that has formed commits at once (overrides config/env)")
-	snapSec := flag.Int("snapshot-interval-sec", 0, "background snapshot period in seconds (overrides config/env)")
+	walDir := flag.String("wal-dir", "", "write-ahead-log directory (overrides config)")
 	mode := flag.String("mode", "solo", `replication mode: "solo" (no lease, always leader), "leader" or "standby"`)
 	replicaID := flag.String("replica-id", "", "replica name for the lease and LeaderHint replies (default: hostname)")
 	leaseFile := flag.String("lease-file", "", "lease file on storage shared by all replicas (required for -mode leader|standby)")
@@ -94,20 +92,11 @@ func main() {
 			log.Fatalf("loading config: %v", err)
 		}
 	}
-	if err := cfg.ApplyEnv(os.LookupEnv); err != nil {
-		log.Fatalf("environment config: %v", err)
-	}
 	if *listen != "" {
 		cfg.Listen = *listen
 	}
 	if *walDir != "" {
 		cfg.WALDir = *walDir
-	}
-	if *walGroupMS > 0 {
-		cfg.WALGroupCommitMS = *walGroupMS
-	}
-	if *snapSec > 0 {
-		cfg.SnapshotIntervalSec = *snapSec
 	}
 	if err := cfg.Validate(); err != nil {
 		log.Fatalf("config: %v", err)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"gpunion/internal/gpu"
@@ -93,40 +92,6 @@ func (c *Coordinator) Validate() error {
 	}
 	if c.SnapshotIntervalSec == 0 {
 		c.SnapshotIntervalSec = 300
-	}
-	return nil
-}
-
-// Environment variables overriding the coordinator's persistence
-// settings (useful in containers, where rewriting a config file is
-// awkward).
-const (
-	EnvWALDir              = "GPUNION_WAL_DIR"
-	EnvWALGroupCommitMS    = "GPUNION_WAL_GROUP_COMMIT_MS"
-	EnvSnapshotIntervalSec = "GPUNION_SNAPSHOT_INTERVAL_SEC"
-)
-
-// ApplyEnv overlays persistence settings from the environment: set
-// variables win over the file, unset ones leave it untouched. lookup is
-// os.LookupEnv in the daemon and an injected map in tests. Call before
-// Validate.
-func (c *Coordinator) ApplyEnv(lookup func(string) (string, bool)) error {
-	if v, ok := lookup(EnvWALDir); ok {
-		c.WALDir = v
-	}
-	if v, ok := lookup(EnvWALGroupCommitMS); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("config: %s=%q: %w", EnvWALGroupCommitMS, v, err)
-		}
-		c.WALGroupCommitMS = n
-	}
-	if v, ok := lookup(EnvSnapshotIntervalSec); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("config: %s=%q: %w", EnvSnapshotIntervalSec, v, err)
-		}
-		c.SnapshotIntervalSec = n
 	}
 	return nil
 }

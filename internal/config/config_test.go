@@ -200,35 +200,3 @@ func TestCoordinatorParseWALFields(t *testing.T) {
 		t.Fatalf("parsed = %+v", c)
 	}
 }
-
-func TestCoordinatorApplyEnv(t *testing.T) {
-	env := map[string]string{
-		EnvWALDir:              "/env/wal",
-		EnvWALGroupCommitMS:    "7",
-		EnvSnapshotIntervalSec: "45",
-	}
-	lookup := func(k string) (string, bool) { v, ok := env[k]; return v, ok }
-
-	c := Coordinator{WALDir: "/file/wal", WALGroupCommitMS: 3}
-	if err := c.ApplyEnv(lookup); err != nil {
-		t.Fatal(err)
-	}
-	if c.WALDir != "/env/wal" || c.WALGroupCommitMS != 7 || c.SnapshotIntervalSec != 45 {
-		t.Fatalf("env overlay = %+v", c)
-	}
-
-	// Unset variables leave file values untouched.
-	c = Coordinator{WALDir: "/file/wal", WALGroupCommitMS: 3}
-	if err := c.ApplyEnv(func(string) (string, bool) { return "", false }); err != nil {
-		t.Fatal(err)
-	}
-	if c.WALDir != "/file/wal" || c.WALGroupCommitMS != 3 {
-		t.Fatalf("unset env clobbered file config: %+v", c)
-	}
-
-	// Garbage numerics are an error, not silently ignored.
-	env[EnvWALGroupCommitMS] = "soon"
-	if err := c.ApplyEnv(lookup); err == nil {
-		t.Fatal("non-numeric env value accepted")
-	}
-}

@@ -363,9 +363,14 @@ func TestHigherEpochRequestDeposesStaleLeader(t *testing.T) {
 	if r.coord.Leading() {
 		t.Fatal("replica still leading after seeing a higher epoch")
 	}
-	deposed := r.bus.HistoryByType(eventbus.LeaderDeposed)
-	if len(deposed) != 1 {
-		t.Fatalf("deposed events = %d", len(deposed))
+	deposed := 0
+	for _, ev := range r.bus.History() {
+		if ev.Type == eventbus.LeaderDeposed {
+			deposed++
+		}
+	}
+	if deposed != 1 {
+		t.Fatalf("deposed events = %d", deposed)
 	}
 }
 

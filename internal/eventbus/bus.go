@@ -2,11 +2,10 @@
 // to propagate lifecycle and monitoring events between GPUnion components
 // (agent, scheduler, migration engine, metric collectors).
 //
-// The bus is intentionally synchronous-by-default with buffered
-// subscriber queues: publishers never block on slow subscribers, and
-// subscribers that fall behind drop the oldest events rather than stall
-// the platform — matching GPUnion's principle that monitoring must never
-// interfere with workload execution.
+// The bus is synchronous: handlers registered with SubscribeFunc run on
+// the publisher's goroutine, in registration order, and must be fast —
+// monitoring must never interfere with workload execution. A bounded
+// history of recent events is kept for inspection.
 package eventbus
 
 import (
@@ -66,37 +65,10 @@ type Event struct {
 // synchronously on the publisher's goroutine and must be fast.
 type Handler func(Event)
 
-// Subscription is a buffered event feed returned by Subscribe.
-type Subscription struct {
-	bus     *Bus
-	ch      chan Event
-	types   map[Type]bool // nil means all types
-	dropped int
-	mu      sync.Mutex
-	closed  bool
-}
-
-// Events returns the subscriber's event channel.
-func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Dropped reports how many events were discarded because the subscriber's
-// buffer was full.
-func (s *Subscription) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Close removes the subscription from the bus and closes its channel.
-func (s *Subscription) Close() {
-	s.bus.unsubscribe(s)
-}
-
 // Bus is a concurrency-safe publish/subscribe hub. The zero value is not
 // usable; call New.
 type Bus struct {
 	mu       sync.RWMutex
-	subs     map[*Subscription]struct{}
 	handlers []subscribedHandler
 	history  []Event
 	keep     int
@@ -110,32 +82,7 @@ type subscribedHandler struct {
 // New creates a Bus that retains the most recent keepHistory events for
 // inspection (0 disables history).
 func New(keepHistory int) *Bus {
-	return &Bus{
-		subs: make(map[*Subscription]struct{}),
-		keep: keepHistory,
-	}
-}
-
-// Subscribe returns a buffered subscription. If types is empty the
-// subscription receives every event; otherwise only the listed types.
-func (b *Bus) Subscribe(buffer int, types ...Type) *Subscription {
-	if buffer <= 0 {
-		buffer = 64
-	}
-	sub := &Subscription{
-		bus: b,
-		ch:  make(chan Event, buffer),
-	}
-	if len(types) > 0 {
-		sub.types = make(map[Type]bool, len(types))
-		for _, t := range types {
-			sub.types[t] = true
-		}
-	}
-	b.mu.Lock()
-	b.subs[sub] = struct{}{}
-	b.mu.Unlock()
-	return sub
+	return &Bus{keep: keepHistory}
 }
 
 // SubscribeFunc registers a synchronous handler for the given types (all
@@ -154,9 +101,9 @@ func (b *Bus) SubscribeFunc(fn Handler, types ...Type) {
 	b.mu.Unlock()
 }
 
-// Publish delivers ev to all matching subscribers and handlers. Buffered
-// subscribers whose queues are full drop the oldest queued event to make
-// room, so Publish never blocks.
+// Publish records ev in the history and runs every matching handler
+// before returning. Handlers run outside the bus lock, so one may
+// publish in turn.
 func (b *Bus) Publish(ev Event) {
 	b.mu.Lock()
 	if b.keep > 0 {
@@ -166,42 +113,12 @@ func (b *Bus) Publish(ev Event) {
 		}
 	}
 	handlers := b.handlers
-	subs := make([]*Subscription, 0, len(b.subs))
-	for s := range b.subs {
-		subs = append(subs, s)
-	}
 	b.mu.Unlock()
 
 	for _, h := range handlers {
 		if h.types == nil || h.types[ev.Type] {
 			h.fn(ev)
 		}
-	}
-	for _, s := range subs {
-		if s.types != nil && !s.types[ev.Type] {
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			continue
-		}
-		select {
-		case s.ch <- ev:
-		default:
-			// Drop the oldest event to make room for the newest.
-			select {
-			case <-s.ch:
-				s.dropped++
-			default:
-			}
-			select {
-			case s.ch <- ev:
-			default:
-				s.dropped++
-			}
-		}
-		s.mu.Unlock()
 	}
 }
 
@@ -212,32 +129,4 @@ func (b *Bus) History() []Event {
 	out := make([]Event, len(b.history))
 	copy(out, b.history)
 	return out
-}
-
-// HistoryByType returns retained events of the given type, oldest first.
-func (b *Bus) HistoryByType(t Type) []Event {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var out []Event
-	for _, ev := range b.history {
-		if ev.Type == t {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-func (b *Bus) unsubscribe(s *Subscription) {
-	b.mu.Lock()
-	_, ok := b.subs[s]
-	delete(b.subs, s)
-	b.mu.Unlock()
-	if ok {
-		s.mu.Lock()
-		if !s.closed {
-			s.closed = true
-			close(s.ch)
-		}
-		s.mu.Unlock()
-	}
 }

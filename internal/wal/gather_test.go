@@ -83,7 +83,7 @@ func (r *gatherRig) waitQueued(n int) {
 
 // appendTogether runs the operations concurrently, fails the test on
 // any error, and returns how long the slowest took.
-func (r *gatherRig) appendTogether(ops ...[]db.Mutation) time.Duration {
+func (r *gatherRig) appendTogether(ops ...db.Mutation) time.Duration {
 	r.t.Helper()
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -91,8 +91,8 @@ func (r *gatherRig) appendTogether(ops ...[]db.Mutation) time.Duration {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := r.w.AppendBatch(op); err != nil {
-				r.t.Errorf("append of LSN %d: %v", op[0].LSN, err)
+			if err := r.w.Append(op); err != nil {
+				r.t.Errorf("append of LSN %d: %v", op.LSN, err)
 			}
 		}()
 	}
@@ -100,16 +100,8 @@ func (r *gatherRig) appendTogether(ops ...[]db.Mutation) time.Duration {
 	return time.Since(start)
 }
 
-func one(lsn uint64) []db.Mutation {
-	return []db.Mutation{nodeMut(lsn, fmt.Sprintf("n%03d", lsn))}
-}
-
-func batch(from uint64, n int) []db.Mutation {
-	ms := make([]db.Mutation, n)
-	for i := range ms {
-		ms[i] = one(from + uint64(i))[0]
-	}
-	return ms
+func one(lsn uint64) db.Mutation {
+	return nodeMut(lsn, fmt.Sprintf("n%03d", lsn))
 }
 
 // segmentLSNs reads one segment file's records.
@@ -215,7 +207,7 @@ func TestGatherTargetFollowsLastGroup(t *testing.T) {
 func TestGatherCloseDoesNotWaitOutWindow(t *testing.T) {
 	r := newGatherRig(t, Options{GroupWindow: 2 * time.Second})
 	errC := make(chan error, 1)
-	go func() { errC <- r.w.Append(one(1)[0]) }()
+	go func() { errC <- r.w.Append(one(1)) }()
 	r.waitQueued(1)
 	start := time.Now()
 	if err := r.w.Close(); err != nil {
@@ -244,7 +236,7 @@ func TestGatherCloseDoesNotWaitOutWindow(t *testing.T) {
 func TestGatherRotateStealsQueue(t *testing.T) {
 	r := newGatherRig(t, Options{GroupWindow: 2 * time.Second})
 	errC := make(chan error, 1)
-	go func() { errC <- r.w.Append(one(1)[0]) }()
+	go func() { errC <- r.w.Append(one(1)) }()
 	r.waitQueued(1)
 	start := time.Now()
 	cut, err := r.w.Rotate()
@@ -280,28 +272,5 @@ func TestGatherRotateStealsQueue(t *testing.T) {
 	}
 	if got := segmentLSNs(t, r.dir, 1); !got[2] || !got[3] || got[1] {
 		t.Errorf("segment 1 holds %v, want records 2 and 3 only", got)
-	}
-}
-
-// TestGatherBatchCountsAsOne: the target counts operations, not
-// records. A lone AppendBatch of four is still alone and waits the
-// window; with one more appender beside it the group has formed.
-func TestGatherBatchCountsAsOne(t *testing.T) {
-	const window = 300 * time.Millisecond
-	r := newGatherRig(t, Options{GroupWindow: window})
-	if took := r.appendTogether(batch(1, 4)); took < window {
-		t.Errorf("lone batch of four returned after %v, before the %v window", took, window)
-	}
-	if g := r.hist("gpunion_wal_group_batch_size"); g.Count() != 1 || g.Sum() != 1 {
-		t.Errorf("lone batch: %d groups totalling %v operations, want one group of 1", g.Count(), g.Sum())
-	}
-	if full, win := r.released("full"), r.released("window"); full != 0 || win != 1 {
-		t.Errorf("lone batch: full=%v window=%v, want 0 and 1", full, win)
-	}
-	if took := r.appendTogether(batch(5, 4), one(9)); took > window/2 {
-		t.Errorf("batch with company waited %v of a %v window", took, window)
-	}
-	if full := r.released("full"); full != 1 {
-		t.Errorf("batch with company: full=%v, want 1", full)
 	}
 }

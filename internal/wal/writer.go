@@ -126,8 +126,8 @@ type writerMetrics struct {
 
 // Instrument registers the writer's metrics on reg and starts
 // recording: append latency (enqueue to durable, one observation per
-// Append or AppendBatch), fsync latency, group batch size (waiting
-// operations released per fsync), segment rotations
+// Append), fsync latency, group batch size (waiting appends released
+// per fsync), segment rotations
 // (snapshot cuts and poison heals) and failed appends. Call once after
 // OpenWriter; until then the writer records nothing and reads no
 // timers.
@@ -147,7 +147,7 @@ func (w *Writer) Instrument(reg *monitor.Registry) error {
 		return err
 	}
 	if m.groupBatch, err = reg.Histogram("gpunion_wal_group_batch_size",
-		"Waiting operations released per group-commit fsync (one operation may carry several records).",
+		"Waiting appends released per group-commit fsync (one record each).",
 		[]float64{1, 2, 4, 8, 16, 32, 64}, nil); err != nil {
 		return err
 	}
@@ -239,29 +239,17 @@ func (w *Writer) Segment() int {
 }
 
 // Append logs one record and blocks until it is durable (fsynced).
-func (w *Writer) Append(m db.Mutation) error { return w.AppendBatch([]db.Mutation{m}) }
-
-// AppendBatch logs the records as one durability unit and blocks until
-// all of them are durable. Their frames are enqueued contiguously under
-// one queue-lock hold with one waiter, so the batch is never split
-// across commit groups: it lands in one segment, one write and one
-// covering fsync, and either every record is acknowledged or none is.
-// The frames themselves are ordinary — a reader cannot tell a batch from
-// the same records appended one by one.
-func (w *Writer) AppendBatch(ms []db.Mutation) error {
-	var frames []byte
-	for _, m := range ms {
-		var err error
-		if frames, err = appendRecord(frames, m); err != nil {
-			return err
-		}
+func (w *Writer) Append(m db.Mutation) error {
+	frame, err := appendRecord(nil, m)
+	if err != nil {
+		return err
 	}
 	met := w.metrics.Load()
 	var start time.Time
 	if met != nil {
 		start = time.Now()
 	}
-	err := w.appendFrame(frames)
+	err = w.appendFrame(frame)
 	if met != nil {
 		if err != nil {
 			met.appendErrors.Inc()
@@ -272,8 +260,8 @@ func (w *Writer) AppendBatch(ms []db.Mutation) error {
 	return err
 }
 
-// appendFrame queues one operation's encoded frames and blocks until
-// they are durable.
+// appendFrame queues one encoded record and blocks until it is
+// durable.
 func (w *Writer) appendFrame(frame []byte) error {
 	done := make(chan error, 1)
 	w.mu.Lock()

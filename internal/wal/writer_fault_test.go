@@ -474,10 +474,12 @@ func TestConcurrentAppendersAcrossFsyncFault(t *testing.T) {
 	}
 }
 
-// TestAppendBatchAllOrNothing pins the batch contract the store's
-// one-wait-per-operation path relies on: a batch has one waiter, so it
-// is acknowledged as a whole or not at all, and it is never split
-// across commit groups or segments.
+// TestAppendBatchAllOrNothing pins what a commit group — the batch of
+// waiting appends the flusher writes and fsyncs together — promises its
+// members: one write, one covering fsync, and one verdict for all of
+// them; a short write leaves at most a readable prefix that was never
+// acknowledged; and a rotation racing the appenders neither tears a
+// segment nor drops a record.
 func TestAppendBatchAllOrNothing(t *testing.T) {
 	batchOf := func(from uint64, n int) []db.Mutation {
 		ms := make([]db.Mutation, n)
@@ -497,6 +499,36 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 		}
 		return len(buf)
 	}
+	// groupWindow is far longer than a subtest may take: a group is
+	// released because it formed, never because the window ran out.
+	const groupWindow = 30 * time.Second
+	// appendGroup appends ms concurrently as one commit group: with the
+	// gather target pinned to the group's size, the flusher releases
+	// exactly when all of them are queued.
+	appendGroup := func(w *Writer, ms []db.Mutation) []error {
+		w.mu.Lock()
+		w.gatherTarget = len(ms)
+		w.mu.Unlock()
+		errs := make([]error, len(ms))
+		var wg sync.WaitGroup
+		for i := range ms {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = w.Append(ms[i])
+			}()
+		}
+		wg.Wait()
+		return errs
+	}
+	failures := func(errs []error) (n int) {
+		for _, err := range errs {
+			if err != nil {
+				n++
+			}
+		}
+		return n
+	}
 
 	t.Run("fsync-failure-fails-the-whole-batch", func(t *testing.T) {
 		dir := t.TempDir()
@@ -506,25 +538,25 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 			release: make(chan struct{}),
 			wrote:   make(chan int, 8), // every write of the subtest fits
 		}
-		w := openWriter(t, dir, Options{FS: fs})
+		w := openWriter(t, dir, Options{FS: fs, GroupWindow: groupWindow})
 		batch := batchOf(1, 4)
 		fs.mu.Lock()
 		fs.armed = true
 		fs.mu.Unlock()
-		errC := make(chan error, 1)
-		go func() { errC <- w.AppendBatch(batch) }()
+		errC := make(chan []error, 1)
+		go func() { errC <- appendGroup(w, batch) }()
 		<-fs.entered
-		// The whole batch went down in one write before its one fsync.
+		// The whole group went down in one write before its one fsync.
 		if got, want := <-fs.wrote, framesLen(batch); got != want {
-			t.Fatalf("batch written as %d bytes, want all %d in one write", got, want)
+			t.Fatalf("group written as %d bytes, want all %d in one write", got, want)
 		}
 		close(fs.release)
-		if err := <-errC; err == nil {
-			t.Fatal("batch acked although its covering fsync failed")
+		if n := failures(<-errC); n != len(batch) {
+			t.Fatalf("%d of %d appends acked although their covering fsync failed", len(batch)-n, len(batch))
 		}
 		// The writer heals, and what it acks from here on is readable.
-		if err := w.AppendBatch(batchOf(10, 2)); err != nil {
-			t.Fatalf("post-heal batch: %v", err)
+		if n := failures(appendGroup(w, batchOf(10, 2))); n != 0 {
+			t.Fatalf("post-heal group: %d appends failed", n)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -538,26 +570,26 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 			got[r.LSN] = true
 		}
 		if !got[10] || !got[11] {
-			t.Fatalf("acknowledged post-heal batch lost: %v", recs)
+			t.Fatalf("acknowledged post-heal group lost: %v", recs)
 		}
 	})
 
 	t.Run("short-write-leaves-a-readable-prefix", func(t *testing.T) {
 		dir := t.TempDir()
 		fs := &stubFS{}
-		w := openWriter(t, dir, Options{FS: fs})
-		if err := w.Append(nodeMut(1, "a")); err != nil {
-			t.Fatal(err)
+		w := openWriter(t, dir, Options{FS: fs, GroupWindow: groupWindow})
+		if n := failures(appendGroup(w, []db.Mutation{nodeMut(1, "a")})); n != 0 {
+			t.Fatal("healthy append failed")
 		}
 		// Three equal frames, half of the bytes written: the tear falls
 		// inside the second frame.
 		fs.set(false, true)
-		if err := w.AppendBatch(batchOf(2, 3)); err == nil {
-			t.Fatal("torn batch acked")
+		if n := failures(appendGroup(w, batchOf(2, 3))); n != 3 {
+			t.Fatalf("%d appends of a torn group acked", 3-n)
 		}
 		fs.set(false, false)
-		if err := w.AppendBatch(batchOf(5, 3)); err != nil {
-			t.Fatalf("post-heal batch: %v", err)
+		if n := failures(appendGroup(w, batchOf(5, 3))); n != 0 {
+			t.Fatalf("post-heal group: %d appends failed", n)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -565,12 +597,12 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 		store := db.New(0)
 		res, err := Recover(dir, store)
 		if err != nil {
-			t.Fatalf("recovery over a torn batch: %v", err)
+			t.Fatalf("recovery over a torn group: %v", err)
 		}
 		if res.TornTails != 1 {
-			t.Fatalf("torn tails = %d, want the one torn batch", res.TornTails)
+			t.Fatalf("torn tails = %d, want the one torn group", res.TornTails)
 		}
-		// Record 1 and the healed batch were acked; of the torn batch only
+		// Record 1 and the healed group were acked; of the torn group only
 		// the intact first frame may surface (unacked, harmless to replay).
 		nodes := map[string]bool{}
 		for _, n := range store.ListNodes() {
@@ -581,13 +613,19 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 				t.Errorf("acknowledged record %s lost", id)
 			}
 		}
-		if nodes["n003"] || nodes["n004"] {
+		surfaced := 0
+		for _, id := range []string{"n002", "n003", "n004"} {
+			if nodes[id] {
+				surfaced++
+			}
+		}
+		if surfaced > 1 {
 			t.Errorf("records behind the tear resurrected: %v", nodes)
 		}
 	})
 
-	t.Run("rotate-never-splits-a-batch", func(t *testing.T) {
-		const appenders, batches, size = 4, 25, 4
+	t.Run("rotate-never-tears-or-drops-a-record", func(t *testing.T) {
+		const appenders, each = 4, 100
 		dir := t.TempDir()
 		w := openWriter(t, dir, Options{})
 		var wg sync.WaitGroup
@@ -596,9 +634,9 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 			wg.Add(1)
 			go func(a int) {
 				defer wg.Done()
-				for b := 0; b < batches; b++ {
-					from := uint64((a*batches+b)*size + 1)
-					if err := w.AppendBatch(batchOf(from, size)); err != nil {
+				for i := 0; i < each; i++ {
+					lsn := uint64(a*each + i + 1)
+					if err := w.Append(nodeMut(lsn, fmt.Sprintf("n%03d", lsn))); err != nil {
 						errs <- err
 						return
 					}
@@ -619,7 +657,7 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 		}
 		close(errs)
 		for err := range errs {
-			t.Fatalf("batch append: %v", err)
+			t.Fatalf("append: %v", err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -631,28 +669,24 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 		if len(idx) < 2 {
 			t.Fatalf("no rotation raced the appenders (%d segment)", len(idx))
 		}
-		seen := 0
+		seen := map[uint64]int{}
 		for _, i := range idx {
 			data, err := os.ReadFile(filepath.Join(dir, segmentName(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			recs, torn := decodeFrames(data)
-			if torn || len(recs)%size != 0 {
-				t.Fatalf("segment %d: torn=%v, %d records (not whole batches)", i, torn, len(recs))
+			if torn {
+				t.Fatalf("segment %d has a torn tail", i)
 			}
-			// Within a segment each batch is one contiguous ascending run
-			// starting on a batch boundary.
-			for j, r := range recs {
-				if first := recs[j-j%size].LSN; first%size != 1 || r.LSN != first+uint64(j%size) {
-					t.Fatalf("segment %d record %d has LSN %d: batch starting at %d was split or interleaved",
-						i, j, r.LSN, first)
-				}
+			for _, r := range recs {
+				seen[r.LSN]++
 			}
-			seen += len(recs)
 		}
-		if seen != appenders*batches*size {
-			t.Fatalf("read %d records, want %d", seen, appenders*batches*size)
+		for lsn := uint64(1); lsn <= appenders*each; lsn++ {
+			if seen[lsn] != 1 {
+				t.Fatalf("acknowledged record %d appears %d times across the segments", lsn, seen[lsn])
+			}
 		}
 	})
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
+	"time"
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
@@ -42,6 +45,18 @@ func (c *Coordinator) IngestAggregated(batch api.AggregatedBeat) (api.Aggregated
 	reregister := make(map[string]bool)
 	sendFull := make(map[string]bool)
 
+	// replay runs one beat through the direct path and files the node's
+	// directive. A per-beat rejection (bad token or similar) means the
+	// aggregator must stop folding this node, so the agent sees the error
+	// directly.
+	replay := func(req api.HeartbeatRequest, at time.Time) {
+		hr, err := c.heartbeatAt(req, at)
+		if err != nil {
+			sendFull[req.MachineID] = true
+		} else if hr.Reregister {
+			reregister[req.MachineID] = true
+		}
+	}
 	for _, pb := range batch.Beats {
 		// Each forwarded beat keeps its own envelope: an agent that
 		// observed a newer leader than its aggregator must still depose a
@@ -52,16 +67,7 @@ func (c *Coordinator) IngestAggregated(batch api.AggregatedBeat) (api.Aggregated
 			return api.AggregatedBeatResponse{}, err
 		}
 		c.met.aggPassthru.Inc()
-		hr, err := c.heartbeatAt(pb.Beat, pb.At)
-		if err != nil {
-			// Bad token or similar per-beat rejection: the aggregator must
-			// stop folding this node so the agent sees the error directly.
-			sendFull[pb.Beat.MachineID] = true
-			continue
-		}
-		if hr.Reregister {
-			reregister[pb.Beat.MachineID] = true
-		}
+		replay(pb.Beat, pb.At)
 	}
 
 	// Deltas in deterministic order; the aggregator sorts them, but the
@@ -84,29 +90,16 @@ func (c *Coordinator) IngestAggregated(batch api.AggregatedBeat) (api.Aggregated
 			reregister[d.NodeID] = true
 			continue
 		}
-		hr, err := c.heartbeatAt(api.HeartbeatRequest{
+		replay(api.HeartbeatRequest{
 			Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: batch.LeaderEpoch},
 			MachineID: d.NodeID,
 			Token:     d.Token,
 			BeatSeq:   d.BeatSeq,
 		}, d.At)
-		if err != nil {
-			sendFull[d.NodeID] = true
-			continue
-		}
-		if hr.Reregister {
-			reregister[d.NodeID] = true
-		}
 	}
 
-	for id := range reregister {
-		resp.Reregister = append(resp.Reregister, id)
-	}
-	for id := range sendFull {
-		resp.SendFull = append(resp.SendFull, id)
-	}
-	sort.Strings(resp.Reregister)
-	sort.Strings(resp.SendFull)
+	resp.Reregister = slices.Sorted(maps.Keys(reregister))
+	resp.SendFull = slices.Sorted(maps.Keys(sendFull))
 	resp.LeaderEpoch = c.Epoch()
 	return resp, nil
 }

@@ -73,18 +73,10 @@ func healthRule(params monitor.HealthParams) deltaRule[healthPoint] {
 	}
 }
 
-// CheckHealthDeltas audits health-score-consistent. base holds each
-// node's (Health, HealthAt) when the stream began; muts is the
-// committed mutation stream since then; nodes is the store's current
-// node table; params must be the parameters the coordinator folded
-// with (the platform fixes them to the defaults).
-func CheckHealthDeltas(base map[string]healthPoint, muts []db.Mutation,
-	nodes []db.NodeRecord, params monitor.HealthParams) []Violation {
-	return healthRule(params).fold(base, muts, nodes)
-}
-
-// HealthAudit records a live store's stream for CheckHealthDeltas;
-// Check runs it against the store's current node table.
+// HealthAudit records a live store's stream and audits
+// health-score-consistent: Check folds it with healthRule (the
+// parameters the platform fixes to the defaults) against the store's
+// current node table.
 type HealthAudit struct{ streamAudit[healthPoint] }
 
 // NewHealthAudit snapshots the store's current health state and

@@ -65,7 +65,7 @@
 //
 // Gray-failure handling adds three more (see health.go):
 //
-//   - health-score-consistent (HealthAudit / CheckHealthDeltas): every
+//   - health-score-consistent (HealthAudit): every
 //     persisted node health score is exactly the deterministic fold of
 //     the events the mutation stream carries — including across crash
 //     recovery and standby promotion;

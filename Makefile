@@ -44,6 +44,9 @@ bench:
 # the scheduler's candidate set, the cost that decides the ungated
 # job_churn end-to-end workload; go test cannot select one
 # sub-benchmark inside an alternation, so its other arms ride along.
+# benchcheck runs the filter in five fresh `go test` processes and gates
+# on each benchmark's median: the slow mode that made a best-of-3 inside
+# one process cry wolf (BatchPlacement32 above all) is per process.
 # After a deliberate perf change, re-record the baseline with the
 # command in BENCH_baseline.json's comment field.
 BENCH_CHECK_FILTER ?= DBJobQueueQuery$$|DBJobsOnNode$$|BatchPlacement32$$|PlaceCached32$$|SinglePlacement32$$|SchedulerDecision50Nodes$$|HeartbeatCoalesced$$

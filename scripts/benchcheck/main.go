@@ -7,7 +7,11 @@
 // selects with no baseline entry, or a baseline entry the filter
 // selects that produced no measurement, fails the gate — otherwise a
 // deleted or renamed gated benchmark would pass silently. Improvements
-// always pass. The gate is meant for the stable
+// always pass. Each of the -count runs is a fresh `go test` process and
+// the gate reads the per-benchmark median: a benchmark's slow mode
+// (heap layout, scheduler placement) is fixed for a process's life, so
+// repeats inside one process agree with each other and only separate
+// processes sample it. The gate is meant for the stable
 // single-goroutine hot-path benches — highly parallel benchmarks are
 // too noisy for a hard threshold and should stay out of the filter.
 package main
@@ -21,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -47,7 +52,7 @@ func main() {
 	bench := flag.String("bench", ".", "benchmark filter regex passed to go test -bench")
 	threshold := flag.Float64("threshold", 25, "maximum tolerated ns/op regression, percent")
 	benchtime := flag.String("benchtime", "300ms", "go test -benchtime (the baseline was recorded at 300ms)")
-	count := flag.Int("count", 3, "runs per benchmark; the gate takes the best, so transient machine load cannot fail it")
+	count := flag.Int("count", 5, "fresh go test processes to run; the gate takes each benchmark's median across them")
 	pkg := flag.String("pkg", ".", "package holding the benchmarks")
 	flag.Parse()
 
@@ -64,43 +69,49 @@ func main() {
 		baseNs[b.Name] = b.NsPerOp
 	}
 
-	cmd := exec.Command("go", "test", "-bench=("+*bench+")|"+calibrationBench+"$",
-		"-benchtime="+*benchtime, "-count="+strconv.Itoa(*count), "-run=^$", *pkg)
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		fatal("running benchmarks: %v", err)
-	}
-
-	// Best result per benchmark across the -count runs: a genuinely
-	// regressed hot path is slow in every run, while a noisy neighbour
-	// only inflates some of them.
-	best := make(map[string]float64)
+	// One result per benchmark per process; order keeps first-seen order
+	// for the report.
+	samples := make(map[string][]float64)
 	var order []string
-	sc := bufio.NewScanner(&out)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
+	for i := 0; i < *count; i++ {
+		cmd := exec.Command("go", "test", "-bench=("+*bench+")|"+calibrationBench+"$",
+			"-benchtime="+*benchtime, "-count=1", "-run=^$", *pkg)
+		var out bytes.Buffer
+		cmd.Stdout = &out
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			fatal("running benchmarks: %v", err)
 		}
-		got, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		if prev, seen := best[m[1]]; !seen || got < prev {
-			if !seen {
+		sc := bufio.NewScanner(&out)
+		for sc.Scan() {
+			m := benchLine.FindStringSubmatch(sc.Text())
+			if m == nil {
+				continue
+			}
+			got, err := strconv.ParseFloat(m[2], 64)
+			if err != nil {
+				continue
+			}
+			if _, seen := samples[m[1]]; !seen {
 				order = append(order, m[1])
 			}
-			best[m[1]] = got
+			samples[m[1]] = append(samples[m[1]], got)
 		}
+	}
+	// The median across processes: a genuinely regressed hot path is
+	// slow in most of them, while one process's unlucky layout or a
+	// noisy neighbour inflates only its own sample.
+	median := make(map[string]float64, len(samples))
+	for name, xs := range samples {
+		sort.Float64s(xs)
+		median[name] = (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 	}
 
 	// Hardware normalization: scale the baseline by how this machine's
 	// calibration run compares to the baseline's, so the threshold
 	// measures code regressions rather than host-speed deltas.
 	scale := 1.0
-	if gotCal, ok := best[calibrationBench]; ok {
+	if gotCal, ok := median[calibrationBench]; ok {
 		if baseCal := baseNs[calibrationBench]; baseCal > 0 {
 			scale = gotCal / baseCal
 			fmt.Printf("  calibration: %.0f ns/op vs baseline %.0f — host speed factor %.2fx\n",
@@ -116,7 +127,7 @@ func main() {
 		if name == calibrationBench {
 			continue
 		}
-		got := best[name]
+		got := median[name]
 		want, ok := baseNs[name]
 		if !ok || want <= 0 {
 			fmt.Printf("  %-40s %12.0f ns/op  NO BASELINE ENTRY\n", name, got)
@@ -143,7 +154,7 @@ func main() {
 	}
 	for _, b := range base.Benchmarks {
 		top, _, _ := strings.Cut(b.Name, "/")
-		if _, measured := best[b.Name]; !measured && filter.MatchString(top) {
+		if _, measured := median[b.Name]; !measured && filter.MatchString(top) {
 			fmt.Printf("  %-40s baseline %12.0f ns/op  NOT MEASURED (deleted or renamed?)\n", b.Name, b.NsPerOp)
 			mismatched = true
 		}

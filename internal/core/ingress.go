@@ -104,7 +104,6 @@ type beat struct {
 	newStatus db.NodeStatus
 
 	// classify: the report compared against the node's placements.
-	reported   map[string]bool
 	suspicious bool
 	orphans    []string
 	lost       []db.JobRecord
@@ -245,9 +244,9 @@ func (c *Coordinator) loadNode(b *beat) bool {
 // buggy agent must not widen a fold beyond what the protocol promises.
 // Sitting after claimSequence, a replayed beat never folds twice.
 func (c *Coordinator) classify(b *beat) bool {
-	b.reported = make(map[string]bool, len(b.req.RunningJobs))
+	reported := make(map[string]bool, len(b.req.RunningJobs))
 	for _, jobID := range b.req.RunningJobs {
-		b.reported[jobID] = true
+		reported[jobID] = true
 		jrec, err := c.db.GetJob(jobID)
 		if err != nil {
 			b.suspicious = true // agent-local work the platform never tracked
@@ -266,7 +265,7 @@ func (c *Coordinator) classify(b *beat) bool {
 		}
 		b.orphans = append(b.orphans, jobID)
 	}
-	b.lost, b.protected = c.lostPlacements(b.rec, b.reported, b.req.Telemetry, b.suspicious, b.now)
+	b.lost, b.protected = c.lostPlacements(b.rec, reported, b.req.Telemetry, b.suspicious, b.now)
 	b.health = b.req.HealthEvents
 	if len(b.health) > api.MaxHealthEventsPerBeat {
 		b.health = b.health[:api.MaxHealthEventsPerBeat]

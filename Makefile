@@ -26,10 +26,13 @@ test:
 # are few-microsecond windows one pass rarely hits. The replica
 # lifecycle and lease tests ride the same line: they are the ones with a
 # live follower, a promotion racing a pump, and two arbiters on one
-# lease file.
+# lease file. The placement-pass hand-off and the verified-token map
+# are the two places request goroutines meet on shared state outside
+# the store; their tests are cheap, so they run twenty times.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Gather|Replica|Lease' ./internal/wal ./internal/core
+	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent' ./internal/core ./internal/auth
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps
 # bench_test.go compiling and executable without burning CI minutes.
@@ -47,9 +50,12 @@ bench:
 # benchcheck runs the filter in five fresh `go test` processes and gates
 # on each benchmark's median: the slow mode that made a best-of-3 inside
 # one process cry wolf (BatchPlacement32 above all) is per process.
+# HeartbeatRoute (one beat through the coordinator's Handler, the CPU of
+# the end-to-end beat workloads) is gated on allocs/op as well, exactly:
+# its baseline entries carry allocs_per_op.
 # After a deliberate perf change, re-record the baseline with the
 # command in BENCH_baseline.json's comment field.
-BENCH_CHECK_FILTER ?= DBJobQueueQuery$$|DBJobsOnNode$$|BatchPlacement32$$|PlaceCached32$$|SinglePlacement32$$|SchedulerDecision50Nodes$$|HeartbeatCoalesced$$
+BENCH_CHECK_FILTER ?= DBJobQueueQuery$$|DBJobsOnNode$$|BatchPlacement32$$|PlaceCached32$$|SinglePlacement32$$|SchedulerDecision50Nodes$$|HeartbeatCoalesced$$|HeartbeatRoute$$
 bench-check:
 	$(GO) run ./scripts/benchcheck -baseline BENCH_baseline.json -bench '$(BENCH_CHECK_FILTER)' -threshold 25
 

@@ -11,8 +11,14 @@
 package gpunion_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -744,6 +750,142 @@ func BenchmarkTokenIssueVerify(b *testing.B) {
 		if _, err := a.Verify(tok, benchEpoch.Add(time.Second)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTokenVerify is what a beat pays to have its token checked:
+// cold, a token this Authority has not seen (HMAC, two base64 passes,
+// claims decode — once per session since PR 24); warm, one it has.
+func BenchmarkTokenVerify(b *testing.B) {
+	secret := []byte("bench-secret")
+	issuer, err := auth.NewAuthority(secret, time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	toks := make([]string, 1024)
+	for i := range toks {
+		if toks[i], err = issuer.Issue(fmt.Sprintf("node-%04d", i), auth.RoleProvider, benchEpoch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	now := benchEpoch.Add(time.Second)
+	for _, arm := range []string{"cold", "warm"} {
+		b.Run(arm, func(b *testing.B) {
+			a := issuer
+			for i := 0; i < b.N; i++ {
+				if arm == "cold" && i%len(toks) == 0 {
+					// A verifier that has seen none of the ring.
+					if a, err = auth.NewAuthority(secret, time.Hour); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := a.Verify(toks[i%len(toks)], now); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// nopHandle is an agent transport for fleets that never get a job.
+type nopHandle struct{}
+
+func (nopHandle) Launch(api.LaunchRequest) (api.LaunchResponse, error) {
+	return api.LaunchResponse{}, fmt.Errorf("bench: no agent behind this handle")
+}
+func (nopHandle) Kill(api.KillRequest) error { return nil }
+func (nopHandle) Checkpoint(string, bool) (api.CheckpointResponse, error) {
+	return api.CheckpointResponse{}, fmt.Errorf("bench: no agent behind this handle")
+}
+
+// BenchmarkHeartbeatRoute is one beat through the coordinator's real
+// Handler — mux, body decode, the heartbeat stages, reply encode — with
+// no socket and no WAL: the coordinator CPU and allocations of the
+// end-to-end beats_idle and beats_telemetry workloads (bench/), whose
+// fleet it copies: 2 000 registered two-device nodes beating round
+// robin, the body each one's marshalled request with a fresh sequence.
+// Single-goroutine on a simulated clock, so allocs/op repeats exactly;
+// bench-check gates both ns/op and allocs/op.
+func BenchmarkHeartbeatRoute(b *testing.B) {
+	for _, arm := range []string{"idle", "telemetry"} {
+		b.Run(arm, func(b *testing.B) { benchHeartbeatRoute(b, arm == "telemetry") })
+	}
+}
+
+func benchHeartbeatRoute(b *testing.B, telemetry bool) {
+	const nodes = 2000
+	clock := simclock.NewSim(benchEpoch)
+	coord, err := core.New(core.Config{}, clock, db.New(0),
+		checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coord.Stop()
+	handler := coord.Handler(func(string) core.AgentHandle { return nopHandle{} })
+
+	// Each node's request marshalled once, cut where the sequence goes
+	// (beat_seq is the last field on the wire).
+	const seqMark = 987654321987
+	bodies := make([][]byte, nodes)
+	for i := range bodies {
+		id := fmt.Sprintf("node-%04d", i)
+		gpus := make([]db.GPUInfo, 2)
+		req := api.HeartbeatRequest{
+			Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion},
+			MachineID: id, BeatSeq: seqMark,
+		}
+		for d := range gpus {
+			gpus[d] = db.GPUInfo{DeviceID: fmt.Sprintf("gpu%d", d), Model: "RTX 3090",
+				MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}
+			if telemetry {
+				req.Telemetry = append(req.Telemetry, gpu.Telemetry{DeviceID: gpus[d].DeviceID, Model: gpus[d].Model,
+					TotalMemMiB: 24576, TemperatureC: 55.5, PowerW: 210.25})
+			}
+		}
+		reg, err := coord.Register(api.RegisterRequest{
+			Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion},
+			MachineID: id, Addr: "bench://" + id, GPUs: gpus, Kernel: "5.15",
+		}, nopHandle{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Token = reg.Token
+		raw, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prefix, rest, ok := bytes.Cut(raw, []byte(strconv.Itoa(seqMark)))
+		if !ok || string(rest) != "}" {
+			b.Fatalf("beat_seq is not the last field of %s", raw)
+		}
+		bodies[i] = prefix[:len(prefix):len(prefix)]
+	}
+
+	var body []byte
+	rd := bytes.NewReader(nil)
+	httpReq := httptest.NewRequest(http.MethodPost, "/v1/heartbeat", nil)
+	beat := func(i int) {
+		clock.Advance(time.Microsecond) // a beat parks only at a later instant than the node's last
+		body = strconv.AppendInt(append(body[:0], bodies[i%nodes]...), int64(i/nodes+1), 10)
+		rd.Reset(append(body, '}'))
+		httpReq.Body = io.NopCloser(rd)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httpReq)
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"acknowledged":true`)) {
+			b.Fatalf("beat %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	// Two rounds untimed: what a node's first beats grow (token cache,
+	// sequence and coalescer maps, sample rings) is paid once per
+	// session, and left in it would make allocs/op depend on b.N.
+	const warm = 2 * nodes
+	for i := 0; i < warm; i++ {
+		beat(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		beat(warm + i)
 	}
 }
 

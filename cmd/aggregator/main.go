@@ -17,7 +17,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"gpunion/internal/aggregator"
-	"gpunion/internal/api"
 	"gpunion/internal/auth"
 	"gpunion/internal/core"
 	"gpunion/internal/simclock"
@@ -56,36 +54,7 @@ func main() {
 		FlushInterval: *flush,
 	}, simclock.Real(), core.NewClient(*upstream))
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req api.HeartbeatRequest
-		if !api.DecodeJSON(w, r, &req) {
-			return
-		}
-		resp, err := agg.Ingest(req)
-		if err != nil {
-			// Not acknowledged anywhere: 503 tells the agent to deliver
-			// this same beat to a direct coordinator endpoint.
-			code := http.StatusServiceUnavailable
-			if !errors.Is(err, aggregator.ErrUnavailable) {
-				code = http.StatusBadGateway
-			}
-			api.WriteError(w, code, err)
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
-		folded, passthrough, forwards, forwardErrors := agg.Stats()
-		api.WriteJSON(w, http.StatusOK, map[string]uint64{
-			"folded_beats":   folded,
-			"passthrough":    passthrough,
-			"forwards":       forwards,
-			"forward_errors": forwardErrors,
-		})
-	})
-
-	srv := &http.Server{Addr: *listen, Handler: mux}
+	srv := &http.Server{Addr: *listen, Handler: agg.Handler()}
 	go func() {
 		log.Printf("gpunion aggregator %s listening on %s (upstream %s, flush %v)", *id, *listen, *upstream, *flush)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

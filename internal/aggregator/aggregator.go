@@ -31,6 +31,7 @@ package aggregator
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -180,6 +181,40 @@ func (g *Aggregator) Stats() (folded, passthrough, forwards, forwardErrors uint6
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.foldedBeats, g.passthrough, g.forwards, g.forwardErrors
+}
+
+// Handler returns the relay's REST API: the heartbeat route agents are
+// pointed at, and the lifetime counters.
+func (g *Aggregator) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		var req api.HeartbeatRequest
+		if !api.DecodeJSON(w, r, &req) {
+			return
+		}
+		resp, err := g.Ingest(req)
+		if err != nil {
+			// Not acknowledged anywhere: 503 tells the agent to deliver
+			// this same beat to a direct coordinator endpoint.
+			code := http.StatusServiceUnavailable
+			if !errors.Is(err, ErrUnavailable) {
+				code = http.StatusBadGateway
+			}
+			api.WriteError(w, code, err)
+			return
+		}
+		api.WriteJSON(w, http.StatusOK, resp)
+	})
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		folded, passthrough, forwards, forwardErrors := g.Stats()
+		api.WriteJSON(w, http.StatusOK, map[string]uint64{
+			"folded_beats":   folded,
+			"passthrough":    passthrough,
+			"forwards":       forwards,
+			"forward_errors": forwardErrors,
+		})
+	})
+	return mux
 }
 
 // Ingest accepts one agent heartbeat. Foldable beats are acked

@@ -7,16 +7,49 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 )
 
 // The JSON wire helpers every daemon's routes and clients share, so a
 // body limit or a per-route histogram has one place to go.
 
-// DecodeJSON parses the request body into out, answering 400 with an
-// Error on failure.
+// MaxJSONBody bounds the body of every JSON route: orders of magnitude
+// above any request a daemon or tool in this repository builds, small
+// enough that a stray or hostile sender cannot make a daemon buffer
+// without limit.
+const MaxJSONBody = 1 << 20
+
+// maxPooledBody is the largest buffer DecodeJSON hands back to its
+// pool; one that grew past it served an outlier and is left to the
+// collector.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// DecodeJSON parses the request body into out, answering with an Error
+// on failure: 413 for a body over MaxJSONBody, 400 for anything that is
+// not exactly one JSON value (trailing non-whitespace included). The
+// body is read whole into a pooled buffer and unmarshalled from there —
+// out keeps no reference into it.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
-	if err := json.NewDecoder(r.Body).Decode(out); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("api: bad request body: %w", err))
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxJSONBody))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), out)
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		WriteError(w, code, fmt.Errorf("api: bad request body: %w", err))
 		return false
 	}
 	return true

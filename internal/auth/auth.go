@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -66,7 +67,24 @@ type Claims struct {
 type Authority struct {
 	secret []byte
 	ttl    time.Duration
+
+	// verified remembers the claims of every token that passed
+	// signature verification, keyed by the whole token string, signature
+	// included: a hit means this exact string passed hmac.Equal under
+	// secret, which never changes. A node presents the same token on
+	// every beat until it registers again, so the HMAC, the base64
+	// passes and the claims decode are paid once per session, not once
+	// per beat. Expiry is not part of what is remembered — Verify
+	// compares it with the caller's now on every use.
+	mu       sync.RWMutex
+	verified map[string]Claims
 }
+
+// maxVerified bounds the verified-token map. A live session holds one
+// entry, so a fleet far larger than any the platform targets fits; at
+// the bound the map is cleared wholesale and refills at one full
+// verification per session.
+const maxVerified = 1 << 16
 
 // NewAuthority creates an Authority. If secret is empty a random one is
 // generated (suitable for single-process deployments and tests). ttl <= 0
@@ -81,7 +99,7 @@ func NewAuthority(secret []byte, ttl time.Duration) (*Authority, error) {
 	if ttl <= 0 {
 		ttl = 30 * 24 * time.Hour
 	}
-	return &Authority{secret: secret, ttl: ttl}, nil
+	return &Authority{secret: secret, ttl: ttl, verified: make(map[string]Claims)}, nil
 }
 
 // Issue mints a token for the subject with the given role, valid from now
@@ -107,6 +125,31 @@ func (a *Authority) Issue(subject string, role Role, now time.Time) (string, err
 
 // Verify checks the token's signature and expiry and returns its claims.
 func (a *Authority) Verify(token string, now time.Time) (Claims, error) {
+	a.mu.RLock()
+	claims, seen := a.verified[token]
+	a.mu.RUnlock()
+	if !seen {
+		var err error
+		if claims, err = a.open(token); err != nil {
+			return Claims{}, err
+		}
+	}
+	if now.Unix() >= claims.ExpiresAt {
+		return Claims{}, ErrExpired
+	}
+	if !seen {
+		a.mu.Lock()
+		if len(a.verified) >= maxVerified {
+			clear(a.verified)
+		}
+		a.verified[token] = claims
+		a.mu.Unlock()
+	}
+	return claims, nil
+}
+
+// open checks the token's signature and decodes its claims.
+func (a *Authority) open(token string) (Claims, error) {
 	body, sig, ok := strings.Cut(token, ".")
 	if !ok || body == "" || sig == "" {
 		return Claims{}, ErrMalformedToken
@@ -122,9 +165,6 @@ func (a *Authority) Verify(token string, now time.Time) (Claims, error) {
 	var claims Claims
 	if err := json.Unmarshal(raw, &claims); err != nil {
 		return Claims{}, fmt.Errorf("%w: %v", ErrMalformedToken, err)
-	}
-	if now.Unix() >= claims.ExpiresAt {
-		return Claims{}, ErrExpired
 	}
 	return claims, nil
 }

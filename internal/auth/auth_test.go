@@ -2,7 +2,9 @@ package auth
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -195,4 +197,124 @@ func TestIssueVerifyProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The verified-token cache must not weaken any property of Verify: each
+// case below first verifies the original token, so it is remembered.
+
+func TestVerifiedTokenStillExpires(t *testing.T) {
+	a := newAuthority(t)
+	tok, _ := a.Issue("node-abc", RoleProvider, now)
+	if _, err := a.Verify(tok, now); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Verify(tok, now.Add(time.Hour)); !errors.Is(err, ErrExpired) {
+		t.Fatalf("remembered token at expiry err = %v, want ErrExpired", err)
+	}
+	if _, err := a.Verify(tok, now.Add(time.Minute)); err != nil {
+		t.Fatalf("remembered token before expiry: %v", err)
+	}
+}
+
+func TestVerifiedTokenWrongSubject(t *testing.T) {
+	a := newAuthority(t)
+	tok, _ := a.Issue("node-abc", RoleProvider, now)
+	if _, err := a.VerifySubject(tok, "node-abc", now); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.VerifySubject(tok, "node-xyz", now); !errors.Is(err, ErrWrongSubject) {
+		t.Fatalf("remembered token, other subject err = %v, want ErrWrongSubject", err)
+	}
+}
+
+// flip returns s with the byte at i replaced by another base64url
+// character.
+func flip(s string, i int) string {
+	c := byte('A')
+	if s[i] == c {
+		c = 'B'
+	}
+	return s[:i] + string(c) + s[i+1:]
+}
+
+func TestVerifiedTokenNeighboursRejected(t *testing.T) {
+	a := newAuthority(t)
+	tok, _ := a.Issue("node-abc", RoleProvider, now)
+	if _, err := a.Verify(tok, now); err != nil {
+		t.Fatal(err)
+	}
+	body, sig, _ := strings.Cut(tok, ".")
+	for name, forged := range map[string]string{
+		"flipped signature byte": body + "." + flip(sig, len(sig)/2),
+		"flipped payload byte":   flip(body, len(body)/2) + "." + sig,
+	} {
+		for i := 0; i < 2; i++ { // twice: a failure must not be remembered either
+			if _, err := a.Verify(forged, now); !errors.Is(err, ErrBadSignature) {
+				t.Errorf("%s, attempt %d: err = %v, want ErrBadSignature", name, i+1, err)
+			}
+		}
+	}
+}
+
+func TestVerifiedTokenStaysWithItsAuthority(t *testing.T) {
+	a := newAuthority(t)
+	other, err := NewAuthority([]byte("different"), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, _ := a.Issue("node-abc", RoleProvider, now)
+	if _, err := a.Verify(tok, now); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Verify(tok, now); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("token remembered by another authority err = %v, want ErrBadSignature", err)
+	}
+}
+
+func TestVerifiedTokensBounded(t *testing.T) {
+	a := newAuthority(t)
+	// One below the bound without paying 65 535 signatures: what is
+	// under test is what the next two real tokens do to the map.
+	for i := 0; i < maxVerified-1; i++ {
+		a.verified[fmt.Sprintf("filler-%d", i)] = Claims{}
+	}
+	for i, want := range []int{maxVerified, 1} {
+		tok, _ := a.Issue(fmt.Sprintf("node-%d", i), RoleProvider, now)
+		for j := 0; j < 2; j++ { // the second use is a hit and adds nothing
+			if _, err := a.Verify(tok, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(a.verified); got != want {
+			t.Fatalf("after token %d the authority remembers %d, want %d (bound %d)", i+1, got, want, maxVerified)
+		}
+	}
+}
+
+func TestVerifyConcurrent(t *testing.T) {
+	a := newAuthority(t)
+	var toks []string
+	for i := 0; i < 8; i++ {
+		tok, _ := a.Issue(fmt.Sprintf("node-%d", i), RoleProvider, now)
+		toks = append(toks, tok)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				n := (g + i) % len(toks)
+				if _, err := a.VerifySubject(toks[n], fmt.Sprintf("node-%d", n), now); err != nil {
+					t.Errorf("verifier %d: %v", g, err)
+					return
+				}
+				if _, err := a.Verify(flip(toks[n], 3), now); err == nil {
+					t.Errorf("verifier %d: forged token verified", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,4 +329,159 @@ func TestLaunchRequestSurvivesRecovery(t *testing.T) {
 		got.SessionSeconds != 900 || got.Kind != "batch" {
 		t.Fatalf("launch request lost its spec: %+v", got)
 	}
+}
+
+// gatedAgent is a fakeAgent whose Launch announces itself on entered
+// and then waits for one token on release: a pass held open on demand.
+// With refuseOnce set the first launch let through is refused, which
+// ends the pass it belongs to (a cycle that commits nothing).
+type gatedAgent struct {
+	*fakeAgent
+	entered    chan string
+	release    chan struct{}
+	refuseOnce atomic.Bool
+}
+
+func (g *gatedAgent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
+	g.entered <- req.JobID
+	<-g.release
+	if g.refuseOnce.CompareAndSwap(true, false) {
+		return api.LaunchResponse{}, errors.New("gated: refused once")
+	}
+	return g.fakeAgent.Launch(req)
+}
+
+// newGatedRig is a coordinator with one two-device node behind a
+// gatedAgent.
+func newGatedRig(t *testing.T) (*batchRig, *gatedAgent) {
+	t.Helper()
+	r := newBatchRig(t, 8)
+	// Sized to the launches a test makes, so the agent never blocks on
+	// an unread announcement.
+	g := &gatedAgent{fakeAgent: newFakeAgent("gpu0", "gpu1"),
+		entered: make(chan string, 4), release: make(chan struct{}, 4)}
+	gpus := make([]db.GPUInfo, 2)
+	for i := range gpus {
+		gpus[i] = db.GPUInfo{DeviceID: fmt.Sprintf("gpu%d", i), Model: "RTX 3090",
+			MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}
+	}
+	if _, err := r.coord.Register(api.RegisterRequest{MachineID: "n0", Addr: "fake://n0", GPUs: gpus}, g); err != nil {
+		t.Fatal(err)
+	}
+	return r, g
+}
+
+// holdPass submits the first job from a goroutine of its own and
+// returns once its pass is inside the launch; done closes when that
+// SubmitJob has returned, that is when the pass has ended and handed
+// over.
+func (r *batchRig) holdPass(t *testing.T, g *gatedAgent) (done chan struct{}) {
+	t.Helper()
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := r.coord.SubmitJob(api.SubmitJobRequest{
+			User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 8192,
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	if got := <-g.entered; got != "job-000001" {
+		t.Fatalf("the held pass launches %s, want job-000001", got)
+	}
+	return done
+}
+
+// returns fails the test unless fn comes back while a pass is held open.
+func returns(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { fn(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s waited for the running placement pass", what)
+	}
+}
+
+func (r *batchRig) passIdle() bool {
+	r.coord.mu.Lock()
+	defer r.coord.mu.Unlock()
+	return !r.coord.passRunning && !r.coord.passWanted
+}
+
+// TestTryScheduleOnePassAtATime: while one pass is inside a launch, a
+// second caller returns at once and launches nothing; the job it
+// submitted is placed with no further call from outside; every job is
+// launched exactly once; and Stop leaves no pass behind.
+func TestTryScheduleOnePassAtATime(t *testing.T) {
+	bothOnce := []string{"job-000001", "job-000002"}
+
+	t.Run("request during a pass", func(t *testing.T) {
+		r, g := newGatedRig(t)
+		held := r.holdPass(t, g)
+		returns(t, "SubmitJob", func() { r.submit(t, 1) })
+		returns(t, "TrySchedule", r.coord.TrySchedule)
+		if len(g.entered) != 0 {
+			t.Fatalf("a second pass launched %s while the first was running", <-g.entered)
+		}
+		if st, _ := r.coord.JobStatus(bothOnce[1]); st.State != db.JobPending {
+			t.Fatalf("job submitted during the pass is %s, want pending", st.State)
+		}
+		g.release <- struct{}{}
+		g.release <- struct{}{}
+		<-held
+		r.coord.passes.Wait()
+		for _, id := range bothOnce {
+			if st, _ := r.coord.JobStatus(id); st.State != db.JobRunning {
+				t.Errorf("job %s is %s, want running", id, st.State)
+			}
+		}
+		if !reflect.DeepEqual(g.launched, bothOnce) {
+			t.Errorf("launched %v, want %v", g.launched, bothOnce)
+		}
+		if !r.passIdle() {
+			t.Error("a pass is still marked running or wanted after the queue drained")
+		}
+	})
+
+	t.Run("stop during the first pass", func(t *testing.T) {
+		r, g := newGatedRig(t)
+		g.refuseOnce.Store(true) // or the held pass's next cycle places the second job itself
+		held := r.holdPass(t, g)
+		returns(t, "SubmitJob", func() { r.submit(t, 1) })
+		returns(t, "Stop", r.coord.Stop)
+		g.release <- struct{}{}
+		<-held
+		r.coord.passes.Wait()
+		if !r.passIdle() {
+			t.Error("a stopped coordinator still has a pass running or wanted")
+		}
+		if len(g.entered) != 0 || len(g.launched) != 0 {
+			t.Errorf("a stopped coordinator launched %v", g.launched)
+		}
+	})
+
+	t.Run("stop during the follow-up pass", func(t *testing.T) {
+		r, g := newGatedRig(t)
+		g.refuseOnce.Store(true)
+		held := r.holdPass(t, g)
+		returns(t, "SubmitJob", func() { r.submit(t, 1) })
+		g.release <- struct{}{}
+		<-held
+		// The refusal ended the held pass; the request recorded during
+		// it is now a pass on the coordinator's own goroutine, inside
+		// its first launch. Stop returns only once that goroutine is
+		// gone.
+		<-g.entered
+		g.release <- struct{}{}
+		g.release <- struct{}{}
+		r.coord.Stop()
+		if !r.passIdle() {
+			t.Error("Stop returned with the follow-up pass still running")
+		}
+		if !reflect.DeepEqual(g.launched, bothOnce) {
+			t.Errorf("launched %v, want %v", g.launched, bothOnce)
+		}
+	})
 }

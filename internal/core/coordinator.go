@@ -144,6 +144,12 @@ type Coordinator struct {
 	temporary map[string]bool
 	stopped   bool
 	sweeper   simclock.Timer
+	// One placement pass at a time (see TrySchedule): passRunning while
+	// one runs, passWanted when a request arrived during it, passes
+	// counts the follow-up passes running on goroutines of their own.
+	passRunning bool
+	passWanted  bool
+	passes      sync.WaitGroup
 	// Leadership state (Lease mode only). epoch is the fencing token of
 	// the current (or last) term; leading and leaseUntil gate every
 	// mutation — a coordinator whose cached lease has passed on its own
@@ -330,6 +336,9 @@ func (c *Coordinator) Stop() {
 	// within one interval, so the successor converges immediately.
 	c.beats = nil
 	c.mu.Unlock()
+	// A follow-up placement pass runs on a goroutine this coordinator
+	// started; with stopped set none starts after it.
+	c.passes.Wait()
 	// Detach the metrics feed: a replaced coordinator must not keep
 	// consuming its successor's store mutations.
 	c.metCancel()

@@ -311,6 +311,36 @@ func TestHeartbeatBadToken(t *testing.T) {
 	}
 }
 
+// TestHeartbeatExpiredTokenAsksReregister: a token the coordinator has
+// already verified (and remembers) still runs out — the first beat past
+// its expiry is answered with Reregister, not acknowledged.
+func TestHeartbeatExpiredTokenAsksReregister(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	coord, err := New(Config{HeartbeatInterval: 10 * time.Second, TokenTTL: time.Minute}, clock,
+		db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	reg, err := coord.Register(api.RegisterRequest{MachineID: "n1", Addr: "fake://n1"}, newFakeAgent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	beat := api.HeartbeatRequest{MachineID: "n1", Token: reg.Token}
+	for _, step := range []struct {
+		advance    time.Duration
+		reregister bool
+	}{{10 * time.Second, false}, {10 * time.Second, false}, {time.Minute, true}} {
+		clock.Advance(step.advance)
+		beat.BeatSeq++
+		resp, err := coord.Heartbeat(beat)
+		if err != nil || resp.Reregister != step.reregister || resp.Acknowledged == step.reregister {
+			t.Fatalf("beat %d at +%v: resp = %+v, %v; want reregister=%v",
+				beat.BeatSeq, clock.Now().Sub(t0), resp, err, step.reregister)
+		}
+	}
+}
+
 func TestHeartbeatUnknownNodeAsksReregister(t *testing.T) {
 	r := newRig(t, 10*time.Second)
 	ag := r.addNode("n1", gpu.RTX3090)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"gpunion/internal/agent"
+	"gpunion/internal/aggregator"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/container"
@@ -347,6 +350,60 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 	if _, err := r.client.JobStatus("ghost"); err == nil {
 		t.Fatal("unknown job status succeeded")
+	}
+}
+
+// TestHTTPJSONBodyLimits: every route that reads a JSON body, on all
+// three daemons, answers 413 to a body over api.MaxJSONBody and 400 to
+// one JSON value followed by anything else, and gives a well-formed
+// request the status it always gave.
+func TestHTTPJSONBodyLimits(t *testing.T) {
+	r := newHTTPRig(t)
+	ag, _ := r.addHTTPNode("n1", gpu.RTX3090)
+	relay := aggregator.New(aggregator.Config{ID: "agg-1"}, r.clock, r.coord)
+	t.Cleanup(relay.Stop)
+	coord, agnt, agg := r.coord.Handler(nil), ag.Handler(), relay.Handler()
+
+	for _, route := range []struct {
+		name    string
+		handler http.Handler
+		path    string
+		body    any
+		status  int
+	}{
+		{"coordinator register", coord, "/v1/register", api.RegisterRequest{MachineID: "n2", Addr: "http://127.0.0.1:1"}, 200},
+		{"coordinator heartbeat", coord, "/v1/heartbeat", api.HeartbeatRequest{MachineID: "n1", Token: "forged.token"}, 401},
+		{"coordinator depart", coord, "/v1/depart", api.DepartRequest{MachineID: "n1", Token: "forged.token"}, 401},
+		{"coordinator jobupdate", coord, "/v1/jobupdate", api.JobUpdateRequest{MachineID: "n1", JobID: "ghost"}, 204},
+		{"coordinator submit", coord, "/v1/jobs", api.SubmitJobRequest{Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 1 << 30}, 200},
+		{"agent launch", agnt, "/v1/launch", api.LaunchRequest{JobID: "j1", ImageName: "no/such:image"}, 409},
+		{"agent kill", agnt, "/v1/kill", api.KillRequest{JobID: "ghost"}, 404},
+		{"agent checkpoint", agnt, "/v1/checkpoint", api.CheckpointRequest{JobID: "ghost"}, 409},
+		{"aggregator heartbeat", agg, "/v1/heartbeat", api.HeartbeatRequest{MachineID: "n1", Token: "t", BeatSeq: 1}, 200},
+		// Last: a departed agent stops answering the routes above.
+		{"agent depart", agnt, "/v1/depart", api.DepartRequest{Reason: api.DepartScheduled}, 204},
+	} {
+		good, err := json.Marshal(route.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oversize := append(bytes.Repeat([]byte(" "), api.MaxJSONBody), good...)
+		for _, c := range []struct {
+			name   string
+			body   []byte
+			status int
+		}{
+			{"oversize", oversize, http.StatusRequestEntityTooLarge},
+			{"garbage tail", append(good[:len(good):len(good)], " }x"...), http.StatusBadRequest},
+			{"well-formed", good, route.status},
+		} {
+			rec := httptest.NewRecorder()
+			route.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route.path, bytes.NewReader(c.body)))
+			if rec.Code != c.status {
+				t.Errorf("%s, %s body: status %d, want %d (%s)", route.name, c.name, rec.Code, c.status,
+					strings.TrimSpace(rec.Body.String()))
+			}
+		}
 	}
 }
 

@@ -11,20 +11,59 @@ import (
 
 // Placement: the pending queue drained batch by batch, and the launch +
 // commit of one decision. TrySchedule is called inline from every path
-// that may have made something placeable.
+// that may have made something placeable; at most one pass runs at a
+// time.
 
 // DefaultBatchSize is how many pending requests one scheduling cycle
 // drains when Config.BatchSize is unset.
 const DefaultBatchSize = 32
 
-// TrySchedule drains the pending queue in priority order, placing jobs
+// TrySchedule asks for a placement pass. With none running the caller
+// runs one itself, so a single-threaded driver (every simulation) sees
+// the queue drained before TrySchedule returns. A caller that finds a
+// pass running records the request and returns without waiting: two
+// passes reading the same queue place the same job on two nodes, and
+// the launch RPCs of somebody else's pass are not this caller's to wait
+// for. A request recorded during a pass is served by a pass that
+// starts after it, so what the caller just made placeable is seen.
+func (c *Coordinator) TrySchedule() {
+	c.mu.Lock()
+	if c.passRunning {
+		c.passWanted = true
+		c.mu.Unlock()
+		return
+	}
+	c.passRunning = true
+	c.mu.Unlock()
+	c.runPass()
+}
+
+// runPass drains the pending queue in priority order, placing jobs
 // batch by batch: each cycle takes up to BatchSize requests, runs one
 // PlaceBatch over a candidate set built once, and commits the
 // placements. Cycles repeat while they make progress, so a deep queue
 // still drains fully; a cycle that commits nothing stops the loop (the
-// cluster is effectively full for this queue shape).
-func (c *Coordinator) TrySchedule() {
+// cluster is effectively full for this queue shape). The caller has set
+// passRunning. If a request arrived meanwhile the follow-up pass goes to
+// a goroutine, not to this caller: under a steady stream of requests a
+// loop here would keep one beat's ack waiting for everybody's
+// placements. Stop waits for that goroutine.
+func (c *Coordinator) runPass() {
 	for c.scheduleBatch() {
+	}
+	c.mu.Lock()
+	again := c.passWanted && !c.stopped
+	c.passWanted = false
+	c.passRunning = again
+	if again {
+		c.passes.Add(1)
+	}
+	c.mu.Unlock()
+	if again {
+		go func() {
+			defer c.passes.Done()
+			c.runPass()
+		}()
 	}
 }
 

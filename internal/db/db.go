@@ -538,7 +538,9 @@ func (d *DB) TouchNodes(beats []BeatDelta) int {
 				continue
 			}
 			// No nodeGen bump: placement never reads LastHeartbeat.
-			cp := cloneNode(*n)
+			// No clone either: the successor differs in LastHeartbeat
+			// alone, and an installed record's GPUs are never written.
+			cp := *n
 			cp.LastHeartbeat = b.At
 			s.recs[b.NodeID] = &cp
 			kept = append(kept, b)

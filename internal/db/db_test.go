@@ -78,6 +78,32 @@ func TestGetNodeReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestTouchNodesSharesDevicesImmutably: the record TouchNodes installs
+// shares its predecessor's GPUs slice, so a later device flip must land
+// on a copy — a record read before it, at either side of the touch,
+// keeps the devices it was read with.
+func TestTouchNodesSharesDevicesImmutably(t *testing.T) {
+	d := New(0)
+	d.UpsertNode(node("n1", NodeActive))
+	before, _ := d.GetNode("n1")
+	if d.TouchNodes([]BeatDelta{{NodeID: "n1", At: t0.Add(time.Second)}}) != 1 {
+		t.Fatal("TouchNodes applied nothing")
+	}
+	touched, _ := d.GetNode("n1")
+	installed := d.ActiveNodes()[0]
+	if err := d.UpdateNode("n1", func(n *NodeRecord) { n.GPUs[0].Allocated = true }); err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string]NodeRecord{"before the touch": before, "after the touch": touched, "installed by the touch": *installed} {
+		if rec.GPUs[0].Allocated {
+			t.Errorf("record read %s changed under a later UpdateNode", name)
+		}
+	}
+	if after, _ := d.GetNode("n1"); !after.GPUs[0].Allocated || !after.LastHeartbeat.Equal(t0.Add(time.Second)) {
+		t.Fatalf("record after the update = %+v", after)
+	}
+}
+
 func TestListNodesSorted(t *testing.T) {
 	d := New(0)
 	d.UpsertNode(node("n2", NodeActive))

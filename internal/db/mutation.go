@@ -180,8 +180,10 @@ type State struct {
 }
 
 // cloneNode deep-copies the record's slice fields. The stores use it at
-// every install point (copy-on-write): an installed record owns its
-// slices and is never modified, so readers can share them.
+// every install point that may change them (copy-on-write): an
+// installed record owns or shares-immutably its slices and is never
+// modified, so readers — and a successor that changes only scalar
+// fields, as TouchNodes installs — can share them.
 func cloneNode(n NodeRecord) NodeRecord {
 	n.GPUs = slices.Clone(n.GPUs)
 	return n

@@ -7,7 +7,10 @@
 // selects with no baseline entry, or a baseline entry the filter
 // selects that produced no measurement, fails the gate — otherwise a
 // deleted or renamed gated benchmark would pass silently. Improvements
-// always pass. Each of the -count runs is a fresh `go test` process and
+// always pass. A baseline entry that carries allocs_per_op is gated on
+// that too, with no threshold and no rescaling: a single-goroutine
+// benchmark's allocation count repeats exactly on any host, so one
+// allocation more per operation is a change in the code. Each of the -count runs is a fresh `go test` process and
 // the gate reads the per-benchmark median: a benchmark's slow mode
 // (heap layout, scheduler placement) is fixed for a process's life, so
 // repeats inside one process agree with each other and only separate
@@ -33,14 +36,15 @@ import (
 // baselineFile mirrors the benchmarks section of BENCH_baseline.json.
 type baselineFile struct {
 	Benchmarks []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
+		Name        string   `json:"name"`
+		NsPerOp     float64  `json:"ns_per_op"`
+		AllocsPerOp *float64 `json:"allocs_per_op"`
 	} `json:"benchmarks"`
 }
 
-// benchLine matches one `go test -bench` result row, e.g.
-// "BenchmarkDBJobQueueQuery-4   3867   83499 ns/op   ...".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// benchLine matches one `go test -bench -benchmem` result row, e.g.
+// "BenchmarkDBJobQueueQuery-4   3867   83499 ns/op   512 B/op   7 allocs/op".
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*\s(\d+) allocs/op)?`)
 
 // calibrationBench is the fixed pure-CPU workload used to normalize
 // the baseline to this machine's speed (see bench_test.go). It always
@@ -65,17 +69,22 @@ func main() {
 		fatal("parsing baseline: %v", err)
 	}
 	baseNs := make(map[string]float64, len(base.Benchmarks))
+	baseAllocs := make(map[string]float64)
 	for _, b := range base.Benchmarks {
 		baseNs[b.Name] = b.NsPerOp
+		if b.AllocsPerOp != nil {
+			baseAllocs[b.Name] = *b.AllocsPerOp
+		}
 	}
 
 	// One result per benchmark per process; order keeps first-seen order
 	// for the report.
 	samples := make(map[string][]float64)
+	allocSamples := make(map[string][]float64)
 	var order []string
 	for i := 0; i < *count; i++ {
 		cmd := exec.Command("go", "test", "-bench=("+*bench+")|"+calibrationBench+"$",
-			"-benchtime="+*benchtime, "-count=1", "-run=^$", *pkg)
+			"-benchtime="+*benchtime, "-benchmem", "-count=1", "-run=^$", *pkg)
 		var out bytes.Buffer
 		cmd.Stdout = &out
 		cmd.Stderr = os.Stderr
@@ -96,16 +105,15 @@ func main() {
 				order = append(order, m[1])
 			}
 			samples[m[1]] = append(samples[m[1]], got)
+			if allocs, err := strconv.ParseFloat(m[3], 64); err == nil {
+				allocSamples[m[1]] = append(allocSamples[m[1]], allocs)
+			}
 		}
 	}
 	// The median across processes: a genuinely regressed hot path is
 	// slow in most of them, while one process's unlucky layout or a
 	// noisy neighbour inflates only its own sample.
-	median := make(map[string]float64, len(samples))
-	for name, xs := range samples {
-		sort.Float64s(xs)
-		median[name] = (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
-	}
+	median, medianAllocs := medians(samples), medians(allocSamples)
 
 	// Hardware normalization: scale the baseline by how this machine's
 	// calibration run compares to the baseline's, so the threshold
@@ -144,6 +152,15 @@ func main() {
 		}
 		fmt.Printf("  %-40s %12.0f ns/op  baseline %12.0f  %+7.1f%%  %s\n",
 			name, got, want, deltaPct, verdict)
+		if wantAllocs, gated := baseAllocs[name]; gated {
+			gotAllocs, measured := medianAllocs[name]
+			verdict := "ok"
+			if !measured || gotAllocs > wantAllocs {
+				verdict = "REGRESSION (allocations are exact: no threshold)"
+				regressed = true
+			}
+			fmt.Printf("  %-40s %12.0f allocs/op  baseline %8.0f  %s\n", "", gotAllocs, wantAllocs, verdict)
+		}
 	}
 	// go test matches the filter against each "/"-separated element of
 	// a benchmark's name; the gated baselines are top-level, so the
@@ -166,9 +183,19 @@ func main() {
 		fatal("the filter %q and %s disagree on which benchmarks exist", *bench, *baselinePath)
 	}
 	if regressed {
-		fatal("benchmark regression beyond %.0f%% of %s", *threshold, *baselinePath)
+		fatal("benchmark regression against %s (ns/op beyond %.0f%%, or allocs/op above the entry)", *baselinePath, *threshold)
 	}
 	fmt.Printf("bench-check: %d benchmarks within %.0f%% of baseline\n", compared, *threshold)
+}
+
+// medians reduces each benchmark's per-process samples to their median.
+func medians(samples map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(samples))
+	for name, xs := range samples {
+		sort.Float64s(xs)
+		out[name] = (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+	}
+	return out
 }
 
 func fatal(format string, args ...any) {

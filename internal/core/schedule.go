@@ -52,14 +52,11 @@ func (c *Coordinator) runPass() {
 	for c.scheduleBatch() {
 	}
 	c.mu.Lock()
-	again := c.passWanted && !c.stopped
+	defer c.mu.Unlock()
+	c.passRunning = c.passWanted && !c.stopped
 	c.passWanted = false
-	c.passRunning = again
-	if again {
+	if c.passRunning {
 		c.passes.Add(1)
-	}
-	c.mu.Unlock()
-	if again {
 		go func() {
 			defer c.passes.Done()
 			c.runPass()

@@ -10,11 +10,12 @@
 // always pass. A baseline entry that carries allocs_per_op is gated on
 // that too, with no threshold and no rescaling: a single-goroutine
 // benchmark's allocation count repeats exactly on any host, so one
-// allocation more per operation is a change in the code. Each of the -count runs is a fresh `go test` process and
-// the gate reads the per-benchmark median: a benchmark's slow mode
-// (heap layout, scheduler placement) is fixed for a process's life, so
-// repeats inside one process agree with each other and only separate
-// processes sample it. The gate is meant for the stable
+// allocation more per operation is a change in the code. Each of the
+// -count runs is a fresh `go test` process and the gate reads the
+// per-benchmark median: a benchmark's slow mode (heap layout, scheduler
+// placement) is fixed for a process's life, so repeats inside one
+// process agree with each other and only separate processes sample it.
+// The gate is meant for the stable
 // single-goroutine hot-path benches — highly parallel benchmarks are
 // too noisy for a hard threshold and should stay out of the filter.
 package main

@@ -725,25 +725,9 @@ type Engine struct {
 	plat    Platform
 	checker *invariant.Checker
 	rep     Report
-	// walWindows counts currently-open WAL fault windows: overlapping
-	// windows must not heal each other early, so the disk only returns
-	// to healthy when the last window closes. ckptWindows and
-	// dupWindows do the same for checkpoint-corruption and
-	// duplicate-delivery windows, and skewWindows per node for clock
-	// skew (the latest window's offset wins for the overlap).
-	walWindows  int
-	ckptWindows int
-	dupWindows  int
-	skewWindows map[string]int
-	// grayWindows / lossWindows are per-node open-window counts for the
-	// gray-failure families; readRotWindows counts read-rot windows.
-	grayWindows    map[string]int
-	lossWindows    map[string]int
-	readRotWindows int
-	// aggDownWindows / aggPartWindows are per-aggregator open-window
-	// counts for the aggregation-tier families.
-	aggDownWindows map[string]int
-	aggPartWindows map[string]int
+	// windows counts the open fault windows per family and target (see
+	// window): overlapping windows must not heal each other early.
+	windows map[string]int
 	// rec, when set, lands every injected fault and every audited
 	// violation in the flight recorder, so a trace export localizes a
 	// breach against the fault that preceded it. Nil-safe: obs methods
@@ -759,15 +743,11 @@ func (e *Engine) SetRecorder(r *obs.Recorder) { e.rec = r }
 // recovery boundaries.
 func NewEngine(clock *simclock.Sim, plat Platform) *Engine {
 	return &Engine{
-		clock:          clock,
-		plat:           plat,
-		checker:        invariant.NewChecker(),
-		rep:            Report{Executed: make(map[Kind]int)},
-		skewWindows:    make(map[string]int),
-		grayWindows:    make(map[string]int),
-		lossWindows:    make(map[string]int),
-		aggDownWindows: make(map[string]int),
-		aggPartWindows: make(map[string]int),
+		clock:   clock,
+		plat:    plat,
+		checker: invariant.NewChecker(),
+		rep:     Report{Executed: make(map[Kind]int)},
+		windows: make(map[string]int),
 	}
 }
 
@@ -834,31 +814,22 @@ func (e *Engine) apply(f Fault) {
 		node := f.Node
 		e.clock.AfterFunc(f.Dur, func() { e.plat.LatencySpikeHeal(node) })
 	case KindWALSyncError:
-		e.openWALWindow(WALSyncError, f.Dur)
+		e.window("wal", f.Dur, func() { e.plat.SetWALFault(WALSyncError) },
+			func() { e.plat.SetWALFault(WALHealthy) })
 	case KindWALShortWrite:
-		e.openWALWindow(WALShortWrite, f.Dur)
+		e.window("wal", f.Dur, func() { e.plat.SetWALFault(WALShortWrite) },
+			func() { e.plat.SetWALFault(WALHealthy) })
 	case KindCoordCrash:
 		extra = e.plat.CrashCoordinator()
 	case KindClockSkew:
 		node := f.Node
-		e.skewWindows[node]++
-		e.plat.SetClockSkew(node, f.Skew)
-		e.clock.AfterFunc(f.Dur, func() {
-			e.skewWindows[node]--
-			if e.skewWindows[node] == 0 {
-				e.plat.SetClockSkew(node, 0)
-				e.audit("clock-skew-heal "+node, nil)
-			}
+		e.window("clock-skew "+node, f.Dur, func() { e.plat.SetClockSkew(node, f.Skew) }, func() {
+			e.plat.SetClockSkew(node, 0)
+			e.audit("clock-skew-heal "+node, nil)
 		})
 	case KindDupDeliver:
-		e.dupWindows++
-		e.plat.SetDupDelivery(true)
-		e.clock.AfterFunc(f.Dur, func() {
-			e.dupWindows--
-			if e.dupWindows == 0 {
-				e.plat.SetDupDelivery(false)
-			}
-		})
+		e.window("dup", f.Dur, func() { e.plat.SetDupDelivery(true) },
+			func() { e.plat.SetDupDelivery(false) })
 	case KindDataPartition:
 		e.plat.DataPartitionStart(f.Nodes)
 		nodes := f.Nodes
@@ -867,9 +838,11 @@ func (e *Engine) apply(f Fault) {
 			e.audit("data-partition-heal "+fmt.Sprint(nodes), nil)
 		})
 	case KindCkptBitFlip:
-		e.openCkptWindow(CkptBitFlip, f.Dur)
+		e.window("ckpt", f.Dur, func() { e.plat.SetCheckpointFault(CkptBitFlip) },
+			func() { e.plat.SetCheckpointFault(CkptHealthy) })
 	case KindCkptTruncate:
-		e.openCkptWindow(CkptTruncate, f.Dur)
+		e.window("ckpt", f.Dur, func() { e.plat.SetCheckpointFault(CkptTruncate) },
+			func() { e.plat.SetCheckpointFault(CkptHealthy) })
 	case KindLeaderKill:
 		if rp, ok := e.plat.(ReplicatedPlatform); ok {
 			extra = rp.KillLeader()
@@ -884,94 +857,57 @@ func (e *Engine) apply(f Fault) {
 	case KindGrayDegrade:
 		if gp, ok := e.plat.(GrayPlatform); ok {
 			node := f.Node
-			e.grayWindows[node]++
-			gp.GrayDegradeStart(node)
-			e.clock.AfterFunc(f.Dur, func() {
-				e.grayWindows[node]--
-				if e.grayWindows[node] == 0 {
-					gp.GrayDegradeHeal(node)
-					e.audit("gray-degrade-heal "+node, nil)
-				}
+			e.window("gray "+node, f.Dur, func() { gp.GrayDegradeStart(node) }, func() {
+				gp.GrayDegradeHeal(node)
+				e.audit("gray-degrade-heal "+node, nil)
 			})
 		}
 	case KindPartialLoss:
 		if gp, ok := e.plat.(GrayPlatform); ok {
 			node := f.Node
-			e.lossWindows[node]++
-			gp.PartialLossStart(node)
-			e.clock.AfterFunc(f.Dur, func() {
-				e.lossWindows[node]--
-				if e.lossWindows[node] == 0 {
-					gp.PartialLossHeal(node)
-					e.audit("partial-loss-heal "+node, nil)
-				}
+			e.window("loss "+node, f.Dur, func() { gp.PartialLossStart(node) }, func() {
+				gp.PartialLossHeal(node)
+				e.audit("partial-loss-heal "+node, nil)
 			})
 		}
 	case KindCkptReadRot:
 		if gp, ok := e.plat.(GrayPlatform); ok {
-			e.readRotWindows++
-			gp.SetCheckpointReadRot(true)
-			e.clock.AfterFunc(f.Dur, func() {
-				e.readRotWindows--
-				if e.readRotWindows == 0 {
-					gp.SetCheckpointReadRot(false)
-				}
-			})
+			e.window("read-rot", f.Dur, func() { gp.SetCheckpointReadRot(true) },
+				func() { gp.SetCheckpointReadRot(false) })
 		}
 	case KindAggCrash:
 		if ap, ok := e.plat.(AggPlatform); ok {
 			agg := f.Node
-			e.aggDownWindows[agg]++
-			ap.CrashAggregator(agg)
-			e.clock.AfterFunc(f.Dur, func() {
-				e.aggDownWindows[agg]--
-				if e.aggDownWindows[agg] == 0 {
-					ap.RestartAggregator(agg)
-					e.audit("agg-restart "+agg, nil)
-				}
+			e.window("agg-down "+agg, f.Dur, func() { ap.CrashAggregator(agg) }, func() {
+				ap.RestartAggregator(agg)
+				e.audit("agg-restart "+agg, nil)
 			})
 		}
 	case KindAggPartition:
 		if ap, ok := e.plat.(AggPlatform); ok {
 			agg := f.Node
-			e.aggPartWindows[agg]++
-			ap.AggPartitionStart(agg)
-			e.clock.AfterFunc(f.Dur, func() {
-				e.aggPartWindows[agg]--
-				if e.aggPartWindows[agg] == 0 {
-					ap.AggPartitionHeal(agg)
-					e.audit("agg-partition-heal "+agg, nil)
-				}
+			e.window("agg-partition "+agg, f.Dur, func() { ap.AggPartitionStart(agg) }, func() {
+				ap.AggPartitionHeal(agg)
+				e.audit("agg-partition-heal "+agg, nil)
 			})
 		}
 	}
 	e.audit(f.describe(), extra)
 }
 
-// openCkptWindow starts one checkpoint-corruption window, with the same
-// overlap semantics as openWALWindow.
-func (e *Engine) openCkptWindow(mode CkptFaultMode, dur time.Duration) {
-	e.ckptWindows++
-	e.plat.SetCheckpointFault(mode)
+// window opens one fault window of the family and target named by key:
+// open injects the fault now, and heal runs when the last window open
+// under key closes — overlapping windows never heal each other early.
+// open runs for every window, so while windows overlap the latest one's
+// mode or offset wins. The engine runs on the driver goroutine (simclock
+// callbacks are sequential), so the counts need no lock.
+func (e *Engine) window(key string, dur time.Duration, open, heal func()) {
+	e.windows[key]++
+	open()
 	e.clock.AfterFunc(dur, func() {
-		e.ckptWindows--
-		if e.ckptWindows == 0 {
-			e.plat.SetCheckpointFault(CkptHealthy)
-		}
-	})
-}
-
-// openWALWindow starts one disk-fault window. The engine runs on the
-// driver goroutine (simclock callbacks are sequential), so the window
-// counter needs no lock. When windows overlap, the later mode wins for
-// the overlap and the disk heals only when the last window closes.
-func (e *Engine) openWALWindow(mode WALFaultMode, dur time.Duration) {
-	e.walWindows++
-	e.plat.SetWALFault(mode)
-	e.clock.AfterFunc(dur, func() {
-		e.walWindows--
-		if e.walWindows == 0 {
-			e.plat.SetWALFault(WALHealthy)
+		e.windows[key]--
+		if e.windows[key] == 0 {
+			heal()
 		}
 	})
 }

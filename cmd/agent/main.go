@@ -107,7 +107,7 @@ func main() {
 		Kernel:                    cfg.Kernel,
 		DefaultCheckpointInterval: time.Duration(cfg.CheckpointIntervalSec) * time.Second,
 		TelemetryEvery:            *telemetryEvery,
-	}, simclock.Real(), rt, ckpts, nil, nil)
+	}, simclock.Real(), rt, ckpts, nil)
 	ag.SetEndpoints(eps)
 	if *aggURL != "" {
 		ag.SetAggregator(*aggURL, core.NewClient(*aggURL))
@@ -121,10 +121,9 @@ func main() {
 		}
 	}()
 
-	link := activeLink{ag}
 	var resp api.RegisterResponse
 	for range eps {
-		if resp, err = ag.Join(link, cfg.AdvertiseURL, cfg.StorageBytes); err == nil {
+		if resp, err = ag.Join(cfg.AdvertiseURL, cfg.StorageBytes); err == nil {
 			break
 		}
 		ag.Redirect("") // a standby or a dead address: try the next one
@@ -146,7 +145,7 @@ func main() {
 				if ag.Departed() {
 					continue
 				}
-				if hb, err := ag.Beat(link); err != nil {
+				if hb, err := ag.Beat(); err != nil {
 					log.Printf("heartbeat: %v", err)
 				} else if !hb.Acknowledged {
 					log.Printf("re-registered with %s (leader epoch %d)", ag.ActiveEndpoint().ID, ag.CoordEpoch())
@@ -177,28 +176,10 @@ func coordinatorEndpoints(list string) []agent.Endpoint {
 	var eps []agent.Endpoint
 	for _, url := range strings.Split(list, ",") {
 		if url = strings.TrimSpace(url); url != "" {
-			eps = append(eps, agent.Endpoint{ID: url, Notifier: core.NewClient(url)})
+			eps = append(eps, agent.Endpoint{ID: url, Link: core.NewClient(url)})
 		}
 	}
 	return eps
-}
-
-// activeLink is the agent's Link over that set: each request goes to
-// the client of whichever endpoint is active when it is sent.
-type activeLink struct{ ag *agent.Agent }
-
-func (l activeLink) client() *core.Client {
-	return l.ag.ActiveEndpoint().Notifier.(*core.Client)
-}
-
-// Register implements agent.Link.
-func (l activeLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
-	return l.client().Register(req)
-}
-
-// Heartbeat implements agent.Link.
-func (l activeLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	return l.client().Heartbeat(req)
 }
 
 // parseGPUFlag parses "MODEL:N,MODEL:N" device lists.

@@ -60,7 +60,7 @@ func TestParseGPUFlagErrors(t *testing.T) {
 }
 
 // TestAgentFollowsLeadershipAcrossEndpoints drives the daemon's own
-// wiring — coordinatorEndpoints, activeLink, agent.Join/Beat — against
+// wiring — coordinatorEndpoints, agent.Join/Beat — against
 // two real coordinators over HTTP that share a lease: the typed
 // not-the-leader reply must survive the wire, and after the leader is
 // gone the agent's next beats must land on the survivor and re-join
@@ -88,7 +88,7 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 	ag := agent.New(agent.Config{MachineID: "node-1", Kernel: "5.15"}, clock, rt,
-		checkpoint.NewStore(storage.NewMemStore(0)), nil, nil)
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	t.Cleanup(ag.Stop)
 	// The standby is listed first: the join must walk past it.
 	eps := coordinatorEndpoints(srvB.URL + ", " + srvA.URL)
@@ -96,18 +96,17 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 		t.Fatalf("endpoints = %+v", eps)
 	}
 	ag.SetEndpoints(eps)
-	link := activeLink{ag}
 
-	_, err := ag.Join(link, "http://127.0.0.1:1", 1<<30)
+	_, err := ag.Join("http://127.0.0.1:1", 1<<30)
 	var nl api.ErrNotLeader
 	if !errors.As(err, &nl) || nl.LeaderHint != "coord-a" || nl.Epoch != 1 {
 		t.Fatalf("join at the standby = %v, want a typed ErrNotLeader hinting coord-a at epoch 1", err)
 	}
 	ag.Redirect("")
-	if _, err := ag.Join(link, "http://127.0.0.1:1", 1<<30); err != nil {
+	if _, err := ag.Join("http://127.0.0.1:1", 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if hb, err := ag.Beat(link); err != nil || !hb.Acknowledged || ag.CoordEpoch() != 1 {
+	if hb, err := ag.Beat(); err != nil || !hb.Acknowledged || ag.CoordEpoch() != 1 {
 		t.Fatalf("beat at the leader = %+v, %v (epoch %d)", hb, err, ag.CoordEpoch())
 	}
 
@@ -118,17 +117,17 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 	if !coordB.TryLead() {
 		t.Fatal("coord-b failed to take the lapsed lease")
 	}
-	if _, err := ag.Beat(link); err == nil {
+	if _, err := ag.Beat(); err == nil {
 		t.Fatal("a beat to a dead endpoint reported success")
 	}
 	if got := ag.ActiveEndpoint().ID; got != srvB.URL {
 		t.Fatalf("after an unanswered beat the active endpoint is %s, want the survivor", got)
 	}
 	// The survivor does not know the node yet: the beat re-joins.
-	if _, err := ag.Beat(link); err != nil {
+	if _, err := ag.Beat(); err != nil {
 		t.Fatal(err)
 	}
-	if hb, err := ag.Beat(link); err != nil || !hb.Acknowledged {
+	if hb, err := ag.Beat(); err != nil || !hb.Acknowledged {
 		t.Fatalf("beat at the survivor = %+v, %v", hb, err)
 	}
 	if ag.CoordEpoch() != 2 {

@@ -50,16 +50,16 @@ func main() {
 	} {
 		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, rt, ckpts, bus, coord)
-		link := core.LocalLink{C: coord, A: ag}
-		resp, err := ag.Join(link, "inproc://"+id, 1<<30)
+			clock, rt, ckpts, bus)
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.LocalLink{C: coord, A: ag}}})
+		resp, err := ag.Join("inproc://"+id, 1<<30)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var beat func()
 		beat = func() {
 			if !ag.Departed() {
-				_, _ = ag.Beat(link)
+				_, _ = ag.Beat()
 			}
 			clock.AfterFunc(resp.HeartbeatInterval, beat)
 		}

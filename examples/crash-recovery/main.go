@@ -60,11 +60,11 @@ func main() {
 	rep.Start()
 	coord, store := rep.Coordinator(), rep.Store()
 
-	// 2. Two provider nodes. Their heartbeat loops follow `active`, so
-	// they outlive the first coordinator: beats during the outage are
-	// dropped, then resume against the successor — a node daemon's
-	// retry loop in miniature. (Sim-clock callbacks run on the
-	// advancing goroutine, so a plain variable is safe here.)
+	// 2. Two provider nodes. Their heartbeat loops outlive the first
+	// coordinator: beats are skipped while `active` is down, then resume
+	// against the successor — a node daemon's retry loop in miniature.
+	// (Sim-clock callbacks run on the advancing goroutine, so a plain
+	// variable is safe here.)
 	active := coord
 	specs := map[string][]gpu.Spec{
 		"lab-workstation": {gpu.RTX3090},
@@ -74,8 +74,9 @@ func main() {
 	for id, gs := range specs {
 		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, rt, ckpts, bus, coord)
-		resp, err := ag.Join(core.LocalLink{C: coord, A: ag}, "inproc://"+id, 1<<30)
+			clock, rt, ckpts, bus)
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.LocalLink{C: coord, A: ag}}})
+		resp, err := ag.Join("inproc://"+id, 1<<30)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func main() {
 		var beat func()
 		beat = func() {
 			if active != nil && !ag.Departed() {
-				_, _ = ag.Beat(core.LocalLink{C: active, A: ag})
+				_, _ = ag.Beat()
 			}
 			clock.AfterFunc(resp.HeartbeatInterval, beat)
 		}
@@ -142,8 +143,8 @@ func main() {
 	// and the recovered queue finishes.
 	active = coord2
 	for id, ag := range agents {
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Notifier: coord2}})
-		if _, err := ag.Join(core.LocalLink{C: coord2, A: ag}, "inproc://"+id, 1<<30); err != nil {
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.LocalLink{C: coord2, A: ag}}})
+		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -44,32 +44,12 @@ var (
 // refreshes device telemetry unless configured otherwise.
 const defaultProgressTick = time.Second
 
-// Notifier is the agent's channel back to the coordinator. In-process
-// deployments wire the coordinator directly; HTTP deployments use a
-// client. Notifications are best-effort: provider supremacy means local
-// actions never block on them.
-type Notifier interface {
-	// JobUpdate reports a job's terminal or checkpoint state change.
-	JobUpdate(machineID, jobID string, state db.JobState, step int64)
-	// Departing announces a voluntary departure.
-	Departing(machineID string, reason api.DepartReason)
-}
-
-// NopNotifier discards all notifications (stand-alone agents).
-type NopNotifier struct{}
-
-// JobUpdate implements Notifier.
-func (NopNotifier) JobUpdate(string, string, db.JobState, int64) {}
-
-// Departing implements Notifier.
-func (NopNotifier) Departing(string, api.DepartReason) {}
-
 // Endpoint is one coordinator replica the agent can talk to.
 type Endpoint struct {
 	// ID names the replica (matches api.ErrNotLeader.LeaderHint).
 	ID string
-	// Notifier is the transport to that replica.
-	Notifier Notifier
+	// Link is the transport to that replica.
+	Link Link
 }
 
 // Config parameterises an Agent.
@@ -143,8 +123,8 @@ type Agent struct {
 	// the next beat rather than being lost.
 	pendingHealth []gpu.HealthEvent
 	// endpoints is the coordinator replica set and active the index of
-	// the replica currently used for notifications and heartbeats;
-	// Redirect rotates it on ErrNotLeader or transport failure.
+	// the replica every message goes to; Redirect rotates it on
+	// ErrNotLeader or transport failure. Empty for a stand-alone agent.
 	endpoints []Endpoint
 	active    int
 	// coordEpoch is the highest leader epoch this agent has observed
@@ -169,13 +149,16 @@ type BeatSender interface {
 	Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error)
 }
 
-// Link is the agent's request path to the coordinator: core.Client over
-// HTTP, core.LocalLink in-process. A link that fronts several replicas
-// sends to ActiveEndpoint, so the Redirect inside Beat already steers
-// the re-join that follows it.
+// Link is the agent's request path to one coordinator replica:
+// core.Client over HTTP, core.LocalLink in-process. It carries the four
+// messages a provider agent sends (§3.4) — registration, heartbeat, job
+// report and departure notice — each a typed request the agent builds
+// with its token, leader epoch and protocol version.
 type Link interface {
 	Register(api.RegisterRequest) (api.RegisterResponse, error)
 	BeatSender
+	JobUpdate(api.JobUpdateRequest) error
+	Depart(api.DepartRequest) error
 }
 
 // defaultAggregatorRetry is how long a failed aggregator stays demoted
@@ -211,10 +194,9 @@ type jobRun struct {
 // through ckpts — usually a *checkpoint.Store backed by a LAN store or
 // the user's pinned location; the narrower Writer interface is the
 // data-plane seam fault injection wraps.
-func New(cfg Config, clock simclock.Clock, rt *container.Runtime, ckpts checkpoint.Writer, bus *eventbus.Bus, notify Notifier) *Agent {
-	if notify == nil {
-		notify = NopNotifier{}
-	}
+//
+// The agent starts stand-alone; SetEndpoints names the coordinator.
+func New(cfg Config, clock simclock.Clock, rt *container.Runtime, ckpts checkpoint.Writer, bus *eventbus.Bus) *Agent {
 	if bus == nil {
 		bus = eventbus.New(0)
 	}
@@ -225,14 +207,13 @@ func New(cfg Config, clock simclock.Clock, rt *container.Runtime, ckpts checkpoi
 		cfg.ProgressTick = defaultProgressTick
 	}
 	a := &Agent{
-		cfg:       cfg,
-		clock:     clock,
-		runtime:   rt,
-		ckpts:     ckpts,
-		bus:       bus,
-		endpoints: []Endpoint{{Notifier: notify}},
-		jobs:      make(map[string]*jobRun),
-		metrics:   monitor.NewRegistry(),
+		cfg:     cfg,
+		clock:   clock,
+		runtime: rt,
+		ckpts:   ckpts,
+		bus:     bus,
+		jobs:    make(map[string]*jobRun),
+		metrics: monitor.NewRegistry(),
 	}
 	a.launchesTotal, _ = a.metrics.Counter("gpunion_agent_launches_total",
 		"Workload launches accepted by this agent", nil)
@@ -255,33 +236,24 @@ func (a *Agent) SetToken(tok string) {
 
 // SetEndpoints installs the coordinator replica set the agent may talk
 // to; the first entry becomes the active endpoint. This is where
-// failover policy lives: notifications go to the active endpoint, a
-// Link that spans the set (cmd/agent's over HTTP, the harnesses'
-// in-process) sends Join and Beat traffic there too, and Beat rotates
-// it through Redirect when a replica answers api.ErrNotLeader or does
-// not answer at all.
+// failover policy lives: every message goes to the active endpoint's
+// link, and Beat rotates it through Redirect when a replica answers
+// api.ErrNotLeader or does not answer at all.
 func (a *Agent) SetEndpoints(eps []Endpoint) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(eps) == 0 {
-		eps = []Endpoint{{Notifier: NopNotifier{}}}
-	}
-	cp := make([]Endpoint, len(eps))
-	copy(cp, eps)
-	for i := range cp {
-		if cp[i].Notifier == nil {
-			cp[i].Notifier = NopNotifier{}
-		}
-	}
-	a.endpoints = cp
+	a.endpoints = append([]Endpoint(nil), eps...)
 	a.active = 0
 }
 
 // ActiveEndpoint returns the endpoint currently receiving this agent's
-// notifications and heartbeats.
+// messages (the zero Endpoint for a stand-alone agent).
 func (a *Agent) ActiveEndpoint() Endpoint {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if len(a.endpoints) == 0 {
+		return Endpoint{}
+	}
 	return a.endpoints[a.active]
 }
 
@@ -342,13 +314,6 @@ func (a *Agent) fenceEpochLocked(epoch uint64) error {
 	return nil
 }
 
-// notifier reads the current notification target.
-func (a *Agent) notifier() Notifier {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.endpoints[a.active].Notifier
-}
-
 // Token returns the stored credential.
 func (a *Agent) Token() string {
 	a.mu.Lock()
@@ -371,7 +336,7 @@ func (a *Agent) SetStores(p *storage.Placement) {
 // RegisterRequest builds the agent's registration payload.
 func (a *Agent) RegisterRequest(addr string, storageBytes int64) api.RegisterRequest {
 	return api.RegisterRequest{
-		Envelope:     api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: a.CoordEpoch()},
+		Envelope:     a.envelope(),
 		MachineID:    a.cfg.MachineID,
 		Addr:         addr,
 		GPUs:         a.gpuInfo(),
@@ -757,8 +722,11 @@ func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 	a.mu.Unlock()
 
 	a.runtime.KillAll(now)
-	if reason != api.DepartEmergency {
-		a.notifier().Departing(a.cfg.MachineID, reason)
+	if link := a.ActiveEndpoint().Link; link != nil && reason != api.DepartEmergency {
+		_ = link.Depart(api.DepartRequest{
+			Envelope:  a.envelope(),
+			MachineID: a.cfg.MachineID, Token: a.Token(), Reason: reason,
+		})
 	}
 	a.bus.Publish(eventbus.Event{
 		Type: eventbus.NodeDeparted, Time: now, Node: a.cfg.MachineID,
@@ -876,13 +844,18 @@ func (a *Agent) SendBeat(direct BeatSender) (resp api.HeartbeatResponse, viaAggr
 	return resp, false, nil
 }
 
-// Join registers the node through link and adopts what the coordinator
-// answers: the credential for subsequent beats and the leader epoch as
-// the fencing floor. addr is where the coordinator reaches this agent.
-func (a *Agent) Join(link Link, addr string, storageBytes int64) (api.RegisterResponse, error) {
+// Join registers the node through the active endpoint and adopts what
+// the coordinator answers: the credential for subsequent messages and
+// the leader epoch as the fencing floor. addr is where the coordinator
+// reaches this agent.
+func (a *Agent) Join(addr string, storageBytes int64) (api.RegisterResponse, error) {
 	a.mu.Lock()
 	a.addr, a.storageBytes = addr, storageBytes
 	a.mu.Unlock()
+	link := a.ActiveEndpoint().Link
+	if link == nil {
+		return api.RegisterResponse{}, errNoEndpoint
+	}
 	resp, err := link.Register(a.RegisterRequest(addr, storageBytes))
 	if err != nil {
 		return resp, err
@@ -892,16 +865,21 @@ func (a *Agent) Join(link Link, addr string, storageBytes int64) (api.RegisterRe
 	return resp, nil
 }
 
+// errNoEndpoint is what a stand-alone agent answers when asked to talk
+// to a coordinator.
+var errNoEndpoint = errors.New("agent: no coordinator endpoint")
+
 // Beat is one turn of the agent's heartbeat loop: SendBeat through the
-// endpoint tiers, then whatever the answer demands. A coordinator that
-// no longer knows the node (it restarted, or the credential expired)
-// asks for a re-join; a fenced replica's api.ErrNotLeader redirects to
-// its hint (or the next endpoint) and re-joins there; an endpoint that
-// did not serve the beat at all is rotated away from, and the next Beat
-// tries its neighbour. The returned error is what is still wrong after
-// that — nil once a demanded re-join succeeded.
-func (a *Agent) Beat(link Link) (api.HeartbeatResponse, error) {
-	resp, _, err := a.SendBeat(link)
+// endpoint tiers (the active endpoint's link is the direct one), then
+// whatever the answer demands. A coordinator that no longer knows the
+// node (it restarted, or the credential expired) asks for a re-join; a
+// fenced replica's api.ErrNotLeader redirects to its hint (or the next
+// endpoint) and re-joins there; an endpoint that did not serve the beat
+// at all is rotated away from, and the next Beat tries its neighbour.
+// The returned error is what is still wrong after that — nil once a
+// demanded re-join succeeded.
+func (a *Agent) Beat() (api.HeartbeatResponse, error) {
+	resp, _, err := a.SendBeat(a.ActiveEndpoint().Link)
 	var nl api.ErrNotLeader
 	switch {
 	case err == nil && !resp.Reregister:
@@ -915,8 +893,14 @@ func (a *Agent) Beat(link Link) (api.HeartbeatResponse, error) {
 	a.mu.Lock()
 	addr, storageBytes := a.addr, a.storageBytes
 	a.mu.Unlock()
-	_, err = a.Join(link, addr, storageBytes)
+	_, err = a.Join(addr, storageBytes)
 	return resp, err
+}
+
+// envelope stamps an agent→coordinator request with the protocol
+// version and the highest leader epoch observed.
+func (a *Agent) envelope() api.Envelope {
+	return api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: a.CoordEpoch()}
 }
 
 // HeartbeatRequest builds the periodic status update. Each built beat
@@ -939,7 +923,7 @@ func (a *Agent) HeartbeatRequest() api.HeartbeatRequest {
 		tel = nil
 	}
 	return api.HeartbeatRequest{
-		Envelope:     api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: a.CoordEpoch()},
+		Envelope:     a.envelope(),
 		MachineID:    a.cfg.MachineID,
 		Token:        a.Token(),
 		Telemetry:    tel,
@@ -1125,7 +1109,8 @@ func (a *Agent) setDeviceLoad(run *jobRun, util float64, memMiB int64) {
 	}
 }
 
-// finishJob stops the container, forgets the run and notifies upstream.
+// finishJob stops the container, forgets the run and reports the
+// outcome to the coordinator.
 func (a *Agent) finishJob(run *jobRun, state db.JobState, now time.Time) {
 	a.mu.Lock()
 	delete(a.jobs, run.jobID)
@@ -1139,7 +1124,13 @@ func (a *Agent) finishJob(run *jobRun, state db.JobState, now time.Time) {
 		Type: eventbus.JobCompleted, Time: now,
 		Node: a.cfg.MachineID, Job: run.jobID, Container: run.containerID,
 	})
-	a.notifier().JobUpdate(a.cfg.MachineID, run.jobID, state, step)
+	if link := a.ActiveEndpoint().Link; link != nil {
+		_ = link.JobUpdate(api.JobUpdateRequest{
+			Envelope:  a.envelope(),
+			MachineID: a.cfg.MachineID, Token: a.Token(),
+			JobID: run.jobID, State: state, Step: step,
+		})
+	}
 }
 
 // RunningJob returns the live training job object (tests, telemetry).

@@ -19,31 +19,14 @@ import (
 
 var t0 = time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC)
 
-type recordedUpdate struct {
-	jobID string
-	state db.JobState
-	step  int64
-}
-
-type fakeNotifier struct {
-	updates []recordedUpdate
-	departs []api.DepartReason
-}
-
-func (f *fakeNotifier) JobUpdate(_, jobID string, state db.JobState, step int64) {
-	f.updates = append(f.updates, recordedUpdate{jobID, state, step})
-}
-
-func (f *fakeNotifier) Departing(_ string, reason api.DepartReason) {
-	f.departs = append(f.departs, reason)
-}
-
 type testRig struct {
-	clock  *simclock.Sim
-	agent  *Agent
-	ckpts  *checkpoint.Store
-	notify *fakeNotifier
-	bus    *eventbus.Bus
+	clock *simclock.Sim
+	agent *Agent
+	ckpts *checkpoint.Store
+	// link is the agent's one endpoint: it records every job report and
+	// departure notice that reaches it.
+	link *scriptedLink
+	bus  *eventbus.Bus
 }
 
 func newRig(t *testing.T, specs ...gpu.Spec) *testRig {
@@ -54,11 +37,12 @@ func newRig(t *testing.T, specs ...gpu.Spec) *testRig {
 	clock := simclock.NewSim(t0)
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	notify := &fakeNotifier{}
+	link := &scriptedLink{}
 	bus := eventbus.New(256)
-	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, clock, rt, ckpts, bus, notify)
+	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, clock, rt, ckpts, bus)
+	a.SetEndpoints([]Endpoint{{ID: "coord", Link: link}})
 	t.Cleanup(a.Stop)
-	return &testRig{clock: clock, agent: a, ckpts: ckpts, notify: notify, bus: bus}
+	return &testRig{clock: clock, agent: a, ckpts: ckpts, link: link, bus: bus}
 }
 
 func launchTraining(t *testing.T, r *testRig, jobID string, spec workload.TrainingSpec, ckptSec int) api.LaunchResponse {
@@ -157,11 +141,11 @@ func TestTrainingCompletesAndNotifies(t *testing.T) {
 	spec.TotalSteps = 50 // finishes in a few seconds of sim time
 	launchTraining(t, r, "j1", spec, 0)
 	r.clock.Advance(time.Minute)
-	if len(r.notify.updates) != 1 {
-		t.Fatalf("updates = %+v", r.notify.updates)
+	if len(r.link.updates) != 1 {
+		t.Fatalf("updates = %+v", r.link.updates)
 	}
-	u := r.notify.updates[0]
-	if u.jobID != "j1" || u.state != db.JobCompleted || u.step != 50 {
+	u := r.link.updates[0]
+	if u.JobID != "j1" || u.State != db.JobCompleted || u.Step != 50 || u.MachineID != "node-test" {
 		t.Fatalf("update = %+v", u)
 	}
 	// Container exited, GPU freed.
@@ -228,8 +212,8 @@ func TestKillSwitchTerminatesEverything(t *testing.T) {
 		t.Fatal("jobs survived the kill-switch")
 	}
 	// Kill-switch is local: no coordinator notification of job state.
-	if len(r.notify.updates) != 0 {
-		t.Fatalf("kill-switch notified coordinator: %+v", r.notify.updates)
+	if len(r.link.updates) != 0 {
+		t.Fatalf("kill-switch notified coordinator: %+v", r.link.updates)
 	}
 }
 
@@ -266,8 +250,8 @@ func TestScheduledDepartureCheckpointsFirst(t *testing.T) {
 	if ck.Progress.Step == 0 {
 		t.Fatal("final checkpoint captured no progress")
 	}
-	if len(r.notify.departs) != 1 || r.notify.departs[0] != api.DepartScheduled {
-		t.Fatalf("departs = %v", r.notify.departs)
+	if len(r.link.departs) != 1 || r.link.departs[0].Reason != api.DepartScheduled {
+		t.Fatalf("departs = %v", r.link.departs)
 	}
 }
 
@@ -280,8 +264,8 @@ func TestEmergencyDepartureSilent(t *testing.T) {
 	if _, err := r.ckpts.Latest("j1"); err == nil {
 		t.Fatal("emergency departure captured a checkpoint")
 	}
-	if len(r.notify.departs) != 0 {
-		t.Fatalf("emergency departure notified: %v", r.notify.departs)
+	if len(r.link.departs) != 0 {
+		t.Fatalf("emergency departure notified: %v", r.link.departs)
 	}
 	if r.agent.Runtime().Running() != 0 {
 		t.Fatal("containers survived emergency departure")
@@ -362,8 +346,8 @@ func TestInteractiveSessionExpires(t *testing.T) {
 	if len(r.agent.Status().RunningJobs) != 0 {
 		t.Fatal("session did not expire")
 	}
-	if len(r.notify.updates) != 1 || r.notify.updates[0].state != db.JobCompleted {
-		t.Fatalf("updates = %+v", r.notify.updates)
+	if len(r.link.updates) != 1 || r.link.updates[0].State != db.JobCompleted {
+		t.Fatalf("updates = %+v", r.link.updates)
 	}
 }
 
@@ -400,7 +384,7 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewInventory(gpu.RTX3090, 1), 0, 0)
 	full := checkpoint.NewStore(storage.NewMemStore(1)) // 1-byte capacity
 	bus := eventbus.New(64)
-	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, rt, full, bus, nil)
+	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, rt, full, bus)
 	defer a.Stop()
 	spec := workload.SmallCNN
 	if _, err := a.Launch(api.LaunchRequest{
@@ -425,7 +409,7 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 func TestSkewBackwardJumpDoesNotStallProgress(t *testing.T) {
 	r := newRig(t)
 	skewed := simclock.NewSkewed(r.clock)
-	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, r.agent.Runtime(), r.ckpts, nil, NopNotifier{})
+	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, r.agent.Runtime(), r.ckpts, nil)
 	defer a.Stop()
 	launchVia(t, a, "j1", workload.SmallCNN)
 
@@ -451,7 +435,7 @@ func TestSkewBackwardJumpDoesNotStallProgress(t *testing.T) {
 func TestSkewForwardJumpDoesNotMintProgress(t *testing.T) {
 	r := newRig(t)
 	skewed := simclock.NewSkewed(r.clock)
-	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, r.agent.Runtime(), r.ckpts, nil, NopNotifier{})
+	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, r.agent.Runtime(), r.ckpts, nil)
 	defer a.Stop()
 	launchVia(t, a, "j1", workload.SmallCNN)
 

@@ -12,8 +12,8 @@ import (
 
 func TestSetEndpointsAndRedirect(t *testing.T) {
 	r := newRig(t)
-	a, b := &fakeNotifier{}, &fakeNotifier{}
-	r.agent.SetEndpoints([]Endpoint{{ID: "coord-a", Notifier: a}, {ID: "coord-b", Notifier: b}})
+	a, b := &scriptedLink{}, &scriptedLink{}
+	r.agent.SetEndpoints([]Endpoint{{ID: "coord-a", Link: a}, {ID: "coord-b", Link: b}})
 	if got := r.agent.ActiveEndpoint().ID; got != "coord-a" {
 		t.Fatalf("active = %q", got)
 	}
@@ -31,7 +31,7 @@ func TestSetEndpointsAndRedirect(t *testing.T) {
 	if got := r.agent.ActiveEndpoint().ID; got != "coord-a" {
 		t.Fatalf("active after round-robin = %q", got)
 	}
-	// Job updates flow to the active endpoint only.
+	// Job reports flow to the active endpoint only.
 	spec := workload.SmallCNN
 	spec.TotalSteps = 50 // finishes in a few seconds of sim time
 	launchTraining(t, r, "j1", spec, 0)
@@ -106,12 +106,15 @@ func TestHeartbeatAndRegisterCarryEnvelope(t *testing.T) {
 
 // scriptedLink is an agent.Link that answers from a script: each
 // Heartbeat pops the next reply, Register always succeeds with the
-// current token and epoch. It records what reached it.
+// current token and epoch, job reports and departures succeed. It
+// records what reached it.
 type scriptedLink struct {
 	beats     []func(api.HeartbeatRequest) (api.HeartbeatResponse, error)
 	epoch     uint64
 	registers []api.RegisterRequest
 	beatSeqs  []uint64
+	updates   []api.JobUpdateRequest
+	departs   []api.DepartRequest
 }
 
 func (l *scriptedLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
@@ -129,6 +132,16 @@ func (l *scriptedLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatRespons
 	return next(req)
 }
 
+func (l *scriptedLink) JobUpdate(req api.JobUpdateRequest) error {
+	l.updates = append(l.updates, req)
+	return nil
+}
+
+func (l *scriptedLink) Depart(req api.DepartRequest) error {
+	l.departs = append(l.departs, req)
+	return nil
+}
+
 func ack(epoch uint64) func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 	return func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 		return api.HeartbeatResponse{LeaderEpoch: epoch, Acknowledged: true}, nil
@@ -144,7 +157,6 @@ func fail(err error) func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 // TestBeat is the one heartbeat turn every loop runs — the daemon's, the
 // simulations', the chaos harness's.
 func TestBeat(t *testing.T) {
-	endpoints := []Endpoint{{ID: "coord-a"}, {ID: "coord-b"}, {ID: "coord-c"}}
 	cases := []struct {
 		name       string
 		reply      func(api.HeartbeatRequest) (api.HeartbeatResponse, error)
@@ -172,9 +184,9 @@ func TestBeat(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t)
-			r.agent.SetEndpoints(endpoints)
 			link := &scriptedLink{epoch: 3}
-			if _, err := r.agent.Join(link, "inproc://node-test", 1<<30); err != nil {
+			r.agent.SetEndpoints([]Endpoint{{ID: "coord-a", Link: link}, {ID: "coord-b", Link: link}, {ID: "coord-c", Link: link}})
+			if _, err := r.agent.Join("inproc://node-test", 1<<30); err != nil {
 				t.Fatal(err)
 			}
 			if r.agent.Token() != "tok-1" || r.agent.CoordEpoch() != 3 {
@@ -182,7 +194,7 @@ func TestBeat(t *testing.T) {
 			}
 			link.epoch = 4 // what a re-join will be answered with
 			link.beats = append(link.beats, tc.reply)
-			_, err := r.agent.Beat(link)
+			_, err := r.agent.Beat()
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("Beat error = %v", err)
 			}
@@ -214,21 +226,22 @@ func TestBeat(t *testing.T) {
 func TestBeatFallsBackFromDemotedAggregator(t *testing.T) {
 	r := newRig(t)
 	link := &scriptedLink{epoch: 1, beats: []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){ack(1), ack(1)}}
-	if _, err := r.agent.Join(link, "inproc://node-test", 1<<30); err != nil {
+	r.agent.SetEndpoints([]Endpoint{{Link: link}})
+	if _, err := r.agent.Join("inproc://node-test", 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	relay := &scriptedLink{beats: []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){
 		fail(errors.New("relay down"))}}
 	r.agent.SetAggregator("agg-00", relay)
 
-	resp, err := r.agent.Beat(link)
+	resp, err := r.agent.Beat()
 	if err != nil || !resp.Acknowledged {
 		t.Fatalf("Beat through a dead relay = %+v, %v", resp, err)
 	}
 	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 1 || relay.beatSeqs[0] != link.beatSeqs[0] {
 		t.Fatalf("relay saw %v, direct saw %v; want the same one beat on both", relay.beatSeqs, link.beatSeqs)
 	}
-	if resp, err = r.agent.Beat(link); err != nil || !resp.Acknowledged {
+	if resp, err = r.agent.Beat(); err != nil || !resp.Acknowledged {
 		t.Fatalf("second Beat = %+v, %v", resp, err)
 	}
 	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 2 {

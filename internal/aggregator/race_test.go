@@ -71,7 +71,8 @@ func TestAggregatorFallbackRace(t *testing.T) {
 			// Near-zero demotion backoff: the probe-again path itself is
 			// part of what must race cleanly.
 			AggregatorRetry: time.Millisecond,
-		}, clock, rt, ckpts, bus, coord)
+		}, clock, rt, ckpts, bus)
+		agents[i].SetEndpoints([]agent.Endpoint{{Link: core.LocalLink{C: coord, A: agents[i]}}})
 		agents[i].SetAggregator(agg.ID(), agg)
 		register(agents[i])
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"gpunion/internal/agent"
@@ -16,17 +15,14 @@ import (
 )
 
 // Client talks to a coordinator over HTTP. It serves two callers:
-// user tooling (submit, status, nodes) and agent daemons (register,
-// heartbeat, depart, job updates). It implements agent.Notifier so a
-// daemonised agent can report through it directly.
+// user tooling (submit, status, nodes) and agent daemons, for which it
+// is the agent.Link: register, heartbeat, job report and departure,
+// each request carrying the credential the agent put in it.
 type Client struct {
 	// BaseURL is the coordinator's address.
 	BaseURL string
 	// HTTPClient defaults to a 10 s timeout client.
 	HTTPClient *http.Client
-
-	mu    sync.Mutex
-	token string
 }
 
 // NewClient creates a coordinator client.
@@ -37,39 +33,28 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
-// SetToken installs the node credential for authenticated calls.
-func (c *Client) SetToken(tok string) {
-	c.mu.Lock()
-	c.token = tok
-	c.mu.Unlock()
-}
-
-// Token returns the stored credential.
-func (c *Client) Token() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.token
-}
-
-// Register joins the platform; the returned token is stored on the
-// client for subsequent authenticated calls.
+// Register joins the platform.
 func (c *Client) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
 	var resp api.RegisterResponse
-	if err := c.post("/v1/register", req, &resp); err != nil {
-		return resp, err
-	}
-	c.SetToken(resp.Token)
-	return resp, nil
+	err := c.post("/v1/register", req, &resp)
+	return resp, err
 }
 
 // Heartbeat sends one status update.
 func (c *Client) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	if req.Token == "" {
-		req.Token = c.Token()
-	}
 	var resp api.HeartbeatResponse
 	err := c.post("/v1/heartbeat", req, &resp)
 	return resp, err
+}
+
+// JobUpdate reports a job's terminal state.
+func (c *Client) JobUpdate(req api.JobUpdateRequest) error {
+	return c.post("/v1/jobupdate", req, nil)
+}
+
+// Depart announces a voluntary departure.
+func (c *Client) Depart(req api.DepartRequest) error {
+	return c.post("/v1/depart", req, nil)
 }
 
 // IngestAggregated forwards one aggregator flush window in the compact
@@ -87,14 +72,6 @@ func (c *Client) IngestAggregated(batch api.AggregatedBeat) (api.AggregatedBeatR
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	return out, api.Do(c.HTTPClient, req, &out)
-}
-
-// Depart announces a voluntary departure.
-func (c *Client) Depart(machineID string, reason api.DepartReason, graceSeconds int) error {
-	return c.post("/v1/depart", api.DepartRequest{
-		MachineID: machineID, Token: c.Token(),
-		Reason: reason, GraceSeconds: graceSeconds,
-	}, nil)
 }
 
 // SubmitJob submits a user job.
@@ -173,19 +150,6 @@ func (c *Client) TraceExport() (obs.Export, error) {
 	return exp, err
 }
 
-// JobUpdate implements agent.Notifier over HTTP.
-func (c *Client) JobUpdate(machineID, jobID string, state db.JobState, step int64) {
-	_ = c.post("/v1/jobupdate", api.JobUpdateRequest{
-		MachineID: machineID, Token: c.Token(),
-		JobID: jobID, State: state, Step: step,
-	}, nil)
-}
-
-// Departing implements agent.Notifier over HTTP.
-func (c *Client) Departing(machineID string, reason api.DepartReason) {
-	_ = c.Depart(machineID, reason, 0)
-}
-
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
@@ -217,4 +181,15 @@ func (l LocalLink) Register(req api.RegisterRequest) (api.RegisterResponse, erro
 // Heartbeat implements agent.Link.
 func (l LocalLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 	return l.C.Heartbeat(req)
+}
+
+// JobUpdate implements agent.Link.
+func (l LocalLink) JobUpdate(req api.JobUpdateRequest) error {
+	l.C.JobUpdate(req.MachineID, req.JobID, req.State, req.Step)
+	return nil
+}
+
+// Depart implements agent.Link.
+func (l LocalLink) Depart(req api.DepartRequest) error {
+	return l.C.HandleDeparture(req.MachineID, req.Reason)
 }

@@ -57,7 +57,7 @@ func (b *beatRig) addSilentNode(id string, devices ...gpu.Spec) {
 		devices = []gpu.Spec{gpu.RTX3090}
 	}
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, b.clock, rt, b.ckpts, nil, NopCoordNotifier{})
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, b.clock, rt, b.ckpts, nil)
 	b.t.Cleanup(ag.Stop)
 	resp, err := b.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
 	if err != nil {
@@ -285,7 +285,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil, NopCoordNotifier{})
+	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil)
 	defer ag.Stop()
 	resp, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag})
 	if err != nil {

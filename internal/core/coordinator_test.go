@@ -49,8 +49,8 @@ func newRig(t *testing.T, hbInterval time.Duration) *rig {
 func (r *rig) addNode(id string, specs ...gpu.Spec) *agent.Agent {
 	r.t.Helper()
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-		r.clock, rt, r.ckpts, nil, r.coord)
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
+	ag.SetEndpoints([]agent.Endpoint{{Link: LocalLink{C: r.coord, A: ag}}})
 	r.t.Cleanup(ag.Stop)
 	resp, err := r.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
 	if err != nil {
@@ -520,7 +520,7 @@ func TestHeartbeatSeqResetOnReregister(t *testing.T) {
 	// "Restart": a fresh agent process for the same machine, counter
 	// back at one.
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag2 := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, r.clock, rt, r.ckpts, nil, r.coord)
+	ag2 := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
 	defer ag2.Stop()
 	resp, err := r.coord.Register(ag2.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag2})
 	if err != nil {
@@ -582,7 +582,7 @@ func TestHeartbeatRetryAfterReregisterNotSwallowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil, NopCoordNotifier{})
+	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil)
 	defer ag.Stop()
 	resp, err := coord1.Register(ag.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag})
 	if err != nil {
@@ -610,9 +610,3 @@ func TestHeartbeatRetryAfterReregisterNotSwallowed(t *testing.T) {
 		t.Fatalf("retried delivery = %+v, %v — the bounced beat was swallowed as a duplicate", hb2, err)
 	}
 }
-
-// NopCoordNotifier discards agent notifications in coordinator tests.
-type NopCoordNotifier struct{}
-
-func (NopCoordNotifier) JobUpdate(string, string, db.JobState, int64) {}
-func (NopCoordNotifier) Departing(string, api.DepartReason)           {}

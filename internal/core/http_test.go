@@ -62,23 +62,22 @@ func (r *httpRig) addHTTPNode(id string, specs ...gpu.Spec) (*agent.Agent, *Clie
 	r.t.Helper()
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 	coordClient := NewClient(r.coordSrv.URL)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-		r.clock, rt, r.ckpts, nil, coordClient)
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
+	ag.SetEndpoints([]agent.Endpoint{{ID: r.coordSrv.URL, Link: coordClient}})
 	r.t.Cleanup(ag.Stop)
 
 	agSrv := httptest.NewServer(ag.Handler())
 	r.t.Cleanup(agSrv.Close)
 
-	resp, err := coordClient.Register(ag.RegisterRequest(agSrv.URL, 1<<30))
+	resp, err := ag.Join(agSrv.URL, 1<<30)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	ag.SetToken(resp.Token)
 
 	var beat func()
 	beat = func() {
 		if !ag.Departed() {
-			_, _ = coordClient.Heartbeat(ag.HeartbeatRequest())
+			_, _ = ag.Beat()
 		}
 		r.clock.AfterFunc(resp.HeartbeatInterval, beat)
 	}
@@ -270,7 +269,7 @@ func TestHTTPScheduledDepartureMigration(t *testing.T) {
 // and evict its jobs.
 func TestHTTPDepartRequiresToken(t *testing.T) {
 	r := newHTTPRig(t)
-	_, nodeClient := r.addHTTPNode("n1", gpu.RTX3090)
+	ag, nodeClient := r.addHTTPNode("n1", gpu.RTX3090)
 	jobID, err := r.client.SubmitJob(api.SubmitJobRequest{
 		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
 		GPUMemMiB: 8192, Training: &workload.SmallCNN,
@@ -300,7 +299,7 @@ func TestHTTPDepartRequiresToken(t *testing.T) {
 		t.Fatalf("job after rejected departs = %+v, %v", st, err)
 	}
 	// The node's own credential still departs it.
-	if err := nodeClient.Depart("n1", api.DepartScheduled, 0); err != nil {
+	if err := nodeClient.Depart(api.DepartRequest{MachineID: "n1", Token: ag.Token(), Reason: api.DepartScheduled}); err != nil {
 		t.Fatalf("authenticated depart: %v", err)
 	}
 	if nodes, _ := r.client.Nodes(); nodes[0].Status != db.NodeDeparted {
@@ -411,7 +410,6 @@ func TestHTTPHeartbeatAuthRejected(t *testing.T) {
 	r := newHTTPRig(t)
 	r.addHTTPNode("n1", gpu.RTX3090)
 	bad := NewClient(r.coordSrv.URL)
-	bad.SetToken("forged.token")
 	_, err := bad.Heartbeat(api.HeartbeatRequest{MachineID: "n1", Token: "forged.token"})
 	if err == nil {
 		t.Fatal("forged heartbeat accepted")

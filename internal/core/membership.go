@@ -45,11 +45,6 @@ func (c *Coordinator) HandleDeparture(machineID string, reason api.DepartReason)
 		Detail: map[string]any{"reason": string(reason)}}, db.NodeDeparted, mreason)
 }
 
-// Departing receives announced departures from in-process agents.
-func (c *Coordinator) Departing(machineID string, reason api.DepartReason) {
-	_ = c.HandleDeparture(machineID, reason)
-}
-
 // Sweep runs one failure-detection pass: nodes silent for the configured
 // threshold are marked unreachable and their jobs migrated (emergency
 // path). Daemons run this automatically; simulations may call it

@@ -67,7 +67,8 @@ func (r *netRig) join(t *testing.T, id string, gpus int) {
 		devices[i] = gpu.RTX3090
 	}
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil, r.coord)
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
+	ag.SetEndpoints([]agent.Endpoint{{Link: LocalLink{C: r.coord, A: ag}}})
 	t.Cleanup(ag.Stop)
 	resp, err := r.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
 	if err != nil {

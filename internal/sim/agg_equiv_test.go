@@ -217,7 +217,8 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices .
 			// in both arms — the knob changes what agents send, and the
 			// battery proves the tiers agree on whatever that is.
 			TelemetryEvery: 4,
-		}, arm.clock, rt, ckpts, bus, coord)
+		}, arm.clock, rt, ckpts, bus)
+		ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", coord, ag)})
 		if len(arm.aggs) > 0 {
 			g := arm.aggs[i%len(arm.aggs)]
 			ag.SetAggregator(g.ID(), equivBeatTap{inner: g, arm: arm})

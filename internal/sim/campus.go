@@ -177,37 +177,42 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 			c.Health[d.ID] = src
 			acfg.Health = src
 		}
-		ag := agent.New(acfg, clock, rt, ckpts, bus, coord)
-		if err := joinLocal(coord, ag); err != nil {
+		ag := agent.New(acfg, clock, rt, ckpts, bus)
+		ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", coord, ag)})
+		if err := joinLocal(ag); err != nil {
 			return nil, err
 		}
 		c.Agents[d.ID] = ag
-		link := core.LocalLink{C: coord, A: ag}
-		beatEvery(clock, cfg.HeartbeatInterval, ag, func() agent.Link { return link })
+		beatEvery(clock, cfg.HeartbeatInterval, ag, nil)
 	}
 	return c, nil
 }
 
-// joinLocal registers an in-process agent with coord under the sims'
-// address scheme and 1 TiB of advertised checkpoint storage.
-func joinLocal(coord *core.Coordinator, ag *agent.Agent) error {
-	_, err := ag.Join(core.LocalLink{C: coord, A: ag}, "inproc://"+ag.MachineID(), 1<<40)
+// localEndpoint names coord as one of ag's endpoints, reached
+// in-process.
+func localEndpoint(id string, coord *core.Coordinator, ag *agent.Agent) agent.Endpoint {
+	return agent.Endpoint{ID: id, Link: core.LocalLink{C: coord, A: ag}}
+}
+
+// joinLocal registers an in-process agent through its active endpoint
+// under the sims' address scheme and 1 TiB of advertised checkpoint
+// storage.
+func joinLocal(ag *agent.Agent) error {
+	_, err := ag.Join("inproc://"+ag.MachineID(), 1<<40)
 	return err
 }
 
 // beatEvery arms the agent's recurring Beat on the sim clock — the
-// daemon's ticker loop in simulated time. link is asked once per tick:
-// nil means this beat never happens (the coordinator is down, the node
-// is cut off, the beat is lost in flight) and leaves the agent's beat
-// sequence and health buffer untouched. Departed agents skip beats:
-// silence is the emergency signal.
-func beatEvery(clock *simclock.Sim, every time.Duration, ag *agent.Agent, link func() agent.Link) {
+// daemon's ticker loop in simulated time. up, when set, is asked once
+// per tick: false means this beat never happens (the coordinator is
+// down, the node is cut off, the beat is lost in flight) and leaves the
+// agent's beat sequence and health buffer untouched. Departed agents
+// skip beats: silence is the emergency signal.
+func beatEvery(clock *simclock.Sim, every time.Duration, ag *agent.Agent, up func() bool) {
 	var loop func()
 	loop = func() {
-		if !ag.Departed() {
-			if l := link(); l != nil {
-				_, _ = ag.Beat(l)
-			}
+		if !ag.Departed() && (up == nil || up()) {
+			_, _ = ag.Beat()
 		}
 		clock.AfterFunc(every, loop)
 	}

@@ -215,10 +215,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	return res, nil
 }
 
-// chaosHarness implements chaos.Platform over the real components. It
-// also implements agent.Notifier, routing notifications to whichever
-// coordinator currently leads (and dropping announcements from
-// partitioned nodes).
+// chaosHarness implements chaos.Platform over the real components.
+// Each agent reaches the coordinator through its chaosLink, which
+// routes every message to whichever coordinator currently serves.
 type chaosHarness struct {
 	cfg   ChaosConfig
 	clock *simclock.Sim
@@ -527,7 +526,8 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			// payload, so the rack relay can fold them.
 			acfg.TelemetryEvery = 4
 		}
-		ag := agent.New(acfg, skewed, rt, agentCkptWriter{h: h, id: d.ID}, h.bus, h)
+		ag := agent.New(acfg, skewed, rt, agentCkptWriter{h: h, id: d.ID}, h.bus)
+		ag.SetEndpoints([]agent.Endpoint{{Link: chaosLink{h: h, ag: ag}}})
 		if len(h.aggIDs) > 0 {
 			// Round-robin rack assignment: the agent beats through its
 			// relay first and falls back direct when it is unavailable.
@@ -816,7 +816,7 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 
 // register (re-)joins an agent to whichever coordinator serves.
 func (h *chaosHarness) register(ag *agent.Agent) error {
-	_, err := ag.Join(chaosLink{h: h, ag: ag}, "inproc://"+ag.MachineID(), 1<<40)
+	_, err := ag.Join("inproc://"+ag.MachineID(), 1<<40)
 	return err
 }
 
@@ -845,12 +845,11 @@ func (l chaosLink) Register(req api.RegisterRequest) (api.RegisterResponse, erro
 	if h.cfg.Replicated {
 		// The leader it just joined plus the standby it can fail over to
 		// on a leader change — whose ID is the hint a fenced leader will
-		// give. Both routes land on the harness, which forwards to
-		// whoever leads.
+		// give. Both are this link, which forwards to whoever leads.
 		h.mu.Lock()
 		lead, sb := h.serving, h.standby
 		h.mu.Unlock()
-		l.ag.SetEndpoints([]agent.Endpoint{{ID: lead.id, Notifier: h}, {ID: sb.id, Notifier: h}})
+		l.ag.SetEndpoints([]agent.Endpoint{{ID: lead.id, Link: l}, {ID: sb.id, Link: l}})
 	}
 	return resp, nil
 }
@@ -993,12 +992,9 @@ func (h *chaosHarness) dropBeat(id string) bool {
 // signal — and partial-loss windows drop individual beats
 // probabilistically, both decided before the request is built.
 func (h *chaosHarness) beat(ag *agent.Agent) {
-	link := chaosLink{h: h, ag: ag}
-	beatEvery(h.clock, h.cfg.HeartbeatInterval, ag, func() agent.Link {
-		if h.silenced(ag.MachineID()) || h.dropBeat(ag.MachineID()) {
-			return nil
-		}
-		return link
+	id := ag.MachineID()
+	beatEvery(h.clock, h.cfg.HeartbeatInterval, ag, func() bool {
+		return !h.silenced(id) && !h.dropBeat(id)
 	})
 }
 
@@ -1037,20 +1033,22 @@ func (h *chaosHarness) startTraffic(seed int64) {
 	h.clock.AfterFunc(15*time.Minute, topUp)
 }
 
-// --- agent.Notifier (routed to the current coordinator) ---
-
-// JobUpdate forwards job state changes. Terminal reports are modelled
-// as retried-until-delivered, so they pass through partitions; the
+// JobUpdate forwards a job report. Terminal reports are modelled as
+// retried-until-delivered, so they pass through partitions; the
 // coordinator's stale-node guard decides their fate.
-func (h *chaosHarness) JobUpdate(machineID, jobID string, state db.JobState, step int64) {
+func (l chaosLink) JobUpdate(req api.JobUpdateRequest) error {
+	l.h.jobUpdate(req)
+	return nil
+}
+
+func (h *chaosHarness) jobUpdate(req api.JobUpdateRequest) {
+	machineID, jobID, state, step := req.MachineID, req.JobID, req.State, req.Step
 	if c := h.currentCoord(); c != nil {
 		if h.cfg.Replicated && !c.Leading() {
 			// Leadership gap: the installed replica is fenced and would
 			// drop the report. Retry until a leader is serving — the
 			// real agent's until-delivered retry loop.
-			h.clock.AfterFunc(30*time.Second, func() {
-				h.JobUpdate(machineID, jobID, state, step)
-			})
+			h.clock.AfterFunc(30*time.Second, func() { h.jobUpdate(req) })
 			return
 		}
 		c.JobUpdate(machineID, jobID, state, step)
@@ -1065,16 +1063,14 @@ func (h *chaosHarness) JobUpdate(machineID, jobID string, state db.JobState, ste
 	}
 }
 
-// Departing forwards announced departures — unless the node is
+// Depart forwards an announced departure — unless the node is
 // partitioned, in which case the announcement cannot reach the
 // coordinator and heartbeat loss must do the work.
-func (h *chaosHarness) Departing(machineID string, reason api.DepartReason) {
-	if h.silenced(machineID) {
-		return
+func (l chaosLink) Depart(req api.DepartRequest) error {
+	if l.h.silenced(req.MachineID) {
+		return errUnreachable
 	}
-	if c := h.currentCoord(); c != nil {
-		c.Departing(machineID, reason)
-	}
+	return l.h.currentCoord().HandleDeparture(req.MachineID, req.Reason)
 }
 
 // --- chaos.Platform ---

@@ -122,13 +122,13 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	active := coordA
 
 	// The agents learn both replicas up front; a leader change is a
-	// redirect, not a reconfiguration. Notifications to a dead or fenced
-	// replica are dropped there (the chaos harness models the retry;
-	// this scripted run re-registers explicitly).
+	// redirect, not a reconfiguration. Reports sent to a dead or fenced
+	// replica are dropped there (this scripted run re-registers
+	// explicitly).
 	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
-		func() *core.Coordinator { return active }, []agent.Endpoint{
-			{ID: "coord-a", Notifier: coordA},
-			{ID: "coord-b", Notifier: coordB},
+		func() bool { return active != nil },
+		func(ag *agent.Agent) []agent.Endpoint {
+			return []agent.Endpoint{localEndpoint("coord-a", coordA, ag), localEndpoint("coord-b", coordB, ag)}
 		})
 	if err != nil {
 		return res, err
@@ -185,7 +185,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	// the new epoch; their running workloads never stopped.
 	for _, ag := range agents {
 		ag.Redirect("coord-b")
-		if err := joinLocal(coordB, ag); err != nil {
+		if err := joinLocal(ag); err != nil {
 			return res, err
 		}
 	}

@@ -287,7 +287,7 @@ func (t *fig3Tracker) bringBack(nodeID string, scenario api.DepartReason) {
 	ag.Return()
 	if scenario != api.DepartTemporary {
 		// Scheduled/emergency exits re-join via fresh registration.
-		_ = joinLocal(t.campus.Coord, ag)
+		_ = joinLocal(ag)
 	}
 	// Temporary departures resume via their next heartbeat, which the
 	// standing heartbeat loop sends automatically.

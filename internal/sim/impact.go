@@ -130,7 +130,7 @@ func runImpactCell(spec workload.TrainingSpec, k int, cfg ImpactConfig) (time.Du
 			// The provider returns half an hour later.
 			campus.Clock.AfterFunc(30*time.Minute, func() {
 				host.Return()
-				_ = joinLocal(campus.Coord, host)
+				_ = joinLocal(host)
 			})
 		})
 	}

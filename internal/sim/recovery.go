@@ -108,15 +108,17 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	rep1.Start()
 	coord1, store1 := rep1.Coordinator(), rep1.Store()
 
-	// The agents' heartbeat loops follow active, so they survive the
-	// coordinator they were started under: beats are dropped while it is
-	// down and resume against its successor — exactly what a real node
-	// daemon's retry loop does.
+	// The agents' heartbeat loops survive the coordinator they were
+	// started under: beats are dropped while active is down and resume
+	// against its successor — exactly what a real node daemon's retry
+	// loop does.
 	active := coord1
 
 	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
-		func() *core.Coordinator { return active },
-		[]agent.Endpoint{{ID: "coordinator", Notifier: coord1}})
+		func() bool { return active != nil },
+		func(ag *agent.Agent) []agent.Endpoint {
+			return []agent.Endpoint{localEndpoint("coordinator", coord1, ag)}
+		})
 	if err != nil {
 		return res, err
 	}
@@ -172,8 +174,8 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	// Agents notice the restart and re-register (their running
 	// workloads never stopped).
 	for _, ag := range agents {
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Notifier: coord2}})
-		if err := joinLocal(coord2, ag); err != nil {
+		ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", coord2, ag)})
+		if err := joinLocal(ag); err != nil {
 			return res, err
 		}
 	}
@@ -192,30 +194,26 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	return res, nil
 }
 
-// scriptedFleet builds n 2×RTX3090 nodes that know the endpoints eps,
-// join the coordinator active() names, and then beat every minute
-// through whichever one it names at that moment — none while it is nil,
-// so beats during an outage never happen. (Sim-clock callbacks run on
-// the advancing goroutine, so active may read a plain variable.)
+// scriptedFleet builds n 2×RTX3090 nodes, each with the endpoints eps
+// names for it, joins them through the first one, and then beats every
+// minute through the active endpoint while up() holds — none while it
+// does not, so beats during an outage never happen. Job reports and
+// departures take the same endpoint as the beats. (Sim-clock callbacks
+// run on the advancing goroutine, so up may read a plain variable.)
 func scriptedFleet(n int, clock *simclock.Sim, ckpts *checkpoint.Store, bus *eventbus.Bus,
-	active func() *core.Coordinator, eps []agent.Endpoint) ([]*agent.Agent, error) {
+	up func() bool, eps func(*agent.Agent) []agent.Endpoint) ([]*agent.Agent, error) {
 	agents := make([]*agent.Agent, n)
 	for i := range agents {
 		rt := container.NewRuntime(container.DefaultImages(),
 			gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
 		ag := agent.New(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
-			ProgressTick: 30 * time.Second}, clock, rt, ckpts, bus, nil)
-		ag.SetEndpoints(eps)
-		if err := joinLocal(active(), ag); err != nil {
+			ProgressTick: 30 * time.Second}, clock, rt, ckpts, bus)
+		ag.SetEndpoints(eps(ag))
+		if err := joinLocal(ag); err != nil {
 			return nil, err
 		}
 		agents[i] = ag
-		beatEvery(clock, time.Minute, ag, func() agent.Link {
-			if c := active(); c != nil {
-				return core.LocalLink{C: c, A: ag}
-			}
-			return nil
-		})
+		beatEvery(clock, time.Minute, ag, up)
 	}
 	return agents, nil
 }

@@ -171,6 +171,13 @@ verify-bench:
 # in the making. The same lane keeps wall-clock sleeps out of the sims:
 # internal/sim runs on the simulated clock, and the one time.Sleep it
 # ever had was the §5.3 lock model whose timing made a tier-1 test flaky.
+# And the agent reaches the coordinator through one seam, agent.Link:
+# register, heartbeat, job report and departure each have one typed
+# request and one authenticated coordinator entry. A Notifier, an
+# unauthenticated positional entry (HandleDeparture, Departing) or a
+# type assertion that digs a *core.Client out of an endpoint is a second
+# agent→coordinator seam in the making — the split that once left
+# /v1/jobupdate without a token check.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -180,6 +187,11 @@ verify-compose:
 	@out="$$(grep -rn 'time\.Sleep(' --include='*.go' internal/sim | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "wall-clock sleep in non-test code under internal/sim:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn 'Notifier' internal/agent cmd; \
+		grep -rnE 'HandleDeparture|\.Departing\(|\.\(\*core\.Client\)' --include='*.go' internal cmd examples | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a second agent->coordinator seam beside agent.Link:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the twelve chaos schedules, the trace test's

@@ -15,6 +15,7 @@ import (
 	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
+	"gpunion/internal/workload"
 )
 
 func TestParseGPUFlag(t *testing.T) {
@@ -60,23 +61,28 @@ func TestParseGPUFlagErrors(t *testing.T) {
 }
 
 // TestAgentFollowsLeadershipAcrossEndpoints drives the daemon's own
-// wiring — coordinatorEndpoints, agent.Join/Beat — against
-// two real coordinators over HTTP that share a lease: the typed
-// not-the-leader reply must survive the wire, and after the leader is
-// gone the agent's next beats must land on the survivor and re-join
-// under its epoch.
+// wiring — coordinatorEndpoints, agent.Join/Beat — against two real
+// coordinators over HTTP that share a lease and, standing in for the
+// shipped log, a store: the typed not-the-leader reply must survive the
+// wire, and after the leader is gone the agent's next beats must land on
+// the survivor and re-join under its epoch. A job that finishes while
+// the first replica is dead is reported to the survivor.
 func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 	clock := simclock.NewSim(time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC))
 	lease := core.NewLease(core.NewMemLeaseStore(), clock, 30*time.Second, 5*time.Second)
+	store := db.New(0)
+	var ag *agent.Agent
 	boot := func(id string) (*core.Coordinator, *httptest.Server) {
 		c, err := core.New(core.Config{HeartbeatInterval: 10 * time.Second, Lease: lease, ReplicaID: id,
 			AuthSecret: []byte("shared-across-replicas")},
-			clock, db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), nil)
+			clock, store, checkpoint.NewStore(storage.NewMemStore(0)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Stop)
-		srv := httptest.NewServer(c.Handler(nil))
+		// The coordinators reach the agent in-process; everything the
+		// agent sends travels over HTTP.
+		srv := httptest.NewServer(c.Handler(func(string) core.AgentHandle { return core.LocalAgent{A: ag} }))
 		t.Cleanup(srv.Close)
 		return c, srv
 	}
@@ -87,7 +93,7 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 	}
 
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag := agent.New(agent.Config{MachineID: "node-1", Kernel: "5.15"}, clock, rt,
+	ag = agent.New(agent.Config{MachineID: "node-1", Kernel: "5.15"}, clock, rt,
 		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	t.Cleanup(ag.Stop)
 	// The standby is listed first: the join must walk past it.
@@ -109,11 +115,25 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 	if hb, err := ag.Beat(); err != nil || !hb.Acknowledged || ag.CoordEpoch() != 1 {
 		t.Fatalf("beat at the leader = %+v, %v (epoch %d)", hb, err, ag.CoordEpoch())
 	}
+	spec := workload.SmallCNN
+	spec.TotalSteps = 50 // a few seconds of simulated training
+	jobID, err := coordA.SubmitJob(api.SubmitJobRequest{User: "alice", Kind: "batch",
+		ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: spec.GPUMemMiB, Training: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := coordA.JobStatus(jobID); st.State != db.JobRunning || st.NodeID != "node-1" {
+		t.Fatalf("job at the leader = %+v", st)
+	}
 
-	// The leader dies; the standby wins the lease once the grace passes.
+	// The leader dies; the job finishes while nobody leads, and the
+	// standby wins the lease once the grace passes.
 	coordA.Stop()
 	srvA.Close()
 	clock.Advance(40 * time.Second)
+	if len(ag.Status().RunningJobs) != 0 {
+		t.Fatal("the job did not finish while the leader was dead")
+	}
 	if !coordB.TryLead() {
 		t.Fatal("coord-b failed to take the lapsed lease")
 	}
@@ -123,9 +143,16 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 	if got := ag.ActiveEndpoint().ID; got != srvB.URL {
 		t.Fatalf("after an unanswered beat the active endpoint is %s, want the survivor", got)
 	}
-	// The survivor does not know the node yet: the beat re-joins.
+	if st, _ := coordB.JobStatus(jobID); st.State != db.JobRunning {
+		t.Fatalf("job at the survivor before the agent reached it = %+v", st)
+	}
+	// The survivor does not know the node's transport yet: the beat
+	// re-joins, and the report the dead leader never answered follows.
 	if _, err := ag.Beat(); err != nil {
 		t.Fatal(err)
+	}
+	if st, _ := coordB.JobStatus(jobID); st.State != db.JobCompleted {
+		t.Fatalf("job at the survivor after the re-join = %+v, want completed", st)
 	}
 	if hb, err := ag.Beat(); err != nil || !hb.Acknowledged {
 		t.Fatalf("beat at the survivor = %+v, %v", hb, err)

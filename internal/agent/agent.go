@@ -127,6 +127,10 @@ type Agent struct {
 	// ErrNotLeader or transport failure. Empty for a stand-alone agent.
 	endpoints []Endpoint
 	active    int
+	// unreported holds the terminal job reports whose attempt the
+	// coordinator did not answer, by job ID; Beat re-sends them after
+	// every answered beat until each is answered.
+	unreported map[string]api.JobUpdateRequest
 	// coordEpoch is the highest leader epoch this agent has observed
 	// (registration acks, heartbeat acks, launch/kill envelopes). A
 	// coordinator-initiated write carrying a lower non-zero epoch is
@@ -207,13 +211,14 @@ func New(cfg Config, clock simclock.Clock, rt *container.Runtime, ckpts checkpoi
 		cfg.ProgressTick = defaultProgressTick
 	}
 	a := &Agent{
-		cfg:     cfg,
-		clock:   clock,
-		runtime: rt,
-		ckpts:   ckpts,
-		bus:     bus,
-		jobs:    make(map[string]*jobRun),
-		metrics: monitor.NewRegistry(),
+		cfg:        cfg,
+		clock:      clock,
+		runtime:    rt,
+		ckpts:      ckpts,
+		bus:        bus,
+		jobs:       make(map[string]*jobRun),
+		unreported: make(map[string]api.JobUpdateRequest),
+		metrics:    monitor.NewRegistry(),
 	}
 	a.launchesTotal, _ = a.metrics.Counter("gpunion_agent_launches_total",
 		"Workload launches accepted by this agent", nil)
@@ -877,24 +882,79 @@ var errNoEndpoint = errors.New("agent: no coordinator endpoint")
 // endpoint) and re-joins there; an endpoint that did not serve the beat
 // at all is rotated away from, and the next Beat tries its neighbour.
 // The returned error is what is still wrong after that — nil once a
-// demanded re-join succeeded.
+// demanded re-join succeeded. A beat that ends with no error was
+// answered, so the job reports still kept are re-sent after it.
 func (a *Agent) Beat() (api.HeartbeatResponse, error) {
 	resp, _, err := a.SendBeat(a.ActiveEndpoint().Link)
 	var nl api.ErrNotLeader
 	switch {
-	case err == nil && !resp.Reregister:
-		return resp, nil
 	case errors.As(err, &nl):
 		a.Redirect(nl.LeaderHint)
+		err = a.rejoin()
 	case err != nil:
 		a.Redirect("")
 		return resp, err
+	case resp.Reregister:
+		err = a.rejoin()
 	}
+	if err == nil {
+		a.resendReports()
+	}
+	return resp, err
+}
+
+// rejoin repeats the last Join through the active endpoint.
+func (a *Agent) rejoin() error {
 	a.mu.Lock()
 	addr, storageBytes := a.addr, a.storageBytes
 	a.mu.Unlock()
-	_, err = a.Join(addr, storageBytes)
-	return resp, err
+	_, err := a.Join(addr, storageBytes)
+	return err
+}
+
+// report sends one terminal job report through the active endpoint,
+// once, when the job ends: nothing local waits on it. A report the
+// coordinator does not answer is kept for resendReports; a stand-alone
+// agent has nobody to tell.
+func (a *Agent) report(req api.JobUpdateRequest) {
+	link := a.ActiveEndpoint().Link
+	if link == nil || link.JobUpdate(req) == nil {
+		return
+	}
+	a.mu.Lock()
+	a.unreported[req.JobID] = req
+	a.mu.Unlock()
+}
+
+// resendReports re-sends the kept job reports, in job order, with the
+// current credential and epoch — a re-join may have replaced both —
+// and forgets each one the coordinator answers (a report dropped as
+// stale is answered too), unless a newer report for the same job took
+// its place meanwhile.
+func (a *Agent) resendReports() {
+	a.mu.Lock()
+	kept := make([]api.JobUpdateRequest, 0, len(a.unreported))
+	for _, req := range a.unreported {
+		kept = append(kept, req)
+	}
+	a.mu.Unlock()
+	link := a.ActiveEndpoint().Link
+	if len(kept) == 0 || link == nil {
+		return
+	}
+	sort.Slice(kept, func(i, j int) bool { return kept[i].JobID < kept[j].JobID })
+	for _, req := range kept {
+		sent := req
+		sent.Envelope, sent.Token = a.envelope(), a.Token()
+		if link.JobUpdate(sent) != nil {
+			continue
+		}
+		a.mu.Lock()
+		if a.unreported[req.JobID] == req {
+			delete(a.unreported, req.JobID)
+		}
+		a.mu.Unlock()
+	}
 }
 
 // envelope stamps an agent→coordinator request with the protocol
@@ -1124,13 +1184,11 @@ func (a *Agent) finishJob(run *jobRun, state db.JobState, now time.Time) {
 		Type: eventbus.JobCompleted, Time: now,
 		Node: a.cfg.MachineID, Job: run.jobID, Container: run.containerID,
 	})
-	if link := a.ActiveEndpoint().Link; link != nil {
-		_ = link.JobUpdate(api.JobUpdateRequest{
-			Envelope:  a.envelope(),
-			MachineID: a.cfg.MachineID, Token: a.Token(),
-			JobID: run.jobID, State: state, Step: step,
-		})
-	}
+	a.report(api.JobUpdateRequest{
+		Envelope:  a.envelope(),
+		MachineID: a.cfg.MachineID, Token: a.Token(),
+		JobID: run.jobID, State: state, Step: step,
+	})
 }
 
 // RunningJob returns the live training job object (tests, telemetry).

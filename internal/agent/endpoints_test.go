@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gpunion/internal/api"
+	"gpunion/internal/db"
 	"gpunion/internal/workload"
 )
 
@@ -106,15 +107,19 @@ func TestHeartbeatAndRegisterCarryEnvelope(t *testing.T) {
 
 // scriptedLink is an agent.Link that answers from a script: each
 // Heartbeat pops the next reply, Register always succeeds with the
-// current token and epoch, job reports and departures succeed. It
-// records what reached it.
+// current token and epoch, a job report fails with the next of
+// updateErrs while any are left, departures succeed. It records what
+// reached it: updates holds the answered reports, attempts counts them
+// all.
 type scriptedLink struct {
-	beats     []func(api.HeartbeatRequest) (api.HeartbeatResponse, error)
-	epoch     uint64
-	registers []api.RegisterRequest
-	beatSeqs  []uint64
-	updates   []api.JobUpdateRequest
-	departs   []api.DepartRequest
+	beats      []func(api.HeartbeatRequest) (api.HeartbeatResponse, error)
+	epoch      uint64
+	registers  []api.RegisterRequest
+	beatSeqs   []uint64
+	updateErrs []error
+	attempts   int
+	updates    []api.JobUpdateRequest
+	departs    []api.DepartRequest
 }
 
 func (l *scriptedLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
@@ -133,6 +138,12 @@ func (l *scriptedLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatRespons
 }
 
 func (l *scriptedLink) JobUpdate(req api.JobUpdateRequest) error {
+	l.attempts++
+	if len(l.updateErrs) > 0 {
+		err := l.updateErrs[0]
+		l.updateErrs = l.updateErrs[1:]
+		return err
+	}
 	l.updates = append(l.updates, req)
 	return nil
 }
@@ -246,5 +257,50 @@ func TestBeatFallsBackFromDemotedAggregator(t *testing.T) {
 	}
 	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 2 {
 		t.Fatalf("demoted relay was probed again: relay %v direct %v", relay.beatSeqs, link.beatSeqs)
+	}
+}
+
+// TestJobReportResentAfterAnsweredBeat: a terminal report the
+// coordinator does not answer is kept and re-sent after every answered
+// beat — not after an unanswered one — with the credential current at
+// that moment; once answered it arrives exactly once and is never sent
+// again.
+func TestJobReportResentAfterAnsweredBeat(t *testing.T) {
+	r := newRig(t)
+	down := errors.New("connection refused")
+	r.link.epoch = 1
+	r.link.updateErrs = []error{down, down}
+	reregister := func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+		return api.HeartbeatResponse{Reregister: true}, nil
+	}
+	r.link.beats = []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){
+		fail(down), ack(1), reregister, ack(1)}
+	if _, err := r.agent.Join("inproc://node-test", 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.SmallCNN
+	spec.TotalSteps = 50
+	launchTraining(t, r, "j1", spec, 0)
+	r.clock.Advance(time.Minute) // finishes; the report's one attempt fails
+	if r.link.attempts != 1 || len(r.link.updates) != 0 {
+		t.Fatalf("after the job ended: %d attempts, %d delivered", r.link.attempts, len(r.link.updates))
+	}
+	for i, want := range []struct{ attempts, delivered int }{
+		{1, 0}, // unanswered beat: nothing re-sent
+		{2, 0}, // answered beat: re-sent, fails again
+		{3, 1}, // re-join: re-sent under the new token, answered
+		{3, 1}, // answered beat: nothing left to send
+	} {
+		_, err := r.agent.Beat()
+		if (err != nil) != (i == 0) {
+			t.Fatalf("beat %d: error %v", i, err)
+		}
+		if r.link.attempts != want.attempts || len(r.link.updates) != want.delivered {
+			t.Fatalf("after beat %d: %d attempts, %d delivered; want %d, %d",
+				i, r.link.attempts, len(r.link.updates), want.attempts, want.delivered)
+		}
+	}
+	if u := r.link.updates[0]; u.JobID != "j1" || u.State != db.JobCompleted || u.Token != "tok-2" || u.LeaderEpoch != 1 {
+		t.Fatalf("delivered report = %+v", u)
 	}
 }

@@ -93,13 +93,16 @@ func TestAggregatorFallbackRace(t *testing.T) {
 		agg.Restart()
 	}()
 
+	depart := func(ag *agent.Agent) {
+		_ = coord.Depart(api.DepartRequest{MachineID: ag.MachineID(), Token: ag.Token(), Reason: api.DepartTemporary})
+	}
 	// Membership churn: announced departures race in-flight beats and
 	// in-window deltas; the bounced-delta path answers with Reregister.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
-			_ = coord.HandleDeparture(ids[i%len(ids)], api.DepartTemporary)
+			depart(agents[i%len(agents)])
 			time.Sleep(700 * time.Microsecond)
 		}
 	}()
@@ -160,7 +163,7 @@ settled:
 	victim := agents[0]
 	bounced := false
 	for attempt := 0; attempt < 40 && !bounced; attempt++ {
-		_ = coord.HandleDeparture(victim.MachineID(), api.DepartTemporary)
+		depart(victim)
 		for n := 0; n < 12 && !bounced; n++ {
 			resp, via, berr := victim.SendBeat(coord)
 			if berr != nil {

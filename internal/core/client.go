@@ -184,12 +184,7 @@ func (l LocalLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, e
 }
 
 // JobUpdate implements agent.Link.
-func (l LocalLink) JobUpdate(req api.JobUpdateRequest) error {
-	l.C.JobUpdate(req.MachineID, req.JobID, req.State, req.Step)
-	return nil
-}
+func (l LocalLink) JobUpdate(req api.JobUpdateRequest) error { return l.C.JobUpdate(req) }
 
 // Depart implements agent.Link.
-func (l LocalLink) Depart(req api.DepartRequest) error {
-	return l.C.HandleDeparture(req.MachineID, req.Reason)
-}
+func (l LocalLink) Depart(req api.DepartRequest) error { return l.C.Depart(req) }

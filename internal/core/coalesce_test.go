@@ -119,7 +119,7 @@ func TestBeatSeqPrunedOnDepartureAndSweep(t *testing.T) {
 		t.Fatalf("no-op beats not buffered: %v", buffered)
 	}
 
-	if err := b.coord.HandleDeparture("n1", api.DepartScheduled); err != nil {
+	if err := b.coord.Depart(api.DepartRequest{MachineID: "n1", Token: b.tokens["n1"], Reason: api.DepartScheduled}); err != nil {
 		t.Fatal(err)
 	}
 	seq, buffered = guardEntries(b.coord)

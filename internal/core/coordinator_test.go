@@ -73,6 +73,12 @@ func (r *rig) heartbeatLoop(ag *agent.Agent, interval time.Duration) {
 	r.clock.AfterFunc(interval, loop)
 }
 
+// jobReport is the terminal report ag sends for jobID, with its own
+// credential.
+func jobReport(ag *agent.Agent, jobID string, state db.JobState) api.JobUpdateRequest {
+	return api.JobUpdateRequest{MachineID: ag.MachineID(), Token: ag.Token(), JobID: jobID, State: state}
+}
+
 func submitTraining(t *testing.T, r *rig, spec workload.TrainingSpec, ckptSec int) string {
 	t.Helper()
 	id, err := r.coord.SubmitJob(api.SubmitJobRequest{
@@ -556,8 +562,11 @@ func TestJobUpdateDuplicateIsNoOp(t *testing.T) {
 		t.Fatalf("job = %+v, %v", rec, err)
 	}
 	before := r.coord.DB().CurrentLSN()
-	r.coord.JobUpdate("n1", jobID, db.JobCompleted, 50)
-	r.coord.JobUpdate("n1", jobID, db.JobFailed, 50) // conflicting replay loses too
+	for _, state := range []db.JobState{db.JobCompleted, db.JobFailed} { // a conflicting replay loses too
+		if err := r.coord.JobUpdate(jobReport(r.ags["n1"], jobID, state)); err != nil {
+			t.Fatalf("replayed %s report: %v", state, err)
+		}
+	}
 	if after := r.coord.DB().CurrentLSN(); after != before {
 		t.Fatalf("duplicate terminal reports mutated the store: LSN %d -> %d", before, after)
 	}

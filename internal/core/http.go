@@ -28,6 +28,20 @@ func DefaultHandleFactory(addr string) AgentHandle {
 	return agent.NewClient(addr)
 }
 
+// writeAgentAnswer answers a departure notice or a job report: 204 when
+// applied (or dropped as stale), 401 for a bad or missing credential,
+// 400 otherwise — a not-leader answer carries its hint in the body.
+func writeAgentAnswer(w http.ResponseWriter, err error) {
+	switch {
+	case err == nil:
+		w.WriteHeader(http.StatusNoContent)
+	case errors.Is(err, ErrBadToken):
+		api.WriteError(w, http.StatusUnauthorized, err)
+	default:
+		api.WriteError(w, http.StatusBadRequest, err)
+	}
+}
+
 // Handler returns the coordinator's REST API.
 func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 	if factory == nil {
@@ -88,15 +102,7 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
-		if err := c.Depart(req); err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, ErrBadToken) {
-				code = http.StatusUnauthorized
-			}
-			api.WriteError(w, code, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+		writeAgentAnswer(w, c.Depart(req))
 	})
 
 	mux.HandleFunc("POST /v1/jobupdate", func(w http.ResponseWriter, r *http.Request) {
@@ -104,8 +110,7 @@ func (c *Coordinator) Handler(factory HandleFactory) http.Handler {
 		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
-		c.JobUpdate(req.MachineID, req.JobID, req.State, req.Step)
-		w.WriteHeader(http.StatusNoContent)
+		writeAgentAnswer(w, c.JobUpdate(req))
 	})
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -373,7 +374,7 @@ func TestHTTPJSONBodyLimits(t *testing.T) {
 		{"coordinator register", coord, "/v1/register", api.RegisterRequest{MachineID: "n2", Addr: "http://127.0.0.1:1"}, 200},
 		{"coordinator heartbeat", coord, "/v1/heartbeat", api.HeartbeatRequest{MachineID: "n1", Token: "forged.token"}, 401},
 		{"coordinator depart", coord, "/v1/depart", api.DepartRequest{MachineID: "n1", Token: "forged.token"}, 401},
-		{"coordinator jobupdate", coord, "/v1/jobupdate", api.JobUpdateRequest{MachineID: "n1", JobID: "ghost"}, 204},
+		{"coordinator jobupdate", coord, "/v1/jobupdate", api.JobUpdateRequest{MachineID: "n1", JobID: "ghost"}, 401},
 		{"coordinator submit", coord, "/v1/jobs", api.SubmitJobRequest{Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 1 << 30}, 200},
 		{"agent launch", agnt, "/v1/launch", api.LaunchRequest{JobID: "j1", ImageName: "no/such:image"}, 409},
 		{"agent kill", agnt, "/v1/kill", api.KillRequest{JobID: "ghost"}, 404},
@@ -413,5 +414,147 @@ func TestHTTPHeartbeatAuthRejected(t *testing.T) {
 	_, err := bad.Heartbeat(api.HeartbeatRequest{MachineID: "n1", Token: "forged.token"})
 	if err == nil {
 		t.Fatal("forged heartbeat accepted")
+	}
+}
+
+// TestAgentRoutesRejectBadCredentials is the route audit of the
+// coordinator's agent-originated mutating routes: a heartbeat, a
+// departure notice or a job report claiming node n1 is refused with 401
+// — and changes nothing — unless it carries n1's own credential. The
+// job placed on n1 is the target.
+func TestAgentRoutesRejectBadCredentials(t *testing.T) {
+	r := newHTTPRig(t)
+	r.addHTTPNode("n1", gpu.RTX3090)
+	other, _ := r.addHTTPNode("n2")
+	jobID, err := r.client.SubmitJob(api.SubmitJobRequest{
+		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+		GPUMemMiB: 8192, Training: &workload.SmallCNN,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := r.coord.DB().GetJob(jobID)
+	if err != nil || job.NodeID != "n1" || job.State != db.JobRunning {
+		t.Fatalf("job = %+v, %v", job, err)
+	}
+	for _, route := range []struct {
+		path string
+		body func(token string) any
+	}{
+		{"/v1/heartbeat", func(tok string) any {
+			return api.HeartbeatRequest{MachineID: "n1", Token: tok, BeatSeq: 1 << 40}
+		}},
+		{"/v1/depart", func(tok string) any {
+			return api.DepartRequest{MachineID: "n1", Token: tok, Reason: api.DepartScheduled}
+		}},
+		{"/v1/jobupdate", func(tok string) any {
+			return api.JobUpdateRequest{MachineID: "n1", Token: tok, JobID: jobID, State: db.JobCompleted}
+		}},
+	} {
+		for _, cred := range []struct{ name, token string }{
+			{"empty token", ""},
+			{"forged token", "forged.token"},
+			{"another node's token", other.Token()},
+		} {
+			raw, err := json.Marshal(route.body(cred.token))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := r.coordSrv.Client().Post(r.coordSrv.URL+route.path, "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnauthorized {
+				t.Errorf("%s with %s: status %d, want 401", route.path, cred.name, resp.StatusCode)
+			}
+			if after, _ := r.coord.DB().GetJob(jobID); !reflect.DeepEqual(after, job) {
+				t.Errorf("%s with %s changed the job: %+v", route.path, cred.name, after)
+			}
+			if node, _ := r.coord.DB().GetNode("n1"); node.Status != db.NodeActive {
+				t.Errorf("%s with %s left n1 %s", route.path, cred.name, node.Status)
+			}
+		}
+	}
+}
+
+// TestLinksAgreeOnReportsAndDepartures: the in-process link and the
+// HTTP client reach the same coordinator entries, so a job report or a
+// departure notice gets the same answer, and the same class of error,
+// over either.
+func TestLinksAgreeOnReportsAndDepartures(t *testing.T) {
+	r := newHTTPRig(t)
+	n1, _ := r.addHTTPNode("n1", gpu.RTX3090, gpu.RTX3090)
+	var jobs []string
+	for range 2 {
+		id, err := r.client.SubmitJob(api.SubmitJobRequest{
+			User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+			GPUMemMiB: 8192, Training: &workload.SmallCNN,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, id)
+	}
+	n2, _ := r.addHTTPNode("n2")
+	n3, _ := r.addHTTPNode("n3")
+	leavers := []*agent.Agent{n2, n3}
+	links := []struct {
+		name string
+		link agent.Link
+	}{{"local", LocalLink{C: r.coord}}, {"http", r.client}}
+
+	class := func(err error) string {
+		var apiErr api.Error
+		switch {
+		case err == nil:
+			return "answered"
+		case errors.Is(err, ErrBadToken), errors.As(err, &apiErr) && apiErr.Code == http.StatusUnauthorized:
+			return "unauthorized"
+		default:
+			return "other: " + err.Error()
+		}
+	}
+	jobState := func(id string) db.JobState {
+		rec, _ := r.coord.DB().GetJob(id)
+		return rec.State
+	}
+	nodeStatus := func(id string) db.NodeStatus {
+		rec, _ := r.coord.DB().GetNode(id)
+		return rec.Status
+	}
+	for i, l := range links {
+		for _, c := range []struct {
+			name  string
+			send  func() error
+			want  string
+			check func() bool
+		}{
+			{"report with a forged token", func() error {
+				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: "forged.token", JobID: jobs[i], State: db.JobCompleted})
+			}, "unauthorized", func() bool { return jobState(jobs[i]) == db.JobRunning }},
+			{"report with another node's token", func() error {
+				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: n2.Token(), JobID: jobs[i], State: db.JobCompleted})
+			}, "unauthorized", func() bool { return jobState(jobs[i]) == db.JobRunning }},
+			{"report from a node the job is not on", func() error {
+				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n2", Token: n2.Token(), JobID: jobs[i], State: db.JobCompleted})
+			}, "answered", func() bool { return jobState(jobs[i]) == db.JobRunning }},
+			{"report from the job's node", func() error {
+				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: n1.Token(), JobID: jobs[i], State: db.JobCompleted})
+			}, "answered", func() bool { return jobState(jobs[i]) == db.JobCompleted }},
+			{"departure with a forged token", func() error {
+				return l.link.Depart(api.DepartRequest{MachineID: leavers[i].MachineID(), Token: "forged.token", Reason: api.DepartScheduled})
+			}, "unauthorized", func() bool { return nodeStatus(leavers[i].MachineID()) == db.NodeActive }},
+			{"departure with the node's token", func() error {
+				return l.link.Depart(api.DepartRequest{MachineID: leavers[i].MachineID(), Token: leavers[i].Token(), Reason: api.DepartScheduled})
+			}, "answered", func() bool { return nodeStatus(leavers[i].MachineID()) == db.NodeDeparted }},
+		} {
+			if got := class(c.send()); got != c.want {
+				t.Errorf("%s, %s: %s, want %s", l.name, c.name, got, c.want)
+			}
+			if !c.check() {
+				t.Errorf("%s, %s: wrong state afterwards", l.name, c.name)
+			}
+		}
 	}
 }

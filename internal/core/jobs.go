@@ -104,67 +104,62 @@ func (c *Coordinator) KillJob(jobID string) error {
 	return err
 }
 
-// JobUpdate receives job state changes from agents. Updates from a
-// node the job is no longer placed on are dropped: after a partition,
-// the old host may still be running a copy the platform has since
-// migrated elsewhere, and letting its stale completion close the new
-// placement's allocation would corrupt the resource view (heartbeat
-// reconciliation kills such orphans).
-func (c *Coordinator) JobUpdate(machineID, jobID string, state db.JobState, step int64) {
-	if c.fence(0) != nil {
-		// A deposed or standby coordinator must not resolve jobs; the
-		// agent's report reaches the real leader through its endpoint
-		// failover, and heartbeat anti-entropy covers a dropped one.
-		return
+// JobUpdate receives an agent's job report, fenced and authenticated
+// like a departure notice. Reports from a node the job is no longer
+// placed on are dropped, and so are duplicates of a report already
+// applied; both are answered, so the agent stops re-sending them. After
+// a partition the old host may still be running a copy the platform
+// has since migrated elsewhere, and letting its stale completion close
+// the new placement's allocation would corrupt the resource view
+// (heartbeat reconciliation kills such orphans).
+func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
+	if err := c.admitAgent(req.LeaderEpoch, req.Token, req.MachineID); err != nil {
+		return err
+	}
+	machineID, jobID, state := req.MachineID, req.JobID, req.State
+	if state != db.JobCompleted && state != db.JobFailed {
+		return nil
 	}
 	now := c.clock.Now()
-	switch state {
-	case db.JobCompleted, db.JobFailed:
-		// Idempotency pre-check, outside the record lock: a duplicate
-		// delivery of a terminal report (the job already resolved, or
-		// the record no longer points at the sender) must be a true
-		// no-op — not even a no-change UpdateJob, which would still
-		// advance the mutation sequence and re-stamp FinishedAt. A
-		// duplicate racing the original on the concurrent HTTP path can
-		// still slip past this read and reach UpdateJob; the in-lock
-		// guards below keep the record correct there, at the cost of
-		// one no-change mutation record.
-		if cur, err := c.db.GetJob(jobID); err != nil ||
-			cur.State == db.JobCompleted || cur.State == db.JobFailed ||
-			cur.State == db.JobKilled ||
-			(machineID != "" && cur.NodeID != machineID) {
-			return
-		}
-		// The stale-node check also runs inside the record lock: on the
-		// concurrent HTTP path the job may be requeued and re-placed
-		// between the snapshot read above and this update, and a report
-		// from the old host must lose that race, not resolve the new
-		// copy.
-		var nodeID, deviceID string
-		applied := false
-		err := c.db.UpdateJob(jobID, func(j *db.JobRecord) {
-			if machineID != "" && j.NodeID != machineID {
-				return
-			}
-			if j.State == db.JobCompleted || j.State == db.JobFailed || j.State == db.JobKilled {
-				return
-			}
-			nodeID, deviceID = j.NodeID, j.DeviceID
-			j.State = state
-			j.FinishedAt = now
-			applied = true
-		})
-		if err != nil || !applied {
-			return
-		}
-		_ = c.db.CloseAllocation(jobID, now)
-		c.markDevice(nodeID, deviceID, false)
-		evType := eventbus.JobCompleted
-		if state == db.JobFailed {
-			evType = eventbus.JobFailed
-		}
-		c.bus.Publish(eventbus.Event{Type: evType, Time: now, Job: jobID, Node: machineID,
-			Detail: map[string]any{"step": step}})
-		c.TrySchedule()
+	// Idempotency pre-check, outside the record lock: a duplicate
+	// delivery of a terminal report (the job already resolved, or the
+	// record no longer points at the sender) must be a true no-op — not
+	// even a no-change UpdateJob, which would still advance the mutation
+	// sequence and re-stamp FinishedAt. A duplicate racing the original
+	// on the concurrent HTTP path can still slip past this read and reach
+	// UpdateJob; the in-lock guards below keep the record correct there,
+	// at the cost of one no-change mutation record.
+	if cur, err := c.db.GetJob(jobID); err != nil || cur.NodeID != machineID ||
+		cur.State == db.JobCompleted || cur.State == db.JobFailed || cur.State == db.JobKilled {
+		return nil
 	}
+	// The stale-node check also runs inside the record lock: on the
+	// concurrent HTTP path the job may be requeued and re-placed between
+	// the snapshot read above and this update, and a report from the old
+	// host must lose that race, not resolve the new copy.
+	var nodeID, deviceID string
+	applied := false
+	err := c.db.UpdateJob(jobID, func(j *db.JobRecord) {
+		if j.NodeID != machineID ||
+			j.State == db.JobCompleted || j.State == db.JobFailed || j.State == db.JobKilled {
+			return
+		}
+		nodeID, deviceID = j.NodeID, j.DeviceID
+		j.State = state
+		j.FinishedAt = now
+		applied = true
+	})
+	if err != nil || !applied {
+		return nil
+	}
+	_ = c.db.CloseAllocation(jobID, now)
+	c.markDevice(nodeID, deviceID, false)
+	evType := eventbus.JobCompleted
+	if state == db.JobFailed {
+		evType = eventbus.JobFailed
+	}
+	c.bus.Publish(eventbus.Event{Type: evType, Time: now, Job: jobID, Node: machineID,
+		Detail: map[string]any{"step": req.Step}})
+	c.TrySchedule()
+	return nil
 }

@@ -15,34 +15,35 @@ import (
 
 // Depart processes an announced departure (scheduled or temporary). The
 // agent has already checkpointed and stopped its workloads; the
-// coordinator migrates them and updates the node's standing.
+// coordinator migrates them and updates the node's standing. Emergency
+// departures are never announced: Sweep handles them.
 func (c *Coordinator) Depart(req api.DepartRequest) error {
-	if err := c.fence(req.LeaderEpoch); err != nil {
+	if err := c.admitAgent(req.LeaderEpoch, req.Token, req.MachineID); err != nil {
 		return err
 	}
-	if _, err := c.authy.VerifySubject(req.Token, req.MachineID, c.clock.Now()); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadToken, err)
-	}
-	return c.HandleDeparture(req.MachineID, req.Reason)
-}
-
-// HandleDeparture migrates a departing node's jobs and records its
-// standing. It is the convergence point for the announced path (REST or
-// in-process notify) — emergency departures are handled by Sweep.
-func (c *Coordinator) HandleDeparture(machineID string, reason api.DepartReason) error {
-	if err := c.fence(0); err != nil {
-		return err
-	}
-	if _, err := c.db.GetNode(machineID); err != nil {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, machineID)
+	if _, err := c.db.GetNode(req.MachineID); err != nil {
+		return fmt.Errorf("%w: %s", ErrUnknownNode, req.MachineID)
 	}
 	mreason := migration.ReasonScheduled
-	if reason == api.DepartTemporary {
+	if req.Reason == api.DepartTemporary {
 		mreason = migration.ReasonTemporary
 	}
-	c.hb.Suspend(machineID)
-	return c.nodeLeaves(eventbus.Event{Type: eventbus.NodeDeparted, Time: c.clock.Now(), Node: machineID,
-		Detail: map[string]any{"reason": string(reason)}}, db.NodeDeparted, mreason)
+	c.hb.Suspend(req.MachineID)
+	return c.nodeLeaves(eventbus.Event{Type: eventbus.NodeDeparted, Time: c.clock.Now(), Node: req.MachineID,
+		Detail: map[string]any{"reason": string(req.Reason)}}, db.NodeDeparted, mreason)
+}
+
+// admitAgent is the gate an agent's departure notice and job report
+// pass, in-process and over HTTP alike: the fence on the request's
+// leader epoch, then the sending node's own credential.
+func (c *Coordinator) admitAgent(epoch uint64, token, machineID string) error {
+	if err := c.fence(epoch); err != nil {
+		return err
+	}
+	if _, err := c.authy.VerifySubject(token, machineID, c.clock.Now()); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadToken, err)
+	}
+	return nil
 }
 
 // Sweep runs one failure-detection pass: nodes silent for the configured

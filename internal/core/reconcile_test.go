@@ -124,7 +124,7 @@ func TestHeartbeatProtectsFreshPlacement(t *testing.T) {
 
 // TestJobUpdateFromStaleNodeIgnored: a terminal report from a node the
 // job no longer runs on must not flip the record or free the new
-// host's device.
+// host's device — and it is answered, so the sender stops re-sending.
 func TestJobUpdateFromStaleNodeIgnored(t *testing.T) {
 	r := newRig(t, time.Minute)
 	r.addNode("n1", gpu.RTX3090)
@@ -133,14 +133,19 @@ func TestJobUpdateFromStaleNodeIgnored(t *testing.T) {
 	if rec.NodeID != "n1" {
 		t.Fatalf("job on %s", rec.NodeID)
 	}
+	other := r.addNode("n2", gpu.RTX3090)
 
-	r.coord.JobUpdate("ghost-node", jobID, db.JobCompleted, 10)
+	if err := r.coord.JobUpdate(jobReport(other, jobID, db.JobCompleted)); err != nil {
+		t.Fatalf("stale report not answered: %v", err)
+	}
 	after, _ := r.coord.db.GetJob(jobID)
 	if after.State != db.JobRunning {
 		t.Fatalf("stale completion flipped job to %s", after.State)
 	}
 	// The genuine host's report still lands.
-	r.coord.JobUpdate("n1", jobID, db.JobCompleted, 10)
+	if err := r.coord.JobUpdate(jobReport(r.ags["n1"], jobID, db.JobCompleted)); err != nil {
+		t.Fatal(err)
+	}
 	after, _ = r.coord.db.GetJob(jobID)
 	if after.State != db.JobCompleted {
 		t.Fatalf("genuine completion dropped: %s", after.State)

@@ -822,10 +822,21 @@ func (h *chaosHarness) register(ag *agent.Agent) error {
 
 // chaosLink is one agent's agent.Link: requests go to whichever
 // coordinator currently serves, and the link — which sees every request
-// — carries the harness's taps on that path.
+// — carries the harness's taps on that path. One fault model covers all
+// four messages: a crashed or partitioned node reaches no coordinator,
+// and what it sends fails as its HTTP request would.
 type chaosLink struct {
 	h  *chaosHarness
 	ag *agent.Agent
+}
+
+// reach is the coordinator a request from this node arrives at, or
+// errUnreachable while the node is silenced.
+func (l chaosLink) reach() (*core.Coordinator, error) {
+	if l.h.silenced(l.ag.MachineID()) {
+		return nil, errUnreachable
+	}
+	return l.h.currentCoord(), nil
 }
 
 // Register attaches the fault-modelled transport back to the agent,
@@ -833,7 +844,11 @@ type chaosLink struct {
 // its endpoint set.
 func (l chaosLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
 	h, id := l.h, l.ag.MachineID()
-	resp, err := h.currentCoord().Register(req, chaosHandle{h: h, id: id, inner: core.LocalAgent{A: l.ag}})
+	c, err := l.reach()
+	if err != nil {
+		return api.RegisterResponse{}, err
+	}
+	resp, err := c.Register(req, chaosHandle{h: h, id: id, inner: core.LocalAgent{A: l.ag}})
 	if err != nil {
 		return resp, err
 	}
@@ -862,7 +877,11 @@ func (l chaosLink) Register(req api.RegisterRequest) (api.RegisterResponse, erro
 // coordinator's ingress guard must make it a no-op.
 func (l chaosLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 	h := l.h
-	resp, err := h.currentCoord().Heartbeat(req)
+	c, err := l.reach()
+	if err != nil {
+		return api.HeartbeatResponse{}, err
+	}
+	resp, err := c.Heartbeat(req)
 	h.observeBeatAck(req, resp, err)
 	if err == nil && resp.Acknowledged && !resp.Reregister {
 		h.maybeReplay("heartbeat", "heartbeat "+req.MachineID, func() {
@@ -1033,44 +1052,31 @@ func (h *chaosHarness) startTraffic(seed int64) {
 	h.clock.AfterFunc(15*time.Minute, topUp)
 }
 
-// JobUpdate forwards a job report. Terminal reports are modelled as
-// retried-until-delivered, so they pass through partitions; the
-// coordinator's stale-node guard decides their fate.
+// JobUpdate forwards a job report. Inside a duplicate-delivery window
+// an answered report is replayed: the coordinator's terminal-state
+// pre-check must make the replays true no-ops.
 func (l chaosLink) JobUpdate(req api.JobUpdateRequest) error {
-	l.h.jobUpdate(req)
+	c, err := l.reach()
+	if err != nil {
+		return err
+	}
+	if err := c.JobUpdate(req); err != nil {
+		return err
+	}
+	l.h.maybeReplay("job-update", fmt.Sprintf("job-update %s on %s", req.JobID, req.MachineID), func() {
+		_ = l.h.currentCoord().JobUpdate(req)
+	})
 	return nil
 }
 
-func (h *chaosHarness) jobUpdate(req api.JobUpdateRequest) {
-	machineID, jobID, state, step := req.MachineID, req.JobID, req.State, req.Step
-	if c := h.currentCoord(); c != nil {
-		if h.cfg.Replicated && !c.Leading() {
-			// Leadership gap: the installed replica is fenced and would
-			// drop the report. Retry until a leader is serving — the
-			// real agent's until-delivered retry loop.
-			h.clock.AfterFunc(30*time.Second, func() { h.jobUpdate(req) })
-			return
-		}
-		c.JobUpdate(machineID, jobID, state, step)
-		// Terminal reports are retried until delivered, so they are also
-		// the reports most likely to arrive twice; the coordinator's
-		// terminal-state pre-check must make replays true no-ops.
-		h.maybeReplay("job-update", fmt.Sprintf("job-update %s on %s", jobID, machineID), func() {
-			if c2 := h.currentCoord(); c2 != nil {
-				c2.JobUpdate(machineID, jobID, state, step)
-			}
-		})
-	}
-}
-
-// Depart forwards an announced departure — unless the node is
-// partitioned, in which case the announcement cannot reach the
-// coordinator and heartbeat loss must do the work.
+// Depart forwards an announced departure; from a silenced node it
+// fails, and heartbeat loss must do the work.
 func (l chaosLink) Depart(req api.DepartRequest) error {
-	if l.h.silenced(req.MachineID) {
-		return errUnreachable
+	c, err := l.reach()
+	if err != nil {
+		return err
 	}
-	return l.h.currentCoord().HandleDeparture(req.MachineID, req.Reason)
+	return c.Depart(req)
 }
 
 // --- chaos.Platform ---

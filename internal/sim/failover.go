@@ -122,9 +122,9 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	active := coordA
 
 	// The agents learn both replicas up front; a leader change is a
-	// redirect, not a reconfiguration. Reports sent to a dead or fenced
-	// replica are dropped there (this scripted run re-registers
-	// explicitly).
+	// redirect, not a reconfiguration, and this scripted run makes it
+	// explicitly. A job report the dead leader does not answer stays
+	// with its agent, which re-sends it after its next answered beat.
 	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
 		func() bool { return active != nil },
 		func(ag *agent.Agent) []agent.Endpoint {

@@ -794,7 +794,7 @@ func (nopHandle) Launch(api.LaunchRequest) (api.LaunchResponse, error) {
 	return api.LaunchResponse{}, fmt.Errorf("bench: no agent behind this handle")
 }
 func (nopHandle) Kill(api.KillRequest) error { return nil }
-func (nopHandle) Checkpoint(string, bool) (api.CheckpointResponse, error) {
+func (nopHandle) Checkpoint(api.CheckpointRequest) (api.CheckpointResponse, error) {
 	return api.CheckpointResponse{}, fmt.Errorf("bench: no agent behind this handle")
 }
 

@@ -555,18 +555,24 @@ func (a *Agent) Kill(jobID string) error {
 	return nil
 }
 
-// CheckpointNow captures a checkpoint of the job and persists it.
-func (a *Agent) CheckpointNow(jobID string, incremental bool) (api.CheckpointResponse, error) {
+// Checkpoint captures a checkpoint of the job on the coordinator's
+// order and persists it. The order is fenced like a launch or a kill: a
+// deposed leader's is rejected with ErrStaleLeader.
+func (a *Agent) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error) {
 	a.mu.Lock()
-	run, ok := a.jobs[jobID]
+	if err := a.fenceEpochLocked(req.LeaderEpoch); err != nil {
+		a.mu.Unlock()
+		return api.CheckpointResponse{}, err
+	}
+	run, ok := a.jobs[req.JobID]
 	a.mu.Unlock()
 	if !ok {
-		return api.CheckpointResponse{}, fmt.Errorf("%w: %s", ErrJobUnknown, jobID)
+		return api.CheckpointResponse{}, fmt.Errorf("%w: %s", ErrJobUnknown, req.JobID)
 	}
 	if run.training == nil {
-		return api.CheckpointResponse{}, fmt.Errorf("agent: job %s has no checkpointable state", jobID)
+		return api.CheckpointResponse{}, fmt.Errorf("agent: job %s has no checkpointable state", req.JobID)
 	}
-	return a.captureCheckpoint(run, incremental)
+	return a.captureCheckpoint(run, req.Incremental)
 }
 
 // fullCheckpointEvery bounds the incremental chain: every sixth capture

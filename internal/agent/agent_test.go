@@ -185,14 +185,14 @@ func TestCheckpointNowOnDemand(t *testing.T) {
 	r := newRig(t)
 	launchTraining(t, r, "j1", workload.SmallCNN, 0)
 	r.clock.Advance(10 * time.Second)
-	resp, err := r.agent.CheckpointNow("j1", false)
+	resp, err := r.agent.Checkpoint(api.CheckpointRequest{JobID: "j1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Seq != 1 || resp.Bytes <= 0 || resp.Step <= 0 {
 		t.Fatalf("checkpoint = %+v", resp)
 	}
-	if _, err := r.agent.CheckpointNow("ghost", false); !errors.Is(err, ErrJobUnknown) {
+	if _, err := r.agent.Checkpoint(api.CheckpointRequest{JobID: "ghost"}); !errors.Is(err, ErrJobUnknown) {
 		t.Fatalf("unknown job err = %v", err)
 	}
 }
@@ -320,7 +320,7 @@ func TestMigrationRestoreResumesProgress(t *testing.T) {
 	}
 	// Next checkpoint continues the sequence.
 	r.clock.Advance(5 * time.Second)
-	resp, err := r.agent.CheckpointNow("j1", true)
+	resp, err := r.agent.Checkpoint(api.CheckpointRequest{JobID: "j1", Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}

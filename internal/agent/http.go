@@ -51,7 +51,7 @@ func (a *Agent) Handler() http.Handler {
 		if !api.DecodeJSON(w, r, &req) {
 			return
 		}
-		resp, err := a.CheckpointNow(req.JobID, req.Incremental)
+		resp, err := a.Checkpoint(req)
 		if err != nil {
 			api.WriteError(w, http.StatusConflict, err)
 			return
@@ -146,10 +146,11 @@ func (c *Client) Kill(req api.KillRequest) error {
 	return c.post("/v1/kill", req, nil)
 }
 
-// Checkpoint implements the coordinator-side handle.
-func (c *Client) Checkpoint(jobID string, incremental bool) (api.CheckpointResponse, error) {
+// Checkpoint implements the coordinator-side handle. The request
+// carries the sending leader's epoch; the agent enforces the fence.
+func (c *Client) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error) {
 	var resp api.CheckpointResponse
-	err := c.post("/v1/checkpoint", api.CheckpointRequest{JobID: jobID, Incremental: incremental}, &resp)
+	err := c.post("/v1/checkpoint", req, &resp)
 	return resp, err
 }
 

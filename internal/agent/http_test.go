@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -97,14 +99,14 @@ func TestHTTPCheckpointEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.clock.Advance(5 * time.Second)
-	resp, err := c.Checkpoint("j1", false)
+	resp, err := c.Checkpoint(api.CheckpointRequest{JobID: "j1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Seq != 1 || resp.Bytes <= 0 {
 		t.Fatalf("checkpoint = %+v", resp)
 	}
-	if _, err := c.Checkpoint("ghost", false); err == nil {
+	if _, err := c.Checkpoint(api.CheckpointRequest{JobID: "ghost"}); err == nil {
 		t.Fatal("checkpointing unknown job succeeded")
 	}
 }
@@ -194,5 +196,33 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
 		t.Fatalf("status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestStaleLeaderCheckpointOrderRefused: a checkpoint order from a
+// leader epoch below the one the agent has observed comes from a deposed
+// leader and is refused — ErrStaleLeader in-process, 409 over HTTP —
+// without capturing anything; the current leader's order is served.
+func TestStaleLeaderCheckpointOrderRefused(t *testing.T) {
+	r := newRig(t)
+	c := httpPair(t, r)
+	launchTraining(t, r, "j1", workload.SmallCNN, 0)
+	r.clock.Advance(5 * time.Second)
+	r.agent.ObserveEpoch(3)
+
+	stale := api.CheckpointRequest{Envelope: api.Envelope{LeaderEpoch: 2}, JobID: "j1"}
+	if _, err := r.agent.Checkpoint(stale); !errors.Is(err, ErrStaleLeader) {
+		t.Fatalf("in-process stale order: %v, want ErrStaleLeader", err)
+	}
+	var apiErr api.Error
+	if _, err := c.Checkpoint(stale); !errors.As(err, &apiErr) || apiErr.Code != http.StatusConflict {
+		t.Fatalf("stale order over HTTP: %v, want a 409", err)
+	}
+	if seqs, _ := r.ckpts.Sequences("j1"); len(seqs) != 0 {
+		t.Fatalf("stale orders captured checkpoints %v", seqs)
+	}
+	resp, err := c.Checkpoint(api.CheckpointRequest{Envelope: api.Envelope{LeaderEpoch: 3}, JobID: "j1"})
+	if err != nil || resp.Seq != 1 {
+		t.Fatalf("current leader's order = %+v, %v", resp, err)
 	}
 }

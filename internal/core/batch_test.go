@@ -53,7 +53,7 @@ func (f *fakeAgent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 
 func (f *fakeAgent) Kill(req api.KillRequest) error { return nil }
 
-func (f *fakeAgent) Checkpoint(jobID string, incremental bool) (api.CheckpointResponse, error) {
+func (f *fakeAgent) Checkpoint(api.CheckpointRequest) (api.CheckpointResponse, error) {
 	return api.CheckpointResponse{}, errors.New("fake: no checkpoints")
 }
 

@@ -38,16 +38,16 @@ var (
 )
 
 // AgentHandle is the coordinator's transport to one provider agent.
-// Launch and Kill requests carry the sending leader's epoch in their
-// envelope; agents reject writes from a deposed leader (the fencing
-// half of lease-based leadership).
+// Launch, Kill and Checkpoint orders carry the sending leader's epoch in
+// their envelope; agents reject orders from a deposed leader (the
+// fencing half of lease-based leadership).
 type AgentHandle interface {
 	// Launch starts a workload on the node.
 	Launch(req api.LaunchRequest) (api.LaunchResponse, error)
 	// Kill terminates a job on the node.
 	Kill(req api.KillRequest) error
 	// Checkpoint captures a job's state on demand.
-	Checkpoint(jobID string, incremental bool) (api.CheckpointResponse, error)
+	Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error)
 }
 
 // Config parameterises the coordinator.
@@ -373,7 +373,7 @@ type LocalAgent struct {
 	A interface {
 		Launch(api.LaunchRequest) (api.LaunchResponse, error)
 		KillJob(api.KillRequest) error
-		CheckpointNow(jobID string, incremental bool) (api.CheckpointResponse, error)
+		Checkpoint(api.CheckpointRequest) (api.CheckpointResponse, error)
 	}
 }
 
@@ -386,6 +386,6 @@ func (l LocalAgent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 func (l LocalAgent) Kill(req api.KillRequest) error { return l.A.KillJob(req) }
 
 // Checkpoint implements AgentHandle.
-func (l LocalAgent) Checkpoint(jobID string, incremental bool) (api.CheckpointResponse, error) {
-	return l.A.CheckpointNow(jobID, incremental)
+func (l LocalAgent) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error) {
+	return l.A.Checkpoint(req)
 }

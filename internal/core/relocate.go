@@ -82,7 +82,7 @@ func (c *Coordinator) relocateLive(jobs []db.JobRecord, reason migration.Reason,
 		if src.host == nil {
 			continue
 		}
-		if ck, err := src.host.Checkpoint(job.ID, true); err == nil {
+		if ck, err := src.host.Checkpoint(api.CheckpointRequest{Envelope: c.envelope(), JobID: job.ID, Incremental: true}); err == nil {
 			src.seq, src.step = ck.Seq, ck.Step
 		} else if back {
 			continue

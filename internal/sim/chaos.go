@@ -982,11 +982,11 @@ func (c chaosHandle) Kill(req api.KillRequest) error {
 	return c.inner.Kill(req)
 }
 
-func (c chaosHandle) Checkpoint(jobID string, incremental bool) (api.CheckpointResponse, error) {
+func (c chaosHandle) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error) {
 	if c.h.silenced(c.id) {
 		return api.CheckpointResponse{}, errUnreachable
 	}
-	return c.inner.Checkpoint(jobID, incremental)
+	return c.inner.Checkpoint(req)
 }
 
 // dropBeat reports whether this beat falls inside an open partial-loss

@@ -26,13 +26,14 @@ test:
 # are few-microsecond windows one pass rarely hits. The replica
 # lifecycle and lease tests ride the same line: they are the ones with a
 # live follower, a promotion racing a pump, and two arbiters on one
-# lease file. The placement-pass hand-off and the verified-token map
-# are the two places request goroutines meet on shared state outside
+# lease file. The placement-pass hand-off, the verified-token map and
+# the agent's kept job reports (written where a job ends, re-sent from
+# the beat loop) are the places goroutines meet on shared state outside
 # the store; their tests are cheap, so they run twenty times.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Gather|Replica|Lease' ./internal/wal ./internal/core
-	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent' ./internal/core ./internal/auth
+	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats' ./internal/core ./internal/auth ./internal/agent
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps
 # bench_test.go compiling and executable without burning CI minutes.

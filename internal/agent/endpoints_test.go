@@ -3,6 +3,8 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -302,5 +304,73 @@ func TestJobReportResentAfterAnsweredBeat(t *testing.T) {
 	}
 	if u := r.link.updates[0]; u.JobID != "j1" || u.State != db.JobCompleted || u.Token != "tok-2" || u.LeaderEpoch != 1 {
 		t.Fatalf("delivered report = %+v", u)
+	}
+}
+
+// syncLink is an agent.Link safe for concurrent use: every beat is
+// acknowledged, and job reports fail while down is set. It counts the
+// answered reports per job.
+type syncLink struct {
+	down atomic.Bool
+	mu   sync.Mutex
+	got  map[string]int
+}
+
+func (l *syncLink) Register(api.RegisterRequest) (api.RegisterResponse, error) {
+	return api.RegisterResponse{Token: "tok"}, nil
+}
+
+func (l *syncLink) Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	return api.HeartbeatResponse{Acknowledged: true}, nil
+}
+
+func (l *syncLink) JobUpdate(req api.JobUpdateRequest) error {
+	if l.down.Load() {
+		return errors.New("connection refused")
+	}
+	l.mu.Lock()
+	l.got[req.JobID]++
+	l.mu.Unlock()
+	return nil
+}
+
+func (l *syncLink) Depart(api.DepartRequest) error { return nil }
+
+// TestJobReportsConcurrentWithBeats: jobs end (and their reports fail)
+// on the clock's goroutine while another goroutine beats, as in the
+// daemon; once the coordinator answers again, every report arrives
+// exactly once.
+func TestJobReportsConcurrentWithBeats(t *testing.T) {
+	r := newRig(t)
+	link := &syncLink{got: make(map[string]int)}
+	link.down.Store(true)
+	r.agent.SetEndpoints([]Endpoint{{Link: link}})
+	spec := workload.SmallCNN
+	spec.TotalSteps = 50
+	launchTraining(t, r, "j1", spec, 0)
+	launchTraining(t, r, "j2", spec, 0)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 60 {
+			r.clock.Advance(time.Second)
+		}
+	}()
+	for range 200 {
+		if _, err := r.agent.Beat(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	link.down.Store(false)
+	for range 2 {
+		if _, err := r.agent.Beat(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if link.got["j1"] != 1 || link.got["j2"] != 1 {
+		t.Fatalf("answered reports = %v, want one per job", link.got)
 	}
 }

@@ -137,14 +137,14 @@ func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
 	// concurrent HTTP path the job may be requeued and re-placed between
 	// the snapshot read above and this update, and a report from the old
 	// host must lose that race, not resolve the new copy.
-	var nodeID, deviceID string
+	var deviceID string
 	applied := false
 	err := c.db.UpdateJob(jobID, func(j *db.JobRecord) {
 		if j.NodeID != machineID ||
 			j.State == db.JobCompleted || j.State == db.JobFailed || j.State == db.JobKilled {
 			return
 		}
-		nodeID, deviceID = j.NodeID, j.DeviceID
+		deviceID = j.DeviceID
 		j.State = state
 		j.FinishedAt = now
 		applied = true
@@ -153,7 +153,7 @@ func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
 		return nil
 	}
 	_ = c.db.CloseAllocation(jobID, now)
-	c.markDevice(nodeID, deviceID, false)
+	c.markDevice(machineID, deviceID, false)
 	evType := eventbus.JobCompleted
 	if state == db.JobFailed {
 		evType = eventbus.JobFailed

@@ -535,7 +535,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			ag.SetAggregator(aggID, aggSender{h: h, id: aggID})
 		}
 		h.agents[d.ID] = ag
-		if err := h.register(ag); err != nil {
+		if err := joinLocal(ag); err != nil {
 			return nil, err
 		}
 		h.beat(ag)
@@ -812,12 +812,6 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 			h.mu.Unlock()
 		}
 	}
-}
-
-// register (re-)joins an agent to whichever coordinator serves.
-func (h *chaosHarness) register(ag *agent.Agent) error {
-	_, err := ag.Join("inproc://"+ag.MachineID(), 1<<40)
-	return err
 }
 
 // chaosLink is one agent's agent.Link: requests go to whichever
@@ -1127,7 +1121,7 @@ func (h *chaosHarness) ReturnNode(id string) {
 	h.mu.Unlock()
 	if ag.Departed() {
 		ag.Return()
-		_ = h.register(ag)
+		_ = joinLocal(ag)
 		return
 	}
 	_ = wasCrashed // a crashed node resumes via its next heartbeat
@@ -1446,7 +1440,7 @@ func (h *chaosHarness) install(rep *replica) {
 	for _, id := range h.nodeIDs {
 		ag := h.agents[id]
 		if !ag.Departed() && !h.silenced(id) {
-			_ = h.register(ag)
+			_ = joinLocal(ag)
 		}
 	}
 	for _, was := range unhealthy {

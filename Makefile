@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check bench-e2e loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover ci
+.PHONY: all build test race bench bench-check bench-e2e fuzz-smoke loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover ci
 
 all: build
 
@@ -52,11 +52,12 @@ bench:
 # on each benchmark's median: the slow mode that made a best-of-3 inside
 # one process cry wolf (BatchPlacement32 above all) is per process.
 # HeartbeatRoute (one beat through the coordinator's Handler, the CPU of
-# the end-to-end beat workloads) is gated on allocs/op as well, exactly:
-# its baseline entries carry allocs_per_op.
+# the end-to-end beat workloads) and DecodeHeartbeat (that beat's body
+# decode alone) are gated on allocs/op as well, exactly: their baseline
+# entries carry allocs_per_op.
 # After a deliberate perf change, re-record the baseline with the
 # command in BENCH_baseline.json's comment field.
-BENCH_CHECK_FILTER ?= DBJobQueueQuery$$|DBJobsOnNode$$|BatchPlacement32$$|PlaceCached32$$|SinglePlacement32$$|SchedulerDecision50Nodes$$|HeartbeatCoalesced$$|HeartbeatRoute$$
+BENCH_CHECK_FILTER ?= DBJobQueueQuery$$|DBJobsOnNode$$|BatchPlacement32$$|PlaceCached32$$|SinglePlacement32$$|SchedulerDecision50Nodes$$|HeartbeatCoalesced$$|HeartbeatRoute$$|DecodeHeartbeat$$
 bench-check:
 	$(GO) run ./scripts/benchcheck -baseline BENCH_baseline.json -bench '$(BENCH_CHECK_FILTER)' -threshold 25
 
@@ -66,6 +67,15 @@ bench-check:
 # without them every workload runs. See bench/README.md.
 bench-e2e:
 	bash bench/run.sh $(ARGS)
+
+# Each native fuzz target for 20 s past its seed corpus (which `go test`
+# runs on every pass anyway): the WAL frame reader, the aggregated-batch
+# codec, and the hand-parsed heartbeat held to json.Unmarshal. go test
+# fuzzes one target of one package per run.
+fuzz-smoke:
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReaderFrame$$' -fuzztime 20s
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzAggregatedBeat$$' -fuzztime 20s
+	$(GO) test ./internal/api -run '^$$' -fuzz '^FuzzDecodeHeartbeat$$' -fuzztime 20s
 
 # Net non-test lines of Go: the figure ROADMAP's "LOC must go down"
 # rule and CHANGES.md quote.
@@ -145,7 +155,9 @@ verify-agg:
 # (scripts/doccheck), every db.MutationType constant has its row in
 # docs/FAULT-MODEL.md's "What is durable" table (a grep, like
 # verify-compose: a new mutation type cannot ship without its
-# durability contract written down), and every example still builds.
+# durability contract written down), every UPPER-CASE.md file a Go
+# comment names exists somewhere in the tree, and every example still
+# builds.
 verify-docs:
 	$(GO) run ./scripts/doccheck internal
 	@types=$$(sed -n 's/^\tMut[A-Za-z]* *MutationType = "\(.*\)"$$/\1/p' internal/db/mutation.go); \
@@ -153,6 +165,10 @@ verify-docs:
 	for t in $$types; do \
 		grep -q "^| \`$$t\` |" docs/FAULT-MODEL.md || \
 			{ echo "docs/FAULT-MODEL.md: no \"What is durable\" row for mutation type $$t"; exit 1; }; \
+	done
+	@for doc in $$(grep -rhoE '//.*\b[A-Z][A-Z0-9_-]*\.md\b' --include='*.go' . | grep -oE '\b[A-Z][A-Z0-9_-]*\.md\b' | sort -u); do \
+		test -n "$$(find . -name "$$doc" -not -path './.git/*' | head -n 1)" || \
+			{ echo "a Go comment names $$doc, which exists nowhere in the tree:"; grep -rn --include='*.go' "$$doc" .; exit 1; }; \
 	done
 	$(GO) build ./examples/...
 
@@ -222,4 +238,4 @@ cover:
 # cover runs the full test suite (with profiling), so ci does not also
 # run a bare `test` pass — the long simulations already execute once
 # there and once more under verify-chaos.
-ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover
+ci: build vet fmt race bench bench-check fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover

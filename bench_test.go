@@ -1,6 +1,6 @@
 // Package gpunion_test holds the benchmark harness that regenerates
-// every table and figure in the paper's evaluation (see DESIGN.md's
-// experiment index and EXPERIMENTS.md for paper-vs-measured numbers).
+// every table and figure in the paper's evaluation (docs/BENCHMARKS.md
+// says what each benchmark measures and holds the measured numbers).
 //
 // Run everything:
 //
@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -273,7 +274,7 @@ func BenchmarkALCvsCRIU(b *testing.B) {
 	}
 }
 
-// --- Design-choice ablations (DESIGN.md) ---
+// --- Design-choice ablations (docs/BENCHMARKS.md) ---
 
 var (
 	onceInterval sync.Once
@@ -886,6 +887,70 @@ func benchHeartbeatRoute(b *testing.B, telemetry bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		beat(warm + i)
+	}
+}
+
+// BenchmarkDecodeHeartbeat is the body decode of one beat alone:
+// api.DecodeJSON of a heartbeat request, bodies marshalled as
+// bench/fleet.go marshals them (2 000 nodes, real tokens, fresh sequence
+// numbers; the telemetry arm adds one reading per device of two), read
+// from one reused httptest request. It is the part of
+// BenchmarkHeartbeatRoute the canonical heartbeat parse changes;
+// bench-check gates its allocs/op exactly.
+func BenchmarkDecodeHeartbeat(b *testing.B) {
+	for _, arm := range []string{"idle", "telemetry"} {
+		b.Run(arm, func(b *testing.B) { benchDecodeHeartbeat(b, arm == "telemetry") })
+	}
+}
+
+// rewindBody is a request body the benchmark can refill without
+// allocating.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+func benchDecodeHeartbeat(b *testing.B, telemetry bool) {
+	const nodes = 2000
+	issuer, err := auth.NewAuthority([]byte("bench-secret"), time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, nodes)
+	for i := range bodies {
+		id := fmt.Sprintf("node-%04d", i)
+		tok, err := issuer.Issue(id, auth.RoleProvider, benchEpoch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := api.HeartbeatRequest{
+			Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion},
+			MachineID: id, Token: tok, BeatSeq: uint64(1000 + i),
+		}
+		if telemetry {
+			for d := 0; d < 2; d++ {
+				u := rng.Float64()
+				req.Telemetry = append(req.Telemetry, gpu.Telemetry{DeviceID: fmt.Sprintf("gpu%d", d),
+					Model: "RTX 3090", TotalMemMiB: 24576, TemperatureC: 40 + 30*u, PowerW: 100 + 200*u})
+			}
+		}
+		if bodies[i], err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	body := new(rewindBody)
+	httpReq := httptest.NewRequest(http.MethodPost, "/v1/heartbeat", nil)
+	httpReq.Body = body
+	rec := httptest.NewRecorder()
+	var out api.HeartbeatRequest
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(bodies[i%nodes])
+		out = api.HeartbeatRequest{}
+		if !api.DecodeJSON(rec, httpReq, &out) || out.Token == "" {
+			b.Fatalf("decode %d: %d %s", i, rec.Code, rec.Body)
+		}
 	}
 }
 

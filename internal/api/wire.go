@@ -30,7 +30,9 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // on failure: 413 for a body over MaxJSONBody, 400 for anything that is
 // not exactly one JSON value (trailing non-whitespace included). The
 // body is read whole into a pooled buffer and unmarshalled from there —
-// out keeps no reference into it.
+// out keeps no reference into it. A *HeartbeatRequest in json.Marshal's
+// form is parsed by hand (decodeCanonical); every other body, and every
+// other type, goes to json.Unmarshal.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -41,7 +43,9 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
 	}()
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxJSONBody))
 	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), out)
+		if hb, ok := out.(*HeartbeatRequest); !ok || !hb.decodeCanonical(buf.Bytes()) {
+			err = json.Unmarshal(buf.Bytes(), out)
+		}
 	}
 	if err != nil {
 		code := http.StatusBadRequest

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -362,6 +366,162 @@ func TestHTTPJSONBodyLimits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHeartbeatEncodingsFoldIdentically: the heartbeat route decodes
+// json.Marshal's form by hand and hands anything else to json.Unmarshal
+// (api.DecodeJSON); both must fold a beat the same way. One beat sequence
+// — idle, telemetry, a job submitted and reported running, paused,
+// resumed, a health event, an unknown job, an empty report — goes
+// through core.Handler on two
+// coordinators built alike: once as json.Marshal wrote it, once
+// re-encoded with upper-cased keys, \u-escaped strings, keys in reverse
+// order and whitespace between tokens, which only the fallback reads.
+// The replies, the mutation streams and the final states must be equal.
+func TestHeartbeatEncodingsFoldIdentically(t *testing.T) {
+	telemetry := []gpu.Telemetry{
+		{DeviceID: "gpu0", Model: "RTX 3090", Utilization: 0.75, UsedMemMiB: 18432,
+			TotalMemMiB: 24576, TemperatureC: 61.5, PowerW: 250.25, Allocated: true},
+		{DeviceID: "gpu1", Model: "RTX 3090", TotalMemMiB: 24576, TemperatureC: 40, PowerW: 100},
+	}
+	run := func(encode func([]byte) []byte) (replies []string, stream, state string) {
+		b := newBeatRig(t, time.Minute, db.New(0))
+		b.addSilentNode("n1", gpu.RTX3090, gpu.RTX3090)
+		b.clock.Advance(10 * time.Second)
+		var muts []db.Mutation
+		defer b.store.AddMutationObserver(func(m db.Mutation) { muts = append(muts, m) })()
+		handler := b.coord.Handler(nil)
+		var job string
+		for _, edit := range []func(*api.HeartbeatRequest){
+			func(*api.HeartbeatRequest) {},
+			func(r *api.HeartbeatRequest) { r.Telemetry = telemetry },
+			func(r *api.HeartbeatRequest) {
+				var err error
+				job, err = b.coord.SubmitJob(api.SubmitJobRequest{User: "alice", Kind: "batch",
+					ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 8192, Training: &workload.SmallCNN})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Telemetry, r.RunningJobs = telemetry, []string{job}
+			},
+			func(r *api.HeartbeatRequest) { r.RunningJobs, r.Paused = []string{job}, true },
+			func(r *api.HeartbeatRequest) { r.RunningJobs = []string{job} },
+			func(r *api.HeartbeatRequest) {
+				r.RunningJobs = []string{job}
+				r.HealthEvents = []gpu.HealthEvent{{Kind: gpu.HealthThermal, Severity: gpu.SeverityWarn,
+					DeviceID: "gpu0", Value: 91, At: b.clock.Now(), Message: "throttling <85%>"}}
+			},
+			func(r *api.HeartbeatRequest) { r.RunningJobs = []string{job, "job-ghost"} },
+			func(r *api.HeartbeatRequest) { r.Telemetry, r.RunningJobs = []gpu.Telemetry{}, []string{} },
+		} {
+			b.clock.Advance(20 * time.Second) // past a flush tick: a coalesced beat commits before the next beat
+			req := b.beatReq("n1")
+			edit(&req)
+			raw, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/heartbeat", bytes.NewReader(encode(raw))))
+			replies = append(replies, fmt.Sprintf("%d %s", rec.Code, strings.TrimSpace(rec.Body.String())))
+		}
+		b.clock.Advance(time.Minute) // past the coalescer's flush tick
+		kinds := map[db.MutationType]bool{}
+		for _, m := range muts {
+			kinds[m.Type] = true
+		}
+		for _, want := range []db.MutationType{db.MutNodePut, db.MutBeat, db.MutSamplePut, db.MutNodeHealth} {
+			if !kinds[want] {
+				t.Errorf("the beats wrote no %s; the sequence no longer covers it", want)
+			}
+		}
+		streamJSON, err := json.Marshal(muts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateJSON, err := json.Marshal(b.store.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return replies, string(streamJSON), string(stateJSON)
+	}
+	marshalled, marshalledStream, marshalledState := run(func(raw []byte) []byte { return raw })
+	loose, looseStream, looseState := run(func(raw []byte) []byte { return looseJSON(t, raw) })
+	if !slices.Equal(marshalled, loose) {
+		t.Errorf("replies differ:\n marshalled %q\n loose      %q", marshalled, loose)
+	}
+	if marshalledStream != looseStream {
+		t.Errorf("mutation streams differ:\n marshalled %s\n loose      %s", marshalledStream, looseStream)
+	}
+	if marshalledState != looseState {
+		t.Errorf("final states differ:\n marshalled %s\n loose      %s", marshalledState, looseState)
+	}
+}
+
+// looseJSON re-encodes a JSON document in a form json.Unmarshal reads
+// as the same value and no encoder in this repository writes: keys
+// upper-cased (encoding/json matches them case-insensitively) and in
+// reverse order, every string character \u-escaped — except time
+// values under "at", which time.Time.UnmarshalJSON reads unescaped — and
+// whitespace between tokens.
+func looseJSON(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var doc any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	escaped := func(s string) {
+		out.WriteByte('"')
+		for _, r := range s {
+			fmt.Fprintf(&out, `\u%04x`, r)
+		}
+		out.WriteByte('"')
+	}
+	var write func(key string, v any)
+	write = func(key string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			keys := slices.Sorted(maps.Keys(v))
+			slices.Reverse(keys)
+			out.WriteString("{\n")
+			for i, k := range keys {
+				if i > 0 {
+					out.WriteString(" ,\n")
+				}
+				escaped(strings.ToUpper(k))
+				out.WriteString(" :\t")
+				write(k, v[k])
+			}
+			out.WriteString("\n}")
+		case []any:
+			out.WriteString("[ ")
+			for i, e := range v {
+				if i > 0 {
+					out.WriteString(" , ")
+				}
+				write("", e)
+			}
+			out.WriteString(" ]")
+		case string:
+			if key == "at" {
+				out.WriteString(strconv.Quote(v))
+			} else {
+				escaped(v)
+			}
+		default: // json.Number, bool, nil
+			enc, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Write(enc)
+		}
+	}
+	write("", doc)
+	out.WriteString(" \n")
+	return out.Bytes()
 }
 
 // TestAgentRoutesRejectBadCredentials is the route audit of the

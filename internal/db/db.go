@@ -323,10 +323,41 @@ type allocShard struct {
 	episodes []AllocationRecord
 }
 
-// sampleShard is one partition of the monitoring history, keyed by node.
+// sampleShard is one partition of the monitoring history, keyed by node:
+// a ring of its points, the oldest at head.
 type sampleShard struct {
-	mu  sync.RWMutex
-	buf []Sample
+	mu   sync.RWMutex
+	ring []Sample
+	head int // index of the oldest point
+	n    int // points held
+}
+
+// points returns the shard's points oldest first, as the ring's two runs.
+func (sh *sampleShard) points() (older, newer []Sample) {
+	if sh.head+sh.n <= len(sh.ring) {
+		return sh.ring[sh.head : sh.head+sh.n], nil
+	}
+	return sh.ring[sh.head:], sh.ring[:sh.head+sh.n-len(sh.ring)]
+}
+
+// push appends s as the shard's newest point, evicting the oldest first
+// when evict is set. A full ring grows as append grows a slice; at the
+// retention bound every push evicts, so the ring stops growing and a
+// push allocates nothing.
+func (sh *sampleShard) push(s Sample, evict bool) {
+	if evict {
+		sh.ring[sh.head] = Sample{}
+		sh.head = (sh.head + 1) % len(sh.ring)
+		sh.n--
+	}
+	if sh.n == len(sh.ring) {
+		older, newer := sh.points()
+		grown := slices.Grow(sh.ring, 1)
+		copy(grown[copy(grown, older):], newer)
+		sh.ring, sh.head = grown[:cap(grown)], 0
+	}
+	sh.ring[(sh.head+sh.n)%len(sh.ring)] = s
+	sh.n++
 }
 
 // DB is the central database. All methods are safe for concurrent use;
@@ -857,11 +888,11 @@ func (d *DB) AppendSamples(points []Sample) {
 		sh := d.sampleShard(images[i].NodeID)
 		sh.mu.Lock()
 		for node := images[i].NodeID; i < len(images) && images[i].NodeID == node; i++ {
-			sh.buf = append(sh.buf, images[i])
-			if d.sampleCount.Add(1) > int64(d.maxSamples) && len(sh.buf) > 1 {
-				sh.buf = sh.buf[1:]
+			evict := d.sampleCount.Add(1) > int64(d.maxSamples) && sh.n > 0
+			if evict {
 				d.sampleCount.Add(-1)
 			}
+			sh.push(images[i], evict)
 		}
 		sh.mu.Unlock()
 	}
@@ -889,17 +920,19 @@ func (d *DB) SamplesInRange(metric, nodeID string, from, to time.Time) []Sample 
 			out = append(out, s)
 		}
 	}
-	if nodeID != "" {
-		sh := d.sampleShard(nodeID)
+	scan := func(sh *sampleShard) {
 		sh.mu.RLock()
-		filter(sh.buf)
+		older, newer := sh.points()
+		filter(older)
+		filter(newer)
 		sh.mu.RUnlock()
+	}
+	if nodeID != "" {
+		scan(d.sampleShard(nodeID))
 		return out
 	}
 	for _, sh := range d.samples {
-		sh.mu.RLock()
-		filter(sh.buf)
-		sh.mu.RUnlock()
+		scan(sh)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	return out

@@ -282,7 +282,8 @@ func (d *DB) ExportState() State {
 	}
 	for _, s := range d.samples {
 		s.mu.RLock()
-		st.Samples = append(st.Samples, s.buf...)
+		older, newer := s.points()
+		st.Samples = append(append(st.Samples, older...), newer...)
 		s.mu.RUnlock()
 	}
 	sortState(&st)
@@ -302,7 +303,8 @@ func (d *DB) ImportState(st State) {
 		d.jobs[i].recs = make(map[string]*JobRecord)
 		d.jobs[i].resetIndexes()
 		d.allocs[i].episodes = nil
-		d.samples[i].buf = nil
+		s := d.samples[i]
+		s.ring, s.head, s.n = nil, 0, 0
 	}
 	for _, n := range st.Nodes {
 		cp := cloneNode(n)
@@ -320,8 +322,7 @@ func (d *DB) ImportState(st State) {
 		s.episodes = append(s.episodes, a)
 	}
 	for _, smp := range st.Samples {
-		s := d.sampleShard(smp.NodeID)
-		s.buf = append(s.buf, smp)
+		d.sampleShard(smp.NodeID).push(smp, false)
 	}
 	d.sampleCount.Store(int64(len(st.Samples)))
 	raiseLSN(&d.lsn, st.Watermark)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -206,6 +207,53 @@ func TestSampleRetentionGlobalAcrossShards(t *testing.T) {
 	d.AppendSample(Sample{Time: t0.Add(time.Hour), NodeID: "fresh", Metric: "m", Value: 1})
 	if len(d.SamplesInRange("m", "fresh", t0, t0.Add(2*time.Hour))) != 1 {
 		t.Fatal("fresh node's sample evicted at cap")
+	}
+}
+
+// TestSampleRingAtBound: at the retention bound an append replaces its
+// shard's oldest point in place — the one allocation left is the copy
+// observers receive — and the points stay oldest first across the ring's
+// wrap, in SamplesInRange, in ExportState and through ImportState.
+func TestSampleRingAtBound(t *testing.T) {
+	const bound = 64
+	d := NewWithShards(bound, 1)
+	next, batch := 0, make([]Sample, 1)
+	point := func(i int) Sample {
+		return Sample{Time: t0.Add(time.Duration(i) * time.Second), NodeID: "n1", Metric: "m", Value: float64(i)}
+	}
+	appendNext := func() {
+		batch[0] = point(next)
+		next++
+		d.AppendSamples(batch)
+	}
+	for next < bound {
+		appendNext()
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for range 100 {
+			appendNext()
+		}
+	}); allocs != 100 {
+		t.Fatalf("%v allocations per 100 appends at the bound, want 100 (one observer copy each)", allocs)
+	}
+	want := make([]Sample, bound)
+	for i := range want {
+		want[i] = point(next - bound + i)
+	}
+	if older, newer := d.samples[0].points(); len(older) == 0 || len(newer) == 0 {
+		t.Fatal("the ring did not wrap; the order checks below would not cross the seam")
+	}
+	if got := d.SamplesInRange("m", "n1", t0, t0.Add(24*time.Hour)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SamplesInRange = %v\nwant %v", got, want)
+	}
+	st := d.ExportState()
+	if !reflect.DeepEqual(st.Samples, want) {
+		t.Fatalf("ExportState samples = %v\nwant %v", st.Samples, want)
+	}
+	imported := NewWithShards(bound, 1)
+	imported.ImportState(st)
+	if got := imported.ExportState().Samples; !reflect.DeepEqual(got, want) {
+		t.Fatalf("samples after ImportState = %v\nwant %v", got, want)
 	}
 }
 

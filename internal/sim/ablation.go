@@ -9,8 +9,9 @@ import (
 	"gpunion/internal/workload"
 )
 
-// This file holds the ablation studies for the design choices DESIGN.md
-// calls out: the checkpoint-interval trade-off behind §3.5's
+// This file holds the ablation studies for two design choices
+// (docs/BENCHMARKS.md, "What each benchmark measures"): the
+// checkpoint-interval trade-off behind §3.5's
 // "checkpoint frequency optimization", and the scheduling-strategy
 // choice behind §3.2's "multiple allocation strategies".
 

@@ -26,13 +26,15 @@ test:
 # are few-microsecond windows one pass rarely hits. The replica
 # lifecycle and lease tests ride the same line: they are the ones with a
 # live follower, a promotion racing a pump, and two arbiters on one
-# lease file. The placement-pass hand-off, the verified-token map and
+# lease file. So do the store's concurrency tests, which hammer the
+# node shards and the one-lock job, allocation and sample tables at
+# once. The placement-pass hand-off, the verified-token map and
 # the agent's kept job reports (written where a job ends, re-sent from
 # the beat loop) are the places goroutines meet on shared state outside
 # the store; their tests are cheap, so they run twenty times.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=5 -run 'Gather|Replica|Lease' ./internal/wal ./internal/core
+	$(GO) test -race -count=5 -run 'Gather|Replica|Lease|TestConcurrentAccess|TestConcurrentSaveLoadConsistency|TestShardedStressParallelHeartbeats' ./internal/wal ./internal/core ./internal/db
 	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats' ./internal/core ./internal/auth ./internal/agent
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps

@@ -170,11 +170,11 @@ type HeartbeatRequest struct {
 	RunningJobs []string `json:"running_jobs"`
 	// Paused reports whether the provider has paused new allocations.
 	Paused bool `json:"paused"`
-	// BeatSeq is the agent's monotonically increasing beat counter.
-	// The coordinator drops a beat whose sequence it has already
-	// processed, making heartbeat ingress idempotent under duplicate
-	// delivery (retried requests, replayed packets). Zero means "no
-	// sequence" and is always processed — the pre-sequence wire format.
+	// BeatSeq is the agent's monotonically increasing beat counter,
+	// starting at one. The coordinator drops a beat whose sequence it
+	// has already processed, making heartbeat ingress idempotent under
+	// duplicate delivery (retried requests, replayed packets), and
+	// refuses a beat without one (zero).
 	BeatSeq uint64 `json:"beat_seq,omitempty"`
 	// HealthEvents carries the gray-failure observations collected on
 	// the node since its last beat (XID errors, thermal/power

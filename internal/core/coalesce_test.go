@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -490,9 +489,8 @@ func TestTelemetryBeatIsSoftState(t *testing.T) {
 	if err != nil || len(rec.GPUs) != 2 {
 		t.Fatalf("registered node: %+v err=%v", rec, err)
 	}
-	samplePut := db.Mutation{Type: db.MutSamplePut, Sample: &db.Sample{NodeID: "n1"}}
 	counter, err := r.coord.Metrics().Counter("gpunion_store_mutations_total", "",
-		map[string]string{"type": string(db.MutSamplePut), "shard": strconv.Itoa(r.store.ShardFor(samplePut))})
+		map[string]string{"type": string(db.MutSamplePut)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,10 +532,10 @@ func TestTelemetryBeatIsSoftState(t *testing.T) {
 }
 
 // TestDuplicateTelemetrySampleDetected is the sabotage behind
-// no-duplicate-side-effects for soft state: BeatSeq 0 is the one value
-// the dedup guard always lets through, so replaying such a telemetry
-// beat appends its samples twice without moving the LSN — the detector
-// must still flag it, and must stay quiet for a guarded replay.
+// no-duplicate-side-effects for soft state: with the dedup guard's
+// high-water mark wound back, replaying a telemetry beat appends its
+// samples twice without moving the LSN — the detector must still flag
+// it, and must stay quiet for a guarded replay.
 func TestDuplicateTelemetrySampleDetected(t *testing.T) {
 	store := db.New(0)
 	b := newBeatRig(t, time.Minute, store)
@@ -555,7 +553,9 @@ func TestDuplicateTelemetrySampleDetected(t *testing.T) {
 	if vs := chaos.VerifyIdempotent(store, "guarded replay", deliver); len(vs) != 0 {
 		t.Fatalf("replay swallowed by the BeatSeq guard flagged: %v", vs)
 	}
-	req.BeatSeq = 0
+	b.coord.mu.Lock()
+	b.coord.beatSeq["n1"] = req.BeatSeq - 1
+	b.coord.mu.Unlock()
 	lsn := store.CurrentLSN()
 	vs := chaos.VerifyIdempotent(store, "unguarded replay", deliver)
 	if len(vs) != 1 || vs[0].Rule != "no-duplicate-side-effects" {

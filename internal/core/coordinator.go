@@ -220,10 +220,9 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		temporary:    make(map[string]bool),
 		schedLatency: latency,
 	}
-	// Per-(type, shard) mutation counters ride the store's observer
-	// feed.
+	// Per-type mutation counters ride the store's observer feed.
 	c.metCancel = database.AddMutationObserver(func(m db.Mutation) {
-		met.observeMutation(m.Type, database.ShardFor(m))
+		met.observeMutation(m.Type)
 	})
 	if cfg.Lease == nil {
 		// Standalone: leader from birth. In Lease mode the coordinator

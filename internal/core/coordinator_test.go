@@ -470,10 +470,10 @@ func TestRequeueWhenNoMigrationTarget(t *testing.T) {
 	}
 }
 
-// sampleCount reads how many telemetry points the store holds. Samples
+// heldSamples reads how many telemetry points the store holds. Samples
 // take no LSN, so "was this beat processed" is read off the sample
 // table, not the mutation sequence.
-func sampleCount(s db.Store) int { return len(s.ExportState().Samples) }
+func heldSamples(s db.Store) int { return len(s.ExportState().Samples) }
 
 // TestHeartbeatDuplicateDropped: a replayed heartbeat (same BeatSeq) is
 // acknowledged but processed zero times — no samples, no telemetry
@@ -490,7 +490,7 @@ func TestHeartbeatDuplicateDropped(t *testing.T) {
 	if resp, err := r.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
 		t.Fatalf("first delivery = %+v, %v", resp, err)
 	}
-	samples := func() int { return sampleCount(r.coord.DB()) }
+	samples := func() int { return heldSamples(r.coord.DB()) }
 	before, samplesBefore := r.coord.DB().CurrentLSN(), samples()
 	for i := 0; i < 3; i++ {
 		resp, err := r.coord.Heartbeat(req)
@@ -537,11 +537,11 @@ func TestHeartbeatSeqResetOnReregister(t *testing.T) {
 	if req.BeatSeq != 1 {
 		t.Fatalf("restarted agent's first beat seq = %d", req.BeatSeq)
 	}
-	before := sampleCount(r.coord.DB())
+	before := heldSamples(r.coord.DB())
 	if resp, err := r.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
 		t.Fatalf("first beat after restart = %+v, %v", resp, err)
 	}
-	if sampleCount(r.coord.DB()) == before {
+	if heldSamples(r.coord.DB()) == before {
 		t.Fatal("restarted agent's beats are muted by the stale guard")
 	}
 }

@@ -334,6 +334,7 @@ func TestHTTPJSONBodyLimits(t *testing.T) {
 	}{
 		{"coordinator register", coord, "/v1/register", api.RegisterRequest{MachineID: "n2", Addr: "http://127.0.0.1:1"}, 200},
 		{"coordinator heartbeat", coord, "/v1/heartbeat", api.HeartbeatRequest{MachineID: "n1", Token: "forged.token"}, 401},
+		{"coordinator heartbeat without a sequence", coord, "/v1/heartbeat", api.HeartbeatRequest{MachineID: "n1", Token: ag.Token()}, 401},
 		{"coordinator depart", coord, "/v1/depart", api.DepartRequest{MachineID: "n1", Token: "forged.token"}, 401},
 		{"coordinator jobupdate", coord, "/v1/jobupdate", api.JobUpdateRequest{MachineID: "n1", JobID: "ghost"}, 401},
 		{"coordinator submit", coord, "/v1/jobs", api.SubmitJobRequest{Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 1 << 30}, 200},

@@ -159,16 +159,18 @@ func (c *Coordinator) authenticate(b *beat) bool {
 // high-water mark is a replay (a retried request, a duplicated packet)
 // of a report already fully processed. It is acknowledged — the
 // sender's retry loop must stop — but causes no state change: no
-// samples appended, no telemetry refresh, no anti-entropy scan. Zero
-// means the sender predates sequences and is always processed. The
-// sequence is *claimed* up front — a concurrent duplicate of an
-// in-flight beat must not start a second pass through the stages — and
-// released (releaseClaim) if the beat bounces early: a bounced beat was
-// not applied, and its retry must be processed, not swallowed.
+// samples appended, no telemetry refresh, no anti-entropy scan. A beat
+// without a sequence (zero) is refused: it could be neither deduplicated
+// nor told apart from a replay. The sequence is *claimed* up front — a
+// concurrent duplicate of an in-flight beat must not start a second
+// pass through the stages — and released (releaseClaim) if the beat
+// bounces early: a bounced beat was not applied, and its retry must be
+// processed, not swallowed.
 func (c *Coordinator) claimSequence(b *beat) bool {
 	id, seq := b.req.MachineID, b.req.BeatSeq
 	if seq == 0 {
-		return false
+		b.err = errors.New("core: heartbeat without a beat sequence")
+		return true
 	}
 	c.mu.Lock()
 	if seq > c.beatSeq[id] {

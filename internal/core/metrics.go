@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"strings"
 	"sync"
 
@@ -41,10 +40,10 @@ type coordMetrics struct {
 	reg *monitor.Registry
 
 	mu sync.Mutex
-	// mutations caches one counter handle per (type, shard) pair so the
+	// mutations caches one counter handle per mutation type so the
 	// store's mutation hook — called on every committed write — does a
 	// map hit, not a registry registration.
-	mutations map[string]*monitor.Counter
+	mutations map[db.MutationType]*monitor.Counter
 	jobGauges map[db.JobState]*monitor.Gauge
 	// healthEvents caches one counter per (kind, severity) pair and
 	// nodeHealth one gauge per node, both registered lazily on first
@@ -69,7 +68,7 @@ var jobStates = []db.JobState{
 func newCoordMetrics(reg *monitor.Registry) (*coordMetrics, error) {
 	m := &coordMetrics{
 		reg:          reg,
-		mutations:    make(map[string]*monitor.Counter),
+		mutations:    make(map[db.MutationType]*monitor.Counter),
 		jobGauges:    make(map[db.JobState]*monitor.Gauge),
 		healthEvents: make(map[string]*monitor.Counter),
 		nodeHealth:   make(map[string]*monitor.Gauge),
@@ -144,26 +143,25 @@ func newCoordMetrics(reg *monitor.Registry) (*coordMetrics, error) {
 	return m, nil
 }
 
-// observeMutation counts one committed store mutation under its
-// (type, shard) labels. Fed by the store's observer feed, so it runs
-// after the shard lock drops.
-func (m *coordMetrics) observeMutation(typ db.MutationType, shard int) {
-	key := string(typ) + "|" + strconv.Itoa(shard)
+// observeMutation counts one committed store mutation under its type
+// label. Fed by the store's observer feed, so it runs after the table
+// lock drops.
+func (m *coordMetrics) observeMutation(typ db.MutationType) {
 	m.mu.Lock()
-	ctr := m.mutations[key]
+	ctr := m.mutations[typ]
 	m.mu.Unlock()
 	if ctr == nil {
 		c, err := m.reg.Counter("gpunion_store_mutations_total",
-			"Committed store mutations by type and shard",
-			map[string]string{"type": string(typ), "shard": strconv.Itoa(shard)})
+			"Committed store mutations by type",
+			map[string]string{"type": string(typ)})
 		if err != nil {
 			return
 		}
 		m.mu.Lock()
-		if m.mutations[key] == nil {
-			m.mutations[key] = c
+		if m.mutations[typ] == nil {
+			m.mutations[typ] = c
 		}
-		ctr = m.mutations[key]
+		ctr = m.mutations[typ]
 		m.mu.Unlock()
 	}
 	ctr.Inc()

@@ -20,7 +20,7 @@ import (
 // TestHTTPMetricsExposition scrapes the coordinator's /v1/metrics after
 // real traffic and asserts the full observability surface is present:
 // WAL shipping lag, per-state job counts, heartbeat ingest, scheduler
-// pool and batch instrumentation, leadership gauges, and per-shard
+// pool and batch instrumentation, leadership gauges, and per-type
 // store mutation counters.
 func TestHTTPMetricsExposition(t *testing.T) {
 	r := newHTTPRig(t)
@@ -52,7 +52,7 @@ func TestHTTPMetricsExposition(t *testing.T) {
 		"gpunion_scheduling_latency_seconds",
 		"gpunion_leader_epoch 0",
 		"gpunion_leading 1",
-		`gpunion_store_mutations_total{shard="`,
+		`gpunion_store_mutations_total{type="job_put"}`,
 		"gpunion_checkpoint_corruptions_total",
 		"gpunion_checkpoint_fallbacks_total",
 	} {

@@ -3,12 +3,13 @@
 // monitoring samples, "enabling both operational decision making and
 // capacity planning".
 //
-// The store is in-memory. State is hash-sharded per table (nodes,
-// jobs, allocations, monitoring samples) so that heartbeat bursts, job
-// mutations and metric appends on different records proceed in
-// parallel: every shard carries its own sync.RWMutex, point operations
-// touch exactly one shard, and read-mostly scans take read locks shard
-// by shard.
+// The store is in-memory. The job, allocation and sample tables each
+// sit behind one sync.RWMutex. The node table alone is hash-sharded
+// (DefaultShards ways, one lock each): TouchNodes frames a coalesced
+// heartbeat flush as one MutBeat record per node shard, and the WAL,
+// the replication stream and the golden chaos traces are all pinned to
+// that framing. Node point operations touch exactly one shard; node
+// scans take read locks shard by shard.
 //
 // Records are copy-on-write: mutators install a freshly cloned record
 // and never modify an installed one, so read paths hand out shallow
@@ -16,16 +17,16 @@
 // store. Nothing outside this package may mutate a returned record's
 // slices; change a record through UpdateNode / UpdateJob.
 //
-// The job table additionally maintains materialized per-shard indexes
-// (see index.go): per-state queue-ordered lists and a node→jobs map,
-// kept in the same critical sections as the record map, so the hot
+// The job table additionally maintains materialized indexes (see
+// index.go): per-state queue-ordered lists and a node→jobs map, kept in
+// the same critical sections as the record map, so the hot
 // control-plane queries — JobsInState, JobsOnNode, CountJobsInState —
 // cost O(result), not O(all jobs).
 //
 // Durability is layered on top through mutation records: every write
 // to nodes, jobs and allocations emits a typed, LSN-stamped Mutation to
 // an installed MutationHook (the write-ahead log in internal/wal),
-// ExportState checkpoints the store shard by shard without ever
+// ExportState checkpoints the store one lock at a time without ever
 // quiescing it, and Apply replays logged mutations idempotently during
 // recovery. One-shot dumps are simply the JSON encoding of ExportState;
 // the coordinator path persists via snapshot + WAL.
@@ -263,14 +264,10 @@ type Store interface {
 	SetMutationHook(h MutationHook)
 	// AddMutationObserver registers an additional read-only subscriber
 	// for committed mutations (metrics, the chaos harness's stream
-	// audits). Observers run after the durable hook, outside any shard
+	// audits). Observers run after the durable hook, outside any table
 	// lock, and must not mutate the payloads. The returned cancel
 	// detaches the observer.
 	AddMutationObserver(h MutationHook) (cancel func())
-	// ShardFor reports which table shard a committed mutation landed
-	// on — the label per-shard write metrics aggregate by. Unsharded
-	// stores report 0 for everything.
-	ShardFor(m Mutation) int
 	CurrentLSN() uint64
 	Apply(m Mutation) error
 	ExportState() State
@@ -305,11 +302,10 @@ type nodeShard struct {
 	recs map[string]*NodeRecord
 }
 
-// jobShard is one partition of the job table. Each shard maintains its
-// own materialized indexes next to the record map — per-state counts,
-// per-state queue-ordered lists, and a node→jobs placement map (see
-// index.go) — all mutated only under mu.
-type jobShard struct {
+// jobTable is the job table. It maintains materialized indexes next to
+// the record map — per-state counts, per-state queue-ordered lists, and
+// a node→jobs placement map (see index.go) — all mutated only under mu.
+type jobTable struct {
 	mu         sync.RWMutex
 	recs       map[string]*JobRecord
 	stateCount map[JobState]int
@@ -317,65 +313,63 @@ type jobShard struct {
 	byNode     map[string]map[string]*JobRecord
 }
 
-// allocShard is one partition of the allocation history, keyed by job.
-type allocShard struct {
+// allocTable is the allocation history, in the order it was recorded.
+type allocTable struct {
 	mu       sync.RWMutex
 	episodes []AllocationRecord
 }
 
-// sampleShard is one partition of the monitoring history, keyed by node:
-// a ring of its points, the oldest at head.
-type sampleShard struct {
+// sampleRing is the monitoring history: a ring of points in append
+// order, the oldest at head.
+type sampleRing struct {
 	mu   sync.RWMutex
 	ring []Sample
 	head int // index of the oldest point
 	n    int // points held
 }
 
-// points returns the shard's points oldest first, as the ring's two runs.
-func (sh *sampleShard) points() (older, newer []Sample) {
-	if sh.head+sh.n <= len(sh.ring) {
-		return sh.ring[sh.head : sh.head+sh.n], nil
+// points returns the ring's points oldest first, as its two runs.
+func (r *sampleRing) points() (older, newer []Sample) {
+	if r.head+r.n <= len(r.ring) {
+		return r.ring[r.head : r.head+r.n], nil
 	}
-	return sh.ring[sh.head:], sh.ring[:sh.head+sh.n-len(sh.ring)]
+	return r.ring[r.head:], r.ring[:r.head+r.n-len(r.ring)]
 }
 
-// push appends s as the shard's newest point, evicting the oldest first
-// when evict is set. A full ring grows as append grows a slice; at the
+// push appends s as the newest point, evicting the oldest first when
+// evict is set. A full ring grows as append grows a slice; at the
 // retention bound every push evicts, so the ring stops growing and a
 // push allocates nothing.
-func (sh *sampleShard) push(s Sample, evict bool) {
+func (r *sampleRing) push(s Sample, evict bool) {
 	if evict {
-		sh.ring[sh.head] = Sample{}
-		sh.head = (sh.head + 1) % len(sh.ring)
-		sh.n--
+		r.ring[r.head] = Sample{}
+		r.head = (r.head + 1) % len(r.ring)
+		r.n--
 	}
-	if sh.n == len(sh.ring) {
-		older, newer := sh.points()
-		grown := slices.Grow(sh.ring, 1)
+	if r.n == len(r.ring) {
+		older, newer := r.points()
+		grown := slices.Grow(r.ring, 1)
 		copy(grown[copy(grown, older):], newer)
-		sh.ring, sh.head = grown[:cap(grown)], 0
+		r.ring, r.head = grown[:cap(grown)], 0
 	}
-	sh.ring[(sh.head+sh.n)%len(sh.ring)] = s
-	sh.n++
+	r.ring[(r.head+r.n)%len(r.ring)] = s
+	r.n++
 }
 
 // DB is the central database. All methods are safe for concurrent use;
-// operations on records that hash to different shards do not contend.
+// operations on nodes that hash to different shards do not contend.
 type DB struct {
 	shardCount int
 	nodes      []*nodeShard
-	jobs       []*jobShard
-	allocs     []*allocShard
-	samples    []*sampleShard
-	// maxSamples bounds the monitoring history across all shards;
-	// sampleCount tracks the global total so the bound is store-wide
-	// without a global lock.
-	maxSamples  int
-	sampleCount atomic.Int64
+	jobs       jobTable
+	allocs     allocTable
+	samples    sampleRing
+	// maxSamples bounds the monitoring history: past it, every append
+	// evicts the store's oldest point.
+	maxSamples int
 	// lsn stamps every logged mutation (samples take none), inside the
-	// target shard's critical section, so an ExportState watermark read
-	// before a shard is serialized bounds what that shard's copy contains.
+	// target table's critical section, so an ExportState watermark read
+	// before a table is serialized bounds what that table's copy contains.
 	lsn atomic.Uint64
 	// nodeGen backs NodeGeneration. Every bump comes right after the
 	// install it announces, inside the shard's critical section: a
@@ -387,14 +381,15 @@ type DB struct {
 	observers observerList
 }
 
-// New creates a sharded database retaining at most maxSamples monitoring
-// points (0 means a generous default).
+// New creates a database with a sharded node table, retaining at most
+// maxSamples monitoring points (0 means a generous default).
 func New(maxSamples int) *DB {
 	return NewWithShards(maxSamples, DefaultShards)
 }
 
-// NewWithShards creates a database with an explicit shard count, rounded
-// up to a power of two. One shard degenerates to a single-RWMutex store.
+// NewWithShards creates a database with an explicit node-table shard
+// count, rounded up to a power of two. One shard puts the node table
+// behind a single RWMutex too.
 func NewWithShards(maxSamples, shards int) *DB {
 	if maxSamples <= 0 {
 		maxSamples = 1 << 20
@@ -409,66 +404,19 @@ func NewWithShards(maxSamples, shards int) *DB {
 	d := &DB{
 		shardCount: pow,
 		nodes:      make([]*nodeShard, pow),
-		jobs:       make([]*jobShard, pow),
-		allocs:     make([]*allocShard, pow),
-		samples:    make([]*sampleShard, pow),
 		maxSamples: maxSamples,
 	}
 	for i := 0; i < pow; i++ {
 		d.nodes[i] = &nodeShard{recs: make(map[string]*NodeRecord)}
-		js := &jobShard{recs: make(map[string]*JobRecord)}
-		js.resetIndexes()
-		d.jobs[i] = js
-		d.allocs[i] = &allocShard{}
-		d.samples[i] = &sampleShard{}
 	}
+	d.jobs.reset()
 	return d
 }
 
-// Shards reports the shard count (diagnostics and benchmarks).
+// Shards reports the node table's shard count (diagnostics and tests).
 func (d *DB) Shards() int { return d.shardCount }
 
-func (d *DB) nodeShard(id string) *nodeShard   { return d.nodes[shardOf(id, d.shardCount)] }
-func (d *DB) jobShard(id string) *jobShard     { return d.jobs[shardOf(id, d.shardCount)] }
-func (d *DB) allocShard(id string) *allocShard { return d.allocs[shardOf(id, d.shardCount)] }
-func (d *DB) sampleShard(id string) *sampleShard {
-	return d.samples[shardOf(id, d.shardCount)]
-}
-
-// ShardFor reports the shard index a mutation's key hashes to in its
-// table. Observers use it to label per-shard write metrics without the
-// store having to widen every Mutation record.
-func (d *DB) ShardFor(m Mutation) int {
-	switch m.Type {
-	case MutNodePut:
-		if m.Node != nil {
-			return shardOf(m.Node.ID, d.shardCount)
-		}
-	case MutJobPut:
-		if m.Job != nil {
-			return shardOf(m.Job.ID, d.shardCount)
-		}
-	case MutAllocOpen, MutAllocClose:
-		if m.Alloc != nil {
-			return shardOf(m.Alloc.JobID, d.shardCount)
-		}
-	case MutSamplePut:
-		if m.Sample != nil {
-			return shardOf(m.Sample.NodeID, d.shardCount)
-		}
-	case MutBeat:
-		// Every delta in a MutBeat record targets one shard (TouchNodes
-		// groups before emitting), so the first delta names it.
-		if len(m.Beats) > 0 {
-			return shardOf(m.Beats[0].NodeID, d.shardCount)
-		}
-	case MutNodeHealth:
-		if m.Health != nil {
-			return shardOf(m.Health.NodeID, d.shardCount)
-		}
-	}
-	return 0
-}
+func (d *DB) nodeShard(id string) *nodeShard { return d.nodes[shardOf(id, d.shardCount)] }
 
 // --- Nodes ---
 
@@ -657,131 +605,107 @@ func (d *DB) NodeGeneration() uint64 { return d.nodeGen.Load() }
 
 // InsertJob adds a new job record; the ID must be unused.
 func (d *DB) InsertJob(j JobRecord) error {
-	s := d.jobShard(j.ID)
-	s.mu.Lock()
-	if _, exists := s.recs[j.ID]; exists {
-		s.mu.Unlock()
+	t := &d.jobs
+	t.mu.Lock()
+	if _, exists := t.recs[j.ID]; exists {
+		t.mu.Unlock()
 		return fmt.Errorf("%w: job %s", ErrConflict, j.ID)
 	}
 	cp := cloneJob(j)
-	s.recs[j.ID] = &cp
-	s.indexInsert(&cp)
+	t.recs[j.ID] = &cp
+	t.indexInsert(&cp)
 	lsn := d.lsn.Add(1)
-	s.mu.Unlock()
+	t.mu.Unlock()
 	d.emit(Mutation{LSN: lsn, Type: MutJobPut, Job: &cp})
 	return nil
 }
 
 // GetJob returns a copy of the job record.
 func (d *DB) GetJob(id string) (JobRecord, error) {
-	s := d.jobShard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	j, ok := s.recs[id]
+	t := &d.jobs
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	j, ok := t.recs[id]
 	if !ok {
 		return JobRecord{}, fmt.Errorf("%w: job %s", ErrNotFound, id)
 	}
 	return *j, nil
 }
 
-// UpdateJob applies fn to the job record under the shard lock. fn runs
+// UpdateJob applies fn to the job record under the table lock. fn runs
 // on a private clone (copy-on-write); the indexes are re-keyed from the
 // old record to the new one in the same critical section.
 func (d *DB) UpdateJob(id string, fn func(*JobRecord)) error {
-	s := d.jobShard(id)
-	s.mu.Lock()
-	old, ok := s.recs[id]
+	t := &d.jobs
+	t.mu.Lock()
+	old, ok := t.recs[id]
 	if !ok {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return fmt.Errorf("%w: job %s", ErrNotFound, id)
 	}
 	cp := cloneJob(*old)
 	fn(&cp)
-	s.indexRemove(old)
-	s.recs[id] = &cp
-	s.indexInsert(&cp)
+	t.indexRemove(old)
+	t.recs[id] = &cp
+	t.indexInsert(&cp)
 	lsn := d.lsn.Add(1)
-	s.mu.Unlock()
+	t.mu.Unlock()
 	d.emit(Mutation{LSN: lsn, Type: MutJobPut, Job: &cp})
 	return nil
 }
 
-// CountJobsInState sums the per-shard state counters — O(shards), far
-// cheaper than scanning jobs.
+// CountJobsInState reads the state counter — O(1), no job scan.
 func (d *DB) CountJobsInState(state JobState) int {
-	total := 0
-	for _, s := range d.jobs {
-		s.mu.RLock()
-		total += s.stateCount[state]
-		s.mu.RUnlock()
-	}
-	return total
+	d.jobs.mu.RLock()
+	defer d.jobs.mu.RUnlock()
+	return d.jobs.stateCount[state]
 }
 
 // ListJobs returns copies of all jobs, sorted by ID.
 func (d *DB) ListJobs() []JobRecord {
 	var out []JobRecord
-	for _, s := range d.jobs {
-		s.mu.RLock()
-		out = slices.Grow(out, len(s.recs))
-		for _, j := range s.recs {
-			out = append(out, *j)
-		}
-		s.mu.RUnlock()
+	d.jobs.mu.RLock()
+	out = slices.Grow(out, len(d.jobs.recs))
+	for _, j := range d.jobs.recs {
+		out = append(out, *j)
 	}
+	d.jobs.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // JobsInState returns jobs in the given state, sorted by priority
 // descending then submission time ascending — the pending-queue order.
-// For the live states the per-shard queue indexes already hold each
-// shard's records in that order, so the query collects the sorted runs
-// under brief per-shard read locks and merges them: O(result), never a
-// full-table scan. Terminal-state slices are unordered (see
-// orderedState), so their — rare — listings sort at query time,
-// still touching only the matching records.
+// For the live states the queue index already holds the records in that
+// order, so the query copies them out: O(result), never a full-table
+// scan. Terminal-state slices are unordered (see orderedState), so
+// their — rare — listings sort at query time, still touching only the
+// matching records.
 func (d *DB) JobsInState(state JobState) []JobRecord {
-	runs := make([][]*JobRecord, 0, d.shardCount)
-	total := 0
-	for _, s := range d.jobs {
-		s.mu.RLock()
-		if q := s.queue[state]; len(q) > 0 {
-			run := make([]*JobRecord, len(q))
-			copy(run, q)
-			runs = append(runs, run)
-			total += len(run)
-		}
-		s.mu.RUnlock()
+	d.jobs.mu.RLock()
+	q := d.jobs.queue[state]
+	out := make([]JobRecord, len(q))
+	for i, rec := range q {
+		out[i] = *rec
 	}
-	// Installed records are copy-on-write, so dereferencing the run
-	// pointers after the locks drop reads immutable snapshots.
-	if orderedState(state) {
-		return mergeQueueRuns(runs, total)
+	d.jobs.mu.RUnlock()
+	if !orderedState(state) {
+		sort.Slice(out, func(i, j int) bool { return queueLess(&out[i], &out[j]) })
 	}
-	out := make([]JobRecord, 0, total)
-	for _, run := range runs {
-		for _, rec := range run {
-			out = append(out, *rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return queueLess(&out[i], &out[j]) })
 	return out
 }
 
 // JobsOnNode returns jobs currently placed on the node in Running or
-// Migrating state, sorted by ID. The per-shard byNode index makes this
-// O(shards + jobs-on-node) — the heartbeat anti-entropy path no longer
-// scans the job table.
+// Migrating state, sorted by ID. The byNode index makes this
+// O(jobs on the node) — the heartbeat anti-entropy path never scans the
+// job table.
 func (d *DB) JobsOnNode(nodeID string) []JobRecord {
 	var out []JobRecord
-	for _, s := range d.jobs {
-		s.mu.RLock()
-		for _, rec := range s.byNode[nodeID] {
-			out = append(out, *rec)
-		}
-		s.mu.RUnlock()
+	d.jobs.mu.RLock()
+	for _, rec := range d.jobs.byNode[nodeID] {
+		out = append(out, *rec)
 	}
+	d.jobs.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -790,32 +714,32 @@ func (d *DB) JobsOnNode(nodeID string) []JobRecord {
 
 // RecordAllocation appends a placement episode.
 func (d *DB) RecordAllocation(a AllocationRecord) {
-	s := d.allocShard(a.JobID)
-	s.mu.Lock()
-	s.episodes = append(s.episodes, a)
+	t := &d.allocs
+	t.mu.Lock()
+	t.episodes = append(t.episodes, a)
 	lsn := d.lsn.Add(1)
-	s.mu.Unlock()
+	t.mu.Unlock()
 	image := a
 	d.emit(Mutation{LSN: lsn, Type: MutAllocOpen, Alloc: &image})
 }
 
 // CloseAllocation sets the End time of the job's most recent open
-// allocation episode. Only the job's own shard is touched.
+// allocation episode.
 func (d *DB) CloseAllocation(jobID string, end time.Time) error {
-	s := d.allocShard(jobID)
-	s.mu.Lock()
-	for i := len(s.episodes) - 1; i >= 0; i-- {
-		a := &s.episodes[i]
+	t := &d.allocs
+	t.mu.Lock()
+	for i := len(t.episodes) - 1; i >= 0; i-- {
+		a := &t.episodes[i]
 		if a.JobID == jobID && a.End.IsZero() {
 			a.End = end
 			closed := *a
 			lsn := d.lsn.Add(1)
-			s.mu.Unlock()
+			t.mu.Unlock()
 			d.emit(Mutation{LSN: lsn, Type: MutAllocClose, Alloc: &closed})
 			return nil
 		}
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 	return fmt.Errorf("%w: open allocation for job %s", ErrNotFound, jobID)
 }
 
@@ -824,32 +748,29 @@ func (d *DB) CloseAllocation(jobID string, end time.Time) error {
 // an open episode of the same job on a *different* placement is left
 // alone — the guarantee concurrent reconciliation paths rely on.
 func (d *DB) CloseAllocationEpisode(jobID, nodeID, deviceID string, end time.Time) error {
-	s := d.allocShard(jobID)
-	s.mu.Lock()
-	for i := len(s.episodes) - 1; i >= 0; i-- {
-		a := &s.episodes[i]
+	t := &d.allocs
+	t.mu.Lock()
+	for i := len(t.episodes) - 1; i >= 0; i-- {
+		a := &t.episodes[i]
 		if a.JobID == jobID && a.NodeID == nodeID && a.DeviceID == deviceID && a.End.IsZero() {
 			a.End = end
 			closed := *a
 			lsn := d.lsn.Add(1)
-			s.mu.Unlock()
+			t.mu.Unlock()
 			d.emit(Mutation{LSN: lsn, Type: MutAllocClose, Alloc: &closed})
 			return nil
 		}
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 	return fmt.Errorf("%w: open allocation for job %s on %s/%s", ErrNotFound, jobID, nodeID, deviceID)
 }
 
 // Allocations returns a copy of the allocation history, ordered by start
-// time (then job then node, for determinism across shards).
+// time (then job then node; ties keep the order they were recorded in).
 func (d *DB) Allocations() []AllocationRecord {
-	var out []AllocationRecord
-	for _, s := range d.allocs {
-		s.mu.RLock()
-		out = append(out, s.episodes...)
-		s.mu.RUnlock()
-	}
+	d.allocs.mu.RLock()
+	out := slices.Clone(d.allocs.episodes)
+	d.allocs.mu.RUnlock()
 	sort.SliceStable(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
@@ -872,103 +793,39 @@ func (d *DB) AppendSample(s Sample) { d.AppendSamples([]Sample{s}) }
 // LSN and never reach the mutation hook — not logged, not shipped, no
 // I/O wait — and observers see one LSN-less MutSamplePut per point.
 // History persists only through ExportState (see the package comment).
-// Consecutive points of one node share one critical section of that
-// node's shard.
+// One batch is one critical section.
 //
-// The retention bound is global: when the total exceeds maxSamples, the
-// appending shard evicts its oldest point, so the store's footprint
-// stays bounded without a cross-shard lock. Eviction order is per-shard
-// FIFO (approximately global FIFO); a shard always keeps its newest
-// point so a fresh node's telemetry is never starved by other shards'
-// history, which lets the total overshoot by at most one point per
-// shard.
+// Retention is an exact global FIFO: once the store holds maxSamples
+// points, every append evicts the oldest one, whichever node it came
+// from.
 func (d *DB) AppendSamples(points []Sample) {
 	images := slices.Clone(points) // observers may retain the payloads
-	for i := 0; i < len(images); {
-		sh := d.sampleShard(images[i].NodeID)
-		sh.mu.Lock()
-		for node := images[i].NodeID; i < len(images) && images[i].NodeID == node; i++ {
-			evict := d.sampleCount.Add(1) > int64(d.maxSamples) && sh.n > 0
-			if evict {
-				d.sampleCount.Add(-1)
-			}
-			sh.push(images[i], evict)
-		}
-		sh.mu.Unlock()
+	r := &d.samples
+	r.mu.Lock()
+	for _, s := range images {
+		r.push(s, r.n >= d.maxSamples)
 	}
+	r.mu.Unlock()
 	for i := range images {
 		d.observers.notify(Mutation{Type: MutSamplePut, Sample: &images[i]})
 	}
 }
 
 // SamplesInRange returns samples for metric within [from, to), all nodes
-// if nodeID is empty, ordered by time. A node-scoped query touches only
-// that node's shard.
+// if nodeID is empty, ordered by time (ties in append order).
 func (d *DB) SamplesInRange(metric, nodeID string, from, to time.Time) []Sample {
 	var out []Sample
-	filter := func(buf []Sample) {
-		for _, s := range buf {
-			if s.Metric != metric {
-				continue
+	d.samples.mu.RLock()
+	older, newer := d.samples.points()
+	for _, run := range [2][]Sample{older, newer} {
+		for _, s := range run {
+			if s.Metric == metric && (nodeID == "" || s.NodeID == nodeID) &&
+				!s.Time.Before(from) && s.Time.Before(to) {
+				out = append(out, s)
 			}
-			if nodeID != "" && s.NodeID != nodeID {
-				continue
-			}
-			if s.Time.Before(from) || !s.Time.Before(to) {
-				continue
-			}
-			out = append(out, s)
 		}
 	}
-	scan := func(sh *sampleShard) {
-		sh.mu.RLock()
-		older, newer := sh.points()
-		filter(older)
-		filter(newer)
-		sh.mu.RUnlock()
-	}
-	if nodeID != "" {
-		scan(d.sampleShard(nodeID))
-		return out
-	}
-	for _, sh := range d.samples {
-		scan(sh)
-	}
+	d.samples.mu.RUnlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	return out
-}
-
-// --- Persistence ---
-
-// lockAll write-locks every shard in fixed order (nodes, jobs,
-// allocations, samples; ascending index). The single ordering rules out
-// deadlock between concurrent ImportState calls.
-func (d *DB) lockAll() {
-	for _, s := range d.nodes {
-		s.mu.Lock()
-	}
-	for _, s := range d.jobs {
-		s.mu.Lock()
-	}
-	for _, s := range d.allocs {
-		s.mu.Lock()
-	}
-	for _, s := range d.samples {
-		s.mu.Lock()
-	}
-}
-
-func (d *DB) unlockAll() {
-	for _, s := range d.nodes {
-		s.mu.Unlock()
-	}
-	for _, s := range d.jobs {
-		s.mu.Unlock()
-	}
-	for _, s := range d.allocs {
-		s.mu.Unlock()
-	}
-	for _, s := range d.samples {
-		s.mu.Unlock()
-	}
 }

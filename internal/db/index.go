@@ -5,13 +5,13 @@ import (
 	"sort"
 )
 
-// This file maintains the job table's materialized indexes. Every
-// jobShard carries, next to its record map:
+// This file maintains the job table's materialized indexes. The
+// jobTable carries, next to its record map:
 //
 //   - queue: per-state record lists. For the live states (pending,
 //     running, migrating) they are kept permanently in pending-queue
 //     order (priority descending, submission time ascending, ID as the
-//     final tiebreak), so JobsInState merges sorted runs instead of
+//     final tiebreak), so JobsInState copies a sorted list instead of
 //     scanning and re-sorting the whole table; terminal states are
 //     unordered so completions stay O(1) however long the campus
 //     history grows (see orderedState);
@@ -21,14 +21,13 @@ import (
 //     the node;
 //   - stateCount: per-state totals behind CountJobsInState.
 //
-// All three are *derived* state: they are mutated only under the shard
+// All three are *derived* state: they are mutated only under the table
 // write lock, in the same critical section as the record map, emit no
 // mutations of their own, and are rebuilt from scratch on ImportState.
 // Records are copy-on-write (mutators install a fresh clone, installed
 // records are never modified), so index entries are plain pointers into
-// the record map and readers may dereference them after the shard lock
-// drops. AuditIndexes verifies index ↔ record-map equivalence; the
-// invariant checker runs it after every injected chaos fault.
+// the record map. AuditIndexes verifies index ↔ record-map equivalence;
+// the invariant checker runs it after every injected chaos fault.
 
 // queueLess orders records by pending-queue precedence: priority
 // descending, submission time ascending, ID ascending. IDs are unique,
@@ -60,9 +59,9 @@ func indexedOnNode(rec *JobRecord) bool {
 }
 
 // indexInsert adds a newly installed record to every index. Callers
-// hold the shard write lock and must not modify rec afterwards.
-func (s *jobShard) indexInsert(rec *JobRecord) {
-	q := s.queue[rec.State]
+// hold the table write lock and must not modify rec afterwards.
+func (t *jobTable) indexInsert(rec *JobRecord) {
+	q := t.queue[rec.State]
 	if orderedState(rec.State) {
 		i := sort.Search(len(q), func(i int) bool { return queueLess(rec, q[i]) })
 		q = append(q, nil)
@@ -71,30 +70,30 @@ func (s *jobShard) indexInsert(rec *JobRecord) {
 	} else {
 		q = append(q, rec)
 	}
-	s.queue[rec.State] = q
+	t.queue[rec.State] = q
 
 	if indexedOnNode(rec) {
-		m := s.byNode[rec.NodeID]
+		m := t.byNode[rec.NodeID]
 		if m == nil {
 			m = make(map[string]*JobRecord)
-			s.byNode[rec.NodeID] = m
+			t.byNode[rec.NodeID] = m
 		}
 		m[rec.ID] = rec
 	}
-	s.stateCount[rec.State]++
+	t.stateCount[rec.State]++
 }
 
 // indexRemove drops a record from every index before it is replaced or
 // discarded. rec must be the pointer currently installed in the record
 // map (its key fields locate the exact queue slot).
-func (s *jobShard) indexRemove(rec *JobRecord) {
-	q := s.queue[rec.State]
+func (t *jobTable) indexRemove(rec *JobRecord) {
+	q := t.queue[rec.State]
 	if orderedState(rec.State) {
 		i := sort.Search(len(q), func(i int) bool { return !queueLess(q[i], rec) })
 		if i < len(q) && q[i] == rec {
 			copy(q[i:], q[i+1:])
 			q[len(q)-1] = nil
-			s.queue[rec.State] = q[:len(q)-1]
+			t.queue[rec.State] = q[:len(q)-1]
 		}
 	} else {
 		// Unordered slice: locate by pointer, remove by swap. Records
@@ -103,133 +102,110 @@ func (s *jobShard) indexRemove(rec *JobRecord) {
 			if cur == rec {
 				q[i] = q[len(q)-1]
 				q[len(q)-1] = nil
-				s.queue[rec.State] = q[:len(q)-1]
+				t.queue[rec.State] = q[:len(q)-1]
 				break
 			}
 		}
 	}
 	if indexedOnNode(rec) {
-		if m := s.byNode[rec.NodeID]; m != nil {
+		if m := t.byNode[rec.NodeID]; m != nil {
 			delete(m, rec.ID)
 			if len(m) == 0 {
-				delete(s.byNode, rec.NodeID)
+				delete(t.byNode, rec.NodeID)
 			}
 		}
 	}
-	s.stateCount[rec.State]--
-	if s.stateCount[rec.State] == 0 {
-		delete(s.stateCount, rec.State)
+	t.stateCount[rec.State]--
+	if t.stateCount[rec.State] == 0 {
+		delete(t.stateCount, rec.State)
 	}
 }
 
-// resetIndexes clears every index (ImportState rebuilds via
-// indexInsert).
-func (s *jobShard) resetIndexes() {
-	s.queue = make(map[JobState][]*JobRecord)
-	s.byNode = make(map[string]map[string]*JobRecord)
-	s.stateCount = make(map[JobState]int)
-}
-
-// mergeQueueRuns k-way-merges per-shard queue runs into one slice of
-// record copies in global queue order. Runs are already sorted, so the
-// merge is O(result × runs) cheap comparisons — no re-sort.
-func mergeQueueRuns(runs [][]*JobRecord, total int) []JobRecord {
-	out := make([]JobRecord, 0, total)
-	idx := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		for r := range runs {
-			if idx[r] >= len(runs[r]) {
-				continue
-			}
-			if best < 0 || queueLess(runs[r][idx[r]], runs[best][idx[best]]) {
-				best = r
-			}
-		}
-		out = append(out, *runs[best][idx[best]])
-		idx[best]++
-	}
-	return out
+// reset empties the record map and every index (ImportState rebuilds
+// via indexInsert).
+func (t *jobTable) reset() {
+	t.recs = make(map[string]*JobRecord)
+	t.queue = make(map[JobState][]*JobRecord)
+	t.byNode = make(map[string]map[string]*JobRecord)
+	t.stateCount = make(map[JobState]int)
 }
 
 // AuditIndexes verifies every materialized index against a full scan of
-// the ground-truth record maps, shard by shard, and returns the
-// discrepancies found (empty means every index is exact). It exists for
-// the invariant checker: the indexes are derived state, and any drift
-// from the record maps is a platform bug no matter how the store got
-// there.
+// the ground-truth record map and returns the discrepancies found (empty
+// means every index is exact). It exists for the invariant checker: the
+// indexes are derived state, and any drift from the record map is a
+// platform bug no matter how the store got there.
 func (d *DB) AuditIndexes() []string {
+	t := &d.jobs
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	var probs []string
-	for si, s := range d.jobs {
-		s.mu.RLock()
-		tally := make(map[JobState]int, len(s.stateCount))
-		placed := 0
-		for _, rec := range s.recs {
-			tally[rec.State]++
-			if indexedOnNode(rec) {
-				placed++
-			}
+	tally := make(map[JobState]int, len(t.stateCount))
+	placed := 0
+	for _, rec := range t.recs {
+		tally[rec.State]++
+		if indexedOnNode(rec) {
+			placed++
 		}
+	}
 
-		queued := 0
-		for state, q := range s.queue {
-			queued += len(q)
-			for i, rec := range q {
-				if rec.State != state {
-					probs = append(probs, fmt.Sprintf(
-						"shard %d: queue[%s] holds job %s in state %s", si, state, rec.ID, rec.State))
-				}
-				if cur, ok := s.recs[rec.ID]; !ok || cur != rec {
-					probs = append(probs, fmt.Sprintf(
-						"shard %d: queue[%s] entry %s is not the installed record", si, state, rec.ID))
-				}
-				if orderedState(state) && i > 0 && !queueLess(q[i-1], rec) {
-					probs = append(probs, fmt.Sprintf(
-						"shard %d: queue[%s] out of order at %s", si, state, rec.ID))
-				}
-			}
-		}
-		if queued != len(s.recs) {
-			probs = append(probs, fmt.Sprintf(
-				"shard %d: queues hold %d records, map holds %d", si, queued, len(s.recs)))
-		}
-
-		indexed := 0
-		for nodeID, m := range s.byNode {
-			if len(m) == 0 {
-				probs = append(probs, fmt.Sprintf("shard %d: byNode[%s] is an empty bucket", si, nodeID))
-			}
-			for id, rec := range m {
-				indexed++
-				if cur, ok := s.recs[id]; !ok || cur != rec {
-					probs = append(probs, fmt.Sprintf(
-						"shard %d: byNode[%s] entry %s is not the installed record", si, nodeID, id))
-					continue
-				}
-				if !indexedOnNode(rec) || rec.NodeID != nodeID {
-					probs = append(probs, fmt.Sprintf(
-						"shard %d: byNode[%s] holds job %s (state %s on %q)", si, nodeID, id, rec.State, rec.NodeID))
-				}
-			}
-		}
-		if indexed != placed {
-			probs = append(probs, fmt.Sprintf(
-				"shard %d: byNode holds %d records, scan finds %d placed", si, indexed, placed))
-		}
-
-		for state, n := range s.stateCount {
-			if tally[state] != n {
+	queued := 0
+	for state, q := range t.queue {
+		queued += len(q)
+		for i, rec := range q {
+			if rec.State != state {
 				probs = append(probs, fmt.Sprintf(
-					"shard %d: stateCount[%s] = %d, scan finds %d", si, state, n, tally[state]))
+					"queue[%s] holds job %s in state %s", state, rec.ID, rec.State))
 			}
-		}
-		for state, n := range tally {
-			if _, ok := s.stateCount[state]; !ok && n != 0 {
+			if cur, ok := t.recs[rec.ID]; !ok || cur != rec {
 				probs = append(probs, fmt.Sprintf(
-					"shard %d: stateCount[%s] missing, scan finds %d", si, state, n))
+					"queue[%s] entry %s is not the installed record", state, rec.ID))
+			}
+			if orderedState(state) && i > 0 && !queueLess(q[i-1], rec) {
+				probs = append(probs, fmt.Sprintf(
+					"queue[%s] out of order at %s", state, rec.ID))
 			}
 		}
-		s.mu.RUnlock()
+	}
+	if queued != len(t.recs) {
+		probs = append(probs, fmt.Sprintf(
+			"queues hold %d records, map holds %d", queued, len(t.recs)))
+	}
+
+	indexed := 0
+	for nodeID, m := range t.byNode {
+		if len(m) == 0 {
+			probs = append(probs, fmt.Sprintf("byNode[%s] is an empty bucket", nodeID))
+		}
+		for id, rec := range m {
+			indexed++
+			if cur, ok := t.recs[id]; !ok || cur != rec {
+				probs = append(probs, fmt.Sprintf(
+					"byNode[%s] entry %s is not the installed record", nodeID, id))
+				continue
+			}
+			if !indexedOnNode(rec) || rec.NodeID != nodeID {
+				probs = append(probs, fmt.Sprintf(
+					"byNode[%s] holds job %s (state %s on %q)", nodeID, id, rec.State, rec.NodeID))
+			}
+		}
+	}
+	if indexed != placed {
+		probs = append(probs, fmt.Sprintf(
+			"byNode holds %d records, scan finds %d placed", indexed, placed))
+	}
+
+	for state, n := range t.stateCount {
+		if tally[state] != n {
+			probs = append(probs, fmt.Sprintf(
+				"stateCount[%s] = %d, scan finds %d", state, n, tally[state]))
+		}
+	}
+	for state, n := range tally {
+		if _, ok := t.stateCount[state]; !ok && n != 0 {
+			probs = append(probs, fmt.Sprintf(
+				"stateCount[%s] missing, scan finds %d", state, n))
+		}
 	}
 	return probs
 }

@@ -23,7 +23,7 @@ func requireIndexesMatchRebuild(t *testing.T, store *DB, nodeIDs []string) {
 	if probs := store.AuditIndexes(); len(probs) != 0 {
 		t.Fatalf("index audit failed: %v", probs)
 	}
-	fresh := NewWithShards(0, store.Shards())
+	fresh := New(0)
 	fresh.ImportState(store.ExportState())
 	for _, state := range allJobStates {
 		want, _ := json.Marshal(fresh.JobsInState(state))
@@ -53,7 +53,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 	nodeIDs := []string{"n1", "n2", "n3", "n4"}
 	for trial := int64(0); trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(100 + trial))
-		store := NewWithShards(0, 8)
+		store := New(0)
 		var ids []string
 		randomJob := func(id string) JobRecord {
 			j := JobRecord{
@@ -99,11 +99,11 @@ func TestIndexConsistencyProperty(t *testing.T) {
 }
 
 // TestAuditIndexesDetectsCorruption proves the deep audit actually
-// fires: each sabotage reaches into a shard and breaks one index
+// fires: each sabotage reaches into the job table and breaks one index
 // structure directly, bypassing the maintenance paths.
 func TestAuditIndexesDetectsCorruption(t *testing.T) {
 	seed := func(t *testing.T) *DB {
-		store := NewWithShards(0, 4)
+		store := New(0)
 		for i := 0; i < 40; i++ {
 			j := JobRecord{
 				ID: fmt.Sprintf("job-%03d", i), State: JobPending,
@@ -118,49 +118,24 @@ func TestAuditIndexesDetectsCorruption(t *testing.T) {
 		}
 		return store
 	}
-	// jobShardWith picks the shard holding the most jobs in state. The
-	// shard assignment is hashed under a per-process random seed, but 20
-	// jobs per state over 4 shards always leave one shard with at least
-	// 5 — enough for every sabotage below.
-	jobShardWith := func(store *DB, state JobState) *jobShard {
-		best := store.jobs[0]
-		for _, s := range store.jobs[1:] {
-			if len(s.queue[state]) > len(best.queue[state]) {
-				best = s
-			}
-		}
-		return best
-	}
 	sabotages := []struct {
 		name  string
-		wreck func(t *testing.T, store *DB)
+		wreck func(jobs *jobTable)
 	}{
-		{"queue-drop", func(t *testing.T, store *DB) {
-			s := jobShardWith(store, JobPending)
-			s.queue[JobPending] = s.queue[JobPending][1:]
+		{"queue-drop", func(jobs *jobTable) {
+			jobs.queue[JobPending] = jobs.queue[JobPending][1:]
 		}},
-		{"queue-reorder", func(t *testing.T, store *DB) {
-			s := jobShardWith(store, JobPending)
-			q := s.queue[JobPending]
-			if len(q) < 2 {
-				t.Fatalf("fullest shard holds %d pending jobs, need 2 to reorder", len(q))
-			}
+		{"queue-reorder", func(jobs *jobTable) {
+			q := jobs.queue[JobPending]
 			q[0], q[len(q)-1] = q[len(q)-1], q[0]
 		}},
-		{"bynode-stale", func(t *testing.T, store *DB) {
-			s := jobShardWith(store, JobRunning)
-			for id, rec := range s.recs {
-				if rec.State == JobRunning {
-					ghost := *rec
-					ghost.NodeID = "n-ghost"
-					s.byNode["n-ghost"] = map[string]*JobRecord{id: &ghost}
-					return
-				}
-			}
+		{"bynode-stale", func(jobs *jobTable) {
+			ghost := *jobs.queue[JobRunning][0]
+			ghost.NodeID = "n-ghost"
+			jobs.byNode["n-ghost"] = map[string]*JobRecord{ghost.ID: &ghost}
 		}},
-		{"count-skew", func(t *testing.T, store *DB) {
-			s := jobShardWith(store, JobPending)
-			s.stateCount[JobPending]++
+		{"count-skew", func(jobs *jobTable) {
+			jobs.stateCount[JobPending]++
 		}},
 	}
 	for _, sab := range sabotages {
@@ -169,7 +144,7 @@ func TestAuditIndexesDetectsCorruption(t *testing.T) {
 			if probs := store.AuditIndexes(); len(probs) != 0 {
 				t.Fatalf("audit dirty before sabotage: %v", probs)
 			}
-			sab.wreck(t, store)
+			sab.wreck(&store.jobs)
 			if probs := store.AuditIndexes(); len(probs) == 0 {
 				t.Fatal("sabotage went undetected")
 			}

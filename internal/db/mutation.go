@@ -74,7 +74,7 @@ type HealthDelta struct {
 
 // Mutation is the typed record a Store emits for every state change.
 // LSN is a store-wide monotone sequence number assigned under the
-// target shard's lock, so sorting a batch of mutations by LSN recovers
+// target table's lock, so sorting a batch of mutations by LSN recovers
 // the per-record mutation order even when the hook observed them out of
 // order.
 type Mutation struct {
@@ -92,8 +92,8 @@ type Mutation struct {
 }
 
 // MutationHook observes committed mutations. It is invoked after the
-// shard lock is released, so a hook may block (e.g. on a group-commit
-// fsync) without stalling other shards. The store's acknowledgement of
+// table lock is released, so a hook may block (e.g. on a group-commit
+// fsync) without stalling other writers. The store's acknowledgement of
 // the operation to its caller happens only after the hook returns — a
 // durable hook therefore gives durable-before-ack semantics without
 // holding any lock across I/O.
@@ -243,7 +243,7 @@ func (d *DB) AddMutationObserver(h MutationHook) (cancel func()) {
 }
 
 // emit invokes the installed mutation hook and then every observer.
-// Callers must not hold any shard lock; payloads are immutable
+// Callers must not hold any table lock; payloads are immutable
 // after-images (see MutationHook).
 func (d *DB) emit(m Mutation) {
 	if h := d.hook.Load(); h != nil {
@@ -252,9 +252,9 @@ func (d *DB) emit(m Mutation) {
 	d.observers.notify(m)
 }
 
-// ExportState collects a snapshot image shard by shard: each shard is
-// read-locked briefly and one at a time, so concurrent commits on other
-// shards proceed while the export is in flight — unlike the legacy
+// ExportState collects a snapshot image one lock at a time: each node
+// shard and each other table is read-locked briefly, so commits
+// elsewhere proceed while the export is in flight — unlike the legacy
 // Save, nothing quiesces the whole store. The result is a *fuzzy*
 // checkpoint: consistent per record, with Watermark bounding what it is
 // guaranteed to contain (see State).
@@ -268,63 +268,54 @@ func (d *DB) ExportState() State {
 		}
 		s.mu.RUnlock()
 	}
-	for _, s := range d.jobs {
-		s.mu.RLock()
-		for _, j := range s.recs {
-			st.Jobs = append(st.Jobs, *j)
-		}
-		s.mu.RUnlock()
+	d.jobs.mu.RLock()
+	for _, j := range d.jobs.recs {
+		st.Jobs = append(st.Jobs, *j)
 	}
-	for _, s := range d.allocs {
-		s.mu.RLock()
-		st.Allocations = append(st.Allocations, s.episodes...)
-		s.mu.RUnlock()
-	}
-	for _, s := range d.samples {
-		s.mu.RLock()
-		older, newer := s.points()
-		st.Samples = append(append(st.Samples, older...), newer...)
-		s.mu.RUnlock()
-	}
+	d.jobs.mu.RUnlock()
+	d.allocs.mu.RLock()
+	st.Allocations = append(st.Allocations, d.allocs.episodes...)
+	d.allocs.mu.RUnlock()
+	d.samples.mu.RLock()
+	older, newer := d.samples.points()
+	st.Samples = append(append(st.Samples, older...), newer...)
+	d.samples.mu.RUnlock()
 	sortState(&st)
 	return st
 }
 
 // ImportState replaces the store's contents with the given image,
-// write-locking every shard for the swap (recovery runs before the
-// store is shared, so the quiesce is free there). The materialized job
-// indexes are derived state: they are rebuilt here from the imported
-// records, never restored from the image.
+// write-locking every table for the swap (recovery runs before the
+// store is shared, so the quiesce is free there). Locks are taken in one
+// fixed order — node shards ascending, then jobs, allocations, samples —
+// so concurrent imports cannot deadlock. The materialized job indexes
+// are derived state: they are rebuilt here from the imported records,
+// never restored from the image.
 func (d *DB) ImportState(st State) {
-	d.lockAll()
-	defer d.unlockAll()
-	for i := 0; i < d.shardCount; i++ {
-		d.nodes[i].recs = make(map[string]*NodeRecord)
-		d.jobs[i].recs = make(map[string]*JobRecord)
-		d.jobs[i].resetIndexes()
-		d.allocs[i].episodes = nil
-		s := d.samples[i]
-		s.ring, s.head, s.n = nil, 0, 0
+	for _, s := range d.nodes {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	for _, mu := range []*sync.RWMutex{&d.jobs.mu, &d.allocs.mu, &d.samples.mu} {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	for _, s := range d.nodes {
+		s.recs = make(map[string]*NodeRecord)
 	}
 	for _, n := range st.Nodes {
 		cp := cloneNode(n)
 		d.nodeShard(n.ID).recs[n.ID] = &cp
 	}
 	d.nodeGen.Add(1)
+	d.jobs.reset()
 	for _, j := range st.Jobs {
 		cp := cloneJob(j)
-		s := d.jobShard(j.ID)
-		s.recs[j.ID] = &cp
-		s.indexInsert(&cp)
+		d.jobs.recs[j.ID] = &cp
+		d.jobs.indexInsert(&cp)
 	}
-	for _, a := range st.Allocations {
-		s := d.allocShard(a.JobID)
-		s.episodes = append(s.episodes, a)
-	}
-	for _, smp := range st.Samples {
-		d.sampleShard(smp.NodeID).push(smp, false)
-	}
-	d.sampleCount.Store(int64(len(st.Samples)))
+	d.allocs.episodes = append([]AllocationRecord(nil), st.Allocations...)
+	d.samples.ring, d.samples.head, d.samples.n = slices.Clone(st.Samples), 0, len(st.Samples)
 	raiseLSN(&d.lsn, st.Watermark)
 }
 
@@ -350,33 +341,33 @@ func (d *DB) Apply(m Mutation) error {
 		if m.Job == nil {
 			return fmt.Errorf("db: %s mutation without job payload", m.Type)
 		}
-		s := d.jobShard(m.Job.ID)
-		s.mu.Lock()
-		if old, ok := s.recs[m.Job.ID]; ok {
-			s.indexRemove(old)
+		t := &d.jobs
+		t.mu.Lock()
+		if old, ok := t.recs[m.Job.ID]; ok {
+			t.indexRemove(old)
 		}
 		cp := cloneJob(*m.Job)
-		s.recs[cp.ID] = &cp
-		s.indexInsert(&cp)
-		s.mu.Unlock()
+		t.recs[cp.ID] = &cp
+		t.indexInsert(&cp)
+		t.mu.Unlock()
 	case MutAllocOpen:
 		if m.Alloc == nil {
 			return fmt.Errorf("db: %s mutation without alloc payload", m.Type)
 		}
-		s := d.allocShard(m.Alloc.JobID)
-		s.mu.Lock()
-		if !slices.ContainsFunc(s.episodes, func(e AllocationRecord) bool { return sameAllocIdentity(e, *m.Alloc) }) {
-			s.episodes = append(s.episodes, *m.Alloc)
+		t := &d.allocs
+		t.mu.Lock()
+		if !slices.ContainsFunc(t.episodes, func(e AllocationRecord) bool { return sameAllocIdentity(e, *m.Alloc) }) {
+			t.episodes = append(t.episodes, *m.Alloc)
 		}
-		s.mu.Unlock()
+		t.mu.Unlock()
 	case MutAllocClose:
 		if m.Alloc == nil {
 			return fmt.Errorf("db: %s mutation without alloc payload", m.Type)
 		}
-		s := d.allocShard(m.Alloc.JobID)
-		s.mu.Lock()
-		applyAllocClose(&s.episodes, *m.Alloc)
-		s.mu.Unlock()
+		t := &d.allocs
+		t.mu.Lock()
+		applyAllocClose(&t.episodes, *m.Alloc)
+		t.mu.Unlock()
 	case MutSamplePut:
 		// Samples are soft state and no longer logged; a log written by
 		// an older binary replays without its samples, never an error.

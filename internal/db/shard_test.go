@@ -27,11 +27,11 @@ func TestShardOfIsPure(t *testing.T) {
 	}
 }
 
-// TestShardOfSpread: sequential ids — what fleets and the job counter
-// produce — must land evenly, or one shard lock carries the beat path.
+// TestShardOfSpread: sequential node ids — what fleets produce — must
+// land evenly, or one shard lock carries the beat path.
 func TestShardOfSpread(t *testing.T) {
 	const keys = 2000
-	for _, format := range []string{"node-%04d", "job-%d"} {
+	for _, format := range []string{"node-%04d"} {
 		var counts [DefaultShards]int
 		for i := 0; i < keys; i++ {
 			counts[shardOf(fmt.Sprintf(format, i), DefaultShards)]++

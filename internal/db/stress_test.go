@@ -185,38 +185,42 @@ func TestConcurrentSaveLoadConsistency(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSampleRetentionGlobalAcrossShards: the maxSamples bound applies
-// to the whole store, not per shard (modulo the
-// one-newest-point-per-shard keepback).
+// TestSampleRetentionGlobalAcrossShards: the maxSamples bound is exact
+// and store-wide. Appends spread over many nodes leave exactly
+// maxSamples points, the newest ones whichever node they came from, and
+// a fresh node's point evicts the oldest point in the store, not its own.
 func TestSampleRetentionGlobalAcrossShards(t *testing.T) {
-	const cap = 20
-	d := New(cap)
-	// Spread appends over many node IDs so they land on many shards.
-	for i := 0; i < 10*cap; i++ {
+	const bound, appended = 20, 200
+	d := New(bound)
+	for i := 0; i < appended; i++ {
 		d.AppendSample(Sample{Time: t0.Add(time.Duration(i) * time.Second),
 			NodeID: fmt.Sprintf("n%02d", i%32), Metric: "m", Value: float64(i)})
 	}
-	got := len(d.SamplesInRange("m", "", t0, t0.Add(time.Hour)))
-	if got > cap+d.Shards() {
-		t.Fatalf("retained %d samples, want <= %d (global bound + per-shard keepback)", got, cap+d.Shards())
+	held := func() []Sample { return d.SamplesInRange("m", "", t0, t0.Add(2*time.Hour)) }
+	got := held()
+	if len(got) != bound {
+		t.Fatalf("retained %d samples, want exactly %d", len(got), bound)
 	}
-	if got < cap/2 {
-		t.Fatalf("retained %d samples, suspiciously few for cap %d", got, cap)
+	for k, s := range got {
+		if want := float64(appended - bound + k); s.Value != want {
+			t.Fatalf("point %d = %v, want %v (the oldest go first)", k, s.Value, want)
+		}
 	}
-	// A brand-new node's telemetry must not be starved at cap.
-	d.AppendSample(Sample{Time: t0.Add(time.Hour), NodeID: "fresh", Metric: "m", Value: 1})
-	if len(d.SamplesInRange("m", "fresh", t0, t0.Add(2*time.Hour))) != 1 {
-		t.Fatal("fresh node's sample evicted at cap")
+	d.AppendSample(Sample{Time: t0.Add(time.Hour), NodeID: "fresh", Metric: "m", Value: -1})
+	got = held()
+	if len(got) != bound || got[0].Value != appended-bound+1 || got[bound-1].NodeID != "fresh" {
+		t.Fatalf("after a fresh node's point: %d held, oldest %v, newest from %q",
+			len(got), got[0].Value, got[bound-1].NodeID)
 	}
 }
 
-// TestSampleRingAtBound: at the retention bound an append replaces its
-// shard's oldest point in place — the one allocation left is the copy
+// TestSampleRingAtBound: at the retention bound an append replaces the
+// store's oldest point in place — the one allocation left is the copy
 // observers receive — and the points stay oldest first across the ring's
 // wrap, in SamplesInRange, in ExportState and through ImportState.
 func TestSampleRingAtBound(t *testing.T) {
 	const bound = 64
-	d := NewWithShards(bound, 1)
+	d := New(bound)
 	next, batch := 0, make([]Sample, 1)
 	point := func(i int) Sample {
 		return Sample{Time: t0.Add(time.Duration(i) * time.Second), NodeID: "n1", Metric: "m", Value: float64(i)}
@@ -240,7 +244,7 @@ func TestSampleRingAtBound(t *testing.T) {
 	for i := range want {
 		want[i] = point(next - bound + i)
 	}
-	if older, newer := d.samples[0].points(); len(older) == 0 || len(newer) == 0 {
+	if older, newer := d.samples.points(); len(older) == 0 || len(newer) == 0 {
 		t.Fatal("the ring did not wrap; the order checks below would not cross the seam")
 	}
 	if got := d.SamplesInRange("m", "n1", t0, t0.Add(24*time.Hour)); !reflect.DeepEqual(got, want) {
@@ -250,7 +254,7 @@ func TestSampleRingAtBound(t *testing.T) {
 	if !reflect.DeepEqual(st.Samples, want) {
 		t.Fatalf("ExportState samples = %v\nwant %v", st.Samples, want)
 	}
-	imported := NewWithShards(bound, 1)
+	imported := New(bound)
 	imported.ImportState(st)
 	if got := imported.ExportState().Samples; !reflect.DeepEqual(got, want) {
 		t.Fatalf("samples after ImportState = %v\nwant %v", got, want)

@@ -23,8 +23,8 @@
 //     it matches the job's current placement; a non-running job has
 //     none;
 //   - state-count-consistent: the store's per-state counters agree
-//     with a full job scan (validates the sharded counters across
-//     snapshot import and WAL replay);
+//     with a full job scan (validates the job table's per-state
+//     counters across snapshot import and WAL replay);
 //   - index-consistent: every indexed query (JobsInState with its
 //     queue ordering, JobsOnNode, ActiveNodes) returns exactly what a
 //     full ground-truth scan derives, and — for stores exposing
@@ -254,7 +254,7 @@ func (c *Checker) Check(s db.Store) []Violation {
 		}
 	}
 
-	// --- Counter consistency (sharded per-state counters vs scan). ---
+	// --- Counter consistency (per-state counters vs scan). ---
 	for _, state := range []db.JobState{
 		db.JobPending, db.JobRunning, db.JobMigrating,
 		db.JobCompleted, db.JobFailed, db.JobKilled,
@@ -512,9 +512,9 @@ func CheckSkewLiveness(s db.Store, skewedNodes []string) []Violation {
 
 // CheckEquivalence compares two store images table by table (nodes,
 // jobs, allocations) via their canonical JSON encodings — the recovery
-// byte-equivalence criterion. Monitoring samples are excluded: their
-// bounded-retention eviction order is approximate across shards by
-// design. Watermarks are compared by ordering only (a recovered store
+// byte-equivalence criterion. Monitoring samples are excluded: they are
+// soft state, never logged, so a recovered store legitimately holds
+// only the last checkpoint's history. Watermarks are compared by ordering only (a recovered store
 // may not regress the mutation sequence).
 func CheckEquivalence(before, after db.State) []Violation {
 	var vs []Violation

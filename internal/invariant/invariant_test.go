@@ -144,7 +144,7 @@ func TestInvariantLSNMonotonic(t *testing.T) {
 
 func TestInvariantStateCountsAcrossImport(t *testing.T) {
 	s := healthyStore(t)
-	// Round-trip through export/import must keep the sharded counters
+	// Round-trip through export/import must keep the per-state counters
 	// in sync with the scan.
 	s2 := db.New(0)
 	s2.ImportState(s.ExportState())

@@ -1844,8 +1844,8 @@ func RunChaosSchedule(name string, seed int64) (ChaosResult, error) {
 var ChaosSchedules = []ChaosSchedule{
 	// The 400-node churn schedule: provider crashes and announced
 	// departures at the paper's interruption rates, at the scale the
-	// ROADMAP targets. No WAL — the subject is the sharded store,
-	// scheduler and migration machinery under mass churn.
+	// ROADMAP targets. No WAL — the subject is the store, scheduler
+	// and migration machinery under mass churn.
 	{Name: "churn@400", Config: ChaosConfig{
 		Defs: chaosScaleDefs(400),
 		Spec: chaos.Spec{

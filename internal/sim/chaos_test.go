@@ -42,7 +42,7 @@ func requireClean(t *testing.T, res ChaosResult, err error) {
 }
 
 // TestChaosChurnScale: 400 nodes under paper-rate provider churn. The
-// sharded store, batch scheduler and migration machinery must hold
+// store, batch scheduler and migration machinery must hold
 // every invariant while the fleet churns.
 func TestChaosChurnScale(t *testing.T) {
 	if testing.Short() {

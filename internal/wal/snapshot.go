@@ -65,9 +65,10 @@ func readSnapshotFile(dir string) (st db.State, ok bool, err error) {
 
 // Snapshotter checkpoints a store into a WAL directory in the
 // background and truncates the log segments the checkpoint obsoletes.
-// The store is serialized shard by shard through ExportState — brief
-// per-shard read locks, never a global quiesce — so heartbeat and job
-// commits proceed while a snapshot is in flight.
+// The store is serialized one lock at a time through ExportState —
+// brief read locks on each node shard and each other table, never a
+// global quiesce — so heartbeat and job commits proceed while a
+// snapshot is in flight.
 type Snapshotter struct {
 	dir   string
 	store db.Store
@@ -96,7 +97,7 @@ func NewSnapshotter(store db.Store, w *Writer) *Snapshotter {
 
 // Snapshot takes one checkpoint now:
 //  1. rotate the log, freezing all segments below the cut;
-//  2. export the store shard by shard (the export's watermark is read
+//  2. export the store one lock at a time (the export's watermark is read
 //     after the rotation, so every record in a frozen segment is at or
 //     below it and therefore fully contained in the export);
 //  3. atomically install the snapshot file;

@@ -1,7 +1,7 @@
 // Package wal is GPUnion's durability layer: an append-only,
 // group-committed write-ahead log of the system database's typed
 // mutation records, plus an asynchronous snapshotter that checkpoints
-// the sharded store in the background and truncates the log.
+// the store in the background and truncates the log.
 //
 // Layout of a WAL directory:
 //
@@ -20,10 +20,10 @@
 // Torn records were never acknowledged (acknowledgement follows fsync),
 // so dropping them is correct, not lossy.
 //
-// Recovery = load snapshot.json (a fuzzy, per-shard checkpoint with an
-// LSN watermark) + replay all logged records above the watermark in LSN
-// order through the store's idempotent Apply. See db.State for why the
-// fuzzy snapshot plus idempotent replay converges.
+// Recovery = load snapshot.json (a fuzzy, table-by-table checkpoint
+// with an LSN watermark) + replay all logged records above the
+// watermark in LSN order through the store's idempotent Apply. See
+// db.State for why the fuzzy snapshot plus idempotent replay converges.
 package wal
 
 import (

@@ -320,7 +320,8 @@ type allocTable struct {
 }
 
 // sampleRing is the monitoring history: a ring of points in append
-// order, the oldest at head.
+// order, the oldest at head. It is allocated whole, at the retention
+// bound, by the first append (see AppendSamples), so it never grows.
 type sampleRing struct {
 	mu   sync.RWMutex
 	ring []Sample
@@ -336,21 +337,12 @@ func (r *sampleRing) points() (older, newer []Sample) {
 	return r.ring[r.head:], r.ring[:r.head+r.n-len(r.ring)]
 }
 
-// push appends s as the newest point, evicting the oldest first when
-// evict is set. A full ring grows as append grows a slice; at the
-// retention bound every push evicts, so the ring stops growing and a
-// push allocates nothing.
-func (r *sampleRing) push(s Sample, evict bool) {
-	if evict {
-		r.ring[r.head] = Sample{}
-		r.head = (r.head + 1) % len(r.ring)
-		r.n--
-	}
+// push appends s as the newest point; a full ring overwrites its oldest.
+func (r *sampleRing) push(s Sample) {
 	if r.n == len(r.ring) {
-		older, newer := r.points()
-		grown := slices.Grow(r.ring, 1)
-		copy(grown[copy(grown, older):], newer)
-		r.ring, r.head = grown[:cap(grown)], 0
+		r.ring[r.head] = s
+		r.head = (r.head + 1) % len(r.ring)
+		return
 	}
 	r.ring[(r.head+r.n)%len(r.ring)] = s
 	r.n++
@@ -799,11 +791,20 @@ func (d *DB) AppendSample(s Sample) { d.AppendSamples([]Sample{s}) }
 // points, every append evicts the oldest one, whichever node it came
 // from.
 func (d *DB) AppendSamples(points []Sample) {
+	if len(points) == 0 {
+		return
+	}
 	images := slices.Clone(points) // observers may retain the payloads
 	r := &d.samples
 	r.mu.Lock()
+	if r.ring == nil {
+		// The whole bound at once: its pages count toward RSS only as
+		// points land in them, and a ring that never grows never holds
+		// an old copy of itself beside a new one.
+		r.ring = make([]Sample, d.maxSamples)
+	}
 	for _, s := range images {
-		r.push(s, r.n >= d.maxSamples)
+		r.push(s)
 	}
 	r.mu.Unlock()
 	for i := range images {

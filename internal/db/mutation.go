@@ -315,7 +315,13 @@ func (d *DB) ImportState(st State) {
 		d.jobs.indexInsert(&cp)
 	}
 	d.allocs.episodes = append([]AllocationRecord(nil), st.Allocations...)
-	d.samples.ring, d.samples.head, d.samples.n = slices.Clone(st.Samples), 0, len(st.Samples)
+	r := &d.samples
+	r.ring, r.head, r.n = nil, 0, len(st.Samples)
+	if r.n > 0 {
+		// An image over the bound keeps every point it holds.
+		r.ring = make([]Sample, max(d.maxSamples, r.n))
+		copy(r.ring, st.Samples)
+	}
 	raiseLSN(&d.lsn, st.Watermark)
 }
 

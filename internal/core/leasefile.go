@@ -3,8 +3,11 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
+
+	"gpunion/internal/wal"
 )
 
 // fileLeaseStore is a LeaseStore over a JSON record on a file system
@@ -13,8 +16,9 @@ import (
 // self-fences before a successor can be granted.
 //
 // Mutual exclusion across processes uses an O_EXCL lock file; the
-// record itself is replaced atomically via write-then-rename, so a
-// reader never sees a torn lease.
+// record itself is replaced atomically and durably (wal.ReplaceFile:
+// synced before the rename, the directory after it), so neither a
+// reader nor a host crash can bring back a torn or an older grant.
 type fileLeaseStore struct{ path string }
 
 // FileLeaseStore returns the LeaseStore backed by the file at path.
@@ -65,13 +69,5 @@ func (s fileLeaseStore) Update(fn func(rec *LeaseRecord) error) error {
 	if err := fn(&rec); err != nil {
 		return err
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.path)
+	return wal.ReplaceFile(s.path, func(w io.Writer) error { return json.NewEncoder(w).Encode(rec) })
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,32 +15,44 @@ import (
 // SnapshotFile is the checkpoint file name inside a WAL directory.
 const SnapshotFile = "snapshot.json"
 
-// writeSnapshotFile atomically replaces dir/snapshot.json with st:
-// write to a temp file, fsync it, rename over the old snapshot, fsync
-// the directory. A crash at any point leaves either the old or the new
-// snapshot intact, never a torn one.
+// writeSnapshotFile atomically replaces dir/snapshot.json with st.
 func writeSnapshotFile(dir string, st db.State) error {
-	tmp, err := os.CreateTemp(dir, SnapshotFile+".tmp-*")
+	err := ReplaceFile(filepath.Join(dir, SnapshotFile), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(st)
+	})
 	if err != nil {
-		return fmt.Errorf("wal: creating snapshot temp file: %w", err)
+		return fmt.Errorf("wal: writing snapshot: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if err := json.NewEncoder(tmp).Encode(st); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: encoding snapshot: %w", err)
+	return nil
+}
+
+// ReplaceFile replaces path with what write produces, atomically and
+// durably: write to a temp file beside it, fsync it, rename it over
+// path, fsync the directory. A crash at any point leaves either the old
+// or the new content, never a torn file; once ReplaceFile returns, the
+// old content cannot come back. The directory sync is best effort, as
+// some file systems cannot sync a directory, and the last guarantee
+// holds only where it succeeds.
+func ReplaceFile(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: syncing snapshot: %w", err)
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: closing snapshot temp file: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmpName, filepath.Join(dir, SnapshotFile)); err != nil {
-		return fmt.Errorf("wal: installing snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if d, err := os.Open(dir); err == nil {
+	if err != nil {
+		return err
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}

@@ -196,7 +196,11 @@ verify-bench:
 # unauthenticated positional entry (HandleDeparture, Departing) or a
 # type assertion that digs a *core.Client out of an endpoint is a second
 # agent→coordinator seam in the making — the split that once left
-# /v1/jobupdate without a token check.
+# /v1/jobupdate without a token check. Sims, chaos, tests and examples
+# send those messages through the shipped handlers (core.Handler,
+# agent.Handler) over api.InProcess; an in-process adapter that calls
+# the entries directly (the deleted LocalLink, LocalAgent, chaosHandle)
+# is a second implementation of the wire, test files included.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -211,6 +215,10 @@ verify-compose:
 		grep -rnE 'HandleDeparture|\.Departing\(|\.\(\*core\.Client\)' --include='*.go' internal cmd examples | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a second agent->coordinator seam beside agent.Link:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE 'LocalLink|LocalAgent|chaosHandle' internal cmd examples)"; \
+	if [ -n "$$out" ]; then \
+		echo "an in-process adapter beside the shipped handlers:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the twelve chaos schedules, the trace test's

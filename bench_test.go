@@ -1100,7 +1100,7 @@ func benchHealthBeats(b *testing.B, senders int) {
 		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, clock, rt, ckpts, nil)
 		defer ag.Stop()
-		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), core.LocalAgent{A: ag})
+		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), agent.NewInProcessClient(ag))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -80,9 +80,9 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Stop)
-		// The coordinators reach the agent in-process; everything the
-		// agent sends travels over HTTP.
-		srv := httptest.NewServer(c.Handler(func(string) core.AgentHandle { return core.LocalAgent{A: ag} }))
+		// The coordinators reach the agent through its handler in
+		// process; everything the agent sends travels over a socket.
+		srv := httptest.NewServer(c.Handler(func(string) core.AgentHandle { return agent.NewInProcessClient(ag) }))
 		t.Cleanup(srv.Close)
 		return c, srv
 	}

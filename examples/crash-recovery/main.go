@@ -75,7 +75,7 @@ func main() {
 		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
 			clock, rt, ckpts, bus)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.LocalLink{C: coord, A: ag}}})
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		resp, err := ag.Join("inproc://"+id, 1<<30)
 		if err != nil {
 			log.Fatal(err)
@@ -143,7 +143,7 @@ func main() {
 	// and the recovered queue finishes.
 	active = coord2
 	for id, ag := range agents {
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.LocalLink{C: coord2, A: ag}}})
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord2, ag)}})
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}

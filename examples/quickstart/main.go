@@ -50,7 +50,7 @@ func main() {
 		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
 			clock, rt, ckpts, bus)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.LocalLink{C: coord, A: ag}}})
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		resp, err := ag.Join("inproc://"+id, 1<<30)
 		if err != nil {
 			log.Fatal(err)

@@ -47,7 +47,7 @@ func main() {
 			gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
 			clock, rt, ckpts, bus)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.LocalLink{C: coord, A: ag}}})
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		resp, err := ag.Join("inproc://"+id, 1<<30)
 		if err != nil {
 			log.Fatal(err)

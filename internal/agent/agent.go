@@ -147,14 +147,14 @@ type Agent struct {
 
 // BeatSender delivers one heartbeat request. Both endpoint tiers speak
 // it: a rack aggregator (aggregator.Aggregator) and a direct
-// coordinator transport (core.Client, or the coordinator itself
-// in-process).
+// coordinator transport (core.Client).
 type BeatSender interface {
 	Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error)
 }
 
 // Link is the agent's request path to one coordinator replica:
-// core.Client over HTTP, core.LocalLink in-process. It carries the four
+// core.Client, over a socket or, in tests and simulations, over
+// api.InProcess into the coordinator's own Handler. It carries the four
 // messages a provider agent sends (§3.4) — registration, heartbeat, job
 // report and departure notice — each a typed request the agent builds
 // with its token, leader epoch and protocol version.
@@ -231,13 +231,6 @@ func (a *Agent) Metrics() *monitor.Registry { return a.metrics }
 
 // MachineID returns the node identity.
 func (a *Agent) MachineID() string { return a.cfg.MachineID }
-
-// SetToken stores the coordinator-issued credential.
-func (a *Agent) SetToken(tok string) {
-	a.mu.Lock()
-	a.token = tok
-	a.mu.Unlock()
-}
 
 // SetEndpoints installs the coordinator replica set the agent may talk
 // to; the first entry becomes the active endpoint. This is where
@@ -871,7 +864,9 @@ func (a *Agent) Join(addr string, storageBytes int64) (api.RegisterResponse, err
 	if err != nil {
 		return resp, err
 	}
-	a.SetToken(resp.Token)
+	a.mu.Lock()
+	a.token = resp.Token
+	a.mu.Unlock()
 	a.ObserveEpoch(resp.LeaderEpoch)
 	return resp, nil
 }

@@ -353,10 +353,12 @@ func TestInteractiveSessionExpires(t *testing.T) {
 
 func TestHeartbeatRequestShape(t *testing.T) {
 	r := newRig(t)
-	r.agent.SetToken("tok-123")
+	if _, err := r.agent.Join("inproc://node-test", 1<<30); err != nil {
+		t.Fatal(err)
+	}
 	launchTraining(t, r, "j1", workload.SmallCNN, 0)
 	hb := r.agent.HeartbeatRequest()
-	if hb.MachineID != "node-test" || hb.Token != "tok-123" {
+	if hb.MachineID != "node-test" || hb.Token != "tok-1" {
 		t.Fatalf("hb = %+v", hb)
 	}
 	if len(hb.Telemetry) != 2 || len(hb.RunningJobs) != 1 {

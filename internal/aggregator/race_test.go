@@ -54,13 +54,9 @@ func TestAggregatorFallbackRace(t *testing.T) {
 	const nodes, beatsPerNode = 4, 200
 	agents := make([]*agent.Agent, nodes)
 	register := func(ag *agent.Agent) {
-		resp, rerr := coord.Register(ag.RegisterRequest("inproc://"+ag.MachineID(), 1<<40), core.LocalAgent{A: ag})
-		if rerr != nil {
+		if _, rerr := ag.Join("inproc://"+ag.MachineID(), 1<<40); rerr != nil {
 			t.Errorf("register %s: %v", ag.MachineID(), rerr)
-			return
 		}
-		ag.SetToken(resp.Token)
-		ag.ObserveEpoch(resp.LeaderEpoch)
 	}
 	ids := []string{"race-00", "race-01", "race-02", "race-03"}
 	for i := range agents {
@@ -72,7 +68,7 @@ func TestAggregatorFallbackRace(t *testing.T) {
 			// part of what must race cleanly.
 			AggregatorRetry: time.Millisecond,
 		}, clock, rt, ckpts, bus)
-		agents[i].SetEndpoints([]agent.Endpoint{{Link: core.LocalLink{C: coord, A: agents[i]}}})
+		agents[i].SetEndpoints([]agent.Endpoint{{Link: core.NewInProcessClient(coord, agents[i])}})
 		agents[i].SetAggregator(agg.ID(), agg)
 		register(agents[i])
 	}
@@ -94,7 +90,7 @@ func TestAggregatorFallbackRace(t *testing.T) {
 	}()
 
 	depart := func(ag *agent.Agent) {
-		_ = coord.Depart(api.DepartRequest{MachineID: ag.MachineID(), Token: ag.Token(), Reason: api.DepartTemporary})
+		_ = ag.ActiveEndpoint().Link.Depart(api.DepartRequest{MachineID: ag.MachineID(), Token: ag.Token(), Reason: api.DepartTemporary})
 	}
 	// Membership churn: announced departures race in-flight beats and
 	// in-window deltas; the bounced-delta path answers with Reregister.
@@ -113,10 +109,11 @@ func TestAggregatorFallbackRace(t *testing.T) {
 		go func(ag *agent.Agent) {
 			defer wg.Done()
 			for n := 0; n < beatsPerNode; n++ {
-				resp, _, berr := ag.SendBeat(coord)
+				resp, _, berr := ag.SendBeat(ag.ActiveEndpoint().Link)
 				if berr != nil {
 					// Both tiers down never happens here (the direct tier is
-					// the coordinator itself); anything else is a bug.
+					// the coordinator's handler in process); anything else is
+					// a bug.
 					t.Errorf("%s beat %d: %v", ag.MachineID(), n, berr)
 					return
 				}
@@ -165,7 +162,7 @@ settled:
 	for attempt := 0; attempt < 40 && !bounced; attempt++ {
 		depart(victim)
 		for n := 0; n < 12 && !bounced; n++ {
-			resp, via, berr := victim.SendBeat(coord)
+			resp, via, berr := victim.SendBeat(victim.ActiveEndpoint().Link)
 			if berr != nil {
 				time.Sleep(time.Millisecond)
 				continue
@@ -198,7 +195,7 @@ settled:
 	for _, ag := range agents {
 		acked := false
 		for attempt := 0; attempt < 5 && !acked; attempt++ {
-			resp, _, berr := ag.SendBeat(coord)
+			resp, _, berr := ag.SendBeat(ag.ActiveEndpoint().Link)
 			if berr != nil {
 				t.Fatalf("%s settling beat: %v", ag.MachineID(), berr)
 			}

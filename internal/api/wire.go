@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 )
 
@@ -128,10 +129,30 @@ func Do(hc *http.Client, req *http.Request, out any) error {
 	return nil
 }
 
+// InProcess is an http.RoundTripper that serves each request with
+// Handler on the caller's goroutine and hands back what it wrote: the
+// same routes, body decode, status mapping and error envelope as over a
+// socket, with no socket, no goroutine and no timeout, so a run on a
+// simulated clock stays single-threaded and deterministic.
+type InProcess struct{ Handler http.Handler }
+
+// RoundTrip implements http.RoundTripper.
+func (t InProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	// A shallow copy: the mux records its route match on the request it
+	// serves, and a RoundTripper must not modify the caller's.
+	in := req.WithContext(req.Context())
+	if in.Body == nil {
+		in.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	t.Handler.ServeHTTP(rec, in)
+	return rec.Result(), nil
+}
+
 // ReadError turns a non-2xx reply into the error the server wrote: the
 // typed ErrNotLeader when the envelope carries one — so an agent's
-// errors.As sees a fenced replica over HTTP as it does in-process — the
-// Error otherwise.
+// errors.As sees a fenced replica and can follow its hint — the Error
+// otherwise.
 func ReadError(resp *http.Response) error {
 	var apiErr Error
 	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Message != "" {

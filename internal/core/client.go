@@ -165,26 +165,13 @@ func (c *Client) get(path string, out any) error {
 	return api.GetJSON(c.HTTPClient, c.BaseURL+path, out)
 }
 
-// LocalLink is the in-process agent.Link: coordinator C called
-// directly, with agent A attached as its transport back on every
-// Register.
-type LocalLink struct {
-	C *Coordinator
-	A *agent.Agent
+// NewInProcessClient returns agent a's link to coordinator c in
+// process: a Client whose requests c's Handler serves (api.InProcess),
+// and whose registrations give c agent.NewInProcessClient(a) as the
+// way back. Both directions run the handlers, body decode, status
+// mapping and error reconstruction the daemons run.
+func NewInProcessClient(c *Coordinator, a *agent.Agent) *Client {
+	back := agent.NewInProcessClient(a)
+	h := c.Handler(func(string) AgentHandle { return back })
+	return &Client{BaseURL: "http://coordinator", HTTPClient: &http.Client{Transport: api.InProcess{Handler: h}}}
 }
-
-// Register implements agent.Link.
-func (l LocalLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
-	return l.C.Register(req, LocalAgent{A: l.A})
-}
-
-// Heartbeat implements agent.Link.
-func (l LocalLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	return l.C.Heartbeat(req)
-}
-
-// JobUpdate implements agent.Link.
-func (l LocalLink) JobUpdate(req api.JobUpdateRequest) error { return l.C.JobUpdate(req) }
-
-// Depart implements agent.Link.
-func (l LocalLink) Depart(req api.DepartRequest) error { return l.C.Depart(req) }

@@ -58,7 +58,7 @@ func (b *beatRig) addSilentNode(id string, devices ...gpu.Spec) {
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, b.clock, rt, b.ckpts, nil)
 	b.t.Cleanup(ag.Stop)
-	resp, err := b.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
+	resp, err := b.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), agent.NewInProcessClient(ag))
 	if err != nil {
 		b.t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil)
 	defer ag.Stop()
-	resp, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag})
+	resp, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), agent.NewInProcessClient(ag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord2.RecoverState()
-	if _, err := coord2.Register(ag.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag}); err != nil {
+	if _, err := coord2.Register(ag.RegisterRequest("inproc://n1", 1<<30), agent.NewInProcessClient(ag)); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(10 * time.Second)

@@ -4,9 +4,9 @@
 // failure detection, and the execution side of the resilient-migration
 // mechanism.
 //
-// The coordinator is transport-agnostic: agents are reached through the
-// AgentHandle interface, implemented in-process (tests, discrete-event
-// simulation) and over HTTP (the real daemons in cmd/).
+// Agents are reached through the AgentHandle interface, which one type
+// implements: agent.Client, over a socket for the daemons in cmd/ and
+// over api.InProcess for tests and the discrete-event simulations.
 package core
 
 import (
@@ -364,27 +364,4 @@ func (c *Coordinator) markDevice(nodeID, deviceID string, allocated bool) {
 			}
 		}
 	})
-}
-
-// LocalAgent adapts an in-process agent to the AgentHandle interface.
-type LocalAgent struct {
-	// A is the wrapped agent.
-	A interface {
-		Launch(api.LaunchRequest) (api.LaunchResponse, error)
-		KillJob(api.KillRequest) error
-		Checkpoint(api.CheckpointRequest) (api.CheckpointResponse, error)
-	}
-}
-
-// Launch implements AgentHandle.
-func (l LocalAgent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
-	return l.A.Launch(req)
-}
-
-// Kill implements AgentHandle.
-func (l LocalAgent) Kill(req api.KillRequest) error { return l.A.KillJob(req) }
-
-// Checkpoint implements AgentHandle.
-func (l LocalAgent) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error) {
-	return l.A.Checkpoint(req)
 }

@@ -44,33 +44,30 @@ func newRig(t *testing.T, hbInterval time.Duration) *rig {
 	return &rig{t: t, clock: clock, coord: coord, ckpts: ckpts, ags: make(map[string]*agent.Agent)}
 }
 
-// addNode creates an agent with the given GPUs, registers it, and starts
-// its heartbeat loop on the simulated clock.
+// addNode creates an agent with the given GPUs, joins it through the
+// coordinator's handler in process, and starts its heartbeat loop on
+// the simulated clock.
 func (r *rig) addNode(id string, specs ...gpu.Spec) *agent.Agent {
 	r.t.Helper()
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
-	ag.SetEndpoints([]agent.Endpoint{{Link: LocalLink{C: r.coord, A: ag}}})
+	link := NewInProcessClient(r.coord, ag)
+	ag.SetEndpoints([]agent.Endpoint{{Link: link}})
 	r.t.Cleanup(ag.Stop)
-	resp, err := r.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
+	resp, err := ag.Join("inproc://"+id, 1<<30)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	ag.SetToken(resp.Token)
 	r.ags[id] = ag
-	r.heartbeatLoop(ag, resp.HeartbeatInterval)
-	return ag
-}
-
-func (r *rig) heartbeatLoop(ag *agent.Agent, interval time.Duration) {
 	var loop func()
 	loop = func() {
 		if !ag.Departed() {
-			_, _ = r.coord.Heartbeat(ag.HeartbeatRequest())
+			_, _ = link.Heartbeat(ag.HeartbeatRequest())
 		}
-		r.clock.AfterFunc(interval, loop)
+		r.clock.AfterFunc(resp.HeartbeatInterval, loop)
 	}
-	r.clock.AfterFunc(interval, loop)
+	r.clock.AfterFunc(resp.HeartbeatInterval, loop)
+	return ag
 }
 
 // jobReport is the terminal report ag sends for jobID, with its own
@@ -528,11 +525,10 @@ func TestHeartbeatSeqResetOnReregister(t *testing.T) {
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 	ag2 := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
 	defer ag2.Stop()
-	resp, err := r.coord.Register(ag2.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag2})
-	if err != nil {
+	ag2.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(r.coord, ag2)}})
+	if _, err := ag2.Join("inproc://n1", 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	ag2.SetToken(resp.Token)
 	req := ag2.HeartbeatRequest()
 	if req.BeatSeq != 1 {
 		t.Fatalf("restarted agent's first beat seq = %d", req.BeatSeq)
@@ -593,11 +589,10 @@ func TestHeartbeatRetryAfterReregisterNotSwallowed(t *testing.T) {
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil)
 	defer ag.Stop()
-	resp, err := coord1.Register(ag.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag})
-	if err != nil {
+	ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(coord1, ag)}})
+	if _, err := ag.Join("inproc://n1", 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	ag.SetToken(resp.Token)
 	coord1.Stop()
 
 	// The successor recovered the store (same records, same secret) but

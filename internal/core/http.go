@@ -19,8 +19,8 @@ import (
 const maxAggregatedBody = 64 << 20
 
 // HandleFactory builds an AgentHandle for a newly registered node's
-// address. The default dials the agent's REST API; tests substitute
-// in-process handles.
+// address. The default dials the agent's REST API; simulations reach
+// the same API in process (agent.NewInProcessClient).
 type HandleFactory func(addr string) AgentHandle
 
 // DefaultHandleFactory returns HTTP handles.

@@ -586,83 +586,73 @@ func TestAgentRoutesRejectBadCredentials(t *testing.T) {
 	}
 }
 
-// TestLinksAgreeOnReportsAndDepartures: the in-process link and the
-// HTTP client reach the same coordinator entries, so a job report or a
-// departure notice gets the same answer, and the same class of error,
-// over either.
+// TestLinksAgreeOnReportsAndDepartures: the one agent.Link, core.Client,
+// reaches the coordinator's authenticated entries through its Handler,
+// so a job report or a departure notice gets the answer, and the class
+// of error, that the entry gives: 401 for a bad credential, an answer
+// for a report the coordinator drops as stale.
 func TestLinksAgreeOnReportsAndDepartures(t *testing.T) {
 	r := newHTTPRig(t)
-	n1, _ := r.addHTTPNode("n1", gpu.RTX3090, gpu.RTX3090)
-	var jobs []string
-	for range 2 {
-		id, err := r.client.SubmitJob(api.SubmitJobRequest{
-			User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
-			GPUMemMiB: 8192, Training: &workload.SmallCNN,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, id)
+	n1, _ := r.addHTTPNode("n1", gpu.RTX3090)
+	job, err := r.client.SubmitJob(api.SubmitJobRequest{
+		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+		GPUMemMiB: 8192, Training: &workload.SmallCNN,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	n2, _ := r.addHTTPNode("n2")
-	n3, _ := r.addHTTPNode("n3")
-	leavers := []*agent.Agent{n2, n3}
-	links := []struct {
-		name string
-		link agent.Link
-	}{{"local", LocalLink{C: r.coord}}, {"http", r.client}}
+	var link agent.Link = r.client
 
 	class := func(err error) string {
 		var apiErr api.Error
 		switch {
 		case err == nil:
 			return "answered"
-		case errors.Is(err, ErrBadToken), errors.As(err, &apiErr) && apiErr.Code == http.StatusUnauthorized:
+		case errors.As(err, &apiErr) && apiErr.Code == http.StatusUnauthorized:
 			return "unauthorized"
 		default:
 			return "other: " + err.Error()
 		}
 	}
-	jobState := func(id string) db.JobState {
-		rec, _ := r.coord.DB().GetJob(id)
+	jobState := func() db.JobState {
+		rec, _ := r.coord.DB().GetJob(job)
 		return rec.State
 	}
-	nodeStatus := func(id string) db.NodeStatus {
-		rec, _ := r.coord.DB().GetNode(id)
+	n2Status := func() db.NodeStatus {
+		rec, _ := r.coord.DB().GetNode("n2")
 		return rec.Status
 	}
-	for i, l := range links {
-		for _, c := range []struct {
-			name  string
-			send  func() error
-			want  string
-			check func() bool
-		}{
-			{"report with a forged token", func() error {
-				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: "forged.token", JobID: jobs[i], State: db.JobCompleted})
-			}, "unauthorized", func() bool { return jobState(jobs[i]) == db.JobRunning }},
-			{"report with another node's token", func() error {
-				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: n2.Token(), JobID: jobs[i], State: db.JobCompleted})
-			}, "unauthorized", func() bool { return jobState(jobs[i]) == db.JobRunning }},
-			{"report from a node the job is not on", func() error {
-				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n2", Token: n2.Token(), JobID: jobs[i], State: db.JobCompleted})
-			}, "answered", func() bool { return jobState(jobs[i]) == db.JobRunning }},
-			{"report from the job's node", func() error {
-				return l.link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: n1.Token(), JobID: jobs[i], State: db.JobCompleted})
-			}, "answered", func() bool { return jobState(jobs[i]) == db.JobCompleted }},
-			{"departure with a forged token", func() error {
-				return l.link.Depart(api.DepartRequest{MachineID: leavers[i].MachineID(), Token: "forged.token", Reason: api.DepartScheduled})
-			}, "unauthorized", func() bool { return nodeStatus(leavers[i].MachineID()) == db.NodeActive }},
-			{"departure with the node's token", func() error {
-				return l.link.Depart(api.DepartRequest{MachineID: leavers[i].MachineID(), Token: leavers[i].Token(), Reason: api.DepartScheduled})
-			}, "answered", func() bool { return nodeStatus(leavers[i].MachineID()) == db.NodeDeparted }},
-		} {
-			if got := class(c.send()); got != c.want {
-				t.Errorf("%s, %s: %s, want %s", l.name, c.name, got, c.want)
-			}
-			if !c.check() {
-				t.Errorf("%s, %s: wrong state afterwards", l.name, c.name)
-			}
+	for _, c := range []struct {
+		name  string
+		send  func() error
+		want  string
+		check func() bool
+	}{
+		{"report with a forged token", func() error {
+			return link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: "forged.token", JobID: job, State: db.JobCompleted})
+		}, "unauthorized", func() bool { return jobState() == db.JobRunning }},
+		{"report with another node's token", func() error {
+			return link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: n2.Token(), JobID: job, State: db.JobCompleted})
+		}, "unauthorized", func() bool { return jobState() == db.JobRunning }},
+		{"report from a node the job is not on", func() error {
+			return link.JobUpdate(api.JobUpdateRequest{MachineID: "n2", Token: n2.Token(), JobID: job, State: db.JobCompleted})
+		}, "answered", func() bool { return jobState() == db.JobRunning }},
+		{"report from the job's node", func() error {
+			return link.JobUpdate(api.JobUpdateRequest{MachineID: "n1", Token: n1.Token(), JobID: job, State: db.JobCompleted})
+		}, "answered", func() bool { return jobState() == db.JobCompleted }},
+		{"departure with a forged token", func() error {
+			return link.Depart(api.DepartRequest{MachineID: "n2", Token: "forged.token", Reason: api.DepartScheduled})
+		}, "unauthorized", func() bool { return n2Status() == db.NodeActive }},
+		{"departure with the node's token", func() error {
+			return link.Depart(api.DepartRequest{MachineID: "n2", Token: n2.Token(), Reason: api.DepartScheduled})
+		}, "answered", func() bool { return n2Status() == db.NodeDeparted }},
+	} {
+		if got := class(c.send()); got != c.want {
+			t.Errorf("%s: %s, want %s", c.name, got, c.want)
+		}
+		if !c.check() {
+			t.Errorf("%s: wrong state afterwards", c.name)
 		}
 	}
 }

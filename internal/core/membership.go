@@ -34,8 +34,8 @@ func (c *Coordinator) Depart(req api.DepartRequest) error {
 }
 
 // admitAgent is the gate an agent's departure notice and job report
-// pass, in-process and over HTTP alike: the fence on the request's
-// leader epoch, then the sending node's own credential.
+// pass: the fence on the request's leader epoch, then the sending
+// node's own credential.
 func (c *Coordinator) admitAgent(epoch uint64, token, machineID string) error {
 	if err := c.fence(epoch); err != nil {
 		return err

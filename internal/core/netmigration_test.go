@@ -68,18 +68,18 @@ func (r *netRig) join(t *testing.T, id string, gpus int) {
 	}
 	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
-	ag.SetEndpoints([]agent.Endpoint{{Link: LocalLink{C: r.coord, A: ag}}})
+	link := NewInProcessClient(r.coord, ag)
+	ag.SetEndpoints([]agent.Endpoint{{Link: link}})
 	t.Cleanup(ag.Stop)
-	resp, err := r.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), LocalAgent{A: ag})
+	resp, err := ag.Join("inproc://"+id, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag.SetToken(resp.Token)
 	r.ags[id] = ag
 	var beat func()
 	beat = func() {
 		if !ag.Departed() {
-			_, _ = r.coord.Heartbeat(ag.HeartbeatRequest())
+			_, _ = link.Heartbeat(ag.HeartbeatRequest())
 		}
 		r.clock.AfterFunc(resp.HeartbeatInterval, beat)
 	}

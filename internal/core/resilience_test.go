@@ -156,11 +156,9 @@ func TestConsecutiveEmergenciesExhaustCampus(t *testing.T) {
 
 	// One provider returns via re-registration.
 	ag1.Return()
-	resp, err := r.coord.Register(ag1.RegisterRequest("inproc://n1", 1<<30), LocalAgent{A: ag1})
-	if err != nil {
+	if _, err := ag1.Join("inproc://n1", 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	ag1.SetToken(resp.Token)
 
 	st, _ = r.coord.JobStatus(id)
 	if st.State != db.JobRunning || st.NodeID != "n1" {

@@ -232,12 +232,9 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices .
 func (arm *equivArm) register(t *testing.T, i int) {
 	t.Helper()
 	ag := arm.agents[i]
-	resp, err := arm.coord.Register(ag.RegisterRequest("inproc://"+ag.MachineID(), 1<<40), core.LocalAgent{A: ag})
-	if err != nil {
+	if err := joinLocal(ag); err != nil {
 		t.Fatalf("register %s: %v", ag.MachineID(), err)
 	}
-	ag.SetToken(resp.Token)
-	ag.ObserveEpoch(resp.LeaderEpoch)
 	if arm.aggAudit != nil {
 		arm.aggAudit.ObserveRegister(ag.MachineID(), arm.clock.Now())
 	}
@@ -247,7 +244,6 @@ func (arm *equivArm) register(t *testing.T, i int) {
 // that drains every window before the next round's churn.
 func (arm *equivArm) play(t *testing.T, rounds []equivRound) {
 	t.Helper()
-	direct := equivBeatTap{inner: arm.coord, arm: arm}
 	for r, op := range rounds {
 		for _, i := range op.depart {
 			arm.agents[i].Depart(api.DepartTemporary, 0)
@@ -282,7 +278,7 @@ func (arm *equivArm) play(t *testing.T, rounds []equivRound) {
 			if arm.departed[i] {
 				continue
 			}
-			resp, _, err := ag.SendBeat(direct)
+			resp, _, err := ag.SendBeat(equivBeatTap{inner: ag.ActiveEndpoint().Link, arm: arm})
 			if err != nil {
 				t.Fatalf("round %d node %d beat: %v", r, i, err)
 			}

@@ -188,10 +188,10 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	return c, nil
 }
 
-// localEndpoint names coord as one of ag's endpoints, reached
-// in-process.
+// localEndpoint names coord as one of ag's endpoints, reached in
+// process through both daemons' handlers (core.NewInProcessClient).
 func localEndpoint(id string, coord *core.Coordinator, ag *agent.Agent) agent.Endpoint {
-	return agent.Endpoint{ID: id, Link: core.LocalLink{C: coord, A: ag}}
+	return agent.Endpoint{ID: id, Link: core.NewInProcessClient(coord, ag)}
 }
 
 // joinLocal registers an in-process agent through its active endpoint

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"sort"
 	"sync"
@@ -216,8 +220,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 }
 
 // chaosHarness implements chaos.Platform over the real components.
-// Each agent reaches the coordinator through its chaosLink, which
-// routes every message to whichever coordinator currently serves.
+// Agents and coordinators talk over chaosWire, which delivers every
+// message to whichever coordinator currently serves.
 type chaosHarness struct {
 	cfg   ChaosConfig
 	clock *simclock.Sim
@@ -321,15 +325,17 @@ type chaosHarness struct {
 	failovers int
 }
 
-// replica is one core.Replica of the run plus, in replicated mode, its
-// identity and two fault seams: the cuttable link to the arbiter and
-// the adjustable clock (both nil for the standalone coordinator).
+// replica is one core.Replica of the run, the coordinator's REST API
+// the wire delivers to, and, in replicated mode, its identity and two
+// fault seams: the cuttable link to the arbiter and the adjustable clock
+// (both nil for the standalone coordinator).
 type replica struct {
 	*core.Replica
-	dir  string
-	id   string
-	cut  *chaosLeaseClient
-	skew *simclock.Skewed
+	handler http.Handler
+	dir     string
+	id      string
+	cut     *chaosLeaseClient
+	skew    *simclock.Skewed
 }
 
 // takeover is a standby promotion in flight: the standby retries
@@ -527,7 +533,10 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			acfg.TelemetryEvery = 4
 		}
 		ag := agent.New(acfg, skewed, rt, agentCkptWriter{h: h, id: d.ID}, h.bus)
-		ag.SetEndpoints([]agent.Endpoint{{Link: chaosLink{h: h, ag: ag}}})
+		// One endpoint in every mode: the node's wire delivers to whichever
+		// replica serves, so a redirect lands on the successor.
+		wire := &http.Client{Transport: chaosWire{h: h, node: d.ID}}
+		ag.SetEndpoints([]agent.Endpoint{{Link: &core.Client{BaseURL: "http://coordinator", HTTPClient: wire}}})
 		if len(h.aggIDs) > 0 {
 			// Round-robin rack assignment: the agent beats through its
 			// relay first and falls back direct when it is unavailable.
@@ -654,21 +663,20 @@ func (a *streamAudits) check(store db.Store, aggLag time.Duration) []invariant.V
 	return vs
 }
 
-// observeBeatAck reports one genuinely acknowledged beat to the
-// aggregation audit: the instant both tiers stamp an ack with is the
-// shared simulated clock's now, and only the events the coordinator
-// would actually ingest (the per-beat cap) count toward health
-// completeness.
-func (h *chaosHarness) observeBeatAck(req api.HeartbeatRequest, resp api.HeartbeatResponse, err error) {
-	a := h.audits.aggregation()
-	if a == nil || err != nil || !resp.Acknowledged || resp.Reregister {
-		return
+// observeBeatAck reports whether node's answered beat was genuinely
+// acknowledged, and reports each one that was to the aggregation audit:
+// the instant both tiers stamp an ack with is the shared simulated
+// clock's now, and only the events the coordinator would actually
+// ingest (the per-beat cap) count toward health completeness. events
+// counts the beat's health events; it runs only for that audit.
+func (h *chaosHarness) observeBeatAck(node string, resp api.HeartbeatResponse, events func() int) bool {
+	if !resp.Acknowledged || resp.Reregister {
+		return false
 	}
-	n := len(req.HealthEvents)
-	if n > api.MaxHealthEventsPerBeat {
-		n = api.MaxHealthEventsPerBeat
+	if a := h.audits.aggregation(); a != nil {
+		a.ObserveAck(node, h.clock.Now(), min(events(), api.MaxHealthEventsPerBeat))
 	}
-	a.ObserveAck(req.MachineID, h.clock.Now(), n)
+	return true
 }
 
 func (h *chaosHarness) noteDurabilityLoss() {
@@ -707,8 +715,15 @@ func (h *chaosHarness) openReplica(dir, followDir string) (*replica, error) {
 		cfg.WAL.OnDurable = h.onLeaderDurable
 	}
 	var err error
-	rep.Replica, err = core.OpenReplica(cfg, clock, h.ckpts, h.bus)
-	return rep, err
+	if rep.Replica, err = core.OpenReplica(cfg, clock, h.ckpts, h.bus); err != nil {
+		return nil, err
+	}
+	// Every replica reaches the agent registered at an address through
+	// the wire, which routes by the address's host.
+	rep.handler = rep.Coordinator().Handler(func(addr string) core.AgentHandle {
+		return &agent.Client{BaseURL: addr, HTTPClient: &http.Client{Transport: chaosWire{h: h}}}
+	})
+	return rep, nil
 }
 
 // openStandby opens a warm standby of leader in a directory of its own.
@@ -814,75 +829,97 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 	}
 }
 
-// chaosLink is one agent's agent.Link: requests go to whichever
-// coordinator currently serves, and the link — which sees every request
-// — carries the harness's taps on that path. One fault model covers all
-// four messages: a crashed or partitioned node reaches no coordinator,
-// and what it sends fails as its HTTP request would.
-type chaosLink struct {
-	h  *chaosHarness
-	ag *agent.Agent
+// chaosWire is the harness's network: every agent↔coordinator message
+// crosses it as an HTTP request into the shipped handlers
+// (api.InProcess). Each agent's core.Client sends through a wire of its
+// own node, delivered to whichever replica currently serves; every
+// replica's agent.Client shares one wire without a node, delivered to
+// the agent its URL names. One fault model covers both directions: a
+// silenced node neither sends nor receives, and each request to or from
+// it fails at the transport, as over a dead link.
+type chaosWire struct {
+	h *chaosHarness
+	// node is the sending agent; empty on the coordinators' side.
+	node string
 }
 
-// reach is the coordinator a request from this node arrives at, or
-// errUnreachable while the node is silenced.
-func (l chaosLink) reach() (*core.Coordinator, error) {
-	if l.h.silenced(l.ag.MachineID()) {
+var errUnreachable = fmt.Errorf("chaos: node unreachable")
+
+// RoundTrip implements http.RoundTripper.
+func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
+	h, node := w.h, w.node
+	receiver := func() http.Handler { return h.currentServing().handler }
+	if node == "" {
+		node = req.URL.Host
+		receiver = h.agents[node].Handler
+	}
+	if h.silenced(node) {
 		return nil, errUnreachable
 	}
-	return l.h.currentCoord(), nil
-}
-
-// Register attaches the fault-modelled transport back to the agent,
-// tells the aggregation audit, and in replicated mode teaches the agent
-// its endpoint set.
-func (l chaosLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
-	h, id := l.h, l.ag.MachineID()
-	c, err := l.reach()
+	body, err := io.ReadAll(req.Body)
 	if err != nil {
-		return api.RegisterResponse{}, err
+		return nil, err
 	}
-	resp, err := c.Register(req, chaosHandle{h: h, id: id, inner: core.LocalAgent{A: l.ag}})
-	if err != nil {
-		return resp, err
+	// send delivers the request's bytes to the receiver as it stands now;
+	// a duplicate is the same bytes sent again.
+	send := func() (*http.Response, []byte) {
+		again := req.WithContext(req.Context())
+		again.Body = io.NopCloser(bytes.NewReader(body))
+		resp, _ := api.InProcess{Handler: receiver()}.RoundTrip(again)
+		out, _ := io.ReadAll(resp.Body)
+		return resp, out
 	}
-	if a := h.audits.aggregation(); a != nil {
-		// Register installs the node with LastHeartbeat = the
-		// coordinator's now, which is the shared simulated clock's now.
-		a.ObserveRegister(id, h.clock.Now())
+	resp, out := send()
+	if resp.StatusCode < http.StatusMultipleChoices {
+		h.tap(req.URL.Path, node, body, out, send)
 	}
-	if h.cfg.Replicated {
-		// The leader it just joined plus the standby it can fail over to
-		// on a leader change — whose ID is the hint a fenced leader will
-		// give. Both are this link, which forwards to whoever leads.
-		h.mu.Lock()
-		lead, sb := h.serving, h.standby
-		h.mu.Unlock()
-		l.ag.SetEndpoints([]agent.Endpoint{{ID: lead.id, Link: l}, {ID: sb.id, Link: l}})
-	}
+	resp.Body = io.NopCloser(bytes.NewReader(out))
 	return resp, nil
 }
 
-// Heartbeat is the direct path (the only one without an aggregation
-// tier, the fallback with one). Acknowledged beats are reported to the
-// aggregation audit — it must see every ack or honest fallback traffic
-// would read as fabrication — and, inside a duplicate-delivery window,
-// the very same request (same beat sequence) is replayed: the
-// coordinator's ingress guard must make it a no-op.
-func (l chaosLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	h := l.h
-	c, err := l.reach()
-	if err != nil {
-		return api.HeartbeatResponse{}, err
-	}
-	resp, err := c.Heartbeat(req)
-	h.observeBeatAck(req, resp, err)
-	if err == nil && resp.Acknowledged && !resp.Reregister {
-		h.maybeReplay("heartbeat", "heartbeat "+req.MachineID, func() {
-			_, _ = h.currentCoord().Heartbeat(req)
+// tap runs the harness's observers on one answered request, reading the
+// bytes that crossed. The aggregation audit learns every registration
+// and acknowledged beat — it must see every ack, or honest fallback
+// traffic would read as fabrication. Inside a duplicate-delivery window
+// an answered heartbeat, job report or launch is re-sent byte for byte:
+// the coordinator's sequence guard and terminal-state pre-check must
+// make the copies no-ops, and the agent must re-acknowledge a launch
+// with the same answer, not fail it or start a second copy.
+func (h *chaosHarness) tap(path, node string, body, out []byte, send func() (*http.Response, []byte)) {
+	label := path + " " + node + ": " + string(body)
+	resend := func() { send() }
+	switch path {
+	case "/v1/register":
+		// Register installs the node with LastHeartbeat = the
+		// coordinator's now, which is the shared simulated clock's now.
+		if a := h.audits.aggregation(); a != nil {
+			a.ObserveRegister(node, h.clock.Now())
+		}
+	case "/v1/heartbeat":
+		var ack api.HeartbeatResponse
+		_ = json.Unmarshal(out, &ack)
+		events := func() int {
+			var beat api.HeartbeatRequest
+			_ = json.Unmarshal(body, &beat)
+			return len(beat.HealthEvents)
+		}
+		if h.observeBeatAck(node, ack, events) {
+			h.maybeReplay("heartbeat", label, resend)
+		}
+	case "/v1/jobupdate":
+		h.maybeReplay("job-update", label, resend)
+	case "/v1/launch":
+		h.maybeReplay("launch", label, func() {
+			if _, again := send(); !bytes.Equal(again, out) {
+				h.mu.Lock()
+				h.dupViolations = append(h.dupViolations, invariant.Violation{
+					Rule:   "no-duplicate-side-effects",
+					Detail: fmt.Sprintf("%s not idempotent: answered %s, first %s", label, again, out),
+				})
+				h.mu.Unlock()
+			}
 		})
 	}
-	return resp, err
 }
 
 // aggSender routes one agent's beats to its rack aggregator. Crash
@@ -899,7 +936,9 @@ func (s aggSender) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, e
 		return api.HeartbeatResponse{}, aggregator.ErrUnavailable
 	}
 	resp, err := g.Heartbeat(req)
-	s.h.observeBeatAck(req, resp, err)
+	if err == nil {
+		s.h.observeBeatAck(req.MachineID, resp, func() int { return len(req.HealthEvents) })
+	}
 	return resp, err
 }
 
@@ -930,57 +969,6 @@ func (u aggUpstream) IngestAggregated(b api.AggregatedBeat) (api.AggregatedBeatR
 		a.ObserveAggEpoch(u.id, resp.LeaderEpoch)
 	}
 	return resp, err
-}
-
-// chaosHandle is the coordinator's transport to one agent, with the
-// fault model applied: a crashed or partitioned node is unreachable
-// for launches, kills and checkpoints, exactly as its HTTP endpoint
-// would be.
-type chaosHandle struct {
-	h     *chaosHarness
-	id    string
-	inner core.AgentHandle
-}
-
-var errUnreachable = fmt.Errorf("chaos: node unreachable")
-
-func (c chaosHandle) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
-	if c.h.silenced(c.id) {
-		return api.LaunchResponse{}, errUnreachable
-	}
-	resp, err := c.inner.Launch(req)
-	if err == nil {
-		// Duplicate delivery of the launch request: the agent's ingress
-		// must re-acknowledge the existing placement, not fail it or
-		// start a second copy.
-		c.h.maybeReplay("launch", "launch "+req.JobID+" on "+c.id, func() {
-			resp2, err2 := c.inner.Launch(req)
-			if err2 != nil || resp2 != resp {
-				c.h.mu.Lock()
-				c.h.dupViolations = append(c.h.dupViolations, invariant.Violation{
-					Rule: "no-duplicate-side-effects",
-					Detail: fmt.Sprintf("launch %s on %s not idempotent: err=%v resp=%+v first=%+v",
-						req.JobID, c.id, err2, resp2, resp),
-				})
-				c.h.mu.Unlock()
-			}
-		})
-	}
-	return resp, err
-}
-
-func (c chaosHandle) Kill(req api.KillRequest) error {
-	if c.h.silenced(c.id) {
-		return errUnreachable
-	}
-	return c.inner.Kill(req)
-}
-
-func (c chaosHandle) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error) {
-	if c.h.silenced(c.id) {
-		return api.CheckpointResponse{}, errUnreachable
-	}
-	return c.inner.Checkpoint(req)
 }
 
 // dropBeat reports whether this beat falls inside an open partial-loss
@@ -1044,33 +1032,6 @@ func (h *chaosHarness) startTraffic(seed int64) {
 		h.clock.AfterFunc(15*time.Minute, topUp)
 	}
 	h.clock.AfterFunc(15*time.Minute, topUp)
-}
-
-// JobUpdate forwards a job report. Inside a duplicate-delivery window
-// an answered report is replayed: the coordinator's terminal-state
-// pre-check must make the replays true no-ops.
-func (l chaosLink) JobUpdate(req api.JobUpdateRequest) error {
-	c, err := l.reach()
-	if err != nil {
-		return err
-	}
-	if err := c.JobUpdate(req); err != nil {
-		return err
-	}
-	l.h.maybeReplay("job-update", fmt.Sprintf("job-update %s on %s", req.JobID, req.MachineID), func() {
-		_ = l.h.currentCoord().JobUpdate(req)
-	})
-	return nil
-}
-
-// Depart forwards an announced departure; from a silenced node it
-// fails, and heartbeat loss must do the work.
-func (l chaosLink) Depart(req api.DepartRequest) error {
-	c, err := l.reach()
-	if err != nil {
-		return err
-	}
-	return c.Depart(req)
 }
 
 // --- chaos.Platform ---

@@ -33,8 +33,13 @@ import (
 // audit exact (the buffer is in neither the pre-crash export nor the
 // recovered store).
 
-// beatFlushCap bounds the buffer: a burst that fills it flushes
-// immediately instead of waiting for the tick.
+// beatFlushCap flushes the buffer as soon as that many nodes have
+// parked a beat, instead of waiting for the tick. It guards no memory
+// bound — the buffer is keyed by node and pruned on departure — and
+// taking it off the ack path is measured four times as a win
+// (docs/BENCHMARKS.md "Measured and deferred"). It stays until
+// ROADMAP item 2(a) re-bases the benchmark's yardstick, which reads
+// that win as a loss today.
 const beatFlushCap = 512
 
 // isNoopBeat reports whether this heartbeat changes nothing about the
@@ -70,8 +75,9 @@ func (c *Coordinator) isNoopBeat(b *beat) bool {
 }
 
 // enqueueBeat parks one no-op beat in the coalescing buffer and arms
-// the flush tick if the buffer was idle. A full buffer flushes
-// synchronously so a burst cannot grow it unbounded.
+// the flush tick if the buffer was idle. A buffer at beatFlushCap
+// flushes synchronously, on this beat's ack path, until ROADMAP item
+// 2(a) lets the measured cost of that be gated.
 func (c *Coordinator) enqueueBeat(nodeID string, at time.Time) {
 	flushNow := false
 	c.mu.Lock()

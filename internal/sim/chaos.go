@@ -861,7 +861,8 @@ func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	// send delivers the request's bytes to the receiver as it stands now;
-	// a duplicate is the same bytes sent again.
+	// a duplicate is the same bytes sent again. Neither the in-process
+	// round trip nor reading its recorded body can fail.
 	send := func() (*http.Response, []byte) {
 		again := req.WithContext(req.Context())
 		again.Body = io.NopCloser(bytes.NewReader(body))

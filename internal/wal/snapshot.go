@@ -15,17 +15,6 @@ import (
 // SnapshotFile is the checkpoint file name inside a WAL directory.
 const SnapshotFile = "snapshot.json"
 
-// writeSnapshotFile atomically replaces dir/snapshot.json with st.
-func writeSnapshotFile(dir string, st db.State) error {
-	err := ReplaceFile(filepath.Join(dir, SnapshotFile), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(st)
-	})
-	if err != nil {
-		return fmt.Errorf("wal: writing snapshot: %w", err)
-	}
-	return nil
-}
-
 // ReplaceFile replaces path with what write produces, atomically and
 // durably: write to a temp file beside it, fsync it, rename it over
 // path, fsync the directory. A crash at any point leaves either the old
@@ -123,8 +112,9 @@ func (s *Snapshotter) Snapshot() error {
 		return s.record(err)
 	}
 	st := s.store.ExportState()
-	if err := writeSnapshotFile(s.dir, st); err != nil {
-		return s.record(err)
+	err = ReplaceFile(filepath.Join(s.dir, SnapshotFile), func(w io.Writer) error { return json.NewEncoder(w).Encode(st) })
+	if err != nil {
+		return s.record(fmt.Errorf("wal: writing snapshot: %w", err))
 	}
 	idx, err := segmentIndexes(s.dir)
 	if err != nil {

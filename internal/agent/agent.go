@@ -10,6 +10,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -120,7 +121,8 @@ type Agent struct {
 	// pendingHealth buffers health events collected from cfg.Health but
 	// not yet shipped: a beat carries at most api.MaxHealthEventsPerBeat,
 	// and the overflow waits (bounded — oldest events drop first) for
-	// the next beat rather than being lost.
+	// the next beat rather than being lost, as do the events of a beat
+	// nobody answered.
 	pendingHealth []gpu.HealthEvent
 	// endpoints is the coordinator replica set and active the index of
 	// the replica every message goes to; Redirect rotates it on
@@ -834,14 +836,16 @@ func (a *Agent) SendBeat(direct BeatSender) (resp api.HeartbeatResponse, viaAggr
 			a.demoteAggregator(now)
 		}
 	}
-	if direct == nil {
-		if err == nil {
-			err = errors.New("agent: no direct endpoint to fall back to")
-		}
-		return api.HeartbeatResponse{}, false, err
+	switch {
+	case direct != nil:
+		resp, err = direct.Heartbeat(req)
+	case err == nil:
+		err = errors.New("agent: no direct endpoint to fall back to")
 	}
-	resp, err = direct.Heartbeat(req)
 	if err != nil {
+		// Nobody answered: the beat's health events go back to the front
+		// of the backlog and ride the next beat.
+		a.requeueHealth(req.HealthEvents)
 		return api.HeartbeatResponse{}, false, err
 	}
 	a.ObserveEpoch(resp.LeaderEpoch)
@@ -1003,9 +1007,7 @@ const maxHealthBacklog = 4 * api.MaxHealthEventsPerBeat
 // buffer and cuts the next beat's bounded slice. Callers hold a.mu.
 func (a *Agent) takeHealthLocked(collected []gpu.HealthEvent) []gpu.HealthEvent {
 	a.pendingHealth = append(a.pendingHealth, collected...)
-	if over := len(a.pendingHealth) - maxHealthBacklog; over > 0 {
-		a.pendingHealth = append(a.pendingHealth[:0], a.pendingHealth[over:]...)
-	}
+	a.boundHealthLocked()
 	if len(a.pendingHealth) == 0 {
 		return nil
 	}
@@ -1017,6 +1019,28 @@ func (a *Agent) takeHealthLocked(collected []gpu.HealthEvent) []gpu.HealthEvent 
 	copy(out, a.pendingHealth[:n])
 	a.pendingHealth = append(a.pendingHealth[:0], a.pendingHealth[n:]...)
 	return out
+}
+
+// requeueHealth puts the health events of a beat no tier answered back
+// in front of the backlog, where they were cut from. An unanswered beat
+// may still have been applied (its answer lost), so delivery is at least
+// once.
+func (a *Agent) requeueHealth(events []gpu.HealthEvent) {
+	if len(events) == 0 {
+		return
+	}
+	a.mu.Lock()
+	a.pendingHealth = slices.Concat(events, a.pendingHealth)
+	a.boundHealthLocked()
+	a.mu.Unlock()
+}
+
+// boundHealthLocked drops the oldest pending events beyond
+// maxHealthBacklog. Callers hold a.mu.
+func (a *Agent) boundHealthLocked() {
+	if over := len(a.pendingHealth) - maxHealthBacklog; over > 0 {
+		a.pendingHealth = append(a.pendingHealth[:0], a.pendingHealth[over:]...)
+	}
 }
 
 // snapshotRuns returns the current runs without holding the lock during

@@ -9,7 +9,12 @@ import (
 	"time"
 
 	"gpunion/internal/api"
+	"gpunion/internal/checkpoint"
+	"gpunion/internal/container"
 	"gpunion/internal/db"
+	"gpunion/internal/gpu"
+	"gpunion/internal/simclock"
+	"gpunion/internal/storage"
 	"gpunion/internal/workload"
 )
 
@@ -259,6 +264,40 @@ func TestBeatFallsBackFromDemotedAggregator(t *testing.T) {
 	}
 	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 2 {
 		t.Fatalf("demoted relay was probed again: relay %v direct %v", relay.beatSeqs, link.beatSeqs)
+	}
+}
+
+// TestUnansweredBeatKeepsHealthEvents: a beat that fails at the
+// transport does not lose the health events it drained; they go back in
+// front of the backlog, and the next beat carries them ahead of what was
+// observed since.
+func TestUnansweredBeatKeepsHealthEvents(t *testing.T) {
+	src := gpu.NewFakeHealthSource()
+	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
+	a := New(Config{MachineID: "node-test", Kernel: "5.15", Health: src}, simclock.NewSim(t0), rt,
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
+	t.Cleanup(a.Stop)
+	var carried []gpu.HealthEvent
+	link := &scriptedLink{beats: []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){
+		fail(errors.New("connection refused")),
+		func(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+			carried = req.HealthEvents
+			return ack(0)(req)
+		}}}
+	a.SetEndpoints([]Endpoint{{Link: link}})
+
+	xid := gpu.HealthEvent{Kind: gpu.HealthXIDRecoverable, Severity: gpu.SeverityWarn, DeviceID: "gpu0", XID: 31}
+	thermal := gpu.HealthEvent{Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical, DeviceID: "gpu0", Value: 96}
+	src.Inject(xid)
+	if _, err := a.Beat(); err == nil {
+		t.Fatal("a beat the link refused reported success")
+	}
+	src.Inject(thermal)
+	if _, err := a.Beat(); err != nil {
+		t.Fatal(err)
+	}
+	if len(carried) != 2 || carried[0].Kind != xid.Kind || carried[1].Kind != thermal.Kind {
+		t.Fatalf("the answered beat carried %+v, want the unanswered beat's XID then the new thermal event", carried)
 	}
 }
 

@@ -30,12 +30,14 @@ test:
 # node shards and the one-lock job, allocation and sample tables at
 # once. The placement-pass hand-off, the verified-token map and
 # the agent's kept job reports (written where a job ends, re-sent from
-# the beat loop) are the places goroutines meet on shared state outside
-# the store; their tests are cheap, so they run twenty times.
+# the beat loop) and its heartbeat loop on wall-clock timers (beating
+# while launches and kills arrive through its handler) are the places
+# goroutines meet on shared state outside the store; their tests are
+# cheap, so they run twenty times.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Gather|Replica|Lease|TestConcurrentAccess|TestConcurrentSaveLoadConsistency|TestShardedStressParallelHeartbeats' ./internal/wal ./internal/core ./internal/db
-	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats' ./internal/core ./internal/auth ./internal/agent
+	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats|TestHeartbeatLoopRealClock' ./internal/core ./internal/auth ./internal/agent
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps
 # bench_test.go compiling and executable without burning CI minutes.
@@ -200,7 +202,15 @@ verify-bench:
 # send those messages through the shipped handlers (core.Handler,
 # agent.Handler) over api.InProcess; an in-process adapter that calls
 # the entries directly (the deleted LocalLink, LocalAgent, chaosHandle)
-# is a second implementation of the wire, test files included.
+# is a second implementation of the wire, test files included. The
+# agent side has one assembly too: agent.New builds the node's container
+# runtime from its device specs, and the first successful Join starts
+# the one heartbeat loop. A Beat() call in non-test code outside
+# internal/agent is a second loop in the making, and a NewRuntime call
+# outside internal/container and internal/agent — examples and tests
+# included — a second runtime assembly. The root container benchmark,
+# which times the runtime alone over its own image store, is the one
+# exemption.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -219,6 +229,15 @@ verify-compose:
 	@out="$$(grep -rnE 'LocalLink|LocalAgent|chaosHandle' internal cmd examples)"; \
 	if [ -n "$$out" ]; then \
 		echo "an in-process adapter beside the shipped handlers:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn '\.Beat()' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/agent/')"; \
+	if [ -n "$$out" ]; then \
+		echo "a heartbeat loop outside internal/agent:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn 'container\.NewRuntime(' --include='*.go' . \
+		| grep -vE '^\./internal/(container|agent)/|^\./bench_test\.go:[0-9]+:[[:space:]]*rt := container\.NewRuntime\(images, ')"; \
+	if [ -n "$$out" ]; then \
+		echo "a container runtime assembled outside internal/agent:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the twelve chaos schedules, the trace test's

@@ -1097,8 +1097,7 @@ func benchHealthBeats(b *testing.B, senders int) {
 	reqs := make([]api.HeartbeatRequest, 2)
 	for i := range reqs {
 		id := fmt.Sprintf("n%d", i+1)
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, clock, rt, ckpts, nil)
+		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, ckpts, nil)
 		defer ag.Stop()
 		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), agent.NewInProcessClient(ag))
 		if err != nil {

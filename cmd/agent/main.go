@@ -45,9 +45,7 @@ import (
 	"gpunion/internal/auth"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/config"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
-	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
@@ -96,7 +94,6 @@ func main() {
 		log.Fatalf("generating machine id: %v", err)
 	}
 
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 	eps := coordinatorEndpoints(cfg.CoordinatorURL)
 	if len(eps) == 0 {
 		log.Fatalf("no coordinator address in %q", cfg.CoordinatorURL)
@@ -107,7 +104,7 @@ func main() {
 		Kernel:                    cfg.Kernel,
 		DefaultCheckpointInterval: time.Duration(cfg.CheckpointIntervalSec) * time.Second,
 		TelemetryEvery:            *telemetryEvery,
-	}, simclock.Real(), rt, ckpts, nil)
+	}, simclock.Real(), specs, ckpts, nil)
 	ag.SetEndpoints(eps)
 	if *aggURL != "" {
 		ag.SetAggregator(*aggURL, core.NewClient(*aggURL))
@@ -133,31 +130,9 @@ func main() {
 	}
 	log.Printf("registered with %s; heartbeating every %v", ag.ActiveEndpoint().ID, resp.HeartbeatInterval)
 
-	stop := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(resp.HeartbeatInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if ag.Departed() {
-					continue
-				}
-				if hb, err := ag.Beat(); err != nil {
-					log.Printf("heartbeat: %v", err)
-				} else if !hb.Acknowledged {
-					log.Printf("re-registered with %s (leader epoch %d)", ag.ActiveEndpoint().ID, ag.CoordEpoch())
-				}
-			}
-		}
-	}()
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	s := <-sig
-	close(stop)
 	if s == syscall.SIGINT {
 		log.Printf("scheduled departure: checkpointing workloads")
 		ag.Depart(api.DepartScheduled, 2*time.Minute)

@@ -2,21 +2,130 @@ package main
 
 import (
 	"errors"
+	"net"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
+	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
 )
+
+// TestMain runs this test binary as the agent daemon when its first
+// argument is "agent", so a test can boot the shipped main as a child
+// process and signal it.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "agent" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestDaemonBeatsOnItsOwn boots the shipped agent against a coordinator
+// served from the test with a 200 ms heartbeat interval. Nothing in the
+// test beats: the node's last heartbeat must still advance across at
+// least three intervals, and SIGINT must leave a scheduled departure on
+// the coordinator.
+func TestDaemonBeatsOnItsOwn(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	bus := eventbus.New(256)
+	coord, err := core.New(core.Config{HeartbeatInterval: interval}, simclock.Real(), db.New(0),
+		checkpoint.NewStore(storage.NewMemStore(0)), bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	srv := httptest.NewServer(coord.Handler(nil))
+	t.Cleanup(srv.Close)
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := strconv.Itoa(l.Addr().(*net.TCPAddr).Port)
+	l.Close()
+	daemon := exec.Command(os.Args[0], "agent", "-coordinator", srv.URL, "-listen", ":"+port, "-gpus", "RTX 3090:1")
+	logPath := t.TempDir() + "/agent.log"
+	logFile, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logFile.Close()
+	daemon.Stdout, daemon.Stderr = logFile, logFile
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- daemon.Wait() }()
+	t.Cleanup(func() { _ = daemon.Process.Kill() })
+	fatal := func(format string, args ...any) {
+		t.Helper()
+		log, _ := os.ReadFile(logPath)
+		t.Fatalf(format+"\nagent log:\n%s", append(args, log)...)
+	}
+	node := func() (db.NodeRecord, bool) {
+		nodes := coord.DB().ListNodes()
+		if len(nodes) != 1 {
+			return db.NodeRecord{}, false
+		}
+		return nodes[0], true
+	}
+
+	var joined time.Time
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			fatal("no beat %v after the registration", 3*interval)
+		}
+		rec, ok := node()
+		if !ok {
+			continue
+		}
+		if joined.IsZero() {
+			joined = rec.LastHeartbeat
+		}
+		if rec.LastHeartbeat.Sub(joined) >= 3*interval {
+			break
+		}
+	}
+
+	if err := daemon.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			fatal("agent exited with %v after SIGINT", err)
+		}
+	case <-time.After(10 * time.Second):
+		fatal("agent still running 10 s after SIGINT")
+	}
+	if rec, _ := node(); rec.Status != db.NodeDeparted {
+		fatal("node after SIGINT = %s, want %s", rec.Status, db.NodeDeparted)
+	}
+	scheduled := false
+	for _, ev := range bus.History() {
+		if ev.Type == eventbus.NodeDeparted && ev.Detail["reason"] == string(api.DepartScheduled) {
+			scheduled = true
+		}
+	}
+	if !scheduled {
+		fatal("the coordinator saw no scheduled departure")
+	}
+}
 
 func TestParseGPUFlag(t *testing.T) {
 	entries, err := parseGPUFlag("RTX 3090:2,A100:1")
@@ -73,7 +182,9 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 	store := db.New(0)
 	var ag *agent.Agent
 	boot := func(id string) (*core.Coordinator, *httptest.Server) {
-		c, err := core.New(core.Config{HeartbeatInterval: 10 * time.Second, Lease: lease, ReplicaID: id,
+		// An interval longer than the test keeps the agent's own loop
+		// quiet: every beat below is the test's.
+		c, err := core.New(core.Config{HeartbeatInterval: time.Hour, Lease: lease, ReplicaID: id,
 			AuthSecret: []byte("shared-across-replicas")},
 			clock, store, checkpoint.NewStore(storage.NewMemStore(0)), nil)
 		if err != nil {
@@ -92,8 +203,7 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 		t.Fatal("coord-a failed to take the free lease")
 	}
 
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag = agent.New(agent.Config{MachineID: "node-1", Kernel: "5.15"}, clock, rt,
+	ag = agent.New(agent.Config{MachineID: "node-1", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090},
 		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	t.Cleanup(ag.Stop)
 	// The standby is listed first: the join must walk past it.

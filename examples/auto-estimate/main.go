@@ -19,7 +19,6 @@ import (
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -48,22 +47,13 @@ func main() {
 		"workstation": {gpu.RTX3090},
 		"a100-server": {gpu.A100},
 	} {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, rt, ckpts, bus)
+			clock, specs, ckpts, bus)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
-		resp, err := ag.Join("inproc://"+id, 1<<30)
-		if err != nil {
+		// The agent beats on its own from the first successful Join.
+		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
-		var beat func()
-		beat = func() {
-			if !ag.Departed() {
-				_, _ = ag.Beat()
-			}
-			clock.AfterFunc(resp.HeartbeatInterval, beat)
-		}
-		clock.AfterFunc(resp.HeartbeatInterval, beat)
 	}
 
 	// Users state what they know: the model, not the hardware.

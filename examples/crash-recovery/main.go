@@ -20,7 +20,6 @@ import (
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -60,35 +59,22 @@ func main() {
 	rep.Start()
 	coord, store := rep.Coordinator(), rep.Store()
 
-	// 2. Two provider nodes. Their heartbeat loops outlive the first
-	// coordinator: beats are skipped while `active` is down, then resume
-	// against the successor — a node daemon's retry loop in miniature.
-	// (Sim-clock callbacks run on the advancing goroutine, so a plain
-	// variable is safe here.)
-	active := coord
+	// 2. Two provider nodes. Each agent's own heartbeat loop, started by
+	// its first Join, outlives the first coordinator and carries on
+	// against the successor.
 	specs := map[string][]gpu.Spec{
 		"lab-workstation": {gpu.RTX3090},
 		"shared-server":   {gpu.RTX4090, gpu.RTX4090},
 	}
 	agents := make(map[string]*agent.Agent)
 	for id, gs := range specs {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, rt, ckpts, bus)
+			clock, gs, ckpts, bus)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
-		resp, err := ag.Join("inproc://"+id, 1<<30)
-		if err != nil {
+		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
 		agents[id] = ag
-		var beat func()
-		beat = func() {
-			if active != nil && !ag.Departed() {
-				_, _ = ag.Beat()
-			}
-			clock.AfterFunc(resp.HeartbeatInterval, beat)
-		}
-		clock.AfterFunc(resp.HeartbeatInterval, beat)
 	}
 
 	// 3. Submit four training jobs (one more than there are GPUs, so
@@ -112,7 +98,6 @@ func main() {
 	// handles, relaunch metadata, failure-detection timers — is gone;
 	// only what the WAL fsynced survives.
 	preCrash := store.ExportState()
-	active = nil
 	if err := rep.Kill(); err != nil {
 		log.Fatal(err)
 	}
@@ -141,7 +126,6 @@ func main() {
 
 	// 7. The nodes reconnect (their running containers never stopped)
 	// and the recovered queue finishes.
-	active = coord2
 	for id, ag := range agents {
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord2, ag)}})
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {

@@ -17,7 +17,6 @@ import (
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -47,23 +46,13 @@ func main() {
 		"shared-server":   {gpu.RTX4090, gpu.RTX4090},
 	}
 	for id, specs := range nodes {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, rt, ckpts, bus)
+			clock, specs, ckpts, bus)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
-		resp, err := ag.Join("inproc://"+id, 1<<30)
-		if err != nil {
+		// Joining starts the agent's heartbeat loop on the simulated clock.
+		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
-		// Heartbeat loop on the simulated clock.
-		var beat func()
-		beat = func() {
-			if !ag.Departed() {
-				_, _ = ag.Beat()
-			}
-			clock.AfterFunc(resp.HeartbeatInterval, beat)
-		}
-		clock.AfterFunc(resp.HeartbeatInterval, beat)
 		fmt.Printf("registered %-16s with %d GPU(s)\n", id, len(specs))
 	}
 

@@ -18,7 +18,6 @@ import (
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -43,24 +42,14 @@ func main() {
 
 	agents := make(map[string]*agent.Agent)
 	for _, id := range []string{"volunteer-ws", "backup-1", "backup-2"} {
-		rt := container.NewRuntime(container.DefaultImages(),
-			gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, rt, ckpts, bus)
+			clock, []gpu.Spec{gpu.RTX3090}, ckpts, bus)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
-		resp, err := ag.Join("inproc://"+id, 1<<30)
-		if err != nil {
+		// The agent beats on its own from the first successful Join.
+		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
 		agents[id] = ag
-		var beat func()
-		beat = func() {
-			if !ag.Departed() {
-				_, _ = ag.Beat()
-			}
-			clock.AfterFunc(resp.HeartbeatInterval, beat)
-		}
-		clock.AfterFunc(resp.HeartbeatInterval, beat)
 	}
 
 	// Narrate the platform's migration machinery as it acts.

@@ -97,8 +97,9 @@ type Agent struct {
 	// in place on each scrape and counters accumulate across scrapes —
 	// a per-scrape registry would reset every counter to zero.
 	metrics *monitor.Registry
-	// launchesTotal counts workload launches over the agent's lifetime.
+	// launchesTotal and beatFailures back the two counters New registers.
 	launchesTotal *monitor.Counter
+	beatFailures  *monitor.Counter
 
 	mu   sync.Mutex
 	jobs map[string]*jobRun
@@ -113,8 +114,11 @@ type Agent struct {
 	// re-joins repeat them.
 	addr         string
 	storageBytes int64
-	stopped      bool
-	ticker       simclock.Timer
+	// stopped is set by Stop: neither the progress timer nor the heartbeat
+	// loop (beats, armed by the first successful Join) re-arms after it.
+	stopped bool
+	ticker  simclock.Timer
+	beats   simclock.Timer
 	// beatSeq numbers every heartbeat this agent builds, so the
 	// coordinator can drop duplicate deliveries of the same beat.
 	beatSeq uint64
@@ -196,13 +200,15 @@ type jobRun struct {
 	residual time.Duration
 }
 
-// New creates an agent over the node's runtime. Checkpoints are saved
-// through ckpts — usually a *checkpoint.Store backed by a LAN store or
-// the user's pinned location; the narrower Writer interface is the
-// data-plane seam fault injection wraps.
+// New creates the agent of a node with one GPU per entry of specs, in a
+// container runtime of its own. Checkpoints are saved through ckpts —
+// usually a *checkpoint.Store backed by a LAN store or the user's
+// pinned location; the narrower Writer interface is the data-plane seam
+// fault injection wraps.
 //
-// The agent starts stand-alone; SetEndpoints names the coordinator.
-func New(cfg Config, clock simclock.Clock, rt *container.Runtime, ckpts checkpoint.Writer, bus *eventbus.Bus) *Agent {
+// The agent starts stand-alone; SetEndpoints names the coordinator, and
+// the first successful Join starts the heartbeat loop on clock.
+func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Writer, bus *eventbus.Bus) *Agent {
 	if bus == nil {
 		bus = eventbus.New(0)
 	}
@@ -215,7 +221,7 @@ func New(cfg Config, clock simclock.Clock, rt *container.Runtime, ckpts checkpoi
 	a := &Agent{
 		cfg:        cfg,
 		clock:      clock,
-		runtime:    rt,
+		runtime:    container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0),
 		ckpts:      ckpts,
 		bus:        bus,
 		jobs:       make(map[string]*jobRun),
@@ -224,6 +230,8 @@ func New(cfg Config, clock simclock.Clock, rt *container.Runtime, ckpts checkpoi
 	}
 	a.launchesTotal, _ = a.metrics.Counter("gpunion_agent_launches_total",
 		"Workload launches accepted by this agent", nil)
+	a.beatFailures, _ = a.metrics.Counter("gpunion_agent_heartbeat_failures_total",
+		"Heartbeats that failed even after the agent's redirect and re-join", nil)
 	a.scheduleTick()
 	return a
 }
@@ -721,10 +729,7 @@ func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 	a.mu.Lock()
 	a.departed = true
 	a.jobs = make(map[string]*jobRun)
-	if a.ticker != nil {
-		a.ticker.Stop()
-		a.stopped = true
-	}
+	a.ticker.Stop()
 	a.mu.Unlock()
 
 	a.runtime.KillAll(now)
@@ -743,14 +748,12 @@ func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 // Return brings a temporarily-departed node back online.
 func (a *Agent) Return() {
 	a.mu.Lock()
+	wasDeparted := a.departed
 	a.departed = false
 	a.paused = false
-	if a.stopped {
-		a.stopped = false
-		a.mu.Unlock()
-		a.scheduleTick()
-	} else {
-		a.mu.Unlock()
+	a.mu.Unlock()
+	if wasDeparted {
+		a.scheduleTick() // Depart stopped the progress timer
 	}
 	a.bus.Publish(eventbus.Event{Type: eventbus.NodeReturned, Time: a.clock.Now(), Node: a.cfg.MachineID})
 }
@@ -843,9 +846,12 @@ func (a *Agent) SendBeat(direct BeatSender) (resp api.HeartbeatResponse, viaAggr
 		err = errors.New("agent: no direct endpoint to fall back to")
 	}
 	if err != nil {
-		// Nobody answered: the beat's health events go back to the front
-		// of the backlog and ride the next beat.
-		a.requeueHealth(req.HealthEvents)
+		// Nobody answered: the beat's health events go back in front of
+		// the backlog for the next beat, whose cut bounds it. The answer
+		// may be all that was lost, so delivery is at least once.
+		a.mu.Lock()
+		a.pendingHealth = slices.Concat(req.HealthEvents, a.pendingHealth)
+		a.mu.Unlock()
 		return api.HeartbeatResponse{}, false, err
 	}
 	a.ObserveEpoch(resp.LeaderEpoch)
@@ -855,7 +861,9 @@ func (a *Agent) SendBeat(direct BeatSender) (resp api.HeartbeatResponse, viaAggr
 // Join registers the node through the active endpoint and adopts what
 // the coordinator answers: the credential for subsequent messages and
 // the leader epoch as the fencing floor. addr is where the coordinator
-// reaches this agent.
+// reaches this agent. The first Join that succeeds starts the heartbeat
+// loop at the interval the coordinator answers; a re-join keeps the
+// loop running.
 func (a *Agent) Join(addr string, storageBytes int64) (api.RegisterResponse, error) {
 	a.mu.Lock()
 	a.addr, a.storageBytes = addr, storageBytes
@@ -870,9 +878,30 @@ func (a *Agent) Join(addr string, storageBytes int64) (api.RegisterResponse, err
 	}
 	a.mu.Lock()
 	a.token = resp.Token
+	if a.beats == nil && resp.HeartbeatInterval > 0 {
+		a.armBeatLocked(resp.HeartbeatInterval)
+	}
 	a.mu.Unlock()
 	a.ObserveEpoch(resp.LeaderEpoch)
 	return resp, nil
+}
+
+// armBeatLocked schedules the heartbeat loop's next turn, every after
+// now. A turn skips the beat while the node is departed — silence is
+// the emergency signal — and re-arms either way, until Stop. Callers
+// hold a.mu.
+func (a *Agent) armBeatLocked(every time.Duration) {
+	if a.stopped {
+		return
+	}
+	a.beats = a.clock.AfterFunc(every, func() {
+		if !a.Departed() {
+			_, _ = a.Beat()
+		}
+		a.mu.Lock()
+		a.armBeatLocked(every)
+		a.mu.Unlock()
+	})
 }
 
 // errNoEndpoint is what a stand-alone agent answers when asked to talk
@@ -888,7 +917,8 @@ var errNoEndpoint = errors.New("agent: no coordinator endpoint")
 // at all is rotated away from, and the next Beat tries its neighbour.
 // The returned error is what is still wrong after that — nil once a
 // demanded re-join succeeded. A beat that ends with no error was
-// answered, so the job reports still kept are re-sent after it.
+// answered, so the job reports still kept are re-sent after it; a beat
+// that ends with one counts on gpunion_agent_heartbeat_failures_total.
 func (a *Agent) Beat() (api.HeartbeatResponse, error) {
 	resp, _, err := a.SendBeat(a.ActiveEndpoint().Link)
 	var nl api.ErrNotLeader
@@ -898,14 +928,15 @@ func (a *Agent) Beat() (api.HeartbeatResponse, error) {
 		err = a.rejoin()
 	case err != nil:
 		a.Redirect("")
-		return resp, err
 	case resp.Reregister:
 		err = a.rejoin()
 	}
-	if err == nil {
-		a.resendReports()
+	if err != nil {
+		a.beatFailures.Inc()
+		return resp, err
 	}
-	return resp, err
+	a.resendReports()
+	return resp, nil
 }
 
 // rejoin repeats the last Join through the active endpoint.
@@ -1007,7 +1038,9 @@ const maxHealthBacklog = 4 * api.MaxHealthEventsPerBeat
 // buffer and cuts the next beat's bounded slice. Callers hold a.mu.
 func (a *Agent) takeHealthLocked(collected []gpu.HealthEvent) []gpu.HealthEvent {
 	a.pendingHealth = append(a.pendingHealth, collected...)
-	a.boundHealthLocked()
+	if over := len(a.pendingHealth) - maxHealthBacklog; over > 0 {
+		a.pendingHealth = append(a.pendingHealth[:0], a.pendingHealth[over:]...)
+	}
 	if len(a.pendingHealth) == 0 {
 		return nil
 	}
@@ -1019,28 +1052,6 @@ func (a *Agent) takeHealthLocked(collected []gpu.HealthEvent) []gpu.HealthEvent 
 	copy(out, a.pendingHealth[:n])
 	a.pendingHealth = append(a.pendingHealth[:0], a.pendingHealth[n:]...)
 	return out
-}
-
-// requeueHealth puts the health events of a beat no tier answered back
-// in front of the backlog, where they were cut from. An unanswered beat
-// may still have been applied (its answer lost), so delivery is at least
-// once.
-func (a *Agent) requeueHealth(events []gpu.HealthEvent) {
-	if len(events) == 0 {
-		return
-	}
-	a.mu.Lock()
-	a.pendingHealth = slices.Concat(events, a.pendingHealth)
-	a.boundHealthLocked()
-	a.mu.Unlock()
-}
-
-// boundHealthLocked drops the oldest pending events beyond
-// maxHealthBacklog. Callers hold a.mu.
-func (a *Agent) boundHealthLocked() {
-	if over := len(a.pendingHealth) - maxHealthBacklog; over > 0 {
-		a.pendingHealth = append(a.pendingHealth[:0], a.pendingHealth[over:]...)
-	}
 }
 
 // snapshotRuns returns the current runs without holding the lock during
@@ -1070,12 +1081,14 @@ func (a *Agent) scheduleTick() {
 	a.mu.Unlock()
 }
 
-// Stop halts the agent's background timer (shutdown path for daemons).
+// Stop halts the agent's progress timer and heartbeat loop (shutdown
+// path for daemons).
 func (a *Agent) Stop() {
 	a.mu.Lock()
 	a.stopped = true
-	if a.ticker != nil {
-		a.ticker.Stop()
+	a.ticker.Stop()
+	if a.beats != nil {
+		a.beats.Stop()
 	}
 	a.mu.Unlock()
 }

@@ -35,11 +35,10 @@ func newRig(t *testing.T, specs ...gpu.Spec) *testRig {
 		specs = []gpu.Spec{gpu.RTX3090, gpu.RTX3090}
 	}
 	clock := simclock.NewSim(t0)
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	link := &scriptedLink{}
 	bus := eventbus.New(256)
-	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, clock, rt, ckpts, bus)
+	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, clock, specs, ckpts, bus)
 	a.SetEndpoints([]Endpoint{{ID: "coord", Link: link}})
 	t.Cleanup(a.Stop)
 	return &testRig{clock: clock, agent: a, ckpts: ckpts, link: link, bus: bus}
@@ -383,10 +382,9 @@ func TestRegisterRequestInventoriesGPUs(t *testing.T) {
 func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 	// Back the checkpoint store with a full store so saves fail.
 	clock := simclock.NewSim(t0)
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewInventory(gpu.RTX3090, 1), 0, 0)
 	full := checkpoint.NewStore(storage.NewMemStore(1)) // 1-byte capacity
 	bus := eventbus.New(64)
-	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, rt, full, bus)
+	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, full, bus)
 	defer a.Stop()
 	spec := workload.SmallCNN
 	if _, err := a.Launch(api.LaunchRequest{
@@ -411,7 +409,7 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 func TestSkewBackwardJumpDoesNotStallProgress(t *testing.T) {
 	r := newRig(t)
 	skewed := simclock.NewSkewed(r.clock)
-	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, r.agent.Runtime(), r.ckpts, nil)
+	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
 	defer a.Stop()
 	launchVia(t, a, "j1", workload.SmallCNN)
 
@@ -437,7 +435,7 @@ func TestSkewBackwardJumpDoesNotStallProgress(t *testing.T) {
 func TestSkewForwardJumpDoesNotMintProgress(t *testing.T) {
 	r := newRig(t)
 	skewed := simclock.NewSkewed(r.clock)
-	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, r.agent.Runtime(), r.ckpts, nil)
+	a := New(Config{MachineID: "m1", Kernel: "5.15"}, skewed, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
 	defer a.Stop()
 	launchVia(t, a, "j1", workload.SmallCNN)
 

@@ -10,7 +10,6 @@ import (
 
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
@@ -114,13 +113,15 @@ func TestHeartbeatAndRegisterCarryEnvelope(t *testing.T) {
 
 // scriptedLink is an agent.Link that answers from a script: each
 // Heartbeat pops the next reply, Register always succeeds with the
-// current token and epoch, a job report fails with the next of
+// current token, epoch and interval (zero: the agent starts no heartbeat
+// loop, and the test beats by hand), a job report fails with the next of
 // updateErrs while any are left, departures succeed. It records what
 // reached it: updates holds the answered reports, attempts counts them
 // all.
 type scriptedLink struct {
 	beats      []func(api.HeartbeatRequest) (api.HeartbeatResponse, error)
 	epoch      uint64
+	interval   time.Duration
 	registers  []api.RegisterRequest
 	beatSeqs   []uint64
 	updateErrs []error
@@ -132,8 +133,9 @@ type scriptedLink struct {
 func (l *scriptedLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
 	l.registers = append(l.registers, req)
 	return api.RegisterResponse{
-		LeaderEpoch: l.epoch,
-		Token:       fmt.Sprintf("tok-%d", len(l.registers)),
+		LeaderEpoch:       l.epoch,
+		Token:             fmt.Sprintf("tok-%d", len(l.registers)),
+		HeartbeatInterval: l.interval,
 	}, nil
 }
 
@@ -172,8 +174,8 @@ func fail(err error) func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 	}
 }
 
-// TestBeat is the one heartbeat turn every loop runs — the daemon's, the
-// simulations', the chaos harness's.
+// TestBeat is one turn of the agent's heartbeat loop, which the daemon,
+// the simulations and the chaos harness all run.
 func TestBeat(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -273,8 +275,7 @@ func TestBeatFallsBackFromDemotedAggregator(t *testing.T) {
 // observed since.
 func TestUnansweredBeatKeepsHealthEvents(t *testing.T) {
 	src := gpu.NewFakeHealthSource()
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	a := New(Config{MachineID: "node-test", Kernel: "5.15", Health: src}, simclock.NewSim(t0), rt,
+	a := New(Config{MachineID: "node-test", Kernel: "5.15", Health: src}, simclock.NewSim(t0), []gpu.Spec{gpu.RTX3090},
 		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	t.Cleanup(a.Stop)
 	var carried []gpu.HealthEvent
@@ -292,12 +293,58 @@ func TestUnansweredBeatKeepsHealthEvents(t *testing.T) {
 	if _, err := a.Beat(); err == nil {
 		t.Fatal("a beat the link refused reported success")
 	}
+	if n := a.beatFailures.Value(); n != 1 {
+		t.Fatalf("heartbeat failures counted = %v, want 1", n)
+	}
 	src.Inject(thermal)
 	if _, err := a.Beat(); err != nil {
 		t.Fatal(err)
 	}
 	if len(carried) != 2 || carried[0].Kind != xid.Kind || carried[1].Kind != thermal.Kind {
 		t.Fatalf("the answered beat carried %+v, want the unanswered beat's XID then the new thermal event", carried)
+	}
+}
+
+// TestHeartbeatLoop: the first successful Join starts the agent's own
+// heartbeat loop at the interval the coordinator answered. A re-join
+// (here, on Reregister) does not start a second loop, a departed node
+// stays silent until it returns, and Stop ends the loop.
+func TestHeartbeatLoop(t *testing.T) {
+	r := newRig(t)
+	r.link.interval = 10 * time.Second
+	r.link.beats = append(r.link.beats, func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+		return api.HeartbeatResponse{Reregister: true}, nil
+	})
+	for range 10 {
+		r.link.beats = append(r.link.beats, ack(0))
+	}
+	beats := func() int { return len(r.link.beatSeqs) }
+
+	r.clock.Advance(time.Minute)
+	if beats() != 0 {
+		t.Fatalf("%d beats before any Join", beats())
+	}
+	if _, err := r.agent.Join("inproc://node-test", 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	r.clock.Advance(40 * time.Second) // the first beat re-joins
+	if len(r.link.registers) != 2 || beats() != 4 {
+		t.Fatalf("after 40 s: %d registrations, %d beats; want 2 and 4 (one loop)", len(r.link.registers), beats())
+	}
+	r.agent.Depart(api.DepartTemporary, 0)
+	r.clock.Advance(30 * time.Second)
+	if beats() != 4 {
+		t.Fatalf("a departed node beat: %d beats", beats())
+	}
+	r.agent.Return()
+	r.clock.Advance(10 * time.Second)
+	if beats() != 5 {
+		t.Fatalf("after the return: %d beats, want 5", beats())
+	}
+	r.agent.Stop()
+	r.clock.Advance(time.Minute)
+	if beats() != 5 {
+		t.Fatalf("the loop beat after Stop: %d beats", beats())
 	}
 }
 
@@ -346,20 +393,24 @@ func TestJobReportResentAfterAnsweredBeat(t *testing.T) {
 	}
 }
 
-// syncLink is an agent.Link safe for concurrent use: every beat is
-// acknowledged, and job reports fail while down is set. It counts the
-// answered reports per job.
+// syncLink is an agent.Link safe for concurrent use: registrations are
+// answered with interval, every beat is acknowledged and counted, and
+// job reports fail while down is set. It counts the answered reports
+// per job.
 type syncLink struct {
-	down atomic.Bool
-	mu   sync.Mutex
-	got  map[string]int
+	interval time.Duration
+	beats    atomic.Int64
+	down     atomic.Bool
+	mu       sync.Mutex
+	got      map[string]int
 }
 
 func (l *syncLink) Register(api.RegisterRequest) (api.RegisterResponse, error) {
-	return api.RegisterResponse{Token: "tok"}, nil
+	return api.RegisterResponse{Token: "tok", HeartbeatInterval: l.interval}, nil
 }
 
 func (l *syncLink) Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	l.beats.Add(1)
 	return api.HeartbeatResponse{Acknowledged: true}, nil
 }
 
@@ -411,5 +462,43 @@ func TestJobReportsConcurrentWithBeats(t *testing.T) {
 	}
 	if link.got["j1"] != 1 || link.got["j2"] != 1 {
 		t.Fatalf("answered reports = %v, want one per job", link.got)
+	}
+}
+
+// TestHeartbeatLoopRealClock: on the wall clock the heartbeat loop runs
+// on timer goroutines while the coordinator's launches and kills arrive
+// through the agent's HTTP handler, as in the daemon; Stop ends it. The
+// race lane runs it twenty times.
+func TestHeartbeatLoopRealClock(t *testing.T) {
+	link := &syncLink{interval: time.Millisecond, got: make(map[string]int)}
+	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, simclock.Real(), []gpu.Spec{gpu.RTX3090, gpu.RTX3090},
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
+	t.Cleanup(a.Stop)
+	a.SetEndpoints([]Endpoint{{Link: link}})
+	if _, err := a.Join("inproc://node-test", 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	orders := NewInProcessClient(a)
+	spec := workload.SmallCNN
+	for i := 0; link.beats.Load() < 20; i++ {
+		if i == 2000 {
+			t.Fatalf("%d beats after %d launches", link.beats.Load(), i)
+		}
+		id := fmt.Sprintf("j%d", i)
+		if _, err := orders.Launch(api.LaunchRequest{JobID: id, ImageName: "pytorch/pytorch:2.3-cuda12",
+			Kind: "batch", GPUMemMiB: spec.GPUMemMiB, Training: &spec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := orders.Kill(api.KillRequest{JobID: id}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	a.Stop()
+	time.Sleep(5 * time.Millisecond) // a turn already running finishes
+	stopped := link.beats.Load()
+	time.Sleep(20 * time.Millisecond)
+	if n := link.beats.Load(); n != stopped {
+		t.Fatalf("the loop beat %d times after Stop", n-stopped)
 	}
 }

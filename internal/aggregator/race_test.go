@@ -22,7 +22,6 @@ import (
 	"gpunion/internal/aggregator"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -60,14 +59,14 @@ func TestAggregatorFallbackRace(t *testing.T) {
 	}
 	ids := []string{"race-00", "race-01", "race-02", "race-03"}
 	for i := range agents {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
 		agents[i] = agent.New(agent.Config{
 			MachineID: ids[i], Kernel: "5.15",
 			ProgressTick: time.Hour, TelemetryEvery: 8,
 			// Near-zero demotion backoff: the probe-again path itself is
 			// part of what must race cleanly.
 			AggregatorRetry: time.Millisecond,
-		}, clock, rt, ckpts, bus)
+		}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, bus)
+		defer agents[i].Stop()
 		agents[i].SetEndpoints([]agent.Endpoint{{Link: core.NewInProcessClient(coord, agents[i])}})
 		agents[i].SetAggregator(agg.ID(), agg)
 		register(agents[i])

@@ -11,7 +11,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
@@ -55,8 +54,7 @@ func (b *beatRig) addSilentNode(id string, devices ...gpu.Spec) {
 	if len(devices) == 0 {
 		devices = []gpu.Spec{gpu.RTX3090}
 	}
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, b.clock, rt, b.ckpts, nil)
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, b.clock, devices, b.ckpts, nil)
 	b.t.Cleanup(ag.Stop)
 	resp, err := b.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), agent.NewInProcessClient(ag))
 	if err != nil {
@@ -283,8 +281,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil)
+	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, nil)
 	defer ag.Stop()
 	resp, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), agent.NewInProcessClient(ag))
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
@@ -44,29 +43,18 @@ func newRig(t *testing.T, hbInterval time.Duration) *rig {
 	return &rig{t: t, clock: clock, coord: coord, ckpts: ckpts, ags: make(map[string]*agent.Agent)}
 }
 
-// addNode creates an agent with the given GPUs, joins it through the
-// coordinator's handler in process, and starts its heartbeat loop on
+// addNode creates an agent with the given GPUs and joins it through the
+// coordinator's handler in process, which starts its heartbeat loop on
 // the simulated clock.
 func (r *rig) addNode(id string, specs ...gpu.Spec) *agent.Agent {
 	r.t.Helper()
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
-	link := NewInProcessClient(r.coord, ag)
-	ag.SetEndpoints([]agent.Endpoint{{Link: link}})
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, specs, r.ckpts, nil)
+	ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(r.coord, ag)}})
 	r.t.Cleanup(ag.Stop)
-	resp, err := ag.Join("inproc://"+id, 1<<30)
-	if err != nil {
+	if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 		r.t.Fatal(err)
 	}
 	r.ags[id] = ag
-	var loop func()
-	loop = func() {
-		if !ag.Departed() {
-			_, _ = link.Heartbeat(ag.HeartbeatRequest())
-		}
-		r.clock.AfterFunc(resp.HeartbeatInterval, loop)
-	}
-	r.clock.AfterFunc(resp.HeartbeatInterval, loop)
 	return ag
 }
 
@@ -522,8 +510,7 @@ func TestHeartbeatSeqResetOnReregister(t *testing.T) {
 	}
 	// "Restart": a fresh agent process for the same machine, counter
 	// back at one.
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag2 := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
+	ag2 := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, r.clock, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
 	defer ag2.Stop()
 	ag2.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(r.coord, ag2)}})
 	if _, err := ag2.Join("inproc://n1", 1<<30); err != nil {
@@ -586,8 +573,7 @@ func TestHeartbeatRetryAfterReregisterNotSwallowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(gpu.RTX3090), 0, 0)
-	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, rt, ckpts, nil)
+	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, nil)
 	defer ag.Stop()
 	ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(coord1, ag)}})
 	if _, err := ag.Join("inproc://n1", 1<<30); err != nil {

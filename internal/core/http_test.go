@@ -19,7 +19,6 @@ import (
 	"gpunion/internal/aggregator"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
@@ -60,33 +59,22 @@ func newHTTPRig(t *testing.T) *httpRig {
 	}
 }
 
-// addHTTPNode starts an agent HTTP server, registers it through the
-// coordinator's REST API, and arms a heartbeat loop on the simulated
-// clock.
+// addHTTPNode starts an agent HTTP server and registers it through the
+// coordinator's REST API, which starts its heartbeat loop on the
+// simulated clock.
 func (r *httpRig) addHTTPNode(id string, specs ...gpu.Spec) (*agent.Agent, *Client) {
 	r.t.Helper()
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0)
 	coordClient := NewClient(r.coordSrv.URL)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, specs, r.ckpts, nil)
 	ag.SetEndpoints([]agent.Endpoint{{ID: r.coordSrv.URL, Link: coordClient}})
 	r.t.Cleanup(ag.Stop)
 
 	agSrv := httptest.NewServer(ag.Handler())
 	r.t.Cleanup(agSrv.Close)
 
-	resp, err := ag.Join(agSrv.URL, 1<<30)
-	if err != nil {
+	if _, err := ag.Join(agSrv.URL, 1<<30); err != nil {
 		r.t.Fatal(err)
 	}
-
-	var beat func()
-	beat = func() {
-		if !ag.Departed() {
-			_, _ = ag.Beat()
-		}
-		r.clock.AfterFunc(resp.HeartbeatInterval, beat)
-	}
-	r.clock.AfterFunc(resp.HeartbeatInterval, beat)
 	return ag, coordClient
 }
 

@@ -7,7 +7,6 @@ import (
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
@@ -66,24 +65,13 @@ func (r *netRig) join(t *testing.T, id string, gpus int) {
 	for i := range devices {
 		devices[i] = gpu.RTX3090
 	}
-	rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
-	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, rt, r.ckpts, nil)
-	link := NewInProcessClient(r.coord, ag)
-	ag.SetEndpoints([]agent.Endpoint{{Link: link}})
+	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, devices, r.ckpts, nil)
+	ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(r.coord, ag)}})
 	t.Cleanup(ag.Stop)
-	resp, err := ag.Join("inproc://"+id, 1<<30)
-	if err != nil {
+	if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	r.ags[id] = ag
-	var beat func()
-	beat = func() {
-		if !ag.Departed() {
-			_, _ = link.Heartbeat(ag.HeartbeatRequest())
-		}
-		r.clock.AfterFunc(resp.HeartbeatInterval, beat)
-	}
-	r.clock.AfterFunc(resp.HeartbeatInterval, beat)
 }
 
 // bigStateSpec trains with ~2 GB of state so restore transfers take

@@ -23,7 +23,6 @@ import (
 	"gpunion/internal/aggregator"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -207,7 +206,6 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices .
 		}
 	}
 	for i := 0; i < nodes; i++ {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(devices...), 0, 0)
 		src := gpu.NewFakeHealthSource()
 		arm.health = append(arm.health, src)
 		ag := agent.New(agent.Config{
@@ -217,8 +215,10 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices .
 			// in both arms — the knob changes what agents send, and the
 			// battery proves the tiers agree on whatever that is.
 			TelemetryEvery: 4,
-		}, arm.clock, rt, ckpts, bus)
-		ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", coord, ag)})
+		}, arm.clock, devices, ckpts, bus)
+		ep := localEndpoint("coordinator", coord, ag)
+		ep.Link = handBeaten{ep.Link}
+		ag.SetEndpoints([]agent.Endpoint{ep})
 		if len(arm.aggs) > 0 {
 			g := arm.aggs[i%len(arm.aggs)]
 			ag.SetAggregator(g.ID(), equivBeatTap{inner: g, arm: arm})
@@ -227,6 +227,17 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices .
 		arm.register(t, i)
 	}
 	return arm
+}
+
+// handBeaten is the link of an agent whose beats the schedule sends by
+// hand: a registration answered without an interval starts no heartbeat
+// loop.
+type handBeaten struct{ agent.Link }
+
+func (l handBeaten) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
+	resp, err := l.Link.Register(req)
+	resp.HeartbeatInterval = 0
+	return resp, err
 }
 
 func (arm *equivArm) register(t *testing.T, i int) {

@@ -15,7 +15,6 @@ import (
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -166,7 +165,6 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	}
 
 	for _, d := range defs {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(d.GPUs...), 0, 0)
 		acfg := agent.Config{
 			MachineID: d.ID, Kernel: "5.15",
 			ProgressTick:         cfg.ProgressTick,
@@ -177,13 +175,12 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 			c.Health[d.ID] = src
 			acfg.Health = src
 		}
-		ag := agent.New(acfg, clock, rt, ckpts, bus)
+		ag := agent.New(acfg, clock, d.GPUs, ckpts, bus)
 		ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", coord, ag)})
 		if err := joinLocal(ag); err != nil {
 			return nil, err
 		}
 		c.Agents[d.ID] = ag
-		beatEvery(clock, cfg.HeartbeatInterval, ag, nil)
 	}
 	return c, nil
 }
@@ -200,23 +197,6 @@ func localEndpoint(id string, coord *core.Coordinator, ag *agent.Agent) agent.En
 func joinLocal(ag *agent.Agent) error {
 	_, err := ag.Join("inproc://"+ag.MachineID(), 1<<40)
 	return err
-}
-
-// beatEvery arms the agent's recurring Beat on the sim clock — the
-// daemon's ticker loop in simulated time. up, when set, is asked once
-// per tick: false means this beat never happens (the coordinator is
-// down, the node is cut off, the beat is lost in flight) and leaves the
-// agent's beat sequence and health buffer untouched. Departed agents
-// skip beats: silence is the emergency signal.
-func beatEvery(clock *simclock.Sim, every time.Duration, ag *agent.Agent, up func() bool) {
-	var loop func()
-	loop = func() {
-		if !ag.Departed() && (up == nil || up()) {
-			_, _ = ag.Beat()
-		}
-		clock.AfterFunc(every, loop)
-	}
-	clock.AfterFunc(every, loop)
 }
 
 // Run advances the simulation by d.

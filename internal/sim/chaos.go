@@ -18,7 +18,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -514,7 +513,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	}
 
 	for i, d := range cfg.Defs {
-		rt := container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(d.GPUs...), 0, 0)
 		// Each agent runs on its own skewable clock (the clock-skew
 		// seam) and writes checkpoints through a per-node gate that a
 		// data-plane partition severs.
@@ -532,7 +530,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			// payload, so the rack relay can fold them.
 			acfg.TelemetryEvery = 4
 		}
-		ag := agent.New(acfg, skewed, rt, agentCkptWriter{h: h, id: d.ID}, h.bus)
+		ag := agent.New(acfg, skewed, d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.bus)
 		// One endpoint in every mode: the node's wire delivers to whichever
 		// replica serves, so a redirect lands on the successor.
 		wire := &http.Client{Transport: chaosWire{h: h, node: d.ID}}
@@ -547,7 +545,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		if err := joinLocal(ag); err != nil {
 			return nil, err
 		}
-		h.beat(ag)
 	}
 	return h, nil
 }
@@ -836,7 +833,9 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 // replica's agent.Client shares one wire without a node, delivered to
 // the agent its URL names. One fault model covers both directions: a
 // silenced node neither sends nor receives, and each request to or from
-// it fails at the transport, as over a dead link.
+// it fails at the transport, as over a dead link. Inside a partial-loss
+// window a node's heartbeat is lost in flight on a coin toss: the agent
+// built and sent it, and sees the same transport error.
 type chaosWire struct {
 	h *chaosHarness
 	// node is the sending agent; empty on the coordinators' side.
@@ -844,6 +843,7 @@ type chaosWire struct {
 }
 
 var errUnreachable = fmt.Errorf("chaos: node unreachable")
+var errBeatLost = fmt.Errorf("chaos: heartbeat lost in flight")
 
 // RoundTrip implements http.RoundTripper.
 func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -855,6 +855,9 @@ func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	if h.silenced(node) {
 		return nil, errUnreachable
+	}
+	if w.node != "" && req.URL.Path == "/v1/heartbeat" && h.dropBeat(node) {
+		return nil, errBeatLost
 	}
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
@@ -924,14 +927,21 @@ func (h *chaosHarness) tap(path, node string, body, out []byte, send func() (*ht
 }
 
 // aggSender routes one agent's beats to its rack aggregator. Crash
-// state lives in the aggregator itself (Stop makes Ingest refuse), so
-// the shim only adds the audit tap.
+// state lives in the aggregator itself (Stop makes Ingest refuse); the
+// shim applies the wire's silence and loss checks to the agent's side
+// of the hop and adds the audit tap.
 type aggSender struct {
 	h  *chaosHarness
 	id string
 }
 
 func (s aggSender) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	if s.h.silenced(req.MachineID) {
+		return api.HeartbeatResponse{}, errUnreachable
+	}
+	if s.h.dropBeat(req.MachineID) {
+		return api.HeartbeatResponse{}, errBeatLost
+	}
 	g := s.h.aggs[s.id]
 	if g == nil {
 		return api.HeartbeatResponse{}, aggregator.ErrUnavailable
@@ -972,11 +982,8 @@ func (u aggUpstream) IngestAggregated(b api.AggregatedBeat) (api.AggregatedBeatR
 	return resp, err
 }
 
-// dropBeat reports whether this beat falls inside an open partial-loss
-// window and loses the coin toss. The decision runs before the agent
-// builds the request, so its health buffer and beat sequence stay
-// untouched — the dropped beat simply never happened, and the next one
-// carries the accumulated events.
+// dropBeat reports whether a heartbeat from node id falls inside an
+// open partial-loss window and loses the coin toss.
 func (h *chaosHarness) dropBeat(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -984,20 +991,6 @@ func (h *chaosHarness) dropBeat(id string) bool {
 		return false
 	}
 	return h.lossRng.Intn(2) == 0
-}
-
-// beat arms the agent's heartbeat loop: agent.Beat every interval, the
-// rack aggregator first when one is assigned (SendBeat re-delivers the
-// very same beat direct on fallback, so the coordinator's sequence
-// guard sees at most one effective copy). Beats from silenced (crashed
-// or partitioned) nodes are dropped — silence is the platform's failure
-// signal — and partial-loss windows drop individual beats
-// probabilistically, both decided before the request is built.
-func (h *chaosHarness) beat(ag *agent.Agent) {
-	id := ag.MachineID()
-	beatEvery(h.clock, h.cfg.HeartbeatInterval, ag, func() bool {
-		return !h.silenced(id) && !h.dropBeat(id)
-	})
 }
 
 // startTraffic maintains a population of cfg.Jobs concurrent training

@@ -119,16 +119,14 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 		return res, fmt.Errorf("coord-a failed to take the free lease")
 	}
 
-	active := coordA
-
 	// The agents learn both replicas up front; a leader change is a
 	// redirect, not a reconfiguration, and this scripted run makes it
 	// explicitly. A job report the dead leader does not answer stays
 	// with its agent, which re-sends it after its next answered beat.
+	deadA := false
 	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
-		func() bool { return active != nil },
 		func(ag *agent.Agent) []agent.Endpoint {
-			return []agent.Endpoint{localEndpoint("coord-a", coordA, ag), localEndpoint("coord-b", coordB, ag)}
+			return []agent.Endpoint{killableEndpoint("coord-a", coordA, ag, &deadA), localEndpoint("coord-b", coordB, ag)}
 		})
 	if err != nil {
 		return res, err
@@ -156,7 +154,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 
 	// --- Kill the leader. No handover, no final flush beyond what
 	// every ack already guaranteed.
-	active = nil
+	deadA = true
 	if err := repA.Kill(); err != nil {
 		return res, err
 	}
@@ -179,7 +177,6 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	}
 	res.LostAcked = invariant.CheckNoLostAcked(before, standby.ExportState())
 	repB.Start()
-	active = coordB
 
 	// Agents redirect to the surviving endpoint and re-register under
 	// the new epoch; their running workloads never stopped.

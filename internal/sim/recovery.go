@@ -2,13 +2,14 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"time"
 
 	"gpunion/internal/agent"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
@@ -109,15 +110,12 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	coord1, store1 := rep1.Coordinator(), rep1.Store()
 
 	// The agents' heartbeat loops survive the coordinator they were
-	// started under: beats are dropped while active is down and resume
-	// against its successor — exactly what a real node daemon's retry
-	// loop does.
-	active := coord1
-
+	// started under: a request to the dead process fails at the
+	// transport, and the agents carry on against its successor.
+	dead1 := false
 	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
-		func() bool { return active != nil },
 		func(ag *agent.Agent) []agent.Endpoint {
-			return []agent.Endpoint{localEndpoint("coordinator", coord1, ag)}
+			return []agent.Endpoint{killableEndpoint("coordinator", coord1, ag, &dead1)}
 		})
 	if err != nil {
 		return res, err
@@ -148,7 +146,7 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	// --- Crash. Only what fsync guaranteed survives: no final
 	// snapshot, no handover. The old coordinator's in-memory world
 	// (agent handles, relaunch metadata, sweep timers) dies here.
-	active = nil
+	dead1 = true
 	if err := rep1.Kill(); err != nil {
 		return res, err
 	}
@@ -169,7 +167,6 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	res.JobsIntact = jsonEqual(before.Jobs, after.Jobs)
 	res.AllocsIntact = jsonEqual(before.Allocations, after.Allocations)
 	rep2.Start()
-	active = coord2
 
 	// Agents notice the restart and re-register (their running
 	// workloads never stopped).
@@ -195,27 +192,46 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 }
 
 // scriptedFleet builds n 2×RTX3090 nodes, each with the endpoints eps
-// names for it, joins them through the first one, and then beats every
-// minute through the active endpoint while up() holds — none while it
-// does not, so beats during an outage never happen. Job reports and
-// departures take the same endpoint as the beats. (Sim-clock callbacks
-// run on the advancing goroutine, so up may read a plain variable.)
+// names for it, and joins them through the first one; from then on each
+// agent beats through its active endpoint at the coordinator's interval.
+// Job reports and departures take the same endpoint as the beats.
 func scriptedFleet(n int, clock *simclock.Sim, ckpts *checkpoint.Store, bus *eventbus.Bus,
-	up func() bool, eps func(*agent.Agent) []agent.Endpoint) ([]*agent.Agent, error) {
+	eps func(*agent.Agent) []agent.Endpoint) ([]*agent.Agent, error) {
 	agents := make([]*agent.Agent, n)
 	for i := range agents {
-		rt := container.NewRuntime(container.DefaultImages(),
-			gpu.NewMixedInventory(gpu.RTX3090, gpu.RTX3090), 0, 0)
 		ag := agent.New(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
-			ProgressTick: 30 * time.Second}, clock, rt, ckpts, bus)
+			ProgressTick: 30 * time.Second}, clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, ckpts, bus)
 		ag.SetEndpoints(eps(ag))
 		if err := joinLocal(ag); err != nil {
 			return nil, err
 		}
 		agents[i] = ag
-		beatEvery(clock, time.Minute, ag, up)
 	}
 	return agents, nil
+}
+
+// killableEndpoint is localEndpoint to a replica the script kills: once
+// *dead is set, every request to it fails at the transport, as to a
+// process that is gone. (Sim-clock callbacks run on the advancing
+// goroutine, so a plain variable is safe.)
+func killableEndpoint(id string, coord *core.Coordinator, ag *agent.Agent, dead *bool) agent.Endpoint {
+	link := core.NewInProcessClient(coord, ag)
+	link.HTTPClient.Transport = deadWire{link.HTTPClient.Transport, dead}
+	return agent.Endpoint{ID: id, Link: link}
+}
+
+// deadWire fails every request while *dead holds.
+type deadWire struct {
+	http.RoundTripper
+	dead *bool
+}
+
+// RoundTrip implements http.RoundTripper.
+func (w deadWire) RoundTrip(req *http.Request) (*http.Response, error) {
+	if *w.dead {
+		return nil, errors.New("sim: coordinator replica is dead")
+	}
+	return w.RoundTripper.RoundTrip(req)
 }
 
 // jsonEqual compares two values by their canonical JSON encoding — the

@@ -116,9 +116,11 @@ type Agent struct {
 	storageBytes int64
 	// stopped is set by Stop: neither the progress timer nor the heartbeat
 	// loop (beats, armed by the first successful Join) re-arms after it.
+	// turns counts the loop's armed or running turns, for Stop to wait on.
 	stopped bool
 	ticker  simclock.Timer
 	beats   simclock.Timer
+	turns   sync.WaitGroup
 	// beatSeq numbers every heartbeat this agent builds, so the
 	// coordinator can drop duplicate deliveries of the same beat.
 	beatSeq uint64
@@ -894,7 +896,9 @@ func (a *Agent) armBeatLocked(every time.Duration) {
 	if a.stopped {
 		return
 	}
+	a.turns.Add(1)
 	a.beats = a.clock.AfterFunc(every, func() {
+		defer a.turns.Done()
 		if !a.Departed() {
 			_, _ = a.Beat()
 		}
@@ -1082,15 +1086,16 @@ func (a *Agent) scheduleTick() {
 }
 
 // Stop halts the agent's progress timer and heartbeat loop (shutdown
-// path for daemons).
+// path for daemons); it returns once no heartbeat turn is running.
 func (a *Agent) Stop() {
 	a.mu.Lock()
 	a.stopped = true
 	a.ticker.Stop()
-	if a.beats != nil {
-		a.beats.Stop()
+	if a.beats != nil && a.beats.Stop() {
+		a.turns.Done() // the pending turn will never run
 	}
 	a.mu.Unlock()
+	a.turns.Wait()
 }
 
 // tick advances every running job by the elapsed wall time, refreshes

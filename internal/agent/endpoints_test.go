@@ -495,7 +495,6 @@ func TestHeartbeatLoopRealClock(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	a.Stop()
-	time.Sleep(5 * time.Millisecond) // a turn already running finishes
 	stopped := link.beats.Load()
 	time.Sleep(20 * time.Millisecond)
 	if n := link.beats.Load(); n != stopped {

@@ -843,7 +843,6 @@ type chaosWire struct {
 }
 
 var errUnreachable = fmt.Errorf("chaos: node unreachable")
-var errBeatLost = fmt.Errorf("chaos: heartbeat lost in flight")
 
 // RoundTrip implements http.RoundTripper.
 func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -853,11 +852,8 @@ func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
 		node = req.URL.Host
 		receiver = h.agents[node].Handler
 	}
-	if h.silenced(node) {
+	if h.silenced(node) || (w.node != "" && req.URL.Path == "/v1/heartbeat" && h.dropBeat(node)) {
 		return nil, errUnreachable
-	}
-	if w.node != "" && req.URL.Path == "/v1/heartbeat" && h.dropBeat(node) {
-		return nil, errBeatLost
 	}
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
@@ -936,11 +932,8 @@ type aggSender struct {
 }
 
 func (s aggSender) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	if s.h.silenced(req.MachineID) {
+	if s.h.silenced(req.MachineID) || s.h.dropBeat(req.MachineID) {
 		return api.HeartbeatResponse{}, errUnreachable
-	}
-	if s.h.dropBeat(req.MachineID) {
-		return api.HeartbeatResponse{}, errBeatLost
 	}
 	g := s.h.aggs[s.id]
 	if g == nil {
@@ -1063,23 +1056,21 @@ func (h *chaosHarness) DepartNode(id string, temporary bool) {
 	ag.Depart(reason, 5*time.Minute)
 }
 
-// ReturnNode brings a crashed or departed node back online.
+// ReturnNode brings a crashed or departed node back online. A crashed
+// node's own heartbeat loop never stopped: its next beat resumes it.
 func (h *chaosHarness) ReturnNode(id string) {
 	ag := h.agents[id]
 	if ag == nil {
 		return
 	}
 	h.mu.Lock()
-	wasCrashed := h.crashed[id]
 	delete(h.crashed, id)
 	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
 	if ag.Departed() {
 		ag.Return()
 		_ = joinLocal(ag)
-		return
 	}
-	_ = wasCrashed // a crashed node resumes via its next heartbeat
 }
 
 // PartitionStart cuts the control plane to the nodes.

@@ -10,6 +10,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"sort"
 	"sync"
@@ -917,8 +918,10 @@ var errNoEndpoint = errors.New("agent: no coordinator endpoint")
 // whatever the answer demands. A coordinator that no longer knows the
 // node (it restarted, or the credential expired) asks for a re-join; a
 // fenced replica's api.ErrNotLeader redirects to its hint (or the next
-// endpoint) and re-joins there; an endpoint that did not serve the beat
-// at all is rotated away from, and the next Beat tries its neighbour.
+// endpoint) and re-joins there; a 401 (the credential no longer
+// verifies: the coordinator restarted with a new signing secret)
+// re-joins in place; an endpoint that did not serve the beat at all is
+// rotated away from, and the next Beat tries its neighbour.
 // The returned error is what is still wrong after that — nil once a
 // demanded re-join succeeded. A beat that ends with no error was
 // answered, so the job reports still kept are re-sent after it; a beat
@@ -926,9 +929,12 @@ var errNoEndpoint = errors.New("agent: no coordinator endpoint")
 func (a *Agent) Beat() (api.HeartbeatResponse, error) {
 	resp, _, err := a.SendBeat(a.ActiveEndpoint().Link)
 	var nl api.ErrNotLeader
+	var refused api.Error
 	switch {
 	case errors.As(err, &nl):
 		a.Redirect(nl.LeaderHint)
+		err = a.rejoin()
+	case errors.As(err, &refused) && refused.Code == http.StatusUnauthorized:
 		err = a.rejoin()
 	case err != nil:
 		a.Redirect("")

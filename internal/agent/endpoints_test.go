@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -190,6 +191,9 @@ func TestBeat(t *testing.T) {
 			reply: func(api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 				return api.HeartbeatResponse{Reregister: true}, nil
 			},
+			wantJoins: 1, wantActive: "coord-a", wantEpoch: 4},
+		{name: "refused credential rejoins in place",
+			reply:     fail(api.Error{Code: http.StatusUnauthorized, Message: "core: invalid token: bad signature"}),
 			wantJoins: 1, wantActive: "coord-a", wantEpoch: 4},
 		{name: "not leader with hint follows it and rejoins",
 			reply:     fail(api.ErrNotLeader{LeaderHint: "coord-c", Epoch: 4}),

@@ -210,7 +210,11 @@ verify-bench:
 # outside internal/container and internal/agent — examples and tests
 # included — a second runtime assembly. The root container benchmark,
 # which times the runtime alone over its own image store, is the one
-# exemption.
+# exemption. The coordinator side has one loop too: Replica.Start runs
+# the leadership loop (pump, try the lease, promote, recover, admit), so
+# a TryLead() or .Promote() call in non-test code outside internal/core
+# is a second leadership loop in the making — the daemon, the chaos
+# harness and the scripted failover once each had their own.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -233,6 +237,10 @@ verify-compose:
 	@out="$$(grep -rn '\.Beat()' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/agent/')"; \
 	if [ -n "$$out" ]; then \
 		echo "a heartbeat loop outside internal/agent:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE 'TryLead\(\)|\.Promote\(\)' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/core/')"; \
+	if [ -n "$$out" ]; then \
+		echo "a leadership loop outside core.Replica:"; echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn 'container\.NewRuntime(' --include='*.go' . \
 		| grep -vE '^\./internal/(container|agent)/|^\./bench_test\.go:[0-9]+:[[:space:]]*rt := container\.NewRuntime\(images, ')"; \

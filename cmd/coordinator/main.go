@@ -26,10 +26,13 @@
 // storage: all replicas point -lease-file at the same fencing-token
 // arbiter file, the leader logs to its -wal-dir, and each standby tails
 // that directory (-follow-dir) into its own store while answering every
-// request with ErrNotLeader plus a LeaderHint. When the leader's lease
-// lapses, a standby wins the next epoch, drains its replication buffer,
-// bootstraps a WAL of its own and starts serving — agents re-register
-// through their endpoint list and acked state survives the handoff.
+// request with ErrNotLeader plus a LeaderHint. Leadership is
+// core.Replica's loop: every TTL/2 a replica that does not lead tails the
+// leader's log and tries the lease. Once the leader's lapses (TTL plus a
+// 2×TTL skew grace after a crash; at once after SIGINT/SIGTERM, which
+// releases it) a standby wins, promotes, recovers, logs "promoted to
+// leader at epoch N" and only then serves writes; agents find it
+// through their endpoint lists, and acked state survives the handoff.
 package main
 
 import (
@@ -105,7 +108,6 @@ func main() {
 	// Replicated operation: leader and standby modes share a lease file
 	// (the fencing-token arbiter) on storage every replica can reach.
 	var lease core.LeaseClient
-	leaseTTL := time.Duration(*leaseTTLSec) * time.Second
 	switch *mode {
 	case "solo":
 	case "leader", "standby":
@@ -124,6 +126,7 @@ func main() {
 		}
 		// Skew tolerance 2×TTL: a replica whose clock lags the shared
 		// file's writers by up to two TTLs still self-fences in time.
+		leaseTTL := time.Duration(*leaseTTLSec) * time.Second
 		lease = core.NewLease(core.FileLeaseStore(*leaseFile), simclock.Real(), leaseTTL, 2*leaseTTL)
 		if *mode == "standby" && *followDir == "" {
 			log.Fatalf("-mode standby requires -follow-dir (the leader's WAL directory)")
@@ -174,6 +177,15 @@ func main() {
 			ReplicaID:         *replicaID,
 			EnableProfiling:   *pprofOn,
 		},
+		// The leadership loop's winning turn (never, solo). A promotion
+		// that fails must not serve: exiting lets the lease lapse to a
+		// replica that can.
+		OnPromote: func(epoch uint64, err error) {
+			if err != nil {
+				log.Fatalf("promotion: %v", err)
+			}
+			log.Printf("replica %s promoted to leader at epoch %d", *replicaID, epoch)
+		},
 	}
 	if *mode == "standby" {
 		rcfg.FollowDir = *followDir
@@ -186,49 +198,19 @@ func main() {
 	if err != nil {
 		log.Fatalf("opening replica: %v", err)
 	}
-	coord := rep.Coordinator()
 	if mgr := rep.WAL(); mgr != nil {
 		r := mgr.Recovery
 		log.Printf("recovered from %s: snapshot=%v watermark=%d replayed=%d torn=%d",
 			cfg.WALDir, r.SnapshotLoaded, r.Watermark, r.Replayed, r.TornTails)
 	}
-
-	if *mode != "standby" {
-		rep.Start()
-	}
-	switch *mode {
-	case "leader":
-		for !coord.TryLead() {
-			holder, epoch := lease.Leader()
-			log.Printf("lease held by %q (epoch %d); retrying in %v", holder, epoch, leaseTTL)
-			time.Sleep(leaseTTL)
-		}
-		log.Printf("replica %s leading at epoch %d", *replicaID, coord.Epoch())
-	case "standby":
-		// Warm standby: requests are fenced with ErrNotLeader (plus a
-		// LeaderHint) until the lease is won; then the replica promotes
-		// and starts. A promotion that fails must not serve: exiting
-		// lets the lease lapse to a replica that can.
-		go func() {
-			for {
-				if err := rep.Pump(); err != nil {
-					log.Printf("standby: tailing %s: %v", *followDir, err)
-				}
-				if coord.TryLead() {
-					if err := rep.Promote(); err != nil {
-						log.Fatalf("promotion: %v", err)
-					}
-					rep.Start()
-					log.Printf("replica %s promoted to leader at epoch %d", *replicaID, coord.Epoch())
-					return
-				}
-				time.Sleep(leaseTTL / 2)
-			}
-		}()
+	// Solo, Start recovers. Otherwise it runs the first leadership turn
+	// and arms the next ones; until one wins, writes get ErrNotLeader.
+	rep.Start()
+	if *mode == "standby" {
 		log.Printf("replica %s standing by, tailing %s", *replicaID, *followDir)
 	}
 
-	srv := &http.Server{Addr: cfg.Listen, Handler: coord.Handler(nil)}
+	srv := &http.Server{Addr: cfg.Listen, Handler: rep.Coordinator().Handler(nil)}
 	go func() {
 		log.Printf("gpunion coordinator listening on %s (strategy %s)", cfg.Listen, cfg.Strategy)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,16 +28,16 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// daemon boots the coordinator solo on walDir, listening on addr, with
-// its log in logPath, and waits until it answers.
-func daemon(t *testing.T, addr, walDir, logPath string) *exec.Cmd {
+// daemon boots the coordinator with args, listening on addr, with its
+// log in logPath, and waits until it answers.
+func daemon(t *testing.T, addr, logPath string, args ...string) *exec.Cmd {
 	t.Helper()
 	logFile, err := os.Create(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer logFile.Close()
-	cmd := exec.Command(os.Args[0], "coordinator", "-listen", addr, "-wal-dir", walDir)
+	cmd := exec.Command(os.Args[0], append([]string{"coordinator", "-listen", addr}, args...)...)
 	cmd.Stdout, cmd.Stderr = logFile, logFile
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -57,25 +58,20 @@ func daemon(t *testing.T, addr, walDir, logPath string) *exec.Cmd {
 	}
 }
 
-// TestCrashRestartKeepsNodesAndTokens boots the shipped daemon on a WAL
-// directory, registers a node and beats through core.Client, SIGKILLs
-// the process and restarts it on the same directory. The node must be
-// recovered from the log, and the node's pre-crash token must still
-// verify against the persisted auth.key: its next beat is answered 200
-// with a request to re-register (the agent handle died with the
-// process), not refused with 401.
-func TestCrashRestartKeepsNodesAndTokens(t *testing.T) {
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	client := core.NewClient("http://" + addr)
+	defer l.Close()
+	return l.Addr().String()
+}
 
-	first := daemon(t, addr, walDir, filepath.Join(dir, "first.log"))
+// register joins node-1 through client.
+func register(t *testing.T, client *core.Client) api.RegisterResponse {
+	t.Helper()
 	reg, err := client.Register(api.RegisterRequest{
 		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion},
 		MachineID: "node-1", Addr: "http://127.0.0.1:1", Kernel: "5.15",
@@ -84,13 +80,33 @@ func TestCrashRestartKeepsNodesAndTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beat := func(seq uint64) (api.HeartbeatResponse, error) {
-		return client.Heartbeat(api.HeartbeatRequest{
-			Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
-			MachineID: "node-1", Token: reg.Token, BeatSeq: seq,
-		})
-	}
-	if hb, err := beat(1); err != nil || !hb.Acknowledged || hb.Reregister {
+	return reg
+}
+
+// beat sends node-1's heartbeat number seq with the credential reg gave.
+func beat(client *core.Client, reg api.RegisterResponse, seq uint64) (api.HeartbeatResponse, error) {
+	return client.Heartbeat(api.HeartbeatRequest{
+		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
+		MachineID: "node-1", Token: reg.Token, BeatSeq: seq,
+	})
+}
+
+// TestCrashRestartKeepsNodesAndTokens boots the shipped daemon on a WAL
+// directory, registers a node and beats through core.Client, SIGKILLs
+// the process and restarts it on the same directory. The node must be
+// recovered from the log, and the node's pre-crash token must still
+// verify against the persisted auth.key: its next beat is answered 200
+// with a request to re-register (the agent handle died with the
+// process), not refused with 401.
+func TestCrashRestartKeepsNodesAndTokens(t *testing.T) {
+	addr := freeAddr(t)
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	client := core.NewClient("http://" + addr)
+
+	first := daemon(t, addr, filepath.Join(dir, "first.log"), "-wal-dir", walDir)
+	reg := register(t, client)
+	if hb, err := beat(client, reg, 1); err != nil || !hb.Acknowledged || hb.Reregister {
 		t.Fatalf("beat before the crash = %+v, %v", hb, err)
 	}
 
@@ -99,7 +115,7 @@ func TestCrashRestartKeepsNodesAndTokens(t *testing.T) {
 	}
 	_ = first.Wait()
 	secondLog := filepath.Join(dir, "second.log")
-	daemon(t, addr, walDir, secondLog)
+	daemon(t, addr, secondLog, "-wal-dir", walDir)
 
 	nodes, err := client.Nodes()
 	if err != nil || len(nodes) != 1 || nodes[0].ID != "node-1" {
@@ -116,7 +132,50 @@ func TestCrashRestartKeepsNodesAndTokens(t *testing.T) {
 	if n, _ := strconv.Atoi(string(m[1])); n == 0 {
 		t.Fatalf("the restart replayed nothing:\n%s", log)
 	}
-	if hb, err := beat(2); err != nil || !hb.Reregister {
+	if hb, err := beat(client, reg, 2); err != nil || !hb.Reregister {
 		t.Fatalf("beat with the pre-crash token = %+v, %v; want 200 asking to re-register", hb, err)
+	}
+}
+
+// TestStandbyTakesOverFromKilledLeader boots the shipped daemon twice on
+// one lease file with a one-second TTL: a leader, and a standby tailing
+// its log. A node registers with the leader, which is then SIGKILLed.
+// The standby's own leadership loop must win the lease and log its
+// promotion, and the node's pre-kill token must verify there (the one
+// auth.key beside the lease): its next beat is answered 200 with a
+// request to re-register, not refused with 401.
+func TestStandbyTakesOverFromKilledLeader(t *testing.T) {
+	dir := t.TempDir()
+	lease := filepath.Join(dir, "lease.json")
+	replica := func(mode, id string) []string {
+		return []string{"-mode", mode, "-replica-id", id, "-lease-file", lease, "-lease-ttl-sec", "1",
+			"-wal-dir", filepath.Join(dir, "wal-"+id)}
+	}
+	leaderAddr, standbyAddr := freeAddr(t), freeAddr(t)
+	leader := daemon(t, leaderAddr, filepath.Join(dir, "leader.log"), replica("leader", "coord-a")...)
+	standbyLog := filepath.Join(dir, "standby.log")
+	daemon(t, standbyAddr, standbyLog, append(replica("standby", "coord-b"), "-follow-dir", filepath.Join(dir, "wal-coord-a"))...)
+
+	reg := register(t, core.NewClient("http://"+leaderAddr))
+	standby := core.NewClient("http://" + standbyAddr)
+	if _, err := beat(standby, reg, 1); err == nil || !strings.Contains(err.Error(), "not the leader") {
+		t.Fatalf("beat at the standby while the leader lives = %v, want not the leader", err)
+	}
+
+	if err := leader.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = leader.Wait()
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		log, _ := os.ReadFile(standbyLog)
+		if strings.Contains(string(log), "replica coord-b promoted to leader at epoch 2") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the standby never logged its promotion:\n%s", log)
+		}
+	}
+	if hb, err := beat(standby, reg, 2); err != nil || !hb.Reregister {
+		t.Fatalf("beat with the pre-kill token at the promoted standby = %+v, %v; want 200 asking to re-register", hb, err)
 	}
 }

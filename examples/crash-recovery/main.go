@@ -3,8 +3,9 @@
 // This example assembles a two-node campus whose coordinator persists
 // every database mutation through the write-ahead log, submits jobs,
 // kills the coordinator in-process (only the WAL directory survives,
-// as in a real crash), boots a fresh coordinator from snapshot + log,
-// and verifies the recovered job table is intact — the jobs finish
+// as in a real crash), boots a fresh coordinator from snapshot + log at
+// the same address, and verifies the recovered job table is intact —
+// the nodes re-join on their own next heartbeat and the jobs finish
 // without anyone resubmitting them.
 //
 //	go run ./examples/crash-recovery
@@ -14,7 +15,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"gpunion/internal/agent"
@@ -55,8 +58,22 @@ func main() {
 		}
 		return rep
 	}
+	// The coordinator's address: requests go to whichever process
+	// serves it now, so a restarted coordinator keeps it. The
+	// coordinator reaches each agent at the address it registered.
+	agents := make(map[string]*agent.Agent)
+	var serving http.Handler
+	serve := func(rep *core.Replica) {
+		serving = rep.Coordinator().Handler(func(addr string) core.AgentHandle {
+			return agent.NewInProcessClient(agents[strings.TrimPrefix(addr, "inproc://")])
+		})
+	}
+	address := &http.Client{Transport: api.InProcess{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serving.ServeHTTP(w, r)
+	})}}
 	rep := open()
 	rep.Start()
+	serve(rep)
 	coord, store := rep.Coordinator(), rep.Store()
 
 	// 2. Two provider nodes. Each agent's own heartbeat loop, started by
@@ -66,15 +83,14 @@ func main() {
 		"lab-workstation": {gpu.RTX3090},
 		"shared-server":   {gpu.RTX4090, gpu.RTX4090},
 	}
-	agents := make(map[string]*agent.Agent)
 	for id, gs := range specs {
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
 			clock, gs, ckpts, bus)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
+		agents[id] = ag
+		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: &core.Client{BaseURL: "http://coordinator", HTTPClient: address}}})
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
-		agents[id] = ag
 	}
 
 	// 3. Submit four training jobs (one more than there are GPUs, so
@@ -111,7 +127,8 @@ func main() {
 	fmt.Printf("recovered: snapshot=%v watermark=%d replayed=%d records\n",
 		r.SnapshotLoaded, r.Watermark, r.Replayed)
 	rep2.Start()
-	coord2, store2 := rep2.Coordinator(), rep2.Store()
+	serve(rep2)
+	store2 := rep2.Store()
 
 	// 6. Verify the job table survived, byte for byte.
 	recovered := store2.ExportState()
@@ -124,14 +141,9 @@ func main() {
 	fmt.Println("\n--- after recovery ---")
 	printJobs(store2)
 
-	// 7. The nodes reconnect (their running containers never stopped)
-	// and the recovered queue finishes.
-	for id, ag := range agents {
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord2, ag)}})
-		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
-			log.Fatal(err)
-		}
-	}
+	// 7. The nodes' next heartbeats reach the successor, which asks them
+	// to re-register (their running containers never stopped), and the
+	// recovered queue finishes.
 	clock.Advance(4 * time.Hour)
 
 	fmt.Println("\n--- four hours later ---")

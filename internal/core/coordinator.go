@@ -85,7 +85,7 @@ type Config struct {
 	// handler (diagnostics; off by default — profiles expose internals).
 	EnableProfiling bool
 	// Lease enables replicated operation: the coordinator only serves
-	// mutations while it holds the lease (TryLead), every externally
+	// mutations while it holds the lease (Replica.Start), every externally
 	// visible write is fenced by the lease's epoch, and losing the
 	// lease demotes it permanently (its store may have diverged from
 	// the new leader's — rejoining requires a fresh standby bootstrap).
@@ -151,11 +151,13 @@ type Coordinator struct {
 	passWanted  bool
 	passes      sync.WaitGroup
 	// Leadership state (Lease mode only). epoch is the fencing token of
-	// the current (or last) term; leading and leaseUntil gate every
-	// mutation — a coordinator whose cached lease has passed on its own
-	// clock self-fences even when it cannot reach the arbiter.
+	// the current (or last) term; leading (a grant held), admitted and
+	// leaseUntil gate every mutation — a coordinator whose cached lease
+	// has passed on its own clock self-fences even when it cannot reach
+	// the arbiter.
 	epoch      uint64
 	leading    bool
+	admitted   bool
 	leaseUntil time.Time
 	renewTimer simclock.Timer
 
@@ -226,7 +228,7 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 	})
 	if cfg.Lease == nil {
 		// Standalone: leader from birth. In Lease mode the coordinator
-		// starts as a fenced standby; TryLead arms the sweeper.
+		// starts as a fenced standby; admit arms the sweeper.
 		c.scheduleSweep()
 	}
 	return c, nil

@@ -15,7 +15,7 @@ import (
 // first. Standalone coordinators (no Lease) always lead at epoch zero.
 
 // Epoch returns the coordinator's current leader epoch (zero in
-// standalone mode or before the first TryLead).
+// standalone mode or before the first grant).
 func (c *Coordinator) Epoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -34,24 +34,24 @@ func (c *Coordinator) Leading() bool {
 }
 
 // leadingLocked evaluates leadership under c.mu: standalone mode always
-// leads; in Lease mode the cached grant must not have passed on the
-// local clock — the self-fence that stops a zombie whose lease client
-// is cut (it cannot hear ErrLeaseLost, but it can read its own watch).
+// leads; in Lease mode the replica must be admitted and the cached
+// grant must not have passed on the local clock — the self-fence that
+// stops a zombie whose lease client is cut (it cannot hear
+// ErrLeaseLost, but it can read its own watch).
 func (c *Coordinator) leadingLocked() bool {
 	if c.cfg.Lease == nil {
 		return !c.stopped
 	}
-	return !c.stopped && c.leading && c.clock.Now().Before(c.leaseUntil)
+	return !c.stopped && c.leading && c.admitted && c.clock.Now().Before(c.leaseUntil)
 }
 
-// TryLead attempts to acquire the lease and become the leader. On
-// success the sweeper and the renewal loop start and mutations are
-// admitted under the new epoch. Call after New (+ RecoverState, for a
-// promoted standby). No-op returning true in standalone mode.
-func (c *Coordinator) TryLead() bool {
-	if c.cfg.Lease == nil {
-		return true
-	}
+// TryLead acquires the lease and starts leading at once (acquire, then
+// admit). No-op returning true in standalone mode. A Replica's
+// leadership loop promotes and recovers between the two steps instead.
+func (c *Coordinator) TryLead() bool { return c.cfg.Lease == nil || c.acquire() && c.admit() }
+
+// acquire takes the lease and keeps it renewed; the fence stays closed.
+func (c *Coordinator) acquire() bool {
 	epoch, until, err := c.cfg.Lease.Acquire(c.cfg.ReplicaID)
 	if err != nil {
 		return false
@@ -68,9 +68,22 @@ func (c *Coordinator) TryLead() bool {
 	c.met.leaderChanges.Inc()
 	c.bus.Publish(eventbus.Event{Type: eventbus.LeaderElected, Time: c.clock.Now(),
 		Node: c.cfg.ReplicaID, Detail: map[string]any{"epoch": epoch}})
-	c.scheduleSweep()
 	c.scheduleRenew()
 	return true
+}
+
+// admit opens the fence while the lease is held: from here on the
+// replica serves mutations, sweeps, and places what its queue holds.
+func (c *Coordinator) admit() bool {
+	c.mu.Lock()
+	c.admitted = c.leading && !c.stopped
+	ok := c.admitted
+	c.mu.Unlock()
+	if ok {
+		c.scheduleSweep()
+		c.TrySchedule()
+	}
+	return ok
 }
 
 // scheduleRenew arms the next lease renewal at a third of the remaining

@@ -34,6 +34,10 @@ type LeaseClient interface {
 	// Leader reports the current holder and epoch (best effort; holder
 	// is empty when the lease is free or expired).
 	Leader() (holder string, epoch uint64)
+	// Release frees the lease the caller holds at the given epoch.
+	Release(holder string, epoch uint64) error
+	// TTL is how long one grant lasts.
+	TTL() time.Duration
 }
 
 // LeaseRecord is the arbiter's entire state: who holds the lease, under
@@ -181,3 +185,19 @@ func (l *Lease) Leader() (string, uint64) {
 	}
 	return rec.Holder, rec.Epoch
 }
+
+// Release implements LeaseClient. It frees the record only while holder
+// holds it at epoch (ErrLeaseLost otherwise); the next Acquire is then
+// granted at once, so call it only once the holder has stopped serving.
+func (l *Lease) Release(holder string, epoch uint64) error {
+	return l.store.Update(func(rec *LeaseRecord) error {
+		if rec.Holder != holder || rec.Epoch != epoch {
+			return ErrLeaseLost
+		}
+		rec.Holder, rec.Expires = "", time.Time{}
+		return nil
+	})
+}
+
+// TTL implements LeaseClient.
+func (l *Lease) TTL() time.Duration { return l.ttl }

@@ -77,6 +77,37 @@ func TestLeaseRegrantWaitsForSkewTolerance(t *testing.T) {
 	})
 }
 
+func TestLeaseReleaseFreesOnlyTheHoldersTerm(t *testing.T) {
+	eachLeaseStore(t, func(t *testing.T, store LeaseStore) {
+		clock := simclock.NewSim(t0)
+		l := NewLease(store, clock, 10*time.Second, 2*time.Second)
+		e, _, err := l.Acquire("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Release("b", e); !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("another replica released the lease: %v", err)
+		}
+		if err := l.Release("a", e+1); !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("a release at the wrong epoch went through: %v", err)
+		}
+		if holder, _ := l.Leader(); holder != "a" {
+			t.Fatalf("after refused releases the leader is %q", holder)
+		}
+		if err := l.Release("a", e); err != nil {
+			t.Fatal(err)
+		}
+		// Free at once: no wait for the grant or the grace.
+		e2, _, err := l.Acquire("b")
+		if err != nil || e2 != e+1 {
+			t.Fatalf("acquire after release: epoch=%d err=%v", e2, err)
+		}
+		if _, err := l.Renew("a", e); !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("the releaser renewed its old term: %v", err)
+		}
+	})
+}
+
 func TestLeaseRenewExtendsAndLapsedRenewFails(t *testing.T) {
 	eachLeaseStore(t, func(t *testing.T, store LeaseStore) {
 		clock := simclock.NewSim(t0)
@@ -280,37 +311,37 @@ func TestLeaderRenewsAcrossExpiry(t *testing.T) {
 }
 
 // cutLease simulates a partition between a replica and the arbiter:
-// every call fails with a transport error.
+// every call it overrides fails with a transport error.
 type cutLease struct {
-	inner LeaseClient
-	cut   bool
+	LeaseClient
+	cut bool
 }
 
 func (c *cutLease) Acquire(h string) (uint64, time.Time, error) {
 	if c.cut {
 		return 0, time.Time{}, errors.New("cut: arbiter unreachable")
 	}
-	return c.inner.Acquire(h)
+	return c.LeaseClient.Acquire(h)
 }
 
 func (c *cutLease) Renew(h string, e uint64) (time.Time, error) {
 	if c.cut {
 		return time.Time{}, errors.New("cut: arbiter unreachable")
 	}
-	return c.inner.Renew(h, e)
+	return c.LeaseClient.Renew(h, e)
 }
 
 func (c *cutLease) Leader() (string, uint64) {
 	if c.cut {
 		return "", 0
 	}
-	return c.inner.Leader()
+	return c.LeaseClient.Leader()
 }
 
 func TestPartitionedLeaderSelfFencesBeforeSuccessor(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	arbiter := NewLease(NewMemLeaseStore(), clock, 30*time.Second, 5*time.Second)
-	cut := &cutLease{inner: arbiter}
+	cut := &cutLease{LeaseClient: arbiter}
 	bus := eventbus.New(256)
 	coord, err := New(Config{
 		HeartbeatInterval: 10 * time.Second, Lease: cut, ReplicaID: "coord-a",

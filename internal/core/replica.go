@@ -19,35 +19,46 @@ type ReplicaConfig struct {
 	// memory only.
 	Dir string
 	// FollowDir opens the replica as a warm standby tailing the leader's
-	// log there; Dir must then be empty (Promote bootstraps it).
+	// log there; Dir must then be empty (promotion bootstraps it).
 	FollowDir string
-	// WAL passes through to wal.Open — at OpenReplica, or at Promote for
-	// a standby — so a harness keeps its fault-injecting FS,
+	// WAL passes through to wal.Open — at OpenReplica, or at promotion
+	// for a standby — so a harness keeps its fault-injecting FS,
 	// OnAppendError and the semi-synchronous OnDurable hook.
 	WAL wal.Config
 	// Coordinator configures the coordinator built over the store
 	// (Lease and ReplicaID select replicated operation).
 	Coordinator Config
+	// OnPromote runs once, when the leadership loop has won the lease:
+	// after a standby's promotion and before RecoverState, with the new
+	// epoch or the promotion's error (the replica then stays fenced and
+	// lets the lease lapse).
+	OnPromote func(epoch uint64, err error)
 }
 
 // Replica is the composition root of one coordinator process: the
 // store, the write-ahead log that makes it durable (or the follower
 // that fills it from a leader's log), and the coordinator serving it.
 // The daemon, the simulations and the chaos harness all run this one
-// assembly through one lifecycle — OpenReplica, Start, and for a
-// standby Pump and Promote, then Kill or Close; see
+// assembly through one lifecycle — OpenReplica, Start (which, in Lease
+// mode, is the one leadership loop), then Kill or Close; see
 // docs/ARCHITECTURE.md "Replica lifecycle".
 type Replica struct {
 	cfg   ReplicaConfig
 	store db.Store
 	coord *Coordinator
 
-	// mu orders Promote (the daemon runs it on its standby goroutine)
-	// against Pump and against Close from the signal handler.
+	// mu orders the leadership loop (on a timer of the replica's clock)
+	// against the leader's shipping Pump and against Kill or Close from
+	// the signal handler.
 	mu       sync.Mutex
 	mgr      *wal.Manager
 	follower *wal.Follower
 	shipper  *wal.Shipper
+	// The loop's armed turn, whether shutdown ended it, and the turns
+	// in flight, which shutdown waits for.
+	loop  simclock.Timer
+	ended bool
+	turns sync.WaitGroup
 }
 
 // OpenReplica builds a replica over a fresh store: recovered from
@@ -100,21 +111,57 @@ func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, ckpts *checkpoint.Stor
 func (r *Replica) Store() db.Store { return r.store }
 
 // Coordinator returns the coordinator serving the store. In lease mode
-// it fences every mutation with api.ErrNotLeader until it wins the
-// lease (TryLead).
+// it fences every mutation with api.ErrNotLeader until the leadership
+// loop has won the lease, promoted and recovered.
 func (r *Replica) Coordinator() *Coordinator { return r.coord }
 
 // WAL returns the manager of the replica's own log: nil without one,
-// for a standby before Promote, and after Kill or Close.
+// for a standby before promotion, and after Kill or Close.
 func (r *Replica) WAL() *wal.Manager {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.mgr
 }
 
-// Start is the one call site of RecoverState: it re-arms the
-// coordinator around whatever OpenReplica or Promote restored.
-func (r *Replica) Start() { r.coord.RecoverState() }
+// Start puts the replica in service. A standalone replica recovers
+// (RecoverState) and serves. In Lease mode Start is the leadership loop:
+// a turn now and every TTL/2 on the replica's clock until the replica
+// leads (a step-down is permanent) or shuts down. A turn pumps and tries
+// the lease; the one that wins promotes a standby, runs OnPromote,
+// recovers, and only then admits writes.
+func (r *Replica) Start() {
+	if r.cfg.Coordinator.Lease == nil {
+		r.coord.RecoverState()
+		return
+	}
+	r.turns.Add(1)
+	r.turn()
+}
+
+// turn is one turn of the leadership loop, counted in r.turns.
+func (r *Replica) turn() {
+	defer r.turns.Done()
+	_ = r.Pump() // a tailing error shows again in promote's catch-up
+	if !r.coord.acquire() {
+		r.mu.Lock()
+		if !r.ended {
+			r.turns.Add(1)
+			r.loop = r.coord.clock.AfterFunc(r.cfg.Coordinator.Lease.TTL()/2, r.turn)
+		}
+		r.mu.Unlock()
+		return
+	}
+	err := r.promote()
+	if r.cfg.OnPromote != nil {
+		r.cfg.OnPromote(r.coord.Epoch(), err)
+	}
+	if err != nil {
+		r.coord.stepDown("promotion failed")
+		return
+	}
+	r.coord.RecoverState()
+	r.coord.admit()
+}
 
 // Pump applies what the leader logged since the last call (nothing,
 // once the replica is no longer a standby).
@@ -145,18 +192,19 @@ func (r *Replica) Lag(leaderLSN uint64) (records uint64, bytes int64) {
 	return records, bytes
 }
 
-// Promote gives a standby that has just won the lease a log of its own:
+// promote gives a standby that has just won the lease a log of its own:
 // a final catch-up from the old leader's log (the grant fenced it, so
 // the log is final), a drain of the reorder buffer (an LSN hole is a
 // record that never became durable), a fresh log in cfg.Dir, and a
 // checkpoint so that directory alone recovers the inherited state. Any
 // failure aborts — a replica that cannot prove it holds every acked
-// mutation must not serve. Nothing is re-armed yet: call Start.
-func (r *Replica) Promote() error {
+// mutation must not serve. A replica that is no standby has its own
+// log already.
+func (r *Replica) promote() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.follower == nil {
-		return errors.New("core: Promote on a replica that is not a standby")
+		return nil
 	}
 	if err := r.follower.Pump(r.shipper); err != nil {
 		return fmt.Errorf("core: promotion catch-up: %w", err)
@@ -178,25 +226,38 @@ func (r *Replica) Promote() error {
 }
 
 // Kill stops the coordinator and closes the log with no final
-// checkpoint: a successor recovers exactly what fsync guaranteed.
+// checkpoint: a successor recovers exactly what fsync guaranteed (and
+// waits out the lease).
 func (r *Replica) Kill() error { return r.shutdown(false) }
 
 // Close also checkpoints, so the next boot replays an empty tail (the
-// log already holds everything if the checkpoint fails mid-write).
+// log already holds everything if the checkpoint fails mid-write), then
+// releases the lease: a standby's next turn wins it.
 func (r *Replica) Close() error { return r.shutdown(true) }
 
-func (r *Replica) shutdown(checkpoint bool) error {
+func (r *Replica) shutdown(clean bool) error {
 	r.coord.Stop()
+	r.mu.Lock()
+	r.ended = true
+	if r.loop != nil && r.loop.Stop() {
+		r.turns.Done() // the armed turn will never run
+	}
+	r.mu.Unlock()
+	r.turns.Wait()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	mgr := r.mgr
 	r.mgr, r.follower, r.shipper = nil, nil, nil
-	if mgr == nil {
-		return nil
+	var errs []error
+	if mgr != nil {
+		if clean {
+			errs = append(errs, mgr.Checkpoint())
+		}
+		errs = append(errs, mgr.Close())
 	}
-	var ckptErr error
-	if checkpoint {
-		ckptErr = mgr.Checkpoint()
+	if lease := r.cfg.Coordinator.Lease; clean && lease != nil {
+		// Best effort: a lease left held lapses on its own.
+		_ = lease.Release(r.cfg.Coordinator.ReplicaID, r.coord.Epoch())
 	}
-	return errors.Join(ckptErr, mgr.Close())
+	return errors.Join(errs...)
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,10 +44,10 @@ func newReplicaRig(t *testing.T) *replicaRig {
 	}
 }
 
-// open builds a replica; id == "" is a solo (lease-less) one, follow !=
-// "" a standby. onDurable is the leader's semi-sync shipping hook.
-func (r *replicaRig) open(id, dir, follow string, onDurable func(db.Mutation)) *Replica {
-	r.t.Helper()
+// config describes a replica; id == "" is a solo (lease-less) one,
+// follow != "" a standby. onDurable is the leader's semi-sync shipping
+// hook.
+func (r *replicaRig) config(id, dir, follow string, onDurable func(db.Mutation)) ReplicaConfig {
 	cfg := ReplicaConfig{
 		Dir: dir, FollowDir: follow,
 		WAL:         wal.Config{OnDurable: onDurable},
@@ -54,12 +56,53 @@ func (r *replicaRig) open(id, dir, follow string, onDurable func(db.Mutation)) *
 	if id != "" {
 		cfg.Coordinator.Lease, cfg.Coordinator.ReplicaID = r.lease, id
 	}
+	return cfg
+}
+
+// open builds the replica config describes.
+func (r *replicaRig) open(id, dir, follow string, onDurable func(db.Mutation)) *Replica {
+	return r.openConfig(r.config(id, dir, follow, onDurable))
+}
+
+func (r *replicaRig) openConfig(cfg ReplicaConfig) *Replica {
+	r.t.Helper()
 	rep, err := OpenReplica(cfg, r.clock, r.ckpts, r.bus)
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.t.Cleanup(func() { _ = rep.Kill() })
 	return rep
+}
+
+// startLeader opens a lease-mode replica on dir and starts it: its
+// loop's first turn wins the free lease.
+func (r *replicaRig) startLeader(dir string, onDurable func(db.Mutation)) *Replica {
+	r.t.Helper()
+	leader := r.open("coord-a", dir, "", onDurable)
+	leader.Start()
+	if !leader.Coordinator().Leading() {
+		r.t.Fatal("leader failed to take the free lease")
+	}
+	return leader
+}
+
+// advanceUntil moves the clock a second at a time until cond holds,
+// for at most limit.
+func (r *replicaRig) advanceUntil(limit time.Duration, cond func() bool) {
+	r.t.Helper()
+	for waited := time.Duration(0); !cond(); waited += time.Second {
+		if waited > limit {
+			r.t.Fatalf("condition still false after %v", limit)
+		}
+		r.clock.Advance(time.Second)
+	}
+}
+
+// submit is one write: a job no agent can run.
+func submit(c *Coordinator) (string, error) {
+	return c.SubmitJob(api.SubmitJobRequest{
+		User: "bob", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 99999,
+	})
 }
 
 // load drives real coordinator writes: nodes register and jobs queue
@@ -202,17 +245,13 @@ func TestReplicaLifecycle(t *testing.T) {
 		r := newReplicaRig(t)
 		dirA, dirB := t.TempDir(), t.TempDir()
 		var standby *Replica
-		leader := r.open("coord-a", dirA, "", func(db.Mutation) {
+		leader := r.startLeader(dirA, func(db.Mutation) {
 			if standby != nil {
 				if err := standby.Pump(); err != nil {
 					t.Errorf("shipping: %v", err)
 				}
 			}
 		})
-		leader.Start()
-		if !leader.Coordinator().TryLead() {
-			t.Fatal("leader failed to take the free lease")
-		}
 		// Half the history — and a checkpoint that truncates it — before
 		// the standby exists: it must bootstrap from the snapshot, not
 		// from the first surviving segment.
@@ -220,7 +259,25 @@ func TestReplicaLifecycle(t *testing.T) {
 		if err := leader.WAL().Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		standby = r.open("coord-b", dirB, dirA, nil)
+		var acked db.State
+		promoted := 0
+		cfg := r.config("coord-b", dirB, dirA, nil)
+		cfg.OnPromote = func(epoch uint64, err error) {
+			promoted++
+			if err != nil || epoch != 2 {
+				t.Fatalf("promotion = epoch %d, %v; want epoch 2", epoch, err)
+			}
+			// After Promote, before RecoverState: the audit against the
+			// acked baseline.
+			for _, v := range invariant.CheckNoLostAcked(acked, standby.Store().ExportState()) {
+				t.Errorf("lost across promotion: %s", v)
+			}
+			if _, err := os.Stat(filepath.Join(dirB, wal.SnapshotFile)); err != nil {
+				t.Errorf("promotion left no snapshot in the successor's own directory: %v", err)
+			}
+		}
+		standby = r.openConfig(cfg)
+		standby.Start()
 		load(t, leader.Coordinator(), 3, 6)
 		if records, _ := standby.Lag(leader.Store().CurrentLSN()); records != 0 {
 			t.Fatalf("semi-sync standby lags %d records behind", records)
@@ -238,41 +295,27 @@ func TestReplicaLifecycle(t *testing.T) {
 			t.Fatal("a standby has a log of its own before promotion")
 		}
 
-		acked := leader.Store().ExportState()
+		acked = leader.Store().ExportState()
 		if err := leader.Kill(); err != nil {
 			t.Fatal(err)
 		}
-		for !standby.Coordinator().TryLead() {
-			r.clock.Advance(time.Second)
+		r.advanceUntil(time.Minute, standby.Coordinator().Leading)
+		if promoted != 1 {
+			t.Fatalf("OnPromote ran %d times, want once", promoted)
 		}
-		if err := standby.Promote(); err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range invariant.CheckNoLostAcked(acked, standby.Store().ExportState()) {
-			t.Errorf("lost across promotion: %s", v)
-		}
-		if _, err := os.Stat(filepath.Join(dirB, wal.SnapshotFile)); err != nil {
-			t.Errorf("promotion left no snapshot in the successor's own directory: %v", err)
-		}
-		standby.Start()
-		if e := standby.Coordinator().Epoch(); e != 2 {
-			t.Errorf("promoted at epoch %d, want 2", e)
-		}
-		id, err := standby.Coordinator().SubmitJob(api.SubmitJobRequest{
-			User: "bob", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 99999,
-		})
+		id, err := submit(standby.Coordinator())
 		if err != nil || id != "job-000007" {
 			t.Fatalf("post-promotion submit = %q, %v; want job-000007", id, err)
 		}
 
 		// The promoted directory stands alone: a reopen of it recovers
 		// the same state, inherited history included.
-		promoted := stateJSON(t, standby.Store())
+		promotedState := stateJSON(t, standby.Store())
 		if err := standby.Kill(); err != nil {
 			t.Fatal(err)
 		}
 		again := r.open("coord-b", dirB, "", nil)
-		if got := stateJSON(t, again.Store()); got != promoted {
+		if got := stateJSON(t, again.Store()); got != promotedState {
 			t.Fatal("reopening the promoted directory recovers a different state")
 		}
 	})
@@ -300,35 +343,40 @@ type refusingStore struct{ db.Store }
 
 func (refusingStore) Apply(db.Mutation) error { return errors.New("apply refused") }
 
-// TestReplicaPromoteAbortsOnDrainError pins the resolved divergence:
-// the daemon used to log a drain error and serve anyway. A standby that
-// cannot apply its buffered tail must fail Promote, open no log and
-// stay a standby.
-func TestReplicaPromoteAbortsOnDrainError(t *testing.T) {
-	r := newReplicaRig(t)
-	dirA, dirB := t.TempDir(), t.TempDir()
-	leader := r.open("coord-a", dirA, "", nil)
-	leader.Start()
-	if !leader.Coordinator().TryLead() {
-		t.Fatal("leader failed to take the free lease")
-	}
-	standby := r.open("coord-b", dirB, dirA, nil)
-	// An out-of-order arrival (LSN 1 never shipped) parks in the reorder
-	// buffer; the drain at promotion is what must apply it — and cannot.
+// refusingStandby opens a standby of dirA into dirB whose follower
+// holds an out-of-order arrival (LSN 1 never shipped) in its reorder
+// buffer over a store that refuses every record: the drain at
+// promotion must apply it, and cannot.
+func (r *replicaRig) refusingStandby(dirA, dirB string, onPromote func(uint64, error)) *Replica {
+	r.t.Helper()
+	cfg := r.config("coord-b", dirB, dirA, nil)
+	cfg.OnPromote = onPromote
+	standby := r.openConfig(cfg)
 	standby.follower = wal.NewFollower(refusingStore{standby.Store()})
 	if err := standby.follower.Offer([]db.Mutation{{LSN: 2, Type: db.MutNodePut,
 		Node: &db.NodeRecord{ID: "n1", Status: db.NodeActive}}}); err != nil {
-		t.Fatal(err)
+		r.t.Fatal(err)
 	}
+	return standby
+}
+
+// TestReplicaPromoteAbortsOnDrainError pins the resolved divergence:
+// the daemon used to log a drain error and serve anyway. A standby that
+// cannot apply its buffered tail must fail its promotion, open no log,
+// stay fenced and give the lease up.
+func TestReplicaPromoteAbortsOnDrainError(t *testing.T) {
+	r := newReplicaRig(t)
+	dirA, dirB := t.TempDir(), t.TempDir()
+	leader := r.startLeader(dirA, nil)
+	var promoteErr error
+	standby := r.refusingStandby(dirA, dirB, func(_ uint64, err error) { promoteErr = err })
+	standby.Start()
 	if err := leader.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	for !standby.Coordinator().TryLead() {
-		r.clock.Advance(time.Second)
-	}
-	err := standby.Promote()
-	if err == nil || !strings.Contains(err.Error(), "promotion drain") {
-		t.Fatalf("Promote = %v, want the drain error", err)
+	r.advanceUntil(time.Minute, func() bool { return promoteErr != nil })
+	if !strings.Contains(promoteErr.Error(), "promotion drain") {
+		t.Fatalf("OnPromote got %v, want the drain error", promoteErr)
 	}
 	if standby.WAL() != nil {
 		t.Fatal("a failed promotion opened a log")
@@ -338,5 +386,215 @@ func TestReplicaPromoteAbortsOnDrainError(t *testing.T) {
 	}
 	if len(standby.Store().ListNodes()) != 0 {
 		t.Fatal("the refused record reached the store")
+	}
+	// The grant is not renewed: a healthy replica wins it once it lapses.
+	r.clock.Advance(40 * time.Second)
+	if _, _, err := r.lease.Acquire("coord-c"); err != nil {
+		t.Fatalf("the lease stayed with the failed replica: %v", err)
+	}
+}
+
+// TestReplicaPromotionWindow: between winning the lease and the end of
+// RecoverState, the replica acks no write. A failed promotion acks none
+// at all; a successful one admits the first write after RecoverState,
+// numbered past every inherited job.
+func TestReplicaPromotionWindow(t *testing.T) {
+	refused := func(t *testing.T, c *Coordinator, when string) {
+		t.Helper()
+		if id, err := submit(c); !errors.As(err, new(api.ErrNotLeader)) {
+			t.Errorf("%s: submit = %q, %v; want ErrNotLeader", when, id, err)
+		}
+		if _, err := c.Register(api.RegisterRequest{MachineID: "late", Addr: "fake://late"}, nil); !errors.As(err, new(api.ErrNotLeader)) {
+			t.Errorf("%s: register = %v; want ErrNotLeader", when, err)
+		}
+	}
+
+	t.Run("failed drain", func(t *testing.T) {
+		r := newReplicaRig(t)
+		dirA, dirB := t.TempDir(), t.TempDir()
+		leader := r.startLeader(dirA, nil)
+		var standby *Replica
+		var promoteErr error
+		standby = r.refusingStandby(dirA, dirB, func(_ uint64, err error) {
+			promoteErr = err
+			refused(t, standby.Coordinator(), "in OnPromote")
+		})
+		standby.Start()
+		if err := leader.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		r.advanceUntil(time.Minute, func() bool { return promoteErr != nil })
+		refused(t, standby.Coordinator(), "after the failed promotion")
+		r.clock.Advance(time.Minute)
+		refused(t, standby.Coordinator(), "a minute later")
+	})
+
+	t.Run("successful promotion", func(t *testing.T) {
+		r := newReplicaRig(t)
+		dirA, dirB := t.TempDir(), t.TempDir()
+		var standby *Replica
+		leader := r.startLeader(dirA, func(db.Mutation) {
+			if standby != nil {
+				_ = standby.Pump()
+			}
+		})
+		cfg := r.config("coord-b", dirB, dirA, nil)
+		cfg.OnPromote = func(_ uint64, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if standby.WAL() == nil {
+				t.Error("OnPromote ran before Promote opened the log")
+			}
+			refused(t, standby.Coordinator(), "in OnPromote")
+		}
+		standby = r.openConfig(cfg)
+		standby.Start()
+		load(t, leader.Coordinator(), 0, 3)
+		if err := leader.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		r.advanceUntil(time.Minute, standby.Coordinator().Leading)
+		if id, err := submit(standby.Coordinator()); err != nil || id != "job-000004" {
+			t.Fatalf("first write after promotion = %q, %v; want job-000004", id, err)
+		}
+	})
+}
+
+// TestReplicaPromotionWindowRealClock is the same window on wall-clock
+// timers: the standby's loop turns on a timer goroutine while the
+// leader's shipping hook pumps it and a writer hammers it. Every write
+// it acks must come after OnPromote returned and be numbered past the
+// inherited jobs — a write admitted before RecoverState reuses an
+// inherited job's ID.
+func TestReplicaPromotionWindowRealClock(t *testing.T) {
+	clock := simclock.Real()
+	lease := NewLease(NewMemLeaseStore(), clock, 200*time.Millisecond, 100*time.Millisecond)
+	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
+	dirA, dirB := t.TempDir(), t.TempDir()
+	open := func(id, dir, follow string, onDurable func(db.Mutation), onPromote func(uint64, error)) *Replica {
+		rep, err := OpenReplica(ReplicaConfig{Dir: dir, FollowDir: follow,
+			WAL:         wal.Config{OnDurable: onDurable},
+			Coordinator: Config{HeartbeatInterval: 10 * time.Second, Lease: lease, ReplicaID: id},
+			OnPromote:   onPromote,
+		}, clock, ckpts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = rep.Kill() })
+		return rep
+	}
+	var standby atomic.Pointer[Replica]
+	leader := open("coord-a", dirA, "", func(db.Mutation) {
+		if sb := standby.Load(); sb != nil {
+			_ = sb.Pump()
+		}
+	}, nil)
+	leader.Start()
+	if !leader.Coordinator().Leading() {
+		t.Fatal("leader failed to take the free lease")
+	}
+	var promoted atomic.Bool
+	standby.Store(open("coord-b", dirB, dirA, nil, func(_ uint64, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		promoted.Store(true)
+	}))
+	sb := standby.Load()
+	sb.Start()
+	load(t, leader.Coordinator(), 0, 3)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the leader's log keeps being tailed
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = sb.Pump()
+			}
+		}
+	}()
+	var acked []string
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if id, err := submit(sb.Coordinator()); err == nil {
+				if !promoted.Load() {
+					t.Errorf("write %s acked before OnPromote returned", id)
+				}
+				acked = append(acked, id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	if err := leader.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !sb.Coordinator().Leading(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the standby never led")
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if len(acked) == 0 {
+		t.Fatal("the promoted standby acked no write")
+	}
+	for _, id := range acked {
+		if id <= "job-000003" {
+			t.Errorf("acked write %s reuses an inherited job's ID", id)
+		}
+	}
+}
+
+// TestReplicaCloseReleasesLease: a leader's Close hands the lease over
+// at once — a standby's next turn wins it — while a Kill leaves the
+// grant and the skew grace to run out.
+func TestReplicaCloseReleasesLease(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		clean bool
+	}{{"close", true}, {"kill", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReplicaRig(t) // TTL 30 s, grace 5 s: turns every 15 s
+			dirA, dirB := t.TempDir(), t.TempDir()
+			var standby *Replica
+			leader := r.startLeader(dirA, func(db.Mutation) {
+				if standby != nil {
+					_ = standby.Pump()
+				}
+			})
+			standby = r.open("coord-b", dirB, dirA, nil)
+			standby.Start()
+			load(t, leader.Coordinator(), 0, 2)
+			r.clock.Advance(time.Second)
+			stop := leader.Kill
+			if tc.clean {
+				stop = leader.Close
+			}
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			r.clock.Advance(15 * time.Second) // the standby's next turn
+			if got := standby.Coordinator().Leading(); got != tc.clean {
+				t.Fatalf("leading one turn after the leader's %s = %v, want %v", tc.name, got, tc.clean)
+			}
+			// TTL plus grace after the last renewal, and at most one turn.
+			r.advanceUntil(50*time.Second, standby.Coordinator().Leading)
+			if e := standby.Coordinator().Epoch(); e != 2 {
+				t.Fatalf("successor epoch %d, want 2", e)
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpunion/internal/agent"
@@ -220,7 +221,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 // chaosHarness implements chaos.Platform over the real components.
 // Agents and coordinators talk over chaosWire, which delivers every
-// message to whichever coordinator currently serves.
+// message to the replica or agent its address names.
 type chaosHarness struct {
 	cfg   ChaosConfig
 	clock *simclock.Sim
@@ -241,11 +242,15 @@ type chaosHarness struct {
 	skewed map[string]*simclock.Skewed
 
 	mu sync.Mutex
-	// serving is the replica traffic is routed to: the one coordinator
-	// of a standalone run, the leader of a replicated pair. After a
-	// leader kill it stays the dead leader — stopped, so every request
-	// is fenced — until finishTakeover installs the successor.
-	serving     *replica
+	// serving is the replica the harness drives and audits: the one
+	// coordinator of a standalone run, the leader of a replicated pair.
+	// After a leader kill it stays the dead leader until the standby's
+	// promotion installs the successor.
+	serving *replica
+	// hosts is chaosWire's address book: each agent at its ID, a
+	// replica at each coordinator address — which a restarted
+	// coordinator or a fresh standby takes over from its predecessor.
+	hosts       *simHosts
 	agents      map[string]*agent.Agent
 	crashed     map[string]bool
 	partitioned map[string]bool
@@ -257,13 +262,13 @@ type chaosHarness struct {
 	skews     map[string]time.Duration
 	origLinks map[string]netsim.NodeLink
 	// dupOn marks an open duplicate-delivery window; dupCounter varies
-	// the replay count; dupReplays tallies replays by message kind;
-	// dupViolations accumulates idempotency breaches found between
-	// audits.
-	dupOn         bool
-	dupCounter    int
-	dupReplays    map[string]int
-	dupViolations []invariant.Violation
+	// the replay count; dupReplays tallies replays by message kind.
+	dupOn      bool
+	dupCounter int
+	dupReplays map[string]int
+	// found collects violations found between audit points, for the
+	// next ExtraChecks drain.
+	found []invariant.Violation
 	// audits are the stream recorders over the serving store,
 	// re-attached whenever a successor store is installed.
 	audits streamAudits
@@ -302,93 +307,65 @@ type chaosHarness struct {
 	// already reported.
 	leaderLog    *invariant.LeaderLog
 	leaderVsSeen int
-	// replViolations collects findings made while a coordinator is
-	// being replaced (lost-acked checks, fence probes, install's
-	// health-laundering audit) for the next ExtraChecks drain.
-	replViolations []invariant.Violation
-	replicaSeq     int
+	replicaSeq   int
 	// standby is the warm standby: a fenced replica from birth, tailing
 	// the serving leader's log (pumped from the leader's OnDurable hook)
-	// until a takeover promotes it.
+	// while its own leadership loop tries the lease.
 	standby *replica
 	// splitOpen marks an open split-brain window; zombie is the isolated
 	// ex-leader (at zombieEpoch) so heal can probe and dispose of it.
 	splitOpen   bool
 	zombie      *replica
 	zombieEpoch uint64
-	// pendingTakeover is the standby still waiting out the lease grace.
-	pendingTakeover *takeover
 	// tmpDirs are the WAL directories the harness created, removed on
 	// stop.
 	tmpDirs   []string
 	failovers int
 }
 
-// replica is one core.Replica of the run, the coordinator's REST API
-// the wire delivers to, and, in replicated mode, its identity and two
-// fault seams: the cuttable link to the arbiter and the adjustable clock
-// (both nil for the standalone coordinator).
+// replica is one core.Replica of the run, the address it answers at,
+// and, in replicated mode, its identity and two fault seams: the
+// cuttable link to the arbiter and the adjustable clock (both nil for
+// the standalone coordinator).
 type replica struct {
 	*core.Replica
-	handler http.Handler
-	dir     string
-	id      string
-	cut     *chaosLeaseClient
-	skew    *simclock.Skewed
-}
-
-// takeover is a standby promotion in flight: the standby retries
-// TryLead until the dead (or fenced) leader's lease grace runs out,
-// then finishTakeover promotes and installs it. It is live while it is
-// the harness's pendingTakeover; clearing that aborts it.
-type takeover struct {
-	rep       *replica
-	deadStore db.Store
+	addr string
+	dir  string
+	id   string
+	cut  *chaosLeaseClient
+	skew *simclock.Skewed
 }
 
 // chaosLeaseClient wraps the arbiter with a cuttable link: a cut client
-// models the leader partitioned from the coordination service — every
-// call fails at the transport, and the replica must live off its cached
-// grant until that lapses.
+// models the leader partitioned from the coordination service — its
+// Acquire, Renew and Leader fail at the transport, and the replica must
+// live off its cached grant until that lapses.
 type chaosLeaseClient struct {
-	mu    sync.Mutex
-	inner core.LeaseClient
-	cut   bool
+	core.LeaseClient
+	cut atomic.Bool
 }
 
 var errLeaseUnreachable = fmt.Errorf("chaos: lease arbiter unreachable")
 
-func (c *chaosLeaseClient) Cut(cut bool) {
-	c.mu.Lock()
-	c.cut = cut
-	c.mu.Unlock()
-}
-
-func (c *chaosLeaseClient) isCut() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cut
-}
-
 func (c *chaosLeaseClient) Acquire(holder string) (uint64, time.Time, error) {
-	if c.isCut() {
+	if c.cut.Load() {
 		return 0, time.Time{}, errLeaseUnreachable
 	}
-	return c.inner.Acquire(holder)
+	return c.LeaseClient.Acquire(holder)
 }
 
 func (c *chaosLeaseClient) Renew(holder string, epoch uint64) (time.Time, error) {
-	if c.isCut() {
+	if c.cut.Load() {
 		return time.Time{}, errLeaseUnreachable
 	}
-	return c.inner.Renew(holder, epoch)
+	return c.LeaseClient.Renew(holder, epoch)
 }
 
 func (c *chaosLeaseClient) Leader() (string, uint64) {
-	if c.isCut() {
+	if c.cut.Load() {
 		return "", 0
 	}
-	return c.inner.Leader()
+	return c.LeaseClient.Leader()
 }
 
 // chaosAuthSecret keeps issued credentials valid across coordinator
@@ -413,6 +390,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		partitioned:     make(map[string]bool),
 		dataPartitioned: make(map[string]bool),
 		skews:           make(map[string]time.Duration),
+		hosts:           &simHosts{},
 		origLinks:       make(map[string]netsim.NodeLink),
 		healthSrcs:      make(map[string]*gpu.FakeHealthSource),
 		aggs:            make(map[string]*aggregator.Aggregator),
@@ -481,22 +459,23 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		h.lease = core.NewLease(core.NewMemLeaseStore(), h.clock, 30*time.Second, 2*time.Minute)
 		h.leaderLog = invariant.NewLeaderLog()
 	}
-	rep, err := h.openReplica(dir, "")
+	addrs := []string{"coordinator"}
+	if cfg.Replicated {
+		addrs = []string{"coord-a", "coord-b"}
+	}
+	rep, err := h.openReplica(addrs[0], dir, "")
 	if err != nil {
 		return nil, err
 	}
-	h.serving = rep
-	if cfg.Replicated {
-		if !rep.Coordinator().TryLead() {
-			return nil, fmt.Errorf("chaos: initial replica failed to take the free lease")
-		}
-		h.leaderLog.RecordTerm(rep.Coordinator().Epoch(), rep.id)
-		if h.standby, err = h.openStandby(rep); err != nil {
-			return nil, err
-		}
+	if !cfg.Replicated {
+		h.install(rep)
 	}
-	h.audits.attach(rep.Store())
+	// Replicated, the first turn of the leadership loop takes the free
+	// lease, and the promotion callback installs rep and opens a standby.
 	rep.Start()
+	if h.currentServing() != rep {
+		return nil, fmt.Errorf("chaos: initial replica failed to take the free lease")
+	}
 
 	// The aggregation tier: rack relays folding their agents' no-op
 	// beats, each forwarding through the upstream seam (which applies
@@ -531,10 +510,9 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			acfg.TelemetryEvery = 4
 		}
 		ag := agent.New(acfg, skewed, d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.bus)
-		// One endpoint in every mode: the node's wire delivers to whichever
-		// replica serves, so a redirect lands on the successor.
-		wire := &http.Client{Transport: chaosWire{h: h, node: d.ID}}
-		ag.SetEndpoints([]agent.Endpoint{{Link: &core.Client{BaseURL: "http://coordinator", HTTPClient: wire}}})
+		// Every coordinator address is an endpoint, as with cmd/agent
+		// -coordinator a,b: the agent finds a new leader on its own beats.
+		ag.SetEndpoints(endpoints(&http.Client{Transport: chaosWire{h: h, node: d.ID}}, addrs...))
 		if len(h.aggIDs) > 0 {
 			// Round-robin rack assignment: the agent beats through its
 			// relay first and falls back direct when it is unavailable.
@@ -542,6 +520,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			ag.SetAggregator(aggID, aggSender{h: h, id: aggID})
 		}
 		h.agents[d.ID] = ag
+		h.hosts.serve(d.ID, ag.Handler())
 		if err := joinLocal(ag); err != nil {
 			return nil, err
 		}
@@ -555,7 +534,6 @@ func aggName(i int) string { return fmt.Sprintf("agg-%02d", i) }
 
 func (h *chaosHarness) stop() {
 	h.mu.Lock()
-	h.pendingTakeover = nil
 	reps := []*replica{h.serving, h.standby, h.zombie}
 	h.mu.Unlock()
 	for _, r := range reps {
@@ -683,14 +661,15 @@ func (h *chaosHarness) noteDurabilityLoss() {
 }
 
 // openReplica opens one core.Replica of the run — the same assembly
-// the daemon boots — logging to dir, or tailing followDir as a standby
-// that logs to dir once promoted. In replicated mode it competes for
-// the lease under a fresh identity, through its own cuttable lease
-// client and on its own adjustable clock (the seams the split-brain
-// fault pulls on). The log keeps the harness's disk-fault FS and
-// durability-loss tap, and ships semi-synchronously when replicated.
-func (h *chaosHarness) openReplica(dir, followDir string) (*replica, error) {
-	rep := &replica{dir: dir}
+// the daemon boots — at addr, logging to dir, or tailing followDir as a
+// standby that logs to dir once promoted. In replicated mode it
+// competes for the lease under a fresh identity, through its own
+// cuttable lease client and on its own adjustable clock (the seams the
+// split-brain fault pulls on), with promoted as its OnPromote. The log
+// keeps the harness's disk-fault FS and durability-loss tap, and ships
+// semi-synchronously when replicated.
+func (h *chaosHarness) openReplica(addr, dir, followDir string) (*replica, error) {
+	rep := &replica{addr: addr, dir: dir}
 	cfg := core.ReplicaConfig{
 		Dir: dir, FollowDir: followDir,
 		WAL: wal.Config{
@@ -705,11 +684,12 @@ func (h *chaosHarness) openReplica(dir, followDir string) (*replica, error) {
 		h.replicaSeq++
 		rep.id = fmt.Sprintf("coord-%d", h.replicaSeq)
 		h.mu.Unlock()
-		rep.cut = &chaosLeaseClient{inner: h.lease}
+		rep.cut = &chaosLeaseClient{LeaseClient: h.lease}
 		rep.skew = simclock.NewSkewed(h.clock)
 		clock = rep.skew
 		cfg.Coordinator.Lease, cfg.Coordinator.ReplicaID = rep.cut, rep.id
 		cfg.WAL.OnDurable = h.onLeaderDurable
+		cfg.OnPromote = func(epoch uint64, err error) { h.promoted(rep, epoch, err) }
 	}
 	var err error
 	if rep.Replica, err = core.OpenReplica(cfg, clock, h.ckpts, h.bus); err != nil {
@@ -717,19 +697,10 @@ func (h *chaosHarness) openReplica(dir, followDir string) (*replica, error) {
 	}
 	// Every replica reaches the agent registered at an address through
 	// the wire, which routes by the address's host.
-	rep.handler = rep.Coordinator().Handler(func(addr string) core.AgentHandle {
-		return &agent.Client{BaseURL: addr, HTTPClient: &http.Client{Transport: chaosWire{h: h}}}
-	})
+	h.hosts.serve(addr, rep.Coordinator().Handler(func(agentAddr string) core.AgentHandle {
+		return &agent.Client{BaseURL: agentAddr, HTTPClient: &http.Client{Transport: chaosWire{h: h}}}
+	}))
 	return rep, nil
-}
-
-// openStandby opens a warm standby of leader in a directory of its own.
-func (h *chaosHarness) openStandby(leader *replica) (*replica, error) {
-	dir, err := h.tempDir()
-	if err != nil {
-		return nil, err
-	}
-	return h.openReplica(dir, leader.dir)
 }
 
 // onLeaderDurable runs inside the serving replica's mutation hook,
@@ -746,12 +717,8 @@ func (h *chaosHarness) onLeaderDurable(db.Mutation) {
 	}
 	h.leaderLog.RecordWrite(lead.Coordinator().Epoch(), lead.id)
 	if err := sb.Pump(); err != nil {
-		h.mu.Lock()
-		h.replViolations = append(h.replViolations, invariant.Violation{
-			Rule:   "replication-ship-failed",
-			Detail: fmt.Sprintf("shipping acked mutations to the standby: %v", err),
-		})
-		h.mu.Unlock()
+		h.flag(invariant.Violation{Rule: "replication-ship-failed",
+			Detail: fmt.Sprintf("shipping acked mutations to the standby: %v", err)})
 	}
 	// Export the post-pump shipping backlog.
 	lead.Coordinator().ObserveReplication(sb.Lag(lead.Store().CurrentLSN()))
@@ -818,21 +785,16 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 	h.mu.Unlock()
 	store := h.currentStore()
 	for i := 0; i < replays; i++ {
-		if vs := chaos.VerifyIdempotent(store, label, deliver); len(vs) > 0 {
-			h.mu.Lock()
-			h.dupViolations = append(h.dupViolations, vs...)
-			h.mu.Unlock()
-		}
+		h.flag(chaos.VerifyIdempotent(store, label, deliver)...)
 	}
 }
 
 // chaosWire is the harness's network: every agent↔coordinator message
 // crosses it as an HTTP request into the shipped handlers
-// (api.InProcess). Each agent's core.Client sends through a wire of its
-// own node, delivered to whichever replica currently serves; every
-// replica's agent.Client shares one wire without a node, delivered to
-// the agent its URL names. One fault model covers both directions: a
-// silenced node neither sends nor receives, and each request to or from
+// (api.InProcess) at the host its URL names (h.hosts; a down one fails
+// at the transport). Each agent's core.Client sends through a wire of
+// its own node; every replica's agent.Client shares one wire without a
+// node. One fault model covers both directions: a silenced node neither sends nor receives, and each request to or from
 // it fails at the transport, as over a dead link. Inside a partial-loss
 // window a node's heartbeat is lost in flight on a coin toss: the agent
 // built and sent it, and sees the same transport error.
@@ -847,12 +809,11 @@ var errUnreachable = fmt.Errorf("chaos: node unreachable")
 // RoundTrip implements http.RoundTripper.
 func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, node := w.h, w.node
-	receiver := func() http.Handler { return h.currentServing().handler }
 	if node == "" {
 		node = req.URL.Host
-		receiver = h.agents[node].Handler
 	}
-	if h.silenced(node) || (w.node != "" && req.URL.Path == "/v1/heartbeat" && h.dropBeat(node)) {
+	receiver := h.hosts.handler(req.URL.Host)
+	if receiver == nil || h.silenced(node) || (w.node != "" && req.URL.Path == "/v1/heartbeat" && h.dropBeat(node)) {
 		return nil, errUnreachable
 	}
 	body, err := io.ReadAll(req.Body)
@@ -865,13 +826,17 @@ func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
 	send := func() (*http.Response, []byte) {
 		again := req.WithContext(req.Context())
 		again.Body = io.NopCloser(bytes.NewReader(body))
-		resp, _ := api.InProcess{Handler: receiver()}.RoundTrip(again)
+		resp, _ := api.InProcess{Handler: receiver}.RoundTrip(again)
 		out, _ := io.ReadAll(resp.Body)
 		return resp, out
 	}
+	was, wasErr := h.currentStore().GetNode(node) // a registration's baseline
 	resp, out := send()
 	if resp.StatusCode < http.StatusMultipleChoices {
 		h.tap(req.URL.Path, node, body, out, send)
+		if req.URL.Path == "/v1/register" && wasErr == nil {
+			h.checkHealthKept(was)
+		}
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(out))
 	return resp, nil
@@ -911,15 +876,35 @@ func (h *chaosHarness) tap(path, node string, body, out []byte, send func() (*ht
 	case "/v1/launch":
 		h.maybeReplay("launch", label, func() {
 			if _, again := send(); !bytes.Equal(again, out) {
-				h.mu.Lock()
-				h.dupViolations = append(h.dupViolations, invariant.Violation{
-					Rule:   "no-duplicate-side-effects",
-					Detail: fmt.Sprintf("%s not idempotent: answered %s, first %s", label, again, out),
-				})
-				h.mu.Unlock()
+				h.flag(invariant.Violation{Rule: "no-duplicate-side-effects",
+					Detail: fmt.Sprintf("%s not idempotent: answered %s, first %s", label, again, out)})
 			}
 		})
 	}
+}
+
+// checkHealthKept is the health-laundering audit on every answered
+// registration of a node the serving store held as was: a registration
+// (a re-join after a restart or failover among them) folds nothing, so
+// a node below the unhealthy threshold must keep its score exactly.
+func (h *chaosHarness) checkHealthKept(was db.NodeRecord) {
+	if was.HealthScore() >= monitor.UnhealthyBelow {
+		return
+	}
+	now, err := h.currentStore().GetNode(was.ID)
+	if err != nil || (now.Health == was.Health && now.HealthAt.Equal(was.HealthAt)) {
+		return
+	}
+	h.flag(invariant.Violation{Rule: "no-placement-on-unhealthy",
+		Detail: fmt.Sprintf("node %s re-registered at health %v; the store held %v (folded %s) and registration folds nothing",
+			was.ID, now.HealthScore(), was.HealthScore(), was.HealthAt.Format(time.RFC3339))})
+}
+
+// flag queues violations for the next ExtraChecks drain.
+func (h *chaosHarness) flag(vs ...invariant.Violation) {
+	h.mu.Lock()
+	h.found = append(h.found, vs...)
+	h.mu.Unlock()
 }
 
 // aggSender routes one agent's beats to its rack aggregator. Crash
@@ -1340,7 +1325,7 @@ func (h *chaosHarness) CrashCoordinator() []invariant.Violation {
 	before := old.Store().ExportState()
 	_ = old.Kill()
 
-	rep, err := h.openReplica(old.dir, "")
+	rep, err := h.openReplica(old.addr, old.dir, "")
 	if err != nil {
 		// The run is failing (the violation below ends the scenario in
 		// red); the killed replica stays installed, its log closed, so
@@ -1357,77 +1342,44 @@ func (h *chaosHarness) CrashCoordinator() []invariant.Violation {
 	h.recoveries++
 	h.mu.Unlock()
 	h.install(rep)
+	rep.Start()
 	return vs
 }
 
-// install routes traffic to rep, a replica that is open (or promoted)
-// but not started: the stream audits re-attach at this quiescent point,
-// then the replica starts and the reachable fleet re-joins it. Silenced
-// nodes re-register when they come back, through the Reregister or
-// ErrNotLeader answer to their next beat.
+// install makes rep, open (or promoted) but not yet recovered, the
+// replica the harness drives and audits, re-attaching the stream audits
+// at this quiescent point. Agents re-join rep on their own next beats.
 func (h *chaosHarness) install(rep *replica) {
 	h.mu.Lock()
 	h.serving = rep
 	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
 	h.audits.attach(rep.Store())
-	// The unhealthy exclusion must survive the re-join: no health fold
-	// happens between here and the end of the loop below, so a node the
-	// recovered store holds below the threshold must still be below it
-	// once it has re-registered — a registration that rebuilt the record
-	// without its score would make a gray-failing node placeable again.
-	var unhealthy []db.NodeRecord
-	for _, n := range rep.Store().ListNodes() {
-		if n.HealthScore() < monitor.UnhealthyBelow {
-			unhealthy = append(unhealthy, n)
-		}
-	}
-	rep.Start()
-	for _, id := range h.nodeIDs {
-		ag := h.agents[id]
-		if !ag.Departed() && !h.silenced(id) {
-			_ = joinLocal(ag)
-		}
-	}
-	for _, was := range unhealthy {
-		if now, err := rep.Store().GetNode(was.ID); err == nil && now.HealthScore() >= monitor.UnhealthyBelow {
-			h.mu.Lock()
-			h.replViolations = append(h.replViolations, invariant.Violation{
-				Rule: "no-placement-on-unhealthy",
-				Detail: fmt.Sprintf("node %s re-registered with the new coordinator at health %v; the recovered store held %v (folded %s) and nothing folded since",
-					was.ID, now.HealthScore(), was.HealthScore(), was.HealthAt.Format(time.RFC3339)),
-			})
-			h.mu.Unlock()
-		}
-	}
 }
 
 // --- chaos.ReplicatedPlatform ---
 
-// KillLeader kills the serving leader outright — process gone, log
-// closed, lease left to expire — and starts the standby's promotion.
-// The promotion completes only once the dead leader's grant plus the
-// arbiter's skew-tolerance grace has passed (TryLead retries until
-// then), at which point finishTakeover audits zero lost acked mutations
-// and installs the successor.
+// KillLeader kills the serving leader outright — process gone, address
+// down, log closed, lease left to expire. The standby's leadership loop
+// wins the lease once the grant plus the arbiter's skew-tolerance grace
+// has passed, and promoted takes over from there.
 func (h *chaosHarness) KillLeader() []invariant.Violation {
 	if !h.cfg.Replicated {
 		return nil
 	}
 	if rep := h.settledLeader(); rep != nil {
+		h.hosts.serve(rep.addr, nil)
 		_ = rep.Kill()
-		h.beginTakeover(rep.Store())
 	}
 	return nil
 }
 
 // settledLeader returns the serving leader, or nil while a split-brain
-// window or a takeover is open (or the leader has lapsed): there is no
-// settled leader to fault then, and the schedule moves on.
+// window is open or the leader has lapsed: there is no settled leader to
+// fault then, and the schedule moves on.
 func (h *chaosHarness) settledLeader() *replica {
 	h.mu.Lock()
-	busy := h.splitOpen || h.pendingTakeover != nil
-	rep := h.serving
+	rep, busy := h.serving, h.splitOpen
 	h.mu.Unlock()
 	if busy || !rep.Coordinator().Leading() {
 		return nil
@@ -1435,82 +1387,48 @@ func (h *chaosHarness) settledLeader() *replica {
 	return rep
 }
 
-// beginTakeover starts the standby's lease-acquisition loop. deadStore
-// is the fenced ex-leader's final state — the acked baseline
-// finishTakeover audits against.
-func (h *chaosHarness) beginTakeover(deadStore db.Store) {
-	h.mu.Lock()
-	t := &takeover{rep: h.standby, deadStore: deadStore}
-	h.pendingTakeover = t
-	h.mu.Unlock()
-	h.awaitTakeover(t)
-}
-
-// awaitTakeover retries the standby's lease acquisition every two
-// seconds. The retries fail exactly as long as the protocol demands:
-// until the previous grant plus the skew-tolerance grace has run out —
-// the window in which a zombie predecessor might still believe it
-// leads.
-func (h *chaosHarness) awaitTakeover(t *takeover) {
-	h.mu.Lock()
-	live := h.pendingTakeover == t
-	h.mu.Unlock()
-	if !live {
-		return
-	}
-	if t.rep.Coordinator().TryLead() {
-		h.finishTakeover(t)
-		return
-	}
-	h.clock.AfterFunc(2*time.Second, func() { h.awaitTakeover(t) })
-}
-
-// finishTakeover completes a promotion whose standby now holds the
-// lease. The grant is the linearization point: the arbiter's grace
-// guarantees the predecessor self-fenced before it, so deadStore is
-// final and every mutation it ever acked must already be on the standby
-// — the zero-lost-acked audit checks exactly that, between Promote
-// (final catch-up, drain, own log seeded with a snapshot of the
-// inherited state) and Start. A fresh standby is then bootstrapped from
-// the new leader's log, and the fleet re-attaches under the new epoch.
-func (h *chaosHarness) finishTakeover(t *takeover) {
-	fail := func(stage string, err error) {
-		h.mu.Lock()
-		h.pendingTakeover = nil
-		h.replViolations = append(h.replViolations, invariant.Violation{
-			Rule:   "failover-failed",
-			Detail: fmt.Sprintf("%s: %v", stage, err),
-		})
-		h.mu.Unlock()
-	}
-	h.leaderLog.RecordTerm(t.rep.Coordinator().Epoch(), t.rep.id)
-	before := t.deadStore.ExportState()
-	if err := t.rep.Promote(); err != nil {
-		fail("promotion", err)
-		return
-	}
-	vs := invariant.CheckNoLostAcked(before, t.rep.Store().ExportState())
-	next, err := h.openStandby(t.rep)
+// promoted is every replicated replica's OnPromote. The grant is the
+// linearization point: the arbiter's grace guarantees the predecessor
+// self-fenced before it, so its store is final and every mutation it
+// acked must be here (the zero-lost-acked audit). A fresh standby then
+// bootstraps from rep's log at the predecessor's address.
+func (h *chaosHarness) promoted(rep *replica, epoch uint64, err error) {
 	if err != nil {
-		fail("next standby bootstrap", err)
+		h.flag(invariant.Violation{Rule: "failover-failed", Detail: fmt.Sprintf("promotion: %v", err)})
 		return
 	}
-
+	h.leaderLog.RecordTerm(epoch, rep.id)
+	prev, standbyAddr := h.currentServing(), "coord-b"
+	if prev != nil {
+		h.flag(invariant.CheckNoLostAcked(prev.Store().ExportState(), rep.Store().ExportState())...)
+		standbyAddr = prev.addr
+	}
+	var next *replica
+	dir, err := h.tempDir()
+	if err == nil {
+		next, err = h.openReplica(standbyAddr, dir, rep.dir)
+	}
+	if err != nil {
+		h.flag(invariant.Violation{Rule: "failover-failed", Detail: fmt.Sprintf("next standby bootstrap: %v", err)})
+	}
 	h.mu.Lock()
 	h.standby = next
-	h.failovers++
-	h.pendingTakeover = nil
-	h.replViolations = append(h.replViolations, vs...)
+	if prev != nil {
+		h.failovers++
+	}
 	h.mu.Unlock()
-	h.install(t.rep)
+	h.install(rep)
+	if next != nil {
+		next.Start()
+	}
 }
 
 // SplitBrainStart isolates the serving leader from the lease arbiter
 // and steps its local clock 90 s behind true time — within the
-// arbiter's 2 min skew tolerance — then starts a rival promotion. The
-// zombie keeps serving whatever traffic reaches it; the protocol must
-// guarantee it observes its own expiry (and self-fences) before the
-// rival can win the lease.
+// arbiter's 2 min skew tolerance — while the standby's leadership loop
+// keeps trying the lease. The zombie keeps serving whatever traffic
+// reaches it; the protocol must guarantee it observes its own expiry
+// (and self-fences) before the rival can win the lease.
 func (h *chaosHarness) SplitBrainStart() {
 	if !h.cfg.Replicated {
 		return
@@ -1524,14 +1442,13 @@ func (h *chaosHarness) SplitBrainStart() {
 	h.zombie = rep
 	h.zombieEpoch = rep.Coordinator().Epoch()
 	h.mu.Unlock()
-	rep.cut.Cut(true)
+	rep.cut.cut.Store(true)
 	rep.skew.SetOffset(-90 * time.Second)
-	h.beginTakeover(rep.Store())
 }
 
 // SplitBrainHeal reconnects the zombie's arbiter link and clock. If the
 // zombie never lapsed (a short window: its cached grant stayed live and
-// the next renewal extends it), the rival promotion is aborted and the
+// the next renewal extends it), every rival attempt was refused and the
 // epoch never changed — the protocol holding, not a violation. If it
 // lapsed, the heal probes the fence from both sides before disposing of
 // the zombie: the deposed leader must reject new work, and an agent
@@ -1551,7 +1468,7 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 	h.mu.Unlock()
 
 	z.skew.SetOffset(0)
-	z.cut.Cut(false)
+	z.cut.cut.Store(false)
 	_, cur := h.lease.Leader()
 
 	if z.Coordinator().Leading() && cur == zEpoch {
@@ -1562,7 +1479,6 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 		h.mu.Lock()
 		h.splitOpen = false
 		h.zombie, h.zombieEpoch = nil, 0
-		h.pendingTakeover = nil
 		h.mu.Unlock()
 		return nil
 	}
@@ -1601,13 +1517,18 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 			break
 		}
 	}
-	// If the takeover is still waiting out the grace, the killed zombie
-	// stays installed — fenced, its log closed — until the successor is.
+	// If the standby is still waiting out the grace, the killed zombie
+	// stays installed — fenced, its log closed, its address down — until
+	// the successor is.
 	_ = z.Kill()
 	h.mu.Lock()
 	h.splitOpen = false
 	h.zombie, h.zombieEpoch = nil, 0
+	succeeded := h.standby != nil && h.standby.addr == z.addr
 	h.mu.Unlock()
+	if !succeeded {
+		h.hosts.serve(z.addr, nil)
+	}
 	return vs
 }
 
@@ -1624,10 +1545,8 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 	var vs []invariant.Violation
 	h.mu.Lock()
-	vs = append(vs, h.dupViolations...)
-	h.dupViolations = nil
-	vs = append(vs, h.replViolations...)
-	h.replViolations = nil
+	vs = append(vs, h.found...)
+	h.found = nil
 	h.mu.Unlock()
 	if h.leaderLog != nil {
 		all := h.leaderLog.Violations()

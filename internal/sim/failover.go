@@ -6,15 +6,10 @@ import (
 	"os"
 	"time"
 
-	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/invariant"
-	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
 	"gpunion/internal/wal"
 	"gpunion/internal/workload"
 )
@@ -60,11 +55,11 @@ type FailoverResult struct {
 // RunFailover is the scripted replication demo: two coordinator
 // replicas compete for a lease, the leader ships every durable mutation
 // to the standby as part of acking it, agents hold both endpoints. The
-// leader is killed without warning; the standby's acquisition attempts
-// fail until the dead grant plus the skew grace runs out, then it
-// promotes — drains the shipped log, verifies nothing acked was lost,
-// recovers coordinator state, and the fleet re-registers under the new
-// epoch and finishes the inherited work.
+// leader is killed without warning; the standby's leadership loop takes
+// the lease once the dead grant plus the skew grace runs out, promotes
+// (drains the shipped log; the audit checks nothing acked was lost) and
+// recovers, and the fleet finds it on its own beats, re-registers under
+// the new epoch and finishes the inherited work.
 func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	var res FailoverResult
 	if cfg.Nodes <= 0 {
@@ -87,59 +82,59 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	}
 	defer os.RemoveAll(dirB)
 
-	clock := simclock.NewSim(Epoch)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(4096)
-	lease := core.NewLease(core.NewMemLeaseStore(), clock, 30*time.Second, 2*time.Minute)
+	w := newScripted()
+	lease := core.NewLease(core.NewMemLeaseStore(), w.clock, 30*time.Second, 2*time.Minute)
 
 	// Two replicas of one assembly: the leader logs to dirA, the warm
 	// standby applies the shipped stream and fences until promoted.
 	var repA, repB *core.Replica
-	open := func(id, dir, follow string, onDurable func(db.Mutation)) (*core.Replica, error) {
-		return core.OpenReplica(core.ReplicaConfig{
-			Dir: dir, FollowDir: follow,
-			WAL: wal.Config{OnDurable: onDurable},
-			Coordinator: core.Config{HeartbeatInterval: time.Minute, BatchSize: 8,
-				Lease: lease, ReplicaID: id},
-		}, clock, ckpts, bus)
-	}
-	// Semi-synchronous shipping: runs after the record is durable and
-	// before the store acks, so acked implies on-standby.
-	if repA, err = open("coord-a", dirA, "", func(db.Mutation) { _ = repB.Pump() }); err != nil {
+	repA, err = w.open("coord-a", core.ReplicaConfig{Dir: dirA,
+		// Semi-synchronous shipping: runs after the record is durable and
+		// before the store acks, so acked implies on-standby.
+		WAL:         wal.Config{OnDurable: func(db.Mutation) { _ = repB.Pump() }},
+		Coordinator: core.Config{Lease: lease, ReplicaID: "coord-a"}})
+	if err != nil {
 		return res, err
 	}
-	if repB, err = open("coord-b", dirB, dirA, nil); err != nil {
+	var before db.State
+	var killedAt time.Time
+	promoteErr := errors.New("standby never promoted")
+	repB, err = w.open("coord-b", core.ReplicaConfig{Dir: dirB, FollowDir: dirA,
+		Coordinator: core.Config{Lease: lease, ReplicaID: "coord-b"},
+		// After the promotion and before RecoverState: the audit against
+		// the acked baseline the kill left.
+		OnPromote: func(epoch uint64, err error) {
+			if promoteErr = err; err != nil {
+				return
+			}
+			res.PromotionDelay = w.clock.Now().Sub(killedAt)
+			res.NewLeader, res.NewEpoch = "coord-b", epoch
+			res.LostAcked = invariant.CheckNoLostAcked(before, repB.Store().ExportState())
+		}})
+	if err != nil {
 		return res, err
 	}
 	defer repB.Kill()
 	coordA, storeA := repA.Coordinator(), repA.Store()
 	coordB, standby := repB.Coordinator(), repB.Store()
 	repA.Start()
-	if !coordA.TryLead() {
+	if !coordA.Leading() {
 		return res, fmt.Errorf("coord-a failed to take the free lease")
 	}
+	repB.Start()
 
 	// The agents learn both replicas up front; a leader change is a
-	// redirect, not a reconfiguration, and this scripted run makes it
-	// explicitly. A job report the dead leader does not answer stays
-	// with its agent, which re-sends it after its next answered beat.
-	deadA := false
-	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
-		func(ag *agent.Agent) []agent.Endpoint {
-			return []agent.Endpoint{killableEndpoint("coord-a", coordA, ag, &deadA), localEndpoint("coord-b", coordB, ag)}
-		})
-	if err != nil {
+	// redirect, not a reconfiguration. A job report the dead leader does
+	// not answer stays with its agent, which re-sends it after its next
+	// answered beat.
+	if err := w.fleet(cfg.Nodes, "coord-a", "coord-b"); err != nil {
 		return res, err
 	}
-
-	for i := 0; i < cfg.Jobs; i++ {
-		req := TrainingJobSubmission(fmt.Sprintf("user-%d", i%3), workload.SmallCNN, 5*time.Minute)
-		if _, err := coordA.SubmitJob(req); err != nil {
-			return res, err
-		}
+	if err := submitTraining(coordA, cfg.Jobs); err != nil {
+		return res, err
 	}
 	res.SubmittedJobs = cfg.Jobs
-	clock.Advance(15 * time.Minute)
+	w.clock.Advance(15 * time.Minute)
 
 	// The standby fences while the leader lives.
 	_, err = coordB.SubmitJob(TrainingJobSubmission("user-x", workload.SmallCNN, 5*time.Minute))
@@ -149,45 +144,20 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	res.PendingAtKill = storeA.CountJobsInState(db.JobPending)
 	res.RunningAtKill = storeA.CountJobsInState(db.JobRunning)
 	res.LeaderAtKill, res.EpochAtKill = "coord-a", coordA.Epoch()
-	before := storeA.ExportState()
-	killedAt := clock.Now()
+	before = storeA.ExportState()
+	killedAt = w.clock.Now()
 
 	// --- Kill the leader. No handover, no final flush beyond what
-	// every ack already guaranteed.
-	deadA = true
+	// every ack already guaranteed; its address goes dark.
+	w.hosts.serve("coord-a", nil)
 	if err := repA.Kill(); err != nil {
 		return res, err
 	}
 
-	// --- The standby hammers the arbiter until the grace passes.
-	for !coordB.TryLead() {
-		if clock.Now().Sub(killedAt) > time.Hour {
-			return res, fmt.Errorf("standby never won the lease")
-		}
-		clock.Advance(2 * time.Second)
+	w.clock.Advance(cfg.PostFailover)
+	if promoteErr != nil {
+		return res, promoteErr
 	}
-	res.PromotionDelay = clock.Now().Sub(killedAt)
-	res.NewLeader, res.NewEpoch = "coord-b", coordB.Epoch()
-
-	// Promotion: final catch-up from the dead leader's log, drain, a log
-	// of its own — then, before anything re-arms, the audit against the
-	// acked baseline.
-	if err := repB.Promote(); err != nil {
-		return res, err
-	}
-	res.LostAcked = invariant.CheckNoLostAcked(before, standby.ExportState())
-	repB.Start()
-
-	// Agents redirect to the surviving endpoint and re-register under
-	// the new epoch; their running workloads never stopped.
-	for _, ag := range agents {
-		ag.Redirect("coord-b")
-		if err := joinLocal(ag); err != nil {
-			return res, err
-		}
-	}
-
-	clock.Advance(cfg.PostFailover)
 	res.CompletedAfterFailover = standby.CountJobsInState(db.JobCompleted)
 	res.LostJobs = cfg.Jobs - len(standby.ListJobs())
 	return res, nil

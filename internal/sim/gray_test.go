@@ -6,6 +6,7 @@ import (
 
 	"gpunion/internal/chaos"
 	"gpunion/internal/db"
+	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
 	"gpunion/internal/monitor"
@@ -205,12 +206,14 @@ func TestGrayPredictiveDrain(t *testing.T) {
 }
 
 // TestGrayCrashKeepsUnhealthyExclusion: a coordinator crash makes every
-// agent re-register, and Register rebuilds the node record from the
-// request. A node that was below the unhealthy threshold when the
-// coordinator died must still be below it once the fleet has re-joined
-// the successor — the harness's install-time audit raises
-// no-placement-on-unhealthy otherwise, because a laundered score makes
-// a gray-failing node placeable again with no fold in between.
+// agent re-register on its next beat, and Register rebuilds the node
+// record from the request. A node that was below the unhealthy
+// threshold when the coordinator died must come back from the log with
+// its score, keep it through its re-registration with the successor —
+// the harness's registration tap raises no-placement-on-unhealthy
+// otherwise, because a laundered score makes a gray-failing node
+// placeable again with no fold in between — and still be below the
+// threshold once the fleet has re-joined.
 func TestGrayCrashKeepsUnhealthyExclusion(t *testing.T) {
 	cfg := ChaosConfig{Defs: PaperCampus(), Jobs: 8, EnableWAL: true,
 		HeartbeatInterval: time.Minute, ProgressTick: time.Minute}
@@ -230,15 +233,62 @@ func TestGrayCrashKeepsUnhealthyExclusion(t *testing.T) {
 		t.Fatalf("victim %s not driven below the threshold: %v, %v", victim, before.HealthScore(), err)
 	}
 
+	crashAt := h.clock.Now()
 	vs := h.CrashCoordinator()
+	recovered, err := h.currentStore().GetNode(victim)
+	if err != nil || recovered.Health != before.Health || !recovered.HealthAt.Equal(before.HealthAt) {
+		t.Fatalf("victim %s recovered at health %v (folded %s), the dead coordinator held %v (folded %s); err %v",
+			victim, recovered.HealthScore(), recovered.HealthAt, before.HealthScore(), before.HealthAt, err)
+	}
+	// One interval: every agent beats once, is asked to re-register, and
+	// does.
+	h.clock.Advance(cfg.HeartbeatInterval)
 	vs = append(vs, h.ExtraChecks()...)
 	for _, v := range vs {
 		t.Errorf("violation across the coordinator crash: %s", v)
 	}
-	after, err := h.currentStore().GetNode(victim)
-	if err != nil || after.Health != before.Health || !after.HealthAt.Equal(before.HealthAt) {
-		t.Fatalf("victim %s re-registered at health %v (folded %s), the dead coordinator held %v (folded %s); err %v",
+	rejoined := false
+	for _, ev := range h.trace.Events() {
+		rejoined = rejoined || (ev.Kind == string(eventbus.NodeRegistered) && ev.Node == victim && ev.Time.After(crashAt))
+	}
+	if !rejoined {
+		t.Fatalf("victim %s never re-registered with the successor", victim)
+	}
+	if after, err := h.currentStore().GetNode(victim); err != nil || after.HealthScore() >= monitor.UnhealthyBelow {
+		t.Fatalf("victim %s re-joined at health %v (folded %s), the dead coordinator held %v (folded %s); err %v",
 			victim, after.HealthScore(), after.HealthAt, before.HealthScore(), before.HealthAt, err)
+	}
+}
+
+// TestGraySabotageRegistrationLaundering: a registration that left a
+// node below the threshold with a different score than it found must
+// trip the tap's no-placement-on-unhealthy audit; one that kept the
+// score must not.
+func TestGraySabotageRegistrationLaundering(t *testing.T) {
+	h, err := newChaosHarness(ChaosConfig{Defs: PaperCampus(), Jobs: 1,
+		HeartbeatInterval: time.Minute, ProgressTick: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.stop()
+	store := h.currentStore()
+	was, err := store.GetNode(h.nodeIDs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	was.Health, was.HealthAt = 0.1, Epoch
+	store.UpsertNode(was)
+	h.checkHealthKept(was)
+	if vs := h.ExtraChecks(); len(vs) != 0 {
+		t.Fatalf("a registration that kept the score was flagged: %v", vs)
+	}
+	rebuilt := was
+	rebuilt.Health, rebuilt.HealthAt = 0, time.Time{}
+	store.UpsertNode(rebuilt)
+	h.checkHealthKept(was)
+	vs := h.ExtraChecks()
+	if len(vs) != 1 || vs[0].Rule != "no-placement-on-unhealthy" {
+		t.Fatalf("a laundered score was not flagged: %v", vs)
 	}
 }
 

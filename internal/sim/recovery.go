@@ -2,13 +2,14 @@ package sim
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
+	"sync"
 	"time"
 
 	"gpunion/internal/agent"
+	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
@@ -65,10 +66,11 @@ type CrashRecoveryResult struct {
 // log, kills the coordinator mid-run (the process state — agent
 // handles, relaunch metadata, timers — is discarded; only the WAL
 // directory and the LAN checkpoint store survive, as they would a real
-// crash), then boots a fresh coordinator from snapshot + log, re-arms
-// failure detection, lets the agents re-register, and verifies that
-// the job table survived byte-for-byte and that the recovered pending
-// queue drains to completion without any job being resubmitted.
+// crash), then boots a fresh coordinator from snapshot + log at the
+// same address, re-arms failure detection, lets the agents re-register
+// on their own next beats, and verifies that the job table survived
+// byte-for-byte and that the recovered pending queue drains to
+// completion without any job being resubmitted.
 func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	var res CrashRecoveryResult
 	if cfg.Nodes <= 0 {
@@ -90,54 +92,33 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 		dir = tmp
 	}
 
-	clock := simclock.NewSim(Epoch)
-	// The checkpoint store models the LAN-accessible file system: it
-	// outlives the coordinator process, like the WAL directory.
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(4096)
-
-	open := func() (*core.Replica, error) {
-		return core.OpenReplica(core.ReplicaConfig{
-			Dir:         dir,
-			Coordinator: core.Config{HeartbeatInterval: time.Minute, BatchSize: 8},
-		}, clock, ckpts, bus)
-	}
-	rep1, err := open()
+	w := newScripted()
+	rep1, err := w.open("coordinator", core.ReplicaConfig{Dir: dir})
 	if err != nil {
 		return res, err
 	}
 	rep1.Start()
-	coord1, store1 := rep1.Coordinator(), rep1.Store()
+	store1 := rep1.Store()
 
 	// The agents' heartbeat loops survive the coordinator they were
 	// started under: a request to the dead process fails at the
 	// transport, and the agents carry on against its successor.
-	dead1 := false
-	agents, err := scriptedFleet(cfg.Nodes, clock, ckpts, bus,
-		func(ag *agent.Agent) []agent.Endpoint {
-			return []agent.Endpoint{killableEndpoint("coordinator", coord1, ag, &dead1)}
-		})
-	if err != nil {
+	if err := w.fleet(cfg.Nodes, "coordinator"); err != nil {
 		return res, err
 	}
-
-	for i := 0; i < cfg.Jobs; i++ {
-		spec := workload.SmallCNN
-		req := TrainingJobSubmission(fmt.Sprintf("user-%d", i%3), spec, 5*time.Minute)
-		if _, err := coord1.SubmitJob(req); err != nil {
-			return res, err
-		}
+	if err := submitTraining(rep1.Coordinator(), cfg.Jobs); err != nil {
+		return res, err
 	}
 	res.SubmittedJobs = cfg.Jobs
 
-	clock.Advance(10 * time.Minute)
+	w.clock.Advance(10 * time.Minute)
 	if !cfg.NoSnapshot {
 		// Async checkpoint under live traffic; the log keeps the tail.
 		if err := rep1.WAL().Checkpoint(); err != nil {
 			return res, err
 		}
 	}
-	clock.Advance(5 * time.Minute)
+	w.clock.Advance(5 * time.Minute)
 
 	res.PendingAtCrash = store1.CountJobsInState(db.JobPending)
 	res.RunningAtCrash = store1.CountJobsInState(db.JobRunning)
@@ -146,14 +127,17 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	// --- Crash. Only what fsync guaranteed survives: no final
 	// snapshot, no handover. The old coordinator's in-memory world
 	// (agent handles, relaunch metadata, sweep timers) dies here.
-	dead1 = true
+	w.hosts.serve("coordinator", nil)
 	if err := rep1.Kill(); err != nil {
 		return res, err
 	}
 
-	// --- Restart: recover a fresh store from snapshot + WAL tail, and
-	// compare it with the pre-crash image before anything re-arms.
-	rep2, err := open()
+	// --- Restart at the same address: recover a fresh store from
+	// snapshot + WAL tail, and compare it with the pre-crash image before
+	// anything re-arms. No beat arrives before the clock moves on; the
+	// agents' next ones are answered with a request to re-register
+	// (their running workloads never stopped).
+	rep2, err := w.open("coordinator", core.ReplicaConfig{Dir: dir})
 	if err != nil {
 		return res, err
 	}
@@ -168,15 +152,6 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	res.AllocsIntact = jsonEqual(before.Allocations, after.Allocations)
 	rep2.Start()
 
-	// Agents notice the restart and re-register (their running
-	// workloads never stopped).
-	for _, ag := range agents {
-		ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", coord2, ag)})
-		if err := joinLocal(ag); err != nil {
-			return res, err
-		}
-	}
-
 	// A post-restart submission must not collide with recovered IDs.
 	newID, err := coord2.SubmitJob(TrainingJobSubmission("user-new", workload.SmallCNN, 5*time.Minute))
 	if err != nil {
@@ -184,54 +159,105 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	}
 	res.NewJobID = newID
 
-	clock.Advance(cfg.PostRecovery)
+	w.clock.Advance(cfg.PostRecovery)
 
 	res.CompletedAfterRecovery = store2.CountJobsInState(db.JobCompleted)
 	res.LostJobs = cfg.Jobs + 1 - len(store2.ListJobs())
 	return res, nil
 }
 
-// scriptedFleet builds n 2×RTX3090 nodes, each with the endpoints eps
-// names for it, and joins them through the first one; from then on each
-// agent beats through its active endpoint at the coordinator's interval.
-// Job reports and departures take the same endpoint as the beats.
-func scriptedFleet(n int, clock *simclock.Sim, ckpts *checkpoint.Store, bus *eventbus.Bus,
-	eps func(*agent.Agent) []agent.Endpoint) ([]*agent.Agent, error) {
-	agents := make([]*agent.Agent, n)
-	for i := range agents {
-		ag := agent.New(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
-			ProgressTick: 30 * time.Second}, clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, ckpts, bus)
-		ag.SetEndpoints(eps(ag))
-		if err := joinLocal(ag); err != nil {
-			return nil, err
-		}
-		agents[i] = ag
+// scripted is the world of the scripted scenarios: one simulated clock,
+// the LAN checkpoint store (it outlives every coordinator process, like
+// a WAL directory), one bus, and the address book.
+type scripted struct {
+	clock *simclock.Sim
+	ckpts *checkpoint.Store
+	bus   *eventbus.Bus
+	hosts *simHosts
+}
+
+func newScripted() *scripted {
+	return &scripted{clock: simclock.NewSim(Epoch), ckpts: checkpoint.NewStore(storage.NewMemStore(0)),
+		bus: eventbus.New(4096), hosts: &simHosts{}}
+}
+
+// open opens a coordinator replica of the deployment and serves it at
+// host: one-minute beats, batches of eight, and one token secret for
+// every replica, as the daemon's share one auth.key — a credential one
+// coordinator issued verifies at its successor.
+func (w *scripted) open(host string, cfg core.ReplicaConfig) (*core.Replica, error) {
+	c := &cfg.Coordinator
+	c.HeartbeatInterval, c.BatchSize, c.AuthSecret = time.Minute, 8, []byte("gpunion-sim-auth-secret")
+	rep, err := core.OpenReplica(cfg, w.clock, w.ckpts, w.bus)
+	if err == nil {
+		w.hosts.serve(host, rep.Coordinator().Handler(func(addr string) core.AgentHandle {
+			return &agent.Client{BaseURL: addr, HTTPClient: &http.Client{Transport: w.hosts}}
+		}))
 	}
-	return agents, nil
+	return rep, err
 }
 
-// killableEndpoint is localEndpoint to a replica the script kills: once
-// *dead is set, every request to it fails at the transport, as to a
-// process that is gone. (Sim-clock callbacks run on the advancing
-// goroutine, so a plain variable is safe.)
-func killableEndpoint(id string, coord *core.Coordinator, ag *agent.Agent, dead *bool) agent.Endpoint {
-	link := core.NewInProcessClient(coord, ag)
-	link.HTTPClient.Transport = deadWire{link.HTTPClient.Transport, dead}
-	return agent.Endpoint{ID: id, Link: link}
+// fleet builds n 2×RTX3090 nodes, each answering at its machine ID and
+// holding an endpoint per coordinator address, as with cmd/agent
+// -coordinator a,b, and joins them through the first; from then on each
+// agent sends everything through its active endpoint.
+func (w *scripted) fleet(n int, coords ...string) error {
+	for i := 0; i < n; i++ {
+		ag := agent.New(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
+			ProgressTick: 30 * time.Second}, w.clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, w.ckpts, w.bus)
+		w.hosts.serve(ag.MachineID(), ag.Handler())
+		ag.SetEndpoints(endpoints(&http.Client{Transport: w.hosts}, coords...))
+		if err := joinLocal(ag); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// deadWire fails every request while *dead holds.
-type deadWire struct {
-	http.RoundTripper
-	dead *bool
+// endpoints names each coordinator address an endpoint, reached
+// through client.
+func endpoints(client *http.Client, addrs ...string) []agent.Endpoint {
+	eps := make([]agent.Endpoint, len(addrs))
+	for i, addr := range addrs {
+		eps[i] = agent.Endpoint{ID: addr, Link: &core.Client{BaseURL: "http://" + addr, HTTPClient: client}}
+	}
+	return eps
+}
+
+// submitTraining queues n five-minute-checkpointed SmallCNN jobs.
+func submitTraining(coord *core.Coordinator, n int) error {
+	for i := 0; i < n; i++ {
+		if _, err := coord.SubmitJob(TrainingJobSubmission(fmt.Sprintf("user-%d", i%3), workload.SmallCNN, 5*time.Minute)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// simHosts is the sims' network: a name→handler switch over
+// api.InProcess. Each request goes to the handler its URL's host names
+// now, so a restarted coordinator keeps its address; a host with no
+// handler is down, and a request to it fails at the transport, as to a
+// process that is gone.
+type simHosts struct{ at sync.Map }
+
+// serve puts handler at host; nil takes the host down.
+func (s *simHosts) serve(host string, handler http.Handler) { s.at.Store(host, handler) }
+
+// handler returns what serves host now (nil: down).
+func (s *simHosts) handler(host string) http.Handler {
+	v, _ := s.at.Load(host)
+	h, _ := v.(http.Handler)
+	return h
 }
 
 // RoundTrip implements http.RoundTripper.
-func (w deadWire) RoundTrip(req *http.Request) (*http.Response, error) {
-	if *w.dead {
-		return nil, errors.New("sim: coordinator replica is dead")
+func (s *simHosts) RoundTrip(req *http.Request) (*http.Response, error) {
+	handler := s.handler(req.URL.Host)
+	if handler == nil {
+		return nil, fmt.Errorf("sim: %s is down", req.URL.Host)
 	}
-	return w.RoundTripper.RoundTrip(req)
+	return api.InProcess{Handler: handler}.RoundTrip(req)
 }
 
 // jsonEqual compares two values by their canonical JSON encoding — the

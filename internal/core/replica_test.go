@@ -469,7 +469,9 @@ func TestReplicaPromotionWindow(t *testing.T) {
 // inherited job's ID.
 func TestReplicaPromotionWindowRealClock(t *testing.T) {
 	clock := simclock.Real()
-	lease := NewLease(NewMemLeaseStore(), clock, 200*time.Millisecond, 100*time.Millisecond)
+	// Renewals every third of a second keep the leader's grant through a
+	// loaded host's scheduling gaps; the handoff takes about 1.5 s.
+	lease := NewLease(NewMemLeaseStore(), clock, time.Second, 500*time.Millisecond)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	dirA, dirB := t.TempDir(), t.TempDir()
 	open := func(id, dir, follow string, onDurable func(db.Mutation), onPromote func(uint64, error)) *Replica {

@@ -1,6 +1,6 @@
 // Package chaos is GPUnion's deterministic fault-injection engine: it
 // composes seeded schedules of node churn, network partitions (control-
-// plane-only and full data-plane), latency spikes, per-node clock skew,
+// plane-only and full data-plane), per-node clock skew,
 // duplicate message delivery, WAL disk faults, checkpoint-store
 // corruption and coordinator crashes, executes them on the simulated
 // clock against a live platform, and audits the system database's
@@ -43,8 +43,6 @@ const (
 	// KindPartition cuts the control plane to a set of nodes for Dur:
 	// heartbeats are dropped, workloads keep running.
 	KindPartition Kind = "partition"
-	// KindLatencySpike degrades a node's access link for Dur.
-	KindLatencySpike Kind = "latency-spike"
 	// KindWALSyncError makes log fsyncs fail for Dur.
 	KindWALSyncError Kind = "wal-sync-error"
 	// KindWALShortWrite tears log writes mid-frame for Dur.
@@ -163,8 +161,6 @@ type Spec struct {
 	MaxPartitionNodes int
 	// MeanPartition is the mean partition length (default 10 min).
 	MeanPartition time.Duration
-	// LatencySpikesPerDay is the rate of access-link degradations.
-	LatencySpikesPerDay float64
 	// WALFaultsPerDay is the rate of disk-fault windows on the log.
 	WALFaultsPerDay float64
 	// MeanWALFault is the mean disk-fault window (default 5 min).
@@ -336,17 +332,6 @@ func Generate(spec Spec, seed int64) Schedule {
 		sched = append(sched, Fault{
 			At: t, Kind: KindPartition, Nodes: members,
 			Dur: clampDur(expDur(rng, float64(spec.MeanPartition)), time.Minute, 2*time.Hour),
-		})
-	}
-
-	// Latency spikes on single links.
-	for _, t := range poissonTimes(rng, spec.LatencySpikesPerDay, spec.Duration) {
-		if len(spec.Nodes) == 0 {
-			break
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindLatencySpike, Node: spec.Nodes[rng.Intn(len(spec.Nodes))],
-			Dur: clampDur(expDur(rng, float64(15*time.Minute)), time.Minute, time.Hour),
 		})
 	}
 
@@ -605,10 +590,6 @@ type Platform interface {
 	// PartitionHeal restores it.
 	PartitionStart(ids []string)
 	PartitionHeal(ids []string)
-	// LatencySpikeStart degrades a node's access link; LatencySpikeHeal
-	// restores it.
-	LatencySpikeStart(id string)
-	LatencySpikeHeal(id string)
 	// SetWALFault switches the injected disk behaviour under the log.
 	SetWALFault(mode WALFaultMode)
 	// SetClockSkew steps a node's wall clock to the given offset from
@@ -809,10 +790,6 @@ func (e *Engine) apply(f Fault) {
 			e.plat.PartitionHeal(nodes)
 			e.audit("partition-heal "+fmt.Sprint(nodes), nil)
 		})
-	case KindLatencySpike:
-		e.plat.LatencySpikeStart(f.Node)
-		node := f.Node
-		e.clock.AfterFunc(f.Dur, func() { e.plat.LatencySpikeHeal(node) })
 	case KindWALSyncError:
 		e.window("wal", f.Dur, func() { e.plat.SetWALFault(WALSyncError) },
 			func() { e.plat.SetWALFault(WALHealthy) })

@@ -103,8 +103,6 @@ func (p *fakePlatform) DepartNode(id string, tmp bool) { p.actions = append(p.ac
 func (p *fakePlatform) ReturnNode(id string)           { p.actions = append(p.actions, "return:"+id) }
 func (p *fakePlatform) PartitionStart(ids []string)    { p.actions = append(p.actions, "part-start") }
 func (p *fakePlatform) PartitionHeal(ids []string)     { p.actions = append(p.actions, "part-heal") }
-func (p *fakePlatform) LatencySpikeStart(id string)    { p.actions = append(p.actions, "lat-start") }
-func (p *fakePlatform) LatencySpikeHeal(id string)     { p.actions = append(p.actions, "lat-heal") }
 func (p *fakePlatform) SetWALFault(m WALFaultMode)     { p.walMode = m }
 func (p *fakePlatform) SetClockSkew(id string, off time.Duration) {
 	if off == 0 {

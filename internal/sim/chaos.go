@@ -58,8 +58,7 @@ type ChaosConfig struct {
 	// Drain runs the platform past the last fault so in-flight
 	// migrations settle before the final audit (default 2 h).
 	Drain time.Duration
-	// WithNetwork attaches the LAN model; it is also enabled
-	// automatically when the spec sets a latency-spike rate.
+	// WithNetwork attaches the LAN model.
 	WithNetwork bool
 	// Replicated runs the coordinator as a replicated pair: a leader
 	// holding a lease from an in-process arbiter plus a warm standby
@@ -259,8 +258,7 @@ type chaosHarness struct {
 	dataPartitioned map[string]bool
 	// skews mirrors the currently injected clock offsets, so audits
 	// know which nodes' only fault is a bounded skew.
-	skews     map[string]time.Duration
-	origLinks map[string]netsim.NodeLink
+	skews map[string]time.Duration
 	// dupOn marks an open duplicate-delivery window; dupCounter varies
 	// the replay count; dupReplays tallies replays by message kind.
 	dupOn      bool
@@ -391,7 +389,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		dataPartitioned: make(map[string]bool),
 		skews:           make(map[string]time.Duration),
 		hosts:           &simHosts{},
-		origLinks:       make(map[string]netsim.NodeLink),
 		healthSrcs:      make(map[string]*gpu.FakeHealthSource),
 		aggs:            make(map[string]*aggregator.Aggregator),
 		aggCut:          make(map[string]bool),
@@ -410,13 +407,11 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	h.trace = obs.NewRecorder(h.clock, 1<<16)
 	h.trace.Attach(h.bus)
 
-	if cfg.WithNetwork || cfg.Spec.LatencySpikesPerDay > 0 {
+	if cfg.WithNetwork {
 		h.net = netsim.New(10 * netsim.Gbps)
 		h.net.AddNode(netsim.NodeLink{Name: "coordinator", Access: 10 * netsim.Gbps, Latency: 150 * time.Microsecond})
 		for _, d := range cfg.Defs {
-			link := netsim.NodeLink{Name: d.ID, Access: netsim.Gbps, Latency: 250 * time.Microsecond}
-			h.net.AddNode(link)
-			h.origLinks[d.ID] = link
+			h.net.AddNode(netsim.NodeLink{Name: d.ID, Access: netsim.Gbps, Latency: 250 * time.Microsecond})
 		}
 	}
 	storageNode := ""
@@ -1076,33 +1071,6 @@ func (h *chaosHarness) PartitionHeal(ids []string) {
 	}
 	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
-}
-
-// LatencySpikeStart degrades the node's access link 20× with +5 ms
-// latency; new transfers see the degraded rate.
-func (h *chaosHarness) LatencySpikeStart(id string) {
-	if h.net == nil {
-		return
-	}
-	orig, ok := h.origLinks[id]
-	if !ok {
-		return
-	}
-	h.net.AddNode(netsim.NodeLink{
-		Name:    id,
-		Access:  orig.Access / 20,
-		Latency: orig.Latency + 5*time.Millisecond,
-	})
-}
-
-// LatencySpikeHeal restores the original link.
-func (h *chaosHarness) LatencySpikeHeal(id string) {
-	if h.net == nil {
-		return
-	}
-	if orig, ok := h.origLinks[id]; ok {
-		h.net.AddNode(orig)
-	}
 }
 
 // SetWALFault switches the injected disk behaviour under the log.

@@ -81,8 +81,6 @@ func (p *sabotagePlatform) DepartNode(string, bool)                 {}
 func (p *sabotagePlatform) ReturnNode(string)                       {}
 func (p *sabotagePlatform) PartitionStart([]string)                 {}
 func (p *sabotagePlatform) PartitionHeal([]string)                  {}
-func (p *sabotagePlatform) LatencySpikeStart(string)                {}
-func (p *sabotagePlatform) LatencySpikeHeal(string)                 {}
 func (p *sabotagePlatform) SetWALFault(chaos.WALFaultMode)          {}
 func (p *sabotagePlatform) SetClockSkew(string, time.Duration)      {}
 func (p *sabotagePlatform) SetDupDelivery(bool)                     {}

@@ -274,5 +274,8 @@ cover:
 
 # cover runs the full test suite (with profiling), so ci does not also
 # run a bare `test` pass — the long simulations already execute once
-# there and once more under verify-chaos.
-ci: build vet fmt race bench bench-check fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover
+# there and once more under verify-chaos. bench-check runs before race:
+# right after the race lane's -count=20 loops the host is still hot, and
+# the gate once read DecodeHeartbeat/idle at +35 % (reruns +18 %, +20 %)
+# on a package no diff had touched.
+ci: build vet fmt bench-check race bench fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover

@@ -65,7 +65,6 @@ type NodeStatus string
 const (
 	NodeActive      NodeStatus = "active"
 	NodePaused      NodeStatus = "paused"      // provider paused new allocations
-	NodeDeparting   NodeStatus = "departing"   // graceful shutdown in progress
 	NodeDeparted    NodeStatus = "departed"    // voluntarily left
 	NodeUnreachable NodeStatus = "unreachable" // heartbeat loss (emergency departure)
 )

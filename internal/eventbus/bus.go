@@ -39,7 +39,6 @@ const (
 	JobMigratedBack Type = "job.migrated_back"
 
 	ContainerCreated Type = "container.created"
-	ContainerExited  Type = "container.exited"
 
 	KillSwitch Type = "provider.killswitch"
 

@@ -28,11 +28,8 @@ import (
 // Bandwidth is a link capacity in bits per second.
 type Bandwidth float64
 
-// Common campus link rates.
-const (
-	Mbps Bandwidth = 1e6
-	Gbps Bandwidth = 1e9
-)
+// Gbps is the common campus link rate unit.
+const Gbps Bandwidth = 1e9
 
 // Category classifies traffic for the accounting used by the §4 analysis.
 type Category string
@@ -41,7 +38,6 @@ type Category string
 const (
 	TrafficCheckpoint Category = "checkpoint" // periodic incremental backups
 	TrafficMigration  Category = "migration"  // checkpoint restore on a new node
-	TrafficImagePull  Category = "image"      // container image distribution
 	TrafficControl    Category = "control"    // heartbeats, registration, API
 )
 

@@ -784,11 +784,9 @@ func (e *Engine) apply(f Fault) {
 	case KindNodeReturn:
 		e.plat.ReturnNode(f.Node)
 	case KindPartition:
-		e.plat.PartitionStart(f.Nodes)
-		nodes := f.Nodes
-		e.clock.AfterFunc(f.Dur, func() {
-			e.plat.PartitionHeal(nodes)
-			e.audit("partition-heal "+fmt.Sprint(nodes), nil)
+		e.nodesWindow("partition", f.Nodes, f.Dur, func() { e.plat.PartitionStart(f.Nodes) }, func(healed []string) {
+			e.plat.PartitionHeal(healed)
+			e.audit("partition-heal "+fmt.Sprint(healed), nil)
 		})
 	case KindWALSyncError:
 		e.window("wal", f.Dur, func() { e.plat.SetWALFault(WALSyncError) },
@@ -808,11 +806,9 @@ func (e *Engine) apply(f Fault) {
 		e.window("dup", f.Dur, func() { e.plat.SetDupDelivery(true) },
 			func() { e.plat.SetDupDelivery(false) })
 	case KindDataPartition:
-		e.plat.DataPartitionStart(f.Nodes)
-		nodes := f.Nodes
-		e.clock.AfterFunc(f.Dur, func() {
-			e.plat.DataPartitionHeal(nodes)
-			e.audit("data-partition-heal "+fmt.Sprint(nodes), nil)
+		e.nodesWindow("data-partition", f.Nodes, f.Dur, func() { e.plat.DataPartitionStart(f.Nodes) }, func(healed []string) {
+			e.plat.DataPartitionHeal(healed)
+			e.audit("data-partition-heal "+fmt.Sprint(healed), nil)
 		})
 	case KindCkptBitFlip:
 		e.window("ckpt", f.Dur, func() { e.plat.SetCheckpointFault(CkptBitFlip) },
@@ -885,6 +881,28 @@ func (e *Engine) window(key string, dur time.Duration, open, heal func()) {
 		e.windows[key]--
 		if e.windows[key] == 0 {
 			heal()
+		}
+	})
+}
+
+// nodesWindow is window for a fault on a set of nodes: one count per
+// node under key, and heal runs on the nodes whose last open window
+// closed — a node two partitions share stays cut until both heal.
+func (e *Engine) nodesWindow(key string, nodes []string, dur time.Duration, open func(), heal func(healed []string)) {
+	for _, n := range nodes {
+		e.windows[key+" "+n]++
+	}
+	open()
+	e.clock.AfterFunc(dur, func() {
+		var healed []string
+		for _, n := range nodes {
+			e.windows[key+" "+n]--
+			if e.windows[key+" "+n] == 0 {
+				healed = append(healed, n)
+			}
+		}
+		if len(healed) > 0 {
+			heal(healed)
 		}
 	})
 }

@@ -101,9 +101,13 @@ func (p *fakePlatform) CrashNode(id string) {
 }
 func (p *fakePlatform) DepartNode(id string, tmp bool) { p.actions = append(p.actions, "depart:"+id) }
 func (p *fakePlatform) ReturnNode(id string)           { p.actions = append(p.actions, "return:"+id) }
-func (p *fakePlatform) PartitionStart(ids []string)    { p.actions = append(p.actions, "part-start") }
-func (p *fakePlatform) PartitionHeal(ids []string)     { p.actions = append(p.actions, "part-heal") }
-func (p *fakePlatform) SetWALFault(m WALFaultMode)     { p.walMode = m }
+func (p *fakePlatform) PartitionStart(ids []string) {
+	p.actions = append(p.actions, fmt.Sprint("part-start ", ids))
+}
+func (p *fakePlatform) PartitionHeal(ids []string) {
+	p.actions = append(p.actions, fmt.Sprint("part-heal ", ids))
+}
+func (p *fakePlatform) SetWALFault(m WALFaultMode) { p.walMode = m }
 func (p *fakePlatform) SetClockSkew(id string, off time.Duration) {
 	if off == 0 {
 		p.actions = append(p.actions, "skew-heal:"+id)
@@ -114,8 +118,12 @@ func (p *fakePlatform) SetClockSkew(id string, off time.Duration) {
 func (p *fakePlatform) SetDupDelivery(on bool) {
 	p.actions = append(p.actions, fmt.Sprintf("dup:%v", on))
 }
-func (p *fakePlatform) DataPartitionStart(ids []string) { p.actions = append(p.actions, "dpart-start") }
-func (p *fakePlatform) DataPartitionHeal(ids []string)  { p.actions = append(p.actions, "dpart-heal") }
+func (p *fakePlatform) DataPartitionStart(ids []string) {
+	p.actions = append(p.actions, fmt.Sprint("dpart-start ", ids))
+}
+func (p *fakePlatform) DataPartitionHeal(ids []string) {
+	p.actions = append(p.actions, fmt.Sprint("dpart-heal ", ids))
+}
 func (p *fakePlatform) SetCheckpointFault(m CkptFaultMode) {
 	p.ckptMode = m
 	p.actions = append(p.actions, fmt.Sprintf("ckpt-fault:%d", m))
@@ -139,7 +147,7 @@ func TestEngineExecutesAndHeals(t *testing.T) {
 	if rep.Executed[KindPartition] != 1 || rep.Executed[KindCoordCrash] != 1 {
 		t.Fatalf("executed = %v", rep.Executed)
 	}
-	want := []string{"part-start", "part-heal", "coord-crash"}
+	want := []string{"part-start [n1]", "part-heal [n1]", "coord-crash"}
 	if !reflect.DeepEqual(plat.actions, want) {
 		t.Fatalf("actions = %v, want %v", plat.actions, want)
 	}
@@ -151,6 +159,33 @@ func TestEngineExecutesAndHeals(t *testing.T) {
 	}
 	if rep.Audits < 5 {
 		t.Fatalf("audits = %d, want fault + periodic + final", rep.Audits)
+	}
+}
+
+// TestEngineOverlappingPartitions: two partitions sharing a node heal
+// that node only when the later one closes; the earlier heal reconnects
+// only the node it alone cut.
+func TestEngineOverlappingPartitions(t *testing.T) {
+	for _, k := range []struct {
+		kind   Kind
+		prefix string
+	}{{KindPartition, "part"}, {KindDataPartition, "dpart"}} {
+		t.Run(string(k.kind), func(t *testing.T) {
+			clock := simclock.NewSim(time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC))
+			plat := newFakePlatform()
+			rep := NewEngine(clock, plat).Execute(Schedule{
+				{At: time.Minute, Kind: k.kind, Nodes: []string{"n1", "n2"}, Dur: 4 * time.Minute},
+				{At: 2 * time.Minute, Kind: k.kind, Nodes: []string{"n2", "n3"}, Dur: 6 * time.Minute},
+			}, 0, time.Minute)
+			want := []string{k.prefix + "-start [n1 n2]", k.prefix + "-start [n2 n3]",
+				k.prefix + "-heal [n1]", k.prefix + "-heal [n2 n3]"}
+			if !reflect.DeepEqual(plat.actions, want) {
+				t.Fatalf("actions = %v, want %v", plat.actions, want)
+			}
+			if len(rep.Violations) != 0 {
+				t.Fatalf("violations: %v", rep.Violations)
+			}
+		})
 	}
 }
 

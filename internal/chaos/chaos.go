@@ -1,10 +1,17 @@
 // Package chaos is GPUnion's deterministic fault-injection engine: it
 // composes seeded schedules of node churn, network partitions (control-
-// plane-only and full data-plane), per-node clock skew,
-// duplicate message delivery, WAL disk faults, checkpoint-store
-// corruption and coordinator crashes, executes them on the simulated
-// clock against a live platform, and audits the system database's
-// invariants (internal/invariant) after every injected event.
+// plane-only and full data-plane), per-node clock skew, duplicate
+// message delivery, WAL disk faults, checkpoint-store corruption,
+// coordinator crashes, leader kills, split brain, gray failures and
+// aggregator faults, executes them on the simulated clock against a
+// live platform, and audits the system database's invariants
+// (internal/invariant) after every injected event.
+//
+// Every windowed family is one row of the families table: its kinds,
+// the Spec knobs it reads, its target draw, and the Platform actions
+// that open and heal its windows. Generate walks the rows; the engine
+// opens every window through one per-target count, so overlapping
+// windows heal only when the last one closes.
 //
 // The engine is platform-agnostic: internal/sim assembles the real
 // coordinator, agents and WAL, implements the Platform interface, and
@@ -16,6 +23,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,9 +33,9 @@ import (
 	"gpunion/internal/simclock"
 )
 
-// Kind enumerates fault types. Adding a new fault type means adding a
-// Kind, teaching Generate to draw it, and giving Platform (and its sim
-// implementation) the matching action — see README "Chaos harness".
+// Kind enumerates fault types. A windowed family is a Kind, one row of
+// the families table and the Platform action the row opens and heals —
+// see docs/FAULT-MODEL.md "Adding a new fault family".
 type Kind string
 
 // Fault kinds.
@@ -70,18 +78,18 @@ const (
 	KindCkptTruncate Kind = "ckpt-truncate"
 	// KindLeaderKill kills the current coordinator leader outright; a
 	// standby replica must promote from the shipped log with zero lost
-	// acked mutations. Ignored by non-replicated platforms.
+	// acked mutations. A no-op on a standalone coordinator.
 	KindLeaderKill Kind = "leader-kill"
 	// KindSplitBrain isolates the leader from the lease arbiter and
 	// skews its clock backwards for Dur, the worst case for fencing: a
 	// standby is elected while the zombie still believes its lease is
-	// live. Ignored by non-replicated platforms.
+	// live. A no-op on a standalone coordinator.
 	KindSplitBrain Kind = "split-brain"
 	// KindGrayDegrade makes a node gray-fail for Dur: its devices emit
 	// health events (XID errors, thermal throttling, slowdowns) while
 	// the node keeps heartbeating and running work. The platform must
 	// fold the events, stop placing on the node, and predictively drain
-	// it. Ignored by platforms without gray-failure support.
+	// it.
 	KindGrayDegrade Kind = "gray-degrade"
 	// KindPartialLoss drops a fraction of one node's heartbeats for Dur
 	// — a flaky link, not a partition. The node must neither be swept
@@ -95,12 +103,10 @@ const (
 	// KindAggCrash kills a rack aggregator mid-window for Dur, then
 	// restarts it empty: its open flush window's deltas are lost, and
 	// its agents must fall back to the direct path until it returns.
-	// Ignored by platforms without an aggregation tier.
 	KindAggCrash Kind = "agg-crash"
 	// KindAggPartition cuts an aggregator's upstream link to the
 	// coordinator for Dur: the aggregator degrades, refuses its agents'
-	// beats, and they fall back direct while it probes. Ignored by
-	// platforms without an aggregation tier.
+	// beats, and they fall back direct while it probes.
 	KindAggPartition Kind = "agg-partition"
 )
 
@@ -114,8 +120,8 @@ type Fault struct {
 	Node string
 	// Nodes targets partitions.
 	Nodes []string
-	// Dur is the fault window for partition/latency/WAL faults; the
-	// engine schedules the matching heal at At+Dur.
+	// Dur is the fault window of a windowed family; the engine
+	// schedules the matching heal at At+Dur.
 	Dur time.Duration
 	// Temporary marks a departure as return-intending.
 	Temporary bool
@@ -192,8 +198,7 @@ type Spec struct {
 	// MeanCkptFault is the mean corruption window (default 10 min).
 	MeanCkptFault time.Duration
 	// LeaderKills is how many leader kill/failover events to inject.
-	// Only meaningful on platforms running a replicated coordinator
-	// (ReplicatedPlatform); others ignore the faults.
+	// Only meaningful on a replicated coordinator.
 	LeaderKills int
 	// SplitBrains is how many split-brain windows (leader cut from the
 	// arbiter with its clock skewed backwards) to inject.
@@ -215,8 +220,7 @@ type Spec struct {
 	CkptReadRotPerDay float64
 	// MeanCkptReadRot is the mean read-rot window (default 10 min).
 	MeanCkptReadRot time.Duration
-	// Aggregators are the injectable rack-aggregator identities. Only
-	// meaningful on platforms with an aggregation tier (AggPlatform).
+	// Aggregators are the injectable rack-aggregator identities.
 	Aggregators []string
 	// AggCrashesPerDay is the rate of aggregator crash/restart events.
 	AggCrashesPerDay float64
@@ -230,70 +234,49 @@ type Spec struct {
 	MeanAggPartition time.Duration
 }
 
-// withDefaults fills unset knobs.
-func (s Spec) withDefaults() Spec {
-	if s.MeanOutage <= 0 {
-		s.MeanOutage = 30 * time.Minute
-	}
-	if s.MaxPartitionNodes <= 0 {
-		s.MaxPartitionNodes = 3
-	}
-	if s.MeanPartition <= 0 {
-		s.MeanPartition = 10 * time.Minute
-	}
-	if s.MeanWALFault <= 0 {
-		s.MeanWALFault = 5 * time.Minute
-	}
-	if s.MaxSkew < time.Minute {
-		s.MaxSkew = 2 * time.Minute
-	}
-	if s.MeanSkewWindow <= 0 {
-		s.MeanSkewWindow = 20 * time.Minute
-	}
-	if s.MeanDupWindow <= 0 {
-		s.MeanDupWindow = 10 * time.Minute
-	}
-	if s.MeanCkptFault <= 0 {
-		s.MeanCkptFault = 10 * time.Minute
-	}
-	if s.MeanSplitBrain <= 0 {
-		s.MeanSplitBrain = 2 * time.Minute
-	}
-	if s.MeanGrayDegrade <= 0 {
-		s.MeanGrayDegrade = 15 * time.Minute
-	}
-	if s.MeanPartialLoss <= 0 {
-		s.MeanPartialLoss = 10 * time.Minute
-	}
-	if s.MeanCkptReadRot <= 0 {
-		s.MeanCkptReadRot = 10 * time.Minute
-	}
-	if s.MeanAggOutage <= 0 {
-		s.MeanAggOutage = 5 * time.Minute
-	}
-	if s.MeanAggPartition <= 0 {
-		s.MeanAggPartition = 10 * time.Minute
-	}
-	return s
-}
-
 // Generate composes a deterministic fault schedule from the spec: same
 // spec and seed, same schedule, independent of map iteration or wall
-// time.
+// time. Families draw from the rng in the order they were added, each
+// guarded by its rate or count, so a spec that leaves the newer ones at
+// zero composes the schedule it always did: churn, then the families
+// table, with the coordinator faults placed at split brain's row.
 func Generate(spec Spec, seed int64) Schedule {
-	spec = spec.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	var sched Schedule
+	sched, churnTimes := drawChurn(rng, spec)
+	for i := range families {
+		fam := &families[i]
+		if fam.rate == nil {
+			// Split brain's row: the coordinator faults draw here.
+			sched = append(sched, placeCoordinatorFaults(rng, spec, churnTimes)...)
+			continue
+		}
+		for j, t := range poissonTimes(rng, fam.rate(spec), spec.Duration) {
+			f := Fault{At: t, Kind: fam.kinds[j%len(fam.kinds)]}
+			if fam.target != nil && !fam.target(rng, spec, &f) {
+				break
+			}
+			f.Dur = clampDur(expDur(rng, float64(fam.mean(spec))), fam.lo, fam.hi)
+			sched = append(sched, f)
+		}
+	}
+	sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
+	return sched
+}
 
-	// Per-node churn timelines: up → fault → down → return → up …
-	churnTimes := []time.Duration{}
+// drawChurn composes per-node churn timelines — up → fault → down →
+// return → up … — and returns the fault times too, for the coordinator
+// crashes to ride.
+func drawChurn(rng *rand.Rand, spec Spec) (Schedule, []time.Duration) {
+	var sched Schedule
+	var churnTimes []time.Duration
+	meanOutage := orDefault(spec.MeanOutage, 30*time.Minute)
 	for _, node := range spec.Nodes {
 		if spec.ChurnPerNodePerDay <= 0 {
 			break
 		}
 		t := expDur(rng, float64(24*time.Hour)/spec.ChurnPerNodePerDay)
 		for t < spec.Duration {
-			outage := expDur(rng, float64(spec.MeanOutage))
+			outage := expDur(rng, float64(meanOutage))
 			if outage < time.Minute {
 				outage = time.Minute
 			}
@@ -313,104 +296,13 @@ func Generate(spec Spec, seed int64) Schedule {
 			t += outage + expDur(rng, float64(24*time.Hour)/spec.ChurnPerNodePerDay)
 		}
 	}
+	return sched, churnTimes
+}
 
-	// Partitions: random subsets of the fleet.
-	for _, t := range poissonTimes(rng, spec.PartitionsPerDay, spec.Duration) {
-		n := 1 + rng.Intn(spec.MaxPartitionNodes)
-		if n > len(spec.Nodes) {
-			n = len(spec.Nodes)
-		}
-		if n == 0 {
-			break
-		}
-		perm := rng.Perm(len(spec.Nodes))[:n]
-		sort.Ints(perm)
-		members := make([]string, n)
-		for i, idx := range perm {
-			members[i] = spec.Nodes[idx]
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindPartition, Nodes: members,
-			Dur: clampDur(expDur(rng, float64(spec.MeanPartition)), time.Minute, 2*time.Hour),
-		})
-	}
-
-	// WAL disk-fault windows, alternating failure modes.
-	for i, t := range poissonTimes(rng, spec.WALFaultsPerDay, spec.Duration) {
-		kind := KindWALSyncError
-		if i%2 == 1 {
-			kind = KindWALShortWrite
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: kind,
-			Dur: clampDur(expDur(rng, float64(spec.MeanWALFault)), 30*time.Second, time.Hour),
-		})
-	}
-
-	// Clock-skew windows: one node's wall clock steps by a bounded
-	// offset, then steps back when the window closes. (The new fault
-	// families draw from the rng after the original ones and are
-	// rate-guarded, so a spec that leaves them at zero composes the
-	// same schedule it always did for a given seed.)
-	for _, t := range poissonTimes(rng, spec.ClockSkewsPerDay, spec.Duration) {
-		if len(spec.Nodes) == 0 {
-			break
-		}
-		span := int64(spec.MaxSkew - 30*time.Second)
-		skew := 30*time.Second + time.Duration(rng.Int63n(span+1))
-		if rng.Intn(2) == 0 {
-			skew = -skew
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindClockSkew,
-			Node: spec.Nodes[rng.Intn(len(spec.Nodes))],
-			Skew: skew,
-			Dur:  clampDur(expDur(rng, float64(spec.MeanSkewWindow)), 5*time.Minute, 2*time.Hour),
-		})
-	}
-
-	// Duplicate-delivery windows.
-	for _, t := range poissonTimes(rng, spec.DupWindowsPerDay, spec.Duration) {
-		sched = append(sched, Fault{
-			At: t, Kind: KindDupDeliver,
-			Dur: clampDur(expDur(rng, float64(spec.MeanDupWindow)), time.Minute, time.Hour),
-		})
-	}
-
-	// Data-plane partitions: random subsets, like control partitions,
-	// but severing checkpoint transfers too.
-	for _, t := range poissonTimes(rng, spec.DataPartitionsPerDay, spec.Duration) {
-		n := 1 + rng.Intn(spec.MaxPartitionNodes)
-		if n > len(spec.Nodes) {
-			n = len(spec.Nodes)
-		}
-		if n == 0 {
-			break
-		}
-		perm := rng.Perm(len(spec.Nodes))[:n]
-		sort.Ints(perm)
-		members := make([]string, n)
-		for i, idx := range perm {
-			members[i] = spec.Nodes[idx]
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindDataPartition, Nodes: members,
-			Dur: clampDur(expDur(rng, float64(spec.MeanPartition)), time.Minute, 2*time.Hour),
-		})
-	}
-
-	// Checkpoint-store corruption windows, alternating damage modes.
-	for i, t := range poissonTimes(rng, spec.CkptFaultsPerDay, spec.Duration) {
-		kind := KindCkptBitFlip
-		if i%2 == 1 {
-			kind = KindCkptTruncate
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: kind,
-			Dur: clampDur(expDur(rng, float64(spec.MeanCkptFault)), time.Minute, time.Hour),
-		})
-	}
-
+// placeCoordinatorFaults places the coordinator crashes, leader kills
+// and split-brain windows, in that order.
+func placeCoordinatorFaults(rng *rand.Rand, spec Spec, churnTimes []time.Duration) Schedule {
+	var sched Schedule
 	// Coordinator crashes: ride shortly after churn events so restarts
 	// catch migrations in flight; fall back to uniform placement.
 	for i := 0; i < spec.CoordCrashes; i++ {
@@ -421,104 +313,228 @@ func Generate(spec Spec, seed int64) Schedule {
 		} else {
 			at = time.Duration(float64(spec.Duration) * (float64(i) + 0.5) / float64(spec.CoordCrashes))
 		}
-		if at >= spec.Duration {
-			at = spec.Duration - time.Minute
-		}
-		sched = append(sched, Fault{At: at, Kind: KindCoordCrash})
+		sched = append(sched, Fault{At: beforeEnd(at, spec), Kind: KindCoordCrash})
 	}
-
 	// Leader kills: spread across the horizon with bounded jitter, so
 	// each failover runs against a different phase of the workload.
-	// (Drawn after every older family and guarded by its own count, so
-	// a spec that leaves replication faults at zero composes the same
-	// schedule it always did for a given seed.)
 	for i := 0; i < spec.LeaderKills; i++ {
 		at := time.Duration(float64(spec.Duration) * (float64(i) + 0.5) / float64(spec.LeaderKills+1))
 		at += time.Duration(rng.Int63n(int64(time.Minute)))
-		if at >= spec.Duration {
-			at = spec.Duration - time.Minute
-		}
-		sched = append(sched, Fault{At: at, Kind: KindLeaderKill})
+		sched = append(sched, Fault{At: beforeEnd(at, spec), Kind: KindLeaderKill})
 	}
-
 	// Split-brain windows: same placement strategy, with a bounded
 	// window during which a zombie leader coexists with its successor.
 	for i := 0; i < spec.SplitBrains; i++ {
 		at := time.Duration(float64(spec.Duration) * (float64(i) + 0.75) / float64(spec.SplitBrains+1))
 		at += time.Duration(rng.Int63n(int64(time.Minute)))
-		if at >= spec.Duration {
-			at = spec.Duration - time.Minute
-		}
 		sched = append(sched, Fault{
-			At: at, Kind: KindSplitBrain,
-			Dur: clampDur(expDur(rng, float64(spec.MeanSplitBrain)), 30*time.Second, 10*time.Minute),
+			At: beforeEnd(at, spec), Kind: KindSplitBrain,
+			Dur: clampDur(expDur(rng, float64(orDefault(spec.MeanSplitBrain, 2*time.Minute))), 30*time.Second, 10*time.Minute),
 		})
 	}
-
-	// Gray-failure windows: one node degrades while staying in service.
-	// (Like every family added after the original set, these draw from
-	// the rng last and only when their rate is non-zero, so the eight
-	// pre-existing seeded schedules are unchanged.)
-	for _, t := range poissonTimes(rng, spec.GrayDegradesPerDay, spec.Duration) {
-		if len(spec.Nodes) == 0 {
-			break
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindGrayDegrade,
-			Node: spec.Nodes[rng.Intn(len(spec.Nodes))],
-			Dur:  clampDur(expDur(rng, float64(spec.MeanGrayDegrade)), 2*time.Minute, time.Hour),
-		})
-	}
-
-	// Flaky-link windows: partial heartbeat loss on one node.
-	for _, t := range poissonTimes(rng, spec.PartialLossPerDay, spec.Duration) {
-		if len(spec.Nodes) == 0 {
-			break
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindPartialLoss,
-			Node: spec.Nodes[rng.Intn(len(spec.Nodes))],
-			Dur:  clampDur(expDur(rng, float64(spec.MeanPartialLoss)), time.Minute, time.Hour),
-		})
-	}
-
-	// Checkpoint read-rot windows.
-	for _, t := range poissonTimes(rng, spec.CkptReadRotPerDay, spec.Duration) {
-		sched = append(sched, Fault{
-			At: t, Kind: KindCkptReadRot,
-			Dur: clampDur(expDur(rng, float64(spec.MeanCkptReadRot)), time.Minute, time.Hour),
-		})
-	}
-
-	// Aggregator crashes: a rack relay dies with a flush window open,
-	// restarts empty after the outage. (Drawn after every older family
-	// and rate-guarded, preserving pre-existing seeded schedules.)
-	for _, t := range poissonTimes(rng, spec.AggCrashesPerDay, spec.Duration) {
-		if len(spec.Aggregators) == 0 {
-			break
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindAggCrash,
-			Node: spec.Aggregators[rng.Intn(len(spec.Aggregators))],
-			Dur:  clampDur(expDur(rng, float64(spec.MeanAggOutage)), time.Minute, time.Hour),
-		})
-	}
-
-	// Aggregator-upstream partitions: the relay stays up but its
-	// coordinator link is cut, forcing degradation + direct fallback.
-	for _, t := range poissonTimes(rng, spec.AggPartitionsPerDay, spec.Duration) {
-		if len(spec.Aggregators) == 0 {
-			break
-		}
-		sched = append(sched, Fault{
-			At: t, Kind: KindAggPartition,
-			Node: spec.Aggregators[rng.Intn(len(spec.Aggregators))],
-			Dur:  clampDur(expDur(rng, float64(spec.MeanAggPartition)), time.Minute, time.Hour),
-		})
-	}
-
-	sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
 	return sched
+}
+
+// beforeEnd pulls a placed fault that lands past the horizon back to
+// its last minute.
+func beforeEnd(at time.Duration, spec Spec) time.Duration {
+	if at >= spec.Duration {
+		return spec.Duration - time.Minute
+	}
+	return at
+}
+
+// family is one row of the fault table: a windowed fault family, how
+// Generate draws it and how the engine opens and heals its windows.
+type family struct {
+	// kinds are the family's fault kinds; the i-th fault drawn is
+	// kinds[i%len(kinds)], so a family of two alternates its modes.
+	kinds []Kind
+	// rate and mean read the family's Spec knobs, mean with its default
+	// folded in; a drawn window is clamped to [lo, hi]. Faults arrive as
+	// a Poisson process at rate per day. A nil rate marks the one family
+	// Generate places with its own code, split brain.
+	rate   func(Spec) float64
+	mean   func(Spec) time.Duration
+	lo, hi time.Duration
+	// target draws the fault's target (Node or Nodes, and Skew) before
+	// its window; false means there is nothing to target and ends the
+	// family's draw. Nil for a fleet-wide family.
+	target func(rng *rand.Rand, s Spec, f *Fault) bool
+	// healAudit, when set, labels the invariant audit run after a heal
+	// (followed by the healed targets).
+	healAudit string
+	// open injects a window's fault. heal ends it on the targets whose
+	// last open window just closed (f.Nodes holds just those) and
+	// returns any violation the heal exposed.
+	open func(p Platform, f Fault)
+	heal func(p Platform, f Fault) []invariant.Violation
+}
+
+// families is the fault table. Generate walks it in order, so a new
+// family's row goes at the end: rows before it keep drawing what they
+// always drew for a given seed.
+var families = []family{{
+	kinds: []Kind{KindPartition},
+	rate:  func(s Spec) float64 { return s.PartitionsPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanPartition, 10*time.Minute) },
+	lo:    time.Minute, hi: 2 * time.Hour, target: drawNodeSet, healAudit: "partition-heal",
+	open: func(p Platform, f Fault) { p.PartitionStart(f.Nodes) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.PartitionHeal(f.Nodes); return nil },
+}, {
+	kinds: []Kind{KindWALSyncError, KindWALShortWrite},
+	rate:  func(s Spec) float64 { return s.WALFaultsPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanWALFault, 5*time.Minute) },
+	lo:    30 * time.Second, hi: time.Hour,
+	open: func(p Platform, f Fault) {
+		mode := WALSyncError
+		if f.Kind == KindWALShortWrite {
+			mode = WALShortWrite
+		}
+		p.SetWALFault(mode)
+	},
+	heal: func(p Platform, f Fault) []invariant.Violation { p.SetWALFault(WALHealthy); return nil },
+}, {
+	kinds: []Kind{KindClockSkew},
+	rate:  func(s Spec) float64 { return s.ClockSkewsPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanSkewWindow, 20*time.Minute) },
+	lo:    5 * time.Minute, hi: 2 * time.Hour, target: drawSkew, healAudit: "clock-skew-heal",
+	open: func(p Platform, f Fault) { p.SetClockSkew(f.Node, f.Skew) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.SetClockSkew(f.Node, 0); return nil },
+}, {
+	kinds: []Kind{KindDupDeliver},
+	rate:  func(s Spec) float64 { return s.DupWindowsPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanDupWindow, 10*time.Minute) },
+	lo:    time.Minute, hi: time.Hour,
+	open: func(p Platform, f Fault) { p.SetDupDelivery(true) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.SetDupDelivery(false); return nil },
+}, {
+	kinds: []Kind{KindDataPartition},
+	rate:  func(s Spec) float64 { return s.DataPartitionsPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanPartition, 10*time.Minute) },
+	lo:    time.Minute, hi: 2 * time.Hour, target: drawNodeSet, healAudit: "data-partition-heal",
+	open: func(p Platform, f Fault) { p.DataPartitionStart(f.Nodes) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.DataPartitionHeal(f.Nodes); return nil },
+}, {
+	kinds: []Kind{KindCkptBitFlip, KindCkptTruncate},
+	rate:  func(s Spec) float64 { return s.CkptFaultsPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanCkptFault, 10*time.Minute) },
+	lo:    time.Minute, hi: time.Hour,
+	open: func(p Platform, f Fault) {
+		mode := CkptBitFlip
+		if f.Kind == KindCkptTruncate {
+			mode = CkptTruncate
+		}
+		p.SetCheckpointFault(mode)
+	},
+	heal: func(p Platform, f Fault) []invariant.Violation { p.SetCheckpointFault(CkptHealthy); return nil },
+}, {
+	kinds: []Kind{KindSplitBrain}, healAudit: "split-brain-heal",
+	open: func(p Platform, f Fault) { p.SplitBrainStart() },
+	heal: func(p Platform, f Fault) []invariant.Violation { return p.SplitBrainHeal() },
+}, {
+	kinds: []Kind{KindGrayDegrade},
+	rate:  func(s Spec) float64 { return s.GrayDegradesPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanGrayDegrade, 15*time.Minute) },
+	lo:    2 * time.Minute, hi: time.Hour, target: drawNode, healAudit: "gray-degrade-heal",
+	open: func(p Platform, f Fault) { p.GrayDegradeStart(f.Node) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.GrayDegradeHeal(f.Node); return nil },
+}, {
+	kinds: []Kind{KindPartialLoss},
+	rate:  func(s Spec) float64 { return s.PartialLossPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanPartialLoss, 10*time.Minute) },
+	lo:    time.Minute, hi: time.Hour, target: drawNode, healAudit: "partial-loss-heal",
+	open: func(p Platform, f Fault) { p.PartialLossStart(f.Node) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.PartialLossHeal(f.Node); return nil },
+}, {
+	kinds: []Kind{KindCkptReadRot},
+	rate:  func(s Spec) float64 { return s.CkptReadRotPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanCkptReadRot, 10*time.Minute) },
+	lo:    time.Minute, hi: time.Hour,
+	open: func(p Platform, f Fault) { p.SetCheckpointReadRot(true) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.SetCheckpointReadRot(false); return nil },
+}, {
+	kinds: []Kind{KindAggCrash},
+	rate:  func(s Spec) float64 { return s.AggCrashesPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanAggOutage, 5*time.Minute) },
+	lo:    time.Minute, hi: time.Hour, target: drawAggregator, healAudit: "agg-restart",
+	open: func(p Platform, f Fault) { p.CrashAggregator(f.Node) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.RestartAggregator(f.Node); return nil },
+}, {
+	kinds: []Kind{KindAggPartition},
+	rate:  func(s Spec) float64 { return s.AggPartitionsPerDay },
+	mean:  func(s Spec) time.Duration { return orDefault(s.MeanAggPartition, 10*time.Minute) },
+	lo:    time.Minute, hi: time.Hour, target: drawAggregator, healAudit: "agg-partition-heal",
+	open: func(p Platform, f Fault) { p.AggPartitionStart(f.Node) },
+	heal: func(p Platform, f Fault) []invariant.Violation { p.AggPartitionHeal(f.Node); return nil },
+}}
+
+// familyOf finds a windowed kind's row; nil for any other kind.
+func familyOf(k Kind) *family {
+	for i := range families {
+		if slices.Contains(families[i].kinds, k) {
+			return &families[i]
+		}
+	}
+	return nil
+}
+
+// drawNodeSet targets a random subset of one to MaxPartitionNodes
+// (default 3) nodes.
+func drawNodeSet(rng *rand.Rand, s Spec, f *Fault) bool {
+	n := 1 + rng.Intn(orDefault(s.MaxPartitionNodes, 3))
+	if n > len(s.Nodes) {
+		n = len(s.Nodes)
+	}
+	if n == 0 {
+		return false
+	}
+	perm := rng.Perm(len(s.Nodes))[:n]
+	sort.Ints(perm)
+	f.Nodes = make([]string, n)
+	for i, idx := range perm {
+		f.Nodes[i] = s.Nodes[idx]
+	}
+	return true
+}
+
+// drawNode targets one node.
+func drawNode(rng *rand.Rand, s Spec, f *Fault) bool { return pick(rng, s.Nodes, f) }
+
+// drawAggregator targets one aggregator.
+func drawAggregator(rng *rand.Rand, s Spec, f *Fault) bool { return pick(rng, s.Aggregators, f) }
+
+func pick(rng *rand.Rand, ids []string, f *Fault) bool {
+	if len(ids) == 0 {
+		return false
+	}
+	f.Node = ids[rng.Intn(len(ids))]
+	return true
+}
+
+// drawSkew targets one node with a clock offset uniform in ±[30s,
+// MaxSkew]; a MaxSkew under one minute means the 2 min default.
+func drawSkew(rng *rand.Rand, s Spec, f *Fault) bool {
+	if len(s.Nodes) == 0 {
+		return false
+	}
+	maxSkew := s.MaxSkew
+	if maxSkew < time.Minute {
+		maxSkew = 2 * time.Minute
+	}
+	f.Skew = 30*time.Second + time.Duration(rng.Int63n(int64(maxSkew-30*time.Second)+1))
+	if rng.Intn(2) == 0 {
+		f.Skew = -f.Skew
+	}
+	return pick(rng, s.Nodes, f)
+}
+
+// orDefault is v, or def when v is unset.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // expDur draws an exponential duration with the given mean (in
@@ -608,40 +624,19 @@ type Platform interface {
 	// CrashCoordinator kills the coordinator and restarts it from
 	// snapshot + WAL, returning any recovery-equivalence violations.
 	CrashCoordinator() []invariant.Violation
-	// ExtraChecks lets the platform report invariants only it can see
-	// (e.g. agent-side phantom jobs). Called on periodic audits.
-	ExtraChecks() []invariant.Violation
-}
-
-// ReplicatedPlatform is the optional capability interface for platforms
-// running a replicated coordinator (leader + standby over WAL
-// shipping). The engine type-asserts for it when applying
-// KindLeaderKill and KindSplitBrain; platforms without it absorb those
-// faults as no-ops, keeping the Platform contract stable for the
-// standalone harness and its tests.
-type ReplicatedPlatform interface {
-	// KillLeader kills the current leader outright (no shutdown
-	// courtesy), promotes a standby, re-points the agents, and returns
-	// any zero-lost-acked-mutation or leadership-protocol violations
-	// the handoff exposed.
+	// KillLeader kills the current leader of a replicated coordinator
+	// outright (no shutdown courtesy) and returns any
+	// zero-lost-acked-mutation or leadership-protocol violations the
+	// handoff exposed.
 	KillLeader() []invariant.Violation
 	// SplitBrainStart isolates the current leader from the lease
 	// arbiter and skews its clock backwards, so it keeps believing in
-	// an expired lease while a standby is elected.
+	// an expired lease while a standby is elected. SplitBrainHeal ends
+	// the window: the zombie's clock is restored, its writes during the
+	// window are audited, and any accepted stale write is returned as a
+	// violation.
 	SplitBrainStart()
-	// SplitBrainHeal ends the window: the zombie's clock is restored,
-	// its writes during the window are audited, and any accepted stale
-	// write is returned as a violation.
 	SplitBrainHeal() []invariant.Violation
-}
-
-// GrayPlatform is the optional capability interface for platforms with
-// gray-failure support (health-event injection, flaky links, read-side
-// checkpoint rot). The engine type-asserts for it when applying
-// KindGrayDegrade, KindPartialLoss and KindCkptReadRot; platforms
-// without it absorb those faults as no-ops, keeping the Platform
-// contract stable — the same arrangement as ReplicatedPlatform.
-type GrayPlatform interface {
 	// GrayDegradeStart makes the node's devices emit health events
 	// (XID errors, thermal throttling, slowdowns) while the node keeps
 	// serving; GrayDegradeHeal stops the emission (the folded score
@@ -655,23 +650,18 @@ type GrayPlatform interface {
 	// SetCheckpointReadRot toggles silent damage on the checkpoint
 	// store's read path (stored bytes stay intact).
 	SetCheckpointReadRot(enabled bool)
-}
-
-// AggPlatform is the optional capability interface for platforms with
-// a rack aggregation tier. The engine type-asserts for it when applying
-// KindAggCrash and KindAggPartition; platforms without it absorb those
-// faults as no-ops, the same arrangement as ReplicatedPlatform and
-// GrayPlatform.
-type AggPlatform interface {
-	// CrashAggregator kills the aggregator: its open flush window is
+	// CrashAggregator kills a rack aggregator: its open flush window is
 	// lost and its agents' beats fail over to the direct path.
+	// RestartAggregator brings it back empty.
 	CrashAggregator(id string)
-	// RestartAggregator brings the aggregator back empty.
 	RestartAggregator(id string)
 	// AggPartitionStart cuts the aggregator's upstream link to the
 	// coordinator; AggPartitionHeal restores it.
 	AggPartitionStart(id string)
 	AggPartitionHeal(id string)
+	// ExtraChecks lets the platform report invariants only it can see
+	// (e.g. agent-side phantom jobs). Called on periodic audits.
+	ExtraChecks() []invariant.Violation
 }
 
 // Observation is one audited point in a run: the fault (or audit tick)
@@ -708,12 +698,18 @@ type Engine struct {
 	rep     Report
 	// windows counts the open fault windows per family and target (see
 	// window): overlapping windows must not heal each other early.
-	windows map[string]int
+	windows map[windowKey]int
 	// rec, when set, lands every injected fault and every audited
 	// violation in the flight recorder, so a trace export localizes a
 	// breach against the fault that preceded it. Nil-safe: obs methods
 	// on a nil recorder are no-ops.
 	rec *obs.Recorder
+}
+
+// windowKey names one family's windows on one target.
+type windowKey struct {
+	fam    *family
+	target string
 }
 
 // SetRecorder attaches a flight recorder; call before Execute.
@@ -728,7 +724,7 @@ func NewEngine(clock *simclock.Sim, plat Platform) *Engine {
 		plat:    plat,
 		checker: invariant.NewChecker(),
 		rep:     Report{Executed: make(map[Kind]int)},
-		windows: make(map[string]int),
+		windows: make(map[windowKey]int),
 	}
 }
 
@@ -766,7 +762,7 @@ func (e *Engine) armAudit(every, remaining time.Duration) {
 	})
 }
 
-// apply injects one fault, schedules its heal if it has a window, and
+// apply injects one fault, opens its window if its family has one, and
 // audits the store.
 func (e *Engine) apply(f Fault) {
 	e.rep.Executed[f.Kind]++
@@ -783,126 +779,57 @@ func (e *Engine) apply(f Fault) {
 		e.plat.DepartNode(f.Node, f.Temporary)
 	case KindNodeReturn:
 		e.plat.ReturnNode(f.Node)
-	case KindPartition:
-		e.nodesWindow("partition", f.Nodes, f.Dur, func() { e.plat.PartitionStart(f.Nodes) }, func(healed []string) {
-			e.plat.PartitionHeal(healed)
-			e.audit("partition-heal "+fmt.Sprint(healed), nil)
-		})
-	case KindWALSyncError:
-		e.window("wal", f.Dur, func() { e.plat.SetWALFault(WALSyncError) },
-			func() { e.plat.SetWALFault(WALHealthy) })
-	case KindWALShortWrite:
-		e.window("wal", f.Dur, func() { e.plat.SetWALFault(WALShortWrite) },
-			func() { e.plat.SetWALFault(WALHealthy) })
 	case KindCoordCrash:
 		extra = e.plat.CrashCoordinator()
-	case KindClockSkew:
-		node := f.Node
-		e.window("clock-skew "+node, f.Dur, func() { e.plat.SetClockSkew(node, f.Skew) }, func() {
-			e.plat.SetClockSkew(node, 0)
-			e.audit("clock-skew-heal "+node, nil)
-		})
-	case KindDupDeliver:
-		e.window("dup", f.Dur, func() { e.plat.SetDupDelivery(true) },
-			func() { e.plat.SetDupDelivery(false) })
-	case KindDataPartition:
-		e.nodesWindow("data-partition", f.Nodes, f.Dur, func() { e.plat.DataPartitionStart(f.Nodes) }, func(healed []string) {
-			e.plat.DataPartitionHeal(healed)
-			e.audit("data-partition-heal "+fmt.Sprint(healed), nil)
-		})
-	case KindCkptBitFlip:
-		e.window("ckpt", f.Dur, func() { e.plat.SetCheckpointFault(CkptBitFlip) },
-			func() { e.plat.SetCheckpointFault(CkptHealthy) })
-	case KindCkptTruncate:
-		e.window("ckpt", f.Dur, func() { e.plat.SetCheckpointFault(CkptTruncate) },
-			func() { e.plat.SetCheckpointFault(CkptHealthy) })
 	case KindLeaderKill:
-		if rp, ok := e.plat.(ReplicatedPlatform); ok {
-			extra = rp.KillLeader()
-		}
-	case KindSplitBrain:
-		if rp, ok := e.plat.(ReplicatedPlatform); ok {
-			rp.SplitBrainStart()
-			e.clock.AfterFunc(f.Dur, func() {
-				e.audit("split-brain-heal", rp.SplitBrainHeal())
-			})
-		}
-	case KindGrayDegrade:
-		if gp, ok := e.plat.(GrayPlatform); ok {
-			node := f.Node
-			e.window("gray "+node, f.Dur, func() { gp.GrayDegradeStart(node) }, func() {
-				gp.GrayDegradeHeal(node)
-				e.audit("gray-degrade-heal "+node, nil)
-			})
-		}
-	case KindPartialLoss:
-		if gp, ok := e.plat.(GrayPlatform); ok {
-			node := f.Node
-			e.window("loss "+node, f.Dur, func() { gp.PartialLossStart(node) }, func() {
-				gp.PartialLossHeal(node)
-				e.audit("partial-loss-heal "+node, nil)
-			})
-		}
-	case KindCkptReadRot:
-		if gp, ok := e.plat.(GrayPlatform); ok {
-			e.window("read-rot", f.Dur, func() { gp.SetCheckpointReadRot(true) },
-				func() { gp.SetCheckpointReadRot(false) })
-		}
-	case KindAggCrash:
-		if ap, ok := e.plat.(AggPlatform); ok {
-			agg := f.Node
-			e.window("agg-down "+agg, f.Dur, func() { ap.CrashAggregator(agg) }, func() {
-				ap.RestartAggregator(agg)
-				e.audit("agg-restart "+agg, nil)
-			})
-		}
-	case KindAggPartition:
-		if ap, ok := e.plat.(AggPlatform); ok {
-			agg := f.Node
-			e.window("agg-partition "+agg, f.Dur, func() { ap.AggPartitionStart(agg) }, func() {
-				ap.AggPartitionHeal(agg)
-				e.audit("agg-partition-heal "+agg, nil)
-			})
+		extra = e.plat.KillLeader()
+	default:
+		if fam := familyOf(f.Kind); fam != nil {
+			e.window(fam, f)
 		}
 	}
 	e.audit(f.describe(), extra)
 }
 
-// window opens one fault window of the family and target named by key:
-// open injects the fault now, and heal runs when the last window open
-// under key closes — overlapping windows never heal each other early.
-// open runs for every window, so while windows overlap the latest one's
-// mode or offset wins. The engine runs on the driver goroutine (simclock
-// callbacks are sequential), so the counts need no lock.
-func (e *Engine) window(key string, dur time.Duration, open, heal func()) {
-	e.windows[key]++
-	open()
-	e.clock.AfterFunc(dur, func() {
-		e.windows[key]--
-		if e.windows[key] == 0 {
-			heal()
-		}
-	})
-}
-
-// nodesWindow is window for a fault on a set of nodes: one count per
-// node under key, and heal runs on the nodes whose last open window
-// closed — a node two partitions share stays cut until both heal.
-func (e *Engine) nodesWindow(key string, nodes []string, dur time.Duration, open func(), heal func(healed []string)) {
-	for _, n := range nodes {
-		e.windows[key+" "+n]++
+// window opens f's window: one count per family and target (each of
+// f.Nodes, else f.Node, which is empty for a fleet-wide family), and
+// the family's open injects the fault now. When the window closes, heal
+// runs on the targets whose last open window it was — overlapping
+// windows never heal each other early — followed by the family's heal
+// audit. open runs for every window, so while windows overlap the
+// latest one's mode or offset wins. The engine runs on the driver
+// goroutine (simclock callbacks are sequential), so the counts need no
+// lock.
+func (e *Engine) window(fam *family, f Fault) {
+	targets := f.Nodes
+	if len(targets) == 0 {
+		targets = []string{f.Node}
 	}
-	open()
-	e.clock.AfterFunc(dur, func() {
+	for _, t := range targets {
+		e.windows[windowKey{fam, t}]++
+	}
+	fam.open(e.plat, f)
+	e.clock.AfterFunc(f.Dur, func() {
 		var healed []string
-		for _, n := range nodes {
-			e.windows[key+" "+n]--
-			if e.windows[key+" "+n] == 0 {
-				healed = append(healed, n)
+		for _, t := range targets {
+			e.windows[windowKey{fam, t}]--
+			if e.windows[windowKey{fam, t}] == 0 {
+				healed = append(healed, t)
 			}
 		}
-		if len(healed) > 0 {
-			heal(healed)
+		if len(healed) == 0 {
+			return
+		}
+		label := fam.healAudit
+		if len(f.Nodes) > 0 {
+			f.Nodes = healed
+			label += " " + fmt.Sprint(healed)
+		} else if f.Node != "" {
+			label += " " + f.Node
+		}
+		vs := fam.heal(e.plat, f)
+		if fam.healAudit != "" {
+			e.audit(label, vs)
 		}
 	})
 }

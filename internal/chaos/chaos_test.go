@@ -107,7 +107,10 @@ func (p *fakePlatform) PartitionStart(ids []string) {
 func (p *fakePlatform) PartitionHeal(ids []string) {
 	p.actions = append(p.actions, fmt.Sprint("part-heal ", ids))
 }
-func (p *fakePlatform) SetWALFault(m WALFaultMode) { p.walMode = m }
+func (p *fakePlatform) SetWALFault(m WALFaultMode) {
+	p.walMode = m
+	p.actions = append(p.actions, fmt.Sprintf("wal-fault:%d", m))
+}
 func (p *fakePlatform) SetClockSkew(id string, off time.Duration) {
 	if off == 0 {
 		p.actions = append(p.actions, "skew-heal:"+id)
@@ -132,7 +135,24 @@ func (p *fakePlatform) CrashCoordinator() []invariant.Violation {
 	p.actions = append(p.actions, "coord-crash")
 	return nil
 }
+func (p *fakePlatform) KillLeader() []invariant.Violation { return nil }
+func (p *fakePlatform) SplitBrainStart()                  { p.actions = append(p.actions, "split") }
+func (p *fakePlatform) SplitBrainHeal() []invariant.Violation {
+	p.actions = append(p.actions, "split-heal")
+	return nil
+}
+func (p *fakePlatform) GrayDegradeStart(id string)         { p.actions = append(p.actions, "gray:"+id) }
+func (p *fakePlatform) GrayDegradeHeal(id string)          { p.actions = append(p.actions, "gray-heal:"+id) }
+func (p *fakePlatform) PartialLossStart(id string)         { p.actions = append(p.actions, "loss:"+id) }
+func (p *fakePlatform) PartialLossHeal(id string)          { p.actions = append(p.actions, "loss-heal:"+id) }
+func (p *fakePlatform) CrashAggregator(id string)          { p.actions = append(p.actions, "agg-crash:"+id) }
+func (p *fakePlatform) RestartAggregator(id string)        { p.actions = append(p.actions, "agg-restart:"+id) }
+func (p *fakePlatform) AggPartitionStart(id string)        { p.actions = append(p.actions, "agg-cut:"+id) }
+func (p *fakePlatform) AggPartitionHeal(id string)         { p.actions = append(p.actions, "agg-cut-heal:"+id) }
 func (p *fakePlatform) ExtraChecks() []invariant.Violation { return nil }
+func (p *fakePlatform) SetCheckpointReadRot(on bool) {
+	p.actions = append(p.actions, fmt.Sprintf("read-rot:%v", on))
+}
 
 func TestEngineExecutesAndHeals(t *testing.T) {
 	clock := simclock.NewSim(time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC))
@@ -147,7 +167,7 @@ func TestEngineExecutesAndHeals(t *testing.T) {
 	if rep.Executed[KindPartition] != 1 || rep.Executed[KindCoordCrash] != 1 {
 		t.Fatalf("executed = %v", rep.Executed)
 	}
-	want := []string{"part-start [n1]", "part-heal [n1]", "coord-crash"}
+	want := []string{"part-start [n1]", "wal-fault:1", "part-heal [n1]", "wal-fault:0", "coord-crash"}
 	if !reflect.DeepEqual(plat.actions, want) {
 		t.Fatalf("actions = %v, want %v", plat.actions, want)
 	}
@@ -184,6 +204,40 @@ func TestEngineOverlappingPartitions(t *testing.T) {
 			}
 			if len(rep.Violations) != 0 {
 				t.Fatalf("violations: %v", rep.Violations)
+			}
+		})
+	}
+}
+
+// TestEngineOverlappingWindows: for every windowed family, a second
+// window opened on a target while the first is open keeps it open —
+// nothing heals when the first closes, and the one heal comes when the
+// second does.
+func TestEngineOverlappingWindows(t *testing.T) {
+	for _, fam := range families {
+		k := fam.kinds[0]
+		t.Run(string(k), func(t *testing.T) {
+			first := Fault{At: time.Minute, Kind: k, Node: "n1", Nodes: []string{"n1"},
+				Skew: time.Minute, Dur: 4 * time.Minute}
+			second := first
+			second.At, second.Dur = 2*time.Minute, 6*time.Minute
+			run := func(sched Schedule) (mid, end []string) {
+				clock := simclock.NewSim(time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC))
+				plat := newFakePlatform()
+				clock.AfterFunc(6*time.Minute, func() { mid = append(mid, plat.actions...) })
+				NewEngine(clock, plat).Execute(sched, 0, time.Minute)
+				return mid, plat.actions
+			}
+			_, one := run(Schedule{first})
+			if len(one) != 2 {
+				t.Fatalf("one window: actions = %v, want an open and a heal", one)
+			}
+			mid, two := run(Schedule{first, second})
+			if want := []string{one[0], one[0]}; !reflect.DeepEqual(mid, want) {
+				t.Fatalf("after the first window closed: actions = %v, want %v", mid, want)
+			}
+			if want := []string{one[0], one[0], one[1]}; !reflect.DeepEqual(two, want) {
+				t.Fatalf("actions = %v, want %v", two, want)
 			}
 		})
 	}

@@ -249,13 +249,16 @@ type chaosHarness struct {
 	// hosts is chaosWire's address book: each agent at its ID, a
 	// replica at each coordinator address — which a restarted
 	// coordinator or a fresh standby takes over from its predecessor.
-	hosts       *simHosts
-	agents      map[string]*agent.Agent
-	crashed     map[string]bool
-	partitioned map[string]bool
-	// dataPartitioned nodes have lost the data plane too: checkpoint
-	// transfers fail in both directions, on top of the control cut.
-	dataPartitioned map[string]bool
+	hosts   *simHosts
+	agents  map[string]*agent.Agent
+	crashed map[string]bool
+	// windows holds the open fault windows the wire and the checks
+	// consult, by kind and target: control and data partitions (a data
+	// partition fails checkpoint transfers too, on top of the control
+	// cut), gray degradation, partial loss and aggregator partitions.
+	// The engine heals a target only when its last window closes, so a
+	// set is enough.
+	windows map[faultWindow]bool
 	// skews mirrors the currently injected clock offsets, so audits
 	// know which nodes' only fault is a bounded skew.
 	skews map[string]time.Duration
@@ -271,21 +274,16 @@ type chaosHarness struct {
 	// re-attached whenever a successor store is installed.
 	audits streamAudits
 	// healthSrcs holds each agent's injectable health source (the
-	// gray-degrade seam); grayOn marks nodes with an open gray window
-	// (the pump re-injects events every heartbeat interval); lossOn
-	// marks nodes whose heartbeats drop probabilistically (partial
-	// loss); lossRng drives those drops, consumed only inside loss
-	// windows so other schedules' determinism is untouched.
+	// gray-degrade seam; the pump re-injects events every heartbeat
+	// interval while the node's gray window is open); lossRng drives the
+	// heartbeat drops of partial-loss windows, consumed only inside them
+	// so other schedules' determinism is untouched.
 	healthSrcs map[string]*gpu.FakeHealthSource
-	grayOn     map[string]bool
-	lossOn     map[string]bool
 	lossRng    *rand.Rand
 	// aggs are the rack aggregators (cfg.Aggregators > 0); aggIDs is
-	// their sorted identity list and aggCut the injected upstream
-	// partitions.
+	// their sorted identity list.
 	aggs   map[string]*aggregator.Aggregator
 	aggIDs []string
-	aggCut map[string]bool
 	// unhealthySince records when each node was first observed below
 	// the unhealthy threshold, feeding the degraded-node-drained grace.
 	unhealthySince map[string]time.Time
@@ -319,6 +317,13 @@ type chaosHarness struct {
 	// stop.
 	tmpDirs   []string
 	failovers int
+}
+
+// faultWindow is one kind of fault window open on one node or
+// aggregator.
+type faultWindow struct {
+	kind   chaos.Kind
+	target string
 }
 
 // replica is one core.Replica of the run, the address it answers at,
@@ -377,26 +382,22 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	// bytes, and the store's CRC frames must catch them on read.
 	blob := chaos.NewFaultBlobStore(storage.NewMemStore(0))
 	h := &chaosHarness{
-		cfg:             cfg,
-		clock:           simclock.NewSim(Epoch),
-		bus:             eventbus.New(4096),
-		blob:            blob,
-		ckpts:           checkpoint.NewStore(blob),
-		skewed:          make(map[string]*simclock.Skewed),
-		agents:          make(map[string]*agent.Agent),
-		crashed:         make(map[string]bool),
-		partitioned:     make(map[string]bool),
-		dataPartitioned: make(map[string]bool),
-		skews:           make(map[string]time.Duration),
-		hosts:           &simHosts{},
-		healthSrcs:      make(map[string]*gpu.FakeHealthSource),
-		aggs:            make(map[string]*aggregator.Aggregator),
-		aggCut:          make(map[string]bool),
-		grayOn:          make(map[string]bool),
-		lossOn:          make(map[string]bool),
-		lossRng:         rand.New(rand.NewSource(cfg.Seed + 2)),
-		unhealthySince:  make(map[string]time.Time),
-		audits:          streamAudits{withAgg: cfg.Aggregators > 0},
+		cfg:            cfg,
+		clock:          simclock.NewSim(Epoch),
+		bus:            eventbus.New(4096),
+		blob:           blob,
+		ckpts:          checkpoint.NewStore(blob),
+		skewed:         make(map[string]*simclock.Skewed),
+		agents:         make(map[string]*agent.Agent),
+		crashed:        make(map[string]bool),
+		windows:        make(map[faultWindow]bool),
+		skews:          make(map[string]time.Duration),
+		hosts:          &simHosts{},
+		healthSrcs:     make(map[string]*gpu.FakeHealthSource),
+		aggs:           make(map[string]*aggregator.Aggregator),
+		lossRng:        rand.New(rand.NewSource(cfg.Seed + 2)),
+		unhealthySince: make(map[string]time.Time),
+		audits:         streamAudits{withAgg: cfg.Aggregators > 0},
 	}
 	for _, d := range cfg.Defs {
 		h.nodeIDs = append(h.nodeIDs, d.ID)
@@ -725,14 +726,40 @@ func (h *chaosHarness) onLeaderDurable(db.Mutation) {
 func (h *chaosHarness) silenced(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.crashed[id] || h.partitioned[id] || h.dataPartitioned[id]
+	return h.silencedLocked(id)
 }
 
-// dataCut reports whether the node's checkpoint data plane is severed.
-func (h *chaosHarness) dataCut(id string) bool {
+// silencedLocked is silenced for a caller holding h.mu.
+func (h *chaosHarness) silencedLocked(id string) bool {
+	return h.crashed[id] || h.windows[faultWindow{chaos.KindPartition, id}] || h.windows[faultWindow{chaos.KindDataPartition, id}]
+}
+
+// inWindow reports whether a window of the kind is open on the target.
+func (h *chaosHarness) inWindow(kind chaos.Kind, target string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.dataPartitioned[id]
+	return h.windows[faultWindow{kind, target}]
+}
+
+// setWindow opens or closes the kind's window on each target.
+func (h *chaosHarness) setWindow(kind chaos.Kind, open bool, targets ...string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, t := range targets {
+		if open {
+			h.windows[faultWindow{kind, t}] = true
+		} else {
+			delete(h.windows, faultWindow{kind, t})
+		}
+	}
+}
+
+// startGrace opens the reconciliation grace after a heal, return or
+// restart (see graceUntil).
+func (h *chaosHarness) startGrace() {
+	h.mu.Lock()
+	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
+	h.mu.Unlock()
 }
 
 // agentCkptWriter is one node's path to the platform checkpoint store,
@@ -748,14 +775,14 @@ type agentCkptWriter struct {
 var errDataPlaneSevered = fmt.Errorf("chaos: checkpoint data plane severed")
 
 func (w agentCkptWriter) Save(ck checkpoint.Checkpoint) error {
-	if w.h.dataCut(w.id) {
+	if w.h.inWindow(chaos.KindDataPartition, w.id) {
 		return errDataPlaneSevered
 	}
 	return w.h.ckpts.Save(ck)
 }
 
 func (w agentCkptWriter) Prune(jobID string) (int64, error) {
-	if w.h.dataCut(w.id) {
+	if w.h.inWindow(chaos.KindDataPartition, w.id) {
 		return 0, errDataPlaneSevered
 	}
 	return w.h.ckpts.Prune(jobID)
@@ -942,10 +969,7 @@ func (u aggUpstream) IngestAggregated(b api.AggregatedBeat) (api.AggregatedBeatR
 	if a != nil {
 		a.ObserveForward(u.id, b.LeaderEpoch, b.WindowSeq)
 	}
-	u.h.mu.Lock()
-	cut := u.h.aggCut[u.id]
-	u.h.mu.Unlock()
-	if cut {
+	if u.h.inWindow(chaos.KindAggPartition, u.id) {
 		return api.AggregatedBeatResponse{}, errAggUpstreamSevered
 	}
 	resp, err := u.h.currentCoord().IngestAggregated(b)
@@ -960,10 +984,7 @@ func (u aggUpstream) IngestAggregated(b api.AggregatedBeat) (api.AggregatedBeatR
 func (h *chaosHarness) dropBeat(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.lossOn[id] {
-		return false
-	}
-	return h.lossRng.Intn(2) == 0
+	return h.windows[faultWindow{chaos.KindPartialLoss, id}] && h.lossRng.Intn(2) == 0
 }
 
 // startTraffic maintains a population of cfg.Jobs concurrent training
@@ -1045,8 +1066,8 @@ func (h *chaosHarness) ReturnNode(id string) {
 	}
 	h.mu.Lock()
 	delete(h.crashed, id)
-	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
+	h.startGrace()
 	if ag.Departed() {
 		ag.Return()
 		_ = joinLocal(ag)
@@ -1054,23 +1075,13 @@ func (h *chaosHarness) ReturnNode(id string) {
 }
 
 // PartitionStart cuts the control plane to the nodes.
-func (h *chaosHarness) PartitionStart(ids []string) {
-	h.mu.Lock()
-	for _, id := range ids {
-		h.partitioned[id] = true
-	}
-	h.mu.Unlock()
-}
+func (h *chaosHarness) PartitionStart(ids []string) { h.setWindow(chaos.KindPartition, true, ids...) }
 
 // PartitionHeal restores the control plane; reconciliation runs on the
 // next heartbeats.
 func (h *chaosHarness) PartitionHeal(ids []string) {
-	h.mu.Lock()
-	for _, id := range ids {
-		delete(h.partitioned, id)
-	}
-	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
-	h.mu.Unlock()
+	h.setWindow(chaos.KindPartition, false, ids...)
+	h.startGrace()
 }
 
 // SetWALFault switches the injected disk behaviour under the log.
@@ -1109,22 +1120,14 @@ func (h *chaosHarness) SetDupDelivery(enabled bool) {
 // DataPartitionStart cuts both planes to the nodes: heartbeats and
 // launches (control) and checkpoint transfers (data).
 func (h *chaosHarness) DataPartitionStart(ids []string) {
-	h.mu.Lock()
-	for _, id := range ids {
-		h.dataPartitioned[id] = true
-	}
-	h.mu.Unlock()
+	h.setWindow(chaos.KindDataPartition, true, ids...)
 }
 
 // DataPartitionHeal restores both planes; reconciliation and checkpoint
 // pushes resume on the next heartbeat/tick.
 func (h *chaosHarness) DataPartitionHeal(ids []string) {
-	h.mu.Lock()
-	for _, id := range ids {
-		delete(h.dataPartitioned, id)
-	}
-	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
-	h.mu.Unlock()
+	h.setWindow(chaos.KindDataPartition, false, ids...)
+	h.startGrace()
 }
 
 // SetCheckpointFault switches the injected damage under the checkpoint
@@ -1132,8 +1135,6 @@ func (h *chaosHarness) DataPartitionHeal(ids []string) {
 func (h *chaosHarness) SetCheckpointFault(mode chaos.CkptFaultMode) {
 	h.blob.SetMode(mode)
 }
-
-// --- chaos.GrayPlatform ---
 
 // GrayDegradeStart opens a gray-degradation window: the node's health
 // source starts emitting recoverable-XID and thermal events, which
@@ -1144,11 +1145,8 @@ func (h *chaosHarness) GrayDegradeStart(id string) {
 	if h.healthSrcs[id] == nil {
 		return
 	}
-	h.mu.Lock()
-	open := h.grayOn[id]
-	h.grayOn[id] = true
-	h.mu.Unlock()
-	if !open {
+	if !h.inWindow(chaos.KindGrayDegrade, id) {
+		h.setWindow(chaos.KindGrayDegrade, true, id)
 		h.pumpGray(id, 0)
 	}
 }
@@ -1159,10 +1157,7 @@ func (h *chaosHarness) GrayDegradeStart(id string) {
 // recoverable XID every third — enough to fold a node below the
 // unhealthy threshold within a few beats.
 func (h *chaosHarness) pumpGray(id string, tick int) {
-	h.mu.Lock()
-	open := h.grayOn[id]
-	h.mu.Unlock()
-	if !open {
+	if !h.inWindow(chaos.KindGrayDegrade, id) {
 		return
 	}
 	now := h.clock.Now()
@@ -1184,39 +1179,21 @@ func (h *chaosHarness) pumpGray(id string, tick int) {
 
 // GrayDegradeHeal closes the window; the pump stops re-arming and the
 // coordinator's decay sweep folds the node back toward healthy.
-func (h *chaosHarness) GrayDegradeHeal(id string) {
-	h.mu.Lock()
-	delete(h.grayOn, id)
-	h.mu.Unlock()
-}
+func (h *chaosHarness) GrayDegradeHeal(id string) { h.setWindow(chaos.KindGrayDegrade, false, id) }
 
 // PartialLossStart opens a partial heartbeat-loss window: roughly
 // every second beat from the node is dropped in flight. The path is
 // degraded, not dead — the node must neither be declared lost nor
 // double-ingest the health events its surviving beats carry.
-func (h *chaosHarness) PartialLossStart(id string) {
-	h.mu.Lock()
-	h.lossOn[id] = true
-	h.mu.Unlock()
-}
+func (h *chaosHarness) PartialLossStart(id string) { h.setWindow(chaos.KindPartialLoss, true, id) }
 
 // PartialLossHeal restores reliable delivery. The heal grants the same
 // reconciliation grace a partition heal does: inside the window the
 // coordinator may have declared the node lost and re-placed its jobs,
 // and the orphan-killing beat exchange needs reliable delivery to land.
 func (h *chaosHarness) PartialLossHeal(id string) {
-	h.mu.Lock()
-	delete(h.lossOn, id)
-	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
-	h.mu.Unlock()
-}
-
-// lossy reports whether the node sits inside an open partial-loss
-// window.
-func (h *chaosHarness) lossy(id string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lossOn[id]
+	h.setWindow(chaos.KindPartialLoss, false, id)
+	h.startGrace()
 }
 
 // SetCheckpointReadRot toggles silent damage on the checkpoint store's
@@ -1224,8 +1201,6 @@ func (h *chaosHarness) lossy(id string) bool {
 func (h *chaosHarness) SetCheckpointReadRot(enabled bool) {
 	h.blob.SetReadRot(enabled)
 }
-
-// --- chaos.AggPlatform ---
 
 // CrashAggregator kills a rack relay: its open flush window's deltas
 // die with it (the tier's bounded-lag allowance) and its agents' next
@@ -1247,18 +1222,12 @@ func (h *chaosHarness) RestartAggregator(id string) {
 // AggPartitionStart severs the relay's upstream link: the next forward
 // fails, the aggregator degrades (refusing its agents' beats, which
 // fall back direct) and probes until the heal.
-func (h *chaosHarness) AggPartitionStart(id string) {
-	h.mu.Lock()
-	h.aggCut[id] = true
-	h.mu.Unlock()
-}
+func (h *chaosHarness) AggPartitionStart(id string) { h.setWindow(chaos.KindAggPartition, true, id) }
 
 // AggPartitionHeal restores the upstream link and heals the relay's
 // degraded state, as its next successful probe would.
 func (h *chaosHarness) AggPartitionHeal(id string) {
-	h.mu.Lock()
-	delete(h.aggCut, id)
-	h.mu.Unlock()
+	h.setWindow(chaos.KindAggPartition, false, id)
 	if g := h.aggs[id]; g != nil {
 		g.Heal()
 	}
@@ -1320,12 +1289,12 @@ func (h *chaosHarness) CrashCoordinator() []invariant.Violation {
 func (h *chaosHarness) install(rep *replica) {
 	h.mu.Lock()
 	h.serving = rep
-	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
 	h.mu.Unlock()
+	h.startGrace()
 	h.audits.attach(rep.Store())
 }
 
-// --- chaos.ReplicatedPlatform ---
+// --- replicated coordinator ---
 
 // KillLeader kills the serving leader outright — process gone, address
 // down, log closed, lease left to expire. The standby's leadership loop
@@ -1560,7 +1529,7 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 		// Lossy nodes are skipped like silenced ones: mid-window the
 		// coordinator may legitimately have re-placed their jobs while
 		// the orphan-killing reconciliation beats are being dropped.
-		if ag.Departed() || h.silenced(id) || h.lossy(id) {
+		if ag.Departed() || h.silenced(id) || h.inWindow(chaos.KindPartialLoss, id) {
 			continue
 		}
 		for _, jobID := range ag.Status().RunningJobs {
@@ -1621,7 +1590,7 @@ func (h *chaosHarness) skewedHealthyNodes() []string {
 	h.mu.Lock()
 	ids := make([]string, 0, len(h.skews))
 	for id := range h.skews {
-		if h.crashed[id] || h.partitioned[id] || h.dataPartitioned[id] {
+		if h.silencedLocked(id) {
 			continue
 		}
 		ids = append(ids, id)

@@ -88,6 +88,18 @@ func (p *sabotagePlatform) DataPartitionStart([]string)             {}
 func (p *sabotagePlatform) DataPartitionHeal([]string)              {}
 func (p *sabotagePlatform) SetCheckpointFault(chaos.CkptFaultMode)  {}
 func (p *sabotagePlatform) CrashCoordinator() []invariant.Violation { return nil }
+func (p *sabotagePlatform) KillLeader() []invariant.Violation       { return nil }
+func (p *sabotagePlatform) SplitBrainStart()                        {}
+func (p *sabotagePlatform) SplitBrainHeal() []invariant.Violation   { return nil }
+func (p *sabotagePlatform) GrayDegradeStart(string)                 {}
+func (p *sabotagePlatform) GrayDegradeHeal(string)                  {}
+func (p *sabotagePlatform) PartialLossStart(string)                 {}
+func (p *sabotagePlatform) PartialLossHeal(string)                  {}
+func (p *sabotagePlatform) SetCheckpointReadRot(bool)               {}
+func (p *sabotagePlatform) CrashAggregator(string)                  {}
+func (p *sabotagePlatform) RestartAggregator(string)                {}
+func (p *sabotagePlatform) AggPartitionStart(string)                {}
+func (p *sabotagePlatform) AggPartitionHeal(string)                 {}
 func (p *sabotagePlatform) ExtraChecks() []invariant.Violation      { return nil }
 
 // TestChaosSabotageTraceLocalization: a deliberately broken invariant

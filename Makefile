@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check bench-e2e fuzz-smoke loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover ci
+.PHONY: all build test race bench bench-check bench-e2e fuzz-smoke loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden verify-figures cover ci
 
 all: build
 
@@ -263,6 +263,17 @@ verify-golden:
 	$(GO) test ./internal/sim -run '$(GOLDEN_TESTS)' -count=1 -timeout 300s
 	$(GO) test ./internal/sim -run '$(GOLDEN_TESTS)' -count=1 -timeout 300s
 
+# Paper-figure gate: Table 1, Fig. 2, Fig. 3, the training-impact
+# study and the traffic analysis at seed 42 must print exactly
+# cmd/campus-sim/testdata/figures-seed42.txt (~50 s). A refactor leaves
+# the file untouched; a change that means to move a figure regenerates
+# it in its own commit and quotes the diff:
+#   go run ./cmd/campus-sim -table1 -fig2 -fig3 -impact -traffic -seed 42 \
+#     > cmd/campus-sim/testdata/figures-seed42.txt
+FIGURE_FLAGS = -table1 -fig2 -fig3 -impact -traffic -seed 42
+verify-figures:
+	$(GO) run ./cmd/campus-sim $(FIGURE_FLAGS) | diff -u cmd/campus-sim/testdata/figures-seed42.txt -
+
 # Coverage with a floor: fail if total statement coverage drops below
 # COVER_FLOOR. The profile is left in coverage.out for upload.
 cover:
@@ -278,4 +289,4 @@ cover:
 # right after the race lane's -count=20 loops the host is still hot, and
 # the gate once read DecodeHeartbeat/idle at +35 % (reruns +18 %, +20 %)
 # on a package no diff had touched.
-ci: build vet fmt bench-check race bench fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden cover
+ci: build vet fmt bench-check race bench fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden verify-figures cover

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"time"
 
@@ -112,7 +113,8 @@ type Agent struct {
 	// Listen is the agent's HTTP bind address, e.g. ":7070".
 	Listen string `json:"listen"`
 	// AdvertiseURL is the address the coordinator should dial back;
-	// defaults to "http://127.0.0.1" + Listen.
+	// defaults to Listen's host and port over http, with 127.0.0.1 for
+	// an empty or unspecified host (":7070", "0.0.0.0:7070").
 	AdvertiseURL string `json:"advertise_url"`
 	// GPUs inventories the node's devices.
 	GPUs []GPUEntry `json:"gpus"`
@@ -133,7 +135,14 @@ func (a *Agent) Validate() error {
 		a.Listen = ":7070"
 	}
 	if a.AdvertiseURL == "" {
-		a.AdvertiseURL = "http://127.0.0.1" + a.Listen
+		host, port, err := net.SplitHostPort(a.Listen)
+		if err != nil {
+			return fmt.Errorf("config: listen address: %w", err)
+		}
+		if ip := net.ParseIP(host); host == "" || ip != nil && ip.IsUnspecified() {
+			host = "127.0.0.1"
+		}
+		a.AdvertiseURL = "http://" + net.JoinHostPort(host, port)
 	}
 	if len(a.GPUs) == 0 {
 		a.GPUs = []GPUEntry{{Model: "RTX 3090", Count: 1}}

@@ -63,6 +63,39 @@ func TestAgentDefaults(t *testing.T) {
 	}
 }
 
+// The default advertise URL is the address the coordinator dials back:
+// the listen host when there is one, loopback when the agent binds every
+// interface.
+func TestAgentAdvertiseURL(t *testing.T) {
+	for _, tc := range []struct{ listen, want string }{
+		{":7070", "http://127.0.0.1:7070"},
+		{"0.0.0.0:7070", "http://127.0.0.1:7070"},
+		{"[::]:7070", "http://127.0.0.1:7070"},
+		{"127.0.0.1:7070", "http://127.0.0.1:7070"},
+		{"node7.lab:7070", "http://node7.lab:7070"},
+		{"10.1.2.3:7071", "http://10.1.2.3:7071"},
+		{"[fe80::1]:7070", "http://[fe80::1]:7070"},
+	} {
+		a := Agent{CoordinatorURL: "http://coord:8080", Listen: tc.listen}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("listen %q: %v", tc.listen, err)
+		}
+		if a.AdvertiseURL != tc.want {
+			t.Errorf("listen %q: advertise URL %q, want %q", tc.listen, a.AdvertiseURL, tc.want)
+		}
+	}
+	// An explicit advertise URL is kept as given.
+	a := Agent{CoordinatorURL: "http://coord:8080", Listen: "0.0.0.0:7070", AdvertiseURL: "http://gpu-box:7070"}
+	if err := a.Validate(); err != nil || a.AdvertiseURL != "http://gpu-box:7070" {
+		t.Fatalf("explicit advertise URL = %q, %v", a.AdvertiseURL, err)
+	}
+	// A listen address without a port cannot be dialled back.
+	a = Agent{CoordinatorURL: "http://coord:8080", Listen: "7070"}
+	if err := a.Validate(); err == nil {
+		t.Fatalf("listen %q accepted, advertise URL %q", a.Listen, a.AdvertiseURL)
+	}
+}
+
 func TestAgentUnknownGPU(t *testing.T) {
 	a := Agent{CoordinatorURL: "http://x", GPUs: []GPUEntry{{Model: "H100", Count: 1}}}
 	if err := a.Validate(); err == nil {

@@ -82,7 +82,7 @@ func main() {
 	mode := flag.String("mode", "solo", `replication mode: "solo" (no lease, always leader), "leader" or "standby"`)
 	replicaID := flag.String("replica-id", "", "replica name for the lease and LeaderHint replies (default: hostname)")
 	leaseFile := flag.String("lease-file", "", "lease file on storage shared by all replicas (required for -mode leader|standby)")
-	leaseTTLSec := flag.Int("lease-ttl-sec", 10, "lease TTL in seconds (leader|standby modes)")
+	leaseTTLSec := flag.Int("lease-ttl-sec", 10, "lease TTL in seconds, at least 1 (leader|standby modes)")
 	followDir := flag.String("follow-dir", "", "leader WAL directory to tail while standby (required for -mode standby)")
 	pprofOn := flag.Bool("pprof", false, "serve Go pprof profiling under /debug/pprof/ (opt-in)")
 	flag.Parse()
@@ -113,6 +113,11 @@ func main() {
 	case "leader", "standby":
 		if *leaseFile == "" {
 			log.Fatalf("-mode %s requires -lease-file", *mode)
+		}
+		// A TTL of zero re-arms the leadership turn at once, a busy loop,
+		// and grants leases that expire as they are written.
+		if *leaseTTLSec < 1 {
+			log.Fatalf("-mode %s requires -lease-ttl-sec >= 1 (got %d)", *mode, *leaseTTLSec)
 		}
 		if cfg.WALDir == "" {
 			log.Fatalf("-mode %s requires a WAL directory", *mode)

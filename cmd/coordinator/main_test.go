@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net"
 	"os"
 	"os/exec"
@@ -89,6 +90,32 @@ func beat(client *core.Client, reg api.RegisterResponse, seq uint64) (api.Heartb
 		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
 		MachineID: "node-1", Token: reg.Token, BeatSeq: seq,
 	})
+}
+
+// TestLeaseTTLBelowOneRefused boots the daemon in both replicated modes,
+// every other flag valid, with a lease TTL of zero and below: it must
+// exit non-zero naming the flag instead of serving with a lease that
+// expires as it is granted.
+func TestLeaseTTLBelowOneRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, mode := range []string{"leader", "standby"} {
+		for _, ttl := range []string{"0", "-3"} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], "coordinator", "-listen", freeAddr(t),
+				"-mode", mode, "-replica-id", "r1", "-lease-ttl-sec", ttl,
+				"-lease-file", filepath.Join(dir, "lease.json"), "-wal-dir", filepath.Join(dir, "wal-"+mode),
+				"-follow-dir", filepath.Join(dir, "wal-leader"))
+			out, err := cmd.CombinedOutput()
+			exit, ok := err.(*exec.ExitError)
+			if !ok || exit.ExitCode() == 0 {
+				t.Fatalf("-mode %s -lease-ttl-sec %s: err = %v, want a non-zero exit; output:\n%s", mode, ttl, err, out)
+			}
+			if want := "-mode " + mode + " requires -lease-ttl-sec >= 1 (got " + ttl + ")"; !strings.Contains(string(out), want) {
+				t.Fatalf("-mode %s -lease-ttl-sec %s: output %q does not say %q", mode, ttl, out, want)
+			}
+		}
+	}
 }
 
 // TestCrashRestartKeepsNodesAndTokens boots the shipped daemon on a WAL

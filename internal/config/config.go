@@ -198,11 +198,16 @@ func LoadCoordinator(path string) (Coordinator, error) {
 
 // LoadAgent reads and validates an agent config file.
 func LoadAgent(path string) (Agent, error) {
-	var a Agent
-	if err := loadJSON(path, &a); err != nil {
-		return a, err
+	f, err := os.Open(path)
+	if err != nil {
+		return Agent{}, fmt.Errorf("config: opening %s: %w", path, err)
 	}
-	return a, a.Validate()
+	defer f.Close()
+	a, err := ParseAgent(f)
+	if err != nil {
+		return a, fmt.Errorf("%s: %w", path, err)
+	}
+	return a, nil
 }
 
 // ParseCoordinator decodes a coordinator config from a reader. A file
@@ -229,16 +234,4 @@ func ParseAgent(r io.Reader) (Agent, error) {
 		return a, fmt.Errorf("config: decoding agent config: %w", err)
 	}
 	return a, a.Validate()
-}
-
-func loadJSON(path string, out any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("config: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := json.NewDecoder(f).Decode(out); err != nil {
-		return fmt.Errorf("config: decoding %s: %w", path, err)
-	}
-	return nil
 }

@@ -177,6 +177,17 @@ func TestLoadFromFiles(t *testing.T) {
 	if err != nil || a.CoordinatorURL != "http://c" {
 		t.Fatalf("LoadAgent = %+v, %v", a, err)
 	}
+	badAgent := filepath.Join(dir, "bad-agent.json")
+	if err := os.WriteFile(badAgent, []byte(`{"coordinator_url": 5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAgent(badAgent); err == nil || !strings.Contains(err.Error(), badAgent) ||
+		!strings.Contains(err.Error(), "decoding agent config") {
+		t.Fatalf("bad agent file: err = %v, want a decode error naming %s", err, badAgent)
+	}
+	if _, err := LoadAgent(filepath.Join(dir, "missing-agent.json")); err == nil {
+		t.Fatal("missing agent file accepted")
+	}
 	if _, err := LoadCoordinator(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}

@@ -969,7 +969,7 @@ func BenchmarkContainerLifecycle(b *testing.B) {
 		if err := rt.Start("c", benchEpoch); err != nil {
 			b.Fatal(err)
 		}
-		if err := rt.Stop("c", 0, benchEpoch); err != nil {
+		if err := rt.Stop("c", benchEpoch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"gpunion/internal/gpu"
 	"gpunion/internal/monitor"
 	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
 	"gpunion/internal/workload"
 )
 
@@ -91,9 +90,6 @@ type Agent struct {
 	runtime *container.Runtime
 	ckpts   checkpoint.Writer
 	bus     *eventbus.Bus
-	// stores resolves user-pinned checkpoint locations (§3.5). Nil
-	// means every job uses the default store.
-	stores *storage.Placement
 	// metrics is the agent's persistent registry: gauges are refreshed
 	// in place on each scrape and counters accumulate across scrapes —
 	// a per-scrape registry would reset every counter to zero.
@@ -190,10 +186,6 @@ type jobRun struct {
 	lastCkpt    time.Time
 	ckptSeq     int
 	lastTick    time.Time
-	// pinned is the user's chosen checkpoint location (§3.5), written
-	// in addition to the platform store so migration metadata stays
-	// centrally resolvable. Nil when the user expressed no preference.
-	pinned *checkpoint.Store
 	// pausedUntil marks the end of a checkpoint-creation stall: the
 	// workload is quiesced while its state is written out, so large
 	// (memory-intensive) models pay proportionally more per capture.
@@ -205,9 +197,10 @@ type jobRun struct {
 
 // New creates the agent of a node with one GPU per entry of specs, in a
 // container runtime of its own. Checkpoints are saved through ckpts —
-// usually a *checkpoint.Store backed by a LAN store or the user's
-// pinned location; the narrower Writer interface is the data-plane seam
-// fault injection wraps.
+// usually a *checkpoint.Store backed by the platform's LAN store (a
+// job's StoragePrefs are not acted on: every checkpoint goes there); the
+// narrower Writer interface is the data-plane seam fault injection
+// wraps.
 //
 // The agent starts stand-alone; SetEndpoints names the coordinator, and
 // the first successful Join starts the heartbeat loop on clock.
@@ -335,15 +328,6 @@ func (a *Agent) Token() string {
 // Runtime exposes the container runtime (telemetry, tests).
 func (a *Agent) Runtime() *container.Runtime { return a.runtime }
 
-// SetStores installs a storage placement registry for user-pinned
-// checkpoint locations. Jobs whose StoragePrefs resolve to a live named
-// store checkpoint there; everything else uses the default store.
-func (a *Agent) SetStores(p *storage.Placement) {
-	a.mu.Lock()
-	a.stores = p
-	a.mu.Unlock()
-}
-
 // RegisterRequest builds the agent's registration payload.
 func (a *Agent) RegisterRequest(addr string, storageBytes int64) api.RegisterRequest {
 	return api.RegisterRequest{
@@ -470,22 +454,6 @@ func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 		ckptEvery:   time.Duration(req.CheckpointIntervalSec) * time.Second,
 		lastCkpt:    now,
 		lastTick:    now,
-	}
-	// §3.5: the user may pin checkpoints to specific storage nodes; the
-	// pinned copy supplements the platform store, which migration
-	// planning always consults.
-	a.mu.Lock()
-	stores := a.stores
-	a.mu.Unlock()
-	if stores != nil && len(req.StoragePrefs) > 0 {
-		if backing, name, err := stores.Resolve(req.StoragePrefs); err == nil {
-			run.pinned = checkpoint.NewStore(backing)
-			a.bus.Publish(eventbus.Event{
-				Type: eventbus.ContainerCreated, Time: now,
-				Node: a.cfg.MachineID, Job: req.JobID,
-				Detail: map[string]any{"checkpoint_store": name},
-			})
-		}
 	}
 	if run.ckptEvery <= 0 {
 		run.ckptEvery = a.cfg.DefaultCheckpointInterval
@@ -621,17 +589,9 @@ func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.Checkpoint
 		run.ckptSeq--
 		return api.CheckpointResponse{}, fmt.Errorf("agent: saving checkpoint: %w", err)
 	}
-	if run.pinned != nil {
-		// The user's pinned copy is best effort: its loss never blocks
-		// the platform copy migrations depend on.
-		_ = run.pinned.Save(ck)
-	}
 	if !ck.Incremental {
 		// Best effort: drop checkpoints the new full snapshot obsoletes.
 		_, _ = a.ckpts.Prune(run.jobID)
-		if run.pinned != nil {
-			_, _ = run.pinned.Prune(run.jobID)
-		}
 	}
 	run.lastCkpt = now
 	if run.training != nil {
@@ -1224,7 +1184,7 @@ func (a *Agent) finishJob(run *jobRun, state db.JobState, now time.Time) {
 	a.mu.Lock()
 	delete(a.jobs, run.jobID)
 	a.mu.Unlock()
-	_ = a.runtime.Stop(run.containerID, 0, now)
+	_ = a.runtime.Stop(run.containerID, now)
 	var step int64
 	if run.training != nil {
 		step = run.training.Step()

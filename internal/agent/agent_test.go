@@ -148,11 +148,13 @@ func TestTrainingCompletesAndNotifies(t *testing.T) {
 		t.Fatalf("update = %+v", u)
 	}
 	// Container exited, GPU freed.
-	if r.agent.Runtime().Running() != 0 {
+	if runningContainers(r.agent) != 0 {
 		t.Fatal("container still running after completion")
 	}
-	if r.agent.Runtime().Inventory().CountFree() != 2 {
-		t.Fatal("GPU not freed after completion")
+	for _, d := range r.agent.Runtime().Inventory().Devices() {
+		if !d.Free() {
+			t.Fatalf("GPU %s not freed after completion", d.ID)
+		}
 	}
 }
 
@@ -204,7 +206,7 @@ func TestKillSwitchTerminatesEverything(t *testing.T) {
 	if len(killed) != 2 || killed[0] != "j1" || killed[1] != "j2" {
 		t.Fatalf("killed = %v", killed)
 	}
-	if r.agent.Runtime().Running() != 0 {
+	if runningContainers(r.agent) != 0 {
 		t.Fatal("containers survived the kill-switch")
 	}
 	if len(r.agent.Status().RunningJobs) != 0 {
@@ -266,7 +268,7 @@ func TestEmergencyDepartureSilent(t *testing.T) {
 	if len(r.link.departs) != 0 {
 		t.Fatalf("emergency departure notified: %v", r.link.departs)
 	}
-	if r.agent.Runtime().Running() != 0 {
+	if runningContainers(r.agent) != 0 {
 		t.Fatal("containers survived emergency departure")
 	}
 }
@@ -398,7 +400,7 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 		t.Fatal("job died because checkpoints failed")
 	}
 	// Container still running despite capture failures.
-	if a.Runtime().Running() != 1 {
+	if runningContainers(a) != 1 {
 		t.Fatal("container not running")
 	}
 }
@@ -499,4 +501,15 @@ func TestLaunchConcurrentDuplicatesConverge(t *testing.T) {
 	if st := r.agent.Status(); len(st.RunningJobs) != 1 {
 		t.Fatalf("running jobs = %v, want exactly one", st.RunningJobs)
 	}
+}
+
+// runningContainers counts the agent's containers in the Running state.
+func runningContainers(a *Agent) int {
+	rt, n := a.Runtime(), 0
+	for _, id := range rt.List() {
+		if c, err := rt.Get(id); err == nil && c.State() == container.Running {
+			n++
+		}
+	}
+	return n
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
-	"gpunion/internal/storage"
 	"gpunion/internal/workload"
 )
 
@@ -24,70 +22,11 @@ func launchWithPrefs(t *testing.T, r *testRig, jobID string, prefs []string) {
 	}
 }
 
-func TestPinnedStorageReceivesCheckpointCopies(t *testing.T) {
-	r := newRig(t)
-	nas := storage.NewMemStore(0)
-	placement := storage.NewPlacement()
-	placement.Register("lab-nas", nas)
-	r.agent.SetStores(placement)
-
-	launchWithPrefs(t, r, "j1", []string{"lab-nas"})
-	r.clock.Advance(70 * time.Second) // two periodic checkpoints
-
-	// The platform store has the checkpoints (migration depends on it).
-	platformSeqs, err := r.ckpts.Sequences("j1")
-	if err != nil || len(platformSeqs) == 0 {
-		t.Fatalf("platform store sequences = %v, %v", platformSeqs, err)
-	}
-	// The user's pinned store holds the same chain.
-	pinned := checkpoint.NewStore(nas)
-	pinnedSeqs, err := pinned.Sequences("j1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pinnedSeqs) != len(platformSeqs) {
-		t.Fatalf("pinned has %d checkpoints, platform %d", len(pinnedSeqs), len(platformSeqs))
-	}
-	ck, err := pinned.Latest("j1")
-	if err != nil || ck.Progress.Step == 0 {
-		t.Fatalf("pinned latest = %+v, %v", ck, err)
-	}
-}
-
-func TestStoragePrefsFallBackInOrder(t *testing.T) {
-	r := newRig(t)
-	nas := storage.NewMemStore(0)
-	scratch := storage.NewMemStore(0)
-	placement := storage.NewPlacement()
-	placement.Register("lab-nas", nas)
-	placement.Register("scratch", scratch)
-	placement.SetLive("lab-nas", false) // NAS owner departed
-	r.agent.SetStores(placement)
-
-	launchWithPrefs(t, r, "j1", []string{"lab-nas", "scratch"})
-	r.clock.Advance(40 * time.Second)
-
-	if keys, _ := nas.List(""); len(keys) != 0 {
-		t.Fatalf("dead NAS received checkpoints: %v", keys)
-	}
-	if keys, _ := scratch.List(""); len(keys) == 0 {
-		t.Fatal("fallback store received nothing")
-	}
-}
-
 func TestNoPrefsUsesDefaultStoreOnly(t *testing.T) {
 	r := newRig(t)
-	nas := storage.NewMemStore(0)
-	placement := storage.NewPlacement()
-	placement.Register("lab-nas", nas)
-	r.agent.SetStores(placement)
-
 	launchWithPrefs(t, r, "j1", nil)
 	r.clock.Advance(40 * time.Second)
 
-	if keys, _ := nas.List(""); len(keys) != 0 {
-		t.Fatalf("unpinned job wrote to a named store: %v", keys)
-	}
 	if seqs, err := r.ckpts.Sequences("j1"); err != nil || len(seqs) == 0 {
 		t.Fatalf("default store sequences = %v, %v", seqs, err)
 	}
@@ -95,32 +34,12 @@ func TestNoPrefsUsesDefaultStoreOnly(t *testing.T) {
 
 func TestUnresolvablePrefsStillCheckpoint(t *testing.T) {
 	r := newRig(t)
-	r.agent.SetStores(storage.NewPlacement()) // nothing registered
-
 	launchWithPrefs(t, r, "j1", []string{"ghost-store"})
 	r.clock.Advance(40 * time.Second)
 
-	// Placement failed, but the platform store still protects the job.
+	// The agent does not act on the preference; the platform store
+	// still protects the job.
 	if seqs, err := r.ckpts.Sequences("j1"); err != nil || len(seqs) == 0 {
 		t.Fatalf("platform store sequences = %v, %v", seqs, err)
-	}
-}
-
-func TestPinnedStoreFailureNeverBlocksCheckpoints(t *testing.T) {
-	r := newRig(t)
-	tiny := storage.NewMemStore(1) // every Put fails
-	placement := storage.NewPlacement()
-	placement.Register("tiny", tiny)
-	r.agent.SetStores(placement)
-
-	launchWithPrefs(t, r, "j1", []string{"tiny"})
-	r.clock.Advance(70 * time.Second)
-
-	// The job keeps running and the platform chain keeps growing.
-	if job, ok := r.agent.RunningJob("j1"); !ok || job.Step() == 0 {
-		t.Fatal("job stalled because the pinned store is broken")
-	}
-	if seqs, _ := r.ckpts.Sequences("j1"); len(seqs) < 2 {
-		t.Fatalf("platform sequences = %v", seqs)
 	}
 }

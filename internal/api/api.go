@@ -247,6 +247,8 @@ type SubmitJobRequest struct {
 	// CheckpointIntervalSec enables periodic ALC checkpoints.
 	CheckpointIntervalSec int `json:"checkpoint_interval_sec,omitempty"`
 	// StoragePrefs is the ordered list of storage nodes for checkpoints.
+	// It is stored and forwarded on launch, but no shipped agent acts on
+	// it: every checkpoint goes to the platform store.
 	StoragePrefs []string `json:"storage_prefs,omitempty"`
 	// Training describes the batch training workload (the stand-in for
 	// the user's training script).
@@ -322,7 +324,8 @@ type LaunchRequest struct {
 	// SessionSeconds is the expected duration of an interactive session.
 	SessionSeconds int `json:"session_seconds,omitempty"`
 	// StoragePrefs is the user's ordered checkpoint-placement list
-	// (§3.5: users pick where their state is kept).
+	// (§3.5: users pick where their state is kept). No shipped agent acts
+	// on it: every checkpoint goes to the platform store.
 	StoragePrefs []string `json:"storage_prefs,omitempty"`
 }
 

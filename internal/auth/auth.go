@@ -48,7 +48,6 @@ type Role string
 // Token roles.
 const (
 	RoleProvider Role = "provider" // agent → coordinator traffic
-	RoleUser     Role = "user"     // client → coordinator traffic
 )
 
 // Claims is the signed payload of a token.

@@ -132,7 +132,7 @@ func TestVerifySubject(t *testing.T) {
 
 func TestIssueEmptySubject(t *testing.T) {
 	a := newAuthority(t)
-	if _, err := a.Issue("", RoleUser, now); err == nil {
+	if _, err := a.Issue("", RoleProvider, now); err == nil {
 		t.Fatal("Issue with empty subject succeeded")
 	}
 }
@@ -164,15 +164,6 @@ func TestDefaultTTL(t *testing.T) {
 	}
 	if _, err := a.Verify(tok, now.Add(31*24*time.Hour)); !errors.Is(err, ErrExpired) {
 		t.Fatalf("day-31 verify err = %v, want ErrExpired", err)
-	}
-}
-
-func TestUserRoleRoundTrip(t *testing.T) {
-	a := newAuthority(t)
-	tok, _ := a.Issue("alice", RoleUser, now)
-	claims, err := a.Verify(tok, now)
-	if err != nil || claims.Role != RoleUser {
-		t.Fatalf("claims = %+v, err = %v", claims, err)
 	}
 }
 

@@ -132,6 +132,3 @@ func (f *FaultBlobStore) Delete(key string) error { return f.inner.Delete(key) }
 
 // List implements storage.Store.
 func (f *FaultBlobStore) List(prefix string) ([]string, error) { return f.inner.List(prefix) }
-
-// UsedBytes implements storage.Store.
-func (f *FaultBlobStore) UsedBytes() int64 { return f.inner.UsedBytes() }

@@ -56,7 +56,9 @@ type MemoryImage struct {
 	mu       sync.Mutex
 	pageSize int64
 	numPages int
-	dirty    map[int]bool
+	// dirtyPages counts the dirty pages. TouchFraction dirties a prefix,
+	// so the dirty set is always pages [0, dirtyPages).
+	dirtyPages int
 	// fileDelta accumulates file-system bytes written since the last
 	// checkpoint (logs, samples, metrics).
 	fileDelta int64
@@ -70,32 +72,12 @@ func NewMemoryImage(numPages int, pageSize int64) *MemoryImage {
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
-	return &MemoryImage{
-		pageSize: pageSize,
-		numPages: numPages,
-		dirty:    make(map[int]bool),
-	}
+	return &MemoryImage{pageSize: pageSize, numPages: numPages}
 }
 
 // TotalBytes is the full image size.
 func (m *MemoryImage) TotalBytes() int64 {
 	return int64(m.numPages) * m.pageSize
-}
-
-// PageSize returns the page size in bytes.
-func (m *MemoryImage) PageSize() int64 { return m.pageSize }
-
-// NumPages returns the page count.
-func (m *MemoryImage) NumPages() int { return m.numPages }
-
-// Touch marks the page dirty. Out-of-range pages are ignored.
-func (m *MemoryImage) Touch(page int) {
-	if page < 0 || page >= m.numPages {
-		return
-	}
-	m.mu.Lock()
-	m.dirty[page] = true
-	m.mu.Unlock()
 }
 
 // TouchFraction marks the first ceil(frac·numPages) pages dirty,
@@ -112,10 +94,9 @@ func (m *MemoryImage) TouchFraction(frac float64) {
 	if frac > 0 && n == 0 {
 		n = 1
 	}
+	n = min(n, m.numPages)
 	m.mu.Lock()
-	for i := 0; i < n && i < m.numPages; i++ {
-		m.dirty[i] = true
-	}
+	m.dirtyPages = max(m.dirtyPages, n)
 	m.mu.Unlock()
 }
 
@@ -135,20 +116,13 @@ func (m *MemoryImage) AppendFileDelta(bytes int64) {
 func (m *MemoryImage) DirtyBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return int64(len(m.dirty))*m.pageSize + m.fileDelta
-}
-
-// DirtyPages returns the number of dirty pages.
-func (m *MemoryImage) DirtyPages() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.dirty)
+	return int64(m.dirtyPages)*m.pageSize + m.fileDelta
 }
 
 // markClean resets the dirty set and file delta (called after a capture).
 func (m *MemoryImage) markClean() {
 	m.mu.Lock()
-	m.dirty = make(map[int]bool)
+	m.dirtyPages = 0
 	m.fileDelta = 0
 	m.mu.Unlock()
 }

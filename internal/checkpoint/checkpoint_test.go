@@ -31,50 +31,34 @@ func TestMemoryImageSizes(t *testing.T) {
 	if img.TotalBytes() != 409600 {
 		t.Fatalf("TotalBytes = %d", img.TotalBytes())
 	}
-	if img.NumPages() != 100 || img.PageSize() != 4096 {
-		t.Fatalf("shape = %d x %d", img.NumPages(), img.PageSize())
-	}
 }
 
 func TestMemoryImageDefaults(t *testing.T) {
-	img := NewMemoryImage(-5, 0)
-	if img.NumPages() != 0 || img.PageSize() != 4096 {
-		t.Fatalf("defaults: %d pages, %d page size", img.NumPages(), img.PageSize())
+	if got := NewMemoryImage(-5, 0).TotalBytes(); got != 0 {
+		t.Fatalf("negative page count: TotalBytes = %d, want 0", got)
 	}
-}
-
-func TestTouchTracksDirtyPages(t *testing.T) {
-	img := NewMemoryImage(10, 100)
-	img.Touch(0)
-	img.Touch(5)
-	img.Touch(5)  // duplicate
-	img.Touch(99) // out of range: ignored
-	img.Touch(-1)
-	if img.DirtyPages() != 2 {
-		t.Fatalf("DirtyPages = %d, want 2", img.DirtyPages())
-	}
-	if img.DirtyBytes() != 200 {
-		t.Fatalf("DirtyBytes = %d, want 200", img.DirtyBytes())
+	if got := NewMemoryImage(1, 0).TotalBytes(); got != 4096 {
+		t.Fatalf("default page size: TotalBytes = %d, want 4096", got)
 	}
 }
 
 func TestTouchFraction(t *testing.T) {
 	img := NewMemoryImage(100, 10)
 	img.TouchFraction(0.25)
-	if img.DirtyPages() != 25 {
-		t.Fatalf("DirtyPages = %d, want 25", img.DirtyPages())
+	if img.DirtyBytes() != 250 {
+		t.Fatalf("DirtyBytes = %d, want 250 (25 pages)", img.DirtyBytes())
 	}
 	img.TouchFraction(2.0) // clamps to all pages
-	if img.DirtyPages() != 100 {
-		t.Fatalf("DirtyPages = %d, want 100", img.DirtyPages())
+	if img.DirtyBytes() != 1000 {
+		t.Fatalf("DirtyBytes = %d, want 1000 (100 pages)", img.DirtyBytes())
 	}
 }
 
 func TestTouchFractionTinyNonZero(t *testing.T) {
 	img := NewMemoryImage(100, 10)
 	img.TouchFraction(0.0001) // rounds up to at least one page
-	if img.DirtyPages() != 1 {
-		t.Fatalf("DirtyPages = %d, want 1", img.DirtyPages())
+	if img.DirtyBytes() != 10 {
+		t.Fatalf("DirtyBytes = %d, want 10 (one page)", img.DirtyBytes())
 	}
 }
 
@@ -145,7 +129,7 @@ func TestALCCaptureMarksClean(t *testing.T) {
 	if _, err := (ALC{}).Capture(src, 1, false, now); err != nil {
 		t.Fatal(err)
 	}
-	if src.Image.DirtyPages() != 0 || src.Image.DirtyBytes() != 0 {
+	if src.Image.DirtyBytes() != 0 {
 		t.Fatal("capture did not reset dirty state")
 	}
 }

@@ -239,20 +239,6 @@ func (s *Store) chainAt(jobID string, seq int) (chain []Checkpoint, ok bool) {
 	return chain, true
 }
 
-// RestoreBytes returns the total bytes that must move to restore the
-// job's latest state.
-func (s *Store) RestoreBytes(jobID string) (int64, error) {
-	chain, err := s.RestoreChain(jobID)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, ck := range chain {
-		total += ck.Bytes
-	}
-	return total, nil
-}
-
 // Prune deletes checkpoints older than the newest full snapshot, which
 // are no longer needed for any restore. It returns the bytes reclaimed.
 func (s *Store) Prune(jobID string) (int64, error) {

@@ -122,16 +122,15 @@ func TestRestoreChainOrderAndBytes(t *testing.T) {
 			t.Fatalf("chain[%d] = %+v", i, chain[i])
 		}
 	}
-	total, err := s.RestoreBytes("j1")
-	if err != nil {
-		t.Fatal(err)
+	var total, want int64
+	for _, ck := range chain {
+		total += ck.Bytes
 	}
-	var want int64
 	for _, b := range sizes {
 		want += b
 	}
 	if total != want {
-		t.Fatalf("RestoreBytes = %d, want %d", total, want)
+		t.Fatalf("chain bytes = %d, want %d", total, want)
 	}
 }
 

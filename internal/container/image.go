@@ -1,12 +1,12 @@
 // Package container implements GPUnion's containerized execution
 // environment (§3.3): an OCI-style runtime model with image digest
 // verification, a trusted-image allow-list, a container lifecycle state
-// machine, namespace/cgroup-style isolation accounting, and GPU
-// passthrough binding via an NVIDIA_VISIBLE_DEVICES-equivalent.
+// machine, cgroup-style CPU and memory budgets, and GPU passthrough
+// binding via an NVIDIA_VISIBLE_DEVICES-equivalent.
 //
 // GPUnion's platform logic (agent, scheduler, migration) only depends on
-// the lifecycle semantics — create, start, pause, checkpoint, stop, kill
-// — and on the admission rules; this package provides both with the same
+// the lifecycle semantics — create, start, checkpoint, stop, kill — and
+// on the admission rules; this package provides both with the same
 // API shape a Docker-backed implementation would expose.
 package container
 
@@ -98,13 +98,6 @@ func (s *ImageStore) Allow(digest string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.allowed[digest] = true
-}
-
-// Disallow removes the digest from the allow-list.
-func (s *ImageStore) Disallow(digest string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.allowed, digest)
 }
 
 // Get returns the image by name.

@@ -72,17 +72,6 @@ func TestAdmitRequiresAllowList(t *testing.T) {
 	}
 }
 
-func TestDisallowRevokes(t *testing.T) {
-	s := NewImageStore()
-	im := NewImage("a:1", "content", 100)
-	_ = s.Add(im)
-	s.Allow(im.Digest)
-	s.Disallow(im.Digest)
-	if _, err := s.Admit("a:1"); !errors.Is(err, ErrImageNotAllowed) {
-		t.Fatalf("revoked Admit err = %v", err)
-	}
-}
-
 func TestAdmitMissingImage(t *testing.T) {
 	s := NewImageStore()
 	if _, err := s.Admit("ghost:1"); !errors.Is(err, ErrImageNotFound) {

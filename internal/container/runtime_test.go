@@ -166,11 +166,9 @@ func TestLifecycleHappyPath(t *testing.T) {
 		want State
 	}{
 		{func() error { return r.Start("c1", t0) }, Running},
-		{func() error { return r.Pause("c1") }, Paused},
-		{func() error { return r.Resume("c1") }, Running},
 		{func() error { return r.BeginCheckpoint("c1") }, Checkpointing},
 		{func() error { return r.EndCheckpoint("c1") }, Running},
-		{func() error { return r.Stop("c1", 0, t0.Add(time.Hour)) }, Exited},
+		{func() error { return r.Stop("c1", t0.Add(time.Hour)) }, Exited},
 	}
 	for i, s := range steps {
 		if err := s.op(); err != nil {
@@ -180,9 +178,6 @@ func TestLifecycleHappyPath(t *testing.T) {
 			t.Fatalf("step %d: state = %s, want %s", i, c.State(), s.want)
 		}
 	}
-	if c.ExitCode() != 0 {
-		t.Fatalf("exit code = %d", c.ExitCode())
-	}
 }
 
 func TestInvalidTransitions(t *testing.T) {
@@ -190,9 +185,9 @@ func TestInvalidTransitions(t *testing.T) {
 	if _, err := r.Create(batchSpec("c1", 0), t0); err != nil {
 		t.Fatal(err)
 	}
-	// Created → Pause is invalid.
-	if err := r.Pause("c1"); !errors.Is(err, ErrBadTransition) {
-		t.Fatalf("Pause from Created err = %v", err)
+	// Created → BeginCheckpoint is invalid.
+	if err := r.BeginCheckpoint("c1"); !errors.Is(err, ErrBadTransition) {
+		t.Fatalf("BeginCheckpoint from Created err = %v", err)
 	}
 	// Created → EndCheckpoint is invalid.
 	if err := r.EndCheckpoint("c1"); !errors.Is(err, ErrBadTransition) {
@@ -220,7 +215,7 @@ func TestStopReleasesGPU(t *testing.T) {
 	if dev.Free() {
 		t.Fatal("device free while container running")
 	}
-	if err := r.Stop("c1", 0, t0); err != nil {
+	if err := r.Stop("c1", t0); err != nil {
 		t.Fatal(err)
 	}
 	if !dev.Free() {
@@ -237,7 +232,6 @@ func TestKillFromAnyLiveState(t *testing.T) {
 	for i, setup := range []func(id string) error{
 		func(id string) error { return nil },                                        // Created
 		func(id string) error { return r.Start(id, t0) },                            // Running
-		func(id string) error { _ = r.Start(id, t0); return r.Pause(id) },           // Paused
 		func(id string) error { _ = r.Start(id, t0); return r.BeginCheckpoint(id) }, // Checkpointing
 	} {
 		id := string(rune('a' + i))
@@ -251,8 +245,8 @@ func TestKillFromAnyLiveState(t *testing.T) {
 			t.Fatalf("Kill from setup %d: %v", i, err)
 		}
 		c, _ := r.Get(id)
-		if c.State() != Killed || c.ExitCode() != 137 {
-			t.Fatalf("state = %s, exit = %d", c.State(), c.ExitCode())
+		if c.State() != Killed {
+			t.Fatalf("state = %s, want %s", c.State(), Killed)
 		}
 	}
 }
@@ -268,7 +262,7 @@ func TestKillTerminalFails(t *testing.T) {
 	if err := r.Kill("c1", t0); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("double Kill err = %v", err)
 	}
-	if err := r.Stop("c1", 0, t0); !errors.Is(err, ErrBadTransition) {
+	if err := r.Stop("c1", t0); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("Stop after Kill err = %v", err)
 	}
 }
@@ -284,15 +278,15 @@ func TestKillAll(t *testing.T) {
 		}
 	}
 	// One already exited: must not be re-killed.
-	if err := r.Stop("c2", 0, t0); err != nil {
+	if err := r.Stop("c2", t0); err != nil {
 		t.Fatal(err)
 	}
 	killed := r.KillAll(t0)
 	if len(killed) != 1 || killed[0] != "c1" {
 		t.Fatalf("KillAll = %v, want [c1]", killed)
 	}
-	if r.Running() != 0 {
-		t.Fatalf("Running = %d after KillAll", r.Running())
+	if n := running(r); n != 0 {
+		t.Fatalf("running = %d after KillAll", n)
 	}
 }
 
@@ -316,48 +310,15 @@ func TestInteractiveModeEnv(t *testing.T) {
 	}
 }
 
-func TestIsolationDefaults(t *testing.T) {
-	r := newTestRuntime()
-	c, err := r.Create(batchSpec("c1", 0), t0)
-	if err != nil {
-		t.Fatal(err)
+// running counts the runtime's containers in the Running state.
+func running(r *Runtime) int {
+	n := 0
+	for _, id := range r.List() {
+		if c, err := r.Get(id); err == nil && c.State() == Running {
+			n++
+		}
 	}
-	iso := c.Isolation()
-	if !iso.PIDNamespace || !iso.NetNamespace || !iso.MountNamespace {
-		t.Fatalf("isolation = %+v, want all namespaces on", iso)
-	}
-	if iso.SeccompProfile != "gpunion-default" {
-		t.Fatalf("seccomp = %q", iso.SeccompProfile)
-	}
-}
-
-func TestHostAccessPolicy(t *testing.T) {
-	r := newTestRuntime()
-	spec := batchSpec("c1", 0)
-	iso := DefaultIsolation()
-	iso.AllowHostMounts = []string{"/data/shared"}
-	spec.Isolation = &iso
-	c, err := r.Create(spec, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckHostAccess("/data/shared"); err != nil {
-		t.Fatalf("allowed mount rejected: %v", err)
-	}
-	if err := c.CheckHostAccess("/etc/passwd"); !errors.Is(err, ErrIsolationBreach) {
-		t.Fatalf("host access err = %v, want ErrIsolationBreach", err)
-	}
-}
-
-func TestDefaultDeniesAllHostAccess(t *testing.T) {
-	r := newTestRuntime()
-	c, err := r.Create(batchSpec("c1", 0), t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckHostAccess("/anything"); !errors.Is(err, ErrIsolationBreach) {
-		t.Fatalf("err = %v, want ErrIsolationBreach", err)
-	}
+	return n
 }
 
 func TestListAndRunningCounts(t *testing.T) {
@@ -371,14 +332,14 @@ func TestListAndRunningCounts(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
 		t.Fatalf("List = %v", ids)
 	}
-	if r.Running() != 0 {
-		t.Fatalf("Running = %d", r.Running())
+	if n := running(r); n != 0 {
+		t.Fatalf("running = %d", n)
 	}
 	if err := r.Start("a", t0); err != nil {
 		t.Fatal(err)
 	}
-	if r.Running() != 1 {
-		t.Fatalf("Running = %d, want 1", r.Running())
+	if n := running(r); n != 1 {
+		t.Fatalf("running = %d, want 1", n)
 	}
 }
 

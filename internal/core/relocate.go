@@ -163,7 +163,7 @@ func (c *Coordinator) finishMigration(job db.JobRecord, plan migration.Plan, rea
 		return
 	}
 	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.Migrations++ })
-	c.mig.RecordSuccess(reason, 0, plan.TransferTime)
+	c.mig.RecordSuccess(reason, plan.TransferTime)
 	evType := eventbus.JobMigrated
 	if reason == migration.ReasonMigrateBack {
 		evType = eventbus.JobMigratedBack

@@ -182,7 +182,7 @@ func TestMigrationStatsExposedThroughCoordinator(t *testing.T) {
 	if stats.Attempts[migration.ReasonScheduled] != 1 {
 		t.Fatalf("attempts = %+v", stats.Attempts)
 	}
-	if stats.SuccessRate(migration.ReasonScheduled) != 1 {
-		t.Fatalf("success rate = %v", stats.SuccessRate(migration.ReasonScheduled))
+	if stats.Successes[migration.ReasonScheduled] != 1 {
+		t.Fatalf("successes = %+v", stats.Successes)
 	}
 }

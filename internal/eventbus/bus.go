@@ -38,8 +38,6 @@ const (
 	JobKilled       Type = "job.killed"
 	JobMigratedBack Type = "job.migrated_back"
 
-	ContainerCreated Type = "container.created"
-
 	KillSwitch Type = "provider.killswitch"
 
 	// Leadership transitions of a replicated coordinator.

@@ -221,17 +221,6 @@ func (inv *Inventory) FindFree(memMiB int64, min ComputeCapability) *Device {
 	return nil
 }
 
-// CountFree reports how many devices are currently unallocated.
-func (inv *Inventory) CountFree() int {
-	n := 0
-	for _, d := range inv.Devices() {
-		if d.Free() {
-			n++
-		}
-	}
-	return n
-}
-
 // Snapshot returns telemetry for every installed device.
 func (inv *Inventory) Snapshot() []Telemetry {
 	devs := inv.Devices()
@@ -240,18 +229,4 @@ func (inv *Inventory) Snapshot() []Telemetry {
 		out = append(out, d.Telemetry())
 	}
 	return out
-}
-
-// AvgUtilization returns the mean utilization across all devices
-// (0 if the inventory is empty).
-func (inv *Inventory) AvgUtilization() float64 {
-	devs := inv.Devices()
-	if len(devs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, d := range devs {
-		sum += d.Telemetry().Utilization
-	}
-	return sum / float64(len(devs))
 }

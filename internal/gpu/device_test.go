@@ -236,8 +236,8 @@ func TestFindFreeSkipsAllocated(t *testing.T) {
 	if d == nil || d.ID != "gpu1" {
 		t.Fatalf("FindFree = %v, want gpu1", d)
 	}
-	if inv.CountFree() != 1 {
-		t.Fatalf("CountFree = %d, want 1", inv.CountFree())
+	if d0.Free() || !d.Free() {
+		t.Fatalf("gpu0 free = %v, gpu1 free = %v; want false, true", d0.Free(), d.Free())
 	}
 }
 
@@ -251,24 +251,6 @@ func TestSnapshotCoversAllDevices(t *testing.T) {
 		if tel.Model != "A6000" || tel.TotalMemMiB != A6000.MemoryMiB {
 			t.Fatalf("telemetry = %+v", tel)
 		}
-	}
-}
-
-func TestAvgUtilization(t *testing.T) {
-	inv := NewInventory(RTX3090, 2)
-	d0, _ := inv.Device("gpu0")
-	d1, _ := inv.Device("gpu1")
-	d0.SetUtilization(1.0)
-	d1.SetUtilization(0.0)
-	if got := inv.AvgUtilization(); got != 0.5 {
-		t.Fatalf("AvgUtilization = %v, want 0.5", got)
-	}
-}
-
-func TestAvgUtilizationEmptyInventory(t *testing.T) {
-	inv := NewMixedInventory()
-	if got := inv.AvgUtilization(); got != 0 {
-		t.Fatalf("empty AvgUtilization = %v", got)
 	}
 }
 

@@ -89,13 +89,6 @@ func (f *FakeHealthSource) Inject(events ...HealthEvent) {
 	f.mu.Unlock()
 }
 
-// Pending reports how many events are queued but not yet collected.
-func (f *FakeHealthSource) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.pending)
-}
-
 // CollectHealthEvents implements HealthSource: it returns the queued
 // events and clears the queue.
 func (f *FakeHealthSource) CollectHealthEvents() []HealthEvent {

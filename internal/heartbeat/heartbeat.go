@@ -66,13 +66,6 @@ func (m *Monitor) Track(nodeID string, now time.Time) {
 	m.nodes[nodeID] = &nodeBeat{lastBeat: now}
 }
 
-// Forget stops monitoring a node entirely.
-func (m *Monitor) Forget(nodeID string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.nodes, nodeID)
-}
-
 // Beat records a heartbeat. Unknown nodes are ignored (the coordinator
 // asks them to re-register). A beat from a suspended or down node
 // revives it; Sweep callers learn about revivals via Returned.
@@ -119,37 +112,6 @@ func (m *Monitor) Lost(now time.Time) []string {
 	}
 	sortStrings(lost)
 	return lost
-}
-
-// MissedBeats reports how many full intervals have elapsed since the
-// node's last beat (0 for unknown nodes).
-func (m *Monitor) MissedBeats(nodeID string, now time.Time) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	nb, ok := m.nodes[nodeID]
-	if !ok {
-		return 0
-	}
-	missed := int(now.Sub(nb.lastBeat) / m.interval)
-	if missed < 0 {
-		missed = 0
-	}
-	return missed
-}
-
-// Alive reports whether the node is tracked and not down/suspended.
-func (m *Monitor) Alive(nodeID string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	nb, ok := m.nodes[nodeID]
-	return ok && !nb.down && !nb.suspended
-}
-
-// Tracked returns the number of nodes being monitored.
-func (m *Monitor) Tracked() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.nodes)
 }
 
 // sortStrings is a tiny insertion sort to avoid importing sort for a

@@ -33,15 +33,8 @@ var beatRule = deltaRule[time.Time]{
 	},
 }
 
-// CheckBeatDeltas audits beat-delta equivalence. base holds each
-// node's LastHeartbeat when the stream began; muts is the committed
-// mutation stream since then; nodes is the store's current node table.
-func CheckBeatDeltas(base map[string]time.Time, muts []db.Mutation, nodes []db.NodeRecord) []Violation {
-	return beatRule.fold(base, muts, nodes)
-}
-
-// BeatAudit records a live store's stream for CheckBeatDeltas; Check
-// runs it against the store's current node table.
+// BeatAudit records a live store's stream for beat-delta equivalence;
+// Check folds it against the store's current node table.
 type BeatAudit struct{ streamAudit[time.Time] }
 
 // NewBeatAudit snapshots the store's current heartbeat timestamps and

@@ -43,7 +43,7 @@ func TestBeatAuditLiveStore(t *testing.T) {
 func TestBeatDeltasLostAdvance(t *testing.T) {
 	base := map[string]time.Time{"n1": t0}
 	nodes := []db.NodeRecord{{ID: "n1", LastHeartbeat: t0.Add(time.Minute)}}
-	vs := CheckBeatDeltas(base, nil, nodes)
+	vs := beatRule.fold(base, nil, nodes)
 	wantRule(t, vs, "beat-delta-equivalence")
 }
 
@@ -54,7 +54,7 @@ func TestBeatDeltasFabricatedAdvance(t *testing.T) {
 	muts := []db.Mutation{{LSN: 1, Type: db.MutBeat,
 		Beats: []db.BeatDelta{{NodeID: "n1", At: t0.Add(time.Minute)}}}}
 	nodes := []db.NodeRecord{{ID: "n1", LastHeartbeat: t0}}
-	vs := CheckBeatDeltas(base, muts, nodes)
+	vs := beatRule.fold(base, muts, nodes)
 	wantRule(t, vs, "beat-delta-equivalence")
 }
 
@@ -69,7 +69,7 @@ func TestBeatDeltasRecordDiscipline(t *testing.T) {
 		{LSN: 2, Type: db.MutBeat, Beats: []db.BeatDelta{{NodeID: "n1", At: at}}},
 	}
 	nodes := []db.NodeRecord{{ID: "n1", LastHeartbeat: at}}
-	vs := CheckBeatDeltas(base, muts, nodes)
+	vs := beatRule.fold(base, muts, nodes)
 	wantRule(t, vs, "beat-delta-equivalence")
 }
 
@@ -78,14 +78,14 @@ func TestBeatDeltasRecordDiscipline(t *testing.T) {
 func TestBeatDeltasUnknownNode(t *testing.T) {
 	muts := []db.Mutation{{LSN: 1, Type: db.MutBeat,
 		Beats: []db.BeatDelta{{NodeID: "ghost", At: t0}}}}
-	vs := CheckBeatDeltas(nil, muts, nil)
+	vs := beatRule.fold(nil, muts, nil)
 	wantRule(t, vs, "beat-delta-equivalence")
 }
 
 // TestBeatDeltasEmptyRecord: an empty beat record is a malformed frame.
 func TestBeatDeltasEmptyRecord(t *testing.T) {
 	muts := []db.Mutation{{LSN: 1, Type: db.MutBeat}}
-	vs := CheckBeatDeltas(nil, muts, nil)
+	vs := beatRule.fold(nil, muts, nil)
 	wantRule(t, vs, "beat-delta-equivalence")
 }
 
@@ -99,7 +99,7 @@ func TestBeatDeltasImageResets(t *testing.T) {
 		{LSN: 6, Type: db.MutBeat, Beats: []db.BeatDelta{{NodeID: "n1", At: t0.Add(time.Second)}}},
 	}
 	nodes := []db.NodeRecord{{ID: "n1", LastHeartbeat: t0.Add(time.Second)}}
-	if vs := CheckBeatDeltas(base, muts, nodes); len(vs) != 0 {
+	if vs := beatRule.fold(base, muts, nodes); len(vs) != 0 {
 		t.Fatalf("re-based fold flagged: %v", vs)
 	}
 }

@@ -56,7 +56,7 @@
 //
 // Two rules audit the mutation stream rather than the tables, on one
 // recorder and one fold (stream.go) with a rule value each:
-// beat-delta-equivalence (BeatAudit / CheckBeatDeltas, beats.go) —
+// beat-delta-equivalence (BeatAudit, beats.go) —
 // coalesced MutBeat deltas lose no heartbeat advance and invent none —
 // and health-score-consistent, the first of the gray-failure rules
 // below. AggAudit (agg.go) is not of that shape: a two-sided ledger of

@@ -118,8 +118,13 @@ func TestPlanBatchTransfersOverlap(t *testing.T) {
 	if slower < time.Duration(1.5*float64(solo)) {
 		t.Fatalf("contended transfer = %v, want ≈2× solo (%v)", slower, solo)
 	}
-	if got := net.ActiveFlows(); got != 0 {
-		t.Fatalf("flows leaked: %d active after batch", got)
+	// No flow leaked: a fresh flow into t0 gets the whole downlink.
+	f, err := net.StartFlow("storage", "t0", 1, netsim.TrafficCheckpoint, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Rate != netsim.Gbps {
+		t.Fatalf("flows leaked: a fresh flow into t0 got %v, want the whole 1 Gbps", f.Rate)
 	}
 }
 

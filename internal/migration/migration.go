@@ -14,7 +14,6 @@ package migration
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -100,7 +99,7 @@ func New(sched *scheduler.Scheduler, store db.Store, ckpts *checkpoint.Store, ne
 // fillRestorePoint resolves the job's restore chain once and derives
 // both the resume point (the chain head) and the transfer size (the
 // chain's byte total) from it — one verification walk, not the two that
-// separate Latest + RestoreBytes calls would cost. No restorable chain
+// a Latest call and a second chain walk would cost. No restorable chain
 // means a stateless restart.
 func (e *Engine) fillRestorePoint(p *Plan) {
 	chain, err := e.ckpts.RestoreChain(p.JobID)
@@ -192,13 +191,12 @@ func (e *Engine) RecordAttempt(reason Reason) {
 	e.stats.Attempts[reason]++
 }
 
-// RecordSuccess notes a completed migration with the work lost (steps
-// redone from the checkpoint) and the downtime until the job ran again.
-func (e *Engine) RecordSuccess(reason Reason, lostSteps int64, downtime time.Duration) {
+// RecordSuccess notes a completed migration with the downtime until the
+// job ran again.
+func (e *Engine) RecordSuccess(reason Reason, downtime time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.Successes[reason]++
-	e.stats.LostSteps[reason] += lostSteps
 	e.stats.Downtime[reason] += downtime
 	e.stats.downtimes[reason] = append(e.stats.downtimes[reason], downtime)
 }
@@ -216,8 +214,6 @@ type Stats struct {
 	Attempts  map[Reason]int
 	Successes map[Reason]int
 	Failures  map[Reason]int
-	// LostSteps is total work redone after restores.
-	LostSteps map[Reason]int64
 	// Downtime is the cumulative out-of-service time.
 	Downtime  map[Reason]time.Duration
 	downtimes map[Reason][]time.Duration
@@ -228,7 +224,6 @@ func newStats() Stats {
 		Attempts:  make(map[Reason]int),
 		Successes: make(map[Reason]int),
 		Failures:  make(map[Reason]int),
-		LostSteps: make(map[Reason]int64),
 		Downtime:  make(map[Reason]time.Duration),
 		downtimes: make(map[Reason][]time.Duration),
 	}
@@ -245,9 +240,6 @@ func (s Stats) clone() Stats {
 	for k, v := range s.Failures {
 		out.Failures[k] = v
 	}
-	for k, v := range s.LostSteps {
-		out.LostSteps[k] = v
-	}
 	for k, v := range s.Downtime {
 		out.Downtime[k] = v
 	}
@@ -257,16 +249,6 @@ func (s Stats) clone() Stats {
 	return out
 }
 
-// SuccessRate returns successes/attempts for a reason (0 when no
-// attempts were made).
-func (s Stats) SuccessRate(reason Reason) float64 {
-	a := s.Attempts[reason]
-	if a == 0 {
-		return 0
-	}
-	return float64(s.Successes[reason]) / float64(a)
-}
-
 // MeanDowntime returns the average downtime for a reason.
 func (s Stats) MeanDowntime(reason Reason) time.Duration {
 	n := s.Successes[reason]
@@ -274,17 +256,6 @@ func (s Stats) MeanDowntime(reason Reason) time.Duration {
 		return 0
 	}
 	return s.Downtime[reason] / time.Duration(n)
-}
-
-// P95Downtime returns the 95th-percentile downtime for a reason.
-func (s Stats) P95Downtime(reason Reason) time.Duration {
-	ds := append([]time.Duration(nil), s.downtimes[reason]...)
-	if len(ds) == 0 {
-		return 0
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := int(0.95 * float64(len(ds)-1))
-	return ds[idx]
 }
 
 // RateWithin returns the fraction of attempted migrations of the reason
@@ -303,14 +274,4 @@ func (s Stats) RateWithin(reason Reason, d time.Duration) float64 {
 		}
 	}
 	return float64(within) / float64(attempts)
-}
-
-// MeanLostSteps returns the average steps redone per successful
-// migration for a reason.
-func (s Stats) MeanLostSteps(reason Reason) float64 {
-	n := s.Successes[reason]
-	if n == 0 {
-		return 0
-	}
-	return float64(s.LostSteps[reason]) / float64(n)
 }

@@ -175,26 +175,23 @@ func TestStatsAccounting(t *testing.T) {
 	e, _, _ := newEngine(false, testNodes())
 	e.RecordAttempt(ReasonScheduled)
 	e.RecordAttempt(ReasonScheduled)
-	e.RecordSuccess(ReasonScheduled, 100, 30*time.Second)
+	e.RecordSuccess(ReasonScheduled, 30*time.Second)
 	e.RecordFailure(ReasonScheduled)
 	e.RecordAttempt(ReasonEmergency)
-	e.RecordSuccess(ReasonEmergency, 900, 2*time.Minute)
+	e.RecordSuccess(ReasonEmergency, 2*time.Minute)
 
 	s := e.Stats()
-	if got := s.SuccessRate(ReasonScheduled); got != 0.5 {
+	if got := s.RateWithin(ReasonScheduled, time.Hour); got != 0.5 {
 		t.Fatalf("scheduled success rate = %v", got)
 	}
-	if got := s.SuccessRate(ReasonEmergency); got != 1.0 {
+	if got := s.RateWithin(ReasonEmergency, time.Hour); got != 1.0 {
 		t.Fatalf("emergency success rate = %v", got)
 	}
-	if got := s.SuccessRate(ReasonTemporary); got != 0 {
+	if got := s.RateWithin(ReasonTemporary, time.Hour); got != 0 {
 		t.Fatalf("unattempted success rate = %v", got)
 	}
 	if got := s.MeanDowntime(ReasonScheduled); got != 30*time.Second {
 		t.Fatalf("mean downtime = %v", got)
-	}
-	if got := s.MeanLostSteps(ReasonEmergency); got != 900 {
-		t.Fatalf("mean lost steps = %v", got)
 	}
 }
 
@@ -205,19 +202,5 @@ func TestStatsCloneIsolated(t *testing.T) {
 	snap.Attempts[ReasonScheduled] = 999
 	if e.Stats().Attempts[ReasonScheduled] != 1 {
 		t.Fatal("Stats snapshot aliases engine state")
-	}
-}
-
-func TestP95Downtime(t *testing.T) {
-	e, _, _ := newEngine(false, testNodes())
-	for i := 1; i <= 100; i++ {
-		e.RecordSuccess(ReasonEmergency, 0, time.Duration(i)*time.Second)
-	}
-	p95 := e.Stats().P95Downtime(ReasonEmergency)
-	if p95 < 90*time.Second || p95 > 100*time.Second {
-		t.Fatalf("p95 = %v, want ~95 s", p95)
-	}
-	if e.Stats().P95Downtime(ReasonTemporary) != 0 {
-		t.Fatal("empty p95 should be 0")
 	}
 }

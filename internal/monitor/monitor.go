@@ -164,44 +164,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile returns an estimate of the q-quantile (0..1) assuming
-// observations are uniform within buckets. It returns NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.total)
-	var cum float64
-	lower := 0.0
-	for i, c := range h.counts {
-		upper := math.Inf(1)
-		if i < len(h.bounds) {
-			upper = h.bounds[i]
-		}
-		next := cum + float64(c)
-		if rank <= next && c > 0 {
-			if math.IsInf(upper, 1) {
-				return lower
-			}
-			frac := (rank - cum) / float64(c)
-			return lower + frac*(upper-lower)
-		}
-		cum = next
-		if i < len(h.bounds) {
-			lower = h.bounds[i]
-		}
-	}
-	return lower
-}
-
 // metricKind tags a registered family.
 type metricKind int
 

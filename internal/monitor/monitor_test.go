@@ -40,31 +40,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(10, 20, 30)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i % 30))
-	}
-	med := h.Quantile(0.5)
-	if med < 5 || med > 25 {
-		t.Fatalf("median = %v, want ~15", med)
-	}
-	if !math.IsNaN(NewHistogram(1).Quantile(0.5)) {
-		t.Fatal("empty histogram quantile not NaN")
-	}
-}
-
-func TestHistogramQuantileClamps(t *testing.T) {
-	h := NewHistogram(10)
-	h.Observe(5)
-	if q := h.Quantile(-1); math.IsNaN(q) {
-		t.Fatal("q<0 returned NaN")
-	}
-	if q := h.Quantile(2); math.IsNaN(q) {
-		t.Fatal("q>1 returned NaN")
-	}
-}
-
 func TestHistogramUnsortedBounds(t *testing.T) {
 	h := NewHistogram(10, 1, 5) // constructor sorts
 	h.Observe(3)

@@ -20,7 +20,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -38,7 +37,6 @@ type Category string
 const (
 	TrafficCheckpoint Category = "checkpoint" // periodic incremental backups
 	TrafficMigration  Category = "migration"  // checkpoint restore on a new node
-	TrafficControl    Category = "control"    // heartbeats, registration, API
 )
 
 // Errors returned by the network.
@@ -208,13 +206,6 @@ func (n *Network) Transfer(src, dst string, bytes int64, cat Category, now time.
 	return end, nil
 }
 
-// ActiveFlows reports the number of in-flight flows.
-func (n *Network) ActiveFlows() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.active
-}
-
 func minBandwidth(bs ...Bandwidth) Bandwidth {
 	m := bs[0]
 	for _, b := range bs[1:] {
@@ -340,29 +331,6 @@ func (a *Accountant) PeakWindowUtilization(cat Category, capacity Bandwidth, win
 		}
 	}
 	return peak
-}
-
-// CategoryTotals returns total bytes per category, sorted by category
-// name for deterministic reporting.
-func (a *Accountant) CategoryTotals() []CategoryTotal {
-	a.mu.Lock()
-	totals := make(map[Category]int64)
-	for _, r := range a.records {
-		totals[r.cat] += r.bytes
-	}
-	a.mu.Unlock()
-	out := make([]CategoryTotal, 0, len(totals))
-	for c, b := range totals {
-		out = append(out, CategoryTotal{Category: c, Bytes: b})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Category < out[j].Category })
-	return out
-}
-
-// CategoryTotal is one row of the per-category traffic summary.
-type CategoryTotal struct {
-	Category Category
-	Bytes    int64
 }
 
 func maxTime(a, b time.Time) time.Time {

@@ -256,9 +256,6 @@ func New(strategy Strategy, model ReliabilityModel) *Scheduler {
 	return &Scheduler{strategy: strategy, model: model, DegradeBelow: 0.5}
 }
 
-// StrategyName returns the active strategy's name.
-func (s *Scheduler) StrategyName() string { return s.strategy.Name() }
-
 // Schedule places one request against an explicit node set: a batch of
 // one. Returns ErrNoPlacement when nothing fits.
 func (s *Scheduler) Schedule(req Request, nodes []db.NodeRecord, now time.Time) (Placement, error) {

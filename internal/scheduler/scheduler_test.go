@@ -237,7 +237,7 @@ func TestStrategyNames(t *testing.T) {
 		(LeastLoaded{}).Name() != "least-loaded" {
 		t.Fatal("strategy names wrong")
 	}
-	if New(nil, DefaultReliability()).StrategyName() != "round-robin" {
+	if New(nil, DefaultReliability()).strategy.Name() != "round-robin" {
 		t.Fatal("default strategy should be round-robin")
 	}
 }

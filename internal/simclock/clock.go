@@ -83,13 +83,6 @@ func (s *Skewed) SetOffset(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Offset reads the current skew.
-func (s *Skewed) Offset() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.off
-}
-
 // Now returns the inner clock's time shifted by the offset.
 func (s *Skewed) Now() time.Time {
 	s.mu.Lock()
@@ -221,13 +214,6 @@ func (s *Sim) Run(horizon time.Time) int {
 		fn()
 		fired++
 	}
-}
-
-// PendingTimers reports how many timers are waiting to fire.
-func (s *Sim) PendingTimers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
 }
 
 type timerEvent struct {

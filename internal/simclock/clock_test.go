@@ -138,15 +138,18 @@ func TestSimSleepWakesWhenAdvanced(t *testing.T) {
 		s.Sleep(time.Second)
 		close(done)
 	}()
-	// Wait for the sleeper to register its timer.
-	for s.PendingTimers() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	s.Advance(time.Second)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Sleep did not wake after Advance")
+	// The sleeper registers its timer at some point; keep advancing
+	// until it wakes.
+	deadline := time.After(2 * time.Second)
+	for {
+		s.Advance(time.Second)
+		select {
+		case <-done:
+			return
+		case <-deadline:
+			t.Fatal("Sleep did not wake after Advance")
+		case <-time.After(time.Millisecond):
+		}
 	}
 }
 
@@ -160,8 +163,8 @@ func TestSimRunDrainsAllTimers(t *testing.T) {
 	if fired != 10 || count != 10 {
 		t.Fatalf("Run fired %d (count %d), want 10", fired, count)
 	}
-	if s.PendingTimers() != 0 {
-		t.Fatalf("PendingTimers = %d, want 0", s.PendingTimers())
+	if again := s.Run(epoch.Add(2 * time.Hour)); again != 0 {
+		t.Fatalf("second Run fired %d, want 0 (drained)", again)
 	}
 }
 
@@ -292,9 +295,6 @@ func TestSkewedClock(t *testing.T) {
 	sk.SetOffset(3 * time.Minute)
 	if got := sk.Now(); !got.Equal(start.Add(3 * time.Minute)) {
 		t.Fatalf("skewed Now = %v", got)
-	}
-	if sk.Offset() != 3*time.Minute {
-		t.Fatalf("Offset = %v", sk.Offset())
 	}
 	sk.SetOffset(-time.Minute)
 	if got := sk.Now(); !got.Equal(start.Add(-time.Minute)) {

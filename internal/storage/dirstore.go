@@ -11,8 +11,9 @@ import (
 	"sync"
 )
 
-// DirStore is a filesystem-backed Store used by the real daemons: each
-// key becomes a file under the root directory. Keys may contain '/'
+// DirStore is a filesystem-backed Store for a daemon's on-disk
+// checkpoints (no shipped binary opens one yet): each key becomes a file
+// under the root directory. Keys may contain '/'
 // (subdirectories are created as needed); path traversal outside the
 // root is rejected.
 type DirStore struct {
@@ -127,21 +128,4 @@ func (d *DirStore) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// UsedBytes sums stored file sizes.
-func (d *DirStore) UsedBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var total int64
-	_ = filepath.WalkDir(d.root, func(p string, entry fs.DirEntry, err error) error {
-		if err != nil || entry.IsDir() || strings.HasSuffix(p, ".tmp") {
-			return nil
-		}
-		if info, ierr := entry.Info(); ierr == nil {
-			total += info.Size()
-		}
-		return nil
-	})
-	return total
 }

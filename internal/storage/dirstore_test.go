@@ -97,15 +97,6 @@ func TestDirStoreRejectsTraversal(t *testing.T) {
 	}
 }
 
-func TestDirStoreUsedBytes(t *testing.T) {
-	s := newDirStore(t)
-	_ = s.Put("a", make([]byte, 100))
-	_ = s.Put("b/c", make([]byte, 50))
-	if got := s.UsedBytes(); got != 150 {
-		t.Fatalf("UsedBytes = %d, want 150", got)
-	}
-}
-
 func TestDirStorePersistsAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := NewDirStore(dir)

@@ -5,9 +5,10 @@
 // temporary data.
 //
 // The package provides a uniform key/value blob Store interface, an
-// in-memory implementation with a capacity bound (provider scratch), a
-// replicated store (user-configured backup fan-out), and a Placement
-// policy that resolves a user's storage preference list to a live target.
+// in-memory implementation with a capacity bound (provider scratch) and
+// a directory-backed one (dirstore.go). Checkpoints go through it
+// (checkpoint.Store); a user's storage preference list is recorded on
+// the job but no shipped agent resolves it to a store.
 package storage
 
 import (
@@ -20,10 +21,8 @@ import (
 
 // Errors returned by stores.
 var (
-	ErrNotFound     = errors.New("storage: key not found")
-	ErrCapacity     = errors.New("storage: capacity exceeded")
-	ErrNoTarget     = errors.New("storage: no live storage target")
-	ErrQuorumFailed = errors.New("storage: replication quorum not met")
+	ErrNotFound = errors.New("storage: key not found")
+	ErrCapacity = errors.New("storage: capacity exceeded")
 )
 
 // Store is a flat key → blob store. Implementations must be safe for
@@ -37,8 +36,6 @@ type Store interface {
 	Delete(key string) error
 	// List returns the keys with the given prefix, sorted.
 	List(prefix string) ([]string, error)
-	// UsedBytes reports the total size of stored values.
-	UsedBytes() int64
 }
 
 // MemStore is an in-memory Store with an optional capacity bound,
@@ -107,176 +104,4 @@ func (m *MemStore) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// UsedBytes reports stored bytes.
-func (m *MemStore) UsedBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.used
-}
-
-// Capacity returns the configured bound (0 = unbounded).
-func (m *MemStore) Capacity() int64 { return m.capacity }
-
-// Replicated fans writes out to several stores and reads from the first
-// that has the key. Users configure it when they want checkpoints kept on
-// more than one node (§3.5: "Users can specify specific nodes for data
-// storage and backup according to their own needs").
-type Replicated struct {
-	replicas []Store
-	// writeQuorum is how many replicas must accept a Put for it to
-	// succeed.
-	writeQuorum int
-}
-
-// NewReplicated builds a replicated store over the given replicas.
-// writeQuorum <= 0 defaults to all replicas.
-func NewReplicated(writeQuorum int, replicas ...Store) (*Replicated, error) {
-	if len(replicas) == 0 {
-		return nil, errors.New("storage: replicated store needs at least one replica")
-	}
-	if writeQuorum <= 0 || writeQuorum > len(replicas) {
-		writeQuorum = len(replicas)
-	}
-	return &Replicated{replicas: replicas, writeQuorum: writeQuorum}, nil
-}
-
-// Put writes to every replica; it succeeds if at least writeQuorum
-// replicas accept.
-func (r *Replicated) Put(key string, data []byte) error {
-	okCount := 0
-	var firstErr error
-	for _, rep := range r.replicas {
-		if err := rep.Put(key, data); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		okCount++
-	}
-	if okCount < r.writeQuorum {
-		return fmt.Errorf("%w: %d/%d (first error: %v)", ErrQuorumFailed, okCount, r.writeQuorum, firstErr)
-	}
-	return nil
-}
-
-// Get returns the value from the first replica holding the key.
-func (r *Replicated) Get(key string) ([]byte, error) {
-	var firstErr error
-	for _, rep := range r.replicas {
-		v, err := rep.Get(key)
-		if err == nil {
-			return v, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, firstErr
-}
-
-// Delete removes the key from every replica.
-func (r *Replicated) Delete(key string) error {
-	for _, rep := range r.replicas {
-		if err := rep.Delete(key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// List returns the union of replica listings.
-func (r *Replicated) List(prefix string) ([]string, error) {
-	set := make(map[string]bool)
-	for _, rep := range r.replicas {
-		keys, err := rep.List(prefix)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range keys {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// UsedBytes reports the maximum usage across replicas (logical usage).
-func (r *Replicated) UsedBytes() int64 {
-	var max int64
-	for _, rep := range r.replicas {
-		if u := rep.UsedBytes(); u > max {
-			max = u
-		}
-	}
-	return max
-}
-
-// Placement resolves a user's ordered storage preferences against node
-// liveness. A user may pin checkpoints to "my-lab-nas" first, falling
-// back to "provider-local" scratch.
-type Placement struct {
-	mu     sync.RWMutex
-	stores map[string]Store // storage node name → store
-	live   map[string]bool
-}
-
-// NewPlacement returns an empty placement registry.
-func NewPlacement() *Placement {
-	return &Placement{stores: make(map[string]Store), live: make(map[string]bool)}
-}
-
-// Register adds a named storage node (initially live).
-func (p *Placement) Register(name string, s Store) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stores[name] = s
-	p.live[name] = true
-}
-
-// SetLive marks a storage node live or dead (its provider departed).
-func (p *Placement) SetLive(name string, live bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.stores[name]; ok {
-		p.live[name] = live
-	}
-}
-
-// Live reports whether the named node is registered and live.
-func (p *Placement) Live(name string) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.live[name]
-}
-
-// Resolve returns the store for the first live name in prefs, together
-// with the chosen name. It fails with ErrNoTarget when none is live.
-func (p *Placement) Resolve(prefs []string) (Store, string, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, name := range prefs {
-		if p.live[name] {
-			return p.stores[name], name, nil
-		}
-	}
-	return nil, "", fmt.Errorf("%w: preferences %v", ErrNoTarget, prefs)
-}
-
-// Names returns all registered storage node names, sorted.
-func (p *Placement) Names() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, 0, len(p.stores))
-	for n := range p.stores {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -27,21 +27,34 @@ func TestMemStoreGetMissing(t *testing.T) {
 	}
 }
 
+// assertUsed checks that exactly used of capBytes are taken: a value
+// filling the rest fits and one byte more is refused.
+func assertUsed(t *testing.T, s *MemStore, capBytes, used int) {
+	t.Helper()
+	if err := s.Put("probe", make([]byte, capBytes-used+1)); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("Put of %d free bytes + 1: err = %v, want ErrCapacity", capBytes-used, err)
+	}
+	if err := s.Put("probe", make([]byte, capBytes-used)); err != nil {
+		t.Fatalf("Put of the %d free bytes: %v", capBytes-used, err)
+	}
+	if err := s.Delete("probe"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMemStoreOverwriteAdjustsUsage(t *testing.T) {
-	s := NewMemStore(0)
+	s := NewMemStore(100)
 	if err := s.Put("k", make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("k", make([]byte, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if s.UsedBytes() != 40 {
-		t.Fatalf("UsedBytes = %d, want 40", s.UsedBytes())
-	}
+	assertUsed(t, s, 100, 40)
 }
 
 func TestMemStoreDelete(t *testing.T) {
-	s := NewMemStore(0)
+	s := NewMemStore(10)
 	if err := s.Put("k", []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +64,7 @@ func TestMemStoreDelete(t *testing.T) {
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("key survived delete")
 	}
-	if s.UsedBytes() != 0 {
-		t.Fatalf("UsedBytes = %d after delete", s.UsedBytes())
-	}
+	assertUsed(t, s, 10, 0)
 	if err := s.Delete("missing"); err != nil {
 		t.Fatalf("deleting missing key: %v", err)
 	}
@@ -70,9 +81,6 @@ func TestMemStoreCapacityEnforced(t *testing.T) {
 	// Overwriting within capacity is fine even when near the bound.
 	if err := s.Put("a", make([]byte, 100)); err != nil {
 		t.Fatalf("in-place overwrite to exactly capacity: %v", err)
-	}
-	if s.Capacity() != 100 {
-		t.Fatalf("Capacity = %d", s.Capacity())
 	}
 }
 
@@ -137,7 +145,7 @@ func TestMemStorePutCopiesInput(t *testing.T) {
 }
 
 func TestMemStoreConcurrent(t *testing.T) {
-	s := NewMemStore(0)
+	s := NewMemStore(32)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -157,173 +165,20 @@ func TestMemStoreConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if s.UsedBytes() != 16 {
-		t.Fatalf("UsedBytes = %d, want 16", s.UsedBytes())
-	}
+	assertUsed(t, s, 32, 16)
 }
 
-func TestReplicatedNeedsReplica(t *testing.T) {
-	if _, err := NewReplicated(1); err == nil {
-		t.Fatal("NewReplicated with no replicas succeeded")
-	}
-}
-
-func TestReplicatedPutFansOut(t *testing.T) {
-	a, b := NewMemStore(0), NewMemStore(0)
-	r, err := NewReplicated(0, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range []*MemStore{a, b} {
-		if v, err := rep.Get("k"); err != nil || string(v) != "v" {
-			t.Fatalf("replica %d missing value: %q, %v", i, v, err)
-		}
-	}
-}
-
-func TestReplicatedQuorum(t *testing.T) {
-	a := NewMemStore(0)
-	full := NewMemStore(1) // too small: every Put fails
-	r, err := NewReplicated(1, a, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Quorum 1: succeeds via a.
-	if err := r.Put("k", []byte("value")); err != nil {
-		t.Fatalf("quorum-1 Put: %v", err)
-	}
-	// Quorum 2: fails because full rejects.
-	r2, _ := NewReplicated(2, a, full)
-	if err := r2.Put("k2", []byte("value")); !errors.Is(err, ErrQuorumFailed) {
-		t.Fatalf("quorum-2 Put err = %v, want ErrQuorumFailed", err)
-	}
-}
-
-func TestReplicatedGetFallsBack(t *testing.T) {
-	a, b := NewMemStore(0), NewMemStore(0)
-	r, _ := NewReplicated(0, a, b)
-	// Write only to the second replica (simulates a lost first replica).
-	if err := b.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := r.Get("k")
-	if err != nil || string(v) != "v" {
-		t.Fatalf("Get = %q, %v", v, err)
-	}
-	if _, err := r.Get("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing err = %v", err)
-	}
-}
-
-func TestReplicatedListUnion(t *testing.T) {
-	a, b := NewMemStore(0), NewMemStore(0)
-	r, _ := NewReplicated(0, a, b)
-	_ = a.Put("x/1", []byte("1"))
-	_ = b.Put("x/2", []byte("2"))
-	keys, err := r.List("x/")
-	if err != nil || len(keys) != 2 || keys[0] != "x/1" || keys[1] != "x/2" {
-		t.Fatalf("List = %v, %v", keys, err)
-	}
-}
-
-func TestReplicatedDeleteAll(t *testing.T) {
-	a, b := NewMemStore(0), NewMemStore(0)
-	r, _ := NewReplicated(0, a, b)
-	_ = r.Put("k", []byte("v"))
-	if err := r.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("replica a still has key")
-	}
-	if _, err := b.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("replica b still has key")
-	}
-}
-
-func TestReplicatedUsedBytesLogical(t *testing.T) {
-	a, b := NewMemStore(0), NewMemStore(0)
-	r, _ := NewReplicated(0, a, b)
-	_ = r.Put("k", make([]byte, 10))
-	if r.UsedBytes() != 10 {
-		t.Fatalf("UsedBytes = %d, want 10 (logical, not 20)", r.UsedBytes())
-	}
-}
-
-func TestPlacementResolveOrder(t *testing.T) {
-	p := NewPlacement()
-	p.Register("nas", NewMemStore(0))
-	p.Register("scratch", NewMemStore(0))
-	_, name, err := p.Resolve([]string{"nas", "scratch"})
-	if err != nil || name != "nas" {
-		t.Fatalf("Resolve = %q, %v", name, err)
-	}
-}
-
-func TestPlacementSkipsDeadNodes(t *testing.T) {
-	p := NewPlacement()
-	p.Register("nas", NewMemStore(0))
-	p.Register("scratch", NewMemStore(0))
-	p.SetLive("nas", false)
-	_, name, err := p.Resolve([]string{"nas", "scratch"})
-	if err != nil || name != "scratch" {
-		t.Fatalf("Resolve = %q, %v", name, err)
-	}
-	if p.Live("nas") || !p.Live("scratch") {
-		t.Fatal("liveness flags wrong")
-	}
-}
-
-func TestPlacementNoTarget(t *testing.T) {
-	p := NewPlacement()
-	p.Register("nas", NewMemStore(0))
-	p.SetLive("nas", false)
-	if _, _, err := p.Resolve([]string{"nas", "unknown"}); !errors.Is(err, ErrNoTarget) {
-		t.Fatalf("err = %v, want ErrNoTarget", err)
-	}
-}
-
-func TestPlacementSetLiveUnknownIgnored(t *testing.T) {
-	p := NewPlacement()
-	p.SetLive("ghost", true)
-	if p.Live("ghost") {
-		t.Fatal("unregistered node marked live")
-	}
-}
-
-func TestPlacementNamesSorted(t *testing.T) {
-	p := NewPlacement()
-	p.Register("z", NewMemStore(0))
-	p.Register("a", NewMemStore(0))
-	names := p.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "z" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
-func TestPlacementNodeReturns(t *testing.T) {
-	p := NewPlacement()
-	p.Register("nas", NewMemStore(0))
-	p.SetLive("nas", false)
-	p.SetLive("nas", true)
-	_, name, err := p.Resolve([]string{"nas"})
-	if err != nil || name != "nas" {
-		t.Fatalf("Resolve after return = %q, %v", name, err)
-	}
-}
-
-// Property: UsedBytes always equals the sum of current value lengths.
+// Property: the bytes counted against capacity always equal the sum of
+// current value lengths.
 func TestMemStoreUsageInvariantProperty(t *testing.T) {
 	type op struct {
 		Key  uint8
 		Size uint8
 		Del  bool
 	}
+	const capBytes = 8 * 255
 	f := func(ops []op) bool {
-		s := NewMemStore(0)
+		s := NewMemStore(capBytes)
 		shadow := make(map[string]int64)
 		for _, o := range ops {
 			k := fmt.Sprintf("k%d", o.Key%8)
@@ -339,25 +194,33 @@ func TestMemStoreUsageInvariantProperty(t *testing.T) {
 				shadow[k] = int64(o.Size)
 			}
 		}
-		var want int64
+		var used int64
 		for _, n := range shadow {
-			want += n
+			used += n
 		}
-		return s.UsedBytes() == want
+		free := capBytes - used
+		return errors.Is(s.Put("probe", make([]byte, free+1)), ErrCapacity) &&
+			s.Put("probe", make([]byte, free)) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: a capacity-bounded store never reports usage above capacity.
+// Property: a capacity-bounded store never holds more than capacity.
 func TestMemStoreCapacityInvariantProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		const capBytes = 200
 		s := NewMemStore(capBytes)
 		for i, n := range sizes {
 			_ = s.Put(fmt.Sprintf("k%d", i), make([]byte, n)) // errors allowed
-			if s.UsedBytes() > capBytes {
+			keys, _ := s.List("")
+			held := 0
+			for _, k := range keys {
+				v, _ := s.Get(k)
+				held += len(v)
+			}
+			if held > capBytes {
 				return false
 			}
 		}

@@ -199,7 +199,6 @@ type Follower struct {
 
 	mu      sync.Mutex
 	applied uint64                 // highest LSN applied, contiguously from bootstrap
-	count   int                    // records applied in total
 	pending map[uint64]db.Mutation // out-of-order arrivals awaiting their predecessors
 }
 
@@ -216,13 +215,6 @@ func (f *Follower) AppliedLSN() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.applied
-}
-
-// Applied returns how many records have been applied in total.
-func (f *Follower) Applied() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.count
 }
 
 // Offer feeds shipped records to the standby: records at or below the
@@ -252,7 +244,6 @@ func (f *Follower) applyContiguousLocked() error {
 		}
 		delete(f.pending, m.LSN)
 		f.applied = m.LSN
-		f.count++
 	}
 }
 
@@ -283,7 +274,6 @@ func (f *Follower) Drain() (int, error) {
 		if lsn > f.applied {
 			f.applied = lsn
 		}
-		f.count++
 		n++
 	}
 	return n, nil

@@ -52,8 +52,8 @@ func TestShipperTailsAcrossRotations(t *testing.T) {
 	if err := f.Pump(s); err != nil {
 		t.Fatal(err)
 	}
-	if f.Applied() != 12 {
-		t.Fatalf("applied count %d, want 12", f.Applied())
+	if f.AppliedLSN() != 12 {
+		t.Fatalf("applied %d after a no-op Pump, want 12", f.AppliedLSN())
 	}
 }
 

@@ -322,11 +322,9 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := m.Writer().Segment()
-	for _, i := range idx {
-		if i < cur {
-			t.Fatalf("segment %d survived the snapshot cut at %d", i, cur)
-		}
+	// Only the segment being written survives the snapshot cut.
+	if len(idx) != 1 {
+		t.Fatalf("segments %v survived the snapshot cut, want one", idx)
 	}
 	// Everything still recovers from snapshot alone.
 	recovered := db.New(0)

@@ -231,13 +231,6 @@ func OpenWriter(dir string, opts Options) (*Writer, error) {
 // Dir returns the WAL directory.
 func (w *Writer) Dir() string { return w.dir }
 
-// Segment returns the index of the segment currently being written.
-func (w *Writer) Segment() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seg
-}
-
 // Append logs one record and blocks until it is durable (fsynced).
 func (w *Writer) Append(m db.Mutation) error {
 	frame, err := appendRecord(nil, m)

@@ -10,7 +10,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -119,8 +118,6 @@ type Job struct {
 	step  int64
 	// interruptions counts provider-departure events that hit this job.
 	interruptions int
-	// lostSteps accumulates steps redone after restores.
-	lostSteps int64
 }
 
 // NewJob creates a job at step 0.
@@ -151,17 +148,6 @@ func (j *Job) Done() bool {
 	return j.Step() >= j.Spec.TotalSteps
 }
 
-// RemainingSteps returns the steps left to run.
-func (j *Job) RemainingSteps() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	r := j.Spec.TotalSteps - j.step
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
-
 // Advance runs n steps (clamped to the remaining work): progress moves
 // forward and the memory image accumulates dirty state for the next
 // incremental checkpoint. It returns the steps actually run.
@@ -190,14 +176,11 @@ func (j *Job) Progress() checkpoint.Progress {
 }
 
 // RestoreTo rewinds (or fast-forwards) the job to a checkpointed
-// progress marker, recording the interruption and the lost steps.
+// progress marker, recording the interruption.
 func (j *Job) RestoreTo(p checkpoint.Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.interruptions++
-	if p.Step < j.step {
-		j.lostSteps += j.step - p.Step
-	}
 	j.step = p.Step
 }
 
@@ -208,26 +191,9 @@ func (j *Job) Interruptions() int {
 	return j.interruptions
 }
 
-// LostSteps returns the total steps that had to be redone after restores.
-func (j *Job) LostSteps() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lostSteps
-}
-
-// EffectiveTotalSteps is the work actually executed including redone
-// steps — the basis of the paper's "3–7% increase in total training
-// time" measurement.
-func (j *Job) EffectiveTotalSteps() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.step + j.lostSteps
-}
-
 // Session is an interactive research session (Jupyter-style): it holds a
 // GPU for a bounded wall-clock duration at a characteristic utilization.
 type Session struct {
-	ID string
 	// Duration is the session length.
 	Duration time.Duration
 	// GPUMemMiB is the memory footprint of the session.
@@ -298,27 +264,4 @@ func (g *Generator) TrainingCorpus(n int) []*Job {
 		jobs = append(jobs, NewJob(fmt.Sprintf("job-%d", i+1), spec))
 	}
 	return jobs
-}
-
-// Sessions generates n interactive sessions with durations between min
-// and max and bursty utilization. IDs are "sess-1".."sess-n".
-func (g *Generator) Sessions(n int, min, max time.Duration) ([]Session, error) {
-	if min <= 0 || max < min {
-		return nil, errors.New("workload: invalid session duration bounds")
-	}
-	out := make([]Session, 0, n)
-	for i := 0; i < n; i++ {
-		span := max - min
-		d := min
-		if span > 0 {
-			d += time.Duration(g.rng.Int63n(int64(span)))
-		}
-		out = append(out, Session{
-			ID:             fmt.Sprintf("sess-%d", i+1),
-			Duration:       d,
-			GPUMemMiB:      4096 + int64(g.rng.Intn(3))*4096,
-			AvgUtilization: 0.15 + g.rng.Float64()*0.25,
-		})
-	}
-	return out, nil
 }

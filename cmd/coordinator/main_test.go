@@ -101,12 +101,12 @@ func TestLeaseTTLBelowOneRefused(t *testing.T) {
 	for _, mode := range []string{"leader", "standby"} {
 		for _, ttl := range []string{"0", "-3"} {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
 			cmd := exec.CommandContext(ctx, os.Args[0], "coordinator", "-listen", freeAddr(t),
 				"-mode", mode, "-replica-id", "r1", "-lease-ttl-sec", ttl,
 				"-lease-file", filepath.Join(dir, "lease.json"), "-wal-dir", filepath.Join(dir, "wal-"+mode),
 				"-follow-dir", filepath.Join(dir, "wal-leader"))
 			out, err := cmd.CombinedOutput()
+			cancel()
 			exit, ok := err.(*exec.ExitError)
 			if !ok || exit.ExitCode() == 0 {
 				t.Fatalf("-mode %s -lease-ttl-sec %s: err = %v, want a non-zero exit; output:\n%s", mode, ttl, err, out)

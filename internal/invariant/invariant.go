@@ -78,7 +78,6 @@
 package invariant
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -510,38 +509,21 @@ func CheckSkewLiveness(s db.Store, skewedNodes []string) []Violation {
 	return vs
 }
 
-// CheckEquivalence compares two store images table by table (nodes,
+// CheckEquivalence compares two store images record by record (nodes,
 // jobs, allocations) via their canonical JSON encodings — the recovery
-// byte-equivalence criterion. Monitoring samples are excluded: they are
-// soft state, never logged, so a recovered store legitimately holds
-// only the last checkpoint's history. Watermarks are compared by ordering only (a recovered store
+// byte-equivalence criterion: DiffStates in both directions. Monitoring
+// samples are excluded: they are soft state, never logged, so a
+// recovered store legitimately holds only the last checkpoint's
+// history. Watermarks are compared by ordering only (a recovered store
 // may not regress the mutation sequence).
 func CheckEquivalence(before, after db.State) []Violation {
 	var vs []Violation
-	tables := []struct {
-		name string
-		a, b any
-	}{
-		{"nodes", before.Nodes, after.Nodes},
-		{"jobs", before.Jobs, after.Jobs},
-		{"allocations", before.Allocations, after.Allocations},
+	for _, d := range DiffStates(before, after) {
+		vs = append(vs, Violation{Rule: "recovery-equivalence", Detail: d.String() + " after recovery"})
 	}
-	for _, tb := range tables {
-		ja, err1 := json.Marshal(tb.a)
-		jb, err2 := json.Marshal(tb.b)
-		if err1 != nil || err2 != nil {
-			vs = append(vs, Violation{
-				Rule:   "recovery-equivalence",
-				Detail: fmt.Sprintf("table %s failed to encode: %v / %v", tb.name, err1, err2),
-			})
-			continue
-		}
-		if string(ja) != string(jb) {
-			vs = append(vs, Violation{
-				Rule: "recovery-equivalence",
-				Detail: fmt.Sprintf("table %s diverged after recovery (%d vs %d bytes)",
-					tb.name, len(ja), len(jb)),
-			})
+	for _, d := range DiffStates(after, before) {
+		if d.Missing {
+			vs = append(vs, Violation{Rule: "recovery-equivalence", Detail: d.Table + " " + d.Key + " appeared after recovery"})
 		}
 	}
 	if after.Watermark < before.Watermark {

@@ -32,78 +32,69 @@ func CheckNoLostAcked(before, after db.State) []Violation {
 				after.Watermark, before.Watermark, before.Watermark-after.Watermark),
 		})
 	}
+	for _, d := range DiffStates(before, after) {
+		vs = append(vs, Violation{
+			Rule:   "zero-lost-acked-mutations",
+			Detail: fmt.Sprintf("acked %s after failover", d),
+		})
+	}
+	return vs
+}
 
-	encode := func(v any) string {
-		b, err := json.Marshal(v)
+// Diff is one record of a store image that another image lacks, or
+// holds with a different encoding.
+type Diff struct {
+	// Table is "node", "job" or "allocation".
+	Table string
+	// Key is the record's ID; an allocation episode, which has none, is
+	// keyed by job, node, device and start.
+	Key string
+	// Missing is set when the other image has no record under Key.
+	Missing bool
+}
+
+func (d Diff) String() string {
+	if d.Missing {
+		return d.Table + " " + d.Key + " missing"
+	}
+	return d.Table + " " + d.Key + " diverged"
+}
+
+// DiffStates walks before's nodes, jobs and allocations and reports
+// each record that after lacks or holds with a different canonical
+// JSON encoding. Records after holds and before does not are not
+// reported: swap the arguments for those. Monitoring samples are soft
+// state and not compared.
+func DiffStates(before, after db.State) []Diff {
+	var out []Diff
+	out = diffTable(out, "node", before.Nodes, after.Nodes, func(n db.NodeRecord) string { return n.ID })
+	out = diffTable(out, "job", before.Jobs, after.Jobs, func(j db.JobRecord) string { return j.ID })
+	return diffTable(out, "allocation", before.Allocations, after.Allocations, func(a db.AllocationRecord) string {
+		return fmt.Sprintf("%s/%s/%s/%d", a.JobID, a.NodeID, a.DeviceID, a.Start.UnixNano())
+	})
+}
+
+// diffTable appends to out a Diff for each record of before that after
+// lacks or holds differently under the same key.
+func diffTable[R any](out []Diff, table string, before, after []R, key func(R) string) []Diff {
+	encode := func(r R) string {
+		b, err := json.Marshal(r)
 		if err != nil {
 			return fmt.Sprintf("unencodable: %v", err)
 		}
 		return string(b)
 	}
-
-	afterNodes := make(map[string]string, len(after.Nodes))
-	for _, n := range after.Nodes {
-		afterNodes[n.ID] = encode(n)
+	have := make(map[string]string, len(after))
+	for _, r := range after {
+		have[key(r)] = encode(r)
 	}
-	for _, n := range before.Nodes {
-		got, ok := afterNodes[n.ID]
-		switch {
-		case !ok:
-			vs = append(vs, Violation{
-				Rule:   "zero-lost-acked-mutations",
-				Detail: fmt.Sprintf("acked node %s missing after failover", n.ID),
-			})
-		case got != encode(n):
-			vs = append(vs, Violation{
-				Rule:   "zero-lost-acked-mutations",
-				Detail: fmt.Sprintf("acked node %s diverged after failover", n.ID),
-			})
+	for _, r := range before {
+		k := key(r)
+		if got, ok := have[k]; !ok || got != encode(r) {
+			out = append(out, Diff{Table: table, Key: k, Missing: !ok})
 		}
 	}
-
-	afterJobs := make(map[string]string, len(after.Jobs))
-	for _, j := range after.Jobs {
-		afterJobs[j.ID] = encode(j)
-	}
-	for _, j := range before.Jobs {
-		got, ok := afterJobs[j.ID]
-		switch {
-		case !ok:
-			vs = append(vs, Violation{
-				Rule:   "zero-lost-acked-mutations",
-				Detail: fmt.Sprintf("acked job %s (%s) missing after failover", j.ID, j.State),
-			})
-		case got != encode(j):
-			vs = append(vs, Violation{
-				Rule:   "zero-lost-acked-mutations",
-				Detail: fmt.Sprintf("acked job %s diverged after failover", j.ID),
-			})
-		}
-	}
-
-	// Allocation episodes have no single ID; key by placement + start.
-	afterAllocs := make(map[string]string, len(after.Allocations))
-	for _, a := range after.Allocations {
-		key := fmt.Sprintf("%s/%s/%s/%d", a.JobID, a.NodeID, a.DeviceID, a.Start.UnixNano())
-		afterAllocs[key] = encode(a)
-	}
-	for _, a := range before.Allocations {
-		key := fmt.Sprintf("%s/%s/%s/%d", a.JobID, a.NodeID, a.DeviceID, a.Start.UnixNano())
-		got, ok := afterAllocs[key]
-		switch {
-		case !ok:
-			vs = append(vs, Violation{
-				Rule:   "zero-lost-acked-mutations",
-				Detail: fmt.Sprintf("acked allocation %s missing after failover", key),
-			})
-		case got != encode(a):
-			vs = append(vs, Violation{
-				Rule:   "zero-lost-acked-mutations",
-				Detail: fmt.Sprintf("acked allocation %s diverged after failover", key),
-			})
-		}
-	}
-	return vs
+	return out
 }
 
 // LeaderLog audits the leadership protocol itself: the harness reports

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -15,6 +14,7 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/invariant"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/wal"
@@ -147,9 +147,12 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	after := store2.ExportState()
 	res.RecoveredJobs = len(after.Jobs)
 	res.RecoveredNodes = len(after.Nodes)
-	res.NodesIntact = jsonEqual(before.Nodes, after.Nodes)
-	res.JobsIntact = jsonEqual(before.Jobs, after.Jobs)
-	res.AllocsIntact = jsonEqual(before.Allocations, after.Allocations)
+	// A table is intact when no record was lost, changed or added.
+	touched := make(map[string]bool)
+	for _, d := range append(invariant.DiffStates(before, after), invariant.DiffStates(after, before)...) {
+		touched[d.Table] = true
+	}
+	res.NodesIntact, res.JobsIntact, res.AllocsIntact = !touched["node"], !touched["job"], !touched["allocation"]
 	rep2.Start()
 
 	// A post-restart submission must not collide with recovered IDs.
@@ -258,12 +261,4 @@ func (s *simHosts) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("sim: %s is down", req.URL.Host)
 	}
 	return api.InProcess{Handler: handler}.RoundTrip(req)
-}
-
-// jsonEqual compares two values by their canonical JSON encoding — the
-// "byte-equal" check of the recovery acceptance criterion.
-func jsonEqual(a, b any) bool {
-	ja, err1 := json.Marshal(a)
-	jb, err2 := json.Marshal(b)
-	return err1 == nil && err2 == nil && string(ja) == string(jb)
 }

@@ -342,7 +342,7 @@ func benchNodes(n int) []db.NodeRecord {
 }
 
 func BenchmarkSchedulerDecision50Nodes(b *testing.B) {
-	s := scheduler.New(&scheduler.RoundRobin{}, scheduler.DefaultReliability())
+	s := scheduler.New(&scheduler.RoundRobin{})
 	nodes := benchNodes(50)
 	req := scheduler.Request{JobID: "j", GPUMemMiB: 8192,
 		Capability: gpu.ComputeCapability{Major: 7, Minor: 0}}
@@ -432,7 +432,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("placement-traced", func(b *testing.B) {
 		store := db.New(0)
 		heartbeatStore(store, 50)
-		s := scheduler.New(&scheduler.RoundRobin{}, scheduler.DefaultReliability())
+		s := scheduler.New(&scheduler.RoundRobin{})
 		bus := eventbus.New(0)
 		obs.NewRecorder(simclock.Real(), 1<<14).Attach(bus)
 		reqs := make([]scheduler.Request, 32)
@@ -665,7 +665,7 @@ func BenchmarkConcurrentReads(b *testing.B) {
 // BenchmarkBatchPlacement32 places 32 requests per cycle through
 // PlaceBatch: one candidate-pool build serves the whole batch.
 func BenchmarkBatchPlacement32(b *testing.B) {
-	s := scheduler.New(&scheduler.RoundRobin{}, scheduler.DefaultReliability())
+	s := scheduler.New(&scheduler.RoundRobin{})
 	nodes := benchNodes(50)
 	reqs := make([]scheduler.Request, 32)
 	for i := range reqs {
@@ -700,7 +700,7 @@ func BenchmarkPlaceCached32(b *testing.B) {
 			for _, n := range benchNodes(nodes) {
 				store.UpsertNode(n)
 			}
-			s := scheduler.New(&scheduler.RoundRobin{}, scheduler.DefaultReliability())
+			s := scheduler.New(&scheduler.RoundRobin{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				results := s.Place(reqs, store, benchEpoch)
@@ -723,7 +723,7 @@ func BenchmarkPlaceCached32(b *testing.B) {
 // BenchmarkSinglePlacement32 is the same 32 decisions made one at a
 // time — the pre-batching coordinator behaviour, for comparison.
 func BenchmarkSinglePlacement32(b *testing.B) {
-	s := scheduler.New(&scheduler.RoundRobin{}, scheduler.DefaultReliability())
+	s := scheduler.New(&scheduler.RoundRobin{})
 	nodes := benchNodes(50)
 	req := scheduler.Request{JobID: "j", GPUMemMiB: 8192,
 		Capability: gpu.ComputeCapability{Major: 7, Minor: 0}}
@@ -958,10 +958,10 @@ func BenchmarkContainerLifecycle(b *testing.B) {
 	images := container.DefaultImages()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt := container.NewRuntime(images, gpu.NewInventory(gpu.RTX3090, 1), 0, 0)
+		rt := container.NewRuntime(images, gpu.NewInventory(gpu.RTX3090, 1))
 		spec := container.Spec{
 			ID: "c", ImageName: "pytorch/pytorch:2.3-cuda12", Mode: container.Batch,
-			Resources: container.Resources{CPUCores: 4, MemoryMiB: 8192, GPUMemoryMiB: 8192},
+			Resources: container.Resources{GPUMemoryMiB: 8192},
 		}
 		if _, err := rt.Create(spec, benchEpoch); err != nil {
 			b.Fatal(err)

@@ -217,7 +217,7 @@ func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Wr
 	a := &Agent{
 		cfg:        cfg,
 		clock:      clock,
-		runtime:    container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...), 0, 0),
+		runtime:    container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...)),
 		ckpts:      ckpts,
 		bus:        bus,
 		jobs:       make(map[string]*jobRun),
@@ -433,8 +433,6 @@ func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 		Mode:       mode,
 		Entrypoint: req.Entrypoint,
 		Resources: container.Resources{
-			CPUCores:      4,
-			MemoryMiB:     16384,
 			GPUMemoryMiB:  req.GPUMemMiB,
 			MinCapability: api.CapabilityOf(req.CapabilityMajor, req.CapabilityMinor),
 		},

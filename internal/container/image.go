@@ -1,8 +1,8 @@
 // Package container implements GPUnion's containerized execution
 // environment (§3.3): an OCI-style runtime model with image digest
 // verification, a trusted-image allow-list, a container lifecycle state
-// machine, cgroup-style CPU and memory budgets, and GPU passthrough
-// binding via an NVIDIA_VISIBLE_DEVICES-equivalent.
+// machine, and GPU passthrough binding via an
+// NVIDIA_VISIBLE_DEVICES-equivalent.
 //
 // GPUnion's platform logic (agent, scheduler, migration) only depends on
 // the lifecycle semantics — create, start, checkpoint, stop, kill — and

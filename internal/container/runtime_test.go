@@ -12,7 +12,7 @@ var t0 = time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC)
 
 func newTestRuntime() *Runtime {
 	inv := gpu.NewMixedInventory(gpu.RTX3090, gpu.A100)
-	return NewRuntime(DefaultImages(), inv, 32, 128*1024)
+	return NewRuntime(DefaultImages(), inv)
 }
 
 func batchSpec(id string, gpuMem int64) Spec {
@@ -21,7 +21,7 @@ func batchSpec(id string, gpuMem int64) Spec {
 		ImageName:  "pytorch/pytorch:2.3-cuda12",
 		Mode:       Batch,
 		Entrypoint: []string{"python", "train.py"},
-		Resources:  Resources{CPUCores: 4, MemoryMiB: 16384, GPUMemoryMiB: gpuMem},
+		Resources:  Resources{GPUMemoryMiB: gpuMem},
 	}
 }
 
@@ -111,37 +111,6 @@ func TestCreateEmptyIDAndBadMode(t *testing.T) {
 	spec.Mode = "warp"
 	if _, err := r.Create(spec, t0); err == nil {
 		t.Fatal("unknown mode accepted")
-	}
-}
-
-func TestHostResourceBudget(t *testing.T) {
-	inv := gpu.NewInventory(gpu.RTX3090, 8)
-	r := NewRuntime(DefaultImages(), inv, 8, 32768)
-	if _, err := r.Create(batchSpec("c1", 0), t0); err != nil { // 4 cores, 16 GiB
-		t.Fatal(err)
-	}
-	if _, err := r.Create(batchSpec("c2", 0), t0); err != nil { // 8 cores, 32 GiB total
-		t.Fatal(err)
-	}
-	if _, err := r.Create(batchSpec("c3", 0), t0); !errors.Is(err, ErrResourceExceeded) {
-		t.Fatalf("err = %v, want ErrResourceExceeded", err)
-	}
-}
-
-func TestRemoveReleasesHostBudget(t *testing.T) {
-	inv := gpu.NewInventory(gpu.RTX3090, 8)
-	r := NewRuntime(DefaultImages(), inv, 4, 16384)
-	if _, err := r.Create(batchSpec("c1", 0), t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Kill("c1", t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Remove("c1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Create(batchSpec("c2", 0), t0); err != nil {
-		t.Fatalf("budget not released: %v", err)
 	}
 }
 
@@ -296,7 +265,7 @@ func TestInteractiveModeEnv(t *testing.T) {
 		ID:        "sess1",
 		ImageName: "gpunion/jupyter-dl:latest",
 		Mode:      Interactive,
-		Resources: Resources{CPUCores: 2, MemoryMiB: 8192, GPUMemoryMiB: 8000},
+		Resources: Resources{GPUMemoryMiB: 8000},
 	}
 	c, err := r.Create(spec, t0)
 	if err != nil {

@@ -99,21 +99,18 @@ type Config struct {
 
 // Coordinator is the central scheduler and coordination hub.
 type Coordinator struct {
-	cfg   Config
-	clock simclock.Clock
-	db    db.Store
-	authy *auth.Authority
-	sched *scheduler.Scheduler
-	hb    *heartbeat.Monitor
-	ckpts *checkpoint.Store
-	mig   *migration.Engine
-	// healthParams tunes the health fold; fixed to the defaults so the
-	// health-score-consistent invariant can recompute every fold.
-	healthParams monitor.HealthParams
-	bus          *eventbus.Bus
-	metrics      *monitor.Registry
-	met          *coordMetrics
-	trace        *obs.Recorder
+	cfg     Config
+	clock   simclock.Clock
+	db      db.Store
+	authy   *auth.Authority
+	sched   *scheduler.Scheduler
+	hb      *heartbeat.Monitor
+	ckpts   *checkpoint.Store
+	mig     *migration.Engine
+	bus     *eventbus.Bus
+	metrics *monitor.Registry
+	met     *coordMetrics
+	trace   *obs.Recorder
 	// metCancel detaches the metrics mutation feed on Stop.
 	metCancel func()
 
@@ -185,7 +182,7 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 	if err != nil {
 		return nil, fmt.Errorf("core: creating token authority: %w", err)
 	}
-	sched := scheduler.New(cfg.Strategy, scheduler.DefaultReliability())
+	sched := scheduler.New(cfg.Strategy)
 	metrics := monitor.NewRegistry()
 	latency, err := metrics.Histogram("gpunion_scheduling_latency_seconds",
 		"Latency of one scheduling decision",
@@ -211,7 +208,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		hb:           heartbeat.NewMonitor(cfg.HeartbeatInterval, cfg.MissedThreshold),
 		ckpts:        ckpts,
 		mig:          migration.New(sched, database, ckpts, cfg.Net, cfg.StorageNode),
-		healthParams: monitor.DefaultHealthParams(),
 		bus:          bus,
 		metrics:      metrics,
 		met:          met,

@@ -47,7 +47,7 @@ func (c *Coordinator) ingestHealth(nodeID string, events []gpu.HealthEvent, now 
 		if !prevAt.IsZero() {
 			before = prev
 		}
-		return monitor.FoldHealth(prev, prevAt, now, events, c.healthParams)
+		return monitor.FoldHealth(prev, prevAt, now, events)
 	})
 	if !ok {
 		return // node gone, or a fold at this instant already committed
@@ -118,7 +118,7 @@ func (c *Coordinator) sweepHealth(now time.Time) {
 		}
 		if n.Health < healthDecayCeiling && n.HealthAt.Before(decayAt) {
 			score, ok := c.db.RecordHealth(n.ID, decayAt, nil, func(prev float64, prevAt time.Time) float64 {
-				return monitor.FoldHealth(prev, prevAt, decayAt, nil, c.healthParams)
+				return monitor.FoldHealth(prev, prevAt, decayAt, nil)
 			})
 			if ok {
 				c.met.setNodeHealth(n.ID, score)

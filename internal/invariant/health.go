@@ -29,13 +29,14 @@ type healthPoint struct {
 	at    time.Time
 }
 
-// healthRule is health-score-consistent for scores folded with params.
+// healthRule is health-score-consistent: every fold is refolded with
+// monitor.FoldHealth.
 // Node images install their after-image verbatim; health records are
 // refolded. The recomputation is exact: FoldHealth is deterministic,
 // the carried score is its after-image, and replay installs that image
 // verbatim — so any inequality, including across crash recovery and
 // standby promotion, is a platform bug, not float noise.
-func healthRule(params monitor.HealthParams) deltaRule[healthPoint] {
+func healthRule() deltaRule[healthPoint] {
 	return deltaRule[healthPoint]{
 		rule:  "health-score-consistent",
 		noun:  "health fold",
@@ -53,7 +54,7 @@ func healthRule(params monitor.HealthParams) deltaRule[healthPoint] {
 				next: healthPoint{score: h.Score, at: h.At},
 				check: func(prev healthPoint) string {
 					// Empty events are legitimate: the sweep's decay records.
-					want := monitor.FoldHealth(prev.score, prev.at, h.At, h.Events, params)
+					want := monitor.FoldHealth(prev.score, prev.at, h.At, h.Events)
 					if want == h.Score {
 						return ""
 					}
@@ -83,7 +84,7 @@ type HealthAudit struct{ streamAudit[healthPoint] }
 // subscribes to its mutation stream, like NewBeatAudit.
 func NewHealthAudit(s db.Store) (*HealthAudit, func()) {
 	a := &HealthAudit{}
-	return a, a.attach(s, healthRule(monitor.DefaultHealthParams()))
+	return a, a.attach(s, healthRule())
 }
 
 // CheckNoPlacementOnUnhealthy audits that the scheduler honors the

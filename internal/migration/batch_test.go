@@ -86,7 +86,7 @@ func TestPlanBatchOverflowFailsCleanly(t *testing.T) {
 // topology registered and targets nodes of gpusEach devices to plan onto.
 func newBatchNetEngine(targets, gpusEach int) (*Engine, *checkpoint.Store, *netsim.Network) {
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	sched := scheduler.New(nil, scheduler.DefaultReliability())
+	sched := scheduler.New(nil)
 	net := netsim.New(10 * netsim.Gbps)
 	net.AddNode(netsim.NodeLink{Name: "storage", Access: 10 * netsim.Gbps, Latency: 200 * time.Microsecond})
 	net.AddNode(netsim.NodeLink{Name: "n-gone", Access: netsim.Gbps, Latency: 200 * time.Microsecond})
@@ -172,11 +172,11 @@ func TestPlanBatchMatchesSequentialPlacement(t *testing.T) {
 			nodes[2].GPUs[0].MemoryMiB = 16384
 			jobs := displacedJobs(6)
 
-			e := New(scheduler.New(tc.strategy(), scheduler.DefaultReliability()), storeOf(nodes),
+			e := New(scheduler.New(tc.strategy()), storeOf(nodes),
 				checkpoint.NewStore(storage.NewMemStore(0)), nil, "")
 			items := e.PlanBatch(jobs, ReasonEmergency, now)
 
-			ref := scheduler.New(tc.strategy(), scheduler.DefaultReliability())
+			ref := scheduler.New(tc.strategy())
 			seen := make(map[string]bool)
 			for i, job := range jobs {
 				want, werr := ref.Schedule(scheduler.Request{

@@ -49,7 +49,7 @@ func storeOf(nodes []db.NodeRecord) db.Store {
 
 func newEngine(withNet bool, nodes []db.NodeRecord) (*Engine, *checkpoint.Store, *netsim.Network) {
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	sched := scheduler.New(nil, scheduler.DefaultReliability())
+	sched := scheduler.New(nil)
 	var net *netsim.Network
 	storageNode := ""
 	if withNet {

@@ -24,42 +24,27 @@ import (
 // applied at fold time from the time delta, never from wall-clock
 // reads, so the result is deterministic under replay.
 
-// HealthParams tunes the fold. The zero value is not valid; use
-// DefaultHealthParams.
-type HealthParams struct {
-	// DecayHalfLife is how long the score takes to recover half of its
+// The fold's parameters. The coordinator and the
+// health-score-consistent invariant both fold with these, so the
+// audit's recomputation matches by construction.
+const (
+	// healthHalfLife is how long the score takes to recover half of its
 	// distance back to 1.0 in the absence of new events.
-	DecayHalfLife time.Duration
-	// XIDFatalPenalty .. SlowdownFloor are multiplicative penalty
-	// factors in (0, 1]; smaller is harsher.
-	XIDFatalPenalty       float64
-	XIDRecoverablePenalty float64
-	// WarnPenalty and CriticalPenalty grade thermal/power throttling
-	// events by severity (info-severity events are recorded but free).
-	WarnPenalty     float64
-	CriticalPenalty float64
-	// SlowdownFloor clamps how harshly one slowdown observation (whose
+	healthHalfLife = 10 * time.Minute
+	// The penalty factors are multiplicative, in (0, 1]; smaller is
+	// harsher. Throttling events are graded by severity (info-severity
+	// events are recorded but free).
+	xidFatalPenalty       = 0.10
+	xidRecoverablePenalty = 0.70
+	warnPenalty           = 0.90
+	criticalPenalty       = 0.75
+	// slowdownFloor clamps how harshly one slowdown observation (whose
 	// Value is the observed throughput fraction) can cut the score.
-	SlowdownFloor float64
-	// Floor is the minimum score — degraded nodes stay comparable, and
-	// the score stays in (0, 1] like the scheduler's reliability.
-	Floor float64
-}
-
-// DefaultHealthParams returns the fold used by the coordinator and the
-// health-score-consistent invariant. Both sides must use the same
-// parameters or the audit recomputation diverges by construction.
-func DefaultHealthParams() HealthParams {
-	return HealthParams{
-		DecayHalfLife:         10 * time.Minute,
-		XIDFatalPenalty:       0.10,
-		XIDRecoverablePenalty: 0.70,
-		WarnPenalty:           0.90,
-		CriticalPenalty:       0.75,
-		SlowdownFloor:         0.50,
-		Floor:                 0.001,
-	}
-}
+	slowdownFloor = 0.50
+	// healthFloor is the minimum score — degraded nodes stay comparable,
+	// and the score stays in (0, 1] like the scheduler's reliability.
+	healthFloor = 0.001
+)
 
 // UnhealthyBelow is the platform-wide degradation threshold: a node
 // whose health score falls under it stops receiving placements and has
@@ -72,18 +57,18 @@ const UnhealthyBelow = 0.4
 // applies). Events' own At stamps are informational; the fold is
 // ordered by the coordinator's accept instants so replay cannot be
 // reordered by skewed agent clocks.
-func FoldHealth(prev float64, prevAt, at time.Time, events []gpu.HealthEvent, p HealthParams) float64 {
+func FoldHealth(prev float64, prevAt, at time.Time, events []gpu.HealthEvent) float64 {
 	score := prev
 	if prevAt.IsZero() {
 		score = 1
-	} else if dt := at.Sub(prevAt); dt > 0 && p.DecayHalfLife > 0 && score < 1 {
-		score = 1 - (1-score)*math.Pow(0.5, float64(dt)/float64(p.DecayHalfLife))
+	} else if dt := at.Sub(prevAt); dt > 0 && score < 1 {
+		score = 1 - (1-score)*math.Pow(0.5, float64(dt)/float64(healthHalfLife))
 	}
 	for _, ev := range events {
-		score *= penalty(ev, p)
+		score *= penalty(ev)
 	}
-	if score < p.Floor {
-		score = p.Floor
+	if score < healthFloor {
+		score = healthFloor
 	}
 	if score > 1 {
 		score = 1
@@ -92,18 +77,18 @@ func FoldHealth(prev float64, prevAt, at time.Time, events []gpu.HealthEvent, p 
 }
 
 // penalty maps one event to its multiplicative factor.
-func penalty(ev gpu.HealthEvent, p HealthParams) float64 {
+func penalty(ev gpu.HealthEvent) float64 {
 	switch ev.Kind {
 	case gpu.HealthXIDFatal:
-		return p.XIDFatalPenalty
+		return xidFatalPenalty
 	case gpu.HealthXIDRecoverable:
-		return p.XIDRecoverablePenalty
+		return xidRecoverablePenalty
 	case gpu.HealthThermal, gpu.HealthPower:
 		switch ev.Severity {
 		case gpu.SeverityCritical:
-			return p.CriticalPenalty
+			return criticalPenalty
 		case gpu.SeverityWarn:
-			return p.WarnPenalty
+			return warnPenalty
 		}
 		return 1
 	case gpu.HealthSlowdown:
@@ -111,8 +96,8 @@ func penalty(ev gpu.HealthEvent, p HealthParams) float64 {
 		// the expected rate multiplies the score by 0.6, clamped so one
 		// wild sample cannot zero the node out.
 		f := ev.Value
-		if f < p.SlowdownFloor {
-			f = p.SlowdownFloor
+		if f < slowdownFloor {
+			f = slowdownFloor
 		}
 		if f > 1 {
 			f = 1

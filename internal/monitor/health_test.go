@@ -12,11 +12,11 @@ var healthEpoch = time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
 // foldSeq replays a sequence of (offset, events) steps through
 // FoldHealth the way the coordinator does: each step folds the
 // previous (score, instant) pair forward to the step's instant.
-func foldSeq(p HealthParams, steps []foldStep) float64 {
+func foldSeq(steps []foldStep) float64 {
 	score, at := 1.0, time.Time{}
 	for _, st := range steps {
 		next := healthEpoch.Add(st.after)
-		score = FoldHealth(score, at, next, st.events, p)
+		score = FoldHealth(score, at, next, st.events)
 		at = next
 	}
 	return score
@@ -28,7 +28,6 @@ type foldStep struct {
 }
 
 func TestFoldHealthScenarios(t *testing.T) {
-	p := DefaultHealthParams()
 	thermalCrit := gpu.HealthEvent{Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical, Value: 96}
 	xidRec := gpu.HealthEvent{Kind: gpu.HealthXIDRecoverable, Severity: gpu.SeverityWarn, XID: 31}
 	xidFatal := gpu.HealthEvent{Kind: gpu.HealthXIDFatal, Severity: gpu.SeverityCritical, XID: 79}
@@ -46,7 +45,7 @@ func TestFoldHealthScenarios(t *testing.T) {
 				{after: time.Minute, events: []gpu.HealthEvent{xidFatal}},
 			},
 			unhealthy: true,
-			atLeast:   p.Floor, atMost: p.XIDFatalPenalty,
+			atLeast:   healthFloor, atMost: xidFatalPenalty,
 		},
 		{
 			name: "recover-after-xid",
@@ -71,7 +70,7 @@ func TestFoldHealthScenarios(t *testing.T) {
 				{after: 5 * time.Minute, events: []gpu.HealthEvent{thermalCrit}},
 			},
 			unhealthy: true,
-			atLeast:   p.Floor, atMost: UnhealthyBelow,
+			atLeast:   healthFloor, atMost: UnhealthyBelow,
 		},
 		{
 			name: "flapping-warns-stay-healthy",
@@ -101,7 +100,7 @@ func TestFoldHealthScenarios(t *testing.T) {
 				{after: time.Minute, events: []gpu.HealthEvent{{Kind: gpu.HealthSlowdown, Value: 0.01}}},
 			},
 			unhealthy: false,
-			atLeast:   p.SlowdownFloor, atMost: p.SlowdownFloor,
+			atLeast:   slowdownFloor, atMost: slowdownFloor,
 		},
 		{
 			name: "info-events-are-free",
@@ -114,7 +113,7 @@ func TestFoldHealthScenarios(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := foldSeq(p, tc.steps)
+			got := foldSeq(tc.steps)
 			if got < tc.atLeast || got > tc.atMost {
 				t.Fatalf("final score %v outside [%v, %v]", got, tc.atLeast, tc.atMost)
 			}
@@ -126,11 +125,10 @@ func TestFoldHealthScenarios(t *testing.T) {
 }
 
 func TestFoldHealthProperties(t *testing.T) {
-	p := DefaultHealthParams()
 	ev := gpu.HealthEvent{Kind: gpu.HealthXIDRecoverable, Severity: gpu.SeverityWarn}
 
 	t.Run("zero-prevAt-starts-at-one", func(t *testing.T) {
-		if got := FoldHealth(0.2, time.Time{}, healthEpoch, nil, p); got != 1 {
+		if got := FoldHealth(0.2, time.Time{}, healthEpoch, nil); got != 1 {
 			t.Fatalf("fold with zero prevAt = %v, want 1 (prev is ignored without history)", got)
 		}
 	})
@@ -139,7 +137,7 @@ func TestFoldHealthProperties(t *testing.T) {
 		// non-increasing in the previous score.
 		at := healthEpoch.Add(time.Minute)
 		prev := 0.9
-		if got := FoldHealth(prev, healthEpoch.Add(time.Minute-time.Nanosecond), at, []gpu.HealthEvent{ev}, p); got > prev {
+		if got := FoldHealth(prev, healthEpoch.Add(time.Minute-time.Nanosecond), at, []gpu.HealthEvent{ev}); got > prev {
 			t.Fatalf("fold raised %v to %v with a penalty event", prev, got)
 		}
 	})
@@ -147,7 +145,7 @@ func TestFoldHealthProperties(t *testing.T) {
 		prev, prevAt := 0.3, healthEpoch
 		last := prev
 		for _, d := range []time.Duration{time.Minute, 10 * time.Minute, time.Hour, 24 * time.Hour} {
-			got := FoldHealth(prev, prevAt, prevAt.Add(d), nil, p)
+			got := FoldHealth(prev, prevAt, prevAt.Add(d), nil)
 			if got < last {
 				t.Fatalf("decay over %v yields %v, below %v at a shorter gap", d, got, last)
 			}
@@ -156,7 +154,7 @@ func TestFoldHealthProperties(t *testing.T) {
 			}
 			last = got
 		}
-		if halfway := FoldHealth(prev, prevAt, prevAt.Add(p.DecayHalfLife), nil, p); halfway < 0.64 || halfway > 0.66 {
+		if halfway := FoldHealth(prev, prevAt, prevAt.Add(healthHalfLife), nil); halfway < 0.64 || halfway > 0.66 {
 			t.Fatalf("one half-life from 0.3 = %v, want ~0.65", halfway)
 		}
 	})
@@ -165,14 +163,14 @@ func TestFoldHealthProperties(t *testing.T) {
 		for i := range events {
 			events[i] = gpu.HealthEvent{Kind: gpu.HealthXIDFatal, Severity: gpu.SeverityCritical}
 		}
-		if got := FoldHealth(1, healthEpoch, healthEpoch.Add(time.Minute), events, p); got != p.Floor {
-			t.Fatalf("50 fatal XIDs fold to %v, want the floor %v", got, p.Floor)
+		if got := FoldHealth(1, healthEpoch, healthEpoch.Add(time.Minute), events); got != healthFloor {
+			t.Fatalf("50 fatal XIDs fold to %v, want the floor %v", got, healthFloor)
 		}
 	})
 	t.Run("deterministic", func(t *testing.T) {
 		events := []gpu.HealthEvent{ev, {Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical}}
-		a := FoldHealth(0.7, healthEpoch, healthEpoch.Add(3*time.Minute), events, p)
-		b := FoldHealth(0.7, healthEpoch, healthEpoch.Add(3*time.Minute), events, p)
+		a := FoldHealth(0.7, healthEpoch, healthEpoch.Add(3*time.Minute), events)
+		b := FoldHealth(0.7, healthEpoch, healthEpoch.Add(3*time.Minute), events)
 		if a != b {
 			t.Fatalf("identical folds diverge: %v vs %v", a, b)
 		}

@@ -78,7 +78,7 @@ func TestPlaceBatchEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(&RoundRobin{}, DefaultReliability())
+			s := New(&RoundRobin{})
 			results := s.PlaceBatch(tc.reqs, tc.nodes, batchT0)
 			if len(results) != len(tc.reqs) {
 				t.Fatalf("results = %d, want one per request (%d)", len(results), len(tc.reqs))
@@ -113,7 +113,7 @@ func TestPlaceBatchEdgeCases(t *testing.T) {
 // be able to hand the same device out again. A leaked reservation
 // would strand the device forever.
 func TestPlaceBatchReservationRollback(t *testing.T) {
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	nodes := batchNodes("a")
 
 	first := s.PlaceBatch([]Request{batchReq("j1")}, nodes, batchT0)

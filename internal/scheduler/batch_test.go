@@ -31,7 +31,7 @@ func batchReq(jobID string) Request {
 }
 
 func TestPlaceBatchNoDoubleBooking(t *testing.T) {
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	nodes := batchNodes("a", "b", "c")
 	results := s.PlaceBatch([]Request{batchReq("j1"), batchReq("j2"), batchReq("j3")}, nodes, batchT0)
 	used := make(map[string]bool)
@@ -48,7 +48,7 @@ func TestPlaceBatchNoDoubleBooking(t *testing.T) {
 }
 
 func TestPlaceBatchExhaustsCapacity(t *testing.T) {
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	nodes := batchNodes("a", "b")
 	results := s.PlaceBatch([]Request{batchReq("j1"), batchReq("j2"), batchReq("j3")}, nodes, batchT0)
 	if results[0].Err != nil || results[1].Err != nil {
@@ -62,7 +62,7 @@ func TestPlaceBatchExhaustsCapacity(t *testing.T) {
 // TestPlaceBatchPartialFailure: an infeasible member must not disturb
 // the rest of the batch, and must hold no reservation.
 func TestPlaceBatchPartialFailure(t *testing.T) {
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	nodes := batchNodes("a", "b")
 	huge := batchReq("j-huge")
 	huge.GPUMemMiB = 1 << 30 // fits nowhere
@@ -84,7 +84,7 @@ func TestPlaceBatchPartialFailure(t *testing.T) {
 }
 
 func TestPlaceBatchHonorsAvoidNodes(t *testing.T) {
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	nodes := batchNodes("a", "b", "c")
 	r1 := batchReq("j1")
 	r1.AvoidNodes = []string{"a", "b"}
@@ -100,7 +100,7 @@ func TestPlaceBatchHonorsAvoidNodes(t *testing.T) {
 }
 
 func TestPlaceBatchHonorsPreferNode(t *testing.T) {
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	nodes := batchNodes("a", "b", "c")
 	r1 := batchReq("j1")
 	r1.PreferNode = "b"
@@ -125,7 +125,7 @@ func TestPlaceBatchRoundRobinSpreads(t *testing.T) {
 			MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6})
 		nodes = append(nodes, n)
 	}
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	results := s.PlaceBatch([]Request{batchReq("j1"), batchReq("j2"), batchReq("j3")}, nodes, batchT0)
 	seen := make(map[string]int)
 	for _, res := range results {
@@ -149,10 +149,10 @@ func TestPlaceBatchMatchesSequentialSchedule(t *testing.T) {
 	mk := func() []db.NodeRecord { return batchNodes("a", "b", "c", "d") }
 	reqs := []Request{batchReq("j1"), batchReq("j2"), batchReq("j3"), batchReq("j4")}
 
-	batchS := New(&RoundRobin{}, DefaultReliability())
+	batchS := New(&RoundRobin{})
 	batch := batchS.PlaceBatch(reqs, mk(), batchT0)
 
-	seqS := New(&RoundRobin{}, DefaultReliability())
+	seqS := New(&RoundRobin{})
 	nodes := mk()
 	for i, req := range reqs {
 		p, err := seqS.Schedule(req, nodes, batchT0)

@@ -64,7 +64,7 @@ func samePlacements(t *testing.T, what string, got, want []BatchResult) {
 // hit counter moves and the store is not scanned.
 func TestPlaceCacheHitOnUnmovedGeneration(t *testing.T) {
 	store := &scanCounter{Store: cacheStore(4)}
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 
 	s.Place(cacheReqs(2), store, now)
 	if hits, misses := s.CacheStats(); hits != 0 || misses != 1 || store.scans != 1 {
@@ -113,7 +113,7 @@ func TestPlaceCacheRebuildsAfterBump(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := cacheStore(3)
-			s := New(BestFit{}, DefaultReliability())
+			s := New(BestFit{})
 			s.Place(cacheReqs(1), store, now)
 
 			gen := store.NodeGeneration()
@@ -125,7 +125,7 @@ func TestPlaceCacheRebuildsAfterBump(t *testing.T) {
 			if _, misses := s.CacheStats(); misses != 2 {
 				t.Fatalf("%d misses after the bump, want a second one", misses)
 			}
-			want := New(BestFit{}, DefaultReliability()).PlaceBatch(cacheReqs(4), store.ListNodes(), now)
+			want := New(BestFit{}).PlaceBatch(cacheReqs(4), store.ListNodes(), now)
 			samePlacements(t, tc.name, got, want)
 			if probs := s.AuditCache(store); len(probs) != 0 {
 				t.Fatalf("audit after rebuild: %v", probs)
@@ -140,7 +140,7 @@ func TestPlaceCacheRebuildsAfterBump(t *testing.T) {
 // serving, and it still decides what a fresh build decides.
 func TestPlaceCacheSurvivesHeartbeatAdvance(t *testing.T) {
 	store := cacheStore(4)
-	s := New(BestFit{}, DefaultReliability())
+	s := New(BestFit{})
 	s.Place(cacheReqs(1), store, now)
 
 	gen := store.NodeGeneration()
@@ -160,7 +160,7 @@ func TestPlaceCacheSurvivesHeartbeatAdvance(t *testing.T) {
 	if hits, misses := s.CacheStats(); hits != 1 || misses != 1 {
 		t.Fatalf("%d hits, %d misses; want the beat cycle served from the cache", hits, misses)
 	}
-	want := New(BestFit{}, DefaultReliability()).PlaceBatch(cacheReqs(3), store.ListNodes(), now)
+	want := New(BestFit{}).PlaceBatch(cacheReqs(3), store.ListNodes(), now)
 	samePlacements(t, "after beats", got, want)
 	if probs := s.AuditCache(store); len(probs) != 0 {
 		t.Fatalf("audit after beats: %v", probs)
@@ -184,8 +184,8 @@ func TestPlaceMatchesPlaceBatch(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				store.UpsertNode(randomNode(rng, i))
 			}
-			cached := New(strat(), DefaultReliability())
-			fresh := New(strat(), DefaultReliability())
+			cached := New(strat())
+			fresh := New(strat())
 			for step := 0; step < 200; step++ {
 				id := fmt.Sprintf("n%02d", rng.Intn(14))
 				at := now.Add(time.Duration(step) * time.Second)
@@ -258,7 +258,7 @@ func (l *lateInstallStore) ActiveNodes() []*db.NodeRecord {
 // cycle rebuilds — never a stale set under a current stamp.
 func TestPlaceRebuildsAfterInstallDuringScan(t *testing.T) {
 	store := &lateInstallStore{Store: cacheStore(2), armed: true}
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 
 	first := s.Place(cacheReqs(1), store, now)
 	if first[0].Placement.NodeID != "n00" {
@@ -280,7 +280,7 @@ func TestPlaceRebuildsAfterInstallDuringScan(t *testing.T) {
 // what a fresh build decides.
 func TestPlaceConcurrentWithNodeMutations(t *testing.T) {
 	store := cacheStore(16)
-	s := New(BestFit{}, DefaultReliability())
+	s := New(BestFit{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -312,7 +312,7 @@ func TestPlaceConcurrentWithNodeMutations(t *testing.T) {
 		t.Fatalf("stale set under a current stamp: %v", probs)
 	}
 	got := s.Place(cacheReqs(5), store, now)
-	want := New(BestFit{}, DefaultReliability()).PlaceBatch(cacheReqs(5), store.ListNodes(), now)
+	want := New(BestFit{}).PlaceBatch(cacheReqs(5), store.ListNodes(), now)
 	samePlacements(t, "after the storm", got, want)
 }
 
@@ -328,7 +328,7 @@ func (frozenGenStore) NodeGeneration() uint64 { return 1 }
 func TestAuditCacheDetectsUnannouncedInstall(t *testing.T) {
 	inner := cacheStore(3)
 	store := frozenGenStore{inner}
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	s.Place(cacheReqs(1), store, now)
 	if probs := s.AuditCache(store); len(probs) != 0 {
 		t.Fatalf("fresh cache audits dirty: %v", probs)

@@ -70,42 +70,37 @@ type candidate struct {
 	reliability float64
 }
 
-// ReliabilityModel predicts the probability that a provider stays
-// available over the next scheduling horizon, from its history
-// (§3.2: "incorporating provider reliability predictions").
-type ReliabilityModel struct {
-	// HalfLife controls how strongly departures depress the score: each
-	// departure multiplies the score by HalfLife (0..1).
-	HalfLife float64
-	// UptimeWeight blends in the node's observed uptime ratio.
-	UptimeWeight float64
-}
-
-// DefaultReliability returns the model used by the coordinator.
-func DefaultReliability() ReliabilityModel {
-	return ReliabilityModel{HalfLife: 0.85, UptimeWeight: 0.5}
-}
+// The reliability model's two parameters: each departure multiplies a
+// node's predicted reliability by departureHalfLife (0..1), and
+// uptimeWeight blends in the node's observed uptime ratio.
+const (
+	departureHalfLife = 0.85
+	uptimeWeight      = 0.5
+)
 
 // predictExpCap clamps the departure exponent: past it the score has
 // long hit the positive floor, and larger exponents only buy denormals.
 const predictExpCap = 64
 
-// Predict scores a node in (0, 1]. New nodes with no history get the
-// benefit of the doubt (1.0), matching the trust-first campus setting.
+// Predict scores a node in (0, 1]: the probability that the provider
+// stays available over the next scheduling horizon, from its history
+// (§3.2: "incorporating provider reliability predictions"). New nodes
+// with no history get the benefit of the doubt (1.0), matching the
+// trust-first campus setting.
 // The node's gray-failure health score multiplies straight in: a node
 // that heartbeats perfectly but reports XID errors or throttling is
 // predicted unreliable exactly as if its history said so, which is how
 // degraded nodes stop winning placements without any new plumbing in
 // the strategies.
-func (m ReliabilityModel) Predict(n db.NodeRecord, now time.Time) float64 {
+func Predict(n db.NodeRecord, now time.Time) float64 {
 	score := 1.0
 	if n.Departures > 0 {
 		// Closed form of the per-departure decay — O(1) however flaky
 		// the provider's history is.
-		score = math.Pow(m.HalfLife, math.Min(float64(n.Departures), predictExpCap))
+		score = math.Pow(departureHalfLife, math.Min(float64(n.Departures), predictExpCap))
 	}
 	score *= n.HealthScore()
-	if m.UptimeWeight > 0 && !n.RegisteredAt.IsZero() {
+	if !n.RegisteredAt.IsZero() {
 		lifetime := now.Sub(n.RegisteredAt)
 		if lifetime > 0 {
 			up := n.TotalUptime
@@ -117,7 +112,7 @@ func (m ReliabilityModel) Predict(n db.NodeRecord, now time.Time) float64 {
 				ratio = 1
 			}
 			// Blend keeps score ≤ the departure-only score.
-			score = (1-m.UptimeWeight)*score + m.UptimeWeight*ratio*score
+			score = (1-uptimeWeight)*score + uptimeWeight*ratio*score
 		}
 	}
 	if score <= 0 {
@@ -224,7 +219,6 @@ func (LeastLoaded) Order(_ Request, cands []candidate) {
 // storms (heartbeat bursts) queue up instead of corrupting each other.
 type Scheduler struct {
 	strategy Strategy
-	model    ReliabilityModel
 	// DegradeBelow pushes providers scoring under this threshold to the
 	// back of the preference order for long-running jobs.
 	DegradeBelow float64
@@ -249,11 +243,11 @@ type Scheduler struct {
 }
 
 // New creates a scheduler. A nil strategy defaults to round-robin.
-func New(strategy Strategy, model ReliabilityModel) *Scheduler {
+func New(strategy Strategy) *Scheduler {
 	if strategy == nil {
 		strategy = &RoundRobin{}
 	}
-	return &Scheduler{strategy: strategy, model: model, DegradeBelow: 0.5}
+	return &Scheduler{strategy: strategy, DegradeBelow: 0.5}
 }
 
 // Schedule places one request against an explicit node set: a batch of
@@ -435,7 +429,7 @@ func (s *Scheduler) buildPool(pool []candidate, nodes []*db.NodeRecord, now time
 			// hard exclusion.
 			continue
 		}
-		rel := s.model.Predict(*n, now)
+		rel := Predict(*n, now)
 		for j := range n.GPUs {
 			if n.GPUs[j].Allocated {
 				continue

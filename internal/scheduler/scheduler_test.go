@@ -31,7 +31,7 @@ func req(job string, mem int64) Request {
 }
 
 func TestScheduleBasicPlacement(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
 	}
@@ -48,7 +48,7 @@ func TestScheduleBasicPlacement(t *testing.T) {
 }
 
 func TestScheduleSkipsInactiveNodes(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodePaused, dev("gpu0", 24576, 8, 6, false)),
 		nodeWith("n2", db.NodeDeparted, dev("gpu0", 24576, 8, 6, false)),
@@ -60,7 +60,7 @@ func TestScheduleSkipsInactiveNodes(t *testing.T) {
 }
 
 func TestScheduleSkipsAllocatedDevices(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive,
 			dev("gpu0", 24576, 8, 6, true),
@@ -73,7 +73,7 @@ func TestScheduleSkipsAllocatedDevices(t *testing.T) {
 }
 
 func TestScheduleMemoryConstraint(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
 		nodeWith("n2", db.NodeActive, dev("gpu0", 81920, 8, 0, false)),
@@ -85,7 +85,7 @@ func TestScheduleMemoryConstraint(t *testing.T) {
 }
 
 func TestScheduleCapabilityConstraint(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive, dev("gpu0", 81920, 8, 0, false)),
 	}
@@ -97,7 +97,7 @@ func TestScheduleCapabilityConstraint(t *testing.T) {
 }
 
 func TestScheduleAvoidNodes(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
 		nodeWith("n2", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
@@ -111,7 +111,7 @@ func TestScheduleAvoidNodes(t *testing.T) {
 }
 
 func TestSchedulePreferNodeWins(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
 		nodeWith("n2", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
@@ -126,7 +126,7 @@ func TestSchedulePreferNodeWins(t *testing.T) {
 }
 
 func TestRoundRobinRotates(t *testing.T) {
-	s := New(&RoundRobin{}, DefaultReliability())
+	s := New(&RoundRobin{})
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
 		nodeWith("n2", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
@@ -149,7 +149,7 @@ func TestRoundRobinRotates(t *testing.T) {
 }
 
 func TestBestFitPicksSmallestDevice(t *testing.T) {
-	s := New(BestFit{}, DefaultReliability())
+	s := New(BestFit{})
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive, dev("gpu0", 81920, 8, 0, false)),
 		nodeWith("n2", db.NodeActive, dev("gpu0", 24576, 8, 6, false)),
@@ -162,7 +162,7 @@ func TestBestFitPicksSmallestDevice(t *testing.T) {
 }
 
 func TestLeastLoadedSpreads(t *testing.T) {
-	s := New(LeastLoaded{}, DefaultReliability())
+	s := New(LeastLoaded{})
 	nodes := []db.NodeRecord{
 		nodeWith("n1", db.NodeActive,
 			dev("gpu0", 24576, 8, 6, true), dev("gpu1", 24576, 8, 6, false)),
@@ -176,29 +176,27 @@ func TestLeastLoadedSpreads(t *testing.T) {
 }
 
 func TestReliabilityPredictDecaysWithDepartures(t *testing.T) {
-	m := DefaultReliability()
 	fresh := nodeWith("n1", db.NodeActive)
 	flaky := fresh
 	flaky.Departures = 5
-	if m.Predict(fresh, now) <= m.Predict(flaky, now) {
+	if Predict(fresh, now) <= Predict(flaky, now) {
 		t.Fatal("departures did not depress reliability")
 	}
-	if got := m.Predict(fresh, now); got <= 0 || got > 1 {
+	if got := Predict(fresh, now); got <= 0 || got > 1 {
 		t.Fatalf("fresh score = %v", got)
 	}
 }
 
 func TestReliabilityNeverZero(t *testing.T) {
-	m := DefaultReliability()
 	n := nodeWith("n1", db.NodeActive)
 	n.Departures = 1000
-	if got := m.Predict(n, now); got <= 0 {
+	if got := Predict(n, now); got <= 0 {
 		t.Fatalf("score = %v, must stay positive", got)
 	}
 }
 
 func TestDegradationPushesUnreliableBack(t *testing.T) {
-	s := New(BestFit{}, DefaultReliability())
+	s := New(BestFit{})
 	reliable := nodeWith("n-reliable", db.NodeActive, dev("gpu0", 24576, 8, 6, false))
 	flaky := nodeWith("n-flaky", db.NodeActive, dev("gpu0", 24576, 8, 6, false))
 	flaky.Departures = 10 // score ≈ 0.85^10 ≈ 0.20 < 0.5
@@ -220,7 +218,7 @@ func TestDegradationPushesUnreliableBack(t *testing.T) {
 }
 
 func TestFlakyNodeStillUsedWhenAlone(t *testing.T) {
-	s := New(nil, DefaultReliability())
+	s := New(nil)
 	flaky := nodeWith("n1", db.NodeActive, dev("gpu0", 24576, 8, 6, false))
 	flaky.Departures = 20
 	r := req("j1", 8000)
@@ -237,7 +235,7 @@ func TestStrategyNames(t *testing.T) {
 		(LeastLoaded{}).Name() != "least-loaded" {
 		t.Fatal("strategy names wrong")
 	}
-	if New(nil, DefaultReliability()).strategy.Name() != "round-robin" {
+	if New(nil).strategy.Name() != "round-robin" {
 		t.Fatal("default strategy should be round-robin")
 	}
 }
@@ -253,7 +251,7 @@ func TestPlacementSatisfiesConstraintsProperty(t *testing.T) {
 				dev("gpu1", 81920, 8, 0, alloc1)),
 		}
 		r := Request{JobID: "p", GPUMemMiB: mem, Capability: cap}
-		p, err := New(nil, DefaultReliability()).Schedule(r, nodes, now)
+		p, err := New(nil).Schedule(r, nodes, now)
 		if err != nil {
 			return true // no placement is always acceptable
 		}
@@ -278,7 +276,6 @@ func TestPlacementSatisfiesConstraintsProperty(t *testing.T) {
 
 // Property: reliability is monotone non-increasing in departures.
 func TestReliabilityMonotoneProperty(t *testing.T) {
-	m := DefaultReliability()
 	f := func(d1, d2 uint8) bool {
 		if d1 > d2 {
 			d1, d2 = d2, d1
@@ -287,7 +284,7 @@ func TestReliabilityMonotoneProperty(t *testing.T) {
 		a.Departures = int(d1)
 		b := a
 		b.Departures = int(d2)
-		return m.Predict(a, now) >= m.Predict(b, now)
+		return Predict(a, now) >= Predict(b, now)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -297,13 +297,12 @@ func TestGraySabotageRegistrationLaundering(t *testing.T) {
 // health-score-consistent; an honest fold must not.
 func TestGraySabotageHealthDeltas(t *testing.T) {
 	now := Epoch
-	params := monitor.DefaultHealthParams()
 	events := []gpu.HealthEvent{{Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical}}
 
 	honest := func(s db.Store) {
 		s.UpsertNode(db.NodeRecord{ID: "ws-1", Status: db.NodeActive, HealthAt: now})
 		s.RecordHealth("ws-1", now.Add(time.Minute), events, func(prev float64, prevAt time.Time) float64 {
-			return monitor.FoldHealth(prev, prevAt, now.Add(time.Minute), events, params)
+			return monitor.FoldHealth(prev, prevAt, now.Add(time.Minute), events)
 		})
 	}
 	lying := func(s db.Store) {

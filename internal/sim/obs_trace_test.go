@@ -200,7 +200,7 @@ func TestChaosSabotageTraceLocalizationStaleCache(t *testing.T) {
 		GPUs: []db.GPUInfo{{DeviceID: "gpu0", MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}}})
 	plat := &staleCachePlatform{
 		sabotagePlatform: sabotagePlatform{store: store},
-		sched:            scheduler.New(nil, scheduler.DefaultReliability()),
+		sched:            scheduler.New(nil),
 	}
 	// One scheduling cycle stamps the cache at the frozen generation.
 	plat.sched.Place([]scheduler.Request{{JobID: "probe"}}, store, Epoch)

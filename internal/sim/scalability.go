@@ -63,7 +63,7 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 		nodes := syntheticNodes(n)
 
 		// --- Scheduling latency over the full node view. ---
-		sched := scheduler.New(&scheduler.RoundRobin{}, scheduler.DefaultReliability())
+		sched := scheduler.New(&scheduler.RoundRobin{})
 		lat := make([]time.Duration, 0, cfg.DecisionsPerPoint)
 		for i := 0; i < cfg.DecisionsPerPoint; i++ {
 			req := scheduler.Request{
@@ -95,7 +95,7 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 			}
 		}
 		batchSize := max(1, min(32, free))
-		batchSched := scheduler.New(&scheduler.RoundRobin{}, scheduler.DefaultReliability())
+		batchSched := scheduler.New(&scheduler.RoundRobin{})
 		reqs := make([]scheduler.Request, 0, batchSize)
 		batchStart := time.Now()
 		for i := 0; i < cfg.DecisionsPerPoint; i++ {

@@ -62,9 +62,7 @@ type Spec struct {
 	// Entrypoint is the command for batch mode; interactive mode ignores
 	// it and provisions the notebook server.
 	Entrypoint []string `json:"entrypoint,omitempty"`
-	// Env is the environment; the runtime adds NVIDIA_VISIBLE_DEVICES.
-	Env map[string]string `json:"env,omitempty"`
-	// Resources are the cgroup limits and GPU requirements.
+	// Resources are the GPU requirements.
 	Resources Resources `json:"resources"`
 }
 
@@ -78,7 +76,6 @@ type Container struct {
 	createdAt time.Time
 	startedAt time.Time
 	exitedAt  time.Time
-	env       map[string]string
 }
 
 // ID returns the container identifier.
@@ -99,18 +96,6 @@ func (c *Container) GPUDeviceID() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.deviceID
-}
-
-// Env returns a copy of the effective environment, including the GPU
-// visibility variable injected at creation.
-func (c *Container) Env() map[string]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.env))
-	for k, v := range c.env {
-		out[k] = v
-	}
-	return out
 }
 
 // Runtime is the node-local container engine. It owns the node's GPU
@@ -164,26 +149,11 @@ func (r *Runtime) Create(spec Spec, now time.Time) (*Container, error) {
 		}
 	}
 
-	env := make(map[string]string, len(spec.Env)+2)
-	for k, v := range spec.Env {
-		env[k] = v
-	}
-	if dev != nil {
-		// GPU passthrough via the NVIDIA Container Toolkit convention.
-		env["NVIDIA_VISIBLE_DEVICES"] = dev.ID
-	} else {
-		env["NVIDIA_VISIBLE_DEVICES"] = "none"
-	}
-	if spec.Mode == Interactive {
-		env["JUPYTER_ENABLE"] = "1"
-	}
-
 	c := &Container{
 		spec:      spec,
 		state:     Created,
 		device:    dev,
 		createdAt: now,
-		env:       env,
 	}
 	if dev != nil {
 		c.deviceID = dev.ID

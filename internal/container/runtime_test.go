@@ -37,9 +37,6 @@ func TestCreateBindsGPU(t *testing.T) {
 	if c.GPUDeviceID() != "gpu0" {
 		t.Fatalf("bound device = %s, want gpu0", c.GPUDeviceID())
 	}
-	if c.Env()["NVIDIA_VISIBLE_DEVICES"] != "gpu0" {
-		t.Fatalf("env = %v", c.Env())
-	}
 }
 
 func TestCreateLargeJobPicksBigGPU(t *testing.T) {
@@ -62,9 +59,6 @@ func TestCreateCPUOnly(t *testing.T) {
 	}
 	if c.GPUDeviceID() != "" {
 		t.Fatal("CPU-only container bound a GPU")
-	}
-	if c.Env()["NVIDIA_VISIBLE_DEVICES"] != "none" {
-		t.Fatalf("env = %v", c.Env())
 	}
 }
 
@@ -259,7 +253,7 @@ func TestKillAll(t *testing.T) {
 	}
 }
 
-func TestInteractiveModeEnv(t *testing.T) {
+func TestInteractiveMode(t *testing.T) {
 	r := newTestRuntime()
 	spec := Spec{
 		ID:        "sess1",
@@ -270,9 +264,6 @@ func TestInteractiveModeEnv(t *testing.T) {
 	c, err := r.Create(spec, t0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Env()["JUPYTER_ENABLE"] != "1" {
-		t.Fatalf("interactive env = %v", c.Env())
 	}
 	if c.Mode() != Interactive {
 		t.Fatalf("mode = %s", c.Mode())
@@ -316,18 +307,5 @@ func TestGetMissing(t *testing.T) {
 	r := newTestRuntime()
 	if _, err := r.Get("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestEnvReturnsCopy(t *testing.T) {
-	r := newTestRuntime()
-	c, err := r.Create(batchSpec("c1", 0), t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := c.Env()
-	env["NVIDIA_VISIBLE_DEVICES"] = "hacked"
-	if c.Env()["NVIDIA_VISIBLE_DEVICES"] == "hacked" {
-		t.Fatal("Env exposed internal map")
 	}
 }

@@ -55,9 +55,6 @@ func NewMonitor(interval time.Duration, threshold int) *Monitor {
 	}
 }
 
-// Interval returns the expected beat period.
-func (m *Monitor) Interval() time.Duration { return m.interval }
-
 // Track starts monitoring a node as of now (registration time counts as
 // a beat).
 func (m *Monitor) Track(nodeID string, now time.Time) {

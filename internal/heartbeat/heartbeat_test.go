@@ -10,8 +10,8 @@ var t0 = time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC)
 
 func TestDefaults(t *testing.T) {
 	m := NewMonitor(0, 0)
-	if m.Interval() != DefaultInterval {
-		t.Fatalf("interval = %v", m.Interval())
+	if m.interval != DefaultInterval {
+		t.Fatalf("interval = %v", m.interval)
 	}
 }
 

@@ -104,15 +104,10 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 // worth checking.
 type Checker struct {
 	lastLSN uint64
-	// checks counts audits performed (reporting).
-	checks int
 }
 
 // NewChecker returns a fresh checker.
 func NewChecker() *Checker { return &Checker{} }
-
-// Checks reports how many audits this checker has run.
-func (c *Checker) Checks() int { return c.checks }
 
 // Check audits the store once and returns every violation found. It
 // must be called at a quiescent point (between discrete-event
@@ -120,7 +115,6 @@ func (c *Checker) Checks() int { return c.checks }
 // consistent but a multi-step transition observed halfway through is
 // not a platform bug.
 func (c *Checker) Check(s db.Store) []Violation {
-	c.checks++
 	var vs []Violation
 
 	nodes := s.ListNodes()

@@ -96,13 +96,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add adjusts the value by v (may be negative).
-func (g *Gauge) Add(v float64) {
-	g.mu.Lock()
-	g.val += v
-	g.mu.Unlock()
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	g.mu.Lock()

@@ -18,10 +18,10 @@ func TestCounterMonotone(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAdd(t *testing.T) {
+func TestGaugeSet(t *testing.T) {
 	var g Gauge
 	g.Set(5)
-	g.Add(-2)
+	g.Set(3)
 	if g.Value() != 3 {
 		t.Fatalf("Value = %v", g.Value())
 	}

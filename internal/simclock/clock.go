@@ -19,11 +19,6 @@ import (
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// After returns a channel that delivers the clock's time after d has
-	// elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
-	// Sleep blocks until d has elapsed on this clock.
-	Sleep(d time.Duration)
 	// AfterFunc schedules f to run after d and returns a handle that can
 	// cancel the pending call.
 	AfterFunc(d time.Duration, f func()) Timer
@@ -41,9 +36,7 @@ func Real() Clock { return realClock{} }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
+func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{time.AfterFunc(d, f)}
@@ -56,7 +49,7 @@ func (rt realTimer) Stop() bool { return rt.t.Stop() }
 // Skewed is a Clock whose Now is offset from an inner clock's by an
 // adjustable amount — the clock-skew injection seam. Per-node skew is
 // a wall-time discontinuity, not a rate change: absolute time shifts
-// by the offset while relative scheduling (After, AfterFunc, Sleep)
+// by the offset while relative scheduling (AfterFunc)
 // keeps the inner clock's cadence, exactly as an NTP step on a node
 // moves its wall clock without stretching its timers.
 //
@@ -91,17 +84,12 @@ func (s *Skewed) Now() time.Time {
 	return s.inner.Now().Add(off)
 }
 
-// After delegates to the inner clock: durations are unaffected by skew.
-func (s *Skewed) After(d time.Duration) <-chan time.Time { return s.inner.After(d) }
-
-// Sleep delegates to the inner clock.
-func (s *Skewed) Sleep(d time.Duration) { s.inner.Sleep(d) }
-
-// AfterFunc delegates to the inner clock.
+// AfterFunc delegates to the inner clock: durations are unaffected by
+// skew.
 func (s *Skewed) AfterFunc(d time.Duration, f func()) Timer { return s.inner.AfterFunc(d, f) }
 
 // Sim is a deterministic simulated clock. Time advances only when Advance
-// or Run is called; pending timers fire in timestamp order. Sim is safe
+// is called; pending timers fire in timestamp order. Sim is safe
 // for concurrent use.
 type Sim struct {
 	mu      sync.Mutex
@@ -120,26 +108,6 @@ func (s *Sim) Now() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.now
-}
-
-// After returns a channel that receives the simulated time once the clock
-// has advanced past d.
-func (s *Sim) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	s.AfterFunc(d, func() {
-		s.mu.Lock()
-		now := s.now
-		s.mu.Unlock()
-		ch <- now
-	})
-	return ch
-}
-
-// Sleep blocks the calling goroutine until the simulated clock advances
-// past d. Another goroutine must drive Advance, otherwise Sleep blocks
-// forever.
-func (s *Sim) Sleep(d time.Duration) {
-	<-s.After(d)
 }
 
 // AfterFunc schedules f to run when the clock advances past d. f runs on
@@ -186,33 +154,6 @@ func (s *Sim) Advance(d time.Duration) {
 		ev.fired = true
 		s.mu.Unlock()
 		fn()
-	}
-}
-
-// Run advances the clock until no pending timers remain or until the
-// horizon is reached, whichever comes first. It returns the number of
-// timers fired. Run is how the discrete-event simulation drains its event
-// queue.
-func (s *Sim) Run(horizon time.Time) int {
-	fired := 0
-	for {
-		s.mu.Lock()
-		if len(s.pending) == 0 || s.pending[0].when.After(horizon) {
-			if horizon.After(s.now) {
-				s.now = horizon
-			}
-			s.mu.Unlock()
-			return fired
-		}
-		ev := heap.Pop(&s.pending).(*timerEvent)
-		if ev.when.After(s.now) {
-			s.now = ev.when
-		}
-		fn := ev.fn
-		ev.fired = true
-		s.mu.Unlock()
-		fn()
-		fired++
 	}
 }
 

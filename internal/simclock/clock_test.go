@@ -117,71 +117,6 @@ func TestSimCallbackSchedulingCascades(t *testing.T) {
 	}
 }
 
-func TestSimAfterDeliversTime(t *testing.T) {
-	s := NewSim(epoch)
-	ch := s.After(5 * time.Second)
-	s.Advance(5 * time.Second)
-	select {
-	case got := <-ch:
-		if !got.Equal(epoch.Add(5 * time.Second)) {
-			t.Fatalf("After delivered %v", got)
-		}
-	default:
-		t.Fatal("After channel empty after deadline")
-	}
-}
-
-func TestSimSleepWakesWhenAdvanced(t *testing.T) {
-	s := NewSim(epoch)
-	done := make(chan struct{})
-	go func() {
-		s.Sleep(time.Second)
-		close(done)
-	}()
-	// The sleeper registers its timer at some point; keep advancing
-	// until it wakes.
-	deadline := time.After(2 * time.Second)
-	for {
-		s.Advance(time.Second)
-		select {
-		case <-done:
-			return
-		case <-deadline:
-			t.Fatal("Sleep did not wake after Advance")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-func TestSimRunDrainsAllTimers(t *testing.T) {
-	s := NewSim(epoch)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.AfterFunc(time.Duration(i)*time.Minute, func() { count++ })
-	}
-	fired := s.Run(epoch.Add(time.Hour))
-	if fired != 10 || count != 10 {
-		t.Fatalf("Run fired %d (count %d), want 10", fired, count)
-	}
-	if again := s.Run(epoch.Add(2 * time.Hour)); again != 0 {
-		t.Fatalf("second Run fired %d, want 0 (drained)", again)
-	}
-}
-
-func TestSimRunRespectsHorizon(t *testing.T) {
-	s := NewSim(epoch)
-	count := 0
-	s.AfterFunc(time.Minute, func() { count++ })
-	s.AfterFunc(time.Hour, func() { count++ })
-	fired := s.Run(epoch.Add(30 * time.Minute))
-	if fired != 1 || count != 1 {
-		t.Fatalf("fired=%d count=%d, want 1", fired, count)
-	}
-	if !s.Now().Equal(epoch.Add(30 * time.Minute)) {
-		t.Fatalf("Now = %v, want horizon", s.Now())
-	}
-}
-
 func TestSimNegativeDelayFiresImmediatelyOnAdvance(t *testing.T) {
 	s := NewSim(epoch)
 	fired := false
@@ -231,12 +166,6 @@ func TestRealClockBasics(t *testing.T) {
 	}
 	if tm.Stop() {
 		t.Fatal("Stop after fire = true")
-	}
-	c.Sleep(time.Millisecond)
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(time.Second):
-		t.Fatal("real After did not deliver")
 	}
 }
 

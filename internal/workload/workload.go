@@ -116,8 +116,6 @@ type Job struct {
 	mu    sync.Mutex
 	image *checkpoint.MemoryImage
 	step  int64
-	// interruptions counts provider-departure events that hit this job.
-	interruptions int
 }
 
 // NewJob creates a job at step 0.
@@ -180,15 +178,7 @@ func (j *Job) Progress() checkpoint.Progress {
 func (j *Job) RestoreTo(p checkpoint.Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.interruptions++
 	j.step = p.Step
-}
-
-// Interruptions returns how many times the job was interrupted.
-func (j *Job) Interruptions() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.interruptions
 }
 
 // Session is an interactive research session (Jupyter-style): it holds a

@@ -123,9 +123,6 @@ func TestJobRestoreAccounting(t *testing.T) {
 	if j.Step() != 600 {
 		t.Fatalf("Step after restore = %d", j.Step())
 	}
-	if j.Interruptions() != 1 {
-		t.Fatalf("Interruptions = %d", j.Interruptions())
-	}
 	j.Advance(400)
 	if j.Step() != 1000 {
 		t.Fatalf("Step after redoing the lost work = %d, want 1000", j.Step())

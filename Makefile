@@ -214,7 +214,13 @@ verify-bench:
 # the leadership loop (pump, try the lease, promote, recover, admit), so
 # a TryLead() or .Promote() call in non-test code outside internal/core
 # is a second leadership loop in the making — the daemon, the chaos
-# harness and the scripted failover once each had their own.
+# harness and the scripted failover once each had their own. A node
+# crash is what it is for the daemon: the chaos harness discards the
+# agent and boots a fresh one under the same identity, so a
+# .KillSwitch() call in non-test internal/sim code is the old
+# revive-in-place crash coming back. The daemon and the sims join
+# through agent.JoinAny, so a Redirect("") call in non-test code outside
+# internal/agent is a second join loop.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -241,6 +247,14 @@ verify-compose:
 	@out="$$(grep -rnE 'TryLead\(\)|\.Promote\(\)' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/core/')"; \
 	if [ -n "$$out" ]; then \
 		echo "a leadership loop outside core.Replica:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn '\.KillSwitch()' --include='*.go' internal/sim | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a node crash that keeps the agent alive (discard it and boot a fresh one):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn 'Redirect("")' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/agent/')"; \
+	if [ -n "$$out" ]; then \
+		echo "a join loop outside internal/agent (use agent.JoinAny):"; echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn 'container\.NewRuntime(' --include='*.go' . \
 		| grep -vE '^\./internal/(container|agent)/|^\./bench_test\.go:[0-9]+:[[:space:]]*rt := container\.NewRuntime\(images, ')"; \

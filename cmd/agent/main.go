@@ -22,6 +22,11 @@
 // — a beat carrying telemetry always passes through the relay, so
 // only the off-cadence idle beats fold.
 //
+// The node's identity is derived from the advertise address
+// (config.Agent.MachineID): an agent restarted on the same address
+// registers as the same node, and the coordinator keeps its departure
+// and uptime history; a new address is a new node.
+//
 // SIGINT triggers a *scheduled* departure: running jobs are checkpointed
 // and the coordinator is told to migrate them. SIGTERM departs without
 // notice (emergency semantics: the coordinator learns via heartbeat
@@ -42,7 +47,6 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/auth"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/config"
 	"gpunion/internal/core"
@@ -89,11 +93,7 @@ func main() {
 		log.Fatalf("inventory: %v", err)
 	}
 
-	machineID, err := auth.NewMachineID()
-	if err != nil {
-		log.Fatalf("generating machine id: %v", err)
-	}
-
+	machineID := cfg.MachineID()
 	eps := coordinatorEndpoints(cfg.CoordinatorURL)
 	if len(eps) == 0 {
 		log.Fatalf("no coordinator address in %q", cfg.CoordinatorURL)
@@ -118,13 +118,7 @@ func main() {
 		}
 	}()
 
-	var resp api.RegisterResponse
-	for range eps {
-		if resp, err = ag.Join(cfg.AdvertiseURL, cfg.StorageBytes); err == nil {
-			break
-		}
-		ag.Redirect("") // a standby or a dead address: try the next one
-	}
+	resp, err := ag.JoinAny(cfg.AdvertiseURL, cfg.StorageBytes)
 	if err != nil {
 		log.Fatalf("registering with %s: %v", cfg.CoordinatorURL, err)
 	}

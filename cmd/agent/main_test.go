@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"syscall"
 	"testing"
@@ -43,40 +44,8 @@ func TestMain(m *testing.M) {
 func TestDaemonBeatsOnItsOwn(t *testing.T) {
 	const interval = 200 * time.Millisecond
 	bus := eventbus.New(256)
-	coord, err := core.New(core.Config{HeartbeatInterval: interval}, simclock.Real(), db.New(0),
-		checkpoint.NewStore(storage.NewMemStore(0)), bus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Stop)
-	srv := httptest.NewServer(coord.Handler(nil))
-	t.Cleanup(srv.Close)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := strconv.Itoa(l.Addr().(*net.TCPAddr).Port)
-	l.Close()
-	daemon := exec.Command(os.Args[0], "agent", "-coordinator", srv.URL, "-listen", ":"+port, "-gpus", "RTX 3090:1")
-	logPath := t.TempDir() + "/agent.log"
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer logFile.Close()
-	daemon.Stdout, daemon.Stderr = logFile, logFile
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- daemon.Wait() }()
-	t.Cleanup(func() { _ = daemon.Process.Kill() })
-	fatal := func(format string, args ...any) {
-		t.Helper()
-		log, _ := os.ReadFile(logPath)
-		t.Fatalf(format+"\nagent log:\n%s", append(args, log)...)
-	}
+	coord, coordURL := serveCoordinator(t, interval, bus)
+	d := startDaemon(t, "-coordinator", coordURL, "-listen", freeListen(t), "-gpus", "RTX 3090:1")
 	node := func() (db.NodeRecord, bool) {
 		nodes := coord.DB().ListNodes()
 		if len(nodes) != 1 {
@@ -88,7 +57,7 @@ func TestDaemonBeatsOnItsOwn(t *testing.T) {
 	var joined time.Time
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			fatal("no beat %v after the registration", 3*interval)
+			d.fatal("no beat %v after the registration", 3*interval)
 		}
 		rec, ok := node()
 		if !ok {
@@ -102,19 +71,19 @@ func TestDaemonBeatsOnItsOwn(t *testing.T) {
 		}
 	}
 
-	if err := daemon.Process.Signal(syscall.SIGINT); err != nil {
+	if err := d.cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-exited:
+	case err := <-d.exited:
 		if err != nil {
-			fatal("agent exited with %v after SIGINT", err)
+			d.fatal("agent exited with %v after SIGINT", err)
 		}
 	case <-time.After(10 * time.Second):
-		fatal("agent still running 10 s after SIGINT")
+		d.fatal("agent still running 10 s after SIGINT")
 	}
 	if rec, _ := node(); rec.Status != db.NodeDeparted {
-		fatal("node after SIGINT = %s, want %s", rec.Status, db.NodeDeparted)
+		d.fatal("node after SIGINT = %s, want %s", rec.Status, db.NodeDeparted)
 	}
 	scheduled := false
 	for _, ev := range bus.History() {
@@ -123,8 +92,110 @@ func TestDaemonBeatsOnItsOwn(t *testing.T) {
 		}
 	}
 	if !scheduled {
-		fatal("the coordinator saw no scheduled departure")
+		d.fatal("the coordinator saw no scheduled departure")
 	}
+}
+
+// TestDaemonRestartIsTheSameNode SIGKILLs the shipped agent, waits for
+// the coordinator to mark its node unreachable, and starts it again
+// with the same flags. The restarted daemon must register as the same
+// node: one record, under the first run's ID, active again, with the
+// crash counted as one departure.
+func TestDaemonRestartIsTheSameNode(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	coord, coordURL := serveCoordinator(t, interval, nil)
+	args := []string{"-coordinator", coordURL, "-listen", freeListen(t), "-gpus", "RTX 3090:1"}
+	// waitNode polls the coordinator's node table until ok accepts it.
+	waitNode := func(d *daemon, what string, ok func([]db.NodeRecord) bool) []db.NodeRecord {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+			if nodes := coord.DB().ListNodes(); ok(nodes) {
+				return nodes
+			}
+		}
+		d.fatal("%s: node table = %+v", what, coord.DB().ListNodes())
+		return nil
+	}
+
+	first := startDaemon(t, args...)
+	id := waitNode(first, "no registration", func(ns []db.NodeRecord) bool { return len(ns) == 1 })[0].ID
+	if err := first.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-first.exited
+	waitNode(first, "the killed node was never marked unreachable", func(ns []db.NodeRecord) bool {
+		return len(ns) == 1 && ns[0].Status == db.NodeUnreachable
+	})
+
+	second := startDaemon(t, args...)
+	nodes := waitNode(second, "the restarted daemon did not come back as the same node", func(ns []db.NodeRecord) bool {
+		return len(ns) > 1 || len(ns) == 1 && ns[0].Status == db.NodeActive
+	})
+	if len(nodes) != 1 || nodes[0].ID != id || nodes[0].Departures != 1 {
+		second.fatal("after the restart the coordinator holds %+v; want one active record %s with one departure", nodes, id)
+	}
+}
+
+// serveCoordinator serves a coordinator with the given heartbeat
+// interval over HTTP from the test and returns it with its base URL.
+func serveCoordinator(t *testing.T, interval time.Duration, bus *eventbus.Bus) (*core.Coordinator, string) {
+	t.Helper()
+	coord, err := core.New(core.Config{HeartbeatInterval: interval}, simclock.Real(), db.New(0),
+		checkpoint.NewStore(storage.NewMemStore(0)), bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	srv := httptest.NewServer(coord.Handler(nil))
+	t.Cleanup(srv.Close)
+	return coord, srv.URL
+}
+
+// freeListen returns a -listen value on a loopback port that was free a
+// moment ago.
+func freeListen(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return ":" + strconv.Itoa(l.Addr().(*net.TCPAddr).Port)
+}
+
+// daemon is one run of the shipped agent main as a child process.
+type daemon struct {
+	t       *testing.T
+	cmd     *exec.Cmd
+	exited  chan error
+	logPath string
+}
+
+// startDaemon re-executes this test binary as the agent daemon with
+// args; the process is killed when the test ends.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{t: t, cmd: exec.Command(os.Args[0], append([]string{"agent"}, args...)...),
+		exited: make(chan error, 1), logPath: filepath.Join(t.TempDir(), "agent.log")}
+	logFile, err := os.Create(d.logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logFile.Close()
+	d.cmd.Stdout, d.cmd.Stderr = logFile, logFile
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { d.exited <- d.cmd.Wait() }()
+	t.Cleanup(func() { _ = d.cmd.Process.Kill() })
+	return d
+}
+
+// fatal fails the test with the daemon's log attached.
+func (d *daemon) fatal(format string, args ...any) {
+	d.t.Helper()
+	log, _ := os.ReadFile(d.logPath)
+	d.t.Fatalf(format+"\nagent log:\n%s", append(args, log)...)
 }
 
 func TestParseGPUFlag(t *testing.T) {

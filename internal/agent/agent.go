@@ -55,7 +55,8 @@ type Endpoint struct {
 
 // Config parameterises an Agent.
 type Config struct {
-	// MachineID is the node's unique identity (auth.NewMachineID).
+	// MachineID is the node's unique identity; the daemon derives it
+	// from its advertise address (config.Agent.MachineID).
 	MachineID string
 	// Kernel is the host kernel version.
 	Kernel string
@@ -845,6 +846,23 @@ func (a *Agent) Join(addr string, storageBytes int64) (api.RegisterResponse, err
 	a.mu.Unlock()
 	a.ObserveEpoch(resp.LeaderEpoch)
 	return resp, nil
+}
+
+// JoinAny is the agent's start-up join: Join through the active
+// endpoint and, while that fails (a standby, a dead address), through
+// each next one in turn, once round the set. It returns the last error
+// when no endpoint accepted the node.
+func (a *Agent) JoinAny(addr string, storageBytes int64) (resp api.RegisterResponse, err error) {
+	a.mu.Lock()
+	tries := max(len(a.endpoints), 1)
+	a.mu.Unlock()
+	for range tries {
+		if resp, err = a.Join(addr, storageBytes); err == nil {
+			return resp, nil
+		}
+		a.Redirect("")
+	}
+	return resp, err
 }
 
 // armBeatLocked schedules the heartbeat loop's next turn, every after

@@ -596,11 +596,15 @@ const (
 type Platform interface {
 	// Store exposes the system database the invariant checker audits.
 	Store() db.Store
-	// CrashNode kills a node's workloads and silences it.
+	// CrashNode is a power loss: the node's agent process is gone with
+	// everything in its memory, its workloads die without a checkpoint,
+	// and its address stops answering. Nobody tells the coordinator.
 	CrashNode(id string)
 	// DepartNode announces a departure (temporary = return intent).
 	DepartNode(id string, temporary bool)
-	// ReturnNode brings a crashed or departed node back.
+	// ReturnNode brings a crashed or departed node back: a crashed one
+	// boots a fresh agent under the same identity, which registers
+	// again.
 	ReturnNode(id string)
 	// PartitionStart drops the control-plane path to the nodes;
 	// PartitionHeal restores it.

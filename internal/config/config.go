@@ -4,6 +4,8 @@
 package config
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -165,6 +167,17 @@ func (a *Agent) Validate() error {
 		a.StorageBytes = 100 << 30
 	}
 	return nil
+}
+
+// MachineID is the node's identity: "node-" and the first 16 hex
+// digits of the SHA-256 of AdvertiseURL (set it, or Validate, first).
+// The advertise address is where the coordinator dials the node, so no
+// two live agents share it, and an agent that restarts on the same
+// address comes back as the same node. Changing the address makes a new
+// node.
+func (a Agent) MachineID() string {
+	sum := sha256.Sum256([]byte(a.AdvertiseURL))
+	return "node-" + hex.EncodeToString(sum[:8])
 }
 
 // Inventory expands the GPU entries into device specs.

@@ -96,6 +96,29 @@ func TestAgentAdvertiseURL(t *testing.T) {
 	}
 }
 
+// TestAgentMachineID: the identity is a pure function of the advertise
+// URL in auth.NewMachineID's node-<16 hex> shape, so the same listen
+// address gives the same node and another address another node.
+func TestAgentMachineID(t *testing.T) {
+	id := func(listen string) string {
+		a := Agent{CoordinatorURL: "http://coord:8080", Listen: listen}
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return a.MachineID()
+	}
+	got := id(":7070")
+	if len(got) != len("node-")+16 || !strings.HasPrefix(got, "node-") || strings.Trim(got[5:], "0123456789abcdef") != "" {
+		t.Fatalf("machine id %q is not node-<16 hex>", got)
+	}
+	if again := id("0.0.0.0:7070"); again != got {
+		t.Fatalf("two spellings of one advertise address gave %q and %q", got, again)
+	}
+	if other := id(":7071"); other == got {
+		t.Fatalf("two advertise addresses share the id %q", got)
+	}
+}
+
 func TestAgentUnknownGPU(t *testing.T) {
 	a := Agent{CoordinatorURL: "http://x", GPUs: []GPUEntry{{Model: "H100", Count: 1}}}
 	if err := a.Validate(); err == nil {

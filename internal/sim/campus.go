@@ -191,11 +191,11 @@ func localEndpoint(id string, coord *core.Coordinator, ag *agent.Agent) agent.En
 	return agent.Endpoint{ID: id, Link: core.NewInProcessClient(coord, ag)}
 }
 
-// joinLocal registers an in-process agent through its active endpoint
-// under the sims' address scheme and 1 TiB of advertised checkpoint
-// storage.
+// joinLocal registers an in-process agent through the first of its
+// endpoints that accepts it (agent.JoinAny, as the daemon starts) under
+// the sims' address scheme and 1 TiB of advertised checkpoint storage.
 func joinLocal(ag *agent.Agent) error {
-	_, err := ag.Join("inproc://"+ag.MachineID(), 1<<40)
+	_, err := ag.JoinAny("inproc://"+ag.MachineID(), 1<<40)
 	return err
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -236,8 +237,13 @@ type chaosHarness struct {
 	net      *netsim.Network
 	fs       *chaos.FaultFS
 	coordCfg core.Config
-	nodeIDs  []string
-	// skewed holds each agent's adjustable clock (the skew seam).
+	// coordAddrs are the coordinator addresses, one endpoint each for
+	// every agent.
+	coordAddrs []string
+	nodeIDs    []string
+	// skewed holds each node's adjustable clock (the skew seam); like
+	// the health sources it models the hardware, so an agent rebooted
+	// after a crash runs on the same one.
 	skewed map[string]*simclock.Skewed
 
 	mu sync.Mutex
@@ -249,9 +255,10 @@ type chaosHarness struct {
 	// hosts is chaosWire's address book: each agent at its ID, a
 	// replica at each coordinator address — which a restarted
 	// coordinator or a fresh standby takes over from its predecessor.
-	hosts   *simHosts
-	agents  map[string]*agent.Agent
-	crashed map[string]bool
+	hosts *simHosts
+	// agents holds each node's running agent; a crashed node has none
+	// until ReturnNode boots a fresh one.
+	agents map[string]*agent.Agent
 	// windows holds the open fault windows the wire and the checks
 	// consult, by kind and target: control and data partitions (a data
 	// partition fails checkpoint transfers too, on top of the control
@@ -389,7 +396,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		ckpts:          checkpoint.NewStore(blob),
 		skewed:         make(map[string]*simclock.Skewed),
 		agents:         make(map[string]*agent.Agent),
-		crashed:        make(map[string]bool),
 		windows:        make(map[faultWindow]bool),
 		skews:          make(map[string]time.Duration),
 		hosts:          &simHosts{},
@@ -455,11 +461,11 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		h.lease = core.NewLease(core.NewMemLeaseStore(), h.clock, 30*time.Second, 2*time.Minute)
 		h.leaderLog = invariant.NewLeaderLog()
 	}
-	addrs := []string{"coordinator"}
+	h.coordAddrs = []string{"coordinator"}
 	if cfg.Replicated {
-		addrs = []string{"coord-a", "coord-b"}
+		h.coordAddrs = []string{"coord-a", "coord-b"}
 	}
-	rep, err := h.openReplica(addrs[0], dir, "")
+	rep, err := h.openReplica(h.coordAddrs[0], dir, "")
 	if err != nil {
 		return nil, err
 	}
@@ -488,40 +494,54 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	}
 
 	for i, d := range cfg.Defs {
-		// Each agent runs on its own skewable clock (the clock-skew
-		// seam) and writes checkpoints through a per-node gate that a
-		// data-plane partition severs.
-		skewed := simclock.NewSkewed(h.clock)
-		h.skewed[d.ID] = skewed
-		src := gpu.NewFakeHealthSource()
-		h.healthSrcs[d.ID] = src
-		acfg := agent.Config{
-			MachineID: d.ID, Kernel: "5.15", ProgressTick: cfg.ProgressTick,
-			Health: src,
-		}
-		if len(h.aggIDs) > 0 {
-			// Fleet telemetry cadence: samples every 4th beat, liveness
-			// every beat. The off-cadence beats of idle nodes carry no
-			// payload, so the rack relay can fold them.
-			acfg.TelemetryEvery = 4
-		}
-		ag := agent.New(acfg, skewed, d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.bus)
-		// Every coordinator address is an endpoint, as with cmd/agent
-		// -coordinator a,b: the agent finds a new leader on its own beats.
-		ag.SetEndpoints(endpoints(&http.Client{Transport: chaosWire{h: h, node: d.ID}}, addrs...))
-		if len(h.aggIDs) > 0 {
-			// Round-robin rack assignment: the agent beats through its
-			// relay first and falls back direct when it is unavailable.
-			aggID := h.aggIDs[i%len(h.aggIDs)]
-			ag.SetAggregator(aggID, aggSender{h: h, id: aggID})
-		}
-		h.agents[d.ID] = ag
-		h.hosts.serve(d.ID, ag.Handler())
-		if err := joinLocal(ag); err != nil {
+		h.skewed[d.ID] = simclock.NewSkewed(h.clock)
+		h.healthSrcs[d.ID] = gpu.NewFakeHealthSource()
+		if err := joinLocal(h.bootAgent(i)); err != nil {
 			return nil, err
 		}
 	}
 	return h, nil
+}
+
+// bootAgent starts the agent process of node cfg.Defs[i] and serves it
+// at the node's address; the caller joins it. It runs on the node's
+// skewable clock (the clock-skew seam) and health source and writes
+// checkpoints through a per-node gate that a data-plane partition
+// severs.
+func (h *chaosHarness) bootAgent(i int) *agent.Agent {
+	d := h.cfg.Defs[i]
+	acfg := agent.Config{
+		MachineID: d.ID, Kernel: "5.15", ProgressTick: h.cfg.ProgressTick,
+		Health: h.healthSrcs[d.ID],
+	}
+	if len(h.aggIDs) > 0 {
+		// Fleet telemetry cadence: samples every 4th beat, liveness
+		// every beat. The off-cadence beats of idle nodes carry no
+		// payload, so the rack relay can fold them.
+		acfg.TelemetryEvery = 4
+	}
+	ag := agent.New(acfg, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.bus)
+	// Every coordinator address is an endpoint, as with cmd/agent
+	// -coordinator a,b: the agent finds a new leader on its own beats.
+	ag.SetEndpoints(endpoints(&http.Client{Transport: chaosWire{h: h, node: d.ID}}, h.coordAddrs...))
+	if len(h.aggIDs) > 0 {
+		// Round-robin rack assignment: the agent beats through its
+		// relay first and falls back direct when it is unavailable.
+		aggID := h.aggIDs[i%len(h.aggIDs)]
+		ag.SetAggregator(aggID, aggSender{h: h, id: aggID})
+	}
+	h.mu.Lock()
+	h.agents[d.ID] = ag
+	h.mu.Unlock()
+	h.hosts.serve(d.ID, ag.Handler())
+	return ag
+}
+
+// agent returns the node's running agent, nil while it is crashed.
+func (h *chaosHarness) agent(id string) *agent.Agent {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.agents[id]
 }
 
 // aggName is the rack aggregator naming scheme shared by the harness
@@ -538,7 +558,9 @@ func (h *chaosHarness) stop() {
 		}
 	}
 	for _, id := range h.nodeIDs {
-		h.agents[id].Stop()
+		if ag := h.agent(id); ag != nil {
+			ag.Stop()
+		}
 	}
 	for _, id := range h.aggIDs {
 		h.aggs[id].Stop()
@@ -720,9 +742,10 @@ func (h *chaosHarness) onLeaderDurable(db.Mutation) {
 	lead.Coordinator().ObserveReplication(sb.Lag(lead.Store().CurrentLSN()))
 }
 
-// silenced reports whether the node's control-plane path is cut. A
-// data-plane partition implies the control cut too: it models the whole
-// link going dark, not just the heartbeat port.
+// silenced reports whether the node is down (crashed: no agent runs) or
+// its control-plane path is cut. A data-plane partition implies the
+// control cut too: it models the whole link going dark, not just the
+// heartbeat port.
 func (h *chaosHarness) silenced(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -731,7 +754,7 @@ func (h *chaosHarness) silenced(id string) bool {
 
 // silencedLocked is silenced for a caller holding h.mu.
 func (h *chaosHarness) silencedLocked(id string) bool {
-	return h.crashed[id] || h.windows[faultWindow{chaos.KindPartition, id}] || h.windows[faultWindow{chaos.KindDataPartition, id}]
+	return h.agents[id] == nil || h.windows[faultWindow{chaos.KindPartition, id}] || h.windows[faultWindow{chaos.KindDataPartition, id}]
 }
 
 // inWindow reports whether a window of the kind is open on the target.
@@ -1027,26 +1050,25 @@ func (h *chaosHarness) startTraffic(seed int64) {
 // Store implements chaos.Platform.
 func (h *chaosHarness) Store() db.Store { return h.currentStore() }
 
-// CrashNode implements a power loss: workloads die instantly (no
-// checkpoints), heartbeats stop, nobody tells the coordinator.
+// CrashNode implements a power loss: the agent process is gone with
+// everything in its memory. Workloads die without checkpoints,
+// heartbeats stop, nobody tells the coordinator, and the node's address
+// stops answering. A departed node has no process to lose.
 func (h *chaosHarness) CrashNode(id string) {
-	ag := h.agents[id]
+	ag := h.agent(id)
 	if ag == nil || ag.Departed() {
 		return
 	}
+	ag.Stop()
+	h.hosts.serve(id, nil)
 	h.mu.Lock()
-	if h.crashed[id] {
-		h.mu.Unlock()
-		return
-	}
-	h.crashed[id] = true
+	delete(h.agents, id)
 	h.mu.Unlock()
-	ag.KillSwitch()
 }
 
 // DepartNode announces a departure with a 5-minute checkpoint grace.
 func (h *chaosHarness) DepartNode(id string, temporary bool) {
-	ag := h.agents[id]
+	ag := h.agent(id)
 	if ag == nil || ag.Departed() || h.silenced(id) {
 		return
 	}
@@ -1058,20 +1080,38 @@ func (h *chaosHarness) DepartNode(id string, temporary bool) {
 }
 
 // ReturnNode brings a crashed or departed node back online. A crashed
-// node's own heartbeat loop never stopped: its next beat resumes it.
+// node boots a fresh agent under its ID, as the daemon starts when the
+// power comes back, and joins; a departed one returns and re-joins.
 func (h *chaosHarness) ReturnNode(id string) {
-	ag := h.agents[id]
+	ag := h.agent(id)
 	if ag == nil {
+		i := slices.IndexFunc(h.cfg.Defs, func(d NodeDef) bool { return d.ID == id })
+		if i < 0 {
+			return
+		}
+		h.startGrace()
+		h.rejoin(h.bootAgent(i))
 		return
 	}
-	h.mu.Lock()
-	delete(h.crashed, id)
-	h.mu.Unlock()
 	h.startGrace()
 	if ag.Departed() {
 		ag.Return()
 		_ = joinLocal(ag)
 	}
+}
+
+// rejoin joins a freshly booted agent. A join that finds no leader is
+// tried again one heartbeat interval later, as a supervisor restarts a
+// daemon that exited, for as long as the agent is the node's.
+func (h *chaosHarness) rejoin(ag *agent.Agent) {
+	if joinLocal(ag) == nil {
+		return
+	}
+	h.clock.AfterFunc(h.cfg.HeartbeatInterval, func() {
+		if h.agent(ag.MachineID()) == ag {
+			h.rejoin(ag)
+		}
+	})
 }
 
 // PartitionStart cuts the control plane to the nodes.
@@ -1434,8 +1474,8 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 		// A successor was elected; agents that have observed its epoch
 		// must fence the zombie's commands.
 		for _, id := range h.nodeIDs {
-			ag := h.agents[id]
-			if ag.Departed() || h.silenced(id) || ag.CoordEpoch() <= zEpoch {
+			ag := h.agent(id)
+			if ag == nil || ag.Departed() || h.silenced(id) || ag.CoordEpoch() <= zEpoch {
 				continue
 			}
 			spec := workload.SmallCNN
@@ -1525,11 +1565,11 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 	vs = append(vs, invariant.CheckSkewLiveness(store, h.skewedHealthyNodes())...)
 	vs = append(vs, h.checkDegradedDrained(store)...)
 	for _, id := range h.nodeIDs {
-		ag := h.agents[id]
+		ag := h.agent(id)
 		// Lossy nodes are skipped like silenced ones: mid-window the
 		// coordinator may legitimately have re-placed their jobs while
 		// the orphan-killing reconciliation beats are being dropped.
-		if ag.Departed() || h.silenced(id) || h.inWindow(chaos.KindPartialLoss, id) {
+		if ag == nil || ag.Departed() || h.silenced(id) || h.inWindow(chaos.KindPartialLoss, id) {
 			continue
 		}
 		for _, jobID := range ag.Status().RunningJobs {
@@ -1598,7 +1638,7 @@ func (h *chaosHarness) skewedHealthyNodes() []string {
 	h.mu.Unlock()
 	out := ids[:0]
 	for _, id := range ids {
-		if ag := h.agents[id]; ag != nil && !ag.Departed() {
+		if ag := h.agent(id); ag != nil && !ag.Departed() {
 			out = append(out, id)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
+	"gpunion/internal/eventbus"
 	"gpunion/internal/invariant"
 	"gpunion/internal/workload"
 )
@@ -69,6 +70,61 @@ func TestChaosPartitionCrash(t *testing.T) {
 	}
 	if res.Recoveries == 0 {
 		t.Error("no coordinator kill/restart executed")
+	}
+}
+
+// TestChaosCrashedNodeRebootsAsItself: a crash discards the node's
+// agent with everything in its memory, and a return boots a fresh agent
+// under the same identity, which registers again, numbers its beats
+// from one, and finds the node's record still there, the crash counted
+// as one departure.
+func TestChaosCrashedNodeRebootsAsItself(t *testing.T) {
+	cfg := ChaosConfig{Defs: PaperCampus(), Jobs: 2, HeartbeatInterval: time.Minute, ProgressTick: time.Minute}
+	h, err := newChaosHarness(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.stop()
+	h.startTraffic(1)
+	h.clock.Advance(10 * time.Minute)
+
+	id := h.nodeIDs[0]
+	old := h.agent(id)
+	if seq := old.HeartbeatRequest().BeatSeq; seq < 10 {
+		t.Fatalf("the agent built %d beats in ten intervals", seq)
+	}
+	h.CrashNode(id)
+	if h.agent(id) != nil || !h.silenced(id) {
+		t.Fatal("a crashed node still has a running agent")
+	}
+	h.clock.Advance(10 * time.Minute)
+	if rec, err := h.currentStore().GetNode(id); err != nil || rec.Status != db.NodeUnreachable {
+		t.Fatalf("crashed node = %+v, %v; want it marked unreachable", rec, err)
+	}
+
+	returnedAt := h.clock.Now()
+	h.ReturnNode(id)
+	fresh := h.agent(id)
+	if fresh == nil || fresh == old || fresh.MachineID() != id {
+		t.Fatalf("after the return the node runs %p (was %p)", fresh, old)
+	}
+	registered := false
+	for _, ev := range h.trace.Events() {
+		registered = registered || (ev.Kind == string(eventbus.NodeRegistered) && ev.Node == id && !ev.Time.Before(returnedAt))
+	}
+	if !registered || fresh.Token() == "" {
+		t.Fatal("the rebooted agent did not register")
+	}
+	h.clock.Advance(cfg.HeartbeatInterval)
+	if seq := fresh.HeartbeatRequest().BeatSeq; seq != 2 {
+		t.Fatalf("one interval after the reboot the next beat is #%d, want #2", seq)
+	}
+	rec, err := h.currentStore().GetNode(id)
+	if err != nil || rec.Status != db.NodeActive || rec.Departures != 1 {
+		t.Fatalf("rebooted node = %+v, %v; want it active with one departure", rec, err)
+	}
+	for _, v := range h.ExtraChecks() {
+		t.Errorf("violation across the reboot: %s", v)
 	}
 }
 

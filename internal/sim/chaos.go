@@ -1053,7 +1053,8 @@ func (h *chaosHarness) Store() db.Store { return h.currentStore() }
 // CrashNode implements a power loss: the agent process is gone with
 // everything in its memory. Workloads die without checkpoints,
 // heartbeats stop, nobody tells the coordinator, and the node's address
-// stops answering. A departed node has no process to lose.
+// stops answering. Crashing a departed node changes nothing: it runs
+// and sends nothing already.
 func (h *chaosHarness) CrashNode(id string) {
 	ag := h.agent(id)
 	if ag == nil || ag.Departed() {
@@ -1083,18 +1084,15 @@ func (h *chaosHarness) DepartNode(id string, temporary bool) {
 // node boots a fresh agent under its ID, as the daemon starts when the
 // power comes back, and joins; a departed one returns and re-joins.
 func (h *chaosHarness) ReturnNode(id string) {
-	ag := h.agent(id)
-	if ag == nil {
-		i := slices.IndexFunc(h.cfg.Defs, func(d NodeDef) bool { return d.ID == id })
-		if i < 0 {
-			return
-		}
-		h.startGrace()
-		h.rejoin(h.bootAgent(i))
+	i := slices.IndexFunc(h.cfg.Defs, func(d NodeDef) bool { return d.ID == id })
+	if i < 0 {
 		return
 	}
 	h.startGrace()
-	if ag.Departed() {
+	switch ag := h.agent(id); {
+	case ag == nil:
+		h.rejoin(h.bootAgent(i))
+	case ag.Departed():
 		ag.Return()
 		_ = joinLocal(ag)
 	}

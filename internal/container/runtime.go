@@ -119,8 +119,8 @@ func NewRuntime(images *ImageStore, inv *gpu.Inventory) *Runtime {
 // Inventory exposes the node's GPU inventory (used by telemetry).
 func (r *Runtime) Inventory() *gpu.Inventory { return r.inventory }
 
-// Create admits the image, binds a GPU
-// satisfying the spec, and returns the container in Created state.
+// Create admits the image, binds a GPU satisfying the spec, and returns
+// the container in Created state.
 func (r *Runtime) Create(spec Spec, now time.Time) (*Container, error) {
 	if spec.ID == "" {
 		return nil, errors.New("container: empty container id")

@@ -228,12 +228,12 @@ func TestGatherCloseDoesNotWaitOutWindow(t *testing.T) {
 	}
 }
 
-// TestGatherRotateStealsQueue: Rotate drains the queue a gather is
-// holding open. The drained group lands below the cut and is acked by
-// Rotate alone; the gather goes on waiting for company and releases the
-// pair that arrives next — into the new segment — without a stale
-// verdict from the stolen group.
-func TestGatherRotateStealsQueue(t *testing.T) {
+// TestGatherRotateLeavesQueue: Rotate does not touch the queue a gather
+// is holding open. It returns at once, with the record still queued; the
+// record commits with its own group — the pair the gather was waiting
+// for — into the new segment, above the cut, acked exactly once. The
+// cut itself counts no gather release.
+func TestGatherRotateLeavesQueue(t *testing.T) {
 	r := newGatherRig(t, Options{GroupWindow: 2 * time.Second})
 	errC := make(chan error, 1)
 	go func() { errC <- r.w.Append(one(1)) }()
@@ -243,34 +243,43 @@ func TestGatherRotateStealsQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errC; err != nil {
-		t.Fatalf("append drained by Rotate: %v", err)
-	}
 	if took := time.Since(start); took > 500*time.Millisecond {
-		t.Errorf("Rotate and its drained append took %v", took)
+		t.Errorf("Rotate took %v with a record queued", took)
 	}
-	if cut != 1 || !segmentLSNs(t, r.dir, 0)[1] {
-		t.Fatalf("cut at segment %d; record 1 below the cut: %v", cut, segmentLSNs(t, r.dir, 0)[1])
+	if cut != 1 {
+		t.Fatalf("cut at segment %d, want 1", cut)
+	}
+	r.waitQueued(1)
+	select {
+	case err := <-errC:
+		t.Fatalf("append acked by the cut (err %v): it belongs to its own group", err)
+	default:
 	}
 	if full, win := r.released("full"), r.released("window"); full != 0 || win != 0 {
-		t.Errorf("Rotate's drain counted as a gather release: full=%v window=%v", full, win)
+		t.Errorf("Rotate counted as a gather release: full=%v window=%v", full, win)
 	}
 
-	if took := r.appendTogether(one(2), one(3)); took > 500*time.Millisecond {
-		t.Errorf("pair after the rotation waited %v of a 2 s window", took)
+	if took := r.appendTogether(one(2)); took > 500*time.Millisecond {
+		t.Errorf("the queued record's company waited %v of a 2 s window", took)
+	}
+	if err := <-errC; err != nil {
+		t.Fatalf("append queued across the cut: %v", err)
 	}
 	if full, win := r.released("full"), r.released("window"); full != 1 || win != 0 {
-		t.Errorf("pair after the rotation: full=%v window=%v, want 1 and 0", full, win)
+		t.Errorf("pair across the cut: full=%v window=%v, want 1 and 0", full, win)
 	}
-	// A second ack of the drained record would have wedged the flusher
+	// A second ack of the queued record would have wedged the flusher
 	// on its waiter channel: Close returning is the proof it did not.
 	if err := r.w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if g := r.hist("gpunion_wal_group_batch_size"); g.Count() != 1 {
-		t.Errorf("flusher wrote %d groups, want only the pair", g.Count())
+	if g := r.hist("gpunion_wal_group_batch_size"); g.Count() != 1 || g.Sum() != 2 {
+		t.Errorf("flusher wrote %d groups totalling %v records, want one pair", g.Count(), g.Sum())
 	}
-	if got := segmentLSNs(t, r.dir, 1); !got[2] || !got[3] || got[1] {
-		t.Errorf("segment 1 holds %v, want records 2 and 3 only", got)
+	if got := segmentLSNs(t, r.dir, 0); len(got) != 0 {
+		t.Errorf("segment 0, below the cut, holds %v, want nothing", got)
+	}
+	if got := segmentLSNs(t, r.dir, 1); len(got) != 2 || !got[1] || !got[2] {
+		t.Errorf("segment 1 holds %v, want records 1 and 2", got)
 	}
 }

@@ -27,6 +27,23 @@ func openWriter(t *testing.T, dir string, opts Options) *Writer {
 	return w
 }
 
+// queueUnflushed queues m the way Append does but leaves no flush token,
+// so the record waits in the queue until something wakes the flusher.
+// The returned channel receives its ack.
+func queueUnflushed(t *testing.T, w *Writer, m db.Mutation) <-chan error {
+	t.Helper()
+	frame, err := appendRecord(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	w.mu.Lock()
+	w.pending = append(w.pending, frame...)
+	w.waiters = append(w.waiters, done)
+	w.mu.Unlock()
+	return done
+}
+
 func TestWriterReaderRoundTrip(t *testing.T) {
 	for _, mode := range []struct {
 		name string

@@ -49,13 +49,19 @@ type Options struct {
 //
 // The writer survives disk faults: a failed group write or sync marks
 // the current segment poisoned (its tail may be torn), and the next
-// write first rotates to a fresh segment. A failed fsync additionally
+// write first advances to a fresh segment. A failed fsync additionally
 // fails every later group already written behind it on the same file —
 // those bytes sit behind a possible tear, so they must never be
 // acknowledged even if a retried fsync were to report success. Records
 // acknowledged after the fault are therefore readable on recovery — the
 // torn bytes stay quarantined in the poisoned segment, whose tail the
 // reader already tolerates.
+//
+// Every segment after the first is started by one routine, advance,
+// whether a snapshot cut (Rotate) or a poison heal asks for it; neither
+// writes records itself. Every acknowledged record therefore took the
+// same path to disk: a group flush, then a covering fsync in the sync
+// stage.
 type Writer struct {
 	dir  string
 	opts Options
@@ -467,132 +473,88 @@ func (w *Writer) markPoisoned() {
 	w.mu.Unlock()
 }
 
-// healForWrite returns the segment file to write to, first rotating
-// away from a poisoned segment so acknowledged records never land
-// behind a torn tail. If opening the next segment also fails, the
-// append must fail rather than fall back to the poisoned file: an
-// open can fail (fd or inode exhaustion) while writes to the already-
-// open file would still succeed — and a write that succeeds behind a
-// tear would be acknowledged yet unreadable on recovery. Caller holds
-// ioMu.
+// healForWrite returns the segment file to write to, first advancing
+// past a poisoned segment so acknowledged records never land behind a
+// torn tail. If opening the next segment also fails, the append must
+// fail rather than fall back to the poisoned file: an open can fail (fd
+// or inode exhaustion) while writes to the already-open file would still
+// succeed — and a write that succeeds behind a tear would be
+// acknowledged yet unreadable on recovery. A failed close of the
+// poisoned segment does not fail the append. Caller holds ioMu.
 func (w *Writer) healForWrite() (File, error) {
 	w.mu.Lock()
-	if !w.poisoned {
-		f := w.f
-		w.mu.Unlock()
+	f, poisoned := w.f, w.poisoned
+	w.mu.Unlock()
+	if !poisoned {
 		return f, nil
 	}
-	next := w.seg + 1
-	w.mu.Unlock()
-	// Let in-flight fsyncs on the poisoned segment finish before it is
-	// retired: groups written before the tear still deserve their ack,
-	// and groups behind it fail through the sync stage's failed-file
-	// memory rather than against a closed descriptor.
-	w.drainSync()
-	nf, err := w.fs.OpenAppend(filepath.Join(w.dir, segmentName(next)))
+	nf, _, _, err := w.advance()
 	if err != nil {
-		return nil, fmt.Errorf("wal: healing onto segment %d: %w", next, err)
+		return nil, fmt.Errorf("wal: healing onto %w", err)
+	}
+	return nf, nil
+}
+
+// advance retires the current segment for the next one — the one segment
+// advance behind both a snapshot cut (Rotate) and a poison heal
+// (healForWrite). It first waits out the sync stage, so every group
+// already written to the retiring segment has its fsync verdict (an ack,
+// or the poison of a failed fsync) before the file is swapped or closed.
+// It then opens segment seg+1, swaps it in with poisoned cleared, closes
+// the retired file and counts the rotation. It returns the new file and
+// index, or the open's error with nothing changed; closeErr is the
+// retired file's close error, which only Rotate reports. Queued records
+// are not touched: the next flush writes them to whatever segment is
+// current. Caller holds ioMu.
+func (w *Writer) advance() (nf File, next int, closeErr, err error) {
+	w.drainSync()
+	w.mu.Lock()
+	next = w.seg + 1
+	w.mu.Unlock()
+	nf, err = w.fs.OpenAppend(filepath.Join(w.dir, segmentName(next)))
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("segment %d: %w", next, err)
 	}
 	w.mu.Lock()
 	old := w.f
 	w.f, w.seg, w.poisoned = nf, next, false
 	w.mu.Unlock()
-	_ = old.Close()
+	closeErr = old.Close()
 	if m := w.metrics.Load(); m != nil {
 		m.rotations.Inc()
 	}
-	return nf, nil
+	return nf, next, closeErr, nil
 }
 
-// Rotate flushes and closes the current segment and starts the next
-// one, returning the new segment's index: the snapshot cut point. Every
-// record in segments below the returned index carries an LSN at or
-// below any watermark read after Rotate returns, which is what makes
-// deleting those segments after a successful snapshot safe.
+// Rotate retires the current segment and starts the next one, returning
+// the new segment's index: the snapshot cut point. Every record in a
+// segment below the cut was durable before Rotate returned — advance
+// drains the sync stage under ioMu, so no group can be written to the
+// retiring segment after that drain — and so carries an LSN at or below
+// any watermark read afterwards. That is what makes deleting those
+// segments after a successful snapshot safe. Records still queued at the
+// cut are not Rotate's: they commit with their own group through the
+// pipeline, into the new segment, and replay idempotently on recovery
+// like any record above a cut. Rotate fails if the next segment cannot
+// be opened (the current one stays in use) or the retired one fails to
+// close.
 func (w *Writer) Rotate() (int, error) {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	closed := w.closed
+	w.mu.Unlock()
+	if closed {
 		return 0, ErrClosed
 	}
-	w.mu.Unlock()
-	// Wait out the pipeline: every group already handed to the sync
-	// stage completes against the retiring segment before it is swapped
-	// or closed, and any fsync failure in that backlog has poisoned the
-	// segment it actually hit by the time the state is read below.
-	w.drainSync()
-	w.mu.Lock()
-	buf, waiters, old := w.pending, w.waiters, w.f
-	poisoned := w.poisoned
-	w.pending, w.waiters = nil, nil
-	next := w.seg + 1
-	f, err := w.fs.OpenAppend(filepath.Join(w.dir, segmentName(next)))
+	_, next, closeErr, err := w.advance()
 	if err != nil {
-		w.mu.Unlock()
-		rerr := fmt.Errorf("wal: rotating to segment %d: %w", next, err)
-		if poisoned {
-			// No fresh segment and the current one has a torn tail:
-			// nothing may be written behind the tear, so the drained
-			// group fails without touching the disk (its records were
-			// never acknowledged).
-			for _, ch := range waiters {
-				ch <- rerr
-			}
-			return 0, rerr
-		}
-		// Keep writing the old segment; re-queue nothing (the pending
-		// group stays drained below).
-		if gerr := w.finishGroup(old, buf, waiters); gerr != nil {
-			w.markPoisoned() // the old segment stays current — quarantine its tear
-		}
-		return 0, rerr
+		return 0, fmt.Errorf("wal: rotating to %w", err)
 	}
-	w.f, w.seg, w.poisoned = f, next, false
-	w.mu.Unlock()
-
-	// The drained group normally lands in the retiring segment, below
-	// the cut. A poisoned segment ends in a torn frame the reader stops
-	// at, so its group goes into the fresh segment instead — records at
-	// or above the cut simply replay idempotently on recovery.
-	target := old
-	if poisoned {
-		target = f
-	}
-	err = w.finishGroup(target, buf, waiters)
-	if err != nil && poisoned {
-		w.markPoisoned() // the failed write hit the new, current segment
-	}
-	if cerr := old.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("wal: closing rotated segment: %w", cerr)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if m := w.metrics.Load(); m != nil {
-		m.rotations.Inc()
+	if closeErr != nil {
+		return 0, fmt.Errorf("wal: closing rotated segment: %w", closeErr)
 	}
 	return next, nil
-}
-
-// finishGroup writes a drained group to the given (old) segment and
-// releases its waiters. Caller holds ioMu. Errors are not recorded as
-// poison: they concern a segment that is being retired, not the one
-// subsequent writes target.
-func (w *Writer) finishGroup(f File, buf []byte, waiters []chan error) error {
-	var err error
-	if len(buf) > 0 {
-		if _, werr := f.Write(buf); werr != nil {
-			err = fmt.Errorf("wal: appending group: %w", werr)
-		} else if serr := f.Sync(); serr != nil {
-			err = fmt.Errorf("wal: syncing group: %w", serr)
-		}
-	}
-	for _, ch := range waiters {
-		ch <- err
-	}
-	return err
 }
 
 // Close drains pending records, syncs, and closes the segment. Appends

@@ -172,10 +172,10 @@ func TestWriterHealsAfterDiskFault(t *testing.T) {
 	}
 }
 
-// TestRotateNeverWritesBehindTear: a Rotate that drains a pending
-// group while the current segment is poisoned must not write that
-// group behind the torn frame — the reader would stop at the tear and
-// silently lose records Rotate acknowledged.
+// TestRotateNeverWritesBehindTear: a group queued when Rotate cuts a
+// poisoned segment must not be written behind the torn frame — the
+// reader would stop at the tear and silently lose records that were
+// acknowledged.
 func TestRotateNeverWritesBehindTear(t *testing.T) {
 	dir := t.TempDir()
 	fs := &stubFS{}
@@ -192,16 +192,10 @@ func TestRotateNeverWritesBehindTear(t *testing.T) {
 	fs.set(false, false)
 
 	// Stage a pending group exactly as racing appenders would leave it
-	// when Rotate wins the I/O lock before the flusher runs.
-	frame, err := appendRecord(nil, nodeMut(3, "staged"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	w.mu.Lock()
-	w.pending = append(w.pending, frame...)
-	w.waiters = append(w.waiters, done)
-	w.mu.Unlock()
+	// when Rotate wins the I/O lock before the flusher runs: queued, with
+	// the flush token an Append leaves behind.
+	done := queueUnflushed(t, w, nodeMut(3, "staged"))
+	w.flushC <- struct{}{}
 
 	if _, err := w.Rotate(); err != nil {
 		t.Fatal(err)

@@ -16,11 +16,23 @@ func newStandby(t *testing.T) (*db.DB, *Follower) {
 	return store, NewFollower(store)
 }
 
+// applyCounter counts how often a follower applies each LSN.
+type applyCounter struct {
+	db.Store
+	applied map[uint64]int
+}
+
+func (c *applyCounter) Apply(m db.Mutation) error {
+	c.applied[m.LSN]++
+	return c.Store.Apply(m)
+}
+
 func TestShipperTailsAcrossRotations(t *testing.T) {
 	dir := t.TempDir()
 	w := openWriter(t, dir, Options{})
 	s := NewShipper(dir)
-	_, f := newStandby(t)
+	standby := &applyCounter{Store: db.New(0), applied: map[uint64]int{}}
+	f := NewFollower(standby)
 
 	lsn := uint64(0)
 	appendN := func(n int) {
@@ -54,6 +66,31 @@ func TestShipperTailsAcrossRotations(t *testing.T) {
 	}
 	if f.AppliedLSN() != 12 {
 		t.Fatalf("applied %d after a no-op Pump, want 12", f.AppliedLSN())
+	}
+	// A group queued across the cut: record 13 waits in the queue while
+	// Rotate retires segment 1, and commits with record 14 in segment 2.
+	queued := queueUnflushed(t, w, nodeMut(13, "n013"))
+	if _, err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	lsn = 13 // taken by the queued record
+	appendN(1)
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentLSNs(t, dir, 2); !got[13] || !got[14] {
+		t.Fatalf("segment 2 holds %v, want the group queued across the cut", got)
+	}
+	if err := f.Pump(s); err != nil {
+		t.Fatal(err)
+	}
+	if f.AppliedLSN() != 14 {
+		t.Fatalf("applied %d after the group queued across the cut, want 14", f.AppliedLSN())
+	}
+	for l := uint64(1); l <= 14; l++ {
+		if standby.applied[l] != 1 {
+			t.Errorf("follower applied LSN %d %d times, want once", l, standby.applied[l])
+		}
 	}
 }
 

@@ -166,14 +166,21 @@ func TestGatherTargetFollowsLastGroup(t *testing.T) {
 	const window = 500 * time.Millisecond
 	r := newGatherRig(t, Options{GroupWindow: window})
 
-	// Form a group of four: with the I/O lock held the flusher cannot
-	// drain, so all four are queued by the time it does.
-	r.w.ioMu.Lock()
-	four := make(chan time.Duration, 1)
-	go func() { four <- r.appendTogether(one(1), one(2), one(3), one(4)) }()
-	r.waitQueued(4)
-	r.w.ioMu.Unlock()
-	<-four
+	// Form a group of four: queue them with no flush token, then leave
+	// the one token a single wakeup needs. The flusher's one gather finds
+	// the group formed and releases it, and no second token is left to
+	// start an empty gather whose window the pair below could join
+	// part-way through — so the pair's window starts with the pair.
+	var four []<-chan error
+	for lsn := uint64(1); lsn <= 4; lsn++ {
+		four = append(four, queueUnflushed(t, r.w, one(lsn)))
+	}
+	r.w.flushC <- struct{}{}
+	for _, done := range four {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := r.target(); got != 4 {
 		t.Fatalf("target after a group of four is %d", got)
 	}
@@ -181,9 +188,6 @@ func TestGatherTargetFollowsLastGroup(t *testing.T) {
 		t.Fatalf("group of four released full=%v, want 1", full)
 	}
 
-	// Let a wakeup left over from the four run out first, so the pair's
-	// window starts with the pair.
-	time.Sleep(window + 50*time.Millisecond)
 	if took := r.appendTogether(one(5), one(6)); took < window {
 		t.Errorf("pair after a group of four returned after %v, before the %v window", took, window)
 	}

@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"gpunion/internal/agent"
@@ -83,6 +84,8 @@ type Campus struct {
 	// Health holds each agent's injectable health source when the
 	// assembly was built WithHealthSources (gray-failure scripting).
 	Health map[string]*gpu.FakeHealthSource
+
+	cfg CampusConfig
 }
 
 // CampusConfig tunes the assembly.
@@ -149,7 +152,7 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 
 	c := &Campus{
 		Clock: clock, Coord: coord, Agents: make(map[string]*agent.Agent),
-		Ckpts: ckpts, Net: net, Bus: bus, Defs: defs,
+		Ckpts: ckpts, Net: net, Bus: bus, Defs: defs, cfg: cfg,
 	}
 	if cfg.WithHealthSources {
 		c.Health = make(map[string]*gpu.FakeHealthSource, len(defs))
@@ -165,24 +168,47 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	}
 
 	for _, d := range defs {
-		acfg := agent.Config{
-			MachineID: d.ID, Kernel: "5.15",
-			ProgressTick:         cfg.ProgressTick,
-			ForceFullCheckpoints: cfg.ForceFullCheckpoints,
-		}
 		if cfg.WithHealthSources {
-			src := gpu.NewFakeHealthSource()
-			c.Health[d.ID] = src
-			acfg.Health = src
+			c.Health[d.ID] = gpu.NewFakeHealthSource()
 		}
-		ag := agent.New(acfg, clock, d.GPUs, ckpts, bus)
-		ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", coord, ag)})
-		if err := joinLocal(ag); err != nil {
+		if err := c.boot(d); err != nil {
 			return nil, err
 		}
-		c.Agents[d.ID] = ag
 	}
 	return c, nil
+}
+
+// boot starts d's agent, as the daemon starts when the machine powers
+// on, and joins it to the coordinator. Every boot of a node gets the
+// same ID, devices and health source.
+func (c *Campus) boot(d NodeDef) error {
+	acfg := agent.Config{
+		MachineID: d.ID, Kernel: "5.15",
+		ProgressTick:         c.cfg.ProgressTick,
+		ForceFullCheckpoints: c.cfg.ForceFullCheckpoints,
+	}
+	if src, ok := c.Health[d.ID]; ok {
+		acfg.Health = src
+	}
+	ag := agent.New(acfg, c.Clock, d.GPUs, c.Ckpts, c.Bus)
+	ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", c.Coord, ag)})
+	if err := joinLocal(ag); err != nil {
+		return err
+	}
+	c.Agents[d.ID] = ag
+	return nil
+}
+
+// Reboot brings a provider back from a scheduled or emergency departure
+// the way its machine comes back: the departed agent is stopped and a
+// fresh one boots under the same ID and joins.
+func (c *Campus) Reboot(id string) error {
+	i := slices.IndexFunc(c.Defs, func(d NodeDef) bool { return d.ID == id })
+	if i < 0 {
+		return fmt.Errorf("sim: no node %q", id)
+	}
+	c.Agents[id].Stop()
+	return c.boot(c.Defs[i])
 }
 
 // localEndpoint names coord as one of ag's endpoints, reached in

@@ -5,6 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"gpunion/internal/api"
+	"gpunion/internal/db"
+	"gpunion/internal/eventbus"
+	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
 )
 
@@ -99,6 +103,51 @@ func TestFig3WorkLossScalesWithCheckpointInterval(t *testing.T) {
 	if long.Emergency.MeanWorkLost <= short.Emergency.MeanWorkLost {
 		t.Errorf("work lost should grow with the interval: 5m→%v, 30m→%v",
 			short.Emergency.MeanWorkLost, long.Emergency.MeanWorkLost)
+	}
+}
+
+// TestFig3ReturnRebootsProvider: a provider back from a scheduled or
+// emergency departure is a fresh agent under the same machine ID that
+// has registered again and is active; one back from a temporary
+// departure is the same agent, resumed.
+func TestFig3ReturnRebootsProvider(t *testing.T) {
+	for _, scenario := range []api.DepartReason{api.DepartScheduled, api.DepartEmergency, api.DepartTemporary} {
+		t.Run(string(scenario), func(t *testing.T) {
+			campus, err := NewCampus([]NodeDef{{ID: "vol-1", GPUs: repeatSpec(gpu.RTX3090, 1), Lab: "a"}}, CampusConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer campus.Stop()
+			registrations := 0
+			campus.Bus.SubscribeFunc(func(ev eventbus.Event) {
+				if ev.Node == "vol-1" {
+					registrations++
+				}
+			}, eventbus.NodeRegistered)
+			tracker := &fig3Tracker{campus: campus}
+			before := campus.Agents["vol-1"]
+			tracker.interrupt("vol-1", scenario)
+			campus.Run(time.Hour)
+			tracker.bringBack("vol-1", scenario)
+			campus.Run(5 * time.Minute)
+
+			after := campus.Agents["vol-1"]
+			if after.Departed() || after.MachineID() != "vol-1" {
+				t.Fatalf("returned agent: departed=%v id=%q", after.Departed(), after.MachineID())
+			}
+			if rec, err := campus.Coord.DB().GetNode("vol-1"); err != nil || rec.Status != db.NodeActive {
+				t.Fatalf("coordinator's record after the return: %+v, %v", rec, err)
+			}
+			if scenario == api.DepartTemporary {
+				if after != before || registrations != 0 {
+					t.Fatalf("temporary return: same agent %v, %d registrations; want the same agent resumed", after == before, registrations)
+				}
+				return
+			}
+			if after == before || registrations != 1 {
+				t.Fatalf("%s return: same agent %v, %d registrations; want a fresh agent registered once", scenario, after == before, registrations)
+			}
+		})
 	}
 }
 

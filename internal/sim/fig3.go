@@ -278,19 +278,20 @@ func (t *fig3Tracker) interrupt(nodeID string, scenario api.DepartReason) {
 	}
 }
 
-// bringBack returns the provider to the platform.
+// bringBack returns the provider to the platform. A temporary departure
+// resumes in place: the same agent returns, and its standing heartbeat
+// loop carries on. After a scheduled or emergency exit the machine comes
+// back as a fresh agent under the same ID, which registers anew.
 func (t *fig3Tracker) bringBack(nodeID string, scenario api.DepartReason) {
 	ag := t.campus.Agents[nodeID]
 	if !ag.Departed() {
 		return // already back
 	}
-	ag.Return()
-	if scenario != api.DepartTemporary {
-		// Scheduled/emergency exits re-join via fresh registration.
-		_ = joinLocal(ag)
+	if scenario == api.DepartTemporary {
+		ag.Return()
+		return
 	}
-	// Temporary departures resume via their next heartbeat, which the
-	// standing heartbeat loop sends automatically.
+	_ = t.campus.Reboot(nodeID)
 }
 
 func (t *fig3Tracker) result(campus *Campus, cfg Fig3Config) Fig3Result {

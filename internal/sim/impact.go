@@ -127,11 +127,8 @@ func runImpactCell(spec workload.TrainingSpec, k int, cfg ImpactConfig) (time.Du
 				return
 			}
 			host.Depart(api.DepartEmergency, 0)
-			// The provider returns half an hour later.
-			campus.Clock.AfterFunc(30*time.Minute, func() {
-				host.Return()
-				_ = joinLocal(host)
-			})
+			// The provider's machine comes back half an hour later.
+			campus.Clock.AfterFunc(30*time.Minute, func() { _ = campus.Reboot(st.NodeID) })
 		})
 	}
 

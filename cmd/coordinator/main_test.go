@@ -171,6 +171,13 @@ func TestCrashRestartKeepsNodesAndTokens(t *testing.T) {
 // promotion, and the node's pre-kill token must verify there (the one
 // auth.key beside the lease): its next beat is answered 200 with a
 // request to re-register, not refused with 401.
+//
+// Before the kill the standby must refuse writes unless it holds the
+// lease. On a loaded host the live leader can miss its renewals for the
+// whole grant and the skew grace after it; the standby then wins a newer
+// epoch and serves legitimately. So the invariant checked is the fence,
+// not the leader's liveness: a standby that answers holds a newer epoch
+// in the lease file, and the old leader then refuses.
 func TestStandbyTakesOverFromKilledLeader(t *testing.T) {
 	dir := t.TempDir()
 	lease := filepath.Join(dir, "lease.json")
@@ -183,10 +190,19 @@ func TestStandbyTakesOverFromKilledLeader(t *testing.T) {
 	standbyLog := filepath.Join(dir, "standby.log")
 	daemon(t, standbyAddr, standbyLog, append(replica("standby", "coord-b"), "-follow-dir", filepath.Join(dir, "wal-coord-a"))...)
 
-	reg := register(t, core.NewClient("http://"+leaderAddr))
+	leaderClient := core.NewClient("http://" + leaderAddr)
+	reg := register(t, leaderClient)
 	standby := core.NewClient("http://" + standbyAddr)
-	if _, err := beat(standby, reg, 1); err == nil || !strings.Contains(err.Error(), "not the leader") {
-		t.Fatalf("beat at the standby while the leader lives = %v, want not the leader", err)
+	if _, err := beat(standby, reg, 1); err == nil {
+		rec := core.FileLeaseStore(lease).Load()
+		if rec.Holder != "coord-b" || rec.Epoch <= reg.LeaderEpoch {
+			t.Fatalf("the standby answered a beat while the lease file reads %+v (the leader registered the node at epoch %d)", rec, reg.LeaderEpoch)
+		}
+		if _, err := beat(leaderClient, reg, 2); err == nil || !strings.Contains(err.Error(), "not the leader") {
+			t.Fatalf("beat at the old leader after the standby won epoch %d = %v, want not the leader", rec.Epoch, err)
+		}
+	} else if !strings.Contains(err.Error(), "not the leader") {
+		t.Fatalf("beat at the standby while the leader holds the lease = %v, want not the leader", err)
 	}
 
 	if err := leader.Process.Kill(); err != nil {

@@ -220,7 +220,12 @@ verify-bench:
 # .KillSwitch() call in non-test internal/sim code is the old
 # revive-in-place crash coming back. The daemon and the sims join
 # through agent.JoinAny, so a Redirect("") call in non-test code outside
-# internal/agent is a second join loop.
+# internal/agent is a second join loop. Lifecycle events have one sink,
+# the flight recorder (obs.Recorder): an import of internal/eventbus in
+# non-test code outside it, or a SubscribeFunc( or .Attach( call in
+# non-test code under internal, cmd or examples, is a second event
+# stream in the making. bench/ is not scanned: its hand-assembled
+# coordinator is the one caller eventbus.New is kept for.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -260,6 +265,12 @@ verify-compose:
 		| grep -vE '^\./internal/(container|agent)/|^\./bench_test\.go:[0-9]+:[[:space:]]*rt := container\.NewRuntime\(images, ')"; \
 	if [ -n "$$out" ]; then \
 		echo "a container runtime assembled outside internal/agent:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' '"gpunion/internal/eventbus"' . \
+		| grep -vE '_test\.go:|^\./internal/eventbus/|^\./bench/'; \
+		grep -rnE 'SubscribeFunc\(|\.Attach\(' --include='*.go' internal cmd examples | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a second event stream beside the flight recorder:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the twelve chaos schedules, the trace test's

@@ -32,7 +32,6 @@ import (
 	"gpunion/internal/container"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/heartbeat"
 	"gpunion/internal/netsim"
@@ -384,44 +383,15 @@ func BenchmarkHeartbeatSweep200Nodes(b *testing.B) {
 	}
 }
 
-func BenchmarkEventBusPublish(b *testing.B) {
-	bus := eventbus.New(0)
-	bus.SubscribeFunc(func(eventbus.Event) {})
-	ev := eventbus.Event{Type: eventbus.JobStarted, Job: "j", Node: "n"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bus.Publish(ev)
-	}
-}
-
 // BenchmarkObsOverhead quantifies the flight recorder's cost on the
-// control plane's hot paths. The recorder rides the event bus, so its
-// marginal cost is the publish-traced minus publish-bare delta — the
-// bare side keeps a no-op subscriber because a live coordinator's bus
-// always has listeners. placement-traced anchors the denominator: a
-// full 32-request placement cycle over the cached candidate set,
-// publishing one lifecycle event per decision with the recorder
-// attached. docs/BENCHMARKS.md carries the arithmetic (the
+// control plane's hot paths. record-direct is one lifecycle event into
+// the ring, as the coordinator and the agents record every one.
+// placement-traced anchors the denominator: a full 32-request placement
+// cycle over the cached candidate set, recording one job.scheduled event
+// per decision. docs/BENCHMARKS.md carries the arithmetic (the
 // observability acceptance bar is < 5% overhead on the placement path;
 // measured well under 1%).
 func BenchmarkObsOverhead(b *testing.B) {
-	ev := eventbus.Event{Type: eventbus.JobScheduled, Job: "j", Node: "n"}
-	b.Run("publish-bare", func(b *testing.B) {
-		bus := eventbus.New(0)
-		bus.SubscribeFunc(func(eventbus.Event) {})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bus.Publish(ev)
-		}
-	})
-	b.Run("publish-traced", func(b *testing.B) {
-		bus := eventbus.New(0)
-		obs.NewRecorder(simclock.Real(), 1<<14).Attach(bus)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bus.Publish(ev)
-		}
-	})
 	b.Run("record-direct", func(b *testing.B) {
 		rec := obs.NewRecorder(simclock.Real(), 1<<14)
 		b.ResetTimer()
@@ -433,8 +403,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		store := db.New(0)
 		heartbeatStore(store, 50)
 		s := scheduler.New(&scheduler.RoundRobin{})
-		bus := eventbus.New(0)
-		obs.NewRecorder(simclock.Real(), 1<<14).Attach(bus)
+		rec := obs.NewRecorder(simclock.Real(), 1<<14)
 		reqs := make([]scheduler.Request, 32)
 		for i := range reqs {
 			reqs[i] = scheduler.Request{JobID: fmt.Sprintf("j%02d", i), GPUMemMiB: 8192,
@@ -447,8 +416,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				b.Fatal(results[0].Err)
 			}
 			for k := range results {
-				bus.Publish(eventbus.Event{Type: eventbus.JobScheduled,
-					Job: reqs[k].JobID, Node: results[k].Placement.NodeID})
+				rec.RecordAt(benchEpoch, obs.KindJobScheduled, reqs[k].JobID, results[k].Placement.NodeID, nil)
 			}
 		}
 	})
@@ -817,7 +785,7 @@ func benchHeartbeatRoute(b *testing.B, telemetry bool) {
 	const nodes = 2000
 	clock := simclock.NewSim(benchEpoch)
 	coord, err := core.New(core.Config{}, clock, db.New(0),
-		checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(64))
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1082,7 +1050,7 @@ func benchHealthBeats(b *testing.B, senders int) {
 	defer mgr.Close()
 	clock := simclock.NewSim(benchEpoch)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	coord, err := core.New(core.Config{HeartbeatInterval: time.Minute}, clock, store, ckpts, eventbus.New(64))
+	coord, err := core.New(core.Config{HeartbeatInterval: time.Minute}, clock, store, ckpts, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -43,8 +43,7 @@ func TestMain(m *testing.M) {
 // the coordinator.
 func TestDaemonBeatsOnItsOwn(t *testing.T) {
 	const interval = 200 * time.Millisecond
-	bus := eventbus.New(256)
-	coord, coordURL := serveCoordinator(t, interval, bus)
+	coord, coordURL := serveCoordinator(t, interval)
 	d := startDaemon(t, "-coordinator", coordURL, "-listen", freeListen(t), "-gpus", "RTX 3090:1")
 	node := func() (db.NodeRecord, bool) {
 		nodes := coord.DB().ListNodes()
@@ -86,8 +85,8 @@ func TestDaemonBeatsOnItsOwn(t *testing.T) {
 		d.fatal("node after SIGINT = %s, want %s", rec.Status, db.NodeDeparted)
 	}
 	scheduled := false
-	for _, ev := range bus.History() {
-		if ev.Type == eventbus.NodeDeparted && ev.Detail["reason"] == string(api.DepartScheduled) {
+	for _, ev := range coord.Trace().Events() {
+		if ev.Kind == obs.KindNodeDeparted && ev.Detail["reason"] == string(api.DepartScheduled) {
 			scheduled = true
 		}
 	}
@@ -103,7 +102,7 @@ func TestDaemonBeatsOnItsOwn(t *testing.T) {
 // crash counted as one departure.
 func TestDaemonRestartIsTheSameNode(t *testing.T) {
 	const interval = 200 * time.Millisecond
-	coord, coordURL := serveCoordinator(t, interval, nil)
+	coord, coordURL := serveCoordinator(t, interval)
 	args := []string{"-coordinator", coordURL, "-listen", freeListen(t), "-gpus", "RTX 3090:1"}
 	// waitNode polls the coordinator's node table until ok accepts it.
 	waitNode := func(d *daemon, what string, ok func([]db.NodeRecord) bool) []db.NodeRecord {
@@ -138,10 +137,10 @@ func TestDaemonRestartIsTheSameNode(t *testing.T) {
 
 // serveCoordinator serves a coordinator with the given heartbeat
 // interval over HTTP from the test and returns it with its base URL.
-func serveCoordinator(t *testing.T, interval time.Duration, bus *eventbus.Bus) (*core.Coordinator, string) {
+func serveCoordinator(t *testing.T, interval time.Duration) (*core.Coordinator, string) {
 	t.Helper()
 	coord, err := core.New(core.Config{HeartbeatInterval: interval}, simclock.Real(), db.New(0),
-		checkpoint.NewStore(storage.NewMemStore(0)), bus)
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,6 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/config"
 	"gpunion/internal/core"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -199,7 +198,7 @@ func main() {
 	// from snapshot + WAL and logs every mutation from here on; a warm
 	// standby builds its store from the leader's log instead.
 	rep, err := core.OpenReplica(rcfg, simclock.Real(),
-		checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(4096))
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		log.Fatalf("opening replica: %v", err)
 	}

@@ -21,8 +21,8 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -32,10 +32,10 @@ func main() {
 	start := time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC)
 	clock := simclock.NewSim(start)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(1024)
+	trace := obs.NewRecorder(clock, 1024)
 
 	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, bus)
+		clock, db.New(0), ckpts, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func main() {
 		"a100-server": {gpu.A100},
 	} {
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, specs, ckpts, bus)
+			clock, specs, ckpts, trace)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		// The agent beats on its own from the first successful Join.
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {

@@ -25,8 +25,8 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -44,7 +44,7 @@ func main() {
 	// The checkpoint store is the LAN file system: like the WAL
 	// directory, it outlives any one coordinator process.
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(1024)
+	trace := obs.NewRecorder(clock, 1024)
 
 	// 1. A coordinator whose database is persisted via snapshot + WAL:
 	// the same core.Replica assembly the daemon boots.
@@ -52,7 +52,7 @@ func main() {
 		rep, err := core.OpenReplica(core.ReplicaConfig{
 			Dir:         walDir,
 			Coordinator: core.Config{HeartbeatInterval: 30 * time.Second},
-		}, clock, ckpts, bus)
+		}, clock, ckpts, trace)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func main() {
 	}
 	for id, gs := range specs {
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, gs, ckpts, bus)
+			clock, gs, ckpts, trace)
 		agents[id] = ag
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: &core.Client{BaseURL: "http://coordinator", HTTPClient: address}}})
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {

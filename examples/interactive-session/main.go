@@ -20,8 +20,8 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
@@ -30,10 +30,10 @@ func main() {
 	start := time.Date(2025, 9, 1, 14, 0, 0, 0, time.UTC)
 	clock := simclock.NewSim(start)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(1024)
+	trace := obs.NewRecorder(clock, 1024)
 
 	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, bus)
+		clock, db.New(0), ckpts, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func main() {
 	agents := make(map[string]*agent.Agent)
 	for _, id := range []string{"owners-ws", "lab-server"} {
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, []gpu.Spec{gpu.RTX3090}, ckpts, bus)
+			clock, []gpu.Spec{gpu.RTX3090}, ckpts, trace)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		// The agent beats on its own from the first successful Join.
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {

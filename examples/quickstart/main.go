@@ -19,8 +19,8 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -30,11 +30,11 @@ func main() {
 	start := time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC)
 	clock := simclock.NewSim(start)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(1024)
+	trace := obs.NewRecorder(clock, 1024)
 
 	// 1. The central coordinator.
 	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, bus)
+		clock, db.New(0), ckpts, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 	}
 	for id, specs := range nodes {
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, specs, ckpts, bus)
+			clock, specs, ckpts, trace)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		// Joining starts the agent's heartbeat loop on the simulated clock.
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
@@ -86,12 +86,12 @@ func main() {
 	}
 
 	// 5. The platform saw everything.
-	fmt.Printf("\nevents observed: %d (last few below)\n", len(bus.History()))
-	hist := bus.History()
+	hist := trace.Events()
+	fmt.Printf("\nevents observed: %d (last few below)\n", len(hist))
 	if len(hist) > 5 {
 		hist = hist[len(hist)-5:]
 	}
 	for _, ev := range hist {
-		fmt.Printf("  %s %-18s job=%s\n", ev.Time.Format("15:04:05"), ev.Type, ev.Job)
+		fmt.Printf("  %s %-18s job=%s\n", ev.Time.Format("15:04:05"), ev.Kind, ev.Job)
 	}
 }

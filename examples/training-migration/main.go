@@ -20,8 +20,8 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -31,10 +31,10 @@ func main() {
 	start := time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC)
 	clock := simclock.NewSim(start)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(4096)
+	trace := obs.NewRecorder(clock, 4096)
 
 	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, bus)
+		clock, db.New(0), ckpts, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 	agents := make(map[string]*agent.Agent)
 	for _, id := range []string{"volunteer-ws", "backup-1", "backup-2"} {
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, []gpu.Spec{gpu.RTX3090}, ckpts, bus)
+			clock, []gpu.Spec{gpu.RTX3090}, ckpts, trace)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		// The agent beats on its own from the first successful Join.
 		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
@@ -53,17 +53,17 @@ func main() {
 	}
 
 	// Narrate the platform's migration machinery as it acts.
-	bus.SubscribeFunc(func(ev eventbus.Event) {
-		switch ev.Type {
-		case eventbus.JobCheckpoint:
+	trace.Observe(func(ev obs.Event) {
+		switch ev.Kind {
+		case obs.KindJobCheckpoint:
 			fmt.Printf("%s  checkpoint seq=%v (%v bytes, incremental=%v)\n",
 				stamp(clock, start), ev.Detail["seq"], ev.Detail["bytes"], ev.Detail["incremental"])
-		case eventbus.JobMigrated:
+		case obs.KindJobMigrated:
 			fmt.Printf("%s  MIGRATED %s -> %s (resume step %v, reason %v)\n",
 				stamp(clock, start), ev.Detail["from"], ev.Node, ev.Detail["restore_step"], ev.Detail["reason"])
-		case eventbus.NodeUnreachable:
+		case obs.KindNodeUnreachable:
 			fmt.Printf("%s  node %s unreachable (3 missed heartbeats)\n", stamp(clock, start), ev.Node)
-		case eventbus.NodeDeparted:
+		case obs.KindNodeDeparted:
 			fmt.Printf("%s  node %s departed (%v)\n", stamp(clock, start), ev.Node, ev.Detail["reason"])
 		}
 	})

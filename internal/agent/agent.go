@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,9 +21,9 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/container"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/monitor"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/workload"
 )
@@ -90,7 +91,7 @@ type Agent struct {
 	clock   simclock.Clock
 	runtime *container.Runtime
 	ckpts   checkpoint.Writer
-	bus     *eventbus.Bus
+	trace   *obs.Recorder
 	// metrics is the agent's persistent registry: gauges are refreshed
 	// in place on each scrape and counters accumulate across scrapes —
 	// a per-scrape registry would reset every counter to zero.
@@ -203,12 +204,13 @@ type jobRun struct {
 // narrower Writer interface is the data-plane seam fault injection
 // wraps.
 //
+// The agent records its lifecycle events (job start, checkpoint, kill,
+// completion, pause, departure) in trace, stamped with clock; a nil
+// trace records nothing.
+//
 // The agent starts stand-alone; SetEndpoints names the coordinator, and
 // the first successful Join starts the heartbeat loop on clock.
-func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Writer, bus *eventbus.Bus) *Agent {
-	if bus == nil {
-		bus = eventbus.New(0)
-	}
+func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Writer, trace *obs.Recorder) *Agent {
 	if cfg.DefaultCheckpointInterval <= 0 {
 		cfg.DefaultCheckpointInterval = 10 * time.Minute
 	}
@@ -220,7 +222,7 @@ func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Wr
 		clock:      clock,
 		runtime:    container.NewRuntime(container.DefaultImages(), gpu.NewMixedInventory(specs...)),
 		ckpts:      ckpts,
-		bus:        bus,
+		trace:      trace,
 		jobs:       make(map[string]*jobRun),
 		unreported: make(map[string]api.JobUpdateRequest),
 		metrics:    monitor.NewRegistry(),
@@ -231,6 +233,16 @@ func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Wr
 		"Heartbeats that failed even after the agent's redirect and re-join", nil)
 	a.scheduleTick()
 	return a
+}
+
+// record traces one of this node's lifecycle events; a container ID,
+// when there is one, goes in the detail under "container".
+func (a *Agent) record(at time.Time, kind, job, container string) {
+	var detail map[string]string
+	if container != "" {
+		detail = map[string]string{"container": container}
+	}
+	a.trace.RecordAt(at, kind, job, a.cfg.MachineID, detail)
 }
 
 // Metrics exposes the agent's persistent registry.
@@ -485,10 +497,7 @@ func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 	a.mu.Unlock()
 
 	a.launchesTotal.Inc()
-	a.bus.Publish(eventbus.Event{
-		Type: eventbus.JobStarted, Time: now,
-		Node: a.cfg.MachineID, Job: req.JobID, Container: ctr.ID(),
-	})
+	a.record(now, obs.KindJobStarted, req.JobID, ctr.ID())
 	return api.LaunchResponse{ContainerID: ctr.ID(), DeviceID: run.deviceID}, nil
 }
 
@@ -521,10 +530,7 @@ func (a *Agent) Kill(jobID string) error {
 	if err := a.runtime.Kill(run.containerID, now); err != nil {
 		return fmt.Errorf("agent: killing container for %s: %w", jobID, err)
 	}
-	a.bus.Publish(eventbus.Event{
-		Type: eventbus.JobKilled, Time: now,
-		Node: a.cfg.MachineID, Job: jobID, Container: run.containerID,
-	})
+	a.record(now, obs.KindJobKilled, jobID, run.containerID)
 	return nil
 }
 
@@ -596,10 +602,8 @@ func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.Checkpoint
 	if run.training != nil {
 		run.pausedUntil = now.Add(run.training.Spec.CheckpointCreationTime())
 	}
-	a.bus.Publish(eventbus.Event{
-		Type: eventbus.JobCheckpoint, Time: now,
-		Node: a.cfg.MachineID, Job: run.jobID,
-		Detail: map[string]any{"seq": ck.Seq, "bytes": ck.Bytes, "incremental": ck.Incremental},
+	a.trace.RecordAt(now, obs.KindJobCheckpoint, run.jobID, a.cfg.MachineID, map[string]string{
+		"seq": strconv.Itoa(ck.Seq), "bytes": strconv.FormatInt(ck.Bytes, 10), "incremental": strconv.FormatBool(ck.Incremental),
 	})
 	return api.CheckpointResponse{Seq: ck.Seq, Bytes: ck.Bytes, Step: ck.Progress.Step}, nil
 }
@@ -619,10 +623,7 @@ func (a *Agent) KillSwitch() []string {
 
 	now := a.clock.Now()
 	a.runtime.KillAll(now)
-	a.bus.Publish(eventbus.Event{
-		Type: eventbus.KillSwitch, Time: now, Node: a.cfg.MachineID,
-		Detail: map[string]any{"killed": len(ids)},
-	})
+	a.trace.RecordAt(now, obs.KindKillSwitch, "", a.cfg.MachineID, map[string]string{"killed": strconv.Itoa(len(ids))})
 	return ids
 }
 
@@ -631,7 +632,7 @@ func (a *Agent) Pause() {
 	a.mu.Lock()
 	a.paused = true
 	a.mu.Unlock()
-	a.bus.Publish(eventbus.Event{Type: eventbus.NodePaused, Time: a.clock.Now(), Node: a.cfg.MachineID})
+	a.record(a.clock.Now(), obs.KindNodePaused, "", "")
 }
 
 // Resume re-enables allocations.
@@ -639,7 +640,7 @@ func (a *Agent) Resume() {
 	a.mu.Lock()
 	a.paused = false
 	a.mu.Unlock()
-	a.bus.Publish(eventbus.Event{Type: eventbus.NodeResumed, Time: a.clock.Now(), Node: a.cfg.MachineID})
+	a.record(a.clock.Now(), obs.KindNodeResumed, "", "")
 }
 
 // Paused reports whether new allocations are paused.
@@ -701,10 +702,7 @@ func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 			MachineID: a.cfg.MachineID, Token: a.Token(), Reason: reason,
 		})
 	}
-	a.bus.Publish(eventbus.Event{
-		Type: eventbus.NodeDeparted, Time: now, Node: a.cfg.MachineID,
-		Detail: map[string]any{"reason": string(reason)},
-	})
+	a.trace.RecordAt(now, obs.KindNodeDeparted, "", a.cfg.MachineID, map[string]string{"reason": string(reason)})
 }
 
 // Return brings a temporarily-departed node back online.
@@ -717,7 +715,7 @@ func (a *Agent) Return() {
 	if wasDeparted {
 		a.scheduleTick() // Depart stopped the progress timer
 	}
-	a.bus.Publish(eventbus.Event{Type: eventbus.NodeReturned, Time: a.clock.Now(), Node: a.cfg.MachineID})
+	a.record(a.clock.Now(), obs.KindNodeReturned, "", "")
 }
 
 // Status builds the agent's self-report.
@@ -1166,11 +1164,9 @@ func (a *Agent) tickTraining(run *jobRun, elapsed time.Duration, now time.Time) 
 	}
 	if run.ckptEvery > 0 && now.Sub(run.lastCkpt) >= run.ckptEvery {
 		if _, err := a.captureCheckpoint(run, true); err != nil {
-			// Checkpoint failures must not kill the job; surface via bus.
-			a.bus.Publish(eventbus.Event{
-				Type: eventbus.JobFailed, Time: now, Node: a.cfg.MachineID,
-				Job: run.jobID, Detail: map[string]any{"checkpoint_error": err.Error()},
-			})
+			// Checkpoint failures must not kill the job; surface in the trace.
+			a.trace.RecordAt(now, obs.KindJobFailed, run.jobID, a.cfg.MachineID,
+				map[string]string{"checkpoint_error": err.Error()})
 		}
 	}
 }
@@ -1205,10 +1201,7 @@ func (a *Agent) finishJob(run *jobRun, state db.JobState, now time.Time) {
 	if run.training != nil {
 		step = run.training.Step()
 	}
-	a.bus.Publish(eventbus.Event{
-		Type: eventbus.JobCompleted, Time: now,
-		Node: a.cfg.MachineID, Job: run.jobID, Container: run.containerID,
-	})
+	a.record(now, obs.KindJobCompleted, run.jobID, run.containerID)
 	a.report(api.JobUpdateRequest{
 		Envelope:  a.envelope(),
 		MachineID: a.cfg.MachineID, Token: a.Token(),

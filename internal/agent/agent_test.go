@@ -10,8 +10,8 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/container"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -26,7 +26,6 @@ type testRig struct {
 	// link is the agent's one endpoint: it records every job report and
 	// departure notice that reaches it.
 	link *scriptedLink
-	bus  *eventbus.Bus
 }
 
 func newRig(t *testing.T, specs ...gpu.Spec) *testRig {
@@ -37,11 +36,10 @@ func newRig(t *testing.T, specs ...gpu.Spec) *testRig {
 	clock := simclock.NewSim(t0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	link := &scriptedLink{}
-	bus := eventbus.New(256)
-	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, clock, specs, ckpts, bus)
+	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, clock, specs, ckpts, obs.NewRecorder(clock, 256))
 	a.SetEndpoints([]Endpoint{{ID: "coord", Link: link}})
 	t.Cleanup(a.Stop)
-	return &testRig{clock: clock, agent: a, ckpts: ckpts, link: link, bus: bus}
+	return &testRig{clock: clock, agent: a, ckpts: ckpts, link: link}
 }
 
 func launchTraining(t *testing.T, r *testRig, jobID string, spec workload.TrainingSpec, ckptSec int) api.LaunchResponse {
@@ -385,8 +383,7 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 	// Back the checkpoint store with a full store so saves fail.
 	clock := simclock.NewSim(t0)
 	full := checkpoint.NewStore(storage.NewMemStore(1)) // 1-byte capacity
-	bus := eventbus.New(64)
-	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, full, bus)
+	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, full, obs.NewRecorder(clock, 64))
 	defer a.Stop()
 	spec := workload.SmallCNN
 	if _, err := a.Launch(api.LaunchRequest{

@@ -24,9 +24,9 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
@@ -34,9 +34,9 @@ import (
 func TestAggregatorFallbackRace(t *testing.T) {
 	clock := simclock.Real()
 	store := db.New(0)
-	bus := eventbus.New(1024)
+	trace := obs.NewRecorder(clock, 1024)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	coord, err := core.New(core.Config{HeartbeatInterval: time.Minute}, clock, store, ckpts, bus)
+	coord, err := core.New(core.Config{HeartbeatInterval: time.Minute}, clock, store, ckpts, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAggregatorFallbackRace(t *testing.T) {
 			// Near-zero demotion backoff: the probe-again path itself is
 			// part of what must race cleanly.
 			AggregatorRetry: time.Millisecond,
-		}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, bus)
+		}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, trace)
 		defer agents[i].Stop()
 		agents[i].SetEndpoints([]agent.Endpoint{{Link: core.NewInProcessClient(coord, agents[i])}})
 		agents[i].SetAggregator(agg.ID(), agg)

@@ -12,7 +12,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -68,7 +67,7 @@ func newBatchRig(t *testing.T, batchSize int, nodeIDs ...string) *batchRig {
 	t.Helper()
 	clock := simclock.NewSim(t0)
 	coord, err := New(Config{HeartbeatInterval: 10 * time.Second, BatchSize: batchSize},
-		clock, db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(256))
+		clock, db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestRecoveredStorePlacesWithoutReset(t *testing.T) {
 
 	store := db.New(0)
 	coord, err := New(Config{HeartbeatInterval: 10 * time.Second}, simclock.NewSim(t0), store,
-		checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(256))
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestLaunchRequestSurvivesRecovery(t *testing.T) {
 	store := db.New(0)
 	store.ImportState(image)
 	second, err := New(Config{HeartbeatInterval: 10 * time.Second, BatchSize: 4}, simclock.NewSim(t0),
-		store, checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(256))
+		store, checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

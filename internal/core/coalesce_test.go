@@ -12,7 +12,6 @@ import (
 	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
 	"gpunion/internal/simclock"
@@ -39,7 +38,7 @@ func newBeatRig(t *testing.T, interval time.Duration, store db.Store) *beatRig {
 	t.Helper()
 	clock := simclock.NewSim(t0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	coord, err := New(Config{HeartbeatInterval: interval}, clock, store, ckpts, eventbus.New(1024))
+	coord, err := New(Config{HeartbeatInterval: interval}, clock, store, ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := New(Config{HeartbeatInterval: time.Minute, AuthSecret: secret},
-		clock, store, ckpts, eventbus.New(64))
+		clock, store, ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 	// Successor serves the same node; this time the flush tick lands
 	// before the crash, so the MutBeat frame must survive replay.
 	coord2, err := New(Config{HeartbeatInterval: time.Minute, AuthSecret: secret},
-		clock, store2, ckpts, eventbus.New(64))
+		clock, store2, ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"gpunion/internal/auth"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/heartbeat"
 	"gpunion/internal/migration"
@@ -73,14 +72,6 @@ type Config struct {
 	// StorageNode names the netsim node holding checkpoint data.
 	Net         *netsim.Network
 	StorageNode string
-	// Trace optionally supplies a shared flight recorder. The common
-	// case is nil: New creates a recorder and attaches it to the event
-	// bus, so every coordinator traces from birth. A harness that runs
-	// several coordinator incarnations over one bus passes the same
-	// recorder to each — it is assumed already attached, and New will
-	// not attach it again (the bus cannot unsubscribe, so re-attaching
-	// would duplicate every event).
-	Trace *obs.Recorder
 	// EnableProfiling mounts net/http/pprof on the coordinator's HTTP
 	// handler (diagnostics; off by default — profiles expose internals).
 	EnableProfiling bool
@@ -107,7 +98,6 @@ type Coordinator struct {
 	hb      *heartbeat.Monitor
 	ckpts   *checkpoint.Store
 	mig     *migration.Engine
-	bus     *eventbus.Bus
 	metrics *monitor.Registry
 	met     *coordMetrics
 	trace   *obs.Recorder
@@ -164,8 +154,11 @@ type Coordinator struct {
 // New creates a coordinator. database and ckpts may be shared with other
 // components (the simulation inspects them); a database that was
 // recovered from a snapshot + write-ahead log should be followed by
-// RecoverState before traffic is admitted.
-func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.Store, bus *eventbus.Bus) (*Coordinator, error) {
+// RecoverState before traffic is admitted. Every lifecycle event goes to
+// trace; nil gives the coordinator a recorder of its own
+// (obs.DefaultCapacity), and a harness that runs several coordinator
+// incarnations, or agents beside one, passes them all the same one.
+func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.Store, trace *obs.Recorder) (*Coordinator, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = heartbeat.DefaultInterval
 	}
@@ -175,8 +168,8 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if bus == nil {
-		bus = eventbus.New(0)
+	if trace == nil {
+		trace = obs.NewRecorder(clock, 0)
 	}
 	authy, err := auth.NewAuthority(cfg.AuthSecret, cfg.TokenTTL)
 	if err != nil {
@@ -194,11 +187,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 	if err != nil {
 		return nil, err
 	}
-	trace := cfg.Trace
-	if trace == nil {
-		trace = obs.NewRecorder(clock, 0)
-		trace.Attach(bus)
-	}
 	c := &Coordinator{
 		cfg:          cfg,
 		clock:        clock,
@@ -208,7 +196,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		hb:           heartbeat.NewMonitor(cfg.HeartbeatInterval, cfg.MissedThreshold),
 		ckpts:        ckpts,
 		mig:          migration.New(sched, database, ckpts, cfg.Net, cfg.StorageNode),
-		bus:          bus,
 		metrics:      metrics,
 		met:          met,
 		trace:        trace,
@@ -247,9 +234,6 @@ func (c *Coordinator) Migration() *migration.Engine { return c.mig }
 
 // Metrics exposes the Prometheus-style registry.
 func (c *Coordinator) Metrics() *monitor.Registry { return c.metrics }
-
-// Bus exposes the event bus.
-func (c *Coordinator) Bus() *eventbus.Bus { return c.bus }
 
 // Trace exposes the flight recorder.
 func (c *Coordinator) Trace() *obs.Recorder { return c.trace }

@@ -10,7 +10,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/migration"
 	"gpunion/internal/simclock"
@@ -35,7 +34,7 @@ func newRig(t *testing.T, hbInterval time.Duration) *rig {
 	clock := simclock.NewSim(t0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	coord, err := New(Config{HeartbeatInterval: hbInterval}, clock,
-		db.New(0), ckpts, eventbus.New(1024))
+		db.New(0), ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +568,7 @@ func TestHeartbeatRetryAfterReregisterNotSwallowed(t *testing.T) {
 	store := db.New(0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	coord1, err := New(Config{HeartbeatInterval: time.Minute, AuthSecret: secret},
-		clock, store, ckpts, eventbus.New(64))
+		clock, store, ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +583,7 @@ func TestHeartbeatRetryAfterReregisterNotSwallowed(t *testing.T) {
 	// The successor recovered the store (same records, same secret) but
 	// has no transport to the agent yet.
 	coord2, err := New(Config{HeartbeatInterval: time.Minute, AuthSecret: secret},
-		clock, store, ckpts, eventbus.New(64))
+		clock, store, ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

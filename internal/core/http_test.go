@@ -20,7 +20,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -46,7 +45,7 @@ func newHTTPRig(t *testing.T) *httpRig {
 	clock := simclock.NewSim(t0)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	coord, err := New(Config{HeartbeatInterval: 100 * time.Millisecond}, clock,
-		db.New(0), ckpts, eventbus.New(256))
+		db.New(0), ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/auth"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 )
 
 // Agent ingress: registration and the heartbeat path. A heartbeat runs
@@ -66,7 +66,7 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 	c.mu.Unlock()
 	c.hb.Track(req.MachineID, now)
 
-	c.bus.Publish(eventbus.Event{Type: eventbus.NodeRegistered, Time: now, Node: req.MachineID})
+	c.trace.RecordAt(now, obs.KindNodeRegistered, "", req.MachineID, nil)
 	if returning {
 		c.handleNodeReturn(req.MachineID, now)
 	}
@@ -408,7 +408,7 @@ func (c *Coordinator) reconcile(b *beat) bool {
 			requeued = true
 		})
 		if requeued {
-			c.bus.Publish(eventbus.Event{Type: eventbus.JobRequeued, Time: b.now, Job: job.ID})
+			c.trace.RecordAt(b.now, obs.KindJobRequeued, job.ID, "", nil)
 		}
 	}
 	c.killOrphans(machineID, b.orphans, b.now)
@@ -443,9 +443,8 @@ func (c *Coordinator) killOrphans(machineID string, orphans []string, now time.T
 	}
 	for _, jobID := range orphans {
 		if kerr := h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: jobID}); kerr == nil {
-			c.bus.Publish(eventbus.Event{Type: eventbus.JobKilled, Time: now,
-				Job: jobID, Node: machineID,
-				Detail: map[string]any{"reason": "orphan-reconciliation"}})
+			c.trace.RecordAt(now, obs.KindJobKilled, jobID, machineID,
+				map[string]string{"reason": "orphan-reconciliation"})
 		}
 	}
 }

@@ -3,10 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
+	"gpunion/internal/obs"
 )
 
 // Job lifecycle as users and agents drive it: submit, status, kill, and
@@ -45,7 +46,7 @@ func (c *Coordinator) SubmitJob(req api.SubmitJobRequest) (string, error) {
 	if err := c.db.InsertJob(rec); err != nil {
 		return "", err
 	}
-	c.bus.Publish(eventbus.Event{Type: eventbus.JobSubmitted, Time: now, Job: jobID})
+	c.trace.RecordAt(now, obs.KindJobSubmitted, jobID, "", nil)
 	c.TrySchedule()
 	return jobID, nil
 }
@@ -99,7 +100,7 @@ func (c *Coordinator) KillJob(jobID string) error {
 		j.State = db.JobKilled
 		j.FinishedAt = now
 	})
-	c.bus.Publish(eventbus.Event{Type: eventbus.JobKilled, Time: now, Job: jobID})
+	c.trace.RecordAt(now, obs.KindJobKilled, jobID, "", nil)
 	c.TrySchedule()
 	return err
 }
@@ -154,12 +155,11 @@ func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
 	}
 	_ = c.db.CloseAllocation(jobID, now)
 	c.markDevice(machineID, deviceID, false)
-	evType := eventbus.JobCompleted
+	kind := obs.KindJobCompleted
 	if state == db.JobFailed {
-		evType = eventbus.JobFailed
+		kind = obs.KindJobFailed
 	}
-	c.bus.Publish(eventbus.Event{Type: evType, Time: now, Job: jobID, Node: machineID,
-		Detail: map[string]any{"step": req.Step}})
+	c.trace.RecordAt(now, kind, jobID, machineID, map[string]string{"step": strconv.FormatInt(req.Step, 10)})
 	c.TrySchedule()
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gpunion/internal/api"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/obs"
 )
 
@@ -66,8 +65,8 @@ func (c *Coordinator) acquire() bool {
 	c.leading = true
 	c.mu.Unlock()
 	c.met.leaderChanges.Inc()
-	c.bus.Publish(eventbus.Event{Type: eventbus.LeaderElected, Time: c.clock.Now(),
-		Node: c.cfg.ReplicaID, Detail: map[string]any{"epoch": epoch}})
+	c.trace.RecordAt(c.clock.Now(), obs.KindLeaderElected, "", c.cfg.ReplicaID,
+		map[string]string{"epoch": strconv.FormatUint(epoch, 10)})
 	c.scheduleRenew()
 	return true
 }
@@ -157,8 +156,8 @@ func (c *Coordinator) stepDown(reason string) {
 	epoch := c.epoch
 	c.mu.Unlock()
 	c.met.leaderChanges.Inc()
-	c.bus.Publish(eventbus.Event{Type: eventbus.LeaderDeposed, Time: c.clock.Now(),
-		Node: c.cfg.ReplicaID, Detail: map[string]any{"epoch": epoch, "reason": reason}})
+	c.trace.RecordAt(c.clock.Now(), obs.KindLeaderDeposed, "", c.cfg.ReplicaID,
+		map[string]string{"epoch": strconv.FormatUint(epoch, 10), "reason": reason})
 }
 
 // fence gates one mutating request. reqEpoch is the envelope epoch the

@@ -11,7 +11,7 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
@@ -214,24 +214,22 @@ type leaseRig struct {
 	clock *simclock.Sim
 	lease *Lease
 	coord *Coordinator
-	bus   *eventbus.Bus
 }
 
 func newLeaseRig(t *testing.T, replica string) *leaseRig {
 	t.Helper()
 	clock := simclock.NewSim(t0)
 	lease := NewLease(NewMemLeaseStore(), clock, 30*time.Second, 5*time.Second)
-	bus := eventbus.New(256)
 	coord, err := New(Config{
 		HeartbeatInterval: 10 * time.Second,
 		Lease:             lease,
 		ReplicaID:         replica,
-	}, clock, db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), bus)
+	}, clock, db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Stop)
-	return &leaseRig{clock: clock, lease: lease, coord: coord, bus: bus}
+	return &leaseRig{clock: clock, lease: lease, coord: coord}
 }
 
 func (r *leaseRig) register(t *testing.T, id string) {
@@ -342,10 +340,9 @@ func TestPartitionedLeaderSelfFencesBeforeSuccessor(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	arbiter := NewLease(NewMemLeaseStore(), clock, 30*time.Second, 5*time.Second)
 	cut := &cutLease{LeaseClient: arbiter}
-	bus := eventbus.New(256)
 	coord, err := New(Config{
 		HeartbeatInterval: 10 * time.Second, Lease: cut, ReplicaID: "coord-a",
-	}, clock, db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), bus)
+	}, clock, db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +392,8 @@ func TestHigherEpochRequestDeposesStaleLeader(t *testing.T) {
 		t.Fatal("replica still leading after seeing a higher epoch")
 	}
 	deposed := 0
-	for _, ev := range r.bus.History() {
-		if ev.Type == eventbus.LeaderDeposed {
+	for _, ev := range r.coord.Trace().Events() {
+		if ev.Kind == obs.KindLeaderDeposed {
 			deposed++
 		}
 	}

@@ -6,8 +6,8 @@ import (
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/migration"
+	"gpunion/internal/obs"
 )
 
 // Membership: how nodes leave service (announced departure, detected
@@ -29,8 +29,8 @@ func (c *Coordinator) Depart(req api.DepartRequest) error {
 		mreason = migration.ReasonTemporary
 	}
 	c.hb.Suspend(req.MachineID)
-	return c.nodeLeaves(eventbus.Event{Type: eventbus.NodeDeparted, Time: c.clock.Now(), Node: req.MachineID,
-		Detail: map[string]any{"reason": string(req.Reason)}}, db.NodeDeparted, mreason)
+	return c.nodeLeaves(obs.Event{Kind: obs.KindNodeDeparted, Time: c.clock.Now(), Node: req.MachineID,
+		Detail: map[string]string{"reason": string(req.Reason)}}, db.NodeDeparted, mreason)
 }
 
 // admitAgent is the gate an agent's departure notice and job report
@@ -56,7 +56,7 @@ func (c *Coordinator) Sweep() {
 	}
 	now := c.clock.Now()
 	for _, nodeID := range c.hb.Lost(now) {
-		_ = c.nodeLeaves(eventbus.Event{Type: eventbus.NodeUnreachable, Time: now, Node: nodeID},
+		_ = c.nodeLeaves(obs.Event{Kind: obs.KindNodeUnreachable, Time: now, Node: nodeID},
 			db.NodeUnreachable, migration.ReasonEmergency)
 	}
 	c.sweepHealth(now)
@@ -80,7 +80,7 @@ func (c *Coordinator) scheduleSweep() {
 // unreachable). The record takes the new status, counts the departure,
 // banks the uptime of the session that just ended and frees every
 // device; the node's ingress state dies with its membership; ev is
-// published; and the node's jobs migrate under reason.
+// recorded; and the node's jobs migrate under reason.
 //
 // The dedup high-water mark is pruned because a returning node
 // re-registers, which starts a fresh beat-sequence session — keeping it
@@ -88,7 +88,7 @@ func (c *Coordinator) scheduleSweep() {
 // beat is dropped with it: the record is leaving service, and a
 // LastHeartbeat advance on a departed node would contradict the
 // departure (on the sweep path the buffered beat predates the silence).
-func (c *Coordinator) nodeLeaves(ev eventbus.Event, status db.NodeStatus, reason migration.Reason) error {
+func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migration.Reason) error {
 	nodeID, now := ev.Node, ev.Time
 	err := c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
 		n.Status = status
@@ -112,7 +112,7 @@ func (c *Coordinator) nodeLeaves(ev eventbus.Event, status db.NodeStatus, reason
 	delete(c.beatSeq, nodeID)
 	delete(c.beats, nodeID)
 	c.mu.Unlock()
-	c.bus.Publish(ev)
+	c.trace.RecordAt(ev.Time, ev.Kind, "", ev.Node, ev.Detail)
 	c.migrateJobsFrom(nodeID, reason)
 	return nil
 }
@@ -126,7 +126,7 @@ func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
 		}
 		n.LastJoin = now
 	})
-	c.bus.Publish(eventbus.Event{Type: eventbus.NodeReturned, Time: now, Node: nodeID})
+	c.trace.RecordAt(now, obs.KindNodeReturned, "", nodeID, nil)
 	c.MigrateBack(nodeID)
 	c.TrySchedule()
 }

@@ -8,7 +8,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/migration"
 	"gpunion/internal/monitor"
@@ -48,7 +47,7 @@ func newEmptyNetRig(t *testing.T, strategy scheduler.Strategy) *netRig {
 		Strategy:          strategy,
 		Net:               net,
 		StorageNode:       "storage",
-	}, clock, db.New(0), ckpts, eventbus.New(512))
+	}, clock, db.New(0), ckpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

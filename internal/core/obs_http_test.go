@@ -9,7 +9,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
@@ -118,7 +117,7 @@ func TestHTTPPprofGated(t *testing.T) {
 
 	clock := simclock.NewSim(t0)
 	coord, err := New(Config{EnableProfiling: true}, clock,
-		db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), eventbus.New(16))
+		db.New(0), checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

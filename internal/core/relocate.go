@@ -6,7 +6,6 @@ import (
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/migration"
 	"gpunion/internal/monitor"
 	"gpunion/internal/obs"
@@ -164,16 +163,14 @@ func (c *Coordinator) finishMigration(job db.JobRecord, plan migration.Plan, rea
 	}
 	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.Migrations++ })
 	c.mig.RecordSuccess(reason, plan.TransferTime)
-	evType := eventbus.JobMigrated
+	kind := obs.KindJobMigrated
 	if reason == migration.ReasonMigrateBack {
-		evType = eventbus.JobMigratedBack
+		kind = obs.KindJobMigratedBack
 	}
-	c.bus.Publish(eventbus.Event{Type: evType, Time: now, Job: job.ID,
-		Node: plan.Placement.NodeID,
-		Detail: map[string]any{
-			"from": plan.From, "restore_step": plan.RestoreStep,
-			"transfer_bytes": plan.TransferBytes, "reason": string(reason),
-		}})
+	c.trace.RecordAt(now, kind, job.ID, plan.Placement.NodeID, map[string]string{
+		"from": plan.From, "restore_step": strconv.FormatInt(plan.RestoreStep, 10),
+		"transfer_bytes": strconv.FormatInt(plan.TransferBytes, 10), "reason": string(reason),
+	})
 }
 
 // requeueFromCheckpoint returns a displaced job to the pending queue; it
@@ -184,7 +181,7 @@ func (c *Coordinator) requeueFromCheckpoint(jobID string, now time.Time) {
 		j.NodeID = ""
 		j.DeviceID = ""
 	})
-	c.bus.Publish(eventbus.Event{Type: eventbus.JobRequeued, Time: now, Job: jobID})
+	c.trace.RecordAt(now, obs.KindJobRequeued, jobID, "", nil)
 }
 
 // MigrateBack moves jobs that prefer nodeID (their original home) back

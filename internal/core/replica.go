@@ -8,7 +8,7 @@ import (
 
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/wal"
 )
@@ -65,8 +65,9 @@ type Replica struct {
 // cfg.Dir and logging there from now on, or — with cfg.FollowDir —
 // bootstrapped from the leader's snapshot and log as they stand. The
 // coordinator exists but RecoverState has not run, so the caller can
-// inspect the restored state before Start.
-func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, ckpts *checkpoint.Store, bus *eventbus.Bus) (*Replica, error) {
+// inspect the restored state before Start. trace is the coordinator's
+// flight recorder, as for New.
+func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, ckpts *checkpoint.Store, trace *obs.Recorder) (*Replica, error) {
 	r := &Replica{cfg: cfg, store: db.New(0)}
 	switch {
 	case cfg.FollowDir != "":
@@ -91,7 +92,7 @@ func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, ckpts *checkpoint.Stor
 		}
 		r.mgr = mgr
 	}
-	coord, err := New(cfg.Coordinator, clock, r.store, ckpts, bus)
+	coord, err := New(cfg.Coordinator, clock, r.store, ckpts, trace)
 	if err != nil {
 		if r.mgr != nil {
 			_ = r.mgr.Close()

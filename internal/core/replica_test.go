@@ -16,21 +16,21 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/wal"
 )
 
-// replicaRig opens replicas of one deployment: shared clock, bus,
+// replicaRig opens replicas of one deployment: shared clock, recorder,
 // checkpoint store and (in-memory) lease arbiter, real WAL directories.
 type replicaRig struct {
 	t     *testing.T
 	clock *simclock.Sim
 	ckpts *checkpoint.Store
-	bus   *eventbus.Bus
+	trace *obs.Recorder
 	lease *Lease
 }
 
@@ -39,7 +39,7 @@ func newReplicaRig(t *testing.T) *replicaRig {
 	return &replicaRig{
 		t: t, clock: clock,
 		ckpts: checkpoint.NewStore(storage.NewMemStore(0)),
-		bus:   eventbus.New(256),
+		trace: obs.NewRecorder(clock, 0),
 		lease: NewLease(NewMemLeaseStore(), clock, 30*time.Second, 5*time.Second),
 	}
 }
@@ -66,7 +66,7 @@ func (r *replicaRig) open(id, dir, follow string, onDurable func(db.Mutation)) *
 
 func (r *replicaRig) openConfig(cfg ReplicaConfig) *Replica {
 	r.t.Helper()
-	rep, err := OpenReplica(cfg, r.clock, r.ckpts, r.bus)
+	rep, err := OpenReplica(cfg, r.clock, r.ckpts, r.trace)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestReplicaLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := OpenReplica(ReplicaConfig{Dir: dirB, FollowDir: dirA,
-			Coordinator: Config{Lease: r.lease, ReplicaID: "coord-b"}}, r.clock, r.ckpts, r.bus)
+			Coordinator: Config{Lease: r.lease, ReplicaID: "coord-b"}}, r.clock, r.ckpts, r.trace)
 		if err == nil || !strings.Contains(err.Error(), "empty WAL directory") {
 			t.Fatalf("standby opened over a stale log: %v", err)
 		}

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"strconv"
 	"time"
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
+	"gpunion/internal/obs"
 	"gpunion/internal/scheduler"
 )
 
@@ -180,8 +181,7 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 		c.interactiveCount++
 		c.mu.Unlock()
 	}
-	c.bus.Publish(eventbus.Event{Type: eventbus.JobScheduled, Time: now,
-		Job: job.ID, Node: p.NodeID,
-		Detail: map[string]any{"device": resp.DeviceID, "reliability": p.Reliability}})
+	c.trace.RecordAt(now, obs.KindJobScheduled, job.ID, p.NodeID,
+		map[string]string{"device": resp.DeviceID, "reliability": strconv.FormatFloat(p.Reliability, 'g', -1, 64)})
 	return true
 }

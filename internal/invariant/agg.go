@@ -31,11 +31,11 @@ import (
 // store ends at must be an instant some acknowledged beat or
 // registration actually carried.
 
-// AggAudit accumulates both views of the aggregation tier. Attach at a
-// quiescent point (the base snapshot and the mutation subscription are
-// not atomic). The harness must report *every* acknowledged beat —
-// aggregator-acked and direct alike — or honest direct traffic would
-// read as fabrication.
+// AggAudit accumulates both views of the aggregation tier. Create it,
+// and Watch a successor store, at a quiescent point (the base snapshot
+// and the mutation subscription are not atomic). The harness must
+// report *every* acknowledged beat — aggregator-acked and direct alike
+// — or honest direct traffic would read as fabrication.
 type AggAudit struct {
 	mu sync.Mutex
 	// acked holds, per node, the set of instants (UnixNano) carried by
@@ -77,10 +77,10 @@ func NewAggAudit(s db.Store) (*AggAudit, func()) {
 	return a, s.AddMutationObserver(a.observe)
 }
 
-// Attach subscribes the audit to a successor store's mutation stream
+// Watch subscribes the audit to a successor store's mutation stream
 // (after a failover the acknowledged sets must survive; only the
 // subscription is store-bound). Cancel the previous subscription first.
-func (a *AggAudit) Attach(s db.Store) func() {
+func (a *AggAudit) Watch(s db.Store) func() {
 	return s.AddMutationObserver(a.observe)
 }
 

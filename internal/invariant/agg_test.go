@@ -142,7 +142,7 @@ func TestAggAuditAttachSuccessorStore(t *testing.T) {
 	cancel() // failover: the old store's subscription is gone
 	succ := db.New(0)
 	succ.UpsertNode(db.NodeRecord{ID: "n1", Status: db.NodeActive, LastHeartbeat: t0})
-	defer a.Attach(succ)()
+	defer a.Watch(succ)()
 	beat := t0.Add(10 * time.Second)
 	events := []gpu.HealthEvent{{Kind: gpu.HealthXIDFatal, Severity: gpu.SeverityCritical, XID: 79}}
 	a.ObserveAck("n1", beat, 1)

@@ -3,10 +3,10 @@
 // control plane's interesting moments — job lifecycle transitions
 // (submit → place → launch → checkpoint → migrate → terminal),
 // leadership changes (lease lost → promotion → first fenced write) and
-// chaos fault-injection annotations. The recorder attaches to the
-// event bus for lifecycle coverage and accepts direct annotations from
-// subsystems the bus does not see (fencing rejections, injected
-// faults, invariant violations).
+// chaos fault-injection annotations. It is the one sink: the
+// coordinator, every agent and the chaos harness record into it
+// directly, and a simulation that must react to an event (a population
+// top-up, checkpoint traffic) registers an Observe hook on it.
 //
 // Recording is cheap and never blocks the platform: a fixed-capacity
 // ring overwrites the oldest event when full (the drop count is
@@ -21,19 +21,43 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
 
-	"gpunion/internal/eventbus"
 	"gpunion/internal/simclock"
 )
 
-// Well-known event kinds recorded outside the event bus. Bus-sourced
-// events use their eventbus.Type string verbatim ("job.submitted",
-// "leader.elected", ...).
+// Lifecycle event kinds, recorded by the coordinator and the agents.
+const (
+	KindNodeRegistered  = "node.registered"
+	KindNodeDeparted    = "node.departed"
+	KindNodePaused      = "node.paused"
+	KindNodeResumed     = "node.resumed"
+	KindNodeUnreachable = "node.unreachable"
+	KindNodeReturned    = "node.returned"
+
+	KindJobSubmitted    = "job.submitted"
+	KindJobScheduled    = "job.scheduled"
+	KindJobStarted      = "job.started"
+	KindJobCheckpoint   = "job.checkpointed"
+	KindJobMigrated     = "job.migrated"
+	KindJobCompleted    = "job.completed"
+	KindJobFailed       = "job.failed"
+	KindJobRequeued     = "job.requeued"
+	KindJobKilled       = "job.killed"
+	KindJobMigratedBack = "job.migrated_back"
+
+	KindKillSwitch = "provider.killswitch"
+
+	// Leadership transitions of a replicated coordinator.
+	KindLeaderElected = "leader.elected"
+	KindLeaderDeposed = "leader.deposed"
+)
+
+// Annotation kinds: subsystem moments outside the job and node
+// lifecycle.
 const (
 	// KindFaultInjected annotates one chaos fault delivery.
 	KindFaultInjected = "fault.injected"
@@ -63,8 +87,7 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Time is the (simulated or wall) clock reading at the event.
 	Time time.Time `json:"time"`
-	// Kind names the event: an eventbus.Type string or one of the
-	// Kind* annotation constants.
+	// Kind names the event: one of the Kind* constants.
 	Kind string `json:"kind"`
 	// Job and Node identify the subjects, when applicable.
 	Job  string `json:"job,omitempty"`
@@ -91,6 +114,7 @@ type Recorder struct {
 	full    bool    // ring has wrapped at least once
 	seq     uint64  // next sequence number
 	dropped uint64  // events overwritten
+	hooks   []func(Event)
 }
 
 // NewRecorder creates a recorder stamping events from clock. A
@@ -110,8 +134,9 @@ func (r *Recorder) Record(kind, job, node string, detail map[string]string) {
 	r.RecordAt(r.clock.Now(), kind, job, node, detail)
 }
 
-// RecordAt appends an event with an explicit timestamp (used for bus
-// events, which carry the publisher's clock reading).
+// RecordAt appends an event with an explicit timestamp: the
+// publisher's own clock reading (an agent's clock may be skewed from
+// the coordinator's), then runs the Observe hooks.
 func (r *Recorder) RecordAt(at time.Time, kind, job, node string, detail map[string]string) {
 	if r == nil {
 		return
@@ -127,30 +152,27 @@ func (r *Recorder) RecordAt(at time.Time, kind, job, node string, detail map[str
 		r.dropped++
 	}
 	r.next = (r.next + 1) % cap(r.buf)
+	hooks := r.hooks
 	r.mu.Unlock()
+
+	for _, fn := range hooks {
+		fn(ev)
+	}
 }
 
-// Attach subscribes the recorder to every bus event, converting each
-// into a trace event. Handlers run synchronously on the publisher's
-// goroutine, so under the single-driver simulation the recorded order
-// is deterministic. Attach at most once per recorder per bus.
-func (r *Recorder) Attach(bus *eventbus.Bus) {
-	if r == nil || bus == nil {
+// Observe registers fn to run on every event after it is appended, on
+// the recording goroutine, outside the recorder's lock and in
+// registration order — so under the single-driver simulation what fn
+// does lands at a deterministic point of the timeline, and an event fn
+// records in turn follows the one that triggered it. fn must be fast.
+// Hooks cannot be removed; register them while assembling.
+func (r *Recorder) Observe(fn func(Event)) {
+	if r == nil {
 		return
 	}
-	bus.SubscribeFunc(func(ev eventbus.Event) {
-		var detail map[string]string
-		if len(ev.Detail) > 0 || ev.Container != "" {
-			detail = make(map[string]string, len(ev.Detail)+1)
-			for k, v := range ev.Detail {
-				detail[k] = fmt.Sprint(v)
-			}
-			if ev.Container != "" {
-				detail["container"] = ev.Container
-			}
-		}
-		r.RecordAt(ev.Time, string(ev.Type), ev.Job, ev.Node, detail)
-	})
+	r.mu.Lock()
+	r.hooks = append(r.hooks, fn)
+	r.mu.Unlock()
 }
 
 // Events returns a copy of the retained window, oldest first.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"gpunion/internal/eventbus"
 	"gpunion/internal/simclock"
 )
 
@@ -63,32 +62,78 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Record("k", "j", "n", nil)
 	r.RecordAt(epoch, "k", "j", "n", nil)
-	r.Attach(eventbus.New(0))
+	r.Observe(func(Event) { t.Error("hook ran on a nil recorder") })
 	if r.Events() != nil || r.Dropped() != 0 {
 		t.Error("nil recorder not inert")
 	}
 }
 
-func TestAttachConvertsBusEvents(t *testing.T) {
+// TestObserveHook: hooks run synchronously, in registration order, on
+// every event from Record and RecordAt in Seq order, and an event a hook
+// records in turn lands after the one that triggered it.
+func TestObserveHook(t *testing.T) {
 	clk := simclock.NewSim(epoch)
-	bus := eventbus.New(0)
 	r := NewRecorder(clk, 16)
-	r.Attach(bus)
-	bus.Publish(eventbus.Event{
-		Type: eventbus.JobScheduled, Time: clk.Now(),
-		Job: "j1", Node: "ws-1", Container: "c1",
-		Detail: map[string]any{"latency": 250 * time.Microsecond, "n": 3},
+	var seen []string
+	r.Observe(func(ev Event) {
+		seen = append(seen, fmt.Sprintf("a:%d:%s", ev.Seq, ev.Kind))
+		if ev.Kind == KindJobCompleted {
+			r.Record(KindJobSubmitted, "j2", "", nil)
+		}
 	})
+	r.Observe(func(ev Event) { seen = append(seen, fmt.Sprintf("b:%d:%s", ev.Seq, ev.Kind)) })
+
+	r.Record(KindJobSubmitted, "j1", "", nil)
+	if len(seen) != 2 {
+		t.Fatalf("hooks not run before Record returned: %v", seen)
+	}
+	r.RecordAt(clk.Now().Add(-time.Minute), KindJobCompleted, "j1", "ws-1", nil)
+
+	want := []string{
+		"a:0:job.submitted", "b:0:job.submitted",
+		"a:1:job.completed",
+		"a:2:job.submitted", "b:2:job.submitted",
+		"b:1:job.completed",
+	}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("hook calls\n got %v\nwant %v", seen, want)
+	}
 	evs := r.Events()
-	if len(evs) != 1 {
-		t.Fatalf("want 1 event, got %d", len(evs))
+	if len(evs) != 3 || evs[1].Kind != KindJobCompleted || evs[2].Job != "j2" {
+		t.Fatalf("nested event out of order: %+v", evs)
 	}
-	ev := evs[0]
-	if ev.Kind != string(eventbus.JobScheduled) || ev.Job != "j1" || ev.Node != "ws-1" {
-		t.Fatalf("bad conversion: %+v", ev)
+	if !evs[1].Time.Equal(epoch.Add(-time.Minute)) {
+		t.Errorf("RecordAt stamped %v, want the publisher's reading", evs[1].Time)
 	}
-	if ev.Detail["container"] != "c1" || ev.Detail["n"] != "3" {
-		t.Fatalf("bad detail: %v", ev.Detail)
+}
+
+// TestObserveConcurrent is the -race check: recorders, late hook
+// registrations and readers may all race. A hook registered before any
+// recorder starts runs exactly once per event.
+func TestObserveConcurrent(t *testing.T) {
+	const recorders, each = 4, 100
+	r := NewRecorder(simclock.Real(), 64)
+	var mu sync.Mutex
+	calls := 0
+	r.Observe(func(Event) { mu.Lock(); calls++; mu.Unlock() })
+	var wg sync.WaitGroup
+	for g := 0; g < recorders; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Record(KindJobScheduled, "j", "n", nil)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			r.Observe(func(Event) {})
+			_ = r.Events()
+		}()
+	}
+	wg.Wait()
+	if calls != recorders*each {
+		t.Fatalf("first hook ran %d times, want %d", calls, recorders*each)
 	}
 }
 

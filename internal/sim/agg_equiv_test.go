@@ -25,9 +25,9 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
@@ -185,12 +185,12 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices .
 		paused:   make([]bool, nodes),
 		departed: make([]bool, nodes),
 	}
-	bus := eventbus.New(1024)
+	trace := obs.NewRecorder(arm.clock, 1024)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	coord, err := core.New(core.Config{
 		HeartbeatInterval: time.Minute,
 		AuthSecret:        equivSecret,
-	}, arm.clock, arm.store, ckpts, bus)
+	}, arm.clock, arm.store, ckpts, trace)
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -215,7 +215,7 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks, devices .
 			// in both arms — the knob changes what agents send, and the
 			// battery proves the tiers agree on whatever that is.
 			TelemetryEvery: 4,
-		}, arm.clock, devices, ckpts, bus)
+		}, arm.clock, devices, ckpts, trace)
 		ep := localEndpoint("coordinator", coord, ag)
 		ep.Link = handBeaten{ep.Link}
 		ag.SetEndpoints([]agent.Endpoint{ep})

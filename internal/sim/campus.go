@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"time"
 
 	"gpunion/internal/agent"
@@ -18,9 +19,9 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/netsim"
+	"gpunion/internal/obs"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -79,7 +80,6 @@ type Campus struct {
 	Agents map[string]*agent.Agent
 	Ckpts  *checkpoint.Store
 	Net    *netsim.Network
-	Bus    *eventbus.Bus
 	Defs   []NodeDef
 	// Health holds each agent's injectable health source when the
 	// assembly was built WithHealthSources (gray-failure scripting).
@@ -126,7 +126,6 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	}
 	clock := simclock.NewSim(Epoch)
 	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	bus := eventbus.New(4096)
 
 	var net *netsim.Network
 	storageNode := ""
@@ -145,26 +144,29 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 		BatchSize:         cfg.SchedulerBatchSize,
 		Net:               net,
 		StorageNode:       storageNode,
-	}, clock, db.New(0), ckpts, bus)
+	}, clock, db.New(0), ckpts, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	c := &Campus{
 		Clock: clock, Coord: coord, Agents: make(map[string]*agent.Agent),
-		Ckpts: ckpts, Net: net, Bus: bus, Defs: defs, cfg: cfg,
+		Ckpts: ckpts, Net: net, Defs: defs, cfg: cfg,
 	}
 	if cfg.WithHealthSources {
 		c.Health = make(map[string]*gpu.FakeHealthSource, len(defs))
 	}
 	if cfg.TrackCheckpointTraffic && net != nil {
-		bus.SubscribeFunc(func(ev eventbus.Event) {
-			bytes, _ := ev.Detail["bytes"].(int64)
+		coord.Trace().Observe(func(ev obs.Event) {
+			if ev.Kind != obs.KindJobCheckpoint {
+				return
+			}
+			bytes, _ := strconv.ParseInt(ev.Detail["bytes"], 10, 64)
 			if bytes <= 0 || ev.Node == "" {
 				return
 			}
 			_, _ = net.Transfer(ev.Node, "coordinator", bytes, netsim.TrafficCheckpoint, ev.Time)
-		}, eventbus.JobCheckpoint)
+		})
 	}
 
 	for _, d := range defs {
@@ -190,7 +192,7 @@ func (c *Campus) boot(d NodeDef) error {
 	if src, ok := c.Health[d.ID]; ok {
 		acfg.Health = src
 	}
-	ag := agent.New(acfg, c.Clock, d.GPUs, c.Ckpts, c.Bus)
+	ag := agent.New(acfg, c.Clock, d.GPUs, c.Ckpts, c.Coord.Trace())
 	ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", c.Coord, ag)})
 	if err := joinLocal(ag); err != nil {
 		return err

@@ -22,7 +22,6 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
 	"gpunion/internal/monitor"
@@ -225,12 +224,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 type chaosHarness struct {
 	cfg   ChaosConfig
 	clock *simclock.Sim
-	bus   *eventbus.Bus
-	// trace is the run's flight recorder: attached to the shared bus
-	// once, handed to every coordinator incarnation via coordCfg.Trace,
-	// and fed fault/violation annotations by the chaos engine. One
-	// recorder spans crashes and failovers, so the exported timeline is
-	// continuous across leadership changes.
+	// trace is the run's flight recorder: handed to every coordinator
+	// incarnation and every agent, and fed fault/violation annotations
+	// by the chaos engine. One recorder spans crashes and failovers, so
+	// the exported timeline is continuous across leadership changes.
 	trace    *obs.Recorder
 	blob     *chaos.FaultBlobStore
 	ckpts    *checkpoint.Store
@@ -391,7 +388,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	h := &chaosHarness{
 		cfg:            cfg,
 		clock:          simclock.NewSim(Epoch),
-		bus:            eventbus.New(4096),
 		blob:           blob,
 		ckpts:          checkpoint.NewStore(blob),
 		skewed:         make(map[string]*simclock.Skewed),
@@ -412,7 +408,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	// A deep ring: chaos runs are the flight recorder's primary
 	// customer, and fault localization needs the whole run retained.
 	h.trace = obs.NewRecorder(h.clock, 1<<16)
-	h.trace.Attach(h.bus)
 
 	if cfg.WithNetwork {
 		h.net = netsim.New(10 * netsim.Gbps)
@@ -431,7 +426,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		AuthSecret:        chaosAuthSecret,
 		Net:               h.net,
 		StorageNode:       storageNode,
-		Trace:             h.trace,
 	}
 
 	dir := ""
@@ -520,7 +514,7 @@ func (h *chaosHarness) bootAgent(i int) *agent.Agent {
 		// payload, so the rack relay can fold them.
 		acfg.TelemetryEvery = 4
 	}
-	ag := agent.New(acfg, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.bus)
+	ag := agent.New(acfg, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.trace)
 	// Every coordinator address is an endpoint, as with cmd/agent
 	// -coordinator a,b: the agent finds a new leader on its own beats.
 	ag.SetEndpoints(endpoints(&http.Client{Transport: chaosWire{h: h, node: d.ID}}, h.coordAddrs...))
@@ -627,7 +621,7 @@ func (a *streamAudits) attach(store db.Store) {
 		if a.agg == nil {
 			a.agg, ca = invariant.NewAggAudit(store)
 		} else {
-			ca = a.agg.Attach(store)
+			ca = a.agg.Watch(store)
 		}
 		a.cancel = append(a.cancel, ca)
 	}
@@ -710,7 +704,7 @@ func (h *chaosHarness) openReplica(addr, dir, followDir string) (*replica, error
 		cfg.OnPromote = func(epoch uint64, err error) { h.promoted(rep, epoch, err) }
 	}
 	var err error
-	if rep.Replica, err = core.OpenReplica(cfg, clock, h.ckpts, h.bus); err != nil {
+	if rep.Replica, err = core.OpenReplica(cfg, clock, h.ckpts, h.trace); err != nil {
 		return nil, err
 	}
 	// Every replica reaches the agent registered at an address through

@@ -9,8 +9,8 @@ import (
 	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/invariant"
+	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
 
@@ -110,7 +110,7 @@ func TestChaosCrashedNodeRebootsAsItself(t *testing.T) {
 	}
 	registered := false
 	for _, ev := range h.trace.Events() {
-		registered = registered || (ev.Kind == string(eventbus.NodeRegistered) && ev.Node == id && !ev.Time.Before(returnedAt))
+		registered = registered || (ev.Kind == obs.KindNodeRegistered && ev.Node == id && !ev.Time.Before(returnedAt))
 	}
 	if !registered || fresh.Token() == "" {
 		t.Fatal("the rebooted agent did not register")

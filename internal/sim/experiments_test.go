@@ -7,8 +7,8 @@ import (
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 )
 
@@ -118,18 +118,19 @@ func TestFig3ReturnRebootsProvider(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer campus.Stop()
-			registrations := 0
-			campus.Bus.SubscribeFunc(func(ev eventbus.Event) {
-				if ev.Node == "vol-1" {
-					registrations++
-				}
-			}, eventbus.NodeRegistered)
+			booted := uint64(len(campus.Coord.Trace().Events()))
 			tracker := &fig3Tracker{campus: campus}
 			before := campus.Agents["vol-1"]
 			tracker.interrupt("vol-1", scenario)
 			campus.Run(time.Hour)
 			tracker.bringBack("vol-1", scenario)
 			campus.Run(5 * time.Minute)
+			registrations := 0
+			for _, ev := range campus.Coord.Trace().Events() {
+				if ev.Seq >= booted && ev.Kind == obs.KindNodeRegistered && ev.Node == "vol-1" {
+					registrations++
+				}
+			}
 
 			after := campus.Agents["vol-1"]
 			if after.Departed() || after.MachineID() != "vol-1" {

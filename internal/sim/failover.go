@@ -14,18 +14,18 @@ import (
 	"gpunion/internal/workload"
 )
 
-// FailoverConfig tunes the scripted leader-handoff scenario.
-type FailoverConfig struct {
-	// Nodes is how many 2×RTX3090 provider nodes join (default 4).
-	Nodes int
-	// Jobs is how many training jobs are submitted before the kill
-	// (default 12 — more than the fleet holds, so a pending tail rides
-	// through the handoff).
-	Jobs int
-	// PostFailover is how long the simulation runs after the standby
-	// takes over (default 4 h — enough for every SmallCNN to finish).
-	PostFailover time.Duration
-}
+// The scripted leader-handoff scenario's fixed shape.
+const (
+	// failoverNodes is how many 2×RTX3090 provider nodes join.
+	failoverNodes = 4
+	// failoverJobs is how many training jobs are submitted before the
+	// kill: more than the fleet holds, so a pending tail rides through
+	// the handoff.
+	failoverJobs = 12
+	// postFailover is how long the simulation runs after the standby
+	// takes over: enough for every SmallCNN to finish.
+	postFailover = 4 * time.Hour
+)
 
 // FailoverResult is what the scenario measured.
 type FailoverResult struct {
@@ -60,17 +60,8 @@ type FailoverResult struct {
 // (drains the shipped log; the audit checks nothing acked was lost) and
 // recovers, and the fleet finds it on its own beats, re-registers under
 // the new epoch and finishes the inherited work.
-func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
+func RunFailover() (FailoverResult, error) {
 	var res FailoverResult
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 12
-	}
-	if cfg.PostFailover <= 0 {
-		cfg.PostFailover = 4 * time.Hour
-	}
 	dirA, err := os.MkdirTemp("", "gpunion-wal-a-*")
 	if err != nil {
 		return res, err
@@ -127,13 +118,13 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	// redirect, not a reconfiguration. A job report the dead leader does
 	// not answer stays with its agent, which re-sends it after its next
 	// answered beat.
-	if err := w.fleet(cfg.Nodes, "coord-a", "coord-b"); err != nil {
+	if err := w.fleet(failoverNodes, "coord-a", "coord-b"); err != nil {
 		return res, err
 	}
-	if err := submitTraining(coordA, cfg.Jobs); err != nil {
+	if err := submitTraining(coordA, failoverJobs); err != nil {
 		return res, err
 	}
-	res.SubmittedJobs = cfg.Jobs
+	res.SubmittedJobs = failoverJobs
 	w.clock.Advance(15 * time.Minute)
 
 	// The standby fences while the leader lives.
@@ -154,11 +145,11 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 		return res, err
 	}
 
-	w.clock.Advance(cfg.PostFailover)
+	w.clock.Advance(postFailover)
 	if promoteErr != nil {
 		return res, promoteErr
 	}
 	res.CompletedAfterFailover = standby.CountJobsInState(db.JobCompleted)
-	res.LostJobs = cfg.Jobs - len(standby.ListJobs())
+	res.LostJobs = failoverJobs - len(standby.ListJobs())
 	return res, nil
 }

@@ -18,7 +18,7 @@ import (
 // was acked, and the fleet finishes the inherited queue under the new
 // epoch.
 func TestFailoverLeaderHandoff(t *testing.T) {
-	res, err := RunFailover(FailoverConfig{})
+	res, err := RunFailover()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,24 +5,31 @@ import (
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/migration"
+	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
 
-// Fig3Config parameterises the migration experiment (paper Fig. 3 and
-// §4 "Interruption Scenarios"): 20 deep-learning training jobs on
-// volunteer provider nodes over one week, with provider interruptions at
-// 0.5–3.2 events/day/node across three scenario classes.
-type Fig3Config struct {
-	// Days is the experiment horizon (paper: 7).
-	Days int
-	// Jobs is the size of the training corpus (paper: 20).
-	Jobs int
-	// InterruptionsPerDay is the per-volunteer-node event rate
+// The migration experiment's fixed shape (paper Fig. 3 and §4
+// "Interruption Scenarios").
+const (
+	// fig3Days is the experiment horizon (paper: 7).
+	fig3Days = 7
+	// fig3Jobs is the training population kept running (paper: 20).
+	fig3Jobs = 20
+	// fig3InterruptionsPerDay is the per-volunteer-node event rate
 	// (paper range: 0.5–3.2).
-	InterruptionsPerDay float64
+	fig3InterruptionsPerDay = 1.6
+	// fig3Deadline is the time bound for "successfully migrated within
+	// the specified time": 30 s of restore-transfer delay.
+	fig3Deadline = 30 * time.Second
+)
+
+// Fig3Config parameterises the migration experiment: 20 deep-learning
+// training jobs on volunteer provider nodes over one week, with provider
+// interruptions across three scenario classes.
+type Fig3Config struct {
 	// CheckpointInterval is the periodic ALC cadence (default 10 min).
 	CheckpointInterval time.Duration
 	// Seed drives the stochastic processes.
@@ -30,9 +37,6 @@ type Fig3Config struct {
 	// ScenarioWeights orders [scheduled, emergency, temporary]
 	// probabilities; zero value means uniform thirds.
 	ScenarioWeights [3]float64
-	// Deadline is the time bound for "successfully migrated within the
-	// specified time" (default 30 s of restore-transfer delay).
-	Deadline time.Duration
 }
 
 // ScenarioResult aggregates one interruption class.
@@ -109,25 +113,13 @@ func fig3Spec(rng interface{ Float64() float64 }, i int) workload.TrainingSpec {
 
 // RunFig3 executes the interruption experiment.
 func RunFig3(cfg Fig3Config) (Fig3Result, error) {
-	if cfg.Days <= 0 {
-		cfg.Days = 7
-	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 20
-	}
-	if cfg.InterruptionsPerDay <= 0 {
-		cfg.InterruptionsPerDay = 1.6
-	}
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = 10 * time.Minute
 	}
 	if cfg.ScenarioWeights == [3]float64{} {
 		cfg.ScenarioWeights = [3]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
 	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 30 * time.Second
-	}
-	span := time.Duration(cfg.Days) * 24 * time.Hour
+	const span = fig3Days * 24 * time.Hour
 
 	campus, err := NewCampus(fig3Campus(), CampusConfig{
 		HeartbeatInterval: 30 * time.Second,
@@ -143,7 +135,7 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 	demand := NewDemand(cfg.Seed + 77)
 	rng := demand.Rand()
 
-	// Maintain a population of cfg.Jobs concurrent training jobs: each
+	// Maintain a population of fig3Jobs concurrent training jobs: each
 	// completion is followed by a fresh submission, so the experiment
 	// observes a steadily loaded platform with natural turnover.
 	corpusRng := NewDemand(cfg.Seed + 99).Rand()
@@ -153,8 +145,8 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 		corpusN++
 		_, _ = campus.Coord.SubmitJob(TrainingJobSubmission("researcher", spec, cfg.CheckpointInterval))
 	}
-	campus.Bus.SubscribeFunc(func(eventbus.Event) {
-		if !campus.Clock.Now().Before(Epoch.Add(span - time.Hour)) {
+	campus.Coord.Trace().Observe(func(ev obs.Event) {
+		if ev.Kind != obs.KindJobCompleted || !campus.Clock.Now().Before(Epoch.Add(span-time.Hour)) {
 			return
 		}
 		// Population control: completions are announced by both the
@@ -164,11 +156,11 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 		active := d.CountJobsInState(db.JobPending) +
 			d.CountJobsInState(db.JobRunning) +
 			d.CountJobsInState(db.JobMigrating)
-		for ; active < cfg.Jobs; active++ {
+		for ; active < fig3Jobs; active++ {
 			submitNext()
 		}
-	}, eventbus.JobCompleted)
-	for i := 0; i < cfg.Jobs; i++ {
+	})
+	for i := 0; i < fig3Jobs; i++ {
 		submitNext()
 	}
 
@@ -179,7 +171,7 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 		nodeID := nodeID
 		var arm func()
 		arm = func() {
-			gap := time.Duration(rng.ExpFloat64() / cfg.InterruptionsPerDay * float64(24*time.Hour))
+			gap := time.Duration(rng.ExpFloat64() / fig3InterruptionsPerDay * float64(24*time.Hour))
 			if gap < 5*time.Minute {
 				gap = 5 * time.Minute
 			}
@@ -301,7 +293,7 @@ func (t *fig3Tracker) result(campus *Campus, cfg Fig3Config) Fig3Result {
 		r := ScenarioResult{
 			Events:               t.events[scenario],
 			Displaced:            t.displaced[scenario],
-			MigrationSuccessRate: stats.RateWithin(reason, cfg.Deadline),
+			MigrationSuccessRate: stats.RateWithin(reason, fig3Deadline),
 			MeanDowntime:         stats.MeanDowntime(reason),
 		}
 		if n := t.displaced[scenario]; n > 0 {

@@ -6,7 +6,6 @@ import (
 
 	"gpunion/internal/chaos"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
 	"gpunion/internal/monitor"
@@ -249,7 +248,7 @@ func TestGrayCrashKeepsUnhealthyExclusion(t *testing.T) {
 	}
 	rejoined := false
 	for _, ev := range h.trace.Events() {
-		rejoined = rejoined || (ev.Kind == string(eventbus.NodeRegistered) && ev.Node == victim && ev.Time.After(crashAt))
+		rejoined = rejoined || (ev.Kind == obs.KindNodeRegistered && ev.Node == victim && ev.Time.After(crashAt))
 	}
 	if !rejoined {
 		t.Fatalf("victim %s never re-registered with the successor", victim)

@@ -12,9 +12,9 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
-	"gpunion/internal/eventbus"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/wal"
@@ -171,17 +171,19 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 
 // scripted is the world of the scripted scenarios: one simulated clock,
 // the LAN checkpoint store (it outlives every coordinator process, like
-// a WAL directory), one bus, and the address book.
+// a WAL directory), one flight recorder every coordinator incarnation
+// and agent records into, and the address book.
 type scripted struct {
 	clock *simclock.Sim
 	ckpts *checkpoint.Store
-	bus   *eventbus.Bus
+	trace *obs.Recorder
 	hosts *simHosts
 }
 
 func newScripted() *scripted {
-	return &scripted{clock: simclock.NewSim(Epoch), ckpts: checkpoint.NewStore(storage.NewMemStore(0)),
-		bus: eventbus.New(4096), hosts: &simHosts{}}
+	clock := simclock.NewSim(Epoch)
+	return &scripted{clock: clock, ckpts: checkpoint.NewStore(storage.NewMemStore(0)),
+		trace: obs.NewRecorder(clock, 0), hosts: &simHosts{}}
 }
 
 // open opens a coordinator replica of the deployment and serves it at
@@ -191,7 +193,7 @@ func newScripted() *scripted {
 func (w *scripted) open(host string, cfg core.ReplicaConfig) (*core.Replica, error) {
 	c := &cfg.Coordinator
 	c.HeartbeatInterval, c.BatchSize, c.AuthSecret = time.Minute, 8, []byte("gpunion-sim-auth-secret")
-	rep, err := core.OpenReplica(cfg, w.clock, w.ckpts, w.bus)
+	rep, err := core.OpenReplica(cfg, w.clock, w.ckpts, w.trace)
 	if err == nil {
 		w.hosts.serve(host, rep.Coordinator().Handler(func(addr string) core.AgentHandle {
 			return &agent.Client{BaseURL: addr, HTTPClient: &http.Client{Transport: w.hosts}}
@@ -207,7 +209,7 @@ func (w *scripted) open(host string, cfg core.ReplicaConfig) (*core.Replica, err
 func (w *scripted) fleet(n int, coords ...string) error {
 	for i := 0; i < n; i++ {
 		ag := agent.New(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
-			ProgressTick: 30 * time.Second}, w.clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, w.ckpts, w.bus)
+			ProgressTick: 30 * time.Second}, w.clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, w.ckpts, w.trace)
 		w.hosts.serve(ag.MachineID(), ag.Handler())
 		ag.SetEndpoints(endpoints(&http.Client{Transport: w.hosts}, coords...))
 		if err := joinLocal(ag); err != nil {

@@ -3,8 +3,8 @@ package sim
 import (
 	"time"
 
-	"gpunion/internal/eventbus"
 	"gpunion/internal/netsim"
+	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
 
@@ -67,7 +67,11 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	defer campus.Stop()
 
 	ckptCount := 0
-	campus.Bus.SubscribeFunc(func(eventbus.Event) { ckptCount++ }, eventbus.JobCheckpoint)
+	campus.Coord.Trace().Observe(func(ev obs.Event) {
+		if ev.Kind == obs.KindJobCheckpoint {
+			ckptCount++
+		}
+	})
 
 	// A steady training population with multi-hour jobs, submitted
 	// staggered over the first two hours so checkpoint cadences

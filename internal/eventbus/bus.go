@@ -1,9 +1,8 @@
-// Package eventbus is what is left of GPUnion's old publish/subscribe
-// event bus: the flight recorder (internal/obs) is now the one sink for
-// lifecycle events, and this package keeps only the constructor that
-// the end-to-end benchmark's hand-assembled coordinator (bench/trace.go,
-// a module of its own) still calls. ROADMAP item 6(a) deletes it with
-// that file.
+// Package eventbus holds one constructor, New, kept for the end-to-end
+// benchmark's hand-assembled coordinator (bench/trace.go, a module of
+// its own). Lifecycle events have one sink, the flight recorder
+// (internal/obs); ROADMAP item 6(a) deletes this package with that
+// file.
 package eventbus
 
 import (

@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check bench-e2e fuzz-smoke loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden verify-figures cover ci
+.PHONY: all build test race bench bench-check bench-e2e fuzz-smoke loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-docs verify-bench verify-compose verify-golden verify-figures cover ci
 
 all: build
 
@@ -103,10 +103,10 @@ verify-recovery:
 
 # Chaos acceptance: the seeded fault schedules (400-node churn,
 # partition + coordinator kill/restart, WAL disk faults, clock-skew +
-# duplicate delivery, data-plane partition + checkpoint corruption,
-# aggregator crash/partition) must finish with zero invariant
-# violations, and the sabotage tests must prove the checker catches
-# deliberately broken invariants. See docs/FAULT-MODEL.md.
+# duplicate delivery, data-plane partition + checkpoint corruption)
+# must finish with zero invariant violations, and the sabotage tests
+# must prove the checker catches deliberately broken invariants. See
+# docs/FAULT-MODEL.md.
 verify-chaos:
 	$(GO) test ./internal/sim -run 'Chaos' -count=1 -v -timeout 300s
 
@@ -140,20 +140,6 @@ verify-gray:
 	$(GO) test ./internal/sim -run 'Gray|PartialLoss|CkptReadRot' -count=1 -v -timeout 300s
 	$(GO) test ./internal/core -run 'TestHealthBeatBypassesCoalescing|TestReplayedHealthBeatNotDoubleFolded|TestHealthEventsTruncatedPerBeat' -count=1 -v
 	$(GO) test ./internal/monitor -run 'TestFoldHealth|TestFakeHealthSource' -count=1 -v
-
-# Aggregation-tier acceptance: the two aggregated chaos schedules
-# (relay crash mid-window, relay partition with direct fallback) run
-# zero-violation; the equivalence property battery proves rolled-up
-# state byte-identical to direct ingestion through 1–8 relays; the
-# sabotage tests prove aggregation-equivalence fires on a relay that
-# drops, fabricates, replays or stale-fences; the endpoint-tier
-# failover race lane runs the whole aggregator package under -race;
-# and the batch codec's fuzz seeds stay green. See docs/ARCHITECTURE.md
-# (aggregation tier) and docs/FAULT-MODEL.md.
-verify-agg:
-	$(GO) test ./internal/sim -run 'TestChaosAggCrash|TestChaosAggPartition|TestAggregationEquivalenceProperty|TestAggSabotage' -count=1 -v -timeout 300s
-	$(GO) test ./internal/aggregator -race -count=1 -v
-	$(GO) test ./internal/api -run 'FuzzAggregatedBeat' -count=1 -v
 
 # Docs acceptance: every internal package carries a package doc comment
 # (scripts/doccheck), every db.MutationType constant has its row in
@@ -224,8 +210,15 @@ verify-bench:
 # the flight recorder (obs.Recorder): an import of internal/eventbus in
 # non-test code outside it, or a SubscribeFunc( or .Attach( call in
 # non-test code under internal, cmd or examples, is a second event
-# stream in the making. bench/ is not scanned: its hand-assembled
-# coordinator is the one caller eventbus.New is kept for.
+# stream in the making. A heartbeat has one path too: the agent sends
+# it to its active coordinator endpoint. A SetAggregator( call, a
+# TelemetryEvery knob, a NewAggAudit( call or a KindAgg fault in
+# non-test code, or an import of internal/aggregator in non-test code
+# outside cmd/aggregator, is the rack relay tier coming back into the
+# agent, the chaos harness or the invariants. bench/ is not scanned:
+# its hand-assembled coordinator is the one caller eventbus.New is kept
+# for, and its beats_relayed workload is what internal/aggregator and
+# cmd/aggregator are kept for.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -272,8 +265,13 @@ verify-compose:
 	if [ -n "$$out" ]; then \
 		echo "a second event stream beside the flight recorder:"; echo "$$out"; exit 1; \
 	fi
+	@out="$$(grep -rnE 'SetAggregator\(|TelemetryEvery|NewAggAudit\(|KindAgg' --include='*.go' internal cmd examples | grep -v '_test\.go:'; \
+		grep -rn --include='*.go' '"gpunion/internal/aggregator"' internal cmd examples | grep -vE '_test\.go:|^cmd/aggregator/')"; \
+	if [ -n "$$out" ]; then \
+		echo "a second heartbeat path beside the agent's direct beat:"; echo "$$out"; exit 1; \
+	fi
 
-# Same-behaviour gate: the twelve chaos schedules, the trace test's
+# Same-behaviour gate: the ten chaos schedules, the trace test's
 # short run and the scripted failover and crash-recovery scenarios must
 # reproduce internal/sim/testdata/golden_traces.json (per-schedule
 # fault, job and replay counters, event count and a digest chain of the
@@ -314,4 +312,4 @@ cover:
 # right after the race lane's -count=20 loops the host is still hot, and
 # the gate once read DecodeHeartbeat/idle at +35 % (reruns +18 %, +20 %)
 # on a package no diff had touched.
-ci: build vet fmt bench-check race bench fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-bench verify-compose verify-golden verify-figures cover
+ci: build vet fmt bench-check race bench fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-docs verify-bench verify-compose verify-golden verify-figures cover

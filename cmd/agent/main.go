@@ -6,7 +6,6 @@
 //
 //	agent -coordinator http://coord:8080 [-listen :7070] [-gpus "RTX 3090:2"]
 //	agent -coordinator http://coord-a:8080,http://coord-b:8080
-//	agent -coordinator http://coord:8080 -aggregator http://rack-agg:7080
 //	agent -config agent.json
 //
 // -coordinator takes one address or a comma-separated list of replica
@@ -15,12 +14,10 @@
 // leader" or stops answering, moves to the next and re-registers
 // there.
 //
-// With -aggregator, heartbeats prefer the rack relay (which acks no-op
-// beats locally and rolls them up); the agent falls back to the direct
-// coordinator endpoint whenever the relay errors or answers stale.
-// Pair it with -telemetry-every N (telemetry attached every Nth beat)
-// — a beat carrying telemetry always passes through the relay, so
-// only the off-cadence idle beats fold.
+// Every heartbeat goes to the replica the agent talks to and carries
+// the node's device telemetry. There is no relay flag: an invocation
+// that still passes -aggregator or -telemetry-every exits with the flag
+// package's "flag provided but not defined" error.
 //
 // The node's identity is derived from the advertise address
 // (config.Agent.MachineID): an agent restarted on the same address
@@ -56,8 +53,6 @@ import (
 
 func main() {
 	coordURL := flag.String("coordinator", "", "coordinator base URL, or a comma-separated list of replica URLs (overrides config)")
-	aggURL := flag.String("aggregator", "", "rack aggregator base URL (optional heartbeat relay)")
-	telemetryEvery := flag.Int("telemetry-every", 0, "attach telemetry every Nth beat (0 = every beat; set >1 behind an aggregator so idle beats fold)")
 	listen := flag.String("listen", "", "HTTP bind address (overrides config)")
 	gpus := flag.String("gpus", "", `installed devices, e.g. "RTX 3090:2,A100:1" (overrides config)`)
 	cfgPath := flag.String("config", "", "path to agent.json")
@@ -103,12 +98,8 @@ func main() {
 		MachineID:                 machineID,
 		Kernel:                    cfg.Kernel,
 		DefaultCheckpointInterval: time.Duration(cfg.CheckpointIntervalSec) * time.Second,
-		TelemetryEvery:            *telemetryEvery,
 	}, simclock.Real(), specs, ckpts, nil)
 	ag.SetEndpoints(eps)
-	if *aggURL != "" {
-		ag.SetAggregator(*aggURL, core.NewClient(*aggURL))
-	}
 
 	srv := &http.Server{Addr: cfg.Listen, Handler: ag.Handler()}
 	go func() {

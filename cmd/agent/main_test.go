@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -195,6 +196,23 @@ func (d *daemon) fatal(format string, args ...any) {
 	d.t.Helper()
 	log, _ := os.ReadFile(d.logPath)
 	d.t.Fatalf(format+"\nagent log:\n%s", append(args, log)...)
+}
+
+// TestRelayFlagsAreGone: the agent has one heartbeat path, so an
+// invocation that still names a rack relay or a telemetry cadence
+// exits at start with the flag package's usage error instead of
+// registering.
+func TestRelayFlagsAreGone(t *testing.T) {
+	for _, flag := range []string{"-aggregator", "-telemetry-every"} {
+		out, err := exec.Command(os.Args[0], "agent", "-coordinator", "http://127.0.0.1:1", flag, "4").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("agent %s: err = %v, want exit status 2\n%s", flag, err, out)
+		}
+		if want := "flag provided but not defined: " + flag; !strings.Contains(string(out), want) {
+			t.Fatalf("agent %s printed %q, want %q", flag, out, want)
+		}
+	}
 }
 
 func TestParseGPUFlag(t *testing.T) {

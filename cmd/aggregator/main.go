@@ -1,11 +1,14 @@
-// Command aggregator runs GPUnion's rack-scoped heartbeat relay: it
-// serves the same /v1/heartbeat endpoint the coordinator does, acks
+// Command aggregator runs the rack heartbeat relay (internal/aggregator):
+// it serves the same /v1/heartbeat endpoint the coordinator does, acks
 // no-op beats locally, folds them into compact AggregatedBeat windows,
-// and forwards one upstream request per flush tick — so coordinator
-// ingress cost scales with racks and churn, not fleet size. Point a
-// rack's agents at this process as their aggregator endpoint; they
-// fall back to their direct coordinator endpoints whenever the relay
-// answers with an error.
+// and forwards one upstream request per flush tick.
+//
+// It is the relay bench/'s beats_relayed workload measures, and nothing
+// else runs it: no shipped agent routes through it (cmd/agent has no
+// relay flag and sends every beat to its coordinator). The benchmark
+// change that drops beats_relayed deletes this command and
+// internal/aggregator with it. A client of the relay delivers a beat
+// the relay answers with an error to the coordinator directly.
 //
 // Usage:
 //

@@ -175,22 +175,18 @@ func runScalability(seed int64) {
 
 func runChaos(seed int64) {
 	header("Chaos: seeded fault injection with state-invariant audits")
-	fmt.Printf("%-24s %7s %7s %10s %10s %10s %10s %8s %12s %11s\n",
-		"schedule", "faults", "audits", "submitted", "completed", "recoveries", "diskFaults", "trace", "fold/fwd", "violations")
+	fmt.Printf("%-24s %7s %7s %10s %10s %10s %10s %8s %11s\n",
+		"schedule", "faults", "audits", "submitted", "completed", "recoveries", "diskFaults", "trace", "violations")
 	var last sim.ChaosResult
 	for _, sc := range sim.ChaosSchedules {
 		res, err := sim.RunChaosSchedule(sc.Name, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		foldFwd := "-"
-		if res.AggForwards > 0 {
-			foldFwd = fmt.Sprintf("%d/%d", res.AggFoldedBeats, res.AggForwards)
-		}
-		fmt.Printf("%-24s %7d %7d %10d %10d %10d %10d %8d %12s %11d\n",
+		fmt.Printf("%-24s %7d %7d %10d %10d %10d %10d %8d %11d\n",
 			sc.Name, len(res.Schedule), res.Report.Audits, res.SubmittedJobs,
 			res.CompletedJobs, res.Recoveries, res.WALFaultsInjected,
-			len(res.Trace), foldFwd, len(res.Violations))
+			len(res.Trace), len(res.Violations))
 		for _, v := range res.Violations {
 			fmt.Printf("    INVARIANT VIOLATION: %s\n", v)
 		}

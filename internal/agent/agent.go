@@ -74,15 +74,6 @@ type Config struct {
 	// throttling, slowdowns); each built heartbeat drains it and ships
 	// the events to the coordinator. Nil means no health reporting.
 	Health gpu.HealthSource
-	// AggregatorRetry is how long a failed rack aggregator stays
-	// demoted before SendBeat probes it again (default 30s).
-	AggregatorRetry time.Duration
-	// TelemetryEvery attaches the device telemetry snapshot to every
-	// Nth heartbeat instead of all of them (0 or 1 = every beat).
-	// Liveness stays per-beat; only the sample cadence coarsens. An
-	// idle node's off-cadence beats then carry no payload at all,
-	// which is what lets a rack aggregator fold them into deltas.
-	TelemetryEvery int
 }
 
 // Agent is the provider-side daemon.
@@ -143,20 +134,6 @@ type Agent struct {
 	// coordinator-initiated write carrying a lower non-zero epoch is
 	// from a deposed leader and is rejected with ErrStaleLeader.
 	coordEpoch uint64
-	// Aggregation tier: agg is the node's assigned rack aggregator (nil
-	// = none, beat direct), aggID names it, and aggRetryAt is the
-	// demotion deadline — after an aggregator failure the agent beats
-	// direct until this time passes, then probes the aggregator again.
-	agg        BeatSender
-	aggID      string
-	aggRetryAt time.Time
-}
-
-// BeatSender delivers one heartbeat request. Both endpoint tiers speak
-// it: a rack aggregator (aggregator.Aggregator) and a direct
-// coordinator transport (core.Client).
-type BeatSender interface {
-	Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error)
 }
 
 // Link is the agent's request path to one coordinator replica:
@@ -167,14 +144,10 @@ type BeatSender interface {
 // with its token, leader epoch and protocol version.
 type Link interface {
 	Register(api.RegisterRequest) (api.RegisterResponse, error)
-	BeatSender
+	Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error)
 	JobUpdate(api.JobUpdateRequest) error
 	Depart(api.DepartRequest) error
 }
-
-// defaultAggregatorRetry is how long a failed aggregator stays demoted
-// before the agent probes it again.
-const defaultAggregatorRetry = 30 * time.Second
 
 // jobRun is the agent-local state of one running workload.
 type jobRun struct {
@@ -737,87 +710,6 @@ func (a *Agent) Status() api.AgentStatus {
 	}
 }
 
-// SetAggregator assigns (or, with a nil sender, clears) the node's
-// rack aggregator — the preferred heartbeat tier. Any standing
-// demotion is cleared: a freshly assigned aggregator gets probed on
-// the next beat.
-func (a *Agent) SetAggregator(id string, send BeatSender) {
-	a.mu.Lock()
-	a.agg = send
-	a.aggID = id
-	a.aggRetryAt = time.Time{}
-	a.mu.Unlock()
-}
-
-// aggregatorRetry resolves the demotion backoff.
-func (a *Agent) aggregatorRetry() time.Duration {
-	if a.cfg.AggregatorRetry > 0 {
-		return a.cfg.AggregatorRetry
-	}
-	return defaultAggregatorRetry
-}
-
-// demoteAggregator sidelines the aggregator tier until the retry
-// deadline: subsequent beats go direct, then one probes again.
-func (a *Agent) demoteAggregator(now time.Time) {
-	a.mu.Lock()
-	a.aggRetryAt = now.Add(a.aggregatorRetry())
-	a.mu.Unlock()
-}
-
-// SendBeat builds one heartbeat and delivers it through the endpoint
-// tiers: the assigned aggregator first (unless demoted), falling back
-// to the direct sender when the aggregator is unassigned, errors, or
-// answers with a stale leader epoch — the same beat, same sequence, so
-// the coordinator's dedup guard keeps the failover exactly-once even
-// if the aggregator had already folded it. viaAggregator reports which
-// tier produced the returned response.
-func (a *Agent) SendBeat(direct BeatSender) (resp api.HeartbeatResponse, viaAggregator bool, err error) {
-	req := a.HeartbeatRequest()
-	now := a.clock.Now()
-	a.mu.Lock()
-	agg := a.agg
-	if agg != nil && !a.aggRetryAt.IsZero() && now.Before(a.aggRetryAt) {
-		agg = nil // demoted: beat direct, probe later
-	}
-	a.mu.Unlock()
-
-	if agg != nil {
-		resp, err = agg.Heartbeat(req)
-		if err == nil {
-			if resp.LeaderEpoch != 0 && resp.LeaderEpoch < a.CoordEpoch() {
-				// The aggregator is relaying acks from a deposed leader:
-				// its upstream is stale. Demote it and re-deliver this
-				// beat direct — the stale leader's "processing" is fenced
-				// away, so the direct delivery is the authoritative one.
-				a.demoteAggregator(now)
-			} else {
-				a.ObserveEpoch(resp.LeaderEpoch)
-				return resp, true, nil
-			}
-		} else {
-			a.demoteAggregator(now)
-		}
-	}
-	switch {
-	case direct != nil:
-		resp, err = direct.Heartbeat(req)
-	case err == nil:
-		err = errors.New("agent: no direct endpoint to fall back to")
-	}
-	if err != nil {
-		// Nobody answered: the beat's health events go back in front of
-		// the backlog for the next beat, whose cut bounds it. The answer
-		// may be all that was lost, so delivery is at least once.
-		a.mu.Lock()
-		a.pendingHealth = slices.Concat(req.HealthEvents, a.pendingHealth)
-		a.mu.Unlock()
-		return api.HeartbeatResponse{}, false, err
-	}
-	a.ObserveEpoch(resp.LeaderEpoch)
-	return resp, false, nil
-}
-
 // Join registers the node through the active endpoint and adopts what
 // the coordinator answers: the credential for subsequent messages and
 // the leader epoch as the fencing floor. addr is where the coordinator
@@ -887,9 +779,11 @@ func (a *Agent) armBeatLocked(every time.Duration) {
 // to a coordinator.
 var errNoEndpoint = errors.New("agent: no coordinator endpoint")
 
-// Beat is one turn of the agent's heartbeat loop: SendBeat through the
-// endpoint tiers (the active endpoint's link is the direct one), then
-// whatever the answer demands. A coordinator that no longer knows the
+// Beat is one turn of the agent's heartbeat loop: build a heartbeat,
+// send it through the active endpoint, then do whatever the answer
+// demands. A beat nobody answered puts its health events back in front
+// of the backlog for the next beat, whose cut bounds it; the answer may
+// be all that was lost, so delivery is at least once. A coordinator that no longer knows the
 // node (it restarted, or the credential expired) asks for a re-join; a
 // fenced replica's api.ErrNotLeader redirects to its hint (or the next
 // endpoint) and re-joins there; a 401 (the credential no longer
@@ -901,7 +795,20 @@ var errNoEndpoint = errors.New("agent: no coordinator endpoint")
 // answered, so the job reports still kept are re-sent after it; a beat
 // that ends with one counts on gpunion_agent_heartbeat_failures_total.
 func (a *Agent) Beat() (api.HeartbeatResponse, error) {
-	resp, _, err := a.SendBeat(a.ActiveEndpoint().Link)
+	req := a.HeartbeatRequest()
+	var resp api.HeartbeatResponse
+	err := errNoEndpoint
+	if link := a.ActiveEndpoint().Link; link != nil {
+		resp, err = link.Heartbeat(req)
+	}
+	if err == nil {
+		a.ObserveEpoch(resp.LeaderEpoch)
+	} else {
+		resp = api.HeartbeatResponse{}
+		a.mu.Lock()
+		a.pendingHealth = slices.Concat(req.HealthEvents, a.pendingHealth)
+		a.mu.Unlock()
+	}
 	var nl api.ErrNotLeader
 	var refused api.Error
 	switch {
@@ -998,15 +905,11 @@ func (a *Agent) HeartbeatRequest() api.HeartbeatRequest {
 	seq := a.beatSeq
 	health := a.takeHealthLocked(collected)
 	a.mu.Unlock()
-	tel := st.Telemetry
-	if n := a.cfg.TelemetryEvery; n > 1 && seq%uint64(n) != 0 {
-		tel = nil
-	}
 	return api.HeartbeatRequest{
 		Envelope:     a.envelope(),
 		MachineID:    a.cfg.MachineID,
 		Token:        a.Token(),
-		Telemetry:    tel,
+		Telemetry:    st.Telemetry,
 		RunningJobs:  st.RunningJobs,
 		Paused:       st.Paused,
 		BeatSeq:      seq,

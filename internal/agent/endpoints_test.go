@@ -244,35 +244,6 @@ func TestBeat(t *testing.T) {
 	}
 }
 
-// TestBeatFallsBackFromDemotedAggregator: a failing rack relay is
-// demoted inside the same Beat call and the very same beat (same
-// sequence) lands on the direct link; the next Beat skips the relay.
-func TestBeatFallsBackFromDemotedAggregator(t *testing.T) {
-	r := newRig(t)
-	link := &scriptedLink{epoch: 1, beats: []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){ack(1), ack(1)}}
-	r.agent.SetEndpoints([]Endpoint{{Link: link}})
-	if _, err := r.agent.Join("inproc://node-test", 1<<30); err != nil {
-		t.Fatal(err)
-	}
-	relay := &scriptedLink{beats: []func(api.HeartbeatRequest) (api.HeartbeatResponse, error){
-		fail(errors.New("relay down"))}}
-	r.agent.SetAggregator("agg-00", relay)
-
-	resp, err := r.agent.Beat()
-	if err != nil || !resp.Acknowledged {
-		t.Fatalf("Beat through a dead relay = %+v, %v", resp, err)
-	}
-	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 1 || relay.beatSeqs[0] != link.beatSeqs[0] {
-		t.Fatalf("relay saw %v, direct saw %v; want the same one beat on both", relay.beatSeqs, link.beatSeqs)
-	}
-	if resp, err = r.agent.Beat(); err != nil || !resp.Acknowledged {
-		t.Fatalf("second Beat = %+v, %v", resp, err)
-	}
-	if len(relay.beatSeqs) != 1 || len(link.beatSeqs) != 2 {
-		t.Fatalf("demoted relay was probed again: relay %v direct %v", relay.beatSeqs, link.beatSeqs)
-	}
-}
-
 // TestUnansweredBeatKeepsHealthEvents: a beat that fails at the
 // transport does not lose the health events it drained; they go back in
 // front of the backlog, and the next beat carries them ahead of what was

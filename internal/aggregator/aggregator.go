@@ -1,31 +1,33 @@
-// Package aggregator implements GPUnion's rack/zone heartbeat roll-up
-// tier: a relay between a rack's agents and the coordinator that acks
-// steady-state no-op beats locally, folds them into compact per-node
-// liveness deltas, and forwards one api.AggregatedBeat upstream per
-// flush window. Coordinator ingress cost becomes O(aggregators +
-// churn) instead of O(nodes) — the remaining scaling front after the
-// coalesced write path, the way a telemetry plane separates per-cell
-// state ingest from the global monitor.
+// Package aggregator is a rack heartbeat relay: it sits between a
+// rack's beats and the coordinator, acks steady-state no-op beats
+// locally, folds them into compact per-node liveness deltas, and
+// forwards one api.AggregatedBeat upstream per flush window to the
+// coordinator's POST /v1/aggregated.
+//
+// It is the fixture of bench/'s beats_relayed workload and nothing
+// else: no shipped agent routes through it (the agent sends every beat
+// to its coordinator endpoint), and it stays, with cmd/aggregator, only
+// for that workload. The benchmark change that drops beats_relayed
+// deletes both.
 //
 // Fold contract (what may be acked locally): a beat with a non-zero
 // sequence whose report is empty — no telemetry, no running jobs, no
 // health events, not paused — and whose node is not currently flagged
-// by the coordinator. Everything else passes through verbatim,
-// synchronously, attached to the pending window: health events and
-// state changes are only acked once the coordinator has actually
-// folded them, so an aggregator crash can never lose an acknowledged
-// health event. What a crash can lose is the current window's folded
-// liveness deltas, which is the same bounded-lag contract the
-// coordinator's own coalescing buffer already has — agents re-beat
-// within one interval and the `aggregation-equivalence` invariant's
-// lag tolerance covers exactly this window.
+// by the coordinator. The sequence check is what keeps the relay from
+// acking a zero-sequence beat the coordinator would refuse. Everything
+// else passes through verbatim, synchronously, attached to the pending
+// window: health events and state changes are only acked once the
+// coordinator has actually folded them, so a relay crash can never
+// lose an acknowledged health event. What a crash can lose is the
+// current window's folded liveness deltas, which is the same
+// bounded-lag contract the coordinator's own coalescing buffer has.
 //
 // Failure behavior: a failed upstream forward degrades the aggregator
-// — every subsequent Ingest returns ErrUnavailable so agents fall back
-// to their direct coordinator endpoints — until a backoff elapses or
-// Heal/SetUpstream re-arms it. The per-node BeatSeq is preserved end
-// to end, so a delta that loses a race against the agent's own direct
-// fallback beats is absorbed by the coordinator's sequence guard.
+// — every subsequent Ingest returns ErrUnavailable, which tells the
+// sender to deliver the same beat to the coordinator directly — until
+// a backoff elapses or Heal re-arms it. The per-node BeatSeq is
+// preserved end to end, so a delta that loses a race against the same
+// node's direct beats is absorbed by the coordinator's sequence guard.
 package aggregator
 
 import (
@@ -41,8 +43,8 @@ import (
 )
 
 // ErrUnavailable is returned by Ingest while the aggregator is stopped
-// or degraded (its upstream forward failed); agents treat it like any
-// transport failure and fall back to a direct coordinator endpoint.
+// or degraded (its upstream forward failed); the sender treats it like
+// any transport failure and delivers the beat to the coordinator.
 var ErrUnavailable = errors.New("aggregator: unavailable, beat direct")
 
 // Upstream is the aggregator's coordinator-facing transport. The
@@ -93,7 +95,7 @@ type Aggregator struct {
 	flags     map[string]nodeFlag
 	timer     simclock.Timer
 	// degradedAt is non-zero while the aggregator refuses beats after a
-	// failed forward; cleared by Heal/SetUpstream or the retry backoff.
+	// failed forward; cleared by Heal or the retry backoff.
 	degradedAt time.Time
 	degraded   bool
 	stopped    bool
@@ -123,18 +125,6 @@ func New(cfg Config, clock simclock.Clock, up Upstream) *Aggregator {
 		deltas: make(map[string]*api.AggBeatDelta),
 		flags:  make(map[string]nodeFlag),
 	}
-}
-
-// ID returns the aggregator's wire identity.
-func (g *Aggregator) ID() string { return g.cfg.ID }
-
-// SetUpstream re-points the aggregator (coordinator failover) and
-// clears any degradation.
-func (g *Aggregator) SetUpstream(up Upstream) {
-	g.mu.Lock()
-	g.up = up
-	g.degraded = false
-	g.mu.Unlock()
 }
 
 // Heal clears a degradation without changing the upstream (the
@@ -302,12 +292,6 @@ func (g *Aggregator) Ingest(req api.HeartbeatRequest) (api.HeartbeatResponse, er
 		}
 	}
 	return out, nil
-}
-
-// Heartbeat is Ingest under the name agents' beat senders use, so an
-// aggregator drops into an agent's endpoint tiers unadapted.
-func (g *Aggregator) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	return g.Ingest(req)
 }
 
 // Flush forwards the pending window now (timer path, tests).

@@ -1,24 +1,27 @@
 package aggregator_test
 
-// Race lane for the aggregation tier: agents hammer their rack relay
-// from concurrent goroutines while one goroutine crash-loops the relay
-// (Stop/Restart) and another churns coordinator-side membership
-// (announced departures), so every seam runs at once on the real
-// clock — local folding, synchronous pass-through, ErrUnavailable
-// demotion with direct fallback, bounced stale deltas fanning
-// Reregister back, and re-registration racing in-flight beats. The
+// Race lane for the relay on its own real clock: node goroutines ingest
+// beats while one goroutine crash-loops the relay (Stop/Restart),
+// another forces flushes beside the window's own flush tick, and a
+// third churns coordinator-side membership (announced departures), so
+// local folding, synchronous pass-through, ErrUnavailable while the
+// relay is down, bounced stale deltas fanning Reregister back and
+// re-registration racing in-flight windows all run at once. A beat the
+// relay refuses is delivered to the coordinator directly, the same
+// beat with the same sequence, as any client of the relay must. The
 // race detector is the primary assertion; the behavioral ones are that
-// no agent wedges, every agent ends with an acknowledged beat on a
-// single live session, and the store's beat-delta audit stays clean.
-// Runs in -short (CI's `-race -short` lane).
+// no node goroutine wedges, a delta folded before a departure fans
+// Reregister back, every node settles to an acknowledged beat on a
+// live record, and the store's beat-delta audit stays clean. Runs in
+// -short (CI's `-race -short` lane).
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"gpunion/internal/agent"
 	"gpunion/internal/aggregator"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
@@ -26,17 +29,38 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
-	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
 
+// raceNode is one beating identity. Only its own goroutine touches it
+// while the race runs; token is the one its first registration issued,
+// which the churn goroutine departs it with.
+type raceNode struct {
+	id, token string
+	seq       uint64
+}
+
+// idleAgent is the handle the coordinator keeps for each node. No job
+// is ever submitted, so nothing calls it; a node without a handle would
+// be asked to re-register on every beat.
+type idleAgent struct{}
+
+var errNoJobs = errors.New("race node runs no jobs")
+
+func (idleAgent) Launch(api.LaunchRequest) (api.LaunchResponse, error) {
+	return api.LaunchResponse{}, errNoJobs
+}
+func (idleAgent) Kill(api.KillRequest) error { return errNoJobs }
+func (idleAgent) Checkpoint(api.CheckpointRequest) (api.CheckpointResponse, error) {
+	return api.CheckpointResponse{}, errNoJobs
+}
+
 func TestAggregatorFallbackRace(t *testing.T) {
 	clock := simclock.Real()
 	store := db.New(0)
-	trace := obs.NewRecorder(clock, 1024)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	coord, err := core.New(core.Config{HeartbeatInterval: time.Minute}, clock, store, ckpts, trace)
+	coord, err := core.New(core.Config{HeartbeatInterval: time.Minute}, clock, store,
+		checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,35 +74,47 @@ func TestAggregatorFallbackRace(t *testing.T) {
 	}, clock, coord)
 	defer agg.Stop()
 
-	const nodes, beatsPerNode = 4, 200
-	agents := make([]*agent.Agent, nodes)
-	register := func(ag *agent.Agent) {
-		if _, rerr := ag.Join("inproc://"+ag.MachineID(), 1<<40); rerr != nil {
-			t.Errorf("register %s: %v", ag.MachineID(), rerr)
+	envelope := api.Envelope{ProtocolVersion: api.ProtocolVersion}
+	register := func(n *raceNode) string {
+		resp, rerr := coord.Register(api.RegisterRequest{Envelope: envelope, MachineID: n.id,
+			Addr: "inproc://" + n.id, StorageBytes: 1 << 40}, idleAgent{})
+		if rerr != nil {
+			t.Errorf("register %s: %v", n.id, rerr)
 		}
+		return resp.Token
 	}
-	ids := []string{"race-00", "race-01", "race-02", "race-03"}
-	for i := range agents {
-		agents[i] = agent.New(agent.Config{
-			MachineID: ids[i], Kernel: "5.15",
-			ProgressTick: time.Hour, TelemetryEvery: 8,
-			// Near-zero demotion backoff: the probe-again path itself is
-			// part of what must race cleanly.
-			AggregatorRetry: time.Millisecond,
-		}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, trace)
-		defer agents[i].Stop()
-		agents[i].SetEndpoints([]agent.Endpoint{{Link: core.NewInProcessClient(coord, agents[i])}})
-		agents[i].SetAggregator(agg.ID(), agg)
-		register(agents[i])
+	// beat builds the node's next heartbeat: idle (foldable) or, with
+	// telemetry, one the relay must pass through.
+	beat := func(n *raceNode, telemetry bool) api.HeartbeatRequest {
+		n.seq++
+		req := api.HeartbeatRequest{Envelope: envelope, MachineID: n.id, Token: n.token, BeatSeq: n.seq}
+		if telemetry {
+			req.Telemetry = []gpu.Telemetry{{DeviceID: "gpu0", Model: "RTX 3090", TotalMemMiB: 24576}}
+		}
+		return req
+	}
+	// deliver sends a beat through the relay and, when the relay
+	// refuses it, straight to the coordinator.
+	deliver := func(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+		resp, err := agg.Ingest(req)
+		if err != nil {
+			resp, err = coord.Heartbeat(req)
+		}
+		return resp, err
+	}
+
+	const beatsPerNode = 200
+	nodes := []*raceNode{{id: "race-00"}, {id: "race-01"}, {id: "race-02"}, {id: "race-03"}}
+	for _, n := range nodes {
+		n.token = register(n)
 	}
 
 	var stop atomic.Bool
-	var wg sync.WaitGroup
-
+	var churn sync.WaitGroup
 	// Crash loop: the relay dies and restarts as fast as it can.
-	wg.Add(1)
+	churn.Add(1)
 	go func() {
-		defer wg.Done()
+		defer churn.Done()
 		for !stop.Load() {
 			agg.Stop()
 			time.Sleep(200 * time.Microsecond)
@@ -87,125 +123,105 @@ func TestAggregatorFallbackRace(t *testing.T) {
 		}
 		agg.Restart()
 	}()
-
-	depart := func(ag *agent.Agent) {
-		_ = ag.ActiveEndpoint().Link.Depart(api.DepartRequest{MachineID: ag.MachineID(), Token: ag.Token(), Reason: api.DepartTemporary})
-	}
+	// Forced flushes race the window's own tick and the pass-throughs'
+	// synchronous forwards for the same pending deltas.
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for !stop.Load() {
+			_ = agg.Flush()
+			time.Sleep(300 * time.Microsecond)
+		}
+	}()
 	// Membership churn: announced departures race in-flight beats and
 	// in-window deltas; the bounced-delta path answers with Reregister.
-	wg.Add(1)
+	churn.Add(1)
 	go func() {
-		defer wg.Done()
+		defer churn.Done()
 		for i := 0; !stop.Load(); i++ {
-			depart(agents[i%len(agents)])
+			n := nodes[i%len(nodes)]
+			_ = coord.Depart(api.DepartRequest{Envelope: envelope, MachineID: n.id, Token: n.token,
+				Reason: api.DepartTemporary})
 			time.Sleep(700 * time.Microsecond)
 		}
 	}()
 
+	var beating sync.WaitGroup
 	var reregisters atomic.Uint64
-	for i := range agents {
-		wg.Add(1)
-		go func(ag *agent.Agent) {
-			defer wg.Done()
-			for n := 0; n < beatsPerNode; n++ {
-				resp, _, berr := ag.SendBeat(ag.ActiveEndpoint().Link)
+	for _, n := range nodes {
+		beating.Add(1)
+		go func(n *raceNode) {
+			defer beating.Done()
+			for i := 0; i < beatsPerNode; i++ {
+				resp, berr := deliver(beat(n, i%8 == 0))
 				if berr != nil {
-					// Both tiers down never happens here (the direct tier is
-					// the coordinator's handler in process); anything else is
-					// a bug.
-					t.Errorf("%s beat %d: %v", ag.MachineID(), n, berr)
+					t.Errorf("%s beat %d: %v", n.id, i, berr)
 					return
 				}
 				if resp.Reregister {
 					reregisters.Add(1)
-					register(ag)
+					register(n)
 				}
 				// Pace the loop so beats genuinely interleave with the
-				// crash loop, the flush timers and the membership churn.
+				// crash loop, the flushes and the membership churn.
 				time.Sleep(500 * time.Microsecond)
 			}
-		}(agents[i])
+		}(n)
 	}
-
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
+		beating.Wait()
 		close(done)
 	}()
-	// The beat goroutines finish on their own; the churn goroutines
-	// stop when told. A wedged agent fails the test via the timeout.
-	deadline := time.After(30 * time.Second)
-	stopChurn := time.After(150 * time.Millisecond)
-	for {
-		select {
-		case <-stopChurn:
-			stop.Store(true)
-			stopChurn = nil
-		case <-done:
-			goto settled
-		case <-deadline:
-			t.Fatal("agents wedged: beat goroutines did not finish")
-		}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("node goroutines wedged: beats did not finish")
 	}
-settled:
+	stop.Store(true)
+	churn.Wait()
 
-	// Directed coda, single-threaded now that the race phase is over: a
+	// Directed coda on a relay whose window only flushes when told: a
 	// delta folded before an announced departure must bounce at replay
-	// and fan Reregister back to the agent — the agent may never be
-	// silently resurrected from a stale window. A pass-through beat
-	// (telemetry cadence) reaches the coordinator directly and honestly
-	// resurrects the node instead, so on that path the coda departs the
-	// node again and retries until a folded window takes the hit.
-	victim := agents[0]
-	bounced := false
-	for attempt := 0; attempt < 40 && !bounced; attempt++ {
-		depart(victim)
-		for n := 0; n < 12 && !bounced; n++ {
-			resp, via, berr := victim.SendBeat(victim.ActiveEndpoint().Link)
-			if berr != nil {
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if resp.Reregister {
-				bounced = true
-				reregisters.Add(1)
-				register(victim)
-				break
-			}
-			if !via {
-				// Direct fallback resurrected the node; depart and retry.
-				break
-			}
-			// Folded or passed through — give the window time to flush
-			// (and, if folded, bounce) before the next beat.
-			time.Sleep(2 * time.Millisecond)
-		}
+	// and fan Reregister back on the node's next beat — the node may
+	// never be silently resurrected from a stale window.
+	coda := aggregator.New(aggregator.Config{ID: "agg-coda", FlushInterval: time.Hour}, clock, coord)
+	defer coda.Stop()
+	victim := nodes[0]
+	victim.token = register(victim)
+	if err := coord.Depart(api.DepartRequest{Envelope: envelope, MachineID: victim.id, Token: victim.token,
+		Reason: api.DepartTemporary}); err != nil {
+		t.Fatal(err)
 	}
-	if !bounced {
-		t.Error("a folded delta bounced off a departed record never fanned Reregister back")
+	if resp, err := coda.Ingest(beat(victim, false)); err != nil || !resp.Acknowledged {
+		t.Fatalf("folding the departed node's idle beat: resp=%+v err=%v", resp, err)
+	}
+	if err := coda.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := coda.Ingest(beat(victim, false)); err != nil || !resp.Reregister {
+		t.Fatalf("beat after a bounced delta: resp=%+v err=%v, want Reregister", resp, err)
 	}
 
-	// Quiesce on the direct tier (a relay ack is local — the fold may
-	// still be in flight): every agent re-registers if needed and lands
-	// one final acknowledged beat on its (single) live session.
-	for _, ag := range agents {
-		ag.SetAggregator("", nil)
-	}
-	for _, ag := range agents {
+	// Quiesce on the coordinator: the raced relay is stopped (a flush
+	// it had in flight carries only sequences below what follows), and
+	// every node re-registers if needed and lands one acknowledged beat.
+	agg.Stop()
+	for _, n := range nodes {
 		acked := false
 		for attempt := 0; attempt < 5 && !acked; attempt++ {
-			resp, _, berr := ag.SendBeat(ag.ActiveEndpoint().Link)
+			resp, berr := coord.Heartbeat(beat(n, false))
 			if berr != nil {
-				t.Fatalf("%s settling beat: %v", ag.MachineID(), berr)
+				t.Fatalf("%s settling beat: %v", n.id, berr)
 			}
 			if resp.Reregister {
-				register(ag)
+				n.token = register(n)
 				continue
 			}
 			acked = resp.Acknowledged
 		}
 		if !acked {
-			t.Errorf("%s never settled to an acknowledged beat", ag.MachineID())
+			t.Errorf("%s never settled to an acknowledged beat", n.id)
 		}
 	}
 	for _, n := range store.ListNodes() {

@@ -2,8 +2,8 @@
 // composes seeded schedules of node churn, network partitions (control-
 // plane-only and full data-plane), per-node clock skew, duplicate
 // message delivery, WAL disk faults, checkpoint-store corruption,
-// coordinator crashes, leader kills, split brain, gray failures and
-// aggregator faults, executes them on the simulated clock against a
+// coordinator crashes, leader kills, split brain and gray failures,
+// executes them on the simulated clock against a
 // live platform, and audits the system database's invariants
 // (internal/invariant) after every injected event.
 //
@@ -100,14 +100,6 @@ const (
 	// path for Dur: the stored bytes are fine, but restores see rot.
 	// CRC verification and generation fallback must absorb it.
 	KindCkptReadRot Kind = "ckpt-read-rot"
-	// KindAggCrash kills a rack aggregator mid-window for Dur, then
-	// restarts it empty: its open flush window's deltas are lost, and
-	// its agents must fall back to the direct path until it returns.
-	KindAggCrash Kind = "agg-crash"
-	// KindAggPartition cuts an aggregator's upstream link to the
-	// coordinator for Dur: the aggregator degrades, refuses its agents'
-	// beats, and they fall back direct while it probes.
-	KindAggPartition Kind = "agg-partition"
 )
 
 // Fault is one scheduled injection.
@@ -220,18 +212,6 @@ type Spec struct {
 	CkptReadRotPerDay float64
 	// MeanCkptReadRot is the mean read-rot window (default 10 min).
 	MeanCkptReadRot time.Duration
-	// Aggregators are the injectable rack-aggregator identities.
-	Aggregators []string
-	// AggCrashesPerDay is the rate of aggregator crash/restart events.
-	AggCrashesPerDay float64
-	// MeanAggOutage is the mean aggregator down time (default 5 min).
-	MeanAggOutage time.Duration
-	// AggPartitionsPerDay is the rate of aggregator-upstream partitions
-	// (the aggregator stays up but cannot reach the coordinator).
-	AggPartitionsPerDay float64
-	// MeanAggPartition is the mean upstream-partition window (default
-	// 10 min).
-	MeanAggPartition time.Duration
 }
 
 // Generate composes a deterministic fault schedule from the spec: same
@@ -453,20 +433,6 @@ var families = []family{{
 	lo:    time.Minute, hi: time.Hour,
 	open: func(p Platform, f Fault) { p.SetCheckpointReadRot(true) },
 	heal: func(p Platform, f Fault) []invariant.Violation { p.SetCheckpointReadRot(false); return nil },
-}, {
-	kinds: []Kind{KindAggCrash},
-	rate:  func(s Spec) float64 { return s.AggCrashesPerDay },
-	mean:  func(s Spec) time.Duration { return orDefault(s.MeanAggOutage, 5*time.Minute) },
-	lo:    time.Minute, hi: time.Hour, target: drawAggregator, healAudit: "agg-restart",
-	open: func(p Platform, f Fault) { p.CrashAggregator(f.Node) },
-	heal: func(p Platform, f Fault) []invariant.Violation { p.RestartAggregator(f.Node); return nil },
-}, {
-	kinds: []Kind{KindAggPartition},
-	rate:  func(s Spec) float64 { return s.AggPartitionsPerDay },
-	mean:  func(s Spec) time.Duration { return orDefault(s.MeanAggPartition, 10*time.Minute) },
-	lo:    time.Minute, hi: time.Hour, target: drawAggregator, healAudit: "agg-partition-heal",
-	open: func(p Platform, f Fault) { p.AggPartitionStart(f.Node) },
-	heal: func(p Platform, f Fault) []invariant.Violation { p.AggPartitionHeal(f.Node); return nil },
 }}
 
 // familyOf finds a windowed kind's row; nil for any other kind.
@@ -500,9 +466,6 @@ func drawNodeSet(rng *rand.Rand, s Spec, f *Fault) bool {
 
 // drawNode targets one node.
 func drawNode(rng *rand.Rand, s Spec, f *Fault) bool { return pick(rng, s.Nodes, f) }
-
-// drawAggregator targets one aggregator.
-func drawAggregator(rng *rand.Rand, s Spec, f *Fault) bool { return pick(rng, s.Aggregators, f) }
 
 func pick(rng *rand.Rand, ids []string, f *Fault) bool {
 	if len(ids) == 0 {
@@ -654,15 +617,6 @@ type Platform interface {
 	// SetCheckpointReadRot toggles silent damage on the checkpoint
 	// store's read path (stored bytes stay intact).
 	SetCheckpointReadRot(enabled bool)
-	// CrashAggregator kills a rack aggregator: its open flush window is
-	// lost and its agents' beats fail over to the direct path.
-	// RestartAggregator brings it back empty.
-	CrashAggregator(id string)
-	RestartAggregator(id string)
-	// AggPartitionStart cuts the aggregator's upstream link to the
-	// coordinator; AggPartitionHeal restores it.
-	AggPartitionStart(id string)
-	AggPartitionHeal(id string)
 	// ExtraChecks lets the platform report invariants only it can see
 	// (e.g. agent-side phantom jobs). Called on periodic audits.
 	ExtraChecks() []invariant.Violation

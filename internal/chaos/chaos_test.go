@@ -145,10 +145,6 @@ func (p *fakePlatform) GrayDegradeStart(id string)         { p.actions = append(
 func (p *fakePlatform) GrayDegradeHeal(id string)          { p.actions = append(p.actions, "gray-heal:"+id) }
 func (p *fakePlatform) PartialLossStart(id string)         { p.actions = append(p.actions, "loss:"+id) }
 func (p *fakePlatform) PartialLossHeal(id string)          { p.actions = append(p.actions, "loss-heal:"+id) }
-func (p *fakePlatform) CrashAggregator(id string)          { p.actions = append(p.actions, "agg-crash:"+id) }
-func (p *fakePlatform) RestartAggregator(id string)        { p.actions = append(p.actions, "agg-restart:"+id) }
-func (p *fakePlatform) AggPartitionStart(id string)        { p.actions = append(p.actions, "agg-cut:"+id) }
-func (p *fakePlatform) AggPartitionHeal(id string)         { p.actions = append(p.actions, "agg-cut-heal:"+id) }
 func (p *fakePlatform) ExtraChecks() []invariant.Violation { return nil }
 func (p *fakePlatform) SetCheckpointReadRot(on bool) {
 	p.actions = append(p.actions, fmt.Sprintf("read-rot:%v", on))

@@ -13,7 +13,7 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/generate_every_family.txt from the current Generate")
 
 // everyFamilySpec turns every fault family on at once, some knobs left
-// at their defaults and some set, over a fleet and two aggregators.
+// at their defaults and some set, over one fleet.
 func everyFamilySpec() Spec {
 	return Spec{
 		Duration:             12 * time.Hour,
@@ -35,9 +35,6 @@ func everyFamilySpec() Spec {
 		MeanGrayDegrade:      25 * time.Minute,
 		PartialLossPerDay:    8,
 		CkptReadRotPerDay:    6,
-		Aggregators:          []string{"agg-00", "agg-01"},
-		AggCrashesPerDay:     6,
-		AggPartitionsPerDay:  6,
 	}
 }
 
@@ -54,13 +51,13 @@ func TestGenerateEveryFamily(t *testing.T) {
 	for _, k := range []Kind{KindNodeCrash, KindNodeDepart, KindNodeReturn, KindPartition,
 		KindWALSyncError, KindWALShortWrite, KindCoordCrash, KindClockSkew, KindDupDeliver,
 		KindDataPartition, KindCkptBitFlip, KindCkptTruncate, KindLeaderKill, KindSplitBrain,
-		KindGrayDegrade, KindPartialLoss, KindCkptReadRot, KindAggCrash, KindAggPartition} {
+		KindGrayDegrade, KindPartialLoss, KindCkptReadRot} {
 		if !seen[k] {
 			t.Errorf("the every-family schedule composes no %s fault", k)
 		}
 	}
 	noTargets := everyFamilySpec()
-	noTargets.Nodes, noTargets.Aggregators = nil, nil
+	noTargets.Nodes = nil
 	var b strings.Builder
 	b.WriteString("# at\tkind\tnode\tnodes\tdur\tskew\ttemporary\n")
 	for _, c := range []struct {

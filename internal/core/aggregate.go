@@ -10,11 +10,13 @@ import (
 	"gpunion/internal/db"
 )
 
-// Aggregated heartbeat ingress: the coordinator-side half of the
-// rack/zone aggregation tier (internal/aggregator). An aggregator acks
-// steady-state no-op beats locally and forwards one AggregatedBeat per
-// flush window; the coordinator replays the roll-up through the exact
-// same per-beat path direct ingestion uses.
+// Aggregated heartbeat ingress: the coordinator-side half of the rack
+// relay (internal/aggregator). A relay acks steady-state no-op beats
+// locally and forwards one AggregatedBeat per flush window; the
+// coordinator replays the roll-up through the exact same per-beat path
+// direct ingestion uses. No shipped agent beats through a relay; the
+// route stays for relays already deployed and for bench/'s
+// beats_relayed workload, and goes with them.
 //
 // Equivalence by construction: a folded delta is, by the aggregator's
 // fold contract, a beat whose report was empty — no telemetry, no

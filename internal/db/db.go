@@ -404,9 +404,6 @@ func NewWithShards(maxSamples, shards int) *DB {
 	return d
 }
 
-// Shards reports the node table's shard count (diagnostics and tests).
-func (d *DB) Shards() int { return d.shardCount }
-
 func (d *DB) nodeShard(id string) *nodeShard { return d.nodes[shardOf(id, d.shardCount)] }
 
 // --- Nodes ---

@@ -264,12 +264,12 @@ func TestSampleRingAtBound(t *testing.T) {
 // TestNewWithShardsRounding confirms the shard count rounds up to a
 // power of two and one shard still behaves correctly.
 func TestNewWithShardsRounding(t *testing.T) {
-	if got := NewWithShards(0, 5).Shards(); got != 8 {
+	if got := NewWithShards(0, 5).shardCount; got != 8 {
 		t.Fatalf("shards = %d, want 8", got)
 	}
 	d := NewWithShards(0, 1)
-	if d.Shards() != 1 {
-		t.Fatalf("shards = %d, want 1", d.Shards())
+	if d.shardCount != 1 {
+		t.Fatalf("shards = %d, want 1", d.shardCount)
 	}
 	d.UpsertNode(NodeRecord{ID: "n1", Status: NodeActive})
 	if _, err := d.GetNode("n1"); err != nil {

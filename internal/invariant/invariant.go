@@ -59,9 +59,7 @@
 // beat-delta-equivalence (BeatAudit, beats.go) —
 // coalesced MutBeat deltas lose no heartbeat advance and invent none —
 // and health-score-consistent, the first of the gray-failure rules
-// below. AggAudit (agg.go) is not of that shape: a two-sided ledger of
-// acknowledged beats and upstream forwards that outlives store swaps,
-// using the mutation stream only to count folded health events.
+// below.
 //
 // Gray-failure handling adds three more (see health.go):
 //

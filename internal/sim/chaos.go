@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"gpunion/internal/agent"
-	"gpunion/internal/aggregator"
 	"gpunion/internal/api"
 	"gpunion/internal/chaos"
 	"gpunion/internal/checkpoint"
@@ -65,13 +64,6 @@ type ChaosConfig struct {
 	// applying the leader's log via WAL shipping. Implies EnableWAL.
 	// Required for the LeaderKills / SplitBrains fault families.
 	Replicated bool
-	// Aggregators interposes a rack aggregation tier of this many
-	// relays (internal/aggregator): agents are assigned round-robin and
-	// their beats route aggregator-first with direct fallback, while
-	// the aggregation-equivalence audit watches both ends. Required for
-	// the AggCrashes / AggPartitions fault families. Zero disables the
-	// tier, leaving the classic direct heartbeat path untouched.
-	Aggregators int
 }
 
 // ChaosResult is what one chaos run observed.
@@ -111,11 +103,6 @@ type ChaosResult struct {
 	// a fault window (expected under WAL-fault schedules; recovery
 	// equivalence is then checked via a post-heal checkpoint).
 	DurabilityLost bool
-	// AggFoldedBeats / AggForwards count, across the aggregation tier,
-	// the no-op beats acked locally (each one a coordinator request
-	// saved) and the upstream batch requests actually sent.
-	AggFoldedBeats uint64
-	AggForwards    uint64
 	// Trace is the flight recorder's retained window: every platform
 	// event, fault injection, and audited violation as simclock-
 	// timestamped entries. TraceDropped counts ring-buffer evictions.
@@ -160,11 +147,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		// has nothing to ship.
 		cfg.EnableWAL = true
 	}
-	if cfg.Aggregators > 0 && len(cfg.Spec.Aggregators) == 0 {
-		for i := 0; i < cfg.Aggregators; i++ {
-			cfg.Spec.Aggregators = append(cfg.Spec.Aggregators, aggName(i))
-		}
-	}
 
 	h, err := newChaosHarness(cfg)
 	if err != nil {
@@ -205,11 +187,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	h.dupReplays = nil
 	h.mu.Unlock()
 	res.DurabilityLost = h.sawDurabilityLoss
-	for _, id := range h.aggIDs {
-		folded, _, forwards, _ := h.aggs[id].Stats()
-		res.AggFoldedBeats += folded
-		res.AggForwards += forwards
-	}
 	res.Trace = h.trace.Events()
 	res.TraceDropped = h.trace.Dropped()
 	if text, err := h.currentCoord().MetricsSnapshot(); err == nil {
@@ -259,7 +236,7 @@ type chaosHarness struct {
 	// windows holds the open fault windows the wire and the checks
 	// consult, by kind and target: control and data partitions (a data
 	// partition fails checkpoint transfers too, on top of the control
-	// cut), gray degradation, partial loss and aggregator partitions.
+	// cut), gray degradation and partial loss.
 	// The engine heals a target only when its last window closes, so a
 	// set is enough.
 	windows map[faultWindow]bool
@@ -284,10 +261,6 @@ type chaosHarness struct {
 	// so other schedules' determinism is untouched.
 	healthSrcs map[string]*gpu.FakeHealthSource
 	lossRng    *rand.Rand
-	// aggs are the rack aggregators (cfg.Aggregators > 0); aggIDs is
-	// their sorted identity list.
-	aggs   map[string]*aggregator.Aggregator
-	aggIDs []string
 	// unhealthySince records when each node was first observed below
 	// the unhealthy threshold, feeding the degraded-node-drained grace.
 	unhealthySince map[string]time.Time
@@ -323,8 +296,7 @@ type chaosHarness struct {
 	failovers int
 }
 
-// faultWindow is one kind of fault window open on one node or
-// aggregator.
+// faultWindow is one kind of fault window open on one node.
 type faultWindow struct {
 	kind   chaos.Kind
 	target string
@@ -396,10 +368,8 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		skews:          make(map[string]time.Duration),
 		hosts:          &simHosts{},
 		healthSrcs:     make(map[string]*gpu.FakeHealthSource),
-		aggs:           make(map[string]*aggregator.Aggregator),
 		lossRng:        rand.New(rand.NewSource(cfg.Seed + 2)),
 		unhealthySince: make(map[string]time.Time),
-		audits:         streamAudits{withAgg: cfg.Aggregators > 0},
 	}
 	for _, d := range cfg.Defs {
 		h.nodeIDs = append(h.nodeIDs, d.ID)
@@ -473,20 +443,6 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		return nil, fmt.Errorf("chaos: initial replica failed to take the free lease")
 	}
 
-	// The aggregation tier: rack relays folding their agents' no-op
-	// beats, each forwarding through the upstream seam (which applies
-	// the partition fault and feeds the equivalence audit). A flush
-	// window of half the heartbeat interval keeps worst-case liveness
-	// lag under one beat.
-	for i := 0; i < cfg.Aggregators; i++ {
-		id := aggName(i)
-		h.aggs[id] = aggregator.New(aggregator.Config{
-			ID:            id,
-			FlushInterval: cfg.HeartbeatInterval / 2,
-		}, h.clock, aggUpstream{h: h, id: id})
-		h.aggIDs = append(h.aggIDs, id)
-	}
-
 	for i, d := range cfg.Defs {
 		h.skewed[d.ID] = simclock.NewSkewed(h.clock)
 		h.healthSrcs[d.ID] = gpu.NewFakeHealthSource()
@@ -504,26 +460,13 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 // severs.
 func (h *chaosHarness) bootAgent(i int) *agent.Agent {
 	d := h.cfg.Defs[i]
-	acfg := agent.Config{
+	ag := agent.New(agent.Config{
 		MachineID: d.ID, Kernel: "5.15", ProgressTick: h.cfg.ProgressTick,
 		Health: h.healthSrcs[d.ID],
-	}
-	if len(h.aggIDs) > 0 {
-		// Fleet telemetry cadence: samples every 4th beat, liveness
-		// every beat. The off-cadence beats of idle nodes carry no
-		// payload, so the rack relay can fold them.
-		acfg.TelemetryEvery = 4
-	}
-	ag := agent.New(acfg, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.trace)
+	}, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.trace)
 	// Every coordinator address is an endpoint, as with cmd/agent
 	// -coordinator a,b: the agent finds a new leader on its own beats.
 	ag.SetEndpoints(endpoints(&http.Client{Transport: chaosWire{h: h, node: d.ID}}, h.coordAddrs...))
-	if len(h.aggIDs) > 0 {
-		// Round-robin rack assignment: the agent beats through its
-		// relay first and falls back direct when it is unavailable.
-		aggID := h.aggIDs[i%len(h.aggIDs)]
-		ag.SetAggregator(aggID, aggSender{h: h, id: aggID})
-	}
 	h.mu.Lock()
 	h.agents[d.ID] = ag
 	h.mu.Unlock()
@@ -538,10 +481,6 @@ func (h *chaosHarness) agent(id string) *agent.Agent {
 	return h.agents[id]
 }
 
-// aggName is the rack aggregator naming scheme shared by the harness
-// and the schedule spec.
-func aggName(i int) string { return fmt.Sprintf("agg-%02d", i) }
-
 func (h *chaosHarness) stop() {
 	h.mu.Lock()
 	reps := []*replica{h.serving, h.standby, h.zombie}
@@ -555,9 +494,6 @@ func (h *chaosHarness) stop() {
 		if ag := h.agent(id); ag != nil {
 			ag.Stop()
 		}
-	}
-	for _, id := range h.aggIDs {
-		h.aggs[id].Stop()
 	}
 	for _, d := range h.tmpDirs {
 		os.RemoveAll(d)
@@ -587,83 +523,39 @@ func (h *chaosHarness) currentStore() db.Store { return h.currentServing().Store
 
 // streamAudits are the harness's recorders over the serving store's
 // mutation stream: beat folds its node-image and beat-delta records to
-// verify beat-delta equivalence at every audit point, health does the
-// same for the health-fold records, and — with aggregators — agg folds
-// both ends of the tier (agent-side acknowledgements, upstream
-// forwards, committed health folds) for aggregation equivalence.
+// verify beat-delta equivalence at every audit point, and health does
+// the same for the health-fold records.
 type streamAudits struct {
-	withAgg bool
-
 	mu     sync.Mutex
 	beat   *invariant.BeatAudit
 	health *invariant.HealthAudit
-	agg    *invariant.AggAudit
 	cancel []func()
 }
 
 // attach (re)binds the recorders to the store passed in. Called at
 // quiescent installation points — setup, coordinator recovery, takeover
-// completion — where no writes race the base snapshots. The aggregation
-// audit is created once and survives coordinator recoveries: its
-// acknowledged-beat ledger spans store lifetimes, only the mutation
-// subscription re-binds to the successor.
+// completion — where no writes race the base snapshots.
 func (a *streamAudits) attach(store db.Store) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, cancel := range a.cancel {
 		cancel()
 	}
-	var cb, ch, ca func()
+	var cb, ch func()
 	a.beat, cb = invariant.NewBeatAudit(store)
 	a.health, ch = invariant.NewHealthAudit(store)
 	a.cancel = []func(){cb, ch}
-	if a.withAgg {
-		if a.agg == nil {
-			a.agg, ca = invariant.NewAggAudit(store)
-		} else {
-			ca = a.agg.Watch(store)
-		}
-		a.cancel = append(a.cancel, ca)
-	}
 }
 
-// aggregation is the aggregation audit, nil without aggregators.
-func (a *streamAudits) aggregation() *invariant.AggAudit {
+// check runs every attached recorder against the store.
+func (a *streamAudits) check(store db.Store) []invariant.Violation {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.agg
-}
-
-// check runs every attached recorder against the store; aggLag is the
-// aggregation tier's tolerance.
-func (a *streamAudits) check(store db.Store, aggLag time.Duration) []invariant.Violation {
-	a.mu.Lock()
-	beat, health, agg := a.beat, a.health, a.agg
+	beat, health := a.beat, a.health
 	a.mu.Unlock()
 	if beat == nil {
 		return nil
 	}
-	vs := append(beat.Check(store), health.Check(store)...)
-	if agg != nil {
-		vs = append(vs, agg.Check(store, aggLag)...)
-	}
-	return vs
-}
-
-// observeBeatAck reports whether node's answered beat was genuinely
-// acknowledged, and reports each one that was to the aggregation audit:
-// the instant both tiers stamp an ack with is the shared simulated
-// clock's now, and only the events the coordinator would actually
-// ingest (the per-beat cap) count toward health completeness. events
-// counts the beat's health events; it runs only for that audit.
-func (h *chaosHarness) observeBeatAck(node string, resp api.HeartbeatResponse, events func() int) bool {
-	if !resp.Acknowledged || resp.Reregister {
-		return false
-	}
-	if a := h.audits.aggregation(); a != nil {
-		a.ObserveAck(node, h.clock.Now(), min(events(), api.MaxHealthEventsPerBeat))
-	}
-	return true
+	return append(beat.Check(store), health.Check(store)...)
 }
 
 func (h *chaosHarness) noteDurabilityLoss() {
@@ -882,9 +774,7 @@ func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // tap runs the harness's observers on one answered request, reading the
-// bytes that crossed. The aggregation audit learns every registration
-// and acknowledged beat — it must see every ack, or honest fallback
-// traffic would read as fabrication. Inside a duplicate-delivery window
+// bytes that crossed. Inside a duplicate-delivery window
 // an answered heartbeat, job report or launch is re-sent byte for byte:
 // the coordinator's sequence guard and terminal-state pre-check must
 // make the copies no-ops, and the agent must re-acknowledge a launch
@@ -893,21 +783,10 @@ func (h *chaosHarness) tap(path, node string, body, out []byte, send func() (*ht
 	label := path + " " + node + ": " + string(body)
 	resend := func() { send() }
 	switch path {
-	case "/v1/register":
-		// Register installs the node with LastHeartbeat = the
-		// coordinator's now, which is the shared simulated clock's now.
-		if a := h.audits.aggregation(); a != nil {
-			a.ObserveRegister(node, h.clock.Now())
-		}
 	case "/v1/heartbeat":
 		var ack api.HeartbeatResponse
 		_ = json.Unmarshal(out, &ack)
-		events := func() int {
-			var beat api.HeartbeatRequest
-			_ = json.Unmarshal(body, &beat)
-			return len(beat.HealthEvents)
-		}
-		if h.observeBeatAck(node, ack, events) {
+		if ack.Acknowledged && !ack.Reregister {
 			h.maybeReplay("heartbeat", label, resend)
 		}
 	case "/v1/jobupdate":
@@ -944,56 +823,6 @@ func (h *chaosHarness) flag(vs ...invariant.Violation) {
 	h.mu.Lock()
 	h.found = append(h.found, vs...)
 	h.mu.Unlock()
-}
-
-// aggSender routes one agent's beats to its rack aggregator. Crash
-// state lives in the aggregator itself (Stop makes Ingest refuse); the
-// shim applies the wire's silence and loss checks to the agent's side
-// of the hop and adds the audit tap.
-type aggSender struct {
-	h  *chaosHarness
-	id string
-}
-
-func (s aggSender) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	if s.h.silenced(req.MachineID) || s.h.dropBeat(req.MachineID) {
-		return api.HeartbeatResponse{}, errUnreachable
-	}
-	g := s.h.aggs[s.id]
-	if g == nil {
-		return api.HeartbeatResponse{}, aggregator.ErrUnavailable
-	}
-	resp, err := g.Heartbeat(req)
-	if err == nil {
-		s.h.observeBeatAck(req.MachineID, resp, func() int { return len(req.HealthEvents) })
-	}
-	return resp, err
-}
-
-// aggUpstream is one aggregator's coordinator link with the
-// upstream-partition seam applied. Every forward is reported to the
-// audit before the cut check — a batch the partition swallows was
-// still sent — and learned epochs are reported on success.
-type aggUpstream struct {
-	h  *chaosHarness
-	id string
-}
-
-var errAggUpstreamSevered = fmt.Errorf("chaos: aggregator upstream link severed")
-
-func (u aggUpstream) IngestAggregated(b api.AggregatedBeat) (api.AggregatedBeatResponse, error) {
-	a := u.h.audits.aggregation()
-	if a != nil {
-		a.ObserveForward(u.id, b.LeaderEpoch, b.WindowSeq)
-	}
-	if u.h.inWindow(chaos.KindAggPartition, u.id) {
-		return api.AggregatedBeatResponse{}, errAggUpstreamSevered
-	}
-	resp, err := u.h.currentCoord().IngestAggregated(b)
-	if err == nil && a != nil {
-		a.ObserveAggEpoch(u.id, resp.LeaderEpoch)
-	}
-	return resp, err
 }
 
 // dropBeat reports whether a heartbeat from node id falls inside an
@@ -1232,37 +1061,6 @@ func (h *chaosHarness) PartialLossHeal(id string) {
 // read path; stored bytes stay intact.
 func (h *chaosHarness) SetCheckpointReadRot(enabled bool) {
 	h.blob.SetReadRot(enabled)
-}
-
-// CrashAggregator kills a rack relay: its open flush window's deltas
-// die with it (the tier's bounded-lag allowance) and its agents' next
-// beats fail over to the direct path.
-func (h *chaosHarness) CrashAggregator(id string) {
-	if g := h.aggs[id]; g != nil {
-		g.Stop()
-	}
-}
-
-// RestartAggregator brings the relay back empty; its agents promote it
-// again on their next beat.
-func (h *chaosHarness) RestartAggregator(id string) {
-	if g := h.aggs[id]; g != nil {
-		g.Restart()
-	}
-}
-
-// AggPartitionStart severs the relay's upstream link: the next forward
-// fails, the aggregator degrades (refusing its agents' beats, which
-// fall back direct) and probes until the heal.
-func (h *chaosHarness) AggPartitionStart(id string) { h.setWindow(chaos.KindAggPartition, true, id) }
-
-// AggPartitionHeal restores the upstream link and heals the relay's
-// degraded state, as its next successful probe would.
-func (h *chaosHarness) AggPartitionHeal(id string) {
-	h.setWindow(chaos.KindAggPartition, false, id)
-	if g := h.aggs[id]; g != nil {
-		g.Heal()
-	}
 }
 
 // CrashCoordinator kills the coordinator process — in-memory state,
@@ -1536,13 +1334,9 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 	store := h.currentStore()
 	// The stream equivalences hold at every audit point — the recorded
 	// mutation stream, folded, must land on the store's heartbeats and
-	// health scores; the roll-up tier fabricated no liveness and
-	// persistently lost none — and the unhealthy-placement exclusion is
-	// pure store state: none needs a reconciliation grace. The
-	// aggregation tolerance covers a crashed flush window (half a beat)
-	// plus the beats a node needs to re-deliver through the direct path
-	// after a relay failure.
-	vs = append(vs, h.audits.check(store, 5*h.cfg.HeartbeatInterval)...)
+	// health scores — and the unhealthy-placement exclusion is pure
+	// store state: neither needs a reconciliation grace.
+	vs = append(vs, h.audits.check(store)...)
 	vs = append(vs, invariant.CheckNoPlacementOnUnhealthy(store)...)
 	live := store.JobsInState(db.JobPending)
 	live = append(live, store.JobsInState(db.JobRunning)...)
@@ -1639,7 +1433,7 @@ func (h *chaosHarness) skewedHealthyNodes() []string {
 }
 
 // --- Canned scenarios (the CI gates: make verify-chaos, verify-failover,
-// verify-gray, verify-agg) ---
+// verify-gray) ---
 
 // chaosScaleDefs builds n single-3090 workstations.
 func chaosScaleDefs(n int) []NodeDef {
@@ -1822,46 +1616,6 @@ var ChaosSchedules = []ChaosSchedule{
 		Jobs:        16,
 		EnableWAL:   true,
 		WithNetwork: true,
-	}},
-	// The aggregation-tier crash schedule: the paper campus beats through
-	// four rack aggregators while relays are killed mid-flush-window
-	// (their open deltas legitimately die) and restarted empty, under
-	// churn and a coordinator crash on a WAL-backed store. The subjects
-	// are the aggregation-equivalence audit — no fabricated or
-	// persistently lost liveness through relay deaths — the agents'
-	// direct-path fallback and re-promotion, and the roll-up surviving
-	// coordinator recovery (the audit's ledger spans the store swap).
-	{Name: "agg-crash", Config: ChaosConfig{
-		Spec: chaos.Spec{
-			Duration:           6 * time.Hour,
-			ChurnPerNodePerDay: 2,
-			AggCrashesPerDay:   24,
-			MeanAggOutage:      10 * time.Minute,
-			CoordCrashes:       1,
-		},
-		Jobs:        16,
-		Aggregators: 4,
-		EnableWAL:   true,
-	}},
-	// The aggregation-tier partition schedule: upstream links between
-	// relays and the coordinator are severed while gray-degrading nodes
-	// stream health events, so health-carrying pass-through beats must
-	// fail over to the direct path un-acked and re-deliver without loss or
-	// double-ingestion. The subjects are degradation + direct fallback (a
-	// cut relay must refuse beats, not black-hole them), the
-	// health-completeness half of the equivalence audit, and relay
-	// re-promotion after the heal.
-	{Name: "agg-partition+fallback", Config: ChaosConfig{
-		Spec: chaos.Spec{
-			Duration:            6 * time.Hour,
-			ChurnPerNodePerDay:  2,
-			AggPartitionsPerDay: 18,
-			MeanAggPartition:    12 * time.Minute,
-			GrayDegradesPerDay:  6,
-			MeanGrayDegrade:     20 * time.Minute,
-		},
-		Jobs:        16,
-		Aggregators: 4,
 	}},
 	// The leader-kill schedule on the replicated pair: three unannounced
 	// leader kills under churn, each forcing a lease-grace wait, a standby

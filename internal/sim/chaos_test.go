@@ -415,51 +415,3 @@ func runSabotages(t *testing.T, sabotages []struct {
 		})
 	}
 }
-
-// TestChaosAggCrash: rack aggregators killed mid-flush-window under
-// churn and a coordinator crash. Relay deaths may lose at most their
-// open window (bounded lag); the aggregation-equivalence audit must
-// find no fabricated or persistently lost liveness, and the tier must
-// actually have carried traffic (beats folded, batches forwarded).
-func TestChaosAggCrash(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full campus day with WAL fsyncs")
-	}
-	res, err := runGoldenSchedule("agg-crash")
-	requireClean(t, res, err)
-	if res.Report.Executed[chaos.KindAggCrash] == 0 {
-		t.Errorf("no aggregator crash executed: %v", res.Report.Executed)
-	}
-	if res.Recoveries == 0 {
-		t.Error("no coordinator kill/restart executed")
-	}
-	if res.AggFoldedBeats == 0 || res.AggForwards == 0 {
-		t.Errorf("aggregation tier idle: folded=%d forwards=%d", res.AggFoldedBeats, res.AggForwards)
-	}
-	t.Logf("aggCrashes=%d folded=%d forwards=%d",
-		res.Report.Executed[chaos.KindAggCrash], res.AggFoldedBeats, res.AggForwards)
-}
-
-// TestChaosAggPartition: aggregator upstream links severed while gray
-// windows stream health events. Cut relays must refuse beats (direct
-// fallback, never a black hole), health-carrying pass-throughs must
-// re-deliver without loss or double-ingestion, and relays must resume
-// folding after the heal.
-func TestChaosAggPartition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full campus day of simulated time")
-	}
-	res, err := runGoldenSchedule("agg-partition+fallback")
-	requireClean(t, res, err)
-	if res.Report.Executed[chaos.KindAggPartition] == 0 {
-		t.Errorf("no aggregator partition executed: %v", res.Report.Executed)
-	}
-	if res.Report.Executed[chaos.KindGrayDegrade] == 0 {
-		t.Errorf("no gray window opened: %v", res.Report.Executed)
-	}
-	if res.AggFoldedBeats == 0 || res.AggForwards == 0 {
-		t.Errorf("aggregation tier idle: folded=%d forwards=%d", res.AggFoldedBeats, res.AggForwards)
-	}
-	t.Logf("aggPartitions=%d folded=%d forwards=%d",
-		res.Report.Executed[chaos.KindAggPartition], res.AggFoldedBeats, res.AggForwards)
-}

@@ -52,8 +52,6 @@ type goldenTrace struct {
 	CkptCorruptionsDetected int                `json:"ckpt_corruptions_detected"`
 	CkptReadFaults          int                `json:"ckpt_read_faults"`
 	DupReplays              map[string]int     `json:"dup_replays"`
-	AggFoldedBeats          uint64             `json:"agg_folded_beats"`
-	AggForwards             uint64             `json:"agg_forwards"`
 	Violations              int                `json:"violations"`
 	Events                  int                `json:"events"`
 	Dropped                 uint64             `json:"dropped"`
@@ -80,7 +78,6 @@ func fingerprint(t *testing.T, res ChaosResult) goldenTrace {
 		WALFaults:  res.WALFaultsInjected,
 		CkptFaults: res.CkptFaultsInjected, CkptCorruptionsDetected: res.CkptCorruptionsDetected,
 		CkptReadFaults: res.CkptReadFaultsInjected, DupReplays: res.DupReplaysDelivered,
-		AggFoldedBeats: res.AggFoldedBeats, AggForwards: res.AggForwards,
 		Violations: len(res.Violations), Events: len(res.Trace), Dropped: res.TraceDropped,
 		TraceSHA256: hex.EncodeToString(sum[:]),
 	}
@@ -232,7 +229,7 @@ func runGoldenSchedule(name string) (ChaosResult, error) {
 // that exist.
 func TestGoldenChaosTraces(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all twelve chaos schedules")
+		t.Skip("runs all ten chaos schedules")
 	}
 	known := map[string]bool{}
 	for _, sc := range ChaosSchedules {

@@ -96,10 +96,6 @@ func (p *sabotagePlatform) GrayDegradeHeal(string)                  {}
 func (p *sabotagePlatform) PartialLossStart(string)                 {}
 func (p *sabotagePlatform) PartialLossHeal(string)                  {}
 func (p *sabotagePlatform) SetCheckpointReadRot(bool)               {}
-func (p *sabotagePlatform) CrashAggregator(string)                  {}
-func (p *sabotagePlatform) RestartAggregator(string)                {}
-func (p *sabotagePlatform) AggPartitionStart(string)                {}
-func (p *sabotagePlatform) AggPartitionHeal(string)                 {}
 func (p *sabotagePlatform) ExtraChecks() []invariant.Violation      { return nil }
 
 // TestChaosSabotageTraceLocalization: a deliberately broken invariant

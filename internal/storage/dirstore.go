@@ -33,9 +33,6 @@ func NewDirStore(root string) (*DirStore, error) {
 	return &DirStore{root: abs}, nil
 }
 
-// Root returns the store's base directory.
-func (d *DirStore) Root() string { return d.root }
-
 // path maps a key to a file path, rejecting traversal.
 func (d *DirStore) path(key string) (string, error) {
 	if key == "" {

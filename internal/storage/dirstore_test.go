@@ -91,7 +91,7 @@ func TestDirStoreRejectsTraversal(t *testing.T) {
 		}
 	}
 	// Nothing escaped the root.
-	parent := filepath.Dir(s.Root())
+	parent := filepath.Dir(s.root)
 	if _, err := os.Stat(filepath.Join(parent, "escape")); err == nil {
 		t.Fatal("traversal escaped the store root")
 	}

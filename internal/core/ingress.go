@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gpunion/internal/api"
@@ -54,6 +55,18 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 		// coordinator restart or failover every node re-registers, and a
 		// gray-failing one must not come back fully healthy.
 		rec.Health, rec.HealthAt = old.Health, old.HealthAt
+		// So is a placement: a device the record holds stays held, even
+		// when a rebooted agent reports it free. The new session's first
+		// beat then finds the jobs the reboot killed (lostPlacements) and
+		// requeues them, instead of leaving them running on a free device.
+		rec.GPUs = slices.Clone(req.GPUs)
+		for i := range rec.GPUs {
+			for _, g := range old.GPUs {
+				if g.Allocated && g.DeviceID == rec.GPUs[i].DeviceID {
+					rec.GPUs[i].Allocated = true
+				}
+			}
+		}
 	}
 	c.db.UpsertNode(rec)
 

@@ -9,6 +9,7 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
+	"gpunion/internal/invariant"
 	"gpunion/internal/migration"
 	"gpunion/internal/workload"
 )
@@ -40,6 +41,40 @@ func TestKillDuringMigrationDoesNotResurrect(t *testing.T) {
 	}
 	if len(r.ags["n2"].Status().RunningJobs) != 0 {
 		t.Fatal("killed job resurrected on n2")
+	}
+}
+
+// TestRebootInsideDetectionRequeuesJob: a provider loses power and its
+// machine boots a fresh agent under the same ID inside one heartbeat
+// interval, faster than the failure detector, so the coordinator never
+// saw it leave. The workload died with the old agent. Register keeps
+// the record's allocation flags, so the new session's first beat finds
+// the job missing from its report and requeues it; until then the
+// device stays held. At no second may the job read running on a device
+// the record holds free, and two beats on it must run where its record
+// says.
+func TestRebootInsideDetectionRequeuesJob(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	old := r.addNode("n1", gpu.RTX3090)
+	id := submitTraining(t, r, workload.SmallCNN, 30)
+	r.clock.Advance(25 * time.Second)
+
+	old.Stop() // the power goes; the agent and its workload with it
+	r.clock.Advance(3 * time.Second)
+	r.addNode("n1", gpu.RTX3090)
+	checker := invariant.NewChecker()
+	for s := range 20 {
+		for _, v := range checker.Check(r.coord.DB()) {
+			t.Fatalf("%d s after the reboot: %s", s, v)
+		}
+		r.clock.Advance(time.Second)
+	}
+	st, err := r.coord.JobStatus(id)
+	if err != nil || st.State != db.JobRunning {
+		t.Fatalf("two beats after the reboot: %+v, %v; want the job placed again", st, err)
+	}
+	if _, ok := r.ags[st.NodeID].RunningJob(id); !ok {
+		t.Fatalf("the job reads running on %s, whose agent does not run it", st.NodeID)
 	}
 }
 

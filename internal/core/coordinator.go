@@ -127,10 +127,8 @@ type Coordinator struct {
 	// health events — diagnostic state for the health endpoint, never
 	// persisted (the WAL carries the events inside MutNodeHealth).
 	recentHealth map[string][]gpu.HealthEvent
-	// temporary tracks nodes that departed with return intent.
-	temporary map[string]bool
-	stopped   bool
-	sweeper   simclock.Timer
+	stopped      bool
+	sweeper      simclock.Timer
 	// One placement pass at a time (see TrySchedule): passRunning while
 	// one runs, passWanted when a request arrived during it, passes
 	// counts the follow-up passes running on goroutines of their own.
@@ -202,7 +200,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		agents:       make(map[string]AgentHandle),
 		beatSeq:      make(map[string]uint64),
 		beats:        make(map[string]time.Time),
-		temporary:    make(map[string]bool),
 		schedLatency: latency,
 	}
 	// Per-type mutation counters ride the store's observer feed.

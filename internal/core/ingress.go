@@ -53,8 +53,10 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 		rec.TotalUptime = old.TotalUptime
 		// Standing is the platform's knowledge, not the agent's: after a
 		// coordinator restart or failover every node re-registers, and a
-		// gray-failing one must not come back fully healthy.
+		// gray-failing one must not come back fully healthy, nor one back
+		// from a temporary departure forget the jobs it displaced.
 		rec.Health, rec.HealthAt = old.Health, old.HealthAt
+		rec.ReturnExpected = old.ReturnExpected
 		// So is a placement: a device the record holds stays held, even
 		// when a rebooted agent reports it free. The new session's first
 		// beat then finds the jobs the reboot killed (lostPlacements) and

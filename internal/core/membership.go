@@ -92,6 +92,7 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 	nodeID, now := ev.Node, ev.Time
 	err := c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
 		n.Status = status
+		n.ReturnExpected = reason == migration.ReasonTemporary
 		n.Departures++
 		if !n.LastJoin.IsZero() && now.After(n.LastJoin) {
 			n.TotalUptime += now.Sub(n.LastJoin)
@@ -104,11 +105,6 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 		return err
 	}
 	c.mu.Lock()
-	if reason == migration.ReasonTemporary {
-		c.temporary[nodeID] = true
-	} else {
-		delete(c.temporary, nodeID)
-	}
 	delete(c.beatSeq, nodeID)
 	delete(c.beats, nodeID)
 	c.mu.Unlock()
@@ -117,17 +113,32 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 	return nil
 }
 
-// handleNodeReturn restores a node to service and migrates back the jobs
-// that prefer it (§4: 67% of displaced workloads migrated back).
+// handleNodeReturn restores a node to service. If it left on a
+// temporary departure, the jobs that prefer it (their original home)
+// move back onto it, checkpointed at their current host first (§4: 67%
+// of displaced workloads migrated back); only stateful batch jobs do.
+// The return intent is read from the node record and cleared there, so
+// it survives a coordinator restart or failover like the rest of it.
 func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
+	back := false
 	_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
 		if n.Status != db.NodeActive && n.Status != db.NodePaused {
 			n.Status = db.NodeActive
 		}
 		n.LastJoin = now
+		back, n.ReturnExpected = n.ReturnExpected, false
 	})
 	c.trace.RecordAt(now, obs.KindNodeReturned, "", nodeID, nil)
-	c.MigrateBack(nodeID)
+	if back {
+		var jobs []db.JobRecord
+		for _, job := range c.db.ListJobs() {
+			if job.PreferredNode == nodeID && job.NodeID != nodeID && job.State == db.JobRunning &&
+				job.ImageName != "" && job.Training != nil {
+				jobs = append(jobs, job)
+			}
+		}
+		c.relocateLive(jobs, migration.ReasonMigrateBack, c.clock.Now())
+	}
 	c.TrySchedule()
 }
 

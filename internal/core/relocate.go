@@ -183,24 +183,3 @@ func (c *Coordinator) requeueFromCheckpoint(jobID string, now time.Time) {
 	})
 	c.trace.RecordAt(now, obs.KindJobRequeued, jobID, "", nil)
 }
-
-// MigrateBack moves jobs that prefer nodeID (their original home) back
-// onto it, checkpointing them at their current host first. Only
-// stateful batch jobs migrate back.
-func (c *Coordinator) MigrateBack(nodeID string) {
-	c.mu.Lock()
-	wasTemporary := c.temporary[nodeID]
-	delete(c.temporary, nodeID)
-	c.mu.Unlock()
-	if !wasTemporary {
-		return
-	}
-	var jobs []db.JobRecord
-	for _, job := range c.db.ListJobs() {
-		if job.PreferredNode == nodeID && job.NodeID != nodeID && job.State == db.JobRunning &&
-			job.ImageName != "" && job.Training != nil {
-			jobs = append(jobs, job)
-		}
-	}
-	c.relocateLive(jobs, migration.ReasonMigrateBack, c.clock.Now())
-}

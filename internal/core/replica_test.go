@@ -13,15 +13,18 @@ import (
 	"testing"
 	"time"
 
+	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
+	"gpunion/internal/migration"
 	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/wal"
+	"gpunion/internal/workload"
 )
 
 // replicaRig opens replicas of one deployment: shared clock, recorder,
@@ -596,6 +599,98 @@ func TestReplicaCloseReleasesLease(t *testing.T) {
 			r.advanceUntil(50*time.Second, standby.Coordinator().Leading)
 			if e := standby.Coordinator().Epoch(); e != 2 {
 				t.Fatalf("successor epoch %d, want 2", e)
+			}
+		})
+	}
+}
+
+// TestMigrateBackSurvivesCoordinatorChange: a provider leaves on a
+// temporary departure and its job moves to another node; then the
+// coordinator restarts over its log, or its standby takes over, and the
+// provider's machine comes back as a fresh agent. The return intent is
+// part of the node record, so the successor moves the job home.
+func TestMigrateBackSurvivesCoordinatorChange(t *testing.T) {
+	for _, failover := range []bool{false, true} {
+		name := map[bool]string{false: "restart", true: "failover"}[failover]
+		t.Run(name, func(t *testing.T) {
+			r := newReplicaRig(t)
+			open := func(id, dir, follow string, onDurable func(db.Mutation)) *Replica {
+				cfg := r.config(id, dir, follow, onDurable)
+				// Detection must not race the switch-over: the node the
+				// job waits on re-registers with the successor first.
+				cfg.Coordinator.MissedThreshold = 10
+				return r.openConfig(cfg)
+			}
+			join := func(rep *Replica, ag *agent.Agent) {
+				t.Helper()
+				ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(rep.Coordinator(), ag)}})
+				if _, err := ag.Join("inproc://"+ag.MachineID(), 1<<30); err != nil {
+					t.Fatal(err)
+				}
+			}
+			boot := func(id string) *agent.Agent {
+				ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
+				t.Cleanup(ag.Stop)
+				return ag
+			}
+
+			dirA := t.TempDir()
+			var first, standby *Replica
+			if failover {
+				first = open("coord-a", dirA, "", func(db.Mutation) {
+					if standby != nil {
+						_ = standby.Pump()
+					}
+				})
+				first.Start()
+				standby = open("coord-b", t.TempDir(), dirA, nil)
+				standby.Start()
+			} else {
+				first = open("", dirA, "", nil)
+				first.Start()
+			}
+			home, host := boot("n1"), boot("n2")
+			join(first, home)
+			spec := workload.SmallCNN
+			id, err := first.Coordinator().SubmitJob(api.SubmitJobRequest{
+				User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+				GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 30, Training: &spec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			join(first, host)
+			r.clock.Advance(time.Minute)
+			home.Depart(api.DepartTemporary, time.Minute)
+			if st, _ := first.Coordinator().JobStatus(id); st.NodeID != "n2" {
+				t.Fatalf("job not displaced to n2: %+v", st)
+			}
+
+			if err := first.Kill(); err != nil {
+				t.Fatal(err)
+			}
+			next := standby
+			if failover {
+				r.advanceUntil(time.Minute, standby.Coordinator().Leading)
+			} else {
+				next = open("", dirA, "", nil)
+				next.Start()
+			}
+			succ := next.Coordinator()
+			// The host's address now reaches the successor; its next beat
+			// is refused and it joins again.
+			host.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(succ, host)}})
+			r.advanceUntil(time.Minute, func() bool { return succ.handle("n2") != nil })
+
+			home.Stop() // the provider's machine comes back with a fresh agent
+			join(next, boot("n1"))
+			r.clock.Advance(time.Second)
+			st, err := succ.JobStatus(id)
+			if err != nil || st.State != db.JobRunning || st.NodeID != "n1" {
+				t.Fatalf("after the return: %+v, %v; want the job running at home on n1", st, err)
+			}
+			if n := succ.Migration().Stats().Successes[migration.ReasonMigrateBack]; n != 1 {
+				t.Fatalf("migrate-back successes = %d, want 1", n)
 			}
 		})
 	}

@@ -97,6 +97,9 @@ type NodeRecord struct {
 	TotalUptime time.Duration `json:"total_uptime"`
 	// LastJoin is when the node most recently became active.
 	LastJoin time.Time `json:"last_join"`
+	// ReturnExpected marks a node that left on a temporary departure:
+	// when it next comes back, the jobs it displaced migrate home.
+	ReturnExpected bool `json:"return_expected,omitempty"`
 
 	// Health is the folded gray-failure health score in (0, 1] — 1
 	// fully healthy — and HealthAt the instant of the fold that

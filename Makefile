@@ -215,7 +215,10 @@ verify-bench:
 # TelemetryEvery knob, a NewAggAudit( call or a KindAgg fault in
 # non-test code, or an import of internal/aggregator in non-test code
 # outside cmd/aggregator, is the rack relay tier coming back into the
-# agent, the chaos harness or the invariants. bench/ is not scanned:
+# agent, the chaos harness or the invariants. A provider comes back one
+# way, as a fresh agent that registers: a Return method on agent.Agent,
+# or a .Return() call in non-test code under internal/sim, is the
+# revive-in-place return coming back. bench/ is not scanned:
 # its hand-assembled coordinator is the one caller eventbus.New is kept
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
@@ -269,6 +272,11 @@ verify-compose:
 		grep -rn --include='*.go' '"gpunion/internal/aggregator"' internal cmd examples | grep -vE '_test\.go:|^cmd/aggregator/')"; \
 	if [ -n "$$out" ]; then \
 		echo "a second heartbeat path beside the agent's direct beat:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE 'func \([a-z]* ?\*?Agent\) Return\(' --include='*.go' internal/agent; \
+		grep -rn '\.Return()' --include='*.go' internal/sim | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a second way back beside registration (boot a fresh agent that registers):"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

@@ -643,6 +643,10 @@ func (a *Agent) Departed() bool {
 // Emergency: everything dies instantly and the coordinator is NOT
 // notified — heartbeat loss is the only signal, exactly as when the
 // power cable leaves the wall.
+//
+// A departed agent is finished: it launches nothing and sends no beat
+// again. The provider comes back the one way a machine does, as a fresh
+// agent under the same machine ID that registers.
 func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 	now := a.clock.Now()
 	if reason != api.DepartEmergency {
@@ -676,19 +680,6 @@ func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 		})
 	}
 	a.trace.RecordAt(now, obs.KindNodeDeparted, "", a.cfg.MachineID, map[string]string{"reason": string(reason)})
-}
-
-// Return brings a temporarily-departed node back online.
-func (a *Agent) Return() {
-	a.mu.Lock()
-	wasDeparted := a.departed
-	a.departed = false
-	a.paused = false
-	a.mu.Unlock()
-	if wasDeparted {
-		a.scheduleTick() // Depart stopped the progress timer
-	}
-	a.record(a.clock.Now(), obs.KindNodeReturned, "", "")
 }
 
 // Status builds the agent's self-report.
@@ -756,9 +747,9 @@ func (a *Agent) JoinAny(addr string, storageBytes int64) (resp api.RegisterRespo
 }
 
 // armBeatLocked schedules the heartbeat loop's next turn, every after
-// now. A turn skips the beat while the node is departed — silence is
-// the emergency signal — and re-arms either way, until Stop. Callers
-// hold a.mu.
+// now. Each turn beats and re-arms, until Stop or a departure: a
+// departed node sends nothing again, and silence is the emergency
+// signal. Callers hold a.mu.
 func (a *Agent) armBeatLocked(every time.Duration) {
 	if a.stopped {
 		return
@@ -766,9 +757,10 @@ func (a *Agent) armBeatLocked(every time.Duration) {
 	a.turns.Add(1)
 	a.beats = a.clock.AfterFunc(every, func() {
 		defer a.turns.Done()
-		if !a.Departed() {
-			_, _ = a.Beat()
+		if a.Departed() {
+			return
 		}
+		_, _ = a.Beat()
 		a.mu.Lock()
 		a.armBeatLocked(every)
 		a.mu.Unlock()

@@ -283,24 +283,6 @@ func TestDepartedAgentRejectsLaunch(t *testing.T) {
 	}
 }
 
-func TestReturnAfterTemporaryDeparture(t *testing.T) {
-	r := newRig(t)
-	launchTraining(t, r, "j1", workload.SmallCNN, 0)
-	r.clock.Advance(10 * time.Second)
-	r.agent.Depart(api.DepartTemporary, time.Minute)
-	r.clock.Advance(time.Hour)
-	r.agent.Return()
-	if r.agent.Departed() {
-		t.Fatal("agent still departed after Return")
-	}
-	// Fresh launches work and progress again.
-	launchTraining(t, r, "j2", workload.SmallCNN, 0)
-	r.clock.Advance(time.Minute)
-	if job, ok := r.agent.RunningJob("j2"); !ok || job.Step() == 0 {
-		t.Fatal("job on returned node made no progress")
-	}
-}
-
 func TestMigrationRestoreResumesProgress(t *testing.T) {
 	// Simulates the coordinator relaunching a job from a checkpoint.
 	r := newRig(t)

@@ -282,8 +282,9 @@ func TestUnansweredBeatKeepsHealthEvents(t *testing.T) {
 
 // TestHeartbeatLoop: the first successful Join starts the agent's own
 // heartbeat loop at the interval the coordinator answered. A re-join
-// (here, on Reregister) does not start a second loop, a departed node
-// stays silent until it returns, and Stop ends the loop.
+// (here, on Reregister) does not start a second loop, and a departure
+// ends the loop for good: the departed agent sends no beat again, and
+// Stop finds no turn left to wait for.
 func TestHeartbeatLoop(t *testing.T) {
 	r := newRig(t)
 	r.link.interval = 10 * time.Second
@@ -307,20 +308,16 @@ func TestHeartbeatLoop(t *testing.T) {
 		t.Fatalf("after 40 s: %d registrations, %d beats; want 2 and 4 (one loop)", len(r.link.registers), beats())
 	}
 	r.agent.Depart(api.DepartTemporary, 0)
-	r.clock.Advance(30 * time.Second)
+	r.clock.Advance(time.Hour)
 	if beats() != 4 {
 		t.Fatalf("a departed node beat: %d beats", beats())
 	}
-	r.agent.Return()
-	r.clock.Advance(10 * time.Second)
-	if beats() != 5 {
-		t.Fatalf("after the return: %d beats, want 5", beats())
+	// The loop is over, not idling: no turn is armed.
+	if r.agent.beats.Stop() {
+		r.agent.turns.Done()
+		t.Fatal("a departed agent's heartbeat loop is still armed")
 	}
 	r.agent.Stop()
-	r.clock.Advance(time.Minute)
-	if beats() != 5 {
-		t.Fatalf("the loop beat after Stop: %d beats", beats())
-	}
 }
 
 // TestJobReportResentAfterAnsweredBeat: a terminal report the

@@ -57,6 +57,14 @@ func (r *rig) addNode(id string, specs ...gpu.Spec) *agent.Agent {
 	return ag
 }
 
+// reboot brings node id back the way its machine comes back: the old
+// agent is stopped and a fresh one under the same ID joins.
+func (r *rig) reboot(id string, specs ...gpu.Spec) *agent.Agent {
+	r.t.Helper()
+	r.ags[id].Stop()
+	return r.addNode(id, specs...)
+}
+
 // jobReport is the terminal report ag sends for jobID, with its own
 // credential.
 func jobReport(ag *agent.Agent, jobID string, state db.JobState) api.JobUpdateRequest {
@@ -236,8 +244,9 @@ func TestTemporaryDepartureMigratesBackOnReturn(t *testing.T) {
 		t.Fatalf("job not displaced to n2: %+v", st)
 	}
 
-	// Provider returns; next heartbeat triggers migrate-back.
-	ag1.Return()
+	// The provider comes back as a fresh agent; its registration
+	// triggers the migrate-back.
+	r.reboot("n1", gpu.RTX3090)
 	r.clock.Advance(20 * time.Second)
 
 	st, _ = r.coord.JobStatus(id)

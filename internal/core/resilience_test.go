@@ -80,15 +80,15 @@ func TestRebootInsideDetectionRequeuesJob(t *testing.T) {
 
 func TestRepeatedDeparturesDegradeReliability(t *testing.T) {
 	r := newRig(t, 10*time.Second)
-	flaky := r.addNode("n-flaky", gpu.RTX3090)
+	r.addNode("n-flaky", gpu.RTX3090)
 	r.addNode("n-solid", gpu.RTX3090)
 
 	// The flaky provider churns five times.
 	for i := 0; i < 5; i++ {
-		flaky.Depart(api.DepartTemporary, 0)
+		r.ags["n-flaky"].Depart(api.DepartTemporary, 0)
 		r.clock.Advance(time.Minute)
-		flaky.Return()
-		r.clock.Advance(30 * time.Second) // heartbeat brings it back
+		r.reboot("n-flaky", gpu.RTX3090) // its registration brings it back
+		r.clock.Advance(30 * time.Second)
 	}
 	nodes := r.coord.Nodes()
 	var flakyRec api.NodeSummary
@@ -189,11 +189,8 @@ func TestConsecutiveEmergenciesExhaustCampus(t *testing.T) {
 		t.Fatalf("state = %s with no nodes left, want pending", st.State)
 	}
 
-	// One provider returns via re-registration.
-	ag1.Return()
-	if _, err := ag1.Join("inproc://n1", 1<<30); err != nil {
-		t.Fatal(err)
-	}
+	// One provider returns: a fresh agent registers.
+	ag1 = r.reboot("n1", gpu.RTX3090)
 
 	st, _ = r.coord.JobStatus(id)
 	if st.State != db.JobRunning || st.NodeID != "n1" {

@@ -201,9 +201,9 @@ func (c *Campus) boot(d NodeDef) error {
 	return nil
 }
 
-// Reboot brings a provider back from a scheduled or emergency departure
-// the way its machine comes back: the departed agent is stopped and a
-// fresh one boots under the same ID and joins.
+// Reboot brings a provider back from a departure the way its machine
+// comes back: the departed agent is stopped and a fresh one boots under
+// the same ID and joins.
 func (c *Campus) Reboot(id string) error {
 	i := slices.IndexFunc(c.Defs, func(d NodeDef) bool { return d.ID == id })
 	if i < 0 {

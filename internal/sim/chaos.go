@@ -230,8 +230,9 @@ type chaosHarness struct {
 	// replica at each coordinator address — which a restarted
 	// coordinator or a fresh standby takes over from its predecessor.
 	hosts *simHosts
-	// agents holds each node's running agent; a crashed node has none
-	// until ReturnNode boots a fresh one.
+	// agents holds each node's agent: a crashed node has none and a
+	// departed one its finished agent, until ReturnNode boots a fresh
+	// one.
 	agents map[string]*agent.Agent
 	// windows holds the open fault windows the wire and the checks
 	// consult, by kind and target: control and data partitions (a data
@@ -903,9 +904,10 @@ func (h *chaosHarness) DepartNode(id string, temporary bool) {
 	ag.Depart(reason, 5*time.Minute)
 }
 
-// ReturnNode brings a crashed or departed node back online. A crashed
-// node boots a fresh agent under its ID, as the daemon starts when the
-// power comes back, and joins; a departed one returns and re-joins.
+// ReturnNode brings a crashed or departed node back online: the node
+// boots a fresh agent under its ID, as the daemon starts when the
+// machine comes back, and joins. A departed node's finished agent is
+// stopped first.
 func (h *chaosHarness) ReturnNode(id string) {
 	i := slices.IndexFunc(h.cfg.Defs, func(d NodeDef) bool { return d.ID == id })
 	if i < 0 {
@@ -914,11 +916,12 @@ func (h *chaosHarness) ReturnNode(id string) {
 	h.startGrace()
 	switch ag := h.agent(id); {
 	case ag == nil:
-		h.rejoin(h.bootAgent(i))
 	case ag.Departed():
-		ag.Return()
-		_ = joinLocal(ag)
+		ag.Stop()
+	default:
+		return
 	}
+	h.rejoin(h.bootAgent(i))
 }
 
 // rejoin joins a freshly booted agent. A join that finds no leader is

@@ -184,7 +184,7 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 					scenario := drawScenario(rng.Float64(), cfg.ScenarioWeights)
 					tracker.interrupt(nodeID, scenario)
 					ret := 30*time.Minute + time.Duration(rng.Int63n(int64(90*time.Minute)))
-					campus.Clock.AfterFunc(ret, func() { tracker.bringBack(nodeID, scenario) })
+					campus.Clock.AfterFunc(ret, func() { tracker.bringBack(nodeID) })
 				}
 				arm()
 			})
@@ -270,20 +270,13 @@ func (t *fig3Tracker) interrupt(nodeID string, scenario api.DepartReason) {
 	}
 }
 
-// bringBack returns the provider to the platform. A temporary departure
-// resumes in place: the same agent returns, and its standing heartbeat
-// loop carries on. After a scheduled or emergency exit the machine comes
-// back as a fresh agent under the same ID, which registers anew.
-func (t *fig3Tracker) bringBack(nodeID string, scenario api.DepartReason) {
-	ag := t.campus.Agents[nodeID]
-	if !ag.Departed() {
-		return // already back
+// bringBack returns the provider to the platform, whatever the
+// departure: the machine comes back as a fresh agent under the same ID,
+// which registers anew.
+func (t *fig3Tracker) bringBack(nodeID string) {
+	if t.campus.Agents[nodeID].Departed() {
+		_ = t.campus.Reboot(nodeID)
 	}
-	if scenario == api.DepartTemporary {
-		ag.Return()
-		return
-	}
-	_ = t.campus.Reboot(nodeID)
 }
 
 func (t *fig3Tracker) result(campus *Campus, cfg Fig3Config) Fig3Result {

@@ -171,10 +171,10 @@ verify-bench:
 	cd bench && $(GO) build -o /dev/null . && $(GO) vet ./... && $(GO) test ./...
 
 # Composition-root gate: the coordinator's store + WAL + follower +
-# RecoverState sequence is spelled once, in internal/core/replica.go
+# recoverState sequence is spelled once, in internal/core/replica.go
 # (bench/trace.go, a module of its own, is the one hand assembly left).
 # Non-test code under internal, cmd or examples that opens a log, builds
-# a follower or calls RecoverState anywhere else is a second assembly
+# a follower or calls recoverState anywhere else is a second assembly
 # in the making. The same lane keeps wall-clock sleeps out of the sims:
 # internal/sim runs on the simulated clock, and the one time.Sleep it
 # ever had was the §5.3 lock model whose timing made a tier-1 test flaky.
@@ -223,7 +223,7 @@ verify-bench:
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
 verify-compose:
-	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.RecoverState\(\)' --include='*.go' internal cmd examples \
+	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.recoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
 	if [ -n "$$out" ]; then \
 		echo "coordinator assembled outside internal/core/replica.go:"; echo "$$out"; exit 1; \

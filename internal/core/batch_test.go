@@ -172,7 +172,7 @@ func TestBatchMemberFailureRollsBack(t *testing.T) {
 	r.fakes["bad"].mu.Lock()
 	r.fakes["bad"].refuse = false
 	r.fakes["bad"].mu.Unlock()
-	r.coord.TrySchedule()
+	r.coord.trySchedule()
 	for _, id := range ids {
 		st, _ := r.coord.JobStatus(id)
 		if st.State != db.JobRunning {
@@ -205,7 +205,7 @@ func TestBatchRespectsPriorityOrder(t *testing.T) {
 	r.fakes["n0"].mu.Lock()
 	r.fakes["n0"].refuse = false
 	r.fakes["n0"].mu.Unlock()
-	r.coord.TrySchedule()
+	r.coord.trySchedule()
 	st, _ := r.coord.JobStatus(high)
 	if st.State != db.JobRunning {
 		t.Fatalf("high-priority job = %s, want running", st.State)
@@ -259,7 +259,7 @@ func TestRecoveredStorePlacesWithoutReset(t *testing.T) {
 	coord.mu.Lock()
 	coord.agents["n0"] = fake
 	coord.mu.Unlock()
-	coord.RecoverState()
+	coord.recoverState()
 
 	if st, err := coord.JobStatus("job-1"); err != nil || st.State != db.JobRunning || st.NodeID != "n0" {
 		t.Fatalf("recovered job = %+v, %v (want running on n0)", st, err)
@@ -273,7 +273,7 @@ func TestRecoveredStorePlacesWithoutReset(t *testing.T) {
 // record's own, so the launch an agent receives for a job this
 // coordinator admitted and the one it receives from a coordinator that
 // only ever saw the record (ExportState → fresh store → ImportState →
-// RecoverState) are field-for-field the same.
+// recoverState) are field-for-field the same.
 func TestLaunchRequestSurvivesRecovery(t *testing.T) {
 	spec := workload.SmallCNN
 	spec.TotalSteps = 20000 // past the scheduler's long-running line
@@ -313,7 +313,7 @@ func TestLaunchRequestSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(second.Stop)
-	second.RecoverState()
+	second.recoverState()
 	after := register(second)
 
 	if len(before.requests) != 1 || len(after.requests) != 1 || before.requests[0].JobID != jobID {
@@ -420,7 +420,7 @@ func TestTryScheduleOnePassAtATime(t *testing.T) {
 		r, g := newGatedRig(t)
 		held := r.holdPass(t, g)
 		returns(t, "SubmitJob", func() { r.submit(t, 1) })
-		returns(t, "TrySchedule", r.coord.TrySchedule)
+		returns(t, "trySchedule", r.coord.trySchedule)
 		if len(g.entered) != 0 {
 			t.Fatalf("a second pass launched %s while the first was running", <-g.entered)
 		}

@@ -326,7 +326,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord2.RecoverState()
+	coord2.recoverState()
 	if _, err := coord2.Register(ag.RegisterRequest("inproc://n1", 1<<30), agent.NewInProcessClient(ag)); err != nil {
 		t.Fatal(err)
 	}

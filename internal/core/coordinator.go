@@ -129,7 +129,7 @@ type Coordinator struct {
 	recentHealth map[string][]gpu.HealthEvent
 	stopped      bool
 	sweeper      simclock.Timer
-	// One placement pass at a time (see TrySchedule): passRunning while
+	// One placement pass at a time (see trySchedule): passRunning while
 	// one runs, passWanted when a request arrived during it, passes
 	// counts the follow-up passes running on goroutines of their own.
 	passRunning bool
@@ -150,9 +150,10 @@ type Coordinator struct {
 }
 
 // New creates a coordinator. database and ckpts may be shared with other
-// components (the simulation inspects them); a database that was
-// recovered from a snapshot + write-ahead log should be followed by
-// RecoverState before traffic is admitted. Every lifecycle event goes to
+// components (the simulation inspects them). A coordinator over a
+// database recovered from a snapshot + write-ahead log is OpenReplica's
+// to build: Replica.Start runs recoverState before it admits traffic.
+// Every lifecycle event goes to
 // trace; nil gives the coordinator a recorder of its own
 // (obs.DefaultCapacity), and a harness that runs several coordinator
 // incarnations, or agents beside one, passes them all the same one.
@@ -243,7 +244,7 @@ func (c *Coordinator) InteractiveSessions() int {
 	return c.interactiveCount
 }
 
-// RecoverState re-arms a coordinator whose database was restored from
+// recoverState re-arms a coordinator whose database was restored from
 // a snapshot + write-ahead log (see internal/wal):
 //
 //   - the job-ID sequence resumes past every recovered job, so new
@@ -260,8 +261,9 @@ func (c *Coordinator) InteractiveSessions() int {
 //     relaunch spec is the record's own, so there is nothing to rebuild
 //     (placements need agents, which re-attach as nodes re-register).
 //
-// Call it once, after New and before admitting traffic.
-func (c *Coordinator) RecoverState() {
+// Replica.Start calls it once, before the coordinator admits traffic:
+// at start-up in solo mode, after the promotion in Lease mode.
+func (c *Coordinator) recoverState() {
 	now := c.clock.Now()
 	maxSeq := 0
 	for _, job := range c.db.ListJobs() {
@@ -283,7 +285,7 @@ func (c *Coordinator) RecoverState() {
 			c.hb.Track(n.ID, n.LastHeartbeat)
 		}
 	}
-	c.TrySchedule()
+	c.trySchedule()
 }
 
 // Stop halts the background sweep timer and fences every deferred

@@ -101,7 +101,7 @@ func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
 }
 
 // sweepHealth is the periodic half of the health pipeline, run from
-// Sweep: scores only move on mutations, so recovery toward healthy is
+// sweep: scores only move on mutations, so recovery toward healthy is
 // driven by empty-events decay folds — WAL-logged like any fold, so
 // the invariant can reproduce them — and nodes that crossed the
 // threshold while drain targets were scarce are retried.

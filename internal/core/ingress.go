@@ -85,7 +85,7 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 	if returning {
 		c.handleNodeReturn(req.MachineID, now)
 	}
-	c.TrySchedule()
+	c.trySchedule()
 	return api.RegisterResponse{
 		Token: token, HeartbeatInterval: c.cfg.HeartbeatInterval,
 		ProtocolVersion: version, LeaderEpoch: c.Epoch(),
@@ -430,7 +430,7 @@ func (c *Coordinator) reconcile(b *beat) bool {
 	if b.wasAway {
 		c.handleNodeReturn(machineID, b.now)
 	}
-	c.TrySchedule()
+	c.trySchedule()
 	return false
 }
 

@@ -47,7 +47,7 @@ func (c *Coordinator) SubmitJob(req api.SubmitJobRequest) (string, error) {
 		return "", err
 	}
 	c.trace.RecordAt(now, obs.KindJobSubmitted, jobID, "", nil)
-	c.TrySchedule()
+	c.trySchedule()
 	return jobID, nil
 }
 
@@ -101,7 +101,7 @@ func (c *Coordinator) KillJob(jobID string) error {
 		j.FinishedAt = now
 	})
 	c.trace.RecordAt(now, obs.KindJobKilled, jobID, "", nil)
-	c.TrySchedule()
+	c.trySchedule()
 	return err
 }
 
@@ -160,6 +160,6 @@ func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
 		kind = obs.KindJobFailed
 	}
 	c.trace.RecordAt(now, kind, jobID, machineID, map[string]string{"step": strconv.FormatInt(req.Step, 10)})
-	c.TrySchedule()
+	c.trySchedule()
 	return nil
 }

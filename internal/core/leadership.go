@@ -80,7 +80,7 @@ func (c *Coordinator) admit() bool {
 	c.mu.Unlock()
 	if ok {
 		c.scheduleSweep()
-		c.TrySchedule()
+		c.trySchedule()
 	}
 	return ok
 }

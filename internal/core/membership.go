@@ -16,7 +16,7 @@ import (
 // Depart processes an announced departure (scheduled or temporary). The
 // agent has already checkpointed and stopped its workloads; the
 // coordinator migrates them and updates the node's standing. Emergency
-// departures are never announced: Sweep handles them.
+// departures are never announced: sweep handles them.
 func (c *Coordinator) Depart(req api.DepartRequest) error {
 	if err := c.admitAgent(req.LeaderEpoch, req.Token, req.MachineID); err != nil {
 		return err
@@ -46,11 +46,11 @@ func (c *Coordinator) admitAgent(epoch uint64, token, machineID string) error {
 	return nil
 }
 
-// Sweep runs one failure-detection pass: nodes silent for the configured
+// sweep runs one failure-detection pass: nodes silent for the configured
 // threshold are marked unreachable and their jobs migrated (emergency
-// path). Daemons run this automatically; simulations may call it
-// directly.
-func (c *Coordinator) Sweep() {
+// path). The leader runs it every heartbeat interval on its own clock
+// (scheduleSweep).
+func (c *Coordinator) sweep() {
 	if !c.Leading() {
 		return
 	}
@@ -69,7 +69,7 @@ func (c *Coordinator) scheduleSweep() {
 		return
 	}
 	c.sweeper = c.clock.AfterFunc(c.cfg.HeartbeatInterval, func() {
-		c.Sweep()
+		c.sweep()
 		c.scheduleSweep()
 	})
 	c.mu.Unlock()
@@ -139,7 +139,7 @@ func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
 		}
 		c.relocateLive(jobs, migration.ReasonMigrateBack, c.clock.Now())
 	}
-	c.TrySchedule()
+	c.trySchedule()
 }
 
 // Nodes lists all registered nodes.

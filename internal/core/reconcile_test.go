@@ -27,14 +27,14 @@ func TestHeartbeatKillsOrphanCopy(t *testing.T) {
 
 	// Simulate the platform's view moving on without the agent hearing
 	// about it: the coordinator requeues and re-places the job on n2,
-	// as Sweep would for an unreachable n1. The copy on n1 lives on.
+	// as sweep would for an unreachable n1. The copy on n1 lives on.
 	_ = r.coord.db.CloseAllocation(jobID, r.clock.Now())
 	_ = r.coord.db.UpdateJob(jobID, func(j *db.JobRecord) {
 		j.State = db.JobPending
 		j.NodeID, j.DeviceID = "", ""
 	})
 	r.coord.markDevice("n1", rec.DeviceID, false)
-	r.coord.TrySchedule()
+	r.coord.trySchedule()
 	moved, _ := r.coord.db.GetJob(jobID)
 	if moved.State != db.JobRunning || moved.NodeID != "n2" {
 		t.Fatalf("job after re-placement = %+v (want running on n2)", moved)
@@ -174,8 +174,8 @@ func TestStoppedCoordinatorIsFenced(t *testing.T) {
 
 	r.coord.Stop()
 	_ = r.coord.db.UpdateJob(pendID, func(j *db.JobRecord) { j.GPUMemMiB = spec.GPUMemMiB })
-	r.coord.TrySchedule()
-	r.coord.Sweep()
+	r.coord.trySchedule()
+	r.coord.sweep()
 	if rec, _ := r.coord.db.GetJob(pendID); rec.State != db.JobPending {
 		t.Fatalf("stopped coordinator still scheduled: %s", rec.State)
 	}

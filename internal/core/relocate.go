@@ -41,7 +41,7 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migration.Reason) {
 	items := c.mig.PlanBatch(planned, reason, now)
 	for i, item := range items {
 		if item.Err != nil {
-			// No target now: requeue; a later TrySchedule will pick the
+			// No target now: requeue; a later trySchedule will pick the
 			// job up when capacity returns. Counted as a failure for the
 			// immediate-migration statistic.
 			c.mig.RecordFailure(reason)
@@ -133,7 +133,7 @@ func (c *Coordinator) finishMigration(job db.JobRecord, plan migration.Plan, rea
 	if !c.Leading() {
 		// The transfer timer outlived the coordinator (kill/restart) or
 		// its leadership (deposed mid-transfer): the successor's
-		// RecoverState requeues this job.
+		// recoverState requeues this job.
 		return
 	}
 	now := c.clock.Now()

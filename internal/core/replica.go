@@ -29,7 +29,7 @@ type ReplicaConfig struct {
 	// (Lease and ReplicaID select replicated operation).
 	Coordinator Config
 	// OnPromote runs once, when the leadership loop has won the lease:
-	// after a standby's promotion and before RecoverState, with the new
+	// after a standby's promotion and before recoverState, with the new
 	// epoch or the promotion's error (the replica then stays fenced and
 	// lets the lease lapse).
 	OnPromote func(epoch uint64, err error)
@@ -64,7 +64,7 @@ type Replica struct {
 // OpenReplica builds a replica over a fresh store: recovered from
 // cfg.Dir and logging there from now on, or — with cfg.FollowDir —
 // bootstrapped from the leader's snapshot and log as they stand. The
-// coordinator exists but RecoverState has not run, so the caller can
+// coordinator exists but recoverState has not run, so the caller can
 // inspect the restored state before Start. trace is the coordinator's
 // flight recorder, as for New.
 func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, ckpts *checkpoint.Store, trace *obs.Recorder) (*Replica, error) {
@@ -125,14 +125,14 @@ func (r *Replica) WAL() *wal.Manager {
 }
 
 // Start puts the replica in service. A standalone replica recovers
-// (RecoverState) and serves. In Lease mode Start is the leadership loop:
+// (recoverState) and serves. In Lease mode Start is the leadership loop:
 // a turn now and every TTL/2 on the replica's clock until the replica
 // leads (a step-down is permanent) or shuts down. A turn pumps and tries
 // the lease; the one that wins promotes a standby, runs OnPromote,
 // recovers, and only then admits writes.
 func (r *Replica) Start() {
 	if r.cfg.Coordinator.Lease == nil {
-		r.coord.RecoverState()
+		r.coord.recoverState()
 		return
 	}
 	r.turns.Add(1)
@@ -160,7 +160,7 @@ func (r *Replica) turn() {
 		r.coord.stepDown("promotion failed")
 		return
 	}
-	r.coord.RecoverState()
+	r.coord.recoverState()
 	r.coord.admit()
 }
 

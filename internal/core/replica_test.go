@@ -270,7 +270,7 @@ func TestReplicaLifecycle(t *testing.T) {
 			if err != nil || epoch != 2 {
 				t.Fatalf("promotion = epoch %d, %v; want epoch 2", epoch, err)
 			}
-			// After Promote, before RecoverState: the audit against the
+			// After Promote, before recoverState: the audit against the
 			// acked baseline.
 			for _, v := range invariant.CheckNoLostAcked(acked, standby.Store().ExportState()) {
 				t.Errorf("lost across promotion: %s", v)
@@ -398,8 +398,8 @@ func TestReplicaPromoteAbortsOnDrainError(t *testing.T) {
 }
 
 // TestReplicaPromotionWindow: between winning the lease and the end of
-// RecoverState, the replica acks no write. A failed promotion acks none
-// at all; a successful one admits the first write after RecoverState,
+// recoverState, the replica acks no write. A failed promotion acks none
+// at all; a successful one admits the first write after recoverState,
 // numbered past every inherited job.
 func TestReplicaPromotionWindow(t *testing.T) {
 	refused := func(t *testing.T, c *Coordinator, when string) {
@@ -468,7 +468,7 @@ func TestReplicaPromotionWindow(t *testing.T) {
 // timers: the standby's loop turns on a timer goroutine while the
 // leader's shipping hook pumps it and a writer hammers it. Every write
 // it acks must come after OnPromote returned and be numbered past the
-// inherited jobs — a write admitted before RecoverState reuses an
+// inherited jobs — a write admitted before recoverState reuses an
 // inherited job's ID.
 func TestReplicaPromotionWindowRealClock(t *testing.T) {
 	clock := simclock.Real()

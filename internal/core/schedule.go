@@ -11,7 +11,7 @@ import (
 )
 
 // Placement: the pending queue drained batch by batch, and the launch +
-// commit of one decision. TrySchedule is called inline from every path
+// commit of one decision. trySchedule is called inline from every path
 // that may have made something placeable; at most one pass runs at a
 // time.
 
@@ -19,15 +19,15 @@ import (
 // drains when Config.BatchSize is unset.
 const DefaultBatchSize = 32
 
-// TrySchedule asks for a placement pass. With none running the caller
+// trySchedule asks for a placement pass. With none running the caller
 // runs one itself, so a single-threaded driver (every simulation) sees
-// the queue drained before TrySchedule returns. A caller that finds a
+// the queue drained before trySchedule returns. A caller that finds a
 // pass running records the request and returns without waiting: two
 // passes reading the same queue place the same job on two nodes, and
 // the launch RPCs of somebody else's pass are not this caller's to wait
 // for. A request recorded during a pass is served by a pass that
 // starts after it, so what the caller just made placeable is seen.
-func (c *Coordinator) TrySchedule() {
+func (c *Coordinator) trySchedule() {
 	c.mu.Lock()
 	if c.passRunning {
 		c.passWanted = true

@@ -215,7 +215,7 @@ func (LeastLoaded) Order(_ Request, cands []candidate) {
 
 // Scheduler combines a strategy with the reliability model. Decisions
 // are serialized on an internal mutex: strategies carry rotation state
-// and the scheduler reuses scratch buffers, so concurrent TrySchedule
+// and the scheduler reuses scratch buffers, so concurrent trySchedule
 // storms (heartbeat bursts) queue up instead of corrupting each other.
 type Scheduler struct {
 	strategy Strategy

@@ -105,9 +105,6 @@ type CampusConfig struct {
 	TrackCheckpointTraffic bool
 	// Strategy selects the scheduling strategy (nil = round-robin).
 	Strategy scheduler.Strategy
-	// SchedulerBatchSize caps one scheduling cycle's batch (0 = the
-	// coordinator default).
-	SchedulerBatchSize int
 	// WithHealthSources wires an injectable gpu.FakeHealthSource into
 	// every agent, exposed via Campus.Health — the seam gray-failure
 	// scenarios push XID/thermal/slowdown events through.
@@ -141,7 +138,6 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	coord, err := core.New(core.Config{
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		Strategy:          cfg.Strategy,
-		BatchSize:         cfg.SchedulerBatchSize,
 		Net:               net,
 		StorageNode:       storageNode,
 	}, clock, db.New(0), ckpts, nil)

@@ -92,7 +92,7 @@ func RunFailover() (FailoverResult, error) {
 	promoteErr := errors.New("standby never promoted")
 	repB, err = w.open("coord-b", core.ReplicaConfig{Dir: dirB, FollowDir: dirA,
 		Coordinator: core.Config{Lease: lease, ReplicaID: "coord-b"},
-		// After the promotion and before RecoverState: the audit against
+		// After the promotion and before recoverState: the audit against
 		// the acked baseline the kill left.
 		OnPromote: func(epoch uint64, err error) {
 			if promoteErr = err; err != nil {

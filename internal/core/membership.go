@@ -137,7 +137,7 @@ func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
 				jobs = append(jobs, job)
 			}
 		}
-		c.relocateLive(jobs, migration.ReasonMigrateBack, c.clock.Now())
+		c.relocateLive(jobs, migration.ReasonMigrateBack, now)
 	}
 	c.trySchedule()
 }

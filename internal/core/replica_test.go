@@ -610,8 +610,8 @@ func TestReplicaCloseReleasesLease(t *testing.T) {
 // provider's machine comes back as a fresh agent. The return intent is
 // part of the node record, so the successor moves the job home.
 func TestMigrateBackSurvivesCoordinatorChange(t *testing.T) {
-	for _, failover := range []bool{false, true} {
-		name := map[bool]string{false: "restart", true: "failover"}[failover]
+	for _, name := range []string{"restart", "failover"} {
+		failover := name == "failover"
 		t.Run(name, func(t *testing.T) {
 			r := newReplicaRig(t)
 			open := func(id, dir, follow string, onDurable func(db.Mutation)) *Replica {

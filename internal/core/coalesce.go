@@ -19,9 +19,8 @@ import (
 //
 // What stays per-beat: the heartbeat monitor (failure detection must
 // see every arrival), the dedup sequence guard, telemetry samples, and
-// every beat that actually changes state (status flips, returning
-// nodes, reconciliation work) — those take the full UpdateNode path
-// exactly as before. The only observable difference is that a node's
+// every beat that actually changes state (status flips, reconciliation
+// work) — those take the full UpdateNode path exactly as before. The only observable difference is that a node's
 // stored LastHeartbeat may lag its true last beat by at most a quarter
 // interval, well inside the missed-heartbeat threshold every consumer
 // of that field tolerates.
@@ -43,8 +42,7 @@ import (
 const beatFlushCap = 512
 
 // isNoopBeat reports whether this heartbeat changes nothing about the
-// node record except LastHeartbeat: the node was not away, its status
-// is stable, it carries no health events, reconciliation found nothing
+// node record except LastHeartbeat: its status is stable, it carries no health events, reconciliation found nothing
 // (no suspicious report entries, no lost placements, no orphans, no
 // devices inside the placement grace), and the telemetry agrees with
 // every recorded allocation flag. Exactly these beats may skip the full
@@ -60,7 +58,7 @@ func (c *Coordinator) isNoopBeat(b *beat) bool {
 	if len(b.health) > 0 {
 		return false
 	}
-	if b.wasAway || b.newStatus != b.rec.Status || b.suspicious ||
+	if b.newStatus != b.rec.Status || b.suspicious ||
 		len(b.lost) > 0 || len(b.orphans) > 0 || len(b.protected) > 0 {
 		return false
 	}

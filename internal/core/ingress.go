@@ -115,7 +115,6 @@ type beat struct {
 
 	// loadNode: the record as read before this beat's updates.
 	rec       db.NodeRecord
-	wasAway   bool
 	newStatus db.NodeStatus
 
 	// classify: the report compared against the node's placements.
@@ -197,15 +196,11 @@ func (c *Coordinator) claimSequence(b *beat) bool {
 	c.mu.Unlock()
 	c.met.heartbeatDups.Inc()
 	// A replay is only acknowledged while the node is still a live
-	// member. If the record is gone, the node was swept dead or
-	// departed, or the agent handle died with an old process, the
-	// original beat's processing no longer stands — and a replay must
-	// not perform side effects, so it cannot re-adopt the node the way a
-	// fresh beat would. Ask for a fresh registration instead of
-	// silencing the agent's retry loop.
-	if rec, err := c.db.GetNode(id); err != nil ||
-		rec.Status == db.NodeUnreachable || rec.Status == db.NodeDeparted ||
-		c.handle(id) == nil {
+	// member, that is while it holds an agent handle. If the node was
+	// swept dead or departed, or the handle died with an old process,
+	// the original beat's processing no longer stands: ask for a fresh
+	// registration instead of silencing the agent's retry loop.
+	if c.handle(id) == nil {
 		return b.reregister()
 	}
 	b.resp = api.HeartbeatResponse{Acknowledged: true}
@@ -226,8 +221,10 @@ func (c *Coordinator) releaseClaim(b *beat) {
 }
 
 // loadNode reads the node record and checks the transport to its agent.
-// A record without a handle survived a restart (snapshot + WAL) that
-// the transport did not: the node re-registers to re-establish it.
+// A node without a handle is no member of this coordinator's session:
+// it left service (departed, or swept unreachable), or its record
+// survived a restart (snapshot + WAL) that the transport did not. Either
+// way it re-registers, which is the one way back into service.
 func (c *Coordinator) loadNode(b *beat) bool {
 	c.met.heartbeats.Inc()
 	rec, err := c.db.GetNode(b.req.MachineID)
@@ -235,7 +232,6 @@ func (c *Coordinator) loadNode(b *beat) bool {
 		return b.reregister()
 	}
 	b.rec = rec
-	b.wasAway = rec.Status == db.NodeUnreachable || rec.Status == db.NodeDeparted
 	b.newStatus = db.NodeActive
 	if b.req.Paused {
 		b.newStatus = db.NodePaused
@@ -352,13 +348,10 @@ func (c *Coordinator) commit(b *beat) bool {
 	// The update closure crosses the Store interface, so whatever it
 	// captures is heap-allocated: it captures copies, and the beat itself
 	// stays on heartbeatAt's stack.
-	now, status, wasAway, telemetry, protected := b.now, b.newStatus, b.wasAway, b.req.Telemetry, b.protected
+	now, status, telemetry, protected := b.now, b.newStatus, b.req.Telemetry, b.protected
 	err := c.db.UpdateNode(b.req.MachineID, func(n *db.NodeRecord) {
 		n.LastHeartbeat = now
 		n.Status = status
-		if wasAway {
-			n.LastJoin = now
-		}
 		for i := range n.GPUs {
 			for _, tel := range telemetry {
 				if n.GPUs[i].DeviceID == tel.DeviceID && !protected[tel.DeviceID] {
@@ -427,9 +420,6 @@ func (c *Coordinator) reconcile(b *beat) bool {
 		}
 	}
 	c.killOrphans(machineID, b.orphans, b.now)
-	if b.wasAway {
-		c.handleNodeReturn(machineID, b.now)
-	}
 	c.trySchedule()
 	return false
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // Membership: how nodes leave service (announced departure, detected
-// loss) and how they come back. Joining is Register, in ingress.go.
+// loss) and what follows their return. Joining, and coming back, is
+// Register, in ingress.go.
 
 // Depart processes an announced departure (scheduled or temporary). The
 // agent has already checkpointed and stopped its workloads; the
@@ -28,7 +29,6 @@ func (c *Coordinator) Depart(req api.DepartRequest) error {
 	if req.Reason == api.DepartTemporary {
 		mreason = migration.ReasonTemporary
 	}
-	c.hb.Suspend(req.MachineID)
 	return c.nodeLeaves(obs.Event{Kind: obs.KindNodeDeparted, Time: c.clock.Now(), Node: req.MachineID,
 		Detail: map[string]string{"reason": string(req.Reason)}}, db.NodeDeparted, mreason)
 }
@@ -79,15 +79,16 @@ func (c *Coordinator) scheduleSweep() {
 // announced departure (status departed) and a detected loss (status
 // unreachable). The record takes the new status, counts the departure,
 // banks the uptime of the session that just ended and frees every
-// device; the node's ingress state dies with its membership; ev is
-// recorded; and the node's jobs migrate under reason.
+// device; the session ends with the membership; ev is recorded; and the
+// node's jobs migrate under reason.
 //
-// The dedup high-water mark is pruned because a returning node
-// re-registers, which starts a fresh beat-sequence session — keeping it
-// would only leak an entry per churned node. A buffered-but-unflushed
-// beat is dropped with it: the record is leaving service, and a
-// LastHeartbeat advance on a departed node would contradict the
-// departure (on the sweep path the buffered beat predates the silence).
+// Ending the session drops everything the coordinator holds for it: the
+// agent handle, the failure detector's watch, the dedup high-water mark
+// and a buffered-but-unflushed beat. A node out of service comes back
+// one way, by registering: its next beat finds no handle and is asked to
+// (loadNode), and Register starts a fresh session. A LastHeartbeat
+// advance on a departed node would contradict the departure (on the
+// sweep path the buffered beat predates the silence).
 func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migration.Reason) error {
 	nodeID, now := ev.Node, ev.Time
 	err := c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
@@ -105,27 +106,26 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 		return err
 	}
 	c.mu.Lock()
+	delete(c.agents, nodeID)
 	delete(c.beatSeq, nodeID)
 	delete(c.beats, nodeID)
 	c.mu.Unlock()
+	c.hb.Forget(nodeID)
 	c.trace.RecordAt(ev.Time, ev.Kind, "", ev.Node, ev.Detail)
 	c.migrateJobsFrom(nodeID, reason)
 	return nil
 }
 
-// handleNodeReturn restores a node to service. If it left on a
-// temporary departure, the jobs that prefer it (their original home)
-// move back onto it, checkpointed at their current host first (§4: 67%
-// of displaced workloads migrated back); only stateful batch jobs do.
-// The return intent is read from the node record and cleared there, so
-// it survives a coordinator restart or failover like the rest of it.
+// handleNodeReturn follows the registration of a node that was out of
+// service; Register has already put it back. If it left on a temporary
+// departure, the jobs that prefer it (their original home) move back
+// onto it, checkpointed at their current host first (§4: 67% of
+// displaced workloads migrated back); only stateful batch jobs do. The
+// return intent is read from the node record and cleared there, so it
+// survives a coordinator restart or failover like the rest of it.
 func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
 	back := false
 	_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
-		if n.Status != db.NodeActive && n.Status != db.NodePaused {
-			n.Status = db.NodeActive
-		}
-		n.LastJoin = now
 		back, n.ReturnExpected = n.ReturnExpected, false
 	})
 	c.trace.RecordAt(now, obs.KindNodeReturned, "", nodeID, nil)

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
+	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
 
@@ -178,5 +183,109 @@ func TestStoppedCoordinatorIsFenced(t *testing.T) {
 	r.coord.sweep()
 	if rec, _ := r.coord.db.GetJob(pendID); rec.State != db.JobPending {
 		t.Fatalf("stopped coordinator still scheduled: %s", rec.State)
+	}
+}
+
+// cutLink is an agent's control link that a partition can cut: while
+// cut, registrations and beats fail without reaching the coordinator.
+// It keeps the answers of the beats that cross it.
+type cutLink struct {
+	agent.Link
+	cut     bool
+	answers []api.HeartbeatResponse
+}
+
+func (l *cutLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
+	if l.cut {
+		return api.RegisterResponse{}, errors.New("control partition")
+	}
+	return l.Link.Register(req)
+}
+
+func (l *cutLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
+	if l.cut {
+		return api.HeartbeatResponse{}, errors.New("control partition")
+	}
+	resp, err := l.Link.Heartbeat(req)
+	if err == nil {
+		l.answers = append(l.answers, resp)
+	}
+	return resp, err
+}
+
+// TestSweptNodeReturnsByRegistering: a control partition longer than
+// the detection threshold gets a node swept unreachable while its agent
+// keeps running, and its job migrates. The sweep ends the node's
+// session, and on heal the node comes back one way: its next beat is
+// answered Reregister, the agent registers (one node.registered, then
+// one node.returned), and the first beat of the new session kills the
+// orphan copy of the migrated job. The failure detector reported the
+// node once, however many sweeps the partition outlasted.
+func TestSweptNodeReturnsByRegistering(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	ag1 := r.addNode("n1", gpu.RTX3090)
+	r.addNode("n2", gpu.RTX3090)
+	jobID := submitTraining(t, r, workload.SmallCNN, 15)
+	r.clock.Advance(time.Minute)
+	if st, _ := r.coord.JobStatus(jobID); st.NodeID != "n1" {
+		t.Fatalf("job = %+v, want it on n1", st)
+	}
+
+	link := &cutLink{Link: NewInProcessClient(r.coord, ag1), cut: true}
+	ag1.SetEndpoints([]agent.Endpoint{{Link: link}})
+	r.clock.Advance(5 * time.Minute) // thirty sweeps, ten intervals past the threshold
+	if rec, err := r.coord.db.GetNode("n1"); err != nil || rec.Status != db.NodeUnreachable {
+		t.Fatalf("n1 = %+v, %v; want unreachable", rec, err)
+	}
+	if st, _ := r.coord.JobStatus(jobID); st.State != db.JobRunning || st.NodeID != "n2" {
+		t.Fatalf("job = %+v, want it running on n2", st)
+	}
+	if _, ok := ag1.RunningJob(jobID); !ok {
+		t.Fatal("the partitioned agent stopped its copy of the job")
+	}
+	if r.coord.handle("n1") != nil {
+		t.Error("the sweep left n1's agent handle behind")
+	}
+	if r.coord.hb.Beat("n1", r.clock.Now()) {
+		t.Error("the failure detector still watches swept n1")
+	}
+
+	mark := len(r.coord.Trace().Events())
+	link.cut = false
+	r.clock.Advance(10 * time.Second) // the first beat across the healed link
+	if len(link.answers) != 1 || !link.answers[0].Reregister || link.answers[0].Acknowledged {
+		t.Fatalf("answers to n1's beats after the heal = %+v, want one Reregister", link.answers)
+	}
+	var membership []string
+	for _, ev := range r.coord.Trace().Events()[mark:] {
+		if ev.Node == "n1" && strings.HasPrefix(ev.Kind, "node.") {
+			membership = append(membership, ev.Kind)
+		}
+	}
+	if want := []string{obs.KindNodeRegistered, obs.KindNodeReturned}; !slices.Equal(membership, want) {
+		t.Fatalf("n1's membership events after the heal = %v, want %v", membership, want)
+	}
+	if _, ok := ag1.RunningJob(jobID); !ok {
+		t.Fatal("the orphan copy was killed before the new session's first beat")
+	}
+
+	r.clock.Advance(10 * time.Second) // the new session's first beat
+	if len(link.answers) != 2 || !link.answers[1].Acknowledged {
+		t.Fatalf("answers to n1's beats = %+v, want the second acknowledged", link.answers)
+	}
+	if _, ok := ag1.RunningJob(jobID); ok {
+		t.Fatal("the orphan copy survived the new session's first beat")
+	}
+	if st, _ := r.coord.JobStatus(jobID); st.State != db.JobRunning || st.NodeID != "n2" {
+		t.Fatalf("job = %+v, want it still running on n2", st)
+	}
+	swept := 0
+	for _, ev := range r.coord.Trace().Events() {
+		if ev.Node == "n1" && ev.Kind == obs.KindNodeUnreachable {
+			swept++
+		}
+	}
+	if swept != 1 {
+		t.Fatalf("n1 reported unreachable %d times, want once", swept)
 	}
 }

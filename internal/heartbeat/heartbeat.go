@@ -3,12 +3,15 @@
 // number of consecutive beats (three, per §3.5) is marked unavailable,
 // triggering workload migration.
 //
-// Emergency departures are *not announced* — heartbeat loss is the only
-// signal — so the monitor distinguishes "announced departure" (the agent
-// said goodbye; stop expecting beats) from "silent loss".
+// The monitor watches members only. Registration admits a node
+// (Track); leaving service, announced or detected, ends its watch
+// (Forget, or Lost for a silent node). A node out of service comes back
+// by registering again, never by beating: Beat refreshes a tracked node
+// and ignores any other.
 package heartbeat
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -22,21 +25,13 @@ const DefaultInterval = 10 * time.Second
 const DefaultMissedThreshold = 3
 
 // Monitor tracks per-node heartbeat liveness. It is driven externally:
-// Beat records arrivals, Sweep(now) evaluates deadlines. This makes the
+// Beat records arrivals, Lost(now) evaluates deadlines. This makes the
 // monitor equally usable under real and simulated clocks.
 type Monitor struct {
 	mu        sync.Mutex
 	interval  time.Duration
 	threshold int
-	nodes     map[string]*nodeBeat
-}
-
-type nodeBeat struct {
-	lastBeat time.Time
-	// suspended nodes announced a departure/pause; no beats expected.
-	suspended bool
-	// down marks nodes already reported unreachable (avoid re-reporting).
-	down bool
+	lastBeat  map[string]time.Time
 }
 
 // NewMonitor creates a Monitor. interval <= 0 and threshold <= 0 take
@@ -51,7 +46,7 @@ func NewMonitor(interval time.Duration, threshold int) *Monitor {
 	return &Monitor{
 		interval:  interval,
 		threshold: threshold,
-		nodes:     make(map[string]*nodeBeat),
+		lastBeat:  make(map[string]time.Time),
 	}
 }
 
@@ -60,63 +55,43 @@ func NewMonitor(interval time.Duration, threshold int) *Monitor {
 func (m *Monitor) Track(nodeID string, now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.nodes[nodeID] = &nodeBeat{lastBeat: now}
+	m.lastBeat[nodeID] = now
 }
 
-// Beat records a heartbeat. Unknown nodes are ignored (the coordinator
-// asks them to re-register). A beat from a suspended or down node
-// revives it; Sweep callers learn about revivals via Returned.
+// Beat records a heartbeat from a tracked node. Any other node is
+// ignored (the coordinator asks it to re-register).
 func (m *Monitor) Beat(nodeID string, now time.Time) (known bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	nb, ok := m.nodes[nodeID]
-	if !ok {
+	if _, ok := m.lastBeat[nodeID]; !ok {
 		return false
 	}
-	nb.lastBeat = now
-	nb.suspended = false
-	nb.down = false
+	m.lastBeat[nodeID] = now
 	return true
 }
 
-// Suspend marks a node as having announced a departure or pause: beats
-// are no longer expected and the node will not be reported lost.
-func (m *Monitor) Suspend(nodeID string) {
+// Forget stops monitoring a node: it left service, and no beats are
+// expected until it registers again.
+func (m *Monitor) Forget(nodeID string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if nb, ok := m.nodes[nodeID]; ok {
-		nb.suspended = true
-	}
+	delete(m.lastBeat, nodeID)
 }
 
-// Lost returns the nodes newly detected unreachable as of now: tracked,
-// not suspended, not previously reported, and silent for at least
-// threshold × interval. Each lost node is reported exactly once until it
-// beats again.
+// Lost returns, sorted, the tracked nodes silent for at least
+// threshold × interval as of now, and forgets them: each silent node is
+// reported once.
 func (m *Monitor) Lost(now time.Time) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	deadline := time.Duration(m.threshold) * m.interval
 	var lost []string
-	for id, nb := range m.nodes {
-		if nb.suspended || nb.down {
-			continue
-		}
-		if now.Sub(nb.lastBeat) >= deadline {
-			nb.down = true
+	for id, at := range m.lastBeat {
+		if now.Sub(at) >= deadline {
 			lost = append(lost, id)
+			delete(m.lastBeat, id)
 		}
 	}
-	sortStrings(lost)
+	slices.Sort(lost)
 	return lost
-}
-
-// sortStrings is a tiny insertion sort to avoid importing sort for a
-// usually-tiny slice in a hot sweep path.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

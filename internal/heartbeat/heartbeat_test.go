@@ -55,31 +55,43 @@ func TestLostReportedOnce(t *testing.T) {
 	}
 }
 
-func TestBeatRevivesDownNode(t *testing.T) {
+func TestLostNodeIgnoresBeatsUntilTracked(t *testing.T) {
 	m := NewMonitor(10*time.Second, 3)
 	m.Track("n1", t0)
-	_ = m.Lost(t0.Add(time.Minute)) // down
-	m.Beat("n1", t0.Add(2*time.Minute))
-	// It can be lost again later (re-reported after revival).
-	if lost := m.Lost(t0.Add(10 * time.Minute)); len(lost) != 1 {
-		t.Fatalf("revived node not re-reportable: %v", lost)
+	_ = m.Lost(t0.Add(time.Minute)) // reported and forgotten
+	if m.Beat("n1", t0.Add(2*time.Minute)) {
+		t.Fatal("a lost node's beat was accepted")
+	}
+	if lost := m.Lost(t0.Add(10 * time.Minute)); len(lost) != 0 {
+		t.Fatalf("lost node re-reported without re-registering: %v", lost)
+	}
+	// Re-registration watches it again: it can be lost again later.
+	m.Track("n1", t0.Add(10*time.Minute))
+	if lost := m.Lost(t0.Add(20 * time.Minute)); len(lost) != 1 {
+		t.Fatalf("re-tracked node not re-reportable: %v", lost)
 	}
 }
 
-func TestSuspendedNodeNeverLost(t *testing.T) {
+func TestForgottenNodeNeverLost(t *testing.T) {
 	m := NewMonitor(10*time.Second, 3)
 	m.Track("n1", t0)
-	m.Suspend("n1")
+	m.Forget("n1") // announced departure
 	if lost := m.Lost(t0.Add(time.Hour)); len(lost) != 0 {
-		t.Fatalf("suspended node reported lost: %v", lost)
+		t.Fatalf("forgotten node reported lost: %v", lost)
 	}
 }
 
-func TestBeatAfterSuspendResumes(t *testing.T) {
+func TestTrackAfterForgetResumes(t *testing.T) {
 	m := NewMonitor(10*time.Second, 3)
 	m.Track("n1", t0)
-	m.Suspend("n1")                 // temporary departure
-	m.Beat("n1", t0.Add(time.Hour)) // provider returns
+	m.Forget("n1") // temporary departure
+	if m.Beat("n1", t0.Add(time.Hour)) {
+		t.Fatal("a forgotten node's beat was accepted")
+	}
+	m.Track("n1", t0.Add(time.Hour)) // provider returns and registers
+	if lost := m.Lost(t0.Add(time.Hour + 29*time.Second)); len(lost) != 0 {
+		t.Fatalf("returned node lost early: %v", lost)
+	}
 	if lost := m.Lost(t0.Add(time.Hour + 30*time.Second)); len(lost) != 1 {
 		t.Fatalf("returned node not monitored again: %v", lost)
 	}

@@ -45,8 +45,9 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 		GPUs: req.GPUs, Kernel: req.Kernel, Storage: req.StorageBytes,
 		RegisteredAt: now, LastHeartbeat: now, LastJoin: now,
 	}
-	returning := false
+	known, returning := false, false
 	if old, err := c.db.GetNode(req.MachineID); err == nil {
+		known = true
 		returning = old.Status == db.NodeDeparted || old.Status == db.NodeUnreachable
 		rec.RegisteredAt = old.RegisteredAt
 		rec.Departures = old.Departures
@@ -84,6 +85,8 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 	c.trace.RecordAt(now, obs.KindNodeRegistered, "", req.MachineID, nil)
 	if returning {
 		c.handleNodeReturn(req.MachineID, now)
+	} else if known {
+		c.offerMigrateBack(req.MachineID, now)
 	}
 	c.trySchedule()
 	return api.RegisterResponse{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gpunion/internal/api"
@@ -117,29 +118,66 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 }
 
 // handleNodeReturn follows the registration of a node that was out of
-// service; Register has already put it back. If it left on a temporary
-// departure, the jobs that prefer it (their original home) move back
-// onto it, checkpointed at their current host first (§4: 67% of
-// displaced workloads migrated back); only stateful batch jobs do. The
-// return intent is read from the node record and cleared there, so it
-// survives a coordinator restart or failover like the rest of it.
+// service; Register has already put it back.
 func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
-	back := false
-	_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
-		back, n.ReturnExpected = n.ReturnExpected, false
-	})
 	c.trace.RecordAt(now, obs.KindNodeReturned, "", nodeID, nil)
-	if back {
-		var jobs []db.JobRecord
-		for _, job := range c.db.ListJobs() {
-			if job.PreferredNode == nodeID && job.NodeID != nodeID && job.State == db.JobRunning &&
-				job.ImageName != "" && job.Training != nil {
-				jobs = append(jobs, job)
-			}
-		}
-		c.relocateLive(jobs, migration.ReasonMigrateBack, now)
-	}
+	c.migrateBack(nodeID, now)
 	c.trySchedule()
+}
+
+// offerMigrateBack follows the registration of a node still in service
+// (after a coordinator restart or failover every node registers again).
+// A job it hosts may be waiting for it to go home: the home node came
+// back before this host had re-attached, and a host without a handle
+// cannot be checkpointed.
+func (c *Coordinator) offerMigrateBack(hostID string, now time.Time) {
+	var homes []string
+	for _, job := range c.db.JobsOnNode(hostID) {
+		if job.PreferredNode != "" && job.PreferredNode != hostID && !slices.Contains(homes, job.PreferredNode) {
+			homes = append(homes, job.PreferredNode)
+		}
+	}
+	for _, home := range homes {
+		c.migrateBack(home, now)
+	}
+}
+
+// migrateBack moves home the jobs that prefer nodeID (their original
+// home) if it left on a temporary departure and is back in service:
+// each is checkpointed at its current host first (§4: 67% of displaced
+// workloads migrated back); only stateful batch jobs move. The return
+// intent lives in the node record, so it survives a coordinator restart
+// or failover like the rest of it, and it stays there until every such
+// job's move has been attempted: one whose host has not re-attached to
+// this coordinator yet is offered the move when the host registers
+// (offerMigrateBack).
+func (c *Coordinator) migrateBack(nodeID string, now time.Time) {
+	home, err := c.db.GetNode(nodeID)
+	if err != nil || !home.ReturnExpected ||
+		home.Status == db.NodeDeparted || home.Status == db.NodeUnreachable {
+		return
+	}
+	var jobs []db.JobRecord
+	waiting := false
+	for _, job := range c.db.ListJobs() {
+		if job.PreferredNode != nodeID || job.NodeID == nodeID || job.State != db.JobRunning ||
+			job.ImageName == "" || job.Training == nil {
+			continue
+		}
+		if c.handle(job.NodeID) == nil {
+			waiting = true
+			continue
+		}
+		jobs = append(jobs, job)
+	}
+	if !waiting {
+		_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
+			if n.Status != db.NodeDeparted && n.Status != db.NodeUnreachable {
+				n.ReturnExpected = false
+			}
+		})
+	}
+	c.relocateLive(jobs, migration.ReasonMigrateBack, now)
 }
 
 // Nodes lists all registered nodes.

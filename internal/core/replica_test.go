@@ -608,90 +608,116 @@ func TestReplicaCloseReleasesLease(t *testing.T) {
 // temporary departure and its job moves to another node; then the
 // coordinator restarts over its log, or its standby takes over, and the
 // provider's machine comes back as a fresh agent. The return intent is
-// part of the node record, so the successor moves the job home.
+// part of the node record, so the successor moves the job home, in
+// either order of arrival: when the home node registers before the
+// job's host has re-attached, the intent waits for the host's
+// registration to offer the move.
 func TestMigrateBackSurvivesCoordinatorChange(t *testing.T) {
 	for _, name := range []string{"restart", "failover"} {
 		failover := name == "failover"
 		t.Run(name, func(t *testing.T) {
-			r := newReplicaRig(t)
-			open := func(id, dir, follow string, onDurable func(db.Mutation)) *Replica {
-				cfg := r.config(id, dir, follow, onDurable)
-				// Detection must not race the switch-over: the node the
-				// job waits on re-registers with the successor first.
-				cfg.Coordinator.MissedThreshold = 10
-				return r.openConfig(cfg)
-			}
-			join := func(rep *Replica, ag *agent.Agent) {
-				t.Helper()
-				ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(rep.Coordinator(), ag)}})
-				if _, err := ag.Join("inproc://"+ag.MachineID(), 1<<30); err != nil {
-					t.Fatal(err)
-				}
-			}
-			boot := func(id string) *agent.Agent {
-				ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
-				t.Cleanup(ag.Stop)
-				return ag
-			}
-
-			dirA := t.TempDir()
-			var first, standby *Replica
-			if failover {
-				first = open("coord-a", dirA, "", func(db.Mutation) {
-					if standby != nil {
-						_ = standby.Pump()
-					}
+			for _, order := range []string{"host-first", "home-first"} {
+				t.Run(order, func(t *testing.T) {
+					migrateBackAcrossCoordinatorChange(t, failover, order == "home-first")
 				})
-				first.Start()
-				standby = open("coord-b", t.TempDir(), dirA, nil)
-				standby.Start()
-			} else {
-				first = open("", dirA, "", nil)
-				first.Start()
-			}
-			home, host := boot("n1"), boot("n2")
-			join(first, home)
-			spec := workload.SmallCNN
-			id, err := first.Coordinator().SubmitJob(api.SubmitJobRequest{
-				User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
-				GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 30, Training: &spec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			join(first, host)
-			r.clock.Advance(time.Minute)
-			home.Depart(api.DepartTemporary, time.Minute)
-			if st, _ := first.Coordinator().JobStatus(id); st.NodeID != "n2" {
-				t.Fatalf("job not displaced to n2: %+v", st)
-			}
-
-			if err := first.Kill(); err != nil {
-				t.Fatal(err)
-			}
-			next := standby
-			if failover {
-				r.advanceUntil(time.Minute, standby.Coordinator().Leading)
-			} else {
-				next = open("", dirA, "", nil)
-				next.Start()
-			}
-			succ := next.Coordinator()
-			// The host's address now reaches the successor; its next beat
-			// is refused and it joins again.
-			host.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(succ, host)}})
-			r.advanceUntil(time.Minute, func() bool { return succ.handle("n2") != nil })
-
-			home.Stop() // the provider's machine comes back with a fresh agent
-			join(next, boot("n1"))
-			r.clock.Advance(time.Second)
-			st, err := succ.JobStatus(id)
-			if err != nil || st.State != db.JobRunning || st.NodeID != "n1" {
-				t.Fatalf("after the return: %+v, %v; want the job running at home on n1", st, err)
-			}
-			if n := succ.Migration().Stats().Successes[migration.ReasonMigrateBack]; n != 1 {
-				t.Fatalf("migrate-back successes = %d, want 1", n)
 			}
 		})
+	}
+}
+
+func migrateBackAcrossCoordinatorChange(t *testing.T, failover, homeFirst bool) {
+	r := newReplicaRig(t)
+	open := func(id, dir, follow string, onDurable func(db.Mutation)) *Replica {
+		cfg := r.config(id, dir, follow, onDurable)
+		// Detection must not race the switch-over: the nodes re-register
+		// with the successor in the order the test picks.
+		cfg.Coordinator.MissedThreshold = 10
+		return r.openConfig(cfg)
+	}
+	join := func(rep *Replica, ag *agent.Agent) {
+		t.Helper()
+		ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(rep.Coordinator(), ag)}})
+		if _, err := ag.Join("inproc://"+ag.MachineID(), 1<<30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot := func(id string) *agent.Agent {
+		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
+		t.Cleanup(ag.Stop)
+		return ag
+	}
+
+	dirA := t.TempDir()
+	var first, standby *Replica
+	if failover {
+		first = open("coord-a", dirA, "", func(db.Mutation) {
+			if standby != nil {
+				_ = standby.Pump()
+			}
+		})
+		first.Start()
+		standby = open("coord-b", t.TempDir(), dirA, nil)
+		standby.Start()
+	} else {
+		first = open("", dirA, "", nil)
+		first.Start()
+	}
+	home, host := boot("n1"), boot("n2")
+	join(first, home)
+	spec := workload.SmallCNN
+	id, err := first.Coordinator().SubmitJob(api.SubmitJobRequest{
+		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+		GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 30, Training: &spec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join(first, host)
+	r.clock.Advance(time.Minute)
+	home.Depart(api.DepartTemporary, time.Minute)
+	if st, _ := first.Coordinator().JobStatus(id); st.NodeID != "n2" {
+		t.Fatalf("job not displaced to n2: %+v", st)
+	}
+
+	if err := first.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	next := standby
+	if failover {
+		r.advanceUntil(time.Minute, standby.Coordinator().Leading)
+	} else {
+		next = open("", dirA, "", nil)
+		next.Start()
+	}
+	succ := next.Coordinator()
+	// The provider's machine comes back with a fresh agent.
+	home.Stop()
+	homeBack := func() { join(next, boot("n1")) }
+	// The host's address now reaches the successor; its next beat is
+	// refused and it joins again.
+	hostBack := func() {
+		host.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(succ, host)}})
+		r.advanceUntil(time.Minute, func() bool { return succ.handle("n2") != nil })
+	}
+	if homeFirst {
+		homeBack()
+		if st, _ := succ.JobStatus(id); st.NodeID != "n2" {
+			t.Fatalf("job moved before its host re-attached: %+v", st)
+		}
+		hostBack()
+	} else {
+		hostBack()
+		homeBack()
+	}
+	r.clock.Advance(time.Second)
+	st, err := succ.JobStatus(id)
+	if err != nil || st.State != db.JobRunning || st.NodeID != "n1" {
+		t.Fatalf("after the return: %+v, %v; want the job running at home on n1", st, err)
+	}
+	if n := succ.Migration().Stats().Successes[migration.ReasonMigrateBack]; n != 1 {
+		t.Fatalf("migrate-back successes = %d, want 1", n)
+	}
+	if rec, err := succ.DB().GetNode("n1"); err != nil || rec.ReturnExpected {
+		t.Fatalf("n1 = %+v, %v; want the return intent cleared once the move was made", rec, err)
 	}
 }

@@ -218,7 +218,13 @@ verify-bench:
 # agent, the chaos harness or the invariants. A provider comes back one
 # way, as a fresh agent that registers: a Return method on agent.Agent,
 # or a .Return() call in non-test code under internal/sim, is the
-# revive-in-place return coming back. bench/ is not scanned:
+# revive-in-place return coming back. The coordinator's side of that
+# rule: a node out of service returns only by registering, so a wasAway
+# anywhere under internal/core (the beat that put a node back in
+# place), a Suspend method in internal/heartbeat (the monitor's second
+# membership flag) or a handleNodeReturn call in non-test code outside
+# ingress.go (a second caller beside Register) is the second way back
+# returning. bench/ is not scanned:
 # its hand-assembled coordinator is the one caller eventbus.New is kept
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
@@ -277,6 +283,12 @@ verify-compose:
 		grep -rn '\.Return()' --include='*.go' internal/sim | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a second way back beside registration (boot a fresh agent that registers):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn 'wasAway' internal/core; \
+		grep -rnE 'func \([^)]*\) Suspend\(' --include='*.go' internal/heartbeat; \
+		grep -rn '\.handleNodeReturn(' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/core/ingress\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a second way back into service beside Register:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

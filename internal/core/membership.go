@@ -122,7 +122,6 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
 	c.trace.RecordAt(now, obs.KindNodeReturned, "", nodeID, nil)
 	c.migrateBack(nodeID, now)
-	c.trySchedule()
 }
 
 // offerMigrateBack follows the registration of a node still in service

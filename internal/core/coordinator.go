@@ -254,10 +254,10 @@ func (c *Coordinator) InteractiveSessions() int {
 //     queue re-places them from their last durable checkpoint;
 //   - failure detection is re-armed for every node that was active or
 //     paused before the crash, dated from its last recorded heartbeat:
-//     a node that outlived the coordinator keeps beating, is asked to
-//     re-register (no agent handle survived) and is re-admitted; one
-//     that died during the outage exceeds the missed threshold and
-//     takes the normal emergency-migration path;
+//     a node that outlived the coordinator keeps beating and registers
+//     again when asked (no handle survived); one that died during the
+//     outage exceeds the missed threshold and takes the normal
+//     emergency-migration path;
 //   - a scheduling pass drains whatever the restored queue holds: the
 //     relaunch spec is the record's own, so there is nothing to rebuild
 //     (placements need agents, which re-attach as nodes re-register).

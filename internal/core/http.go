@@ -19,13 +19,9 @@ import (
 const maxAggregatedBody = 64 << 20
 
 // HandleFactory builds an AgentHandle for a newly registered node's
-// address. The default dials the agent's REST API. The campus
-// simulations, tests and examples reach the same API in process
-// (NewInProcessClient pairs one coordinator with one agent); chaos and
-// the scripted crash-recovery and failover runs dial an agent.Client
-// whose transport resolves the address through the sims' address book
-// (internal/sim's simHosts), so a successor coordinator reaches every
-// agent that registers with it.
+// address. The default dials the agent's REST API; tests, examples and
+// the campus sims reach it in process (NewInProcessClient), chaos and
+// the scripted failovers through the sims' address book (simHosts).
 type HandleFactory func(addr string) AgentHandle
 
 // DefaultHandleFactory returns HTTP handles.

@@ -118,21 +118,19 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 }
 
 // handleNodeReturn follows the registration of a node that was out of
-// service; Register has already put it back.
+// service.
 func (c *Coordinator) handleNodeReturn(nodeID string, now time.Time) {
 	c.trace.RecordAt(now, obs.KindNodeReturned, "", nodeID, nil)
 	c.migrateBack(nodeID, now)
 }
 
-// offerMigrateBack follows the registration of a node still in service
-// (after a coordinator restart or failover every node registers again).
-// A job it hosts may be waiting for it to go home: the home node came
-// back before this host had re-attached, and a host without a handle
-// cannot be checkpointed.
+// offerMigrateBack follows the registration of a node still in service,
+// as after a coordinator restart or failover: a job it hosts may be
+// waiting for it to re-attach before it can go home (migrateBack).
 func (c *Coordinator) offerMigrateBack(hostID string, now time.Time) {
 	var homes []string
 	for _, job := range c.db.JobsOnNode(hostID) {
-		if job.PreferredNode != "" && job.PreferredNode != hostID && !slices.Contains(homes, job.PreferredNode) {
+		if !slices.Contains(homes, job.PreferredNode) {
 			homes = append(homes, job.PreferredNode)
 		}
 	}
@@ -141,19 +139,15 @@ func (c *Coordinator) offerMigrateBack(hostID string, now time.Time) {
 	}
 }
 
-// migrateBack moves home the jobs that prefer nodeID (their original
-// home) if it left on a temporary departure and is back in service:
-// each is checkpointed at its current host first (§4: 67% of displaced
-// workloads migrated back); only stateful batch jobs move. The return
-// intent lives in the node record, so it survives a coordinator restart
-// or failover like the rest of it, and it stays there until every such
-// job's move has been attempted: one whose host has not re-attached to
-// this coordinator yet is offered the move when the host registers
-// (offerMigrateBack).
+// migrateBack moves the stateful batch jobs that prefer nodeID (their
+// original home) back onto it, checkpointed at their current host first
+// (§4: 67% of displaced workloads migrated back), if it left on a
+// temporary departure and is a member again. The return intent lives in
+// the node record, so it survives a coordinator restart or failover, and
+// stays there until each such job was offered the move: a host without
+// a handle yet cannot checkpoint, so its registration offers it later.
 func (c *Coordinator) migrateBack(nodeID string, now time.Time) {
-	home, err := c.db.GetNode(nodeID)
-	if err != nil || !home.ReturnExpected ||
-		home.Status == db.NodeDeparted || home.Status == db.NodeUnreachable {
+	if home, err := c.db.GetNode(nodeID); err != nil || !home.ReturnExpected || c.handle(nodeID) == nil {
 		return
 	}
 	var jobs []db.JobRecord
@@ -171,9 +165,8 @@ func (c *Coordinator) migrateBack(nodeID string, now time.Time) {
 	}
 	if !waiting {
 		_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
-			if n.Status != db.NodeDeparted && n.Status != db.NodeUnreachable {
-				n.ReturnExpected = false
-			}
+			// Only a temporary departure since the read sets it again.
+			n.ReturnExpected = n.ReturnExpected && n.Status == db.NodeDeparted
 		})
 	}
 	c.relocateLive(jobs, migration.ReasonMigrateBack, now)

@@ -187,19 +187,12 @@ func TestStoppedCoordinatorIsFenced(t *testing.T) {
 }
 
 // cutLink is an agent's control link that a partition can cut: while
-// cut, registrations and beats fail without reaching the coordinator.
-// It keeps the answers of the beats that cross it.
+// cut, beats fail without reaching the coordinator. It keeps the
+// answers of the beats that cross it.
 type cutLink struct {
 	agent.Link
 	cut     bool
 	answers []api.HeartbeatResponse
-}
-
-func (l *cutLink) Register(req api.RegisterRequest) (api.RegisterResponse, error) {
-	if l.cut {
-		return api.RegisterResponse{}, errors.New("control partition")
-	}
-	return l.Link.Register(req)
 }
 
 func (l *cutLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, error) {

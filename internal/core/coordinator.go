@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -273,7 +274,7 @@ func (c *Coordinator) recoverState() {
 			maxSeq = n
 		}
 		if job.State == db.JobMigrating {
-			c.requeueFromCheckpoint(job.ID, now)
+			c.requeueFromCheckpoint(job, now)
 		}
 	}
 	c.mu.Lock()
@@ -333,10 +334,13 @@ func (c *Coordinator) handle(nodeID string) AgentHandle {
 	return c.agents[nodeID]
 }
 
-// markDevice sets one device's allocation flag in the node record.
-// Empty ids are a no-op: a job that never held a device frees nothing.
+// markDevice sets one device's allocation flag in the node record,
+// unless it already reads as asked. An unknown node or device is a
+// no-op: a job that never held a device frees nothing.
 func (c *Coordinator) markDevice(nodeID, deviceID string, allocated bool) {
-	if nodeID == "" || deviceID == "" {
+	if n, err := c.db.GetNode(nodeID); err != nil || !slices.ContainsFunc(n.GPUs, func(g db.GPUInfo) bool {
+		return g.DeviceID == deviceID && g.Allocated != allocated
+	}) {
 		return
 	}
 	_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {

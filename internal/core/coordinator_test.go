@@ -300,6 +300,78 @@ func TestCoordinatorKillJob(t *testing.T) {
 	}
 }
 
+// killInLaunch is an agent handle whose launches let the user's kill of
+// the job arrive while the launch RPC is in flight.
+type killInLaunch struct {
+	AgentHandle
+	coord *Coordinator
+}
+
+func (h killInLaunch) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
+	resp, err := h.AgentHandle.Launch(req)
+	if kerr := h.coord.KillJob(req.JobID); kerr != nil {
+		return resp, kerr
+	}
+	return resp, err
+}
+
+// TestKillDuringLaunchWins: a kill that lands while the job's launch
+// RPC is in flight stands. The placement's commit finds the job
+// resolved, kills the copy it just started, and holds no device and no
+// allocation episode.
+func TestKillDuringLaunchWins(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	r.addNode("n1", gpu.RTX3090)
+	r.coord.mu.Lock()
+	r.coord.agents["n1"] = killInLaunch{AgentHandle: r.coord.agents["n1"], coord: r.coord}
+	r.coord.mu.Unlock()
+
+	id := submitTraining(t, r, workload.SmallCNN, 0)
+	if st, _ := r.coord.JobStatus(id); st.State != db.JobKilled {
+		t.Fatalf("job = %+v, want killed", st)
+	}
+	if n := len(r.ags["n1"].Status().RunningJobs); n != 0 {
+		t.Fatalf("n1 runs %d jobs after the kill", n)
+	}
+	if rec, _ := r.coord.db.GetNode("n1"); rec.GPUs[0].Allocated {
+		t.Fatal("the killed job's device is still held")
+	}
+	for _, a := range r.coord.db.Allocations() {
+		if a.JobID == id && a.End.IsZero() {
+			t.Fatalf("open allocation episode for the killed job: %+v", a)
+		}
+	}
+}
+
+// TestKillOfEndedJobKeepsIt: killing a job that already completed
+// leaves it as it ended: the same state, the same FinishedAt, and no
+// write to the store.
+func TestKillOfEndedJobKeepsIt(t *testing.T) {
+	r := newRig(t, time.Minute)
+	r.addNode("n1", gpu.RTX3090)
+	spec := workload.SmallCNN
+	spec.TotalSteps = 50
+	id := submitTraining(t, r, spec, 0)
+	r.clock.Advance(2 * time.Minute) // completes and reports
+	rec, err := r.coord.db.GetJob(id)
+	if err != nil || rec.State != db.JobCompleted {
+		t.Fatalf("job = %+v, %v", rec, err)
+	}
+
+	r.clock.Advance(time.Minute)
+	before := r.coord.db.CurrentLSN()
+	if err := r.coord.KillJob(id); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := r.coord.db.GetJob(id)
+	if after.State != db.JobCompleted || !after.FinishedAt.Equal(rec.FinishedAt) {
+		t.Fatalf("kill rewrote the completed job: %+v, was %+v", after, rec)
+	}
+	if lsn := r.coord.db.CurrentLSN(); lsn != before {
+		t.Fatalf("kill of a completed job wrote the store: LSN %d -> %d", before, lsn)
+	}
+}
+
 func TestHeartbeatBadToken(t *testing.T) {
 	r := newRig(t, 10*time.Second)
 	ag := r.addNode("n1", gpu.RTX3090)

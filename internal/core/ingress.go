@@ -395,34 +395,12 @@ func (c *Coordinator) observe(b *beat) bool {
 
 // reconcile acts on what classify found. The host no longer executes
 // the lost placements: they are requeued from their last checkpoints,
-// exactly like an emergency displacement. The old episode is closed
-// while the record still points at it — flipping to pending first would
-// let a concurrent scheduling pass open a fresh episode that the close
-// would then eat — and the close is identity-scoped: a duplicate
-// heartbeat racing this one may already have requeued and re-placed the
-// job, and the fresh episode on the new device must not be the one that
-// closes. The state re-check runs inside the record lock: a concurrent
-// terminal update (the agent's completion racing this heartbeat on the
-// HTTP path) must win, not be flipped back to pending.
+// exactly like an emergency displacement.
 func (c *Coordinator) reconcile(b *beat) bool {
-	machineID := b.req.MachineID // copied for the closure, as in commit
 	for _, job := range b.lost {
-		c.markDevice(job.NodeID, job.DeviceID, false)
-		_ = c.db.CloseAllocationEpisode(job.ID, job.NodeID, job.DeviceID, b.now)
-		requeued := false
-		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
-			if j.State != db.JobRunning || j.NodeID != machineID {
-				return
-			}
-			j.State = db.JobPending
-			j.NodeID, j.DeviceID = "", ""
-			requeued = true
-		})
-		if requeued {
-			c.trace.RecordAt(b.now, obs.KindJobRequeued, job.ID, "", nil)
-		}
+		c.requeueFromCheckpoint(job, b.now)
 	}
-	c.killOrphans(machineID, b.orphans, b.now)
+	c.killOrphans(b.req.MachineID, b.orphans, b.now)
 	c.trySchedule()
 	return false
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
@@ -78,41 +79,39 @@ func jobStatusOf(rec db.JobRecord) api.JobStatus {
 	}
 }
 
-// KillJob terminates a job wherever it runs.
+// KillJob terminates a job wherever it runs; a job that has ended stays
+// as it ended. A record that moved under the kill (a pass placed the
+// pending job just read) is read again, so that copy dies too.
 func (c *Coordinator) KillJob(jobID string) error {
 	if err := c.fence(0); err != nil {
 		return err
 	}
-	rec, err := c.db.GetJob(jobID)
-	if err != nil {
-		return fmt.Errorf("%w: %s", ErrUnknownJob, jobID)
-	}
-	now := c.clock.Now()
-	if rec.State == db.JobRunning && rec.NodeID != "" {
-		if h := c.handle(rec.NodeID); h != nil {
-			// Node may be gone; record the kill anyway.
-			_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: jobID})
+	for {
+		rec, err := c.db.GetJob(jobID)
+		if err != nil {
+			return fmt.Errorf("%w: %s", ErrUnknownJob, jobID)
 		}
-		c.markDevice(rec.NodeID, rec.DeviceID, false)
-		_ = c.db.CloseAllocation(jobID, now)
+		if ended(rec.State) {
+			return nil
+		}
+		if h := c.handle(rec.NodeID); h != nil && rec.State == db.JobRunning {
+			_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: jobID}) // a lost node's copy is killed anyway
+		}
+		if now := c.clock.Now(); c.settle(rec, db.JobKilled, now) {
+			c.trace.RecordAt(now, obs.KindJobKilled, jobID, "", nil)
+			c.trySchedule()
+			return nil
+		}
 	}
-	err = c.db.UpdateJob(jobID, func(j *db.JobRecord) {
-		j.State = db.JobKilled
-		j.FinishedAt = now
-	})
-	c.trace.RecordAt(now, obs.KindJobKilled, jobID, "", nil)
-	c.trySchedule()
-	return err
 }
 
 // JobUpdate receives an agent's job report, fenced and authenticated
-// like a departure notice. Reports from a node the job is no longer
-// placed on are dropped, and so are duplicates of a report already
-// applied; both are answered, so the agent stops re-sending them. After
-// a partition the old host may still be running a copy the platform
-// has since migrated elsewhere, and letting its stale completion close
-// the new placement's allocation would corrupt the resource view
-// (heartbeat reconciliation kills such orphans).
+// like a departure notice. A report from a node the job is no longer
+// placed on is dropped, and so is a duplicate of one already applied;
+// both are answered, so the agent stops re-sending. After a partition
+// the old host may still run a copy since migrated elsewhere (heartbeat
+// reconciliation kills it), and its stale completion must not resolve
+// the new placement.
 func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
 	if err := c.admitAgent(req.LeaderEpoch, req.Token, req.MachineID); err != nil {
 		return err
@@ -122,39 +121,12 @@ func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
 		return nil
 	}
 	now := c.clock.Now()
-	// Idempotency pre-check, outside the record lock: a duplicate
-	// delivery of a terminal report (the job already resolved, or the
-	// record no longer points at the sender) must be a true no-op — not
-	// even a no-change UpdateJob, which would still advance the mutation
-	// sequence and re-stamp FinishedAt. A duplicate racing the original
-	// on the concurrent HTTP path can still slip past this read and reach
-	// UpdateJob; the in-lock guards below keep the record correct there,
-	// at the cost of one no-change mutation record.
-	if cur, err := c.db.GetJob(jobID); err != nil || cur.NodeID != machineID ||
-		cur.State == db.JobCompleted || cur.State == db.JobFailed || cur.State == db.JobKilled {
+	// settle compares again under the record lock: a report from the old
+	// host racing a requeue loses, and a duplicate writes nothing.
+	cur, err := c.db.GetJob(jobID)
+	if err != nil || cur.NodeID != machineID || !c.settle(cur, state, now) {
 		return nil
 	}
-	// The stale-node check also runs inside the record lock: on the
-	// concurrent HTTP path the job may be requeued and re-placed between
-	// the snapshot read above and this update, and a report from the old
-	// host must lose that race, not resolve the new copy.
-	var deviceID string
-	applied := false
-	err := c.db.UpdateJob(jobID, func(j *db.JobRecord) {
-		if j.NodeID != machineID ||
-			j.State == db.JobCompleted || j.State == db.JobFailed || j.State == db.JobKilled {
-			return
-		}
-		deviceID = j.DeviceID
-		j.State = state
-		j.FinishedAt = now
-		applied = true
-	})
-	if err != nil || !applied {
-		return nil
-	}
-	_ = c.db.CloseAllocation(jobID, now)
-	c.markDevice(machineID, deviceID, false)
 	kind := obs.KindJobCompleted
 	if state == db.JobFailed {
 		kind = obs.KindJobFailed
@@ -162,4 +134,44 @@ func (c *Coordinator) JobUpdate(req api.JobUpdateRequest) error {
 	c.trace.RecordAt(now, kind, jobID, machineID, map[string]string{"step": strconv.FormatInt(req.Step, 10)})
 	c.trySchedule()
 	return nil
+}
+
+// ended reports whether a job in state s has finished for good.
+func ended(s db.JobState) bool {
+	return s == db.JobCompleted || s == db.JobFailed || s == db.JobKilled
+}
+
+// settle is the one way off a device or out of the queue: a
+// compare-and-set that moves job, as its caller read it, to state to.
+// If the record no longer reads as job does (state, node, device), or
+// job had ended, it writes nothing and returns false. Leaving a running
+// placement frees the device and closes the episode, identity-scoped,
+// before the flip, while the record still points at them: a pass that
+// re-placed a job flipped first would open an episode the close would
+// then eat. to pending clears the placement, an ending to stamps
+// FinishedAt, and to migrating keeps the node until the relaunch.
+func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bool {
+	same := func(j *db.JobRecord) bool {
+		return j.State == job.State && j.NodeID == job.NodeID && j.DeviceID == job.DeviceID
+	}
+	if cur, err := c.db.GetJob(job.ID); err != nil || !same(&cur) || ended(job.State) {
+		return false
+	}
+	if job.State == db.JobRunning {
+		c.markDevice(job.NodeID, job.DeviceID, false)
+		_ = c.db.CloseAllocationEpisode(job.ID, job.NodeID, job.DeviceID, now)
+	}
+	settled := false
+	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
+		if settled = same(j); !settled {
+			return
+		}
+		j.State = to
+		if to == db.JobPending {
+			j.NodeID, j.DeviceID = "", ""
+		} else if ended(to) {
+			j.FinishedAt = now
+		}
+	})
+	return settled
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -140,6 +141,53 @@ func TestKillWhileCheckpointInFlight(t *testing.T) {
 		if n := len(ag.Status().RunningJobs); n != 0 {
 			t.Fatalf("node %s runs %d jobs after the kill", id2, n)
 		}
+	}
+}
+
+// TestDepartureDuringDrainTransferPlansOnce: a node draining
+// predictively departs while its job's checkpoint is still crossing the
+// LAN. The departure moves only what still runs there; the migrating
+// job keeps the plan it has, so it is planned, attempted and relaunched
+// once.
+func TestDepartureDuringDrainTransferPlansOnce(t *testing.T) {
+	r := newEmptyNetRig(t, nil)
+	r.join(t, "sick", 1)
+	spec := bigStateSpec()
+	id, err := r.coord.SubmitJob(api.SubmitJobRequest{
+		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
+		GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 60, Training: &spec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.join(t, "t1", 1)
+	r.clock.Advance(2 * time.Minute) // at least one checkpoint
+
+	sick := r.ags["sick"]
+	for i := 0; i < 10; i++ {
+		if st, _ := r.coord.JobStatus(id); st.State == db.JobMigrating {
+			break
+		}
+		r.clock.Advance(time.Second)
+		req := sick.HeartbeatRequest()
+		req.HealthEvents = []gpu.HealthEvent{{Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical, Value: 99}}
+		if _, err := r.coord.Heartbeat(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, _ := r.coord.JobStatus(id); st.State != db.JobMigrating {
+		t.Fatalf("job = %+v, want migrating off the drained node", st)
+	}
+	sick.Depart(api.DepartScheduled, time.Minute) // mid-transfer
+	r.clock.Advance(2 * time.Minute)
+
+	if st, _ := r.coord.JobStatus(id); st.State != db.JobRunning || st.NodeID != "t1" {
+		t.Fatalf("after the transfer: %+v, want running on t1", st)
+	}
+	stats := r.coord.Migration().Stats()
+	want := map[migration.Reason]int{migration.ReasonPredictive: 1}
+	if !maps.Equal(stats.Attempts, want) || !maps.Equal(stats.Successes, want) {
+		t.Fatalf("attempts %v, successes %v; want %v for both", stats.Attempts, stats.Successes, want)
 	}
 }
 

@@ -18,37 +18,30 @@ import (
 // migrate-back). Both plan all of an event's jobs as one batch and meet
 // in executePlan.
 
-// migrateJobsFrom relaunches every job that was on nodeID. All of the
-// node's jobs are planned as one batch, so their restore transfers
-// overlap on the LAN model.
+// migrateJobsFrom relaunches every job running on nodeID. All of them
+// are planned as one batch, so their restore transfers overlap on the
+// LAN model. A job already migrating off the node keeps the plan it has.
 func (c *Coordinator) migrateJobsFrom(nodeID string, reason migration.Reason) {
 	now := c.clock.Now()
-	jobs := c.db.JobsOnNode(nodeID)
-	if len(jobs) == 0 {
-		return
-	}
-	planned := make([]db.JobRecord, 0, len(jobs))
-	for _, job := range jobs {
-		if job.ImageName == "" {
-			continue // a legacy record without a relaunch spec
+	var planned []db.JobRecord
+	for _, job := range c.db.JobsOnNode(nodeID) {
+		if job.State != db.JobRunning || job.ImageName == "" || !c.settle(job, db.JobMigrating, now) {
+			continue
 		}
+		job.State = db.JobMigrating
 		planned = append(planned, job)
-		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.State = db.JobMigrating })
-		_ = c.db.CloseAllocation(job.ID, now)
 		c.mig.RecordAttempt(reason)
 	}
-
-	items := c.mig.PlanBatch(planned, reason, now)
-	for i, item := range items {
+	for i, item := range c.mig.PlanBatch(planned, reason, now) {
 		if item.Err != nil {
 			// No target now: requeue; a later trySchedule will pick the
 			// job up when capacity returns. Counted as a failure for the
 			// immediate-migration statistic.
 			c.mig.RecordFailure(reason)
-			c.requeueFromCheckpoint(planned[i].ID, now)
+			c.requeueFromCheckpoint(planned[i], now)
 			continue
 		}
-		c.executePlan(planned[i], item.Plan, reason, now)
+		c.executePlan(item.Plan, reason)
 	}
 }
 
@@ -57,8 +50,8 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migration.Reason) {
 // returned home node. Each job is checkpointed at its source, all of
 // them are planned as one batch — so two of them can never be sent to
 // the same free device, whatever the transfer time — and each planned
-// job is then killed at the source, its episode closed, marked
-// migrating and handed to executePlan with the fresh restore point.
+// job is then killed at the source, settled as migrating and handed
+// to executePlan with the fresh restore point.
 //
 // The two reasons differ only in how much the move is worth. A drain
 // must happen: when the source cannot checkpoint (the gray failure
@@ -97,13 +90,11 @@ func (c *Coordinator) relocateLive(jobs []db.JobRecord, reason migration.Reason,
 			c.mig.RecordFailure(reason)
 			continue
 		}
-		if err := from[i].host.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID}); err != nil {
+		if err := from[i].host.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID}); err != nil ||
+			!c.settle(job, db.JobMigrating, now) {
 			c.mig.RecordFailure(reason)
 			continue
 		}
-		c.markDevice(job.NodeID, job.DeviceID, false)
-		_ = c.db.CloseAllocation(job.ID, now)
-		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.State = db.JobMigrating })
 		plan.RestoreSeq, plan.RestoreStep = from[i].seq, from[i].step
 		if reason == migration.ReasonPredictive {
 			c.trace.Record(obs.KindPredictiveMigrate, job.ID, job.NodeID, map[string]string{
@@ -111,25 +102,25 @@ func (c *Coordinator) relocateLive(jobs []db.JobRecord, reason migration.Reason,
 				"restore_step": strconv.FormatInt(plan.RestoreStep, 10),
 			})
 		}
-		c.executePlan(job, plan, reason, now)
+		c.executePlan(plan, reason)
 	}
 }
 
 // executePlan launches the displaced job on its planned target. The
 // relaunch happens only after the checkpoint data has crossed the LAN
 // (plan.TransferTime) — migration downtime is real time, not metadata.
-func (c *Coordinator) executePlan(job db.JobRecord, plan migration.Plan, reason migration.Reason, now time.Time) {
+func (c *Coordinator) executePlan(plan migration.Plan, reason migration.Reason) {
 	if plan.TransferTime > 0 {
 		c.clock.AfterFunc(plan.TransferTime, func() {
-			c.finishMigration(job, plan, reason)
+			c.finishMigration(plan, reason)
 		})
 		return
 	}
-	c.finishMigration(job, plan, reason)
+	c.finishMigration(plan, reason)
 }
 
 // finishMigration performs the relaunch once restore data is in place.
-func (c *Coordinator) finishMigration(job db.JobRecord, plan migration.Plan, reason migration.Reason) {
+func (c *Coordinator) finishMigration(plan migration.Plan, reason migration.Reason) {
 	if !c.Leading() {
 		// The transfer timer outlived the coordinator (kill/restart) or
 		// its leadership (deposed mid-transfer): the successor's
@@ -139,47 +130,39 @@ func (c *Coordinator) finishMigration(job db.JobRecord, plan migration.Plan, rea
 	now := c.clock.Now()
 	// The job may have been killed (or otherwise resolved) while its
 	// checkpoint was in flight.
-	cur, err := c.db.GetJob(job.ID)
+	cur, err := c.db.GetJob(plan.JobID)
 	if err != nil || cur.State != db.JobMigrating {
 		return
 	}
 	// The target may have degraded below the unhealthy threshold while
 	// the checkpoint was in transit. Landing there would be a fresh
 	// placement on a node the scheduler now excludes — requeue instead
-	// and let the next batch pick a healthy target.
+	// and let the next batch pick a healthy target. A launch that fails
+	// requeues too; one that finds the job resolved requeues nothing.
 	if tgt, err := c.db.GetNode(plan.Placement.NodeID); err != nil ||
-		tgt.HealthScore() < monitor.UnhealthyBelow {
+		tgt.HealthScore() < monitor.UnhealthyBelow ||
+		!c.place(cur, plan.Placement, plan.RestoreSeq, plan.RestoreStep, now) {
 		c.mig.RecordFailure(reason)
-		c.requeueFromCheckpoint(job.ID, now)
+		c.requeueFromCheckpoint(cur, now)
 		return
 	}
-	c.place(job, plan.Placement, plan.RestoreSeq, plan.RestoreStep, now)
-
-	after, err := c.db.GetJob(job.ID)
-	if err != nil || after.State != db.JobRunning {
-		c.mig.RecordFailure(reason)
-		c.requeueFromCheckpoint(job.ID, now)
-		return
-	}
-	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) { j.Migrations++ })
+	_ = c.db.UpdateJob(cur.ID, func(j *db.JobRecord) { j.Migrations++ })
 	c.mig.RecordSuccess(reason, plan.TransferTime)
 	kind := obs.KindJobMigrated
 	if reason == migration.ReasonMigrateBack {
 		kind = obs.KindJobMigratedBack
 	}
-	c.trace.RecordAt(now, kind, job.ID, plan.Placement.NodeID, map[string]string{
+	c.trace.RecordAt(now, kind, cur.ID, plan.Placement.NodeID, map[string]string{
 		"from": plan.From, "restore_step": strconv.FormatInt(plan.RestoreStep, 10),
 		"transfer_bytes": strconv.FormatInt(plan.TransferBytes, 10), "reason": string(reason),
 	})
 }
 
-// requeueFromCheckpoint returns a displaced job to the pending queue; it
-// keeps its checkpoint state, so the next placement resumes correctly.
-func (c *Coordinator) requeueFromCheckpoint(jobID string, now time.Time) {
-	_ = c.db.UpdateJob(jobID, func(j *db.JobRecord) {
-		j.State = db.JobPending
-		j.NodeID = ""
-		j.DeviceID = ""
-	})
-	c.trace.RecordAt(now, obs.KindJobRequeued, jobID, "", nil)
+// requeueFromCheckpoint returns a displaced job, as its caller read it,
+// to the pending queue; it keeps its checkpoint state, so the next
+// placement resumes correctly.
+func (c *Coordinator) requeueFromCheckpoint(job db.JobRecord, now time.Time) {
+	if c.settle(job, db.JobPending, now) {
+		c.trace.RecordAt(now, obs.KindJobRequeued, job.ID, "", nil)
+	}
 }

@@ -120,24 +120,19 @@ func (c *Coordinator) scheduleBatch() bool {
 		if res.Err != nil {
 			continue // stays pending
 		}
-		// A requeued job resumes from its latest checkpoint, if any.
-		var restoreSeq int
-		var restoreStep int64
-		if ck, cerr := c.ckpts.Latest(jobs[i].ID); cerr == nil {
-			restoreSeq = ck.Seq
-			restoreStep = ck.Progress.Step
-		}
-		if c.place(jobs[i], res.Placement, restoreSeq, restoreStep, now) {
-			progressed = true
-		}
+		// A requeued job resumes from its latest checkpoint; a job
+		// without one reads the zero checkpoint, a fresh start.
+		ck, _ := c.ckpts.Latest(jobs[i].ID)
+		progressed = c.place(jobs[i], res.Placement, ck.Seq, ck.Progress.Step, now) || progressed
 	}
 	return progressed
 }
 
-// place launches a (possibly restored) job per a placement decision and
-// reports whether the placement committed. On any failure nothing has
-// been written to the database, so the decision rolls back to "job
-// still pending" with no device held.
+// place is the one way onto a device: it launches a (possibly restored)
+// job per a placement decision and commits it, compare-and-set, only
+// while the record still awaits a placement (pending or migrating). A
+// failed launch writes nothing; a job resolved while the launch was in
+// flight stays resolved, and the copy just started is killed.
 func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq int, restoreStep int64, now time.Time) bool {
 	h := c.handle(p.NodeID)
 	if h == nil {
@@ -153,25 +148,31 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 		Training: job.Training, SessionSeconds: job.SessionSeconds,
 		StoragePrefs: job.StoragePrefs,
 	})
+	placed := false
+	if err == nil {
+		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
+			if placed = j.State == db.JobPending || j.State == db.JobMigrating; !placed {
+				return
+			}
+			j.State, j.NodeID, j.DeviceID = db.JobRunning, p.NodeID, resp.DeviceID
+			j.ContainerID, j.PlacedAt = resp.ContainerID, now
+			if j.PreferredNode == "" {
+				j.PreferredNode = p.NodeID
+			}
+			if j.StartedAt.IsZero() {
+				j.StartedAt = now
+			}
+		})
+	}
 	if err != nil {
 		// Node said no (paused, race on capacity): reflect reality and
 		// leave the job pending.
 		return false
 	}
-
-	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
-		j.State = db.JobRunning
-		j.NodeID = p.NodeID
-		j.DeviceID = resp.DeviceID
-		j.ContainerID = resp.ContainerID
-		j.PlacedAt = now
-		if j.PreferredNode == "" {
-			j.PreferredNode = p.NodeID
-		}
-		if j.StartedAt.IsZero() {
-			j.StartedAt = now
-		}
-	})
+	if !placed {
+		_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID})
+		return false
+	}
 	c.markDevice(p.NodeID, resp.DeviceID, true)
 	c.db.RecordAllocation(db.AllocationRecord{
 		JobID: job.ID, NodeID: p.NodeID, DeviceID: resp.DeviceID, Start: now,

@@ -342,7 +342,9 @@ func (c *Coordinator) lostPlacements(rec db.NodeRecord, reported map[string]bool
 // one UpdateNode that also refreshes device allocation truth from the
 // agent, except on a device whose running job is inside the placement
 // grace: the job may simply postdate the report, and the store must
-// never show a running job on a free device.
+// never show a running job on a free device. A node swept or departed
+// since loadNode keeps its status: its session has ended, and the beat
+// asks for a fresh registration.
 func (c *Coordinator) commit(b *beat) bool {
 	if c.isNoopBeat(b) {
 		c.enqueueBeat(b.req.MachineID, b.now)
@@ -352,7 +354,11 @@ func (c *Coordinator) commit(b *beat) bool {
 	// captures is heap-allocated: it captures copies, and the beat itself
 	// stays on heartbeatAt's stack.
 	now, status, telemetry, protected := b.now, b.newStatus, b.req.Telemetry, b.protected
+	left := false
 	err := c.db.UpdateNode(b.req.MachineID, func(n *db.NodeRecord) {
+		if left = n.Status == db.NodeDeparted || n.Status == db.NodeUnreachable; left {
+			return
+		}
 		n.LastHeartbeat = now
 		n.Status = status
 		for i := range n.GPUs {
@@ -363,7 +369,7 @@ func (c *Coordinator) commit(b *beat) bool {
 			}
 		}
 	})
-	if err != nil {
+	if err != nil || left {
 		return b.reregister()
 	}
 	return false

@@ -11,6 +11,7 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
+	"gpunion/internal/migration"
 	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
@@ -280,5 +281,48 @@ func TestSweptNodeReturnsByRegistering(t *testing.T) {
 	}
 	if swept != 1 {
 		t.Fatalf("n1 reported unreachable %d times, want once", swept)
+	}
+}
+
+// sweepInClassify is a store whose first job lookup runs sweep first:
+// it opens the window between a beat's loadNode and its commit, in
+// which the sweep can end the node's session.
+type sweepInClassify struct {
+	db.Store
+	sweep func()
+}
+
+func (s *sweepInClassify) GetJob(id string) (db.JobRecord, error) {
+	if f := s.sweep; f != nil {
+		s.sweep = nil
+		f()
+	}
+	return s.Store.GetJob(id)
+}
+
+// TestBeatRacingSweepKeepsNodeOut: a beat that passed loadNode before
+// its node was swept must not write the node back into service. The
+// record keeps its unreachable status and the beat is answered
+// Reregister, the one way back.
+func TestBeatRacingSweepKeepsNodeOut(t *testing.T) {
+	store := &sweepInClassify{Store: db.New(0)}
+	b := newBeatRig(t, time.Minute, store)
+	b.addSilentNode("n1")
+	b.clock.Advance(10 * time.Second)
+	store.sweep = func() {
+		_ = b.coord.nodeLeaves(obs.Event{Kind: obs.KindNodeUnreachable, Time: b.clock.Now(), Node: "n1"},
+			db.NodeUnreachable, migration.ReasonEmergency)
+	}
+	req := b.beatReq("n1")
+	req.RunningJobs = []string{"job-unknown"} // classify looks it up
+	resp, err := b.coord.Heartbeat(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Acknowledged || !resp.Reregister {
+		t.Fatalf("beat racing the sweep = %+v, want Reregister", resp)
+	}
+	if rec, err := store.GetNode("n1"); err != nil || rec.Status != db.NodeUnreachable {
+		t.Fatalf("n1 = %+v, %v; want it still unreachable", rec, err)
 	}
 }

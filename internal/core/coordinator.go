@@ -121,7 +121,10 @@ type Coordinator struct {
 	beats map[string]time.Time
 	// beatTimer is the armed flush tick; nil while the buffer is empty
 	// (idle fleets pay no timer churn).
-	beatTimer        simclock.Timer
+	beatTimer simclock.Timer
+	// launching maps a job to the node a launch of it is in flight to,
+	// from the launch RPC until its commit (place).
+	launching        map[string]string
 	jobSeq           int
 	interactiveCount int
 	// recentHealth is a bounded per-node ring of the latest ingested
@@ -202,6 +205,7 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		agents:       make(map[string]AgentHandle),
 		beatSeq:      make(map[string]uint64),
 		beats:        make(map[string]time.Time),
+		launching:    make(map[string]string),
 		schedLatency: latency,
 	}
 	// Per-type mutation counters ride the store's observer feed.

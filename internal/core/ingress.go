@@ -250,11 +250,11 @@ func (c *Coordinator) loadNode(b *beat) bool {
 // foreign jobs) mark the report suspicious, which forces the
 // lost-placement scan — such a job may be occupying a device and keeping
 // the counts equal while a genuine placement went missing — and the
-// provably stale ones become orphans for reconcile to kill. Pending and
-// migrating records are never orphans (a launch for that very job may
-// be in flight to this node, committed only after the agent starts it),
-// and neither is a placement elsewhere still inside the heartbeat
-// grace: this report may simply predate it.
+// provably stale ones become orphans for reconcile to kill. A pending
+// or migrating record is no orphan while a launch of it to this node is
+// in flight (place commits only after the agent starts it), and neither
+// is a placement elsewhere still inside the heartbeat grace: this report
+// may simply predate it.
 //
 // Health events ride the beat and are bounded here too — a hostile or
 // buggy agent must not widen a fold beyond what the protocol promises.
@@ -273,10 +273,8 @@ func (c *Coordinator) classify(b *beat) bool {
 			continue // legitimate placement
 		}
 		b.suspicious = true
-		if jrec.State == db.JobPending || jrec.State == db.JobMigrating {
-			continue
-		}
-		if jrec.State == db.JobRunning && b.now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval {
+		if jrec.State == db.JobRunning && b.now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval ||
+			(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && c.launchingTo(jobID) == b.req.MachineID {
 			continue
 		}
 		b.orphans = append(b.orphans, jobID)
@@ -417,6 +415,13 @@ func (c *Coordinator) acknowledge(b *beat) bool {
 	b.applied = true
 	b.resp = api.HeartbeatResponse{Acknowledged: true, LeaderEpoch: c.Epoch()}
 	return true
+}
+
+// launchingTo names the node a launch of jobID is in flight to, if any.
+func (c *Coordinator) launchingTo(jobID string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.launching[jobID]
 }
 
 // killOrphans is the agent-side half of heartbeat anti-entropy: a node

@@ -326,3 +326,42 @@ func TestBeatRacingSweepKeepsNodeOut(t *testing.T) {
 		t.Fatalf("n1 = %+v, %v; want it still unreachable", rec, err)
 	}
 }
+
+// TestRequeuedJobOnSweptHostRunsOnce: a job requeued while its only
+// host was swept (no target to migrate to) keeps running on the
+// partitioned agent. After the heal no launch of it is in flight, so
+// the new session's first beat kills that copy as an orphan, and the
+// freed device takes the job again from the queue.
+func TestRequeuedJobOnSweptHostRunsOnce(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	ag1 := r.addNode("n1", gpu.RTX3090)
+	jobID := submitTraining(t, r, workload.SmallCNN, 15)
+	r.clock.Advance(time.Minute)
+
+	link := &cutLink{Link: NewInProcessClient(r.coord, ag1), cut: true}
+	ag1.SetEndpoints([]agent.Endpoint{{Link: link}})
+	r.clock.Advance(5 * time.Minute)
+	if st, _ := r.coord.JobStatus(jobID); st.State != db.JobPending || st.NodeID != "" {
+		t.Fatalf("job = %+v, want pending with no node", st)
+	}
+	if _, ok := ag1.RunningJob(jobID); !ok {
+		t.Fatal("the partitioned agent stopped its copy of the job")
+	}
+
+	mark := len(r.coord.Trace().Events())
+	link.cut = false
+	r.clock.Advance(2 * time.Minute)
+	killed := false
+	for _, ev := range r.coord.Trace().Events()[mark:] {
+		killed = killed || ev.Kind == obs.KindJobKilled && ev.Job == jobID && ev.Node == "n1"
+	}
+	if !killed {
+		t.Fatal("the stale copy on n1 was never killed")
+	}
+	if st, _ := r.coord.JobStatus(jobID); st.State != db.JobRunning || st.NodeID != "n1" {
+		t.Fatalf("job = %+v, want it running on n1 again", st)
+	}
+	if _, ok := ag1.RunningJob(jobID); !ok {
+		t.Fatal("n1 does not run the job")
+	}
+}

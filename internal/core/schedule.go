@@ -132,12 +132,16 @@ func (c *Coordinator) scheduleBatch() bool {
 // job per a placement decision and commits it, compare-and-set, only
 // while the record still awaits a placement (pending or migrating). A
 // failed launch writes nothing; a job resolved while the launch was in
-// flight stays resolved, and the copy just started is killed.
+// flight stays resolved, and the copy just started is killed. Until the
+// commit the launch is marked in flight to p.NodeID (see classify).
 func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq int, restoreStep int64, now time.Time) bool {
 	h := c.handle(p.NodeID)
 	if h == nil {
 		return false
 	}
+	c.mu.Lock()
+	c.launching[job.ID] = p.NodeID
+	c.mu.Unlock()
 	resp, err := h.Launch(api.LaunchRequest{
 		Envelope: c.envelope(),
 		JobID:    job.ID, ImageName: job.ImageName, Kind: job.Kind,
@@ -164,6 +168,9 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 			}
 		})
 	}
+	c.mu.Lock()
+	delete(c.launching, job.ID)
+	c.mu.Unlock()
 	if err != nil {
 		// Node said no (paused, race on capacity): reflect reality and
 		// leave the job pending.

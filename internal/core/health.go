@@ -92,8 +92,7 @@ func (c *Coordinator) rememberHealth(nodeID string, events []gpu.HealthEvent) {
 func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
 	var jobs []db.JobRecord
 	for _, job := range c.db.JobsOnNode(nodeID) {
-		// A legacy record without a relaunch spec cannot be moved.
-		if job.State == db.JobRunning && job.ImageName != "" {
+		if job.State == db.JobRunning {
 			jobs = append(jobs, job)
 		}
 	}

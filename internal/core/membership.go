@@ -153,8 +153,7 @@ func (c *Coordinator) migrateBack(nodeID string, now time.Time) {
 	var jobs []db.JobRecord
 	waiting := false
 	for _, job := range c.db.ListJobs() {
-		if job.PreferredNode != nodeID || job.NodeID == nodeID || job.State != db.JobRunning ||
-			job.ImageName == "" || job.Training == nil {
+		if job.PreferredNode != nodeID || job.NodeID == nodeID || job.State != db.JobRunning || job.Training == nil {
 			continue
 		}
 		if c.handle(job.NodeID) == nil {

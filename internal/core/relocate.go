@@ -25,7 +25,7 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migration.Reason) {
 	now := c.clock.Now()
 	var planned []db.JobRecord
 	for _, job := range c.db.JobsOnNode(nodeID) {
-		if job.State != db.JobRunning || job.ImageName == "" || !c.settle(job, db.JobMigrating, now) {
+		if job.State != db.JobRunning || !c.settle(job, db.JobMigrating, now) {
 			continue
 		}
 		job.State = db.JobMigrating

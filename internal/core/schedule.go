@@ -81,8 +81,7 @@ func (c *Coordinator) scheduleBatch() bool {
 
 	// Assemble the batch: the head of the priority queue. Relaunch
 	// metadata lives in the record itself, so jobs restored from a
-	// snapshot + WAL are as schedulable as freshly submitted ones; only
-	// legacy records without a spec are skipped.
+	// snapshot + WAL are as schedulable as freshly submitted ones.
 	var (
 		jobs []db.JobRecord
 		reqs []scheduler.Request
@@ -90,9 +89,6 @@ func (c *Coordinator) scheduleBatch() bool {
 	for _, job := range c.db.JobsInState(db.JobPending) {
 		if len(reqs) >= c.cfg.BatchSize {
 			break
-		}
-		if job.ImageName == "" {
-			continue
 		}
 		jobs = append(jobs, job)
 		reqs = append(reqs, scheduler.Request{

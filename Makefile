@@ -224,7 +224,12 @@ verify-bench:
 # place), a Suspend method in internal/heartbeat (the monitor's second
 # membership flag) or a handleNodeReturn call in non-test code outside
 # ingress.go (a second caller beside Register) is the second way back
-# returning. bench/ is not scanned:
+# returning. A job's placement changes two ways: place puts it on a
+# device and settle takes it off a device or out of the queue, each a
+# compare-and-set on the record. In non-test internal/core code a
+# .CloseAllocation( call (the episode close that is not scoped to the
+# placement) or a job-state write (j.State =) outside jobs.go and
+# schedule.go is a hand-written transition coming back. bench/ is not scanned:
 # its hand-assembled coordinator is the one caller eventbus.New is kept
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
@@ -289,6 +294,11 @@ verify-compose:
 		grep -rn '\.handleNodeReturn(' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/core/ingress\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a second way back into service beside Register:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn '\.CloseAllocation(' --include='*.go' internal/core | grep -v '_test\.go:'; \
+		grep -rnE '\bj\.State =[^=]' --include='*.go' internal/core | grep -vE '_test\.go:|^internal/core/(jobs|schedule)\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a job placement changed outside place and settle:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

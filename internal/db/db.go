@@ -243,6 +243,8 @@ type Store interface {
 	JobsOnNode(nodeID string) []JobRecord
 
 	RecordAllocation(a AllocationRecord)
+	// CloseAllocation has no non-test caller; bench/trace.go's override
+	// keeps it here until ROADMAP item 6(a) deletes that file.
 	CloseAllocation(jobID string, end time.Time) error
 	// CloseAllocationEpisode closes the open episode matching the full
 	// placement identity. Callers racing a re-placement use it so a

@@ -123,7 +123,7 @@ type Coordinator struct {
 	// (idle fleets pay no timer churn).
 	beatTimer simclock.Timer
 	// launching maps a job to the node a launch of it is in flight to,
-	// from the launch RPC until its commit (place).
+	// from the launch RPC until place has committed or given up.
 	launching        map[string]string
 	jobSeq           int
 	interactiveCount int

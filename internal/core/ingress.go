@@ -273,8 +273,11 @@ func (c *Coordinator) classify(b *beat) bool {
 			continue // legitimate placement
 		}
 		b.suspicious = true
+		c.mu.Lock()
+		launching := c.launching[jobID] == b.req.MachineID
+		c.mu.Unlock()
 		if jrec.State == db.JobRunning && b.now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval ||
-			(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && c.launchingTo(jobID) == b.req.MachineID {
+			(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && launching {
 			continue
 		}
 		b.orphans = append(b.orphans, jobID)
@@ -341,8 +344,7 @@ func (c *Coordinator) lostPlacements(rec db.NodeRecord, reported map[string]bool
 // agent, except on a device whose running job is inside the placement
 // grace: the job may simply postdate the report, and the store must
 // never show a running job on a free device. A node swept or departed
-// since loadNode keeps its status: its session has ended, and the beat
-// asks for a fresh registration.
+// since loadNode stays out of service, and the beat asks to re-register.
 func (c *Coordinator) commit(b *beat) bool {
 	if c.isNoopBeat(b) {
 		c.enqueueBeat(b.req.MachineID, b.now)
@@ -415,13 +417,6 @@ func (c *Coordinator) acknowledge(b *beat) bool {
 	b.applied = true
 	b.resp = api.HeartbeatResponse{Acknowledged: true, LeaderEpoch: c.Epoch()}
 	return true
-}
-
-// launchingTo names the node a launch of jobID is in flight to, if any.
-func (c *Coordinator) launchingTo(jobID string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.launching[jobID]
 }
 
 // killOrphans is the agent-side half of heartbeat anti-entropy: a node

@@ -95,7 +95,7 @@ func (c *Coordinator) KillJob(jobID string) error {
 			return nil
 		}
 		if h := c.handle(rec.NodeID); h != nil && rec.State == db.JobRunning {
-			_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: jobID}) // a lost node's copy is killed anyway
+			_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: jobID}) // node may be gone; the kill stands
 		}
 		if now := c.clock.Now(); c.settle(rec, db.JobKilled, now) {
 			c.trace.RecordAt(now, obs.KindJobKilled, jobID, "", nil)
@@ -143,13 +143,13 @@ func ended(s db.JobState) bool {
 
 // settle is the one way off a device or out of the queue: a
 // compare-and-set that moves job, as its caller read it, to state to.
-// If the record no longer reads as job does (state, node, device), or
-// job had ended, it writes nothing and returns false. Leaving a running
-// placement frees the device and closes the episode, identity-scoped,
-// before the flip, while the record still points at them: a pass that
-// re-placed a job flipped first would open an episode the close would
-// then eat. to pending clears the placement, an ending to stamps
-// FinishedAt, and to migrating keeps the node until the relaunch.
+// It writes nothing and returns false if the record no longer reads as
+// job does (state, node, device) or job had ended. A job leaving a
+// running placement has its device freed and its episode closed,
+// scoped to that placement, while the record still points at them: a
+// job flipped first could be re-placed and its new episode closed. to
+// pending clears the placement, an ending to stamps FinishedAt, and to
+// migrating keeps the node until the relaunch.
 func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bool {
 	same := func(j *db.JobRecord) bool {
 		return j.State == job.State && j.NodeID == job.NodeID && j.DeviceID == job.DeviceID

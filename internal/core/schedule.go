@@ -116,20 +116,25 @@ func (c *Coordinator) scheduleBatch() bool {
 		if res.Err != nil {
 			continue // stays pending
 		}
-		// A requeued job resumes from its latest checkpoint; a job
-		// without one reads the zero checkpoint, a fresh start.
-		ck, _ := c.ckpts.Latest(jobs[i].ID)
-		progressed = c.place(jobs[i], res.Placement, ck.Seq, ck.Progress.Step, now) || progressed
+		// A requeued job resumes from its latest checkpoint, if any.
+		var restoreSeq int
+		var restoreStep int64
+		if ck, cerr := c.ckpts.Latest(jobs[i].ID); cerr == nil {
+			restoreSeq = ck.Seq
+			restoreStep = ck.Progress.Step
+		}
+		if c.place(jobs[i], res.Placement, restoreSeq, restoreStep, now) {
+			progressed = true
+		}
 	}
 	return progressed
 }
 
 // place is the one way onto a device: it launches a (possibly restored)
-// job per a placement decision and commits it, compare-and-set, only
-// while the record still awaits a placement (pending or migrating). A
-// failed launch writes nothing; a job resolved while the launch was in
-// flight stays resolved, and the copy just started is killed. Until the
-// commit the launch is marked in flight to p.NodeID (see classify).
+// job and commits the placement only while the record still awaits one
+// (pending or migrating). A failed launch writes nothing; a job resolved
+// while the launch was in flight stays resolved, and the copy just
+// started is killed. The launch is marked in flight meanwhile (classify).
 func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq int, restoreStep int64, now time.Time) bool {
 	h := c.handle(p.NodeID)
 	if h == nil {
@@ -138,6 +143,11 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 	c.mu.Lock()
 	c.launching[job.ID] = p.NodeID
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.launching, job.ID)
+		c.mu.Unlock()
+	}()
 	resp, err := h.Launch(api.LaunchRequest{
 		Envelope: c.envelope(),
 		JobID:    job.ID, ImageName: job.ImageName, Kind: job.Kind,
@@ -148,30 +158,29 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 		Training: job.Training, SessionSeconds: job.SessionSeconds,
 		StoragePrefs: job.StoragePrefs,
 	})
-	placed := false
-	if err == nil {
-		_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
-			if placed = j.State == db.JobPending || j.State == db.JobMigrating; !placed {
-				return
-			}
-			j.State, j.NodeID, j.DeviceID = db.JobRunning, p.NodeID, resp.DeviceID
-			j.ContainerID, j.PlacedAt = resp.ContainerID, now
-			if j.PreferredNode == "" {
-				j.PreferredNode = p.NodeID
-			}
-			if j.StartedAt.IsZero() {
-				j.StartedAt = now
-			}
-		})
-	}
-	c.mu.Lock()
-	delete(c.launching, job.ID)
-	c.mu.Unlock()
 	if err != nil {
 		// Node said no (paused, race on capacity): reflect reality and
 		// leave the job pending.
 		return false
 	}
+
+	placed := false
+	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
+		if placed = j.State == db.JobPending || j.State == db.JobMigrating; !placed {
+			return
+		}
+		j.State = db.JobRunning
+		j.NodeID = p.NodeID
+		j.DeviceID = resp.DeviceID
+		j.ContainerID = resp.ContainerID
+		j.PlacedAt = now
+		if j.PreferredNode == "" {
+			j.PreferredNode = p.NodeID
+		}
+		if j.StartedAt.IsZero() {
+			j.StartedAt = now
+		}
+	})
 	if !placed {
 		_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID})
 		return false

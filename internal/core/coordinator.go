@@ -12,7 +12,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -122,8 +121,7 @@ type Coordinator struct {
 	// beatTimer is the armed flush tick; nil while the buffer is empty
 	// (idle fleets pay no timer churn).
 	beatTimer simclock.Timer
-	// launching maps a job to the node a launch of it is in flight to,
-	// from the launch RPC until place has committed or given up.
+	// launching maps a job to the node place is launching it on.
 	launching        map[string]string
 	jobSeq           int
 	interactiveCount int
@@ -338,13 +336,10 @@ func (c *Coordinator) handle(nodeID string) AgentHandle {
 	return c.agents[nodeID]
 }
 
-// markDevice sets one device's allocation flag in the node record,
-// unless it already reads as asked. An unknown node or device is a
-// no-op: a job that never held a device frees nothing.
+// markDevice sets one device's allocation flag in the node record.
+// Empty ids are a no-op: a job that never held a device frees nothing.
 func (c *Coordinator) markDevice(nodeID, deviceID string, allocated bool) {
-	if n, err := c.db.GetNode(nodeID); err != nil || !slices.ContainsFunc(n.GPUs, func(g db.GPUInfo) bool {
-		return g.DeviceID == deviceID && g.Allocated != allocated
-	}) {
+	if nodeID == "" || deviceID == "" {
 		return
 	}
 	_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {

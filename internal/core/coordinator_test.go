@@ -372,6 +372,44 @@ func TestKillOfEndedJobKeepsIt(t *testing.T) {
 	}
 }
 
+// TestSettleOfEarlierPlacementWritesNothing: a settle whose caller read
+// an earlier placement of the job leaves a later one on the same device
+// alone: the job keeps running, its device held and its episode open.
+func TestSettleOfEarlierPlacementWritesNothing(t *testing.T) {
+	r := newRig(t, time.Minute)
+	r.addNode("n1", gpu.RTX3090)
+	id := submitTraining(t, r, workload.SmallCNN, 0)
+	stale, _ := r.coord.db.GetJob(id)
+
+	r.clock.Advance(time.Minute)
+	r.coord.requeueFromCheckpoint(stale, r.clock.Now())
+	r.coord.trySchedule()
+	again, _ := r.coord.db.GetJob(id)
+	if again.State != db.JobRunning || again.NodeID != stale.NodeID || again.DeviceID != stale.DeviceID ||
+		again.PlacedAt.Equal(stale.PlacedAt) {
+		t.Fatalf("job = %+v, want it placed again on the same device", again)
+	}
+
+	if r.coord.settle(stale, db.JobPending, r.clock.Now()) {
+		t.Fatal("settle of the earlier placement applied")
+	}
+	if cur, _ := r.coord.db.GetJob(id); cur.State != db.JobRunning || !cur.PlacedAt.Equal(again.PlacedAt) {
+		t.Fatalf("job = %+v, want the later placement", cur)
+	}
+	if rec, _ := r.coord.db.GetNode("n1"); !rec.GPUs[0].Allocated {
+		t.Fatal("the later placement's device was freed")
+	}
+	open := 0
+	for _, a := range r.coord.db.Allocations() {
+		if a.JobID == id && a.End.IsZero() {
+			open++
+		}
+	}
+	if open != 1 {
+		t.Fatalf("%d open allocation episodes for the job, want 1", open)
+	}
+}
+
 func TestHeartbeatBadToken(t *testing.T) {
 	r := newRig(t, 10*time.Second)
 	ag := r.addNode("n1", gpu.RTX3090)

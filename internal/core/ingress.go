@@ -252,9 +252,9 @@ func (c *Coordinator) loadNode(b *beat) bool {
 // the counts equal while a genuine placement went missing — and the
 // provably stale ones become orphans for reconcile to kill. A pending
 // or migrating record is no orphan while a launch of it to this node is
-// in flight (place commits only after the agent starts it), and neither
-// is a placement elsewhere still inside the heartbeat grace: this report
-// may simply predate it.
+// in flight (the agent runs it before place commits) or has committed
+// since the read (the mark clears after the commit), and neither is a
+// placement elsewhere in the heartbeat grace, which the report may predate.
 //
 // Health events ride the beat and are bounded here too — a hostile or
 // buggy agent must not widen a fold beyond what the protocol promises.
@@ -277,7 +277,7 @@ func (c *Coordinator) classify(b *beat) bool {
 		launching := c.launching[jobID] == b.req.MachineID
 		c.mu.Unlock()
 		if jrec.State == db.JobRunning && b.now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval ||
-			(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && launching {
+			(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && (launching || c.placedOn(jobID, b.req.MachineID)) {
 			continue
 		}
 		b.orphans = append(b.orphans, jobID)
@@ -288,6 +288,12 @@ func (c *Coordinator) classify(b *beat) bool {
 		b.health = b.health[:api.MaxHealthEventsPerBeat]
 	}
 	return false
+}
+
+// placedOn reads job's record and reports whether it places the job on nodeID.
+func (c *Coordinator) placedOn(jobID, nodeID string) bool {
+	j, err := c.db.GetJob(jobID)
+	return err == nil && j.NodeID == nodeID && (j.State == db.JobRunning || j.State == db.JobMigrating)
 }
 
 // lostPlacements compares the heartbeat report against the node's

@@ -79,9 +79,8 @@ func jobStatusOf(rec db.JobRecord) api.JobStatus {
 	}
 }
 
-// KillJob terminates a job wherever it runs; a job that has ended stays
-// as it ended. A record that moved under the kill (a pass placed the
-// pending job just read) is read again, so that copy dies too.
+// KillJob terminates a job wherever it runs; an ended job stays as it
+// ended, and a job placed under the kill is read again and killed.
 func (c *Coordinator) KillJob(jobID string) error {
 	if err := c.fence(0); err != nil {
 		return err
@@ -143,16 +142,16 @@ func ended(s db.JobState) bool {
 
 // settle is the one way off a device or out of the queue: a
 // compare-and-set that moves job, as its caller read it, to state to.
-// It writes nothing and returns false if the record no longer reads as
-// job does (state, node, device) or job had ended. A job leaving a
-// running placement has its device freed and its episode closed,
-// scoped to that placement, while the record still points at them: a
-// job flipped first could be re-placed and its new episode closed. to
-// pending clears the placement, an ending to stamps FinishedAt, and to
-// migrating keeps the node until the relaunch.
+// It writes nothing and returns false if job had ended or the record no
+// longer reads as job does (state, node, device, placement time). A job
+// leaving a running placement has its device freed and its episode
+// closed, scoped to that placement, while the record still points at
+// them: a job flipped first could be re-placed and its new episode
+// closed. to pending clears the placement, an ending to stamps
+// FinishedAt, and to migrating keeps the node until the relaunch.
 func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bool {
 	same := func(j *db.JobRecord) bool {
-		return j.State == job.State && j.NodeID == job.NodeID && j.DeviceID == job.DeviceID
+		return j.State == job.State && j.NodeID == job.NodeID && j.DeviceID == job.DeviceID && j.PlacedAt.Equal(job.PlacedAt)
 	}
 	if cur, err := c.db.GetJob(job.ID); err != nil || !same(&cur) || ended(job.State) {
 		return false

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -363,5 +365,91 @@ func TestRequeuedJobOnSweptHostRunsOnce(t *testing.T) {
 	}
 	if _, ok := ag1.RunningJob(jobID); !ok {
 		t.Fatal("n1 does not run the job")
+	}
+}
+
+// holdInClassify is a store whose next job lookup, once armed, returns
+// the record as it read it only after hold returns.
+type holdInClassify struct {
+	db.Store
+	mu   sync.Mutex
+	hold func()
+}
+
+func (s *holdInClassify) GetJob(id string) (db.JobRecord, error) {
+	s.mu.Lock()
+	hold := s.hold
+	s.hold = nil
+	s.mu.Unlock()
+	rec, err := s.Store.GetJob(id)
+	if hold != nil {
+		hold()
+	}
+	return rec, err
+}
+
+// beatInLaunch is an agent handle whose launch, once the agent has
+// started the job, has the node beat in another goroutine and returns
+// only after that beat has read the job's record.
+type beatInLaunch struct {
+	AgentHandle
+	store   *holdInClassify
+	beat    func() api.HeartbeatResponse
+	release chan struct{}
+	done    chan api.HeartbeatResponse
+}
+
+func (h beatInLaunch) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
+	resp, err := h.AgentHandle.Launch(req)
+	read := make(chan struct{})
+	h.store.mu.Lock()
+	h.store.hold = func() { close(read); <-h.release }
+	h.store.mu.Unlock()
+	go func() { h.done <- h.beat() }()
+	<-read
+	return resp, err
+}
+
+// TestBeatReadingBeforeCommitSparesLaunch: a beat that reads a job's
+// record as pending before place commits it, and looks for the launch
+// mark only after place has cleared it, must not take the fresh
+// placement for an orphan. The job keeps running on n1.
+func TestBeatReadingBeforeCommitSparesLaunch(t *testing.T) {
+	store := &holdInClassify{Store: db.New(0)}
+	b := newBeatRig(t, time.Minute, store)
+	b.addSilentNode("n1")
+	h := beatInLaunch{store: store, release: make(chan struct{}), done: make(chan api.HeartbeatResponse, 1)}
+	var jobID string
+	h.beat = func() api.HeartbeatResponse {
+		req := b.beatReq("n1")
+		req.RunningJobs = []string{jobID}
+		resp, _ := b.coord.Heartbeat(req)
+		return resp
+	}
+	b.coord.mu.Lock()
+	h.AgentHandle = b.coord.agents["n1"]
+	b.coord.agents["n1"] = h
+	b.coord.mu.Unlock()
+
+	b.coord.mu.Lock()
+	jobID = fmt.Sprintf("job-%06d", b.coord.jobSeq+1)
+	b.coord.mu.Unlock()
+	spec := workload.SmallCNN
+	id, err := b.coord.SubmitJob(api.SubmitJobRequest{User: "alice", Kind: "batch",
+		ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: spec.GPUMemMiB, Training: &spec})
+	if err != nil || id != jobID {
+		t.Fatalf("submitted %q, %v; want %q", id, err, jobID)
+	}
+	close(h.release) // place has committed and cleared its mark
+	select {
+	case <-h.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the beat never finished")
+	}
+	if st, _ := b.coord.JobStatus(jobID); st.State != db.JobRunning || st.NodeID != "n1" {
+		t.Fatalf("job = %+v, want running on n1", st)
+	}
+	if _, ok := b.ags["n1"].RunningJob(jobID); !ok {
+		t.Fatal("the beat killed the fresh placement as an orphan")
 	}
 }

@@ -228,8 +228,9 @@ verify-bench:
 # device and settle takes it off a device or out of the queue, each a
 # compare-and-set on the record. In non-test internal/core code a
 # .CloseAllocation( call (the episode close that is not scoped to the
-# placement) or a job-state write (j.State =) outside jobs.go and
-# schedule.go is a hand-written transition coming back. bench/ is not scanned:
+# placement) or a job-record write (.UpdateJob() outside jobs.go and
+# schedule.go, bar finishMigration's migration count, is a hand-written
+# transition coming back. bench/ is not scanned:
 # its hand-assembled coordinator is the one caller eventbus.New is kept
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
@@ -296,7 +297,8 @@ verify-compose:
 		echo "a second way back into service beside Register:"; echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn '\.CloseAllocation(' --include='*.go' internal/core | grep -v '_test\.go:'; \
-		grep -rnE '\bj\.State =[^=]' --include='*.go' internal/core | grep -vE '_test\.go:|^internal/core/(jobs|schedule)\.go:')"; \
+		grep -rn '\.UpdateJob(' --include='*.go' internal/core \
+			| grep -vE '_test\.go:|^internal/core/(jobs|schedule)\.go:|\{ j\.Migrations\+\+ \}\)$$')"; \
 	if [ -n "$$out" ]; then \
 		echo "a job placement changed outside place and settle:"; echo "$$out"; exit 1; \
 	fi

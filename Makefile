@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check bench-e2e fuzz-smoke loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-docs verify-bench verify-compose verify-golden verify-figures cover ci
+.PHONY: all build test race bench bench-check bench-e2e fuzz-smoke loc fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-docs verify-bench verify-compose verify-golden verify-figures verify-examples cover ci
 
 all: build
 
@@ -329,6 +329,22 @@ FIGURE_FLAGS = -table1 -fig2 -fig3 -impact -traffic -seed 42
 verify-figures:
 	$(GO) run ./cmd/campus-sim $(FIGURE_FLAGS) | diff -u cmd/campus-sim/testdata/figures-seed42.txt -
 
+# Example gate: every program under examples/ runs on a simulated
+# clock with fixed seeds, so it must print exactly its committed
+# output, examples/testdata/<name>.txt (~6 s for all seven, most of it
+# campus-deployment). A refactor leaves the files untouched; a change
+# that means to move an example's output regenerates its file in its
+# own commit and quotes the diff:
+#   go run ./examples/<name> > examples/testdata/<name>.txt
+verify-examples:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for main in examples/*/main.go; do \
+		name=$$(basename $$(dirname $$main)); \
+		$(GO) run ./examples/$$name > "$$out" || { echo "examples/$$name failed"; exit 1; }; \
+		diff -u examples/testdata/$$name.txt "$$out" || \
+			{ echo "examples/$$name: output differs from examples/testdata/$$name.txt"; exit 1; }; \
+	done
+
 # Coverage with a floor: fail if total statement coverage drops below
 # COVER_FLOOR. The profile is left in coverage.out for upload.
 cover:
@@ -344,4 +360,4 @@ cover:
 # right after the race lane's -count=20 loops the host is still hot, and
 # the gate once read DecodeHeartbeat/idle at +35 % (reruns +18 %, +20 %)
 # on a package no diff had touched.
-ci: build vet fmt bench-check race bench fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-docs verify-bench verify-compose verify-golden verify-figures cover
+ci: build vet fmt bench-check race bench fuzz-smoke verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-docs verify-bench verify-compose verify-golden verify-figures verify-examples cover

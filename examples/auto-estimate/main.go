@@ -43,15 +43,18 @@ func main() {
 
 	// A heterogeneous mini-campus: a 24 GiB workstation and an 80 GiB
 	// A100 server.
-	for id, specs := range map[string][]gpu.Spec{
-		"workstation": {gpu.RTX3090},
-		"a100-server": {gpu.A100},
+	for _, n := range []struct {
+		id    string
+		specs []gpu.Spec
+	}{
+		{"workstation", []gpu.Spec{gpu.RTX3090}},
+		{"a100-server", []gpu.Spec{gpu.A100}},
 	} {
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, specs, ckpts, trace)
+		ag := agent.New(agent.Config{MachineID: n.id, Kernel: "5.15"},
+			clock, n.specs, ckpts, trace)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		// The agent beats on its own from the first successful Join.
-		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
+		if _, err := ag.Join("inproc://"+n.id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -79,16 +79,18 @@ func main() {
 	// 2. Two provider nodes. Each agent's own heartbeat loop, started by
 	// its first Join, outlives the first coordinator and carries on
 	// against the successor.
-	specs := map[string][]gpu.Spec{
-		"lab-workstation": {gpu.RTX3090},
-		"shared-server":   {gpu.RTX4090, gpu.RTX4090},
-	}
-	for id, gs := range specs {
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, gs, ckpts, trace)
-		agents[id] = ag
+	for _, n := range []struct {
+		id    string
+		specs []gpu.Spec
+	}{
+		{"lab-workstation", []gpu.Spec{gpu.RTX3090}},
+		{"shared-server", []gpu.Spec{gpu.RTX4090, gpu.RTX4090}},
+	} {
+		ag := agent.New(agent.Config{MachineID: n.id, Kernel: "5.15"},
+			clock, n.specs, ckpts, trace)
+		agents[n.id] = ag
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: &core.Client{BaseURL: "http://coordinator", HTTPClient: address}}})
-		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
+		if _, err := ag.Join("inproc://"+n.id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -117,7 +119,7 @@ func main() {
 	if err := rep.Kill(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\ncoordinator killed; recovering from", walDir)
+	fmt.Println("\ncoordinator killed; recovering from the WAL directory")
 
 	// 5. Boot a successor from snapshot + WAL tail. Start re-arms it
 	// around the recovered state.

@@ -41,19 +41,22 @@ func main() {
 	defer coord.Stop()
 
 	// 2. Two provider nodes: a lab workstation and a shared server.
-	nodes := map[string][]gpu.Spec{
-		"lab-workstation": {gpu.RTX3090},
-		"shared-server":   {gpu.RTX4090, gpu.RTX4090},
+	nodes := []struct {
+		id    string
+		specs []gpu.Spec
+	}{
+		{"lab-workstation", []gpu.Spec{gpu.RTX3090}},
+		{"shared-server", []gpu.Spec{gpu.RTX4090, gpu.RTX4090}},
 	}
-	for id, specs := range nodes {
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, specs, ckpts, trace)
+	for _, n := range nodes {
+		ag := agent.New(agent.Config{MachineID: n.id, Kernel: "5.15"},
+			clock, n.specs, ckpts, trace)
 		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		// Joining starts the agent's heartbeat loop on the simulated clock.
-		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
+		if _, err := ag.Join("inproc://"+n.id, 1<<30); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("registered %-16s with %d GPU(s)\n", id, len(specs))
+		fmt.Printf("registered %-16s with %d GPU(s)\n", n.id, len(n.specs))
 	}
 
 	// 3. Submit a ResNet-class training job with 5-minute checkpoints.

@@ -1067,7 +1067,8 @@ func benchHealthBeats(b *testing.B, senders int) {
 		id := fmt.Sprintf("n%d", i+1)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, ckpts, nil)
 		defer ag.Stop()
-		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), agent.NewInProcessClient(ag))
+		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), &agent.Client{BaseURL: "http://" + id,
+			HTTPClient: &http.Client{Transport: api.InProcess{Handler: ag.Handler()}}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -281,7 +282,10 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 		t.Cleanup(c.Stop)
 		// The coordinators reach the agent through its handler in
 		// process; everything the agent sends travels over a socket.
-		srv := httptest.NewServer(c.Handler(func(string) core.AgentHandle { return agent.NewInProcessClient(ag) }))
+		srv := httptest.NewServer(c.Handler(func(string) core.AgentHandle {
+			return &agent.Client{BaseURL: "http://" + ag.MachineID(),
+				HTTPClient: &http.Client{Transport: api.InProcess{Handler: ag.Handler()}}}
+		}))
 		t.Cleanup(srv.Close)
 		return c, srv
 	}

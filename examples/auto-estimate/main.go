@@ -18,28 +18,22 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
-	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/obs"
-	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
+	"gpunion/internal/sim"
 	"gpunion/internal/workload"
 )
 
 func main() {
-	start := time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC)
-	clock := simclock.NewSim(start)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	trace := obs.NewRecorder(clock, 1024)
-
-	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, trace)
+	w := sim.NewWorld(time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC))
+	rep, err := w.Open("coordinator", core.ReplicaConfig{
+		Coordinator: core.Config{HeartbeatInterval: 30 * time.Second}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Stop()
+	rep.Start()
+	defer rep.Close()
+	coord := rep.Coordinator()
 
 	// A heterogeneous mini-campus: a 24 GiB workstation and an 80 GiB
 	// A100 server.
@@ -50,11 +44,8 @@ func main() {
 		{"workstation", []gpu.Spec{gpu.RTX3090}},
 		{"a100-server", []gpu.Spec{gpu.A100}},
 	} {
-		ag := agent.New(agent.Config{MachineID: n.id, Kernel: "5.15"},
-			clock, n.specs, ckpts, trace)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
-		// The agent beats on its own from the first successful Join.
-		if _, err := ag.Join("inproc://"+n.id, 1<<30); err != nil {
+		// The agent beats on its own from the first successful join.
+		if _, err := w.Boot(agent.Config{MachineID: n.id, Kernel: "5.15"}, n.specs, "coordinator"); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -104,7 +95,7 @@ func main() {
 
 	// The derived requests place correctly: the 3B model lands on the
 	// A100; the small models on the workstation (or wherever fits).
-	clock.Advance(8 * time.Hour)
+	w.Clock.Advance(8 * time.Hour)
 	fmt.Println("after 8 simulated hours:")
 	for i := range models {
 		st, _ := coord.JobStatus(fmt.Sprintf("job-%06d", i+1))

@@ -15,20 +15,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"gpunion/internal/agent"
-	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/obs"
-	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
+	"gpunion/internal/sim"
 	"gpunion/internal/workload"
 )
 
@@ -39,41 +33,27 @@ func main() {
 	}
 	defer os.RemoveAll(walDir)
 
-	start := time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC)
-	clock := simclock.NewSim(start)
-	// The checkpoint store is the LAN file system: like the WAL
+	// The world's checkpoint store is the LAN file system: like the WAL
 	// directory, it outlives any one coordinator process.
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	trace := obs.NewRecorder(clock, 1024)
+	w := sim.NewWorld(time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC))
 
 	// 1. A coordinator whose database is persisted via snapshot + WAL:
-	// the same core.Replica assembly the daemon boots.
+	// the same core.Replica assembly the daemon boots, served at
+	// "coordinator" in the world's address book. Requests go to whichever
+	// process serves the address now, so a restarted coordinator keeps
+	// it.
 	open := func() *core.Replica {
-		rep, err := core.OpenReplica(core.ReplicaConfig{
+		rep, err := w.Open("coordinator", core.ReplicaConfig{
 			Dir:         walDir,
 			Coordinator: core.Config{HeartbeatInterval: 30 * time.Second},
-		}, clock, ckpts, trace)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		return rep
 	}
-	// The coordinator's address: requests go to whichever process
-	// serves it now, so a restarted coordinator keeps it. The
-	// coordinator reaches each agent at the address it registered.
-	agents := make(map[string]*agent.Agent)
-	var serving http.Handler
-	serve := func(rep *core.Replica) {
-		serving = rep.Coordinator().Handler(func(addr string) core.AgentHandle {
-			return agent.NewInProcessClient(agents[strings.TrimPrefix(addr, "inproc://")])
-		})
-	}
-	address := &http.Client{Transport: api.InProcess{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serving.ServeHTTP(w, r)
-	})}}
 	rep := open()
 	rep.Start()
-	serve(rep)
 	coord, store := rep.Coordinator(), rep.Store()
 
 	// 2. Two provider nodes. Each agent's own heartbeat loop, started by
@@ -86,11 +66,7 @@ func main() {
 		{"lab-workstation", []gpu.Spec{gpu.RTX3090}},
 		{"shared-server", []gpu.Spec{gpu.RTX4090, gpu.RTX4090}},
 	} {
-		ag := agent.New(agent.Config{MachineID: n.id, Kernel: "5.15"},
-			clock, n.specs, ckpts, trace)
-		agents[n.id] = ag
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: &core.Client{BaseURL: "http://coordinator", HTTPClient: address}}})
-		if _, err := ag.Join("inproc://"+n.id, 1<<30); err != nil {
+		if _, err := w.Boot(agent.Config{MachineID: n.id, Kernel: "5.15"}, n.specs, "coordinator"); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -99,37 +75,37 @@ func main() {
 	// the queue is non-trivial), then run for a while.
 	spec := workload.SmallCNN
 	for i := 1; i <= 4; i++ {
-		if _, err := coord.SubmitJob(sim(spec, fmt.Sprintf("user-%d", i))); err != nil {
+		if _, err := coord.SubmitJob(sim.TrainingJobSubmission(fmt.Sprintf("user-%d", i), spec, 5*time.Minute)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	clock.Advance(10 * time.Minute)
+	w.Clock.Advance(10 * time.Minute)
 	if err := rep.WAL().Checkpoint(); err != nil { // async snapshot under load
 		log.Fatal(err)
 	}
-	clock.Advance(5 * time.Minute)
+	w.Clock.Advance(5 * time.Minute)
 
 	fmt.Println("--- before the crash ---")
 	printJobs(store)
 
 	// 4. Kill the coordinator. Everything it held in memory — agent
 	// handles, relaunch metadata, failure-detection timers — is gone;
-	// only what the WAL fsynced survives.
+	// only what the WAL fsynced survives, and its address goes dark.
 	preCrash := store.ExportState()
+	w.Hosts.Serve("coordinator", nil)
 	if err := rep.Kill(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\ncoordinator killed; recovering from the WAL directory")
 
-	// 5. Boot a successor from snapshot + WAL tail. Start re-arms it
-	// around the recovered state.
+	// 5. Boot a successor from snapshot + WAL tail at the same address.
+	// Start re-arms it around the recovered state.
 	rep2 := open()
 	defer rep2.Close()
 	r := rep2.WAL().Recovery
 	fmt.Printf("recovered: snapshot=%v watermark=%d replayed=%d records\n",
 		r.SnapshotLoaded, r.Watermark, r.Replayed)
 	rep2.Start()
-	serve(rep2)
 	store2 := rep2.Store()
 
 	// 6. Verify the job table survived, byte for byte.
@@ -146,23 +122,12 @@ func main() {
 	// 7. The nodes' next heartbeats reach the successor, which asks them
 	// to re-register (their running containers never stopped), and the
 	// recovered queue finishes.
-	clock.Advance(4 * time.Hour)
+	w.Clock.Advance(4 * time.Hour)
 
 	fmt.Println("\n--- four hours later ---")
 	printJobs(store2)
 	done := store2.CountJobsInState(db.JobCompleted)
 	fmt.Printf("\n%d/4 jobs completed after the restart — none were resubmitted\n", done)
-}
-
-func sim(spec workload.TrainingSpec, user string) api.SubmitJobRequest {
-	return api.SubmitJobRequest{
-		User: user, Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
-		GPUMemMiB:             spec.GPUMemMiB,
-		CapabilityMajor:       spec.MinCapability.Major,
-		CapabilityMinor:       spec.MinCapability.Minor,
-		CheckpointIntervalSec: 300,
-		Training:              &spec,
-	}
 }
 
 func jsonBytes(v any) string {

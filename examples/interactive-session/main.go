@@ -17,35 +17,27 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
-	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/obs"
-	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
+	"gpunion/internal/sim"
 )
 
 func main() {
-	start := time.Date(2025, 9, 1, 14, 0, 0, 0, time.UTC)
-	clock := simclock.NewSim(start)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	trace := obs.NewRecorder(clock, 1024)
-
-	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, trace)
+	w := sim.NewWorld(time.Date(2025, 9, 1, 14, 0, 0, 0, time.UTC))
+	rep, err := w.Open("coordinator", core.ReplicaConfig{
+		Coordinator: core.Config{HeartbeatInterval: 30 * time.Second}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Stop()
+	rep.Start()
+	defer rep.Close()
+	coord := rep.Coordinator()
 
 	agents := make(map[string]*agent.Agent)
 	for _, id := range []string{"owners-ws", "lab-server"} {
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, []gpu.Spec{gpu.RTX3090}, ckpts, trace)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
-		// The agent beats on its own from the first successful Join.
-		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
+		// The agent beats on its own from the first successful join.
+		ag, err := w.Boot(agent.Config{MachineID: id, Kernel: "5.15"}, []gpu.Spec{gpu.RTX3090}, "coordinator")
+		if err != nil {
 			log.Fatal(err)
 		}
 		agents[id] = ag
@@ -69,7 +61,7 @@ func main() {
 		sess1, st.NodeID)
 	host := st.NodeID
 
-	clock.Advance(20 * time.Minute)
+	w.Clock.Advance(20 * time.Minute)
 
 	// The owner reclaims the machine instantly.
 	fmt.Printf("\n>>> owner of %s hits the KILL-SWITCH\n", host)
@@ -79,7 +71,7 @@ func main() {
 	// ... and pauses further allocations while they run experiments.
 	agents[host].Pause()
 	fmt.Printf("%s paused: no new workloads will be placed there\n", host)
-	clock.Advance(time.Minute)
+	w.Clock.Advance(time.Minute)
 
 	// The student simply opens a new session; it lands elsewhere.
 	sess2, st2 := openSession("student")
@@ -90,10 +82,10 @@ func main() {
 	}
 
 	// Hours later the owner is done and resumes sharing.
-	clock.Advance(2 * time.Hour)
+	w.Clock.Advance(2 * time.Hour)
 	agents[host].Resume()
 	fmt.Printf("\n%s resumed sharing; the pool is whole again\n", host)
-	clock.Advance(time.Minute)
+	w.Clock.Advance(time.Minute)
 
 	sess3, st3 := openSession("another-student")
 	fmt.Printf("session %s running on %s\n", sess3, st3.NodeID)

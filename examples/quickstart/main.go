@@ -16,29 +16,26 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/obs"
-	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
+	"gpunion/internal/sim"
 	"gpunion/internal/workload"
 )
 
 func main() {
-	start := time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC)
-	clock := simclock.NewSim(start)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	trace := obs.NewRecorder(clock, 1024)
+	w := sim.NewWorld(time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC))
 
-	// 1. The central coordinator.
-	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, trace)
+	// 1. The central coordinator: the replica the daemon boots, served
+	// at "coordinator" in the world's address book.
+	rep, err := w.Open("coordinator", core.ReplicaConfig{
+		Coordinator: core.Config{HeartbeatInterval: 30 * time.Second}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Stop()
+	rep.Start()
+	defer rep.Close()
+	coord := rep.Coordinator()
 
 	// 2. Two provider nodes: a lab workstation and a shared server.
 	nodes := []struct {
@@ -49,11 +46,8 @@ func main() {
 		{"shared-server", []gpu.Spec{gpu.RTX4090, gpu.RTX4090}},
 	}
 	for _, n := range nodes {
-		ag := agent.New(agent.Config{MachineID: n.id, Kernel: "5.15"},
-			clock, n.specs, ckpts, trace)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
 		// Joining starts the agent's heartbeat loop on the simulated clock.
-		if _, err := ag.Join("inproc://"+n.id, 1<<30); err != nil {
+		if _, err := w.Boot(agent.Config{MachineID: n.id, Kernel: "5.15"}, n.specs, "coordinator"); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("registered %-16s with %d GPU(s)\n", n.id, len(n.specs))
@@ -73,12 +67,12 @@ func main() {
 
 	// 4. Watch progress every 15 simulated minutes.
 	for i := 0; i < 24; i++ {
-		clock.Advance(15 * time.Minute)
+		w.Clock.Advance(15 * time.Minute)
 		st, err := coord.JobStatus(jobID)
 		if err != nil {
 			log.Fatal(err)
 		}
-		seqs, _ := ckpts.Sequences(jobID)
+		seqs, _ := w.Ckpts.Sequences(jobID)
 		fmt.Printf("t+%3dm  state=%-9s node=%-16s checkpoints=%d\n",
 			(i+1)*15, st.State, st.NodeID, len(seqs))
 		if st.State == db.JobCompleted {
@@ -89,7 +83,7 @@ func main() {
 	}
 
 	// 5. The platform saw everything.
-	hist := trace.Events()
+	hist := w.Trace.Events()
 	fmt.Printf("\nevents observed: %d (last few below)\n", len(hist))
 	if len(hist) > 5 {
 		hist = hist[len(hist)-5:]

@@ -17,43 +17,40 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/obs"
+	"gpunion/internal/sim"
 	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
 	"gpunion/internal/workload"
 )
 
 func main() {
 	start := time.Date(2025, 9, 1, 9, 0, 0, 0, time.UTC)
-	clock := simclock.NewSim(start)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-	trace := obs.NewRecorder(clock, 4096)
-
-	coord, err := core.New(core.Config{HeartbeatInterval: 30 * time.Second},
-		clock, db.New(0), ckpts, trace)
+	w := sim.NewWorld(start)
+	clock := w.Clock
+	rep, err := w.Open("coordinator", core.ReplicaConfig{
+		Coordinator: core.Config{HeartbeatInterval: 30 * time.Second}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Stop()
+	rep.Start()
+	defer rep.Close()
+	coord := rep.Coordinator()
 
 	agents := make(map[string]*agent.Agent)
 	for _, id := range []string{"volunteer-ws", "backup-1", "backup-2"} {
-		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"},
-			clock, []gpu.Spec{gpu.RTX3090}, ckpts, trace)
-		ag.SetEndpoints([]agent.Endpoint{{ID: "coordinator", Link: core.NewInProcessClient(coord, ag)}})
-		// The agent beats on its own from the first successful Join.
-		if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
+		// The agent beats on its own from the first successful join.
+		ag, err := w.Boot(agent.Config{MachineID: id, Kernel: "5.15"}, []gpu.Spec{gpu.RTX3090}, "coordinator")
+		if err != nil {
 			log.Fatal(err)
 		}
 		agents[id] = ag
 	}
 
 	// Narrate the platform's migration machinery as it acts.
-	trace.Observe(func(ev obs.Event) {
+	w.Trace.Observe(func(ev obs.Event) {
 		switch ev.Kind {
 		case obs.KindJobCheckpoint:
 			fmt.Printf("%s  checkpoint seq=%v (%v bytes, incremental=%v)\n",

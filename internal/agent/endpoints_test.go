@@ -450,7 +450,7 @@ func TestHeartbeatLoopRealClock(t *testing.T) {
 	if _, err := a.Join("inproc://node-test", 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	orders := NewInProcessClient(a)
+	orders := &Client{BaseURL: "http://node-test", HTTPClient: &http.Client{Transport: api.InProcess{Handler: a.Handler()}}}
 	spec := workload.SmallCNN
 	for i := 0; link.beats.Load() < 20; i++ {
 		if i == 2000 {

@@ -133,13 +133,6 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
-// NewInProcessClient returns a Client that reaches a through its own
-// Handler in process (api.InProcess): the coordinator's orders cross
-// the same decode and status mapping as they would over a socket.
-func NewInProcessClient(a *Agent) *Client {
-	return &Client{BaseURL: "http://" + a.cfg.MachineID, HTTPClient: &http.Client{Transport: api.InProcess{Handler: a.Handler()}}}
-}
-
 // Launch implements the coordinator-side handle.
 func (c *Client) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 	var resp api.LaunchResponse

@@ -149,6 +149,33 @@ func (t InProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
+// Hosts is an address book of in-process daemons: a name→handler
+// switch over InProcess. Each request goes to the handler its URL's
+// host names now, so a restarted coordinator or a rebooted agent keeps
+// its address; a host with no handler is down, and a request to it
+// fails at the transport, as to a process that is gone. The zero value
+// is an empty book, safe for concurrent use.
+type Hosts struct{ at sync.Map }
+
+// Serve puts handler at host; nil takes the host down.
+func (h *Hosts) Serve(host string, handler http.Handler) { h.at.Store(host, handler) }
+
+// Handler returns what serves host now (nil: down).
+func (h *Hosts) Handler(host string) http.Handler {
+	v, _ := h.at.Load(host)
+	handler, _ := v.(http.Handler)
+	return handler
+}
+
+// RoundTrip implements http.RoundTripper.
+func (h *Hosts) RoundTrip(req *http.Request) (*http.Response, error) {
+	handler := h.Handler(req.URL.Host)
+	if handler == nil {
+		return nil, fmt.Errorf("api: %s is down", req.URL.Host)
+	}
+	return InProcess{Handler: handler}.RoundTrip(req)
+}
+
 // ReadError turns a non-2xx reply into the error the server wrote: the
 // typed ErrNotLeader when the envelope carries one — so an agent's
 // errors.As sees a fenced replica and can follow its hint — the Error

@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"time"
 
-	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/obs"
@@ -163,15 +162,4 @@ func (c *Client) post(path string, body, out any) error {
 
 func (c *Client) get(path string, out any) error {
 	return api.GetJSON(c.HTTPClient, c.BaseURL+path, out)
-}
-
-// NewInProcessClient returns agent a's link to coordinator c in
-// process: a Client whose requests c's Handler serves (api.InProcess),
-// and whose registrations give c agent.NewInProcessClient(a) as the
-// way back. Both directions run the handlers, body decode, status
-// mapping and error reconstruction the daemons run.
-func NewInProcessClient(c *Coordinator, a *agent.Agent) *Client {
-	back := agent.NewInProcessClient(a)
-	h := c.Handler(func(string) AgentHandle { return back })
-	return &Client{BaseURL: "http://coordinator", HTTPClient: &http.Client{Transport: api.InProcess{Handler: h}}}
 }

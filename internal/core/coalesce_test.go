@@ -55,7 +55,7 @@ func (b *beatRig) addSilentNode(id string, devices ...gpu.Spec) {
 	}
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, b.clock, devices, b.ckpts, nil)
 	b.t.Cleanup(ag.Stop)
-	resp, err := b.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), agent.NewInProcessClient(ag))
+	resp, err := b.coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), handleOf(ag))
 	if err != nil {
 		b.t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 	}
 	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, nil)
 	defer ag.Stop()
-	resp, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), agent.NewInProcessClient(ag))
+	resp, err := coord.Register(ag.RegisterRequest("inproc://n1", 1<<30), handleOf(ag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestCoalescedFlushBoundaryCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord2.recoverState()
-	if _, err := coord2.Register(ag.RegisterRequest("inproc://n1", 1<<30), agent.NewInProcessClient(ag)); err != nil {
+	if _, err := coord2.Register(ag.RegisterRequest("inproc://n1", 1<<30), handleOf(ag)); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(10 * time.Second)

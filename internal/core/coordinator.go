@@ -151,14 +151,15 @@ type Coordinator struct {
 	schedLatency *monitor.Histogram
 }
 
-// New creates a coordinator. database and ckpts may be shared with other
-// components (the simulation inspects them). A coordinator over a
-// database recovered from a snapshot + write-ahead log is OpenReplica's
-// to build: Replica.Start runs recoverState before it admits traffic.
-// Every lifecycle event goes to
-// trace; nil gives the coordinator a recorder of its own
-// (obs.DefaultCapacity), and a harness that runs several coordinator
-// incarnations, or agents beside one, passes them all the same one.
+// New creates a coordinator over database. Outside this package, every
+// program assembles a coordinator one way, OpenReplica then
+// Replica.Start (the daemon, the sims, the chaos harness, the
+// examples); New stays exported for bench/trace.go, a module of its own
+// whose hand-assembled coordinator puts timing decorators under the
+// store, and for tests. Every lifecycle event goes to trace; nil gives
+// the coordinator a recorder of its own (obs.DefaultCapacity), and a
+// harness that runs several coordinator incarnations, or agents beside
+// one, passes them all the same one.
 func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.Store, trace *obs.Recorder) (*Coordinator, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = heartbeat.DefaultInterval

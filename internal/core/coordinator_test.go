@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -42,13 +43,34 @@ func newRig(t *testing.T, hbInterval time.Duration) *rig {
 	return &rig{t: t, clock: clock, coord: coord, ckpts: ckpts, ags: make(map[string]*agent.Agent)}
 }
 
+// linkTo returns ag's link to c over an address book of their own: c
+// answers at "coordinator" and ag at its machine ID, each through its
+// shipped handler, so both directions cross the decode, status mapping
+// and error reconstruction the daemons run. ag registers at
+// "inproc://" plus its machine ID.
+func linkTo(c *Coordinator, ag *agent.Agent) *Client {
+	hosts := &api.Hosts{}
+	wire := &http.Client{Transport: hosts}
+	hosts.Serve(ag.MachineID(), ag.Handler())
+	hosts.Serve("coordinator", c.Handler(func(addr string) AgentHandle {
+		return &agent.Client{BaseURL: addr, HTTPClient: wire}
+	}))
+	return &Client{BaseURL: "http://coordinator", HTTPClient: wire}
+}
+
+// handleOf is a coordinator's handle on ag through ag's own handler.
+func handleOf(ag *agent.Agent) AgentHandle {
+	return &agent.Client{BaseURL: "http://" + ag.MachineID(),
+		HTTPClient: &http.Client{Transport: api.InProcess{Handler: ag.Handler()}}}
+}
+
 // addNode creates an agent with the given GPUs and joins it through the
 // coordinator's handler in process, which starts its heartbeat loop on
 // the simulated clock.
 func (r *rig) addNode(id string, specs ...gpu.Spec) *agent.Agent {
 	r.t.Helper()
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, specs, r.ckpts, nil)
-	ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(r.coord, ag)}})
+	ag.SetEndpoints([]agent.Endpoint{{Link: linkTo(r.coord, ag)}})
 	r.t.Cleanup(ag.Stop)
 	if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 		r.t.Fatal(err)
@@ -630,7 +652,7 @@ func TestHeartbeatSeqResetOnReregister(t *testing.T) {
 	// back at one.
 	ag2 := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, r.clock, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
 	defer ag2.Stop()
-	ag2.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(r.coord, ag2)}})
+	ag2.SetEndpoints([]agent.Endpoint{{Link: linkTo(r.coord, ag2)}})
 	if _, err := ag2.Join("inproc://n1", 1<<30); err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +715,7 @@ func TestHeartbeatRetryAfterReregisterNotSwallowed(t *testing.T) {
 	}
 	ag := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, ckpts, nil)
 	defer ag.Stop()
-	ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(coord1, ag)}})
+	ag.SetEndpoints([]agent.Endpoint{{Link: linkTo(coord1, ag)}})
 	if _, err := ag.Join("inproc://n1", 1<<30); err != nil {
 		t.Fatal(err)
 	}

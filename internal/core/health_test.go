@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gpunion/internal/agent"
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
@@ -149,7 +148,7 @@ func TestReregisterKeepsHealthScore(t *testing.T) {
 	}
 
 	b.clock.Advance(10 * time.Second)
-	if _, err := b.coord.Register(b.ags["n1"].RegisterRequest("inproc://n1", 1<<30), agent.NewInProcessClient(b.ags["n1"])); err != nil {
+	if _, err := b.coord.Register(b.ags["n1"].RegisterRequest("inproc://n1", 1<<30), handleOf(b.ags["n1"])); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := store.GetNode("n1")

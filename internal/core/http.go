@@ -19,9 +19,9 @@ import (
 const maxAggregatedBody = 64 << 20
 
 // HandleFactory builds an AgentHandle for a newly registered node's
-// address. The default dials the agent's REST API; tests, examples and
-// the campus sims reach it in process (NewInProcessClient), chaos and
-// the scripted failovers through the sims' address book (simHosts).
+// address. The default dials the agent's REST API; the sims, the chaos
+// harness and the examples reach it in process, through their world's
+// address book (api.Hosts), at the same address.
 type HandleFactory func(addr string) AgentHandle
 
 // DefaultHandleFactory returns HTTP handles.

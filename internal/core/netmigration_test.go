@@ -66,7 +66,7 @@ func (r *netRig) join(t *testing.T, id string, gpus int) {
 		devices[i] = gpu.RTX3090
 	}
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, devices, r.ckpts, nil)
-	ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(r.coord, ag)}})
+	ag.SetEndpoints([]agent.Endpoint{{Link: linkTo(r.coord, ag)}})
 	t.Cleanup(ag.Stop)
 	if _, err := ag.Join("inproc://"+id, 1<<30); err != nil {
 		t.Fatal(err)

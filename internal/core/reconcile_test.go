@@ -227,7 +227,7 @@ func TestSweptNodeReturnsByRegistering(t *testing.T) {
 		t.Fatalf("job = %+v, want it on n1", st)
 	}
 
-	link := &cutLink{Link: NewInProcessClient(r.coord, ag1), cut: true}
+	link := &cutLink{Link: linkTo(r.coord, ag1), cut: true}
 	ag1.SetEndpoints([]agent.Endpoint{{Link: link}})
 	r.clock.Advance(5 * time.Minute) // thirty sweeps, ten intervals past the threshold
 	if rec, err := r.coord.db.GetNode("n1"); err != nil || rec.Status != db.NodeUnreachable {
@@ -340,7 +340,7 @@ func TestRequeuedJobOnSweptHostRunsOnce(t *testing.T) {
 	jobID := submitTraining(t, r, workload.SmallCNN, 15)
 	r.clock.Advance(time.Minute)
 
-	link := &cutLink{Link: NewInProcessClient(r.coord, ag1), cut: true}
+	link := &cutLink{Link: linkTo(r.coord, ag1), cut: true}
 	ag1.SetEndpoints([]agent.Endpoint{{Link: link}})
 	r.clock.Advance(5 * time.Minute)
 	if st, _ := r.coord.JobStatus(jobID); st.State != db.JobPending || st.NodeID != "" {

@@ -636,7 +636,7 @@ func migrateBackAcrossCoordinatorChange(t *testing.T, failover, homeFirst bool) 
 	}
 	join := func(rep *Replica, ag *agent.Agent) {
 		t.Helper()
-		ag.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(rep.Coordinator(), ag)}})
+		ag.SetEndpoints([]agent.Endpoint{{Link: linkTo(rep.Coordinator(), ag)}})
 		if _, err := ag.Join("inproc://"+ag.MachineID(), 1<<30); err != nil {
 			t.Fatal(err)
 		}
@@ -696,7 +696,7 @@ func migrateBackAcrossCoordinatorChange(t *testing.T, failover, homeFirst bool) 
 	// The host's address now reaches the successor; its next beat is
 	// refused and it joins again.
 	hostBack := func() {
-		host.SetEndpoints([]agent.Endpoint{{Link: NewInProcessClient(succ, host)}})
+		host.SetEndpoints([]agent.Endpoint{{Link: linkTo(succ, host)}})
 		r.advanceUntil(time.Minute, func() bool { return succ.handle("n2") != nil })
 	}
 	if homeFirst {

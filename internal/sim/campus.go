@@ -16,15 +16,12 @@ import (
 
 	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
-	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/netsim"
 	"gpunion/internal/obs"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
 	"gpunion/internal/workload"
 )
 
@@ -73,18 +70,18 @@ func TotalGPUs(defs []NodeDef) int {
 }
 
 // Campus is an assembled in-process GPUnion deployment on a simulated
-// clock.
+// clock: one standalone coordinator replica at "coordinator" and one
+// agent per node definition, on one World.
 type Campus struct {
-	Clock  *simclock.Sim
+	*World
 	Coord  *core.Coordinator
 	Agents map[string]*agent.Agent
-	Ckpts  *checkpoint.Store
-	Net    *netsim.Network
 	Defs   []NodeDef
 	// Health holds each agent's injectable health source when the
 	// assembly was built WithHealthSources (gray-failure scripting).
 	Health map[string]*gpu.FakeHealthSource
 
+	rep *core.Replica
 	cfg CampusConfig
 }
 
@@ -121,39 +118,28 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	if cfg.ProgressTick <= 0 {
 		cfg.ProgressTick = 30 * time.Second
 	}
-	clock := simclock.NewSim(Epoch)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
-
-	var net *netsim.Network
-	storageNode := ""
+	w := NewWorld(Epoch)
 	if cfg.WithNetwork {
-		net = netsim.New(10 * netsim.Gbps)
-		net.AddNode(netsim.NodeLink{Name: "coordinator", Access: 10 * netsim.Gbps, Latency: 150 * time.Microsecond})
-		for _, d := range defs {
-			net.AddNode(netsim.NodeLink{Name: d.ID, Access: netsim.Gbps, Latency: 250 * time.Microsecond})
-		}
-		storageNode = "coordinator"
+		w.AttachLAN(defs)
 	}
-
-	coord, err := core.New(core.Config{
+	rep, err := w.Open("coordinator", core.ReplicaConfig{Coordinator: core.Config{
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		Strategy:          cfg.Strategy,
-		Net:               net,
-		StorageNode:       storageNode,
-	}, clock, db.New(0), ckpts, nil)
+	}})
 	if err != nil {
 		return nil, err
 	}
+	rep.Start()
 
 	c := &Campus{
-		Clock: clock, Coord: coord, Agents: make(map[string]*agent.Agent),
-		Ckpts: ckpts, Net: net, Defs: defs, cfg: cfg,
+		World: w, Coord: rep.Coordinator(), Agents: make(map[string]*agent.Agent),
+		Defs: defs, rep: rep, cfg: cfg,
 	}
 	if cfg.WithHealthSources {
 		c.Health = make(map[string]*gpu.FakeHealthSource, len(defs))
 	}
-	if cfg.TrackCheckpointTraffic && net != nil {
-		coord.Trace().Observe(func(ev obs.Event) {
+	if cfg.TrackCheckpointTraffic && w.Net != nil {
+		w.Trace.Observe(func(ev obs.Event) {
 			if ev.Kind != obs.KindJobCheckpoint {
 				return
 			}
@@ -161,7 +147,7 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 			if bytes <= 0 || ev.Node == "" {
 				return
 			}
-			_, _ = net.Transfer(ev.Node, "coordinator", bytes, netsim.TrafficCheckpoint, ev.Time)
+			_, _ = w.Net.Transfer(ev.Node, lanStorage, bytes, netsim.TrafficCheckpoint, ev.Time)
 		})
 	}
 
@@ -169,57 +155,35 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 		if cfg.WithHealthSources {
 			c.Health[d.ID] = gpu.NewFakeHealthSource()
 		}
-		if err := c.boot(d); err != nil {
+		if err := c.Reboot(d.ID); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// boot starts d's agent, as the daemon starts when the machine powers
-// on, and joins it to the coordinator. Every boot of a node gets the
-// same ID, devices and health source.
-func (c *Campus) boot(d NodeDef) error {
-	acfg := agent.Config{
-		MachineID: d.ID, Kernel: "5.15",
-		ProgressTick:         c.cfg.ProgressTick,
-		ForceFullCheckpoints: c.cfg.ForceFullCheckpoints,
-	}
-	if src, ok := c.Health[d.ID]; ok {
-		acfg.Health = src
-	}
-	ag := agent.New(acfg, c.Clock, d.GPUs, c.Ckpts, c.Coord.Trace())
-	ag.SetEndpoints([]agent.Endpoint{localEndpoint("coordinator", c.Coord, ag)})
-	if err := joinLocal(ag); err != nil {
-		return err
-	}
-	c.Agents[d.ID] = ag
-	return nil
-}
-
-// Reboot brings a provider back from a departure the way its machine
-// comes back: the departed agent is stopped and a fresh one boots under
-// the same ID and joins.
+// Reboot starts a node's agent, as the daemon starts when the machine
+// powers on: a running one — departed, say — is stopped first, and a
+// fresh one boots under the same ID, devices and health source and
+// joins.
 func (c *Campus) Reboot(id string) error {
 	i := slices.IndexFunc(c.Defs, func(d NodeDef) bool { return d.ID == id })
 	if i < 0 {
 		return fmt.Errorf("sim: no node %q", id)
 	}
-	c.Agents[id].Stop()
-	return c.boot(c.Defs[i])
-}
-
-// localEndpoint names coord as one of ag's endpoints, reached in
-// process through both daemons' handlers (core.NewInProcessClient).
-func localEndpoint(id string, coord *core.Coordinator, ag *agent.Agent) agent.Endpoint {
-	return agent.Endpoint{ID: id, Link: core.NewInProcessClient(coord, ag)}
-}
-
-// joinLocal registers an in-process agent through the first of its
-// endpoints that accepts it (agent.JoinAny, as the daemon starts) under
-// the sims' address scheme and 1 TiB of advertised checkpoint storage.
-func joinLocal(ag *agent.Agent) error {
-	_, err := ag.JoinAny("inproc://"+ag.MachineID(), 1<<40)
+	if ag := c.Agents[id]; ag != nil {
+		ag.Stop()
+	}
+	acfg := agent.Config{
+		MachineID: id, Kernel: "5.15",
+		ProgressTick:         c.cfg.ProgressTick,
+		ForceFullCheckpoints: c.cfg.ForceFullCheckpoints,
+	}
+	if src, ok := c.Health[id]; ok {
+		acfg.Health = src
+	}
+	ag, err := c.Boot(acfg, c.Defs[i].GPUs, "coordinator")
+	c.Agents[id] = ag
 	return err
 }
 
@@ -230,7 +194,7 @@ func (c *Campus) Run(d time.Duration) {
 
 // Stop cancels background timers.
 func (c *Campus) Stop() {
-	c.Coord.Stop()
+	_ = c.rep.Kill()
 	for _, ag := range c.Agents {
 		ag.Stop()
 	}

@@ -24,7 +24,6 @@ import (
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
 	"gpunion/internal/monitor"
-	"gpunion/internal/netsim"
 	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -45,10 +44,6 @@ type ChaosConfig struct {
 	Spec chaos.Spec
 	// Jobs is the sustained training-job population (default 16).
 	Jobs int
-	// HeartbeatInterval between agent reports (default 1 min).
-	HeartbeatInterval time.Duration
-	// ProgressTick is the agent work-advance granularity (default 1 min).
-	ProgressTick time.Duration
 	// EnableWAL attaches a write-ahead log (required for WAL-fault and
 	// coordinator-crash injections).
 	EnableWAL bool
@@ -122,12 +117,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 16
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = time.Minute
-	}
-	if cfg.ProgressTick <= 0 {
-		cfg.ProgressTick = time.Minute
-	}
 	if cfg.Spec.Duration <= 0 {
 		cfg.Spec.Duration = 8 * time.Hour
 	}
@@ -156,8 +145,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	sched := chaos.Generate(cfg.Spec, cfg.Seed)
 	h.startTraffic(cfg.Seed + 1)
-	eng := chaos.NewEngine(h.clock, h)
-	eng.SetRecorder(h.trace)
+	eng := chaos.NewEngine(h.Clock, h)
+	eng.SetRecorder(h.Trace)
 	rep := eng.Execute(sched, cfg.AuditEvery, cfg.Drain)
 
 	res.Schedule = sched
@@ -181,34 +170,38 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	res.CkptFaultsInjected = h.blob.Injected()
 	res.CkptReadFaultsInjected = h.blob.ReadInjected()
-	res.CkptCorruptionsDetected = h.ckpts.CorruptionsDetected()
+	res.CkptCorruptionsDetected = h.Ckpts.CorruptionsDetected()
 	h.mu.Lock()
 	res.DupReplaysDelivered = h.dupReplays
 	h.dupReplays = nil
 	h.mu.Unlock()
 	res.DurabilityLost = h.sawDurabilityLoss
-	res.Trace = h.trace.Events()
-	res.TraceDropped = h.trace.Dropped()
+	res.Trace = h.Trace.Events()
+	res.TraceDropped = h.Trace.Dropped()
 	if text, err := h.currentCoord().MetricsSnapshot(); err == nil {
 		res.MetricsText = text
 	}
 	return res, nil
 }
 
-// chaosHarness implements chaos.Platform over the real components.
-// Agents and coordinators talk over chaosWire, which delivers every
-// message to the replica or agent its address names.
+// The chaos harness's fixed cadence: agents beat once a simulated
+// minute and advance their work in one-minute ticks.
+const (
+	chaosHeartbeat    = time.Minute
+	chaosProgressTick = time.Minute
+)
+
+// chaosHarness implements chaos.Platform over the real components on
+// one World. Agents and coordinators talk over chaosWire, which
+// delivers every message to the replica or agent its address names in
+// the world's address book: each agent at its ID, a replica at each
+// coordinator address, which a restarted coordinator or a fresh standby
+// takes over from its predecessor. The world's recorder, a deep one, is
+// also fed the chaos engine's fault and violation annotations.
 type chaosHarness struct {
-	cfg   ChaosConfig
-	clock *simclock.Sim
-	// trace is the run's flight recorder: handed to every coordinator
-	// incarnation and every agent, and fed fault/violation annotations
-	// by the chaos engine. One recorder spans crashes and failovers, so
-	// the exported timeline is continuous across leadership changes.
-	trace    *obs.Recorder
+	*World
+	cfg      ChaosConfig
 	blob     *chaos.FaultBlobStore
-	ckpts    *checkpoint.Store
-	net      *netsim.Network
 	fs       *chaos.FaultFS
 	coordCfg core.Config
 	// coordAddrs are the coordinator addresses, one endpoint each for
@@ -226,10 +219,6 @@ type chaosHarness struct {
 	// After a leader kill it stays the dead leader until the standby's
 	// promotion installs the successor.
 	serving *replica
-	// hosts is chaosWire's address book: each agent at its ID, a
-	// replica at each coordinator address — which a restarted
-	// coordinator or a fresh standby takes over from its predecessor.
-	hosts *simHosts
 	// agents holds each node's agent: a crashed node has none and a
 	// departed one its finished agent, until ReturnNode boots a fresh
 	// one.
@@ -358,16 +347,22 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	// seam: injected bit flips and truncations land in the real stored
 	// bytes, and the store's CRC frames must catch them on read.
 	blob := chaos.NewFaultBlobStore(storage.NewMemStore(0))
+	w := NewWorld(Epoch)
+	w.Ckpts = checkpoint.NewStore(blob)
+	// A deep ring: chaos runs are the flight recorder's primary
+	// customer, and fault localization needs the whole run retained.
+	w.Trace = obs.NewRecorder(w.Clock, 1<<16)
+	if cfg.WithNetwork {
+		w.AttachLAN(cfg.Defs)
+	}
 	h := &chaosHarness{
+		World:          w,
 		cfg:            cfg,
-		clock:          simclock.NewSim(Epoch),
 		blob:           blob,
-		ckpts:          checkpoint.NewStore(blob),
 		skewed:         make(map[string]*simclock.Skewed),
 		agents:         make(map[string]*agent.Agent),
 		windows:        make(map[faultWindow]bool),
 		skews:          make(map[string]time.Duration),
-		hosts:          &simHosts{},
 		healthSrcs:     make(map[string]*gpu.FakeHealthSource),
 		lossRng:        rand.New(rand.NewSource(cfg.Seed + 2)),
 		unhealthySince: make(map[string]time.Time),
@@ -376,27 +371,10 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		h.nodeIDs = append(h.nodeIDs, d.ID)
 	}
 	sort.Strings(h.nodeIDs)
-	// A deep ring: chaos runs are the flight recorder's primary
-	// customer, and fault localization needs the whole run retained.
-	h.trace = obs.NewRecorder(h.clock, 1<<16)
-
-	if cfg.WithNetwork {
-		h.net = netsim.New(10 * netsim.Gbps)
-		h.net.AddNode(netsim.NodeLink{Name: "coordinator", Access: 10 * netsim.Gbps, Latency: 150 * time.Microsecond})
-		for _, d := range cfg.Defs {
-			h.net.AddNode(netsim.NodeLink{Name: d.ID, Access: netsim.Gbps, Latency: 250 * time.Microsecond})
-		}
-	}
-	storageNode := ""
-	if h.net != nil {
-		storageNode = "coordinator"
-	}
 	h.coordCfg = core.Config{
-		HeartbeatInterval: cfg.HeartbeatInterval,
+		HeartbeatInterval: chaosHeartbeat,
 		BatchSize:         8,
 		AuthSecret:        chaosAuthSecret,
-		Net:               h.net,
-		StorageNode:       storageNode,
 	}
 
 	dir := ""
@@ -413,17 +391,17 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			if m := h.currentServing().WAL(); m != nil {
 				_ = m.Checkpoint()
 			}
-			if h.clock.Now().Before(Epoch.Add(cfg.Spec.Duration + cfg.Drain)) {
-				h.clock.AfterFunc(time.Hour, checkpointLoop)
+			if h.Clock.Now().Before(Epoch.Add(cfg.Spec.Duration + cfg.Drain)) {
+				h.Clock.AfterFunc(time.Hour, checkpointLoop)
 			}
 		}
-		h.clock.AfterFunc(time.Hour, checkpointLoop)
+		h.Clock.AfterFunc(time.Hour, checkpointLoop)
 	}
 	if cfg.Replicated {
 		// 30 s grants against a 2 min re-grant grace: a dead leader's
 		// slot stays fenced for at most 2.5 min of simulated time before
 		// a standby can win it.
-		h.lease = core.NewLease(core.NewMemLeaseStore(), h.clock, 30*time.Second, 2*time.Minute)
+		h.lease = core.NewLease(core.NewMemLeaseStore(), h.Clock, 30*time.Second, 2*time.Minute)
 		h.leaderLog = invariant.NewLeaderLog()
 	}
 	h.coordAddrs = []string{"coordinator"}
@@ -445,34 +423,30 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	}
 
 	for i, d := range cfg.Defs {
-		h.skewed[d.ID] = simclock.NewSkewed(h.clock)
+		h.skewed[d.ID] = simclock.NewSkewed(h.Clock)
 		h.healthSrcs[d.ID] = gpu.NewFakeHealthSource()
-		if err := joinLocal(h.bootAgent(i)); err != nil {
-			return nil, err
-		}
+		h.powerOn(i)
 	}
 	return h, nil
 }
 
-// bootAgent starts the agent process of node cfg.Defs[i] and serves it
-// at the node's address; the caller joins it. It runs on the node's
-// skewable clock (the clock-skew seam) and health source and writes
-// checkpoints through a per-node gate that a data-plane partition
-// severs.
-func (h *chaosHarness) bootAgent(i int) *agent.Agent {
+// powerOn boots node cfg.Defs[i]'s agent process on the world, as the
+// daemon starts when the machine comes on, and joins it (rejoin). It
+// runs on the node's skewable clock (the clock-skew seam) and health
+// source, writes checkpoints through a per-node gate that a data-plane
+// partition severs, and sends through a wire of its own node. Every
+// coordinator address is an endpoint: the agent finds a new leader on
+// its own beats.
+func (h *chaosHarness) powerOn(i int) {
 	d := h.cfg.Defs[i]
-	ag := agent.New(agent.Config{
-		MachineID: d.ID, Kernel: "5.15", ProgressTick: h.cfg.ProgressTick,
+	ag := h.boot(agent.Config{
+		MachineID: d.ID, Kernel: "5.15", ProgressTick: chaosProgressTick,
 		Health: h.healthSrcs[d.ID],
-	}, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, h.trace)
-	// Every coordinator address is an endpoint, as with cmd/agent
-	// -coordinator a,b: the agent finds a new leader on its own beats.
-	ag.SetEndpoints(endpoints(&http.Client{Transport: chaosWire{h: h, node: d.ID}}, h.coordAddrs...))
+	}, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, chaosWire{h: h, node: d.ID}, h.coordAddrs)
 	h.mu.Lock()
 	h.agents[d.ID] = ag
 	h.mu.Unlock()
-	h.hosts.serve(d.ID, ag.Handler())
-	return ag
+	h.rejoin(ag)
 }
 
 // agent returns the node's running agent, nil while it is crashed.
@@ -583,28 +557,25 @@ func (h *chaosHarness) openReplica(addr, dir, followDir string) (*replica, error
 		},
 		Coordinator: h.coordCfg,
 	}
-	var clock simclock.Clock = h.clock
+	var clock simclock.Clock = h.Clock
 	if h.cfg.Replicated {
 		h.mu.Lock()
 		h.replicaSeq++
 		rep.id = fmt.Sprintf("coord-%d", h.replicaSeq)
 		h.mu.Unlock()
 		rep.cut = &chaosLeaseClient{LeaseClient: h.lease}
-		rep.skew = simclock.NewSkewed(h.clock)
+		rep.skew = simclock.NewSkewed(h.Clock)
 		clock = rep.skew
 		cfg.Coordinator.Lease, cfg.Coordinator.ReplicaID = rep.cut, rep.id
 		cfg.WAL.OnDurable = h.onLeaderDurable
 		cfg.OnPromote = func(epoch uint64, err error) { h.promoted(rep, epoch, err) }
 	}
-	var err error
-	if rep.Replica, err = core.OpenReplica(cfg, clock, h.ckpts, h.trace); err != nil {
-		return nil, err
-	}
 	// Every replica reaches the agent registered at an address through
 	// the wire, which routes by the address's host.
-	h.hosts.serve(addr, rep.Coordinator().Handler(func(agentAddr string) core.AgentHandle {
-		return &agent.Client{BaseURL: agentAddr, HTTPClient: &http.Client{Transport: chaosWire{h: h}}}
-	}))
+	var err error
+	if rep.Replica, err = h.open(addr, cfg, clock, chaosWire{h: h}); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 
@@ -668,7 +639,7 @@ func (h *chaosHarness) setWindow(kind chaos.Kind, open bool, targets ...string) 
 // restart (see graceUntil).
 func (h *chaosHarness) startGrace() {
 	h.mu.Lock()
-	h.graceUntil = h.clock.Now().Add(3 * h.cfg.HeartbeatInterval)
+	h.graceUntil = h.Clock.Now().Add(3 * chaosHeartbeat)
 	h.mu.Unlock()
 }
 
@@ -688,14 +659,14 @@ func (w agentCkptWriter) Save(ck checkpoint.Checkpoint) error {
 	if w.h.inWindow(chaos.KindDataPartition, w.id) {
 		return errDataPlaneSevered
 	}
-	return w.h.ckpts.Save(ck)
+	return w.h.Ckpts.Save(ck)
 }
 
 func (w agentCkptWriter) Prune(jobID string) (int64, error) {
 	if w.h.inWindow(chaos.KindDataPartition, w.id) {
 		return 0, errDataPlaneSevered
 	}
-	return w.h.ckpts.Prune(jobID)
+	return w.h.Ckpts.Prune(jobID)
 }
 
 // maybeReplay delivers 1–3 extra copies of an already-processed control
@@ -723,7 +694,7 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 
 // chaosWire is the harness's network: every agent↔coordinator message
 // crosses it as an HTTP request into the shipped handlers
-// (api.InProcess) at the host its URL names (h.hosts; a down one fails
+// (api.InProcess) at the host its URL names (h.Hosts; a down one fails
 // at the transport). Each agent's core.Client sends through a wire of
 // its own node; every replica's agent.Client shares one wire without a
 // node. One fault model covers both directions: a silenced node neither sends nor receives, and each request to or from
@@ -744,7 +715,7 @@ func (w chaosWire) RoundTrip(req *http.Request) (*http.Response, error) {
 	if node == "" {
 		node = req.URL.Host
 	}
-	receiver := h.hosts.handler(req.URL.Host)
+	receiver := h.Hosts.Handler(req.URL.Host)
 	if receiver == nil || h.silenced(node) || (w.node != "" && req.URL.Path == "/v1/heartbeat" && h.dropBeat(node)) {
 		return nil, errUnreachable
 	}
@@ -854,7 +825,7 @@ func (h *chaosHarness) startTraffic(seed int64) {
 	end := Epoch.Add(h.cfg.Spec.Duration)
 	var topUp func()
 	topUp = func() {
-		if !h.clock.Now().Before(end) {
+		if !h.Clock.Now().Before(end) {
 			return
 		}
 		store := h.currentStore()
@@ -864,9 +835,9 @@ func (h *chaosHarness) startTraffic(seed int64) {
 		for ; active < h.cfg.Jobs; active++ {
 			submit()
 		}
-		h.clock.AfterFunc(15*time.Minute, topUp)
+		h.Clock.AfterFunc(15*time.Minute, topUp)
 	}
-	h.clock.AfterFunc(15*time.Minute, topUp)
+	h.Clock.AfterFunc(15*time.Minute, topUp)
 }
 
 // --- chaos.Platform ---
@@ -885,7 +856,7 @@ func (h *chaosHarness) CrashNode(id string) {
 		return
 	}
 	ag.Stop()
-	h.hosts.serve(id, nil)
+	h.Hosts.Serve(id, nil)
 	h.mu.Lock()
 	delete(h.agents, id)
 	h.mu.Unlock()
@@ -921,17 +892,17 @@ func (h *chaosHarness) ReturnNode(id string) {
 	default:
 		return
 	}
-	h.rejoin(h.bootAgent(i))
+	h.powerOn(i)
 }
 
 // rejoin joins a freshly booted agent. A join that finds no leader is
 // tried again one heartbeat interval later, as a supervisor restarts a
 // daemon that exited, for as long as the agent is the node's.
 func (h *chaosHarness) rejoin(ag *agent.Agent) {
-	if joinLocal(ag) == nil {
+	if join(ag) == nil {
 		return
 	}
-	h.clock.AfterFunc(h.cfg.HeartbeatInterval, func() {
+	h.Clock.AfterFunc(chaosHeartbeat, func() {
 		if h.agent(ag.MachineID()) == ag {
 			h.rejoin(ag)
 		}
@@ -1024,7 +995,7 @@ func (h *chaosHarness) pumpGray(id string, tick int) {
 	if !h.inWindow(chaos.KindGrayDegrade, id) {
 		return
 	}
-	now := h.clock.Now()
+	now := h.Clock.Now()
 	events := []gpu.HealthEvent{{
 		Kind: gpu.HealthThermal, Severity: gpu.SeverityCritical,
 		DeviceID: "GPU-0", Value: 96, At: now,
@@ -1038,7 +1009,7 @@ func (h *chaosHarness) pumpGray(id string, tick int) {
 		})
 	}
 	h.healthSrcs[id].Inject(events...)
-	h.clock.AfterFunc(h.cfg.HeartbeatInterval, func() { h.pumpGray(id, tick+1) })
+	h.Clock.AfterFunc(chaosHeartbeat, func() { h.pumpGray(id, tick+1) })
 }
 
 // GrayDegradeHeal closes the window; the pump stops re-arming and the
@@ -1138,7 +1109,7 @@ func (h *chaosHarness) KillLeader() []invariant.Violation {
 		return nil
 	}
 	if rep := h.settledLeader(); rep != nil {
-		h.hosts.serve(rep.addr, nil)
+		h.Hosts.Serve(rep.addr, nil)
 		_ = rep.Kill()
 	}
 	return nil
@@ -1297,7 +1268,7 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 	succeeded := h.standby != nil && h.standby.addr == z.addr
 	h.mu.Unlock()
 	if !succeeded {
-		h.hosts.serve(z.addr, nil)
+		h.Hosts.Serve(z.addr, nil)
 	}
 	return vs
 }
@@ -1344,11 +1315,11 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 	live := store.JobsInState(db.JobPending)
 	live = append(live, store.JobsInState(db.JobRunning)...)
 	live = append(live, store.JobsInState(db.JobMigrating)...)
-	vs = append(vs, invariant.CheckCheckpoints(h.ckpts, live)...)
+	vs = append(vs, invariant.CheckCheckpoints(h.Ckpts, live)...)
 	h.mu.Lock()
 	grace := h.graceUntil
 	h.mu.Unlock()
-	if h.clock.Now().Before(grace) {
+	if h.Clock.Now().Before(grace) {
 		return vs
 	}
 	vs = append(vs, invariant.CheckSkewLiveness(store, h.skewedHealthyNodes())...)
@@ -1388,7 +1359,7 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 // the drain grace runs from observed crossing time, not from the last
 // health fold — folds keep advancing while a gray window stays open.
 func (h *chaosHarness) checkDegradedDrained(store db.Store) []invariant.Violation {
-	now := h.clock.Now()
+	now := h.Clock.Now()
 	nodes := store.ListNodes()
 	h.mu.Lock()
 	for i := range nodes {
@@ -1409,7 +1380,7 @@ func (h *chaosHarness) checkDegradedDrained(store db.Store) []invariant.Violatio
 	// Ten beat intervals: detection takes a beat, the checkpoint and
 	// plan are immediate, and the transfer plus one sweep-cadence retry
 	// fit comfortably inside the rest.
-	return invariant.CheckDegradedDrained(store, since, now, 10*h.cfg.HeartbeatInterval)
+	return invariant.CheckDegradedDrained(store, since, now, 10*chaosHeartbeat)
 }
 
 // skewedHealthyNodes lists the nodes whose *only* current fault is an

@@ -106,14 +106,14 @@ func TestChaosPartitionCrash(t *testing.T) {
 // from one, and finds the node's record still there, the crash counted
 // as one departure.
 func TestChaosCrashedNodeRebootsAsItself(t *testing.T) {
-	cfg := ChaosConfig{Defs: PaperCampus(), Jobs: 2, HeartbeatInterval: time.Minute, ProgressTick: time.Minute}
+	cfg := ChaosConfig{Defs: PaperCampus(), Jobs: 2}
 	h, err := newChaosHarness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.stop()
 	h.startTraffic(1)
-	h.clock.Advance(10 * time.Minute)
+	h.Clock.Advance(10 * time.Minute)
 
 	id := h.nodeIDs[0]
 	old := h.agent(id)
@@ -124,25 +124,25 @@ func TestChaosCrashedNodeRebootsAsItself(t *testing.T) {
 	if h.agent(id) != nil || !h.silenced(id) {
 		t.Fatal("a crashed node still has a running agent")
 	}
-	h.clock.Advance(10 * time.Minute)
+	h.Clock.Advance(10 * time.Minute)
 	if rec, err := h.currentStore().GetNode(id); err != nil || rec.Status != db.NodeUnreachable {
 		t.Fatalf("crashed node = %+v, %v; want it marked unreachable", rec, err)
 	}
 
-	returnedAt := h.clock.Now()
+	returnedAt := h.Clock.Now()
 	h.ReturnNode(id)
 	fresh := h.agent(id)
 	if fresh == nil || fresh == old || fresh.MachineID() != id {
 		t.Fatalf("after the return the node runs %p (was %p)", fresh, old)
 	}
 	registered := false
-	for _, ev := range h.trace.Events() {
+	for _, ev := range h.Trace.Events() {
 		registered = registered || (ev.Kind == obs.KindNodeRegistered && ev.Node == id && !ev.Time.Before(returnedAt))
 	}
 	if !registered || fresh.Token() == "" {
 		t.Fatal("the rebooted agent did not register")
 	}
-	h.clock.Advance(cfg.HeartbeatInterval)
+	h.Clock.Advance(chaosHeartbeat)
 	if seq := fresh.HeartbeatRequest().BeatSeq; seq != 2 {
 		t.Fatalf("one interval after the reboot the next beat is #%d, want #2", seq)
 	}

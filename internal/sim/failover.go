@@ -73,13 +73,13 @@ func RunFailover() (FailoverResult, error) {
 	}
 	defer os.RemoveAll(dirB)
 
-	w := newScripted()
-	lease := core.NewLease(core.NewMemLeaseStore(), w.clock, 30*time.Second, 2*time.Minute)
+	w := NewWorld(Epoch)
+	lease := core.NewLease(core.NewMemLeaseStore(), w.Clock, 30*time.Second, 2*time.Minute)
 
 	// Two replicas of one assembly: the leader logs to dirA, the warm
 	// standby applies the shipped stream and fences until promoted.
 	var repA, repB *core.Replica
-	repA, err = w.open("coord-a", core.ReplicaConfig{Dir: dirA,
+	repA, err = openScripted(w, "coord-a", core.ReplicaConfig{Dir: dirA,
 		// Semi-synchronous shipping: runs after the record is durable and
 		// before the store acks, so acked implies on-standby.
 		WAL:         wal.Config{OnDurable: func(db.Mutation) { _ = repB.Pump() }},
@@ -90,7 +90,7 @@ func RunFailover() (FailoverResult, error) {
 	var before db.State
 	var killedAt time.Time
 	promoteErr := errors.New("standby never promoted")
-	repB, err = w.open("coord-b", core.ReplicaConfig{Dir: dirB, FollowDir: dirA,
+	repB, err = openScripted(w, "coord-b", core.ReplicaConfig{Dir: dirB, FollowDir: dirA,
 		Coordinator: core.Config{Lease: lease, ReplicaID: "coord-b"},
 		// After the promotion and before recoverState: the audit against
 		// the acked baseline the kill left.
@@ -98,7 +98,7 @@ func RunFailover() (FailoverResult, error) {
 			if promoteErr = err; err != nil {
 				return
 			}
-			res.PromotionDelay = w.clock.Now().Sub(killedAt)
+			res.PromotionDelay = w.Clock.Now().Sub(killedAt)
 			res.NewLeader, res.NewEpoch = "coord-b", epoch
 			res.LostAcked = invariant.CheckNoLostAcked(before, repB.Store().ExportState())
 		}})
@@ -118,14 +118,14 @@ func RunFailover() (FailoverResult, error) {
 	// redirect, not a reconfiguration. A job report the dead leader does
 	// not answer stays with its agent, which re-sends it after its next
 	// answered beat.
-	if err := w.fleet(failoverNodes, "coord-a", "coord-b"); err != nil {
+	if err := bootFleet(w, failoverNodes, "coord-a", "coord-b"); err != nil {
 		return res, err
 	}
 	if err := submitTraining(coordA, failoverJobs); err != nil {
 		return res, err
 	}
 	res.SubmittedJobs = failoverJobs
-	w.clock.Advance(15 * time.Minute)
+	w.Clock.Advance(15 * time.Minute)
 
 	// The standby fences while the leader lives.
 	_, err = coordB.SubmitJob(TrainingJobSubmission("user-x", workload.SmallCNN, 5*time.Minute))
@@ -136,16 +136,16 @@ func RunFailover() (FailoverResult, error) {
 	res.RunningAtKill = storeA.CountJobsInState(db.JobRunning)
 	res.LeaderAtKill, res.EpochAtKill = "coord-a", coordA.Epoch()
 	before = storeA.ExportState()
-	killedAt = w.clock.Now()
+	killedAt = w.Clock.Now()
 
 	// --- Kill the leader. No handover, no final flush beyond what
 	// every ack already guaranteed; its address goes dark.
-	w.hosts.serve("coord-a", nil)
+	w.Hosts.Serve("coord-a", nil)
 	if err := repA.Kill(); err != nil {
 		return res, err
 	}
 
-	w.clock.Advance(postFailover)
+	w.Clock.Advance(postFailover)
 	if promoteErr != nil {
 		return res, promoteErr
 	}

@@ -214,25 +214,24 @@ func TestGrayPredictiveDrain(t *testing.T) {
 // placeable again with no fold in between — and still be below the
 // threshold once the fleet has re-joined.
 func TestGrayCrashKeepsUnhealthyExclusion(t *testing.T) {
-	cfg := ChaosConfig{Defs: PaperCampus(), Jobs: 8, EnableWAL: true,
-		HeartbeatInterval: time.Minute, ProgressTick: time.Minute}
+	cfg := ChaosConfig{Defs: PaperCampus(), Jobs: 8, EnableWAL: true}
 	h, err := newChaosHarness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.stop()
 	h.startTraffic(1)
-	h.clock.Advance(10 * time.Minute)
+	h.Clock.Advance(10 * time.Minute)
 
 	victim := h.nodeIDs[0]
 	h.GrayDegradeStart(victim)
-	h.clock.Advance(10 * time.Minute)
+	h.Clock.Advance(10 * time.Minute)
 	before, err := h.currentStore().GetNode(victim)
 	if err != nil || before.HealthScore() >= monitor.UnhealthyBelow {
 		t.Fatalf("victim %s not driven below the threshold: %v, %v", victim, before.HealthScore(), err)
 	}
 
-	crashAt := h.clock.Now()
+	crashAt := h.Clock.Now()
 	vs := h.CrashCoordinator()
 	recovered, err := h.currentStore().GetNode(victim)
 	if err != nil || recovered.Health != before.Health || !recovered.HealthAt.Equal(before.HealthAt) {
@@ -241,13 +240,13 @@ func TestGrayCrashKeepsUnhealthyExclusion(t *testing.T) {
 	}
 	// One interval: every agent beats once, is asked to re-register, and
 	// does.
-	h.clock.Advance(cfg.HeartbeatInterval)
+	h.Clock.Advance(chaosHeartbeat)
 	vs = append(vs, h.ExtraChecks()...)
 	for _, v := range vs {
 		t.Errorf("violation across the coordinator crash: %s", v)
 	}
 	rejoined := false
-	for _, ev := range h.trace.Events() {
+	for _, ev := range h.Trace.Events() {
 		rejoined = rejoined || (ev.Kind == obs.KindNodeRegistered && ev.Node == victim && ev.Time.After(crashAt))
 	}
 	if !rejoined {
@@ -264,8 +263,7 @@ func TestGrayCrashKeepsUnhealthyExclusion(t *testing.T) {
 // trip the tap's no-placement-on-unhealthy audit; one that kept the
 // score must not.
 func TestGraySabotageRegistrationLaundering(t *testing.T) {
-	h, err := newChaosHarness(ChaosConfig{Defs: PaperCampus(), Jobs: 1,
-		HeartbeatInterval: time.Minute, ProgressTick: time.Minute})
+	h, err := newChaosHarness(ChaosConfig{Defs: PaperCampus(), Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,21 +2,14 @@ package sim
 
 import (
 	"fmt"
-	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"gpunion/internal/agent"
-	"gpunion/internal/api"
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/core"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
-	"gpunion/internal/obs"
-	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
 	"gpunion/internal/wal"
 	"gpunion/internal/workload"
 )
@@ -92,8 +85,8 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 		dir = tmp
 	}
 
-	w := newScripted()
-	rep1, err := w.open("coordinator", core.ReplicaConfig{Dir: dir})
+	w := NewWorld(Epoch)
+	rep1, err := openScripted(w, "coordinator", core.ReplicaConfig{Dir: dir})
 	if err != nil {
 		return res, err
 	}
@@ -103,7 +96,7 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	// The agents' heartbeat loops survive the coordinator they were
 	// started under: a request to the dead process fails at the
 	// transport, and the agents carry on against its successor.
-	if err := w.fleet(cfg.Nodes, "coordinator"); err != nil {
+	if err := bootFleet(w, cfg.Nodes, "coordinator"); err != nil {
 		return res, err
 	}
 	if err := submitTraining(rep1.Coordinator(), cfg.Jobs); err != nil {
@@ -111,14 +104,14 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	}
 	res.SubmittedJobs = cfg.Jobs
 
-	w.clock.Advance(10 * time.Minute)
+	w.Clock.Advance(10 * time.Minute)
 	if !cfg.NoSnapshot {
 		// Async checkpoint under live traffic; the log keeps the tail.
 		if err := rep1.WAL().Checkpoint(); err != nil {
 			return res, err
 		}
 	}
-	w.clock.Advance(5 * time.Minute)
+	w.Clock.Advance(5 * time.Minute)
 
 	res.PendingAtCrash = store1.CountJobsInState(db.JobPending)
 	res.RunningAtCrash = store1.CountJobsInState(db.JobRunning)
@@ -127,7 +120,7 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	// --- Crash. Only what fsync guaranteed survives: no final
 	// snapshot, no handover. The old coordinator's in-memory world
 	// (agent handles, relaunch metadata, sweep timers) dies here.
-	w.hosts.serve("coordinator", nil)
+	w.Hosts.Serve("coordinator", nil)
 	if err := rep1.Kill(); err != nil {
 		return res, err
 	}
@@ -137,7 +130,7 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	// anything re-arms. No beat arrives before the clock moves on; the
 	// agents' next ones are answered with a request to re-register
 	// (their running workloads never stopped).
-	rep2, err := w.open("coordinator", core.ReplicaConfig{Dir: dir})
+	rep2, err := openScripted(w, "coordinator", core.ReplicaConfig{Dir: dir})
 	if err != nil {
 		return res, err
 	}
@@ -162,71 +155,34 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	}
 	res.NewJobID = newID
 
-	w.clock.Advance(cfg.PostRecovery)
+	w.Clock.Advance(cfg.PostRecovery)
 
 	res.CompletedAfterRecovery = store2.CountJobsInState(db.JobCompleted)
 	res.LostJobs = cfg.Jobs + 1 - len(store2.ListJobs())
 	return res, nil
 }
 
-// scripted is the world of the scripted scenarios: one simulated clock,
-// the LAN checkpoint store (it outlives every coordinator process, like
-// a WAL directory), one flight recorder every coordinator incarnation
-// and agent records into, and the address book.
-type scripted struct {
-	clock *simclock.Sim
-	ckpts *checkpoint.Store
-	trace *obs.Recorder
-	hosts *simHosts
-}
-
-func newScripted() *scripted {
-	clock := simclock.NewSim(Epoch)
-	return &scripted{clock: clock, ckpts: checkpoint.NewStore(storage.NewMemStore(0)),
-		trace: obs.NewRecorder(clock, 0), hosts: &simHosts{}}
-}
-
-// open opens a coordinator replica of the deployment and serves it at
-// host: one-minute beats, batches of eight, and one token secret for
-// every replica, as the daemon's share one auth.key — a credential one
-// coordinator issued verifies at its successor.
-func (w *scripted) open(host string, cfg core.ReplicaConfig) (*core.Replica, error) {
+// openScripted opens a coordinator replica of a scripted scenario and
+// serves it at host: one-minute beats, batches of eight, and one token
+// secret for every replica, as the daemons share one auth.key — a
+// credential one coordinator issued verifies at its successor.
+func openScripted(w *World, host string, cfg core.ReplicaConfig) (*core.Replica, error) {
 	c := &cfg.Coordinator
 	c.HeartbeatInterval, c.BatchSize, c.AuthSecret = time.Minute, 8, []byte("gpunion-sim-auth-secret")
-	rep, err := core.OpenReplica(cfg, w.clock, w.ckpts, w.trace)
-	if err == nil {
-		w.hosts.serve(host, rep.Coordinator().Handler(func(addr string) core.AgentHandle {
-			return &agent.Client{BaseURL: addr, HTTPClient: &http.Client{Transport: w.hosts}}
-		}))
-	}
-	return rep, err
+	return w.Open(host, cfg)
 }
 
-// fleet builds n 2×RTX3090 nodes, each answering at its machine ID and
-// holding an endpoint per coordinator address, as with cmd/agent
-// -coordinator a,b, and joins them through the first; from then on each
-// agent sends everything through its active endpoint.
-func (w *scripted) fleet(n int, coords ...string) error {
+// bootFleet boots n 2×RTX3090 nodes, each holding an endpoint per
+// coordinator address and joined through the first that accepts it;
+// from then on each agent sends everything through its active endpoint.
+func bootFleet(w *World, n int, coords ...string) error {
 	for i := 0; i < n; i++ {
-		ag := agent.New(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
-			ProgressTick: 30 * time.Second}, w.clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, w.ckpts, w.trace)
-		w.hosts.serve(ag.MachineID(), ag.Handler())
-		ag.SetEndpoints(endpoints(&http.Client{Transport: w.hosts}, coords...))
-		if err := joinLocal(ag); err != nil {
+		if _, err := w.Boot(agent.Config{MachineID: fmt.Sprintf("node-%02d", i+1), Kernel: "5.15",
+			ProgressTick: 30 * time.Second}, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, coords...); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// endpoints names each coordinator address an endpoint, reached
-// through client.
-func endpoints(client *http.Client, addrs ...string) []agent.Endpoint {
-	eps := make([]agent.Endpoint, len(addrs))
-	for i, addr := range addrs {
-		eps[i] = agent.Endpoint{ID: addr, Link: &core.Client{BaseURL: "http://" + addr, HTTPClient: client}}
-	}
-	return eps
 }
 
 // submitTraining queues n five-minute-checkpointed SmallCNN jobs.
@@ -237,30 +193,4 @@ func submitTraining(coord *core.Coordinator, n int) error {
 		}
 	}
 	return nil
-}
-
-// simHosts is the sims' network: a name→handler switch over
-// api.InProcess. Each request goes to the handler its URL's host names
-// now, so a restarted coordinator keeps its address; a host with no
-// handler is down, and a request to it fails at the transport, as to a
-// process that is gone.
-type simHosts struct{ at sync.Map }
-
-// serve puts handler at host; nil takes the host down.
-func (s *simHosts) serve(host string, handler http.Handler) { s.at.Store(host, handler) }
-
-// handler returns what serves host now (nil: down).
-func (s *simHosts) handler(host string) http.Handler {
-	v, _ := s.at.Load(host)
-	h, _ := v.(http.Handler)
-	return h
-}
-
-// RoundTrip implements http.RoundTripper.
-func (s *simHosts) RoundTrip(req *http.Request) (*http.Response, error) {
-	handler := s.handler(req.URL.Host)
-	if handler == nil {
-		return nil, fmt.Errorf("sim: %s is down", req.URL.Host)
-	}
-	return api.InProcess{Handler: handler}.RoundTrip(req)
 }

@@ -230,7 +230,14 @@ verify-bench:
 # .CloseAllocation( call (the episode close that is not scoped to the
 # placement) or a job-record write (.UpdateJob() outside jobs.go and
 # schedule.go, bar finishMigration's migration count, is a hand-written
-# transition coming back. bench/ is not scanned:
+# transition coming back. Outside internal/core a program assembles a
+# coordinator one way, core.OpenReplica then Start: a core.New( call in
+# non-test code under internal, cmd or examples outside internal/core is
+# a second assembly (Campus and four examples once had one). And every
+# in-process deployment reaches its daemons through one address book,
+# api.Hosts, which a sim.World holds: a NewInProcessClient in any Go
+# file, tests included, is the per-agent coordinator handler that the
+# address book replaced coming back. bench/ is not scanned:
 # its hand-assembled coordinator is the one caller eventbus.New is kept
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
@@ -301,6 +308,14 @@ verify-compose:
 			| grep -vE '_test\.go:|^internal/core/(jobs|schedule)\.go:|\{ j\.Migrations\+\+ \}\)$$')"; \
 	if [ -n "$$out" ]; then \
 		echo "a job placement changed outside place and settle:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn 'core\.New(' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/core/')"; \
+	if [ -n "$$out" ]; then \
+		echo "a coordinator assembled beside core.OpenReplica (use sim.World.Open or core.OpenReplica):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' 'NewInProcessClient' .)"; \
+	if [ -n "$$out" ]; then \
+		echo "an in-process client beside the address book (serve the daemons in an api.Hosts):"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

@@ -120,7 +120,7 @@ func NewCampus(defs []NodeDef, cfg CampusConfig) (*Campus, error) {
 	}
 	w := NewWorld(Epoch)
 	if cfg.WithNetwork {
-		w.AttachLAN(defs)
+		w.attachLAN(defs)
 	}
 	rep, err := w.Open("coordinator", core.ReplicaConfig{Coordinator: core.Config{
 		HeartbeatInterval: cfg.HeartbeatInterval,

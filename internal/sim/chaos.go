@@ -353,7 +353,7 @@ func newChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	// customer, and fault localization needs the whole run retained.
 	w.Trace = obs.NewRecorder(w.Clock, 1<<16)
 	if cfg.WithNetwork {
-		w.AttachLAN(cfg.Defs)
+		w.attachLAN(cfg.Defs)
 	}
 	h := &chaosHarness{
 		World:          w,

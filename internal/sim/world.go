@@ -32,7 +32,7 @@ type World struct {
 	// and every agent records into it, so the timeline is continuous
 	// across crashes and failovers.
 	Trace *obs.Recorder
-	// Net is the LAN model (AttachLAN); nil without one.
+	// Net is the LAN model (attachLAN); nil without one.
 	Net *netsim.Network
 	// Hosts is the address book: each coordinator at its address, each
 	// agent at its machine ID.
@@ -51,11 +51,11 @@ func NewWorld(start time.Time) *World {
 		Trace: obs.NewRecorder(clock, 0), Hosts: &api.Hosts{}}
 }
 
-// AttachLAN gives the world a 10 Gbps campus backbone: the
+// attachLAN gives the world a 10 Gbps campus backbone: the
 // coordinator's machine, which holds the checkpoint store, on a
 // 10 Gbps access link and each node in defs on 1 Gbps. Every
 // coordinator opened afterwards migrates over it.
-func (w *World) AttachLAN(defs []NodeDef) {
+func (w *World) attachLAN(defs []NodeDef) {
 	w.Net = netsim.New(10 * netsim.Gbps)
 	w.Net.AddNode(netsim.NodeLink{Name: lanStorage, Access: 10 * netsim.Gbps, Latency: 150 * time.Microsecond})
 	for _, d := range defs {

@@ -233,7 +233,7 @@ verify-bench:
 # transition coming back. Outside internal/core a program assembles a
 # coordinator one way, core.OpenReplica then Start: a core.New( call in
 # non-test code under internal, cmd or examples outside internal/core is
-# a second assembly (Campus and four examples once had one). And every
+# a second assembly. And every
 # in-process deployment reaches its daemons through one address book,
 # api.Hosts, which a sim.World holds: a NewInProcessClient in any Go
 # file, tests included, is the per-agent coordinator handler that the

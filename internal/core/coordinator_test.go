@@ -136,6 +136,11 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := r.coord.SubmitJob(api.SubmitJobRequest{Kind: "batch"}); err == nil {
 		t.Fatal("empty image accepted")
 	}
+	for _, mem := range []int64{0, -1} {
+		if _, err := r.coord.SubmitJob(api.SubmitJobRequest{Kind: "batch", ImageName: "x", GPUMemMiB: mem}); err == nil {
+			t.Fatalf("gpu_mem_mib %d accepted", mem)
+		}
+	}
 }
 
 func TestJobQueuesWhenFull(t *testing.T) {

@@ -26,6 +26,10 @@ func (c *Coordinator) SubmitJob(req api.SubmitJobRequest) (string, error) {
 	if req.ImageName == "" {
 		return "", errors.New("core: empty image name")
 	}
+	if req.GPUMemMiB <= 0 {
+		// Every job runs on a whole GPU, placed by the memory it needs.
+		return "", fmt.Errorf("core: gpu_mem_mib must be positive, got %d", req.GPUMemMiB)
+	}
 	now := c.clock.Now()
 	c.mu.Lock()
 	c.jobSeq++

@@ -30,14 +30,16 @@ test:
 # node shards and the one-lock job, allocation and sample tables at
 # once. The placement-pass hand-off, the verified-token map and
 # the agent's kept job reports (written where a job ends, re-sent from
-# the beat loop) and its heartbeat loop on wall-clock timers (beating
-# while launches and kills arrive through its handler) are the places
-# goroutines meet on shared state outside the store; their tests are
-# cheap, so they run twenty times.
+# the beat loop), its heartbeat loop on wall-clock timers (beating
+# while launches and kills arrive through its handler) and its one
+# launch critical section (duplicate launches, and a kill, racing a
+# launch of the same job) are the places goroutines meet on shared
+# state outside the store; their tests are cheap, so they run twenty
+# times.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Gather|Replica|Lease|TestConcurrentAccess|TestConcurrentSaveLoadConsistency|TestShardedStressParallelHeartbeats' ./internal/wal ./internal/core ./internal/db
-	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats|TestHeartbeatLoopRealClock' ./internal/core ./internal/auth ./internal/agent
+	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats|TestHeartbeatLoopRealClock|TestLaunchConcurrentDuplicatesConverge|TestLaunchConcurrentWithKill' ./internal/core ./internal/auth ./internal/agent
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps
 # bench_test.go compiling and executable without burning CI minutes.
@@ -196,11 +198,17 @@ verify-bench:
 # outside internal/container and internal/agent — examples and tests
 # included — a second runtime assembly. The root container benchmark,
 # which times the runtime alone over its own image store, is the one
-# exemption. The coordinator side has one loop too: Replica.Start runs
-# the leadership loop (pump, try the lease, promote, recover, admit), so
-# a TryLead() or .Promote() call in non-test code outside internal/core
-# is a second leadership loop in the making — the daemon, the chaos
-# harness and the scripted failover once each had their own. A node
+# exemption. What runs on a provider has one record, the agent's job
+# table: the container runtime only admits an image and binds or
+# releases a GPU, so a lifecycle State type or a container map in
+# internal/container, or a launching map in internal/agent (launches in
+# flight kept beside the table; a launch is one critical section on it),
+# is a second record in the making. The coordinator side has one loop
+# too: Replica.Start runs the leadership loop (pump, try the lease,
+# promote, recover, admit), so a TryLead() or .Promote() call in
+# non-test code outside internal/core is a second leadership loop in
+# the making — the daemon, the chaos harness and the scripted failover
+# once each had their own. A node
 # crash is what it is for the daemon: the chaos harness discards the
 # agent and boots a fresh one under the same identity, so a
 # .KillSwitch() call in non-test internal/sim code is the old
@@ -280,6 +288,11 @@ verify-compose:
 		| grep -vE '^\./internal/(container|agent)/|^\./bench_test\.go:[0-9]+:[[:space:]]*rt := container\.NewRuntime\(images, ')"; \
 	if [ -n "$$out" ]; then \
 		echo "a container runtime assembled outside internal/agent:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE --include='*.go' '^[[:space:]]*type [A-Za-z]*State\b|map\[string\]\*?Container\b|containers[[:space:]]+map\[' internal/container; \
+		grep -rnE --include='*.go' 'launching\b.*map\[' internal/agent)"; \
+	if [ -n "$$out" ]; then \
+		echo "a second record of what runs on a provider beside the agent's job table:"; echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn --include='*.go' '"gpunion/internal/eventbus"' . \
 		| grep -vE '_test\.go:|^\./internal/eventbus/|^\./bench/'; \

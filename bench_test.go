@@ -922,22 +922,21 @@ func benchDecodeHeartbeat(b *testing.B, telemetry bool) {
 	}
 }
 
+// BenchmarkContainerLifecycle is a launch's and an end's share of the
+// container runtime: admit the image and bind a GPU, then release it.
 func BenchmarkContainerLifecycle(b *testing.B) {
 	images := container.DefaultImages()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt := container.NewRuntime(images, gpu.NewInventory(gpu.RTX3090, 1))
 		spec := container.Spec{
-			ID: "c", ImageName: "pytorch/pytorch:2.3-cuda12", Mode: container.Batch,
+			ID: "c", ImageName: "pytorch/pytorch:2.3-cuda12",
 			Resources: container.Resources{GPUMemoryMiB: 8192},
 		}
-		if _, err := rt.Create(spec, benchEpoch); err != nil {
+		if _, err := rt.Bind(spec); err != nil {
 			b.Fatal(err)
 		}
-		if err := rt.Start("c", benchEpoch); err != nil {
-			b.Fatal(err)
-		}
-		if err := rt.Stop("c", benchEpoch); err != nil {
+		if err := rt.Release("c"); err != nil {
 			b.Fatal(err)
 		}
 	}

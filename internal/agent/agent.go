@@ -91,15 +91,14 @@ type Agent struct {
 	launchesTotal *monitor.Counter
 	beatFailures  *monitor.Counter
 
-	mu   sync.Mutex
-	jobs map[string]*jobRun
-	// launching reserves job IDs whose Launch is still in flight, so a
-	// concurrent duplicate waits for the original's outcome instead of
-	// racing it to the container runtime.
-	launching map[string]chan struct{}
-	paused    bool
-	departed  bool
-	token     string
+	mu sync.Mutex
+	// jobs is the node's one record of what runs on it: a job is in it
+	// exactly while its container holds a GPU (Launch binds, endLocked
+	// releases, both under mu).
+	jobs     map[string]*jobRun
+	paused   bool
+	departed bool
+	token    string
 	// addr and storageBytes are what the last Join advertised; Beat's
 	// re-joins repeat them.
 	addr         string
@@ -153,8 +152,7 @@ type Link interface {
 type jobRun struct {
 	jobID       string
 	containerID string
-	deviceID    string
-	devSpec     gpu.Spec
+	dev         *gpu.Device   // the bound GPU, held until the job ends
 	training    *workload.Job // nil for interactive sessions
 	sessionEnds time.Time     // for interactive sessions
 	ckptEvery   time.Duration
@@ -343,22 +341,39 @@ func (a *Agent) gpuInfo() []db.GPUInfo {
 	return out
 }
 
-// Launch starts a workload per the coordinator's request: admission,
-// container creation, GPU binding, restore (for migrations), and
-// checkpoint scheduling.
+// Launch starts a workload per the coordinator's request: image
+// admission, GPU binding, restore (for migrations), and checkpoint
+// scheduling. The checks, the binding and the job's entry are one
+// critical section, so a duplicate launch or a kill racing it finds the
+// job either fully started or not there at all.
 func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
+	now := a.clock.Now()
 	a.mu.Lock()
-	if err := a.fenceEpochLocked(req.LeaderEpoch); err != nil {
-		a.mu.Unlock()
+	run, started, err := a.launchLocked(req, now)
+	a.mu.Unlock()
+	if err != nil {
 		return api.LaunchResponse{}, err
 	}
+	if started {
+		// Recorded after the unlock: a Recorder.Observe callback runs
+		// here, synchronously, and may call back into the agent.
+		a.launchesTotal.Inc()
+		a.record(now, obs.KindJobStarted, run.jobID, run.containerID)
+	}
+	return api.LaunchResponse{ContainerID: run.containerID, DeviceID: run.dev.ID}, nil
+}
+
+// launchLocked is Launch's critical section; it reports whether it
+// started the job. Callers hold a.mu.
+func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, bool, error) {
+	if err := a.fenceEpochLocked(req.LeaderEpoch); err != nil {
+		return nil, false, err
+	}
 	if a.departed {
-		a.mu.Unlock()
-		return api.LaunchResponse{}, ErrDeparted
+		return nil, false, ErrDeparted
 	}
 	if a.paused {
-		a.mu.Unlock()
-		return api.LaunchResponse{}, ErrPaused
+		return nil, false, ErrPaused
 	}
 	if run, exists := a.jobs[req.JobID]; exists {
 		// Idempotent ack: a duplicate launch (retried or replayed
@@ -367,85 +382,31 @@ func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 		// platform-wide, so a same-ID launch is always the same job —
 		// erroring here would make the coordinator believe the placement
 		// failed while the workload keeps running.
-		resp := api.LaunchResponse{ContainerID: run.containerID, DeviceID: run.deviceID}
-		a.mu.Unlock()
-		return resp, nil
+		return run, false, nil
 	}
-	if ch, inflight := a.launching[req.JobID]; inflight {
-		// A concurrent duplicate of a launch still in progress (the HTTP
-		// retry racing the original): wait for the original to settle,
-		// then mirror its outcome — the same idempotent ack on success,
-		// the same failure if it never started.
-		a.mu.Unlock()
-		<-ch
-		a.mu.Lock()
-		run, exists := a.jobs[req.JobID]
-		a.mu.Unlock()
-		if exists {
-			return api.LaunchResponse{ContainerID: run.containerID, DeviceID: run.deviceID}, nil
-		}
-		return api.LaunchResponse{}, fmt.Errorf("agent: concurrent launch of %s failed", req.JobID)
-	}
-	ch := make(chan struct{})
-	if a.launching == nil {
-		a.launching = make(map[string]chan struct{})
-	}
-	a.launching[req.JobID] = ch
-	a.mu.Unlock()
-	defer func() {
-		a.mu.Lock()
-		delete(a.launching, req.JobID)
-		a.mu.Unlock()
-		close(ch)
-	}()
-
-	now := a.clock.Now()
-	mode := container.Batch
-	if req.Kind == "interactive" {
-		mode = container.Interactive
-	}
-	// A migrated job may return to a node that hosted it before; clear
-	// the stale terminal container so the ID can be reused.
 	ctrID := "ctr-" + req.JobID
-	if old, err := a.runtime.Get(ctrID); err == nil {
-		st := old.State()
-		if st == container.Exited || st == container.Killed {
-			_ = a.runtime.Remove(ctrID)
-		}
-	}
-	spec := container.Spec{
-		ID:         ctrID,
-		ImageName:  req.ImageName,
-		Mode:       mode,
-		Entrypoint: req.Entrypoint,
+	dev, err := a.runtime.Bind(container.Spec{
+		ID:        ctrID,
+		ImageName: req.ImageName,
 		Resources: container.Resources{
 			GPUMemoryMiB:  req.GPUMemMiB,
 			MinCapability: api.CapabilityOf(req.CapabilityMajor, req.CapabilityMinor),
 		},
-	}
-	ctr, err := a.runtime.Create(spec, now)
+	})
 	if err != nil {
-		return api.LaunchResponse{}, fmt.Errorf("agent: creating container: %w", err)
-	}
-	if err := a.runtime.Start(ctr.ID(), now); err != nil {
-		return api.LaunchResponse{}, fmt.Errorf("agent: starting container: %w", err)
+		return nil, false, fmt.Errorf("agent: binding a GPU: %w", err)
 	}
 
 	run := &jobRun{
 		jobID:       req.JobID,
-		containerID: ctr.ID(),
-		deviceID:    ctr.GPUDeviceID(),
+		containerID: ctrID,
+		dev:         dev,
 		ckptEvery:   time.Duration(req.CheckpointIntervalSec) * time.Second,
 		lastCkpt:    now,
 		lastTick:    now,
 	}
 	if run.ckptEvery <= 0 {
 		run.ckptEvery = a.cfg.DefaultCheckpointInterval
-	}
-	if run.deviceID != "" {
-		if dev, derr := a.runtime.Inventory().Device(run.deviceID); derr == nil {
-			run.devSpec = dev.Spec
-		}
 	}
 	switch {
 	case req.Training != nil:
@@ -457,21 +418,35 @@ func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 		}
 		run.training = job
 		run.ckptSeq = req.RestoreFromSeq
-	case mode == container.Interactive:
+	case req.Kind == "interactive":
 		d := time.Duration(req.SessionSeconds) * time.Second
 		if d <= 0 {
 			d = 2 * time.Hour
 		}
 		run.sessionEnds = now.Add(d)
 	}
-
-	a.mu.Lock()
 	a.jobs[req.JobID] = run
-	a.mu.Unlock()
+	return run, true, nil
+}
 
-	a.launchesTotal.Inc()
-	a.record(now, obs.KindJobStarted, req.JobID, ctr.ID())
-	return api.LaunchResponse{ContainerID: ctr.ID(), DeviceID: run.deviceID}, nil
+// endLocked is the one way a job ends on this node, whatever ends it (a
+// kill order, completion, the kill-switch, a departure): the run is
+// forgotten and its GPU released. Callers hold a.mu.
+func (a *Agent) endLocked(run *jobRun) error {
+	delete(a.jobs, run.jobID)
+	return a.runtime.Release(run.containerID)
+}
+
+// endAllLocked ends every job on the node and returns their IDs, sorted.
+// Callers hold a.mu.
+func (a *Agent) endAllLocked() []string {
+	ids := make([]string, 0, len(a.jobs))
+	for id, run := range a.jobs {
+		ids = append(ids, id)
+		_ = a.endLocked(run)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // KillJob terminates a job on a coordinator's request, enforcing the
@@ -492,18 +467,18 @@ func (a *Agent) KillJob(req api.KillRequest) error {
 func (a *Agent) Kill(jobID string) error {
 	a.mu.Lock()
 	run, ok := a.jobs[jobID]
+	var err error
 	if ok {
-		delete(a.jobs, jobID)
+		err = a.endLocked(run)
 	}
 	a.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrJobUnknown, jobID)
 	}
-	now := a.clock.Now()
-	if err := a.runtime.Kill(run.containerID, now); err != nil {
-		return fmt.Errorf("agent: killing container for %s: %w", jobID, err)
+	if err != nil {
+		return fmt.Errorf("agent: releasing the GPU of %s: %w", jobID, err)
 	}
-	a.record(now, obs.KindJobKilled, jobID, run.containerID)
+	a.record(a.clock.Now(), obs.KindJobKilled, jobID, run.containerID)
 	return nil
 }
 
@@ -534,15 +509,6 @@ const fullCheckpointEvery = 6
 
 func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.CheckpointResponse, error) {
 	now := a.clock.Now()
-	// Quiesce the container during capture when it is running; a paused
-	// or checkpointing container is captured as-is.
-	quiesced := a.runtime.BeginCheckpoint(run.containerID) == nil
-	defer func() {
-		if quiesced {
-			_ = a.runtime.EndCheckpoint(run.containerID)
-		}
-	}()
-
 	run.ckptSeq++
 	src := checkpoint.Source{
 		JobID:    run.jobID,
@@ -550,8 +516,8 @@ func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.Checkpoint
 		Progress: run.training.Progress(),
 		Env: checkpoint.Env{
 			KernelVersion:  a.cfg.Kernel,
-			GPUArch:        run.devSpec.Arch,
-			HasCUDAContext: run.deviceID != "",
+			GPUArch:        run.dev.Spec.Arch,
+			HasCUDAContext: true,
 			GPUMemMiB:      run.training.Spec.GPUMemMiB,
 		},
 	}
@@ -586,17 +552,9 @@ func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.Checkpoint
 // the job IDs terminated.
 func (a *Agent) KillSwitch() []string {
 	a.mu.Lock()
-	ids := make([]string, 0, len(a.jobs))
-	for id := range a.jobs {
-		ids = append(ids, id)
-	}
-	a.jobs = make(map[string]*jobRun)
+	ids := a.endAllLocked()
 	a.mu.Unlock()
-	sort.Strings(ids)
-
-	now := a.clock.Now()
-	a.runtime.KillAll(now)
-	a.trace.RecordAt(now, obs.KindKillSwitch, "", a.cfg.MachineID, map[string]string{"killed": strconv.Itoa(len(ids))})
+	a.trace.RecordAt(a.clock.Now(), obs.KindKillSwitch, "", a.cfg.MachineID, map[string]string{"killed": strconv.Itoa(len(ids))})
 	return ids
 }
 
@@ -668,11 +626,10 @@ func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 
 	a.mu.Lock()
 	a.departed = true
-	a.jobs = make(map[string]*jobRun)
+	a.endAllLocked()
 	a.ticker.Stop()
 	a.mu.Unlock()
 
-	a.runtime.KillAll(now)
 	if link := a.ActiveEndpoint().Link; link != nil && reason != api.DepartEmergency {
 		_ = link.Depart(api.DepartRequest{
 			Envelope:  a.envelope(),
@@ -1046,8 +1003,8 @@ func (a *Agent) tickTraining(run *jobRun, elapsed time.Duration, now time.Time) 
 	// Accumulate sub-step leftovers so integer step counts per tick do
 	// not systematically under-run the job.
 	budget := elapsed + run.residual
-	steps := job.Spec.StepsIn(budget, run.devSpec)
-	if st := job.Spec.StepTime(run.devSpec); st > 0 {
+	steps := job.Spec.StepsIn(budget, run.dev.Spec)
+	if st := job.Spec.StepTime(run.dev.Spec); st > 0 {
 		run.residual = budget - time.Duration(steps)*st
 	}
 	job.Advance(steps)
@@ -1074,24 +1031,20 @@ func (a *Agent) tickSession(run *jobRun, now time.Time) {
 }
 
 func (a *Agent) setDeviceLoad(run *jobRun, util float64, memMiB int64) {
-	if run.deviceID == "" {
-		return
-	}
-	if dev, err := a.runtime.Inventory().Device(run.deviceID); err == nil {
-		dev.SetUtilization(util)
-		if memMiB > 0 {
-			dev.SetUsedMemory(memMiB)
-		}
+	run.dev.SetUtilization(util)
+	if memMiB > 0 {
+		run.dev.SetUsedMemory(memMiB)
 	}
 }
 
-// finishJob stops the container, forgets the run and reports the
-// outcome to the coordinator.
+// finishJob ends the run, unless something ended it first, and reports
+// the outcome to the coordinator.
 func (a *Agent) finishJob(run *jobRun, state db.JobState, now time.Time) {
 	a.mu.Lock()
-	delete(a.jobs, run.jobID)
+	if a.jobs[run.jobID] == run {
+		_ = a.endLocked(run)
+	}
 	a.mu.Unlock()
-	_ = a.runtime.Stop(run.containerID, now)
 	var step int64
 	if run.training != nil {
 		step = run.training.Step()

@@ -8,7 +8,6 @@ import (
 
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
-	"gpunion/internal/container"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/obs"
@@ -64,9 +63,9 @@ func TestLaunchBindsContainerAndGPU(t *testing.T) {
 	if resp.ContainerID != "ctr-j1" || resp.DeviceID == "" {
 		t.Fatalf("resp = %+v", resp)
 	}
-	ctr, err := r.agent.Runtime().Get(resp.ContainerID)
-	if err != nil || ctr.State() != container.Running {
-		t.Fatalf("container = %v, %v", ctr.State(), err)
+	dev, err := r.agent.Runtime().Inventory().Device(resp.DeviceID)
+	if err != nil || dev.AllocatedTo() != resp.ContainerID {
+		t.Fatalf("device %s held by %q (%v), want %s", resp.DeviceID, dev.AllocatedTo(), err, resp.ContainerID)
 	}
 	st := r.agent.Status()
 	if len(st.RunningJobs) != 1 || st.RunningJobs[0] != "j1" {
@@ -145,14 +144,8 @@ func TestTrainingCompletesAndNotifies(t *testing.T) {
 	if u.JobID != "j1" || u.State != db.JobCompleted || u.Step != 50 || u.MachineID != "node-test" {
 		t.Fatalf("update = %+v", u)
 	}
-	// Container exited, GPU freed.
-	if runningContainers(r.agent) != 0 {
-		t.Fatal("container still running after completion")
-	}
-	for _, d := range r.agent.Runtime().Inventory().Devices() {
-		if !d.Free() {
-			t.Fatalf("GPU %s not freed after completion", d.ID)
-		}
+	if heldDevices(r.agent) != 0 {
+		t.Fatal("GPU not freed after completion")
 	}
 }
 
@@ -204,8 +197,8 @@ func TestKillSwitchTerminatesEverything(t *testing.T) {
 	if len(killed) != 2 || killed[0] != "j1" || killed[1] != "j2" {
 		t.Fatalf("killed = %v", killed)
 	}
-	if runningContainers(r.agent) != 0 {
-		t.Fatal("containers survived the kill-switch")
+	if heldDevices(r.agent) != 0 {
+		t.Fatal("GPUs still held after the kill-switch")
 	}
 	if len(r.agent.Status().RunningJobs) != 0 {
 		t.Fatal("jobs survived the kill-switch")
@@ -266,8 +259,8 @@ func TestEmergencyDepartureSilent(t *testing.T) {
 	if len(r.link.departs) != 0 {
 		t.Fatalf("emergency departure notified: %v", r.link.departs)
 	}
-	if runningContainers(r.agent) != 0 {
-		t.Fatal("containers survived emergency departure")
+	if heldDevices(r.agent) != 0 {
+		t.Fatal("GPUs still held after emergency departure")
 	}
 }
 
@@ -378,9 +371,9 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 	if job, ok := a.RunningJob("j1"); !ok || job.Step() == 0 {
 		t.Fatal("job died because checkpoints failed")
 	}
-	// Container still running despite capture failures.
-	if runningContainers(a) != 1 {
-		t.Fatal("container not running")
+	// Still holding its GPU despite capture failures.
+	if heldDevices(a) != 1 {
+		t.Fatal("GPU released")
 	}
 }
 
@@ -447,9 +440,9 @@ func launchVia(t *testing.T, a *Agent, jobID string, spec workload.TrainingSpec)
 	}
 }
 
-// TestLaunchConcurrentDuplicatesConverge: a duplicate launch racing the
-// original (the HTTP retry case) must wait for it and return the same
-// idempotent ack — never an error, never a second copy.
+// TestLaunchConcurrentDuplicatesConverge: duplicate launches racing the
+// original (the HTTP retry case) all return the same idempotent ack —
+// never an error, never a second copy.
 func TestLaunchConcurrentDuplicatesConverge(t *testing.T) {
 	r := newRig(t)
 	spec := workload.SmallCNN
@@ -482,11 +475,106 @@ func TestLaunchConcurrentDuplicatesConverge(t *testing.T) {
 	}
 }
 
-// runningContainers counts the agent's containers in the Running state.
-func runningContainers(a *Agent) int {
-	rt, n := a.Runtime(), 0
-	for _, id := range rt.List() {
-		if c, err := rt.Get(id); err == nil && c.State() == container.Running {
+// TestJobEndsReleaseDevice is every way a job ends on an agent: each
+// one frees the GPU and drops the job from Status, and the agent keeps
+// nothing of it, so the same job can be launched again (a migration back
+// to a node that ran it) until the node has departed.
+func TestJobEndsReleaseDevice(t *testing.T) {
+	cases := []struct {
+		name     string
+		end      func(r *testRig)
+		departed bool
+	}{
+		{name: "kill order", end: func(r *testRig) {
+			if err := r.agent.KillJob(api.KillRequest{JobID: "j1"}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "completion", end: func(r *testRig) { r.clock.Advance(time.Minute) }},
+		{name: "kill-switch", end: func(r *testRig) { r.agent.KillSwitch() }},
+		{name: "scheduled departure", departed: true,
+			end: func(r *testRig) { r.agent.Depart(api.DepartScheduled, time.Minute) }},
+		{name: "emergency departure", departed: true,
+			end: func(r *testRig) { r.agent.Depart(api.DepartEmergency, 0) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			spec := workload.SmallCNN
+			spec.TotalSteps = 50 // completes within a simulated minute
+			first := launchTraining(t, r, "j1", spec, 0)
+			tc.end(r)
+			if n := heldDevices(r.agent); n != 0 {
+				t.Fatalf("%d GPUs still held", n)
+			}
+			if jobs := r.agent.Status().RunningJobs; len(jobs) != 0 {
+				t.Fatalf("Status still lists %v", jobs)
+			}
+			r.agent.mu.Lock()
+			left := len(r.agent.jobs)
+			r.agent.mu.Unlock()
+			if left != 0 {
+				t.Fatalf("agent kept %d job entries", left)
+			}
+			again, err := r.agent.Launch(api.LaunchRequest{
+				JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12", Kind: "batch",
+				GPUMemMiB: spec.GPUMemMiB, Training: &spec,
+			})
+			if tc.departed {
+				if !errors.Is(err, ErrDeparted) {
+					t.Fatalf("relaunch after departure: err = %v, want ErrDeparted", err)
+				}
+				return
+			}
+			if err != nil || again != first {
+				t.Fatalf("relaunch = %+v, %v; first launch %+v", again, err, first)
+			}
+		})
+	}
+}
+
+// TestLaunchConcurrentWithKill: a kill racing a launch of the same job
+// finds the job either not yet started (ErrJobUnknown, and the launch
+// then runs it) or fully started (the kill ends it and frees its GPU) —
+// never half of it.
+func TestLaunchConcurrentWithKill(t *testing.T) {
+	r := newRig(t)
+	spec := workload.SmallCNN
+	req := api.LaunchRequest{
+		JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12", Kind: "batch",
+		GPUMemMiB: spec.GPUMemMiB, Training: &spec,
+	}
+	for i := 0; i < 50; i++ {
+		var wg sync.WaitGroup
+		var launchErr, killErr error
+		wg.Add(2)
+		go func() { defer wg.Done(); _, launchErr = r.agent.Launch(req) }()
+		go func() { defer wg.Done(); killErr = r.agent.KillJob(api.KillRequest{JobID: "j1"}) }()
+		wg.Wait()
+		if launchErr != nil {
+			t.Fatalf("round %d: launch failed: %v", i, launchErr)
+		}
+		running := len(r.agent.Status().RunningJobs) == 1
+		switch {
+		case killErr == nil && running:
+			t.Fatalf("round %d: the kill succeeded but the job still runs", i)
+		case killErr != nil && !errors.Is(killErr, ErrJobUnknown):
+			t.Fatalf("round %d: kill failed: %v", i, killErr)
+		case killErr != nil && !running:
+			t.Fatalf("round %d: the kill missed the job and it does not run", i)
+		}
+		if held, want := heldDevices(r.agent), len(r.agent.Status().RunningJobs); held != want {
+			t.Fatalf("round %d: %d GPUs held for %d running jobs", i, held, want)
+		}
+		_ = r.agent.Kill("j1")
+	}
+}
+
+// heldDevices counts the agent's GPUs bound to a container.
+func heldDevices(a *Agent) int {
+	n := 0
+	for _, d := range a.Runtime().Inventory().Devices() {
+		if !d.Free() {
 			n++
 		}
 	}

@@ -1,13 +1,9 @@
 // Package container implements GPUnion's containerized execution
-// environment (§3.3): an OCI-style runtime model with image digest
-// verification, a trusted-image allow-list, a container lifecycle state
-// machine, and GPU passthrough binding via an
-// NVIDIA_VISIBLE_DEVICES-equivalent.
-//
-// GPUnion's platform logic (agent, scheduler, migration) only depends on
-// the lifecycle semantics — create, start, checkpoint, stop, kill — and
-// on the admission rules; this package provides both with the same
-// API shape a Docker-backed implementation would expose.
+// environment (§3.3) as far as the platform depends on it: image
+// admission (SHA-256 digest verification against a trusted-image
+// allow-list) and GPU passthrough binding, the
+// NVIDIA_VISIBLE_DEVICES-equivalent that gives one container one whole
+// GPU. What runs on a node, and how it ends, is the agent's record.
 package container
 
 import (

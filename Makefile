@@ -213,7 +213,7 @@ verify-bench:
 # agent and boots a fresh one under the same identity, so a
 # .KillSwitch() call in non-test internal/sim code is the old
 # revive-in-place crash coming back. The daemon and the sims join
-# through agent.JoinAny, so a Redirect("") call in non-test code outside
+# through agent.JoinAny, so a .Redirect() call in non-test code outside
 # internal/agent is a second join loop. Lifecycle events have one sink,
 # the flight recorder (obs.Recorder): an import of internal/eventbus in
 # non-test code outside it, or a SubscribeFunc( or .Attach( call in
@@ -280,7 +280,7 @@ verify-compose:
 	if [ -n "$$out" ]; then \
 		echo "a node crash that keeps the agent alive (discard it and boot a fresh one):"; echo "$$out"; exit 1; \
 	fi
-	@out="$$(grep -rn 'Redirect("")' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/agent/')"; \
+	@out="$$(grep -rn '\.Redirect()' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^internal/agent/')"; \
 	if [ -n "$$out" ]; then \
 		echo "a join loop outside internal/agent (use agent.JoinAny):"; echo "$$out"; exit 1; \
 	fi

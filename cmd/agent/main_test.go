@@ -310,7 +310,7 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 	if !errors.As(err, &nl) || nl.LeaderHint != "coord-a" || nl.Epoch != 1 {
 		t.Fatalf("join at the standby = %v, want a typed ErrNotLeader hinting coord-a at epoch 1", err)
 	}
-	ag.Redirect("")
+	ag.Redirect()
 	if _, err := ag.Join("http://127.0.0.1:1", 1<<30); err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ const defaultProgressTick = time.Second
 
 // Endpoint is one coordinator replica the agent can talk to.
 type Endpoint struct {
-	// ID names the replica (matches api.ErrNotLeader.LeaderHint).
+	// ID names the endpoint: its address.
 	ID string
 	// Link is the transport to that replica.
 	Link Link
@@ -245,22 +245,12 @@ func (a *Agent) ActiveEndpoint() Endpoint {
 	return a.endpoints[a.active]
 }
 
-// Redirect switches the active endpoint: to the replica named by hint
-// (an api.ErrNotLeader.LeaderHint) when it is in the set, otherwise to
-// the next endpoint round-robin. It reports whether the active endpoint
-// changed.
-func (a *Agent) Redirect(hint string) bool {
+// Redirect rotates the active endpoint to the next one, round-robin,
+// and reports whether it changed. An api.ErrNotLeader's LeaderHint is
+// not followed: it names a replica, and endpoints are addresses.
+func (a *Agent) Redirect() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if hint != "" {
-		for i, ep := range a.endpoints {
-			if ep.ID == hint {
-				changed := i != a.active
-				a.active = i
-				return changed
-			}
-		}
-	}
 	if len(a.endpoints) < 2 {
 		return false
 	}
@@ -698,7 +688,7 @@ func (a *Agent) JoinAny(addr string, storageBytes int64) (resp api.RegisterRespo
 		if resp, err = a.Join(addr, storageBytes); err == nil {
 			return resp, nil
 		}
-		a.Redirect("")
+		a.Redirect()
 	}
 	return resp, err
 }
@@ -734,8 +724,8 @@ var errNoEndpoint = errors.New("agent: no coordinator endpoint")
 // of the backlog for the next beat, whose cut bounds it; the answer may
 // be all that was lost, so delivery is at least once. A coordinator that no longer knows the
 // node (it restarted, or the credential expired) asks for a re-join; a
-// fenced replica's api.ErrNotLeader redirects to its hint (or the next
-// endpoint) and re-joins there; a 401 (the credential no longer
+// fenced replica's api.ErrNotLeader rotates to the next endpoint and
+// re-joins there; a 401 (the credential no longer
 // verifies: the coordinator restarted with a new signing secret)
 // re-joins in place; an endpoint that did not serve the beat at all is
 // rotated away from, and the next Beat tries its neighbour.
@@ -762,12 +752,12 @@ func (a *Agent) Beat() (api.HeartbeatResponse, error) {
 	var refused api.Error
 	switch {
 	case errors.As(err, &nl):
-		a.Redirect(nl.LeaderHint)
+		a.Redirect()
 		err = a.rejoin()
 	case errors.As(err, &refused) && refused.Code == http.StatusUnauthorized:
 		err = a.rejoin()
 	case err != nil:
-		a.Redirect("")
+		a.Redirect()
 	case resp.Reregister:
 		err = a.rejoin()
 	}

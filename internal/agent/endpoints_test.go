@@ -25,19 +25,14 @@ func TestSetEndpointsAndRedirect(t *testing.T) {
 	if got := r.agent.ActiveEndpoint().ID; got != "coord-a" {
 		t.Fatalf("active = %q", got)
 	}
-	// A leader hint redirects to the named endpoint.
-	if !r.agent.Redirect("coord-b") {
-		t.Fatal("hinted redirect failed")
-	}
-	if got := r.agent.ActiveEndpoint().ID; got != "coord-b" {
-		t.Fatalf("active after hint = %q", got)
-	}
-	// No hint: round-robin to the next endpoint.
-	if !r.agent.Redirect("") {
-		t.Fatal("round-robin redirect failed")
-	}
-	if got := r.agent.ActiveEndpoint().ID; got != "coord-a" {
-		t.Fatalf("active after round-robin = %q", got)
+	// Round-robin through the set.
+	for _, want := range []string{"coord-b", "coord-a"} {
+		if !r.agent.Redirect() {
+			t.Fatal("redirect failed")
+		}
+		if got := r.agent.ActiveEndpoint().ID; got != want {
+			t.Fatalf("active after redirect = %q, want %q", got, want)
+		}
 	}
 	// Job reports flow to the active endpoint only.
 	spec := workload.SmallCNN
@@ -51,11 +46,8 @@ func TestSetEndpointsAndRedirect(t *testing.T) {
 
 func TestRedirectWithoutAlternativesFails(t *testing.T) {
 	r := newRig(t)
-	if r.agent.Redirect("") {
-		t.Fatal("redirect succeeded with a single endpoint and no hint")
-	}
-	if r.agent.Redirect("nonexistent") {
-		t.Fatal("redirect succeeded to an unknown endpoint")
+	if r.agent.Redirect() {
+		t.Fatal("redirect succeeded with a single endpoint")
 	}
 }
 
@@ -195,9 +187,9 @@ func TestBeat(t *testing.T) {
 		{name: "refused credential rejoins in place",
 			reply:     fail(api.Error{Code: http.StatusUnauthorized, Message: "core: invalid token: bad signature"}),
 			wantJoins: 1, wantActive: "coord-a", wantEpoch: 4},
-		{name: "not leader with hint follows it and rejoins",
+		{name: "not leader with a hint still tries the next endpoint",
 			reply:     fail(api.ErrNotLeader{LeaderHint: "coord-c", Epoch: 4}),
-			wantJoins: 1, wantActive: "coord-c", wantEpoch: 4},
+			wantJoins: 1, wantActive: "coord-b", wantEpoch: 4},
 		{name: "not leader without hint tries the next endpoint",
 			reply:     fail(api.ErrNotLeader{}),
 			wantJoins: 1, wantActive: "coord-b", wantEpoch: 4},

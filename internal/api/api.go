@@ -80,11 +80,12 @@ type Envelope struct {
 
 // ErrNotLeader is the typed reply a coordinator returns for mutating
 // requests it must not serve: it is a standby, it lost its lease, or
-// the request's epoch proves a newer leader exists. Agents redirect to
-// LeaderHint and retry.
+// the request's epoch proves a newer leader exists. Agents rotate to
+// their next endpoint and retry.
 type ErrNotLeader struct {
-	// LeaderHint is the replica ID (or endpoint) of the believed
-	// current leader, empty when unknown.
+	// LeaderHint is the replica ID of the believed current leader, empty
+	// when unknown. It is for people reading the reply: an agent's
+	// endpoints are addresses, so agents do not follow it.
 	LeaderHint string `json:"leader_hint,omitempty"`
 	// Epoch is the highest leader epoch the replying replica knows of.
 	Epoch uint64 `json:"epoch,omitempty"`

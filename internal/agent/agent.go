@@ -421,7 +421,9 @@ func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, boo
 
 // endLocked is the one way a job ends on this node, whatever ends it (a
 // kill order, completion, the kill-switch, a departure): the run is
-// forgotten and its GPU released. Callers hold a.mu.
+// forgotten and its GPU released. A run in the table holds its GPU, so
+// the release fails only on a bug; Kill reports it, and the paths that
+// end jobs on their own have nobody to tell. Callers hold a.mu.
 func (a *Agent) endLocked(run *jobRun) error {
 	delete(a.jobs, run.jobID)
 	return a.runtime.Release(run.containerID)
@@ -507,7 +509,7 @@ func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.Checkpoint
 		Env: checkpoint.Env{
 			KernelVersion:  a.cfg.Kernel,
 			GPUArch:        run.dev.Spec.Arch,
-			HasCUDAContext: true,
+			HasCUDAContext: true, // every run holds a GPU
 			GPUMemMiB:      run.training.Spec.GPUMemMiB,
 		},
 	}

@@ -64,8 +64,11 @@ func TestLaunchBindsContainerAndGPU(t *testing.T) {
 		t.Fatalf("resp = %+v", resp)
 	}
 	dev, err := r.agent.Runtime().Inventory().Device(resp.DeviceID)
-	if err != nil || dev.AllocatedTo() != resp.ContainerID {
-		t.Fatalf("device %s held by %q (%v), want %s", resp.DeviceID, dev.AllocatedTo(), err, resp.ContainerID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if holder := dev.AllocatedTo(); holder != resp.ContainerID {
+		t.Fatalf("device %s held by %q, want %s", resp.DeviceID, holder, resp.ContainerID)
 	}
 	st := r.agent.Status()
 	if len(st.RunningJobs) != 1 || st.RunningJobs[0] != "j1" {

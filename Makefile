@@ -31,15 +31,16 @@ test:
 # once. The placement-pass hand-off, the verified-token map and
 # the agent's kept job reports (written where a job ends, re-sent from
 # the beat loop), its heartbeat loop on wall-clock timers (beating
-# while launches and kills arrive through its handler) and its one
+# while launches and kills arrive through its handler), its one
 # launch critical section (duplicate launches, and a kill, racing a
-# launch of the same job) are the places goroutines meet on shared
-# state outside the store; their tests are cheap, so they run twenty
-# times.
+# launch of the same job) and its checkpoint captures (orders through
+# its handler racing the progress tick) are the places goroutines meet
+# on shared state outside the store; their tests are cheap, so they
+# run twenty times.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Gather|Replica|Lease|TestConcurrentAccess|TestConcurrentSaveLoadConsistency|TestShardedStressParallelHeartbeats' ./internal/wal ./internal/core ./internal/db
-	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats|TestHeartbeatLoopRealClock|TestLaunchConcurrentDuplicatesConverge|TestLaunchConcurrentWithKill' ./internal/core ./internal/auth ./internal/agent
+	$(GO) test -race -count=20 -run 'TestTryScheduleOnePassAtATime|TestVerifyConcurrent|TestJobReportsConcurrentWithBeats|TestHeartbeatLoopRealClock|TestLaunchConcurrentDuplicatesConverge|TestLaunchConcurrentWithKill|TestCheckpointOrdersRealClock' ./internal/core ./internal/auth ./internal/agent
 
 # One iteration per benchmark, no unit tests: a smoke run that keeps
 # bench_test.go compiling and executable without burning CI minutes.
@@ -245,7 +246,14 @@ verify-bench:
 # in-process deployment reaches its daemons through one address book,
 # api.Hosts, which a sim.World holds: a NewInProcessClient in any Go
 # file, tests included, is the per-agent coordinator handler that the
-# address book replaced coming back. bench/ is not scanned:
+# address book replaced coming back. Which job holds which device is
+# written once, in the job table: the store derives GPUInfo.Allocated
+# from the running jobs, so in non-test code outside internal/db an
+# assignment to an .Allocated field, a markDevice or a protected field
+# on core.beat (the placement grace that kept a beat's telemetry off a
+# just-placed device) is a second writer of device occupancy coming
+# back; a composite literal such as gpu.Telemetry{Allocated: …} is the
+# agent's report and stays. bench/ is not scanned:
 # its hand-assembled coordinator is the one caller eventbus.New is kept
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
@@ -329,6 +337,12 @@ verify-compose:
 	@out="$$(grep -rn --include='*.go' 'NewInProcessClient' .)"; \
 	if [ -n "$$out" ]; then \
 		echo "an in-process client beside the address book (serve the daemons in an api.Hosts):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE --include='*.go' '\.Allocated[[:space:]]*=([^=]|$$)|\bmarkDevice\b' internal cmd examples \
+			| grep -vE '_test\.go:|^internal/db/'; \
+		grep -rnE --include='*.go' '^[[:space:]]+protected[[:space:]]|\bb\.protected\b' internal/core | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a second writer of device occupancy beside the job table:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

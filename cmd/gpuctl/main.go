@@ -99,7 +99,7 @@ func cmdSubmit(c *core.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	image := fs.String("image", "pytorch/pytorch:2.3-cuda12", "container image")
 	kind := fs.String("kind", "batch", "batch or interactive")
-	gpuMem := fs.Int64("gpu-mem", 8192, "GPU memory requirement (MiB)")
+	gpuMem := fs.Int64("gpu-mem", 8192, "GPU memory requirement (MiB); a batch job's default is its profile's")
 	prio := fs.Int("priority", 0, "queue priority (higher first)")
 	ckptSec := fs.Int("checkpoint-interval", 600, "ALC checkpoint interval (seconds)")
 	profile := fs.String("profile", "small-cnn", "training profile: small-cnn, large-cnn, small-transformer, large-transformer")
@@ -121,6 +121,11 @@ func cmdSubmit(c *core.Client, args []string) error {
 		}
 		req.Training = &spec
 		req.GPUMemMiB = spec.GPUMemMiB
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "gpu-mem" {
+				req.GPUMemMiB = *gpuMem // what the user asks for wins
+			}
+		})
 		req.CapabilityMajor = spec.MinCapability.Major
 		req.CapabilityMinor = spec.MinCapability.Minor
 	} else {

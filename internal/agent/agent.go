@@ -158,6 +158,7 @@ type jobRun struct {
 	ckptEvery   time.Duration
 	lastCkpt    time.Time
 	ckptSeq     int
+	restoredAt  int // the launch's RestoreFromSeq
 	lastTick    time.Time
 	// pausedUntil marks the end of a checkpoint-creation stall: the
 	// workload is quiesced while its state is written out, so large
@@ -325,7 +326,6 @@ func (a *Agent) gpuInfo() []db.GPUInfo {
 			MemoryMiB:       d.Spec.MemoryMiB,
 			CapabilityMajor: d.Spec.Capability.Major,
 			CapabilityMinor: d.Spec.Capability.Minor,
-			Allocated:       !d.Free(),
 		})
 	}
 	return out
@@ -371,7 +371,12 @@ func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, boo
 		// the existing placement instead of failing. Job IDs are unique
 		// platform-wide, so a same-ID launch is always the same job —
 		// erroring here would make the coordinator believe the placement
-		// failed while the workload keeps running.
+		// failed while the workload keeps running. One from another
+		// restore point relaunches a job requeued while this copy ran on:
+		// refused, and the next beat gets the copy killed as an orphan.
+		if run.restoredAt != req.RestoreFromSeq {
+			return nil, false, fmt.Errorf("agent: %s runs here from checkpoint %d", req.JobID, run.restoredAt)
+		}
 		return run, false, nil
 	}
 	ctrID := "ctr-" + req.JobID
@@ -407,7 +412,7 @@ func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, boo
 			job.RestoreTo(checkpoint.Progress{Step: req.RestoreStep})
 		}
 		run.training = job
-		run.ckptSeq = req.RestoreFromSeq
+		run.ckptSeq, run.restoredAt = req.RestoreFromSeq, req.RestoreFromSeq
 	case req.Kind == "interactive":
 		d := time.Duration(req.SessionSeconds) * time.Second
 		if d <= 0 {
@@ -499,8 +504,11 @@ func (a *Agent) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, e
 // restore transfer bounded (a full image plus at most five deltas).
 const fullCheckpointEvery = 6
 
+// captureCheckpoint runs under a.mu, as the progress tick does, so two
+// captures never share a sequence number; it traces after the unlock.
 func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.CheckpointResponse, error) {
 	now := a.clock.Now()
+	a.mu.Lock()
 	run.ckptSeq++
 	src := checkpoint.Source{
 		JobID:    run.jobID,
@@ -518,21 +526,22 @@ func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.Checkpoint
 	}
 	ck, err := checkpoint.ALC{}.Capture(src, run.ckptSeq, incremental, now)
 	if err != nil {
-		run.ckptSeq--
-		return api.CheckpointResponse{}, fmt.Errorf("agent: capturing checkpoint: %w", err)
+		err = fmt.Errorf("agent: capturing checkpoint: %w", err)
+	} else if err = a.ckpts.Save(ck); err != nil {
+		err = fmt.Errorf("agent: saving checkpoint: %w", err)
 	}
-	if err := a.ckpts.Save(ck); err != nil {
+	if err != nil {
 		run.ckptSeq--
-		return api.CheckpointResponse{}, fmt.Errorf("agent: saving checkpoint: %w", err)
+		a.mu.Unlock()
+		return api.CheckpointResponse{}, err
 	}
 	if !ck.Incremental {
 		// Best effort: drop checkpoints the new full snapshot obsoletes.
 		_, _ = a.ckpts.Prune(run.jobID)
 	}
 	run.lastCkpt = now
-	if run.training != nil {
-		run.pausedUntil = now.Add(run.training.Spec.CheckpointCreationTime())
-	}
+	run.pausedUntil = now.Add(run.training.Spec.CheckpointCreationTime())
+	a.mu.Unlock() // a Recorder.Observe callback may call back into the agent
 	a.trace.RecordAt(now, obs.KindJobCheckpoint, run.jobID, a.cfg.MachineID, map[string]string{
 		"seq": strconv.Itoa(ck.Seq), "bytes": strconv.FormatInt(ck.Bytes, 10), "incremental": strconv.FormatBool(ck.Incremental),
 	})
@@ -936,37 +945,57 @@ func (a *Agent) Stop() {
 func (a *Agent) tick() {
 	now := a.clock.Now()
 	for _, run := range a.snapshotRuns() {
-		elapsed := now.Sub(run.lastTick)
-		if elapsed < 0 {
-			a.rebaseRun(run, -elapsed, now)
-			continue
-		}
-		if elapsed == 0 {
-			continue
-		}
-		if limit := 2 * a.cfg.ProgressTick; elapsed > limit {
-			// Shift every absolute deadline forward by the unaccounted
-			// width — symmetric with rebaseRun — so checkpoint cadence,
-			// stall remainders and session length keep their relative
-			// distance instead of being stolen by the jump.
-			skip := elapsed - limit
-			run.lastCkpt = run.lastCkpt.Add(skip)
-			if !run.pausedUntil.IsZero() {
-				run.pausedUntil = run.pausedUntil.Add(skip)
+		a.mu.Lock()
+		done, due := a.advanceLocked(run, now)
+		a.mu.Unlock()
+		if done {
+			a.finishJob(run, db.JobCompleted, now)
+		} else if due {
+			if _, err := a.captureCheckpoint(run, true); err != nil {
+				// Checkpoint failures must not kill the job; surface in the trace.
+				a.trace.RecordAt(now, obs.KindJobFailed, run.jobID, a.cfg.MachineID,
+					map[string]string{"checkpoint_error": err.Error()})
 			}
-			if !run.sessionEnds.IsZero() {
-				run.sessionEnds = run.sessionEnds.Add(skip)
-			}
-			elapsed = limit
-		}
-		run.lastTick = now
-		switch {
-		case run.training != nil:
-			a.tickTraining(run, elapsed, now)
-		case !run.sessionEnds.IsZero():
-			a.tickSession(run, now)
 		}
 	}
+}
+
+// advanceLocked is one tick of one run, under the lock a capture takes
+// (captureCheckpoint); it reports whether the run is done and whether
+// its periodic checkpoint is due. Callers hold a.mu.
+func (a *Agent) advanceLocked(run *jobRun, now time.Time) (done, due bool) {
+	elapsed := now.Sub(run.lastTick)
+	if elapsed < 0 {
+		a.rebaseRun(run, -elapsed, now)
+		return false, false
+	}
+	if elapsed == 0 {
+		return false, false
+	}
+	if limit := 2 * a.cfg.ProgressTick; elapsed > limit {
+		// Shift every absolute deadline forward by the unaccounted
+		// width — symmetric with rebaseRun — so checkpoint cadence,
+		// stall remainders and session length keep their relative
+		// distance instead of being stolen by the jump.
+		skip := elapsed - limit
+		run.lastCkpt = run.lastCkpt.Add(skip)
+		if !run.pausedUntil.IsZero() {
+			run.pausedUntil = run.pausedUntil.Add(skip)
+		}
+		if !run.sessionEnds.IsZero() {
+			run.sessionEnds = run.sessionEnds.Add(skip)
+		}
+		elapsed = limit
+	}
+	run.lastTick = now
+	switch {
+	case run.training != nil:
+		return a.tickTraining(run, elapsed, now)
+	case !run.sessionEnds.IsZero():
+		a.setDeviceLoad(run, 0.3, 0)
+		return !now.Before(run.sessionEnds), false
+	}
+	return false, false
 }
 
 // rebaseRun shifts a run's absolute deadlines back by delta after the
@@ -983,7 +1012,7 @@ func (a *Agent) rebaseRun(run *jobRun, delta time.Duration, now time.Time) {
 	}
 }
 
-func (a *Agent) tickTraining(run *jobRun, elapsed time.Duration, now time.Time) {
+func (a *Agent) tickTraining(run *jobRun, elapsed time.Duration, now time.Time) (done, due bool) {
 	job := run.training
 	// Checkpoint-creation stalls consume training time: deduct any part
 	// of the elapsed window spent writing state out.
@@ -1002,24 +1031,7 @@ func (a *Agent) tickTraining(run *jobRun, elapsed time.Duration, now time.Time) 
 	job.Advance(steps)
 	a.setDeviceLoad(run, 0.95, job.Spec.GPUMemMiB)
 
-	if job.Done() {
-		a.finishJob(run, db.JobCompleted, now)
-		return
-	}
-	if run.ckptEvery > 0 && now.Sub(run.lastCkpt) >= run.ckptEvery {
-		if _, err := a.captureCheckpoint(run, true); err != nil {
-			// Checkpoint failures must not kill the job; surface in the trace.
-			a.trace.RecordAt(now, obs.KindJobFailed, run.jobID, a.cfg.MachineID,
-				map[string]string{"checkpoint_error": err.Error()})
-		}
-	}
-}
-
-func (a *Agent) tickSession(run *jobRun, now time.Time) {
-	a.setDeviceLoad(run, 0.3, 0)
-	if !now.Before(run.sessionEnds) {
-		a.finishJob(run, db.JobCompleted, now)
-	}
+	return job.Done(), !job.Done() && run.ckptEvery > 0 && now.Sub(run.lastCkpt) >= run.ckptEvery
 }
 
 func (a *Agent) setDeviceLoad(run *jobRun, util float64, memMiB int64) {

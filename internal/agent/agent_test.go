@@ -97,6 +97,26 @@ func TestLaunchDuplicateIdempotent(t *testing.T) {
 	}
 }
 
+// TestLaunchOfStaleCopyRefused: a launch of a job the node still runs
+// from another restore point is a relaunch of a job requeued while the
+// node kept running it; the stale copy does not answer for it.
+func TestLaunchOfStaleCopyRefused(t *testing.T) {
+	r := newRig(t)
+	first := launchTraining(t, r, "j1", workload.SmallCNN, 0)
+	if _, err := r.agent.Launch(api.LaunchRequest{
+		JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12", Kind: "batch",
+		Training: &workload.SmallCNN, RestoreFromSeq: 3, RestoreStep: 900,
+	}); err == nil {
+		t.Fatal("a relaunch from checkpoint 3 was acknowledged by the copy started from none")
+	}
+	if st := r.agent.Status(); len(st.RunningJobs) != 1 {
+		t.Fatalf("the refused launch changed the job set: %+v", st.RunningJobs)
+	}
+	if dev, _ := r.agent.Runtime().Inventory().Device(first.DeviceID); dev.AllocatedTo() != first.ContainerID {
+		t.Fatal("the refused launch moved the stale copy's device")
+	}
+}
+
 func TestLaunchWhilePausedRejected(t *testing.T) {
 	r := newRig(t)
 	r.agent.Pause()

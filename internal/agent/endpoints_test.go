@@ -465,3 +465,47 @@ func TestHeartbeatLoopRealClock(t *testing.T) {
 		t.Fatalf("the loop beat %d times after Stop", n-stopped)
 	}
 }
+
+// TestCheckpointOrdersRealClock: on the wall clock the progress tick
+// advances a training job on timer goroutines while the coordinator's
+// checkpoint orders arrive through the agent's handler, two at a time,
+// as in the daemon. Every capture takes a sequence number of its own.
+// The race lane runs it twenty times.
+func TestCheckpointOrdersRealClock(t *testing.T) {
+	a := New(Config{MachineID: "node-test", Kernel: "5.15", ProgressTick: time.Millisecond}, simclock.Real(),
+		[]gpu.Spec{gpu.RTX3090}, checkpoint.NewStore(storage.NewMemStore(0)), nil)
+	t.Cleanup(a.Stop)
+	orders := &Client{BaseURL: "http://node-test", HTTPClient: &http.Client{Transport: api.InProcess{Handler: a.Handler()}}}
+	spec := workload.SmallCNN
+	spec.TotalSteps = 1 << 40 // still training when the orders stop
+	if _, err := orders.Launch(api.LaunchRequest{JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12",
+		Kind: "batch", GPUMemMiB: spec.GPUMemMiB, Training: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		seqs = make(map[int]bool)
+		wg   sync.WaitGroup
+	)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 25 {
+				ck, err := orders.Checkpoint(api.CheckpointRequest{JobID: "j1", Incremental: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if seqs[ck.Seq] {
+					t.Errorf("two captures took seq %d", ck.Seq)
+				}
+				seqs[ck.Seq] = true
+				mu.Unlock()
+				time.Sleep(200 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -222,22 +222,26 @@ func TestBatchRespectsPriorityOrder(t *testing.T) {
 // scheduler already cached the store's earlier (empty) node table
 // places onto the recovered nodes with no rebuild step anywhere.
 func TestRecoveredStorePlacesWithoutReset(t *testing.T) {
-	gpus := func(allocated bool) []db.GPUInfo {
-		return []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090", MemoryMiB: 24576,
-			CapabilityMajor: 8, CapabilityMinor: 6, Allocated: allocated}}
-	}
-	// The leader's history: a full node and a queued job reach the
-	// snapshot; the device freeing up reaches only the log.
+	// The leader's history: a node full with job-0 and a queued job-1
+	// reach the snapshot; job-0 ending, which frees the device, reaches
+	// only the log.
 	leader := db.New(0)
-	leader.UpsertNode(db.NodeRecord{ID: "n0", Status: db.NodeActive, GPUs: gpus(true), RegisteredAt: t0})
-	if err := leader.InsertJob(db.JobRecord{ID: "job-1", User: "alice", Kind: "batch", State: db.JobPending,
-		GPUMemMiB: 8192, ImageName: "pytorch/pytorch:2.3-cuda12", SubmittedAt: t0}); err != nil {
-		t.Fatal(err)
+	leader.UpsertNode(db.NodeRecord{ID: "n0", Status: db.NodeActive, RegisteredAt: t0,
+		GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090", MemoryMiB: 24576,
+			CapabilityMajor: 8, CapabilityMinor: 6}}})
+	for _, j := range []db.JobRecord{
+		{ID: "job-0", State: db.JobRunning, NodeID: "n0", DeviceID: "gpu0"},
+		{ID: "job-1", State: db.JobPending},
+	} {
+		j.User, j.Kind, j.GPUMemMiB, j.ImageName, j.SubmittedAt = "alice", "batch", 8192, "pytorch/pytorch:2.3-cuda12", t0
+		if err := leader.InsertJob(j); err != nil {
+			t.Fatal(err)
+		}
 	}
 	image := leader.ExportState()
 	var log []db.Mutation
 	leader.SetMutationHook(func(m db.Mutation) { log = append(log, m) })
-	_ = leader.UpdateNode("n0", func(n *db.NodeRecord) { n.GPUs[0].Allocated = false })
+	_ = leader.UpdateJob("job-0", func(j *db.JobRecord) { j.State = db.JobCompleted })
 
 	store := db.New(0)
 	coord, err := New(Config{HeartbeatInterval: 10 * time.Second}, simclock.NewSim(t0), store,

@@ -42,11 +42,10 @@ import (
 const beatFlushCap = 512
 
 // isNoopBeat reports whether this heartbeat changes nothing about the
-// node record except LastHeartbeat: its status is stable, it carries no health events, reconciliation found nothing
-// (no suspicious report entries, no lost placements, no orphans, no
-// devices inside the placement grace), and the telemetry agrees with
-// every recorded allocation flag. Exactly these beats may skip the full
-// UpdateNode commit and coalesce.
+// node record except LastHeartbeat: its status is stable, it carries no
+// health events, and reconciliation found nothing (no suspicious report
+// entries, no lost placements, no orphans). Exactly these beats may
+// skip the full UpdateNode commit and coalesce.
 //
 // A beat carrying health events is never a no-op: its fold advances the
 // record's Health/HealthAt, and the LastHeartbeat advance must commit
@@ -55,21 +54,8 @@ const beatFlushCap = 512
 // buffer discarded on stop/step-down would drop the beat while its
 // health fold survived in the WAL.
 func (c *Coordinator) isNoopBeat(b *beat) bool {
-	if len(b.health) > 0 {
-		return false
-	}
-	if b.newStatus != b.rec.Status || b.suspicious ||
-		len(b.lost) > 0 || len(b.orphans) > 0 || len(b.protected) > 0 {
-		return false
-	}
-	for _, g := range b.rec.GPUs {
-		for _, t := range b.req.Telemetry {
-			if g.DeviceID == t.DeviceID && g.Allocated != t.Allocated {
-				return false
-			}
-		}
-	}
-	return true
+	return len(b.health) == 0 && b.newStatus == b.rec.Status && !b.suspicious &&
+		len(b.lost) == 0 && len(b.orphans) == 0
 }
 
 // enqueueBeat parks one no-op beat in the coalescing buffer and arms

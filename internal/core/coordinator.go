@@ -336,18 +336,3 @@ func (c *Coordinator) handle(nodeID string) AgentHandle {
 	defer c.mu.Unlock()
 	return c.agents[nodeID]
 }
-
-// markDevice sets one device's allocation flag in the node record.
-// Empty ids are a no-op: a job that never held a device frees nothing.
-func (c *Coordinator) markDevice(nodeID, deviceID string, allocated bool) {
-	if nodeID == "" || deviceID == "" {
-		return
-	}
-	_ = c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
-		for i := range n.GPUs {
-			if n.GPUs[i].DeviceID == deviceID {
-				n.GPUs[i].Allocated = allocated
-			}
-		}
-	})
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"gpunion/internal/api"
@@ -58,18 +57,6 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 		// from a temporary departure forget the jobs it displaced.
 		rec.Health, rec.HealthAt = old.Health, old.HealthAt
 		rec.ReturnExpected = old.ReturnExpected
-		// So is a placement: a device the record holds stays held, even
-		// when a rebooted agent reports it free. The new session's first
-		// beat then finds the jobs the reboot killed (lostPlacements) and
-		// requeues them, instead of leaving them running on a free device.
-		rec.GPUs = slices.Clone(req.GPUs)
-		for i := range rec.GPUs {
-			for _, g := range old.GPUs {
-				if g.Allocated && g.DeviceID == rec.GPUs[i].DeviceID {
-					rec.GPUs[i].Allocated = true
-				}
-			}
-		}
 	}
 	c.db.UpsertNode(rec)
 
@@ -124,7 +111,6 @@ type beat struct {
 	suspicious bool
 	orphans    []string
 	lost       []db.JobRecord
-	protected  map[string]bool
 	health     []gpu.HealthEvent
 
 	resp api.HeartbeatResponse
@@ -282,7 +268,7 @@ func (c *Coordinator) classify(b *beat) bool {
 		}
 		b.orphans = append(b.orphans, jobID)
 	}
-	b.lost, b.protected = c.lostPlacements(b.rec, reported, b.req.Telemetry, b.suspicious, b.now)
+	b.lost = c.lostPlacements(b.rec, reported, b.suspicious, b.now)
 	b.health = b.req.HealthEvents
 	if len(b.health) > api.MaxHealthEventsPerBeat {
 		b.health = b.health[:api.MaxHealthEventsPerBeat]
@@ -297,35 +283,23 @@ func (c *Coordinator) placedOn(jobID, nodeID string) bool {
 }
 
 // lostPlacements compares the heartbeat report against the node's
-// recorded placements. It returns the running jobs the node has
-// stopped reporting (to be requeued) and the devices of just-placed
-// jobs whose absence from the report is not yet meaningful (their
-// allocation flags must not be refreshed from this report). rec is the
-// node record as read before this heartbeat's updates. The scan over
-// the node's jobs runs only when a cheap divergence signal fires — a
-// suspicious report, the report's job count disagreeing with the
-// record's allocated-device count, or the telemetry flipping an
-// allocated device to free — so steady-state heartbeats stay O(1) in
-// the job table.
-func (c *Coordinator) lostPlacements(rec db.NodeRecord, reported map[string]bool, tel []gpu.Telemetry, suspicious bool, now time.Time) (lost []db.JobRecord, protected map[string]bool) {
-	allocatedNow := make(map[string]bool, len(tel))
-	for _, t := range tel {
-		allocatedNow[t.DeviceID] = t.Allocated
-	}
-	expected, flipped := 0, false
+// recorded placements and returns the running jobs the node has stopped
+// reporting (to be requeued). rec is the node record as read before
+// this heartbeat's updates; its device flags are the store's count of
+// running jobs. The scan over the node's jobs runs only when a cheap
+// divergence signal fires — a suspicious report, or the held devices
+// disagreeing with the reported jobs in number — so steady-state
+// heartbeats stay O(1) in the job table.
+func (c *Coordinator) lostPlacements(rec db.NodeRecord, reported map[string]bool, suspicious bool, now time.Time) (lost []db.JobRecord) {
+	held := 0
 	for _, g := range rec.GPUs {
-		if !g.Allocated {
-			continue
-		}
-		expected++
-		if alloc, ok := allocatedNow[g.DeviceID]; ok && !alloc {
-			flipped = true
+		if g.Allocated {
+			held++
 		}
 	}
-	if !suspicious && !flipped && expected == len(reported) {
-		return nil, nil
+	if !suspicious && held == len(reported) {
+		return nil
 	}
-	protected = make(map[string]bool)
 	for _, job := range c.db.JobsOnNode(rec.ID) {
 		if job.State != db.JobRunning || reported[job.ID] {
 			continue
@@ -333,12 +307,11 @@ func (c *Coordinator) lostPlacements(rec db.NodeRecord, reported map[string]bool
 		if !job.PlacedAt.IsZero() && now.Sub(job.PlacedAt) < c.cfg.HeartbeatInterval {
 			// Placed after the agent built this report; the next
 			// report decides.
-			protected[job.DeviceID] = true
 			continue
 		}
 		lost = append(lost, job)
 	}
-	return lost, protected
+	return lost
 }
 
 // commit writes the node record. Steady state at fleet scale changes
@@ -346,11 +319,10 @@ func (c *Coordinator) lostPlacements(rec db.NodeRecord, reported map[string]bool
 // buffer — a tick at HeartbeatInterval/4 commits the whole batch as one
 // compact MutBeat record per shard — instead of pushing a full node
 // after-image through the WAL for every beat. Every other beat takes
-// one UpdateNode that also refreshes device allocation truth from the
-// agent, except on a device whose running job is inside the placement
-// grace: the job may simply postdate the report, and the store must
-// never show a running job on a free device. A node swept or departed
-// since loadNode stays out of service, and the beat asks to re-register.
+// one UpdateNode of status and LastHeartbeat. Device occupancy is not
+// the beat's to write: the store derives it from the job table. A node
+// swept or departed since loadNode stays out of service, and the beat
+// asks to re-register.
 func (c *Coordinator) commit(b *beat) bool {
 	if c.isNoopBeat(b) {
 		c.enqueueBeat(b.req.MachineID, b.now)
@@ -359,7 +331,7 @@ func (c *Coordinator) commit(b *beat) bool {
 	// The update closure crosses the Store interface, so whatever it
 	// captures is heap-allocated: it captures copies, and the beat itself
 	// stays on heartbeatAt's stack.
-	now, status, telemetry, protected := b.now, b.newStatus, b.req.Telemetry, b.protected
+	now, status := b.now, b.newStatus
 	left := false
 	err := c.db.UpdateNode(b.req.MachineID, func(n *db.NodeRecord) {
 		if left = n.Status == db.NodeDeparted || n.Status == db.NodeUnreachable; left {
@@ -367,13 +339,6 @@ func (c *Coordinator) commit(b *beat) bool {
 		}
 		n.LastHeartbeat = now
 		n.Status = status
-		for i := range n.GPUs {
-			for _, tel := range telemetry {
-				if n.GPUs[i].DeviceID == tel.DeviceID && !protected[tel.DeviceID] {
-					n.GPUs[i].Allocated = tel.Allocated
-				}
-			}
-		}
 	})
 	if err != nil || left {
 		return b.reregister()

@@ -30,7 +30,6 @@ func TestDirectAndAggregatedBeatCommitIdentically(t *testing.T) {
 				b.t.Fatal(err)
 			}
 			b.store.RecordAllocation(db.AllocationRecord{JobID: "job-000001", NodeID: "n1", DeviceID: "gpu0", Start: now})
-			b.coord.markDevice("n1", "gpu0", true)
 		}
 	}
 	cases := []struct {
@@ -52,10 +51,12 @@ func TestDirectAndAggregatedBeatCommitIdentically(t *testing.T) {
 				_ = b.store.UpdateNode("n1", func(n *db.NodeRecord) { n.Status = db.NodePaused })
 			}},
 		{name: "lost placement is requeued", want: api.HeartbeatResponse{Acknowledged: true},
-			writes: []db.MutationType{db.MutNodePut, db.MutNodePut, db.MutAllocClose, db.MutJobPut},
+			writes: []db.MutationType{db.MutNodePut, db.MutAllocClose, db.MutJobPut},
 			setup:  strandJob(5 * time.Minute)},
+		// Inside the placement grace the job is neither lost nor the
+		// beat's business: the beat coalesces like any other.
 		{name: "fresh placement is protected", want: api.HeartbeatResponse{Acknowledged: true},
-			writes: []db.MutationType{db.MutNodePut},
+			writes: []db.MutationType{db.MutBeat},
 			setup:  strandJob(time.Second)},
 		{name: "replay is swallowed", replay: true, want: api.HeartbeatResponse{Acknowledged: true},
 			writes: []db.MutationType{db.MutBeat}}, // the first delivery's advance, at the tick

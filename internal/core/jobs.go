@@ -148,10 +148,11 @@ func ended(s db.JobState) bool {
 // compare-and-set that moves job, as its caller read it, to state to.
 // It writes nothing and returns false if job had ended or the record no
 // longer reads as job does (state, node, device, placement time). A job
-// leaving a running placement has its device freed and its episode
-// closed, scoped to that placement, while the record still points at
-// them: a job flipped first could be re-placed and its new episode
-// closed. to pending clears the placement, an ending to stamps
+// leaving a running placement has its episode closed, scoped to that
+// placement, while the record still points at it: a job flipped first
+// could be re-placed and its new episode closed. The device frees with
+// the record write itself (the store derives occupancy from running
+// jobs). to pending clears the placement, an ending to stamps
 // FinishedAt, and to migrating keeps the node until the relaunch.
 func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bool {
 	same := func(j *db.JobRecord) bool {
@@ -161,7 +162,6 @@ func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bo
 		return false
 	}
 	if job.State == db.JobRunning {
-		c.markDevice(job.NodeID, job.DeviceID, false)
 		_ = c.db.CloseAllocationEpisode(job.ID, job.NodeID, job.DeviceID, now)
 	}
 	settled := false

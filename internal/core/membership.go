@@ -78,10 +78,10 @@ func (c *Coordinator) scheduleSweep() {
 
 // nodeLeaves takes a node out of service — the one transition behind an
 // announced departure (status departed) and a detected loss (status
-// unreachable). The record takes the new status, counts the departure,
-// banks the uptime of the session that just ended and frees every
-// device; the session ends with the membership; ev is recorded; and the
-// node's jobs migrate under reason.
+// unreachable). The record takes the new status, counts the departure
+// and banks the uptime of the session that just ended; the session ends
+// with the membership; ev is recorded; and the node's jobs migrate
+// under reason, which frees their devices.
 //
 // Ending the session drops everything the coordinator holds for it: the
 // agent handle, the failure detector's watch, the dedup high-water mark
@@ -98,9 +98,6 @@ func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migr
 		n.Departures++
 		if !n.LastJoin.IsZero() && now.After(n.LastJoin) {
 			n.TotalUptime += now.Sub(n.LastJoin)
-		}
-		for i := range n.GPUs {
-			n.GPUs[i].Allocated = false
 		}
 	})
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"gpunion/internal/gpu"
 	"gpunion/internal/migration"
 	"gpunion/internal/obs"
+	"gpunion/internal/simclock"
 	"gpunion/internal/workload"
 )
 
@@ -41,7 +42,6 @@ func TestHeartbeatKillsOrphanCopy(t *testing.T) {
 		j.State = db.JobPending
 		j.NodeID, j.DeviceID = "", ""
 	})
-	r.coord.markDevice("n1", rec.DeviceID, false)
 	r.coord.trySchedule()
 	moved, _ := r.coord.db.GetJob(jobID)
 	if moved.State != db.JobRunning || moved.NodeID != "n2" {
@@ -451,5 +451,45 @@ func TestBeatReadingBeforeCommitSparesLaunch(t *testing.T) {
 	}
 	if _, ok := b.ags["n1"].RunningJob(jobID); !ok {
 		t.Fatal("the beat killed the fresh placement as an orphan")
+	}
+}
+
+// TestTelemetryCannotFreeHeldDevice: a beat's telemetry is no writer of
+// device occupancy. A job running past the placement grace, and still
+// in its node's report, keeps its device held though the beat's
+// telemetry reads the device free, and the pass that beat runs places
+// nothing on it.
+func TestTelemetryCannotFreeHeldDevice(t *testing.T) {
+	r := newBatchRig(t, 4)
+	fake := newFakeAgent("gpu0")
+	reg, err := r.coord.Register(api.RegisterRequest{MachineID: "n0", Addr: "fake://n0",
+		GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090",
+			MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}}}, fake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := r.submit(t, 1)[0]
+	// The fake would take a second job on gpu0: what the coordinator
+	// decides is what is under test.
+	fake.mu.Lock()
+	fake.inUse["gpu0"] = false
+	fake.mu.Unlock()
+	queued := r.submit(t, 1)[0]
+	r.coord.clock.(*simclock.Sim).Advance(r.coord.cfg.HeartbeatInterval + time.Second)
+
+	if _, err := r.coord.Heartbeat(api.HeartbeatRequest{MachineID: "n0", Token: reg.Token, BeatSeq: 1,
+		RunningJobs: []string{held},
+		Telemetry:   []gpu.Telemetry{{DeviceID: "gpu0", Model: "RTX 3090", Allocated: false}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if node, _ := r.coord.db.GetNode("n0"); !node.GPUs[0].Allocated {
+		t.Error("the beat's telemetry freed the device a running job holds")
+	}
+	if st, _ := r.coord.JobStatus(queued); st.State != db.JobPending {
+		t.Errorf("queued job = %+v, want pending: %s runs on n0/gpu0", st, held)
+	}
+	if len(fake.launched) != 1 {
+		t.Errorf("n0 launched %v, want only %s", fake.launched, held)
 	}
 }

@@ -185,7 +185,6 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 		_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID})
 		return false
 	}
-	c.markDevice(p.NodeID, resp.DeviceID, true)
 	c.db.RecordAllocation(db.AllocationRecord{
 		JobID: job.ID, NodeID: p.NodeID, DeviceID: resp.DeviceID, Start: now,
 	})

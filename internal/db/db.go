@@ -69,7 +69,7 @@ const (
 	NodeUnreachable NodeStatus = "unreachable" // heartbeat loss (emergency departure)
 )
 
-// GPUInfo summarizes one device for scheduling decisions.
+// GPUInfo summarizes one device for scheduling; a store derives Allocated.
 type GPUInfo struct {
 	DeviceID        string `json:"device_id"`
 	Model           string `json:"model"`
@@ -228,8 +228,9 @@ type Store interface {
 	// caller must not write through the pointers.
 	ActiveNodes() []*NodeRecord
 	// NodeGeneration counts node-record installs that scheduling can
-	// see: registrations, updates, health folds, replayed node records
-	// and state imports — not heartbeat-only advances. A cache derived
+	// see: registrations, updates, health folds, device flags a job
+	// write moved, replayed records and state imports — not
+	// heartbeat-only advances. A cache derived
 	// from ActiveNodes is current while the generation it read *before*
 	// its scan still equals this.
 	NodeGeneration() uint64
@@ -413,18 +414,30 @@ func (d *DB) nodeShard(id string) *nodeShard { return d.nodes[shardOf(id, d.shar
 
 // --- Nodes ---
 
-// UpsertNode inserts or replaces a node record.
+// UpsertNode inserts or replaces a node record (see putNode).
 func (d *DB) UpsertNode(n NodeRecord) {
-	s := d.nodeShard(n.ID)
-	s.mu.Lock()
-	cp := cloneNode(n)
-	s.recs[n.ID] = &cp
-	d.nodeGen.Add(1)
-	lsn := d.lsn.Add(1)
-	s.mu.Unlock()
+	rec, lsn := d.putNode(n, true)
 	// The installed record is immutable from here on (copy-on-write),
 	// so the emitted after-image can share it.
-	d.emit(Mutation{LSN: lsn, Type: MutNodePut, Node: &cp})
+	d.emit(Mutation{LSN: lsn, Type: MutNodePut, Node: rec})
+}
+
+// putNode installs a clone of n with its device flags derived, whatever
+// n says, and returns it with, for a logged write, its LSN.
+func (d *DB) putNode(n NodeRecord, logged bool) (rec *NodeRecord, lsn uint64) {
+	d.jobs.mu.RLock()
+	defer d.jobs.mu.RUnlock()
+	s := d.nodeShard(n.ID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cp := cloneNode(n)
+	d.jobs.derive(&cp)
+	s.recs[n.ID] = &cp
+	d.nodeGen.Add(1)
+	if logged {
+		lsn = d.lsn.Add(1)
+	}
+	return &cp, lsn
 }
 
 // GetNode returns a copy of the node record.
@@ -442,7 +455,7 @@ func (d *DB) GetNode(id string) (NodeRecord, error) {
 // UpdateNode applies fn to the node record under the shard lock. fn
 // runs on a private clone (copy-on-write): the previously installed
 // record — and every copy read paths handed out that shares its slice
-// storage — is left untouched.
+// storage — is left untouched. fn leaves the device flags alone.
 func (d *DB) UpdateNode(id string, fn func(*NodeRecord)) error {
 	s := d.nodeShard(id)
 	s.mu.Lock()
@@ -594,6 +607,26 @@ func (d *DB) ActiveNodes() []*NodeRecord {
 // NodeGeneration implements Store.
 func (d *DB) NodeGeneration() uint64 { return d.nodeGen.Load() }
 
+// syncHeld re-derives, unlogged, the device flags of the nodes old and
+// cur (old nil: an insert) ran on. Callers hold the job table's lock.
+func (d *DB) syncHeld(old, cur *JobRecord) {
+	for _, rec := range [2]*JobRecord{old, cur} {
+		if rec == nil || rec.State != JobRunning {
+			continue
+		}
+		s := d.nodeShard(rec.NodeID)
+		s.mu.Lock()
+		if n, ok := s.recs[rec.NodeID]; ok {
+			cp := cloneNode(*n)
+			if d.jobs.derive(&cp) {
+				s.recs[rec.NodeID] = &cp
+				d.nodeGen.Add(1)
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
 // --- Jobs ---
 
 // InsertJob adds a new job record; the ID must be unused.
@@ -607,6 +640,7 @@ func (d *DB) InsertJob(j JobRecord) error {
 	cp := cloneJob(j)
 	t.recs[j.ID] = &cp
 	t.indexInsert(&cp)
+	d.syncHeld(nil, &cp)
 	lsn := d.lsn.Add(1)
 	t.mu.Unlock()
 	d.emit(Mutation{LSN: lsn, Type: MutJobPut, Job: &cp})
@@ -626,8 +660,8 @@ func (d *DB) GetJob(id string) (JobRecord, error) {
 }
 
 // UpdateJob applies fn to the job record under the table lock. fn runs
-// on a private clone (copy-on-write); the indexes are re-keyed from the
-// old record to the new one in the same critical section.
+// on a private clone (copy-on-write); the indexes and device flags
+// follow the new record in the same critical section.
 func (d *DB) UpdateJob(id string, fn func(*JobRecord)) error {
 	t := &d.jobs
 	t.mu.Lock()
@@ -641,6 +675,7 @@ func (d *DB) UpdateJob(id string, fn func(*JobRecord)) error {
 	t.indexRemove(old)
 	t.recs[id] = &cp
 	t.indexInsert(&cp)
+	d.syncHeld(old, &cp)
 	lsn := d.lsn.Add(1)
 	t.mu.Unlock()
 	d.emit(Mutation{LSN: lsn, Type: MutJobPut, Job: &cp})
@@ -717,35 +752,23 @@ func (d *DB) RecordAllocation(a AllocationRecord) {
 }
 
 // CloseAllocation sets the End time of the job's most recent open
-// allocation episode.
+// allocation episode, wherever it was placed.
 func (d *DB) CloseAllocation(jobID string, end time.Time) error {
-	t := &d.allocs
-	t.mu.Lock()
-	for i := len(t.episodes) - 1; i >= 0; i-- {
-		a := &t.episodes[i]
-		if a.JobID == jobID && a.End.IsZero() {
-			a.End = end
-			closed := *a
-			lsn := d.lsn.Add(1)
-			t.mu.Unlock()
-			d.emit(Mutation{LSN: lsn, Type: MutAllocClose, Alloc: &closed})
-			return nil
-		}
-	}
-	t.mu.Unlock()
-	return fmt.Errorf("%w: open allocation for job %s", ErrNotFound, jobID)
+	return d.CloseAllocationEpisode(jobID, "", "", end)
 }
 
 // CloseAllocationEpisode sets the End time of the job's most recent
-// open episode on the given node and device. Unlike CloseAllocation,
-// an open episode of the same job on a *different* placement is left
-// alone — the guarantee concurrent reconciliation paths rely on.
+// open episode on the given node and device (both empty: on any).
+// Unlike CloseAllocation, an open episode of the same job on a
+// *different* placement is left alone — the guarantee concurrent
+// reconciliation paths rely on.
 func (d *DB) CloseAllocationEpisode(jobID, nodeID, deviceID string, end time.Time) error {
 	t := &d.allocs
 	t.mu.Lock()
 	for i := len(t.episodes) - 1; i >= 0; i-- {
 		a := &t.episodes[i]
-		if a.JobID == jobID && a.NodeID == nodeID && a.DeviceID == deviceID && a.End.IsZero() {
+		if a.JobID == jobID && a.End.IsZero() &&
+			(nodeID == "" && deviceID == "" || a.NodeID == nodeID && a.DeviceID == deviceID) {
 			a.End = end
 			closed := *a
 			lsn := d.lsn.Add(1)

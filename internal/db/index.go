@@ -28,6 +28,9 @@ import (
 // records are never modified), so index entries are plain pointers into
 // the record map. AuditIndexes verifies index ↔ record-map equivalence;
 // the invariant checker runs it after every injected chaos fault.
+// Device occupancy is derived too: GPUInfo.Allocated reads true exactly
+// when a JobRunning record names the device. Job writes (syncHeld) and
+// node installs (putNode) derive it; the job table's lock comes first.
 
 // queueLess orders records by pending-queue precedence: priority
 // descending, submission time ascending, ID ascending. IDs are unique,
@@ -56,6 +59,20 @@ func orderedState(state JobState) bool {
 // indexed reports whether the record belongs in the byNode index.
 func indexedOnNode(rec *JobRecord) bool {
 	return rec.NodeID != "" && (rec.State == JobRunning || rec.State == JobMigrating)
+}
+
+// derive sets n's device flags from its running jobs and reports whether
+// one changed; n owns its GPUs (cloneNode). Callers hold the table lock.
+func (t *jobTable) derive(n *NodeRecord) (changed bool) {
+	for i, g := range n.GPUs {
+		held := false
+		for _, rec := range t.byNode[n.ID] {
+			held = held || rec.State == JobRunning && rec.DeviceID == g.DeviceID
+		}
+		changed = changed || held != g.Allocated
+		n.GPUs[i].Allocated = held
+	}
+	return changed
 }
 
 // indexInsert adds a newly installed record to every index. Callers
@@ -130,11 +147,11 @@ func (t *jobTable) reset() {
 	t.stateCount = make(map[JobState]int)
 }
 
-// AuditIndexes verifies every materialized index against a full scan of
-// the ground-truth record map and returns the discrepancies found (empty
-// means every index is exact). It exists for the invariant checker: the
-// indexes are derived state, and any drift from the record map is a
-// platform bug no matter how the store got there.
+// AuditIndexes verifies every materialized index and device flag against
+// a full scan of the ground-truth record map and returns the
+// discrepancies found (empty means every index is exact). It exists for
+// the invariant checker: the indexes are derived state, and any drift
+// from the record map is a platform bug no matter how the store got there.
 func (d *DB) AuditIndexes() []string {
 	t := &d.jobs
 	t.mu.RLock()
@@ -205,6 +222,12 @@ func (d *DB) AuditIndexes() []string {
 		if _, ok := t.stateCount[state]; !ok && n != 0 {
 			probs = append(probs, fmt.Sprintf(
 				"stateCount[%s] missing, scan finds %d", state, n))
+		}
+	}
+	for _, n := range d.ListNodes() {
+		if cp := cloneNode(n); t.derive(&cp) {
+			probs = append(probs, fmt.Sprintf(
+				"node %s devices %+v, the job table says %+v", n.ID, n.GPUs, cp.GPUs))
 		}
 	}
 	return probs

@@ -179,3 +179,96 @@ func TestReadCopiesSurviveUpdates(t *testing.T) {
 		t.Fatal("update lost")
 	}
 }
+
+// flagsOf reads one node's device flags, in device order.
+func flagsOf(t *testing.T, store *DB, nodeID string) []bool {
+	t.Helper()
+	n, err := store.GetNode(nodeID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []bool
+	for _, g := range n.GPUs {
+		out = append(out, g.Allocated)
+	}
+	return out
+}
+
+func twoDevices(gpu0, gpu1 bool) []GPUInfo {
+	return []GPUInfo{{DeviceID: "gpu0", Allocated: gpu0}, {DeviceID: "gpu1", Allocated: gpu1}}
+}
+
+// TestDeviceFlagsFollowJobTable: a device reads allocated exactly while
+// a running job names it. The job write that moves a placement moves
+// the flag in the same critical section, with no node record of its
+// own in the log, and a node install ignores the flags it carries.
+func TestDeviceFlagsFollowJobTable(t *testing.T) {
+	store := New(0)
+	store.UpsertNode(NodeRecord{ID: "n1", Status: NodeActive, GPUs: twoDevices(true, true)})
+	if got := flagsOf(t, store, "n1"); got[0] || got[1] {
+		t.Fatalf("flags %v on a node no job runs on", got)
+	}
+	var logged []MutationType
+	store.SetMutationHook(func(m Mutation) { logged = append(logged, m.Type) })
+	gen := store.NodeGeneration()
+	if err := store.InsertJob(JobRecord{ID: "j1", State: JobRunning, NodeID: "n1", DeviceID: "gpu1"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := flagsOf(t, store, "n1"); got[0] || !got[1] {
+		t.Fatalf("flags %v with j1 running on gpu1", got)
+	}
+	if store.NodeGeneration() == gen {
+		t.Fatal("a placement left the node generation where it was")
+	}
+	store.UpsertNode(NodeRecord{ID: "n1", Status: NodeActive, GPUs: twoDevices(true, false)})
+	if got := flagsOf(t, store, "n1"); got[0] || !got[1] {
+		t.Fatalf("flags %v after a registration that reported them the other way round", got)
+	}
+	if err := store.UpdateJob("j1", func(j *JobRecord) { j.State = JobCompleted }); err != nil {
+		t.Fatal(err)
+	}
+	if got := flagsOf(t, store, "n1"); got[0] || got[1] {
+		t.Fatalf("flags %v after j1 ended", got)
+	}
+	want := []MutationType{MutJobPut, MutNodePut, MutJobPut}
+	if fmt.Sprint(logged) != fmt.Sprint(want) {
+		t.Fatalf("logged %v, want %v: the flag takes no record of its own", logged, want)
+	}
+}
+
+// TestImportStateDerivesDeviceFlags: an image's device flags are not
+// trusted; ImportState reads them off the imported job table.
+func TestImportStateDerivesDeviceFlags(t *testing.T) {
+	store := New(0)
+	store.ImportState(State{
+		Nodes: []NodeRecord{{ID: "n1", GPUs: twoDevices(true, false)}, {ID: "n2", GPUs: twoDevices(false, true)}},
+		Jobs: []JobRecord{{ID: "j1", State: JobRunning, NodeID: "n1", DeviceID: "gpu1"},
+			{ID: "j2", State: JobMigrating, NodeID: "n2", DeviceID: "gpu1"}},
+	})
+	if got := flagsOf(t, store, "n1"); got[0] || !got[1] {
+		t.Fatalf("n1 flags %v, want only gpu1 (j1) held", got)
+	}
+	if got := flagsOf(t, store, "n2"); got[0] || got[1] {
+		t.Fatalf("n2 flags %v, want none held (j2 is migrating)", got)
+	}
+	if probs := store.AuditIndexes(); len(probs) != 0 {
+		t.Fatalf("audit after import: %v", probs)
+	}
+}
+
+// TestAuditIndexesDetectsFlagDrift: a device flag written past the job
+// table is derived state gone wrong, and the audit says so.
+func TestAuditIndexesDetectsFlagDrift(t *testing.T) {
+	store := New(0)
+	store.UpsertNode(NodeRecord{ID: "n1", GPUs: twoDevices(false, false)})
+	if err := store.InsertJob(JobRecord{ID: "j1", State: JobRunning, NodeID: "n1", DeviceID: "gpu0"}); err != nil {
+		t.Fatal(err)
+	}
+	if probs := store.AuditIndexes(); len(probs) != 0 {
+		t.Fatalf("audit dirty before the drift: %v", probs)
+	}
+	_ = store.UpdateNode("n1", func(n *NodeRecord) { n.GPUs[0].Allocated = false })
+	if probs := store.AuditIndexes(); len(probs) != 1 {
+		t.Fatalf("audit = %v, want the one drifted node", probs)
+	}
+}

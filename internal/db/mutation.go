@@ -20,7 +20,7 @@ type MutationType string
 // idempotent (last write wins).
 const (
 	// MutNodePut is a node after-image: registration, heartbeat-state
-	// change, departure bookkeeping, device allocation flips.
+	// change, departure bookkeeping; replay derives its device flags.
 	MutNodePut MutationType = "node_put"
 	// MutJobPut is a job after-image: submission, every state
 	// transition (scheduled, migrating, completed, …).
@@ -287,33 +287,36 @@ func (d *DB) ExportState() State {
 // ImportState replaces the store's contents with the given image,
 // write-locking every table for the swap (recovery runs before the
 // store is shared, so the quiesce is free there). Locks are taken in one
-// fixed order — node shards ascending, then jobs, allocations, samples —
-// so concurrent imports cannot deadlock. The materialized job indexes
-// are derived state: they are rebuilt here from the imported records,
-// never restored from the image.
+// fixed order — jobs, node shards ascending, allocations, samples — so
+// concurrent imports cannot deadlock. The materialized job indexes (and
+// device flags) are derived state: they are rebuilt here from the
+// imported records, never restored from the image.
 func (d *DB) ImportState(st State) {
+	d.jobs.mu.Lock()
+	defer d.jobs.mu.Unlock()
 	for _, s := range d.nodes {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	for _, mu := range []*sync.RWMutex{&d.jobs.mu, &d.allocs.mu, &d.samples.mu} {
+	for _, mu := range []*sync.RWMutex{&d.allocs.mu, &d.samples.mu} {
 		mu.Lock()
 		defer mu.Unlock()
 	}
-	for _, s := range d.nodes {
-		s.recs = make(map[string]*NodeRecord)
-	}
-	for _, n := range st.Nodes {
-		cp := cloneNode(n)
-		d.nodeShard(n.ID).recs[n.ID] = &cp
-	}
-	d.nodeGen.Add(1)
 	d.jobs.reset()
 	for _, j := range st.Jobs {
 		cp := cloneJob(j)
 		d.jobs.recs[j.ID] = &cp
 		d.jobs.indexInsert(&cp)
 	}
+	for _, s := range d.nodes {
+		s.recs = make(map[string]*NodeRecord)
+	}
+	for _, n := range st.Nodes {
+		cp := cloneNode(n)
+		d.jobs.derive(&cp)
+		d.nodeShard(n.ID).recs[n.ID] = &cp
+	}
+	d.nodeGen.Add(1)
 	d.allocs.episodes = append([]AllocationRecord(nil), st.Allocations...)
 	r := &d.samples
 	r.ring, r.head, r.n = nil, 0, len(st.Samples)
@@ -337,24 +340,21 @@ func (d *DB) Apply(m Mutation) error {
 		if m.Node == nil {
 			return fmt.Errorf("db: %s mutation without node payload", m.Type)
 		}
-		s := d.nodeShard(m.Node.ID)
-		s.mu.Lock()
-		cp := cloneNode(*m.Node)
-		s.recs[cp.ID] = &cp
-		d.nodeGen.Add(1)
-		s.mu.Unlock()
+		d.putNode(*m.Node, false)
 	case MutJobPut:
 		if m.Job == nil {
 			return fmt.Errorf("db: %s mutation without job payload", m.Type)
 		}
 		t := &d.jobs
 		t.mu.Lock()
-		if old, ok := t.recs[m.Job.ID]; ok {
+		old := t.recs[m.Job.ID]
+		if old != nil {
 			t.indexRemove(old)
 		}
 		cp := cloneJob(*m.Job)
 		t.recs[cp.ID] = &cp
 		t.indexInsert(&cp)
+		d.syncHeld(old, &cp)
 		t.mu.Unlock()
 	case MutAllocOpen:
 		if m.Alloc == nil {

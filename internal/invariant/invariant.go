@@ -29,8 +29,9 @@
 //     queue ordering, JobsOnNode, ActiveNodes) returns exactly what a
 //     full ground-truth scan derives, and — for stores exposing
 //     AuditIndexes — the materialized index structures themselves are
-//     byte-equivalent to a fresh rebuild. Indexes are derived state;
-//     any drift after churn, replay or import is a platform bug;
+//     byte-equivalent to a fresh rebuild and every node's device flags
+//     read what its running jobs say. Indexes are derived state; any
+//     drift after churn, replay or import is a platform bug;
 //   - lsn-monotonic: the store's mutation sequence never moves
 //     backwards — including across a crash/recovery boundary, when the
 //     checker outlives the store instance.

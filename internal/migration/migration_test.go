@@ -39,10 +39,18 @@ func displacedJob() db.JobRecord {
 }
 
 // storeOf seeds a store with the given node set.
+// storeOf loads nodes into a store. A device a record marks allocated
+// is held the store's way: by a running job that names it.
 func storeOf(nodes []db.NodeRecord) db.Store {
 	store := db.New(0)
 	for _, n := range nodes {
 		store.UpsertNode(n)
+		for _, g := range n.GPUs {
+			if g.Allocated {
+				_ = store.InsertJob(db.JobRecord{ID: "holder-" + n.ID + "-" + g.DeviceID,
+					State: db.JobRunning, NodeID: n.ID, DeviceID: g.DeviceID})
+			}
+		}
 	}
 	return store
 }

@@ -367,10 +367,13 @@ func TestGraySabotageDegradedDrained(t *testing.T) {
 			Health: 0.2, HealthAt: now})
 		s.UpsertNode(db.NodeRecord{ID: "ws-2", Status: db.NodeActive, GPUs: []db.GPUInfo{{
 			DeviceID: "gpu0", MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6,
-			Allocated: !spareFree,
 		}}})
 		_ = s.InsertJob(db.JobRecord{ID: "stuck", State: db.JobRunning, NodeID: "ws-1",
 			ImageName: "img", GPUMemMiB: 8192, CapabilityMajor: 7, PlacedAt: Epoch})
+		if !spareFree {
+			_ = s.InsertJob(db.JobRecord{ID: "busy", State: db.JobRunning, NodeID: "ws-2",
+				DeviceID: "gpu0", ImageName: "img", GPUMemMiB: 8192, PlacedAt: Epoch})
+		}
 		return s
 	}
 

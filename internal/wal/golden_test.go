@@ -23,9 +23,10 @@ var goldenT0 = time.Date(2025, 9, 1, 8, 0, 0, 0, time.UTC)
 // stream: a deterministic, single-goroutine driver covering every
 // logged mutation type (node puts, job transitions, allocation
 // open/close) plus monitoring samples, which are soft state and never
-// reach the log. Phase 1 is captured by the snapshot — its samples with
-// it; phase 2 replays from the log tail and its samples are lost with
-// the crash.
+// reach the log. Device flags move with the job writes, as the store
+// derives them; nothing writes them. Phase 1 is captured by the
+// snapshot — its samples with it; phase 2 replays from the log tail and
+// its samples are lost with the crash.
 func driveGoldenPhase1(s db.Store) {
 	for i := 0; i < 4; i++ {
 		s.UpsertNode(db.NodeRecord{
@@ -52,7 +53,6 @@ func driveGoldenPhase1(s db.Store) {
 			j.NodeID, j.DeviceID = node, "gpu0"
 			j.StartedAt, j.PlacedAt = placed, placed
 		})
-		_ = s.UpdateNode(node, func(n *db.NodeRecord) { n.GPUs[0].Allocated = true })
 		s.RecordAllocation(db.AllocationRecord{JobID: id, NodeID: node, DeviceID: "gpu0", Start: placed})
 	}
 	for i := 0; i < 8; i++ {
@@ -72,7 +72,6 @@ func driveGoldenPhase2(s db.Store) {
 		j.FinishedAt = end
 	})
 	_ = s.CloseAllocation("job-000", end)
-	_ = s.UpdateNode("node-00", func(n *db.NodeRecord) { n.GPUs[0].Allocated = false })
 
 	_ = s.CloseAllocation("job-001", end.Add(time.Minute))
 	_ = s.UpdateJob("job-001", func(j *db.JobRecord) { j.State = db.JobMigrating })
@@ -83,15 +82,12 @@ func driveGoldenPhase2(s db.Store) {
 		j.PlacedAt = moved
 		j.Migrations++
 	})
-	_ = s.UpdateNode("node-01", func(n *db.NodeRecord) { n.GPUs[0].Allocated = false })
-	_ = s.UpdateNode("node-00", func(n *db.NodeRecord) { n.GPUs[0].Allocated = true })
 	s.RecordAllocation(db.AllocationRecord{JobID: "job-001", NodeID: "node-00", DeviceID: "gpu0", Start: moved})
 
 	// node-02 departs; its job requeues.
 	_ = s.UpdateNode("node-02", func(n *db.NodeRecord) {
 		n.Status = db.NodeDeparted
 		n.Departures++
-		n.GPUs[0].Allocated = false
 	})
 	_ = s.CloseAllocation("job-002", end.Add(3*time.Minute))
 	_ = s.UpdateJob("job-002", func(j *db.JobRecord) {
@@ -220,5 +216,42 @@ func TestGoldenStateRecovery(t *testing.T) {
 	wantState.Samples, gotState.Samples = nil, nil
 	if !bytes.Equal(marshalState(t, gotState), marshalState(t, wantState)) {
 		t.Error("pure replay of the recorded stream diverged from the golden state")
+	}
+}
+
+// TestReplayDerivesStoredFlags replays a log written when node
+// after-images carried device flags of their own (placements and ends
+// each logged a node record flipping one), kept in
+// testdata/stored-flags.mutations.json. Replay trusts none of them:
+// after every record, each device reads allocated exactly while a
+// running job in the replayed job table names it.
+func TestReplayDerivesStoredFlags(t *testing.T) {
+	raw, err := os.ReadFile(goldenPath("stored-flags.mutations.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var muts []db.Mutation
+	if err := json.Unmarshal(raw, &muts); err != nil {
+		t.Fatal(err)
+	}
+	store := db.New(0)
+	for _, mut := range muts {
+		if err := store.Apply(mut); err != nil {
+			t.Fatal(err)
+		}
+		held := make(map[string]bool)
+		for _, j := range store.ListJobs() {
+			if j.State == db.JobRunning {
+				held[j.NodeID+"/"+j.DeviceID] = true
+			}
+		}
+		for _, n := range store.ListNodes() {
+			for _, g := range n.GPUs {
+				if g.Allocated != held[n.ID+"/"+g.DeviceID] {
+					t.Fatalf("after LSN %d (%s): %s/%s reads allocated=%t, the job table says %t",
+						mut.LSN, mut.Type, n.ID, g.DeviceID, g.Allocated, !g.Allocated)
+				}
+			}
+		}
 	}
 }

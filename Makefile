@@ -253,7 +253,12 @@ verify-bench:
 # on core.beat (the placement grace that kept a beat's telemetry off a
 # just-placed device) is a second writer of device occupancy coming
 # back; a composite literal such as gpu.Telemetry{Allocated: …} is the
-# agent's report and stays. bench/ is not scanned:
+# agent's report and stays. Relocation is coordinator code with no
+# bookkeeping of its own: an internal/migration directory or an import
+# of it anywhere, or a RecordAttempt, RecordSuccess, RecordFailure or
+# Migration() in non-test internal/core code, is the planning package
+# and its statistics table coming back into the control plane (Fig. 3
+# projects its numbers from the flight recorder). bench/ is not scanned:
 # its hand-assembled coordinator is the one caller eventbus.New is kept
 # for, and its beats_relayed workload is what internal/aggregator and
 # cmd/aggregator are kept for.
@@ -343,6 +348,12 @@ verify-compose:
 		grep -rnE --include='*.go' '^[[:space:]]+protected[[:space:]]|\bb\.protected\b' internal/core | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a second writer of device occupancy beside the job table:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(test ! -e internal/migration || echo "internal/migration exists"; \
+		grep -rn --include='*.go' '"gpunion/internal/migration"' .; \
+		grep -rnE --include='*.go' 'RecordAttempt|RecordSuccess|RecordFailure|Migration\(\)' internal/core | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "migration statistics or a planning package beside core's relocation:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

@@ -23,7 +23,7 @@ type Writer interface {
 }
 
 // Store persists checkpoint metadata in a storage.Store and answers the
-// restore-chain questions the migration engine needs: what is the latest
+// restore-chain questions migration planning needs: what is the latest
 // restorable checkpoint for a job, and how many bytes must move to
 // restore it (last full snapshot plus every subsequent increment).
 //

@@ -21,7 +21,6 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/heartbeat"
-	"gpunion/internal/migration"
 	"gpunion/internal/monitor"
 	"gpunion/internal/netsim"
 	"gpunion/internal/obs"
@@ -97,7 +96,6 @@ type Coordinator struct {
 	sched   *scheduler.Scheduler
 	hb      *heartbeat.Monitor
 	ckpts   *checkpoint.Store
-	mig     *migration.Engine
 	metrics *monitor.Registry
 	met     *coordMetrics
 	trace   *obs.Recorder
@@ -197,7 +195,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		sched:        sched,
 		hb:           heartbeat.NewMonitor(cfg.HeartbeatInterval, cfg.MissedThreshold),
 		ckpts:        ckpts,
-		mig:          migration.New(sched, database, ckpts, cfg.Net, cfg.StorageNode),
 		metrics:      metrics,
 		met:          met,
 		trace:        trace,
@@ -230,9 +227,6 @@ func (c *Coordinator) Checkpoints() *checkpoint.Store { return c.ckpts }
 // chaos harness calls it at every audit point; any discrepancy is a
 // platform bug.
 func (c *Coordinator) AuditSchedulerPool() []string { return c.sched.AuditCache(c.db) }
-
-// Migration exposes the migration engine (statistics).
-func (c *Coordinator) Migration() *migration.Engine { return c.mig }
 
 // Metrics exposes the Prometheus-style registry.
 func (c *Coordinator) Metrics() *monitor.Registry { return c.metrics }

@@ -12,7 +12,7 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/migration"
+	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 	"gpunion/internal/workload"
@@ -201,9 +201,9 @@ func TestScheduledDepartureMigratesJob(t *testing.T) {
 	if !ok || job.Step() == 0 {
 		t.Fatal("migrated job lost all progress")
 	}
-	stats := r.coord.Migration().Stats()
-	if a, s := stats.Attempts[migration.ReasonScheduled], stats.Successes[migration.ReasonScheduled]; a == 0 || s != a {
-		t.Fatalf("scheduled migrations: %d of %d attempts succeeded", s, a)
+	requeued := obs.Kinds(r.coord.Trace().Events())[obs.KindJobRequeued]
+	if s := migrated(r.coord.Trace())["scheduled"]; s == 0 || requeued != 0 {
+		t.Fatalf("scheduled migrations: %d succeeded, %d requeued", s, requeued)
 	}
 }
 
@@ -283,9 +283,8 @@ func TestTemporaryDepartureMigratesBackOnReturn(t *testing.T) {
 	if st.Migrations < 2 {
 		t.Fatalf("migrations = %d, want >= 2 (out and back)", st.Migrations)
 	}
-	stats := r.coord.Migration().Stats()
-	if stats.Successes[migration.ReasonMigrateBack] != 1 {
-		t.Fatalf("migrate-back successes = %d", stats.Successes[migration.ReasonMigrateBack])
+	if n := migrated(r.coord.Trace())["migrate-back"]; n != 1 {
+		t.Fatalf("migrate-back successes = %d", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/migration"
 	"gpunion/internal/monitor"
 	"gpunion/internal/obs"
 )
@@ -96,7 +95,7 @@ func (c *Coordinator) drainUnhealthy(nodeID string, now time.Time) {
 			jobs = append(jobs, job)
 		}
 	}
-	c.relocateLive(jobs, migration.ReasonPredictive, now)
+	c.relocateLive(jobs, reasonPredictive, now)
 }
 
 // sweepHealth is the periodic half of the health pipeline, run from

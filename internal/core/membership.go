@@ -7,7 +7,6 @@ import (
 
 	"gpunion/internal/api"
 	"gpunion/internal/db"
-	"gpunion/internal/migration"
 	"gpunion/internal/obs"
 )
 
@@ -26,9 +25,9 @@ func (c *Coordinator) Depart(req api.DepartRequest) error {
 	if _, err := c.db.GetNode(req.MachineID); err != nil {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, req.MachineID)
 	}
-	mreason := migration.ReasonScheduled
+	mreason := reasonScheduled
 	if req.Reason == api.DepartTemporary {
-		mreason = migration.ReasonTemporary
+		mreason = reasonTemporary
 	}
 	return c.nodeLeaves(obs.Event{Kind: obs.KindNodeDeparted, Time: c.clock.Now(), Node: req.MachineID,
 		Detail: map[string]string{"reason": string(req.Reason)}}, db.NodeDeparted, mreason)
@@ -58,7 +57,7 @@ func (c *Coordinator) sweep() {
 	now := c.clock.Now()
 	for _, nodeID := range c.hb.Lost(now) {
 		_ = c.nodeLeaves(obs.Event{Kind: obs.KindNodeUnreachable, Time: now, Node: nodeID},
-			db.NodeUnreachable, migration.ReasonEmergency)
+			db.NodeUnreachable, reasonEmergency)
 	}
 	c.sweepHealth(now)
 }
@@ -90,11 +89,11 @@ func (c *Coordinator) scheduleSweep() {
 // (loadNode), and Register starts a fresh session. A LastHeartbeat
 // advance on a departed node would contradict the departure (on the
 // sweep path the buffered beat predates the silence).
-func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migration.Reason) error {
+func (c *Coordinator) nodeLeaves(ev obs.Event, status db.NodeStatus, reason migrationReason) error {
 	nodeID, now := ev.Node, ev.Time
 	err := c.db.UpdateNode(nodeID, func(n *db.NodeRecord) {
 		n.Status = status
-		n.ReturnExpected = reason == migration.ReasonTemporary
+		n.ReturnExpected = reason == reasonTemporary
 		n.Departures++
 		if !n.LastJoin.IsZero() && now.After(n.LastJoin) {
 			n.TotalUptime += now.Sub(n.LastJoin)
@@ -165,7 +164,7 @@ func (c *Coordinator) migrateBack(nodeID string, now time.Time) {
 			n.ReturnExpected = n.ReturnExpected && n.Status == db.NodeDeparted
 		})
 	}
-	c.relocateLive(jobs, migration.ReasonMigrateBack, now)
+	c.relocateLive(jobs, reasonMigrateBack, now)
 }
 
 // Nodes lists all registered nodes.

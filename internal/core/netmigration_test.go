@@ -10,9 +10,9 @@ import (
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/migration"
 	"gpunion/internal/monitor"
 	"gpunion/internal/netsim"
+	"gpunion/internal/obs"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -184,10 +184,10 @@ func TestDepartureDuringDrainTransferPlansOnce(t *testing.T) {
 	if st, _ := r.coord.JobStatus(id); st.State != db.JobRunning || st.NodeID != "t1" {
 		t.Fatalf("after the transfer: %+v, want running on t1", st)
 	}
-	stats := r.coord.Migration().Stats()
-	want := map[migration.Reason]int{migration.ReasonPredictive: 1}
-	if !maps.Equal(stats.Attempts, want) || !maps.Equal(stats.Successes, want) {
-		t.Fatalf("attempts %v, successes %v; want %v for both", stats.Attempts, stats.Successes, want)
+	attempts := obs.Kinds(r.coord.Trace().Events())[obs.KindPredictiveMigrate]
+	want := map[string]int{"predictive": 1}
+	if moved := migrated(r.coord.Trace()); attempts != 1 || !maps.Equal(moved, want) {
+		t.Fatalf("%d predictive moves, successes %v; want 1 and %v", attempts, moved, want)
 	}
 }
 
@@ -208,12 +208,18 @@ func TestMigrationDowntimeRecordedFromTransfer(t *testing.T) {
 		}
 	}
 	r.clock.Advance(2 * time.Minute)
+	departed := r.clock.Now()
 	r.ags[home].Depart(api.DepartScheduled, time.Minute)
 	r.clock.Advance(time.Minute)
 
-	stats := r.coord.Migration().Stats()
 	// A ~2 GB chain at 1 Gbps is ≥ 16 s of downtime.
-	if d := stats.MeanDowntime("scheduled"); d < 10*time.Second {
+	var d time.Duration
+	for _, ev := range r.coord.Trace().Events() {
+		if ev.Kind == obs.KindJobMigrated && ev.Detail["reason"] == "scheduled" {
+			d = ev.Time.Sub(departed)
+		}
+	}
+	if d < 10*time.Second {
 		t.Fatalf("mean downtime = %v, want the transfer to dominate", d)
 	}
 }
@@ -277,9 +283,8 @@ func TestPredictiveDrainPlansOneBatch(t *testing.T) {
 	if len(devices) != 2 {
 		t.Fatalf("both jobs were sent to one device: %v", devices)
 	}
-	stats := r.coord.Migration().Stats()
-	if stats.Failures[migration.ReasonPredictive] != 0 || stats.Successes[migration.ReasonPredictive] != 2 {
-		t.Fatalf("predictive drain: %d failures, %d successes, want 0 and 2",
-			stats.Failures[migration.ReasonPredictive], stats.Successes[migration.ReasonPredictive])
+	failures := obs.Kinds(r.coord.Trace().Events())[obs.KindJobRequeued]
+	if successes := migrated(r.coord.Trace())["predictive"]; failures != 0 || successes != 2 {
+		t.Fatalf("predictive drain: %d failures, %d successes, want 0 and 2", failures, successes)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/migration"
 	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/workload"
@@ -313,7 +312,7 @@ func TestBeatRacingSweepKeepsNodeOut(t *testing.T) {
 	b.clock.Advance(10 * time.Second)
 	store.sweep = func() {
 		_ = b.coord.nodeLeaves(obs.Event{Kind: obs.KindNodeUnreachable, Time: b.clock.Now(), Node: "n1"},
-			db.NodeUnreachable, migration.ReasonEmergency)
+			db.NodeUnreachable, reasonEmergency)
 	}
 	req := b.beatReq("n1")
 	req.RunningJobs = []string{"job-unknown"} // classify looks it up

@@ -19,7 +19,6 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
-	"gpunion/internal/migration"
 	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
@@ -714,7 +713,7 @@ func migrateBackAcrossCoordinatorChange(t *testing.T, failover, homeFirst bool) 
 	if err != nil || st.State != db.JobRunning || st.NodeID != "n1" {
 		t.Fatalf("after the return: %+v, %v; want the job running at home on n1", st, err)
 	}
-	if n := succ.Migration().Stats().Successes[migration.ReasonMigrateBack]; n != 1 {
+	if n := migrated(succ.Trace())["migrate-back"]; n != 1 {
 		t.Fatalf("migrate-back successes = %d, want 1", n)
 	}
 	if rec, err := succ.DB().GetNode("n1"); err != nil || rec.ReturnExpected {

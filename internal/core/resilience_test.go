@@ -10,7 +10,7 @@ import (
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
 	"gpunion/internal/invariant"
-	"gpunion/internal/migration"
+	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
 
@@ -210,11 +210,12 @@ func TestMigrationStatsExposedThroughCoordinator(t *testing.T) {
 	r.clock.Advance(time.Minute)
 	ag1.Depart(api.DepartScheduled, time.Minute)
 
-	stats := r.coord.Migration().Stats()
-	if stats.Attempts[migration.ReasonScheduled] != 1 {
-		t.Fatalf("attempts = %+v", stats.Attempts)
+	// One attempt: the one job on n1 was moved, not requeued.
+	events := r.coord.Trace().Events()
+	if n := obs.Kinds(events)[obs.KindJobRequeued]; n != 0 {
+		t.Fatalf("requeued = %d", n)
 	}
-	if stats.Successes[migration.ReasonScheduled] != 1 {
-		t.Fatalf("successes = %+v", stats.Successes)
+	if moved := migrated(r.coord.Trace()); moved["scheduled"] != 1 {
+		t.Fatalf("successes = %+v", moved)
 	}
 }

@@ -13,7 +13,7 @@ import "fmt"
 // Architecture names a GPU micro-architecture family. Cross-architecture
 // restore is the failure mode that rules out CRIU-style system
 // checkpointing in the paper (§3.5), so architecture identity matters for
-// the migration engine and the ALC-vs-CRIU ablation.
+// migration planning and the ALC-vs-CRIU ablation.
 type Architecture string
 
 // Architectures present in the paper's campus deployment.

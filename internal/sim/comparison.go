@@ -45,7 +45,7 @@ func GPUnionClaims() map[string]string {
 		"Dynamic Node Joining":        "core tests: a pending job starts the moment a new node registers",
 		"GPU Specialization":          "scheduler places by GPU memory + CUDA compute capability; gpu.Inventory models devices natively",
 		"Campus Network Optimization": "netsim models the campus LAN; incremental checkpoints keep backup traffic under 2% of the backbone",
-		"Fault Tolerance Model":       "checkpoint.ALC + migration.Engine recover workloads, not infrastructure",
+		"Fault Tolerance Model":       "checkpoint.ALC + core.Coordinator's relocation (migrateJobsFrom, relocateLive) recover workloads, not infrastructure",
 		"Workload Focus":              "container.Runtime runs GPU containers exclusively (batch + interactive)",
 		"Deployment Complexity":       "two static binaries (cmd/coordinator, cmd/agent) and one JSON config",
 		"Resource Footprint":          "coordinator state is one in-process database; agents are a single goroutine loop",

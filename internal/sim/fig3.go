@@ -6,7 +6,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/migration"
 	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
@@ -132,6 +131,16 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 	defer campus.Stop()
 
 	tracker := &fig3Tracker{campus: campus}
+	ledger := newMigrationLedger(func(node string) int {
+		n := 0
+		for _, job := range campus.Coord.DB().JobsOnNode(node) {
+			if job.State == db.JobRunning {
+				n++
+			}
+		}
+		return n
+	})
+	campus.Coord.Trace().Observe(ledger.observe)
 	demand := NewDemand(cfg.Seed + 77)
 	rng := demand.Rand()
 
@@ -193,7 +202,7 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 	}
 
 	campus.Run(span)
-	return tracker.result(campus, cfg), nil
+	return tracker.result(ledger, cfg), nil
 }
 
 func drawScenario(x float64, w [3]float64) api.DepartReason {
@@ -279,30 +288,106 @@ func (t *fig3Tracker) bringBack(nodeID string) {
 	}
 }
 
-func (t *fig3Tracker) result(campus *Campus, cfg Fig3Config) Fig3Result {
+func (t *fig3Tracker) result(ledger *migrationLedger, cfg Fig3Config) Fig3Result {
 	t.init()
-	stats := campus.Coord.Migration().Stats()
-	build := func(scenario api.DepartReason, reason migration.Reason) ScenarioResult {
-		r := ScenarioResult{
-			Events:               t.events[scenario],
-			Displaced:            t.displaced[scenario],
-			MigrationSuccessRate: stats.RateWithin(reason, fig3Deadline),
-			MeanDowntime:         stats.MeanDowntime(reason),
-		}
+	build := func(scenario api.DepartReason) ScenarioResult {
+		r := ScenarioResult{Events: t.events[scenario], Displaced: t.displaced[scenario]}
+		r.MigrationSuccessRate, r.MeanDowntime = ledger.scenario(scenario, fig3Deadline)
 		if n := t.displaced[scenario]; n > 0 {
 			r.MeanWorkLost = t.lost[scenario] / time.Duration(n)
 		}
 		return r
 	}
 	res := Fig3Result{
-		Scheduled:          build(api.DepartScheduled, migration.ReasonScheduled),
-		Emergency:          build(api.DepartEmergency, migration.ReasonEmergency),
-		Temporary:          build(api.DepartTemporary, migration.ReasonTemporary),
+		Scheduled:          build(api.DepartScheduled),
+		Emergency:          build(api.DepartEmergency),
+		Temporary:          build(api.DepartTemporary),
 		CheckpointInterval: cfg.CheckpointInterval,
 	}
 	if t.tempDisplacedJobs > 0 {
-		res.MigratedBackFraction = float64(stats.Successes[migration.ReasonMigrateBack]) /
-			float64(t.tempDisplacedJobs)
+		res.MigratedBackFraction = float64(ledger.migratedBack) / float64(t.tempDisplacedJobs)
 	}
 	return res
+}
+
+// migrationLedger is Fig. 3's migration record, projected from the
+// flight recorder (an Observe hook): the coordinator keeps no
+// statistics of its own, so the figure reads what the platform already
+// records.
+//
+//   - An attempt is each job the store shows running on a node when the
+//     coordinator records that node leaving service: node.departed for
+//     an announced departure (reason scheduled or temporary),
+//     node.unreachable for a detected loss (emergency). The agent's own
+//     node.departed of an emergency departure precedes that detection
+//     while its jobs still read running, so it is not one.
+//   - A success is a job.migrated event of the same reason; its downtime
+//     runs from the departure of the node it left to the relaunch.
+//   - Each job.migrated_back event is one migrate-back.
+type migrationLedger struct {
+	// running counts the jobs the store shows running on a node.
+	running func(node string) int
+	// departedAt is each node's latest departure that displaced jobs.
+	departedAt map[string]time.Time
+	attempts   map[api.DepartReason]int
+	// downtimes lists each success's downtime.
+	downtimes map[api.DepartReason][]time.Duration
+	// migratedBack counts the jobs moved back to their original node.
+	migratedBack int
+}
+
+func newMigrationLedger(running func(node string) int) *migrationLedger {
+	return &migrationLedger{
+		running:    running,
+		departedAt: make(map[string]time.Time),
+		attempts:   make(map[api.DepartReason]int),
+		downtimes:  make(map[api.DepartReason][]time.Duration),
+	}
+}
+
+// observe folds one recorded event into the ledger.
+func (l *migrationLedger) observe(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindNodeDeparted, obs.KindNodeUnreachable:
+		reason := api.DepartEmergency
+		if ev.Kind == obs.KindNodeDeparted {
+			if reason = api.DepartReason(ev.Detail["reason"]); reason == api.DepartEmergency {
+				return // the agent's own record; the sweep detects the loss
+			}
+		}
+		if n := l.running(ev.Node); n > 0 {
+			l.attempts[reason] += n
+			l.departedAt[ev.Node] = ev.Time
+		}
+	case obs.KindJobMigrated:
+		reason := api.DepartReason(ev.Detail["reason"])
+		at, ok := l.departedAt[ev.Detail["from"]]
+		if !ok || l.attempts[reason] == 0 {
+			return // a predictive drain, which no departure attempted
+		}
+		l.downtimes[reason] = append(l.downtimes[reason], ev.Time.Sub(at))
+	case obs.KindJobMigratedBack:
+		l.migratedBack++
+	}
+}
+
+// scenario returns the share of a reason's attempts relaunched with
+// downtime at most deadline — the paper's "successfully migrated within
+// the specified time", which failed migrations count against — and the
+// mean downtime of its successes.
+func (l *migrationLedger) scenario(reason api.DepartReason, deadline time.Duration) (rate float64, mean time.Duration) {
+	within, sum := 0, time.Duration(0)
+	for _, d := range l.downtimes[reason] {
+		sum += d
+		if d <= deadline {
+			within++
+		}
+	}
+	if n := len(l.downtimes[reason]); n > 0 {
+		mean = sum / time.Duration(n)
+	}
+	if n := l.attempts[reason]; n > 0 {
+		rate = float64(within) / float64(n)
+	}
+	return rate, mean
 }

@@ -312,6 +312,7 @@ func (a *Agent) RegisterRequest(addr string, storageBytes int64) api.RegisterReq
 		GPUs:         a.gpuInfo(),
 		Kernel:       a.cfg.Kernel,
 		StorageBytes: storageBytes,
+		RunningJobs:  a.runningJobs(),
 	}
 }
 
@@ -642,14 +643,10 @@ func (a *Agent) Depart(reason api.DepartReason, grace time.Duration) {
 
 // Status builds the agent's self-report.
 func (a *Agent) Status() api.AgentStatus {
+	jobs := a.runningJobs()
 	a.mu.Lock()
-	jobs := make([]string, 0, len(a.jobs))
-	for id := range a.jobs {
-		jobs = append(jobs, id)
-	}
 	paused, departed := a.paused, a.departed
 	a.mu.Unlock()
-	sort.Strings(jobs)
 	return api.AgentStatus{
 		MachineID:   a.cfg.MachineID,
 		Paused:      paused,
@@ -657,6 +654,18 @@ func (a *Agent) Status() api.AgentStatus {
 		RunningJobs: jobs,
 		Telemetry:   a.runtime.Inventory().Snapshot(),
 	}
+}
+
+// runningJobs lists the job table's IDs, sorted.
+func (a *Agent) runningJobs() []string {
+	a.mu.Lock()
+	jobs := make([]string, 0, len(a.jobs))
+	for id := range a.jobs {
+		jobs = append(jobs, id)
+	}
+	a.mu.Unlock()
+	sort.Strings(jobs)
+	return jobs
 }
 
 // Join registers the node through the active endpoint and adopts what

@@ -141,6 +141,10 @@ type RegisterRequest struct {
 	Kernel string `json:"kernel"`
 	// StorageBytes is scratch capacity offered to the platform.
 	StorageBytes int64 `json:"storage_bytes"`
+	// RunningJobs lists the jobs the node executes as it registers (a
+	// return from a partition may find copies of jobs requeued since);
+	// empty for a fresh agent.
+	RunningJobs []string `json:"running_jobs,omitempty"`
 }
 
 // RegisterResponse returns the credentials the agent uses afterwards.

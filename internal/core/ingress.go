@@ -70,6 +70,17 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 	c.hb.Track(req.MachineID, now)
 
 	c.trace.RecordAt(now, obs.KindNodeRegistered, "", req.MachineID, nil)
+	// A node back from a partition may still run copies of jobs requeued
+	// meanwhile. Their devices read free in the store, so they die here,
+	// before this registration's pass sends the node a launch its agent
+	// would refuse.
+	var orphans []string
+	for _, jobID := range req.RunningJobs {
+		if _, orphan := c.reportedCopy(req.MachineID, jobID, now); orphan {
+			orphans = append(orphans, jobID)
+		}
+	}
+	c.killOrphans(req.MachineID, orphans, now)
 	if returning {
 		c.handleNodeReturn(req.MachineID, now)
 	} else if known {
@@ -249,24 +260,11 @@ func (c *Coordinator) classify(b *beat) bool {
 	reported := make(map[string]bool, len(b.req.RunningJobs))
 	for _, jobID := range b.req.RunningJobs {
 		reported[jobID] = true
-		jrec, err := c.db.GetJob(jobID)
-		if err != nil {
-			b.suspicious = true // agent-local work the platform never tracked
-			continue
+		placed, orphan := c.reportedCopy(b.req.MachineID, jobID, b.now)
+		b.suspicious = b.suspicious || !placed
+		if orphan {
+			b.orphans = append(b.orphans, jobID)
 		}
-		if jrec.NodeID == b.req.MachineID &&
-			(jrec.State == db.JobRunning || jrec.State == db.JobMigrating) {
-			continue // legitimate placement
-		}
-		b.suspicious = true
-		c.mu.Lock()
-		launching := c.launching[jobID] == b.req.MachineID
-		c.mu.Unlock()
-		if jrec.State == db.JobRunning && b.now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval ||
-			(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && (launching || c.placedOn(jobID, b.req.MachineID)) {
-			continue
-		}
-		b.orphans = append(b.orphans, jobID)
 	}
 	b.lost = c.lostPlacements(b.rec, reported, b.suspicious, b.now)
 	b.health = b.req.HealthEvents
@@ -274,6 +272,26 @@ func (c *Coordinator) classify(b *beat) bool {
 		b.health = b.health[:api.MaxHealthEventsPerBeat]
 	}
 	return false
+}
+
+// reportedCopy judges one job that nodeID reports running, for a beat
+// (classify) and a registration (Register) alike: placed when its record
+// places it on the node, orphan when the copy is provably stale. A job
+// the platform never tracked is neither.
+func (c *Coordinator) reportedCopy(nodeID, jobID string, now time.Time) (placed, orphan bool) {
+	jrec, err := c.db.GetJob(jobID)
+	if err != nil {
+		return false, false // agent-local work the platform never tracked
+	}
+	if jrec.NodeID == nodeID && (jrec.State == db.JobRunning || jrec.State == db.JobMigrating) {
+		return true, false
+	}
+	c.mu.Lock()
+	launching := c.launching[jobID] == nodeID
+	c.mu.Unlock()
+	spared := jrec.State == db.JobRunning && now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval ||
+		(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && (launching || c.placedOn(jobID, nodeID))
+	return false, !spared
 }
 
 // placedOn reads job's record and reports whether it places the job on nodeID.

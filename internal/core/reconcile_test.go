@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"strings"
 	"sync"
@@ -213,9 +214,10 @@ func (l *cutLink) Heartbeat(req api.HeartbeatRequest) (api.HeartbeatResponse, er
 // keeps running, and its job migrates. The sweep ends the node's
 // session, and on heal the node comes back one way: its next beat is
 // answered Reregister, the agent registers (one node.registered, then
-// one node.returned), and the first beat of the new session kills the
-// orphan copy of the migrated job. The failure detector reported the
-// node once, however many sweeps the partition outlasted.
+// one node.returned), and the registration, which lists the jobs the
+// agent runs, kills the orphan copy of the migrated job. The failure
+// detector reported the node once, however many sweeps the partition
+// outlasted.
 func TestSweptNodeReturnsByRegistering(t *testing.T) {
 	r := newRig(t, 10*time.Second)
 	ag1 := r.addNode("n1", gpu.RTX3090)
@@ -260,16 +262,13 @@ func TestSweptNodeReturnsByRegistering(t *testing.T) {
 	if want := []string{obs.KindNodeRegistered, obs.KindNodeReturned}; !slices.Equal(membership, want) {
 		t.Fatalf("n1's membership events after the heal = %v, want %v", membership, want)
 	}
-	if _, ok := ag1.RunningJob(jobID); !ok {
-		t.Fatal("the orphan copy was killed before the new session's first beat")
+	if _, ok := ag1.RunningJob(jobID); ok {
+		t.Fatal("the orphan copy survived the registration")
 	}
 
 	r.clock.Advance(10 * time.Second) // the new session's first beat
 	if len(link.answers) != 2 || !link.answers[1].Acknowledged {
 		t.Fatalf("answers to n1's beats = %+v, want the second acknowledged", link.answers)
-	}
-	if _, ok := ag1.RunningJob(jobID); ok {
-		t.Fatal("the orphan copy survived the new session's first beat")
 	}
 	if st, _ := r.coord.JobStatus(jobID); st.State != db.JobRunning || st.NodeID != "n2" {
 		t.Fatalf("job = %+v, want it still running on n2", st)
@@ -490,5 +489,78 @@ func TestTelemetryCannotFreeHeldDevice(t *testing.T) {
 	}
 	if len(fake.launched) != 1 {
 		t.Errorf("n0 launched %v, want only %s", fake.launched, held)
+	}
+}
+
+// refusalCounter is a coordinator's handle on an agent that counts the
+// launches the agent refuses.
+type refusalCounter struct {
+	AgentHandle
+	refused *int
+}
+
+func (h refusalCounter) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
+	resp, err := h.AgentHandle.Launch(req)
+	if err != nil {
+		*h.refused++
+	}
+	return resp, err
+}
+
+// TestRegistrationKillsStaleCopy: a one-device node swept during a
+// partition keeps running its job, which the platform requeues and
+// checkpoints on. On heal the node registers listing that copy. Its
+// device reads free in the store, so the registration's pass places the
+// pending job there — the registration must kill the stale copy first,
+// or the agent refuses the launch (the copy holds the device and
+// started from another checkpoint) and the job waits for the first beat
+// of the new session.
+func TestRegistrationKillsStaleCopy(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	ag1 := agent.New(agent.Config{MachineID: "n1", Kernel: "5.15"}, r.clock, []gpu.Spec{gpu.RTX3090}, r.ckpts, nil)
+	t.Cleanup(ag1.Stop)
+	refused := 0
+	hosts := &api.Hosts{}
+	wire := &http.Client{Transport: hosts}
+	hosts.Serve("n1", ag1.Handler())
+	hosts.Serve("coordinator", r.coord.Handler(func(addr string) AgentHandle {
+		return refusalCounter{AgentHandle: &agent.Client{BaseURL: addr, HTTPClient: wire}, refused: &refused}
+	}))
+	link := &cutLink{Link: &Client{BaseURL: "http://coordinator", HTTPClient: wire}}
+	ag1.SetEndpoints([]agent.Endpoint{{Link: link}})
+	if _, err := ag1.Join("inproc://n1", 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	jobID := submitTraining(t, r, workload.SmallCNN, 15)
+	r.clock.Advance(time.Minute)
+
+	link.cut = true
+	r.clock.Advance(5 * time.Minute)
+	if st, _ := r.coord.JobStatus(jobID); st.State != db.JobPending {
+		t.Fatalf("job = %+v, want pending", st)
+	}
+	if _, ok := ag1.RunningJob(jobID); !ok {
+		t.Fatal("the partitioned agent stopped its copy of the job")
+	}
+
+	link.cut = false
+	for r.coord.handle("n1") == nil {
+		r.clock.Advance(time.Second)
+	}
+	registered := r.clock.Now()
+	if refused != 0 {
+		t.Errorf("n1 refused %d launches", refused)
+	}
+	if rec, _ := r.coord.db.GetJob(jobID); rec.State != db.JobRunning || rec.NodeID != "n1" || !rec.PlacedAt.Equal(registered) {
+		t.Fatalf("job = %+v, want it placed on n1 by the registration's pass at %v", rec, registered)
+	}
+	var killedAt time.Time
+	for _, ev := range r.coord.Trace().Events() {
+		if ev.Kind == obs.KindJobKilled && ev.Job == jobID && ev.Node == "n1" {
+			killedAt = ev.Time
+		}
+	}
+	if !killedAt.Equal(registered) {
+		t.Fatalf("stale copy killed at %v, want at the registration, %v", killedAt, registered)
 	}
 }

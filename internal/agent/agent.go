@@ -962,7 +962,7 @@ func (a *Agent) tick() {
 		} else if due {
 			if _, err := a.captureCheckpoint(run, true); err != nil {
 				// Checkpoint failures must not kill the job; surface in the trace.
-				a.trace.RecordAt(now, obs.KindJobFailed, run.jobID, a.cfg.MachineID,
+				a.trace.RecordAt(now, obs.KindJobCheckpointFailed, run.jobID, a.cfg.MachineID,
 					map[string]string{"checkpoint_error": err.Error()})
 			}
 		}

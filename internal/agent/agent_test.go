@@ -2,6 +2,7 @@ package agent
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -372,8 +373,12 @@ func TestRegisterRequestInventoriesGPUs(t *testing.T) {
 	if req.GPUs[0].Model != "A100" || req.GPUs[0].Arch != "ampere" {
 		t.Fatalf("GPUs[0] = %+v", req.GPUs[0])
 	}
-	if req.Kernel != "5.15" || req.MachineID != "node-test" {
+	if req.Kernel != "5.15" || req.MachineID != "node-test" || len(req.RunningJobs) != 0 {
 		t.Fatalf("req = %+v", req)
+	}
+	launchTraining(t, r, "j1", workload.SmallCNN, 0)
+	if req := r.agent.RegisterRequest("http://127.0.0.1:7070", 1<<30); !slices.Equal(req.RunningJobs, []string{"j1"}) {
+		t.Fatalf("RunningJobs = %v, want the job table's [j1]", req.RunningJobs)
 	}
 }
 
@@ -381,7 +386,8 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 	// Back the checkpoint store with a full store so saves fail.
 	clock := simclock.NewSim(t0)
 	full := checkpoint.NewStore(storage.NewMemStore(1)) // 1-byte capacity
-	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, full, obs.NewRecorder(clock, 64))
+	trace := obs.NewRecorder(clock, 64)
+	a := New(Config{MachineID: "n", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090}, full, trace)
 	defer a.Stop()
 	spec := workload.SmallCNN
 	if _, err := a.Launch(api.LaunchRequest{
@@ -397,6 +403,10 @@ func TestCheckpointFailureDoesNotKillJob(t *testing.T) {
 	// Still holding its GPU despite capture failures.
 	if heldDevices(a) != 1 {
 		t.Fatal("GPU released")
+	}
+	// The failed saves have their own kind: job.failed is a job's end.
+	if kinds := obs.Kinds(trace.Events()); kinds[obs.KindJobCheckpointFailed] == 0 || kinds[obs.KindJobFailed] != 0 {
+		t.Fatalf("trace kinds = %v, want checkpoint failures and no job.failed", kinds)
 	}
 }
 

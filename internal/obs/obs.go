@@ -49,6 +49,10 @@ const (
 	KindJobKilled       = "job.killed"
 	KindJobMigratedBack = "job.migrated_back"
 
+	// KindJobCheckpointFailed is a periodic checkpoint save that failed
+	// while the job ran on (detail checkpoint_error); not a job end.
+	KindJobCheckpointFailed = "job.checkpoint_failed"
+
 	KindKillSwitch = "provider.killswitch"
 
 	// Leadership transitions of a replicated coordinator.

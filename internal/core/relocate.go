@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -91,9 +90,8 @@ func (c *Coordinator) planBatch(jobs []db.JobRecord, reason migrationReason, now
 	flowIdx := make([]int, 0, len(jobs))
 	for i, job := range jobs {
 		p := &out[i]
-		*p = migrationPlan{jobID: job.ID, from: job.NodeID, reason: reason}
-		if err := results[i].Err; err != nil {
-			p.err = fmt.Errorf("core: no target for job %s: %w", job.ID, err)
+		*p = migrationPlan{jobID: job.ID, from: job.NodeID, reason: reason, err: results[i].Err}
+		if p.err != nil {
 			continue
 		}
 		p.placement = results[i].Placement

@@ -45,8 +45,6 @@ var (
 type Progress struct {
 	// Step is the training step (or generic unit of work) completed.
 	Step int64 `json:"step"`
-	// Epoch is the enclosing epoch, informational.
-	Epoch int `json:"epoch"`
 }
 
 // MemoryImage models a workload's mutable state at page granularity.

@@ -224,7 +224,6 @@ func printObsSummary(res sim.ChaosResult) {
 		"gpunion_heartbeats_total", "gpunion_heartbeat_duplicates_total",
 		"gpunion_wal_fsync_seconds_count", "gpunion_wal_group_batch_size_count",
 		"gpunion_sched_pool_hits_total", "gpunion_sched_pool_misses_total",
-		"gpunion_checkpoint_corruptions_total", "gpunion_checkpoint_fallbacks_total",
 		"gpunion_leader_epoch", "gpunion_jobs{",
 	}
 	for _, line := range strings.Split(res.MetricsText, "\n") {

@@ -46,12 +46,10 @@ import (
 	"syscall"
 	"time"
 
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/config"
 	"gpunion/internal/core"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
-	"gpunion/internal/storage"
 	"gpunion/internal/wal"
 )
 
@@ -197,8 +195,7 @@ func main() {
 	// Durable persistence: a solo replica or a leader recovers its store
 	// from snapshot + WAL and logs every mutation from here on; a warm
 	// standby builds its store from the leader's log instead.
-	rep, err := core.OpenReplica(rcfg, simclock.Real(),
-		checkpoint.NewStore(storage.NewMemStore(0)), nil)
+	rep, err := core.OpenReplica(rcfg, simclock.Real(), nil)
 	if err != nil {
 		log.Fatalf("opening replica: %v", err)
 	}

@@ -81,7 +81,7 @@ type Agent struct {
 	cfg     Config
 	clock   simclock.Clock
 	runtime *container.Runtime
-	ckpts   checkpoint.Writer
+	ckpts   checkpoint.Path
 	trace   *obs.Recorder
 	// metrics is the agent's persistent registry: gauges are refreshed
 	// in place on each scrape and counters accumulate across scrapes —
@@ -158,11 +158,15 @@ type jobRun struct {
 	ckptEvery   time.Duration
 	lastCkpt    time.Time
 	ckptSeq     int
-	restoredAt  int // the launch's RestoreFromSeq
-	lastTick    time.Time
-	// pausedUntil marks the end of a checkpoint-creation stall: the
-	// workload is quiesced while its state is written out, so large
-	// (memory-intensive) models pay proportionally more per capture.
+	// restoredAt and restoredStep are the head of the chain the run
+	// resumed from (zero for a fresh start).
+	restoredAt   int
+	restoredStep int64
+	lastTick     time.Time
+	// pausedUntil marks the end of a stall: the restore of the chain the
+	// run resumes from, until its bytes arrive, and each checkpoint
+	// creation, while the workload's state is written out (large,
+	// memory-intensive models pay proportionally more per capture).
 	pausedUntil time.Time
 	// residual carries compute time smaller than one training step
 	// between ticks, so coarse tick granularity never loses progress.
@@ -170,11 +174,12 @@ type jobRun struct {
 }
 
 // New creates the agent of a node with one GPU per entry of specs, in a
-// container runtime of its own. Checkpoints are saved through ckpts —
+// container runtime of its own. Checkpoints are saved through ckpts, and
+// a launch resumes from the newest verifiable chain ckpts resolves —
 // usually a *checkpoint.Store backed by the platform's LAN store (a
 // job's StoragePrefs are not acted on: every checkpoint goes there); the
-// narrower Writer interface is the data-plane seam fault injection
-// wraps.
+// Path interface is the data-plane seam the simulations' LAN model and
+// fault injection sit under.
 //
 // The agent records its lifecycle events (job start, checkpoint, kill,
 // completion, pause, departure) in trace, stamped with clock; a nil
@@ -182,7 +187,7 @@ type jobRun struct {
 //
 // The agent starts stand-alone; SetEndpoints names the coordinator, and
 // the first successful Join starts the heartbeat loop on clock.
-func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Writer, trace *obs.Recorder) *Agent {
+func New(cfg Config, clock simclock.Clock, specs []gpu.Spec, ckpts checkpoint.Path, trace *obs.Recorder) *Agent {
 	if cfg.DefaultCheckpointInterval <= 0 {
 		cfg.DefaultCheckpointInterval = 10 * time.Minute
 	}
@@ -333,38 +338,40 @@ func (a *Agent) gpuInfo() []db.GPUInfo {
 }
 
 // Launch starts a workload per the coordinator's request: image
-// admission, GPU binding, restore (for migrations), and checkpoint
-// scheduling. The checks, the binding and the job's entry are one
-// critical section, so a duplicate launch or a kill racing it finds the
-// job either fully started or not there at all.
+// admission, GPU binding, restore, and checkpoint scheduling. The
+// checks, the binding and the job's entry are one critical section, so
+// a duplicate launch or a kill racing it finds the job either fully
+// started or not there at all. The answer carries the step the job
+// resumes from.
 func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 	now := a.clock.Now()
 	a.mu.Lock()
-	run, started, err := a.launchLocked(req, now)
+	run, restored, err := a.launchLocked(req, now)
 	a.mu.Unlock()
 	if err != nil {
 		return api.LaunchResponse{}, err
 	}
-	if started {
+	if restored != nil {
 		// Recorded after the unlock: a Recorder.Observe callback runs
 		// here, synchronously, and may call back into the agent.
 		a.launchesTotal.Inc()
-		a.record(now, obs.KindJobStarted, run.jobID, run.containerID)
+		a.trace.RecordAt(now, obs.KindJobStarted, run.jobID, a.cfg.MachineID, restored)
 	}
-	return api.LaunchResponse{ContainerID: run.containerID, DeviceID: run.dev.ID}, nil
+	return api.LaunchResponse{ContainerID: run.containerID, DeviceID: run.dev.ID, RestoreStep: run.restoredStep}, nil
 }
 
-// launchLocked is Launch's critical section; it reports whether it
-// started the job. Callers hold a.mu.
-func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, bool, error) {
+// launchLocked is Launch's critical section. A launch that starts the
+// job returns the detail of its job.started event; a duplicate it
+// answers with the running copy returns none. Callers hold a.mu.
+func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, map[string]string, error) {
 	if err := a.fenceEpochLocked(req.LeaderEpoch); err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	if a.departed {
-		return nil, false, ErrDeparted
+		return nil, nil, ErrDeparted
 	}
 	if a.paused {
-		return nil, false, ErrPaused
+		return nil, nil, ErrPaused
 	}
 	if run, exists := a.jobs[req.JobID]; exists {
 		// Idempotent ack: a duplicate launch (retried or replayed
@@ -372,13 +379,15 @@ func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, boo
 		// the existing placement instead of failing. Job IDs are unique
 		// platform-wide, so a same-ID launch is always the same job —
 		// erroring here would make the coordinator believe the placement
-		// failed while the workload keeps running. One from another
-		// restore point relaunches a job requeued while this copy ran on:
-		// refused, and the next beat gets the copy killed as an orphan.
-		if run.restoredAt != req.RestoreFromSeq {
-			return nil, false, fmt.Errorf("agent: %s runs here from checkpoint %d", req.JobID, run.restoredAt)
+		// failed while the workload keeps running. One that would resume
+		// from another chain head than this copy did relaunches a job
+		// requeued while the copy ran on: refused, and the next beat gets
+		// the copy killed as an orphan. Resolving the head fetches
+		// nothing.
+		if head, _ := a.restoreChain(run); head.Seq != run.restoredAt {
+			return nil, nil, fmt.Errorf("agent: %s runs here from checkpoint %d", req.JobID, run.restoredAt)
 		}
-		return run, false, nil
+		return run, nil, nil
 	}
 	ctrID := "ctr-" + req.JobID
 	dev, err := a.runtime.Bind(container.Spec{
@@ -390,7 +399,7 @@ func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, boo
 		},
 	})
 	if err != nil {
-		return nil, false, fmt.Errorf("agent: binding a GPU: %w", err)
+		return nil, nil, fmt.Errorf("agent: binding a GPU: %w", err)
 	}
 
 	run := &jobRun{
@@ -404,16 +413,27 @@ func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, boo
 	if run.ckptEvery <= 0 {
 		run.ckptEvery = a.cfg.DefaultCheckpointInterval
 	}
+	detail := map[string]string{"container": ctrID}
 	switch {
 	case req.Training != nil:
-		job := workload.NewJob(req.JobID, *req.Training)
-		if req.RestoreStep > 0 {
-			// Resume from checkpointed progress: mark image clean state
-			// by advancing to the restore point without dirtying.
-			job.RestoreTo(checkpoint.Progress{Step: req.RestoreStep})
+		run.training = workload.NewJob(req.JobID, *req.Training)
+		if head, chain := a.restoreChain(run); len(chain) > 0 {
+			// Resume from the chain's head. The workload steps once the
+			// chain's bytes have arrived, and its checkpoint cadence
+			// counts from then.
+			run.training.RestoreTo(head.Progress)
+			run.ckptSeq, run.restoredAt, run.restoredStep = head.Seq, head.Seq, head.Progress.Step
+			var bytes int64
+			for _, ck := range chain {
+				bytes += ck.Bytes
+			}
+			delay := a.ckpts.Fetch(chain)
+			run.pausedUntil = now.Add(delay)
+			run.lastCkpt = run.pausedUntil
+			detail["restore_step"] = strconv.FormatInt(head.Progress.Step, 10)
+			detail["restore_bytes"] = strconv.FormatInt(bytes, 10)
+			detail["restore_delay"] = delay.String()
 		}
-		run.training = job
-		run.ckptSeq, run.restoredAt = req.RestoreFromSeq, req.RestoreFromSeq
 	case req.Kind == "interactive":
 		d := time.Duration(req.SessionSeconds) * time.Second
 		if d <= 0 {
@@ -422,7 +442,22 @@ func (a *Agent) launchLocked(req api.LaunchRequest, now time.Time) (*jobRun, boo
 		run.sessionEnds = now.Add(d)
 	}
 	a.jobs[req.JobID] = run
-	return run, true, nil
+	return run, detail, nil
+}
+
+// restoreChain resolves the chain a launch of run's job resumes from:
+// the newest verifiable one on the agent's checkpoint path, and its
+// head. A job that keeps no state (no training) or has no restorable
+// chain starts fresh: a zero head and no chain. Callers hold a.mu.
+func (a *Agent) restoreChain(run *jobRun) (checkpoint.Checkpoint, []checkpoint.Checkpoint) {
+	if run.training == nil {
+		return checkpoint.Checkpoint{}, nil
+	}
+	chain, err := a.ckpts.RestoreChain(run.jobID)
+	if err != nil || len(chain) == 0 {
+		return checkpoint.Checkpoint{}, nil
+	}
+	return chain[len(chain)-1], chain
 }
 
 // endLocked is the one way a job ends on this node, whatever ends it (a
@@ -541,7 +576,9 @@ func (a *Agent) captureCheckpoint(run *jobRun, incremental bool) (api.Checkpoint
 		_, _ = a.ckpts.Prune(run.jobID)
 	}
 	run.lastCkpt = now
-	run.pausedUntil = now.Add(run.training.Spec.CheckpointCreationTime())
+	if end := now.Add(run.training.Spec.CheckpointCreationTime()); end.After(run.pausedUntil) {
+		run.pausedUntil = end // a capture during a restore does not cut it short
+	}
 	a.mu.Unlock() // a Recorder.Observe callback may call back into the agent
 	a.trace.RecordAt(now, obs.KindJobCheckpoint, run.jobID, a.cfg.MachineID, map[string]string{
 		"seq": strconv.Itoa(ck.Seq), "bytes": strconv.FormatInt(ck.Bytes, 10), "incremental": strconv.FormatBool(ck.Incremental),

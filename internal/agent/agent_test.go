@@ -2,6 +2,7 @@ package agent
 
 import (
 	"errors"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -23,6 +24,8 @@ type testRig struct {
 	clock *simclock.Sim
 	agent *Agent
 	ckpts *checkpoint.Store
+	// blobs backs ckpts: tests damage stored checkpoints through it.
+	blobs *storage.MemStore
 	// link is the agent's one endpoint: it records every job report and
 	// departure notice that reaches it.
 	link *scriptedLink
@@ -34,12 +37,44 @@ func newRig(t *testing.T, specs ...gpu.Spec) *testRig {
 		specs = []gpu.Spec{gpu.RTX3090, gpu.RTX3090}
 	}
 	clock := simclock.NewSim(t0)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
+	blobs := storage.NewMemStore(0)
+	ckpts := checkpoint.NewStore(blobs)
 	link := &scriptedLink{}
 	a := New(Config{MachineID: "node-test", Kernel: "5.15"}, clock, specs, ckpts, obs.NewRecorder(clock, 256))
 	a.SetEndpoints([]Endpoint{{ID: "coord", Link: link}})
 	t.Cleanup(a.Stop)
-	return &testRig{clock: clock, agent: a, ckpts: ckpts, link: link}
+	return &testRig{clock: clock, agent: a, ckpts: ckpts, blobs: blobs, link: link}
+}
+
+// saveChain stores what a previous host of jobID left behind: a full
+// 1000-byte checkpoint at the first step and a 100-byte increment on
+// the one before at each later step (sequence numbers 1, 2, ...).
+func saveChain(t *testing.T, ckpts *checkpoint.Store, jobID string, steps ...int64) {
+	t.Helper()
+	for i, step := range steps {
+		ck := checkpoint.Checkpoint{
+			JobID: jobID, Seq: i + 1, Bytes: 1000,
+			Progress: checkpoint.Progress{Step: step}, Mechanism: "alc", CreatedAt: t0,
+		}
+		if i > 0 {
+			ck.Incremental, ck.BaseSeq, ck.Bytes = true, i, 100
+		}
+		if err := ckpts.Save(ck); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// startedDetail returns the detail of the agent's last job.started
+// event for jobID.
+func startedDetail(r *testRig, jobID string) map[string]string {
+	var detail map[string]string
+	for _, ev := range r.agent.trace.Events() {
+		if ev.Kind == obs.KindJobStarted && ev.Job == jobID {
+			detail = ev.Detail
+		}
+	}
+	return detail
 }
 
 func launchTraining(t *testing.T, r *testRig, jobID string, spec workload.TrainingSpec, ckptSec int) api.LaunchResponse {
@@ -98,17 +133,20 @@ func TestLaunchDuplicateIdempotent(t *testing.T) {
 	}
 }
 
-// TestLaunchOfStaleCopyRefused: a launch of a job the node still runs
-// from another restore point is a relaunch of a job requeued while the
-// node kept running it; the stale copy does not answer for it.
+// TestLaunchOfStaleCopyRefused: a launch of a job the node still runs,
+// when the agent now resolves another restore point than the copy
+// started from, is a relaunch of a job requeued while the node kept
+// running it (and checkpointed elsewhere meanwhile); the stale copy
+// does not answer for it.
 func TestLaunchOfStaleCopyRefused(t *testing.T) {
 	r := newRig(t)
 	first := launchTraining(t, r, "j1", workload.SmallCNN, 0)
+	saveChain(t, r.ckpts, "j1", 500, 700, 900)
 	if _, err := r.agent.Launch(api.LaunchRequest{
 		JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12", Kind: "batch",
-		Training: &workload.SmallCNN, RestoreFromSeq: 3, RestoreStep: 900,
+		Training: &workload.SmallCNN,
 	}); err == nil {
-		t.Fatal("a relaunch from checkpoint 3 was acknowledged by the copy started from none")
+		t.Fatal("a relaunch that resolves checkpoint 3 was acknowledged by the copy started from none")
 	}
 	if st := r.agent.Status(); len(st.RunningJobs) != 1 {
 		t.Fatalf("the refused launch changed the job set: %+v", st.RunningJobs)
@@ -300,30 +338,107 @@ func TestDepartedAgentRejectsLaunch(t *testing.T) {
 	}
 }
 
+// TestMigrationRestoreResumesProgress: a relaunch names no restore
+// point; the agent resumes from the head of the chain its checkpoint
+// path holds, answers its step, and records what the restore moved.
 func TestMigrationRestoreResumesProgress(t *testing.T) {
-	// Simulates the coordinator relaunching a job from a checkpoint.
 	r := newRig(t)
-	spec := workload.SmallCNN
-	_, err := r.agent.Launch(api.LaunchRequest{
-		JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12", Kind: "batch",
-		GPUMemMiB: spec.GPUMemMiB, Training: &spec,
-		RestoreFromSeq: 3, RestoreStep: 1200,
-	})
-	if err != nil {
-		t.Fatal(err)
+	saveChain(t, r.ckpts, "j1", 500, 900, 1200)
+	resp := launchTraining(t, r, "j1", workload.SmallCNN, 0)
+	if resp.RestoreStep != 1200 {
+		t.Fatalf("answered restore step %d, want 1200", resp.RestoreStep)
 	}
 	job, _ := r.agent.RunningJob("j1")
 	if job.Step() != 1200 {
 		t.Fatalf("restored step = %d, want 1200", job.Step())
 	}
+	want := map[string]string{"container": "ctr-j1", "restore_step": "1200", "restore_bytes": "1200", "restore_delay": "0s"}
+	if got := startedDetail(r, "j1"); !maps.Equal(got, want) {
+		t.Fatalf("job.started detail = %v, want %v", got, want)
+	}
 	// Next checkpoint continues the sequence.
 	r.clock.Advance(5 * time.Second)
-	resp, err := r.agent.Checkpoint(api.CheckpointRequest{JobID: "j1", Incremental: true})
+	ck, err := r.agent.Checkpoint(api.CheckpointRequest{JobID: "j1", Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Seq != 4 {
-		t.Fatalf("checkpoint seq = %d, want 4 (continues after restore)", resp.Seq)
+	if ck.Seq != 4 {
+		t.Fatalf("checkpoint seq = %d, want 4 (continues after restore)", ck.Seq)
+	}
+}
+
+// TestLaunchFallsBackPastCorruptHead: a newest checkpoint that fails
+// verification costs one generation at the agent, never the job.
+func TestLaunchFallsBackPastCorruptHead(t *testing.T) {
+	r := newRig(t)
+	saveChain(t, r.ckpts, "j1", 500, 900, 1200)
+	keys, err := r.blobs.List("")
+	if err != nil || len(keys) != 3 {
+		t.Fatalf("stored keys = %v, %v", keys, err)
+	}
+	head := keys[len(keys)-1] // List sorts, and sequence numbers are zero-padded
+	raw, _ := r.blobs.Get(head)
+	raw[len(raw)/2] ^= 0x04
+	_ = r.blobs.Put(head, raw)
+
+	if resp := launchTraining(t, r, "j1", workload.SmallCNN, 0); resp.RestoreStep != 900 {
+		t.Fatalf("answered restore step %d, want 900 (one generation back)", resp.RestoreStep)
+	}
+	if job, _ := r.agent.RunningJob("j1"); job.Step() != 900 {
+		t.Fatalf("restored step = %d, want 900", job.Step())
+	}
+	if r.ckpts.FallbacksUsed() != 1 {
+		t.Fatalf("fallbacks = %d, want 1", r.ckpts.FallbacksUsed())
+	}
+}
+
+// slowPath is a checkpoint path whose every fetch takes delay; it counts
+// the fetches.
+type slowPath struct {
+	*checkpoint.Store
+	delay   time.Duration
+	fetches int
+}
+
+func (p *slowPath) Fetch([]checkpoint.Checkpoint) time.Duration {
+	p.fetches++
+	return p.delay
+}
+
+// TestRestoreStallsUntilBytesArrive: a restored job steps only once its
+// chain's bytes have arrived, and the job.started event says how long
+// that took. A duplicate launch the running copy answers fetches
+// nothing, and neither does a job with no chain.
+func TestRestoreStallsUntilBytesArrive(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	path := &slowPath{Store: checkpoint.NewStore(storage.NewMemStore(0)), delay: 30 * time.Second}
+	rec := obs.NewRecorder(clock, 64)
+	a := New(Config{MachineID: "n1", Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, path, rec)
+	t.Cleanup(a.Stop)
+	r := &testRig{clock: clock, agent: a, ckpts: path.Store}
+	saveChain(t, path.Store, "j1", 500, 900)
+
+	launchTraining(t, r, "j1", workload.SmallCNN, 0)
+	if got := startedDetail(r, "j1")["restore_delay"]; got != "30s" {
+		t.Fatalf("restore_delay = %q, want 30s", got)
+	}
+	clock.Advance(25 * time.Second)
+	job, _ := a.RunningJob("j1")
+	if job.Step() != 900 {
+		t.Fatalf("step %d before the chain arrived, want 900", job.Step())
+	}
+	clock.Advance(35 * time.Second)
+	if job.Step() <= 900 {
+		t.Fatal("the job did not step once its chain arrived")
+	}
+
+	launchTraining(t, r, "j1", workload.SmallCNN, 0) // a duplicate
+	launchTraining(t, r, "j2", workload.SmallCNN, 0) // no chain
+	if path.fetches != 1 {
+		t.Fatalf("%d fetches, want 1", path.fetches)
+	}
+	if d := startedDetail(r, "j2"); d["restore_bytes"] != "" {
+		t.Fatalf("a fresh start recorded a restore: %v", d)
 	}
 }
 

@@ -305,7 +305,10 @@ type NodeHealthSummary struct {
 	RecentEvents []gpu.HealthEvent `json:"recent_events,omitempty"`
 }
 
-// LaunchRequest asks an agent to start a job in a container.
+// LaunchRequest asks an agent to start a job in a container. It names
+// no restore point: the agent resumes a job from the newest verifiable
+// checkpoint chain its own checkpoint path holds (§3.5, application-level
+// checkpointing) and answers the step in LaunchResponse.
 type LaunchRequest struct {
 	Envelope
 	JobID     string `json:"job_id"`
@@ -319,11 +322,6 @@ type LaunchRequest struct {
 	CapabilityMinor int   `json:"capability_minor"`
 	// CheckpointIntervalSec enables periodic checkpoints on the agent.
 	CheckpointIntervalSec int `json:"checkpoint_interval_sec,omitempty"`
-	// RestoreFromSeq, when non-zero, instructs the agent to restore the
-	// job from the given checkpoint sequence before starting.
-	RestoreFromSeq int `json:"restore_from_seq,omitempty"`
-	// RestoreStep is the application progress to resume from.
-	RestoreStep int64 `json:"restore_step,omitempty"`
 	// Training describes the batch training workload.
 	Training *workload.TrainingSpec `json:"training,omitempty"`
 	// SessionSeconds is the expected duration of an interactive session.
@@ -338,6 +336,9 @@ type LaunchRequest struct {
 type LaunchResponse struct {
 	ContainerID string `json:"container_id"`
 	DeviceID    string `json:"device_id"`
+	// RestoreStep is the training step the job resumes from; zero for a
+	// fresh start.
+	RestoreStep int64 `json:"restore_step,omitempty"`
 }
 
 // KillRequest terminates a job on an agent.

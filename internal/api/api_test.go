@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,16 +73,18 @@ func TestSubmitJobRequestCarriesTrainingSpec(t *testing.T) {
 	}
 }
 
-func TestLaunchRequestRestoreFields(t *testing.T) {
-	in := LaunchRequest{
-		JobID: "j1", ImageName: "img", Kind: "batch",
-		RestoreFromSeq: 7, RestoreStep: 4200,
-		SessionSeconds: 0,
+func TestLaunchResponseRestoreStep(t *testing.T) {
+	var out LaunchResponse
+	roundTrip(t, LaunchResponse{ContainerID: "ctr-j1", DeviceID: "gpu0", RestoreStep: 4200}, &out)
+	if out.RestoreStep != 4200 {
+		t.Fatalf("restore step = %+v", out)
 	}
-	var out LaunchRequest
-	roundTrip(t, in, &out)
-	if out.RestoreFromSeq != 7 || out.RestoreStep != 4200 {
-		t.Fatalf("restore fields = %+v", out)
+	raw, err := json.Marshal(LaunchResponse{ContainerID: "ctr-j1", DeviceID: "gpu0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "restore_step") {
+		t.Fatalf("a fresh start carries a restore step: %s", raw)
 	}
 }
 

@@ -6,24 +6,33 @@ import (
 	"hash/crc32"
 	"sort"
 	"sync"
+	"time"
 
 	"gpunion/internal/storage"
 )
 
-// Writer is the slice of Store a provider agent needs: persisting the
-// checkpoints it captures and pruning the generations a new full
-// snapshot obsoletes. Keeping it an interface is the data-plane fault
-// seam — the chaos harness wraps it per node to sever checkpoint
-// transfers during data-plane partitions, exactly as the network would.
-type Writer interface {
+// Path is a provider agent's way to the checkpoint store: it persists
+// the checkpoints the agent captures, prunes the generations a new full
+// snapshot obsoletes, and at launch resolves the chain a job resumes
+// from and fetches it. A *Store is the path of an agent that reads the
+// store in place. Keeping it an interface is the data-plane seam: the
+// simulations put their LAN model and their data-plane partitions under
+// it, exactly where the network would act.
+type Path interface {
 	// Save persists one checkpoint's metadata.
 	Save(ck Checkpoint) error
 	// Prune drops checkpoints no restore needs, returning bytes freed.
 	Prune(jobID string) (int64, error)
+	// RestoreChain resolves the job's newest verifiable chain, oldest
+	// first (see Store.RestoreChain).
+	RestoreChain(jobID string) ([]Checkpoint, error)
+	// Fetch brings a resolved chain to the agent and reports how long
+	// its bytes take to arrive.
+	Fetch(chain []Checkpoint) time.Duration
 }
 
 // Store persists checkpoint metadata in a storage.Store and answers the
-// restore-chain questions migration planning needs: what is the latest
+// restore-chain questions a relaunch needs: what is the latest
 // restorable checkpoint for a job, and how many bytes must move to
 // restore it (last full snapshot plus every subsequent increment).
 //
@@ -47,7 +56,7 @@ type Store struct {
 	fallbacks int
 }
 
-var _ Writer = (*Store)(nil)
+var _ Path = (*Store)(nil)
 
 // NewStore wraps a backing blob store.
 func NewStore(backing storage.Store) *Store {
@@ -238,6 +247,10 @@ func (s *Store) chainAt(jobID string, seq int) (chain []Checkpoint, ok bool) {
 	}
 	return chain, true
 }
+
+// Fetch reports how long a resolved chain takes to reach the agent:
+// nothing, for a store the agent reads in place.
+func (s *Store) Fetch([]Checkpoint) time.Duration { return 0 }
 
 // Prune deletes checkpoints older than the newest full snapshot, which
 // are no longer needed for any restore. It returns the bytes reclaimed.

@@ -22,7 +22,6 @@ import (
 	"gpunion/internal/gpu"
 	"gpunion/internal/heartbeat"
 	"gpunion/internal/monitor"
-	"gpunion/internal/netsim"
 	"gpunion/internal/obs"
 	"gpunion/internal/scheduler"
 	"gpunion/internal/simclock"
@@ -67,10 +66,6 @@ type Config struct {
 	// before a coordinator restart verify after it; nil generates an
 	// ephemeral secret, invalidating all tokens on restart.
 	AuthSecret []byte
-	// Net optionally models LAN transfer timing for migrations;
-	// StorageNode names the netsim node holding checkpoint data.
-	Net         *netsim.Network
-	StorageNode string
 	// EnableProfiling mounts net/http/pprof on the coordinator's HTTP
 	// handler (diagnostics; off by default — profiles expose internals).
 	EnableProfiling bool
@@ -95,7 +90,6 @@ type Coordinator struct {
 	authy   *auth.Authority
 	sched   *scheduler.Scheduler
 	hb      *heartbeat.Monitor
-	ckpts   *checkpoint.Store
 	metrics *monitor.Registry
 	met     *coordMetrics
 	trace   *obs.Recorder
@@ -158,7 +152,11 @@ type Coordinator struct {
 // the coordinator a recorder of its own (obs.DefaultCapacity), and a
 // harness that runs several coordinator incarnations, or agents beside
 // one, passes them all the same one.
-func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.Store, trace *obs.Recorder) (*Coordinator, error) {
+//
+// The checkpoint store is not read: a job's agent resolves the point it
+// resumes from. The parameter stays while bench/trace.go, which cannot
+// change with this package, passes one (ROADMAP item 6(a) deletes both).
+func New(cfg Config, clock simclock.Clock, database db.Store, _ *checkpoint.Store, trace *obs.Recorder) (*Coordinator, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = heartbeat.DefaultInterval
 	}
@@ -194,7 +192,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		authy:        authy,
 		sched:        sched,
 		hb:           heartbeat.NewMonitor(cfg.HeartbeatInterval, cfg.MissedThreshold),
-		ckpts:        ckpts,
 		metrics:      metrics,
 		met:          met,
 		trace:        trace,
@@ -218,9 +215,6 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 
 // DB exposes the system database (read paths for tools and tests).
 func (c *Coordinator) DB() db.Store { return c.db }
-
-// Checkpoints exposes the checkpoint store.
-func (c *Coordinator) Checkpoints() *checkpoint.Store { return c.ckpts }
 
 // AuditSchedulerPool verifies the scheduler's cached candidate set
 // against a fresh store scan (see scheduler.Scheduler.AuditCache). The
@@ -247,9 +241,9 @@ func (c *Coordinator) InteractiveSessions() int {
 //
 //   - the job-ID sequence resumes past every recovered job, so new
 //     submissions cannot collide with recovered ones;
-//   - jobs caught mid-migration are requeued — their in-flight
-//     checkpoint transfers died with the old process, and the pending
-//     queue re-places them from their last durable checkpoint;
+//   - jobs caught mid-migration are requeued — their relaunch died
+//     with the old process, and the pending queue re-places them (the
+//     agent resumes each from its last durable checkpoint);
 //   - failure detection is re-armed for every node that was active or
 //     paused before the crash, dated from its last recorded heartbeat:
 //     a node that outlived the coordinator keeps beating and registers
@@ -289,11 +283,10 @@ func (c *Coordinator) recoverState() {
 
 // Stop halts the background sweep timer and fences every deferred
 // callback: a stopped coordinator must never touch agents or the
-// database again, even if migration-transfer timers it armed earlier
-// still fire. Without the fence, a crashed-and-replaced coordinator
-// would keep launching jobs as a zombie while its successor owns the
-// fleet — exactly the split-brain the chaos harness's kill/restart
-// scenario watches for.
+// database again, even if timers it armed earlier still fire. Without
+// the fence, a crashed-and-replaced coordinator would keep launching
+// jobs as a zombie while its successor owns the fleet — exactly the
+// split-brain the chaos harness's kill/restart scenario watches for.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	c.stopped = true

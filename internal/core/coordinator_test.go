@@ -207,6 +207,39 @@ func TestScheduledDepartureMigratesJob(t *testing.T) {
 	}
 }
 
+// TestMigrationIsOneJobWrite: a displaced job's record is written twice
+// on its way to the new node — settled as migrating, then placed — and
+// the placement carries the migration count: no third write follows it.
+func TestMigrationIsOneJobWrite(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	ag1 := r.addNode("n1", gpu.RTX3090)
+	r.addNode("n2", gpu.RTX3090)
+	id := submitTraining(t, r, workload.SmallCNN, 30)
+	r.clock.Advance(time.Minute)
+
+	var puts []db.JobRecord
+	cancel := r.coord.DB().AddMutationObserver(func(m db.Mutation) {
+		if m.Type == db.MutJobPut && m.Job != nil && m.Job.ID == id {
+			puts = append(puts, *m.Job)
+		}
+	})
+	defer cancel()
+	ag1.Depart(api.DepartScheduled, time.Minute)
+
+	if st, _ := r.coord.JobStatus(id); st.State != db.JobRunning || st.NodeID != "n2" || st.Migrations != 1 {
+		t.Fatalf("after the move: %+v, want running on n2 with one migration", st)
+	}
+	var moves []db.JobRecord
+	for _, p := range puts {
+		if p.State != db.JobMigrating {
+			moves = append(moves, p)
+		}
+	}
+	if len(puts) != 2 || len(moves) != 1 || moves[0].Migrations != 1 || moves[0].NodeID != "n2" {
+		t.Fatalf("job_put records of the move: %+v; want the settle and one placement that counts the migration", puts)
+	}
+}
+
 func TestEmergencyDepartureDetectedByHeartbeatLoss(t *testing.T) {
 	r := newRig(t, 10*time.Second)
 	ag1 := r.addNode("n1", gpu.RTX3090)

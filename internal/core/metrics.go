@@ -12,9 +12,8 @@ import (
 // counters and histograms hot paths feed inline (pre-resolved handles,
 // no registry lookups per request), plus refresh-on-scrape gauges
 // derived from subsystem state — job-state indexes, leadership,
-// scheduler candidate-cache effectiveness, checkpoint verification. Sources
-// that expose lifetime totals (cache stats, checkpoint detectors) are
-// re-exported as counters via delta tracking so scrapes stay
+// scheduler candidate-cache effectiveness. The cache's lifetime totals
+// are re-exported as counters via delta tracking so scrapes stay
 // monotonic even though the coordinator polls rather than intercepts.
 type coordMetrics struct {
 	heartbeats    *monitor.Counter
@@ -32,10 +31,8 @@ type coordMetrics struct {
 	leaderEpoch    *monitor.Gauge
 	leading        *monitor.Gauge
 
-	poolHits      *monitor.Counter
-	poolMisses    *monitor.Counter
-	ckptCorrupt   *monitor.Counter
-	ckptFallbacks *monitor.Counter
+	poolHits   *monitor.Counter
+	poolMisses *monitor.Counter
 
 	reg *monitor.Registry
 
@@ -54,7 +51,6 @@ type coordMetrics struct {
 	// Last-seen values for the polled lifetime totals (delta-Add keeps
 	// the exported counters monotonic across scrapes).
 	lastPoolHits, lastPoolMisses uint64
-	lastCorrupt, lastFallbacks   int
 }
 
 // jobStates is every state a job record can be in, in lifecycle order;
@@ -104,10 +100,6 @@ func newCoordMetrics(reg *monitor.Registry) (*coordMetrics, error) {
 		"Scheduling cycles served from the cached candidate set")
 	register(&m.poolMisses, "gpunion_sched_pool_misses_total",
 		"Scheduling cycles that rebuilt the candidate set")
-	register(&m.ckptCorrupt, "gpunion_checkpoint_corruptions_total",
-		"Checkpoint frames that failed CRC verification")
-	register(&m.ckptFallbacks, "gpunion_checkpoint_fallbacks_total",
-		"Restores that fell back past a damaged checkpoint generation")
 	gauge(&m.shipLagRecords, "gpunion_wal_ship_lag_records",
 		"Records the standby has not yet applied (leader LSN minus follower LSN)")
 	gauge(&m.shipLagBytes, "gpunion_wal_ship_lag_bytes",
@@ -231,17 +223,9 @@ func (c *Coordinator) refreshGauges() {
 	m.mu.Lock()
 	dh, dm := hits-m.lastPoolHits, misses-m.lastPoolMisses
 	m.lastPoolHits, m.lastPoolMisses = hits, misses
-	var dc, df int
-	if c.ckpts != nil {
-		cor, fb := c.ckpts.CorruptionsDetected(), c.ckpts.FallbacksUsed()
-		dc, df = cor-m.lastCorrupt, fb-m.lastFallbacks
-		m.lastCorrupt, m.lastFallbacks = cor, fb
-	}
 	m.mu.Unlock()
 	m.poolHits.Add(float64(dh))
 	m.poolMisses.Add(float64(dm))
-	m.ckptCorrupt.Add(float64(dc))
-	m.ckptFallbacks.Add(float64(df))
 }
 
 // MetricsSnapshot refreshes the derived gauges and renders the full

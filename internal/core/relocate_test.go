@@ -5,13 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
 	"gpunion/internal/gpu"
-	"gpunion/internal/netsim"
 	"gpunion/internal/obs"
 	"gpunion/internal/scheduler"
-	"gpunion/internal/storage"
 )
 
 // migrated tallies the relocations rec recorded by reason: each
@@ -28,8 +25,8 @@ func migrated(rec *obs.Recorder) map[string]int {
 	return out
 }
 
-// The planner's tests: planBatch over a store of nodes, a checkpoint
-// store and an optional LAN model, with no agents and no clock.
+// The planner's tests: planBatch over a store of nodes, with no agents
+// and no clock.
 
 func planNodes() []db.NodeRecord {
 	mk := func(id string, status db.NodeStatus) db.NodeRecord {
@@ -72,47 +69,9 @@ func storeOf(nodes []db.NodeRecord) db.Store {
 }
 
 // planner is a coordinator holding only what planBatch reads: the
-// scheduler, the store, the checkpoint store and the LAN model.
-func planner(strategy scheduler.Strategy, nodes []db.NodeRecord, net *netsim.Network) *Coordinator {
-	c := &Coordinator{
-		sched: scheduler.New(strategy),
-		db:    storeOf(nodes),
-		ckpts: checkpoint.NewStore(storage.NewMemStore(0)),
-	}
-	if net != nil {
-		c.cfg.Net, c.cfg.StorageNode = net, "storage"
-	}
-	return c
-}
-
-// lanOf builds a LAN with a 10 Gbps storage node and a 1 Gbps access
-// link per named node.
-func lanOf(storageAccess netsim.Bandwidth, nodes ...string) *netsim.Network {
-	net := netsim.New(10 * netsim.Gbps)
-	net.AddNode(netsim.NodeLink{Name: "storage", Access: storageAccess, Latency: 200 * time.Microsecond})
-	for _, n := range nodes {
-		net.AddNode(netsim.NodeLink{Name: n, Access: netsim.Gbps, Latency: 200 * time.Microsecond})
-	}
-	return net
-}
-
-func saveCheckpoints(t *testing.T, ckpts *checkpoint.Store, jobID string, fullBytes int64, steps ...int64) {
-	t.Helper()
-	for i, step := range steps {
-		ck := checkpoint.Checkpoint{
-			JobID: jobID, Seq: i + 1, Bytes: fullBytes,
-			Progress:  checkpoint.Progress{Step: step},
-			Mechanism: "alc", CreatedAt: t0,
-		}
-		if i > 0 {
-			ck.Incremental = true
-			ck.BaseSeq = i
-			ck.Bytes = fullBytes / 10
-		}
-		if err := ckpts.Save(ck); err != nil {
-			t.Fatal(err)
-		}
-	}
+// scheduler and the store.
+func planner(strategy scheduler.Strategy, nodes []db.NodeRecord) *Coordinator {
+	return &Coordinator{sched: scheduler.New(strategy), db: storeOf(nodes)}
 }
 
 // planOne plans a batch of one.
@@ -122,8 +81,7 @@ func planOne(t *testing.T, c *Coordinator, job db.JobRecord, reason migrationRea
 }
 
 func TestPlanAvoidsDepartedNode(t *testing.T) {
-	c := planner(nil, planNodes(), nil)
-	saveCheckpoints(t, c.ckpts, "j1", 1000, 500)
+	c := planner(nil, planNodes())
 	p := planOne(t, c, displacedJob(), reasonEmergency)
 	if p.err != nil {
 		t.Fatal(p.err)
@@ -131,40 +89,20 @@ func TestPlanAvoidsDepartedNode(t *testing.T) {
 	if p.placement.NodeID == "n-gone" {
 		t.Fatal("migration landed on the departed node")
 	}
-	if p.restoreStep != 500 || p.restoreSeq != 1 {
-		t.Fatalf("plan = %+v", p)
-	}
 }
 
+// TestPlanStatelessRequeue: the planner reads no checkpoint, so a job
+// that has none plans like any other.
 func TestPlanStatelessRequeue(t *testing.T) {
-	c := planner(nil, planNodes(), nil)
+	c := planner(nil, planNodes())
 	p := planOne(t, c, displacedJob(), reasonEmergency)
 	if p.err != nil {
 		t.Fatal(p.err)
 	}
-	if p.restoreSeq != 0 || p.restoreStep != 0 || p.transferBytes != 0 {
-		t.Fatalf("stateless plan = %+v", p)
-	}
-}
-
-func TestPlanTransferBytesSumChain(t *testing.T) {
-	c := planner(nil, planNodes(), nil)
-	saveCheckpoints(t, c.ckpts, "j1", 1000, 100, 200, 300)
-	p := planOne(t, c, displacedJob(), reasonScheduled)
-	if p.err != nil {
-		t.Fatal(p.err)
-	}
-	want := int64(1000 + 100 + 100) // full + two increments
-	if p.transferBytes != want {
-		t.Fatalf("transferBytes = %d, want %d", p.transferBytes, want)
-	}
-	if p.restoreStep != 300 {
-		t.Fatalf("restoreStep = %d", p.restoreStep)
-	}
 }
 
 func TestPlanNoTarget(t *testing.T) {
-	c := planner(nil, planNodes(), nil)
+	c := planner(nil, planNodes())
 	job := displacedJob()
 	job.GPUMemMiB = 999999 // nothing fits
 	if p := planOne(t, c, job, reasonEmergency); p.err == nil {
@@ -172,27 +110,10 @@ func TestPlanNoTarget(t *testing.T) {
 	}
 }
 
-func TestPlanWithNetworkModelsTransferTime(t *testing.T) {
-	net := lanOf(netsim.Gbps, "n-alive", "n-other", "n-gone")
-	c := planner(nil, planNodes(), net)
-	// 1 GB checkpoint on a 1 Gbps access link ≈ 8 s.
-	saveCheckpoints(t, c.ckpts, "j1", 1_000_000_000, 500)
-	p := planOne(t, c, displacedJob(), reasonEmergency)
-	if p.err != nil {
-		t.Fatal(p.err)
-	}
-	if p.transferTime < 7*time.Second || p.transferTime > 10*time.Second {
-		t.Fatalf("transferTime = %v, want ≈8 s", p.transferTime)
-	}
-	if net.Accountant().TotalBytes(netsim.TrafficMigration) != p.transferBytes {
-		t.Fatal("migration traffic not accounted")
-	}
-}
-
 func TestMigrateBackPrefersOriginalNode(t *testing.T) {
 	nodes := planNodes()
 	nodes[0].Status = db.NodeActive // n-gone has returned
-	c := planner(nil, nodes, nil)
+	c := planner(nil, nodes)
 	job := displacedJob()
 	job.NodeID = "n-alive" // currently running elsewhere
 	job.PreferredNode = "n-gone"
@@ -239,21 +160,8 @@ func displacedJobs(n int) []db.JobRecord {
 	return jobs
 }
 
-// batchLAN is the batch tests' LAN: storage, the departed source and
-// targets t0…t(n-1).
-func batchLAN(targets int) *netsim.Network {
-	names := []string{"n-gone"}
-	for i := 0; i < targets; i++ {
-		names = append(names, fmt.Sprintf("t%d", i))
-	}
-	return lanOf(10*netsim.Gbps, names...)
-}
-
 func TestPlanBatchNoDoubleDeviceAssignment(t *testing.T) {
-	c := planner(nil, batchNodes(2, 2), nil)
-	for i := 0; i < 4; i++ {
-		saveCheckpoints(t, c.ckpts, fmt.Sprintf("j%d", i), 1000, 100)
-	}
+	c := planner(nil, batchNodes(2, 2))
 	// 2 targets × 2 GPUs = exactly 4 slots for 4 jobs.
 	seen := make(map[string]bool)
 	for i, p := range c.planBatch(displacedJobs(4), reasonEmergency, t0) {
@@ -269,7 +177,7 @@ func TestPlanBatchNoDoubleDeviceAssignment(t *testing.T) {
 }
 
 func TestPlanBatchOverflowFailsCleanly(t *testing.T) {
-	c := planner(nil, batchNodes(2, 2), nil)
+	c := planner(nil, batchNodes(2, 2))
 	// 5 jobs, 4 slots: exactly one must find no target.
 	failures := 0
 	for _, p := range c.planBatch(displacedJobs(5), reasonEmergency, t0) {
@@ -282,54 +190,8 @@ func TestPlanBatchOverflowFailsCleanly(t *testing.T) {
 	}
 }
 
-func TestPlanBatchTransfersOverlap(t *testing.T) {
-	net := batchLAN(1)
-	c := planner(nil, batchNodes(1, 2), net)
-	// Two jobs with 1 GB chains, both restored to the same single
-	// target node: their flows share the 1 Gbps downlink, so each takes
-	// about twice the solo time.
-	for i := 0; i < 2; i++ {
-		saveCheckpoints(t, c.ckpts, fmt.Sprintf("j%d", i), 1_000_000_000, 100)
-	}
-	plans := c.planBatch(displacedJobs(2), reasonEmergency, t0)
-	for i, p := range plans {
-		if p.err != nil {
-			t.Fatalf("plan %d: %v", i, p.err)
-		}
-	}
-	solo := 8 * time.Second // 1 GB at 1 Gbps
-	slower := max(plans[0].transferTime, plans[1].transferTime)
-	if slower < time.Duration(1.5*float64(solo)) {
-		t.Fatalf("contended transfer = %v, want ≈2× solo (%v)", slower, solo)
-	}
-	// No flow leaked: a fresh flow into t0 gets the whole downlink.
-	f, err := net.StartFlow("storage", "t0", 1, netsim.TrafficCheckpoint, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Rate != netsim.Gbps {
-		t.Fatalf("flows leaked: a fresh flow into t0 got %v, want the whole 1 Gbps", f.Rate)
-	}
-}
-
-func TestPlanBatchStatelessJobsSkipTransfers(t *testing.T) {
-	net := batchLAN(2)
-	c := planner(nil, batchNodes(2, 2), net)
-	for i, p := range c.planBatch(displacedJobs(3), reasonEmergency, t0) {
-		if p.err != nil {
-			t.Fatalf("plan %d: %v", i, p.err)
-		}
-		if p.restoreSeq != 0 || p.transferTime != 0 {
-			t.Fatalf("stateless plan %d = %+v", i, p)
-		}
-	}
-	if net.Accountant().TotalBytes(netsim.TrafficMigration) != 0 {
-		t.Fatal("stateless batch moved bytes")
-	}
-}
-
 func TestPlanBatchEmpty(t *testing.T) {
-	c := planner(nil, batchNodes(1, 1), nil)
+	c := planner(nil, batchNodes(1, 1))
 	if plans := c.planBatch(nil, reasonEmergency, t0); len(plans) != 0 {
 		t.Fatalf("plans = %v", plans)
 	}
@@ -356,7 +218,7 @@ func TestPlanBatchMatchesSequentialPlacement(t *testing.T) {
 			nodes[2].GPUs[0].MemoryMiB = 16384
 			jobs := displacedJobs(6)
 
-			plans := planner(tc.strategy(), nodes, nil).planBatch(jobs, reasonEmergency, t0)
+			plans := planner(tc.strategy(), nodes).planBatch(jobs, reasonEmergency, t0)
 
 			ref := scheduler.New(tc.strategy())
 			seen := make(map[string]bool)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"sync"
 
-	"gpunion/internal/checkpoint"
 	"gpunion/internal/db"
 	"gpunion/internal/obs"
 	"gpunion/internal/simclock"
@@ -67,7 +66,7 @@ type Replica struct {
 // coordinator exists but recoverState has not run, so the caller can
 // inspect the restored state before Start. trace is the coordinator's
 // flight recorder, as for New.
-func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, ckpts *checkpoint.Store, trace *obs.Recorder) (*Replica, error) {
+func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, trace *obs.Recorder) (*Replica, error) {
 	r := &Replica{cfg: cfg, store: db.New(0)}
 	switch {
 	case cfg.FollowDir != "":
@@ -92,7 +91,7 @@ func OpenReplica(cfg ReplicaConfig, clock simclock.Clock, ckpts *checkpoint.Stor
 		}
 		r.mgr = mgr
 	}
-	coord, err := New(cfg.Coordinator, clock, r.store, ckpts, trace)
+	coord, err := New(cfg.Coordinator, clock, r.store, nil, trace)
 	if err != nil {
 		if r.mgr != nil {
 			_ = r.mgr.Close()

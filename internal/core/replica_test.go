@@ -68,7 +68,7 @@ func (r *replicaRig) open(id, dir, follow string, onDurable func(db.Mutation)) *
 
 func (r *replicaRig) openConfig(cfg ReplicaConfig) *Replica {
 	r.t.Helper()
-	rep, err := OpenReplica(cfg, r.clock, r.ckpts, r.trace)
+	rep, err := OpenReplica(cfg, r.clock, r.trace)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestReplicaLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := OpenReplica(ReplicaConfig{Dir: dirB, FollowDir: dirA,
-			Coordinator: Config{Lease: r.lease, ReplicaID: "coord-b"}}, r.clock, r.ckpts, r.trace)
+			Coordinator: Config{Lease: r.lease, ReplicaID: "coord-b"}}, r.clock, r.trace)
 		if err == nil || !strings.Contains(err.Error(), "empty WAL directory") {
 			t.Fatalf("standby opened over a stale log: %v", err)
 		}
@@ -474,14 +474,13 @@ func TestReplicaPromotionWindowRealClock(t *testing.T) {
 	// Renewals every third of a second keep the leader's grant through a
 	// loaded host's scheduling gaps; the handoff takes about 1.5 s.
 	lease := NewLease(NewMemLeaseStore(), clock, time.Second, 500*time.Millisecond)
-	ckpts := checkpoint.NewStore(storage.NewMemStore(0))
 	dirA, dirB := t.TempDir(), t.TempDir()
 	open := func(id, dir, follow string, onDurable func(db.Mutation), onPromote func(uint64, error)) *Replica {
 		rep, err := OpenReplica(ReplicaConfig{Dir: dir, FollowDir: follow,
 			WAL:         wal.Config{OnDurable: onDurable},
 			Coordinator: Config{HeartbeatInterval: 10 * time.Second, Lease: lease, ReplicaID: id},
 			OnPromote:   onPromote,
-		}, clock, ckpts, nil)
+		}, clock, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

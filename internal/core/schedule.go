@@ -116,29 +116,26 @@ func (c *Coordinator) scheduleBatch() bool {
 		if res.Err != nil {
 			continue // stays pending
 		}
-		// A requeued job resumes from its latest checkpoint, if any.
-		var restoreSeq int
-		var restoreStep int64
-		if ck, cerr := c.ckpts.Latest(jobs[i].ID); cerr == nil {
-			restoreSeq = ck.Seq
-			restoreStep = ck.Progress.Step
-		}
-		if c.place(jobs[i], res.Placement, restoreSeq, restoreStep, now) {
+		if _, ok := c.place(jobs[i], res.Placement, now); ok {
 			progressed = true
 		}
 	}
 	return progressed
 }
 
-// place is the one way onto a device: it launches a (possibly restored)
-// job and commits the placement only while the record still awaits one
-// (pending or migrating). A failed launch writes nothing; a job resolved
+// place is the one way onto a device: it launches the job — the agent
+// resumes it from the newest checkpoint it can restore — and commits
+// the placement only while the record still awaits one (pending or
+// migrating); a record that leaves migrating counts one more migration
+// in the same write. A failed launch writes nothing; a job resolved
 // while the launch was in flight stays resolved, and the copy just
-// started is killed. The launch is marked in flight meanwhile (classify).
-func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq int, restoreStep int64, now time.Time) bool {
+// started is killed. The launch is marked in flight meanwhile
+// (classify). It returns the agent's answer and whether the placement
+// committed.
+func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, now time.Time) (api.LaunchResponse, bool) {
 	h := c.handle(p.NodeID)
 	if h == nil {
-		return false
+		return api.LaunchResponse{}, false
 	}
 	c.mu.Lock()
 	c.launching[job.ID] = p.NodeID
@@ -153,21 +150,22 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 		JobID:    job.ID, ImageName: job.ImageName, Kind: job.Kind,
 		Entrypoint: job.Entrypoint, GPUMemMiB: job.GPUMemMiB,
 		CapabilityMajor: job.CapabilityMajor, CapabilityMinor: job.CapabilityMinor,
-		CheckpointIntervalSec: job.CheckpointIntervalSec,
-		RestoreFromSeq:        restoreSeq, RestoreStep: restoreStep,
-		Training: job.Training, SessionSeconds: job.SessionSeconds,
-		StoragePrefs: job.StoragePrefs,
+		CheckpointIntervalSec: job.CheckpointIntervalSec, Training: job.Training,
+		SessionSeconds: job.SessionSeconds, StoragePrefs: job.StoragePrefs,
 	})
 	if err != nil {
 		// Node said no (paused, race on capacity): reflect reality and
 		// leave the job pending.
-		return false
+		return resp, false
 	}
 
 	placed := false
 	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
 		if placed = j.State == db.JobPending || j.State == db.JobMigrating; !placed {
 			return
+		}
+		if j.State == db.JobMigrating {
+			j.Migrations++
 		}
 		j.State = db.JobRunning
 		j.NodeID = p.NodeID
@@ -183,7 +181,7 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 	})
 	if !placed {
 		_ = h.Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID})
-		return false
+		return resp, false
 	}
 	c.db.RecordAllocation(db.AllocationRecord{
 		JobID: job.ID, NodeID: p.NodeID, DeviceID: resp.DeviceID, Start: now,
@@ -195,5 +193,5 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, restoreSeq 
 	}
 	c.trace.RecordAt(now, obs.KindJobScheduled, job.ID, p.NodeID,
 		map[string]string{"device": resp.DeviceID, "reliability": strconv.FormatFloat(p.Reliability, 'g', -1, 64)})
-	return true
+	return resp, true
 }

@@ -442,7 +442,8 @@ func (h *chaosHarness) powerOn(i int) {
 	ag := h.boot(agent.Config{
 		MachineID: d.ID, Kernel: "5.15", ProgressTick: chaosProgressTick,
 		Health: h.healthSrcs[d.ID],
-	}, h.skewed[d.ID], d.GPUs, agentCkptWriter{h: h, id: d.ID}, chaosWire{h: h, node: d.ID}, h.coordAddrs)
+	}, h.skewed[d.ID], d.GPUs, func() bool { return h.inWindow(chaos.KindDataPartition, d.ID) },
+		chaosWire{h: h, node: d.ID}, h.coordAddrs)
 	h.mu.Lock()
 	h.agents[d.ID] = ag
 	h.mu.Unlock()
@@ -641,32 +642,6 @@ func (h *chaosHarness) startGrace() {
 	h.mu.Lock()
 	h.graceUntil = h.Clock.Now().Add(3 * chaosHeartbeat)
 	h.mu.Unlock()
-}
-
-// agentCkptWriter is one node's path to the platform checkpoint store,
-// with the data-plane fault model applied: a data-partitioned node
-// cannot push checkpoints (or prune remotely), exactly as its transfer
-// connections would fail. The agent must absorb the error — the
-// workload keeps running on its last durable generation.
-type agentCkptWriter struct {
-	h  *chaosHarness
-	id string
-}
-
-var errDataPlaneSevered = fmt.Errorf("chaos: checkpoint data plane severed")
-
-func (w agentCkptWriter) Save(ck checkpoint.Checkpoint) error {
-	if w.h.inWindow(chaos.KindDataPartition, w.id) {
-		return errDataPlaneSevered
-	}
-	return w.h.Ckpts.Save(ck)
-}
-
-func (w agentCkptWriter) Prune(jobID string) (int64, error) {
-	if w.h.inWindow(chaos.KindDataPartition, w.id) {
-		return 0, errDataPlaneSevered
-	}
-	return w.h.Ckpts.Prune(jobID)
 }
 
 // maybeReplay delivers 1–3 extra copies of an already-processed control

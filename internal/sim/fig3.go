@@ -322,14 +322,20 @@ func (t *fig3Tracker) result(ledger *migrationLedger, cfg Fig3Config) Fig3Result
 //     node.departed of an emergency departure precedes that detection
 //     while its jobs still read running, so it is not one.
 //   - A success is a job.migrated event of the same reason; its downtime
-//     runs from the departure of the node it left to the relaunch.
+//     runs from the departure of the node it left until the job can step
+//     again on its target: the target agent's job.started, which the
+//     coordinator's record follows at once, plus that event's
+//     restore_delay, the time the chain's bytes took to arrive.
 //   - Each job.migrated_back event is one migrate-back.
 type migrationLedger struct {
 	// running counts the jobs the store shows running on a node.
 	running func(node string) int
 	// departedAt is each node's latest departure that displaced jobs.
 	departedAt map[string]time.Time
-	attempts   map[api.DepartReason]int
+	// resumesAt is when each job's latest start lets it step: its
+	// job.started time plus the restore delay recorded there.
+	resumesAt map[string]time.Time
+	attempts  map[api.DepartReason]int
 	// downtimes lists each success's downtime.
 	downtimes map[api.DepartReason][]time.Duration
 	// migratedBack counts the jobs moved back to their original node.
@@ -340,6 +346,7 @@ func newMigrationLedger(running func(node string) int) *migrationLedger {
 	return &migrationLedger{
 		running:    running,
 		departedAt: make(map[string]time.Time),
+		resumesAt:  make(map[string]time.Time),
 		attempts:   make(map[api.DepartReason]int),
 		downtimes:  make(map[api.DepartReason][]time.Duration),
 	}
@@ -359,13 +366,16 @@ func (l *migrationLedger) observe(ev obs.Event) {
 			l.attempts[reason] += n
 			l.departedAt[ev.Node] = ev.Time
 		}
+	case obs.KindJobStarted:
+		delay, _ := time.ParseDuration(ev.Detail["restore_delay"]) // absent: a fresh start
+		l.resumesAt[ev.Job] = ev.Time.Add(delay)
 	case obs.KindJobMigrated:
 		reason := api.DepartReason(ev.Detail["reason"])
 		at, ok := l.departedAt[ev.Detail["from"]]
 		if !ok || l.attempts[reason] == 0 {
 			return // a predictive drain, which no departure attempted
 		}
-		l.downtimes[reason] = append(l.downtimes[reason], ev.Time.Sub(at))
+		l.downtimes[reason] = append(l.downtimes[reason], l.resumesAt[ev.Job].Sub(at))
 	case obs.KindJobMigratedBack:
 		l.migratedBack++
 	}

@@ -22,9 +22,13 @@ func TestMigrationLedgerProjection(t *testing.T) {
 		return obs.Event{Time: at(d), Kind: obs.KindNodeDeparted, Node: node,
 			Detail: map[string]string{"reason": string(reason)}}
 	}
-	moved := func(d time.Duration, job, from, reason string) obs.Event {
-		return obs.Event{Time: at(d), Kind: obs.KindJobMigrated, Job: job, Node: "stable-1",
-			Detail: map[string]string{"from": from, "reason": reason}}
+	// moved relaunches job at launch: the target agent's job.started,
+	// whose chain takes restore to arrive, then the coordinator's record.
+	moved := func(launch, restore time.Duration, job, from, reason string) {
+		feed(obs.Event{Time: at(launch), Kind: obs.KindJobStarted, Job: job, Node: "stable-1",
+			Detail: map[string]string{"restore_delay": restore.String()}})
+		feed(obs.Event{Time: at(launch), Kind: obs.KindJobMigrated, Job: job, Node: "stable-1",
+			Detail: map[string]string{"from": from, "reason": reason}})
 	}
 
 	// Emergency: the agent records its departure while its jobs still
@@ -32,15 +36,15 @@ func TestMigrationLedgerProjection(t *testing.T) {
 	feed(departed(0, "vol-1", api.DepartEmergency))
 	feed(obs.Event{Time: at(90 * time.Second), Kind: obs.KindNodeUnreachable, Node: "vol-1"})
 	running["vol-1"] = 0
-	feed(moved(100*time.Second, "j1", "vol-1", "emergency"))
-	feed(moved(140*time.Second, "j2", "vol-1", "emergency"))
+	moved(90*time.Second, 10*time.Second, "j1", "vol-1", "emergency")
+	moved(90*time.Second, 50*time.Second, "j2", "vol-1", "emergency")
 
 	// Temporary: the coordinator's record moves the job; the agent's
 	// own record follows with nothing left running there.
 	feed(departed(time.Hour, "vol-2", api.DepartTemporary))
 	running["vol-2"] = 0
 	feed(departed(time.Hour, "vol-2", api.DepartTemporary))
-	feed(moved(time.Hour+5*time.Second, "j3", "vol-2", "temporary"))
+	moved(time.Hour, 5*time.Second, "j3", "vol-2", "temporary")
 	feed(obs.Event{Time: at(2 * time.Hour), Kind: obs.KindJobMigratedBack, Job: "j3", Node: "vol-2",
 		Detail: map[string]string{"from": "stable-1", "reason": "migrate-back"}})
 
@@ -48,12 +52,12 @@ func TestMigrationLedgerProjection(t *testing.T) {
 	// target and was requeued.
 	feed(departed(3*time.Hour, "vol-3", api.DepartScheduled))
 	running["vol-3"] = 0
-	feed(moved(3*time.Hour+8*time.Second, "j4", "vol-3", "scheduled"))
+	moved(3*time.Hour, 8*time.Second, "j4", "vol-3", "scheduled")
 	feed(obs.Event{Time: at(3 * time.Hour), Kind: obs.KindJobRequeued, Job: "j5"})
 
 	// A predictive drain off a node that departed earlier is not one of
 	// that departure's moves.
-	feed(moved(4*time.Hour, "j6", "vol-1", "predictive"))
+	moved(4*time.Hour, 0, "j6", "vol-1", "predictive")
 
 	for _, tc := range []struct {
 		reason   api.DepartReason

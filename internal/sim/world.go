@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"net/http"
 	"time"
 
@@ -53,8 +54,8 @@ func NewWorld(start time.Time) *World {
 
 // attachLAN gives the world a 10 Gbps campus backbone: the
 // coordinator's machine, which holds the checkpoint store, on a
-// 10 Gbps access link and each node in defs on 1 Gbps. Every
-// coordinator opened afterwards migrates over it.
+// 10 Gbps access link and each node in defs on 1 Gbps. Every restore
+// from then on crosses it (ckptPath.Fetch).
 func (w *World) attachLAN(defs []NodeDef) {
 	w.Net = netsim.New(10 * netsim.Gbps)
 	w.Net.AddNode(netsim.NodeLink{Name: lanStorage, Access: 10 * netsim.Gbps, Latency: 150 * time.Microsecond})
@@ -72,10 +73,7 @@ func (w *World) Open(host string, cfg core.ReplicaConfig) (*core.Replica, error)
 // open is Open on clock, reaching each agent at the address it
 // registered through wire.
 func (w *World) open(host string, cfg core.ReplicaConfig, clock simclock.Clock, wire http.RoundTripper) (*core.Replica, error) {
-	if w.Net != nil {
-		cfg.Coordinator.Net, cfg.Coordinator.StorageNode = w.Net, lanStorage
-	}
-	rep, err := core.OpenReplica(cfg, clock, w.Ckpts, w.Trace)
+	rep, err := core.OpenReplica(cfg, clock, w.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -90,16 +88,16 @@ func (w *World) open(host string, cfg core.ReplicaConfig, clock simclock.Clock, 
 // machine powers on, and joins it through the first coordinator
 // address that accepts it (see boot).
 func (w *World) Boot(cfg agent.Config, gpus []gpu.Spec, coords ...string) (*agent.Agent, error) {
-	ag := w.boot(cfg, w.Clock, gpus, w.Ckpts, w.Hosts, coords)
+	ag := w.boot(cfg, w.Clock, gpus, nil, w.Hosts, coords)
 	return ag, join(ag)
 }
 
-// boot starts an agent process on clock that writes its checkpoints
-// through ckpts. It answers at its machine ID and holds an endpoint per
-// coordinator address, as with cmd/agent -coordinator a,b, each reached
-// through wire. The caller joins it.
-func (w *World) boot(cfg agent.Config, clock simclock.Clock, gpus []gpu.Spec, ckpts checkpoint.Writer, wire http.RoundTripper, coords []string) *agent.Agent {
-	ag := agent.New(cfg, clock, gpus, ckpts, w.Trace)
+// boot starts an agent process on clock whose checkpoint path is cut
+// while severed reports true (nil: never). It answers at its machine ID
+// and holds an endpoint per coordinator address, as with cmd/agent
+// -coordinator a,b, each reached through wire. The caller joins it.
+func (w *World) boot(cfg agent.Config, clock simclock.Clock, gpus []gpu.Spec, severed func() bool, wire http.RoundTripper, coords []string) *agent.Agent {
+	ag := agent.New(cfg, clock, gpus, ckptPath{w: w, node: cfg.MachineID, severed: severed}, w.Trace)
 	w.Hosts.Serve(cfg.MachineID, ag.Handler())
 	client := &http.Client{Transport: wire}
 	eps := make([]agent.Endpoint, len(coords))
@@ -116,4 +114,61 @@ func (w *World) boot(cfg agent.Config, clock simclock.Clock, gpus []gpu.Spec, ck
 func join(ag *agent.Agent) error {
 	_, err := ag.JoinAny("inproc://"+ag.MachineID(), 1<<40)
 	return err
+}
+
+// ckptPath is every simulated agent's path to World.Ckpts. A data-plane
+// partition (severed) cuts its saves and prunes, exactly as the node's
+// transfer connections would fail; the agent must absorb the error, and
+// the workload keeps running on its last durable generation. With a LAN
+// attached, the chain a launch resumes from crosses it from the store's
+// machine to the node as a migration flow that stays open until its
+// bytes arrive, so the restores of one event share links.
+type ckptPath struct {
+	w    *World
+	node string
+	// severed reports whether the node's data plane is cut (nil: never).
+	severed func() bool
+}
+
+var errDataPlaneSevered = errors.New("sim: checkpoint data plane severed")
+
+func (p ckptPath) cut() bool { return p.severed != nil && p.severed() }
+
+func (p ckptPath) Save(ck checkpoint.Checkpoint) error {
+	if p.cut() {
+		return errDataPlaneSevered
+	}
+	return p.w.Ckpts.Save(ck)
+}
+
+func (p ckptPath) Prune(jobID string) (int64, error) {
+	if p.cut() {
+		return 0, errDataPlaneSevered
+	}
+	return p.w.Ckpts.Prune(jobID)
+}
+
+func (p ckptPath) RestoreChain(jobID string) ([]checkpoint.Checkpoint, error) {
+	return p.w.Ckpts.RestoreChain(jobID)
+}
+
+// Fetch charges the chain's bytes to the LAN, when there is one, and
+// returns the flow's duration.
+func (p ckptPath) Fetch(chain []checkpoint.Checkpoint) time.Duration {
+	net := p.w.Net
+	if net == nil {
+		return 0
+	}
+	var bytes int64
+	for _, ck := range chain {
+		bytes += ck.Bytes
+	}
+	start := p.w.Clock.Now()
+	f, err := net.StartFlow(lanStorage, p.node, bytes, netsim.TrafficMigration, start)
+	if err != nil {
+		return 0
+	}
+	d := f.Duration()
+	p.w.Clock.AfterFunc(d, func() { _ = net.FinishFlow(f, start.Add(d)) })
+	return d
 }

@@ -238,8 +238,8 @@ verify-bench:
 # compare-and-set on the record. In non-test internal/core code a
 # .CloseAllocation( call (the episode close that is not scoped to the
 # placement) or a job-record write (.UpdateJob() outside jobs.go and
-# schedule.go, bar finishMigration's migration count, is a hand-written
-# transition coming back. Outside internal/core a program assembles a
+# schedule.go; place counts a migration in its own write) is a
+# hand-written transition coming back. Outside internal/core a program assembles a
 # coordinator one way, core.OpenReplica then Start: a core.New( call in
 # non-test code under internal, cmd or examples outside internal/core is
 # a second assembly. And every
@@ -258,10 +258,16 @@ verify-bench:
 # of it anywhere, or a RecordAttempt, RecordSuccess, RecordFailure or
 # Migration() in non-test internal/core code, is the planning package
 # and its statistics table coming back into the control plane (Fig. 3
-# projects its numbers from the flight recorder). bench/ is not scanned:
-# its hand-assembled coordinator is the one caller eventbus.New is kept
-# for, and its beats_relayed workload is what internal/aggregator and
-# cmd/aggregator are kept for.
+# projects its numbers from the flight recorder). A relaunch resumes
+# from the point its agent resolves: a netsim import in non-test
+# internal/core or internal/agent code (the LAN model lives in the sims,
+# under the agent's checkpoint path), a RestoreChain(, .Latest( or
+# c.ckpts in non-test internal/core code (the coordinator reading the
+# checkpoint store), or a RestoreFromSeq in any Go file (a restore point
+# on the launch) is the coordinator resolving restores again. bench/ is
+# not scanned: its hand-assembled coordinator is the one caller
+# eventbus.New is kept for, and its beats_relayed workload is what
+# internal/aggregator and cmd/aggregator are kept for.
 verify-compose:
 	@out="$$(grep -rnE 'wal\.Open\(|wal\.NewFollower\(|\.recoverState\(\)' --include='*.go' internal cmd examples \
 		| grep -vE '_test\.go:|^internal/core/replica\.go:|^internal/wal/')"; \
@@ -330,8 +336,7 @@ verify-compose:
 		echo "a second way back into service beside Register:"; echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn '\.CloseAllocation(' --include='*.go' internal/core | grep -v '_test\.go:'; \
-		grep -rn '\.UpdateJob(' --include='*.go' internal/core \
-			| grep -vE '_test\.go:|^internal/core/(jobs|schedule)\.go:|\{ j\.Migrations\+\+ \}\)$$')"; \
+		grep -rn '\.UpdateJob(' --include='*.go' internal/core | grep -vE '_test\.go:|^internal/core/(jobs|schedule)\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a job placement changed outside place and settle:"; echo "$$out"; exit 1; \
 	fi
@@ -354,6 +359,12 @@ verify-compose:
 		grep -rnE --include='*.go' 'RecordAttempt|RecordSuccess|RecordFailure|Migration\(\)' internal/core | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "migration statistics or a planning package beside core's relocation:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' '"gpunion/internal/netsim"' internal/core internal/agent | grep -v '_test\.go:'; \
+		grep -rnE --include='*.go' 'RestoreChain\(|\.Latest\(|c\.ckpts\b' internal/core | grep -v '_test\.go:'; \
+		grep -rn --include='*.go' 'RestoreFromSeq' .)"; \
+	if [ -n "$$out" ]; then \
+		echo "a restore resolved by the coordinator (the job's agent resolves it):"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

@@ -153,7 +153,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	res.Report = rep
 	res.Violations = append(res.Violations, rep.Violations...)
 	// End-of-run liveness: after the drain, no job may be wedged in
-	// Migrating — a failed transfer must have requeued it.
+	// Migrating — a failed relaunch must have requeued it.
 	store := h.currentStore()
 	for _, j := range store.JobsInState(db.JobMigrating) {
 		res.Violations = append(res.Violations, invariant.Violation{
@@ -1352,9 +1352,9 @@ func (h *chaosHarness) checkDegradedDrained(store db.Store) []invariant.Violatio
 		since[id] = t
 	}
 	h.mu.Unlock()
-	// Ten beat intervals: detection takes a beat, the checkpoint and
-	// plan are immediate, and the transfer plus one sweep-cadence retry
-	// fit comfortably inside the rest.
+	// Ten beat intervals: detection takes a beat, the checkpoint, plan
+	// and relaunch are immediate, and one sweep-cadence retry fits
+	// comfortably inside the rest.
 	return invariant.CheckDegradedDrained(store, since, now, 10*chaosHeartbeat)
 }
 

@@ -346,16 +346,16 @@ func (a *Agent) gpuInfo() []db.GPUInfo {
 func (a *Agent) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 	now := a.clock.Now()
 	a.mu.Lock()
-	run, restored, err := a.launchLocked(req, now)
+	run, started, err := a.launchLocked(req, now)
 	a.mu.Unlock()
 	if err != nil {
 		return api.LaunchResponse{}, err
 	}
-	if restored != nil {
+	if started != nil {
 		// Recorded after the unlock: a Recorder.Observe callback runs
 		// here, synchronously, and may call back into the agent.
 		a.launchesTotal.Inc()
-		a.trace.RecordAt(now, obs.KindJobStarted, run.jobID, a.cfg.MachineID, restored)
+		a.trace.RecordAt(now, obs.KindJobStarted, run.jobID, a.cfg.MachineID, started)
 	}
 	return api.LaunchResponse{ContainerID: run.containerID, DeviceID: run.dev.ID, RestoreStep: run.restoredStep}, nil
 }

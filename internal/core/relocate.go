@@ -101,8 +101,9 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migrationReason) {
 // returned home node. Each job is checkpointed at its source, all of
 // them are planned as one batch — so two of them can never be sent to
 // the same free device — and each planned job is then killed at the
-// source, settled as migrating and relaunched; the target resumes it
-// from the checkpoint just taken.
+// source, settled as migrating and relaunched. Where the target's agent
+// reads the store the source wrote, it resumes from the checkpoint just
+// taken.
 //
 // The two reasons differ only in how much the move is worth. A drain
 // must happen: when the source cannot checkpoint (the gray failure

@@ -66,23 +66,43 @@ func fetch(t *testing.T, path ckptPath, jobID string) time.Duration {
 }
 
 // TestRestoreChargesChainBytes: a restore moves the whole chain — the
-// full snapshot and every increment on it — and the bytes count once
-// they have arrived.
+// full snapshot and every increment on it — and resumes at its head.
 func TestRestoreChargesChainBytes(t *testing.T) {
 	w := lanWorld("n1")
 	saveChain(t, w.Ckpts, "j1", 1_000_000_000, 100, 200, 300)
+	path := ckptPath{w: w, node: "n1"}
+	chain, err := path.RestoreChain("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := chain[len(chain)-1]; head.Progress.Step != 300 {
+		t.Fatalf("restore resumes at step %d, want the head's 300", head.Progress.Step)
+	}
+	w.Clock.Advance(path.Fetch(chain))
+	want := int64(1_000_000_000 + 100_000_000 + 100_000_000) // full + two increments
+	if got := w.Net.Accountant().TotalBytes(netsim.TrafficMigration); got != want {
+		t.Fatalf("migration traffic = %d bytes, want the chain's %d", got, want)
+	}
+}
+
+// TestRestoreTimeFollowsLAN: the restore takes as long as the LAN
+// model says the chain needs, and its bytes count once they have
+// arrived.
+func TestRestoreTimeFollowsLAN(t *testing.T) {
+	w := lanWorld("n1")
+	saveChain(t, w.Ckpts, "j1", 1_000_000_000, 500)
 	d := fetch(t, ckptPath{w: w, node: "n1"}, "j1")
-	// 1.2 GB over n1's 1 Gbps access link ≈ 9.6 s.
-	if d < 9*time.Second || d > 11*time.Second {
-		t.Fatalf("restore took %v, want ≈9.6 s", d)
+	// 1 GB over n1's 1 Gbps access link ≈ 8 s.
+	if d < 7*time.Second || d > 10*time.Second {
+		t.Fatalf("restore took %v, want ≈8 s", d)
 	}
 	acct := w.Net.Accountant()
 	if got := acct.TotalBytes(netsim.TrafficMigration); got != 0 {
 		t.Fatalf("%d bytes accounted before they arrived", got)
 	}
 	w.Clock.Advance(d)
-	if got := acct.TotalBytes(netsim.TrafficMigration); got != 1_200_000_000 {
-		t.Fatalf("migration traffic = %d bytes, want the chain's 1.2 GB", got)
+	if got := acct.TotalBytes(netsim.TrafficMigration); got != 1_000_000_000 {
+		t.Fatalf("migration traffic = %d bytes, want the chain's 1 GB", got)
 	}
 }
 
@@ -170,22 +190,11 @@ func migrations(c *Campus) map[string]int {
 	return out
 }
 
-// TestMigrationDowntimeIncludesRestore: a displaced job runs on its
+// TestRelaunchStepsAfterRestoreArrives: a displaced job runs on its
 // target as soon as the departure is handled, but steps only once its
-// chain has arrived, and Fig. 3's ledger counts the transfer in its
-// downtime.
-func TestMigrationDowntimeIncludesRestore(t *testing.T) {
+// chain has arrived.
+func TestRelaunchStepsAfterRestoreArrives(t *testing.T) {
 	c := lanCampus(t, nil, oneGPU("n1", "n2")...)
-	ledger := newMigrationLedger(func(node string) int {
-		n := 0
-		for _, job := range c.Coord.DB().JobsOnNode(node) {
-			if job.State == db.JobRunning {
-				n++
-			}
-		}
-		return n
-	})
-	c.Trace.Observe(ledger.observe)
 	id, home := submitBig(t, c)
 	c.Run(2 * time.Minute) // at least one checkpoint
 
@@ -211,6 +220,32 @@ func TestMigrationDowntimeIncludesRestore(t *testing.T) {
 	if job.Step() <= from {
 		t.Fatal("the job did not step once its chain arrived")
 	}
+}
+
+// TestMigrationDowntimeIncludesRestore: Fig. 3's ledger counts the
+// restore transfer in a migrated job's downtime, and job.started
+// records the bytes the LAN carried.
+func TestMigrationDowntimeIncludesRestore(t *testing.T) {
+	c := lanCampus(t, nil, oneGPU("n1", "n2")...)
+	ledger := newMigrationLedger(func(node string) int {
+		n := 0
+		for _, job := range c.Coord.DB().JobsOnNode(node) {
+			if job.State == db.JobRunning {
+				n++
+			}
+		}
+		return n
+	})
+	c.Trace.Observe(ledger.observe)
+	id, home := submitBig(t, c)
+	c.Run(2 * time.Minute) // at least one checkpoint
+
+	c.Agents[home].Depart(api.DepartScheduled, time.Minute)
+	started, delay := lastStart(t, c, id)
+	if delay < 15*time.Second {
+		t.Fatalf("restore delay %v, want ≥ 16 s for a ~2 GB chain at 1 Gbps", delay)
+	}
+	c.Run(delay + time.Minute)
 	if rate, mean := ledger.scenario(api.DepartScheduled, fig3Deadline); rate != 1 || mean != delay {
 		t.Fatalf("ledger: rate %v, downtime %v; want 1 and the restore's %v", rate, mean, delay)
 	}

@@ -241,9 +241,12 @@ func (c *Coordinator) InteractiveSessions() int {
 //
 //   - the job-ID sequence resumes past every recovered job, so new
 //     submissions cannot collide with recovered ones;
-//   - jobs caught mid-migration are requeued — their relaunch died
-//     with the old process, and the pending queue re-places them (the
-//     agent resumes each from its last durable checkpoint);
+//   - every job that is neither pending, ended nor running on an active
+//     or paused node is requeued, and the pending queue re-places it
+//     (the agent resumes it from its last durable checkpoint): a job on
+//     a node whose departure committed before the old process moved
+//     its jobs (nodeLeaves), and a record in the retired migrating
+//     state an older build logged mid-move;
 //   - failure detection is re-armed for every node that was active or
 //     paused before the crash, dated from its last recorded heartbeat:
 //     a node that outlived the coordinator keeps beating and registers
@@ -264,7 +267,11 @@ func (c *Coordinator) recoverState() {
 		if _, err := fmt.Sscanf(job.ID, "job-%d", &n); err == nil && n > maxSeq {
 			maxSeq = n
 		}
-		if job.State == db.JobMigrating {
+		if job.State == db.JobPending || ended(job.State) {
+			continue
+		}
+		if host, err := c.db.GetNode(job.NodeID); err != nil || job.State != db.JobRunning ||
+			host.Status != db.NodeActive && host.Status != db.NodePaused {
 			c.requeueFromCheckpoint(job, now)
 		}
 	}

@@ -207,36 +207,39 @@ func TestScheduledDepartureMigratesJob(t *testing.T) {
 	}
 }
 
-// TestMigrationIsOneJobWrite: a displaced job's record is written twice
-// on its way to the new node — settled as migrating, then placed — and
-// the placement carries the migration count: no third write follows it.
+// TestMigrationIsOneJobWrite: a displaced job's move writes its record
+// once. With a target, that write places the job there and counts the
+// migration; with none, it requeues the job.
 func TestMigrationIsOneJobWrite(t *testing.T) {
-	r := newRig(t, 10*time.Second)
-	ag1 := r.addNode("n1", gpu.RTX3090)
-	r.addNode("n2", gpu.RTX3090)
-	id := submitTraining(t, r, workload.SmallCNN, 30)
-	r.clock.Advance(time.Minute)
+	for _, target := range []bool{true, false} {
+		t.Run(map[bool]string{true: "target", false: "no target"}[target], func(t *testing.T) {
+			r := newRig(t, 10*time.Second)
+			ag1 := r.addNode("n1", gpu.RTX3090)
+			id := submitTraining(t, r, workload.SmallCNN, 30)
+			if target {
+				r.addNode("n2", gpu.RTX3090)
+			}
+			r.clock.Advance(time.Minute)
 
-	var puts []db.JobRecord
-	cancel := r.coord.DB().AddMutationObserver(func(m db.Mutation) {
-		if m.Type == db.MutJobPut && m.Job != nil && m.Job.ID == id {
-			puts = append(puts, *m.Job)
-		}
-	})
-	defer cancel()
-	ag1.Depart(api.DepartScheduled, time.Minute)
+			var puts []db.JobRecord
+			cancel := r.coord.DB().AddMutationObserver(func(m db.Mutation) {
+				if m.Type == db.MutJobPut && m.Job != nil && m.Job.ID == id {
+					puts = append(puts, *m.Job)
+				}
+			})
+			defer cancel()
+			ag1.Depart(api.DepartScheduled, time.Minute)
 
-	if st, _ := r.coord.JobStatus(id); st.State != db.JobRunning || st.NodeID != "n2" || st.Migrations != 1 {
-		t.Fatalf("after the move: %+v, want running on n2 with one migration", st)
-	}
-	var moves []db.JobRecord
-	for _, p := range puts {
-		if p.State != db.JobMigrating {
-			moves = append(moves, p)
-		}
-	}
-	if len(puts) != 2 || len(moves) != 1 || moves[0].Migrations != 1 || moves[0].NodeID != "n2" {
-		t.Fatalf("job_put records of the move: %+v; want the settle and one placement that counts the migration", puts)
+			want := db.JobRecord{State: db.JobPending}
+			if target {
+				want = db.JobRecord{State: db.JobRunning, NodeID: "n2", Migrations: 1}
+			}
+			if len(puts) != 1 || puts[0].State != want.State || puts[0].NodeID != want.NodeID ||
+				puts[0].Migrations != want.Migrations {
+				t.Fatalf("job_put records of the move: %+v; want one, %s on %q with %d migrations",
+					puts, want.State, want.NodeID, want.Migrations)
+			}
+		})
 	}
 }
 
@@ -394,6 +397,39 @@ func TestKillDuringLaunchWins(t *testing.T) {
 	}
 	if rec, _ := r.coord.db.GetNode("n1"); rec.GPUs[0].Allocated {
 		t.Fatal("the killed job's device is still held")
+	}
+	for _, a := range r.coord.db.Allocations() {
+		if a.JobID == id && a.End.IsZero() {
+			t.Fatalf("open allocation episode for the killed job: %+v", a)
+		}
+	}
+}
+
+// TestKillDuringMoveWins: a kill that lands while a displaced job's
+// launch on its target is in flight stands, though the record still
+// names the source. The move's commit finds the job resolved and kills
+// the target's copy; no device stays held and no episode open.
+func TestKillDuringMoveWins(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	ag1 := r.addNode("n1", gpu.RTX3090)
+	id := submitTraining(t, r, workload.SmallCNN, 30)
+	r.addNode("n2", gpu.RTX3090)
+	r.coord.mu.Lock()
+	r.coord.agents["n2"] = killInLaunch{AgentHandle: r.coord.agents["n2"], coord: r.coord}
+	r.coord.mu.Unlock()
+	r.clock.Advance(time.Minute)
+
+	ag1.Depart(api.DepartScheduled, time.Minute)
+	if st, _ := r.coord.JobStatus(id); st.State != db.JobKilled {
+		t.Fatalf("job = %+v, want killed", st)
+	}
+	if n := len(r.ags["n2"].Status().RunningJobs); n != 0 {
+		t.Fatalf("n2 runs %d jobs after the kill", n)
+	}
+	for _, n := range []string{"n1", "n2"} {
+		if rec, _ := r.coord.db.GetNode(n); rec.GPUs[0].Allocated {
+			t.Fatalf("%s's device is still held", n)
+		}
 	}
 	for _, a := range r.coord.db.Allocations() {
 		if a.JobID == id && a.End.IsZero() {

@@ -247,9 +247,9 @@ func (c *Coordinator) loadNode(b *beat) bool {
 // foreign jobs) mark the report suspicious, which forces the
 // lost-placement scan — such a job may be occupying a device and keeping
 // the counts equal while a genuine placement went missing — and the
-// provably stale ones become orphans for reconcile to kill. A pending
-// or migrating record is no orphan while a launch of it to this node is
-// in flight (the agent runs it before place commits) or has committed
+// provably stale ones become orphans for reconcile to kill. A copy is no
+// orphan, whatever its record reads, while a launch of it to this node
+// is in flight (the agent runs it before place commits) or has committed
 // since the read (the mark clears after the commit), and neither is a
 // placement elsewhere in the heartbeat grace, which the report may predate.
 //
@@ -283,26 +283,32 @@ func (c *Coordinator) reportedCopy(nodeID, jobID string, now time.Time) (placed,
 	if err != nil {
 		return false, false // agent-local work the platform never tracked
 	}
-	if jrec.NodeID == nodeID && (jrec.State == db.JobRunning || jrec.State == db.JobMigrating) {
+	if jrec.NodeID == nodeID && jrec.State == db.JobRunning {
 		return true, false
 	}
-	c.mu.Lock()
-	launching := c.launching[jobID] == nodeID
-	c.mu.Unlock()
-	spared := jrec.State == db.JobRunning && now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval ||
-		(jrec.State == db.JobPending || jrec.State == db.JobMigrating) && (launching || c.placedOn(jobID, nodeID))
+	spared := c.launchingTo(jobID) == nodeID ||
+		jrec.State == db.JobRunning && now.Sub(jrec.PlacedAt) < c.cfg.HeartbeatInterval ||
+		c.placedOn(jobID, nodeID)
 	return false, !spared
+}
+
+// launchingTo reports the node a launch of jobID is in flight to, or "".
+func (c *Coordinator) launchingTo(jobID string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.launching[jobID]
 }
 
 // placedOn reads job's record and reports whether it places the job on nodeID.
 func (c *Coordinator) placedOn(jobID, nodeID string) bool {
 	j, err := c.db.GetJob(jobID)
-	return err == nil && j.NodeID == nodeID && (j.State == db.JobRunning || j.State == db.JobMigrating)
+	return err == nil && j.NodeID == nodeID && j.State == db.JobRunning
 }
 
 // lostPlacements compares the heartbeat report against the node's
 // recorded placements and returns the running jobs the node has stopped
-// reporting (to be requeued). rec is the node record as read before
+// reporting (to be requeued), bar a job whose move off the node is in
+// flight: its source stopped it before the launch (relocateLive). rec is the node record as read before
 // this heartbeat's updates; its device flags are the store's count of
 // running jobs. The scan over the node's jobs runs only when a cheap
 // divergence signal fires — a suspicious report, or the held devices
@@ -319,7 +325,7 @@ func (c *Coordinator) lostPlacements(rec db.NodeRecord, reported map[string]bool
 		return nil
 	}
 	for _, job := range c.db.JobsOnNode(rec.ID) {
-		if job.State != db.JobRunning || reported[job.ID] {
+		if reported[job.ID] || c.launchingTo(job.ID) != "" {
 			continue
 		}
 		if !job.PlacedAt.IsZero() && now.Sub(job.PlacedAt) < c.cfg.HeartbeatInterval {

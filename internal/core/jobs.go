@@ -147,18 +147,14 @@ func ended(s db.JobState) bool {
 // settle is the one way off a device or out of the queue: a
 // compare-and-set that moves job, as its caller read it, to state to.
 // It writes nothing and returns false if job had ended or the record no
-// longer reads as job does (state, node, device, placement time). A job
-// leaving a running placement has its episode closed, scoped to that
-// placement, while the record still points at it: a job flipped first
-// could be re-placed and its new episode closed. The device frees with
-// the record write itself (the store derives occupancy from running
-// jobs). to pending clears the placement, an ending to stamps
-// FinishedAt, and to migrating keeps the node until the relaunch.
+// longer reads as job does (same). A job leaving a running placement
+// has its episode closed, scoped to that placement, while the record
+// still points at it: a job flipped first could be re-placed and its
+// new episode closed. The device frees with the record write itself
+// (the store derives occupancy from running jobs). to pending clears
+// the placement, and an ending to stamps FinishedAt.
 func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bool {
-	same := func(j *db.JobRecord) bool {
-		return j.State == job.State && j.NodeID == job.NodeID && j.DeviceID == job.DeviceID && j.PlacedAt.Equal(job.PlacedAt)
-	}
-	if cur, err := c.db.GetJob(job.ID); err != nil || !same(&cur) || ended(job.State) {
+	if ended(job.State) || !c.unchanged(job) {
 		return false
 	}
 	if job.State == db.JobRunning {
@@ -166,7 +162,7 @@ func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bo
 	}
 	settled := false
 	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
-		if settled = same(j); !settled {
+		if settled = same(j, &job); !settled {
 			return
 		}
 		j.State = to
@@ -177,4 +173,16 @@ func (c *Coordinator) settle(job db.JobRecord, to db.JobState, now time.Time) bo
 		}
 	})
 	return settled
+}
+
+// same reports whether record j still reads as job did: the same state,
+// node, device and placement time.
+func same(j, job *db.JobRecord) bool {
+	return j.State == job.State && j.NodeID == job.NodeID && j.DeviceID == job.DeviceID && j.PlacedAt.Equal(job.PlacedAt)
+}
+
+// unchanged reads job's record and reports whether it is still the same.
+func (c *Coordinator) unchanged(job db.JobRecord) bool {
+	cur, err := c.db.GetJob(job.ID)
+	return err == nil && same(&cur, &job)
 }

@@ -56,8 +56,7 @@ type coordMetrics struct {
 // jobStates is every state a job record can be in, in lifecycle order;
 // refresh exports one per-state gauge for each.
 var jobStates = []db.JobState{
-	db.JobPending, db.JobRunning, db.JobMigrating,
-	db.JobCompleted, db.JobFailed, db.JobKilled,
+	db.JobPending, db.JobRunning, db.JobCompleted, db.JobFailed, db.JobKilled,
 }
 
 // newCoordMetrics registers the coordinator's instruments on reg.

@@ -387,8 +387,9 @@ func (s *holdInClassify) GetJob(id string) (db.JobRecord, error) {
 }
 
 // beatInLaunch is an agent handle whose launch, once the agent has
-// started the job, has the node beat in another goroutine and returns
-// only after that beat has read the job's record.
+// started the job, has a node beat in another goroutine. With a release
+// channel it returns once that beat has read a job's record, which the
+// beat then holds until release; without one, once the beat is done.
 type beatInLaunch struct {
 	AgentHandle
 	store   *holdInClassify
@@ -399,12 +400,17 @@ type beatInLaunch struct {
 
 func (h beatInLaunch) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
 	resp, err := h.AgentHandle.Launch(req)
-	read := make(chan struct{})
-	h.store.mu.Lock()
-	h.store.hold = func() { close(read); <-h.release }
-	h.store.mu.Unlock()
-	go func() { h.done <- h.beat() }()
-	<-read
+	read, beaten := make(chan struct{}), make(chan struct{})
+	if h.release != nil {
+		h.store.mu.Lock()
+		h.store.hold = func() { close(read); <-h.release }
+		h.store.mu.Unlock()
+	}
+	go func() { h.done <- h.beat(); close(beaten) }()
+	select {
+	case <-read:
+	case <-beaten:
+	}
 	return resp, err
 }
 
@@ -449,6 +455,48 @@ func TestBeatReadingBeforeCommitSparesLaunch(t *testing.T) {
 	}
 	if _, ok := b.ags["n1"].RunningJob(jobID); !ok {
 		t.Fatal("the beat killed the fresh placement as an orphan")
+	}
+}
+
+// TestSourceBeatDuringMoveSparesJob: a predictive drain kills the job
+// at its source and launches it on the target; the source's beat, which
+// no longer reports the job, arrives while that launch is in flight and
+// the record still reads running on the source. The beat leaves the job
+// to its move, which lands it on the target.
+func TestSourceBeatDuringMoveSparesJob(t *testing.T) {
+	store := &holdInClassify{Store: db.New(0)}
+	b := newBeatRig(t, time.Minute, store)
+	b.addSilentNode("n1")
+	spec := workload.SmallCNN
+	id, err := b.coord.SubmitJob(api.SubmitJobRequest{User: "alice", Kind: "batch",
+		ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: spec.GPUMemMiB, Training: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.addSilentNode("n2")
+	b.clock.Advance(2 * time.Minute) // past the placement grace
+	var once sync.Once
+	h := beatInLaunch{store: store, done: make(chan api.HeartbeatResponse, 2), beat: func() (resp api.HeartbeatResponse) {
+		once.Do(func() { resp, _ = b.coord.Heartbeat(b.beatReq("n1")) })
+		return resp
+	}}
+	b.coord.mu.Lock()
+	h.AgentHandle = b.coord.agents["n2"]
+	b.coord.agents["n2"] = h
+	b.coord.mu.Unlock()
+
+	b.coord.drainUnhealthy("n1", b.clock.Now())
+	if resp := <-h.done; !resp.Acknowledged {
+		t.Fatalf("the source's beat = %+v, want it acknowledged", resp)
+	}
+	if st, _ := b.coord.JobStatus(id); st.State != db.JobRunning || st.NodeID != "n2" || st.Migrations != 1 {
+		t.Fatalf("job = %+v, want running on n2 after one migration", st)
+	}
+	if _, ok := b.ags["n2"].RunningJob(id); !ok {
+		t.Fatal("n2 does not run the job")
+	}
+	if n := obs.Kinds(b.coord.Trace().Events())[obs.KindJobRequeued]; n != 0 {
+		t.Fatalf("%d requeues; the beat took the moving job for lost", n)
 	}
 }
 

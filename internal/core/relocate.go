@@ -37,24 +37,13 @@ const (
 	reasonPredictive migrationReason = "predictive"
 )
 
-// migrationPlan is one job's move, ready for relaunch, or the reason it
-// cannot move now (err: no target).
-type migrationPlan struct {
-	jobID string
-	// from is the node the job is leaving (may be gone already).
-	from      string
-	placement scheduler.Placement
-	reason    migrationReason
-	err       error
-}
-
-// planBatch plans migrations for all jobs displaced by one event with
+// planBatch plans the moves of all jobs displaced by one event with
 // one scheduler cycle over the store's current nodes, so two jobs never
 // land on the same free device — the cycle's reservations see to that.
 // A job's current node (which may still be in the store) is excluded
 // via AvoidNodes, except on migrate-back, where the original node is
-// preferred instead.
-func (c *Coordinator) planBatch(jobs []db.JobRecord, reason migrationReason, now time.Time) []migrationPlan {
+// preferred instead. It returns one result per job, in order.
+func (c *Coordinator) planBatch(jobs []db.JobRecord, reason migrationReason, now time.Time) []scheduler.BatchResult {
 	reqs := make([]scheduler.Request, len(jobs))
 	for i, job := range jobs {
 		reqs[i] = scheduler.Request{
@@ -70,29 +59,16 @@ func (c *Coordinator) planBatch(jobs []db.JobRecord, reason migrationReason, now
 			reqs[i].AvoidNodes = []string{job.NodeID}
 		}
 	}
-	results := c.sched.Place(reqs, c.db, now)
-	out := make([]migrationPlan, len(jobs))
-	for i, job := range jobs {
-		out[i] = migrationPlan{jobID: job.ID, from: job.NodeID, reason: reason,
-			placement: results[i].Placement, err: results[i].Err}
-	}
-	return out
+	return c.sched.Place(reqs, c.db, now)
 }
 
 // migrateJobsFrom relaunches every job running on nodeID, all of them
 // planned as one batch.
 func (c *Coordinator) migrateJobsFrom(nodeID string, reason migrationReason) {
 	now := c.clock.Now()
-	var planned []db.JobRecord
-	for _, job := range c.db.JobsOnNode(nodeID) {
-		if job.State != db.JobRunning || !c.settle(job, db.JobMigrating, now) {
-			continue
-		}
-		job.State = db.JobMigrating
-		planned = append(planned, job)
-	}
-	for i, plan := range c.planBatch(planned, reason, now) {
-		c.relaunch(planned[i], plan, now)
+	jobs := c.db.JobsOnNode(nodeID)
+	for i, res := range c.planBatch(jobs, reason, now) {
+		c.relaunch(jobs[i], res, reason, now)
 	}
 }
 
@@ -101,9 +77,8 @@ func (c *Coordinator) migrateJobsFrom(nodeID string, reason migrationReason) {
 // returned home node. Each job is checkpointed at its source, all of
 // them are planned as one batch — so two of them can never be sent to
 // the same free device — and each planned job is then killed at the
-// source, settled as migrating and relaunched. Where the target's agent
-// reads the store the source wrote, it resumes from the checkpoint just
-// taken.
+// source and relaunched. Where the target's agent reads the store the
+// source wrote, it resumes from the checkpoint just taken.
 //
 // The two reasons differ only in how much the move is worth. A drain
 // must happen: when the source cannot checkpoint (the gray failure
@@ -126,29 +101,27 @@ func (c *Coordinator) relocateLive(jobs []db.JobRecord, reason migrationReason, 
 		}
 		moving, hosts = append(moving, job), append(hosts, host)
 	}
-	for i, plan := range c.planBatch(moving, reason, now) {
+	for i, res := range c.planBatch(moving, reason, now) {
 		job := moving[i]
-		if plan.err != nil || (back && plan.placement.NodeID != job.PreferredNode) {
+		if res.Err != nil || (back && res.Placement.NodeID != job.PreferredNode) {
 			continue
 		}
-		if err := hosts[i].Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID}); err != nil ||
-			!c.settle(job, db.JobMigrating, now) {
+		if err := hosts[i].Kill(api.KillRequest{Envelope: c.envelope(), JobID: job.ID}); err != nil {
 			continue
 		}
-		job.State = db.JobMigrating
-		c.relaunch(job, plan, now)
+		c.relaunch(job, res, reason, now)
 	}
 }
 
-// relaunch places a displaced job, which the caller settled as
-// migrating, on its planned target. A job with no target, or whose
+// relaunch moves a displaced job, still running on its source as the
+// caller read it, to its planned target. A job with no target, or whose
 // launch fails, goes back to the pending queue; one resolved meanwhile
 // (a kill won) stays resolved.
-func (c *Coordinator) relaunch(job db.JobRecord, plan migrationPlan, now time.Time) {
-	ok := plan.err == nil
+func (c *Coordinator) relaunch(job db.JobRecord, res scheduler.BatchResult, reason migrationReason, now time.Time) {
+	ok := res.Err == nil
 	var resp api.LaunchResponse
 	if ok {
-		resp, ok = c.place(job, plan.placement, now)
+		resp, ok = c.place(job, res.Placement, now)
 	}
 	if !ok {
 		// No target now, or the launch failed: a later trySchedule
@@ -157,17 +130,17 @@ func (c *Coordinator) relaunch(job db.JobRecord, plan migrationPlan, now time.Ti
 		return
 	}
 	restoreStep := strconv.FormatInt(resp.RestoreStep, 10)
-	if plan.reason == reasonPredictive {
+	if reason == reasonPredictive {
 		c.trace.RecordAt(now, obs.KindPredictiveMigrate, job.ID, job.NodeID, map[string]string{
-			"to": plan.placement.NodeID, "restore_step": restoreStep,
+			"to": res.Placement.NodeID, "restore_step": restoreStep,
 		})
 	}
 	kind := obs.KindJobMigrated
-	if plan.reason == reasonMigrateBack {
+	if reason == reasonMigrateBack {
 		kind = obs.KindJobMigratedBack
 	}
-	c.trace.RecordAt(now, kind, job.ID, plan.placement.NodeID, map[string]string{
-		"from": plan.from, "restore_step": restoreStep, "reason": string(plan.reason),
+	c.trace.RecordAt(now, kind, job.ID, res.Placement.NodeID, map[string]string{
+		"from": job.NodeID, "restore_step": restoreStep, "reason": string(reason),
 	})
 }
 

@@ -46,7 +46,7 @@ func planNodes() []db.NodeRecord {
 
 func displacedJob() db.JobRecord {
 	return db.JobRecord{
-		ID: "j1", State: db.JobMigrating, NodeID: "n-gone",
+		ID: "j1", State: db.JobRunning, NodeID: "n-gone",
 		PreferredNode: "n-gone", GPUMemMiB: 8192,
 		CapabilityMajor: 7, CapabilityMinor: 0,
 	}
@@ -75,7 +75,7 @@ func planner(strategy scheduler.Strategy, nodes []db.NodeRecord) *Coordinator {
 }
 
 // planOne plans a batch of one.
-func planOne(t *testing.T, c *Coordinator, job db.JobRecord, reason migrationReason) migrationPlan {
+func planOne(t *testing.T, c *Coordinator, job db.JobRecord, reason migrationReason) scheduler.BatchResult {
 	t.Helper()
 	return c.planBatch([]db.JobRecord{job}, reason, t0)[0]
 }
@@ -83,10 +83,10 @@ func planOne(t *testing.T, c *Coordinator, job db.JobRecord, reason migrationRea
 func TestPlanAvoidsDepartedNode(t *testing.T) {
 	c := planner(nil, planNodes())
 	p := planOne(t, c, displacedJob(), reasonEmergency)
-	if p.err != nil {
-		t.Fatal(p.err)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
-	if p.placement.NodeID == "n-gone" {
+	if p.Placement.NodeID == "n-gone" {
 		t.Fatal("migration landed on the departed node")
 	}
 }
@@ -96,8 +96,8 @@ func TestPlanAvoidsDepartedNode(t *testing.T) {
 func TestPlanStatelessRequeue(t *testing.T) {
 	c := planner(nil, planNodes())
 	p := planOne(t, c, displacedJob(), reasonEmergency)
-	if p.err != nil {
-		t.Fatal(p.err)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestPlanNoTarget(t *testing.T) {
 	c := planner(nil, planNodes())
 	job := displacedJob()
 	job.GPUMemMiB = 999999 // nothing fits
-	if p := planOne(t, c, job, reasonEmergency); p.err == nil {
+	if p := planOne(t, c, job, reasonEmergency); p.Err == nil {
 		t.Fatalf("plan = %+v, want no target", p)
 	}
 }
@@ -118,11 +118,11 @@ func TestMigrateBackPrefersOriginalNode(t *testing.T) {
 	job.NodeID = "n-alive" // currently running elsewhere
 	job.PreferredNode = "n-gone"
 	p := planOne(t, c, job, reasonMigrateBack)
-	if p.err != nil {
-		t.Fatal(p.err)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
-	if p.placement.NodeID != "n-gone" {
-		t.Fatalf("migrate-back chose %s, want n-gone", p.placement.NodeID)
+	if p.Placement.NodeID != "n-gone" {
+		t.Fatalf("migrate-back chose %s, want n-gone", p.Placement.NodeID)
 	}
 }
 
@@ -153,7 +153,7 @@ func displacedJobs(n int) []db.JobRecord {
 	jobs := make([]db.JobRecord, 0, n)
 	for i := 0; i < n; i++ {
 		jobs = append(jobs, db.JobRecord{
-			ID: fmt.Sprintf("j%d", i), State: db.JobMigrating, NodeID: "n-gone",
+			ID: fmt.Sprintf("j%d", i), State: db.JobRunning, NodeID: "n-gone",
 			GPUMemMiB: 8192, CapabilityMajor: 7, CapabilityMinor: 0,
 		})
 	}
@@ -165,10 +165,10 @@ func TestPlanBatchNoDoubleDeviceAssignment(t *testing.T) {
 	// 2 targets × 2 GPUs = exactly 4 slots for 4 jobs.
 	seen := make(map[string]bool)
 	for i, p := range c.planBatch(displacedJobs(4), reasonEmergency, t0) {
-		if p.err != nil {
-			t.Fatalf("plan %d: %v", i, p.err)
+		if p.Err != nil {
+			t.Fatalf("plan %d: %v", i, p.Err)
 		}
-		key := p.placement.NodeID + "/" + p.placement.DeviceID
+		key := p.Placement.NodeID + "/" + p.Placement.DeviceID
 		if seen[key] {
 			t.Fatalf("device %s assigned twice in one batch", key)
 		}
@@ -181,7 +181,7 @@ func TestPlanBatchOverflowFailsCleanly(t *testing.T) {
 	// 5 jobs, 4 slots: exactly one must find no target.
 	failures := 0
 	for _, p := range c.planBatch(displacedJobs(5), reasonEmergency, t0) {
-		if p.err != nil {
+		if p.Err != nil {
 			failures++
 		}
 	}
@@ -228,13 +228,13 @@ func TestPlanBatchMatchesSequentialPlacement(t *testing.T) {
 					Capability:  gpu.ComputeCapability{Major: job.CapabilityMajor, Minor: job.CapabilityMinor},
 					LongRunning: true, AvoidNodes: []string{job.NodeID},
 				}, nodes, t0)
-				if (werr == nil) != (plans[i].err == nil) {
-					t.Fatalf("job %d: batch err %v, sequential err %v", i, plans[i].err, werr)
+				if (werr == nil) != (plans[i].Err == nil) {
+					t.Fatalf("job %d: batch err %v, sequential err %v", i, plans[i].Err, werr)
 				}
 				if werr != nil {
 					continue
 				}
-				got := plans[i].placement
+				got := plans[i].Placement
 				if got.NodeID != want.NodeID || got.DeviceID != want.DeviceID {
 					t.Fatalf("job %d: batch %s/%s, sequential %s/%s", i,
 						got.NodeID, got.DeviceID, want.NodeID, want.DeviceID)

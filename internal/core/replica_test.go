@@ -719,3 +719,112 @@ func migrateBackAcrossCoordinatorChange(t *testing.T, failover, homeFirst bool) 
 		t.Fatalf("n1 = %+v, %v; want the return intent cleared once the move was made", rec, err)
 	}
 }
+
+// registerFake registers node id, one RTX 3090, with a fake agent.
+func registerFake(t *testing.T, c *Coordinator, id string) {
+	t.Helper()
+	if _, err := c.Register(api.RegisterRequest{
+		MachineID: id, Addr: "fake://" + id,
+		GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090",
+			MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}},
+	}, newFakeAgent("gpu0")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverAfterWrite runs a job on n00 under a fresh deployment (a solo
+// replica, or a leader with a semi-sync standby), lets write change the
+// store, kills the replica and returns its successor, recovered and
+// leading, with the job's ID.
+func recoverAfterWrite(t *testing.T, failover bool, write func(s db.Store, jobID string)) (*Coordinator, string) {
+	r, dir := newReplicaRig(t), t.TempDir()
+	var first, standby *Replica
+	if failover {
+		first = r.startLeader(dir, func(db.Mutation) {
+			if standby != nil {
+				_ = standby.Pump()
+			}
+		})
+		standby = r.open("coord-b", t.TempDir(), dir, nil)
+		standby.Start()
+	} else {
+		first = r.open("", dir, "", nil)
+		first.Start()
+	}
+	registerFake(t, first.Coordinator(), "n00")
+	id, err := first.Coordinator().SubmitJob(api.SubmitJobRequest{
+		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12", GPUMemMiB: 8192,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := first.Coordinator().JobStatus(id); st.State != db.JobRunning || st.NodeID != "n00" {
+		t.Fatalf("job = %+v, want running on n00", st)
+	}
+	write(first.Store(), id)
+	if err := first.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if failover {
+		r.advanceUntil(time.Minute, standby.Coordinator().Leading)
+		return standby.Coordinator(), id
+	}
+	next := r.open("", dir, "", nil)
+	next.Start()
+	return next.Coordinator(), id
+}
+
+// TestRecoveryRequeuesJobOnDepartedNode: nodeLeaves commits a node's
+// departure before it moves the node's jobs, so a replica killed
+// between the two writes leaves a job running on a node out of service,
+// which a node that departed on schedule never registers again to
+// correct. Recovery requeues the job, after a restart over the log and
+// after a standby's promotion alike, and it is placed once a member has
+// room.
+func TestRecoveryRequeuesJobOnDepartedNode(t *testing.T) {
+	for _, failover := range []bool{false, true} {
+		t.Run(map[bool]string{false: "solo", true: "failover"}[failover], func(t *testing.T) {
+			c, id := recoverAfterWrite(t, failover, func(s db.Store, _ string) {
+				// The departure's first write, as nodeLeaves commits it.
+				if err := s.UpdateNode("n00", func(n *db.NodeRecord) {
+					n.Status = db.NodeDeparted
+					n.Departures++
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if st, _ := c.JobStatus(id); st.State != db.JobPending || st.NodeID != "" {
+				t.Fatalf("recovered job = %+v, want pending with no node", st)
+			}
+			registerFake(t, c, "n01")
+			if st, _ := c.JobStatus(id); st.State != db.JobRunning || st.NodeID != "n01" {
+				t.Fatalf("job = %+v, want running on n01", st)
+			}
+			if vs := invariant.NewChecker().Check(c.DB()); len(vs) != 0 {
+				t.Fatalf("invariants after the relaunch: %v", vs)
+			}
+		})
+	}
+}
+
+// TestRecoveryRequeuesLegacyMigratingRecord: a log written by an older
+// build can end on a job mid-move, in the retired migrating state with
+// its source's episode closed. Recovery requeues it.
+func TestRecoveryRequeuesLegacyMigratingRecord(t *testing.T) {
+	c, id := recoverAfterWrite(t, false, func(s db.Store, jobID string) {
+		j, err := s.GetJob(jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = s.CloseAllocationEpisode(jobID, j.NodeID, j.DeviceID, j.PlacedAt)
+		if err := s.UpdateJob(jobID, func(j *db.JobRecord) { j.State = db.JobState("migrating") }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st, _ := c.JobStatus(id); st.State != db.JobPending || st.NodeID != "" {
+		t.Fatalf("recovered job = %+v, want pending with no node", st)
+	}
+	if vs := invariant.NewChecker().Check(c.DB()); len(vs) != 0 {
+		t.Fatalf("invariants after recovery: %v", vs)
+	}
+}

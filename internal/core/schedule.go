@@ -125,13 +125,14 @@ func (c *Coordinator) scheduleBatch() bool {
 
 // place is the one way onto a device: it launches the job — the agent
 // resumes it from the newest checkpoint it can restore — and commits
-// the placement only while the record still awaits one (pending or
-// migrating); a record that leaves migrating counts one more migration
-// in the same write. A failed launch writes nothing; a job resolved
-// while the launch was in flight stays resolved, and the copy just
-// started is killed. The launch is marked in flight meanwhile
-// (classify). It returns the agent's answer and whether the placement
-// committed.
+// the placement with a compare-and-set against the record as the
+// caller read it (settle's test). A job read pending is placed; one
+// read running is moved off its source, which the same write counts as
+// a migration, after the source's episode closed (settle). A failed
+// launch writes nothing; a job resolved or moved while the launch was
+// in flight stays as it is, and the copy just started is killed. The
+// launch is marked in flight meanwhile (classify). It returns the
+// agent's answer and whether the placement committed.
 func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, now time.Time) (api.LaunchResponse, bool) {
 	h := c.handle(p.NodeID)
 	if h == nil {
@@ -159,12 +160,16 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, now time.Ti
 		return resp, false
 	}
 
+	move := job.State == db.JobRunning
+	if move && c.unchanged(job) {
+		_ = c.db.CloseAllocationEpisode(job.ID, job.NodeID, job.DeviceID, now)
+	}
 	placed := false
 	_ = c.db.UpdateJob(job.ID, func(j *db.JobRecord) {
-		if placed = j.State == db.JobPending || j.State == db.JobMigrating; !placed {
+		if placed = same(j, &job); !placed {
 			return
 		}
-		if j.State == db.JobMigrating {
+		if move {
 			j.Migrations++
 		}
 		j.State = db.JobRunning

@@ -123,11 +123,13 @@ func (n *NodeRecord) HealthScore() float64 {
 // JobState is the platform-level lifecycle of a job.
 type JobState string
 
-// Job states.
+// Job states. A job being moved stays running on its source until the
+// move's one write places it on its target. Logs written by older
+// builds may hold records in the retired migrating state: the store
+// keeps them unordered and on no node, and recovery requeues them.
 const (
 	JobPending   JobState = "pending"
 	JobRunning   JobState = "running"
-	JobMigrating JobState = "migrating"
 	JobCompleted JobState = "completed"
 	JobFailed    JobState = "failed"
 	JobKilled    JobState = "killed"
@@ -723,10 +725,9 @@ func (d *DB) JobsInState(state JobState) []JobRecord {
 	return out
 }
 
-// JobsOnNode returns jobs currently placed on the node in Running or
-// Migrating state, sorted by ID. The byNode index makes this
-// O(jobs on the node) — the heartbeat anti-entropy path never scans the
-// job table.
+// JobsOnNode returns the jobs currently running on the node, sorted by
+// ID. The byNode index makes this O(jobs on the node) — the heartbeat
+// anti-entropy path never scans the job table.
 func (d *DB) JobsOnNode(nodeID string) []JobRecord {
 	var out []JobRecord
 	d.jobs.mu.RLock()

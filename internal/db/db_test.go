@@ -171,11 +171,13 @@ func TestJobsInStateQueueOrder(t *testing.T) {
 	}
 }
 
+// TestJobsOnNode: only running records are on a node; a completed one
+// and a record in the retired migrating state of older logs are not.
 func TestJobsOnNode(t *testing.T) {
 	d := New(0)
 	j1 := job("j1", JobRunning, 0, t0)
 	j1.NodeID = "n1"
-	j2 := job("j2", JobMigrating, 0, t0)
+	j2 := job("j2", JobState("migrating"), 0, t0)
 	j2.NodeID = "n1"
 	j3 := job("j3", JobCompleted, 0, t0)
 	j3.NodeID = "n1"
@@ -187,8 +189,8 @@ func TestJobsOnNode(t *testing.T) {
 		}
 	}
 	got := d.JobsOnNode("n1")
-	if len(got) != 2 {
-		t.Fatalf("JobsOnNode = %+v", got)
+	if len(got) != 1 || got[0].ID != "j1" {
+		t.Fatalf("JobsOnNode = %+v, want j1 alone", got)
 	}
 }
 

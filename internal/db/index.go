@@ -9,14 +9,14 @@ import (
 // jobTable carries, next to its record map:
 //
 //   - queue: per-state record lists. For the live states (pending,
-//     running, migrating) they are kept permanently in pending-queue
+//     running) they are kept permanently in pending-queue
 //     order (priority descending, submission time ascending, ID as the
 //     final tiebreak), so JobsInState copies a sorted list instead of
 //     scanning and re-sorting the whole table; terminal states are
 //     unordered so completions stay O(1) however long the campus
 //     history grows (see orderedState);
-//   - byNode: the records currently holding a placement (Running or
-//     Migrating with a node), keyed by node, so JobsOnNode — the
+//   - byNode: the records currently holding a placement (Running with
+//     a node), keyed by node, so JobsOnNode — the
 //     heartbeat anti-entropy scan — touches only the jobs actually on
 //     the node;
 //   - stateCount: per-state totals behind CountJobsInState.
@@ -53,12 +53,12 @@ func queueLess(a, b *JobRecord) bool {
 // recovery import quadratic), so their slices are unordered and the
 // rare terminal-state listing sorts at query time.
 func orderedState(state JobState) bool {
-	return state == JobPending || state == JobRunning || state == JobMigrating
+	return state == JobPending || state == JobRunning
 }
 
 // indexed reports whether the record belongs in the byNode index.
 func indexedOnNode(rec *JobRecord) bool {
-	return rec.NodeID != "" && (rec.State == JobRunning || rec.State == JobMigrating)
+	return rec.NodeID != "" && rec.State == JobRunning
 }
 
 // derive sets n's device flags from its running jobs and reports whether
@@ -67,7 +67,7 @@ func (t *jobTable) derive(n *NodeRecord) (changed bool) {
 	for i, g := range n.GPUs {
 		held := false
 		for _, rec := range t.byNode[n.ID] {
-			held = held || rec.State == JobRunning && rec.DeviceID == g.DeviceID
+			held = held || rec.DeviceID == g.DeviceID
 		}
 		changed = changed || held != g.Allocated
 		n.GPUs[i].Allocated = held

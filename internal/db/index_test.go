@@ -10,8 +10,10 @@ import (
 
 var indexEpoch = time.Date(2025, 9, 1, 0, 0, 0, 0, time.UTC)
 
+// allJobStates is every state a record can be in, the retired
+// migrating state of older logs included.
 var allJobStates = []JobState{
-	JobPending, JobRunning, JobMigrating, JobCompleted, JobFailed, JobKilled,
+	JobPending, JobRunning, JobState("migrating"), JobCompleted, JobFailed, JobKilled,
 }
 
 // requireIndexesMatchRebuild asserts that every indexed query on the
@@ -62,7 +64,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				Priority:    rng.Intn(5),
 				SubmittedAt: indexEpoch.Add(time.Duration(rng.Intn(50)) * time.Second),
 			}
-			if j.State == JobRunning || j.State == JobMigrating {
+			if j.State == JobRunning || j.State == JobState("migrating") {
 				j.NodeID = nodeIDs[rng.Intn(len(nodeIDs))]
 				j.DeviceID = "gpu0"
 			}
@@ -237,19 +239,24 @@ func TestDeviceFlagsFollowJobTable(t *testing.T) {
 }
 
 // TestImportStateDerivesDeviceFlags: an image's device flags are not
-// trusted; ImportState reads them off the imported job table.
+// trusted; ImportState reads them off the imported job table. A record
+// in the retired migrating state, as older logs hold it, keeps its node
+// but holds no device and is on no node.
 func TestImportStateDerivesDeviceFlags(t *testing.T) {
 	store := New(0)
 	store.ImportState(State{
 		Nodes: []NodeRecord{{ID: "n1", GPUs: twoDevices(true, false)}, {ID: "n2", GPUs: twoDevices(false, true)}},
 		Jobs: []JobRecord{{ID: "j1", State: JobRunning, NodeID: "n1", DeviceID: "gpu1"},
-			{ID: "j2", State: JobMigrating, NodeID: "n2", DeviceID: "gpu1"}},
+			{ID: "j2", State: JobState("migrating"), NodeID: "n2", DeviceID: "gpu1"}},
 	})
 	if got := flagsOf(t, store, "n1"); got[0] || !got[1] {
 		t.Fatalf("n1 flags %v, want only gpu1 (j1) held", got)
 	}
 	if got := flagsOf(t, store, "n2"); got[0] || got[1] {
 		t.Fatalf("n2 flags %v, want none held (j2 is migrating)", got)
+	}
+	if got := store.JobsOnNode("n2"); len(got) != 0 {
+		t.Fatalf("JobsOnNode(n2) = %+v, want none (j2 is migrating)", got)
 	}
 	if probs := store.AuditIndexes(); len(probs) != 0 {
 		t.Fatalf("audit after import: %v", probs)

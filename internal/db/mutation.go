@@ -23,7 +23,7 @@ const (
 	// change, departure bookkeeping; replay derives its device flags.
 	MutNodePut MutationType = "node_put"
 	// MutJobPut is a job after-image: submission, every state
-	// transition (scheduled, migrating, completed, …).
+	// transition (scheduled, moved, completed, …).
 	MutJobPut MutationType = "job_put"
 	// MutAllocOpen records a new placement episode.
 	MutAllocOpen MutationType = "alloc_open"

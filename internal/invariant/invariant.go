@@ -13,8 +13,8 @@
 //     node and is marked allocated;
 //   - running-node-live: a running job's node is Active or Paused —
 //     work never "runs" on a departed or unreachable provider;
-//   - job-node-referential: a running or migrating job's NodeID
-//     resolves to a registered node;
+//   - job-node-referential: a running job's NodeID resolves to a
+//     registered node;
 //   - pending-detached: a pending job holds no placement;
 //   - alloc-referential: every allocation episode belongs to a known
 //     job;
@@ -177,17 +177,6 @@ func (c *Checker) Check(s db.Store) []Violation {
 					Detail: fmt.Sprintf("job %s runs on %s/%s but the node has no such device", j.ID, j.NodeID, j.DeviceID),
 				})
 			}
-		case db.JobMigrating:
-			// A migrating job's NodeID is its last placement (the source
-			// it is being moved away from); it must still resolve.
-			if j.NodeID != "" {
-				if _, ok := nodeByID[j.NodeID]; !ok {
-					vs = append(vs, Violation{
-						Rule:   "job-node-referential",
-						Detail: fmt.Sprintf("migrating job %s references unknown node %q", j.ID, j.NodeID),
-					})
-				}
-			}
 		case db.JobPending:
 			if j.NodeID != "" || j.DeviceID != "" {
 				vs = append(vs, Violation{
@@ -247,10 +236,7 @@ func (c *Checker) Check(s db.Store) []Violation {
 	}
 
 	// --- Counter consistency (per-state counters vs scan). ---
-	for _, state := range []db.JobState{
-		db.JobPending, db.JobRunning, db.JobMigrating,
-		db.JobCompleted, db.JobFailed, db.JobKilled,
-	} {
+	for _, state := range jobStates {
 		if got, want := s.CountJobsInState(state), stateTally[state]; got != want {
 			vs = append(vs, Violation{
 				Rule:   "state-count-consistent",
@@ -274,6 +260,9 @@ func (c *Checker) Check(s db.Store) []Violation {
 	return vs
 }
 
+// jobStates is every state a job record can be in.
+var jobStates = []db.JobState{db.JobPending, db.JobRunning, db.JobCompleted, db.JobFailed, db.JobKilled}
+
 // checkIndexes verifies every index-backed query against the already-
 // collected ground-truth scans, and runs the store's own deep index
 // audit when it exposes one. The queries under test are exactly the
@@ -288,10 +277,7 @@ func checkIndexes(s db.Store, nodes []db.NodeRecord, jobs []db.JobRecord) []Viol
 	for _, j := range jobs {
 		byState[j.State] = append(byState[j.State], j)
 	}
-	for _, state := range []db.JobState{
-		db.JobPending, db.JobRunning, db.JobMigrating,
-		db.JobCompleted, db.JobFailed, db.JobKilled,
-	} {
+	for _, state := range jobStates {
 		got := s.JobsInState(state)
 		if miss := setDiff(jobIDs(got), jobIDs(byState[state])); miss != "" {
 			vs = append(vs, Violation{
@@ -315,7 +301,7 @@ func checkIndexes(s db.Store, nodes []db.NodeRecord, jobs []db.JobRecord) []Viol
 	// node the scan knows and every node the jobs reference.
 	wantOnNode := make(map[string][]string)
 	for _, j := range jobs {
-		if j.NodeID != "" && (j.State == db.JobRunning || j.State == db.JobMigrating) {
+		if j.NodeID != "" && j.State == db.JobRunning {
 			wantOnNode[j.NodeID] = append(wantOnNode[j.NodeID], j.ID)
 		}
 	}
@@ -411,7 +397,7 @@ type CheckpointSource interface {
 }
 
 // CheckCheckpoints audits checkpoint-integrity for the given jobs
-// (callers pass the live set: pending, running, migrating): whatever
+// (callers pass the live set: pending and running): whatever
 // damage the checkpoint store's backing blobs absorbed, every restore
 // chain the platform can be handed must be structurally sound — a full
 // snapshot first, each increment based on its predecessor, progress

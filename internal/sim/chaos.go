@@ -68,8 +68,8 @@ type ChaosResult struct {
 	// Report carries per-fault observations and every invariant
 	// violation, including the final post-drain audit.
 	Report *chaos.Report
-	// Violations flattens Report.Violations plus end-of-run liveness
-	// checks (stuck migrations).
+	// Violations is Report.Violations: every audit's, the final
+	// post-drain one included.
 	Violations []invariant.Violation
 	// SubmittedJobs / CompletedJobs measure useful work done under
 	// chaos.
@@ -151,16 +151,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	res.Schedule = sched
 	res.Report = rep
-	res.Violations = append(res.Violations, rep.Violations...)
-	// End-of-run liveness: after the drain, no job may be wedged in
-	// Migrating — a failed relaunch must have requeued it.
+	res.Violations = rep.Violations
 	store := h.currentStore()
-	for _, j := range store.JobsInState(db.JobMigrating) {
-		res.Violations = append(res.Violations, invariant.Violation{
-			Rule:   "stuck-migrating",
-			Detail: fmt.Sprintf("job %s still migrating %v after the last fault", j.ID, cfg.Drain),
-		})
-	}
 	res.SubmittedJobs = h.submitted
 	res.CompletedJobs = store.CountJobsInState(db.JobCompleted)
 	res.Recoveries = h.recoveries
@@ -804,9 +796,7 @@ func (h *chaosHarness) startTraffic(seed int64) {
 			return
 		}
 		store := h.currentStore()
-		active := store.CountJobsInState(db.JobPending) +
-			store.CountJobsInState(db.JobRunning) +
-			store.CountJobsInState(db.JobMigrating)
+		active := store.CountJobsInState(db.JobPending) + store.CountJobsInState(db.JobRunning)
 		for ; active < h.cfg.Jobs; active++ {
 			submit()
 		}
@@ -1289,7 +1279,6 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 	vs = append(vs, invariant.CheckNoPlacementOnUnhealthy(store)...)
 	live := store.JobsInState(db.JobPending)
 	live = append(live, store.JobsInState(db.JobRunning)...)
-	live = append(live, store.JobsInState(db.JobMigrating)...)
 	vs = append(vs, invariant.CheckCheckpoints(h.Ckpts, live)...)
 	h.mu.Lock()
 	grace := h.graceUntil
@@ -1316,7 +1305,7 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 				})
 				continue
 			}
-			if rec.NodeID != id || (rec.State != db.JobRunning && rec.State != db.JobMigrating) {
+			if rec.NodeID != id || rec.State != db.JobRunning {
 				vs = append(vs, invariant.Violation{
 					Rule: "agent-runs-unassigned-job",
 					Detail: fmt.Sprintf("node %s executes %s, which the platform has %s on %q",

@@ -162,9 +162,7 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 		// agent and the coordinator, so top up against the live count
 		// instead of submitting once per event.
 		d := campus.Coord.DB()
-		active := d.CountJobsInState(db.JobPending) +
-			d.CountJobsInState(db.JobRunning) +
-			d.CountJobsInState(db.JobMigrating)
+		active := d.CountJobsInState(db.JobPending) + d.CountJobsInState(db.JobRunning)
 		for ; active < fig3Jobs; active++ {
 			submitNext()
 		}

@@ -74,7 +74,9 @@ func driveGoldenPhase2(s db.Store) {
 	_ = s.CloseAllocation("job-000", end)
 
 	_ = s.CloseAllocation("job-001", end.Add(time.Minute))
-	_ = s.UpdateJob("job-001", func(j *db.JobRecord) { j.State = db.JobMigrating })
+	// The retired migrating state, as older builds logged a move: the
+	// fixtures keep proving that such a log replays.
+	_ = s.UpdateJob("job-001", func(j *db.JobRecord) { j.State = db.JobState("migrating") })
 	moved := end.Add(2 * time.Minute)
 	_ = s.UpdateJob("job-001", func(j *db.JobRecord) {
 		j.State = db.JobRunning

@@ -387,9 +387,6 @@ func TestLaunchFallsBackPastCorruptHead(t *testing.T) {
 	if job, _ := r.agent.RunningJob("j1"); job.Step() != 900 {
 		t.Fatalf("restored step = %d, want 900", job.Step())
 	}
-	if r.ckpts.FallbacksUsed() != 1 {
-		t.Fatalf("fallbacks = %d, want 1", r.ckpts.FallbacksUsed())
-	}
 }
 
 // slowPath is a checkpoint path whose every fetch takes delay; it counts

@@ -51,9 +51,6 @@ type Store struct {
 	latest map[string]int
 	// corruptions counts frames that failed verification.
 	corruptions int
-	// fallbacks counts restore-chain heads that had to be skipped for an
-	// older generation because their chain failed to verify.
-	fallbacks int
 }
 
 var _ Path = (*Store)(nil)
@@ -136,14 +133,6 @@ func (s *Store) CorruptionsDetected() int {
 	return s.corruptions
 }
 
-// FallbacksUsed reports how many restore-chain queries had to fall back
-// past a damaged newest generation to an older restorable one.
-func (s *Store) FallbacksUsed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fallbacks
-}
-
 // Latest returns the most recent restorable checkpoint for the job: the
 // head of the newest generation whose full restore chain verifies.
 func (s *Store) Latest(jobID string) (Checkpoint, error) {
@@ -196,13 +185,6 @@ func (s *Store) RestoreChain(jobID string) ([]Checkpoint, error) {
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
 		if chain, ok := s.chainAt(jobID, seqs[i]); ok {
-			if i < len(seqs)-1 {
-				// A newer head existed but could not anchor a verifiable
-				// chain: this restore fell back a generation.
-				s.mu.Lock()
-				s.fallbacks++
-				s.mu.Unlock()
-			}
 			// Re-anchor the hint on the verified head: later queries go
 			// straight to this chain instead of re-scanning (and
 			// re-counting) the corrupt newer blobs on every call — but

@@ -264,7 +264,12 @@ verify-bench:
 # under the agent's checkpoint path), a RestoreChain(, .Latest( or
 # c.ckpts in non-test internal/core code (the coordinator reading the
 # checkpoint store), or a RestoreFromSeq in any Go file (a restore point
-# on the launch) is the coordinator resolving restores again. bench/ is
+# on the launch) is the coordinator resolving restores again. A move is
+# one job write: a displaced job stays running on its source until place
+# moves it, so a JobMigrating in any Go file, or a "migrating" literal
+# in non-test Go code, is the second write of a move and its in-between
+# state coming back (tests write the retired state as
+# db.JobState("migrating"), the way older logs hold it). bench/ is
 # not scanned: its hand-assembled coordinator is the one caller
 # eventbus.New is kept for, and its beats_relayed workload is what
 # internal/aggregator and cmd/aggregator are kept for.
@@ -365,6 +370,11 @@ verify-compose:
 		grep -rn --include='*.go' 'RestoreFromSeq' .)"; \
 	if [ -n "$$out" ]; then \
 		echo "a restore resolved by the coordinator (the job's agent resolves it):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' 'JobMigrating' .; \
+		grep -rn --include='*.go' '"migrating"' . | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a move in two job writes (a displaced job stays running until place moves it):"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

@@ -308,9 +308,9 @@ func (c *Coordinator) placedOn(jobID, nodeID string) bool {
 // lostPlacements compares the heartbeat report against the node's
 // recorded placements and returns the running jobs the node has stopped
 // reporting (to be requeued), bar a job whose move off the node is in
-// flight: its source stopped it before the launch (relocateLive). rec is the node record as read before
-// this heartbeat's updates; its device flags are the store's count of
-// running jobs. The scan over the node's jobs runs only when a cheap
+// flight: its source stopped it before the launch (relocateLive). rec
+// is the node record as read before this heartbeat's updates; its
+// device flags are the store's count of running jobs. The scan over the node's jobs runs only when a cheap
 // divergence signal fires — a suspicious report, or the held devices
 // disagreeing with the reported jobs in number — so steady-state
 // heartbeats stay O(1) in the job table.

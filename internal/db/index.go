@@ -9,16 +9,15 @@ import (
 // jobTable carries, next to its record map:
 //
 //   - queue: per-state record lists. For the live states (pending,
-//     running) they are kept permanently in pending-queue
-//     order (priority descending, submission time ascending, ID as the
-//     final tiebreak), so JobsInState copies a sorted list instead of
+//     running) they are kept permanently in pending-queue order
+//     (priority descending, submission time ascending, ID as the final
+//     tiebreak), so JobsInState copies a sorted list instead of
 //     scanning and re-sorting the whole table; terminal states are
 //     unordered so completions stay O(1) however long the campus
 //     history grows (see orderedState);
 //   - byNode: the records currently holding a placement (Running with
-//     a node), keyed by node, so JobsOnNode — the
-//     heartbeat anti-entropy scan — touches only the jobs actually on
-//     the node;
+//     a node), keyed by node, so JobsOnNode — the heartbeat
+//     anti-entropy scan — touches only the jobs actually on the node;
 //   - stateCount: per-state totals behind CountJobsInState.
 //
 // All three are *derived* state: they are mutated only under the table

@@ -307,8 +307,8 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 
 	_, err := ag.Join("http://127.0.0.1:1", 1<<30)
 	var nl api.ErrNotLeader
-	if !errors.As(err, &nl) || nl.LeaderHint != "coord-a" || nl.Epoch != 1 {
-		t.Fatalf("join at the standby = %v, want a typed ErrNotLeader hinting coord-a at epoch 1", err)
+	if !errors.As(err, &nl) || nl.Epoch != 1 {
+		t.Fatalf("join at the standby = %v, want a typed ErrNotLeader at epoch 1", err)
 	}
 	ag.Redirect()
 	if _, err := ag.Join("http://127.0.0.1:1", 1<<30); err != nil {

@@ -26,7 +26,7 @@
 // storage: all replicas point -lease-file at the same fencing-token
 // arbiter file, the leader logs to its -wal-dir, and each standby tails
 // that directory (-follow-dir) into its own store while answering every
-// request with ErrNotLeader plus a LeaderHint. Leadership is
+// request with ErrNotLeader and the epoch it knows. Leadership is
 // core.Replica's loop: every TTL/2 a replica that does not lead tails the
 // leader's log and tries the lease. Once the leader's lapses (TTL plus a
 // 2×TTL skew grace after a crash; at once after SIGINT/SIGTERM, which
@@ -77,7 +77,7 @@ func main() {
 	cfgPath := flag.String("config", "", "path to coordinator.json")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory (overrides config)")
 	mode := flag.String("mode", "solo", `replication mode: "solo" (no lease, always leader), "leader" or "standby"`)
-	replicaID := flag.String("replica-id", "", "replica name for the lease and LeaderHint replies (default: hostname)")
+	replicaID := flag.String("replica-id", "", "replica name for the lease and the flight recorder (default: hostname)")
 	leaseFile := flag.String("lease-file", "", "lease file on storage shared by all replicas (required for -mode leader|standby)")
 	leaseTTLSec := flag.Int("lease-ttl-sec", 10, "lease TTL in seconds, at least 1 (leader|standby modes)")
 	followDir := flag.String("follow-dir", "", "leader WAL directory to tail while standby (required for -mode standby)")

@@ -232,7 +232,7 @@ func cmdSamples(c *core.Client, args []string) error {
 	fmt.Printf("%d points of %s on %s, newest last (at most 20 shown)\n", len(samples), *metric, node)
 	samples = samples[max(0, len(samples)-20):]
 	for _, s := range samples {
-		fmt.Printf("%s  %g\n", s.Time.Format("Jan 2 15:04:05"), s.Value)
+		fmt.Printf("%s  %-8s %g\n", s.Time.Format("Jan 2 15:04:05"), s.DeviceID, s.Value)
 	}
 	return nil
 }

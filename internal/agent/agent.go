@@ -176,9 +176,8 @@ type jobRun struct {
 // New creates the agent of a node with one GPU per entry of specs, in a
 // container runtime of its own. Checkpoints are saved through ckpts, and
 // a launch resumes from the newest verifiable chain ckpts resolves —
-// usually a *checkpoint.Store backed by the platform's LAN store (a
-// job's StoragePrefs are not acted on: every checkpoint goes there); the
-// Path interface is the data-plane seam the simulations' LAN model and
+// usually a *checkpoint.Store backed by the platform's LAN store, where
+// every checkpoint goes; the Path interface is the data-plane seam the simulations' LAN model and
 // fault injection sit under.
 //
 // The agent records its lifecycle events (job start, checkpoint, kill,
@@ -252,8 +251,8 @@ func (a *Agent) ActiveEndpoint() Endpoint {
 }
 
 // Redirect rotates the active endpoint to the next one, round-robin,
-// and reports whether it changed. An api.ErrNotLeader's LeaderHint is
-// not followed: it names a replica, and endpoints are addresses.
+// and reports whether it changed. An api.ErrNotLeader names no leader,
+// so the agent tries the next address it holds.
 func (a *Agent) Redirect() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()

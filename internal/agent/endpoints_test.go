@@ -187,8 +187,8 @@ func TestBeat(t *testing.T) {
 		{name: "refused credential rejoins in place",
 			reply:     fail(api.Error{Code: http.StatusUnauthorized, Message: "core: invalid token: bad signature"}),
 			wantJoins: 1, wantActive: "coord-a", wantEpoch: 4},
-		{name: "not leader with a hint still tries the next endpoint",
-			reply:     fail(api.ErrNotLeader{LeaderHint: "coord-c", Epoch: 4}),
+		{name: "not leader with an epoch tries the next endpoint",
+			reply:     fail(api.ErrNotLeader{Epoch: 4}),
 			wantJoins: 1, wantActive: "coord-b", wantEpoch: 4},
 		{name: "not leader without hint tries the next endpoint",
 			reply:     fail(api.ErrNotLeader{}),

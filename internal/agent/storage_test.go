@@ -1,6 +1,11 @@
 package agent
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,23 +13,15 @@ import (
 	"gpunion/internal/workload"
 )
 
-// launchWithPrefs starts a training job with user storage preferences.
-func launchWithPrefs(t *testing.T, r *testRig, jobID string, prefs []string) {
-	t.Helper()
-	spec := workload.SmallCNN
-	_, err := r.agent.Launch(api.LaunchRequest{
-		JobID: jobID, ImageName: "pytorch/pytorch:2.3-cuda12", Kind: "batch",
-		GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 30,
-		Training: &spec, StoragePrefs: prefs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNoPrefsUsesDefaultStoreOnly(t *testing.T) {
 	r := newRig(t)
-	launchWithPrefs(t, r, "j1", nil)
+	spec := workload.SmallCNN
+	if _, err := r.agent.Launch(api.LaunchRequest{
+		JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12", Kind: "batch",
+		GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 30, Training: &spec,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	r.clock.Advance(40 * time.Second)
 
 	if seqs, err := r.ckpts.Sequences("j1"); err != nil || len(seqs) == 0 {
@@ -32,13 +29,25 @@ func TestNoPrefsUsesDefaultStoreOnly(t *testing.T) {
 	}
 }
 
+// TestUnresolvablePrefsStillCheckpoint: an older coordinator's launch
+// still carries "storage_prefs"; the agent ignores the key, and the
+// platform store protects the job.
 func TestUnresolvablePrefsStillCheckpoint(t *testing.T) {
 	r := newRig(t)
-	launchWithPrefs(t, r, "j1", []string{"ghost-store"})
+	spec, err := json.Marshal(workload.SmallCNN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"job_id":"j1","image_name":"pytorch/pytorch:2.3-cuda12","kind":"batch",`+
+		`"gpu_mem_mib":%d,"checkpoint_interval_sec":30,"storage_prefs":["ghost-store"],"training":%s}`,
+		workload.SmallCNN.GPUMemMiB, spec)
+	rec := httptest.NewRecorder()
+	r.agent.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/launch", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("launch with storage_prefs = %d %s", rec.Code, rec.Body)
+	}
 	r.clock.Advance(40 * time.Second)
 
-	// The agent does not act on the preference; the platform store
-	// still protects the job.
 	if seqs, err := r.ckpts.Sequences("j1"); err != nil || len(seqs) == 0 {
 		t.Fatalf("platform store sequences = %v, %v", seqs, err)
 	}

@@ -26,7 +26,6 @@
 package api
 
 import (
-	"fmt"
 	"time"
 
 	"gpunion/internal/db"
@@ -39,35 +38,27 @@ type Error struct {
 	Code    int    `json:"code"`
 	Message string `json:"message"`
 	// NotLeader is set when the error is an ErrNotLeader, so the typed
-	// reply (leader hint, epoch) survives the HTTP hop and a client can
-	// redirect instead of parsing Message.
+	// reply (and its epoch) survives the HTTP hop and a client can rotate
+	// to its next endpoint instead of parsing Message.
 	NotLeader *ErrNotLeader `json:"not_leader,omitempty"`
 }
 
 // Error implements the error interface.
 func (e Error) Error() string { return e.Message }
 
-// Protocol versions. Version 1 is the pre-replication wire format
-// (no envelope fields); version 2 adds the Envelope — protocol
-// version negotiation on Register and leader-epoch fencing on every
-// request. A zero ProtocolVersion on the wire is read as version 1:
-// the fields are additive and omitted by old senders.
-const (
-	// ProtocolV1 is the legacy, pre-envelope protocol.
-	ProtocolV1 = 1
-	// ProtocolVersion is the current protocol spoken by this build.
-	ProtocolVersion = 2
-	// MinProtocolVersion is the oldest version the coordinator accepts.
-	MinProtocolVersion = ProtocolV1
-)
+// ProtocolVersion is the wire version this build speaks. Version 2
+// added the Envelope (leader-epoch fencing on every request); a zero
+// ProtocolVersion on the wire is an older sender that omits it. The
+// coordinator refuses a Register outside 0..ProtocolVersion.
+const ProtocolVersion = 2
 
 // Envelope carries the protocol fields shared by every request: the
 // sender's protocol version and the highest coordinator leader epoch
 // it has observed. Embedded (and therefore JSON-inlined) in all
 // request types. Both fields are zero for legacy senders.
 type Envelope struct {
-	// ProtocolVersion is the wire version the sender speaks (zero =
-	// ProtocolV1, the pre-envelope format).
+	// ProtocolVersion is the wire version the sender speaks (zero for
+	// a sender that predates the envelope).
 	ProtocolVersion int `json:"protocol_version,omitempty"`
 	// LeaderEpoch is, on agent→coordinator requests, the highest leader
 	// epoch the sender has observed (the coordinator steps down if it
@@ -83,50 +74,12 @@ type Envelope struct {
 // the request's epoch proves a newer leader exists. Agents rotate to
 // their next endpoint and retry.
 type ErrNotLeader struct {
-	// LeaderHint is the replica ID of the believed current leader, empty
-	// when unknown. It is for people reading the reply: an agent's
-	// endpoints are addresses, so agents do not follow it.
-	LeaderHint string `json:"leader_hint,omitempty"`
 	// Epoch is the highest leader epoch the replying replica knows of.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // Error implements the error interface.
-func (e ErrNotLeader) Error() string {
-	if e.LeaderHint == "" {
-		return "api: not the leader"
-	}
-	return "api: not the leader (try " + e.LeaderHint + ")"
-}
-
-// ErrVersionMismatch is the typed Register rejection for a protocol
-// version outside [MinProtocolVersion, ProtocolVersion].
-type ErrVersionMismatch struct {
-	// Requested is the version the agent asked for.
-	Requested int `json:"requested"`
-	// Min and Max bound what the coordinator speaks.
-	Min int `json:"min"`
-	Max int `json:"max"`
-}
-
-// Error implements the error interface.
-func (e ErrVersionMismatch) Error() string {
-	return fmt.Sprintf("api: protocol version %d unsupported (coordinator speaks %d..%d)",
-		e.Requested, e.Min, e.Max)
-}
-
-// NegotiateVersion resolves the version a connection will speak from
-// the version a Register requested (zero = ProtocolV1). ok is false
-// when no common version exists.
-func NegotiateVersion(requested int) (v int, ok bool) {
-	if requested == 0 {
-		requested = ProtocolV1
-	}
-	if requested < MinProtocolVersion || requested > ProtocolVersion {
-		return 0, false
-	}
-	return requested, true
-}
+func (e ErrNotLeader) Error() string { return "api: not the leader" }
 
 // RegisterRequest is sent by an agent joining the platform.
 type RegisterRequest struct {
@@ -153,9 +106,6 @@ type RegisterResponse struct {
 	Token string `json:"token"`
 	// HeartbeatInterval is how often the agent must report.
 	HeartbeatInterval time.Duration `json:"heartbeat_interval"`
-	// ProtocolVersion is the negotiated wire version (zero = legacy
-	// coordinator, treat as ProtocolV1).
-	ProtocolVersion int `json:"protocol_version,omitempty"`
 	// LeaderEpoch is the registering coordinator's current leader epoch
 	// (zero in single-coordinator deployments). Agents remember the
 	// highest epoch seen and reject coordinator-initiated writes
@@ -251,10 +201,6 @@ type SubmitJobRequest struct {
 	CapabilityMinor int   `json:"capability_minor"`
 	// CheckpointIntervalSec enables periodic ALC checkpoints.
 	CheckpointIntervalSec int `json:"checkpoint_interval_sec,omitempty"`
-	// StoragePrefs is the ordered list of storage nodes for checkpoints.
-	// It is stored and forwarded on launch, but no shipped agent acts on
-	// it: every checkpoint goes to the platform store.
-	StoragePrefs []string `json:"storage_prefs,omitempty"`
 	// Training describes the batch training workload (the stand-in for
 	// the user's training script).
 	Training *workload.TrainingSpec `json:"training,omitempty"`
@@ -326,10 +272,6 @@ type LaunchRequest struct {
 	Training *workload.TrainingSpec `json:"training,omitempty"`
 	// SessionSeconds is the expected duration of an interactive session.
 	SessionSeconds int `json:"session_seconds,omitempty"`
-	// StoragePrefs is the user's ordered checkpoint-placement list
-	// (§3.5: users pick where their state is kept). No shipped agent acts
-	// on it: every checkpoint goes to the platform store.
-	StoragePrefs []string `json:"storage_prefs,omitempty"`
 }
 
 // LaunchResponse confirms a launch.

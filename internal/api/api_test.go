@@ -57,8 +57,7 @@ func TestSubmitJobRequestCarriesTrainingSpec(t *testing.T) {
 	in := SubmitJobRequest{
 		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
 		GPUMemMiB: spec.GPUMemMiB, CheckpointIntervalSec: 600,
-		StoragePrefs: []string{"lab-nas", "scratch"},
-		Training:     &spec,
+		Training: &spec,
 	}
 	var out SubmitJobRequest
 	roundTrip(t, in, &out)
@@ -67,9 +66,6 @@ func TestSubmitJobRequestCarriesTrainingSpec(t *testing.T) {
 	}
 	if out.Training.TotalSteps != spec.TotalSteps || out.Training.Class != spec.Class {
 		t.Fatalf("training = %+v", out.Training)
-	}
-	if len(out.StoragePrefs) != 2 || out.StoragePrefs[0] != "lab-nas" {
-		t.Fatalf("storage prefs = %v", out.StoragePrefs)
 	}
 }
 

@@ -178,8 +178,8 @@ func (h *Hosts) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // ReadError turns a non-2xx reply into the error the server wrote: the
 // typed ErrNotLeader when the envelope carries one — so an agent's
-// errors.As sees a fenced replica and can follow its hint — the Error
-// otherwise.
+// errors.As sees a fenced replica and rotates to its next endpoint — the
+// Error otherwise.
 func ReadError(resp *http.Response) error {
 	var apiErr Error
 	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Message != "" {

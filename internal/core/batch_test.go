@@ -300,8 +300,8 @@ func TestLaunchRequestSurvivesRecovery(t *testing.T) {
 		User: "alice", Kind: "batch", ImageName: "pytorch/pytorch:2.3-cuda12",
 		Entrypoint: []string{"python", "train.py"}, Priority: 3,
 		GPUMemMiB: 8192, CapabilityMajor: 7, CapabilityMinor: 5,
-		CheckpointIntervalSec: 30, StoragePrefs: []string{"nas", "s3"},
-		Training: &spec, SessionSeconds: 900,
+		CheckpointIntervalSec: 30,
+		Training:              &spec, SessionSeconds: 900,
 	})
 	if err != nil {
 		t.Fatal(err)

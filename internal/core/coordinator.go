@@ -78,7 +78,7 @@ type Config struct {
 	// the pre-replication behavior, unchanged.
 	Lease LeaseClient
 	// ReplicaID names this coordinator replica to the lease arbiter and
-	// in LeaderHint replies. Required when Lease is set.
+	// in its flight-recorder events. Required when Lease is set.
 	ReplicaID string
 }
 

@@ -709,6 +709,38 @@ func TestHeartbeatDuplicateDropped(t *testing.T) {
 	}
 }
 
+// TestTelemetryBeatSamplesNameTheirDevice: a beat from a two-GPU node
+// stores one point per metric per device, each naming its device, so
+// two readings at one timestamp can be told apart.
+func TestTelemetryBeatSamplesNameTheirDevice(t *testing.T) {
+	r := newRig(t, time.Minute)
+	ag := r.addNode("n1", gpu.RTX3090, gpu.RTX3090)
+	req := ag.HeartbeatRequest()
+	if len(req.Telemetry) != 2 || req.Telemetry[0].DeviceID == req.Telemetry[1].DeviceID {
+		t.Fatalf("beat carries %+v, want readings of two devices", req.Telemetry)
+	}
+	before := heldSamples(r.coord.DB())
+	if resp, err := r.coord.Heartbeat(req); err != nil || !resp.Acknowledged {
+		t.Fatalf("beat = %+v, %v", resp, err)
+	}
+	got := r.coord.DB().ExportState().Samples[before:]
+	if len(got) != 4 {
+		t.Fatalf("one beat stored %d samples, want 4: %+v", len(got), got)
+	}
+	type key struct{ metric, device string }
+	seen := map[key]bool{}
+	for _, s := range got {
+		seen[key{s.Metric, s.DeviceID}] = true
+	}
+	for _, tel := range req.Telemetry {
+		for _, metric := range []string{"gpu_utilization", "gpu_memory_used_mib"} {
+			if !seen[key{metric, tel.DeviceID}] {
+				t.Fatalf("no %s sample for device %q among %+v", metric, tel.DeviceID, got)
+			}
+		}
+	}
+}
+
 // TestHeartbeatSeqResetOnReregister: an agent restart restarts its beat
 // counter; re-registration must clear the guard so the node is not
 // permanently muted.

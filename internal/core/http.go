@@ -31,7 +31,7 @@ func DefaultHandleFactory(addr string) AgentHandle {
 
 // writeAgentAnswer answers a departure notice or a job report: 204 when
 // applied (or dropped as stale), 401 for a bad or missing credential,
-// 400 otherwise — a not-leader answer carries its hint in the body.
+// 400 otherwise — a not-leader answer carries its epoch in the body.
 func writeAgentAnswer(w http.ResponseWriter, err error) {
 	switch {
 	case err == nil:

@@ -23,12 +23,9 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 	if req.MachineID == "" {
 		return api.RegisterResponse{}, errors.New("core: empty machine id")
 	}
-	version, ok := api.NegotiateVersion(req.ProtocolVersion)
-	if !ok {
-		return api.RegisterResponse{}, api.ErrVersionMismatch{
-			Requested: req.ProtocolVersion,
-			Min:       api.MinProtocolVersion, Max: api.ProtocolVersion,
-		}
+	if req.ProtocolVersion < 0 || req.ProtocolVersion > api.ProtocolVersion {
+		return api.RegisterResponse{}, fmt.Errorf("core: protocol version %d unsupported (coordinator speaks up to %d)",
+			req.ProtocolVersion, api.ProtocolVersion)
 	}
 	if err := c.fence(req.LeaderEpoch); err != nil {
 		return api.RegisterResponse{}, err
@@ -89,7 +86,7 @@ func (c *Coordinator) Register(req api.RegisterRequest, handle AgentHandle) (api
 	c.trySchedule()
 	return api.RegisterResponse{
 		Token: token, HeartbeatInterval: c.cfg.HeartbeatInterval,
-		ProtocolVersion: version, LeaderEpoch: c.Epoch(),
+		LeaderEpoch: c.Epoch(),
 	}, nil
 }
 
@@ -384,9 +381,9 @@ func (c *Coordinator) observe(b *beat) bool {
 		samples := make([]db.Sample, 0, 2*len(b.req.Telemetry))
 		for _, tel := range b.req.Telemetry {
 			samples = append(samples,
-				db.Sample{Time: b.now, NodeID: b.req.MachineID,
+				db.Sample{Time: b.now, NodeID: b.req.MachineID, DeviceID: tel.DeviceID,
 					Metric: "gpu_utilization", Value: tel.Utilization},
-				db.Sample{Time: b.now, NodeID: b.req.MachineID,
+				db.Sample{Time: b.now, NodeID: b.req.MachineID, DeviceID: tel.DeviceID,
 					Metric: "gpu_memory_used_mib", Value: float64(tel.UsedMemMiB)})
 		}
 		c.db.AppendSamples(samples)

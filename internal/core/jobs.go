@@ -40,7 +40,7 @@ func (c *Coordinator) SubmitJob(req api.SubmitJobRequest) (string, error) {
 		ID: jobID, User: req.User, Kind: req.Kind, State: db.JobPending,
 		Priority: req.Priority, GPUMemMiB: req.GPUMemMiB,
 		CapabilityMajor: req.CapabilityMajor, CapabilityMinor: req.CapabilityMinor,
-		StoragePrefs: req.StoragePrefs, SubmittedAt: now,
+		SubmittedAt: now,
 		// The relaunch spec rides in the record so a coordinator
 		// recovered from snapshot + WAL can reschedule this job without
 		// a resubmission.

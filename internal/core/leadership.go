@@ -183,14 +183,8 @@ func (c *Coordinator) fence(reqEpoch uint64) error {
 	if ok {
 		return nil
 	}
-	hint, arbiterEpoch := c.cfg.Lease.Leader()
-	if arbiterEpoch > epoch {
+	if arbiterEpoch := c.cfg.Lease.Epoch(); arbiterEpoch > epoch {
 		epoch = arbiterEpoch
-	}
-	if hint == c.cfg.ReplicaID {
-		// The arbiter still names us, but we are fenced (stopped or
-		// stepped down): do not send traffic back to ourselves.
-		hint = ""
 	}
 	// A fenced write is the end of a failover span: the first one after
 	// a step-down proves the old leader can no longer mutate state.
@@ -199,7 +193,7 @@ func (c *Coordinator) fence(reqEpoch uint64) error {
 		"req_epoch":   strconv.FormatUint(reqEpoch, 10),
 		"local_epoch": strconv.FormatUint(epoch, 10),
 	})
-	return api.ErrNotLeader{LeaderHint: hint, Epoch: epoch}
+	return api.ErrNotLeader{Epoch: epoch}
 }
 
 // envelope stamps outgoing coordinator→agent requests with the current

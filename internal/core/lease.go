@@ -31,9 +31,9 @@ type LeaseClient interface {
 	Acquire(holder string) (epoch uint64, until time.Time, err error)
 	// Renew extends the lease the caller holds at the given epoch.
 	Renew(holder string, epoch uint64) (until time.Time, err error)
-	// Leader reports the current holder and epoch (best effort; holder
-	// is empty when the lease is free or expired).
-	Leader() (holder string, epoch uint64)
+	// Epoch reports the latest epoch the arbiter granted (best effort;
+	// zero when it cannot be read).
+	Epoch() uint64
 	// Release frees the lease the caller holds at the given epoch.
 	Release(holder string, epoch uint64) error
 	// TTL is how long one grant lasts.
@@ -176,14 +176,11 @@ func (l *Lease) Renew(holder string, epoch uint64) (until time.Time, err error) 
 	return until, err
 }
 
-// Leader implements LeaseClient.
-func (l *Lease) Leader() (string, uint64) {
-	rec := l.store.Load()
-	l.observe(rec.Epoch)
-	if rec.Holder == "" || !l.clock.Now().Before(rec.Expires) {
-		return "", rec.Epoch
-	}
-	return rec.Holder, rec.Epoch
+// Epoch implements LeaseClient.
+func (l *Lease) Epoch() uint64 {
+	epoch := l.store.Load().Epoch
+	l.observe(epoch)
+	return epoch
 }
 
 // Release implements LeaseClient. It frees the record only while holder

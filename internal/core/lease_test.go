@@ -44,7 +44,7 @@ func TestLeaseSingleHolderAndEpochMonotonic(t *testing.T) {
 		if err != nil || e2 != e1+1 {
 			t.Fatalf("re-acquire: epoch=%d err=%v", e2, err)
 		}
-		if holder, epoch := l.Leader(); holder != "a" || epoch != e2 {
+		if holder, epoch := store.Load().Holder, l.Epoch(); holder != "a" || epoch != e2 {
 			t.Fatalf("leader = %q at %d, want a at %d", holder, epoch, e2)
 		}
 	})
@@ -61,9 +61,6 @@ func TestLeaseRegrantWaitsForSkewTolerance(t *testing.T) {
 		clock.Advance(11 * time.Second)
 		if _, _, err := l.Acquire("b"); !errors.Is(err, ErrLeaseHeld) {
 			t.Fatalf("regrant inside skew tolerance: %v", err)
-		}
-		if holder, _ := l.Leader(); holder != "" {
-			t.Fatalf("expired lease still names %q as leader", holder)
 		}
 		clock.Advance(1 * time.Second) // now at expiry + skewTolerance
 		e, _, err := l.Acquire("b")
@@ -91,7 +88,7 @@ func TestLeaseReleaseFreesOnlyTheHoldersTerm(t *testing.T) {
 		if err := l.Release("a", e+1); !errors.Is(err, ErrLeaseLost) {
 			t.Fatalf("a release at the wrong epoch went through: %v", err)
 		}
-		if holder, _ := l.Leader(); holder != "a" {
+		if holder := store.Load().Holder; holder != "a" {
 			t.Fatalf("after refused releases the leader is %q", holder)
 		}
 		if err := l.Release("a", e); err != nil {
@@ -194,14 +191,14 @@ func TestLeaseCorruptFileReadsFreeEpochStillIncreases(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"holder":"a","epo`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if holder, epoch := l.Leader(); holder != "" || epoch != 0 {
+	if holder, epoch := FileLeaseStore(path).Load().Holder, l.Epoch(); holder != "" || epoch != 0 {
 		t.Fatalf("corrupt record read as %q at epoch %d, want a free lease", holder, epoch)
 	}
 	e, _, err := l.Acquire("b")
 	if err != nil || e != 4 {
 		t.Fatalf("grant over a corrupt record: epoch=%d err=%v, want 4", e, err)
 	}
-	if holder, epoch := l.Leader(); holder != "b" || epoch != 4 {
+	if holder, epoch := FileLeaseStore(path).Load().Holder, l.Epoch(); holder != "b" || epoch != 4 {
 		t.Fatalf("after the regrant the file names %q at %d", holder, epoch)
 	}
 }
@@ -243,7 +240,7 @@ func (r *leaseRig) register(t *testing.T, id string) {
 	}
 }
 
-func TestStandbyRejectsMutationsWithLeaderHint(t *testing.T) {
+func TestStandbyRejectsMutationsWithEpoch(t *testing.T) {
 	r := newLeaseRig(t, "coord-b")
 	// Another replica holds the lease; this one never led.
 	if _, _, err := r.lease.Acquire("coord-a"); err != nil {
@@ -256,8 +253,8 @@ func TestStandbyRejectsMutationsWithLeaderHint(t *testing.T) {
 	if !errors.As(err, &nl) {
 		t.Fatalf("standby accepted a submit: %v", err)
 	}
-	if nl.LeaderHint != "coord-a" || nl.Epoch != 1 {
-		t.Fatalf("redirect hint = %+v", nl)
+	if nl.Epoch != 1 {
+		t.Fatalf("not-leader reply = %+v, want the arbiter's epoch 1", nl)
 	}
 	// Reads stay available on standbys.
 	if got := r.coord.Jobs(); len(got) != 0 {
@@ -281,7 +278,7 @@ func TestTryLeadAdmitsMutationsAndStampsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.LeaderEpoch != 1 || resp.ProtocolVersion != api.ProtocolV1 {
+	if resp.LeaderEpoch != 1 {
 		t.Fatalf("register response not stamped: %+v", resp)
 	}
 	if _, err := r.coord.SubmitJob(api.SubmitJobRequest{
@@ -302,8 +299,7 @@ func TestLeaderRenewsAcrossExpiry(t *testing.T) {
 	if !r.coord.Leading() {
 		t.Fatal("leader lapsed despite reachable arbiter")
 	}
-	holder, _ := r.lease.Leader()
-	if holder != "coord-a" {
+	if holder := r.lease.store.Load().Holder; holder != "coord-a" {
 		t.Fatalf("arbiter holder = %q", holder)
 	}
 }
@@ -329,11 +325,11 @@ func (c *cutLease) Renew(h string, e uint64) (time.Time, error) {
 	return c.LeaseClient.Renew(h, e)
 }
 
-func (c *cutLease) Leader() (string, uint64) {
+func (c *cutLease) Epoch() uint64 {
 	if c.cut {
-		return "", 0
+		return 0
 	}
-	return c.LeaseClient.Leader()
+	return c.LeaseClient.Epoch()
 }
 
 func TestPartitionedLeaderSelfFencesBeforeSuccessor(t *testing.T) {
@@ -399,42 +395,5 @@ func TestHigherEpochRequestDeposesStaleLeader(t *testing.T) {
 	}
 	if deposed != 1 {
 		t.Fatalf("deposed events = %d", deposed)
-	}
-}
-
-func TestRegisterNegotiatesProtocolVersion(t *testing.T) {
-	r := newLeaseRig(t, "coord-a")
-	if !r.coord.TryLead() {
-		t.Fatal("TryLead failed")
-	}
-	// Legacy client (no version field) negotiates down to v1.
-	resp, err := r.coord.Register(api.RegisterRequest{
-		MachineID: "n1", Addr: "fake://n1",
-		GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090",
-			MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}},
-	}, newFakeAgent("gpu0"))
-	if err != nil || resp.ProtocolVersion != api.ProtocolV1 {
-		t.Fatalf("legacy negotiation: v=%d err=%v", resp.ProtocolVersion, err)
-	}
-	// Current client gets the current version.
-	resp, err = r.coord.Register(api.RegisterRequest{
-		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion},
-		MachineID: "n2", Addr: "fake://n2",
-		GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090",
-			MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}},
-	}, newFakeAgent("gpu0"))
-	if err != nil || resp.ProtocolVersion != api.ProtocolVersion {
-		t.Fatalf("current negotiation: v=%d err=%v", resp.ProtocolVersion, err)
-	}
-	// A future version the coordinator does not speak is refused.
-	_, err = r.coord.Register(api.RegisterRequest{
-		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion + 1},
-		MachineID: "n3", Addr: "fake://n3",
-		GPUs: []db.GPUInfo{{DeviceID: "gpu0", Model: "RTX 3090",
-			MemoryMiB: 24576, CapabilityMajor: 8, CapabilityMinor: 6}},
-	}, newFakeAgent("gpu0"))
-	var vm api.ErrVersionMismatch
-	if !errors.As(err, &vm) {
-		t.Fatalf("future version admitted: %v", err)
 	}
 }

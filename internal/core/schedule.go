@@ -152,7 +152,7 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, now time.Ti
 		Entrypoint: job.Entrypoint, GPUMemMiB: job.GPUMemMiB,
 		CapabilityMajor: job.CapabilityMajor, CapabilityMinor: job.CapabilityMinor,
 		CheckpointIntervalSec: job.CheckpointIntervalSec, Training: job.Training,
-		SessionSeconds: job.SessionSeconds, StoragePrefs: job.StoragePrefs,
+		SessionSeconds: job.SessionSeconds,
 	})
 	if err != nil {
 		// Node said no (paused, race on capacity): reflect reality and
@@ -175,7 +175,6 @@ func (c *Coordinator) place(job db.JobRecord, p scheduler.Placement, now time.Ti
 		j.State = db.JobRunning
 		j.NodeID = p.NodeID
 		j.DeviceID = resp.DeviceID
-		j.ContainerID = resp.ContainerID
 		j.PlacedAt = now
 		if j.PreferredNode == "" {
 			j.PreferredNode = p.NodeID

@@ -151,13 +151,10 @@ type JobRecord struct {
 	CapabilityMinor int   `json:"capability_minor"`
 
 	// Placement (when scheduled).
-	NodeID      string `json:"node_id,omitempty"`
-	DeviceID    string `json:"device_id,omitempty"`
-	ContainerID string `json:"container_id,omitempty"`
+	NodeID   string `json:"node_id,omitempty"`
+	DeviceID string `json:"device_id,omitempty"`
 	// PreferredNode remembers the original placement for migrate-back.
 	PreferredNode string `json:"preferred_node,omitempty"`
-	// StoragePrefs is the user's ordered checkpoint placement list.
-	StoragePrefs []string `json:"storage_prefs,omitempty"`
 
 	SubmittedAt time.Time `json:"submitted_at"`
 	StartedAt   time.Time `json:"started_at,omitempty"`
@@ -189,12 +186,13 @@ type AllocationRecord struct {
 	End      time.Time `json:"end,omitempty"`
 }
 
-// Sample is one historical monitoring data point.
+// Sample is one historical monitoring data point of one device.
 type Sample struct {
-	Time   time.Time `json:"time"`
-	NodeID string    `json:"node_id"`
-	Metric string    `json:"metric"`
-	Value  float64   `json:"value"`
+	Time     time.Time `json:"time"`
+	NodeID   string    `json:"node_id"`
+	DeviceID string    `json:"device_id,omitempty"`
+	Metric   string    `json:"metric"`
+	Value    float64   `json:"value"`
 }
 
 // Store is the system-database surface the control plane is written

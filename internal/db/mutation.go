@@ -191,7 +191,6 @@ func cloneNode(n NodeRecord) NodeRecord {
 
 // cloneJob deep-copies the record's slice and pointer fields.
 func cloneJob(j JobRecord) JobRecord {
-	j.StoragePrefs = slices.Clone(j.StoragePrefs)
 	j.Entrypoint = slices.Clone(j.Entrypoint)
 	if j.Training != nil {
 		cp := *j.Training

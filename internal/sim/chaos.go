@@ -299,7 +299,7 @@ type replica struct {
 
 // chaosLeaseClient wraps the arbiter with a cuttable link: a cut client
 // models the leader partitioned from the coordination service — its
-// Acquire, Renew and Leader fail at the transport, and the replica must
+// Acquire, Renew and Epoch fail at the transport, and the replica must
 // live off its cached grant until that lapses.
 type chaosLeaseClient struct {
 	core.LeaseClient
@@ -322,11 +322,11 @@ func (c *chaosLeaseClient) Renew(holder string, epoch uint64) (time.Time, error)
 	return c.LeaseClient.Renew(holder, epoch)
 }
 
-func (c *chaosLeaseClient) Leader() (string, uint64) {
+func (c *chaosLeaseClient) Epoch() uint64 {
 	if c.cut.Load() {
-		return "", 0
+		return 0
 	}
-	return c.LeaseClient.Leader()
+	return c.LeaseClient.Epoch()
 }
 
 // chaosAuthSecret keeps issued credentials valid across coordinator
@@ -1175,7 +1175,7 @@ func (h *chaosHarness) SplitBrainHeal() []invariant.Violation {
 
 	z.skew.SetOffset(0)
 	z.cut.cut.Store(false)
-	_, cur := h.lease.Leader()
+	cur := h.lease.Epoch()
 
 	if z.Coordinator().Leading() && cur == zEpoch {
 		// Survived: no successor exists and the grant is still live, so

@@ -35,8 +35,8 @@ type FailoverResult struct {
 	LeaderAtKill  string
 	EpochAtKill   uint64
 	// StandbyRejectedBeforePromotion records that the warm standby
-	// fenced a submission while the leader was alive, returning a
-	// leader hint.
+	// fenced a submission with api.ErrNotLeader while the leader was
+	// alive.
 	StandbyRejectedBeforePromotion bool
 	// PromotionDelay is how long the slot stayed vacant: the dead
 	// leader's remaining grant plus the arbiter's skew-tolerance grace.
@@ -129,8 +129,7 @@ func RunFailover() (FailoverResult, error) {
 
 	// The standby fences while the leader lives.
 	_, err = coordB.SubmitJob(TrainingJobSubmission("user-x", workload.SmallCNN, 5*time.Minute))
-	var nl api.ErrNotLeader
-	res.StandbyRejectedBeforePromotion = errors.As(err, &nl) && nl.LeaderHint == "coord-a"
+	res.StandbyRejectedBeforePromotion = errors.As(err, new(api.ErrNotLeader))
 
 	res.PendingAtKill = storeA.CountJobsInState(db.JobPending)
 	res.RunningAtKill = storeA.CountJobsInState(db.JobRunning)

@@ -269,7 +269,12 @@ verify-bench:
 # moves it, so a JobMigrating in any Go file, or a "migrating" literal
 # in non-test Go code, is the second write of a move and its in-between
 # state coming back (tests write the retired state as
-# db.JobState("migrating"), the way older logs hold it). bench/ is
+# db.JobState("migrating"), the way older logs hold it). The wire
+# carries what a receiver reads: a StoragePrefs, LeaderHint,
+# NegotiateVersion, ProtocolV1, MinProtocolVersion or ErrVersionMismatch
+# in any Go file is a field no receiver acts on, or a negotiation whose
+# answer nobody reads, coming back (the compatibility tests name the old
+# JSON keys, storage_prefs and leader_hint, which pass). bench/ is
 # not scanned: its hand-assembled coordinator is the one caller
 # eventbus.New is kept for, and its beats_relayed workload is what
 # internal/aggregator and cmd/aggregator are kept for.
@@ -375,6 +380,10 @@ verify-compose:
 		grep -rn --include='*.go' '"migrating"' . | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a move in two job writes (a displaced job stays running until place moves it):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnwE --include='*.go' 'StoragePrefs|LeaderHint|NegotiateVersion|ProtocolV1|MinProtocolVersion|ErrVersionMismatch' .)"; \
+	if [ -n "$$out" ]; then \
+		echo "a wire field or negotiation no receiver reads:"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

@@ -177,8 +177,8 @@ type jobRun struct {
 // container runtime of its own. Checkpoints are saved through ckpts, and
 // a launch resumes from the newest verifiable chain ckpts resolves —
 // usually a *checkpoint.Store backed by the platform's LAN store, where
-// every checkpoint goes; the Path interface is the data-plane seam the simulations' LAN model and
-// fault injection sit under.
+// every checkpoint goes; the Path interface is the data-plane seam the
+// simulations' LAN model and fault injection sit under.
 //
 // The agent records its lifecycle events (job start, checkpoint, kill,
 // completion, pause, departure) in trace, stamped with clock; a nil

@@ -40,9 +40,12 @@ func (s fileLeaseStore) Load() LeaseRecord {
 }
 
 // Update runs fn on the current record under the cross-process lock.
+// It waits while other replicas keep taking the lock, and fails busy
+// only when one lock stays held for two seconds.
 func (s fileLeaseStore) Update(fn func(rec *LeaseRecord) error) error {
 	lock := s.path + ".lock"
 	deadline := time.Now().Add(2 * time.Second)
+	var seen time.Time
 	for {
 		f, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
@@ -52,11 +55,20 @@ func (s fileLeaseStore) Update(fn func(rec *LeaseRecord) error) error {
 		if !os.IsExist(err) {
 			return err
 		}
-		// A lock much older than any critical section is a crashed
-		// replica's leftover; break it.
-		if fi, statErr := os.Stat(lock); statErr == nil && time.Since(fi.ModTime()) > 5*time.Second {
-			_ = os.Remove(lock)
-			continue
+		if fi, statErr := os.Stat(lock); statErr == nil {
+			// A lock much older than any critical section is a crashed
+			// replica's leftover; break it.
+			if time.Since(fi.ModTime()) > 5*time.Second {
+				_ = os.Remove(lock)
+				continue
+			}
+			// A newer lock than the last one seen is a holder that made
+			// progress: the wait restarts, so busy means one lock was
+			// held for the whole deadline.
+			if fi.ModTime().After(seen) {
+				seen = fi.ModTime()
+				deadline = time.Now().Add(2 * time.Second)
+			}
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("lease: lock %s busy", lock)

@@ -185,7 +185,7 @@ verify-bench:
 # register, heartbeat, job report and departure each have one typed
 # request and one authenticated coordinator entry. A Notifier, an
 # unauthenticated positional entry (HandleDeparture, Departing) or a
-# type assertion that digs a *core.Client out of an endpoint is a second
+# type assertion that digs a *api.CoordinatorClient out of an endpoint is a second
 # agent→coordinator seam in the making — the split that once left
 # /v1/jobupdate without a token check. Sims, chaos, tests and examples
 # send those messages through the shipped handlers (core.Handler,
@@ -274,7 +274,13 @@ verify-bench:
 # NegotiateVersion, ProtocolV1, MinProtocolVersion or ErrVersionMismatch
 # in any Go file is a field no receiver acts on, or a negotiation whose
 # answer nobody reads, coming back (the compatibility tests name the old
-# JSON keys, storage_prefs and leader_hint, which pass). bench/ is
+# JSON keys, storage_prefs and leader_hint, which pass). Each daemon
+# links only its own side: both HTTP clients live in internal/api, so
+# cmd/agent's closure (go list -deps) holds no internal/core, wal,
+# scheduler, auth or heartbeat, cmd/coordinator's no internal/agent or
+# container, and gpuctl's and cmd/aggregator's neither server; a
+# NewClient( outside internal/core/client.go (the constructor bench/
+# still calls) is a client back in a server package. bench/ is
 # not scanned: its hand-assembled coordinator is the one caller
 # eventbus.New is kept for, and its beats_relayed workload is what
 # internal/aggregator and cmd/aggregator are kept for.
@@ -289,7 +295,7 @@ verify-compose:
 		echo "wall-clock sleep in non-test code under internal/sim:"; echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn 'Notifier' internal/agent cmd; \
-		grep -rnE 'HandleDeparture|\.Departing\(|\.\(\*core\.Client\)' --include='*.go' internal cmd examples | grep -v '_test\.go:')"; \
+		grep -rnE 'HandleDeparture|\.Departing\(|\.\(\*(api\.)?CoordinatorClient\)' --include='*.go' internal cmd examples | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a second agent->coordinator seam beside agent.Link:"; echo "$$out"; exit 1; \
 	fi
@@ -384,6 +390,15 @@ verify-compose:
 	@out="$$(grep -rnwE --include='*.go' 'StoragePrefs|LeaderHint|NegotiateVersion|ProtocolV1|MinProtocolVersion|ErrVersionMismatch' .)"; \
 	if [ -n "$$out" ]; then \
 		echo "a wire field or negotiation no receiver reads:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(for rule in 'agent:core|wal|scheduler|auth|heartbeat' 'coordinator:agent|container' \
+			'gpuctl:core|agent' 'aggregator:core|agent'; do \
+			cmd=$${rule%%:*}; deps="$$($(GO) list -deps ./cmd/$$cmd)" || { echo "go list -deps ./cmd/$$cmd failed"; continue; }; \
+			echo "$$deps" | grep -E "^gpunion/internal/($${rule#*:})\$$" | sed "s|^|cmd/$$cmd links |"; \
+		done; \
+		grep -rn --include='*.go' 'NewClient(' internal cmd examples | grep -v '^internal/core/client\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a daemon linking the other side (the clients live in internal/api):"; echo "$$out"; exit 1; \
 	fi
 
 # Same-behaviour gate: the ten chaos schedules, the trace test's

@@ -1066,7 +1066,7 @@ func benchHealthBeats(b *testing.B, senders int) {
 		id := fmt.Sprintf("n%d", i+1)
 		ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, clock, []gpu.Spec{gpu.RTX3090, gpu.RTX3090}, ckpts, nil)
 		defer ag.Stop()
-		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), &agent.Client{BaseURL: "http://" + id,
+		reg, err := coord.Register(ag.RegisterRequest("inproc://"+id, 1<<30), &api.AgentClient{BaseURL: "http://" + id,
 			HTTPClient: &http.Client{Transport: api.InProcess{Handler: ag.Handler()}}})
 		if err != nil {
 			b.Fatal(err)

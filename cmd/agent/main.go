@@ -46,7 +46,6 @@ import (
 	"gpunion/internal/api"
 	"gpunion/internal/checkpoint"
 	"gpunion/internal/config"
-	"gpunion/internal/core"
 	"gpunion/internal/simclock"
 	"gpunion/internal/storage"
 )
@@ -136,7 +135,7 @@ func coordinatorEndpoints(list string) []agent.Endpoint {
 	var eps []agent.Endpoint
 	for _, url := range strings.Split(list, ",") {
 		if url = strings.TrimSpace(url); url != "" {
-			eps = append(eps, agent.Endpoint{ID: url, Link: core.NewClient(url)})
+			eps = append(eps, agent.Endpoint{ID: url, Link: api.NewCoordinatorClient(url)})
 		}
 	}
 	return eps

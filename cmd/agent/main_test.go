@@ -283,7 +283,7 @@ func TestAgentFollowsLeadershipAcrossEndpoints(t *testing.T) {
 		// The coordinators reach the agent through its handler in
 		// process; everything the agent sends travels over a socket.
 		srv := httptest.NewServer(c.Handler(func(string) core.AgentHandle {
-			return &agent.Client{BaseURL: "http://" + ag.MachineID(),
+			return &api.AgentClient{BaseURL: "http://" + ag.MachineID(),
 				HTTPClient: &http.Client{Transport: api.InProcess{Handler: ag.Handler()}}}
 		}))
 		t.Cleanup(srv.Close)

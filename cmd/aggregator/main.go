@@ -29,8 +29,8 @@ import (
 	"time"
 
 	"gpunion/internal/aggregator"
+	"gpunion/internal/api"
 	"gpunion/internal/auth"
-	"gpunion/internal/core"
 	"gpunion/internal/simclock"
 )
 
@@ -55,7 +55,7 @@ func main() {
 	agg := aggregator.New(aggregator.Config{
 		ID:            *id,
 		FlushInterval: *flush,
-	}, simclock.Real(), core.NewClient(*upstream))
+	}, simclock.Real(), api.NewCoordinatorClient(*upstream))
 
 	srv := &http.Server{Addr: *listen, Handler: agg.Handler()}
 	go func() {

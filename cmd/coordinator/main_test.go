@@ -47,7 +47,7 @@ func daemon(t *testing.T, addr, logPath string, args ...string) *exec.Cmd {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
 	})
-	client := core.NewClient("http://" + addr)
+	client := api.NewCoordinatorClient("http://" + addr)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		if _, err := client.Nodes(); err == nil {
 			return cmd
@@ -71,7 +71,7 @@ func freeAddr(t *testing.T) string {
 }
 
 // register joins node-1 through client.
-func register(t *testing.T, client *core.Client) api.RegisterResponse {
+func register(t *testing.T, client *api.CoordinatorClient) api.RegisterResponse {
 	t.Helper()
 	reg, err := client.Register(api.RegisterRequest{
 		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion},
@@ -85,7 +85,7 @@ func register(t *testing.T, client *core.Client) api.RegisterResponse {
 }
 
 // beat sends node-1's heartbeat number seq with the credential reg gave.
-func beat(client *core.Client, reg api.RegisterResponse, seq uint64) (api.HeartbeatResponse, error) {
+func beat(client *api.CoordinatorClient, reg api.RegisterResponse, seq uint64) (api.HeartbeatResponse, error) {
 	return client.Heartbeat(api.HeartbeatRequest{
 		Envelope:  api.Envelope{ProtocolVersion: api.ProtocolVersion, LeaderEpoch: reg.LeaderEpoch},
 		MachineID: "node-1", Token: reg.Token, BeatSeq: seq,
@@ -119,17 +119,17 @@ func TestLeaseTTLBelowOneRefused(t *testing.T) {
 }
 
 // TestCrashRestartKeepsNodesAndTokens boots the shipped daemon on a WAL
-// directory, registers a node and beats through core.Client, SIGKILLs
-// the process and restarts it on the same directory. The node must be
-// recovered from the log, and the node's pre-crash token must still
-// verify against the persisted auth.key: its next beat is answered 200
-// with a request to re-register (the agent handle died with the
-// process), not refused with 401.
+// directory, registers a node and beats through api.CoordinatorClient,
+// SIGKILLs the process and restarts it on the same directory. The node
+// must be recovered from the log, and the node's pre-crash token must
+// still verify against the persisted auth.key: its next beat is
+// answered 200 with a request to re-register (the agent handle died
+// with the process), not refused with 401.
 func TestCrashRestartKeepsNodesAndTokens(t *testing.T) {
 	addr := freeAddr(t)
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	client := core.NewClient("http://" + addr)
+	client := api.NewCoordinatorClient("http://" + addr)
 
 	first := daemon(t, addr, filepath.Join(dir, "first.log"), "-wal-dir", walDir)
 	reg := register(t, client)
@@ -190,9 +190,9 @@ func TestStandbyTakesOverFromKilledLeader(t *testing.T) {
 	standbyLog := filepath.Join(dir, "standby.log")
 	daemon(t, standbyAddr, standbyLog, append(replica("standby", "coord-b"), "-follow-dir", filepath.Join(dir, "wal-coord-a"))...)
 
-	leaderClient := core.NewClient("http://" + leaderAddr)
+	leaderClient := api.NewCoordinatorClient("http://" + leaderAddr)
 	reg := register(t, leaderClient)
-	standby := core.NewClient("http://" + standbyAddr)
+	standby := api.NewCoordinatorClient("http://" + standbyAddr)
 	if _, err := beat(standby, reg, 1); err == nil {
 		rec := core.FileLeaseStore(lease).Load()
 		if rec.Holder != "coord-b" || rec.Epoch <= reg.LeaderEpoch {

@@ -29,9 +29,7 @@ import (
 	"sort"
 	"time"
 
-	"gpunion/internal/agent"
 	"gpunion/internal/api"
-	"gpunion/internal/core"
 	"gpunion/internal/obs"
 	"gpunion/internal/workload"
 )
@@ -49,33 +47,33 @@ func main() {
 	var err error
 	switch cmd {
 	case "submit":
-		err = cmdSubmit(core.NewClient(*coordURL), rest)
+		err = cmdSubmit(api.NewCoordinatorClient(*coordURL), rest)
 	case "status":
-		err = cmdStatus(core.NewClient(*coordURL), rest)
+		err = cmdStatus(api.NewCoordinatorClient(*coordURL), rest)
 	case "kill":
-		err = cmdKill(core.NewClient(*coordURL), rest)
+		err = cmdKill(api.NewCoordinatorClient(*coordURL), rest)
 	case "nodes":
-		err = cmdNodes(core.NewClient(*coordURL))
+		err = cmdNodes(api.NewCoordinatorClient(*coordURL))
 	case "health":
-		err = cmdHealth(core.NewClient(*coordURL))
+		err = cmdHealth(api.NewCoordinatorClient(*coordURL))
 	case "jobs":
-		err = cmdJobs(core.NewClient(*coordURL))
+		err = cmdJobs(api.NewCoordinatorClient(*coordURL))
 	case "metrics":
-		err = cmdMetrics(core.NewClient(*coordURL))
+		err = cmdMetrics(api.NewCoordinatorClient(*coordURL))
 	case "trace":
-		err = cmdTrace(core.NewClient(*coordURL), rest)
+		err = cmdTrace(api.NewCoordinatorClient(*coordURL), rest)
 	case "samples":
-		err = cmdSamples(core.NewClient(*coordURL), rest)
+		err = cmdSamples(api.NewCoordinatorClient(*coordURL), rest)
 	case "killswitch":
-		err = cmdKillSwitch(agent.NewClient(*agentURL))
+		err = cmdKillSwitch(api.NewAgentClient(*agentURL))
 	case "pause":
-		err = agent.NewClient(*agentURL).Pause()
+		err = api.NewAgentClient(*agentURL).Pause()
 	case "resume":
-		err = agent.NewClient(*agentURL).Resume()
+		err = api.NewAgentClient(*agentURL).Resume()
 	case "depart":
-		err = cmdDepart(agent.NewClient(*agentURL), rest)
+		err = cmdDepart(api.NewAgentClient(*agentURL), rest)
 	case "agent-status":
-		err = cmdAgentStatus(agent.NewClient(*agentURL))
+		err = cmdAgentStatus(api.NewAgentClient(*agentURL))
 	default:
 		usage()
 		os.Exit(2)
@@ -95,7 +93,7 @@ O&M commands:     metrics, trace [-job ID] [-json], health,
 provider commands: killswitch, pause, resume, depart, agent-status`)
 }
 
-func cmdSubmit(c *core.Client, args []string) error {
+func cmdSubmit(c *api.CoordinatorClient, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	image := fs.String("image", "pytorch/pytorch:2.3-cuda12", "container image")
 	kind := fs.String("kind", "batch", "batch or interactive")
@@ -153,7 +151,7 @@ func profileSpec(name string) (workload.TrainingSpec, error) {
 	return workload.TrainingSpec{}, fmt.Errorf("unknown profile %q", name)
 }
 
-func cmdStatus(c *core.Client, args []string) error {
+func cmdStatus(c *api.CoordinatorClient, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: gpuctl status <job-id>")
 	}
@@ -173,14 +171,14 @@ func cmdStatus(c *core.Client, args []string) error {
 	return nil
 }
 
-func cmdKill(c *core.Client, args []string) error {
+func cmdKill(c *api.CoordinatorClient, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: gpuctl kill <job-id>")
 	}
 	return c.KillJob(args[0])
 }
 
-func cmdNodes(c *core.Client) error {
+func cmdNodes(c *api.CoordinatorClient) error {
 	nodes, err := c.Nodes()
 	if err != nil {
 		return err
@@ -198,7 +196,7 @@ func cmdNodes(c *core.Client) error {
 	return nil
 }
 
-func cmdJobs(c *core.Client) error {
+func cmdJobs(c *api.CoordinatorClient) error {
 	jobs, err := c.Jobs()
 	if err != nil {
 		return err
@@ -214,7 +212,7 @@ func cmdJobs(c *core.Client) error {
 
 // cmdSamples prints the newest retained telemetry points of one metric
 // on one node.
-func cmdSamples(c *core.Client, args []string) error {
+func cmdSamples(c *api.CoordinatorClient, args []string) error {
 	fs := flag.NewFlagSet("samples", flag.ExitOnError)
 	metric := fs.String("metric", "gpu_utilization", "metric name (gpu_utilization, gpu_memory_used_mib)")
 	since := fs.Duration("since", 5*time.Minute, "how far back to look (0 = all retained history)")
@@ -240,7 +238,7 @@ func cmdSamples(c *core.Client, args []string) error {
 // cmdHealth prints every node's gray-failure standing: the folded
 // health score, whether the node is below the drain threshold, and the
 // most recent events behind the score.
-func cmdHealth(c *core.Client) error {
+func cmdHealth(c *api.CoordinatorClient) error {
 	nodes, err := c.NodeHealths()
 	if err != nil {
 		return err
@@ -282,7 +280,7 @@ func cmdHealth(c *core.Client) error {
 // WAL latency, shipper lag, scheduler cache effectiveness, per-state
 // job counts, leader epoch — for ad-hoc inspection or piping into
 // promtool.
-func cmdMetrics(c *core.Client) error {
+func cmdMetrics(c *api.CoordinatorClient) error {
 	text, err := c.MetricsText()
 	if err != nil {
 		return err
@@ -295,7 +293,7 @@ func cmdMetrics(c *core.Client) error {
 // it for humans: an event-kind tally, job-lifecycle spans (submit →
 // terminal) with duration statistics, or — with -job — one job's full
 // timeline. -json dumps the raw export for tooling.
-func cmdTrace(c *core.Client, args []string) error {
+func cmdTrace(c *api.CoordinatorClient, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	jobID := fs.String("job", "", "print one job's event timeline")
 	asJSON := fs.Bool("json", false, "dump the raw trace export as JSON")
@@ -368,7 +366,7 @@ func printEvent(ev obs.Event) {
 	fmt.Println()
 }
 
-func cmdKillSwitch(c *agent.Client) error {
+func cmdKillSwitch(c *api.AgentClient) error {
 	resp, err := c.KillSwitch()
 	if err != nil {
 		return err
@@ -380,7 +378,7 @@ func cmdKillSwitch(c *agent.Client) error {
 	return nil
 }
 
-func cmdDepart(c *agent.Client, args []string) error {
+func cmdDepart(c *api.AgentClient, args []string) error {
 	fs := flag.NewFlagSet("depart", flag.ExitOnError)
 	reason := fs.String("reason", "scheduled", "scheduled, emergency or temporary")
 	grace := fs.Int("grace", 120, "checkpoint grace period (seconds)")
@@ -395,7 +393,7 @@ func cmdDepart(c *agent.Client, args []string) error {
 	return c.Depart(api.DepartReason(*reason), time.Duration(*grace)*time.Second)
 }
 
-func cmdAgentStatus(c *agent.Client) error {
+func cmdAgentStatus(c *api.AgentClient) error {
 	st, err := c.Status()
 	if err != nil {
 		return err

@@ -27,7 +27,7 @@ func submit(t *testing.T, args ...string) ([]db.JobRecord, error) {
 	}
 	t.Cleanup(coord.Stop)
 	handler := coord.Handler(func(string) core.AgentHandle { return nil })
-	c := &core.Client{BaseURL: "http://coordinator",
+	c := &api.CoordinatorClient{BaseURL: "http://coordinator",
 		HTTPClient: &http.Client{Transport: api.InProcess{Handler: handler}}}
 	err = cmdSubmit(c, args)
 	return coord.DB().ListJobs(), err

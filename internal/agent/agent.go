@@ -136,11 +136,11 @@ type Agent struct {
 }
 
 // Link is the agent's request path to one coordinator replica:
-// core.Client, over a socket or, in tests and simulations, over
-// api.InProcess into the coordinator's own Handler. It carries the four
-// messages a provider agent sends (§3.4) — registration, heartbeat, job
-// report and departure notice — each a typed request the agent builds
-// with its token, leader epoch and protocol version.
+// api.CoordinatorClient, over a socket or, in tests and simulations,
+// over api.InProcess into the coordinator's own Handler. It carries the
+// four messages a provider agent sends (§3.4) — registration,
+// heartbeat, job report and departure notice — each a typed request the
+// agent builds with its token, leader epoch and protocol version.
 type Link interface {
 	Register(api.RegisterRequest) (api.RegisterResponse, error)
 	Heartbeat(api.HeartbeatRequest) (api.HeartbeatResponse, error)

@@ -442,7 +442,7 @@ func TestHeartbeatLoopRealClock(t *testing.T) {
 	if _, err := a.Join("inproc://node-test", 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	orders := &Client{BaseURL: "http://node-test", HTTPClient: &http.Client{Transport: api.InProcess{Handler: a.Handler()}}}
+	orders := &api.AgentClient{BaseURL: "http://node-test", HTTPClient: &http.Client{Transport: api.InProcess{Handler: a.Handler()}}}
 	spec := workload.SmallCNN
 	for i := 0; link.beats.Load() < 20; i++ {
 		if i == 2000 {
@@ -475,7 +475,7 @@ func TestCheckpointOrdersRealClock(t *testing.T) {
 	a := New(Config{MachineID: "node-test", Kernel: "5.15", ProgressTick: time.Millisecond}, simclock.Real(),
 		[]gpu.Spec{gpu.RTX3090}, checkpoint.NewStore(storage.NewMemStore(0)), nil)
 	t.Cleanup(a.Stop)
-	orders := &Client{BaseURL: "http://node-test", HTTPClient: &http.Client{Transport: api.InProcess{Handler: a.Handler()}}}
+	orders := &api.AgentClient{BaseURL: "http://node-test", HTTPClient: &http.Client{Transport: api.InProcess{Handler: a.Handler()}}}
 	spec := workload.SmallCNN
 	spec.TotalSteps = 1 << 40 // still training when the orders stop
 	if _, err := orders.Launch(api.LaunchRequest{JobID: "j1", ImageName: "pytorch/pytorch:2.3-cuda12",

@@ -114,73 +114,3 @@ func (a *Agent) Handler() http.Handler {
 
 	return mux
 }
-
-// Client drives a remote agent over HTTP. It implements the
-// coordinator's AgentHandle contract plus the provider-local controls
-// used by gpuctl.
-type Client struct {
-	// BaseURL is the agent's address, e.g. "http://10.0.0.5:7070".
-	BaseURL string
-	// HTTPClient defaults to a client with a 10 s timeout.
-	HTTPClient *http.Client
-}
-
-// NewClient creates a Client with sane timeouts.
-func NewClient(baseURL string) *Client {
-	return &Client{
-		BaseURL:    baseURL,
-		HTTPClient: &http.Client{Timeout: 10 * time.Second},
-	}
-}
-
-// Launch implements the coordinator-side handle.
-func (c *Client) Launch(req api.LaunchRequest) (api.LaunchResponse, error) {
-	var resp api.LaunchResponse
-	err := c.post("/v1/launch", req, &resp)
-	return resp, err
-}
-
-// Kill implements the coordinator-side handle. The request carries the
-// sending leader's epoch; the agent enforces the fence.
-func (c *Client) Kill(req api.KillRequest) error {
-	return c.post("/v1/kill", req, nil)
-}
-
-// Checkpoint implements the coordinator-side handle. The request
-// carries the sending leader's epoch; the agent enforces the fence.
-func (c *Client) Checkpoint(req api.CheckpointRequest) (api.CheckpointResponse, error) {
-	var resp api.CheckpointResponse
-	err := c.post("/v1/checkpoint", req, &resp)
-	return resp, err
-}
-
-// KillSwitch triggers the provider's emergency control.
-func (c *Client) KillSwitch() (api.KillSwitchResponse, error) {
-	var resp api.KillSwitchResponse
-	err := c.post("/v1/killswitch", nil, &resp)
-	return resp, err
-}
-
-// Pause stops new allocations on the node.
-func (c *Client) Pause() error { return c.post("/v1/pause", nil, nil) }
-
-// Resume re-enables allocations.
-func (c *Client) Resume() error { return c.post("/v1/resume", nil, nil) }
-
-// Depart asks the agent to leave the platform.
-func (c *Client) Depart(reason api.DepartReason, grace time.Duration) error {
-	return c.post("/v1/depart", api.DepartRequest{
-		Reason: reason, GraceSeconds: int(grace / time.Second),
-	}, nil)
-}
-
-// Status fetches the agent's self-report.
-func (c *Client) Status() (api.AgentStatus, error) {
-	var st api.AgentStatus
-	err := api.GetJSON(c.HTTPClient, c.BaseURL+"/v1/status", &st)
-	return st, err
-}
-
-func (c *Client) post(path string, body, out any) error {
-	return api.PostJSON(c.HTTPClient, c.BaseURL+path, body, out)
-}

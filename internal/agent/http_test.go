@@ -13,11 +13,11 @@ import (
 )
 
 // httpPair serves a rig's agent over real HTTP and returns a client.
-func httpPair(t *testing.T, r *testRig) *Client {
+func httpPair(t *testing.T, r *testRig) *api.AgentClient {
 	t.Helper()
 	srv := httptest.NewServer(r.agent.Handler())
 	t.Cleanup(srv.Close)
-	return NewClient(srv.URL)
+	return api.NewAgentClient(srv.URL)
 }
 
 func TestHTTPLaunchAndStatus(t *testing.T) {
@@ -172,7 +172,7 @@ func TestHTTPBadJSONRejected(t *testing.T) {
 }
 
 func TestHTTPClientAgainstDeadServer(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1") // nothing listens here
+	c := api.NewAgentClient("http://127.0.0.1:1") // nothing listens here
 	if _, err := c.Launch(api.LaunchRequest{JobID: "j"}); err == nil {
 		t.Fatal("launch against dead server succeeded")
 	}

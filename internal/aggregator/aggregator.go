@@ -49,7 +49,7 @@ var ErrUnavailable = errors.New("aggregator: unavailable, beat direct")
 
 // Upstream is the aggregator's coordinator-facing transport. The
 // in-process deployment is *core.Coordinator itself; the daemon uses
-// *core.Client.
+// *api.CoordinatorClient.
 type Upstream interface {
 	IngestAggregated(api.AggregatedBeat) (api.AggregatedBeatResponse, error)
 }

@@ -1,6 +1,8 @@
 // Package api defines the wire types of GPUnion's REST protocol: the
 // messages exchanged between provider agents, the central coordinator,
-// and user clients. All bodies are JSON.
+// and user clients. All bodies are JSON. Beside the types sit the JSON
+// plumbing every route shares (wire.go) and one typed client per peer,
+// CoordinatorClient and AgentClient (client.go).
 //
 // Endpoint map (coordinator):
 //

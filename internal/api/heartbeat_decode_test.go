@@ -144,8 +144,8 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 // TestMarshalledHeartbeatsAreCanonical: json.Marshal of any heartbeat
 // without health events, whose IDs are printable ASCII that json.Marshal
 // does not escape (not " \ < > &), takes the hand parse and comes back
-// deeply equal. Every sender in this repository — core.Client, which
-// cmd/agent beats a coordinator or a relay with, and bench/'s fleet —
+// deeply equal. Every sender in this repository — CoordinatorClient,
+// which cmd/agent beats a coordinator or a relay with, and bench/'s fleet —
 // marshals its beat so, with node-<hash> machine IDs and
 // base64url.signature tokens.
 func TestMarshalledHeartbeatsAreCanonical(t *testing.T) {

@@ -106,9 +106,10 @@ func GetJSON(hc *http.Client, url string, out any) error {
 	return Do(hc, req, out)
 }
 
-// Do sends req and decodes the JSON reply into out (nil to ignore it).
-// A nil client is http.DefaultClient; a status of 300 or above is
-// returned as ReadError reads it.
+// Do sends req and decodes the JSON reply into out (nil to ignore it);
+// an io.Writer out receives the reply as is. A nil client is
+// http.DefaultClient; a status of 300 or above is returned as ReadError
+// reads it.
 func Do(hc *http.Client, req *http.Request, out any) error {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -121,7 +122,13 @@ func Do(hc *http.Client, req *http.Request, out any) error {
 	if resp.StatusCode >= 300 {
 		return ReadError(resp)
 	}
-	if out != nil {
+	switch out := out.(type) {
+	case nil:
+	case io.Writer:
+		if _, err := io.Copy(out, resp.Body); err != nil {
+			return fmt.Errorf("api: reading response: %w", err)
+		}
+	default:
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("api: decoding response: %w", err)
 		}

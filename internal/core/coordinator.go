@@ -5,7 +5,7 @@
 // mechanism.
 //
 // Agents are reached through the AgentHandle interface, which one type
-// implements: agent.Client, over a socket for the daemons in cmd/ and
+// implements: api.AgentClient, over a socket for the daemons in cmd/ and
 // over api.InProcess for tests and the discrete-event simulations.
 package core
 

@@ -48,19 +48,19 @@ func newRig(t *testing.T, hbInterval time.Duration) *rig {
 // shipped handler, so both directions cross the decode, status mapping
 // and error reconstruction the daemons run. ag registers at
 // "inproc://" plus its machine ID.
-func linkTo(c *Coordinator, ag *agent.Agent) *Client {
+func linkTo(c *Coordinator, ag *agent.Agent) *api.CoordinatorClient {
 	hosts := &api.Hosts{}
 	wire := &http.Client{Transport: hosts}
 	hosts.Serve(ag.MachineID(), ag.Handler())
 	hosts.Serve("coordinator", c.Handler(func(addr string) AgentHandle {
-		return &agent.Client{BaseURL: addr, HTTPClient: wire}
+		return &api.AgentClient{BaseURL: addr, HTTPClient: wire}
 	}))
-	return &Client{BaseURL: "http://coordinator", HTTPClient: wire}
+	return &api.CoordinatorClient{BaseURL: "http://coordinator", HTTPClient: wire}
 }
 
 // handleOf is a coordinator's handle on ag through ag's own handler.
 func handleOf(ag *agent.Agent) AgentHandle {
-	return &agent.Client{BaseURL: "http://" + ag.MachineID(),
+	return &api.AgentClient{BaseURL: "http://" + ag.MachineID(),
 		HTTPClient: &http.Client{Transport: api.InProcess{Handler: ag.Handler()}}}
 }
 

@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"gpunion/internal/agent"
 	"gpunion/internal/api"
 )
 
@@ -26,7 +25,7 @@ type HandleFactory func(addr string) AgentHandle
 
 // DefaultHandleFactory returns HTTP handles.
 func DefaultHandleFactory(addr string) AgentHandle {
-	return agent.NewClient(addr)
+	return api.NewAgentClient(addr)
 }
 
 // writeAgentAnswer answers a departure notice or a job report: 204 when

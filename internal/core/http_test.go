@@ -36,7 +36,7 @@ type httpRig struct {
 	clock    *simclock.Sim
 	coord    *Coordinator
 	coordSrv *httptest.Server
-	client   *Client
+	client   *api.CoordinatorClient
 	ckpts    *checkpoint.Store
 }
 
@@ -54,16 +54,16 @@ func newHTTPRig(t *testing.T) *httpRig {
 	t.Cleanup(srv.Close)
 	return &httpRig{
 		t: t, clock: clock, coord: coord, coordSrv: srv,
-		client: NewClient(srv.URL), ckpts: ckpts,
+		client: api.NewCoordinatorClient(srv.URL), ckpts: ckpts,
 	}
 }
 
 // addHTTPNode starts an agent HTTP server and registers it through the
 // coordinator's REST API, which starts its heartbeat loop on the
 // simulated clock.
-func (r *httpRig) addHTTPNode(id string, specs ...gpu.Spec) (*agent.Agent, *Client) {
+func (r *httpRig) addHTTPNode(id string, specs ...gpu.Spec) (*agent.Agent, *api.CoordinatorClient) {
 	r.t.Helper()
-	coordClient := NewClient(r.coordSrv.URL)
+	coordClient := api.NewCoordinatorClient(r.coordSrv.URL)
 	ag := agent.New(agent.Config{MachineID: id, Kernel: "5.15"}, r.clock, specs, r.ckpts, nil)
 	ag.SetEndpoints([]agent.Endpoint{{ID: r.coordSrv.URL, Link: coordClient}})
 	r.t.Cleanup(ag.Stop)
@@ -117,15 +117,32 @@ func TestHTTPEndToEndJobLifecycle(t *testing.T) {
 	})
 }
 
+// TestHTTPNodesEndpoint also reads GET /v1/health/nodes, the one source
+// of gpuctl health: a health event that a node's beat carried comes
+// back through the client under that node, with the score folded.
 func TestHTTPNodesEndpoint(t *testing.T) {
 	r := newHTTPRig(t)
-	r.addHTTPNode("n1", gpu.RTX3090, gpu.RTX3090)
+	ag, link := r.addHTTPNode("n1", gpu.RTX3090, gpu.RTX3090)
 	nodes, err := r.client.Nodes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes) != 1 || nodes[0].ID != "n1" || len(nodes[0].GPUs) != 2 {
 		t.Fatalf("nodes = %+v", nodes)
+	}
+
+	xid := gpu.HealthEvent{Kind: gpu.HealthXIDRecoverable, Severity: gpu.SeverityWarn, DeviceID: "gpu0", XID: 31}
+	if resp, err := link.Heartbeat(api.HeartbeatRequest{MachineID: "n1", Token: ag.Token(), BeatSeq: 1 << 40,
+		HealthEvents: []gpu.HealthEvent{xid}}); err != nil || !resp.Acknowledged {
+		t.Fatalf("health beat = %+v, %v", resp, err)
+	}
+	healths, err := r.client.NodeHealths()
+	if err != nil || len(healths) != 1 {
+		t.Fatalf("healths = %+v, %v", healths, err)
+	}
+	if h := healths[0]; h.NodeID != "n1" || h.Status != db.NodeActive || h.Score >= 1 ||
+		!h.UpdatedAt.Equal(r.clock.Now()) || !reflect.DeepEqual(h.RecentEvents, []gpu.HealthEvent{xid}) {
+		t.Fatalf("n1's health = %+v, want the beat's XID event folded at %s", h, r.clock.Now())
 	}
 }
 
@@ -194,12 +211,12 @@ func TestHTTPKillJob(t *testing.T) {
 func TestHTTPProviderControls(t *testing.T) {
 	r := newHTTPRig(t)
 	ag, _ := r.addHTTPNode("n1", gpu.RTX3090)
-	agClient := agent.NewClient("http://" + agentAddr(t, ag))
+	agClient := api.NewAgentClient("http://" + agentAddr(t, ag))
 	_ = agClient
 	// Drive the local controls through the agent's own REST API.
 	srv := httptest.NewServer(ag.Handler())
 	defer srv.Close()
-	local := agent.NewClient(srv.URL)
+	local := api.NewAgentClient(srv.URL)
 
 	if err := local.Pause(); err != nil {
 		t.Fatal(err)
@@ -573,11 +590,11 @@ func TestAgentRoutesRejectBadCredentials(t *testing.T) {
 	}
 }
 
-// TestLinksAgreeOnReportsAndDepartures: the one agent.Link, core.Client,
-// reaches the coordinator's authenticated entries through its Handler,
-// so a job report or a departure notice gets the answer, and the class
-// of error, that the entry gives: 401 for a bad credential, an answer
-// for a report the coordinator drops as stale.
+// TestLinksAgreeOnReportsAndDepartures: the one agent.Link,
+// api.CoordinatorClient, reaches the coordinator's authenticated entries
+// through its Handler, so a job report or a departure notice gets the
+// answer, and the class of error, that the entry gives: 401 for a bad
+// credential, an answer for a report the coordinator drops as stale.
 func TestLinksAgreeOnReportsAndDepartures(t *testing.T) {
 	r := newHTTPRig(t)
 	n1, _ := r.addHTTPNode("n1", gpu.RTX3090)

@@ -572,9 +572,9 @@ func TestRegistrationKillsStaleCopy(t *testing.T) {
 	wire := &http.Client{Transport: hosts}
 	hosts.Serve("n1", ag1.Handler())
 	hosts.Serve("coordinator", r.coord.Handler(func(addr string) AgentHandle {
-		return refusalCounter{AgentHandle: &agent.Client{BaseURL: addr, HTTPClient: wire}, refused: &refused}
+		return refusalCounter{AgentHandle: &api.AgentClient{BaseURL: addr, HTTPClient: wire}, refused: &refused}
 	}))
-	link := &cutLink{Link: &Client{BaseURL: "http://coordinator", HTTPClient: wire}}
+	link := &cutLink{Link: &api.CoordinatorClient{BaseURL: "http://coordinator", HTTPClient: wire}}
 	ag1.SetEndpoints([]agent.Endpoint{{Link: link}})
 	if _, err := ag1.Join("inproc://n1", 1<<30); err != nil {
 		t.Fatal(err)

@@ -662,9 +662,9 @@ func (h *chaosHarness) maybeReplay(kind, label string, deliver func()) {
 // chaosWire is the harness's network: every agent↔coordinator message
 // crosses it as an HTTP request into the shipped handlers
 // (api.InProcess) at the host its URL names (h.Hosts; a down one fails
-// at the transport). Each agent's core.Client sends through a wire of
-// its own node; every replica's agent.Client shares one wire without a
-// node. One fault model covers both directions: a silenced node neither sends nor receives, and each request to or from
+// at the transport). Each agent's api.CoordinatorClient sends through a
+// wire of its own node; every replica's api.AgentClient shares one wire
+// without a node. One fault model covers both directions: a silenced node neither sends nor receives, and each request to or from
 // it fails at the transport, as over a dead link. Inside a partial-loss
 // window a node's heartbeat is lost in flight on a coin toss: the agent
 // built and sent it, and sees the same transport error.

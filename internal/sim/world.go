@@ -79,7 +79,7 @@ func (w *World) open(host string, cfg core.ReplicaConfig, clock simclock.Clock, 
 	}
 	agents := &http.Client{Transport: wire}
 	w.Hosts.Serve(host, rep.Coordinator().Handler(func(addr string) core.AgentHandle {
-		return &agent.Client{BaseURL: addr, HTTPClient: agents}
+		return &api.AgentClient{BaseURL: addr, HTTPClient: agents}
 	}))
 	return rep, nil
 }
@@ -102,7 +102,7 @@ func (w *World) boot(cfg agent.Config, clock simclock.Clock, gpus []gpu.Spec, se
 	client := &http.Client{Transport: wire}
 	eps := make([]agent.Endpoint, len(coords))
 	for i, addr := range coords {
-		eps[i] = agent.Endpoint{ID: addr, Link: &core.Client{BaseURL: "http://" + addr, HTTPClient: client}}
+		eps[i] = agent.Endpoint{ID: addr, Link: &api.CoordinatorClient{BaseURL: "http://" + addr, HTTPClient: client}}
 	}
 	ag.SetEndpoints(eps)
 	return ag
